@@ -18,7 +18,8 @@
 //! 5. the thread completing the lowest outstanding window becomes the
 //!    **sequencer** (combiner-style): one fence drains every published
 //!    window, then one `Head` store — the round's commit point — retires
-//!    the maximal contiguous `STAGED` prefix.
+//!    the maximal contiguous `STAGED` prefix that starts at the retire
+//!    frontier ([`MwState::frontier`]).
 //!
 //! The types here are DRAM bookkeeping only; the persistent side (window
 //! descriptor table, ring slots, entries) lives in the layout/cache
@@ -68,8 +69,15 @@ pub(crate) struct MwWindow {
 /// DRAM coordination state of one shard's multi-writer pipeline,
 /// protected by [`MwShard::state`].
 pub(crate) struct MwState {
-    /// Outstanding windows in reservation (ring) order.
+    /// Outstanding windows in reservation (ring) order. A writer registers
+    /// here only *after* its cursor CAS, so the queue can have holes: a
+    /// reserved range whose writer has not taken this lock yet.
     pub(crate) windows: VecDeque<MwWindow>,
+    /// The retire frontier: the ring sequence number the next sequencer
+    /// round must start at (the shard's `Head` while no round is in
+    /// flight). Set at format/recover, advanced by each round, republished
+    /// by the spanning lane.
+    pub(crate) frontier: u64,
     /// Disk blocks owned by outstanding windows (conflict admission:
     /// a transaction touching any of these waits *before* reserving, so
     /// blocked writers never hold ring slots).
@@ -86,6 +94,11 @@ pub(crate) struct MwState {
     pub(crate) waiting: HashSet<u64>,
     /// Retired ordinals from `waiting` (consumed by the waiter).
     pub(crate) retired: HashSet<u64>,
+    /// A sequencer round unwound (a simulated power failure, or a bug):
+    /// `Head` may or may not have moved, so nothing can retire until the
+    /// pool is recovered and every committer parked on this shard must
+    /// leave. Holds the crash trip's event when that is what unwound.
+    pub(crate) failed: Option<Option<u64>>,
     /// Reservation-CAS retries not yet folded into the cache stats.
     pub(crate) pending_cas_retries: u64,
     /// Sequencer handoffs not yet folded into the cache stats.
@@ -116,6 +129,7 @@ impl MwShard {
             slots_avail: AtomicU64::new(crate::layout::MW_WINDOWS as u64),
             state: StdMutex::new(MwState {
                 windows: VecDeque::new(),
+                frontier: head,
                 in_flight: HashSet::new(),
                 free_desc: (0..crate::layout::MW_WINDOWS).collect(),
                 next_ordinal: 0,
@@ -123,6 +137,7 @@ impl MwShard {
                 spanning_open: false,
                 waiting: HashSet::new(),
                 retired: HashSet::new(),
+                failed: None,
                 pending_cas_retries: 0,
                 pending_handoffs: 0,
             }),

@@ -272,13 +272,19 @@ impl TincaPool {
     /// [`SpanningIntent`] directive, so an interrupted spanning
     /// transaction rolls the same direction on every shard; the record is
     /// retired only once every shard has recovered.
+    ///
+    /// A pool needs one device per configured shard and at least one
+    /// shard; anything else is [`TincaError::GeometryMismatch`] on field
+    /// `"shards"` (`found` = devices handed in, `expected` = shards
+    /// configured, or 1 when the configuration asks for none).
     pub fn recover(devices: Vec<Nvm>, disk: DynDisk, cfg: PoolConfig) -> Result<Self, TincaError> {
-        assert_eq!(
-            devices.len(),
-            cfg.shards,
-            "one NVM device per shard required"
-        );
-        assert!(cfg.shards >= 1, "pool needs at least one shard");
+        if devices.len() != cfg.shards || cfg.shards == 0 {
+            return Err(TincaError::GeometryMismatch {
+                field: "shards",
+                found: devices.len() as u64,
+                expected: cfg.shards.max(1) as u64,
+            });
+        }
         Self::check_mode(&cfg);
         // Single-shard pools never write the record; skipping the read
         // keeps `N = 1` recovery bit-for-bit identical to a bare cache.
@@ -714,6 +720,22 @@ impl TincaPool {
                 Err(_) => retries += 1,
             }
         };
+        self.mw_register(s, txn, start, retries)
+    }
+
+    /// Second half of an admission, after the cursor CAS reserved
+    /// `[start, start + txn.len())`: registers the window and runs the meta
+    /// phase. Between the CAS and this call the reservation is a hole in
+    /// `MwState::windows` that the sequencer must not pass.
+    fn mw_register(
+        &self,
+        s: usize,
+        txn: Txn,
+        start: u64,
+        retries: u64,
+    ) -> Result<MwAdmission, TincaError> {
+        let sh = &self.shards[s];
+        let n = txn.len() as u64;
         let (ordinal, desc_slot) = {
             let mut mw = lock_mw(sh);
             mw.pending_cas_retries += retries;
@@ -867,6 +889,11 @@ impl TincaPool {
     /// contiguous `STAGED` prefix with **one** fence and **one** `Head`
     /// store (the round's commit point); losers count a handoff and
     /// return. Returns the number of windows retired by this caller.
+    ///
+    /// A round starts only at the retire frontier and stops at the first
+    /// gap: a writer that has CAS-reserved its range but not yet
+    /// registered the window leaves a hole in `windows`, and `Head` must
+    /// never be persisted past a slot nobody has written.
     pub fn mw_sequence(&self, s: usize) -> usize {
         let sh = &self.shards[s];
         let mut retired_total = 0usize;
@@ -877,9 +904,15 @@ impl TincaPool {
                     mw.pending_handoffs += 1;
                     break;
                 }
-                // Maximal contiguous staged prefix, in ring order.
+                // Maximal staged prefix that starts at the frontier and
+                // abuts window to window, in ring order.
                 let mut k = 0;
-                while k < mw.windows.len() && mw.windows[k].staged && mw.windows[k].meta.is_some() {
+                let mut next = mw.frontier;
+                while let Some(w) = mw.windows.get(k) {
+                    if w.start != next || !w.staged || w.meta.is_none() {
+                        break;
+                    }
+                    next += w.len;
                     k += 1;
                 }
                 if k == 0 {
@@ -930,6 +963,7 @@ impl TincaPool {
                                 mw.retired.insert(w.ordinal);
                             }
                         }
+                        mw.frontier = end;
                         mw.sequencing = false;
                     }
                     sh.mw
@@ -942,13 +976,40 @@ impl TincaPool {
                     retired_total += round.len();
                 }
                 Err(payload) => {
-                    lock_mw(sh).sequencing = false;
+                    // The round's windows are gone from the queue and will
+                    // never be marked retired: fail the shard's pipeline so
+                    // their waiters (and everyone behind them) leave
+                    // instead of parking forever.
+                    {
+                        let mut mw = lock_mw(sh);
+                        mw.failed = Some(
+                            payload
+                                .downcast_ref::<nvmsim::CrashTripped>()
+                                .map(|trip| trip.event),
+                        );
+                        mw.sequencing = false;
+                    }
                     sh.mw.cv.notify_all();
                     resume_unwind(payload);
                 }
             }
         }
         retired_total
+    }
+
+    /// Unwinds the calling committer if a sequencer round on this shard
+    /// unwound (see [`MwState::failed`]): with the crash trip's own payload
+    /// when that is what happened — the power failed for every thread —
+    /// and with a plain panic when the round hit a bug.
+    fn mw_leave_if_failed(mw: &MwState) {
+        match mw.failed {
+            None => {}
+            Some(Some(event)) => std::panic::panic_any(nvmsim::CrashTripped { event }),
+            // Audited panic: re-raises another thread's panic on the
+            // threads that would otherwise wait for it forever.
+            #[allow(clippy::disallowed_macros)]
+            Some(None) => panic!("a multi-writer sequencer round panicked; recover the pool"),
+        }
     }
 
     /// Blocking multi-writer commit on shard `s`: reserve (retrying while
@@ -975,6 +1036,7 @@ impl TincaPool {
             if mw.retired.remove(&ordinal) {
                 return Ok(());
             }
+            Self::mw_leave_if_failed(&mw);
             // Another thread is sequencing, or our prefix is blocked
             // behind an earlier unpublished window; park until the shard
             // advances. Checking `retired` under the lock the sequencer
@@ -998,6 +1060,7 @@ impl TincaPool {
             // now; retry immediately.
             return;
         }
+        Self::mw_leave_if_failed(&mw);
         let _w = telemetry::span(telemetry::phase::COMMIT_GROUP_WAIT);
         drop(sh.mw.cv.wait(mw).unwrap_or_else(PoisonError::into_inner));
     }
@@ -1015,6 +1078,7 @@ impl TincaPool {
             if mw.windows.is_empty() && !mw.sequencing {
                 return;
             }
+            Self::mw_leave_if_failed(&mw);
             let _w = telemetry::span(telemetry::phase::COMMIT_GROUP_WAIT);
             drop(sh.mw.cv.wait(mw).unwrap_or_else(PoisonError::into_inner));
         }
@@ -1032,11 +1096,17 @@ impl TincaPool {
 
     /// Pool-side bookkeeping after a spanning-lane window closed on a
     /// quiesced shard (the cache side already retired its descriptor):
-    /// refund the descriptor credit and republish the reservation limit
-    /// off the shard's already-advanced cursor.
+    /// refund the descriptor credit and republish the retire frontier and
+    /// the reservation limit off the shard's already-advanced cursor.
     fn mw_retire_slow(sh: &Shard, desc_slot: usize) {
         let end = sh.mw.cursor.load(Ordering::Acquire);
-        lock_mw(sh).free_desc.push(desc_slot);
+        {
+            let mut mw = lock_mw(sh);
+            mw.free_desc.push(desc_slot);
+            // The quiesced shard's only window just closed: the next
+            // pipelined round starts where the spanning lane stopped.
+            mw.frontier = end;
+        }
         sh.mw.slots_avail.fetch_add(1, Ordering::AcqRel);
         sh.mw
             .ring_limit
@@ -1391,5 +1461,131 @@ impl std::fmt::Debug for TincaPool {
             .field("shards", &self.shards.len())
             .field("max_batch_txns", &self.max_batch_txns)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blockdev::{DiskKind, SimDisk};
+    use nvmsim::{shard_devices, NvmConfig, NvmTech, SimClock};
+
+    /// A one-shard pool on the multi-writer ring.
+    fn ring_pool() -> TincaPool {
+        let devices = shard_devices(&NvmConfig::new(1 << 20, NvmTech::Pcm), 1);
+        let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, SimClock::new());
+        let mut cfg = PoolConfig::with_shards(1);
+        cfg.commit_mode = CommitMode::LockFreeRing;
+        cfg.cache.ring_bytes = 4096;
+        TincaPool::format(devices, disk, cfg)
+    }
+
+    fn one_block(blk: u64, byte: u8) -> Txn {
+        let mut t = Txn::new();
+        t.write(blk, &[byte; BLOCK_SIZE]);
+        t
+    }
+
+    /// The first half of an admission and nothing more: the writer claimed
+    /// its block, took a descriptor credit and won the cursor CAS, then was
+    /// descheduled before registering its window. Returns the reserved start.
+    fn reserve_unregistered(p: &TincaPool, txn: &Txn) -> u64 {
+        let sh = &p.shards[0];
+        lock_mw(sh).in_flight.extend(txn.disk_blocks());
+        sh.mw.slots_avail.fetch_sub(1, Ordering::AcqRel);
+        sh.mw.cursor.fetch_add(txn.len() as u64, Ordering::AcqRel)
+    }
+
+    fn admit(p: &TincaPool, admission: Result<MwAdmission, TincaError>) -> MwTicket {
+        match admission.unwrap() {
+            MwAdmission::Admitted(mut t) => {
+                p.mw_stage(&mut t);
+                t
+            }
+            MwAdmission::Busy(_) => panic!("admission refused"),
+        }
+    }
+
+    fn assert_block(p: &TincaPool, blk: u64, byte: u8) {
+        let mut buf = [0u8; BLOCK_SIZE];
+        p.read(blk, &mut buf).unwrap();
+        assert_eq!(buf, [byte; BLOCK_SIZE], "block {blk}");
+    }
+
+    /// A published window behind a reserved-but-unregistered range must not
+    /// retire: `Head` would be persisted past a slot nobody has written.
+    #[test]
+    fn sequencer_waits_for_an_unregistered_window_at_the_frontier() {
+        let p = ring_pool();
+        let a_txn = one_block(1, 0xA1);
+        let a_start = reserve_unregistered(&p, &a_txn);
+        let b = admit(&p, p.mw_try_begin(one_block(2, 0xB2)));
+        p.mw_publish(b);
+        assert_eq!(p.mw_sequence(0), 0, "B sits behind A's unwritten slot");
+
+        // A wakes up: registered but unpublished still blocks the prefix.
+        let a = admit(&p, p.mw_register(0, a_txn, a_start, 0));
+        assert_eq!(p.mw_sequence(0), 0, "A is registered, not yet staged");
+        p.mw_publish(a);
+        assert_eq!(p.mw_sequence(0), 2, "one round retires A and B");
+        assert_block(&p, 1, 0xA1);
+        assert_block(&p, 2, 0xB2);
+        assert_eq!(p.stats().commits, 2);
+        p.check_consistency().unwrap();
+    }
+
+    /// Consecutive windows must abut: the prefix is cut at a hole in the
+    /// middle of the queue, and the rest retires once the hole registers.
+    #[test]
+    fn sequencer_cuts_the_prefix_at_a_gap_between_windows() {
+        let p = ring_pool();
+        let a = admit(&p, p.mw_try_begin(one_block(1, 0xA1)));
+        let b_txn = one_block(2, 0xB2);
+        let b_start = reserve_unregistered(&p, &b_txn);
+        let c = admit(&p, p.mw_try_begin(one_block(3, 0xC3)));
+        p.mw_publish(c);
+        p.mw_publish(a);
+        assert_eq!(p.mw_sequence(0), 1, "only A: B's range is a hole before C");
+        assert_block(&p, 1, 0xA1);
+
+        let b = admit(&p, p.mw_register(0, b_txn, b_start, 0));
+        p.mw_publish(b);
+        assert_eq!(p.mw_sequence(0), 2, "B and C retire together");
+        assert_block(&p, 2, 0xB2);
+        assert_block(&p, 3, 0xC3);
+        p.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn recover_reports_shard_geometry_as_an_error() {
+        let disk = || SimDisk::new(DiskKind::Ssd, 1 << 20, SimClock::new());
+        let nvm = NvmConfig::new(1 << 20, NvmTech::Pcm);
+        let two = shard_devices(&nvm, 2);
+        drop(TincaPool::format(
+            two.clone(),
+            disk(),
+            PoolConfig::with_shards(2),
+        ));
+
+        let err = TincaPool::recover(two.clone(), disk(), PoolConfig::with_shards(4)).unwrap_err();
+        assert_eq!(
+            err,
+            TincaError::GeometryMismatch {
+                field: "shards",
+                found: 2,
+                expected: 4
+            }
+        );
+        let err = TincaPool::recover(Vec::new(), disk(), PoolConfig::with_shards(0)).unwrap_err();
+        assert_eq!(
+            err,
+            TincaError::GeometryMismatch {
+                field: "shards",
+                found: 0,
+                expected: 1
+            }
+        );
+        // The matching geometry still recovers.
+        TincaPool::recover(two, disk(), PoolConfig::with_shards(2)).unwrap();
     }
 }

@@ -92,13 +92,51 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+/// Slicing-by-8 tables derived from [`CRC_TABLE`]: `CRC_SLICES[k][b]` is the
+/// CRC state after byte `b` followed by `k` zero bytes, so eight input bytes
+/// fold into the state with eight independent lookups instead of a chain of
+/// eight dependent ones.
+const CRC_SLICES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    t[0] = CRC_TABLE;
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = CRC_TABLE[(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// The byte-at-a-time step: the reference for the sliced loop in tests and
+/// the tail of every buffer.
+fn crc32_bytewise(mut c: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// CRC-32 (IEEE) of `bytes`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    let mut chunks = bytes.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+        c = CRC_SLICES[7][(lo & 0xFF) as usize]
+            ^ CRC_SLICES[6][((lo >> 8) & 0xFF) as usize]
+            ^ CRC_SLICES[5][((lo >> 16) & 0xFF) as usize]
+            ^ CRC_SLICES[4][(lo >> 24) as usize]
+            ^ CRC_SLICES[3][ch[4] as usize]
+            ^ CRC_SLICES[2][ch[5] as usize]
+            ^ CRC_SLICES[1][ch[6] as usize]
+            ^ CRC_SLICES[0][ch[7] as usize];
+    }
+    !crc32_bytewise(c, chunks.remainder())
 }
 
 /// A decoded B-tree node.
@@ -348,6 +386,34 @@ mod tests {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_sliced_matches_bytewise_at_every_alignment() {
+        // splitmix64 filler: any byte stream will do, it only has to differ
+        // from position to position.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..8200 + 8)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        for align in 0..8 {
+            // Every short length (all remainders, 0..=9 whole chunks), then a
+            // stride coprime to 8 up to past two pages.
+            for len in (0..=80).chain((81..=8200).step_by(131)).chain([4096, 8200]) {
+                let s = &buf[align..align + len];
+                assert_eq!(
+                    crc32(s),
+                    !crc32_bytewise(0xFFFF_FFFF, s),
+                    "align {align} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The NVM device: a persistent image plus a volatile CPU-cache overlay.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -36,7 +36,15 @@ pub enum CrashPolicy {
 
 struct State {
     persistent: Vec<u8>,
-    overlay: HashMap<usize, LineBuf>,
+    /// Dense line index into the overlay: `index[line]` is the line's slot
+    /// in `slab` plus one, 0 while the line is not cached. One `u32` per
+    /// line (`capacity / 16` bytes, zero pages until touched) buys a
+    /// hash-free lookup on every stored, loaded and flushed line.
+    index: Vec<u32>,
+    /// The volatile overlay ("the CPU cache"): cached lines in first-touch
+    /// order, each tagged with its line number. `sfence` sweeps out the
+    /// clean ones when the flush instruction invalidates.
+    slab: Vec<(u32, LineBuf)>,
     epoch: Vec<FlushRecord>,
     stats: NvmStats,
     /// Media writes per cache line (endurance accounting — the paper's
@@ -56,7 +64,7 @@ struct State {
     /// [`NvmDevice::check_poison`] can observe the fault and take a
     /// degraded-mode path. A media write to the line scrubs the poison,
     /// as rewriting a failed line does on real NVDIMMs.
-    poison: std::collections::HashSet<usize>,
+    poison: HashSet<usize>,
 }
 
 /// Appends to the trace when recording is enabled; free of clock and
@@ -125,13 +133,19 @@ impl NvmDevice {
     pub fn new(cfg: NvmConfig, clock: SimClock) -> Nvm {
         let persistent = vec![0u8; cfg.capacity];
         let lines = cfg.capacity / CACHE_LINE;
+        assert!(
+            u32::try_from(lines).is_ok(),
+            "line index holds u32 slots: capacity {} too large",
+            cfg.capacity
+        );
         let trace = cfg.trace_events.then(TraceBuf::default);
         Arc::new(Self {
             cfg,
             clock,
             state: Mutex::new(State {
                 persistent,
-                overlay: HashMap::new(),
+                index: vec![0; lines],
+                slab: Vec::new(),
                 epoch: Vec::new(),
                 stats: NvmStats::default(),
                 wear: vec![0; lines],
@@ -139,7 +153,7 @@ impl NvmDevice {
                 trip_at: None,
                 trace,
                 in_recovery: false,
-                poison: std::collections::HashSet::new(),
+                poison: HashSet::new(),
             }),
         })
     }
@@ -222,7 +236,7 @@ impl NvmDevice {
             let line = a / CACHE_LINE;
             let off = a % CACHE_LINE;
             let n = (CACHE_LINE - off).min(buf.len() - pos);
-            let lb = overlay_line(&mut st, line);
+            let lb = cached_line(&mut st, line);
             lb.data[off..off + n].copy_from_slice(&buf[pos..pos + n]);
             let first_w = off / WORD_SIZE;
             let last_w = (off + n - 1) / WORD_SIZE;
@@ -257,13 +271,16 @@ impl NvmDevice {
             let line = a / CACHE_LINE;
             let off = a % CACHE_LINE;
             let n = (CACHE_LINE - off).min(buf.len() - pos);
-            if let Some(lb) = st.overlay.get(&line) {
-                buf[pos..pos + n].copy_from_slice(&lb.data[off..off + n]);
-                cached_lines += 1;
-            } else {
-                let base = line * CACHE_LINE;
-                buf[pos..pos + n].copy_from_slice(&st.persistent[base + off..base + off + n]);
-                media_lines += 1;
+            match st.index[line] {
+                0 => {
+                    buf[pos..pos + n].copy_from_slice(&st.persistent[a..a + n]);
+                    media_lines += 1;
+                }
+                slot => {
+                    let lb = &st.slab[slot as usize - 1].1;
+                    buf[pos..pos + n].copy_from_slice(&lb.data[off..off + n]);
+                    cached_lines += 1;
+                }
             }
             pos += n;
         }
@@ -284,7 +301,7 @@ impl NvmDevice {
         record(&mut st, || TraceEvent::AtomicStore { addr, len: 8 });
         let line = addr / CACHE_LINE;
         let off = addr % CACHE_LINE;
-        let lb = overlay_line(&mut st, line);
+        let lb = cached_line(&mut st, line);
         lb.data[off..off + 8].copy_from_slice(&value.to_le_bytes());
         let w = off / WORD_SIZE;
         lb.mark_dirty_words(w, w);
@@ -307,7 +324,7 @@ impl NvmDevice {
         record(&mut st, || TraceEvent::AtomicStore { addr, len: 16 });
         let line = addr / CACHE_LINE;
         let off = addr % CACHE_LINE;
-        let lb = overlay_line(&mut st, line);
+        let lb = cached_line(&mut st, line);
         lb.data[off..off + 16].copy_from_slice(&value.to_le_bytes());
         lb.mark_atomic_pair(off / WORD_SIZE);
         st.stats.atomic_stores += 1;
@@ -342,38 +359,47 @@ impl NvmDevice {
         let _t = telemetry::span(telemetry::phase::NVM_FLUSH);
         let first = addr / CACHE_LINE;
         let last = (addr + len - 1) / CACHE_LINE;
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        // Latency and counters are summed over the range and applied once
+        // per call, before the lock drops — and before an armed trip
+        // unwinds, so the clock at every crash point is what per-line
+        // charging would have left.
+        let (mut dirty, mut clean) = (0u64, 0u64);
+        let mut tripped = None;
         for line in first..=last {
-            st.stats.clflush += 1;
-            let rec = match st.overlay.get_mut(&line) {
-                Some(lb) if !lb.is_clean() => {
-                    let rec = FlushRecord {
-                        line,
-                        data: lb.data,
-                        dirty: lb.dirty,
-                        pair_lead: lb.pair_lead,
-                    };
-                    lb.dirty = 0;
-                    lb.pair_lead = 0;
-                    Some(rec)
+            let staged = match st.index[line] {
+                0 => false,
+                slot => {
+                    let lb = &mut st.slab[slot as usize - 1].1;
+                    let staged = !lb.is_clean();
+                    if staged {
+                        st.epoch.push(FlushRecord::take(line, lb));
+                        st.wear[line] += 1;
+                    }
+                    staged
                 }
-                _ => None,
             };
-            let staged = rec.is_some();
-            record(&mut st, || TraceEvent::Clflush { line, staged });
-            if let Some(rec) = rec {
-                st.epoch.push(rec);
-                st.stats.lines_written += 1;
-                st.wear[line] += 1;
-                self.charge(self.cfg.flush_dirty_ns());
+            record(st, || TraceEvent::Clflush { line, staged });
+            if staged {
+                dirty += 1;
             } else {
-                telemetry::mark(telemetry::phase::NVM_FLUSH_CLEAN, 1);
-                self.charge(self.cfg.clflush_clean_ns);
+                clean += 1;
             }
-            if let Some(event) = bump_event(&mut st) {
-                drop(st);
-                std::panic::panic_any(CrashTripped { event });
+            tripped = bump_event(st);
+            if tripped.is_some() {
+                break;
             }
+        }
+        st.stats.clflush += dirty + clean;
+        st.stats.lines_written += dirty;
+        if clean > 0 {
+            telemetry::mark(telemetry::phase::NVM_FLUSH_CLEAN, clean);
+        }
+        self.charge(self.cfg.flush_dirty_ns() * dirty + self.cfg.clflush_clean_ns * clean);
+        if let Some(event) = tripped {
+            drop(guard);
+            std::panic::panic_any(CrashTripped { event });
         }
     }
 
@@ -387,17 +413,13 @@ impl NvmDevice {
             telemetry::mark(telemetry::phase::NVM_FENCE_EMPTY, 1);
         }
         record(&mut st, || TraceEvent::Sfence { staged_lines });
-        let epoch = std::mem::take(&mut st.epoch);
-        for rec in epoch {
-            apply_record(&mut st.persistent, &rec, u8::MAX);
-            st.poison.remove(&rec.line);
-        }
+        st.write_back_epoch(|_| u8::MAX);
         // With an invalidating flush (clflush/clflushopt) the written-back
         // lines leave the CPU cache: drop the clean overlay copies (this
         // also bounds overlay memory). `clwb` keeps them cached, so later
         // reads stay at cache speed.
         if self.cfg.flush_instr.invalidates() {
-            st.overlay.retain(|_, lb| !lb.is_clean());
+            st.evict_clean_lines();
         }
         st.stats.sfence += 1;
         self.charge(self.cfg.sfence_ns);
@@ -418,63 +440,35 @@ impl NvmDevice {
         let mut st = self.state.lock();
         record(&mut st, || TraceEvent::Crash);
         st.in_recovery = true;
-        match policy {
-            CrashPolicy::LoseVolatile => {}
-            CrashPolicy::PersistAll => {
-                let epoch = std::mem::take(&mut st.epoch);
-                for rec in epoch {
-                    apply_record(&mut st.persistent, &rec, u8::MAX);
-                    st.poison.remove(&rec.line);
-                }
-                let mut lines: Vec<usize> = st.overlay.keys().copied().collect();
-                lines.sort_unstable();
-                for line in lines {
-                    let lb = st.overlay[&line].clone();
-                    if !lb.is_clean() {
-                        let rec = FlushRecord {
-                            line,
-                            data: lb.data,
-                            dirty: lb.dirty,
-                            pair_lead: lb.pair_lead,
-                        };
-                        apply_record(&mut st.persistent, &rec, u8::MAX);
-                        st.poison.remove(&line);
-                    }
-                }
-            }
-            CrashPolicy::Random(seed) => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let epoch = std::mem::take(&mut st.epoch);
-                for rec in epoch {
-                    let keep = random_keep_mask(&mut rng, &rec);
-                    apply_record(&mut st.persistent, &rec, keep);
-                    if rec.dirty & keep != 0 {
-                        st.poison.remove(&rec.line);
-                    }
-                }
-                let mut lines: Vec<usize> = st.overlay.keys().copied().collect();
-                lines.sort_unstable();
-                for line in lines {
-                    let lb = st.overlay[&line].clone();
-                    if lb.is_clean() {
-                        continue;
-                    }
-                    let rec = FlushRecord {
-                        line,
-                        data: lb.data,
-                        dirty: lb.dirty,
-                        pair_lead: lb.pair_lead,
-                    };
-                    let keep = random_keep_mask(&mut rng, &rec);
-                    apply_record(&mut st.persistent, &rec, keep);
-                    if rec.dirty & keep != 0 {
-                        st.poison.remove(&rec.line);
-                    }
-                }
+        if matches!(policy, CrashPolicy::LoseVolatile) {
+            st.epoch.clear();
+        } else {
+            let mut rng = match policy {
+                CrashPolicy::Random(seed) => Some(StdRng::seed_from_u64(seed)),
+                _ => None,
+            };
+            let mut keep_mask = |rec: &FlushRecord| {
+                rng.as_mut()
+                    .map_or(u8::MAX, |rng| random_keep_mask(rng, rec))
+            };
+            // The order is part of the contract (a crash seed names one
+            // exact surviving image): the RNG is consumed over the open
+            // fence epoch in staging order, then over the dirty overlay
+            // lines in ascending line order.
+            st.write_back_epoch(&mut keep_mask);
+            st.slab.sort_unstable_by_key(|&(line, _)| line);
+            let State {
+                slab,
+                persistent,
+                poison,
+                ..
+            } = &mut *st;
+            for (line, lb) in slab.iter_mut().filter(|(_, lb)| !lb.is_clean()) {
+                let rec = FlushRecord::take(*line as usize, lb);
+                write_back(persistent, poison, &rec, keep_mask(&rec));
             }
         }
-        st.overlay.clear();
-        st.epoch.clear();
+        st.drop_overlay();
         st.trip_at = None;
     }
 
@@ -554,10 +548,10 @@ impl NvmDevice {
     /// or persistence-event side effects — and a no-op unless tracing is
     /// enabled, so commit paths may call it unconditionally.
     pub fn note_commit(&self, addr: usize, len: usize) {
-        let mut st = self.state.lock();
-        if st.trace.is_none() {
+        if !self.cfg.trace_events {
             return;
         }
+        let mut st = self.state.lock();
         self.check_range(addr, len);
         record(&mut st, || TraceEvent::Commit { addr, len });
         st.in_recovery = false;
@@ -617,18 +611,12 @@ impl NvmDevice {
     /// between two fences, instead of sampling one with
     /// [`CrashPolicy::Random`]. Like [`Self::crash`], the device keeps
     /// running on the surviving image and any armed trip is cleared.
-    pub fn crash_frontier(&self, keep: &std::collections::HashSet<usize>) {
+    pub fn crash_frontier(&self, keep: &HashSet<usize>) {
         let mut st = self.state.lock();
         record(&mut st, || TraceEvent::Crash);
         st.in_recovery = true;
-        let epoch = std::mem::take(&mut st.epoch);
-        for rec in epoch {
-            if keep.contains(&rec.line) {
-                apply_record(&mut st.persistent, &rec, u8::MAX);
-                st.poison.remove(&rec.line);
-            }
-        }
-        st.overlay.clear();
+        st.write_back_epoch(|rec| if keep.contains(&rec.line) { u8::MAX } else { 0 });
+        st.drop_overlay();
         st.trip_at = None;
     }
 
@@ -714,25 +702,77 @@ fn bump_event(st: &mut State) -> Option<u64> {
     }
 }
 
-fn overlay_line(st: &mut State, line: usize) -> &mut LineBuf {
-    if !st.overlay.contains_key(&line) {
-        let base = line * CACHE_LINE;
-        let mut data = [0u8; CACHE_LINE];
-        data.copy_from_slice(&st.persistent[base..base + CACHE_LINE]);
-        st.overlay.insert(line, LineBuf::clean(data));
-    }
-    st.overlay.get_mut(&line).unwrap()
+/// The overlay copy of `line`, pulled in clean from the persistent image on
+/// first touch.
+fn cached_line(st: &mut State, line: usize) -> &mut LineBuf {
+    let slot = match st.index[line] {
+        0 => {
+            let base = line * CACHE_LINE;
+            let mut data = [0u8; CACHE_LINE];
+            data.copy_from_slice(&st.persistent[base..base + CACHE_LINE]);
+            st.slab.push((line as u32, LineBuf::clean(data)));
+            st.index[line] = st.slab.len() as u32;
+            st.slab.len() - 1
+        }
+        slot => slot as usize - 1,
+    };
+    &mut st.slab[slot].1
 }
 
-/// Applies the words of `rec` selected by `keep & rec.dirty` to the image.
-fn apply_record(persistent: &mut [u8], rec: &FlushRecord, keep: u8) {
+impl State {
+    /// Drains the open fence epoch in staging order, writing back the words
+    /// of each record that `keep_mask` selects (`u8::MAX` = the whole
+    /// record, as a fence does). Keeps the epoch's allocation.
+    fn write_back_epoch(&mut self, mut keep_mask: impl FnMut(&FlushRecord) -> u8) {
+        for rec in &self.epoch {
+            write_back(&mut self.persistent, &mut self.poison, rec, keep_mask(rec));
+        }
+        self.epoch.clear();
+    }
+
+    /// Drops the clean lines from the overlay, compacting the dirty ones to
+    /// the front of the slab in their existing order.
+    fn evict_clean_lines(&mut self) {
+        let mut kept = 0usize;
+        for i in 0..self.slab.len() {
+            let line = self.slab[i].0 as usize;
+            if self.slab[i].1.is_clean() {
+                self.index[line] = 0;
+            } else {
+                self.slab.swap(kept, i);
+                kept += 1;
+                self.index[line] = kept as u32;
+            }
+        }
+        self.slab.truncate(kept);
+    }
+
+    /// Empties the overlay (a crash loses the CPU cache).
+    fn drop_overlay(&mut self) {
+        for (line, _) in self.slab.drain(..) {
+            self.index[line as usize] = 0;
+        }
+    }
+}
+
+/// Applies the words of `rec` selected by `keep & rec.dirty` to the image;
+/// a media write that lands at least one word scrubs the line's poison.
+fn write_back(persistent: &mut [u8], poison: &mut HashSet<usize>, rec: &FlushRecord, keep: u8) {
     let base = rec.line * CACHE_LINE;
     let mask = rec.dirty & keep;
-    for w in 0..WORDS_PER_LINE {
-        if mask & (1 << w) != 0 {
-            let o = w * WORD_SIZE;
-            persistent[base + o..base + o + WORD_SIZE].copy_from_slice(&rec.data[o..o + WORD_SIZE]);
+    if mask == u8::MAX {
+        persistent[base..base + CACHE_LINE].copy_from_slice(&rec.data);
+    } else {
+        for w in 0..WORDS_PER_LINE {
+            if mask & (1 << w) != 0 {
+                let o = w * WORD_SIZE;
+                persistent[base + o..base + o + WORD_SIZE]
+                    .copy_from_slice(&rec.data[o..o + WORD_SIZE]);
+            }
         }
+    }
+    if mask != 0 && !poison.is_empty() {
+        poison.remove(&rec.line);
     }
 }
 

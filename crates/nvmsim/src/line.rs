@@ -34,14 +34,11 @@ impl LineBuf {
     /// overlaps them (a later plain store breaks 16-byte atomicity).
     pub fn mark_dirty_words(&mut self, first: usize, last: usize) {
         debug_assert!(first <= last && last < WORDS_PER_LINE);
-        for w in first..=last {
-            self.dirty |= 1 << w;
-            // Clear pair bits where `w` is the lead or the trailing half.
-            self.pair_lead &= !(1u8 << w);
-            if w > 0 {
-                self.pair_lead &= !(1u8 << (w - 1));
-            }
-        }
+        let words = (u8::MAX >> (WORDS_PER_LINE - 1 - last)) & (u8::MAX << first);
+        self.dirty |= words;
+        // A pair dissolves when either half is overwritten: clear the lead
+        // bit of every touched word and of the word before it.
+        self.pair_lead &= !(words | (words >> 1));
     }
 
     /// Marks word `w` and `w + 1` as one 16-byte atomic unit.
@@ -68,6 +65,22 @@ pub struct FlushRecord {
     pub data: [u8; CACHE_LINE],
     pub dirty: u8,
     pub pair_lead: u8,
+}
+
+impl FlushRecord {
+    /// Snapshots the dirty state of `lb` (cache line `line`) and leaves the
+    /// overlay copy clean, as a write-back does.
+    pub fn take(line: usize, lb: &mut LineBuf) -> Self {
+        let rec = FlushRecord {
+            line,
+            data: lb.data,
+            dirty: lb.dirty,
+            pair_lead: lb.pair_lead,
+        };
+        lb.dirty = 0;
+        lb.pair_lead = 0;
+        rec
+    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,232 @@
+//! Simulated-time golden: a fixed-seed 2-shard pool script whose simulated
+//! clocks, device counters and persistent images are pinned to constants.
+//!
+//! The simulator is deterministic, so a host-side change (a faster overlay,
+//! a different charging granularity, a new container) must reproduce these
+//! numbers exactly. `cargo test -q` then catches a perturbed simulation in
+//! well under a second, where otherwise only the full benchmark's
+//! `sim_fingerprint` would. A change that *means* to move simulated time
+//! regenerates the constants: run with `--nocapture` and paste the printed
+//! `Golden` values.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use tinca_repro::blockdev::{BlockDevice, DiskKind, DiskStats, SimDisk, BLOCK_SIZE};
+use tinca_repro::nvmsim::{
+    shard_devices, CrashPolicy, CrashTripped, Nvm, NvmConfig, NvmStats, NvmTech, SimClock,
+};
+use tinca_repro::tinca::{PoolConfig, TincaPool};
+
+const SEED: u64 = 0x51D0_601D;
+const SHARDS: usize = 2;
+/// 2 × 512 KB of NVM against a 512-block (2 MB) working set, so the script
+/// evicts, writes back and destages as well as commits.
+const NVM_BYTES: usize = 1 << 20;
+const WORKING_SET: u64 = 512;
+const OPS: usize = 400;
+/// Persistence events into the torn commit at which the power is cut: past
+/// the first block's 64 payload flushes, inside the second's.
+const TRIP_AFTER_EVENTS: u64 = 100;
+
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    /// Each shard device's simulated clock, ns.
+    nvm_clock_ns: [u64; SHARDS],
+    disk_clock_ns: u64,
+    nvm: [NvmStats; SHARDS],
+    disk: DiskStats,
+    /// FNV-1a over each device's whole persistent image.
+    image_fnv: [u64; SHARDS],
+}
+
+/// After the scripted commits and reads, cache still dirty.
+const BEFORE_CRASH: Golden = Golden {
+    nvm_clock_ns: [6_701_520, 6_639_542],
+    disk_clock_ns: 4_900_000,
+    nvm: [
+        NvmStats {
+            clflush: 22727,
+            sfence: 1660,
+            atomic_stores: 2232,
+            lines_written: 22723,
+            lines_read: 2098,
+            bytes_stored: 1349128,
+            bytes_read: 94640,
+        },
+        NvmStats {
+            clflush: 22310,
+            sfence: 1220,
+            atomic_stores: 1678,
+            lines_written: 22308,
+            lines_read: 2747,
+            bytes_stored: 1344688,
+            bytes_read: 135648,
+        },
+    ],
+    disk: DiskStats {
+        reads: 67,
+        writes: 198,
+        busy_ns: 19_860_000,
+        read_errors: 0,
+        write_errors: 0,
+    },
+    image_fnv: [15_867_725_613_993_456_272, 7_152_569_875_026_785_688],
+};
+
+/// After the torn commit, `crash(Random(SEED + shard))`, `recover` and the
+/// read-back.
+const AFTER_RECOVERY: Golden = Golden {
+    nvm_clock_ns: [10_745_584, 10_445_639],
+    disk_clock_ns: 25_600_000,
+    nvm: [
+        NvmStats {
+            clflush: 34804,
+            sfence: 2239,
+            atomic_stores: 2632,
+            lines_written: 34800,
+            lines_read: 7748,
+            bytes_stored: 2105080,
+            bytes_read: 415128,
+        },
+        NvmStats {
+            clflush: 33135,
+            sfence: 1713,
+            atomic_stores: 2007,
+            lines_written: 33133,
+            lines_read: 9468,
+            bytes_stored: 2021688,
+            bytes_read: 525504,
+        },
+    ],
+    disk: DiskStats {
+        reads: 412,
+        writes: 234,
+        busy_ns: 43_440_000,
+        read_errors: 0,
+        write_errors: 0,
+    },
+    image_fnv: [4_554_115_580_075_317_360, 9_414_707_038_406_723_113],
+};
+
+fn image_fnv(dev: &Nvm) -> u64 {
+    let mut image = vec![0u8; dev.capacity()];
+    dev.read_persistent(0, &mut image);
+    image.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+fn snapshot(devices: &[Nvm], disk: &SimDisk, disk_clock: &SimClock) -> Golden {
+    Golden {
+        nvm_clock_ns: std::array::from_fn(|s| devices[s].clock().now_ns()),
+        disk_clock_ns: disk_clock.now_ns(),
+        nvm: std::array::from_fn(|s| devices[s].stats()),
+        disk: disk.stats(),
+        image_fnv: std::array::from_fn(|s| image_fnv(&devices[s])),
+    }
+}
+
+fn pool_config() -> PoolConfig {
+    let mut cfg = PoolConfig::with_shards(SHARDS);
+    cfg.cache.ring_bytes = 4096;
+    cfg.cache.destage = true;
+    cfg.cache.coalesce_flushes = true;
+    cfg
+}
+
+fn payload(blk: u64, version: u32) -> [u8; BLOCK_SIZE] {
+    let mut buf = [0u8; BLOCK_SIZE];
+    for (i, chunk) in buf.chunks_exact_mut(16).enumerate() {
+        chunk[..8].copy_from_slice(&blk.to_le_bytes());
+        chunk[8..12].copy_from_slice(&version.to_le_bytes());
+        chunk[12..].copy_from_slice(&(i as u32).to_le_bytes());
+    }
+    buf
+}
+
+/// What an acknowledged block reads back as: version 0 = never written.
+fn expected(blk: u64, version: u32) -> [u8; BLOCK_SIZE] {
+    if version == 0 {
+        [0u8; BLOCK_SIZE]
+    } else {
+        payload(blk, version)
+    }
+}
+
+#[test]
+fn fixed_seed_pool_script_reproduces_the_golden_simulation() {
+    let devices = shard_devices(&NvmConfig::new(NVM_BYTES, NvmTech::Pcm), SHARDS);
+    let disk_clock = SimClock::new();
+    let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, disk_clock.clone());
+    let pool = TincaPool::format(devices.clone(), disk.clone(), pool_config());
+
+    // Model of acknowledged content: block → version of the last commit.
+    let mut acked = vec![0u32; WORKING_SET as usize];
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut buf = [0u8; BLOCK_SIZE];
+    for op in 0..OPS {
+        if rng.gen_range(0..4u32) == 0 {
+            let blk = rng.gen_range(0..WORKING_SET);
+            pool.read(blk, &mut buf).unwrap();
+            assert_eq!(
+                buf,
+                expected(blk, acked[blk as usize]),
+                "block {blk} at op {op}"
+            );
+            continue;
+        }
+        // 1–3 blocks per transaction: single-shard and spanning commits.
+        let mut txn = pool.init_txn();
+        let version = op as u32 + 1;
+        let mut blocks = Vec::new();
+        for _ in 0..rng.gen_range(1..=3u32) {
+            let blk = rng.gen_range(0..WORKING_SET);
+            txn.write(blk, &payload(blk, version));
+            blocks.push(blk);
+        }
+        pool.commit(txn).unwrap();
+        for blk in blocks {
+            acked[blk as usize] = version;
+        }
+    }
+    pool.check_consistency().unwrap();
+    let before = snapshot(&devices, &disk, &disk_clock);
+    let before_events = devices[0].events();
+    println!("const BEFORE_CRASH: Golden = {before:#?};");
+
+    // Cut the power inside a commit, so the crash resolves an open fence
+    // epoch and dirty unflushed lines: `Random` draws its coins over the
+    // staged records in staging order, then the dirty lines in ascending
+    // line order, and the surviving image below pins that order.
+    // The torn transaction is never acknowledged, so the read-back below
+    // also checks that recovery rolled it back.
+    let mut txn = pool.init_txn();
+    for blk in [2, 4, 6] {
+        txn.write(blk, &payload(blk, u32::MAX));
+    }
+    devices[0].set_trip(Some(TRIP_AFTER_EVENTS));
+    let tripped = catch_unwind(AssertUnwindSafe(|| pool.commit(txn)))
+        .expect_err("the armed trip fires inside the commit");
+    assert!(tripped.is::<CrashTripped>());
+    assert_eq!(devices[0].events() - before_events, TRIP_AFTER_EVENTS);
+
+    drop(pool);
+    for (s, dev) in devices.iter().enumerate() {
+        dev.crash(CrashPolicy::Random(SEED + s as u64));
+    }
+    let pool = TincaPool::recover(devices.clone(), disk.clone(), pool_config()).unwrap();
+    pool.check_consistency().unwrap();
+    for (blk, &v) in acked.iter().enumerate() {
+        let blk = blk as u64;
+        pool.read(blk, &mut buf).unwrap();
+        assert_eq!(buf, expected(blk, v), "block {blk} lost its last commit");
+    }
+    let after = snapshot(&devices, &disk, &disk_clock);
+    println!("const AFTER_RECOVERY: Golden = {after:#?};");
+
+    assert_eq!(before, BEFORE_CRASH);
+    assert_eq!(after, AFTER_RECOVERY);
+}
