@@ -101,30 +101,6 @@ fn bench_commit_hit_vs_miss(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ring_batching(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ring_batching");
-    for (name, batched) in [("per_block_head", false), ("batched_head", true)] {
-        group.bench_function(name, |b| {
-            let mut cache = build_cache_cfg(TincaConfig {
-                ring_bytes: 256 << 10,
-                batched_ring: batched,
-                ..TincaConfig::default()
-            });
-            let payload = [0x77u8; BLOCK_SIZE];
-            let mut round = 0u64;
-            b.iter(|| {
-                let mut txn = cache.init_txn();
-                for i in 0..32u64 {
-                    txn.write((round * 5 + i) % 2048, &payload);
-                }
-                cache.commit(&txn).unwrap();
-                round += 1;
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_flush_coalescing(c: &mut Criterion) {
     // Host-time cost of the stage+ring hot path with per-line flushes vs
     // the cache-line dedup pass (the dedup set is extra DRAM work per
@@ -193,6 +169,6 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_commit_sizes, bench_role_switch_ablation, bench_commit_hit_vs_miss,
-        bench_ring_batching, bench_flush_coalescing, bench_destage_pipeline
+        bench_flush_coalescing, bench_destage_pipeline
 );
 criterion_main!(benches);

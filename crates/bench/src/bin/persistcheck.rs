@@ -57,14 +57,13 @@ fn main() {
     banner(
         "persistcheck",
         "Persist-order analysis of the commit path (Fio random writes, fsync every 64)",
-        "zero correctness violations; batched ring trades fences for staged flushes",
+        "zero correctness violations; flush coalescing trades fences for staged flushes",
     );
     let quick = quick();
     let ops: u64 = if quick { 2_000 } else { 10_000 };
     let systems = [
         System::Tinca,
         System::TincaNoRoleSwitch,
-        System::TincaBatched,
         System::Classic,
         System::Ubj,
     ];

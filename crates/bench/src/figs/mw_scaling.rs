@@ -234,7 +234,7 @@ pub fn run(quick: bool) -> MwScalingResult {
     // fuzz (200 seeds full — the acceptance sweep, crash-mid-publication
     // included) and bounded-exhaustive frontier enumeration over
     // publication orders.
-    let fuzz = crashsim::mw_pool_fuzz_campaign(2, 0x3757_B9_00, if quick { 40 } else { 200 }, 20);
+    let fuzz = crashsim::mw_pool_fuzz_campaign(2, 0x3757_B900, if quick { 40 } else { 200 }, 20);
     println!(
         "mw fuzz: {} runs, {} crashes, {} violations",
         fuzz.runs,
@@ -244,7 +244,7 @@ pub fn run(quick: bool) -> MwScalingResult {
     for v in &fuzz.violations {
         eprintln!("  violation: {v}");
     }
-    let frontier = crashsim::mw_frontier_campaign(2, 0x3757_B9_01, if quick { 3 } else { 4 }, 6);
+    let frontier = crashsim::mw_frontier_campaign(2, 0x3757_B901, if quick { 3 } else { 4 }, 6);
     println!("mw frontier: {frontier}");
     for v in &frontier.violations {
         eprintln!("  violation: {v}");

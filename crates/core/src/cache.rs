@@ -10,7 +10,7 @@ use crate::entry::{CacheEntry, Role, FRESH};
 use crate::freemon::FreeMonitor;
 use crate::layout::{
     mw_desc_addr, mw_state_word, slot_value, Layout, DATA_BLOCKS_OFF, ENTRY_COUNT_OFF, HEAD_OFF,
-    MAGIC, MAGIC_OFF, MW_DEAD_TAG, MW_FLAG_SPANNING, MW_FREE, MW_RESERVED, RING_CAP_OFF, TAIL_OFF,
+    MAGIC, MAGIC_OFF, MW_DEAD_TAG, MW_FREE, MW_RESERVED, RING_CAP_OFF, TAIL_OFF,
 };
 use crate::lru::LruList;
 use crate::{CacheStats, TincaConfig, TincaError, Txn, WritePolicy};
@@ -18,16 +18,19 @@ use crate::{CacheStats, TincaConfig, TincaError, Txn, WritePolicy};
 /// Shared handle to the backing disk below the cache.
 pub type DynDisk = Arc<dyn BlockDevice>;
 
-/// One shard's staged fragment of a spanning transaction: the commit
+/// One shard-local fragment of a committing transaction: the commit
 /// protocol has run up to (but not including) the shard's `Tail` move, so
-/// the ring window is still open and the staged entries are revocable.
-/// Returned by [`TincaCache::prepare_fragment`] and consumed by
+/// the ring window is still open and the staged entries are revocable. An
+/// ordinary commit finishes its (untagged) fragment at once; a spanning
+/// transaction's pool driver holds one tagged fragment per participant
+/// between [`TincaCache::prepare_fragment`] and
 /// [`TincaCache::complete_fragment`] / [`TincaCache::abort_fragment`].
 pub(crate) struct PreparedFragment {
     touched: Vec<u32>,
     replaced_prevs: Vec<u32>,
-    blocks: u64,
     coalesced: u64,
+    /// Intent tag in the window's ring slots (`0`: ordinary commit).
+    tag: u8,
 }
 
 /// Per-window bookkeeping for the multi-writer lock-free commit path
@@ -52,8 +55,6 @@ pub(crate) struct MwStagedMeta {
     /// `(nvm data address, payload)` pairs the writer stages and flushes
     /// concurrently, outside the shard lock.
     pub(crate) stage_jobs: Vec<(usize, crate::txn::BlockBuf)>,
-    /// Staged block count (for `committed_blocks`).
-    pub(crate) blocks: u64,
     /// Coalesced-write count carried from the transaction.
     pub(crate) coalesced: u64,
     /// The window was admitted but its meta phase failed: its entries are
@@ -215,91 +216,13 @@ impl TincaCache {
         if txn.is_empty() {
             return Ok(());
         }
-        let _t = telemetry::span(telemetry::phase::COMMIT);
-        let n = txn.len();
-        {
-            let _a = telemetry::span(telemetry::phase::COMMIT_ADMISSION);
-            if n as u64 > self.layout.ring_cap {
-                return Err(TincaError::TxnTooLarge {
-                    blocks: n,
-                    ring_cap: self.layout.ring_cap,
-                });
-            }
-            // Admission: the commit protocol allocates one new NVM block per
-            // staged block (two in the double-write ablation), while the
-            // current versions of staged-and-cached blocks stay pinned as
-            // revocation `prev`s. Supply is the free pool plus every cached
-            // block that stays evictable mid-protocol — NOT the total block
-            // count: a commit admitted against `data_blocks` alone could run
-            // out of victims mid-protocol and take the revoke path.
-            let needed = if self.cfg.role_switch { n } else { 2 * n };
-            let overlap = txn
-                .blocks()
-                .iter()
-                .filter(|(b, _)| self.index.contains_key(b))
-                .count();
-            let available = self.free_blocks.free_count() + (self.index.len() - overlap);
-            if needed > available {
-                return Err(TincaError::CacheExhausted { needed, available });
-            }
-        }
-
-        debug_assert_eq!(
-            self.head, self.tail,
-            "previous transaction left the ring open"
-        );
-        let mut touched: Vec<u32> = Vec::with_capacity(n);
-        let mut replaced_prevs: Vec<u32> = Vec::with_capacity(n);
-        let result = self.commit_blocks(txn, &mut touched, &mut replaced_prevs, 0);
-        let result = result.and_then(|()| {
-            if self.cfg.role_switch {
-                self.complete_role_switch(&touched);
-                Ok(())
-            } else {
-                // Ablation: journal-style completion — copy every committed
-                // block to a second NVM block (the "checkpoint" write).
-                self.complete_double_write(&mut touched)
-            }
-        });
-        let out = match result {
-            Ok(()) => {
-                {
-                    // Commit point: Tail := Head (one 8 B atomic store).
-                    let _p = telemetry::span(telemetry::phase::COMMIT_POINT);
-                    self.tail = self.head;
-                    self.nvm.atomic_write_u64(TAIL_OFF, self.tail);
-                    self.nvm.persist(TAIL_OFF, 8);
-                    self.nvm.note_commit(TAIL_OFF, 8);
-                }
-                // DRAM-only reclamation, strictly after the commit point:
-                // previous versions become free, committed blocks turn MRU
-                // (§4.6 rule 2b).
-                for p in replaced_prevs {
-                    self.free_blocks.release(p);
-                }
-                for &idx in &touched {
-                    self.lru.touch(idx);
-                }
-                self.stats.commits += 1;
-                self.stats.committed_blocks += n as u64;
-                self.stats.coalesced_writes += txn.coalesced_writes();
-                if self.cfg.write_policy == WritePolicy::WriteThrough {
-                    let _w = telemetry::span(telemetry::phase::COMMIT_WRITE_THROUGH);
-                    self.write_through(&touched);
-                }
-                self.clear_pins();
-                Ok(())
-            }
-            Err(e) => {
-                self.revoke_in_flight(&touched);
-                self.clear_pins();
-                self.stats.failed_commits += 1;
-                Err(e)
-            }
-        };
+        let t = telemetry::span(telemetry::phase::COMMIT);
+        let out = self
+            .stage_fragment(txn, 0)
+            .map(|frag| self.finish_fragment(frag));
         // Destage runs after the commit span closes: its writebacks
         // overlap foreground time and must not count as commit latency.
-        drop(_t);
+        drop(t);
         if out.is_ok() {
             self.maybe_destage();
         }
@@ -342,26 +265,18 @@ impl TincaCache {
     }
 
     // ------------------------------------------------------------------
-    // Spanning-transaction fragments (two-phase commit, pool-driven)
+    // The fragment lifecycle: stage → finish | revoke. `commit` runs it
+    // end to end; the pool's two-phase spanning commit holds it open
+    // between the phases.
     // ------------------------------------------------------------------
 
-    /// Stages one shard's fragment of a spanning transaction: runs the
-    /// full commit protocol (COW writes, entry updates, tagged ring
-    /// slots, `Head` move, role switch) but **stops before the commit
+    /// Stages `txn` as this shard's fragment: admission, then the commit
+    /// protocol (COW writes, entry updates, ring slots tagged `tag`,
+    /// `Head` move, role switch) up to but **not including the commit
     /// point** — `Tail` does not move, so the ring window `[Tail, Head)`
     /// stays open and recovery can still revoke everything. Pins stay
-    /// held. The caller must follow up with exactly one of
-    /// [`complete_fragment`](Self::complete_fragment) or
-    /// [`abort_fragment`](Self::abort_fragment) before any other commit
-    /// runs on this shard (the pool holds the shard lock throughout).
-    pub(crate) fn prepare_fragment(
-        &mut self,
-        txn: &Txn,
-        tag: u8,
-    ) -> Result<PreparedFragment, TincaError> {
-        debug_assert!(!txn.is_empty());
-        debug_assert_ne!(tag, 0, "spanning fragments must carry an intent tag");
-        let _t = telemetry::span(telemetry::phase::COMMIT);
+    /// held. A fragment that fails mid-protocol is revoked here.
+    fn stage_fragment(&mut self, txn: &Txn, tag: u8) -> Result<PreparedFragment, TincaError> {
         let n = txn.len();
         {
             let _a = telemetry::span(telemetry::phase::COMMIT_ADMISSION);
@@ -371,6 +286,13 @@ impl TincaCache {
                     ring_cap: self.layout.ring_cap,
                 });
             }
+            // Admission: the commit protocol allocates one new NVM block per
+            // staged block (two in the double-write ablation), while the
+            // current versions of staged-and-cached blocks stay pinned as
+            // revocation `prev`s. Supply is the free pool plus every cached
+            // block that stays evictable mid-protocol — NOT the total block
+            // count: a commit admitted against `data_blocks` alone could run
+            // out of victims mid-protocol and take the revoke path.
             let needed = if self.cfg.role_switch { n } else { 2 * n };
             let overlap = txn
                 .blocks()
@@ -382,6 +304,7 @@ impl TincaCache {
                 return Err(TincaError::CacheExhausted { needed, available });
             }
         }
+
         debug_assert_eq!(
             self.head, self.tail,
             "previous transaction left the ring open"
@@ -395,6 +318,9 @@ impl TincaCache {
                     self.complete_role_switch(&touched);
                     Ok(())
                 } else {
+                    // Ablation: journal-style completion — copy every
+                    // committed block to a second NVM block (the
+                    // "checkpoint" write).
                     self.complete_double_write(&mut touched)
                 }
             });
@@ -402,26 +328,19 @@ impl TincaCache {
             Ok(()) => Ok(PreparedFragment {
                 touched,
                 replaced_prevs,
-                blocks: n as u64,
                 coalesced: txn.coalesced_writes(),
+                tag,
             }),
             Err(e) => {
-                self.revoke_in_flight(&touched);
-                self.clear_pins();
-                self.stats.failed_commits += 1;
+                self.revoke_fragment(&touched);
                 Err(e)
             }
         }
     }
 
-    /// Second phase of a resolved spanning commit: moves `Tail` (this
-    /// shard's commit point) and performs the DRAM reclamation the
-    /// ordinary commit does after its own commit point. Only called once
-    /// the pool's intent record is durably `RESOLVED` — from then on
-    /// recovery rolls this fragment forward, so the `Tail` store merely
-    /// retires the revocation window early.
-    pub(crate) fn complete_fragment(&mut self, frag: PreparedFragment) {
-        let _t = telemetry::span(telemetry::phase::COMMIT);
+    /// The shard-local commit point and everything after it: `Tail :=
+    /// Head` (one 8 B atomic store), then the DRAM-only reclamation.
+    fn finish_fragment(&mut self, frag: PreparedFragment) {
         let window = (self.tail, self.head);
         {
             let _p = telemetry::span(telemetry::phase::COMMIT_POINT);
@@ -430,11 +349,16 @@ impl TincaCache {
             self.nvm.persist(TAIL_OFF, 8);
             self.nvm.note_commit(TAIL_OFF, 8);
         }
-        // Retire the window's intent tags (wraparound guard, DESIGN §14).
-        // Strictly after the commit point: a crash in between leaves the
-        // tags behind `Tail`, where window homogeneity keeps them inert
-        // until the slots are reused.
-        self.scrub_slot_tags(window.0, window.1);
+        if frag.tag != 0 {
+            // Retire the window's intent tags (wraparound guard, DESIGN
+            // §14). Strictly after the commit point: a crash in between
+            // leaves the tags behind `Tail`, where window homogeneity keeps
+            // them inert until the slots are reused.
+            self.scrub_slot_tags(window.0, window.1);
+            self.stats.spanning_fragments += 1;
+        }
+        // Strictly after the commit point: previous versions become free,
+        // committed blocks turn MRU (§4.6 rule 2b).
         for p in frag.replaced_prevs {
             self.free_blocks.release(p);
         }
@@ -442,28 +366,59 @@ impl TincaCache {
             self.lru.touch(idx);
         }
         self.stats.commits += 1;
-        self.stats.committed_blocks += frag.blocks;
+        self.stats.committed_blocks += frag.touched.len() as u64;
         self.stats.coalesced_writes += frag.coalesced;
-        self.stats.spanning_fragments += 1;
         if self.cfg.write_policy == WritePolicy::WriteThrough {
             let _w = telemetry::span(telemetry::phase::COMMIT_WRITE_THROUGH);
             self.write_through(&frag.touched);
         }
         self.clear_pins();
-        drop(_t);
+    }
+
+    /// Revokes every staged entry of a fragment (restoring previous
+    /// versions) and closes the ring window (runtime `tinca_abort` of a
+    /// committing transaction).
+    fn revoke_fragment(&mut self, touched: &[u32]) {
+        self.revoke_in_flight(touched);
+        self.clear_pins();
+        self.stats.failed_commits += 1;
+    }
+
+    /// First phase of a spanning commit on this shard:
+    /// [`stage_fragment`](Self::stage_fragment) with the intent's tag in
+    /// every ring slot. The caller must follow up with exactly one of
+    /// [`complete_fragment`](Self::complete_fragment) or
+    /// [`abort_fragment`](Self::abort_fragment) before any other commit
+    /// runs on this shard (the pool holds the shard lock throughout).
+    pub(crate) fn prepare_fragment(
+        &mut self,
+        txn: &Txn,
+        tag: u8,
+    ) -> Result<PreparedFragment, TincaError> {
+        debug_assert!(!txn.is_empty());
+        debug_assert_ne!(tag, 0, "spanning fragments must carry an intent tag");
+        let _t = telemetry::span(telemetry::phase::COMMIT);
+        self.stage_fragment(txn, tag)
+    }
+
+    /// Second phase of a resolved spanning commit. Only called once the
+    /// pool's intent record is durably `RESOLVED` — from then on recovery
+    /// rolls this fragment forward, so the `Tail` store merely retires
+    /// the revocation window early.
+    pub(crate) fn complete_fragment(&mut self, frag: PreparedFragment) {
+        let t = telemetry::span(telemetry::phase::COMMIT);
+        self.finish_fragment(frag);
+        drop(t);
         self.maybe_destage();
     }
 
-    /// Aborts a prepared fragment before the intent resolves: revokes
-    /// every staged entry (restoring previous versions) and closes the
-    /// ring window, exactly like a failed ordinary commit.
+    /// Aborts a prepared fragment before the intent resolves, exactly
+    /// like a failed ordinary commit, and retires the window's tags.
     pub(crate) fn abort_fragment(&mut self, frag: PreparedFragment) {
         let _t = telemetry::span(telemetry::phase::COMMIT);
         let window = (self.tail, self.head);
-        self.revoke_in_flight(&frag.touched);
+        self.revoke_fragment(&frag.touched);
         self.scrub_slot_tags(window.0, window.1);
-        self.clear_pins();
-        self.stats.failed_commits += 1;
     }
 
     // ------------------------------------------------------------------
@@ -475,12 +430,13 @@ impl TincaCache {
     /// line — **no fence**: the descriptor only matters to recovery once
     /// `Head` has passed the window, and the sequencer's drain fence runs
     /// strictly before that `Head` store.
-    fn mw_write_desc(&mut self, slot: usize, word0: u64, start: u64, len: u64, flags: u64) {
+    fn mw_write_desc(&mut self, slot: usize, word0: u64, start: u64, len: u64) {
         let addr = mw_desc_addr(slot);
         self.nvm.atomic_write_u64(addr, word0);
         self.nvm.atomic_write_u64(addr + 8, start);
         self.nvm.atomic_write_u64(addr + 16, len);
-        self.nvm.atomic_write_u64(addr + 24, flags);
+        // Word 3 is reserved (always 0); it stays in the flushed range.
+        self.nvm.atomic_write_u64(addr + 24, 0);
         self.nvm.clflush(addr, 32);
     }
 
@@ -489,12 +445,7 @@ impl TincaCache {
     /// descriptor whose window ends at or before `Tail`, which recovery
     /// ignores (retired windows never overlap `[Tail, Head)`).
     pub(crate) fn mw_retire_desc(&mut self, slot: usize) {
-        let addr = mw_desc_addr(slot);
-        self.nvm.atomic_write_u64(addr, MW_FREE);
-        self.nvm.atomic_write_u64(addr + 8, 0);
-        self.nvm.atomic_write_u64(addr + 16, 0);
-        self.nvm.atomic_write_u64(addr + 24, 0);
-        self.nvm.clflush(addr, 32);
+        self.mw_write_desc(slot, MW_FREE, 0, 0);
     }
 
     /// Raw pin of a block on behalf of one window. Disjoint windows never
@@ -550,13 +501,11 @@ impl TincaCache {
         txn: Txn,
         start: u64,
         desc_slot: usize,
-        tag: u8,
         ordinal: u64,
     ) -> Result<MwStagedMeta, (TincaError, MwStagedMeta)> {
         let _t = telemetry::span(telemetry::phase::COMMIT);
         let n = txn.len();
         debug_assert!(n > 0 && (n as u64) <= self.layout.ring_cap);
-        let spanning = tag != 0;
         let mut meta = MwStagedMeta {
             start,
             len: n as u64,
@@ -566,7 +515,6 @@ impl TincaCache {
             pinned_blocks: Vec::with_capacity(2 * n),
             pinned_entries: Vec::with_capacity(n),
             stage_jobs: Vec::with_capacity(n),
-            blocks: n as u64,
             coalesced: txn.coalesced_writes(),
             failed: false,
         };
@@ -575,7 +523,6 @@ impl TincaCache {
             mw_state_word(ordinal, MW_RESERVED),
             start,
             n as u64,
-            if spanning { MW_FLAG_SPANNING } else { 0 },
         );
         {
             let _a = telemetry::span(telemetry::phase::COMMIT_ADMISSION);
@@ -665,7 +612,7 @@ impl TincaCache {
             // (3) Ring slot: 8 B atomic store + line flush, fence deferred.
             let _r = telemetry::span(telemetry::phase::COMMIT_RING);
             let slot = self.layout.ring_slot_addr(seq);
-            self.nvm.atomic_write_u64(slot, slot_value(disk_blk, tag));
+            self.nvm.atomic_write_u64(slot, slot_value(disk_blk, 0));
             self.nvm.clflush(slot, 8);
         }
         // Deferred entry flush: one clflush per *distinct* line, no fence.
@@ -780,7 +727,7 @@ impl TincaCache {
             self.mw_unpin(&blocks, &entries);
             if !w.failed {
                 self.stats.commits += 1;
-                self.stats.committed_blocks += w.blocks;
+                self.stats.committed_blocks += w.len;
                 self.stats.coalesced_writes += w.coalesced;
             }
         }
@@ -794,92 +741,17 @@ impl TincaCache {
         self.maybe_destage();
     }
 
-    /// Spanning prepare on the lock-free path: the shard is quiesced (the
-    /// pool drains all windows and blocks new reservations first), so this
-    /// window is the only one outstanding. Fences, advances `Head` past
-    /// the window and completes the role switch — but leaves `Tail` (and
-    /// the `STAGED` descriptor) in place: recovery judges the window's
-    /// tagged slots by the spanning intent, exactly as on the mutex path.
-    pub(crate) fn mw_sequence_spanning(&mut self, meta: &MwStagedMeta, max_ready_ns: u64) {
-        let _t = telemetry::span(telemetry::phase::COMMIT);
-        debug_assert!(!meta.failed);
-        debug_assert_eq!(
-            self.head, self.tail,
-            "spanning prepare needs a quiesced shard"
-        );
-        debug_assert_eq!(meta.start, self.head);
-        self.nvm.clock().advance_to(max_ready_ns);
-        let _r = telemetry::span(telemetry::phase::COMMIT_RING);
-        self.nvm.sfence();
-        self.head = meta.start + meta.len;
-        self.nvm.atomic_write_u64(HEAD_OFF, self.head);
-        self.nvm.persist(HEAD_OFF, 8);
-        drop(_r);
-        self.complete_role_switch(&meta.touched);
-    }
-
-    /// Second phase of a resolved spanning commit on the lock-free path:
-    /// the shard-local commit point (`Tail := Head`), then the same
-    /// retirement as [`Self::complete_fragment`].
-    pub(crate) fn mw_complete_spanning(&mut self, mut meta: MwStagedMeta) {
-        let _t = telemetry::span(telemetry::phase::COMMIT);
-        let window = (self.tail, self.head);
-        {
-            let _p = telemetry::span(telemetry::phase::COMMIT_POINT);
-            self.tail = self.head;
-            self.nvm.atomic_write_u64(TAIL_OFF, self.tail);
-            self.nvm.persist(TAIL_OFF, 8);
-            self.nvm.note_commit(TAIL_OFF, 8);
-        }
-        self.scrub_slot_tags(window.0, window.1);
-        self.mw_retire_desc(meta.desc_slot);
-        // Unlike the pipelined path — where the next sequencer round's
-        // drain fence orders the retire write-back before any later
-        // commit record — the very next persist here is the intent
-        // record on shard 0. Fence so the intent can never overtake the
-        // descriptor retirement.
-        self.nvm.sfence();
-        for p in std::mem::take(&mut meta.replaced_prevs) {
-            self.free_blocks.release(p);
-        }
-        for &idx in &meta.touched {
-            self.lru.touch(idx);
-        }
-        self.mw_unpin(&meta.pinned_blocks, &meta.pinned_entries);
-        self.stats.commits += 1;
-        self.stats.committed_blocks += meta.blocks;
-        self.stats.coalesced_writes += meta.coalesced;
-        self.stats.spanning_fragments += 1;
-        drop(_t);
-        self.maybe_destage();
-    }
-
-    /// Aborts a prepared spanning fragment on the lock-free path before
-    /// the intent resolves: revokes the staged entries and closes the ring
-    /// window, like [`Self::abort_fragment`].
-    pub(crate) fn mw_abort_spanning(&mut self, meta: MwStagedMeta) {
-        let _t = telemetry::span(telemetry::phase::COMMIT);
-        let window = (self.tail, self.head);
-        self.revoke_in_flight(&meta.touched);
-        self.scrub_slot_tags(window.0, window.1);
-        self.mw_retire_desc(meta.desc_slot);
-        // Same ordering requirement as `mw_complete_spanning`: the
-        // intent retire on shard 0 persists next.
-        self.nvm.sfence();
-        self.mw_unpin(&meta.pinned_blocks, &meta.pinned_entries);
-        self.stats.failed_commits += 1;
-    }
-
     /// Steps 1–3 + per-block ring recording of the commit protocol.
     ///
     /// With [`TincaConfig::coalesce_flushes`] the per-step persists are
     /// deduplicated at cache-line granularity *within this transaction*:
     /// payloads are flushed without a fence, entry updates (four 16 B
     /// entries per 64 B line) defer their flush to one pass over
-    /// distinct lines, and ring slots flush like batched-ring mode. A
-    /// single fence then drains everything before `Head` moves — so the
-    /// commit point (`Tail`, persisted by the caller strictly after the
-    /// role switch's own fence) still orders after every staged line.
+    /// distinct lines, and ring slots are flushed with their fence
+    /// deferred. A single fence then drains everything before `Head`
+    /// moves — so the commit point (`Tail`, persisted by the caller
+    /// strictly after the role switch's own fence) still orders after
+    /// every staged line.
     /// Crash-safety is unchanged: until the `Head` move persists, `Head
     /// == Tail` and recovery's full entry scan revokes every log-role
     /// entry; after it, the ring window names every staged block.
@@ -964,21 +836,20 @@ impl TincaCache {
             self.pin_entry(idx);
             touched.push(idx);
             // (3) Record the block number in the ring via an 8 B atomic
-            // store, then (4) move Head. In batched/coalesced mode the
-            // slot is only flushed (fence deferred) and Head moves once
-            // at the end. The slot flush is *not* deferred: a failed
-            // commit's revoke path re-persists entries but not ring
-            // slots, so slots must already be flushed when it fences.
+            // store, then (4) move Head. In coalesced mode the slot is
+            // only flushed (fence deferred) and Head moves once at the
+            // end. The slot flush is *not* deferred: a failed commit's
+            // revoke path re-persists entries but not ring slots, so
+            // slots must already be flushed when it fences.
             let _r = telemetry::span(telemetry::phase::COMMIT_RING);
             let slot = self.layout.ring_slot_addr(self.head);
             self.nvm
                 .atomic_write_u64(slot, crate::layout::slot_value(*disk_blk, tag));
-            if self.cfg.batched_ring || coalesce {
+            self.head += 1;
+            if coalesce {
                 self.nvm.clflush(slot, 8);
-                self.head += 1;
             } else {
                 self.nvm.persist(slot, 8);
-                self.head += 1;
                 self.nvm.atomic_write_u64(HEAD_OFF, self.head);
                 self.nvm.persist(HEAD_OFF, 8);
             }
@@ -996,18 +867,10 @@ impl TincaCache {
             }
             // One fence drains payloads, entries and ring slots, then the
             // single Head move makes the ring window visible to recovery.
+            // vs the paper's per-block Head persist: all but one of the
+            // Head flushes are elided.
             let _r = telemetry::span(telemetry::phase::COMMIT_RING);
-            if !self.cfg.batched_ring {
-                // vs the paper's per-block Head persist: all but one of
-                // the Head flushes are elided.
-                self.stats.coalesced_flushes += (touched.len() - 1) as u64;
-            }
-            self.nvm.sfence();
-            self.nvm.atomic_write_u64(HEAD_OFF, self.head);
-            self.nvm.persist(HEAD_OFF, 8);
-        } else if self.cfg.batched_ring {
-            // All slots durable before the single Head move.
-            let _r = telemetry::span(telemetry::phase::COMMIT_RING);
+            self.stats.coalesced_flushes += (touched.len() - 1) as u64;
             self.nvm.sfence();
             self.nvm.atomic_write_u64(HEAD_OFF, self.head);
             self.nvm.persist(HEAD_OFF, 8);
@@ -1252,7 +1115,7 @@ impl TincaCache {
             }
             self.revoke_entry(idx, e);
         }
-        // Close the ring. `Head` is re-persisted first: in batched-ring
+        // Close the ring. `Head` is re-persisted first: in coalesced
         // mode the in-DRAM head may be ahead of the persistent one, and
         // `Tail` must never persist past `Head`.
         self.nvm.atomic_write_u64(HEAD_OFF, self.head);

@@ -26,13 +26,6 @@ pub struct TincaConfig {
     /// degrades to journal-style double writes (log copy + home copy), to
     /// quantify the paper's central optimisation. Default `true`.
     pub role_switch: bool,
-    /// Optimisation beyond the paper: batch the ring-slot flushes and move
-    /// `Head` once per transaction (one fence pair) instead of per block
-    /// (the paper's steps 3–4). Crash-safe because `Head == Tail` until
-    /// the single `Head` store, so recovery falls back to the full entry
-    /// scan, which revokes every log-role entry regardless of the ring.
-    /// Default `false` (the paper's exact protocol).
-    pub batched_ring: bool,
     /// Maximum attempts for a disk I/O that fails with a *transient* error
     /// (`1` = no retry). Permanent errors (bad block, out of range) are
     /// never retried. Default 4: enough to absorb the default fault-plan
@@ -104,7 +97,6 @@ impl Default for TincaConfig {
             cache_reads: true,
             write_policy: WritePolicy::WriteBack,
             role_switch: true,
-            batched_ring: false,
             max_io_retries: 4,
             retry_backoff_ns: 100_000,
             destage: false,
@@ -126,7 +118,6 @@ mod tests {
         assert!(c.cache_reads);
         assert_eq!(c.write_policy, WritePolicy::WriteBack);
         assert!(c.role_switch);
-        assert!(!c.batched_ring, "default is the paper's exact protocol");
         assert!(c.max_io_retries >= 1, "at least one attempt");
         assert!(!c.destage, "default is the paper's synchronous writeback");
         assert!(!c.coalesce_flushes, "default is per-step persist ordering");

@@ -69,7 +69,11 @@ pub fn intent_tag(intent_id: u64) -> u8 {
 /// line per descriptor, used only when the pool runs the lock-free commit
 /// path ([`crate::CommitMode::LockFreeRing`]). Formatting never touches
 /// this region, so an all-zero table means "no window in flight" on fresh,
-/// legacy, and mutex-mode regions alike.
+/// legacy, and mutex-mode regions alike. A descriptor is four 8 B words:
+/// the state word, the window's first ring sequence number, its length,
+/// and a reserved word written 0. Only single-shard windows have one — a
+/// spanning fragment commits on a quiesced shard through the mutex path's
+/// protocol and is judged by its slots' intent tags.
 pub const MW_DESC_OFF: usize = 256;
 /// Number of window descriptors (bounds in-flight windows per shard).
 pub const MW_WINDOWS: usize = 32;
@@ -87,11 +91,6 @@ pub const MW_RESERVED: u64 = 1;
 /// State: the writer finished staging and flushing; the window is durable
 /// once the sequencer's fence drains it, and `Head` may advance past it.
 pub const MW_STAGED: u64 = 2;
-
-/// Descriptor flag (word 3): the window is a spanning-transaction fragment
-/// prepare — recovery judges its tagged ring slots by the pool's intent
-/// directive instead of the multi-writer roll-forward rule.
-pub const MW_FLAG_SPANNING: u64 = 1;
 
 /// Slot tag marking a **dead** ring slot inside a multi-writer window that
 /// failed mid-staging: the slot was reserved but never received a real

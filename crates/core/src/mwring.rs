@@ -21,6 +21,12 @@
 //!    the maximal contiguous `STAGED` prefix that starts at the retire
 //!    frontier ([`MwState::frontier`]).
 //!
+//! A **spanning** transaction takes none of these steps: the pool
+//! quiesces each participant shard (`MwState::spanning_open` holds new
+//! admissions off while outstanding windows drain), commits the fragments
+//! through the mutex path's protocol, and republishes `cursor`,
+//! `ring_limit` and [`MwState::frontier`] from each shard's new `Head`.
+//!
 //! The types here are DRAM bookkeeping only; the persistent side (window
 //! descriptor table, ring slots, entries) lives in the layout/cache
 //! modules, and recovery's resume-or-roll-back rule in `recovery.rs`.
@@ -76,7 +82,7 @@ pub(crate) struct MwState {
     /// The retire frontier: the ring sequence number the next sequencer
     /// round must start at (the shard's `Head` while no round is in
     /// flight). Set at format/recover, advanced by each round, republished
-    /// by the spanning lane.
+    /// from `Head` after a spanning commit on the quiesced shard.
     pub(crate) frontier: u64,
     /// Disk blocks owned by outstanding windows (conflict admission:
     /// a transaction touching any of these waits *before* reserving, so
@@ -88,16 +94,17 @@ pub(crate) struct MwState {
     pub(crate) next_ordinal: u64,
     /// A sequencer round is in flight (combiner flag).
     pub(crate) sequencing: bool,
-    /// A spanning prepare owns the shard: new reservations wait.
+    /// A spanning commit owns the (quiesced) shard: new reservations wait.
     pub(crate) spanning_open: bool,
     /// Ordinals blocking commits are waiting on.
     pub(crate) waiting: HashSet<u64>,
     /// Retired ordinals from `waiting` (consumed by the waiter).
     pub(crate) retired: HashSet<u64>,
-    /// A sequencer round unwound (a simulated power failure, or a bug):
-    /// `Head` may or may not have moved, so nothing can retire until the
-    /// pool is recovered and every committer parked on this shard must
-    /// leave. Holds the crash trip's event when that is what unwound.
+    /// A sequencer round or a spanning commit unwound on this shard (a
+    /// simulated power failure, or a bug): `Head` may or may not have
+    /// moved, so nothing can retire until the pool is recovered and every
+    /// committer parked on or arriving at this shard must leave. Holds
+    /// the crash trip's event when that is what unwound.
     pub(crate) failed: Option<Option<u64>>,
     /// Reservation-CAS retries not yet folded into the cache stats.
     pub(crate) pending_cas_retries: u64,
@@ -180,7 +187,7 @@ pub enum MwAdmission {
     /// publish the returned ticket.
     Admitted(MwTicket),
     /// The transaction conflicts with an in-flight window, the shard is
-    /// quiesced for a spanning prepare, or ring/descriptor capacity is
+    /// quiesced for a spanning commit, or ring/descriptor capacity is
     /// exhausted. The transaction is handed back; retry after the shard
     /// makes progress (e.g. a sequencer round retires windows).
     Busy(Txn),

@@ -62,6 +62,14 @@
 //! (the record has a single slot) and lock shard 0 plus the participants
 //! in ascending index order, so they cannot deadlock with each other or
 //! with single-shard commits.
+//!
+//! There is one spanning driver. In [`CommitMode::LockFreeRing`] the pool
+//! first quiesces every participant's multi-writer pipeline (no window
+//! outstanding, admissions held off), runs the driver above unchanged —
+//! on a quiesced shard the cache lock is the only writer — then
+//! republishes each participant's reservation cursor from its new `Head`
+//! and reopens. The quiesce is released on every exit, an unwinding one
+//! included.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -208,6 +216,15 @@ fn lock_gc<'a>(sh: &'a Shard) -> StdGuard<'a, GcState> {
 
 fn lock_mw<'a>(sh: &'a Shard) -> StdGuard<'a, MwState> {
     sh.mw.state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The crash trip's event ordinal when `payload` (a caught unwind) is a
+/// simulated power failure, `None` for any other panic — the value
+/// [`MwState::failed`] records.
+fn trip_event(payload: &(dyn std::any::Any + Send)) -> Option<u64> {
+    payload
+        .downcast_ref::<nvmsim::CrashTripped>()
+        .map(|trip| trip.event)
 }
 
 /// Sharded multi-threaded front-end; see the module docs.
@@ -405,22 +422,43 @@ impl TincaPool {
         }
         match self.home_shard(&txn) {
             Some(s) => self.commit_on_shard(s, txn),
-            None => self.commit_spanning(txn),
+            None => self.commit_spanning(txn, &mut self.lock_spanning()),
         }
+    }
+
+    /// Takes the pool-level spanning mutex: the next intent sequence id.
+    fn lock_spanning(&self) -> StdGuard<'_, u64> {
+        self.spanning.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One transition of the spanning-intent record on the host (shard 0)
+    /// device: the 8 B state store — preceded by the participant bitmap
+    /// when publishing — persisted and annotated as a commit record.
+    fn store_intent(host: &Nvm, state: SpanningIntent, publish_shards: Option<u64>) {
+        let len = match publish_shards {
+            Some(bitmap) => {
+                host.atomic_write_u64(INTENT_SHARDS_OFF, bitmap);
+                16
+            }
+            None => 8,
+        };
+        host.atomic_write_u64(INTENT_STATE_OFF, state.encode());
+        host.persist(INTENT_OFF, len);
+        host.note_commit(INTENT_OFF, 64);
     }
 
     /// Two-phase spanning commit (module docs): publish the intent
     /// record, prepare one tagged fragment per participant shard, resolve
     /// with a single 8 B store, then retire every shard's revocation
-    /// window. Holds the pool-level spanning mutex throughout, plus the
-    /// cache locks of shard 0 (the intent host — guarantees the record's
-    /// commit annotations are ordered against that device's other
-    /// commits) and every participant, acquired in ascending order.
-    fn commit_spanning(&self, txn: Txn) -> Result<(), TincaError> {
+    /// window. The caller holds the pool-level spanning mutex (`next_id`
+    /// is its guarded intent counter) throughout; this takes the cache
+    /// locks of shard 0 (the intent host — guarantees the record's commit
+    /// annotations are ordered against that device's other commits) and
+    /// every participant, acquired in ascending order.
+    fn commit_spanning(&self, txn: Txn, next_id: &mut u64) -> Result<(), TincaError> {
         let _t = telemetry::span(telemetry::phase::COMMIT_SPANNING);
-        let coalesced = txn.coalesced_writes();
+        let mut coalesced = txn.coalesced_writes();
         let mut parts = self.split_spanning(txn);
-        let mut next_id = self.spanning.lock().unwrap_or_else(PoisonError::into_inner);
         let intent_id = *next_id;
         *next_id += 1;
         let tag = intent_tag(intent_id);
@@ -441,31 +479,32 @@ impl TincaPool {
                 bitmap |= 1 << s.min(63);
             }
         }
+        if self.commit_mode == CommitMode::LockFreeRing {
+            // A preceding pipelined round leaves its descriptor-retire
+            // flushes unfenced on shard 0 (the next sequencer drain
+            // normally orders them); the intent record below is a commit
+            // record on that same device, so fence first.
+            host.sfence();
+        }
         // Publish: one cache line, one fence. Until the resolve store
         // below, recovery rolls every fragment tagged `tag` back.
-        host.atomic_write_u64(INTENT_SHARDS_OFF, bitmap);
-        host.atomic_write_u64(
-            INTENT_STATE_OFF,
-            SpanningIntent::Prepared { id: intent_id }.encode(),
+        Self::store_intent(
+            host,
+            SpanningIntent::Prepared { id: intent_id },
+            Some(bitmap),
         );
-        host.persist(INTENT_OFF, 16);
-        host.note_commit(INTENT_OFF, 64);
 
         // Phase 1: prepare fragments in ascending shard order, stopping
         // at the first failure — later fragments are never attempted.
         let mut prepared: Vec<(usize, PreparedFragment)> = Vec::new();
         let mut failure = None;
-        let mut first_part = true;
         for (gi, (s, guard)) in guards.iter_mut().enumerate() {
             let Some(mut part) = parts[*s].take() else {
                 continue;
             };
-            if first_part {
-                // Keep the original transaction's coalescing count on its
-                // first fragment so pool-wide stats still add up.
-                part.add_coalesced(coalesced);
-                first_part = false;
-            }
+            // The original transaction's coalescing count rides on its
+            // first fragment so pool-wide stats still add up.
+            part.add_coalesced(std::mem::take(&mut coalesced));
             match guard.prepare_fragment(&part, tag) {
                 Ok(frag) => prepared.push((gi, frag)),
                 Err(e) => {
@@ -481,9 +520,7 @@ impl TincaPool {
             for (gi, frag) in prepared {
                 guards[gi].1.abort_fragment(frag);
             }
-            host.atomic_write_u64(INTENT_STATE_OFF, SpanningIntent::None.encode());
-            host.persist(INTENT_STATE_OFF, 8);
-            host.note_commit(INTENT_OFF, 64);
+            Self::store_intent(host, SpanningIntent::None, None);
             guards[0].1.stats_mut().spanning_aborts += 1;
             return Err(e);
         }
@@ -491,12 +528,7 @@ impl TincaPool {
         // Resolve: the transaction's commit point. Every fragment was
         // fenced-durable before this store, so from here recovery rolls
         // all of them forward.
-        host.atomic_write_u64(
-            INTENT_STATE_OFF,
-            SpanningIntent::Resolved { id: intent_id }.encode(),
-        );
-        host.persist(INTENT_STATE_OFF, 8);
-        host.note_commit(INTENT_OFF, 64);
+        Self::store_intent(host, SpanningIntent::Resolved { id: intent_id }, None);
 
         // Phase 2: move every participant's Tail (closing its revocation
         // window) and reclaim, then retire the record — all windows are
@@ -504,9 +536,7 @@ impl TincaPool {
         for (gi, frag) in prepared {
             guards[gi].1.complete_fragment(frag);
         }
-        host.atomic_write_u64(INTENT_STATE_OFF, SpanningIntent::None.encode());
-        host.persist(INTENT_STATE_OFF, 8);
-        host.note_commit(INTENT_OFF, 64);
+        Self::store_intent(host, SpanningIntent::None, None);
         guards[0].1.stats_mut().spanning_commits += 1;
         Ok(())
     }
@@ -556,7 +586,7 @@ impl TincaPool {
             }
         }
         for (i, txn) in spanning {
-            results[i] = self.commit_spanning(txn);
+            results[i] = self.commit_spanning(txn, &mut self.lock_spanning());
         }
         results
     }
@@ -679,6 +709,7 @@ impl TincaPool {
         // without starving the shard of slots (no hold-and-wait).
         {
             let mut mw = lock_mw(sh);
+            Self::mw_leave_if_failed(&mw);
             if mw.spanning_open || txn.disk_blocks().any(|b| mw.in_flight.contains(&b)) {
                 return Ok(MwAdmission::Busy(txn));
             }
@@ -769,7 +800,7 @@ impl TincaPool {
         // and the failure arm re-locks the cache via `mw_sequence`.
         let staged = sh
             .lock_cache()
-            .mw_stage_meta(txn, start, desc_slot, 0, ordinal);
+            .mw_stage_meta(txn, start, desc_slot, ordinal);
         match staged {
             Ok(mut meta) => {
                 let stage_jobs = std::mem::take(&mut meta.stage_jobs);
@@ -874,7 +905,7 @@ impl TincaPool {
     }
 
     /// The `STAGED` descriptor store + flush + release annotation shared
-    /// by the fast path, the failed-window seal, and the spanning lane.
+    /// by the fast path and the failed-window seal.
     fn mw_publish_desc(sh: &Shard, desc_slot: usize, ordinal: u64) {
         let addr = mw_desc_addr(desc_slot);
         sh.nvm
@@ -982,11 +1013,7 @@ impl TincaPool {
                     // instead of parking forever.
                     {
                         let mut mw = lock_mw(sh);
-                        mw.failed = Some(
-                            payload
-                                .downcast_ref::<nvmsim::CrashTripped>()
-                                .map(|trip| trip.event),
-                        );
+                        mw.failed = Some(trip_event(payload.as_ref()));
                         mw.sequencing = false;
                     }
                     sh.mw.cv.notify_all();
@@ -1068,7 +1095,8 @@ impl TincaPool {
     /// Blocks new multi-writer admissions on shard `s` (`spanning_open`)
     /// and drains every outstanding window — helping sequence staged
     /// prefixes, waiting out unpublished stragglers — so the spanning
-    /// lane finds `Head == Tail == cursor` and all descriptors free.
+    /// commit finds `Head == Tail == cursor` and all descriptors free.
+    /// [`commit_spanning_mw`](Self::commit_spanning_mw) lifts it.
     fn mw_quiesce(&self, s: usize) {
         let sh = &self.shards[s];
         lock_mw(sh).spanning_open = true;
@@ -1084,197 +1112,55 @@ impl TincaPool {
         }
     }
 
-    /// Reopens multi-writer admissions after a spanning commit
-    /// ([`mw_quiesce`](Self::mw_quiesce) counterpart).
-    fn mw_reopen(&self, participants: &[usize]) {
-        for &s in participants {
+    /// Two-phase spanning commit in `LockFreeRing` mode: quiesce every
+    /// participant shard, run the mutex path's [`commit_spanning`]
+    /// (`Self::commit_spanning`) on them — a quiesced shard has `Head ==
+    /// Tail == cursor`, every descriptor free and `spanning_open` holding
+    /// rivals off, so the fragment protocol is valid as it stands — then
+    /// republish each participant's reservation state from its new
+    /// `Head` and reopen admissions (DESIGN §16).
+    fn commit_spanning_mw(&self, txn: Txn) -> Result<(), TincaError> {
+        let mut participants: Vec<usize> = txn.disk_blocks().map(|b| self.shard_of(b)).collect();
+        participants.sort_unstable();
+        participants.dedup();
+        // Held from the first quiesce to the last reopen: two spanning
+        // commits must not interleave on one shard's `spanning_open`.
+        let mut next_id = self.lock_spanning();
+        // A crash trip may panic out of a quiesce round or the commit;
+        // the quiesce is released on that exit too, and the participants
+        // are failed, so parked and later committers re-raise instead of
+        // waiting for a reopen that never comes.
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            for &s in &participants {
+                self.mw_quiesce(s);
+            }
+            self.commit_spanning(txn, &mut next_id)
+        }));
+        let failed = res
+            .as_ref()
+            .err()
+            .map(|payload| trip_event(payload.as_ref()));
+        for &s in &participants {
             let sh = &self.shards[s];
-            lock_mw(sh).spanning_open = false;
+            // The fragment (committed or aborted) moved `Head` under the
+            // cache lock only; the next pipelined round starts there.
+            let head = failed.is_none().then(|| sh.lock_cache().head_tail().0);
+            let mut mw = lock_mw(sh);
+            if let Some(head) = head {
+                sh.mw.cursor.store(head, Ordering::Release);
+                sh.mw
+                    .ring_limit
+                    .store(head + sh.ring_slots as u64, Ordering::Release);
+                mw.frontier = head;
+            }
+            if let Some(event) = failed {
+                mw.failed.get_or_insert(event);
+            }
+            mw.spanning_open = false;
+            drop(mw);
             sh.mw.cv.notify_all();
         }
-    }
-
-    /// Pool-side bookkeeping after a spanning-lane window closed on a
-    /// quiesced shard (the cache side already retired its descriptor):
-    /// refund the descriptor credit and republish the retire frontier and
-    /// the reservation limit off the shard's already-advanced cursor.
-    fn mw_retire_slow(sh: &Shard, desc_slot: usize) {
-        let end = sh.mw.cursor.load(Ordering::Acquire);
-        {
-            let mut mw = lock_mw(sh);
-            mw.free_desc.push(desc_slot);
-            // The quiesced shard's only window just closed: the next
-            // pipelined round starts where the spanning lane stopped.
-            mw.frontier = end;
-        }
-        sh.mw.slots_avail.fetch_add(1, Ordering::AcqRel);
-        sh.mw
-            .ring_limit
-            .store(end + sh.ring_slots as u64, Ordering::Release);
-    }
-
-    /// Two-phase spanning commit in `LockFreeRing` mode. Each participant
-    /// shard is quiesced, then its fragment takes the pipeline's slow
-    /// lane: reserve directly off the shard atomics, run the meta phase
-    /// with intent-tagged ring slots and a `MW_FLAG_SPANNING` descriptor,
-    /// stage inline on the shared clock, and sequence alone with `Tail`
-    /// held open — so PR 8's prepare/resolve recovery rules carry over
-    /// unchanged (DESIGN §16).
-    fn commit_spanning_mw(&self, txn: Txn) -> Result<(), TincaError> {
-        let _t = telemetry::span(telemetry::phase::COMMIT_SPANNING);
-        let coalesced = txn.coalesced_writes();
-        let mut parts = self.split_spanning(txn);
-        // Size-check every fragment before any shard quiesces, so an
-        // oversized fragment aborts with no cross-shard work at all.
-        for (s, p) in parts.iter().enumerate() {
-            if let Some(p) = p {
-                if p.len() > self.shards[s].ring_slots {
-                    return Err(TincaError::TxnTooLarge {
-                        blocks: p.len(),
-                        ring_cap: self.shards[s].ring_slots as u64,
-                    });
-                }
-            }
-        }
-        let mut next_id = self.spanning.lock().unwrap_or_else(PoisonError::into_inner);
-        let intent_id = *next_id;
-        *next_id += 1;
-        let tag = intent_tag(intent_id);
-        let _prov = nvmsim::txn_scope(intent_id);
-        let participants: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| parts[s].is_some())
-            .collect();
-        for &s in &participants {
-            self.mw_quiesce(s);
-        }
-        let mut guards: Vec<(usize, CacheGuard<'_>)> = Vec::new();
-        for (s, sh) in self.shards.iter().enumerate() {
-            if s == 0 || parts[s].is_some() {
-                guards.push((s, sh.lock_cache()));
-            }
-        }
-        let host = &self.shards[0].nvm;
-        let mut bitmap: u64 = 0;
-        for (s, p) in parts.iter().enumerate() {
-            if p.is_some() {
-                bitmap |= 1 << s.min(63);
-            }
-        }
-        // A preceding pipelined round leaves its descriptor-retire
-        // flushes unfenced on shard 0 (the next sequencer drain normally
-        // orders them); the intent record below is a commit record on
-        // that same device, so fence first.
-        host.sfence();
-        // Publish — identical to the mutex path; see `commit_spanning`.
-        host.atomic_write_u64(INTENT_SHARDS_OFF, bitmap);
-        host.atomic_write_u64(
-            INTENT_STATE_OFF,
-            SpanningIntent::Prepared { id: intent_id }.encode(),
-        );
-        host.persist(INTENT_OFF, 16);
-        host.note_commit(INTENT_OFF, 64);
-
-        // Phase 1: prepare one tagged window per participant, ascending.
-        let mut prepared: Vec<(usize, MwStagedMeta)> = Vec::new();
-        let mut failure = None;
-        let mut first_part = true;
-        for (gi, (s, guard)) in guards.iter_mut().enumerate() {
-            let Some(mut part) = parts[*s].take() else {
-                continue;
-            };
-            if first_part {
-                part.add_coalesced(coalesced);
-                first_part = false;
-            }
-            let sh = &self.shards[*s];
-            let n = part.len() as u64;
-            // The shard is quiesced and `spanning_open` blocks rivals, so
-            // plain stores reserve the window.
-            let start = sh.mw.cursor.load(Ordering::Acquire);
-            sh.mw.cursor.store(start + n, Ordering::Release);
-            sh.mw.slots_avail.fetch_sub(1, Ordering::AcqRel);
-            let (ordinal, desc_slot) = {
-                let mut mw = lock_mw(sh);
-                let ordinal = mw.next_ordinal;
-                mw.next_ordinal += 1;
-                // Audited panic: a quiesced shard has every descriptor
-                // slot free.
-                #[allow(clippy::disallowed_methods)]
-                let slot = mw
-                    .free_desc
-                    .pop()
-                    .expect("quiesced shard has free descriptors");
-                (ordinal, slot)
-            };
-            let staged = guard.mw_stage_meta(part, start, desc_slot, tag, ordinal);
-            match staged {
-                Ok(mut meta) => {
-                    // Inline staging on the shared clock: the spanning lane
-                    // is serialised anyway, so there is no overlap to model.
-                    for (addr, data) in std::mem::take(&mut meta.stage_jobs) {
-                        guard.nvm().write(addr, &data[..]);
-                        guard.nvm().clflush(addr, BLOCK_SIZE);
-                    }
-                    Self::mw_publish_desc(sh, desc_slot, ordinal);
-                    let now = guard.nvm().clock().now_ns();
-                    guard.mw_sequence_spanning(&meta, now);
-                    prepared.push((gi, meta));
-                }
-                Err((e, meta)) => {
-                    // Seal the failed window: publish and sequence it as a
-                    // no-op so the shard's ring closes cleanly.
-                    Self::mw_publish_desc(sh, desc_slot, ordinal);
-                    let now = guard.nvm().clock().now_ns();
-                    guard.mw_sequence(vec![meta], now);
-                    // The sequencer leaves its descriptor-retire flush
-                    // unfenced (the next round's drain fence orders it);
-                    // here the next persist is the intent abort on shard
-                    // 0, so fence before falling through to it.
-                    guard.nvm().sfence();
-                    Self::mw_retire_slow(sh, desc_slot);
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = failure {
-            // Abort — same shape as the mutex path: revoke every prepared
-            // fragment, then retire the intent.
-            for (gi, meta) in prepared {
-                let s = guards[gi].0;
-                let desc_slot = meta.desc_slot;
-                guards[gi].1.mw_abort_spanning(meta);
-                Self::mw_retire_slow(&self.shards[s], desc_slot);
-            }
-            host.atomic_write_u64(INTENT_STATE_OFF, SpanningIntent::None.encode());
-            host.persist(INTENT_STATE_OFF, 8);
-            host.note_commit(INTENT_OFF, 64);
-            guards[0].1.stats_mut().spanning_aborts += 1;
-            drop(guards);
-            self.mw_reopen(&participants);
-            return Err(e);
-        }
-
-        // Resolve: the transaction's commit point (see `commit_spanning`).
-        host.atomic_write_u64(
-            INTENT_STATE_OFF,
-            SpanningIntent::Resolved { id: intent_id }.encode(),
-        );
-        host.persist(INTENT_STATE_OFF, 8);
-        host.note_commit(INTENT_OFF, 64);
-        for (gi, meta) in prepared {
-            let s = guards[gi].0;
-            let desc_slot = meta.desc_slot;
-            guards[gi].1.mw_complete_spanning(meta);
-            Self::mw_retire_slow(&self.shards[s], desc_slot);
-        }
-        host.atomic_write_u64(INTENT_STATE_OFF, SpanningIntent::None.encode());
-        host.persist(INTENT_STATE_OFF, 8);
-        host.note_commit(INTENT_OFF, 64);
-        guards[0].1.stats_mut().spanning_commits += 1;
-        drop(guards);
-        self.mw_reopen(&participants);
-        Ok(())
+        res.unwrap_or_else(|payload| resume_unwind(payload))
     }
 
     /// Reads on-disk block `disk_blk` through its home shard.

@@ -42,8 +42,8 @@ use crate::cache::DynDisk;
 use crate::entry::Role;
 use crate::layout::{
     intent_tag, mw_desc_addr, mw_split_state, split_slot, Layout, DATA_BLOCKS_OFF, ENTRY_COUNT_OFF,
-    HEAD_OFF, INTENT_PREPARED, INTENT_RESOLVED, MAGIC, MAGIC_OFF, MW_DEAD_TAG, MW_FLAG_SPANNING,
-    MW_STAGED, MW_WINDOWS, RING_CAP_OFF, TAIL_OFF,
+    HEAD_OFF, INTENT_PREPARED, INTENT_RESOLVED, MAGIC, MAGIC_OFF, MW_DEAD_TAG, MW_STAGED,
+    MW_WINDOWS, RING_CAP_OFF, TAIL_OFF,
 };
 use crate::{TincaCache, TincaConfig, TincaError};
 
@@ -169,14 +169,14 @@ impl TincaCache {
         // Multi-writer window descriptors (DESIGN §16): scan the table.
         // Retired windows (end at or before `Tail`) are stale retire
         // stores lost to the crash — inert, zeroed below. Published
-        // (`STAGED`) non-spanning windows overlapping `[Tail, Head)` are
-        // **durably committed**: `Head` only persists after the
+        // (`STAGED`) windows overlapping `[Tail, Head)` are **durably
+        // committed**: `Head` only persists after the
         // sequencer's fence drained every covering window's state word,
         // payloads, entries and ring slots — so their slots roll
         // *forward* (the crash can only have interrupted the role
         // switch). Windows `Head` never passed roll back via the ordinary
         // full-entry scan.
-        let mut mw_desc: Vec<(usize, u64, u64, u64, u64)> = Vec::new();
+        let mut mw_desc: Vec<(usize, u64, u64, u64)> = Vec::new();
         for slot in 0..MW_WINDOWS {
             let addr = mw_desc_addr(slot);
             let word0 = self.nvm().read_u64(addr);
@@ -186,8 +186,7 @@ impl TincaCache {
             let (_ordinal, state) = mw_split_state(word0);
             let start = self.nvm().read_u64(addr + 8);
             let len = self.nvm().read_u64(addr + 16);
-            let flags = self.nvm().read_u64(addr + 24);
-            mw_desc.push((slot, state, start, len, flags));
+            mw_desc.push((slot, state, start, len));
         }
         // Maximal contiguous STAGED coverage from Tail. Windows are
         // disjoint and Head/Tail only ever store window boundaries, so
@@ -197,14 +196,10 @@ impl TincaCache {
         if head != tail {
             let mut staged: Vec<(u64, u64)> = mw_desc
                 .iter()
-                .filter(|&&(_, state, start, len, flags)| {
-                    state == MW_STAGED
-                        && flags & MW_FLAG_SPANNING == 0
-                        && start >= tail
-                        && start < head
-                        && start + len > start
+                .filter(|&&(_, state, start, len)| {
+                    state == MW_STAGED && start >= tail && start < head && start + len > start
                 })
-                .map(|&(_, _, start, len, _)| (start, len))
+                .map(|&(_, _, start, len)| (start, len))
                 .collect();
             staged.sort_unstable();
             for (start, len) in staged {
@@ -216,8 +211,8 @@ impl TincaCache {
                 }
             }
         }
-        for &(_, _, start, _, flags) in &mw_desc {
-            if start >= head && flags & MW_FLAG_SPANNING == 0 {
+        for &(_, _, start, _) in &mw_desc {
+            if start >= head {
                 // A reserved/staged window Head never advanced past: its
                 // log-role entries fall to the full-entry revoke below.
                 self.stats_mut().mw_windows_rolled_back += 1;

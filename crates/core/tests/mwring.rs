@@ -8,7 +8,7 @@
 //! unsequenced windows.
 
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
-use nvmsim::{shard_devices, NvmConfig, NvmTech, SimClock};
+use nvmsim::{shard_devices, CrashTripped, NvmConfig, NvmTech, SimClock};
 use tinca::{CommitMode, MwAdmission, PoolConfig, TincaConfig, TincaError, TincaPool, Txn};
 
 fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
@@ -219,6 +219,52 @@ fn mw_spanning_abort_leaves_nothing_durable() {
     p.read(0, &mut buf).unwrap();
     assert_eq!(buf[0], 0x79);
     p.check_consistency().unwrap();
+}
+
+/// A power cut inside a spanning commit must not strand the shard's other
+/// committers behind the quiesce: the cut releases `spanning_open` and
+/// fails the participants, so a later commit on one of them re-raises the
+/// power failure instead of parking until a reopen that never comes.
+#[test]
+fn mw_power_cut_in_spanning_commit_does_not_strand_later_committers() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{mpsc, Arc};
+
+    let devices = shard_devices(&NvmConfig::new(1 << 20, NvmTech::Pcm), 2);
+    let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, SimClock::new());
+    let p = Arc::new(TincaPool::format(devices.clone(), disk, mw_pool_cfg(2)));
+
+    // Shard 1's third persistence event lands inside its fragment.
+    devices[1].set_trip(Some(3));
+    let mut t = p.init_txn();
+    t.write(0, &blk(0x5A));
+    t.write(1, &blk(0x5B));
+    let cut = catch_unwind(AssertUnwindSafe(|| p.commit(t))).unwrap_err();
+    let event = cut
+        .downcast_ref::<CrashTripped>()
+        .expect("the armed trip unwinds the commit")
+        .event;
+
+    let (tx, rx) = mpsc::channel();
+    let later = {
+        let p = Arc::clone(&p);
+        std::thread::spawn(move || {
+            let mut t = Txn::new();
+            t.write(3, &blk(0x5C)); // shard 1
+            let res = catch_unwind(AssertUnwindSafe(|| p.commit(t)));
+            tx.send(res.map_err(|e| e.downcast_ref::<CrashTripped>().map(|c| c.event)))
+                .unwrap();
+        })
+    };
+    let res = rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("a commit on the cut shard parked behind the dead quiesce");
+    assert_eq!(
+        res,
+        Err(Some(event)),
+        "the power failed for this thread too"
+    );
+    later.join().unwrap();
 }
 
 /// A window published but never sequenced (`Head` never moved) rolls back

@@ -40,9 +40,10 @@ fn ubj_survives_fuzzed_crashes() {
 }
 
 #[test]
-fn tinca_batched_ring_survives_fuzzed_crashes() {
-    // The batched-ring optimisation must not weaken crash consistency.
-    let report = fuzz_system(System::TincaBatched, 4500, 20, 50);
+fn tinca_coalesced_flushes_survive_fuzzed_crashes() {
+    // Batching the ring slots and the `Head` move behind one fence
+    // (`coalesce_flushes`) must not weaken crash consistency.
+    let report = fuzz_system_opts(System::Tinca, 4500, 20, 50, FailureMode::PowerPull, true);
     assert!(report.clean(), "violations: {:?}", report.violations);
 }
 

@@ -16,16 +16,25 @@
 //!
 //! A full trip sweep over every persistence event of both devices then
 //! proves the all-or-nothing property holds at *every* crash instant of a
-//! spanning commit, not just the pinned ones.
+//! spanning commit, not just the pinned ones; and a nested sweep crashes
+//! *inside* the recovery of sampled instants, in both commit modes, to
+//! show the roll decision repeats.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 use crashsim::quiet_crash_panics;
-use nvmsim::{shard_devices, CrashPolicy, CrashTripped, Nvm, NvmConfig, NvmTech, SimClock};
-use tinca::{PoolConfig, TincaConfig, TincaPool};
+use nvmsim::{
+    merge_shard_traces, shard_devices, CrashPolicy, CrashTripped, Nvm, NvmConfig, NvmTech, SimClock,
+};
+use persistcheck::{CheckConfig, Checker};
+use tinca::{CommitMode, PoolConfig, TincaConfig, TincaPool};
 
 fn build_pool(shards: usize) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
+    build_pool_mode(shards, CommitMode::MutexGroup)
+}
+
+fn build_pool_mode(shards: usize, mode: CommitMode) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
     let nvm_cfg = NvmConfig::new(shards * (256 << 10), NvmTech::Pcm).with_tracing();
     let devices = shard_devices(&nvm_cfg, shards);
     let clock = SimClock::new();
@@ -33,6 +42,7 @@ fn build_pool(shards: usize) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
     let pool_cfg = PoolConfig {
         shards,
+        commit_mode: mode,
         cache: TincaConfig {
             ring_bytes: 4096,
             ..TincaConfig::default()
@@ -262,7 +272,7 @@ fn intent_tag_wraparound_leaves_no_stale_tags() {
     let pool = TincaPool::recover(devices.clone(), disk.clone(), pool_cfg.clone())
         .expect("recovery after wrap");
     let (b0, b1) = (read_block(&pool, 0), read_block(&pool, 1));
-    let last = (129u32 % 251) as u8 + 1;
+    let last = 130u8; // commit 129's fill: `(i % 251) + 1`
     let atomic = (b0 == fill(0xAA) && b1 == fill(0xBB)) // rolled forward
         || (b0 == fill(last) && b1 == fill(last ^ 0xFF)); // rolled back
     assert!(
@@ -291,5 +301,188 @@ fn intent_tag_wraparound_leaves_no_stale_tags() {
             "stale tags on shard {s} after id reuse"
         );
     }
-    assert_eq!(read_block(&pool, 0), fill((129u32 % 250) as u8 + 1));
+    assert_eq!(read_block(&pool, 0), fill(130)); // `(129 % 250) + 1`
+}
+
+/// Runs `f` and reports whether an armed crash trip unwound it.
+fn tripped<R>(f: impl FnOnce() -> R) -> Result<R, ()> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(r) => Ok(r),
+        Err(p) if p.downcast_ref::<CrashTripped>().is_some() => Err(()),
+        Err(p) => std::panic::resume_unwind(p),
+    }
+}
+
+/// The durable state a spanning commit of `0xAA`/`0xBB` over blocks 0/1
+/// leaves when the power fails at persistence event `k` of device `dev`:
+/// committed single-shard and spanning history (so roll-back has previous
+/// versions to restore, and — on the ring — pipelined rounds and their
+/// descriptors precede the cut), then the cut itself.
+fn cut_spanning_commit(
+    mode: CommitMode,
+    dev: usize,
+    k: u64,
+) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
+    let (devices, disk, pool_cfg) = build_pool_mode(2, mode);
+    let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
+    commit_spanning_pair(&pool, 0x01);
+    for (blk, v) in BYSTANDERS {
+        let mut t = pool.init_txn();
+        t.write(blk, &fill(v));
+        pool.commit(t).expect("single-shard commit");
+    }
+    devices[dev].set_trip(Some(k));
+    let crashed = try_spanning_commit(&pool);
+    drop(pool);
+    assert!(crashed, "{mode:?}: trip {k} on device {dev} did not fire");
+    for d in &devices {
+        d.crash(CrashPolicy::LoseVolatile);
+    }
+    (devices, disk, pool_cfg)
+}
+
+/// Blocks 0 and 1 as one of the two legal outcomes: `true` when the cut
+/// spanning transaction is fully visible, `false` when fully absent.
+fn rolled_forward(pool: &TincaPool, what: &str) -> bool {
+    let (b0, b1) = (read_block(pool, 0), read_block(pool, 1));
+    if b0 == fill(0xAA) && b1 == fill(0xBB) {
+        true
+    } else if b0 == fill(0x01) && b1 == fill(0x01 ^ 0xFF) {
+        false
+    } else {
+        panic!(
+            "{what}: torn spanning txn (block0={:#x}, block1={:#x})",
+            b0[0], b1[0]
+        );
+    }
+}
+
+/// The `(block, fill)` single-shard commits [`cut_spanning_commit`] makes
+/// durable before the cut; every recovery must preserve them.
+const BYSTANDERS: [(u64, u8); 3] = [(2, 0x11), (3, 0x22), (4, 0x33)];
+
+/// Per-device persistence events consumed by `f`.
+fn events_during<R>(devices: &[Nvm], f: impl FnOnce() -> R) -> (R, Vec<u64>) {
+    let starts: Vec<u64> = devices.iter().map(|d| d.events()).collect();
+    let r = f();
+    let spent = devices
+        .iter()
+        .zip(&starts)
+        .map(|(d, s)| d.events() - s)
+        .collect();
+    (r, spent)
+}
+
+/// One nested cut: the spanning commit dies at event `k` of device `dev`,
+/// the recovery dies at its event `j` on device `rdev` (unfenced lines
+/// resolved adversarially). The next recovery must roll `expect_forward`'s
+/// way on every shard and leave nothing for a third one to roll; the whole
+/// history must be persistcheck-clean as one merged trace.
+fn cut_recovery(
+    mode: CommitMode,
+    (dev, k): (usize, u64),
+    (rdev, j): (usize, u64),
+    expect_forward: bool,
+) {
+    let what = format!("{mode:?} cut dev{dev}@{k}, recovery cut dev{rdev}@{j}");
+    let (devices, disk, pool_cfg) = cut_spanning_commit(mode, dev, k);
+    let recover = || TincaPool::recover(devices.clone(), disk.clone(), pool_cfg.clone());
+    devices[rdev].set_trip(Some(j));
+    assert!(
+        tripped(recover).is_err(),
+        "{what}: recovery trip did not fire"
+    );
+    for d in &devices {
+        d.crash(CrashPolicy::Random(k * 131 + j));
+    }
+    let pool = recover().expect("second recovery");
+    assert_eq!(
+        rolled_forward(&pool, &what),
+        expect_forward,
+        "{what}: direction flipped"
+    );
+    for (blk, v) in BYSTANDERS {
+        assert_eq!(read_block(&pool, blk), fill(v), "{what}: block {blk}");
+    }
+    pool.check_consistency()
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    let capacity = devices[0].capacity();
+    let merged_ranges = (0..devices.len())
+        .flat_map(|s| {
+            pool.shard_metadata_ranges(s)
+                .into_iter()
+                .map(move |r| (s, r))
+        })
+        .map(|(s, r)| r.start + s * capacity..r.end + s * capacity)
+        .collect();
+    drop(pool);
+
+    for d in &devices {
+        d.crash(CrashPolicy::LoseVolatile);
+    }
+    let pool = recover().expect("third recovery");
+    let st = pool.stats();
+    assert_eq!(
+        (
+            st.revoked_blocks,
+            st.spanning_rolled_forward,
+            st.spanning_rolled_back
+        ),
+        (0, 0, 0),
+        "{what}: third recovery still rolled"
+    );
+    assert_eq!(rolled_forward(&pool, &what), expect_forward, "{what}");
+
+    // Format, commits, three power cuts, three recoveries — in persist order.
+    let mut checker = Checker::new(CheckConfig::with_metadata(merged_ranges));
+    let traces = devices.iter().map(|d| d.take_trace()).collect();
+    checker.push_all(&merge_shard_traces(traces, capacity));
+    let report = checker.report();
+    assert!(report.is_clean(), "{what}: {report}");
+}
+
+/// Crash *inside* `TincaPool::recover` on the spanning-intent path. For a
+/// sample of first-crash instants spread over publish / prepare / resolve
+/// / retire, a second power cut lands at every persistence event of the
+/// recovery on either device ([`cut_recovery`]). Both commit modes run
+/// the same fragment code, so one body covers both.
+#[test]
+fn crash_inside_recovery_repeats_the_roll_decision() {
+    quiet_crash_panics();
+    for mode in [CommitMode::MutexGroup, CommitMode::LockFreeRing] {
+        // Probe: per-device persistence events of one spanning commit.
+        let spans = {
+            let (devices, disk, pool_cfg) = cut_spanning_commit(mode, 0, 1);
+            let pool = TincaPool::recover(devices.clone(), disk, pool_cfg).expect("recovery");
+            let (crashed, spans) = events_during(&devices, || try_spanning_commit(&pool));
+            assert!(!crashed, "probe crashed with no trip");
+            spans
+        };
+        let (mut saw_back, mut saw_forward) = (false, false);
+        for (dev, &events) in spans.iter().enumerate() {
+            // Five instants spread over the commit, plus its last two
+            // events (the retire phase).
+            let mut instants: Vec<u64> = (0..5).map(|i| 1 + i * (events - 1) / 5).collect();
+            instants.extend([events - 1, events]);
+            instants.dedup();
+            for k in instants {
+                // The uninterrupted recovery fixes the expected direction
+                // and counts the recovery's own events per device.
+                let (devices, disk, pool_cfg) = cut_spanning_commit(mode, dev, k);
+                let (pool, rec_events) = events_during(&devices, || {
+                    TincaPool::recover(devices.clone(), disk, pool_cfg).expect("recovery")
+                });
+                let expect_forward = rolled_forward(&pool, "uninterrupted recovery");
+                saw_forward |= expect_forward;
+                saw_back |= !expect_forward;
+                for (rdev, &n) in rec_events.iter().enumerate() {
+                    for j in 1..=n {
+                        cut_recovery(mode, (dev, k), (rdev, j), expect_forward);
+                    }
+                }
+            }
+        }
+        assert!(saw_back, "{mode:?}: no sampled instant rolled back");
+        assert!(saw_forward, "{mode:?}: no sampled instant rolled forward");
+    }
 }

@@ -40,9 +40,6 @@ pub enum System {
     /// Classic stack with FlashTier/bcache-style *log* metadata instead of
     /// Flashcache's synchronous metadata blocks (§1's middle design point).
     ClassicLogMeta,
-    /// Tinca with the batched-ring optimisation (one fence pair per
-    /// transaction; see `TincaConfig::batched_ring`).
-    TincaBatched,
 }
 
 impl System {
@@ -56,7 +53,6 @@ impl System {
             System::TincaNoRoleSwitch => "Tinca-noroleswitch",
             System::Ubj => "UBJ",
             System::ClassicLogMeta => "Classic-logmeta",
-            System::TincaBatched => "Tinca-batched",
         }
     }
 }
@@ -154,9 +150,7 @@ impl StackConfig {
 
     fn journal_mode(&self) -> JournalMode {
         match self.system {
-            System::Tinca | System::TincaNoRoleSwitch | System::Ubj | System::TincaBatched => {
-                JournalMode::Tinca
-            }
+            System::Tinca | System::TincaNoRoleSwitch | System::Ubj => JournalMode::Tinca,
             System::Classic | System::ClassicNoMeta | System::ClassicLogMeta => JournalMode::Jbd2,
             System::ClassicNoJournal | System::ClassicNoJournalNoMeta => JournalMode::None,
         }
@@ -166,7 +160,6 @@ impl StackConfig {
         TincaConfig {
             ring_bytes: self.ring_bytes,
             role_switch: self.system != System::TincaNoRoleSwitch,
-            batched_ring: self.system == System::TincaBatched,
             destage: self.destage,
             coalesce_flushes: self.destage,
             ..TincaConfig::default()
@@ -190,10 +183,7 @@ impl StackConfig {
     }
 
     fn is_tinca(&self) -> bool {
-        matches!(
-            self.system,
-            System::Tinca | System::TincaNoRoleSwitch | System::TincaBatched
-        )
+        matches!(self.system, System::Tinca | System::TincaNoRoleSwitch)
     }
 }
 
@@ -287,7 +277,6 @@ mod tests {
             System::TincaNoRoleSwitch,
             System::Ubj,
             System::ClassicLogMeta,
-            System::TincaBatched,
         ] {
             let stack = build(&StackConfig::tiny(sys)).unwrap();
             assert_eq!(stack.fs.file_count(), 0, "{}", sys.name());
