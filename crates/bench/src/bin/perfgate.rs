@@ -26,6 +26,11 @@
 //!   ratios are informational — the comparison baseline's drift is
 //!   context, not our regression.
 //!
+//! A summary may also carry a top-level `wall_ms` — the host wall-clock
+//! of the run that wrote it (today: `wal_elim`). It is printed as one
+//! more informational row when both files have it; host time depends on
+//! the machine, so it never gates.
+//!
 //! The two files must describe the same bench and the same mode
 //! (`--quick` vs full); the gate refuses to compare across either.
 //!
@@ -103,18 +108,28 @@ fn gate_body(text: &str, path: &str) -> String {
     body[..end].to_string()
 }
 
-/// Reads one numeric field out of a flat JSON object body.
-fn field(body: &str, key: &str, path: &str) -> f64 {
+/// The raw value of `key` in a flat JSON object body, if it is there.
+fn raw_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\":");
-    let start = body
-        .find(&pat)
-        .unwrap_or_else(|| panic!("{path}: gate counter {key} missing"));
-    let rest = &body[start + pat.len()..];
-    let end = rest.find(',').unwrap_or(rest.len());
-    rest[..end]
-        .trim()
+    let rest = &body[body.find(&pat)? + pat.len()..];
+    Some(rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim())
+}
+
+/// Reads one numeric gate counter.
+fn field(body: &str, key: &str, path: &str) -> f64 {
+    raw_field(body, key)
+        .unwrap_or_else(|| panic!("{path}: gate counter {key} missing"))
         .parse()
         .unwrap_or_else(|e| panic!("{path}: gate counter {key} not numeric: {e}"))
+}
+
+/// Reads the top-level `"wall_ms"` number, if the summary records one.
+/// Only the scalars ahead of the first nested object are searched, so a
+/// same-named key deeper in the file is never picked up.
+fn wall_ms(text: &str) -> Option<f64> {
+    let top = text.trim_start().strip_prefix('{')?;
+    let scalars = &top[..top.find('{').unwrap_or(top.len())];
+    raw_field(scalars, "wall_ms")?.parse().ok()
 }
 
 /// Reads the top-level `"bench"` name.
@@ -191,6 +206,13 @@ fn main() {
         println!(
             "{key:<24} {old:>16.2} {new:>16.2} {:>8.2}%  {verdict}",
             delta * 100.0
+        );
+    }
+    if let (Some(old), Some(new)) = (wall_ms(&old_text), wall_ms(&new_text)) {
+        println!(
+            "{:<24} {old:>16.2} {new:>16.2} {:>8.2}%  info (host clock)",
+            "wall_ms",
+            (new - old) / old * 100.0
         );
     }
     if failed {

@@ -23,9 +23,11 @@
 //!
 //! Output: the standard CSV/JSON pair under `EXPERIMENTS-results/`, plus
 //! `BENCH_8.json` at the repo root with a flat `gate` object for
-//! `perfgate`.
+//! `perfgate` and the run's host wall-clock (`wall_ms`: both modes and
+//! the crash smoke — the other clock, informational).
 
 use std::fs;
+use std::time::Instant;
 
 use crashsim::{CampaignReport, FailureMode, FrontierReport};
 use fssim::stack::{StackConfig, System};
@@ -135,8 +137,9 @@ fn run_wal(txns: u64) -> ModePoint {
 fn run_tinca(txns: u64) -> ModePoint {
     let store = TincaStore::format(TincaStoreConfig::default());
     let mut db = Db::open(store).expect("open Tinca db");
-    // Shard 0's clock times the phase tree: the meta page homes there, so
-    // it advances on every commit (the disk clock only moves on destage).
+    // Shard 0's clock times the phase tree: the meta page and every even
+    // page home there, and it hosts the spanning intent record, so it
+    // advances on most commits (the disk clock only moves on destage).
     let clock = db.store().devices()[0].clock().clone();
     // Shards advance their own clocks concurrently: elapsed pool time is
     // the maximum over the per-shard clocks and the shared disk clock.
@@ -178,6 +181,7 @@ pub fn run(quick: bool) -> WalElimResult {
         "no-WAL mode faster and fewer device bytes, with crash consistency intact",
     );
     let txns: u64 = if quick { 200 } else { 1_200 };
+    let started = Instant::now();
 
     let wal = run_wal(txns);
     let tinca = run_tinca(txns);
@@ -316,6 +320,7 @@ pub fn run(quick: bool) -> WalElimResult {
         ("quick", quick.into()),
         ("txns", txns.into()),
         ("warehouses", u64::from(WAREHOUSES).into()),
+        ("wall_ms", (started.elapsed().as_secs_f64() * 1e3).into()),
         ("persistcheck_clean", persist_clean.into()),
         ("gate", gate),
         ("crash_campaigns", crashes),

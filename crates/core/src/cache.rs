@@ -332,7 +332,7 @@ impl TincaCache {
                 tag,
             }),
             Err(e) => {
-                self.revoke_fragment(&touched);
+                self.revoke_fragment(&touched, tag);
                 Err(e)
             }
         }
@@ -377,11 +377,17 @@ impl TincaCache {
 
     /// Revokes every staged entry of a fragment (restoring previous
     /// versions) and closes the ring window (runtime `tinca_abort` of a
-    /// committing transaction).
-    fn revoke_fragment(&mut self, touched: &[u32]) {
+    /// committing transaction). A tagged fragment's slots — all of them,
+    /// or the ones staged before a mid-protocol failure — then lose their
+    /// tags, so no tag outlives its window (DESIGN §14).
+    fn revoke_fragment(&mut self, touched: &[u32], tag: u8) {
+        let window = (self.tail, self.head);
         self.revoke_in_flight(touched);
         self.clear_pins();
         self.stats.failed_commits += 1;
+        if tag != 0 {
+            self.scrub_slot_tags(window.0, window.1);
+        }
     }
 
     /// First phase of a spanning commit on this shard:
@@ -416,9 +422,7 @@ impl TincaCache {
     /// like a failed ordinary commit, and retires the window's tags.
     pub(crate) fn abort_fragment(&mut self, frag: PreparedFragment) {
         let _t = telemetry::span(telemetry::phase::COMMIT);
-        let window = (self.tail, self.head);
-        self.revoke_fragment(&frag.touched);
-        self.scrub_slot_tags(window.0, window.1);
+        self.revoke_fragment(&frag.touched, frag.tag);
     }
 
     // ------------------------------------------------------------------

@@ -304,6 +304,68 @@ fn intent_tag_wraparound_leaves_no_stale_tags() {
     assert_eq!(read_block(&pool, 0), fill(130)); // `(129 % 250) + 1`
 }
 
+/// A *tagged* fragment that fails mid-protocol — after it staged a slot —
+/// must retire that slot's tag itself: the pool only calls
+/// `abort_fragment` for fragments that prepared. Shard 1 sits on a disk
+/// whose odd blocks are permanently bad and holds one free block, so the
+/// fragment's first block stages (tagged slot written) and the second
+/// finds every eviction victim unwritable (`NoVictim`).
+#[test]
+fn failed_tagged_fragment_scrubs_its_slots() {
+    use blockdev::{FaultPlan, FaultyDisk};
+
+    let (devices, disk, pool_cfg) = build_pool(2);
+    let faulty = FaultyDisk::new(disk, FaultPlan::quiet(5).with_bad_modulo(2, 1));
+    let pool = TincaPool::format(devices.clone(), faulty.clone(), pool_cfg.clone());
+    let cap = pool.with_shard(1, |c| c.data_block_count()) as u64;
+    // Dirty odd blocks until shard 1 has exactly one free block left.
+    for i in 0..cap - 1 {
+        let mut t = pool.init_txn();
+        t.write(2 * i + 1, &fill(0x10));
+        pool.commit(t).expect("single-shard fill");
+    }
+    let fresh = 2 * cap + 1;
+    let mut t = pool.init_txn();
+    t.write(0, &fill(0x5A));
+    t.write(fresh, &fill(0x5B));
+    t.write(fresh + 2, &fill(0x5C));
+    assert!(
+        matches!(pool.commit(t), Err(tinca::TincaError::NoVictim)),
+        "the fragment must fail inside the protocol, past admission"
+    );
+    assert!(pool.shard_stats(1).failed_commits >= 1);
+    for s in 0..2 {
+        assert_eq!(
+            tagged_slots(&pool, s),
+            vec![],
+            "stale tags on shard {s} after the failed fragment"
+        );
+    }
+    pool.check_consistency()
+        .expect("consistent after the abort");
+    assert_eq!(read_block(&pool, 0), fill(0));
+
+    // The failed commit was intent 0; 128 spanning commits later the tag
+    // collides. Each rewrites cached block 1, so shard 1's one free block
+    // suffices and is handed back at every commit point.
+    assert_eq!(tinca::intent_tag(0), tinca::intent_tag(128));
+    for i in 1..=128u32 {
+        commit_spanning_pair(&pool, (i % 251) as u8 + 1);
+    }
+    assert_eq!(pool.stats().spanning_commits, 128);
+    drop(pool);
+    for d in &devices {
+        d.crash(CrashPolicy::LoseVolatile);
+    }
+    let pool = TincaPool::recover(devices, faulty, pool_cfg).expect("recovery");
+    pool.check_consistency().expect("consistent after recovery");
+    assert_eq!(read_block(&pool, 0), fill(129));
+    assert_eq!(read_block(&pool, 1), fill(129 ^ 0xFF));
+    for s in 0..2 {
+        assert_eq!(tagged_slots(&pool, s), vec![], "stale tags on shard {s}");
+    }
+}
+
 /// Runs `f` and reports whether an armed crash trip unwound it.
 fn tripped<R>(f: impl FnOnce() -> R) -> Result<R, ()> {
     match catch_unwind(AssertUnwindSafe(f)) {

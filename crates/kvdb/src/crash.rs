@@ -42,6 +42,8 @@ use crate::wal::{WalConfig, WalStore};
 /// Warehouses in the crash-campaign TPC-C plans (small, so row conflicts
 /// and page rewrites are frequent).
 const WAREHOUSES: u32 = 2;
+/// Shards of the Tinca-personality pool under test.
+const SHARDS: usize = 2;
 
 fn plan_txns(seed: u64, txns: usize) -> Vec<KvTxn> {
     let mut driver = KvTpccDriver::new(seed ^ 0x5EED, WAREHOUSES);
@@ -81,12 +83,13 @@ fn run_plan<S: PageStore>(
 
 /// The shared KV oracle: structural validity plus all-or-nothing
 /// contents. `staged` is the in-flight transaction's write set (empty if
-/// the workload completed).
+/// the workload completed). `Ok(true)` means the in-flight transaction
+/// rolled forward, `Ok(false)` that the contents are the committed map.
 fn check_kv_state<S: PageStore>(
     db: &mut Db<S>,
     committed: &BTreeMap<Vec<u8>, Vec<u8>>,
     staged: &[(Vec<u8>, Vec<u8>)],
-) -> Result<(), String> {
+) -> Result<bool, String> {
     db.validate()?;
     let contents: BTreeMap<Vec<u8>, Vec<u8>> = db
         .scan_all()
@@ -94,14 +97,14 @@ fn check_kv_state<S: PageStore>(
         .into_iter()
         .collect();
     if contents == *committed {
-        return Ok(());
+        return Ok(false);
     }
     let mut with_staged = committed.clone();
     for (k, v) in staged {
         with_staged.insert(k.clone(), v.clone());
     }
     if contents == with_staged {
-        return Ok(());
+        return Ok(true);
     }
     // Describe the first divergence from the nearer oracle state.
     let diff = |want: &BTreeMap<Vec<u8>, Vec<u8>>| -> String {
@@ -136,6 +139,7 @@ pub struct WalKvApp {
     plan: Vec<KvTxn>,
     committed: BTreeMap<Vec<u8>, Vec<u8>>,
     committed_count: usize,
+    rolled_forward: bool,
     trip: u64,
     seed: u64,
     mode: FailureMode,
@@ -152,8 +156,19 @@ impl WalKvApp {
         trip_max: u64,
         mode: FailureMode,
     ) -> Result<WalKvApp, String> {
+        let trip = StdRng::seed_from_u64(seed).gen_range(1..trip_max.max(2));
+        WalKvApp::with_trip(seed, txns, Some(trip), mode)
+    }
+
+    /// As [`new`](Self::new) with the trip placed by the caller: `trip`
+    /// events past setup, or never.
+    pub fn with_trip(
+        seed: u64,
+        txns: usize,
+        trip: Option<u64>,
+        mode: FailureMode,
+    ) -> Result<WalKvApp, String> {
         quiet_crash_panics();
-        let mut rng = StdRng::seed_from_u64(seed);
         let wal_cfg = WalConfig {
             checkpoint_bytes: 96 << 10,
             page_capacity: 4096,
@@ -165,8 +180,7 @@ impl WalKvApp {
         let metadata_ranges = store.stack().fs.backend().metadata_ranges();
         let db = Db::open(store).map_err(|e| format!("db format: {e}"))?;
         let plan = plan_txns(seed, txns);
-        let trip = rng.gen_range(1..trip_max.max(2));
-        db.store().stack().nvm.set_trip(Some(trip));
+        db.store().stack().nvm.set_trip(trip);
         Ok(WalKvApp {
             db: Some(db),
             wal_cfg,
@@ -174,12 +188,30 @@ impl WalKvApp {
             plan,
             committed: BTreeMap::new(),
             committed_count: 0,
-            trip,
+            rolled_forward: false,
+            trip: trip.unwrap_or(0),
             seed,
             mode,
             fail: None,
             _seed_span,
         })
+    }
+
+    /// The live database: the workload's before the crash, the recovered
+    /// one after it.
+    pub fn db(&self) -> Option<&Db<WalStore>> {
+        self.db.as_ref()
+    }
+
+    /// Transactions acknowledged before the trip fired.
+    pub fn committed_count(&self) -> usize {
+        self.committed_count
+    }
+
+    /// Whether [`verify`](RecoverableApp::verify) found the in-flight
+    /// transaction rolled forward rather than back.
+    pub fn rolled_forward(&self) -> bool {
+        self.rolled_forward
     }
 
     fn tag(&self, e: String) -> String {
@@ -268,7 +300,9 @@ impl RecoverableApp for WalKvApp {
         } else {
             Vec::new()
         };
-        check_kv_state(db, &self.committed, &staged).map_err(|e| format!("{prefix}: {e}"))
+        self.rolled_forward =
+            check_kv_state(db, &self.committed, &staged).map_err(|e| format!("{prefix}: {e}"))?;
+        Ok(())
     }
 }
 
@@ -285,6 +319,7 @@ pub struct TincaKvApp {
     plan: Vec<KvTxn>,
     committed: BTreeMap<Vec<u8>, Vec<u8>>,
     committed_count: usize,
+    rolled_forward: bool,
     shards: usize,
     trip_shard: usize,
     trip: u64,
@@ -303,10 +338,28 @@ impl TincaKvApp {
         trip_max: u64,
         mode: FailureMode,
     ) -> Result<TincaKvApp, String> {
+        let trip = StdRng::seed_from_u64(seed).gen_range(1..trip_max.max(2));
+        TincaKvApp::with_trip(
+            seed,
+            txns,
+            (seed % SHARDS as u64) as usize,
+            Some(trip),
+            mode,
+        )
+    }
+
+    /// As [`new`](Self::new) with the trip placed by the caller: `trip`
+    /// events past setup on shard `trip_shard`, or never.
+    pub fn with_trip(
+        seed: u64,
+        txns: usize,
+        trip_shard: usize,
+        trip: Option<u64>,
+        mode: FailureMode,
+    ) -> Result<TincaKvApp, String> {
         quiet_crash_panics();
-        let mut rng = StdRng::seed_from_u64(seed);
         let cfg = TincaStoreConfig {
-            shards: 2,
+            shards: SHARDS,
             nvm_bytes_per_shard: 256 << 10,
             disk_blocks: 1 << 16,
             ring_bytes: 4096,
@@ -321,23 +374,39 @@ impl TincaKvApp {
             .collect();
         let db = Db::open(store).map_err(|e| format!("db format: {e}"))?;
         let plan = plan_txns(seed, txns);
-        let trip_shard = (seed % shards as u64) as usize;
-        let trip = rng.gen_range(1..trip_max.max(2));
-        db.store().devices()[trip_shard].set_trip(Some(trip));
+        db.store().devices()[trip_shard].set_trip(trip);
         Ok(TincaKvApp {
             db: Some(db),
             metadata_ranges,
             plan,
             committed: BTreeMap::new(),
             committed_count: 0,
+            rolled_forward: false,
             shards,
             trip_shard,
-            trip,
+            trip: trip.unwrap_or(0),
             seed,
             mode,
             fail: None,
             _seed_span,
         })
+    }
+
+    /// The live database: the workload's before the crash, the recovered
+    /// one after it.
+    pub fn db(&self) -> Option<&Db<TincaStore>> {
+        self.db.as_ref()
+    }
+
+    /// Transactions acknowledged before the trip fired.
+    pub fn committed_count(&self) -> usize {
+        self.committed_count
+    }
+
+    /// Whether [`verify`](RecoverableApp::verify) found the in-flight
+    /// transaction rolled forward rather than back.
+    pub fn rolled_forward(&self) -> bool {
+        self.rolled_forward
     }
 
     fn tag(&self, e: String) -> String {
@@ -450,7 +519,9 @@ impl RecoverableApp for TincaKvApp {
             Vec::new()
         };
         let _ = self.shards;
-        check_kv_state(db, &self.committed, &staged).map_err(|e| format!("{prefix}: {e}"))
+        self.rolled_forward =
+            check_kv_state(db, &self.committed, &staged).map_err(|e| format!("{prefix}: {e}"))?;
+        Ok(())
     }
 }
 
@@ -595,7 +666,7 @@ fn run_wal_state(
     } else {
         Vec::new()
     };
-    check_kv_state(&mut db, &committed, &staged)
+    check_kv_state(&mut db, &committed, &staged).map(|_| ())
 }
 
 /// Frontier enumeration for the Tinca personality: epochs are harvested
@@ -609,7 +680,7 @@ pub fn tinca_kv_frontier_campaign(seed: u64, txns: usize, cap_per_epoch: usize) 
         ..FrontierReport::default()
     };
     let cfg = TincaStoreConfig {
-        shards: 2,
+        shards: SHARDS,
         nvm_bytes_per_shard: 256 << 10,
         disk_blocks: 1 << 16,
         ring_bytes: 4096,
@@ -728,5 +799,5 @@ fn run_tinca_state(
     } else {
         Vec::new()
     };
-    check_kv_state(&mut db, &committed, &staged)
+    check_kv_state(&mut db, &committed, &staged).map(|_| ())
 }

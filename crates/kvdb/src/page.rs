@@ -9,7 +9,7 @@
 //! [4]      kind   0 = meta, 1 = branch, 2 = leaf
 //! [5]      pad    0
 //! [6..8)   nkeys  u16 LE (leaf/branch entry count; 0 for meta)
-//! [8..16)  lsn    u64 LE (commit sequence that last wrote the page)
+//! [8..16)  lsn    u64 LE (sequence of the commit that wrote this image)
 //! [16..20) crc    CRC-32 (IEEE) over the whole page with this field zeroed
 //! [20..24) extra  reserved, 0
 //! ```
@@ -23,6 +23,12 @@
 //!   `childᵢ` holds keys `≥ keyᵢ` and `< keyᵢ₊₁`;
 //! * **meta** (page 0) — `[root u32][page_count u32][free_len u32]` then
 //!   `free_len` × `[u32]` free page ids.
+//!
+//! LSN rule: every page of one commit carries that commit's sequence, and
+//! a page is never re-stamped below the LSN it carried. The meta page is
+//! only rewritten when it changes, so after a reopen its LSN can trail the
+//! newest leaf's; [`crate::Db`] therefore resumes the sequence from the
+//! highest LSN it has decoded, not from the meta page's alone.
 //!
 //! The decode path validates magic, kind, CRC, bounds, and key order, so
 //! a torn or stale page surfaces as [`PageError`] — the crash oracles
@@ -92,15 +98,15 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// Slicing-by-8 tables derived from [`CRC_TABLE`]: `CRC_SLICES[k][b]` is the
-/// CRC state after byte `b` followed by `k` zero bytes, so eight input bytes
-/// fold into the state with eight independent lookups instead of a chain of
-/// eight dependent ones.
-const CRC_SLICES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
+/// Slicing-by-16 tables derived from [`CRC_TABLE`]: `CRC_SLICES[k][b]` is
+/// the CRC state after byte `b` followed by `k` zero bytes, so sixteen input
+/// bytes fold into the state with sixteen independent lookups instead of a
+/// chain of sixteen dependent ones.
+const CRC_SLICES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
     t[0] = CRC_TABLE;
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = t[k - 1][i];
@@ -121,22 +127,37 @@ fn crc32_bytewise(mut c: u32, bytes: &[u8]) -> u32 {
     c
 }
 
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
+/// Folds `bytes` into the running CRC state `c` (the raw register: start
+/// from `!0`, invert once at the end). Streaming, so a caller can feed a
+/// buffer in segments — [`check_seal`] skips the stored CRC field that way
+/// instead of copying the page to blank it.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let mut chunks = bytes.chunks_exact(16);
     for ch in &mut chunks {
         let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
-        c = CRC_SLICES[7][(lo & 0xFF) as usize]
-            ^ CRC_SLICES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_SLICES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_SLICES[4][(lo >> 24) as usize]
-            ^ CRC_SLICES[3][ch[4] as usize]
-            ^ CRC_SLICES[2][ch[5] as usize]
-            ^ CRC_SLICES[1][ch[6] as usize]
-            ^ CRC_SLICES[0][ch[7] as usize];
+        c = CRC_SLICES[15][(lo & 0xFF) as usize]
+            ^ CRC_SLICES[14][((lo >> 8) & 0xFF) as usize]
+            ^ CRC_SLICES[13][((lo >> 16) & 0xFF) as usize]
+            ^ CRC_SLICES[12][(lo >> 24) as usize]
+            ^ CRC_SLICES[11][ch[4] as usize]
+            ^ CRC_SLICES[10][ch[5] as usize]
+            ^ CRC_SLICES[9][ch[6] as usize]
+            ^ CRC_SLICES[8][ch[7] as usize]
+            ^ CRC_SLICES[7][ch[8] as usize]
+            ^ CRC_SLICES[6][ch[9] as usize]
+            ^ CRC_SLICES[5][ch[10] as usize]
+            ^ CRC_SLICES[4][ch[11] as usize]
+            ^ CRC_SLICES[3][ch[12] as usize]
+            ^ CRC_SLICES[2][ch[13] as usize]
+            ^ CRC_SLICES[1][ch[14] as usize]
+            ^ CRC_SLICES[0][ch[15] as usize];
     }
-    !crc32_bytewise(c, chunks.remainder())
+    crc32_bytewise(c, chunks.remainder())
+}
+
+/// CRC-32 (IEEE) of `bytes`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(0xFFFF_FFFF, bytes)
 }
 
 /// A decoded B-tree node.
@@ -191,19 +212,21 @@ impl Meta {
     }
 }
 
-fn header(kind: u8, nkeys: u16, lsn: u64) -> [u8; PAGE_SIZE] {
-    let mut page = [0u8; PAGE_SIZE];
+/// Writes the 24 header bytes (CRC field and reserved word zeroed).
+fn header(page: &mut [u8; PAGE_SIZE], kind: u8, nkeys: u16, lsn: u64) {
+    page[..HEADER_LEN].fill(0);
     page[0..4].copy_from_slice(&MAGIC);
     page[4] = kind;
     page[6..8].copy_from_slice(&nkeys.to_le_bytes());
     page[8..16].copy_from_slice(&lsn.to_le_bytes());
-    page
 }
 
-fn seal(mut page: [u8; PAGE_SIZE]) -> [u8; PAGE_SIZE] {
-    let crc = crc32(&page);
+/// Zeroes the page past the body's end `off` (the caller's buffer may hold
+/// anything), then stamps the CRC.
+fn seal(page: &mut [u8; PAGE_SIZE], off: usize) {
+    page[off..].fill(0);
+    let crc = crc32(&page[..]);
     page[CRC_OFF..CRC_OFF + 4].copy_from_slice(&crc.to_le_bytes());
-    page
 }
 
 fn check_seal(buf: &[u8; PAGE_SIZE]) -> Result<(), PageError> {
@@ -211,24 +234,26 @@ fn check_seal(buf: &[u8; PAGE_SIZE]) -> Result<(), PageError> {
         return Err(PageError::BadMagic);
     }
     let stored = u32::from_le_bytes([buf[16], buf[17], buf[18], buf[19]]);
-    let mut unsealed = *buf;
-    unsealed[CRC_OFF..CRC_OFF + 4].fill(0);
-    let computed = crc32(&unsealed);
+    // The CRC covers the page with its own field zeroed.
+    let c = crc32_update(0xFFFF_FFFF, &buf[..CRC_OFF]);
+    let c = crc32_update(c, &[0u8; 4]);
+    let computed = !crc32_update(c, &buf[CRC_OFF + 4..]);
     if stored != computed {
         return Err(PageError::BadCrc { stored, computed });
     }
     Ok(())
 }
 
-/// Encodes a node; `Err(Oversized)` if it no longer fits (callers split
-/// before encoding, so this is a defensive check).
-pub fn encode_node(node: &Node, lsn: u64) -> Result<[u8; PAGE_SIZE], PageError> {
+/// Encodes a node into `page`, overwriting all of it; `Err(Oversized)` if
+/// the node no longer fits (callers split before encoding, so this is a
+/// defensive check) — `page` is untouched then.
+pub fn encode_node(node: &Node, lsn: u64, page: &mut [u8; PAGE_SIZE]) -> Result<(), PageError> {
     if !node.fits() {
         return Err(PageError::Oversized);
     }
-    match node {
+    let off = match node {
         Node::Leaf(entries) => {
-            let mut page = header(2, entries.len() as u16, lsn);
+            header(page, 2, entries.len() as u16, lsn);
             let mut off = HEADER_LEN;
             for (k, v) in entries {
                 page[off] = k.len() as u8;
@@ -239,10 +264,10 @@ pub fn encode_node(node: &Node, lsn: u64) -> Result<[u8; PAGE_SIZE], PageError> 
                 page[off..off + v.len()].copy_from_slice(v);
                 off += v.len();
             }
-            Ok(seal(page))
+            off
         }
         Node::Branch { first, seps } => {
-            let mut page = header(1, seps.len() as u16, lsn);
+            header(page, 1, seps.len() as u16, lsn);
             page[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&first.to_le_bytes());
             let mut off = HEADER_LEN + 4;
             for (k, child) in seps {
@@ -252,9 +277,11 @@ pub fn encode_node(node: &Node, lsn: u64) -> Result<[u8; PAGE_SIZE], PageError> 
                 page[off..off + k.len()].copy_from_slice(k);
                 off += k.len();
             }
-            Ok(seal(page))
+            off
         }
-    }
+    };
+    seal(page, off);
+    Ok(())
 }
 
 /// Decodes a node page, validating magic, CRC, bounds, and key order.
@@ -326,12 +353,12 @@ pub fn decode_node(buf: &[u8; PAGE_SIZE]) -> Result<(Node, u64), PageError> {
     }
 }
 
-/// Encodes the meta page.
-pub fn encode_meta(meta: &Meta, lsn: u64) -> Result<[u8; PAGE_SIZE], PageError> {
+/// Encodes the meta page into `page`, overwriting all of it.
+pub fn encode_meta(meta: &Meta, lsn: u64, page: &mut [u8; PAGE_SIZE]) -> Result<(), PageError> {
     if meta.free.len() > Meta::free_capacity() {
         return Err(PageError::Oversized);
     }
-    let mut page = header(0, 0, lsn);
+    header(page, 0, 0, lsn);
     let mut off = HEADER_LEN;
     page[off..off + 4].copy_from_slice(&meta.root.to_le_bytes());
     page[off + 4..off + 8].copy_from_slice(&meta.page_count.to_le_bytes());
@@ -341,7 +368,8 @@ pub fn encode_meta(meta: &Meta, lsn: u64) -> Result<[u8; PAGE_SIZE], PageError> 
         page[off..off + 4].copy_from_slice(&id.to_le_bytes());
         off += 4;
     }
-    Ok(seal(page))
+    seal(page, off);
+    Ok(())
 }
 
 /// Decodes the meta page; returns it and its `lsn`.
@@ -381,6 +409,34 @@ pub fn is_blank(buf: &[u8; PAGE_SIZE]) -> bool {
 mod tests {
     use super::*;
 
+    /// splitmix64 filler: any byte stream will do, it only has to differ
+    /// from position to position.
+    fn filler(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    fn encoded_node(node: &Node, lsn: u64) -> [u8; PAGE_SIZE] {
+        // A dirty buffer: the encoder must overwrite every byte.
+        let mut page = [0xA5u8; PAGE_SIZE];
+        encode_node(node, lsn, &mut page).unwrap();
+        page
+    }
+
+    fn encoded_meta(meta: &Meta, lsn: u64) -> [u8; PAGE_SIZE] {
+        let mut page = [0xA5u8; PAGE_SIZE];
+        encode_meta(meta, lsn, &mut page).unwrap();
+        page
+    }
+
     #[test]
     fn crc32_known_vector() {
         // IEEE CRC-32 of "123456789".
@@ -390,21 +446,10 @@ mod tests {
 
     #[test]
     fn crc32_sliced_matches_bytewise_at_every_alignment() {
-        // splitmix64 filler: any byte stream will do, it only has to differ
-        // from position to position.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let buf: Vec<u8> = (0..8200 + 8)
-            .map(|_| {
-                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as u8
-            })
-            .collect();
-        for align in 0..8 {
-            // Every short length (all remainders, 0..=9 whole chunks), then a
-            // stride coprime to 8 up to past two pages.
+        let buf = filler(0x9E37_79B9_7F4A_7C15, 8200 + 16);
+        for align in 0..16 {
+            // Every short length (all remainders, 0..=4 whole chunks), then a
+            // stride coprime to 16 up to past two pages.
             for len in (0..=80).chain((81..=8200).step_by(131)).chain([4096, 8200]) {
                 let s = &buf[align..align + len];
                 assert_eq!(
@@ -412,7 +457,142 @@ mod tests {
                     !crc32_bytewise(0xFFFF_FFFF, s),
                     "align {align} len {len}"
                 );
+                // Streaming: any split point gives the same state.
+                let (a, b) = s.split_at(len / 3);
+                assert_eq!(
+                    crc32_update(crc32_update(0xFFFF_FFFF, a), b),
+                    crc32_update(0xFFFF_FFFF, s),
+                    "align {align} len {len} split"
+                );
             }
+        }
+    }
+
+    /// `check_seal` feeds the page around its CRC field; the definition is
+    /// the CRC of a copy with the field zeroed. Same verdict and the same
+    /// `BadCrc` values on sealed, random and corrupted pages.
+    #[test]
+    fn check_seal_segmented_matches_the_zeroed_copy() {
+        let zeroed_copy = |page: &[u8; PAGE_SIZE]| {
+            let stored = u32::from_le_bytes([page[16], page[17], page[18], page[19]]);
+            let mut unsealed = *page;
+            unsealed[CRC_OFF..CRC_OFF + 4].fill(0);
+            let computed = !crc32_bytewise(0xFFFF_FFFF, &unsealed);
+            if stored == computed {
+                Ok(())
+            } else {
+                Err(PageError::BadCrc { stored, computed })
+            }
+        };
+        for seed in 0..32u64 {
+            // Random bytes under a valid magic: the CRC is all that is judged.
+            let mut page = [0u8; PAGE_SIZE];
+            page.copy_from_slice(&filler(seed, PAGE_SIZE));
+            page[0..4].copy_from_slice(&MAGIC);
+            assert!(matches!(check_seal(&page), Err(PageError::BadCrc { .. })));
+            assert_eq!(check_seal(&page), zeroed_copy(&page), "random {seed}");
+
+            // A sealed page passes; one flipped bit anywhere (header, CRC
+            // field, body, last byte) fails with the same values.
+            let node = Node::Leaf(vec![(vec![seed as u8 + 1; 9], filler(seed, 700))]);
+            let sealed = encoded_node(&node, seed);
+            assert_eq!(check_seal(&sealed), Ok(()));
+            assert_eq!(zeroed_copy(&sealed), Ok(()));
+            for at in [5, 15, 16, 19, 20, 24, 777, PAGE_SIZE - 1] {
+                let mut bad = sealed;
+                bad[at] ^= 1 << (seed % 8);
+                assert!(check_seal(&bad).is_err(), "seed {seed} flip at {at}");
+                assert_eq!(check_seal(&bad), zeroed_copy(&bad), "seed {seed} at {at}");
+            }
+        }
+    }
+
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// The on-device format did not move: `(stored CRC, FNV-1a of the whole
+    /// page)` of these fixtures, generated by the by-value encoder this one
+    /// replaced.
+    #[test]
+    fn encoded_pages_match_recorded_vectors() {
+        let vector =
+            |p: [u8; PAGE_SIZE]| (u32::from_le_bytes([p[16], p[17], p[18], p[19]]), fnv(&p));
+        let nodes = [
+            (
+                Node::Leaf(vec![
+                    (b"alpha".to_vec(), b"1".to_vec()),
+                    (b"beta".to_vec(), vec![0xAB; 100]),
+                    (b"gamma".to_vec(), Vec::new()),
+                ]),
+                42,
+                (0x25d1_35ee, 0xa7a4_7606_be63_2898),
+            ),
+            (
+                Node::Leaf(
+                    (0..20u32)
+                        .map(|i| {
+                            (
+                                format!("key-{i:06}").into_bytes(),
+                                vec![i as u8; (i * 37 % 200) as usize],
+                            )
+                        })
+                        .collect(),
+                ),
+                0x0102_0304_0506_0708,
+                (0x5d30_527c, 0x93b5_4b72_fc65_4ff2),
+            ),
+            (
+                Node::Leaf(Vec::new()),
+                1,
+                (0xf32d_8852, 0x6e44_d6ad_76ce_d6a4),
+            ),
+            (
+                Node::Branch {
+                    first: 7,
+                    seps: vec![(b"k1".to_vec(), 9), (b"k2".to_vec(), 12)],
+                },
+                3,
+                (0xa552_c3ec, 0xcaf3_475c_f713_0bd4),
+            ),
+            (
+                Node::Branch {
+                    first: 0xDEAD_BEEF,
+                    seps: (0..100u32)
+                        .map(|i| (format!("sep-{i:05}").into_bytes(), i * 3 + 1))
+                        .collect(),
+                },
+                u64::MAX,
+                (0xe502_6fd5, 0xeb13_ad28_fe72_f43a),
+            ),
+        ];
+        for (node, lsn, want) in &nodes {
+            assert_eq!(vector(encoded_node(node, *lsn)), *want, "{node:?}");
+        }
+        let metas = [
+            (
+                Meta {
+                    root: 5,
+                    page_count: 17,
+                    free: vec![3, 9, 11],
+                },
+                8,
+                (0xe3e0_5302, 0x0e1b_3bf9_ee45_8fd5),
+            ),
+            (
+                Meta {
+                    root: 1,
+                    page_count: 2,
+                    free: Vec::new(),
+                },
+                1,
+                (0xf118_e838, 0x5b79_cb4b_0980_b308),
+            ),
+        ];
+        for (meta, lsn, want) in &metas {
+            assert_eq!(vector(encoded_meta(meta, *lsn)), *want, "{meta:?}");
         }
     }
 
@@ -423,7 +603,7 @@ mod tests {
             (b"beta".to_vec(), vec![0xAB; 100]),
             (b"gamma".to_vec(), Vec::new()),
         ]);
-        let page = encode_node(&node, 42).unwrap();
+        let page = encoded_node(&node, 42);
         assert_eq!(decode_node(&page).unwrap(), (node, 42));
     }
 
@@ -433,7 +613,7 @@ mod tests {
             first: 7,
             seps: vec![(b"k1".to_vec(), 9), (b"k2".to_vec(), 12)],
         };
-        let page = encode_node(&node, 3).unwrap();
+        let page = encoded_node(&node, 3);
         assert_eq!(decode_node(&page).unwrap(), (node, 3));
     }
 
@@ -444,14 +624,14 @@ mod tests {
             page_count: 17,
             free: vec![3, 9, 11],
         };
-        let page = encode_meta(&meta, 8).unwrap();
+        let page = encoded_meta(&meta, 8);
         assert_eq!(decode_meta(&page).unwrap(), (meta, 8));
     }
 
     #[test]
     fn corruption_is_detected() {
         let node = Node::Leaf(vec![(b"k".to_vec(), b"v".to_vec())]);
-        let mut page = encode_node(&node, 1).unwrap();
+        let mut page = encoded_node(&node, 1);
         page[100] ^= 0x01;
         assert!(matches!(decode_node(&page), Err(PageError::BadCrc { .. })));
         let blank = [0u8; PAGE_SIZE];
@@ -466,7 +646,7 @@ mod tests {
             (b"z".to_vec(), b"1".to_vec()),
             (b"a".to_vec(), b"2".to_vec()),
         ]);
-        let page = encode_node(&node, 1).unwrap();
+        let page = encoded_node(&node, 1);
         assert_eq!(decode_node(&page), Err(PageError::KeysOutOfOrder));
     }
 
@@ -477,6 +657,7 @@ mod tests {
             .collect();
         let node = Node::Leaf(entries);
         assert!(!node.fits());
-        assert_eq!(encode_node(&node, 1), Err(PageError::Oversized));
+        let mut page = [0u8; PAGE_SIZE];
+        assert_eq!(encode_node(&node, 1, &mut page), Err(PageError::Oversized));
     }
 }

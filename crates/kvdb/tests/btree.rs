@@ -219,14 +219,50 @@ fn stats_count_commits_and_device_bytes() {
 // Property tests vs the BTreeMap model
 // ---------------------------------------------------------------------------
 
-/// One scripted op: key index into a small key universe, optional value.
-fn run_model_script<S: PageStore>(mut db: Db<S>, ops: &[(u16, u8, bool)]) {
+/// Clean reopen on the same devices: recover the pool, reopen the tree
+/// from the committed meta page — which, after meta-less commits, is older
+/// than the newest leaves.
+fn reopen_tinca(db: Db<TincaStore>) -> Db<TincaStore> {
+    let (devices, disk, clock, cfg) = db.into_store().into_parts();
+    Db::open(TincaStore::recover(devices, disk, clock, cfg).unwrap()).unwrap()
+}
+
+/// A checkpoint threshold the scripts cross every few commits, so a reopen
+/// finds pages both in `kv.db` and only in the WAL.
+const SMALL_WAL: WalConfig = WalConfig {
+    checkpoint_bytes: 40 << 10,
+    page_capacity: 8192,
+    traced: false,
+};
+
+/// Remount on the same stack: the store's DRAM home-page buffer is dropped,
+/// WAL replay has to rebuild it.
+fn reopen_wal(cfg: WalConfig) -> impl Fn(Db<WalStore>) -> Db<WalStore> {
+    move |db| Db::open(WalStore::mount(db.into_store().into_stack(), cfg).unwrap()).unwrap()
+}
+
+/// One scripted op: key index into a small key universe, a value tag, and
+/// a kind — 0 reopens the store after the transaction commits, odd kinds
+/// put, even kinds delete.
+type ScriptOp = (u16, u8, u8);
+
+fn script(max_len: usize) -> impl Strategy<Value = Vec<ScriptOp>> {
+    proptest::collection::vec((0u16..400, 0u8..255, 0u8..11), 1..max_len)
+}
+
+fn run_model_script<S: PageStore>(
+    mut db: Db<S>,
+    ops: &[ScriptOp],
+    reopen: impl Fn(Db<S>) -> Db<S>,
+) {
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
     for chunk in ops.chunks(5) {
         db.begin().unwrap();
-        for &(ki, vi, is_put) in chunk {
+        for &(ki, vi, kind) in chunk {
             let key = k(u32::from(ki) % 113);
-            if is_put {
+            if kind == 0 {
+                continue;
+            } else if kind % 2 == 1 {
                 let val = v(u32::from(ki), u32::from(vi));
                 db.put(&key, &val).unwrap();
                 model.insert(key, val);
@@ -236,6 +272,17 @@ fn run_model_script<S: PageStore>(mut db: Db<S>, ops: &[(u16, u8, bool)]) {
             }
         }
         db.commit().unwrap();
+        if chunk.iter().any(|op| op.2 == 0) {
+            let lsn = db.commit_seq();
+            db = reopen(db);
+            assert!(db.commit_seq() <= lsn);
+            db.validate().unwrap();
+            let got: BTreeMap<_, _> = db.scan_all().unwrap().into_iter().collect();
+            assert_eq!(got, model, "contents after reopen");
+            // Every page was just read back: the next commit stamps above
+            // all of them even if the meta page is older.
+            assert_eq!(db.commit_seq(), lsn, "newest LSN read back");
+        }
     }
     db.validate().unwrap();
     let got: BTreeMap<_, _> = db.scan_all().unwrap().into_iter().collect();
@@ -247,17 +294,19 @@ fn run_model_script<S: PageStore>(mut db: Db<S>, ops: &[(u16, u8, bool)]) {
 
 proptest! {
     #[test]
-    fn tinca_db_matches_btreemap_model(
-        ops in proptest::collection::vec((0u16..400, 0u8..255, any::<bool>()), 1..120),
-    ) {
-        run_model_script(tinca_db(), &ops);
+    fn tinca_db_matches_btreemap_model(ops in script(120)) {
+        run_model_script(tinca_db(), &ops, reopen_tinca);
     }
 
     #[test]
-    fn wal_db_matches_btreemap_model(
-        ops in proptest::collection::vec((0u16..400, 0u8..255, any::<bool>()), 1..60),
-    ) {
-        run_model_script(wal_db(), &ops);
+    fn wal_db_matches_btreemap_model(ops in script(60)) {
+        run_model_script(wal_db(), &ops, reopen_wal(WalConfig::default()));
+    }
+
+    #[test]
+    fn wal_db_reopens_across_checkpoints(ops in script(60)) {
+        let db = Db::open(WalStore::tiny(SMALL_WAL).unwrap()).unwrap();
+        run_model_script(db, &ops, reopen_wal(SMALL_WAL));
     }
 
     #[test]

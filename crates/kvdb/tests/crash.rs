@@ -1,13 +1,15 @@
 //! Crash-consistency campaigns for both kvdb durability personalities:
-//! random trip sweeps under both failure modes, plus bounded exhaustive
-//! persist-frontier enumeration. The ignored 200-seed sweeps run in CI's
-//! dedicated kvdb crash step (`--ignored`).
+//! random trip sweeps under both failure modes, bounded exhaustive
+//! persist-frontier enumeration, and a directed sweep that cuts the power
+//! between a meta-less commit and the split that next carries page 0. The
+//! ignored 200-seed sweeps run in CI's dedicated kvdb crash step
+//! (`--ignored`).
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-use crashsim::FailureMode;
+use crashsim::{run_recoverable, AppOutcome, FailureMode, RecoverableApp};
 use kvdb::{
     tinca_kv_frontier_campaign, tinca_kv_fuzz_campaign, wal_kv_frontier_campaign,
-    wal_kv_fuzz_campaign,
+    wal_kv_fuzz_campaign, Meta, TincaKvApp, WalKvApp,
 };
 
 /// Transactions per seeded plan.
@@ -59,9 +61,137 @@ fn tinca_kv_frontier_smoke() {
     let r = tinca_kv_frontier_campaign(0x44A0, 2, 4);
     assert!(r.clean(), "violations: {:#?}", r.violations);
     assert!(r.epochs_total > 0, "probe found no workload epochs");
-    // Both shards must contribute epochs: page 0 (meta) commits on shard
-    // 0 every transaction, odd B-tree pages commit on shard 1.
+    // Both shards must contribute epochs: even pages (the meta page
+    // among them, when a split moves it) commit on shard 0, odd ones on
+    // shard 1.
     assert!(r.states_run >= 2 * r.epochs_total);
+}
+
+// ---------------------------------------------------------------------------
+// Directed: a power cut between a meta-less commit and the next split
+// ---------------------------------------------------------------------------
+
+/// A plan whose first split (transaction 10) directly follows a commit that
+/// left page 0 alone.
+const CUT_SEED: u64 = 7;
+
+/// What the directed sweep reads off a crash app once it has run.
+struct Seen {
+    /// Persistence events so far, per trippable device.
+    events: Vec<u64>,
+    meta: Meta,
+    commit_seq: u64,
+    /// Commits that took the pool's two-phase spanning path (Tinca only).
+    spanning_commits: u64,
+    committed_count: usize,
+    rolled_forward: bool,
+}
+
+/// The page the every-commit meta write used to paper over: commit `i - 1`
+/// leaves page 0 alone, commit `i` splits (new frontier, maybe a new root)
+/// and so carries it. `app(txns, device, trip)` builds the personality's
+/// crash app over the first `txns` transactions of one seeded plan. Cuts
+/// the power at up to `samples` instants spread over transaction `i` on
+/// every device, plus its last few events; the app's own oracle checks that
+/// the remounted tree is whole and holds exactly the transactions before
+/// `i`, or those and `i`. Returns how many cuts rolled `i` back and
+/// forward, and whether `i` was a spanning commit.
+fn cut_between_meta_less_and_split<A: RecoverableApp>(
+    app: impl Fn(usize, usize, Option<u64>) -> A,
+    seen: impl Fn(&A) -> Seen,
+    samples: u64,
+) -> (u32, u32, bool) {
+    // Probe: the state after each prefix of the plan, no trip armed.
+    let after = |txns: usize| {
+        let mut a = app(txns, 0, None);
+        assert_eq!(run_recoverable(&mut a), AppOutcome::Completed);
+        seen(&a)
+    };
+    let mut ends = vec![after(0), after(1)];
+    let i = loop {
+        let i = ends.len() - 1;
+        assert!(i < TXNS, "no split right after a meta-less commit");
+        ends.push(after(i + 1));
+        let (prev, this, next) = (&ends[i - 1], &ends[i], &ends[i + 1]);
+        if this.commit_seq > prev.commit_seq && this.meta == prev.meta && next.meta != this.meta {
+            break i;
+        }
+    };
+
+    let (mut back, mut forward) = (0, 0);
+    for dev in 0..ends[0].events.len() {
+        let armed_at = ends[0].events[dev];
+        let (lo, hi) = (
+            ends[i].events[dev] - armed_at,
+            ends[i + 1].events[dev] - armed_at,
+        );
+        let stride = ((hi - lo) / samples).max(1);
+        let trips = (lo + 1..=hi)
+            .step_by(stride as usize)
+            .chain(hi.saturating_sub(3).max(lo + 1)..=hi);
+        for k in trips {
+            let mut a = app(i + 1, dev, Some(k));
+            assert_eq!(
+                run_recoverable(&mut a),
+                AppOutcome::CrashedVerified,
+                "device {dev} trip {k}"
+            );
+            let s = seen(&a);
+            assert_eq!(s.committed_count, i, "device {dev} trip {k} fired early");
+            if s.rolled_forward {
+                forward += 1;
+            } else {
+                back += 1;
+            }
+        }
+    }
+    let spanning = ends[i + 1].spanning_commits > ends[i].spanning_commits;
+    (back, forward, spanning)
+}
+
+#[test]
+fn tinca_kv_cut_between_meta_less_commit_and_split() {
+    // The split batch spans both shards (page 0 on shard 0, an odd page on
+    // shard 1): before the intent resolves it rolls back, after, forward.
+    let (back, forward, spanning) = cut_between_meta_less_and_split(
+        |txns, shard, trip| {
+            TincaKvApp::with_trip(CUT_SEED, txns, shard, trip, FailureMode::PowerPull).unwrap()
+        },
+        |a| {
+            let db = a.db().unwrap();
+            Seen {
+                events: db.store().devices().iter().map(|d| d.events()).collect(),
+                meta: db.meta().clone(),
+                commit_seq: db.commit_seq(),
+                spanning_commits: db.store().pool().stats().spanning_commits,
+                committed_count: a.committed_count(),
+                rolled_forward: a.rolled_forward(),
+            }
+        },
+        12,
+    );
+    assert!(spanning, "the split batch stayed on one shard");
+    assert!(back > 0 && forward > 0, "{back} back, {forward} forward");
+}
+
+#[test]
+fn wal_kv_cut_between_meta_less_commit_and_split() {
+    let (back, forward, _) = cut_between_meta_less_and_split(
+        |txns, _, trip| WalKvApp::with_trip(CUT_SEED, txns, trip, FailureMode::PowerPull).unwrap(),
+        |a| {
+            let db = a.db().unwrap();
+            Seen {
+                events: vec![db.store().stack().nvm.events()],
+                meta: db.meta().clone(),
+                commit_seq: db.commit_seq(),
+                spanning_commits: 0,
+                committed_count: a.committed_count(),
+                rolled_forward: a.rolled_forward(),
+            }
+        },
+        12,
+    );
+    assert!(back > 0 && forward > 0, "{back} back, {forward} forward");
 }
 
 /// The 200-seed sweep CI runs with `--ignored`: 100 seeds per
