@@ -1,5 +1,5 @@
 //! Multi-writer scaling figure: the lock-free intra-shard commit
-//! pipeline against the mutex+leader/follower baseline, 1–16 writers on
+//! pipeline against the mutex baseline, 1–16 writers on
 //! 1- and 4-shard pools, with per-shard + merged persist-order audits
 //! and the embedded multi-writer crash campaigns.
 //!

@@ -16,7 +16,7 @@
 //! sub-knee p99, ±5 %), and the crash-mid-backlog campaign verdict.
 //!
 //! Every Tinca point runs on traced NVM devices and must pass the
-//! per-shard persist-order audit — saturation (group-committed backlog,
+//! per-shard persist-order audit — saturation (a standing backlog,
 //! destage under pressure) must not bend the commit protocol.
 
 use std::fs;

@@ -1,11 +1,11 @@
 //! Multi-writer scaling figure — lock-free intra-shard commit pipeline
-//! vs the mutex+leader/follower baseline (DESIGN §16).
+//! vs the mutex baseline (DESIGN §16).
 //!
 //! Sweeps 1–16 logical writers against `N = 1` and `N = 4` shard pools,
 //! running the **identical** lane-disjoint transaction stream (same RNG
 //! streams, same blocks, same fills) through both commit paths:
 //!
-//! * **mutex** — `CommitMode::MutexGroup`, every transaction through the
+//! * **mutex** — `CommitMode::Mutex`, every transaction through the
 //!   blocking `commit()`; with one OS thread driving the round-robin the
 //!   shard serialises the full per-transaction cost (the c = 1 service
 //!   model of the open-loop tier).
@@ -77,13 +77,12 @@ fn build_pool(shards: usize, lockfree: bool, quick: bool) -> (TincaPool, Vec<Nvm
             commit_mode: if lockfree {
                 CommitMode::LockFreeRing
             } else {
-                CommitMode::MutexGroup
+                CommitMode::Mutex
             },
             cache: TincaConfig {
                 ring_bytes: 16 << 10,
                 ..TincaConfig::default()
             },
-            ..PoolConfig::default()
         },
     );
     (pool, devices)

@@ -13,12 +13,12 @@
 //!   space via [`nvmsim::merge_shard_traces`], analysed as a single
 //!   stream.
 //!
-//! The pool's commit path is mutex-serialised and annotates its locks and
-//! the group-commit result handoff as sync events, so the gate is strict:
-//! **zero** correctness-rule hits (the classic three *and* the three race
-//! rules) in either view. A single missing happens-before edge — say the
-//! leader publishing results before its fence, or a destage racing a
-//! commit — fails the bin.
+//! The pool's commit path is mutex-serialised and annotates its locks as
+//! sync events, so the gate is strict: **zero** correctness-rule hits (the
+//! classic three *and* the three race rules) in either view. A single
+//! missing happens-before edge — say a commit that touches the device
+//! outside its shard's cache lock, or a destage racing a commit — fails
+//! the bin.
 //!
 //! Tracing neutrality is asserted on the deterministic single-thread
 //! points: the same workload untraced must land on the same simulated

@@ -37,7 +37,7 @@ pub fn run(quick: bool) -> f64 {
     banner(
         "Phases",
         "Commit-path phase breakdown (simulated-time telemetry)",
-        "every commit-path ns attributed: stage / entry / ring / commit point / write-through",
+        "every commit-path ns attributed: stage / entry / ring / commit point",
     );
     let ops: u64 = if quick { 2_000 } else { 10_000 };
     let nvm_bytes = if quick { 2 << 20 } else { 4 << 20 };

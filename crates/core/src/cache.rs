@@ -6,6 +6,7 @@ use std::sync::Arc;
 use blockdev::{BlockDevice, IoError, IoLane, BLOCK_SIZE};
 use nvmsim::Nvm;
 
+use crate::config::destage_watermarks;
 use crate::entry::{CacheEntry, Role, FRESH};
 use crate::freemon::FreeMonitor;
 use crate::layout::{
@@ -13,10 +14,22 @@ use crate::layout::{
     MAGIC, MAGIC_OFF, MW_DEAD_TAG, MW_FREE, MW_RESERVED, RING_CAP_OFF, TAIL_OFF,
 };
 use crate::lru::LruList;
-use crate::{CacheStats, TincaConfig, TincaError, Txn, WritePolicy};
+use crate::{CacheStats, TincaConfig, TincaError, Txn};
 
 /// Shared handle to the backing disk below the cache.
 pub type DynDisk = Arc<dyn BlockDevice>;
+
+/// Maximum attempts for a disk I/O that fails with a *transient* error.
+/// Permanent errors (bad block, out of range) are never retried. Four is
+/// enough to absorb the default fault-plan burst length deterministically.
+const MAX_IO_ATTEMPTS: u32 = 4;
+/// Simulated backoff between transient-error retries: charged to the
+/// stack's clock on the foreground path, to the lane deadline on the
+/// destage lane.
+const RETRY_BACKOFF_NS: u64 = 100_000;
+/// Maximum victims per vectored destage batch (also bounds the per-batch
+/// payload staging buffer: 64 × 4 KB).
+const DESTAGE_BATCH: usize = 64;
 
 /// One shard-local fragment of a committing transaction: the commit
 /// protocol has run up to (but not including) the shard's `Tail` move, so
@@ -229,32 +242,6 @@ impl TincaCache {
         out
     }
 
-    /// Commits a batch of transactions as **one** ring commit (group
-    /// commit): the batch is folded into a single committing transaction
-    /// (later writers win, payload buffers are moved, not copied), so the
-    /// whole group pays one Tail store + fence — the same amortisation
-    /// JBD2 gets from batching fsyncs into one compound transaction.
-    ///
-    /// The batch is atomic as a unit: either every transaction's blocks are
-    /// durable or none are (a mid-protocol failure revokes the merged
-    /// transaction and every waiter sees the error).
-    pub fn commit_group(&mut self, txns: Vec<Txn>) -> Result<(), TincaError> {
-        let k = txns.len() as u64;
-        let mut it = txns.into_iter();
-        let Some(mut merged) = it.next() else {
-            return Ok(());
-        };
-        for t in it {
-            merged.absorb(t);
-        }
-        let res = self.commit(&merged);
-        if res.is_ok() && k > 1 {
-            self.stats.group_commits += 1;
-            self.stats.batched_txns += k;
-        }
-        res
-    }
-
     /// Aborts a running transaction (`tinca_abort`, §4.1). Running
     /// transactions are DRAM-only, so nothing needs revoking; the staged
     /// blocks are simply dropped. (A *committing* transaction that fails
@@ -368,10 +355,6 @@ impl TincaCache {
         self.stats.commits += 1;
         self.stats.committed_blocks += frag.touched.len() as u64;
         self.stats.coalesced_writes += frag.coalesced;
-        if self.cfg.write_policy == WritePolicy::WriteThrough {
-            let _w = telemetry::span(telemetry::phase::COMMIT_WRITE_THROUGH);
-            self.write_through(&frag.touched);
-        }
         self.clear_pins();
     }
 
@@ -955,83 +938,30 @@ impl TincaCache {
         Ok(())
     }
 
-    /// Write-through extension: push every committed block to disk and mark
-    /// it clean. The commit is already durable in NVM when this runs, so a
-    /// permanent disk fault does not fail the commit — the block is
-    /// quarantined (stays dirty in NVM) and the cache degrades.
-    fn write_through(&mut self, touched: &[u32]) {
-        let mut buf = [0u8; BLOCK_SIZE];
-        for &idx in touched {
-            let e = self.read_entry(idx);
-            self.nvm.read(self.layout.data_addr(e.cur), &mut buf);
-            match self.disk_write_retry(e.disk_blk, &buf) {
-                Ok(()) => {
-                    self.stats.writebacks += 1;
-                    let clean = CacheEntry {
-                        modified: false,
-                        ..e
-                    };
-                    self.write_entry(idx, clean);
-                    self.dirty_idx.remove(&idx);
-                }
-                Err(_) => self.quarantine(idx),
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Fallible disk I/O: retry, backoff, quarantine
     // ------------------------------------------------------------------
 
-    /// Reads `blk` from disk, retrying transient errors up to the
-    /// configured budget with simulated-clock backoff between attempts.
-    fn disk_read_retry(&mut self, blk: u64, buf: &mut [u8]) -> Result<(), IoError> {
+    /// Runs one disk I/O, retrying transient errors up to
+    /// [`MAX_IO_ATTEMPTS`] with simulated-clock backoff between attempts.
+    fn disk_retry(
+        &mut self,
+        mut io: impl FnMut(&dyn BlockDevice) -> Result<(), IoError>,
+    ) -> Result<(), IoError> {
         let mut attempt = 1;
         loop {
-            match self.disk.read_block(blk, buf) {
+            match io(&*self.disk) {
                 Ok(()) => {
                     if attempt > 1 {
                         self.stats.transient_errors_absorbed += 1;
                     }
                     return Ok(());
                 }
-                Err(e) if e.is_transient() && attempt < self.cfg.max_io_retries => {
+                Err(e) if e.is_transient() && attempt < MAX_IO_ATTEMPTS => {
                     attempt += 1;
                     self.stats.io_retries += 1;
-                    self.nvm.clock().advance(self.cfg.retry_backoff_ns);
-                    telemetry::charge(
-                        telemetry::phase::IO_RETRY_BACKOFF,
-                        self.cfg.retry_backoff_ns,
-                    );
-                }
-                Err(e) => {
-                    self.stats.permanent_io_errors += 1;
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Writes `blk` to disk with the same transient-retry policy as
-    /// [`Self::disk_read_retry`].
-    fn disk_write_retry(&mut self, blk: u64, buf: &[u8]) -> Result<(), IoError> {
-        let mut attempt = 1;
-        loop {
-            match self.disk.write_block(blk, buf) {
-                Ok(()) => {
-                    if attempt > 1 {
-                        self.stats.transient_errors_absorbed += 1;
-                    }
-                    return Ok(());
-                }
-                Err(e) if e.is_transient() && attempt < self.cfg.max_io_retries => {
-                    attempt += 1;
-                    self.stats.io_retries += 1;
-                    self.nvm.clock().advance(self.cfg.retry_backoff_ns);
-                    telemetry::charge(
-                        telemetry::phase::IO_RETRY_BACKOFF,
-                        self.cfg.retry_backoff_ns,
-                    );
+                    self.nvm.clock().advance(RETRY_BACKOFF_NS);
+                    telemetry::charge(telemetry::phase::IO_RETRY_BACKOFF, RETRY_BACKOFF_NS);
                 }
                 Err(e) => {
                     self.stats.permanent_io_errors += 1;
@@ -1189,7 +1119,7 @@ impl TincaCache {
                     self.stats.read_hits += 1;
                     return Ok(());
                 }
-                self.disk_read_retry(disk_blk, buf)?;
+                self.disk_retry(|d| d.read_block(disk_blk, buf))?;
                 self.stats.read_misses += 1;
                 return Ok(());
             }
@@ -1198,11 +1128,9 @@ impl TincaCache {
             self.stats.read_hits += 1;
             return Ok(());
         }
-        self.disk_read_retry(disk_blk, buf)?;
+        self.disk_retry(|d| d.read_block(disk_blk, buf))?;
         self.stats.read_misses += 1;
-        if self.cfg.cache_reads {
-            self.fill_clean(disk_blk, buf);
-        }
+        self.fill_clean(disk_blk, buf);
         drop(_t);
         // Miss fills consume free blocks just like commits do; a
         // read-heavy stretch must wake the daemon too or the supply only
@@ -1306,7 +1234,7 @@ impl TincaCache {
             let _w = telemetry::span(telemetry::phase::CACHE_WRITEBACK);
             let mut buf = [0u8; BLOCK_SIZE];
             self.nvm.read(self.layout.data_addr(e.cur), &mut buf);
-            if let Err(err) = self.disk_write_retry(e.disk_blk, &buf) {
+            if let Err(err) = self.disk_retry(|d| d.write_block(e.disk_blk, &buf)) {
                 self.quarantine(idx);
                 return Err(err);
             }
@@ -1349,7 +1277,7 @@ impl TincaCache {
             if e.valid && e.modified {
                 let _w = telemetry::span(telemetry::phase::CACHE_WRITEBACK);
                 self.nvm.read(self.layout.data_addr(e.cur), &mut buf);
-                match self.disk_write_retry(e.disk_blk, &buf) {
+                match self.disk_retry(|d| d.write_block(e.disk_blk, &buf)) {
                     Ok(()) => {
                         self.stats.writebacks += 1;
                         self.write_entry(
@@ -1381,9 +1309,9 @@ impl TincaCache {
     /// Low/high-watermark write-behind daemon, run after every successful
     /// commit. When the *supply* — free NVM blocks plus clean cached
     /// blocks, i.e. everything [`Self::alloc_block`] can hand out without
-    /// disk I/O — drops below `destage_low_water_pct` of the data blocks,
-    /// the daemon harvests dirty LRU victims (up to `destage_batch`, or
-    /// fewer if that already restores `destage_high_water_pct`), sorts
+    /// disk I/O — drops below the low watermark ([`destage_watermarks`]),
+    /// the daemon harvests dirty LRU victims (up to [`DESTAGE_BATCH`], or
+    /// fewer if that already restores the high watermark), sorts
     /// them by disk address and issues one vectored
     /// [`BlockDevice::write_blocks`] on the background lane.
     ///
@@ -1414,15 +1342,13 @@ impl TincaCache {
         // Watermarks round with ceiling division and guarantee
         // `high > low` so a completed harvest always clears the trigger
         // (flooring both used to collapse tiny caches to low == high or
-        // a zero-block target; see `TincaConfig::destage_watermarks`).
-        let (low_blocks, high_blocks) = self.cfg.destage_watermarks(data_blocks);
+        // a zero-block target; see `destage_watermarks`).
+        let (low_blocks, high_blocks) = destage_watermarks(data_blocks);
         if supply >= low_blocks {
             return;
         }
         let _t = telemetry::span(telemetry::phase::DESTAGE);
-        let need = high_blocks
-            .saturating_sub(supply)
-            .clamp(1, self.cfg.destage_batch.max(1));
+        let need = high_blocks.saturating_sub(supply).clamp(1, DESTAGE_BATCH);
         // Harvest in LRU order: the blocks eviction would want next. The
         // scan uses persistent entry reads so the daemon's bookkeeping
         // does not bill NVM latency to the foreground clock.
@@ -1504,7 +1430,7 @@ impl TincaCache {
     }
 
     /// Background-lane retry loop for one failed destage request. Mirrors
-    /// [`Self::disk_write_retry`]'s counting exactly, but backoff and
+    /// [`Self::disk_retry`]'s budget and counting exactly, but backoff and
     /// device time extend the lane deadline instead of stalling the
     /// foreground clock. Returns the lane time consumed and the outcome.
     fn destage_retry(
@@ -1517,13 +1443,13 @@ impl TincaCache {
         let mut err = first;
         let mut attempt = 1u32;
         loop {
-            if !err.is_transient() || attempt >= self.cfg.max_io_retries {
+            if !err.is_transient() || attempt >= MAX_IO_ATTEMPTS {
                 self.stats.permanent_io_errors += 1;
                 return (lane_ns, Err(err));
             }
             attempt += 1;
             self.stats.io_retries += 1;
-            lane_ns += self.cfg.retry_backoff_ns;
+            lane_ns += RETRY_BACKOFF_NS;
             let r = self.disk.write_blocks(&[(blk, buf)], IoLane::Background);
             lane_ns += r.device_ns;
             match r.errors.into_iter().next() {
@@ -1576,11 +1502,6 @@ impl TincaCache {
     /// Cumulative cache counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// The configuration this cache runs with.
-    pub fn config(&self) -> &TincaConfig {
-        &self.cfg
     }
 
     /// Number of currently cached (valid) blocks.

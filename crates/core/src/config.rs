@@ -1,39 +1,15 @@
 //! Tinca configuration knobs.
 
-/// Write-allocation policy of the cache. The paper uses write-back by
-/// default (§4.6); write-through is provided as an extension for the
-/// ablation benches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WritePolicy {
-    /// Dirty blocks stay in NVM until evicted (paper default).
-    WriteBack,
-    /// Every committed block is also written to disk immediately.
-    WriteThrough,
-}
-
 /// Configuration for a [`crate::TincaCache`].
 #[derive(Clone, Debug)]
 pub struct TincaConfig {
     /// Ring buffer size in bytes (paper default 1 MB; scaled runs use less).
     /// One committing transaction must fit: `ring_bytes / 8` block slots.
     pub ring_bytes: usize,
-    /// Whether read misses populate the cache (§4.6: "Tinca caches for both
-    /// write and read requests").
-    pub cache_reads: bool,
-    /// Write policy (paper default: write-back).
-    pub write_policy: WritePolicy,
     /// Ablation knob: when `false`, the role switch is disabled and commit
     /// degrades to journal-style double writes (log copy + home copy), to
     /// quantify the paper's central optimisation. Default `true`.
     pub role_switch: bool,
-    /// Maximum attempts for a disk I/O that fails with a *transient* error
-    /// (`1` = no retry). Permanent errors (bad block, out of range) are
-    /// never retried. Default 4: enough to absorb the default fault-plan
-    /// burst length deterministically.
-    pub max_io_retries: u32,
-    /// Simulated backoff charged to the stack's clock between transient-
-    /// error retries.
-    pub retry_backoff_ns: u64,
     /// Write-behind destage: a low/high-watermark daemon that writes
     /// dirty LRU blocks back in address-sorted vectored batches on a
     /// background simulated-time lane, so evictions on the allocation
@@ -41,17 +17,6 @@ pub struct TincaConfig {
     /// write. Default `false` (the paper's passive free-block monitor:
     /// writebacks happen one block at a time on the eviction path).
     pub destage: bool,
-    /// Destage trigger: the daemon fires when the *supply* (free NVM
-    /// blocks + clean cached blocks, i.e. everything allocatable without
-    /// disk I/O) drops below this percentage of the data blocks.
-    pub destage_low_water_pct: u32,
-    /// Destage target: one firing harvests enough dirty LRU victims to
-    /// lift the supply back to this percentage (bounded by
-    /// [`Self::destage_batch`]).
-    pub destage_high_water_pct: u32,
-    /// Maximum victims per vectored destage batch (also bounds the
-    /// per-batch payload staging buffer: `destage_batch` × 4 KB).
-    pub destage_batch: usize,
     /// Commit-path flush coalescing: dedupe `clflush` at cache-line
     /// granularity within one committing transaction — entry flushes are
     /// deferred to one pass over *distinct* lines (four 16 B entries
@@ -63,46 +28,45 @@ pub struct TincaConfig {
     pub coalesce_flushes: bool,
 }
 
-impl TincaConfig {
-    /// The destage daemon's low/high watermarks in **blocks** for a cache
-    /// of `data_blocks` data blocks: the daemon fires when the supply
-    /// (free + clean-cached blocks) drops below `low`, and one firing
-    /// harvests toward `high`.
-    ///
-    /// Both thresholds use ceiling division, and `high` is clamped to at
-    /// least `low + 1`. Truncating (flooring) both instead — as the
-    /// daemon originally did — collapses tiny caches (`data_blocks < 4`)
-    /// to `low == high` or `high == 0` targets: a daemon that either
-    /// re-fires on every commit without making progress (thrash) or
-    /// computes a zero-block harvest. With `high ≥ low + 1`, a completed
-    /// harvest always leaves the supply at or above `low`, so the daemon
-    /// cannot immediately re-fire. The firing condition `supply < low`
-    /// with a ceiled `low` is exactly equivalent to the exact rational
-    /// comparison `supply < data_blocks · pct / 100` for integer
-    /// supplies, so large-cache trigger points are unchanged.
-    pub fn destage_watermarks(&self, data_blocks: usize) -> (usize, usize) {
-        let low = (data_blocks * self.destage_low_water_pct as usize).div_ceil(100);
-        let high = (data_blocks * self.destage_high_water_pct as usize)
-            .div_ceil(100)
-            .max(low + 1)
-            .min(data_blocks.max(low + 1));
-        (low, high)
-    }
+/// Destage trigger: the daemon fires when the *supply* (free NVM blocks +
+/// clean cached blocks, i.e. everything allocatable without disk I/O)
+/// drops below this percentage of the data blocks.
+const DESTAGE_LOW_WATER_PCT: usize = 25;
+/// Destage target: one firing harvests enough dirty LRU victims to lift
+/// the supply back to this percentage (bounded by the batch size).
+const DESTAGE_HIGH_WATER_PCT: usize = 50;
+
+/// The destage daemon's low/high watermarks in **blocks** for a cache
+/// of `data_blocks` data blocks: the daemon fires when the supply
+/// (free + clean-cached blocks) drops below `low`, and one firing
+/// harvests toward `high`.
+///
+/// Both thresholds use ceiling division, and `high` is clamped to at
+/// least `low + 1`. Truncating (flooring) both instead — as the
+/// daemon originally did — collapses tiny caches (`data_blocks < 4`)
+/// to `low == high` or `high == 0` targets: a daemon that either
+/// re-fires on every commit without making progress (thrash) or
+/// computes a zero-block harvest. With `high ≥ low + 1`, a completed
+/// harvest always leaves the supply at or above `low`, so the daemon
+/// cannot immediately re-fire. The firing condition `supply < low`
+/// with a ceiled `low` is exactly equivalent to the exact rational
+/// comparison `supply < data_blocks · pct / 100` for integer
+/// supplies, so large-cache trigger points are unchanged.
+pub(crate) fn destage_watermarks(data_blocks: usize) -> (usize, usize) {
+    let low = (data_blocks * DESTAGE_LOW_WATER_PCT).div_ceil(100);
+    let high = (data_blocks * DESTAGE_HIGH_WATER_PCT)
+        .div_ceil(100)
+        .max(low + 1)
+        .min(data_blocks.max(low + 1));
+    (low, high)
 }
 
 impl Default for TincaConfig {
     fn default() -> Self {
         Self {
             ring_bytes: 64 << 10,
-            cache_reads: true,
-            write_policy: WritePolicy::WriteBack,
             role_switch: true,
-            max_io_retries: 4,
-            retry_backoff_ns: 100_000,
             destage: false,
-            destage_low_water_pct: 25,
-            destage_high_water_pct: 50,
-            destage_batch: 64,
             coalesce_flushes: false,
         }
     }
@@ -115,20 +79,18 @@ mod tests {
     #[test]
     fn default_matches_paper() {
         let c = TincaConfig::default();
-        assert!(c.cache_reads);
-        assert_eq!(c.write_policy, WritePolicy::WriteBack);
         assert!(c.role_switch);
-        assert!(c.max_io_retries >= 1, "at least one attempt");
         assert!(!c.destage, "default is the paper's synchronous writeback");
         assert!(!c.coalesce_flushes, "default is per-step persist ordering");
     }
 
     #[test]
     fn destage_watermarks_are_ordered() {
-        let c = TincaConfig::default();
-        assert!(c.destage_low_water_pct < c.destage_high_water_pct);
-        assert!(c.destage_high_water_pct <= 100);
-        assert!(c.destage_batch >= 1);
+        for db in 1..=1024usize {
+            let (low, high) = destage_watermarks(db);
+            assert!(low < high, "data_blocks={db}: low={low} high={high}");
+            assert!(high <= db.max(low + 1), "data_blocks={db}: high={high}");
+        }
     }
 
     #[test]
@@ -138,18 +100,17 @@ mod tests {
         // low = 0 (via the exact comparison) and high = ⌊1.5⌋ = 1, and
         // data_blocks = 1 the target high = ⌊0.5⌋ = 0. Every boundary
         // size must produce strictly ordered, progress-making targets.
-        let c = TincaConfig::default();
         for db in 1..=4usize {
-            let (low, high) = c.destage_watermarks(db);
+            let (low, high) = destage_watermarks(db);
             assert!(low < high, "data_blocks={db}: low={low} high={high}");
             // A completed harvest (supply == high) must sit at or above
             // the firing threshold, or the daemon thrashes.
             assert!(high > low, "data_blocks={db} would thrash");
         }
         // data_blocks = 3: ceil(1.5) = 2, not the truncated 1.
-        assert_eq!(c.destage_watermarks(3), (1, 2));
+        assert_eq!(destage_watermarks(3), (1, 2));
         // data_blocks = 1: high is forced a block above low.
-        assert_eq!(c.destage_watermarks(1), (1, 2));
+        assert_eq!(destage_watermarks(1), (1, 2));
     }
 
     #[test]
@@ -158,11 +119,10 @@ mod tests {
         // equivalent to the pre-fix exact cross-multiplied comparison
         // `supply * 100 < data_blocks * pct` for every integer supply,
         // so full-scale trigger points are bit-for-bit unchanged.
-        let c = TincaConfig::default();
         for db in 1..=257usize {
-            let (low, _) = c.destage_watermarks(db);
+            let (low, _) = destage_watermarks(db);
             for supply in 0..=db {
-                let exact = supply * 100 < db * c.destage_low_water_pct as usize;
+                let exact = supply * 100 < db * DESTAGE_LOW_WATER_PCT;
                 assert_eq!(
                     supply < low,
                     exact,
@@ -174,10 +134,9 @@ mod tests {
 
     #[test]
     fn large_cache_watermarks_follow_the_percentages() {
-        let c = TincaConfig::default();
-        let (low, high) = c.destage_watermarks(1000);
+        let (low, high) = destage_watermarks(1000);
         assert_eq!((low, high), (250, 500));
-        let (low, high) = c.destage_watermarks(1001);
+        let (low, high) = destage_watermarks(1001);
         // Ceiling, consistently on both thresholds.
         assert_eq!((low, high), (251, 501));
     }

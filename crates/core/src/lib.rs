@@ -56,7 +56,7 @@ mod stats;
 mod txn;
 
 pub use cache::{DynDisk, Health, TincaCache};
-pub use config::{TincaConfig, WritePolicy};
+pub use config::TincaConfig;
 pub use entry::{CacheEntry, Role, FRESH};
 pub use error::TincaError;
 pub use layout::{intent_tag, split_slot, Layout};

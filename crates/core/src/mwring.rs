@@ -42,13 +42,15 @@ use crate::Txn;
 /// How a pool serialises intra-shard commits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CommitMode {
-    /// The classic path: one mutex per shard, leader/follower group
-    /// commit. Bit-for-bit identical to previous releases.
+    /// The paper-exact reference path: one mutex per shard, one ring
+    /// commit per transaction under it, per-step persists. No batching —
+    /// that is the ring's job.
     #[default]
-    MutexGroup,
+    Mutex,
     /// The multi-writer ring pipeline (module docs): lock-free window
     /// reservation, concurrent staging, sequencer-combined `Head`
-    /// advance. Requires `WritePolicy::WriteBack` and the role switch.
+    /// advance — the pool's one batching mechanism. Requires the role
+    /// switch.
     LockFreeRing,
 }
 

@@ -9,20 +9,19 @@
 //! is still a single 8-byte `Tail` store *within one shard's region*, the
 //! paper's single-commit-point crash argument holds per shard unchanged.
 //!
-//! ## Group commit
+//! ## Two commit modes, one batching mechanism
 //!
-//! Transactions queued on the same shard while a commit is in flight are
-//! batched: the first arrival becomes the *leader*, drains the queue (up
-//! to the shard's ring capacity), folds the batch into one committing
-//! transaction ([`Txn::absorb`] — buffers moved, later writers win) and
-//! drives **one** ring commit — one `Tail` store + fence for the whole
-//! batch, exactly how JBD2 amortises fsyncs into a compound transaction.
-//! Followers block on the shard's condition variable and receive the
-//! group's result.
+//! In [`CommitMode::Mutex`] (the default) a single-shard commit is the
+//! paper's protocol and nothing else: take the shard's cache lock, run
+//! [`TincaCache::commit`], release. Threads on one shard serialise on that
+//! lock; there is no queue, no leader and no merged transaction. This is
+//! the paper-exact, per-step-persist *reference* path every paper figure
+//! runs on. Batching lives in one place only — the sequencer rounds of
+//! [`CommitMode::LockFreeRing`] (DESIGN §16), which retire every published
+//! window with one fence and one `Head` store.
 //!
-//! With `N = 1` and a single thread, every batch has exactly one member
-//! and the pool is bit-for-bit identical to a bare `TincaCache`: same NVM
-//! stores, flushes, fences, simulated time, and statistics.
+//! With `N = 1`, the pool is bit-for-bit identical to a bare `TincaCache`:
+//! same NVM stores, flushes, fences, simulated time, and statistics.
 //!
 //! ## Atomicity scope
 //!
@@ -30,8 +29,8 @@
 //! fault — including transactions whose blocks span shards. A
 //! single-shard transaction (always the case for `N = 1`, and for
 //! block-aligned workloads like Fio 4 KB requests) takes the unchanged
-//! fast path: one shard's ring commit, group-committed with its
-//! neighbours, not a single extra store, flush, or fence.
+//! fast path: one shard's ring commit, not a single extra store, flush,
+//! or fence.
 //!
 //! A **spanning** transaction runs a persistent two-phase commit:
 //!
@@ -71,10 +70,9 @@
 //! and reopens. The quiesce is released on every exit, an unwinding one
 //! included.
 
-use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdGuard, PoisonError};
+use std::sync::{Mutex as StdMutex, MutexGuard as StdGuard, PoisonError};
 
 use blockdev::BLOCK_SIZE;
 use nvmsim::Nvm;
@@ -86,21 +84,17 @@ use crate::layout::{
     MW_STAGED, MW_WINDOWS,
 };
 use crate::mwring::{CommitMode, MwAdmission, MwShard, MwState, MwTicket, MwWindow};
-use crate::{
-    CacheStats, Health, SpanningIntent, TincaCache, TincaConfig, TincaError, Txn, WritePolicy,
-};
+use crate::{CacheStats, Health, SpanningIntent, TincaCache, TincaConfig, TincaError, Txn};
 
 /// Configuration for a [`TincaPool`].
 #[derive(Clone, Debug)]
 pub struct PoolConfig {
     /// Number of shards (NVM sub-regions / independent commit rings).
     pub shards: usize,
-    /// Maximum transactions folded into one group commit.
-    pub max_batch_txns: usize,
     /// How intra-shard commits are serialised; see [`CommitMode`]. The
-    /// default (`MutexGroup`) is bit-for-bit the classic path;
-    /// `LockFreeRing` enables the multi-writer pipeline (DESIGN §16) and
-    /// requires write-back policy with the role switch.
+    /// default (`Mutex`) is bit-for-bit the classic path; `LockFreeRing`
+    /// enables the multi-writer pipeline (DESIGN §16) and requires the
+    /// role switch.
     pub commit_mode: CommitMode,
     /// Per-shard cache configuration.
     pub cache: TincaConfig,
@@ -110,8 +104,7 @@ impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
             shards: 1,
-            max_batch_txns: 64,
-            commit_mode: CommitMode::MutexGroup,
+            commit_mode: CommitMode::Mutex,
             cache: TincaConfig::default(),
         }
     }
@@ -127,14 +120,6 @@ impl PoolConfig {
     }
 }
 
-/// Group-commit queue state of one shard.
-struct GcState {
-    next_ticket: u64,
-    queue: VecDeque<(u64, Txn)>,
-    results: HashMap<u64, Result<(), TincaError>>,
-    leader: bool,
-}
-
 /// Sync-object ids this pool annotates on each shard's NVM trace, namespaced
 /// `shard_index * SYNC_STRIDE + kind` so a merged multi-shard trace
 /// ([`nvmsim::merge_shard_traces`]) never conflates two shards' locks.
@@ -142,9 +127,6 @@ const SYNC_STRIDE: u64 = 16;
 /// The shard's cache mutex — serialises commits, reads, flushes, and the
 /// inline destage daemon (which runs under this same lock).
 const SYNC_CACHE_MUTEX: u64 = 0;
-/// The group-commit result handoff: the leader release-publishes the
-/// batch's results, each follower acquire-consumes its own.
-const SYNC_GC_PUBLISH: u64 = 1;
 /// The multi-writer window publication: each writer release-publishes its
 /// `STAGED` descriptor store, the sequencer acquire-consumes the round's
 /// windows before its drain fence.
@@ -152,9 +134,7 @@ const SYNC_MW_PUBLISH: u64 = 2;
 
 struct Shard {
     cache: Mutex<TincaCache>,
-    gc: StdMutex<GcState>,
-    cv: Condvar,
-    /// Ring slots of this shard's layout (bounds one merged batch).
+    /// Ring slots of this shard's layout.
     ring_slots: usize,
     /// This shard's NVM device, for sync-event trace annotations.
     nvm: Nvm,
@@ -210,10 +190,6 @@ impl Shard {
     }
 }
 
-fn lock_gc<'a>(sh: &'a Shard) -> StdGuard<'a, GcState> {
-    sh.gc.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 fn lock_mw<'a>(sh: &'a Shard) -> StdGuard<'a, MwState> {
     sh.mw.state.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -230,12 +206,10 @@ fn trip_event(payload: &(dyn std::any::Any + Send)) -> Option<u64> {
 /// Sharded multi-threaded front-end; see the module docs.
 pub struct TincaPool {
     shards: Vec<Shard>,
-    max_batch_txns: usize,
     commit_mode: CommitMode,
     /// Serialises spanning commits (the persistent intent record has one
-    /// slot) and hands out intent sequence ids. Poison-tolerant like the
-    /// gc mutexes: a simulated crash panic mid-commit must not strand
-    /// surviving threads.
+    /// slot) and hands out intent sequence ids. Poison-tolerant: a
+    /// simulated crash panic mid-commit must not strand surviving threads.
     spanning: StdMutex<u64>,
 }
 
@@ -260,27 +234,19 @@ impl TincaPool {
             .collect();
         TincaPool {
             shards,
-            max_batch_txns: cfg.max_batch_txns.max(1),
             commit_mode: cfg.commit_mode,
             spanning: StdMutex::new(0),
         }
     }
 
     /// The lock-free path stages payloads outside the cache lock and
-    /// completes commits in sequencer rounds; write-through completion
-    /// and the double-write ablation are mutex-path-only features.
+    /// completes commits in sequencer rounds; the double-write ablation
+    /// is a mutex-path-only feature.
     fn check_mode(cfg: &PoolConfig) {
-        if cfg.commit_mode == CommitMode::LockFreeRing {
-            assert_eq!(
-                cfg.cache.write_policy,
-                WritePolicy::WriteBack,
-                "CommitMode::LockFreeRing requires WritePolicy::WriteBack"
-            );
-            assert!(
-                cfg.cache.role_switch,
-                "CommitMode::LockFreeRing requires the role switch"
-            );
-        }
+        assert!(
+            cfg.commit_mode != CommitMode::LockFreeRing || cfg.cache.role_switch,
+            "CommitMode::LockFreeRing requires the role switch"
+        );
     }
 
     /// Recovers every shard from its NVM region after a crash or clean
@@ -334,7 +300,6 @@ impl TincaPool {
         }
         Ok(TincaPool {
             shards,
-            max_batch_txns: cfg.max_batch_txns.max(1),
             commit_mode: cfg.commit_mode,
             spanning: StdMutex::new(0),
         })
@@ -346,13 +311,6 @@ impl TincaPool {
         let (head, _tail) = cache.head_tail();
         Shard {
             cache: Mutex::new(cache),
-            gc: StdMutex::new(GcState {
-                next_ticket: 0,
-                queue: VecDeque::new(),
-                results: HashMap::new(),
-                leader: false,
-            }),
-            cv: Condvar::new(),
             ring_slots,
             nvm,
             sync_base: index as u64 * SYNC_STRIDE,
@@ -402,11 +360,11 @@ impl TincaPool {
     }
 
     /// Commits `txn` atomically. Single-shard transactions (all blocks
-    /// route to one shard — always true for `N = 1`) may be group-
-    /// committed with concurrent transactions on the same shard. Spanning
-    /// transactions run the two-phase intent protocol (module docs):
-    /// all-or-nothing across every shard, and on error — a fragment
-    /// rejected mid-sequence — nothing of the transaction stays durable.
+    /// route to one shard — always true for `N = 1`) run one ring commit
+    /// on their home shard. Spanning transactions run the two-phase
+    /// intent protocol (module docs): all-or-nothing across every shard,
+    /// and on error — a fragment rejected mid-sequence — nothing of the
+    /// transaction stays durable.
     pub fn commit(&self, txn: Txn) -> Result<(), TincaError> {
         if txn.is_empty() {
             return Ok(());
@@ -541,131 +499,12 @@ impl TincaPool {
         Ok(())
     }
 
-    /// Submits a whole batch of transactions at once: single-shard
-    /// transactions are routed and queued before any shard commits, so
-    /// those sharing a shard are guaranteed to ride one group commit
-    /// (deterministically — no reliance on thread timing); spanning
-    /// transactions each run the two-phase intent protocol. Returns one
-    /// result per transaction, in submission order — each result reflects
-    /// that transaction's commit/abort outcome (a group is atomic as a
-    /// unit, and a spanning abort leaves nothing durable), never "`Err`
-    /// but half-durable".
-    pub fn commit_many(&self, txns: Vec<Txn>) -> Vec<Result<(), TincaError>> {
-        if self.commit_mode == CommitMode::LockFreeRing {
-            // The lock-free path has no leader-merged batches; each
-            // transaction runs the full reserve/stage/publish/sequence
-            // pipeline (single-threaded callers retire synchronously, so
-            // submission order is deterministic).
-            return txns.into_iter().map(|t| self.commit(t)).collect();
-        }
-        let n = txns.len();
-        let mut results: Vec<Result<(), TincaError>> = vec![Ok(()); n];
-        // Whole transactions per home shard, tagged with the submitting
-        // txn's index; spanning transactions are set aside.
-        let mut per_shard: Vec<Vec<(usize, Txn)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut spanning: Vec<(usize, Txn)> = Vec::new();
-        for (i, txn) in txns.into_iter().enumerate() {
-            if txn.is_empty() {
-                continue;
-            }
-            match self.home_shard(&txn) {
-                Some(s) => per_shard[s].push((i, txn)),
-                None => spanning.push((i, txn)),
-            }
-        }
-        for (s, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let (idxs, parts): (Vec<usize>, Vec<Txn>) = batch.into_iter().unzip();
-            if let Err(e) = self.shards[s].lock_cache().commit_group(parts) {
-                for i in idxs {
-                    results[i] = Err(e);
-                }
-            }
-        }
-        for (i, txn) in spanning {
-            results[i] = self.commit_spanning(txn, &mut self.lock_spanning());
-        }
-        results
-    }
-
-    /// Queues `txn` on shard `s` and returns its group's commit result.
-    /// The first queued thread becomes the leader: it drains a batch
-    /// (bounded by the ring capacity and `max_batch_txns`), merges it, and
-    /// runs one ring commit while followers wait on the condvar.
+    /// One ring commit on shard `s` under its cache lock — the paper's
+    /// protocol, serialised per shard. A power cut unwinding out of the
+    /// commit releases the lock on the way, so later committers on this
+    /// shard are never stranded behind it.
     fn commit_on_shard(&self, s: usize, txn: Txn) -> Result<(), TincaError> {
-        let sh = &self.shards[s];
-        let ticket = {
-            let mut gc = lock_gc(sh);
-            let t = gc.next_ticket;
-            gc.next_ticket += 1;
-            gc.queue.push_back((t, txn));
-            t
-        };
-        let mut gc = lock_gc(sh);
-        loop {
-            if let Some(res) = gc.results.remove(&ticket) {
-                // Adopt the publishing leader's history: everything it
-                // stored and fenced for this group happens-before whatever
-                // this thread does next.
-                sh.nvm
-                    .note_atomic_load_acquire(sh.sync_base + SYNC_GC_PUBLISH);
-                return res;
-            }
-            if gc.leader {
-                // Simulated time a follower spends parked behind the
-                // in-flight group commit (the leader advances the clock).
-                let _w = telemetry::span(telemetry::phase::COMMIT_GROUP_WAIT);
-                gc = sh.cv.wait(gc).unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
-            gc.leader = true;
-            let lead = telemetry::span(telemetry::phase::COMMIT_GROUP_LEAD);
-            let mut tickets = Vec::new();
-            let mut batch = Vec::new();
-            let mut staged = 0usize;
-            while let Some((t, queued)) = gc.queue.pop_front() {
-                // Always take one; stop before the merged transaction could
-                // overflow the ring (coalescing only shrinks it further).
-                if !batch.is_empty()
-                    && (batch.len() >= self.max_batch_txns || staged + queued.len() > sh.ring_slots)
-                {
-                    gc.queue.push_front((t, queued));
-                    break;
-                }
-                staged += queued.len();
-                tickets.push(t);
-                batch.push(queued);
-            }
-            drop(gc);
-            // A crash trip (simulated power failure) may panic out of the
-            // commit; restore leadership and wake waiters before unwinding
-            // so surviving threads are not stranded.
-            let res = catch_unwind(AssertUnwindSafe(|| sh.lock_cache().commit_group(batch)));
-            drop(lead);
-            gc = lock_gc(sh);
-            gc.leader = false;
-            match res {
-                Ok(res) => {
-                    for t in tickets {
-                        gc.results.insert(t, res);
-                    }
-                    // Publish the group's commit to its followers (still
-                    // under the gc mutex, so the release annotation is
-                    // trace-ordered before any follower's acquire).
-                    sh.nvm
-                        .note_atomic_store_release(sh.sync_base + SYNC_GC_PUBLISH);
-                    sh.cv.notify_all();
-                }
-                Err(payload) => {
-                    drop(gc);
-                    sh.cv.notify_all();
-                    resume_unwind(payload);
-                }
-            }
-        }
+        self.shards[s].lock_cache().commit(&txn)
     }
 
     // ──────────────────── multi-writer lock-free path ────────────────────
@@ -848,6 +687,9 @@ impl TincaPool {
         for b in txn.disk_blocks() {
             mw.in_flight.remove(&b);
         }
+        drop(mw);
+        // A quiescing spanning commit may be waiting for this claim.
+        sh.mw.cv.notify_all();
         MwAdmission::Busy(txn)
     }
 
@@ -1097,13 +939,20 @@ impl TincaPool {
     /// prefixes, waiting out unpublished stragglers — so the spanning
     /// commit finds `Head == Tail == cursor` and all descriptors free.
     /// [`commit_spanning_mw`](Self::commit_spanning_mw) lifts it.
+    ///
+    /// An admitted writer is absent from `windows` between its cursor CAS
+    /// and [`mw_register`](Self::mw_register), but its blocks sit in
+    /// `in_flight` from the admission check — taken under the lock that
+    /// reads `spanning_open` — until its window retires or it backs out.
+    /// So the drain waits for `in_flight` too: no reservation cut from the
+    /// old cursor survives into the spanning commit.
     fn mw_quiesce(&self, s: usize) {
         let sh = &self.shards[s];
         lock_mw(sh).spanning_open = true;
         loop {
             self.mw_sequence(s);
             let mw = lock_mw(sh);
-            if mw.windows.is_empty() && !mw.sequencing {
+            if mw.windows.is_empty() && mw.in_flight.is_empty() && !mw.sequencing {
                 return;
             }
             Self::mw_leave_if_failed(&mw);
@@ -1297,7 +1146,7 @@ impl TincaPool {
     /// multiplicity.
     pub fn commit_concurrency(&self) -> usize {
         match self.commit_mode {
-            CommitMode::MutexGroup => 1,
+            CommitMode::Mutex => 1,
             CommitMode::LockFreeRing => MW_WINDOWS,
         }
     }
@@ -1345,7 +1194,7 @@ impl std::fmt::Debug for TincaPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TincaPool")
             .field("shards", &self.shards.len())
-            .field("max_batch_txns", &self.max_batch_txns)
+            .field("commit_mode", &self.commit_mode)
             .finish()
     }
 }
@@ -1439,6 +1288,45 @@ mod tests {
         assert_eq!(p.mw_sequence(0), 2, "B and C retire together");
         assert_block(&p, 2, 0xB2);
         assert_block(&p, 3, 0xC3);
+        p.check_consistency().unwrap();
+    }
+
+    /// A spanning commit's quiesce must wait for a writer that claimed its
+    /// blocks and won the cursor CAS but has not registered its window yet:
+    /// returning early lets the spanning commit republish `cursor` from the
+    /// new `Head` while that reservation is still cut from the old one.
+    #[test]
+    fn quiesce_waits_for_a_claimed_but_unregistered_reservation() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let p = ring_pool();
+        let a_txn = one_block(1, 0xA1);
+        let a_start = reserve_unregistered(&p, &a_txn);
+        std::thread::scope(|sc| {
+            let (done_tx, done_rx) = mpsc::channel();
+            let pool = &p;
+            sc.spawn(move || {
+                pool.mw_quiesce(0);
+                done_tx.send(()).unwrap();
+            });
+            assert!(
+                done_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+                "quiesce returned over a claimed reservation"
+            );
+            // A wakes up and drives its window; whichever thread sequences
+            // it, the quiescer is released only after it retired.
+            let a = admit(&p, p.mw_register(0, a_txn, a_start, 0));
+            p.mw_publish(a);
+            p.mw_sequence(0);
+            done_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("quiesce never returned after the window retired");
+        });
+        let sh = &p.shards[0];
+        let head = sh.lock_cache().head_tail().0;
+        assert_eq!(sh.mw.cursor.load(Ordering::Acquire), head);
+        assert_eq!(head, a_start + 1);
+        assert_block(&p, 1, 0xA1);
         p.check_consistency().unwrap();
     }
 

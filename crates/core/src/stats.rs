@@ -12,7 +12,9 @@ pub struct CacheStats {
     pub write_hits: u64,
     /// Committed block writes for fresh (uncached) disk blocks.
     pub write_misses: u64,
-    /// Ring commits executed (one per group in batched commits).
+    /// Ring commits executed: one per transaction on the mutex path (one
+    /// per fragment of a spanning transaction), one per retired window on
+    /// the multi-writer ring.
     pub commits: u64,
     /// Total blocks across all committed transactions.
     pub committed_blocks: u64,
@@ -20,10 +22,11 @@ pub struct CacheStats {
     pub user_aborts: u64,
     /// Committing transactions that failed mid-protocol and were revoked.
     pub failed_commits: u64,
-    /// Ring commits that carried more than one user transaction (group
-    /// commit — one Tail store + fence amortised over the batch).
+    /// Multi-writer sequencer rounds that retired more than one window —
+    /// one fence + one `Head` store amortised over the round. The ring is
+    /// the only writer: always 0 on the mutex path.
     pub group_commits: u64,
-    /// User transactions that rode in a multi-transaction ring commit.
+    /// Windows retired by those multi-window rounds.
     pub batched_txns: u64,
     /// Staged rewrites coalesced into an already-staged block (JBD2-style
     /// running-transaction merging; equal payloads skip the copy too).

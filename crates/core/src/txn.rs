@@ -75,17 +75,6 @@ impl Txn {
         }
     }
 
-    /// Merges `other` into `self`, moving its staged buffers (no payload
-    /// copies). `other`'s updates are newer: where both stage the same
-    /// block, `other`'s contents win. This is how group commit folds a
-    /// batch of queued transactions into one committing transaction.
-    pub fn absorb(&mut self, other: Txn) {
-        self.coalesced += other.coalesced;
-        for (disk_blk, buf) in other.blocks {
-            self.stage_owned(disk_blk, buf);
-        }
-    }
-
     /// Reads back staged contents, if this transaction updates `disk_blk`.
     pub fn get(&self, disk_blk: u64) -> Option<&[u8; BLOCK_SIZE]> {
         self.index.get(&disk_blk).map(|&i| &*self.blocks[i].1)
@@ -169,23 +158,6 @@ mod tests {
         t.write(5, &buf(8)); // different: contents must update
         assert_eq!(t.get(5).unwrap()[0], 8);
         assert_eq!(t.coalesced_writes(), 2);
-    }
-
-    #[test]
-    fn absorb_moves_and_coalesces() {
-        let mut a = Txn::new();
-        a.write(1, &buf(1));
-        a.write(2, &buf(2));
-        let mut b = Txn::new();
-        b.write(2, &buf(9)); // overlaps a: newer contents win
-        b.write(3, &buf(3));
-        a.absorb(b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.get(1).unwrap()[0], 1);
-        assert_eq!(a.get(2).unwrap()[0], 9);
-        assert_eq!(a.get(3).unwrap()[0], 3);
-        assert_eq!(a.coalesced_writes(), 1);
-        assert_eq!(a.disk_blocks().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[test]

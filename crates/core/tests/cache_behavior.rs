@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use blockdev::{BlockDevice, DiskKind, SimDisk, BLOCK_SIZE};
 use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{TincaCache, TincaConfig, TincaError, WritePolicy};
+use tinca::{TincaCache, TincaConfig, TincaError};
 
 fn setup(
     nvm_bytes: usize,
@@ -96,24 +96,6 @@ fn read_miss_fills_cache() {
     assert_eq!(cache.stats().read_hits, 1);
     assert_eq!(disk.stats().reads, reads_before);
     cache.check_consistency().unwrap();
-}
-
-#[test]
-fn read_caching_can_be_disabled() {
-    let clock = SimClock::new();
-    let nvm = NvmDevice::new(NvmConfig::new(1 << 20, NvmTech::Pcm), clock.clone());
-    let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock.clone());
-    let cfg = TincaConfig {
-        ring_bytes: 4096,
-        cache_reads: false,
-        ..TincaConfig::default()
-    };
-    let mut cache = TincaCache::format(nvm, disk.clone(), cfg);
-    let mut buf = [0u8; BLOCK_SIZE];
-    cache.read(5, &mut buf).unwrap();
-    cache.read(5, &mut buf).unwrap();
-    assert_eq!(cache.stats().read_misses, 2);
-    assert_eq!(cache.cached_blocks(), 0);
 }
 
 #[test]
@@ -314,26 +296,6 @@ fn ablation_double_write_costs_two_payload_writes() {
     let mut buf = [0u8; BLOCK_SIZE];
     cache.read(3, &mut buf).unwrap();
     assert_eq!(buf, blk(3));
-    cache.check_consistency().unwrap();
-}
-
-#[test]
-fn write_through_policy_reaches_disk_immediately() {
-    let clock = SimClock::new();
-    let nvm = NvmDevice::new(NvmConfig::new(1 << 20, NvmTech::Pcm), clock.clone());
-    let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock.clone());
-    let cfg = TincaConfig {
-        ring_bytes: 4096,
-        write_policy: WritePolicy::WriteThrough,
-        ..TincaConfig::default()
-    };
-    let mut cache = TincaCache::format(nvm, disk.clone(), cfg);
-    let mut txn = cache.init_txn();
-    txn.write(9, &blk(5));
-    cache.commit(&txn).unwrap();
-    let mut buf = [0u8; BLOCK_SIZE];
-    disk.read_block(9, &mut buf).unwrap();
-    assert_eq!(buf, blk(5));
     cache.check_consistency().unwrap();
 }
 

@@ -55,9 +55,10 @@ fn destage_fires_below_low_watermark_and_keeps_victims_clean() {
     assert!(s.destage_batches > 0, "daemon never fired: {s:?}");
     assert!(s.destage_blocks > 0);
     assert_eq!(s.destage_stalls, 0, "no eviction happened yet");
-    // The supply (free + clean) must be back at or above the low mark.
+    // The supply (free + clean) must be back at or above the low mark
+    // (25 % of the data blocks).
     let supply = cache.free_block_count() + cache.cached_blocks() - cache.dirty_block_count();
-    let low = capacity as usize * cache.config().destage_low_water_pct as usize / 100;
+    let low = capacity as usize * 25 / 100;
     assert!(supply >= low, "supply {supply} still below low mark {low}");
     cache.check_consistency().unwrap();
 }

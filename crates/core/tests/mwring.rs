@@ -23,7 +23,6 @@ fn mw_pool_cfg(shards: usize) -> PoolConfig {
             ring_bytes: 4096,
             ..TincaConfig::default()
         },
-        ..PoolConfig::default()
     }
 }
 

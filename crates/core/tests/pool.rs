@@ -2,7 +2,8 @@
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 //! Integration tests for `TincaPool`: single-shard equivalence, shard
-//! routing, group commit, and deterministic multi-threaded stress.
+//! routing, a power cut under contention, and deterministic
+//! multi-threaded stress.
 
 use std::sync::{Arc, Barrier};
 
@@ -145,73 +146,106 @@ fn spanning_txn_lands_on_every_shard() {
     p.check_consistency().unwrap();
 }
 
-/// `commit_many` folds same-shard transactions into ONE ring commit: one
-/// Tail store + fence for the whole batch.
+/// A power cut inside a mutex-mode commit must not strand the shard's
+/// other committer: the cache lock is released by the unwind, the armed
+/// trip keeps firing on every later persistence event, so each thread
+/// either finishes its rounds or sees the power fail. Whatever was
+/// acknowledged before the cut survives recovery.
 #[test]
-fn commit_many_batches_into_one_ring_commit() {
-    let p = pool(1, 1 << 20);
-    let baseline = pool(1, 1 << 20);
+fn power_cut_under_contention_strands_no_committer_and_keeps_acked_txns() {
+    use nvmsim::{CrashPolicy, CrashTripped};
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
-    // Batched: 8 one-block txns in one submission.
-    let txns: Vec<Txn> = (0..8u64)
-        .map(|i| {
-            let mut t = p.init_txn();
-            t.write(i, &blk(i as u8 + 1));
-            t
+    const ROUNDS: u64 = 24;
+    let fresh_block = |thread: u64, round: u64| 1000 * thread + round;
+
+    // Every commit below has the same shape (one fresh block, no eviction),
+    // hence the same number of persistence events. Arming the trip a few
+    // events into commit number ROUNDS + 1 of the 2 × ROUNDS therefore cuts
+    // the power mid-run, inside a payload flush (ring closed), whichever
+    // thread happens to run that commit.
+    let probe = pool(1, 1 << 20);
+    let events = || probe.with_shard(0, |c| c.nvm().events());
+    let mut per_commit = Vec::new();
+    for round in 0..2 {
+        let before = events();
+        let mut t = probe.init_txn();
+        t.write(fresh_block(0, round), &blk(1));
+        probe.commit(t).unwrap();
+        per_commit.push(events() - before);
+    }
+    assert_eq!(per_commit[0], per_commit[1], "commits must be same-shaped");
+
+    let devices = shard_devices(&NvmConfig::new(1 << 20, NvmTech::Pcm), 1);
+    let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, SimClock::new());
+    let cfg = PoolConfig {
+        shards: 1,
+        cache: cache_cfg(),
+        ..PoolConfig::default()
+    };
+    let p = Arc::new(TincaPool::format(
+        devices.clone(),
+        disk.clone(),
+        cfg.clone(),
+    ));
+    devices[0].set_trip(Some(ROUNDS * per_commit[0] + 3));
+
+    let start = Arc::new(Barrier::new(2));
+    let (tx, rx) = mpsc::channel();
+    let workers: Vec<_> = (0..2u64)
+        .map(|thread| {
+            let (p, start, tx) = (Arc::clone(&p), Arc::clone(&start), tx.clone());
+            std::thread::spawn(move || {
+                let mut acked = Vec::new();
+                let mut power_failed = false;
+                start.wait();
+                for round in 0..ROUNDS {
+                    let (b, byte) = (fresh_block(thread, round), (round + 1) as u8);
+                    let mut t = Txn::new();
+                    t.write(b, &blk(byte));
+                    match catch_unwind(AssertUnwindSafe(|| p.commit(t))) {
+                        Ok(res) => {
+                            res.unwrap();
+                            acked.push((b, byte));
+                        }
+                        Err(cut) if cut.is::<CrashTripped>() => {
+                            power_failed = true;
+                            break;
+                        }
+                        Err(bug) => resume_unwind(bug),
+                    }
+                }
+                tx.send((acked, power_failed)).unwrap();
+            })
         })
         .collect();
-    let results = p.commit_many(txns);
-    assert!(results.iter().all(Result::is_ok));
-
-    // Unbatched reference: same 8 txns committed one by one.
-    for i in 0..8u64 {
-        let mut t = baseline.init_txn();
-        t.write(i, &blk(i as u8 + 1));
-        baseline.commit(t).unwrap();
+    let reports: Vec<(Vec<(u64, u8)>, bool)> = (0..2)
+        .map(|_| {
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("a committer is stranded behind the power cut")
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
     }
-
-    let s = p.stats();
-    assert_eq!(s.commits, 1, "one ring commit for the whole batch");
-    assert_eq!(s.group_commits, 1);
-    assert_eq!(s.batched_txns, 8);
-    assert_eq!(s.committed_blocks, 8);
-    assert_eq!(baseline.stats().commits, 8);
-
-    // The batch amortises the commit point: strictly fewer fences.
-    let fences_batched = p.with_shard(0, |c| c.nvm().stats().sfence);
-    let fences_single = baseline.with_shard(0, |c| c.nvm().stats().sfence);
     assert!(
-        fences_batched < fences_single,
-        "group commit must fence less: {fences_batched} vs {fences_single}"
+        reports.iter().any(|(_, power_failed)| *power_failed),
+        "the trip was armed inside the run"
     );
+    let acked: Vec<(u64, u8)> = reports.into_iter().flat_map(|(a, _)| a).collect();
+    assert_eq!(acked.len() as u64, ROUNDS, "the cut hit commit ROUNDS + 1");
 
-    // Same visible contents either way.
-    let mut a = [0u8; BLOCK_SIZE];
-    let mut b = [0u8; BLOCK_SIZE];
-    for i in 0..8u64 {
-        p.read(i, &mut a).unwrap();
-        baseline.read(i, &mut b).unwrap();
-        assert_eq!(a, b);
-    }
+    drop(p);
+    devices[0].crash(CrashPolicy::Random(16));
+    let p = TincaPool::recover(devices, disk, cfg).unwrap();
     p.check_consistency().unwrap();
-}
-
-#[test]
-fn commit_many_coalesces_overlapping_txns_last_writer_wins() {
-    let p = pool(1, 1 << 20);
-    let mut t1 = p.init_txn();
-    t1.write(5, &blk(1));
-    let mut t2 = p.init_txn();
-    t2.write(5, &blk(2)); // same block, newer value
-    let results = p.commit_many(vec![t1, t2]);
-    assert!(results.iter().all(Result::is_ok));
     let mut buf = [0u8; BLOCK_SIZE];
-    p.read(5, &mut buf).unwrap();
-    assert_eq!(buf, blk(2), "later transaction in the batch must win");
-    let s = p.stats();
-    assert_eq!(s.commits, 1);
-    assert_eq!(s.coalesced_writes, 1, "the fold coalesced one rewrite");
-    p.check_consistency().unwrap();
+    for (b, byte) in acked {
+        p.read(b, &mut buf).unwrap();
+        assert_eq!(buf, blk(byte), "acknowledged block {b} lost");
+    }
 }
 
 /// Deterministic multi-thread stress: 8 threads over 4 shards in barrier-
@@ -228,8 +262,8 @@ fn multithreaded_stress_rounds_preserve_consistency() {
     let barrier = Arc::new(Barrier::new(THREADS));
 
     // Thread t owns blocks {t, t+8, t+16, t+24}: all ≡ t (mod 8), hence all
-    // on shard t % 4 — two threads share each shard, forcing contention and
-    // group-commit opportunities without cross-thread data races.
+    // on shard t % 4 — two threads share each shard, forcing contention
+    // on its cache lock without cross-thread data races.
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let p = Arc::clone(&p);
@@ -271,10 +305,10 @@ fn multithreaded_stress_rounds_preserve_consistency() {
     }
     p.check_consistency().unwrap();
     let s = p.stats();
-    // Every user transaction rode exactly one ring commit: lone commits
-    // carry one txn each, group commits carry `batched_txns` in total.
-    let user_txns = (s.commits - s.group_commits) + s.batched_txns;
-    assert_eq!(user_txns, THREADS as u64 * ROUNDS);
+    // Every user transaction is exactly one ring commit: the mutex path
+    // never merges transactions.
+    assert_eq!(s.commits, THREADS as u64 * ROUNDS);
+    assert_eq!((s.group_commits, s.batched_txns), (0, 0));
     assert_eq!(
         s.committed_blocks,
         THREADS as u64 * ROUNDS * BLOCKS_PER_THREAD
@@ -416,20 +450,13 @@ fn one_bad_shard_degrades_pool_but_commits_continue() {
     };
     let pool = TincaPool::format(devices.clone(), faulty.clone(), mk_cfg());
 
-    // Group-commit a batch touching every shard.
-    let txns: Vec<Txn> = (0..64u64)
-        .collect::<Vec<_>>()
-        .chunks(4)
-        .map(|ch| {
-            let mut t = pool.init_txn();
-            for &b in ch {
-                t.write(b, &blk(b as u8 + 1));
-            }
-            t
-        })
-        .collect();
-    for r in pool.commit_many(txns) {
-        r.unwrap();
+    // Sixteen spanning transactions, each touching every shard.
+    for first in (0..64u64).step_by(4) {
+        let mut t = pool.init_txn();
+        for b in first..first + 4 {
+            t.write(b, &blk(b as u8 + 1));
+        }
+        pool.commit(t).unwrap();
     }
     assert_eq!(pool.health(), Health::Healthy);
 

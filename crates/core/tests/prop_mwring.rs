@@ -37,7 +37,6 @@ fn mw_cfg() -> PoolConfig {
             ring_bytes: 4096,
             ..TincaConfig::default()
         },
-        ..PoolConfig::default()
     }
 }
 

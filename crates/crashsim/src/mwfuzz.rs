@@ -117,7 +117,6 @@ fn build_mw_pool(shards: usize) -> (Vec<Nvm>, Disk, PoolConfig) {
             ring_bytes: 4096,
             ..TincaConfig::default()
         },
-        ..PoolConfig::default()
     };
     (devices, disk, pool_cfg)
 }

@@ -31,7 +31,7 @@ use persistcheck::{CheckConfig, Checker};
 use tinca::{CommitMode, PoolConfig, TincaConfig, TincaPool};
 
 fn build_pool(shards: usize) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
-    build_pool_mode(shards, CommitMode::MutexGroup)
+    build_pool_mode(shards, CommitMode::Mutex)
 }
 
 fn build_pool_mode(shards: usize, mode: CommitMode) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
@@ -47,7 +47,6 @@ fn build_pool_mode(shards: usize, mode: CommitMode) -> (Vec<Nvm>, blockdev::Disk
             ring_bytes: 4096,
             ..TincaConfig::default()
         },
-        ..PoolConfig::default()
     };
     (devices, disk, pool_cfg)
 }
@@ -511,7 +510,7 @@ fn cut_recovery(
 #[test]
 fn crash_inside_recovery_repeats_the_roll_decision() {
     quiet_crash_panics();
-    for mode in [CommitMode::MutexGroup, CommitMode::LockFreeRing] {
+    for mode in [CommitMode::Mutex, CommitMode::LockFreeRing] {
         // Probe: per-device persistence events of one spanning commit.
         let spans = {
             let (devices, disk, pool_cfg) = cut_spanning_commit(mode, 0, 1);

@@ -70,10 +70,10 @@ pub enum TraceEvent {
     /// publishing its history to the next acquirer.
     LockRelease { obj: u64 },
     /// Sync annotation: an acquire-ordered atomic load of sync object
-    /// `obj` (e.g. a follower observing a leader-published result).
+    /// `obj` (e.g. a sequencer observing the windows its writers published).
     AtomicLoadAcquire { obj: u64 },
     /// Sync annotation: a release-ordered atomic store to sync object
-    /// `obj` (e.g. a leader publishing a commit result).
+    /// `obj` (e.g. a writer publishing its staged window).
     AtomicStoreRelease { obj: u64 },
 }
 

@@ -22,13 +22,11 @@ pub const COMMIT_ROLE_SWITCH: &str = "commit.role_switch";
 pub const COMMIT_DOUBLE_WRITE: &str = "commit.double_write";
 /// Tail move: the atomic commit point (8B store + persist).
 pub const COMMIT_POINT: &str = "commit.point";
-/// Optional synchronous write-through to the backing disk.
-pub const COMMIT_WRITE_THROUGH: &str = "commit.write_through";
 /// Revoking staged blocks after a failed commit.
 pub const COMMIT_REVOKE: &str = "commit.revoke";
-/// Group commit: leader draining and committing a batch.
-pub const COMMIT_GROUP_LEAD: &str = "commit.group.lead";
-/// Group commit: follower waiting for its leader's commit point.
+/// A committer parked behind the shard's multi-writer pipeline: waiting
+/// for a sequencer round to retire its window, for a busy shard to admit
+/// it, or for a spanning commit's quiesce to drain.
 pub const COMMIT_GROUP_WAIT: &str = "commit.group.wait";
 /// Two-phase spanning commit: intent publish, per-shard fragment
 /// prepares, resolve, and window retirement (pool-level; the per-shard

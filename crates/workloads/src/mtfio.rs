@@ -133,13 +133,13 @@ impl MtReport {
     }
 
     /// `clflush` executions per committed transaction (the flushes/txn
-    /// series of the scaling figure; group commit drives this down).
+    /// series of the scaling figure).
     pub fn flushes_per_txn(&self) -> f64 {
         self.nvm.clflush as f64 / self.write_txns.max(1) as f64
     }
 
-    /// Fraction of committed transactions that rode a multi-transaction
-    /// ring commit.
+    /// Fraction of committed transactions that rode a multi-window
+    /// sequencer round (always 0 on the mutex path, which never batches).
     pub fn batched_fraction(&self) -> f64 {
         let committed = (self.cache.commits - self.cache.group_commits) + self.cache.batched_txns;
         if committed == 0 {
@@ -348,11 +348,10 @@ impl MtFio {
     /// blocking commit path: same writer RNG streams, same blocks, same
     /// fill values, same round-robin writer order — only the commit
     /// mechanism differs. The `mw_scaling` figure prices the lock-free
-    /// pipeline against mutex+leader/follower on identical work with
-    /// this. One OS thread drives the round-robin, so the mutex path
-    /// sees no follower batching — it pays the full serialised
-    /// per-transaction cost, the same c = 1 service model the open-loop
-    /// tier uses for `MutexGroup`.
+    /// pipeline against the mutex path on identical work with this. The
+    /// mutex path pays the full serialised per-transaction cost, the
+    /// same c = 1 service model the open-loop tier uses for
+    /// `CommitMode::Mutex`.
     pub fn run_lanes_blocking(&self, pool: &TincaPool) -> MtReport {
         let base = Baseline::take(pool);
         let spec = &self.spec;
@@ -566,7 +565,6 @@ mod tests {
                     ring_bytes: 4096,
                     ..TincaConfig::default()
                 },
-                ..PoolConfig::default()
             },
         )
     }

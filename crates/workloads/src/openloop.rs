@@ -897,7 +897,6 @@ mod tests {
                     ring_bytes: 4096,
                     ..TincaConfig::default()
                 },
-                ..PoolConfig::default()
             },
         );
         (pool, disk_clock)

@@ -108,7 +108,6 @@ fn ring_mode_script_survives_a_power_cut() {
             ring_bytes: 4096,
             ..TincaConfig::default()
         },
-        ..PoolConfig::default()
     };
     let pool = TincaPool::format(devices.clone(), disk.clone(), cfg.clone());
     let mut script = Script {
