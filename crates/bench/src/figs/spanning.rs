@@ -211,12 +211,13 @@ pub fn run(quick: bool) -> SpanningResult {
 
     // Embedded crash smoke: enumerate frontiers of a spanning workload
     // and sweep random trips; both must see zero torn transactions.
-    let frontier = crashsim::spanning_frontier_campaign(2, 0x57A6, if quick { 1 } else { 2 }, 4);
+    let frontier =
+        crashsim::spanning_frontier_campaign(2, 0x57A6, if quick { 1 } else { 2 }, 4, false);
     println!("frontier: {frontier}");
     for v in &frontier.violations {
         eprintln!("  violation: {v}");
     }
-    let fuzz = crashsim::pool_fuzz_campaign(SHARDS, 0x57A7, if quick { 20 } else { 60 }, 40);
+    let fuzz = crashsim::pool_fuzz_campaign(SHARDS, 0x57A7, if quick { 20 } else { 60 }, 40, false);
     println!(
         "fuzz: {} runs, {} crashes, {} violations",
         fuzz.runs,

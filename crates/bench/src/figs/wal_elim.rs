@@ -235,11 +235,13 @@ pub fn run(quick: bool) -> WalElimResult {
         20_000,
         FailureMode::PowerPull,
     );
+    // Trip ranges follow each stack's event count per run (see
+    // `crates/kvdb/tests/crash.rs`).
     let tinca_fuzz = tinca_kv_fuzz_campaign(
         0xE1F1,
         fuzz_seeds,
         crash_txns,
-        1_500,
+        1_000,
         FailureMode::PowerPull,
     );
     let wal_frontier = wal_kv_frontier_campaign(0xE1F2, 2, frontier_cap);

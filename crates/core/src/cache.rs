@@ -14,6 +14,7 @@ use crate::layout::{
     MAGIC, MAGIC_OFF, MW_DEAD_TAG, MW_FREE, MW_RESERVED, RING_CAP_OFF, TAIL_OFF,
 };
 use crate::lru::LruList;
+use crate::shadow::ShadowReserve;
 use crate::{CacheStats, TincaConfig, TincaError, Txn};
 
 /// Shared handle to the backing disk below the cache.
@@ -30,6 +31,11 @@ const RETRY_BACKOFF_NS: u64 = 100_000;
 /// Maximum victims per vectored destage batch (also bounds the per-batch
 /// payload staging buffer: 64 × 4 KB).
 const DESTAGE_BATCH: usize = 64;
+/// Delta staging's capacity tax: the shadow reserve holds at most one
+/// data block in this many (see [`TincaConfig::delta_stage`]).
+const SHADOW_RESERVE_DIV: usize = 16;
+/// Cache lines per data block.
+const BLOCK_LINES: usize = BLOCK_SIZE / nvmsim::CACHE_LINE;
 
 /// One shard-local fragment of a committing transaction: the commit
 /// protocol has run up to (but not including) the shard's `Tail` move, so
@@ -40,7 +46,8 @@ const DESTAGE_BATCH: usize = 64;
 /// [`TincaCache::complete_fragment`] / [`TincaCache::abort_fragment`].
 pub(crate) struct PreparedFragment {
     touched: Vec<u32>,
-    replaced_prevs: Vec<u32>,
+    /// `(entry, previous block version)` of every write hit.
+    replaced_prevs: Vec<(u32, u32)>,
     coalesced: u64,
     /// Intent tag in the window's ring slots (`0`: ordinary commit).
     tag: u8,
@@ -122,6 +129,10 @@ pub struct TincaCache {
     lru: LruList,
     free_blocks: FreeMonitor,
     free_entries: FreeMonitor,
+    /// Previous block versions parked for delta staging: referenced by no
+    /// entry, not on the free list, handed to nobody but their owner's
+    /// next write hit. Empty unless [`TincaConfig::delta_stage`].
+    shadows: ShadowReserve,
     /// NVM blocks pinned by the committing transaction (§4.6 rule 2).
     pin_blocks: Vec<bool>,
     pin_block_list: Vec<u32>,
@@ -190,6 +201,11 @@ impl TincaCache {
         head: u64,
         tail: u64,
     ) -> Self {
+        let shadow_cap = if cfg.delta_stage && cfg.role_switch {
+            layout.data_blocks as usize / SHADOW_RESERVE_DIV
+        } else {
+            0
+        };
         TincaCache {
             nvm,
             disk,
@@ -200,6 +216,7 @@ impl TincaCache {
             lru: LruList::new(layout.entry_count),
             free_blocks: FreeMonitor::new_all_free(layout.data_blocks),
             free_entries: FreeMonitor::new_all_free(layout.entry_count),
+            shadows: ShadowReserve::new(layout.entry_count, shadow_cap),
             pin_blocks: vec![false; layout.data_blocks as usize],
             pin_block_list: Vec::new(),
             pin_entries: vec![false; layout.entry_count as usize],
@@ -276,8 +293,9 @@ impl TincaCache {
             // Admission: the commit protocol allocates one new NVM block per
             // staged block (two in the double-write ablation), while the
             // current versions of staged-and-cached blocks stay pinned as
-            // revocation `prev`s. Supply is the free pool plus every cached
-            // block that stays evictable mid-protocol — NOT the total block
+            // revocation `prev`s. Supply is the free pool (the shadow
+            // reserve included) plus every cached block that stays
+            // evictable mid-protocol — NOT the total block
             // count: a commit admitted against `data_blocks` alone could run
             // out of victims mid-protocol and take the revoke path.
             let needed = if self.cfg.role_switch { n } else { 2 * n };
@@ -286,7 +304,7 @@ impl TincaCache {
                 .iter()
                 .filter(|(b, _)| self.index.contains_key(b))
                 .count();
-            let available = self.free_blocks.free_count() + (self.index.len() - overlap);
+            let available = self.free_block_count() + (self.index.len() - overlap);
             if needed > available {
                 return Err(TincaError::CacheExhausted { needed, available });
             }
@@ -297,7 +315,7 @@ impl TincaCache {
             "previous transaction left the ring open"
         );
         let mut touched: Vec<u32> = Vec::with_capacity(n);
-        let mut replaced_prevs: Vec<u32> = Vec::with_capacity(n);
+        let mut replaced_prevs: Vec<(u32, u32)> = Vec::with_capacity(n);
         let result = self
             .commit_blocks(txn, &mut touched, &mut replaced_prevs, tag)
             .and_then(|()| {
@@ -344,10 +362,11 @@ impl TincaCache {
             self.scrub_slot_tags(window.0, window.1);
             self.stats.spanning_fragments += 1;
         }
-        // Strictly after the commit point: previous versions become free,
-        // committed blocks turn MRU (§4.6 rule 2b).
-        for p in frag.replaced_prevs {
-            self.free_blocks.release(p);
+        // Strictly after the commit point: previous versions become free
+        // (or, with delta staging, their entry's shadow), committed blocks
+        // turn MRU (§4.6 rule 2b).
+        for (idx, p) in frag.replaced_prevs {
+            self.shadows.park(idx, p, &mut self.free_blocks);
         }
         for &idx in &frag.touched {
             self.lru.touch(idx);
@@ -521,7 +540,7 @@ impl TincaCache {
                 .filter(|(b, _)| self.index.contains_key(b))
                 .count();
             let evictable = (self.index.len() - overlap).saturating_sub(self.mw_pinned_entries);
-            let available = self.free_blocks.free_count() + evictable;
+            let available = self.free_block_count() + evictable;
             if n > available {
                 self.mw_fail_window(&mut meta, 0);
                 return Err((
@@ -563,6 +582,10 @@ impl TincaCache {
                     let prev = old.cur;
                     self.mw_pin_block(prev, &mut pinned_blocks);
                     meta.replaced_prevs.push(prev);
+                    // The ring stages full blocks: a shadow this entry
+                    // still holds from the mutex path is now two versions
+                    // behind, so it goes back to the free list.
+                    self.shadows.release(idx, &mut self.free_blocks);
                     self.write_entry_unflushed(
                         idx,
                         CacheEntry::new(Role::Log, true, disk_blk, prev, new_blk),
@@ -750,29 +773,49 @@ impl TincaCache {
         &mut self,
         txn: &Txn,
         touched: &mut Vec<u32>,
-        replaced_prevs: &mut Vec<u32>,
+        replaced_prevs: &mut Vec<(u32, u32)>,
         tag: u8,
     ) -> Result<(), TincaError> {
         let coalesce = self.coalescing();
         let mut entry_lines: Vec<usize> = Vec::new();
         for (disk_blk, data) in txn.blocks() {
             // (1) COW block write: new NVM block, payload, flush, fence.
+            // A write hit whose entry holds a shadow rewrites that block
+            // instead, storing only the lines that differ.
             let new_blk = {
                 let _s = telemetry::span(telemetry::phase::COMMIT_STAGE);
-                let new_blk = self.alloc_block()?;
-                self.pin_block(new_blk);
-                let addr = self.layout.data_addr(new_blk);
-                self.nvm.write(addr, &data[..]);
-                if coalesce {
-                    // Flush now, fence once for the whole transaction.
-                    self.nvm.clflush(addr, BLOCK_SIZE);
+                let shadow = if self.shadows.enabled() {
+                    let hit = self.index.get(disk_blk);
+                    hit.and_then(|&idx| self.shadows.take(idx))
                 } else {
-                    self.nvm.persist(addr, BLOCK_SIZE);
+                    None
+                };
+                match shadow {
+                    Some(shadow) => {
+                        self.pin_block(shadow);
+                        self.stage_delta(shadow, data, coalesce);
+                        shadow
+                    }
+                    None => {
+                        let new_blk = self.alloc_block()?;
+                        self.pin_block(new_blk);
+                        let addr = self.layout.data_addr(new_blk);
+                        self.nvm.write(addr, &data[..]);
+                        if coalesce {
+                            // Flush now, fence once for the whole
+                            // transaction.
+                            self.nvm.clflush(addr, BLOCK_SIZE);
+                        } else {
+                            self.nvm.persist(addr, BLOCK_SIZE);
+                        }
+                        new_blk
+                    }
                 }
-                new_blk
             };
             // (2) Create/update the cache entry with one 16 B atomic store.
             let _e = telemetry::span(telemetry::phase::COMMIT_ENTRY);
+            // Looked up only now: the allocation above may have evicted
+            // this very block, which makes the write a miss.
             let idx = match self.index.get(disk_blk) {
                 Some(&idx) => {
                     let old = self.read_entry(idx);
@@ -783,7 +826,7 @@ impl TincaCache {
                     }
                     let prev = old.cur;
                     self.pin_block(prev);
-                    replaced_prevs.push(prev);
+                    replaced_prevs.push((idx, prev));
                     let e = CacheEntry::new(Role::Log, true, *disk_blk, prev, new_blk);
                     if coalesce {
                         self.write_entry_unflushed(idx, e);
@@ -863,6 +906,45 @@ impl TincaCache {
             self.nvm.persist(HEAD_OFF, 8);
         }
         Ok(())
+    }
+
+    /// Delta staging's step (1): makes reserved block `shadow` hold `data`
+    /// by storing and flushing only the 64 B lines that differ from what
+    /// the block holds now, then the same fence the full-block path
+    /// issues. The read is charged at media latency. Which lines are
+    /// skipped depends on the block's content alone: a skipped line
+    /// already equals the payload and is durable, because a reserved
+    /// block was a committed `cur` and has not been stored to since.
+    fn stage_delta(&mut self, shadow: u32, data: &[u8; BLOCK_SIZE], coalesce: bool) {
+        const LINE: usize = nvmsim::CACHE_LINE;
+        let addr = self.layout.data_addr(shadow);
+        let mut old = [0u8; BLOCK_SIZE];
+        self.nvm.read(addr, &mut old);
+        let differs = |l: usize| old[l * LINE..(l + 1) * LINE] != data[l * LINE..(l + 1) * LINE];
+        let mut stored = 0;
+        let mut line = 0;
+        while line < BLOCK_LINES {
+            if !differs(line) {
+                line += 1;
+                continue;
+            }
+            let start = line;
+            while line < BLOCK_LINES && differs(line) {
+                line += 1;
+            }
+            let (off, len) = (start * LINE, (line - start) * LINE);
+            self.nvm.write(addr + off, &data[off..off + len]);
+            self.nvm.clflush(addr + off, len);
+            stored += line - start;
+        }
+        if !coalesce {
+            self.nvm.sfence();
+        }
+        let skipped = (BLOCK_LINES - stored) as u64;
+        self.stats.delta_stages += 1;
+        self.stats.delta_lines_skipped += skipped;
+        telemetry::count("core.delta_stages", 1);
+        telemetry::count("core.delta_lines_skipped", skipped);
     }
 
     /// True when commit-path flush coalescing is in force (requires the
@@ -986,7 +1068,7 @@ impl TincaCache {
             return Health::Healthy;
         }
         let evictable = self.index.len() - q;
-        if self.free_blocks.free_count() == 0 && evictable == 0 {
+        if self.free_block_count() == 0 && evictable == 0 {
             Health::ReadOnly
         } else {
             Health::Degraded { quarantined: q }
@@ -1160,7 +1242,8 @@ impl TincaCache {
     }
 
     /// Allocates an NVM data block, evicting the LRU unpinned buffer block
-    /// if the free pool is empty. A victim whose dirty writeback fails
+    /// if the free pool is empty, and taking from the shadow reserve only
+    /// when nothing is evictable. A victim whose dirty writeback fails
     /// permanently is quarantined (not freed) and the search moves to the
     /// next candidate; [`TincaError::NoVictim`] means every remaining
     /// block is pinned or quarantined.
@@ -1188,7 +1271,8 @@ impl TincaCache {
                 self.find_victim(false)
             };
             let Some(idx) = victim else {
-                return Err(TincaError::NoVictim);
+                // Last resort: give up the coldest shadow.
+                return self.shadows.pop_lru().ok_or(TincaError::NoVictim);
             };
             // On writeback failure the victim is quarantined and excluded
             // from the next search pass, so the loop always terminates —
@@ -1245,6 +1329,7 @@ impl TincaCache {
         self.lru.remove(idx);
         self.free_entries.release(idx);
         self.free_blocks.release(e.cur);
+        self.shadows.release(idx, &mut self.free_blocks);
         self.dirty_idx.remove(&idx);
         self.stats.evictions += 1;
         Ok(())
@@ -1338,7 +1423,7 @@ impl TincaCache {
             return; // previous batch still occupies the lane
         }
         let data_blocks = self.layout.data_blocks as usize;
-        let supply = self.free_blocks.free_count() + (self.index.len() - self.dirty_idx.len());
+        let supply = self.free_block_count() + (self.index.len() - self.dirty_idx.len());
         // Watermarks round with ceiling division and guarantee
         // `high > low` so a completed harvest always clears the trigger
         // (flooring both used to collapse tiny caches to low == high or
@@ -1509,9 +1594,10 @@ impl TincaCache {
         self.index.len()
     }
 
-    /// Number of free NVM data blocks.
+    /// Number of NVM data blocks no entry references: the free list plus
+    /// the shadow reserve (allocation falls back on it, so it is supply).
     pub fn free_block_count(&self) -> usize {
-        self.free_blocks.free_count()
+        self.free_blocks.free_count() + self.shadows.len()
     }
 
     /// True if `disk_blk` is cached.
@@ -1713,7 +1799,29 @@ impl TincaCache {
                 self.lru.len()
             ));
         }
-        let used_blocks = self.layout.data_blocks as usize - self.free_blocks.free_count();
+        if self.shadows.len() > self.shadows.cap() {
+            return Err(format!(
+                "shadow reserve holds {} blocks, cap {}",
+                self.shadows.len(),
+                self.shadows.cap()
+            ));
+        }
+        for (idx, b) in self.shadows.iter() {
+            if !self.lru.contains(idx) {
+                return Err(format!("reserved block {b} owned by invalid entry {idx}"));
+            }
+            if b as usize >= seen_cur.len() {
+                return Err(format!("entry {idx} reserved block {b} out of range"));
+            }
+            if seen_cur[b as usize] {
+                return Err(format!("reserved block {b} is referenced elsewhere"));
+            }
+            seen_cur[b as usize] = true;
+            if self.free_blocks.is_free(b) {
+                return Err(format!("reserved block {b} is in the free pool"));
+            }
+        }
+        let used_blocks = self.layout.data_blocks as usize - self.free_block_count();
         if used_blocks != valid_count {
             return Err(format!(
                 "{used_blocks} blocks in use but {valid_count} valid entries"
@@ -1736,6 +1844,10 @@ mod tests {
     use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
 
     fn small_cache() -> TincaCache {
+        small_cache_with(TincaConfig::default())
+    }
+
+    fn small_cache_with(cfg: TincaConfig) -> TincaCache {
         let clock = SimClock::new();
         let nvm = NvmDevice::new(NvmConfig::new(256 << 10, NvmTech::Pcm), clock.clone());
         let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
@@ -1744,9 +1856,49 @@ mod tests {
             disk,
             TincaConfig {
                 ring_bytes: 4096,
-                ..TincaConfig::default()
+                ..cfg
             },
         )
+    }
+
+    /// A delta-staging cache in which block 5 owns a shadow and block 6
+    /// does not.
+    fn cache_with_one_shadow() -> (TincaCache, u32) {
+        let mut c = small_cache_with(TincaConfig {
+            delta_stage: true,
+            ..TincaConfig::default()
+        });
+        for v in [1u8, 2] {
+            let mut t = c.init_txn();
+            t.write(5, &[v; BLOCK_SIZE]);
+            t.write(6, &[v; BLOCK_SIZE]);
+            c.commit(&t).unwrap();
+        }
+        let idx6 = c.index[&6];
+        c.shadows.release(idx6, &mut c.free_blocks);
+        c.check_consistency().unwrap();
+        assert_eq!(c.shadows.len(), 1);
+        let shadow = c.shadows.iter().next().unwrap().1;
+        (c, shadow)
+    }
+
+    #[test]
+    fn check_consistency_rejects_a_reserved_block_on_the_free_list() {
+        let (mut c, shadow) = cache_with_one_shadow();
+        c.free_blocks.release(shadow);
+        let err = c.check_consistency().unwrap_err();
+        assert!(err.contains("in the free pool"), "{err}");
+    }
+
+    #[test]
+    fn check_consistency_rejects_a_reserved_block_an_entry_references() {
+        let (mut c, _) = cache_with_one_shadow();
+        let idx6 = c.index[&6];
+        let cur6 = c.read_entry(idx6).cur;
+        // Hand block 6's live `cur` to block 6's entry as its "shadow".
+        c.shadows.park(idx6, cur6, &mut c.free_blocks);
+        let err = c.check_consistency().unwrap_err();
+        assert!(err.contains("referenced elsewhere"), "{err}");
     }
 
     /// `flush_all` must refuse to run while a transaction is committing

@@ -26,6 +26,23 @@ pub struct TincaConfig {
     /// staged line. Only takes effect with `role_switch`. Default
     /// `false` (the paper's per-step persist ordering).
     pub coalesce_flushes: bool,
+    /// Delta staging: after a commit point the block a write hit replaced
+    /// is parked in a small DRAM-tracked reserve (at most 1/16 of the data
+    /// blocks, LRU over the entries written) instead of being freed, and
+    /// the entry's next write hit rewrites that block in place — read it,
+    /// compare per 64 B line, store and flush only the lines that differ.
+    /// Which lines are skipped is decided by the block's content alone,
+    /// and nothing persistent changes: to recovery a reserved block is a
+    /// free block. Contract: enable for stores whose rewrites change few
+    /// lines of a block (B-tree pages); a rewrite that changes most lines
+    /// pays one 64-line NVM read on top of the full store, and the reserve
+    /// is cache capacity given up. Only takes effect with `role_switch`.
+    /// Default `false` (the paper stages every block whole). A field and
+    /// not a selection the cache makes for itself because the paper-exact
+    /// path must not move: observing profitability costs the charged read
+    /// and the reserve's capacity (DESIGN.md, "Delta staging", has the
+    /// always-on numbers with and without a per-entry back-off).
+    pub delta_stage: bool,
 }
 
 /// Destage trigger: the daemon fires when the *supply* (free NVM blocks +
@@ -68,6 +85,7 @@ impl Default for TincaConfig {
             role_switch: true,
             destage: false,
             coalesce_flushes: false,
+            delta_stage: false,
         }
     }
 }
@@ -82,6 +100,7 @@ mod tests {
         assert!(c.role_switch);
         assert!(!c.destage, "default is the paper's synchronous writeback");
         assert!(!c.coalesce_flushes, "default is per-step persist ordering");
+        assert!(!c.delta_stage, "default stages every block whole");
     }
 
     #[test]

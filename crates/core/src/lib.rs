@@ -51,6 +51,7 @@ mod lru;
 mod mwring;
 mod pool;
 mod recovery;
+mod shadow;
 mod snapshot;
 mod stats;
 mod txn;

@@ -97,7 +97,6 @@ impl LruList {
     }
 
     /// The current LRU-end index, if any.
-    #[allow(dead_code)] // part of the list's API surface, exercised in tests
     pub fn lru(&self) -> Option<u32> {
         (self.tail != NIL).then_some(self.tail)
     }

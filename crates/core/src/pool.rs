@@ -1173,7 +1173,12 @@ impl TincaPool {
         vec![metadata]
     }
 
-    /// Free NVM data blocks across all shards.
+    /// NVM data blocks no entry references, across all shards: block
+    /// *supply*, not the free list alone — with
+    /// [`TincaConfig::delta_stage`] it includes every shard's shadow
+    /// reserve (see [`TincaCache::free_block_count`]), so `0` means
+    /// "nothing left to allocate without evicting", and a nonzero count
+    /// does not mean the free list is non-empty.
     pub fn free_block_count(&self) -> usize {
         self.shards
             .iter()

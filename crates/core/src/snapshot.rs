@@ -103,6 +103,8 @@ impl StatsSnapshot {
                     ("eviction_errors", c.eviction_errors.into()),
                     ("writebacks", c.writebacks.into()),
                     ("coalesced_flushes", c.coalesced_flushes.into()),
+                    ("delta_stages", c.delta_stages.into()),
+                    ("delta_lines_skipped", c.delta_lines_skipped.into()),
                     ("destage_batches", c.destage_batches.into()),
                     ("destage_blocks", c.destage_blocks.into()),
                     ("destage_stalls", c.destage_stalls.into()),

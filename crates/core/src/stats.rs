@@ -41,6 +41,12 @@ pub struct CacheStats {
     /// `clflush` operations avoided by commit-path flush coalescing
     /// (entry updates sharing a 64 B line flushed once per line).
     pub coalesced_flushes: u64,
+    /// Write hits staged into their entry's shadow block (delta staging):
+    /// one 64-line read, then only the differing lines stored and flushed.
+    pub delta_stages: u64,
+    /// Payload lines those write hits did not store or flush because the
+    /// shadow already held them.
+    pub delta_lines_skipped: u64,
     /// Vectored destage batches issued on the background lane.
     pub destage_batches: u64,
     /// Dirty blocks written back (and marked clean) by the destage
@@ -136,6 +142,8 @@ impl CacheStats {
             eviction_errors: self.eviction_errors - e.eviction_errors,
             writebacks: self.writebacks - e.writebacks,
             coalesced_flushes: self.coalesced_flushes - e.coalesced_flushes,
+            delta_stages: self.delta_stages - e.delta_stages,
+            delta_lines_skipped: self.delta_lines_skipped - e.delta_lines_skipped,
             destage_batches: self.destage_batches - e.destage_batches,
             destage_blocks: self.destage_blocks - e.destage_blocks,
             destage_stalls: self.destage_stalls - e.destage_stalls,
@@ -176,6 +184,8 @@ impl CacheStats {
             eviction_errors: self.eviction_errors + o.eviction_errors,
             writebacks: self.writebacks + o.writebacks,
             coalesced_flushes: self.coalesced_flushes + o.coalesced_flushes,
+            delta_stages: self.delta_stages + o.delta_stages,
+            delta_lines_skipped: self.delta_lines_skipped + o.delta_lines_skipped,
             destage_batches: self.destage_batches + o.destage_batches,
             destage_blocks: self.destage_blocks + o.destage_blocks,
             destage_stalls: self.destage_stalls + o.destage_stalls,
@@ -246,6 +256,8 @@ mod tests {
             quarantined_blocks: 2,
             eviction_errors: 1,
             coalesced_flushes: 9,
+            delta_stages: 3,
+            delta_lines_skipped: 170,
             destage_batches: 2,
             destage_blocks: 8,
             destage_stalls: 1,
@@ -264,6 +276,8 @@ mod tests {
         assert_eq!(d.quarantined_blocks, 2);
         assert_eq!(d.eviction_errors, 1);
         assert_eq!(d.coalesced_flushes, 9);
+        assert_eq!(d.delta_stages, 3);
+        assert_eq!(d.delta_lines_skipped, 170);
         assert_eq!(d.destage_batches, 2);
         assert_eq!(d.destage_blocks, 8);
         assert_eq!(d.destage_stalls, 1);

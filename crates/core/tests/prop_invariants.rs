@@ -17,23 +17,36 @@ const NVM_BYTES: usize = 512 << 10; // small: forces eviction pressure
 const RING_BYTES: usize = 4096;
 const BLOCK_SPACE: u64 = 256; // disk blocks the generator draws from
 
-fn cfg() -> TincaConfig {
+fn cfg(delta_stage: bool) -> TincaConfig {
     TincaConfig {
         ring_bytes: RING_BYTES,
+        delta_stage,
         ..TincaConfig::default()
     }
 }
 
-fn fresh() -> (nvmsim::Nvm, blockdev::Disk, TincaCache) {
+fn fresh(delta_stage: bool) -> (nvmsim::Nvm, blockdev::Disk, TincaCache) {
     let clock = SimClock::new();
     let nvm = NvmDevice::new(NvmConfig::new(NVM_BYTES, NvmTech::Pcm), clock.clone());
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-    let cache = TincaCache::format(nvm.clone(), disk.clone(), cfg());
+    let cache = TincaCache::format(nvm.clone(), disk.clone(), cfg(delta_stage));
     (nvm, disk, cache)
 }
 
 fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
     [byte; BLOCK_SIZE]
+}
+
+/// A payload most of whose lines never change: line `v % 64` and the
+/// first word carry `v`, the rest depends on the block alone — so a
+/// delta-staged rewrite has lines to skip, and `sparse(b, 0)` on a
+/// never-written block differs from the disk's zeroes.
+fn sparse(b: u64, v: u8) -> [u8; BLOCK_SIZE] {
+    let mut p = [b as u8 ^ 0x5A; BLOCK_SIZE];
+    let line = usize::from(v) % 64 * 64;
+    p[line..line + 64].fill(v);
+    p[..8].fill(v);
+    p
 }
 
 #[derive(Clone, Debug)]
@@ -61,8 +74,11 @@ proptest! {
     /// recoveries), every committed value is readable and the cache
     /// invariants hold.
     #[test]
-    fn cache_matches_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-        let (nvm, disk, mut cache) = fresh();
+    fn cache_matches_model(
+        ops in proptest::collection::vec(op_strategy(), 1..60),
+        delta_stage in any::<bool>(),
+    ) {
+        let (nvm, disk, mut cache) = fresh(delta_stage);
         let mut model: HashMap<u64, u8> = HashMap::new();
         for op in ops {
             match op {
@@ -88,7 +104,8 @@ proptest! {
                         Some(s) => nvm.crash(CrashPolicy::Random(s)),
                         None => nvm.crash(CrashPolicy::LoseVolatile),
                     }
-                    cache = TincaCache::recover(nvm.clone(), disk.clone(), cfg()).unwrap();
+                    cache = TincaCache::recover(nvm.clone(), disk.clone(), cfg(delta_stage))
+                        .unwrap();
                     cache.check_consistency().map_err(|e| {
                         TestCaseError::fail(format!("inconsistent after restart: {e}"))
                     })?;
@@ -104,6 +121,76 @@ proptest! {
         }
     }
 
+    /// Delta staging is invisible to the caller: the same op sequence on
+    /// two caches, with it on and with it off, leaves both consistent
+    /// after every step and every block byte-identical — cached on both
+    /// sides or not (the reserve is capacity, so the cached sets may
+    /// differ). Payloads are sparse rewrites over a narrow block range,
+    /// so most commits find a shadow and skip most lines.
+    #[test]
+    fn delta_stage_on_and_off_agree(
+        ops in proptest::collection::vec(op_strategy(), 1..60),
+    ) {
+        const HOT: u64 = 24;
+        let mut sides = [fresh(false), fresh(true)];
+        let mut model: HashMap<u64, u8> = HashMap::new();
+        let mut buf = [[0u8; BLOCK_SIZE]; 2];
+        for op in ops {
+            let mut touched: Vec<u64> = Vec::new();
+            match op {
+                Op::Commit(writes) => {
+                    for (_, _, cache) in &mut sides {
+                        let mut txn = cache.init_txn();
+                        for (b, v) in &writes {
+                            txn.write(*b % HOT, &sparse(*b % HOT, *v));
+                        }
+                        cache.commit(&txn).unwrap();
+                    }
+                    for (b, v) in writes {
+                        model.insert(b % HOT, v);
+                        touched.push(b % HOT);
+                    }
+                }
+                Op::Read(b) => {
+                    for ((_, _, cache), buf) in sides.iter_mut().zip(&mut buf) {
+                        cache.read(b, buf).unwrap();
+                    }
+                    touched.push(b);
+                }
+                Op::Restart { crash_seed } => {
+                    for (delta_stage, side) in sides.iter_mut().enumerate() {
+                        let policy = match crash_seed {
+                            Some(s) => CrashPolicy::Random(s),
+                            None => CrashPolicy::LoseVolatile,
+                        };
+                        side.0.crash(policy);
+                        side.2 = TincaCache::recover(
+                            side.0.clone(),
+                            side.1.clone(),
+                            cfg(delta_stage == 1),
+                        )
+                        .unwrap();
+                    }
+                    touched.extend(model.keys());
+                }
+            }
+            for ((_, _, cache), buf) in sides.iter().zip(&mut buf) {
+                cache.check_consistency().map_err(TestCaseError::fail)?;
+                for &b in &touched {
+                    cache.read_nocache(b, buf).unwrap();
+                    let want = model.get(&b).map_or([0u8; BLOCK_SIZE], |&v| sparse(b, v));
+                    prop_assert_eq!(*buf, want, "block {}", b);
+                }
+            }
+            for &b in &touched {
+                if let (Some(off), Some(on)) = (sides[0].2.peek(b), sides[1].2.peek(b)) {
+                    prop_assert_eq!(off, on, "cached images of block {} differ", b);
+                }
+            }
+        }
+        prop_assert!(sides[0].2.stats().delta_stages == 0);
+    }
+
     /// Crash at a random event inside a random commit: the transaction is
     /// atomic and all previously committed data survives.
     #[test]
@@ -112,9 +199,10 @@ proptest! {
         txn_writes in proptest::collection::vec(0..64u64, 1..10),
         trip in 1..400u64,
         seed in any::<u64>(),
+        delta_stage in any::<bool>(),
     ) {
         quiet_crash_panics();
-        let (nvm, disk, mut cache) = fresh();
+        let (nvm, disk, mut cache) = fresh(delta_stage);
         let mut model: HashMap<u64, u8> = HashMap::new();
         // Pre-populate with committed data.
         let mut seed_txn = cache.init_txn();
@@ -122,6 +210,9 @@ proptest! {
             seed_txn.write(*b, &blk(*v));
             model.insert(*b, *v);
         }
+        cache.commit(&seed_txn).unwrap();
+        // Twice: with delta staging the rewrite parks a shadow under every
+        // block, so the crashing transaction below rewrites shadows.
         cache.commit(&seed_txn).unwrap();
 
         // The crashing transaction writes 255 everywhere it touches.
@@ -140,7 +231,7 @@ proptest! {
         drop(cache);
         nvm.crash(CrashPolicy::Random(seed));
 
-        let rec = TincaCache::recover(nvm, disk, cfg()).unwrap();
+        let rec = TincaCache::recover(nvm, disk, cfg(delta_stage)).unwrap();
         rec.check_consistency().map_err(TestCaseError::fail)?;
 
         let mut buf = [0u8; BLOCK_SIZE];

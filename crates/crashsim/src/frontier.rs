@@ -48,6 +48,7 @@ use rand::{Rng, SeedableRng};
 use tinca::{PoolConfig, TincaConfig, TincaPool};
 
 use crate::fuzz::{apply, script};
+use crate::poolfuzz::image;
 use crate::{quiet_crash_panics, CrashHarness, FsOracle};
 
 /// Aggregate over a frontier-enumeration campaign.
@@ -352,7 +353,7 @@ fn thread_script(
         .collect()
 }
 
-fn build_pool(shards: usize) -> (Vec<Nvm>, Disk, PoolConfig) {
+fn build_pool(shards: usize, delta_stage: bool) -> (Vec<Nvm>, Disk, PoolConfig) {
     let nvm_cfg = NvmConfig::new(shards * (256 << 10), NvmTech::Pcm).with_tracing();
     let devices = shard_devices(&nvm_cfg, shards);
     let clock = SimClock::new();
@@ -362,6 +363,7 @@ fn build_pool(shards: usize) -> (Vec<Nvm>, Disk, PoolConfig) {
         shards,
         cache: TincaConfig {
             ring_bytes: 4096,
+            delta_stage,
             ..TincaConfig::default()
         },
         ..PoolConfig::default()
@@ -445,7 +447,7 @@ pub fn pool_frontier_campaign(
     // Probe: full run, no trip. Each shard is single-writer, so its event
     // stream (and thus each epoch's trip ordinal) is replay-stable.
     let (epochs_per_shard, starts) = {
-        let (devices, disk, pool_cfg) = build_pool(shards);
+        let (devices, disk, pool_cfg) = build_pool(shards, false);
         let pool = TincaPool::format(devices.clone(), disk, pool_cfg);
         let starts: Vec<u64> = devices.iter().map(|d| d.events()).collect();
         let results = run_pool_threads(&pool, &devices, &plans);
@@ -483,7 +485,7 @@ fn run_pool_state(
     rel_trip: u64,
     keep: &[usize],
 ) -> Result<(), String> {
-    let (devices, disk, pool_cfg) = build_pool(shards);
+    let (devices, disk, pool_cfg) = build_pool(shards, false);
     let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
     let metadata_ranges: Vec<_> = (0..shards).map(|s| pool.shard_metadata_ranges(s)).collect();
     devices[trip_shard].set_trip(Some(rel_trip));
@@ -617,7 +619,7 @@ fn spanning_script(rng: &mut StdRng, txns: usize, bases: u64, shards: u64) -> Ve
 
 /// Commits `plan` on the calling thread; returns `(committed, crashed)`.
 /// Any panic other than the armed [`CrashTripped`] propagates.
-fn run_spanning_script(pool: &TincaPool, plan: &[TxnSpec]) -> (usize, bool) {
+fn run_spanning_script(pool: &TincaPool, plan: &[TxnSpec], sparse: bool) -> (usize, bool) {
     let mut committed = 0usize;
     let outcome = {
         let committed = &mut committed;
@@ -625,7 +627,7 @@ fn run_spanning_script(pool: &TincaPool, plan: &[TxnSpec]) -> (usize, bool) {
             for spec in plan {
                 let mut t = pool.init_txn();
                 for (b, v) in spec {
-                    t.write(*b, &fill(*v));
+                    t.write(*b, &image(*b, Some(*v), sparse));
                 }
                 pool.commit(t).expect("spanning frontier commit");
                 *committed += 1;
@@ -645,11 +647,18 @@ fn run_spanning_script(pool: &TincaPool, plan: &[TxnSpec]) -> (usize, bool) {
 /// anyway), so every device's event stream is replay-stable; each
 /// device's fence epochs are enumerated in turn, the crash landing on
 /// that device while the others lose their volatile state.
+///
+/// With `delta_stage` the pool runs [`TincaConfig::delta_stage`], every
+/// transaction rewrites the same block per shard and the payloads are
+/// sparse (`poolfuzz::image`), so from the third transaction on each
+/// fragment rewrites a reserved shadow block and the enumerated frontiers
+/// are subsets of the few lines it stored, in both halves of the block.
 pub fn spanning_frontier_campaign(
     shards: usize,
     seed: u64,
     txns: usize,
     cap_per_epoch: usize,
+    delta_stage: bool,
 ) -> FrontierReport {
     quiet_crash_panics();
     let mut report = FrontierReport {
@@ -658,15 +667,16 @@ pub fn spanning_frontier_campaign(
     };
     let plan = {
         let mut rng = StdRng::seed_from_u64(seed);
-        spanning_script(&mut rng, txns, 12, shards as u64)
+        let bases = if delta_stage { 1 } else { 12 };
+        spanning_script(&mut rng, txns, bases, shards as u64)
     };
 
     // Probe: full run, no trip, harvest every device's epochs.
     let (epochs_per_dev, starts) = {
-        let (devices, disk, pool_cfg) = build_pool(shards);
+        let (devices, disk, pool_cfg) = build_pool(shards, delta_stage);
         let pool = TincaPool::format(devices.clone(), disk, pool_cfg);
         let starts: Vec<u64> = devices.iter().map(|d| d.events()).collect();
-        let (committed, crashed) = run_spanning_script(&pool, &plan);
+        let (committed, crashed) = run_spanning_script(&pool, &plan, delta_stage);
         drop(pool);
         if crashed || committed != plan.len() {
             report
@@ -687,7 +697,7 @@ pub fn spanning_frontier_campaign(
         &epochs_per_dev,
         &starts,
         Some("device"),
-        |s, rel_trip, keep| run_spanning_state(shards, &plan, s, rel_trip, keep),
+        |s, rel_trip, keep| run_spanning_state(shards, delta_stage, &plan, s, rel_trip, keep),
     )
 }
 
@@ -696,16 +706,17 @@ pub fn spanning_frontier_campaign(
 /// devices lose volatile state), recover the pool, verify.
 fn run_spanning_state(
     shards: usize,
+    delta_stage: bool,
     plan: &[TxnSpec],
     trip_dev: usize,
     rel_trip: u64,
     keep: &[usize],
 ) -> Result<(), String> {
-    let (devices, disk, pool_cfg) = build_pool(shards);
+    let (devices, disk, pool_cfg) = build_pool(shards, delta_stage);
     let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
     let metadata_ranges: Vec<_> = (0..shards).map(|s| pool.shard_metadata_ranges(s)).collect();
     devices[trip_dev].set_trip(Some(rel_trip));
-    let (committed, crashed) = run_spanning_script(&pool, plan);
+    let (committed, crashed) = run_spanning_script(&pool, plan, delta_stage);
     devices[trip_dev].set_trip(None);
     drop(pool);
 
@@ -721,7 +732,14 @@ fn run_spanning_state(
     }
     let pool = TincaPool::recover(devices.clone(), disk, pool_cfg)
         .map_err(|e| format!("recovery failed: {e}"))?;
-    verify_spanning(&pool, &devices, &metadata_ranges, plan, committed)
+    verify_spanning(
+        &pool,
+        &devices,
+        &metadata_ranges,
+        plan,
+        committed,
+        delta_stage,
+    )
 }
 
 /// Post-recovery oracle for the spanning campaign: internals, per-shard
@@ -733,6 +751,7 @@ fn verify_spanning(
     metadata_ranges: &[Vec<std::ops::Range<usize>>],
     plan: &[TxnSpec],
     committed: usize,
+    sparse: bool,
 ) -> Result<(), String> {
     pool.check_consistency()
         .map_err(|e| format!("inconsistent internals: {e}"))?;
@@ -780,7 +799,7 @@ fn verify_spanning(
         }
         pool.read(b, &mut buf)
             .map_err(|e| format!("read {b}: {e}"))?;
-        if buf != fill(v) {
+        if buf != image(b, Some(v), sparse) {
             return Err(format!(
                 "durable block {b}: expected fill {v:#x}, read {:#x}",
                 buf[0]
@@ -790,15 +809,15 @@ fn verify_spanning(
     let mut news: Vec<u64> = Vec::new();
     let mut olds: Vec<u64> = Vec::new();
     for &(b, v) in in_flight {
-        let old = durable.get(&b).copied().unwrap_or(0);
-        if old == v {
+        let old = durable.get(&b).copied();
+        if old == Some(v) {
             continue;
         }
         pool.read(b, &mut buf)
             .map_err(|e| format!("read {b}: {e}"))?;
-        if buf == fill(v) {
+        if buf == image(b, Some(v), sparse) {
             news.push(b);
-        } else if buf == fill(old) {
+        } else if buf == image(b, old, sparse) {
             olds.push(b);
         } else {
             return Err(format!("in-flight block {b} is torn: read {:#x}", buf[0]));
@@ -906,11 +925,22 @@ mod tests {
 
     #[test]
     fn spanning_frontier_enumeration_is_all_or_nothing() {
-        let report = spanning_frontier_campaign(2, 9, 2, 4);
+        let report = spanning_frontier_campaign(2, 9, 2, 4, false);
         assert!(report.clean(), "{:?}", report.violations);
         assert!(report.epochs_total > 0, "probe found no workload epochs");
         // Epochs exist on both devices: the intent record lives on device
         // 0, the second fragment commits on device 1.
+        assert!(report.states_run >= 2 * report.epochs_total);
+    }
+
+    /// Delta staging under the same enumerator: the third and fourth
+    /// transactions rewrite a shadow on each shard, and every frontier of
+    /// the lines they stored recovers all-or-nothing.
+    #[test]
+    fn spanning_frontier_enumeration_covers_delta_staged_fragments() {
+        let report = spanning_frontier_campaign(2, 9, 4, 4, true);
+        println!("delta spanning frontier: {report}");
+        assert!(report.clean(), "{:?}", report.violations);
         assert!(report.states_run >= 2 * report.epochs_total);
     }
 

@@ -21,12 +21,22 @@
 //!   unflushed, unfenced, or torn — and so does the **merged**
 //!   multi-shard trace (intent publish/resolve/retire annotations
 //!   included).
+//!
+//! `delta_stage` is one more input: with it on the pool runs
+//! [`TincaConfig::delta_stage`], the script draws from a narrow block
+//! range and its payloads are sparse (`image`), so most writes are
+//! rewrites that find a reserved shadow block, skip most of its lines and
+//! store a few runs in both halves — and the trip lands mid-way through
+//! rewriting one. With it off the script draws from the wide range and
+//! the payloads are dense, `[v; BLOCK_SIZE]`.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use blockdev::{Disk, DiskKind, SimDisk, BLOCK_SIZE};
-use nvmsim::{merge_shard_traces, shard_devices, CrashPolicy, Nvm, NvmConfig, NvmTech, SimClock};
+use nvmsim::{
+    merge_shard_traces, shard_devices, CrashPolicy, Nvm, NvmConfig, NvmTech, SimClock, CACHE_LINE,
+};
 use persistcheck::{CheckConfig, Checker};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -90,13 +100,35 @@ fn script(rng: &mut StdRng, txns: usize, blocks: u64) -> Vec<TxnSpec> {
         .collect()
 }
 
-fn fill(v: u8) -> [u8; BLOCK_SIZE] {
-    [v; BLOCK_SIZE]
+/// The image of block `b` at fill byte `v` (`None`: never written, the
+/// disk's zeroes). Dense images are `[v; BLOCK_SIZE]`. Sparse ones — the
+/// delta-staging campaigns' — keep most lines constant per block and
+/// nonzero, and carry `v` in two separate three-line runs, one in each
+/// half of the block, whose positions move with `v`: a delta-staged
+/// rewrite has lines to skip and lines to store in both halves, and every
+/// line of every version differs from the fresh device's zeroes, so a
+/// torn or never-persisted line anywhere shows in a byte-for-byte check.
+pub(crate) fn image(b: u64, v: Option<u8>, sparse: bool) -> [u8; BLOCK_SIZE] {
+    let Some(v) = v else {
+        return [0; BLOCK_SIZE];
+    };
+    if !sparse {
+        return [v; BLOCK_SIZE];
+    }
+    let mut p = [0u8; BLOCK_SIZE];
+    for (l, line) in p.chunks_exact_mut(CACHE_LINE).enumerate() {
+        line.fill((b as u8).wrapping_mul(31).wrapping_add(l as u8) | 1);
+    }
+    let v_line = usize::from(v);
+    for start in [v_line % 24, 32 + v_line % 29] {
+        p[start * CACHE_LINE..(start + 3) * CACHE_LINE].fill(v);
+    }
+    p
 }
 
 /// Runs one seeded crash-fuzz iteration against an `N`-shard pool.
-pub fn pool_fuzz_one(shards: usize, seed: u64, txns: usize) -> PoolFuzzOutcome {
-    run_recoverable(&mut PoolApp::new(shards, seed, txns)).into()
+pub fn pool_fuzz_one(shards: usize, seed: u64, txns: usize, delta_stage: bool) -> PoolFuzzOutcome {
+    run_recoverable(&mut PoolApp::new(shards, seed, txns, delta_stage)).into()
 }
 
 /// The pool-level crash application: scripted block transactions against
@@ -119,10 +151,10 @@ struct PoolApp {
 }
 
 impl PoolApp {
-    fn new(shards: usize, seed: u64, txns: usize) -> PoolApp {
+    fn new(shards: usize, seed: u64, txns: usize, delta_stage: bool) -> PoolApp {
         quiet_crash_panics();
         let mut rng = StdRng::seed_from_u64(seed);
-        let blocks = 96u64;
+        let blocks = if delta_stage { 16u64 } else { 96 };
 
         let nvm_cfg = NvmConfig::new(shards * (256 << 10), NvmTech::Pcm).with_tracing();
         let devices: Vec<Nvm> = shard_devices(&nvm_cfg, shards);
@@ -134,6 +166,7 @@ impl PoolApp {
             shards,
             cache: TincaConfig {
                 ring_bytes: 4096,
+                delta_stage,
                 ..TincaConfig::default()
             },
             ..PoolConfig::default()
@@ -170,11 +203,12 @@ impl RecoverableApp for PoolApp {
             let committed = &mut self.committed;
             let pool = &self.pool;
             let plan = &self.plan;
+            let sparse = self.pool_cfg.cache.delta_stage;
             catch_unwind(AssertUnwindSafe(move || {
                 for spec in plan {
                     let mut t = pool.init_txn();
                     for (b, v) in spec {
-                        t.write(*b, &fill(*v));
+                        t.write(*b, &image(*b, Some(*v), sparse));
                     }
                     pool.commit(t).expect("fuzz commit");
                     for (b, v) in spec {
@@ -221,6 +255,7 @@ impl RecoverableApp for PoolApp {
             &self.durable,
             &self.plan[self.committed],
             self.shards,
+            self.pool_cfg.cache.delta_stage,
         )
         .map_err(|e| {
             let (seed, trip, trip_shard) = (self.seed, self.trip, self.trip_shard);
@@ -236,6 +271,7 @@ fn verify(
     durable: &HashMap<u64, u8>,
     in_flight: &TxnSpec,
     shards: usize,
+    sparse: bool,
 ) -> Result<(), String> {
     // 1. Internal invariants of every shard.
     pool.check_consistency()
@@ -282,7 +318,7 @@ fn verify(
             continue; // judged as part of the in-flight check below
         }
         pool.read(b, &mut buf).expect("poolfuzz runs fault-free");
-        if buf != fill(v) {
+        if buf != image(b, Some(v), sparse) {
             return Err(format!(
                 "durable block {b}: expected fill {v:#x}, read {:#x}",
                 buf[0]
@@ -292,14 +328,14 @@ fn verify(
     let mut news: Vec<u64> = Vec::new();
     let mut olds: Vec<u64> = Vec::new();
     for &(b, v) in in_flight {
-        let old = durable.get(&b).copied().unwrap_or(0);
-        if old == v {
+        let old = durable.get(&b).copied();
+        if old == Some(v) {
             continue; // uninformative: both outcomes read alike
         }
         pool.read(b, &mut buf).expect("poolfuzz runs fault-free");
-        if buf == fill(v) {
+        if buf == image(b, Some(v), sparse) {
             news.push(b);
-        } else if buf == fill(old) {
+        } else if buf == image(b, old, sparse) {
             olds.push(b);
         } else {
             return Err(format!("in-flight block {b} is torn: read {:#x}", buf[0]));
@@ -319,9 +355,15 @@ fn verify(
 }
 
 /// Runs a pool-fuzz campaign of `runs` seeds.
-pub fn pool_fuzz_campaign(shards: usize, base_seed: u64, runs: u64, txns: usize) -> PoolFuzzReport {
+pub fn pool_fuzz_campaign(
+    shards: usize,
+    base_seed: u64,
+    runs: u64,
+    txns: usize,
+    delta_stage: bool,
+) -> PoolFuzzReport {
     let r = campaign(runs, false, |i| {
-        run_recoverable(&mut PoolApp::new(shards, base_seed + i, txns))
+        run_recoverable(&mut PoolApp::new(shards, base_seed + i, txns, delta_stage))
     });
     PoolFuzzReport {
         runs: r.runs,
@@ -340,6 +382,19 @@ mod tests {
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
         assert_eq!(script(&mut a, 20, 64), script(&mut b, 20, 64));
+    }
+
+    #[test]
+    fn sparse_images_change_runs_in_both_halves_and_hold_no_zero_line() {
+        assert_eq!(image(7, Some(9), false), [9u8; BLOCK_SIZE]);
+        assert_eq!(image(7, None, true), [0u8; BLOCK_SIZE]);
+        let (a, b) = (image(7, Some(9), true), image(7, Some(200), true));
+        assert!(a.iter().all(|&x| x != 0));
+        let changed: Vec<usize> = (0..BLOCK_SIZE / CACHE_LINE)
+            .filter(|l| a[l * CACHE_LINE..][..CACHE_LINE] != b[l * CACHE_LINE..][..CACHE_LINE])
+            .collect();
+        assert_eq!(changed, [8, 9, 10, 11, 41, 42, 43, 58, 59, 60]);
+        assert_ne!(image(7, Some(9), true), image(8, Some(9), true));
     }
 
     #[test]

@@ -19,22 +19,49 @@
 //! spanning commit, not just the pinned ones; and a nested sweep crashes
 //! *inside* the recovery of sampled instants, in both commit modes, to
 //! show the roll decision repeats.
+//!
+//! Delta staging (`TincaConfig::delta_stage`) is one more input to the
+//! same sweeps: with it on, the payloads are sparse (`Setup::image`) and
+//! the cut commit rewrites reserved shadow blocks in place — several runs
+//! of lines in both halves of each — on one shard and across two, so cuts
+//! land mid-way through a shadow's rewrite and inside the second
+//! fragment's. With it off the payloads are dense, `[v; BLOCK_SIZE]`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 use crashsim::quiet_crash_panics;
 use nvmsim::{
-    merge_shard_traces, shard_devices, CrashPolicy, CrashTripped, Nvm, NvmConfig, NvmTech, SimClock,
+    merge_shard_traces, shard_devices, CrashPolicy, CrashTripped, Nvm, NvmConfig, NvmTech,
+    SimClock, CACHE_LINE,
 };
 use persistcheck::{CheckConfig, Checker};
 use tinca::{CommitMode, PoolConfig, TincaConfig, TincaPool};
 
-fn build_pool(shards: usize) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
-    build_pool_mode(shards, CommitMode::Mutex)
+/// What a sweep runs on.
+#[derive(Clone, Copy, Debug)]
+struct Setup {
+    shards: usize,
+    mode: CommitMode,
+    delta_stage: bool,
 }
 
-fn build_pool_mode(shards: usize, mode: CommitMode) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
+const MUTEX: Setup = Setup {
+    shards: 2,
+    mode: CommitMode::Mutex,
+    delta_stage: false,
+};
+
+fn build_pool(shards: usize) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
+    build_pool_with(Setup { shards, ..MUTEX })
+}
+
+fn build_pool_with(setup: Setup) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
+    let Setup {
+        shards,
+        mode,
+        delta_stage,
+    } = setup;
     let nvm_cfg = NvmConfig::new(shards * (256 << 10), NvmTech::Pcm).with_tracing();
     let devices = shard_devices(&nvm_cfg, shards);
     let clock = SimClock::new();
@@ -45,6 +72,7 @@ fn build_pool_mode(shards: usize, mode: CommitMode) -> (Vec<Nvm>, blockdev::Disk
         commit_mode: mode,
         cache: TincaConfig {
             ring_bytes: 4096,
+            delta_stage,
             ..TincaConfig::default()
         },
     };
@@ -55,13 +83,36 @@ fn fill(v: u8) -> [u8; BLOCK_SIZE] {
     [v; BLOCK_SIZE]
 }
 
+impl Setup {
+    /// Version `v` of block `b`: `fill(v)` without delta staging, with it
+    /// a sparse image — most lines constant per block and nonzero, `v` in
+    /// two separate three-line runs, one in each half of the block, whose
+    /// positions move with `v` — so a delta-staged rewrite has lines to
+    /// skip and runs to store in both halves, and no line of any version
+    /// equals the fresh device's zeroes.
+    fn image(self, b: u64, v: u8) -> [u8; BLOCK_SIZE] {
+        if !self.delta_stage {
+            return fill(v);
+        }
+        let mut p = [0u8; BLOCK_SIZE];
+        for (l, line) in p.chunks_exact_mut(CACHE_LINE).enumerate() {
+            line.fill((b as u8).wrapping_mul(31).wrapping_add(l as u8) | 1);
+        }
+        let v_line = usize::from(v);
+        for start in [v_line % 24, 32 + v_line % 29] {
+            p[start * CACHE_LINE..(start + 3) * CACHE_LINE].fill(v);
+        }
+        p
+    }
+}
+
 /// Commits one two-shard spanning transaction (block 0 → shard 0,
 /// block 1 → shard 1); returns whether the armed trip fired.
-fn try_spanning_commit(pool: &TincaPool) -> bool {
+fn try_spanning_commit(pool: &TincaPool, setup: Setup) -> bool {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut t = pool.init_txn();
-        t.write(0, &fill(0xAA));
-        t.write(1, &fill(0xBB));
+        t.write(0, &setup.image(0, 0xAA));
+        t.write(1, &setup.image(1, 0xBB));
         pool.commit(t).expect("spanning commit");
     }));
     match outcome {
@@ -84,7 +135,7 @@ fn crash_at(dev: usize, k: u64) -> (TincaPool, Vec<Nvm>) {
     let (devices, disk, pool_cfg) = build_pool(2);
     let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
     devices[dev].set_trip(Some(k));
-    let crashed = try_spanning_commit(&pool);
+    let crashed = try_spanning_commit(&pool, MUTEX);
     devices[dev].set_trip(None);
     drop(pool);
     assert!(crashed, "trip {k} on device {dev} did not fire");
@@ -126,7 +177,10 @@ fn every_crash_instant_is_all_or_nothing() {
         let (devices, disk, pool_cfg) = build_pool(2);
         let pool = TincaPool::format(devices.clone(), disk, pool_cfg);
         let starts: Vec<u64> = devices.iter().map(|d| d.events()).collect();
-        assert!(!try_spanning_commit(&pool), "probe crashed with no trip");
+        assert!(
+            !try_spanning_commit(&pool, MUTEX),
+            "probe crashed with no trip"
+        );
         devices
             .iter()
             .zip(&starts)
@@ -224,10 +278,10 @@ fn tagged_slots(pool: &TincaPool, s: usize) -> Vec<(u64, u8)> {
     })
 }
 
-fn commit_spanning_pair(pool: &TincaPool, v: u8) {
+fn commit_spanning_pair(pool: &TincaPool, setup: Setup, v: u8) {
     let mut t = pool.init_txn();
-    t.write(0, &fill(v));
-    t.write(1, &fill(v ^ 0xFF));
+    t.write(0, &setup.image(0, v));
+    t.write(1, &setup.image(1, v ^ 0xFF));
     pool.commit(t).expect("spanning commit");
 }
 
@@ -245,7 +299,7 @@ fn intent_tag_wraparound_leaves_no_stale_tags() {
 
     // Drive the 7-bit tag space around: ids 0..=129, tags wrap at 128.
     for i in 0..130u32 {
-        commit_spanning_pair(&pool, (i % 251) as u8 + 1);
+        commit_spanning_pair(&pool, MUTEX, (i % 251) as u8 + 1);
         for s in 0..2 {
             assert_eq!(
                 tagged_slots(&pool, s),
@@ -261,7 +315,7 @@ fn intent_tag_wraparound_leaves_no_stale_tags() {
     // through this very ring long ago. Recovery must judge only the open
     // window and come out clean + all-or-nothing.
     devices[1].set_trip(Some(1));
-    let crashed = try_spanning_commit(&pool);
+    let crashed = try_spanning_commit(&pool, MUTEX);
     devices[1].set_trip(None);
     drop(pool);
     assert!(crashed, "trip did not fire");
@@ -291,7 +345,7 @@ fn intent_tag_wraparound_leaves_no_stale_tags() {
     // commits reuse every id the pre-crash run already consumed. The
     // scrubbed ring makes that reuse collision-free.
     for i in 0..130u32 {
-        commit_spanning_pair(&pool, (i % 250) as u8 + 1);
+        commit_spanning_pair(&pool, MUTEX, (i % 250) as u8 + 1);
     }
     for s in 0..2 {
         assert_eq!(
@@ -349,7 +403,7 @@ fn failed_tagged_fragment_scrubs_its_slots() {
     // suffices and is handed back at every commit point.
     assert_eq!(tinca::intent_tag(0), tinca::intent_tag(128));
     for i in 1..=128u32 {
-        commit_spanning_pair(&pool, (i % 251) as u8 + 1);
+        commit_spanning_pair(&pool, MUTEX, (i % 251) as u8 + 1);
     }
     assert_eq!(pool.stats().spanning_commits, 128);
     drop(pool);
@@ -374,26 +428,28 @@ fn tripped<R>(f: impl FnOnce() -> R) -> Result<R, ()> {
     }
 }
 
-/// The durable state a spanning commit of `0xAA`/`0xBB` over blocks 0/1
-/// leaves when the power fails at persistence event `k` of device `dev`:
-/// committed single-shard and spanning history (so roll-back has previous
-/// versions to restore, and — on the ring — pipelined rounds and their
-/// descriptors precede the cut), then the cut itself.
-fn cut_spanning_commit(
-    mode: CommitMode,
-    dev: usize,
-    k: u64,
-) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
-    let (devices, disk, pool_cfg) = build_pool_mode(2, mode);
+/// The durable state a commit of `0xAA`/`0xBB` over blocks 0/1 (spanning
+/// on two shards) leaves when the power fails at persistence event `k` of
+/// device `dev`: committed single-shard and spanning history (so roll-back
+/// has previous versions to restore, and — on the ring — pipelined rounds
+/// and their descriptors precede the cut), then the cut itself. With
+/// delta staging the history rewrites blocks 0/1 once more, so both hold
+/// a shadow and the cut commit rewrites those.
+fn cut_spanning_commit(setup: Setup, dev: usize, k: u64) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
+    let mode = setup.mode;
+    let (devices, disk, pool_cfg) = build_pool_with(setup);
     let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
-    commit_spanning_pair(&pool, 0x01);
+    if setup.delta_stage {
+        commit_spanning_pair(&pool, setup, 0x02);
+    }
+    commit_spanning_pair(&pool, setup, 0x01);
     for (blk, v) in BYSTANDERS {
         let mut t = pool.init_txn();
-        t.write(blk, &fill(v));
+        t.write(blk, &setup.image(blk, v));
         pool.commit(t).expect("single-shard commit");
     }
     devices[dev].set_trip(Some(k));
-    let crashed = try_spanning_commit(&pool);
+    let crashed = try_spanning_commit(&pool, setup);
     drop(pool);
     assert!(crashed, "{mode:?}: trip {k} on device {dev} did not fire");
     for d in &devices {
@@ -404,11 +460,11 @@ fn cut_spanning_commit(
 
 /// Blocks 0 and 1 as one of the two legal outcomes: `true` when the cut
 /// spanning transaction is fully visible, `false` when fully absent.
-fn rolled_forward(pool: &TincaPool, what: &str) -> bool {
+fn rolled_forward(pool: &TincaPool, setup: Setup, what: &str) -> bool {
     let (b0, b1) = (read_block(pool, 0), read_block(pool, 1));
-    if b0 == fill(0xAA) && b1 == fill(0xBB) {
+    if b0 == setup.image(0, 0xAA) && b1 == setup.image(1, 0xBB) {
         true
-    } else if b0 == fill(0x01) && b1 == fill(0x01 ^ 0xFF) {
+    } else if b0 == setup.image(0, 0x01) && b1 == setup.image(1, 0x01 ^ 0xFF) {
         false
     } else {
         panic!(
@@ -440,13 +496,13 @@ fn events_during<R>(devices: &[Nvm], f: impl FnOnce() -> R) -> (R, Vec<u64>) {
 /// way on every shard and leave nothing for a third one to roll; the whole
 /// history must be persistcheck-clean as one merged trace.
 fn cut_recovery(
-    mode: CommitMode,
+    setup: Setup,
     (dev, k): (usize, u64),
     (rdev, j): (usize, u64),
     expect_forward: bool,
 ) {
-    let what = format!("{mode:?} cut dev{dev}@{k}, recovery cut dev{rdev}@{j}");
-    let (devices, disk, pool_cfg) = cut_spanning_commit(mode, dev, k);
+    let what = format!("{setup:?} cut dev{dev}@{k}, recovery cut dev{rdev}@{j}");
+    let (devices, disk, pool_cfg) = cut_spanning_commit(setup, dev, k);
     let recover = || TincaPool::recover(devices.clone(), disk.clone(), pool_cfg.clone());
     devices[rdev].set_trip(Some(j));
     assert!(
@@ -458,24 +514,20 @@ fn cut_recovery(
     }
     let pool = recover().expect("second recovery");
     assert_eq!(
-        rolled_forward(&pool, &what),
+        rolled_forward(&pool, setup, &what),
         expect_forward,
         "{what}: direction flipped"
     );
     for (blk, v) in BYSTANDERS {
-        assert_eq!(read_block(&pool, blk), fill(v), "{what}: block {blk}");
+        assert_eq!(
+            read_block(&pool, blk),
+            setup.image(blk, v),
+            "{what}: block {blk}"
+        );
     }
     pool.check_consistency()
         .unwrap_or_else(|e| panic!("{what}: {e}"));
-    let capacity = devices[0].capacity();
-    let merged_ranges = (0..devices.len())
-        .flat_map(|s| {
-            pool.shard_metadata_ranges(s)
-                .into_iter()
-                .map(move |r| (s, r))
-        })
-        .map(|(s, r)| r.start + s * capacity..r.end + s * capacity)
-        .collect();
+    let merged_ranges = merged_metadata_ranges(&pool, &devices);
     drop(pool);
 
     for d in &devices {
@@ -492,33 +544,128 @@ fn cut_recovery(
         (0, 0, 0),
         "{what}: third recovery still rolled"
     );
-    assert_eq!(rolled_forward(&pool, &what), expect_forward, "{what}");
+    assert_eq!(
+        rolled_forward(&pool, setup, &what),
+        expect_forward,
+        "{what}"
+    );
 
     // Format, commits, three power cuts, three recoveries — in persist order.
+    assert_persist_clean(merged_ranges, &devices, &what);
+}
+
+/// Every shard's metadata ranges, rebased into the merged trace's
+/// address space.
+fn merged_metadata_ranges(pool: &TincaPool, devices: &[Nvm]) -> Vec<std::ops::Range<usize>> {
+    let capacity = devices[0].capacity();
+    (0..devices.len())
+        .flat_map(|s| {
+            pool.shard_metadata_ranges(s)
+                .into_iter()
+                .map(move |r| (s, r))
+        })
+        .map(|(s, r)| r.start + s * capacity..r.end + s * capacity)
+        .collect()
+}
+
+/// Drains every device's trace and audits the merged history.
+fn assert_persist_clean(merged_ranges: Vec<std::ops::Range<usize>>, devices: &[Nvm], what: &str) {
     let mut checker = Checker::new(CheckConfig::with_metadata(merged_ranges));
     let traces = devices.iter().map(|d| d.take_trace()).collect();
-    checker.push_all(&merge_shard_traces(traces, capacity));
+    checker.push_all(&merge_shard_traces(traces, devices[0].capacity()));
     let report = checker.report();
     assert!(report.is_clean(), "{what}: {report}");
+}
+
+const DELTA: Setup = Setup {
+    delta_stage: true,
+    ..MUTEX
+};
+
+/// Per-device persistence events of the commit [`cut_spanning_commit`]
+/// cuts, counted on an uninterrupted run after the same history.
+fn commit_events(setup: Setup) -> Vec<u64> {
+    let (devices, disk, pool_cfg) = cut_spanning_commit(setup, 0, 1);
+    let pool = TincaPool::recover(devices.clone(), disk, pool_cfg).expect("recovery");
+    if setup.delta_stage {
+        // Recovery dropped the hints with the rest of DRAM; park them again.
+        commit_spanning_pair(&pool, setup, 0x02);
+        commit_spanning_pair(&pool, setup, 0x01);
+    }
+    let before = pool.stats();
+    let (crashed, spans) = events_during(&devices, || try_spanning_commit(&pool, setup));
+    assert!(!crashed, "probe crashed with no trip");
+    if setup.delta_stage {
+        let after = pool.stats();
+        assert_eq!(
+            after.delta_stages,
+            before.delta_stages + 2,
+            "both blocks of the cut commit must rewrite a shadow"
+        );
+        // Block 0 stores three runs of three lines (2.., 34.., 57..),
+        // block 1 four (13.., 19.., 45.., 53..): both halves of both.
+        assert_eq!(
+            after.delta_lines_skipped - before.delta_lines_skipped,
+            2 * 64 - 21
+        );
+    }
+    spans
+}
+
+/// The full trip sweep with delta staging on: a power cut at **every**
+/// persistence event of a commit that rewrites two shadows — on one
+/// shard (an ordinary commit) and across two (the two-phase path, so
+/// cuts also land inside the second fragment's rewrite). Every recovered
+/// state is all-or-nothing, byte for byte, keeps the bystanders, passes
+/// `check_consistency` (a reserved block is a free block to recovery)
+/// and the merged persistcheck audit.
+#[test]
+fn every_crash_instant_of_a_delta_staged_commit_is_all_or_nothing() {
+    quiet_crash_panics();
+    for shards in [1, 2] {
+        let setup = Setup { shards, ..DELTA };
+        let (mut saw_back, mut saw_forward) = (false, false);
+        for (dev, &events) in commit_events(setup).iter().enumerate() {
+            for k in 1..=events {
+                let what = format!("{setup:?} cut dev{dev}@{k}");
+                let (devices, disk, pool_cfg) = cut_spanning_commit(setup, dev, k);
+                let pool = TincaPool::recover(devices.clone(), disk, pool_cfg).expect("recovery");
+                let forward = rolled_forward(&pool, setup, &what);
+                saw_forward |= forward;
+                saw_back |= !forward;
+                for (blk, v) in BYSTANDERS {
+                    assert_eq!(
+                        read_block(&pool, blk),
+                        setup.image(blk, v),
+                        "{what}: block {blk}"
+                    );
+                }
+                pool.check_consistency()
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_persist_clean(merged_metadata_ranges(&pool, &devices), &devices, &what);
+            }
+        }
+        assert!(saw_back, "{shards} shard(s): no instant rolled back");
+        assert!(saw_forward, "{shards} shard(s): no instant rolled forward");
+    }
 }
 
 /// Crash *inside* `TincaPool::recover` on the spanning-intent path. For a
 /// sample of first-crash instants spread over publish / prepare / resolve
 /// / retire, a second power cut lands at every persistence event of the
 /// recovery on either device ([`cut_recovery`]). Both commit modes run
-/// the same fragment code, so one body covers both.
+/// the same fragment code, so one body covers both — and the delta-staged
+/// fragments, whose revocation must free a half-rewritten shadow.
 #[test]
 fn crash_inside_recovery_repeats_the_roll_decision() {
     quiet_crash_panics();
-    for mode in [CommitMode::Mutex, CommitMode::LockFreeRing] {
-        // Probe: per-device persistence events of one spanning commit.
-        let spans = {
-            let (devices, disk, pool_cfg) = cut_spanning_commit(mode, 0, 1);
-            let pool = TincaPool::recover(devices.clone(), disk, pool_cfg).expect("recovery");
-            let (crashed, spans) = events_during(&devices, || try_spanning_commit(&pool));
-            assert!(!crashed, "probe crashed with no trip");
-            spans
-        };
+    let ring = Setup {
+        mode: CommitMode::LockFreeRing,
+        ..MUTEX
+    };
+    for setup in [MUTEX, ring, DELTA] {
+        let mode = (setup.mode, setup.delta_stage);
+        let spans = commit_events(setup);
         let (mut saw_back, mut saw_forward) = (false, false);
         for (dev, &events) in spans.iter().enumerate() {
             // Five instants spread over the commit, plus its last two
@@ -529,16 +676,16 @@ fn crash_inside_recovery_repeats_the_roll_decision() {
             for k in instants {
                 // The uninterrupted recovery fixes the expected direction
                 // and counts the recovery's own events per device.
-                let (devices, disk, pool_cfg) = cut_spanning_commit(mode, dev, k);
+                let (devices, disk, pool_cfg) = cut_spanning_commit(setup, dev, k);
                 let (pool, rec_events) = events_during(&devices, || {
                     TincaPool::recover(devices.clone(), disk, pool_cfg).expect("recovery")
                 });
-                let expect_forward = rolled_forward(&pool, "uninterrupted recovery");
+                let expect_forward = rolled_forward(&pool, setup, "uninterrupted recovery");
                 saw_forward |= expect_forward;
                 saw_back |= !expect_forward;
                 for (rdev, &n) in rec_events.iter().enumerate() {
                     for j in 1..=n {
-                        cut_recovery(mode, (dev, k), (rdev, j), expect_forward);
+                        cut_recovery(setup, (dev, k), (rdev, j), expect_forward);
                     }
                 }
             }

@@ -162,6 +162,7 @@ impl StackConfig {
             role_switch: self.system != System::TincaNoRoleSwitch,
             destage: self.destage,
             coalesce_flushes: self.destage,
+            ..TincaConfig::default()
         }
     }
 

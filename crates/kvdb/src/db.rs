@@ -64,6 +64,10 @@ pub struct Db<S: PageStore> {
     durable_meta: Meta,
     commit_seq: u64,
     in_txn: bool,
+    /// Commit batch slots, kept across commits: every encoder overwrites
+    /// its whole page, so a slot is reused as it is instead of being
+    /// zeroed and moved into a fresh batch each time.
+    batch: Vec<(u32, [u8; PAGE_SIZE])>,
 }
 
 impl<S: PageStore> Db<S> {
@@ -88,6 +92,7 @@ impl<S: PageStore> Db<S> {
                 durable_meta: Meta::default(),
                 commit_seq: 0,
                 in_txn: false,
+                batch: Vec::new(),
             };
             db.cache.insert(1, Node::Leaf(Vec::new()));
             db.dirty.insert(1);
@@ -103,6 +108,7 @@ impl<S: PageStore> Db<S> {
             meta,
             commit_seq: lsn,
             in_txn: false,
+            batch: Vec::new(),
         })
     }
 
@@ -170,24 +176,27 @@ impl<S: PageStore> Db<S> {
         self.commit_seq += 1;
         let lsn = self.commit_seq;
         let meta_changed = self.meta != self.durable_meta;
-        let mut batch: Vec<(u32, [u8; PAGE_SIZE])> =
-            Vec::with_capacity(self.dirty.len() + usize::from(meta_changed));
-        // Each image is encoded in place, in its slot of the batch.
-        if meta_changed {
-            batch.push((0, [0u8; PAGE_SIZE]));
-            encode_meta(&self.meta, lsn, &mut batch[0].1)
-                .map_err(|err| KvError::Corrupt { page: 0, err })?;
+        let pages = self.dirty.len() + usize::from(meta_changed);
+        if self.batch.len() < pages {
+            self.batch.resize(pages, (0, [0u8; PAGE_SIZE]));
         }
-        for &id in &self.dirty {
+        // Each image is encoded in place, in its slot of the batch.
+        let mut slots = self.batch.iter_mut();
+        if meta_changed {
+            if let Some((id, page)) = slots.next() {
+                *id = 0;
+                encode_meta(&self.meta, lsn, page)
+                    .map_err(|err| KvError::Corrupt { page: 0, err })?;
+            }
+        }
+        for (&id, (slot_id, page)) in self.dirty.iter().zip(slots) {
             let node = self.cache.get(&id).ok_or(KvError::TxnState(
                 "dirty page missing from cache (internal bug)",
             ))?;
-            batch.push((id, [0u8; PAGE_SIZE]));
-            let slot = batch.len() - 1;
-            encode_node(node, lsn, &mut batch[slot].1)
-                .map_err(|err| KvError::Corrupt { page: id, err })?;
+            *slot_id = id;
+            encode_node(node, lsn, page).map_err(|err| KvError::Corrupt { page: id, err })?;
         }
-        self.store.commit_pages(&batch)?;
+        self.store.commit_pages(&self.batch[..pages])?;
         // Only a successful commit moves the durable image: after an error
         // the next batch carries page 0 again.
         if meta_changed {

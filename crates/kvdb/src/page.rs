@@ -127,37 +127,94 @@ fn crc32_bytewise(mut c: u32, bytes: &[u8]) -> u32 {
     c
 }
 
+/// One slicing-by-16 step: folds the 16 bytes `ch` into the state `c`.
+#[inline(always)]
+fn fold16(c: u32, ch: &[u8; 16]) -> u32 {
+    let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+    CRC_SLICES[15][(lo & 0xFF) as usize]
+        ^ CRC_SLICES[14][((lo >> 8) & 0xFF) as usize]
+        ^ CRC_SLICES[13][((lo >> 16) & 0xFF) as usize]
+        ^ CRC_SLICES[12][(lo >> 24) as usize]
+        ^ CRC_SLICES[11][ch[4] as usize]
+        ^ CRC_SLICES[10][ch[5] as usize]
+        ^ CRC_SLICES[9][ch[6] as usize]
+        ^ CRC_SLICES[8][ch[7] as usize]
+        ^ CRC_SLICES[7][ch[8] as usize]
+        ^ CRC_SLICES[6][ch[9] as usize]
+        ^ CRC_SLICES[5][ch[10] as usize]
+        ^ CRC_SLICES[4][ch[11] as usize]
+        ^ CRC_SLICES[3][ch[12] as usize]
+        ^ CRC_SLICES[2][ch[13] as usize]
+        ^ CRC_SLICES[1][ch[14] as usize]
+        ^ CRC_SLICES[0][ch[15] as usize]
+}
+
 /// Folds `bytes` into the running CRC state `c` (the raw register: start
 /// from `!0`, invert once at the end). Streaming, so a caller can feed a
-/// buffer in segments — [`check_seal`] skips the stored CRC field that way
-/// instead of copying the page to blank it.
+/// buffer in segments.
 fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
-    let mut chunks = bytes.chunks_exact(16);
-    for ch in &mut chunks {
-        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
-        c = CRC_SLICES[15][(lo & 0xFF) as usize]
-            ^ CRC_SLICES[14][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_SLICES[13][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_SLICES[12][(lo >> 24) as usize]
-            ^ CRC_SLICES[11][ch[4] as usize]
-            ^ CRC_SLICES[10][ch[5] as usize]
-            ^ CRC_SLICES[9][ch[6] as usize]
-            ^ CRC_SLICES[8][ch[7] as usize]
-            ^ CRC_SLICES[7][ch[8] as usize]
-            ^ CRC_SLICES[6][ch[9] as usize]
-            ^ CRC_SLICES[5][ch[10] as usize]
-            ^ CRC_SLICES[4][ch[11] as usize]
-            ^ CRC_SLICES[3][ch[12] as usize]
-            ^ CRC_SLICES[2][ch[13] as usize]
-            ^ CRC_SLICES[1][ch[14] as usize]
-            ^ CRC_SLICES[0][ch[15] as usize];
+    let (chunks, tail) = bytes.as_chunks::<16>();
+    for ch in chunks {
+        c = fold16(c, ch);
     }
-    crc32_bytewise(c, chunks.remainder())
+    crc32_bytewise(c, tail)
 }
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(0xFFFF_FFFF, bytes)
+}
+
+const HALF_PAGE: usize = PAGE_SIZE / 2;
+
+/// The CRC register's advance through [`HALF_PAGE`] zero bytes, as a 32 × 32
+/// bit matrix: `CRC_SHIFT_HALF[i]` is where state bit `i` ends up. The
+/// register update is linear over GF(2), so a state advances as the XOR of
+/// its set bits' columns.
+const CRC_SHIFT_HALF: [u32; 32] = {
+    let mut cols = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        let mut c = 1u32 << i;
+        let mut n = 0;
+        while n < HALF_PAGE {
+            c = CRC_TABLE[(c & 0xFF) as usize] ^ (c >> 8);
+            n += 1;
+        }
+        cols[i] = c;
+        i += 1;
+    }
+    cols
+};
+
+/// The page CRC: CRC-32 of `page` with its CRC field read as zero — what
+/// [`seal`] stamps and [`check_seal`] compares against.
+///
+/// One slicing-by-16 chain is a serial dependency through the state; the
+/// two page halves run as two independent chains in one loop instead, and
+/// linearity joins them: the state after both halves is the first half's
+/// state advanced through a half page of zeros, XOR the second half's state
+/// started from zero.
+fn crc32_page(page: &[u8; PAGE_SIZE]) -> u32 {
+    let (a, b) = page.split_at(HALF_PAGE);
+    let (a, _) = a.as_chunks::<16>();
+    let (b, _) = b.as_chunks::<16>();
+    // The field sits at the start of the first half's second chunk.
+    let mut crc_chunk = a[CRC_OFF / 16];
+    crc_chunk[..4].fill(0);
+    let mut ca = fold16(fold16(0xFFFF_FFFF, &a[0]), &crc_chunk);
+    let mut cb = fold16(fold16(0, &b[0]), &b[1]);
+    for (x, y) in a[2..].iter().zip(&b[2..]) {
+        ca = fold16(ca, x);
+        cb = fold16(cb, y);
+    }
+    let mut joined = cb;
+    for (i, col) in CRC_SHIFT_HALF.iter().enumerate() {
+        if (ca >> i) & 1 != 0 {
+            joined ^= col;
+        }
+    }
+    !joined
 }
 
 /// A decoded B-tree node.
@@ -225,7 +282,7 @@ fn header(page: &mut [u8; PAGE_SIZE], kind: u8, nkeys: u16, lsn: u64) {
 /// anything), then stamps the CRC.
 fn seal(page: &mut [u8; PAGE_SIZE], off: usize) {
     page[off..].fill(0);
-    let crc = crc32(&page[..]);
+    let crc = crc32_page(page);
     page[CRC_OFF..CRC_OFF + 4].copy_from_slice(&crc.to_le_bytes());
 }
 
@@ -234,10 +291,7 @@ fn check_seal(buf: &[u8; PAGE_SIZE]) -> Result<(), PageError> {
         return Err(PageError::BadMagic);
     }
     let stored = u32::from_le_bytes([buf[16], buf[17], buf[18], buf[19]]);
-    // The CRC covers the page with its own field zeroed.
-    let c = crc32_update(0xFFFF_FFFF, &buf[..CRC_OFF]);
-    let c = crc32_update(c, &[0u8; 4]);
-    let computed = !crc32_update(c, &buf[CRC_OFF + 4..]);
+    let computed = crc32_page(buf);
     if stored != computed {
         return Err(PageError::BadCrc { stored, computed });
     }
@@ -468,9 +522,41 @@ mod tests {
         }
     }
 
-    /// `check_seal` feeds the page around its CRC field; the definition is
-    /// the CRC of a copy with the field zeroed. Same verdict and the same
-    /// `BadCrc` values on sealed, random and corrupted pages.
+    /// `crc32_page` is by definition the bytewise CRC of a copy with the
+    /// CRC field zeroed, whatever the field holds.
+    #[test]
+    fn crc32_page_matches_bytewise_over_the_field_zeroed_page() {
+        let zeroed_bytewise = |page: &[u8; PAGE_SIZE]| {
+            let mut copy = *page;
+            copy[CRC_OFF..CRC_OFF + 4].fill(0);
+            assert_eq!(crc32(&copy), !crc32_bytewise(0xFFFF_FFFF, &copy));
+            crc32(&copy)
+        };
+        let mut pages = vec![[0u8; PAGE_SIZE], [0xFFu8; PAGE_SIZE]];
+        for seed in 0..64u64 {
+            let mut page = [0u8; PAGE_SIZE];
+            page.copy_from_slice(&filler(seed, PAGE_SIZE));
+            pages.push(page);
+        }
+        for (i, page) in pages.iter().enumerate() {
+            assert_eq!(crc32_page(page), zeroed_bytewise(page), "page {i}");
+            // One changed byte on either side of the seam between the two
+            // streams, and at both ends, moves the CRC the same way.
+            for at in [0, 15, 20, 31, 32, HALF_PAGE - 1, HALF_PAGE, PAGE_SIZE - 1] {
+                let mut bad = *page;
+                bad[at] ^= 0x40;
+                assert_eq!(crc32_page(&bad), zeroed_bytewise(&bad), "page {i} at {at}");
+                assert_ne!(crc32_page(&bad), crc32_page(page), "page {i} at {at}");
+            }
+            let mut other_field = *page;
+            other_field[CRC_OFF..CRC_OFF + 4].copy_from_slice(&[1, 2, 3, 4]);
+            assert_eq!(crc32_page(&other_field), crc32_page(page), "page {i} field");
+        }
+    }
+
+    /// The definition of `check_seal` is the CRC of a copy with the field
+    /// zeroed. Same verdict and the same `BadCrc` values on sealed, random
+    /// and corrupted pages.
     #[test]
     fn check_seal_segmented_matches_the_zeroed_copy() {
         let zeroed_copy = |page: &[u8; PAGE_SIZE]| {
@@ -498,11 +584,15 @@ mod tests {
             let sealed = encoded_node(&node, seed);
             assert_eq!(check_seal(&sealed), Ok(()));
             assert_eq!(zeroed_copy(&sealed), Ok(()));
-            for at in [5, 15, 16, 19, 20, 24, 777, PAGE_SIZE - 1] {
+            for at in [5, 15, 16, 19, 20, 24, 777, 2047, 2048, 3000, PAGE_SIZE - 1] {
                 let mut bad = sealed;
                 bad[at] ^= 1 << (seed % 8);
                 assert!(check_seal(&bad).is_err(), "seed {seed} flip at {at}");
                 assert_eq!(check_seal(&bad), zeroed_copy(&bad), "seed {seed} at {at}");
+                assert!(
+                    matches!(decode_node(&bad), Err(PageError::BadCrc { .. })),
+                    "seed {seed} flip at {at}"
+                );
             }
         }
     }

@@ -15,10 +15,13 @@ use kvdb::{
 /// Transactions per seeded plan.
 const TXNS: usize = 15;
 /// Trip ranges sized from measured event rates (~1430 events/txn for the
-/// WAL stack, ~60–115/txn per shard for the pool), so trips land
-/// mid-workload for most seeds while some seeds run to completion.
+/// WAL stack; a 15-transaction run on the delta-staging pool emits 492
+/// events per shard in the median and 879 at most), so trips land
+/// mid-workload for most seeds while some seeds run to completion. A
+/// change that moves a stack's event count moves its range with it, or
+/// fewer seeds crash.
 const WAL_TRIP_MAX: u64 = 20_000;
-const TINCA_TRIP_MAX: u64 = 1_500;
+const TINCA_TRIP_MAX: u64 = 1_000;
 
 #[test]
 fn wal_kv_fuzz_power_pull_smoke() {
