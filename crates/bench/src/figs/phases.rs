@@ -14,7 +14,9 @@
 //!
 //! The run asserts that ≥ 95 % of simulated commit-path time is
 //! attributed to named child phases (`commit` self time ≤ 5 %) — the
-//! instrumentation-coverage gate for the commit protocol.
+//! instrumentation-coverage gate for the commit protocol — and that
+//! ≥ 95 % of the closing recovery's time sits in its named steps
+//! (`recovery.scan` / `.judge` / `.close` / `.rebuild`).
 
 use std::fs;
 
@@ -99,6 +101,36 @@ pub fn run(quick: bool) -> f64 {
         MIN_ATTRIBUTED * 100.0
     );
 
+    // Recovery's named steps: the share of its simulated time under the
+    // `recovery.*` children, and the step that dominates it.
+    let recovery = report
+        .find(telemetry::phase::RECOVERY)
+        .expect("workload recovered");
+    let steps: Vec<_> = recovery
+        .children
+        .iter()
+        .map(|&c| &report.phases[c])
+        .filter(|p| p.name.starts_with("recovery."))
+        .collect();
+    let frac_recovery =
+        steps.iter().map(|p| p.total_ns).sum::<u64>() as f64 / recovery.total_ns.max(1) as f64;
+    let dominant = steps
+        .iter()
+        .max_by_key(|p| p.total_ns)
+        .map_or("-", |p| p.name.as_str());
+    println!(
+        "recovery attribution: {:.2}% of {} simulated ns in named steps, {dominant} largest",
+        frac_recovery * 100.0,
+        recovery.total_ns,
+    );
+    assert!(
+        frac_recovery >= MIN_ATTRIBUTED,
+        "only {:.2}% of recovery time attributed (< {:.0}%) — \
+         a recovery step lost its span",
+        frac_recovery * 100.0,
+        MIN_ATTRIBUTED * 100.0
+    );
+
     // Top-level phases as a table/CSV like every other figure.
     let mut t = Table::new(&["Phase", "total ns", "count", "share %"]);
     let total: u64 = report.total_ns.max(1);
@@ -174,6 +206,7 @@ pub fn run(quick: bool) -> f64 {
         ("quick", quick.into()),
         ("ops", ops.into()),
         ("attributed_fraction_commit", frac.into()),
+        ("attributed_fraction_recovery", frac_recovery.into()),
         ("min_attributed", MIN_ATTRIBUTED.into()),
         ("flush_smells", smell_totals),
         ("gate", gate),

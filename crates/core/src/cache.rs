@@ -1144,10 +1144,11 @@ impl TincaCache {
 
     /// Undoes one in-flight entry: restores the previous version, or
     /// deletes the entry if the block was fresh. Shared by runtime abort
-    /// and crash recovery.
-    pub(crate) fn revoke_entry(&mut self, idx: u32, e: CacheEntry) {
+    /// and crash recovery. Returns the entry it persisted, so recovery's
+    /// decoded table follows the device without a reload.
+    pub(crate) fn revoke_entry(&mut self, idx: u32, e: CacheEntry) -> CacheEntry {
         debug_assert!(e.valid && !e.is_revoked_marker());
-        match e.revoked() {
+        let persisted = match e.revoked() {
             Some(restored) => {
                 // In-flight entries are always modified, and so is the
                 // restored entry (`revoked()` marks the previous version
@@ -1157,6 +1158,7 @@ impl TincaCache {
                 if !self.free_blocks.is_free(e.cur) {
                     self.free_blocks.release(e.cur);
                 }
+                restored
             }
             None => {
                 self.write_entry(idx, CacheEntry::INVALID);
@@ -1175,9 +1177,11 @@ impl TincaCache {
                 // the surviving entries afterwards); at runtime the entry
                 // was tracked.
                 self.dirty_idx.remove(&idx);
+                CacheEntry::INVALID
             }
-        }
+        };
         self.stats.revoked_blocks += 1;
+        persisted
     }
 
     /// Reads on-disk block `disk_blk` through the cache (§4.6: Tinca caches

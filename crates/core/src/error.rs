@@ -31,6 +31,19 @@ pub enum TincaError {
         /// The value the current configuration expects.
         expected: u64,
     },
+    /// A persisted cache entry contradicts the rest of the entry table
+    /// after recovery judged the ring: it maps a disk block or names an
+    /// NVM block that another valid entry already holds, or its NVM block
+    /// lies outside the data area. Recovery refuses to rebuild the DRAM
+    /// index over it.
+    CorruptEntry {
+        /// Index of the offending entry.
+        entry: u32,
+        /// What is wrong with it.
+        fault: &'static str,
+        /// The disk or NVM block number the fault concerns.
+        block: u64,
+    },
     /// `flush_all` was called while a transaction was mid-commit
     /// (`Head != Tail`): flushing would write back blocks the crash
     /// protocol may still revoke.
@@ -77,6 +90,13 @@ impl fmt::Display for TincaError {
                      configuration expects {expected} (changed ring_bytes or capacity?)"
                 )
             }
+            TincaError::CorruptEntry {
+                entry,
+                fault,
+                block,
+            } => {
+                write!(f, "corrupt cache entry {entry}: {fault} (block {block})")
+            }
             TincaError::CommitInProgress { head, tail } => {
                 write!(
                     f,
@@ -113,6 +133,14 @@ mod tests {
         assert!(e.to_string().contains("ring_cap"));
         assert!(e.to_string().contains("128"));
         assert!(e.to_string().contains("8192"));
+        let e = TincaError::CorruptEntry {
+            entry: 12,
+            fault: "NVM block outside the data area",
+            block: 4096,
+        };
+        assert!(e.to_string().contains("entry 12"));
+        assert!(e.to_string().contains("outside the data area"));
+        assert!(e.to_string().contains("4096"));
         let e = TincaError::CommitInProgress { head: 9, tail: 5 };
         assert!(e.to_string().contains("head=9"));
         let e = TincaError::from(IoError::BadBlock { blk: 77 });

@@ -272,6 +272,7 @@ impl TincaPool {
         // Single-shard pools never write the record; skipping the read
         // keeps `N = 1` recovery bit-for-bit identical to a bare cache.
         let intent = if cfg.shards > 1 {
+            let _t = telemetry::span(telemetry::phase::RECOVERY_INTENT);
             SpanningIntent::decode(devices[0].read_u64(INTENT_STATE_OFF))
         } else {
             SpanningIntent::None
@@ -292,6 +293,7 @@ impl TincaPool {
             // All shards rolled the directive's way and closed their
             // rings; a crash before this store re-reads the record and
             // repeats the identical (idempotent) decision.
+            let _t = telemetry::span(telemetry::phase::RECOVERY_INTENT);
             let host = &devices[0];
             host.atomic_write_u64(INTENT_STATE_OFF, SpanningIntent::None.encode());
             host.atomic_write_u64(INTENT_SHARDS_OFF, 0);

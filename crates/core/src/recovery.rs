@@ -12,9 +12,23 @@
 //!   fields are still intact because previous versions are only reclaimed
 //!   after `Tail` moves).
 //!
-//! We additionally always run the full-entry scan: the entry update of the
-//! block being committed persists *before* its ring slot, so the last
-//! in-flight block can be log-role yet missing from the ring window.
+//! Every log-role entry is revoked too, in or out of the window: the entry
+//! update of the block being committed persists *before* its ring slot, so
+//! the last in-flight block can be log-role yet missing from the ring
+//! window.
+//!
+//! ## One decoded table
+//!
+//! Recovery loads each metadata line it needs once: line 0 (magic and
+//! geometry), `Head`, `Tail`, the descriptor table, the ring window, and
+//! the entry table, read a page at a time and decoded into one DRAM
+//! `Vec<CacheEntry>`. Every judgment pass and the DRAM rebuild run over
+//! that table, and **every recovery store that changes an entry updates
+//! the table in the same step** (the roll-forward stores the switched
+//! entry it writes, a revoke the entry [`TincaCache::revoke_entry`]
+//! persisted), so the table always equals the device and no entry is
+//! loaded twice. The stores, flushes and fences are the ones a per-entry
+//! reload would issue, in the same order; only the loads differ.
 //!
 //! Recovery is **idempotent**: revoked entries carry the `prev == cur`
 //! marker (see [`crate::CacheEntry::revoked`]), so a crash during recovery
@@ -36,16 +50,28 @@
 use std::collections::HashMap;
 
 use blockdev::BLOCK_SIZE;
-use nvmsim::Nvm;
+use nvmsim::{Nvm, CACHE_LINE};
 
 use crate::cache::DynDisk;
-use crate::entry::Role;
+use crate::entry::{CacheEntry, Role};
 use crate::layout::{
-    intent_tag, mw_desc_addr, mw_split_state, split_slot, Layout, DATA_BLOCKS_OFF, ENTRY_COUNT_OFF,
-    HEAD_OFF, INTENT_PREPARED, INTENT_RESOLVED, MAGIC, MAGIC_OFF, MW_DEAD_TAG, MW_STAGED,
-    MW_WINDOWS, RING_CAP_OFF, TAIL_OFF,
+    intent_tag, mw_split_state, slot_value, split_slot, Layout, DATA_BLOCKS_OFF, ENTRY_BYTES,
+    ENTRY_COUNT_OFF, HEAD_OFF, INTENT_PREPARED, INTENT_RESOLVED, MAGIC, MAGIC_OFF, MW_DEAD_TAG,
+    MW_DESC_BYTES, MW_DESC_OFF, MW_STAGED, MW_WINDOWS, RING_CAP_OFF, RING_SLOT_BYTES, TAIL_OFF,
 };
 use crate::{TincaCache, TincaConfig, TincaError};
+
+/// The header words recovery validates — magic, ring capacity, entry
+/// count, data blocks — share line 0, so one load reads them all.
+const HEADER_WORDS_BYTES: usize = DATA_BLOCKS_OFF + 8;
+const _: () = assert!(MAGIC_OFF == 0 && HEADER_WORDS_BYTES <= CACHE_LINE);
+
+/// The `N` bytes at `off` of a loaded range, for little-endian decoding.
+fn bytes_at<const N: usize>(buf: &[u8], off: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&buf[off..off + N]);
+    out
+}
 
 /// Directive a recovering shard receives about the pool's spanning-intent
 /// record (always [`None`](SpanningIntent::None) for a standalone cache or
@@ -110,7 +136,12 @@ impl TincaCache {
         cfg: TincaConfig,
         intent: SpanningIntent,
     ) -> Result<Self, TincaError> {
-        let magic = nvm.read_u64(MAGIC_OFF);
+        let _t = telemetry::span(telemetry::phase::RECOVERY);
+        let scan = telemetry::span(telemetry::phase::RECOVERY_SCAN);
+        let mut line0 = [0u8; HEADER_WORDS_BYTES];
+        nvm.read(MAGIC_OFF, &mut line0);
+        let word = |off: usize| u64::from_le_bytes(bytes_at(&line0, off));
+        let magic = word(MAGIC_OFF);
         if magic != MAGIC {
             return Err(TincaError::BadMagic { found: magic });
         }
@@ -119,15 +150,15 @@ impl TincaCache {
         // trusted: recovering with a different ring_bytes or capacity would
         // misaddress every entry and data block.
         let checks = [
-            ("ring_cap", nvm.read_u64(RING_CAP_OFF), layout.ring_cap),
+            ("ring_cap", word(RING_CAP_OFF), layout.ring_cap),
             (
                 "entry_count",
-                nvm.read_u64(ENTRY_COUNT_OFF),
+                word(ENTRY_COUNT_OFF),
                 layout.entry_count as u64,
             ),
             (
                 "data_blocks",
-                nvm.read_u64(DATA_BLOCKS_OFF),
+                word(DATA_BLOCKS_OFF),
                 layout.data_blocks as u64,
             ),
         ];
@@ -143,21 +174,105 @@ impl TincaCache {
         let head = nvm.read_u64(HEAD_OFF);
         let tail = nvm.read_u64(TAIL_OFF);
         let mut cache = Self::recovery_parts(nvm, disk, cfg, layout, head, tail);
-        cache.run_recovery(intent);
+        let descriptors = cache.load_descriptors();
+        let entries = cache.load_entries();
+        drop(scan);
+        cache.run_recovery(intent, &descriptors, entries)?;
         Ok(cache)
     }
 
-    fn run_recovery(&mut self, intent: SpanningIntent) {
-        let _t = telemetry::span(telemetry::phase::RECOVERY);
+    /// The in-use multi-writer window descriptors, `(slot, state, start,
+    /// len)`, from one load of the whole table.
+    fn load_descriptors(&self) -> Vec<(usize, u64, u64, u64)> {
+        let mut table = [0u8; MW_WINDOWS * MW_DESC_BYTES];
+        self.nvm().read(MW_DESC_OFF, &mut table);
+        table
+            .chunks_exact(MW_DESC_BYTES)
+            .enumerate()
+            .filter_map(|(slot, desc)| {
+                let word = |off: usize| u64::from_le_bytes(bytes_at(desc, off));
+                let word0 = word(0);
+                (word0 != 0).then(|| (slot, mw_split_state(word0).1, word(8), word(16)))
+            })
+            .collect()
+    }
+
+    /// The whole entry table, loaded a page at a time and decoded once.
+    fn load_entries(&self) -> Vec<CacheEntry> {
+        let layout = *self.layout();
+        let table_bytes = layout.entry_count as usize * ENTRY_BYTES;
+        let mut entries = Vec::with_capacity(layout.entry_count as usize);
+        let mut page = [0u8; BLOCK_SIZE];
+        for off in (0..table_bytes).step_by(BLOCK_SIZE) {
+            let chunk = &mut page[..BLOCK_SIZE.min(table_bytes - off)];
+            self.nvm().read(layout.entries_off + off, chunk);
+            entries.extend(
+                chunk
+                    .chunks_exact(ENTRY_BYTES)
+                    .map(|raw| CacheEntry::decode(u128::from_le_bytes(bytes_at(raw, 0)))),
+            );
+        }
+        entries
+    }
+
+    /// The raw ring slots of `[tail, head)`, one load per contiguous run
+    /// (two when the window wraps the ring's end). Slot `seq` sits at
+    /// index `(seq - tail) % ring_cap`: a window longer than the ring can
+    /// only come from a corrupt header, and maps onto the one lap loaded.
+    fn load_ring_window(&self, tail: u64, head: u64) -> Vec<u64> {
+        let layout = *self.layout();
+        let len = head.saturating_sub(tail).min(layout.ring_cap) as usize;
+        let to_end = (layout.ring_cap - tail % layout.ring_cap) as usize;
+        let mut raw = vec![0u8; len * RING_SLOT_BYTES];
+        let (first, wrapped) = raw.split_at_mut(len.min(to_end) * RING_SLOT_BYTES);
+        self.nvm().read(layout.ring_slot_addr(tail), first);
+        self.nvm().read(layout.ring_off, wrapped);
+        raw.chunks_exact(RING_SLOT_BYTES)
+            .map(|slot| u64::from_le_bytes(bytes_at(slot, 0)))
+            .collect()
+    }
+
+    /// [`TincaCache::scrub_slot_tags`] over the window recovery already
+    /// loaded: the same stores, flushes and fence, without loading the
+    /// slots again (the judgment stores no ring slot, so the loaded window
+    /// is still the device's). The commit path keeps its own scrub, which
+    /// loads each slot just before its rewrite.
+    fn scrub_window_tags(&self, tail: u64, window: &[u64]) {
+        let layout = *self.layout();
+        let mut lines: Vec<usize> = Vec::new();
+        for (seq, &raw) in (tail..).zip(window) {
+            let (blk, tag) = split_slot(raw);
+            if tag != 0 {
+                let addr = layout.ring_slot_addr(seq);
+                self.nvm().atomic_write_u64(addr, slot_value(blk, 0));
+                lines.push(addr / CACHE_LINE);
+            }
+        }
+        if lines.is_empty() {
+            return;
+        }
+        lines.sort_unstable();
+        lines.dedup();
+        for line in lines {
+            self.nvm().clflush(line * CACHE_LINE, 1);
+        }
+        self.nvm().sfence();
+    }
+
+    fn run_recovery(
+        &mut self,
+        intent: SpanningIntent,
+        mw_desc: &[(usize, u64, u64, u64)],
+        mut entries: Vec<CacheEntry>,
+    ) -> Result<(), TincaError> {
+        let judge = telemetry::span(telemetry::phase::RECOVERY_JUDGE);
         let (head, tail) = self.head_tail();
         let layout = *self.layout();
 
-        // Pass 1: full entry scan — map disk blocks to entries, collect
-        // log-role leftovers.
+        // Pass 1: map disk blocks to entries, collect log-role leftovers.
         let mut by_disk: HashMap<u64, u32> = HashMap::new();
         let mut log_entries: Vec<u32> = Vec::new();
-        for idx in 0..layout.entry_count {
-            let e = self.read_entry(idx);
+        for (idx, e) in (0u32..).zip(&entries) {
             if e.valid {
                 by_disk.insert(e.disk_blk, idx);
                 if e.role == Role::Log {
@@ -166,28 +281,16 @@ impl TincaCache {
             }
         }
 
-        // Multi-writer window descriptors (DESIGN §16): scan the table.
-        // Retired windows (end at or before `Tail`) are stale retire
-        // stores lost to the crash — inert, zeroed below. Published
-        // (`STAGED`) windows overlapping `[Tail, Head)` are **durably
-        // committed**: `Head` only persists after the
-        // sequencer's fence drained every covering window's state word,
-        // payloads, entries and ring slots — so their slots roll
-        // *forward* (the crash can only have interrupted the role
-        // switch). Windows `Head` never passed roll back via the ordinary
-        // full-entry scan.
-        let mut mw_desc: Vec<(usize, u64, u64, u64)> = Vec::new();
-        for slot in 0..MW_WINDOWS {
-            let addr = mw_desc_addr(slot);
-            let word0 = self.nvm().read_u64(addr);
-            if word0 == 0 {
-                continue;
-            }
-            let (_ordinal, state) = mw_split_state(word0);
-            let start = self.nvm().read_u64(addr + 8);
-            let len = self.nvm().read_u64(addr + 16);
-            mw_desc.push((slot, state, start, len));
-        }
+        // Multi-writer window descriptors (DESIGN §16). Retired windows
+        // (end at or before `Tail`) are stale retire stores lost to the
+        // crash — inert, zeroed below. Published (`STAGED`) windows
+        // overlapping `[Tail, Head)` are **durably committed**: `Head`
+        // only persists after the sequencer's fence drained every
+        // covering window's state word, payloads, entries and ring slots
+        // — so their slots roll *forward* (the crash can only have
+        // interrupted the role switch). Windows `Head` never passed roll
+        // back via the log-role revoke of pass 3.
+        //
         // Maximal contiguous STAGED coverage from Tail. Windows are
         // disjoint and Head/Tail only ever store window boundaries, so
         // coverage walks whole windows; the durability invariant above
@@ -211,10 +314,10 @@ impl TincaCache {
                 }
             }
         }
-        for &(_, _, start, _) in &mw_desc {
+        for &(_, _, start, _) in mw_desc {
             if start >= head {
                 // A reserved/staged window Head never advanced past: its
-                // log-role entries fall to the full-entry revoke below.
+                // log-role entries fall to the revoke of pass 3.
                 self.stats_mut().mw_windows_rolled_back += 1;
             }
         }
@@ -224,60 +327,67 @@ impl TincaCache {
         // interrupted role switch); slots tagged with a *resolved*
         // spanning intent roll forward (their entries are already durable
         // buffer-role — the resolve store persisted strictly after every
-        // fragment's fences); everything else rolls back.
+        // fragment's fences); everything else rolls back. Every store
+        // updates `entries` in the same step, so the table stays equal
+        // to the device and no entry is loaded twice.
         let forward_tag = match intent {
             SpanningIntent::Resolved { id } => Some(intent_tag(id)),
             _ => None,
         };
-        if head != tail {
-            for seq in tail..head {
-                let raw = self.nvm().read_u64(layout.ring_slot_addr(seq));
-                let (disk_blk, tag) = split_slot(raw);
-                if tag == MW_DEAD_TAG {
-                    // Dead slot of a failed multi-writer window: it never
-                    // named a block, and its stale value must not be
-                    // judged (the bits left from the ring's previous lap
-                    // could collide with a live block).
-                    continue;
-                }
-                if seq < mw_cover && tag == 0 {
-                    if let Some(&idx) = by_disk.get(&disk_blk) {
-                        let e = self.read_entry(idx);
-                        if e.valid && e.role == Role::Log {
-                            // Roll forward: complete the role switch the
-                            // crash interrupted. Idempotent — a second
-                            // recovery finds the entry buffer-role.
-                            self.write_entry(idx, e.switched_to_buffer());
-                        }
+        let window = self.load_ring_window(tail, head);
+        for seq in tail..head {
+            let raw = window[((seq - tail) % layout.ring_cap) as usize];
+            let (disk_blk, tag) = split_slot(raw);
+            if tag == MW_DEAD_TAG {
+                // Dead slot of a failed multi-writer window: it never
+                // named a block, and its stale value must not be judged
+                // (the bits left from the ring's previous lap could
+                // collide with a live block).
+                continue;
+            }
+            if seq < mw_cover && tag == 0 {
+                if let Some(&idx) = by_disk.get(&disk_blk) {
+                    let e = entries[idx as usize];
+                    if e.valid && e.role == Role::Log {
+                        // Roll forward: complete the role switch the
+                        // crash interrupted. Idempotent — a second
+                        // recovery finds the entry buffer-role.
+                        let switched = e.switched_to_buffer();
+                        self.write_entry(idx, switched);
+                        entries[idx as usize] = switched;
                     }
-                    continue;
                 }
-                if tag != 0 && forward_tag == Some(tag) {
-                    self.stats_mut().spanning_rolled_forward += 1;
-                    continue;
-                }
-                let Some(&idx) = by_disk.get(&disk_blk) else {
-                    continue;
-                };
-                let e = self.read_entry(idx);
-                if e.valid && !e.is_revoked_marker() {
-                    self.revoke_entry(idx, e);
-                    if tag != 0 {
-                        self.stats_mut().spanning_rolled_back += 1;
-                    }
+                continue;
+            }
+            if tag != 0 && forward_tag == Some(tag) {
+                self.stats_mut().spanning_rolled_forward += 1;
+                continue;
+            }
+            let Some(&idx) = by_disk.get(&disk_blk) else {
+                continue;
+            };
+            let e = entries[idx as usize];
+            if e.valid && !e.is_revoked_marker() {
+                entries[idx as usize] = self.revoke_entry(idx, e);
+                if tag != 0 {
+                    self.stats_mut().spanning_rolled_back += 1;
                 }
             }
         }
 
         // Pass 3: revoke in-flight log blocks whose ring slot never
-        // persisted.
+        // persisted: the entry update of the block being committed
+        // persists *before* its ring slot, so the last in-flight block can
+        // be log-role yet missing from the ring window.
         for idx in log_entries {
-            let e = self.read_entry(idx);
+            let e = entries[idx as usize];
             if e.valid && e.role == Role::Log {
-                self.revoke_entry(idx, e);
+                entries[idx as usize] = self.revoke_entry(idx, e);
             }
         }
+        drop(judge);
 
+        let close = telemetry::span(telemetry::phase::RECOVERY_CLOSE);
         // Close the ring: Tail := Head.
         self.set_head_tail(head, head);
         self.nvm().atomic_write_u64(TAIL_OFF, head);
@@ -289,7 +399,7 @@ impl TincaCache {
         // tag, restoring the invariant that no closed-window slot is
         // tagged. A no-op (no events) when the window held no tags —
         // i.e. on every single-shard recovery.
-        self.scrub_slot_tags(tail, head);
+        self.scrub_window_tags(tail, &window);
 
         // Retire every multi-writer descriptor — strictly *after* the ring
         // close: a crash in between leaves stale descriptors whose windows
@@ -297,17 +407,20 @@ impl TincaCache {
         // ignores. Zeroing first would instead let a re-run revoke windows
         // this pass already rolled forward.
         if !mw_desc.is_empty() {
-            for &(slot, ..) in &mw_desc {
+            for &(slot, ..) in mw_desc {
                 self.mw_retire_desc(slot);
             }
             self.nvm().sfence();
         }
+        drop(close);
 
         // Pass 4: rebuild the DRAM structures from the surviving entries
         // (§4.6: "they can be reconstructed on the startup of system").
+        // Checked here, after the judgment, because a crash can leave an
+        // in-flight entry overlapping a live one until it is revoked.
+        let _rebuild = telemetry::span(telemetry::phase::RECOVERY_REBUILD);
         let mut cur_used = vec![false; layout.data_blocks as usize];
-        for idx in 0..layout.entry_count {
-            let e = self.read_entry(idx);
+        for (idx, e) in (0u32..).zip(&entries) {
             if e.valid {
                 if e.modified {
                     // The incrementally-maintained dirty set restarts
@@ -315,17 +428,27 @@ impl TincaCache {
                     // already excluded in-flight ones).
                     self.dram_mark_dirty(idx);
                 }
-                assert!(
-                    self.index_get(e.disk_blk).is_none(),
-                    "two valid entries map disk block {}",
-                    e.disk_blk
-                );
-                assert!(
-                    !cur_used[e.cur as usize],
-                    "two valid entries reference NVM block {}",
-                    e.cur
-                );
-                cur_used[e.cur as usize] = true;
+                let corrupt = |fault, block| TincaError::CorruptEntry {
+                    entry: idx,
+                    fault,
+                    block,
+                };
+                if self.index_get(e.disk_blk).is_some() {
+                    return Err(corrupt(
+                        "disk block mapped by another valid entry",
+                        e.disk_blk,
+                    ));
+                }
+                match cur_used.get_mut(e.cur as usize) {
+                    None => return Err(corrupt("NVM block outside the data area", e.cur.into())),
+                    Some(true) => {
+                        return Err(corrupt(
+                            "NVM block referenced by another valid entry",
+                            e.cur.into(),
+                        ))
+                    }
+                    Some(used) => *used = true,
+                }
                 self.dram_insert(e.disk_blk, idx);
             } else if !self.free_entries_mut().is_free(idx) {
                 self.free_entries_mut().release(idx);
@@ -337,6 +460,7 @@ impl TincaCache {
             }
         }
         self.stats_mut().recoveries += 1;
+        Ok(())
     }
 
     /// Convenience used by tests and harnesses: the number of 4 KB blocks

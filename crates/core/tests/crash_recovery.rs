@@ -10,7 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use blockdev::{BlockDevice, DiskKind, SimDisk, BLOCK_SIZE};
 use nvmsim::{CrashPolicy, CrashTripped, NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{TincaCache, TincaConfig, TincaError, Txn};
+use tinca::{CacheEntry, Layout, TincaCache, TincaConfig, TincaError, Txn};
 
 const NVM_BYTES: usize = 1 << 20;
 const RING_BYTES: usize = 4096;
@@ -510,4 +510,106 @@ fn recover_with_wrong_geometry_returns_structured_error() {
     let cache = TincaCache::recover(nvm, disk, cfg).unwrap();
     cache.check_consistency().unwrap();
     assert_eq!(observed(&cache, 3), 0x42);
+}
+
+/// Rewrites a valid entry (`victim`) given the other valid one.
+type Corruption = fn(CacheEntry, CacheEntry, &Layout) -> CacheEntry;
+
+/// Commits blocks 3 and 5, then rewrites the persisted entry of the one
+/// with the higher entry index through `corrupt(victim, other)` and
+/// returns that index with the devices to recover from.
+fn corrupt_table(corrupt: Corruption) -> (nvmsim::Nvm, blockdev::Disk, u32) {
+    let (nvm, disk) = fresh_stack();
+    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
+    let mut t = cache.init_txn();
+    t.write(3, &blk(3));
+    t.write(5, &blk(5));
+    cache.commit(&t).unwrap();
+    let layout = *cache.layout();
+    drop(cache);
+    let entry = |idx: u32| {
+        let mut raw = [0u8; 16];
+        nvm.read_persistent(layout.entry_addr(idx), &mut raw);
+        CacheEntry::decode(u128::from_le_bytes(raw))
+    };
+    let valid: Vec<u32> = (0..layout.entry_count)
+        .filter(|&i| entry(i).valid)
+        .collect();
+    let [other, victim] = valid[..] else {
+        panic!("expected two valid entries, found {valid:?}");
+    };
+    let addr = layout.entry_addr(victim);
+    let bad = corrupt(entry(victim), entry(other), &layout);
+    nvm.atomic_write_u128(addr, bad.encode());
+    nvm.persist(addr, 16);
+    nvm.crash(CrashPolicy::LoseVolatile);
+    (nvm, disk, victim)
+}
+
+/// A persisted entry table that no crash can produce — two valid entries
+/// on one disk block, two on one NVM block, or an NVM block past the data
+/// area — fails recovery with `CorruptEntry` naming the entry, instead of
+/// a panic in the DRAM rebuild.
+#[test]
+fn recover_with_corrupt_entry_table_returns_structured_error() {
+    let cases: [(&str, Corruption); 3] = [
+        ("disk block mapped by another valid entry", |v, o, _| {
+            CacheEntry {
+                disk_blk: o.disk_blk,
+                ..v
+            }
+        }),
+        ("NVM block referenced by another valid entry", |v, o, _| {
+            CacheEntry { cur: o.cur, ..v }
+        }),
+        ("NVM block outside the data area", |v, _, l| CacheEntry {
+            cur: l.data_blocks,
+            ..v
+        }),
+    ];
+    for (want, corrupt) in cases {
+        let (nvm, disk, victim) = corrupt_table(corrupt);
+        match TincaCache::recover(nvm, disk, tinca_cfg()) {
+            Err(TincaError::CorruptEntry { entry, fault, .. }) => {
+                assert_eq!((entry, fault), (victim, want));
+            }
+            Err(other) => panic!("{want}: expected CorruptEntry, got {other:?}"),
+            Ok(_) => panic!("{want}: recovery over a corrupt table must fail"),
+        }
+    }
+}
+
+/// Recovery's load cost, pinned: a clean-crash recovery loads each
+/// metadata line once — line 0 (magic and geometry), `Head`, `Tail`, the
+/// 32-line descriptor table, and the entry table's
+/// `⌈entry_count · 16 / 64⌉` lines — at two NVM sizes.
+#[test]
+fn clean_recovery_loads_each_metadata_line_once() {
+    const HEADER_LINES: u64 = 3;
+    const DESCRIPTOR_LINES: u64 = 32;
+    for nvm_bytes in [NVM_BYTES, 4 << 20] {
+        let clock = SimClock::new();
+        let nvm = NvmDevice::new(NvmConfig::new(nvm_bytes, NvmTech::Pcm), clock.clone());
+        let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
+        let mut cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
+        let mut t = cache.init_txn();
+        for b in 0..8u64 {
+            t.write(b, &blk(b as u8));
+        }
+        cache.commit(&t).unwrap();
+        let entry_count = u64::from(cache.layout().entry_count);
+        drop(cache);
+        nvm.crash(CrashPolicy::LoseVolatile);
+
+        let before = nvm.stats().lines_read;
+        let rec = TincaCache::recover(nvm.clone(), disk, tinca_cfg()).unwrap();
+        let table_lines = (entry_count * 16).div_ceil(64);
+        assert_eq!(
+            nvm.stats().lines_read - before,
+            table_lines + HEADER_LINES + DESCRIPTOR_LINES,
+            "{nvm_bytes} B of NVM, {entry_count} entries"
+        );
+        rec.check_consistency().unwrap();
+        assert_eq!(observed(&rec, 7), 7);
+    }
 }

@@ -663,9 +663,11 @@ fn crash_inside_recovery_repeats_the_roll_decision() {
         mode: CommitMode::LockFreeRing,
         ..MUTEX
     };
+    let mut recovery_events = Vec::new();
     for setup in [MUTEX, ring, DELTA] {
         let mode = (setup.mode, setup.delta_stage);
         let spans = commit_events(setup);
+        let mut swept = 0;
         let (mut saw_back, mut saw_forward) = (false, false);
         for (dev, &events) in spans.iter().enumerate() {
             // Five instants spread over the commit, plus its last two
@@ -683,6 +685,7 @@ fn crash_inside_recovery_repeats_the_roll_decision() {
                 let expect_forward = rolled_forward(&pool, setup, "uninterrupted recovery");
                 saw_forward |= expect_forward;
                 saw_back |= !expect_forward;
+                swept += rec_events.iter().sum::<u64>();
                 for (rdev, &n) in rec_events.iter().enumerate() {
                     for j in 1..=n {
                         cut_recovery(setup, (dev, k), (rdev, j), expect_forward);
@@ -692,5 +695,11 @@ fn crash_inside_recovery_repeats_the_roll_decision() {
         }
         assert!(saw_back, "{mode:?}: no sampled instant rolled back");
         assert!(saw_forward, "{mode:?}: no sampled instant rolled forward");
+        recovery_events.push(swept);
     }
+    // Recovery's persistence events, summed over every sampled instant
+    // and device, per setup: the cuts this test sweeps. They are the
+    // protocol's stores, flushes and fences; a change to how recovery
+    // *loads* must leave them exactly as they are.
+    assert_eq!(recovery_events, [165, 219, 183]);
 }

@@ -133,6 +133,8 @@ impl FsSim {
     /// (In Tinca mode the *cache* recovery — `TincaCache::recover` — must
     /// already have happened when constructing the backend.)
     pub fn mount(mut backend: Box<dyn CacheBackend>, geo: Geometry) -> Result<FsSim, FsError> {
+        let _t = telemetry::span(telemetry::phase::FS_MOUNT);
+        let superblock = telemetry::span(telemetry::phase::FS_MOUNT_SUPERBLOCK);
         let mut sb = [0u8; BLOCK_SIZE];
         backend.read(0, &mut sb).map_err(FsError::Backend)?;
         if bytes::le_u64(&sb, 0) != SB_MAGIC {
@@ -150,6 +152,7 @@ impl FsSim {
             2 => JournalMode::Tinca,
             m => return Err(FsError::BadSuperblock(format!("unknown mode {m}"))),
         };
+        drop(superblock);
         let journal = match mode {
             JournalMode::Jbd2 => {
                 Some(Jbd2::recover(&geo, &mut *backend).map_err(FsError::BadSuperblock)?)
@@ -191,7 +194,7 @@ impl FsSim {
     fn rebuild_mirrors(&mut self) -> Result<(), FsError> {
         let geo = self.geo;
         let mut block = [0u8; BLOCK_SIZE];
-        // Names.
+        let names = telemetry::span(telemetry::phase::FS_MOUNT_NAMES);
         self.names.clear();
         self.free_name_slots.clear();
         for nb in 0..geo.name_blocks {
@@ -215,7 +218,8 @@ impl FsSim {
             }
         }
         self.free_name_slots.reverse();
-        // Inodes.
+        drop(names);
+        let inodes = telemetry::span(telemetry::phase::FS_MOUNT_INODES);
         self.free_inodes.clear();
         for ib in 0..geo.inode_blocks {
             self.backend
@@ -234,7 +238,8 @@ impl FsSim {
             }
         }
         self.free_inodes.reverse();
-        // Bitmap.
+        drop(inodes);
+        let _bitmap = telemetry::span(telemetry::phase::FS_MOUNT_BITMAP);
         self.free_data_blocks = 0;
         for bb in 0..geo.bitmap_blocks {
             self.backend

@@ -2,7 +2,7 @@
 //! clean read cache. Both stacks (Tinca and Classic) get the same page
 //! cache, so DRAM caching never skews the comparison.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use blockdev::BLOCK_SIZE;
 
@@ -13,8 +13,14 @@ type Buf = Box<[u8; BLOCK_SIZE]>;
 pub struct PageCache {
     dirty: HashMap<u64, Buf>,
     dirty_order: Vec<u64>,
-    clean: HashMap<u64, Buf>,
-    clean_lru: Vec<u64>, // front = LRU; small enough for Vec ops
+    /// Clean copies, each with the stamp of its last use.
+    clean: HashMap<u64, (Buf, u64)>,
+    /// Clean blocks by last-use stamp: the first entry is the LRU block.
+    /// A touch re-stamps in O(log n); a scan of a recency-ordered `Vec`
+    /// was O(n) plus a shift of the whole tail.
+    clean_lru: BTreeMap<u64, u64>,
+    /// The next last-use stamp; grows on every touch and admission.
+    next_stamp: u64,
     clean_capacity: usize,
 }
 
@@ -24,7 +30,8 @@ impl PageCache {
             dirty: HashMap::new(),
             dirty_order: Vec::new(),
             clean: HashMap::new(),
-            clean_lru: Vec::new(),
+            clean_lru: BTreeMap::new(),
+            next_stamp: 0,
             clean_capacity,
         }
     }
@@ -35,9 +42,7 @@ impl PageCache {
             self.dirty_order.push(blk);
         }
         // A dirty copy supersedes any clean copy.
-        if self.clean.remove(&blk).is_some() {
-            self.clean_lru.retain(|&b| b != blk);
-        }
+        self.forget_clean(blk);
     }
 
     /// Returns the newest cached contents of `blk`, if present.
@@ -45,15 +50,13 @@ impl PageCache {
         if let Some(b) = self.dirty.get(&blk) {
             return Some(b);
         }
-        if self.clean.contains_key(&blk) {
-            // Touch LRU.
-            if let Some(pos) = self.clean_lru.iter().position(|&b| b == blk) {
-                self.clean_lru.remove(pos);
-                self.clean_lru.push(blk);
-            }
-            return self.clean.get(&blk).map(|b| &**b);
-        }
-        None
+        let (buf, stamp) = self.clean.get_mut(&blk)?;
+        // Touch: the block becomes the most recently used.
+        self.clean_lru.remove(stamp);
+        *stamp = self.next_stamp;
+        self.clean_lru.insert(self.next_stamp, blk);
+        self.next_stamp += 1;
+        Some(buf)
     }
 
     /// Mutable access to the dirty copy of `blk`, if staged.
@@ -67,16 +70,11 @@ impl PageCache {
         if self.dirty.contains_key(&blk) || self.clean_capacity == 0 {
             return;
         }
-        if let std::collections::hash_map::Entry::Occupied(mut e) = self.clean.entry(blk) {
-            e.insert(data);
+        if let Some((cached, _)) = self.clean.get_mut(&blk) {
+            *cached = data;
             return;
         }
-        if self.clean.len() >= self.clean_capacity {
-            let victim = self.clean_lru.remove(0);
-            self.clean.remove(&victim);
-        }
-        self.clean.insert(blk, data);
-        self.clean_lru.push(blk);
+        self.admit_clean(blk, data);
     }
 
     /// Number of dirty (staged) blocks.
@@ -97,12 +95,7 @@ impl PageCache {
         // Keep clean copies of the committed blocks (bounded).
         for (blk, buf) in &out {
             if self.clean_capacity > 0 && !self.clean.contains_key(blk) {
-                if self.clean.len() >= self.clean_capacity {
-                    let victim = self.clean_lru.remove(0);
-                    self.clean.remove(&victim);
-                }
-                self.clean.insert(*blk, buf.clone());
-                self.clean_lru.push(*blk);
+                self.admit_clean(*blk, buf.clone());
             }
         }
         out
@@ -113,8 +106,26 @@ impl PageCache {
         if self.dirty.remove(&blk).is_some() {
             self.dirty_order.retain(|&b| b != blk);
         }
-        if self.clean.remove(&blk).is_some() {
-            self.clean_lru.retain(|&b| b != blk);
+        self.forget_clean(blk);
+    }
+
+    /// Caches `data` as the most recently used clean copy of `blk` (not
+    /// cached yet), evicting the LRU clean block at capacity.
+    fn admit_clean(&mut self, blk: u64, data: Buf) {
+        if self.clean.len() >= self.clean_capacity {
+            if let Some((_, victim)) = self.clean_lru.pop_first() {
+                self.clean.remove(&victim);
+            }
+        }
+        self.clean.insert(blk, (data, self.next_stamp));
+        self.clean_lru.insert(self.next_stamp, blk);
+        self.next_stamp += 1;
+    }
+
+    /// Drops the clean copy of `blk`, if any.
+    fn forget_clean(&mut self, blk: u64) {
+        if let Some((_, stamp)) = self.clean.remove(&blk) {
+            self.clean_lru.remove(&stamp);
         }
     }
 }

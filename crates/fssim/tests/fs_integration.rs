@@ -180,7 +180,25 @@ fn many_files_and_remount_preserves_namespace() {
         s.fs.fsync().unwrap();
         let (nvm, disk, clock) = (s.nvm.clone(), s.disk.clone(), s.clock.clone());
         drop(s.fs);
-        let mut re = remount(&cfg, nvm, disk, clock).unwrap();
+        let (re, report) = telemetry::record(&clock, telemetry::Config::default(), || {
+            remount(&cfg, nvm, disk, clock.clone())
+        });
+        let mut re = re.unwrap();
+        // The mount's simulated time sits in its named steps.
+        let mount = report.find(telemetry::phase::FS_MOUNT).unwrap();
+        let named: u64 = mount
+            .children
+            .iter()
+            .map(|&c| &report.phases[c])
+            .filter(|p| p.name.starts_with("fs.mount.") || p.name == telemetry::phase::JBD2_REPLAY)
+            .map(|p| p.total_ns)
+            .sum();
+        assert!(
+            named as f64 >= 0.95 * mount.total_ns as f64,
+            "{}: {named} of {} mount ns in named steps",
+            sys.name(),
+            mount.total_ns
+        );
         assert_eq!(re.fs.file_count(), 99, "{}", sys.name());
         assert!(!re.fs.exists("file-050"));
         for i in [0u32, 25, 99] {

@@ -53,8 +53,21 @@ pub const DESTAGE_WRITEBACK: &str = "destage.writeback";
 /// drain, or the free pool emptied before the daemon caught up).
 pub const DESTAGE_DRAIN: &str = "destage.drain";
 
-/// Crash-recovery replay (entry scan, ring revoke, rebuild).
+/// Crash recovery of one cache (scan, judge, close, rebuild).
 pub const RECOVERY: &str = "recovery";
+/// Recovery's loads of the persistent metadata: header, window
+/// descriptors, and the whole entry table, decoded once into DRAM.
+pub const RECOVERY_SCAN: &str = "recovery.scan";
+/// Ring-window judgment: load `[Tail, Head)`, roll forward, revoke.
+pub const RECOVERY_JUDGE: &str = "recovery.judge";
+/// Closing the ring: `Tail` store, slot-tag scrub, descriptor retire.
+pub const RECOVERY_CLOSE: &str = "recovery.close";
+/// DRAM index, LRU, dirty set and free monitors rebuilt from the decoded
+/// table (no device access).
+pub const RECOVERY_REBUILD: &str = "recovery.rebuild";
+/// A pool's spanning-intent record: decoded before the shards recover,
+/// retired after.
+pub const RECOVERY_INTENT: &str = "recovery.intent";
 /// Simulated backoff charged between failed-I/O retries.
 pub const IO_RETRY_BACKOFF: &str = "io.retry_backoff";
 
@@ -90,6 +103,17 @@ pub const JBD2_COMMIT: &str = "jbd2.commit";
 pub const JBD2_CHECKPOINT: &str = "jbd2.checkpoint";
 /// Journal replay during mount.
 pub const JBD2_REPLAY: &str = "jbd2.replay";
+
+/// File-system mount: superblock, journal replay, DRAM mirror rebuild.
+pub const FS_MOUNT: &str = "fs.mount";
+/// Mount's superblock read and validation.
+pub const FS_MOUNT_SUPERBLOCK: &str = "fs.mount.superblock";
+/// Mirror rebuild: the name-table blocks.
+pub const FS_MOUNT_NAMES: &str = "fs.mount.names";
+/// Mirror rebuild: the inode-table blocks.
+pub const FS_MOUNT_INODES: &str = "fs.mount.inodes";
+/// Mirror rebuild: the block-bitmap blocks.
+pub const FS_MOUNT_BITMAP: &str = "fs.mount.bitmap";
 
 /// One file-system operation as issued by a workload.
 pub const FS_OP: &str = "fs.op";

@@ -79,7 +79,7 @@ const BEFORE_CRASH: Golden = Golden {
 /// After the torn commit, `crash(Random(SEED + shard))`, `recover` and the
 /// read-back.
 const AFTER_RECOVERY: Golden = Golden {
-    nvm_clock_ns: [10_745_584, 10_445_639],
+    nvm_clock_ns: [10_721_274, 10_421_329],
     disk_clock_ns: 25_600_000,
     nvm: [
         NvmStats {
@@ -87,18 +87,18 @@ const AFTER_RECOVERY: Golden = Golden {
             sfence: 2239,
             atomic_stores: 2632,
             lines_written: 34800,
-            lines_read: 7748,
+            lines_read: 7527,
             bytes_stored: 2105080,
-            bytes_read: 415128,
+            bytes_read: 414920,
         },
         NvmStats {
             clflush: 33135,
             sfence: 1713,
             atomic_stores: 2007,
             lines_written: 33133,
-            lines_read: 9468,
+            lines_read: 9247,
             bytes_stored: 2021688,
-            bytes_read: 525504,
+            bytes_read: 525296,
         },
     ],
     disk: DiskStats {
