@@ -85,7 +85,7 @@ pub fn run(quick: bool) -> (Table, bool) {
     );
 
     let runs: u64 = if quick { 200 } else { 1200 };
-    let campaign = fault_fuzz_campaign(0xFA57_0000, runs, 40);
+    let campaign = fault_fuzz_campaign(1, 0xFA57_0000, runs, 40);
     println!(
         "fault-fuzz: {} runs, {} crashed, {} completed, {} degraded, \
          {} transients absorbed over {} retries, {} permanent errors, {} violations",

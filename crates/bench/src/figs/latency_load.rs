@@ -22,7 +22,7 @@
 use std::fs;
 
 use blockdev::{DiskKind, SimDisk};
-use crashsim::BacklogReport;
+use crashsim::CampaignReport;
 use nvmsim::{shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
 use persistcheck::{CheckConfig, Checker};
 use telemetry::Json;
@@ -58,7 +58,7 @@ pub struct LatencyLoadResult {
     /// the "superlinear past saturation" acceptance signal.
     pub tinca_tail_ratio: f64,
     pub persist_clean: bool,
-    pub campaign: BacklogReport,
+    pub campaign: CampaignReport,
 }
 
 const SHARDS: usize = 4;

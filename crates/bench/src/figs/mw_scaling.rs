@@ -58,7 +58,7 @@ pub struct MwScalingResult {
     /// Uncontended (1 writer, 1 shard) ring-path commit cost.
     pub mw_ns_per_txn_1w: f64,
     pub persist_clean: bool,
-    pub fuzz: crashsim::PoolFuzzReport,
+    pub fuzz: crashsim::CampaignReport,
     pub frontier: FrontierReport,
 }
 

@@ -22,7 +22,7 @@
 use std::fs;
 
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
-use crashsim::{FrontierReport, PoolFuzzReport};
+use crashsim::{CampaignReport, FrontierReport};
 use nvmsim::{merge_shard_traces, shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
 use persistcheck::{CheckConfig, Checker};
 use rand::rngs::StdRng;
@@ -58,7 +58,7 @@ pub struct SpanningResult {
     pub overhead_x: f64,
     pub persist_clean: bool,
     pub frontier: FrontierReport,
-    pub fuzz: PoolFuzzReport,
+    pub fuzz: CampaignReport,
 }
 
 fn build_pool(quick: bool) -> (TincaPool, Vec<Nvm>) {

@@ -1,13 +1,15 @@
-//! The recoverable-application abstraction the crash campaigns share.
+//! The outcome and report every crash campaign shares, and the
+//! recoverable-application abstraction.
 //!
-//! Every crash campaign in this crate — and the kvdb campaigns layered on
-//! top — has the same skeleton: set up a seeded workload with a trip
-//! armed, run until the trip fires (or the workload completes),
-//! power-cycle and recover, then check the recovered state against an
-//! oracle. [`RecoverableApp`] captures that skeleton; [`run_recoverable`]
-//! drives one seed and [`campaign`] aggregates a sweep of seeds, so a new
-//! application only writes its workload, recovery, and oracle — never the
-//! campaign scaffolding.
+//! Every crash campaign has the same skeleton: set up a seeded workload
+//! with a trip armed, run until the trip fires (or the workload
+//! completes), power-cycle and recover, then check the recovered state
+//! against an oracle. Each seed ends in one [`AppOutcome`] and
+//! [`campaign`] aggregates a sweep of seeds into one [`CampaignReport`].
+//! The pool campaigns get the rest of the skeleton from
+//! [`crate::engine`]; applications with a recovery of their own (the FS
+//! stack, kvdb's two personalities) implement [`RecoverableApp`] and are
+//! driven by [`run_recoverable`].
 
 /// One crashable application run: the campaign driver calls
 /// [`run_to_trip`](Self::run_to_trip) once, and — only if the trip fired —
@@ -43,6 +45,18 @@ pub enum AppOutcome {
     Violation(String),
 }
 
+impl AppOutcome {
+    /// The verdict of a crash that recovery and the oracle judged:
+    /// [`CrashedVerified`](Self::CrashedVerified), or a violation tagged
+    /// with what identifies the seed.
+    pub fn judged(check: Result<(), String>, tag: impl std::fmt::Display) -> AppOutcome {
+        match check {
+            Ok(()) => AppOutcome::CrashedVerified,
+            Err(e) => AppOutcome::Violation(format!("{tag}: {e}")),
+        }
+    }
+}
+
 /// Drives one application through the crash experiment: run to the trip,
 /// and if it fired, recover and verify.
 pub fn run_recoverable<A: RecoverableApp>(app: &mut A) -> AppOutcome {
@@ -58,12 +72,23 @@ pub fn run_recoverable<A: RecoverableApp>(app: &mut A) -> AppOutcome {
     }
 }
 
-/// Aggregate over a campaign of seeds.
+/// Aggregate over a campaign of seeds — every campaign's report.
 #[derive(Clone, Debug, Default)]
 pub struct CampaignReport {
     pub runs: u64,
     pub completed: u64,
     pub crashes: u64,
+    /// Writes admission control shed (the crash-mid-backlog campaign: it
+    /// is only meaningful if there *was* a backlog).
+    pub shed: u64,
+    /// Runs that ended with at least one quarantined block (fault fuzz).
+    pub degraded: u64,
+    /// Transient disk faults absorbed by retry, over all runs.
+    pub transients_absorbed: u64,
+    /// Retry attempts, over all runs.
+    pub io_retries: u64,
+    /// Permanent I/O errors, over all runs.
+    pub permanent_errors: u64,
     pub violations: Vec<String>,
 }
 
@@ -74,17 +99,18 @@ impl CampaignReport {
 }
 
 /// Runs `runs` seeds through `run_seed` (which typically constructs an app
-/// for the seed index and calls [`run_recoverable`]) and aggregates the
-/// outcomes. With `count_seeds`, each outcome also bumps the
-/// `crash.seeds.*` telemetry counters.
+/// for the seed index and calls [`run_recoverable`]; it may add its own
+/// tallies to the report) and aggregates the outcomes. With
+/// `count_seeds`, each outcome also bumps the `crash.seeds.*` telemetry
+/// counters.
 pub fn campaign<F>(runs: u64, count_seeds: bool, mut run_seed: F) -> CampaignReport
 where
-    F: FnMut(u64) -> AppOutcome,
+    F: FnMut(u64, &mut CampaignReport) -> AppOutcome,
 {
     let mut report = CampaignReport::default();
     for i in 0..runs {
         report.runs += 1;
-        match run_seed(i) {
+        match run_seed(i, &mut report) {
             AppOutcome::Completed => {
                 report.completed += 1;
                 if count_seeds {
@@ -162,7 +188,7 @@ mod tests {
             AppOutcome::Violation("v".into()),
         ];
         let mut it = outcomes.iter().cloned();
-        let r = campaign(3, false, |_| it.next().expect("three outcomes"));
+        let r = campaign(3, false, |_, _| it.next().expect("three outcomes"));
         assert_eq!((r.runs, r.completed, r.crashes), (3, 1, 2));
         assert_eq!(r.violations, vec!["v".to_string()]);
         assert!(!r.clean());

@@ -2,79 +2,48 @@
 //!
 //! The crash fuzzers ([`crate::fuzz`], [`crate::poolfuzz`]) assume a
 //! perfect disk. This campaign drops that assumption: each seeded run
-//! wraps the disk in a [`FaultyDisk`] with a randomized [`FaultPlan`]
-//! (transient read/write bursts, an occasional permanently bad block
-//! range, latency spikes) *and* arms a crash trip on the NVM device, then
-//! verifies that the two failure modes composed still lose nothing:
+//! wraps the disk in a [`FaultyDisk`](blockdev::FaultyDisk) with a
+//! randomized [`FaultPlan`] (transient read/write bursts, an occasional
+//! permanently bad block range, latency spikes) *and* arms a crash trip on
+//! one shard's NVM device, then verifies that the two failure modes
+//! composed still lose nothing:
 //!
 //! * every transaction committed before the crash reads back exactly —
 //!   a block whose writeback permanently fails must survive *in NVM*
-//!   (quarantined, pinned dirty), not evaporate;
+//!   (quarantined, pinned dirty), not evaporate — and a refused commit
+//!   leaves no trace;
 //! * the in-flight transaction is all-or-nothing;
 //! * transient faults are absorbed by the cache's bounded retry and never
-//!   surface to the committing caller;
-//! * the NVM event trace stays persist-order clean (the fault/retry path
+//!   surface to the committing caller, and a read that succeeds agrees
+//!   with the oracle;
+//! * the NVM event traces stay persist-order clean (the fault/retry path
 //!   must not skip fences);
-//! * [`TincaCache::health`] reports `Degraded` exactly when blocks are
+//! * the pool's [`Health`] reports `Degraded` exactly when blocks are
 //!   quarantined.
+//!
+//! With one shard the pool is bit-for-bit a bare cache. With several the
+//! script's random blocks make most transactions span shards, so the
+//! two-phase spanning commit runs under transient bursts and bad ranges.
 //!
 //! Fault injection stays enabled through the workload *and* recovery;
 //! verification reads run with injection disabled so they observe state
 //! rather than perturb it.
 
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-
-use blockdev::{DiskKind, FaultPlan, FaultyDisk, SimDisk, BLOCK_SIZE};
-use nvmsim::{CrashPolicy, NvmConfig, NvmDevice, NvmTech, SimClock};
-use persistcheck::{CheckConfig, Checker};
+use blockdev::{FaultPlan, BLOCK_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tinca::{Health, TincaCache, TincaConfig};
+use tinca::{CommitMode, Health, TincaPool};
 
+use crate::app::{campaign, AppOutcome, CampaignReport};
+use crate::engine::{small_pool, tripped, BlockOracle, Cut, Rig, Trip, TxnSpec, SHARD_BYTES};
 use crate::quiet_crash_panics;
 
 /// Disk blocks the workload touches.
 const WORK_BLOCKS: u64 = 96;
 
-/// One fault-fuzz iteration's result.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FaultFuzzOutcome {
-    /// The script completed (no crash); faults absorbed or quarantined.
-    Completed,
-    /// Crash injected; recovery verified clean under the fault plan.
-    CrashedVerified,
-    /// Verification failed — a durability or consistency bug.
-    Violation(String),
-}
-
-/// Aggregate over a fault-fuzz campaign.
-#[derive(Clone, Debug, Default)]
-pub struct FaultFuzzReport {
-    pub runs: u64,
-    pub completed: u64,
-    pub crashes: u64,
-    /// Runs that ended with at least one quarantined block (degraded mode).
-    pub degraded: u64,
-    /// Sum of transient faults absorbed by retry across all runs.
-    pub transients_absorbed: u64,
-    /// Sum of retry attempts across all runs.
-    pub io_retries: u64,
-    /// Sum of permanent I/O errors across all runs.
-    pub permanent_errors: u64,
-    pub violations: Vec<String>,
-}
-
-impl FaultFuzzReport {
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
 /// One scripted step: a transaction of disjoint writes, or a read probe.
 enum Op {
-    Txn(Vec<(u64, u8)>),
+    Txn(TxnSpec),
     Read(u64),
 }
 
@@ -85,11 +54,11 @@ fn script(rng: &mut StdRng, txns: usize) -> Vec<Op> {
             out.push(Op::Read(rng.gen_range(0..WORK_BLOCKS)));
         }
         let n = rng.gen_range(1..=4usize);
-        let mut spec: Vec<(u64, u8)> = Vec::with_capacity(n);
+        let mut spec: TxnSpec = Vec::with_capacity(n);
         while spec.len() < n {
             let b = rng.gen_range(0..WORK_BLOCKS);
             if spec.iter().all(|(x, _)| *x != b) {
-                spec.push((b, rng.gen_range(1..=255)));
+                spec.push((b, rng.gen_range(1..=255u8).into()));
             }
         }
         out.push(Op::Txn(spec));
@@ -115,286 +84,139 @@ fn draw_plan(rng: &mut StdRng, seed: u64) -> FaultPlan {
     plan
 }
 
-fn fill(v: u8) -> [u8; BLOCK_SIZE] {
-    [v; BLOCK_SIZE]
-}
-
-/// Per-run fault counters (from [`tinca::CacheStats`], pre-crash).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FaultRunStats {
-    pub io_retries: u64,
-    pub transients_absorbed: u64,
-    pub permanent_errors: u64,
-    pub quarantined: usize,
-}
-
-/// Runs one seeded crash+fault iteration.
-pub fn fault_fuzz_one(seed: u64, txns: usize) -> FaultFuzzOutcome {
-    fault_fuzz_one_detailed(seed, txns).0
-}
-
-/// [`fault_fuzz_one`] plus the run's fault counters.
-pub fn fault_fuzz_one_detailed(seed: u64, txns: usize) -> (FaultFuzzOutcome, FaultRunStats) {
-    quiet_crash_panics();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan = draw_plan(&mut rng, seed);
-
-    let clock = SimClock::new();
-    telemetry::swap_clock(&clock);
-    let _seed_span = telemetry::span(telemetry::phase::CRASH_SEED);
-    let nvm = NvmDevice::new(
-        NvmConfig::new(256 << 10, NvmTech::Pcm).with_tracing(),
-        clock.clone(),
-    );
-    let faulty = FaultyDisk::new(SimDisk::new(DiskKind::Ssd, 1 << 16, clock), plan);
-    // Odd seeds run the write-behind pipeline: the 256 KB cache holds ~61
-    // data blocks against a 96-block working set, so the destage daemon
-    // fires mid-script and the campaign covers crash-during-destage and
-    // destage-retry-under-faults schedules alongside the synchronous path.
-    let destage = seed % 2 == 1;
-    let cfg = TincaConfig {
-        ring_bytes: 4096,
-        destage,
-        coalesce_flushes: destage,
-        ..TincaConfig::default()
-    };
-    let mut cache = TincaCache::format(nvm.clone(), faulty.clone(), cfg.clone());
-    let metadata_range = 0..cache.layout().data_off;
-    let metadata = vec![metadata_range];
-
-    // The trip range deliberately overshoots the script's event count for
-    // part of the seed space, so campaigns cover both mid-run crashes and
-    // completed runs (where flush_all and degraded-health checks apply).
-    let plan_ops = script(&mut rng, txns);
-    let trip = rng.gen_range(1..12_000u64);
-    nvm.set_trip(Some(trip));
-
-    // Oracle: block → last committed fill byte. `in_flight` names the
-    // transaction the crash interrupted, if any.
-    let mut durable: HashMap<u64, u8> = HashMap::new();
-    let mut in_flight: Option<Vec<(u64, u8)>> = None;
-    let crashed = {
-        let durable = &mut durable;
-        let in_flight = &mut in_flight;
-        let cache = &mut cache;
-        let plan_ops = &plan_ops;
-        catch_unwind(AssertUnwindSafe(move || {
-            for op in plan_ops {
-                match op {
-                    Op::Read(b) => {
-                        let mut buf = [0u8; BLOCK_SIZE];
-                        // A read may fail permanently (bad uncached block);
-                        // that is allowed — losing *committed* data is not,
-                        // and successful reads must agree with the oracle.
-                        if cache.read(*b, &mut buf).is_ok() {
-                            let want = durable.get(b).copied().unwrap_or(0);
-                            assert_eq!(buf, fill(want), "read of block {b} disagrees with oracle");
-                        }
-                    }
-                    Op::Txn(spec) => {
-                        *in_flight = Some(spec.clone());
-                        let mut t = cache.init_txn();
-                        for (b, v) in spec {
-                            t.write(*b, &fill(*v));
-                        }
-                        // A commit error means the transaction aborted
-                        // cleanly (e.g. every eviction victim quarantined);
-                        // its writes must NOT become durable.
-                        if cache.commit(&t).is_ok() {
-                            for (b, v) in spec {
-                                durable.insert(*b, *v);
-                            }
-                        }
-                        *in_flight = None;
-                    }
+/// Plays the script. A commit error means the transaction aborted cleanly
+/// (e.g. every eviction victim quarantined): its writes must not become
+/// durable. A read may fail permanently (a bad uncached block) — losing
+/// *committed* data may not, and a read that succeeds must agree with the
+/// oracle.
+fn play(pool: &TincaPool, ops: &[Op], oracle: &mut BlockOracle) -> Result<(), String> {
+    let images = oracle.images();
+    for op in ops {
+        match op {
+            Op::Read(b) => {
+                let mut buf = [0u8; BLOCK_SIZE];
+                if pool.read(*b, &mut buf).is_ok() && buf != oracle.durable_image(*b) {
+                    return Err(format!("read of block {b} disagrees with the oracle"));
                 }
             }
-        }))
-        .is_err()
-    };
-    nvm.set_trip(None);
-
-    // Fault counters live in DRAM, so they are read off the pre-crash
-    // cache object (a crash wipes them along with the rest of DRAM).
-    let s = cache.stats();
-    let run_stats = FaultRunStats {
-        io_retries: s.io_retries,
-        transients_absorbed: s.transient_errors_absorbed,
-        permanent_errors: s.permanent_io_errors,
-        quarantined: cache.quarantined_count(),
-    };
-
-    if !crashed {
-        let outcome = verify_completed(&mut cache, &faulty, &nvm, &metadata, &durable);
-        return (outcome, run_stats);
-    }
-
-    // Power failure mid-run: un-fenced NVM state resolves adversarially.
-    // The pre-crash DRAM state is garbage now; recover from NVM with fault
-    // injection still live (recovery must not need the disk).
-    drop(cache);
-    nvm.crash(CrashPolicy::Random(seed ^ 0xD15C));
-    let mut cache = match TincaCache::recover(nvm.clone(), faulty.clone(), cfg) {
-        Ok(c) => c,
-        Err(e) => {
-            let v = FaultFuzzOutcome::Violation(format!(
-                "seed {seed} trip {trip}: recovery failed under faults: {e}"
-            ));
-            return (v, run_stats);
+            Op::Txn(spec) => {
+                oracle.begin(spec);
+                if pool.commit(images.txn(pool, spec)).is_ok() {
+                    oracle.commit();
+                } else {
+                    oracle.abort();
+                }
+            }
         }
-    };
-
-    faulty.set_enabled(false);
-    let outcome =
-        match verify_recovered(&mut cache, &nvm, &metadata, &durable, in_flight.as_deref()) {
-            Ok(()) => FaultFuzzOutcome::CrashedVerified,
-            Err(e) => FaultFuzzOutcome::Violation(format!("seed {seed} trip {trip}: {e}")),
-        };
-    (outcome, run_stats)
+    }
+    Ok(())
 }
 
-fn verify_completed(
-    cache: &mut TincaCache,
-    faulty: &Arc<FaultyDisk>,
-    nvm: &nvmsim::Nvm,
-    metadata: &[std::ops::Range<usize>],
-    durable: &HashMap<u64, u8>,
-) -> FaultFuzzOutcome {
-    // Health must mirror the quarantine set.
-    let q = cache.quarantined_count();
-    let health = cache.health();
+fn quarantined(pool: &TincaPool) -> usize {
+    (0..pool.shard_count())
+        .map(|s| pool.with_shard(s, |c| c.quarantined_count()))
+        .sum()
+}
+
+/// The checks of a run the trip never cut: health mirrors the quarantine
+/// set, and an orderly flush keeps failing only while something is
+/// quarantined — every committed block must still read back, from NVM if
+/// pinned.
+fn check_completed(rig: &Rig, pool: &TincaPool, oracle: &BlockOracle) -> Result<(), String> {
+    let q = quarantined(pool);
+    let health = pool.health();
     let health_ok = match health {
         Health::Healthy => q == 0,
         Health::Degraded { quarantined } => quarantined == q && q > 0,
         Health::ReadOnly => q > 0,
     };
     if !health_ok {
-        return FaultFuzzOutcome::Violation(format!(
+        return Err(format!(
             "health {health:?} disagrees with quarantined_count {q}"
         ));
     }
-    // An orderly flush keeps failing while the bad range persists, but
-    // every committed block must still read back — from NVM if pinned.
-    let flush = cache.flush_all();
-    if flush.is_err() && cache.quarantined_count() == 0 {
-        return FaultFuzzOutcome::Violation(format!(
+    let flush = pool.flush_all();
+    if flush.is_err() && quarantined(pool) == 0 {
+        return Err(format!(
             "flush_all failed ({flush:?}) yet nothing is quarantined"
         ));
     }
-    faulty.set_enabled(false);
-    if let Err(e) = check_trace_and_blocks(cache, nvm, metadata, durable) {
-        return FaultFuzzOutcome::Violation(e);
-    }
-    FaultFuzzOutcome::Completed
+    rig.check(pool, oracle)
 }
 
-fn verify_recovered(
-    cache: &mut TincaCache,
-    nvm: &nvmsim::Nvm,
-    metadata: &[std::ops::Range<usize>],
-    durable: &HashMap<u64, u8>,
-    in_flight: Option<&[(u64, u8)]>,
-) -> Result<(), String> {
-    // The crash-interrupted transaction must be all-or-nothing; judge its
-    // blocks separately from the strictly-durable set.
-    let staged: HashMap<u64, u8> = in_flight
-        .map(|s| s.iter().copied().collect())
-        .unwrap_or_default();
-    let strictly_durable: HashMap<u64, u8> = durable
-        .iter()
-        .filter(|(b, _)| !staged.contains_key(b))
-        .map(|(&b, &v)| (b, v))
-        .collect();
-    check_trace_and_blocks(cache, nvm, metadata, &strictly_durable)?;
+/// One seeded crash+fault iteration on an `N`-shard pool, its fault
+/// counters added to `report`.
+fn fault_seed(shards: usize, seed: u64, txns: usize, report: &mut CampaignReport) -> AppOutcome {
+    quiet_crash_panics();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let plan = draw_plan(&mut rng, seed);
+    // Odd seeds run the write-behind pipeline: the 256 KB of NVM (split
+    // over the shards) holds ~61 data blocks against a 96-block working
+    // set, so the destage daemon fires mid-script and the campaign covers
+    // crash-during-destage and destage-retry-under-faults schedules
+    // alongside the synchronous path.
+    let destage = seed % 2 == 1;
+    let mut cfg = small_pool(shards, CommitMode::Mutex, false);
+    cfg.cache.destage = destage;
+    cfg.cache.coalesce_flushes = destage;
+    let (rig, pool) = Rig::with_faults(cfg, SHARD_BYTES / shards, plan);
+    let _seed_span = telemetry::span(telemetry::phase::CRASH_SEED);
 
-    if let Some(spec) = in_flight {
-        let mut news = 0usize;
-        let mut olds = 0usize;
-        let mut buf = [0u8; BLOCK_SIZE];
-        for &(b, v) in spec {
-            cache
-                .read_nocache(b, &mut buf)
-                .map_err(|e| format!("in-flight block {b} unreadable after recovery: {e}"))?;
-            let old = durable.get(&b).copied().unwrap_or(0);
-            if v == old {
-                // The script redrew the block's already-committed value:
-                // the readback is consistent with both outcomes and is
-                // evidence for neither side of the atomicity check.
-                if buf != fill(v) {
-                    return Err(format!("in-flight block {b} is torn: read {:#x}", buf[0]));
-                }
-            } else if buf == fill(v) {
-                news += 1;
-            } else if buf == fill(old) {
-                olds += 1;
-            } else {
-                return Err(format!("in-flight block {b} is torn: read {:#x}", buf[0]));
-            }
-        }
-        if news != 0 && olds != 0 {
-            return Err(format!(
-                "in-flight transaction not atomic: {news} new / {olds} old of {}",
-                spec.len()
-            ));
-        }
+    // The trip range deliberately overshoots the script's event count for
+    // part of the seed space, so campaigns cover both mid-run crashes and
+    // completed runs (where flush_all and degraded-health checks apply).
+    // The trip shard skips the seed's low bit, which picks `destage`.
+    let ops = script(&mut rng, txns);
+    let trip = Trip {
+        dev: (seed / 2 % shards as u64) as usize,
+        at: rng.gen_range(1..12_000u64),
+    };
+    let mut oracle = rig.oracle(WORK_BLOCKS);
+    rig.arm(trip);
+    let run = tripped(&rig.devices, || play(&pool, &ops, &mut oracle));
+
+    // Fault counters live in DRAM, so they are read off the pre-crash
+    // pool (a crash wipes them along with the rest of DRAM).
+    let s = pool.stats();
+    report.io_retries += s.io_retries;
+    report.transients_absorbed += s.transient_errors_absorbed;
+    report.permanent_errors += s.permanent_io_errors;
+    report.degraded += u64::from(quarantined(&pool) > 0);
+
+    let completed = run.is_some();
+    let verdict = match run {
+        Some(played) => played.and_then(|()| check_completed(&rig, &pool, &oracle)),
+        // Power failure mid-run: recovery runs with fault injection still
+        // live (it must not need the disk).
+        None => rig.cut(
+            Cut::Random {
+                seed: seed ^ 0xD15C,
+                shift: 17,
+            },
+            &oracle,
+        ),
+    };
+    match AppOutcome::judged(verdict, format_args!("seed {seed} {trip}")) {
+        AppOutcome::CrashedVerified if completed => AppOutcome::Completed,
+        outcome => outcome,
     }
-    Ok(())
 }
 
-/// Shared tail of both verification paths: internal invariants, the
-/// persist-order trace, and byte-exact readback of every durable block.
-fn check_trace_and_blocks(
-    cache: &mut TincaCache,
-    nvm: &nvmsim::Nvm,
-    metadata: &[std::ops::Range<usize>],
-    durable: &HashMap<u64, u8>,
-) -> Result<(), String> {
-    cache
-        .check_consistency()
-        .map_err(|e| format!("inconsistent internals: {e}"))?;
-    let mut checker = Checker::new(CheckConfig::with_metadata(metadata.to_vec()));
-    checker.push_all(&nvm.take_trace());
-    let report = checker.report();
-    if !report.is_clean() {
-        return Err(format!("persist-order violation under faults: {report}"));
-    }
-    let mut buf = [0u8; BLOCK_SIZE];
-    for (&b, &v) in durable {
-        cache
-            .read_nocache(b, &mut buf)
-            .map_err(|e| format!("durable block {b} unreadable: {e}"))?;
-        if buf != fill(v) {
-            return Err(format!(
-                "durable block {b}: expected fill {v:#x}, read {:#x}",
-                buf[0]
-            ));
-        }
-    }
-    Ok(())
+/// Runs one seeded crash+fault iteration on an `N`-shard pool.
+pub fn fault_fuzz_one(shards: usize, seed: u64, txns: usize) -> AppOutcome {
+    fault_seed(shards, seed, txns, &mut CampaignReport::default())
 }
 
-/// Runs a fault-fuzz campaign of `runs` seeds.
-pub fn fault_fuzz_campaign(base_seed: u64, runs: u64, txns: usize) -> FaultFuzzReport {
-    let mut report = FaultFuzzReport::default();
-    for i in 0..runs {
-        report.runs += 1;
-        let (outcome, stats) = fault_fuzz_one_detailed(base_seed + i, txns);
-        report.io_retries += stats.io_retries;
-        report.transients_absorbed += stats.transients_absorbed;
-        report.permanent_errors += stats.permanent_errors;
-        if stats.quarantined > 0 {
-            report.degraded += 1;
-        }
-        match outcome {
-            FaultFuzzOutcome::Completed => report.completed += 1,
-            FaultFuzzOutcome::CrashedVerified => report.crashes += 1,
-            FaultFuzzOutcome::Violation(v) => {
-                report.crashes += 1;
-                report.violations.push(v);
-            }
-        }
-    }
-    report
+/// Runs a fault-fuzz campaign of `runs` seeds on an `N`-shard pool.
+pub fn fault_fuzz_campaign(
+    shards: usize,
+    base_seed: u64,
+    runs: u64,
+    txns: usize,
+) -> CampaignReport {
+    campaign(runs, false, |i, report| {
+        fault_seed(shards, base_seed + i, txns, report)
+    })
 }
 
 #[cfg(test)]
@@ -418,7 +240,7 @@ mod tests {
 
     #[test]
     fn small_campaign_is_clean() {
-        let report = fault_fuzz_campaign(7, 25, 40);
+        let report = fault_fuzz_campaign(1, 7, 25, 40);
         assert!(report.clean(), "violations: {:#?}", report.violations);
         assert!(report.crashes + report.completed == report.runs);
     }

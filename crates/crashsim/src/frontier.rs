@@ -16,7 +16,9 @@
 //! included); the report counts those epochs so a capped run is never
 //! mistaken for an exhaustive one.
 //!
-//! Three campaigns are provided:
+//! Three campaigns are provided here (the multi-writer one lives in
+//! [`crate::mwfuzz`]); the pool ones enumerate through the engine's rig,
+//! cut and oracle:
 //!
 //! * [`frontier_fs_campaign`] — the single-threaded FS stack, replaying
 //!   the same scripts as [`crate::fuzz`];
@@ -24,7 +26,8 @@
 //!   workload: one OS thread per shard (blocks ≡ thread mod shards keep
 //!   every shard single-writer and its event stream deterministic), the
 //!   spawn handoff annotated with release/acquire sync events so the
-//!   persistrace rules audit each shard's trace without false positives;
+//!   persistrace rules audit each shard's trace and the merged trace
+//!   without false positives;
 //! * [`spanning_frontier_campaign`] — a single-threaded stream of
 //!   transactions that each touch **every** shard, so each commit runs
 //!   the pool's two-phase spanning protocol. Epochs are enumerated on
@@ -33,22 +36,18 @@
 //!   window retirement; recovery must make each transaction
 //!   all-or-nothing across all shards at every frontier.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::{BTreeSet, HashSet};
 
-use blockdev::{Disk, DiskKind, SimDisk, BLOCK_SIZE};
 use fssim::stack::{StackConfig, System};
-use nvmsim::{
-    merge_shard_traces, shard_devices, CrashPolicy, CrashTripped, Nvm, NvmConfig, NvmTech, SimClock,
-};
-use nvmsim::{TraceEvent, TracedOp};
-use persistcheck::{CheckConfig, Checker};
+use nvmsim::{Nvm, TraceEvent, TracedOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tinca::{PoolConfig, TincaConfig, TincaPool};
+use tinca::{CommitMode, PoolConfig, TincaPool};
 
+use crate::engine::{
+    small_pool, tripped, BlockOracle, Cut, Images, Rig, Trip, TxnSpec, SHARD_BYTES,
+};
 use crate::fuzz::{apply, script};
-use crate::poolfuzz::image;
 use crate::{quiet_crash_panics, CrashHarness, FsOracle};
 
 /// Aggregate over a frontier-enumeration campaign.
@@ -186,8 +185,8 @@ fn frontiers(staged: &[usize], cap: usize, seed: u64) -> (Vec<Vec<usize>>, bool)
 ///
 /// `site` labels the device index in violation strings (`Some("shard")` →
 /// `"seed S shard D epoch I …"`; `None` omits it, for single-device
-/// campaigns). All three built-in campaigns and the kvdb frontier
-/// campaigns run through this loop.
+/// campaigns). Every frontier campaign, the kvdb ones included, runs
+/// through this loop.
 pub fn frontier_enumerate<F>(
     seed: u64,
     cap_per_epoch: usize,
@@ -313,20 +312,66 @@ fn run_fs_state(
 }
 
 // ---------------------------------------------------------------------------
-// Pool campaign (one OS thread per shard)
+// Pool campaigns, on the engine
 // ---------------------------------------------------------------------------
 
-/// One scripted transaction: disjoint (block, fill) writes on one shard.
-type TxnSpec = Vec<(u64, u8)>;
+/// Bounded-exhaustive frontier enumeration of a pool workload over
+/// blocks `0..blocks`. `drive` plays the workload on a freshly formatted
+/// [`Rig`] — through [`tripped`], so an armed trip can cut it — tells the
+/// oracle what it committed and what it left in flight, and returns
+/// whether the trip fired (`Err`: a violation of the campaign's own).
+/// A probe run harvests every device's fence epochs; each epoch is then
+/// replayed to its last staged `clflush` on its device, cut at every
+/// enumerated frontier ([`Cut::Frontier`]), recovered and checked.
+pub(crate) fn pool_frontier<D>(
+    cfg: &PoolConfig,
+    blocks: u64,
+    seed: u64,
+    cap_per_epoch: usize,
+    site: &str,
+    drive: D,
+) -> FrontierReport
+where
+    D: Fn(&Rig, &TincaPool, &mut BlockOracle) -> Result<bool, String>,
+{
+    quiet_crash_panics();
+    let (rig, pool) = Rig::new(cfg.clone(), SHARD_BYTES);
+    let starts: Vec<u64> = rig.devices.iter().map(|d| d.events()).collect();
+    if drive(&rig, &pool, &mut rig.oracle(blocks)) != Ok(false) {
+        return FrontierReport {
+            cap_per_epoch: cap_per_epoch.max(2),
+            violations: vec!["probe run crashed with no trip armed".into()],
+            ..FrontierReport::default()
+        };
+    }
+    let epochs: Vec<Vec<FenceEpoch>> = rig
+        .devices
+        .iter()
+        .map(|d| epochs_from_trace(&d.take_trace()))
+        .collect();
+
+    frontier_enumerate(
+        seed,
+        cap_per_epoch,
+        &epochs,
+        &starts,
+        Some(site),
+        |dev, at, keep| {
+            let (rig, pool) = Rig::new(cfg.clone(), SHARD_BYTES);
+            let mut oracle = rig.oracle(blocks);
+            rig.arm(Trip { dev, at });
+            if !drive(&rig, &pool, &mut oracle)? {
+                return Err("trip did not fire on replay (stream not deterministic?)".into());
+            }
+            rig.cut(Cut::Frontier { dev, keep }, &oracle)
+        },
+    )
+}
 
 /// Worker trace-thread ids start here, far above any lazily assigned id.
 const WORKER_TRACE_BASE: u32 = 1000;
 /// Sync-object id for the spawn handoff of shard `s` is `HANDOFF_OBJ + s`.
 const HANDOFF_OBJ: u64 = 0x5F00;
-
-fn fill(v: u8) -> [u8; BLOCK_SIZE] {
-    [v; BLOCK_SIZE]
-}
 
 /// Per-thread script: thread `t` of `shards` only touches blocks
 /// ≡ `t` (mod `shards`), so each shard has exactly one writer and its
@@ -345,7 +390,7 @@ fn thread_script(
             while spec.len() < n {
                 let b = rng.gen_range(0..blocks / shards) * shards + thread;
                 if spec.iter().all(|(x, _)| *x != b) {
-                    spec.push((b, rng.gen_range(1..=255)));
+                    spec.push((b, rng.gen_range(1..=255u8).into()));
                 }
             }
             spec
@@ -353,31 +398,14 @@ fn thread_script(
         .collect()
 }
 
-fn build_pool(shards: usize, delta_stage: bool) -> (Vec<Nvm>, Disk, PoolConfig) {
-    let nvm_cfg = NvmConfig::new(shards * (256 << 10), NvmTech::Pcm).with_tracing();
-    let devices = shard_devices(&nvm_cfg, shards);
-    let clock = SimClock::new();
-    telemetry::swap_clock(&clock);
-    let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-    let pool_cfg = PoolConfig {
-        shards,
-        cache: TincaConfig {
-            ring_bytes: 4096,
-            delta_stage,
-            ..TincaConfig::default()
-        },
-        ..PoolConfig::default()
-    };
-    (devices, disk, pool_cfg)
-}
-
-/// Runs one OS thread per plan against the shared pool. Thread `i` owns
-/// shard `i`. Returns per-thread `(committed, crashed)`; any panic other
-/// than the armed [`CrashTripped`] propagates.
+/// Runs one OS thread per plan against the shared pool; thread `i` owns
+/// shard `i` and disarms its device when it stops. Returns per-thread
+/// `(committed, crashed)`.
 fn run_pool_threads(
     pool: &TincaPool,
     devices: &[Nvm],
     plans: &[Vec<TxnSpec>],
+    images: Images,
 ) -> Vec<(usize, bool)> {
     // Annotate the spawn handoff: the spawning thread releases, each
     // worker acquires, giving the race rules the happens-before edge the
@@ -390,27 +418,19 @@ fn run_pool_threads(
             .iter()
             .enumerate()
             .map(|(i, plan)| {
-                let device = &devices[i];
+                let device = &devices[i..=i];
                 sc.spawn(move || {
                     nvmsim::set_trace_thread(WORKER_TRACE_BASE + i as u32);
-                    device.note_atomic_load_acquire(HANDOFF_OBJ + i as u64);
+                    device[0].note_atomic_load_acquire(HANDOFF_OBJ + i as u64);
                     let mut committed = 0usize;
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let done = tripped(device, || {
                         for spec in plan {
-                            let mut t = pool.init_txn();
-                            for (b, v) in spec {
-                                t.write(*b, &fill(*v));
-                            }
-                            pool.commit(t).expect("frontier commit");
+                            pool.commit(images.txn(pool, spec))
+                                .expect("frontier commit");
                             committed += 1;
                         }
-                    }));
-                    let crashed = match outcome {
-                        Ok(()) => false,
-                        Err(p) if p.downcast_ref::<CrashTripped>().is_some() => true,
-                        Err(p) => std::panic::resume_unwind(p),
-                    };
-                    (committed, crashed)
+                    });
+                    (committed, done.is_none())
                 })
             })
             .collect();
@@ -424,183 +444,57 @@ fn run_pool_threads(
 /// Enumerates crash frontiers for a multi-threaded pool workload: one OS
 /// thread per shard commits its own transaction stream; each shard's
 /// fence epochs are enumerated in turn, the crash landing mid-commit on
-/// that shard while the other threads run to completion.
+/// that shard while the other threads run to completion. Every shard's
+/// trace and the merged trace pass the analyzer, concurrency rules
+/// (persist-race, unordered-commit, cross-thread-flush-dependency)
+/// included.
+///
+/// With `delta_stage` the pool runs
+/// [`TincaConfig::delta_stage`](tinca::TincaConfig::delta_stage), each
+/// thread rewrites a narrow block range and the images are sparse, so the
+/// enumerated frontiers cut shadow rewrites on every shard.
 pub fn pool_frontier_campaign(
     shards: usize,
     seed: u64,
     txns_per_thread: usize,
     cap_per_epoch: usize,
+    delta_stage: bool,
 ) -> FrontierReport {
-    quiet_crash_panics();
-    let mut report = FrontierReport {
-        cap_per_epoch: cap_per_epoch.max(2),
-        ..FrontierReport::default()
-    };
-    let blocks = 96u64;
+    // Under delta staging each thread rewrites two blocks, so from a
+    // block's third write on its commits rewrite a reserved shadow.
+    let blocks = if delta_stage { 2 * shards as u64 } else { 96 };
     let plans: Vec<Vec<TxnSpec>> = (0..shards)
         .map(|t| {
             let mut rng = StdRng::seed_from_u64(seed ^ ((t as u64 + 1) << 8));
             thread_script(&mut rng, txns_per_thread, blocks, shards as u64, t as u64)
         })
         .collect();
-
-    // Probe: full run, no trip. Each shard is single-writer, so its event
-    // stream (and thus each epoch's trip ordinal) is replay-stable.
-    let (epochs_per_shard, starts) = {
-        let (devices, disk, pool_cfg) = build_pool(shards, false);
-        let pool = TincaPool::format(devices.clone(), disk, pool_cfg);
-        let starts: Vec<u64> = devices.iter().map(|d| d.events()).collect();
-        let results = run_pool_threads(&pool, &devices, &plans);
-        drop(pool);
-        if let Some((t, _)) = results.iter().enumerate().find(|(_, (_, c))| *c) {
-            report.violations.push(format!(
-                "probe run crashed on thread {t} with no trip armed"
-            ));
-            return report;
-        }
-        let epochs: Vec<Vec<FenceEpoch>> = devices
-            .iter()
-            .map(|d| epochs_from_trace(&d.take_trace()))
-            .collect();
-        (epochs, starts)
-    };
-
-    frontier_enumerate(
+    let cfg = small_pool(shards, CommitMode::Mutex, delta_stage);
+    pool_frontier(
+        &cfg,
+        blocks,
         seed,
         cap_per_epoch,
-        &epochs_per_shard,
-        &starts,
-        Some("shard"),
-        |s, rel_trip, keep| run_pool_state(shards, &plans, s, rel_trip, keep),
+        "shard",
+        |rig, pool, oracle| {
+            let results = run_pool_threads(pool, &rig.devices, &plans, oracle.images());
+            let crashed = results.iter().filter(|(_, c)| *c).count();
+            if crashed > 1 {
+                return Err(format!("{crashed} threads crashed on one trip"));
+            }
+            for (plan, &(committed, _)) in plans.iter().zip(&results) {
+                for spec in &plan[..committed] {
+                    oracle.begin(spec);
+                    oracle.commit();
+                }
+            }
+            if let Some((plan, &(committed, _))) = plans.iter().zip(&results).find(|(_, r)| r.1) {
+                oracle.begin(&plan[committed]);
+            }
+            Ok(crashed == 1)
+        },
     )
 }
-
-/// One pool crash state: replay, trip shard `trip_shard` at `rel_trip`,
-/// resolve its open epoch to exactly `keep` (other shards lose volatile
-/// state), recover, verify.
-fn run_pool_state(
-    shards: usize,
-    plans: &[Vec<TxnSpec>],
-    trip_shard: usize,
-    rel_trip: u64,
-    keep: &[usize],
-) -> Result<(), String> {
-    let (devices, disk, pool_cfg) = build_pool(shards, false);
-    let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
-    let metadata_ranges: Vec<_> = (0..shards).map(|s| pool.shard_metadata_ranges(s)).collect();
-    devices[trip_shard].set_trip(Some(rel_trip));
-    let results = run_pool_threads(&pool, &devices, plans);
-    devices[trip_shard].set_trip(None);
-    drop(pool);
-
-    if !results[trip_shard].1 {
-        return Err("trip did not fire on replay (shard stream not deterministic?)".into());
-    }
-    if let Some((t, _)) = results
-        .iter()
-        .enumerate()
-        .find(|(t, (_, c))| *c && *t != trip_shard)
-    {
-        return Err(format!(
-            "thread {t} crashed but the trip was on shard {trip_shard}"
-        ));
-    }
-
-    let keep_set: HashSet<usize> = keep.iter().copied().collect();
-    devices[trip_shard].crash_frontier(&keep_set);
-    for (s, d) in devices.iter().enumerate() {
-        if s != trip_shard {
-            d.crash(CrashPolicy::LoseVolatile);
-        }
-    }
-    let pool = TincaPool::recover(devices.clone(), disk, pool_cfg)
-        .map_err(|e| format!("recovery failed: {e}"))?;
-    verify_pool(&pool, &devices, &metadata_ranges, plans, &results)
-}
-
-fn verify_pool(
-    pool: &TincaPool,
-    devices: &[Nvm],
-    metadata_ranges: &[Vec<std::ops::Range<usize>>],
-    plans: &[Vec<TxnSpec>],
-    results: &[(usize, bool)],
-) -> Result<(), String> {
-    // 1. Internal invariants of every shard.
-    pool.check_consistency()
-        .map_err(|e| format!("inconsistent internals: {e}"))?;
-
-    // 2. Every shard's full multi-thread trace passes the analyzer —
-    //    including the concurrency rules (persist-race, unordered-commit,
-    //    cross-thread-flush-dependency).
-    for (s, d) in devices.iter().enumerate() {
-        let mut checker = Checker::new(CheckConfig::with_metadata(metadata_ranges[s].clone()));
-        checker.push_all(&d.take_trace());
-        let rep = checker.report();
-        if !rep.is_clean() {
-            return Err(format!("shard {s} analyzer violation: {rep}"));
-        }
-    }
-
-    // 3. Committed transactions are durable; the tripped thread's
-    //    in-flight transaction (single-shard by construction) is
-    //    all-or-nothing.
-    let mut durable: HashMap<u64, u8> = HashMap::new();
-    let mut in_flight: Option<&TxnSpec> = None;
-    for (t, plan) in plans.iter().enumerate() {
-        let (committed, crashed) = results[t];
-        for spec in &plan[..committed] {
-            for &(b, v) in spec {
-                durable.insert(b, v);
-            }
-        }
-        if crashed && committed < plan.len() {
-            in_flight = Some(&plan[committed]);
-        }
-    }
-    let staged: HashMap<u64, u8> = in_flight
-        .map(|s| s.iter().copied().collect())
-        .unwrap_or_default();
-    let mut buf = [0u8; BLOCK_SIZE];
-    for (&b, &v) in &durable {
-        if staged.contains_key(&b) {
-            continue; // judged by the all-or-nothing check below
-        }
-        pool.read(b, &mut buf)
-            .map_err(|e| format!("read {b}: {e}"))?;
-        if buf != fill(v) {
-            return Err(format!(
-                "durable block {b}: expected fill {v:#x}, read {:#x}",
-                buf[0]
-            ));
-        }
-    }
-    if let Some(spec) = in_flight {
-        let mut news = 0usize;
-        let mut olds = 0usize;
-        for &(b, v) in spec {
-            pool.read(b, &mut buf)
-                .map_err(|e| format!("read {b}: {e}"))?;
-            if buf == fill(v) {
-                news += 1;
-            } else if buf == fill(durable.get(&b).copied().unwrap_or(0)) {
-                olds += 1;
-            } else {
-                return Err(format!("in-flight block {b} is torn: read {:#x}", buf[0]));
-            }
-        }
-        if news != 0 && olds != 0 {
-            return Err(format!(
-                "in-flight txn not atomic: {news} new / {olds} old of {}",
-                spec.len()
-            ));
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Spanning campaign (single-threaded, every transaction crosses all shards)
-// ---------------------------------------------------------------------------
 
 /// Spanning script: every transaction writes one block on **each** shard
 /// (`base * shards + s`), so every commit exercises the pool's two-phase
@@ -611,35 +505,10 @@ fn spanning_script(rng: &mut StdRng, txns: usize, bases: u64, shards: u64) -> Ve
         .map(|_| {
             let base = rng.gen_range(0..bases);
             (0..shards)
-                .map(|s| (base * shards + s, rng.gen_range(1..=255)))
+                .map(|s| (base * shards + s, rng.gen_range(1..=255u8).into()))
                 .collect()
         })
         .collect()
-}
-
-/// Commits `plan` on the calling thread; returns `(committed, crashed)`.
-/// Any panic other than the armed [`CrashTripped`] propagates.
-fn run_spanning_script(pool: &TincaPool, plan: &[TxnSpec], sparse: bool) -> (usize, bool) {
-    let mut committed = 0usize;
-    let outcome = {
-        let committed = &mut committed;
-        catch_unwind(AssertUnwindSafe(move || {
-            for spec in plan {
-                let mut t = pool.init_txn();
-                for (b, v) in spec {
-                    t.write(*b, &image(*b, Some(*v), sparse));
-                }
-                pool.commit(t).expect("spanning frontier commit");
-                *committed += 1;
-            }
-        }))
-    };
-    let crashed = match outcome {
-        Ok(()) => false,
-        Err(p) if p.downcast_ref::<CrashTripped>().is_some() => true,
-        Err(p) => std::panic::resume_unwind(p),
-    };
-    (committed, crashed)
 }
 
 /// Enumerates crash frontiers for a spanning-transaction workload. The
@@ -648,11 +517,12 @@ fn run_spanning_script(pool: &TincaPool, plan: &[TxnSpec], sparse: bool) -> (usi
 /// device's fence epochs are enumerated in turn, the crash landing on
 /// that device while the others lose their volatile state.
 ///
-/// With `delta_stage` the pool runs [`TincaConfig::delta_stage`], every
-/// transaction rewrites the same block per shard and the payloads are
-/// sparse (`poolfuzz::image`), so from the third transaction on each
-/// fragment rewrites a reserved shadow block and the enumerated frontiers
-/// are subsets of the few lines it stored, in both halves of the block.
+/// With `delta_stage` the pool runs
+/// [`TincaConfig::delta_stage`](tinca::TincaConfig::delta_stage), every
+/// transaction rewrites the same block per shard and the images are
+/// sparse, so from the third transaction on each fragment rewrites a
+/// reserved shadow block and the enumerated frontiers are subsets of the
+/// few lines it stored, in both halves of the block.
 pub fn spanning_frontier_campaign(
     shards: usize,
     seed: u64,
@@ -660,181 +530,24 @@ pub fn spanning_frontier_campaign(
     cap_per_epoch: usize,
     delta_stage: bool,
 ) -> FrontierReport {
-    quiet_crash_panics();
-    let mut report = FrontierReport {
-        cap_per_epoch: cap_per_epoch.max(2),
-        ..FrontierReport::default()
-    };
-    let plan = {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let bases = if delta_stage { 1 } else { 12 };
-        spanning_script(&mut rng, txns, bases, shards as u64)
-    };
-
-    // Probe: full run, no trip, harvest every device's epochs.
-    let (epochs_per_dev, starts) = {
-        let (devices, disk, pool_cfg) = build_pool(shards, delta_stage);
-        let pool = TincaPool::format(devices.clone(), disk, pool_cfg);
-        let starts: Vec<u64> = devices.iter().map(|d| d.events()).collect();
-        let (committed, crashed) = run_spanning_script(&pool, &plan, delta_stage);
-        drop(pool);
-        if crashed || committed != plan.len() {
-            report
-                .violations
-                .push("probe run crashed with no trip armed".into());
-            return report;
-        }
-        let epochs: Vec<Vec<FenceEpoch>> = devices
-            .iter()
-            .map(|d| epochs_from_trace(&d.take_trace()))
-            .collect();
-        (epochs, starts)
-    };
-
-    frontier_enumerate(
+    let bases = if delta_stage { 1 } else { 12 };
+    let plan = spanning_script(&mut StdRng::seed_from_u64(seed), txns, bases, shards as u64);
+    let cfg = small_pool(shards, CommitMode::Mutex, delta_stage);
+    let blocks = bases * shards as u64;
+    pool_frontier(
+        &cfg,
+        blocks,
         seed,
         cap_per_epoch,
-        &epochs_per_dev,
-        &starts,
-        Some("device"),
-        |s, rel_trip, keep| run_spanning_state(shards, delta_stage, &plan, s, rel_trip, keep),
+        "device",
+        |rig, pool, oracle| Ok(tripped(&rig.devices, || oracle.commit_each(pool, &plan)).is_none()),
     )
-}
-
-/// One spanning crash state: replay, trip device `trip_dev` at
-/// `rel_trip`, resolve its open epoch to exactly `keep` (the other
-/// devices lose volatile state), recover the pool, verify.
-fn run_spanning_state(
-    shards: usize,
-    delta_stage: bool,
-    plan: &[TxnSpec],
-    trip_dev: usize,
-    rel_trip: u64,
-    keep: &[usize],
-) -> Result<(), String> {
-    let (devices, disk, pool_cfg) = build_pool(shards, delta_stage);
-    let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
-    let metadata_ranges: Vec<_> = (0..shards).map(|s| pool.shard_metadata_ranges(s)).collect();
-    devices[trip_dev].set_trip(Some(rel_trip));
-    let (committed, crashed) = run_spanning_script(&pool, plan, delta_stage);
-    devices[trip_dev].set_trip(None);
-    drop(pool);
-
-    if !crashed {
-        return Err("trip did not fire on replay (stream not deterministic?)".into());
-    }
-    let keep_set: HashSet<usize> = keep.iter().copied().collect();
-    devices[trip_dev].crash_frontier(&keep_set);
-    for (s, d) in devices.iter().enumerate() {
-        if s != trip_dev {
-            d.crash(CrashPolicy::LoseVolatile);
-        }
-    }
-    let pool = TincaPool::recover(devices.clone(), disk, pool_cfg)
-        .map_err(|e| format!("recovery failed: {e}"))?;
-    verify_spanning(
-        &pool,
-        &devices,
-        &metadata_ranges,
-        plan,
-        committed,
-        delta_stage,
-    )
-}
-
-/// Post-recovery oracle for the spanning campaign: internals, per-shard
-/// and merged persist-order cleanliness, committed durability, and
-/// whole-transaction atomicity of the in-flight spanning commit.
-fn verify_spanning(
-    pool: &TincaPool,
-    devices: &[Nvm],
-    metadata_ranges: &[Vec<std::ops::Range<usize>>],
-    plan: &[TxnSpec],
-    committed: usize,
-    sparse: bool,
-) -> Result<(), String> {
-    pool.check_consistency()
-        .map_err(|e| format!("inconsistent internals: {e}"))?;
-
-    let traces: Vec<_> = devices.iter().map(|d| d.take_trace()).collect();
-    for (s, trace) in traces.iter().enumerate() {
-        let mut checker = Checker::new(CheckConfig::with_metadata(metadata_ranges[s].clone()));
-        checker.push_all(trace);
-        let rep = checker.report();
-        if !rep.is_clean() {
-            return Err(format!("shard {s} analyzer violation: {rep}"));
-        }
-    }
-    let shard_capacity = devices[0].capacity();
-    let merged_ranges: Vec<_> = metadata_ranges
-        .iter()
-        .enumerate()
-        .flat_map(|(s, ranges)| {
-            let base = s * shard_capacity;
-            ranges.iter().map(move |r| r.start + base..r.end + base)
-        })
-        .collect();
-    let mut checker = Checker::new(CheckConfig::with_metadata(merged_ranges));
-    checker.push_all(&merge_shard_traces(traces, shard_capacity));
-    let rep = checker.report();
-    if !rep.is_clean() {
-        return Err(format!("merged-trace analyzer violation: {rep}"));
-    }
-
-    // Durability + whole-txn atomicity. Blocks whose in-flight value
-    // equals their last committed value cannot witness either outcome
-    // and are skipped.
-    let mut durable: HashMap<u64, u8> = HashMap::new();
-    for spec in &plan[..committed] {
-        for &(b, v) in spec {
-            durable.insert(b, v);
-        }
-    }
-    let in_flight = &plan[committed];
-    let staged: HashMap<u64, u8> = in_flight.iter().copied().collect();
-    let mut buf = [0u8; BLOCK_SIZE];
-    for (&b, &v) in &durable {
-        if staged.contains_key(&b) {
-            continue;
-        }
-        pool.read(b, &mut buf)
-            .map_err(|e| format!("read {b}: {e}"))?;
-        if buf != image(b, Some(v), sparse) {
-            return Err(format!(
-                "durable block {b}: expected fill {v:#x}, read {:#x}",
-                buf[0]
-            ));
-        }
-    }
-    let mut news: Vec<u64> = Vec::new();
-    let mut olds: Vec<u64> = Vec::new();
-    for &(b, v) in in_flight {
-        let old = durable.get(&b).copied();
-        if old == Some(v) {
-            continue;
-        }
-        pool.read(b, &mut buf)
-            .map_err(|e| format!("read {b}: {e}"))?;
-        if buf == image(b, Some(v), sparse) {
-            news.push(b);
-        } else if buf == image(b, old, sparse) {
-            olds.push(b);
-        } else {
-            return Err(format!("in-flight block {b} is torn: read {:#x}", buf[0]));
-        }
-    }
-    if !news.is_empty() && !olds.is_empty() {
-        return Err(format!(
-            "in-flight spanning txn not atomic: blocks {news:?} read new, {olds:?} read old"
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvmsim::{NvmDevice, NvmTech};
+    use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
 
     fn traced_device() -> Nvm {
         NvmDevice::new(
@@ -946,11 +659,17 @@ mod tests {
 
     #[test]
     fn pool_frontier_enumeration_recovers_clean_multithreaded() {
-        let report = pool_frontier_campaign(2, 5, 2, 4);
+        let report = pool_frontier_campaign(2, 5, 2, 4, false);
         assert!(report.clean(), "{:?}", report.violations);
         assert!(report.epochs_total > 0, "probe found no workload epochs");
         // Data-block epochs (64 lines) must have hit the cap, and the
         // report must say so.
         assert!(report.epochs_capped > 0, "{report}");
+        // Delta staging on the threaded path: four commits per thread
+        // over its two blocks, so the later ones rewrite shadows.
+        let report = pool_frontier_campaign(2, 5, 4, 4, true);
+        println!("delta threaded frontier: {report}");
+        assert!(report.clean(), "{:?}", report.violations);
+        assert!(report.states_run >= 2 * report.epochs_total);
     }
 }

@@ -7,44 +7,8 @@ use nvmsim::CrashPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::app::{campaign, run_recoverable, AppOutcome, RecoverableApp};
+use crate::app::{campaign, run_recoverable, AppOutcome, CampaignReport, RecoverableApp};
 use crate::{CrashHarness, FsOracle};
-
-/// One fuzz run's result.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FuzzOutcome {
-    /// Workload completed before the trip fired.
-    Completed,
-    /// Crash injected, recovery verified clean.
-    CrashedVerified,
-    /// Crash injected and verification failed (a consistency bug!).
-    Violation(String),
-}
-
-impl From<AppOutcome> for FuzzOutcome {
-    fn from(o: AppOutcome) -> FuzzOutcome {
-        match o {
-            AppOutcome::Completed => FuzzOutcome::Completed,
-            AppOutcome::CrashedVerified => FuzzOutcome::CrashedVerified,
-            AppOutcome::Violation(v) => FuzzOutcome::Violation(v),
-        }
-    }
-}
-
-/// Aggregate over a fuzz campaign.
-#[derive(Clone, Debug, Default)]
-pub struct FuzzReport {
-    pub runs: u64,
-    pub completed: u64,
-    pub crashes: u64,
-    pub violations: Vec<String>,
-}
-
-impl FuzzReport {
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
 
 /// A deterministic scripted workload step. Shared with the crash-frontier
 /// enumerator ([`crate::frontier`]), which replays the same scripts.
@@ -139,35 +103,20 @@ pub enum FailureMode {
     ProcessKill,
 }
 
-/// Runs one seeded crash-fuzz iteration against `system`.
+/// Runs one seeded crash-fuzz iteration against `system` (a power
+/// pull).
 ///
 /// The workload batches through explicit fsyncs only (`txn_block_limit`
 /// is raised above the script's reach), so the oracle knows every commit
 /// boundary exactly.
-pub fn fuzz_one(system: System, seed: u64, steps: usize) -> FuzzOutcome {
-    fuzz_one_mode(system, seed, steps, FailureMode::PowerPull)
-}
-
-/// [`fuzz_one`] with an explicit failure mode.
-pub fn fuzz_one_mode(system: System, seed: u64, steps: usize, mode: FailureMode) -> FuzzOutcome {
-    fuzz_one_opts(system, seed, steps, mode, false)
-}
-
-/// [`fuzz_one_mode`] with the write-behind pipeline toggle.
-///
-/// With `destage`, the stack runs the watermark destage daemon and
-/// commit-path flush coalescing on a shrunken NVM (160 KB ≈ 34 data
-/// blocks), so the script's working set crosses the low watermark and
-/// crashes land during background writeback — the campaign then proves
-/// that a crash mid-destage never loses an acknowledged commit.
-pub fn fuzz_one_opts(
-    system: System,
-    seed: u64,
-    steps: usize,
-    mode: FailureMode,
-    destage: bool,
-) -> FuzzOutcome {
-    run_recoverable(&mut FsApp::new(system, seed, steps, mode, destage)).into()
+pub fn fuzz_one(system: System, seed: u64, steps: usize) -> AppOutcome {
+    run_recoverable(&mut FsApp::new(
+        system,
+        seed,
+        steps,
+        FailureMode::PowerPull,
+        false,
+    ))
 }
 
 /// The FS-level crash application: a scripted file workload over one
@@ -243,7 +192,7 @@ impl RecoverableApp for FsApp {
 }
 
 /// Runs a fuzz campaign of `runs` seeds against `system` (power pulls).
-pub fn fuzz_system(system: System, base_seed: u64, runs: u64, steps: usize) -> FuzzReport {
+pub fn fuzz_system(system: System, base_seed: u64, runs: u64, steps: usize) -> CampaignReport {
     fuzz_system_mode(system, base_seed, runs, steps, FailureMode::PowerPull)
 }
 
@@ -254,12 +203,17 @@ pub fn fuzz_system_mode(
     runs: u64,
     steps: usize,
     mode: FailureMode,
-) -> FuzzReport {
+) -> CampaignReport {
     fuzz_system_opts(system, base_seed, runs, steps, mode, false)
 }
 
-/// [`fuzz_system_mode`] with the write-behind pipeline toggle (see
-/// [`fuzz_one_opts`]).
+/// [`fuzz_system_mode`] with the write-behind pipeline toggle.
+///
+/// With `destage`, the stack runs the watermark destage daemon and
+/// commit-path flush coalescing on a shrunken NVM (160 KB ≈ 34 data
+/// blocks), so the script's working set crosses the low watermark and
+/// crashes land during background writeback — the campaign then proves
+/// that a crash mid-destage never loses an acknowledged commit.
 pub fn fuzz_system_opts(
     system: System,
     base_seed: u64,
@@ -267,16 +221,10 @@ pub fn fuzz_system_opts(
     steps: usize,
     mode: FailureMode,
     destage: bool,
-) -> FuzzReport {
-    let r = campaign(runs, true, |i| {
+) -> CampaignReport {
+    campaign(runs, true, |i, _| {
         run_recoverable(&mut FsApp::new(system, base_seed + i, steps, mode, destage))
-    });
-    FuzzReport {
-        runs: r.runs,
-        completed: r.completed,
-        crashes: r.crashes,
-        violations: r.violations,
-    }
+    })
 }
 
 #[cfg(test)]

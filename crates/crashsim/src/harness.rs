@@ -1,13 +1,12 @@
 //! The crash harness: run a workload against a stack with a trip armed,
 //! crash, remount, verify against the oracle.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use fssim::stack::{build, remount, Stack, StackConfig};
 use fssim::FsSim;
 use nvmsim::{CrashPolicy, CrashTripped, NvmConfig};
 use persistcheck::{CheckConfig, Checker, Report};
 
+use crate::engine::tripped;
 use crate::FsOracle;
 
 /// Suppresses panic-hook output for the *expected* [`CrashTripped`] panics
@@ -108,15 +107,7 @@ impl CrashHarness {
     {
         let stack = self.stack.as_mut().expect("stack live");
         stack.nvm.set_trip(Some(trip));
-        let outcome = catch_unwind(AssertUnwindSafe(|| workload(&mut stack.fs)));
-        stack.nvm.set_trip(None);
-        match outcome {
-            Ok(()) => false,
-            // Only the injected crash counts as a crash; a workload bug
-            // must fail the campaign, not hide behind crash verification.
-            Err(p) if p.downcast_ref::<CrashTripped>().is_some() => true,
-            Err(p) => std::panic::resume_unwind(p),
-        }
+        tripped(std::slice::from_ref(&stack.nvm), || workload(&mut stack.fs)).is_none()
     }
 
     /// Runs `workload` with no trip (must complete).

@@ -2,7 +2,7 @@
 //! overloaded (queue full, admission shedding) must never corrupt
 //! recovery, and shed/queued ops must leave no trace.
 
-use crashsim::{backlog_campaign, BacklogOutcome};
+use crashsim::{backlog_campaign, AppOutcome};
 
 #[test]
 fn campaign_over_seeds_is_clean_and_actually_crashes_mid_backlog() {
@@ -37,5 +37,5 @@ fn outcomes_are_deterministic_per_seed() {
     let a = crashsim::backlog_one(2, 11);
     let b = crashsim::backlog_one(2, 11);
     assert_eq!(a, b);
-    assert!(!matches!(a, BacklogOutcome::Violation(_)), "{a:?}");
+    assert!(!matches!(a, AppOutcome::Violation(_)), "{a:?}");
 }

@@ -19,17 +19,17 @@
 //! epoch, and each reachable persist frontier is materialised, recovered,
 //! and verified.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::slice::from_ref;
 
+use crashsim::engine::{audit, tripped, Cut};
 use crashsim::{
     campaign, epochs_from_trace, frontier_enumerate, quiet_crash_panics, run_recoverable,
     AppOutcome, CampaignReport, FailureMode, FrontierReport, RecoverableApp,
 };
 use fssim::stack::{remount, StackConfig};
-use nvmsim::{merge_shard_traces, CrashPolicy, CrashTripped};
-use persistcheck::{CheckConfig, Checker};
+use nvmsim::Nvm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,34 +50,30 @@ fn plan_txns(seed: u64, txns: usize) -> Vec<KvTxn> {
     (0..txns).map(|_| driver.next_txn()).collect()
 }
 
-/// Applies the plan until the armed trip fires. Returns `(crashed,
-/// committed_count, workload_bug)` — a `KvError` with no crash is a
-/// genuine bug, never folded into crash verification.
+/// Applies the plan until the trip armed on one of `devices` fires, then
+/// disarms them. Returns `(crashed, workload_bug)` — a `KvError` with no
+/// crash is a genuine bug, never folded into crash verification.
 fn run_plan<S: PageStore>(
     db: &mut Db<S>,
+    devices: &[Nvm],
     plan: &[KvTxn],
     committed: &mut BTreeMap<Vec<u8>, Vec<u8>>,
     committed_count: &mut usize,
 ) -> (bool, Option<String>) {
-    let outcome = {
-        let committed = &mut *committed;
-        let committed_count = &mut *committed_count;
-        catch_unwind(AssertUnwindSafe(move || -> Result<(), KvError> {
-            for txn in &plan[*committed_count..] {
-                apply_txn(db, txn)?;
-                for (k, v) in &txn.writes {
-                    committed.insert(k.clone(), v.clone());
-                }
-                *committed_count += 1;
+    let outcome = tripped(devices, || -> Result<(), KvError> {
+        for txn in &plan[*committed_count..] {
+            apply_txn(db, txn)?;
+            for (k, v) in &txn.writes {
+                committed.insert(k.clone(), v.clone());
             }
-            Ok(())
-        }))
-    };
+            *committed_count += 1;
+        }
+        Ok(())
+    });
     match outcome {
-        Ok(Ok(())) => (false, None),
-        Ok(Err(e)) => (false, Some(format!("workload error with no crash: {e}"))),
-        Err(p) if p.downcast_ref::<CrashTripped>().is_some() => (true, None),
-        Err(p) => std::panic::resume_unwind(p),
+        None => (true, None),
+        Some(Ok(())) => (false, None),
+        Some(Err(e)) => (false, Some(format!("workload error with no crash: {e}"))),
     }
 }
 
@@ -224,15 +220,14 @@ impl RecoverableApp for WalKvApp {
         let Some(db) = self.db.as_mut() else {
             return false;
         };
+        let devices = [db.store().stack().nvm.clone()];
         let (crashed, bug) = run_plan(
             db,
+            &devices,
             &self.plan,
             &mut self.committed,
             &mut self.committed_count,
         );
-        if let Some(db) = self.db.as_ref() {
-            db.store().stack().nvm.set_trip(None);
-        }
         if let Some(b) = bug {
             // Surface through crash_recover → Violation.
             self.fail = Some(b);
@@ -252,11 +247,7 @@ impl RecoverableApp for WalKvApp {
         let cfg: StackConfig = stack.config.clone();
         let (nvm, disk, clock) = (stack.nvm, stack.disk, stack.clock);
         drop(stack.fs);
-        let policy = match self.mode {
-            FailureMode::PowerPull => CrashPolicy::Random(self.seed ^ 0xD1CE),
-            FailureMode::ProcessKill => CrashPolicy::PersistAll,
-        };
-        nvm.crash(policy);
+        Cut::of(self.mode, self.seed ^ 0xD1CE).apply(from_ref(&nvm));
         let rebooted = remount(&cfg, nvm, disk, clock)
             .map_err(|e| self.tag(format!("remount failed: {e}")))?;
         let store = WalStore::mount(rebooted, self.wal_cfg)
@@ -273,12 +264,11 @@ impl RecoverableApp for WalKvApp {
         };
         // Persist-order cleanliness of the whole trace (format, workload,
         // crash, WAL recovery).
-        let mut checker = Checker::new(CheckConfig::with_metadata(self.metadata_ranges.clone()));
-        checker.push_all(&db.store().stack().nvm.take_trace());
-        let report = checker.report();
-        if !report.is_clean() {
-            return Err(format!("{prefix}: persist-order violation: {report}"));
-        }
+        audit(
+            from_ref(&db.store().stack().nvm),
+            from_ref(&self.metadata_ranges),
+        )
+        .map_err(|e| format!("{prefix}: {e}"))?;
         // FS + cache internals under the store.
         {
             let stack = db.store_mut().stack_mut();
@@ -320,7 +310,6 @@ pub struct TincaKvApp {
     committed: BTreeMap<Vec<u8>, Vec<u8>>,
     committed_count: usize,
     rolled_forward: bool,
-    shards: usize,
     trip_shard: usize,
     trip: u64,
     seed: u64,
@@ -382,7 +371,6 @@ impl TincaKvApp {
             committed: BTreeMap::new(),
             committed_count: 0,
             rolled_forward: false,
-            shards,
             trip_shard,
             trip: trip.unwrap_or(0),
             seed,
@@ -422,15 +410,14 @@ impl RecoverableApp for TincaKvApp {
         let Some(db) = self.db.as_mut() else {
             return false;
         };
+        let devices = db.store().devices().to_vec();
         let (crashed, bug) = run_plan(
             db,
+            &devices,
             &self.plan,
             &mut self.committed,
             &mut self.committed_count,
         );
-        if let Some(db) = self.db.as_ref() {
-            db.store().devices()[self.trip_shard].set_trip(None);
-        }
         if let Some(b) = bug {
             self.fail = Some(b);
             return true;
@@ -446,15 +433,7 @@ impl RecoverableApp for TincaKvApp {
             return Err("no live db at crash".into());
         };
         let (devices, disk, clock, cfg) = db.into_store().into_parts();
-        for (s, d) in devices.iter().enumerate() {
-            let policy = match self.mode {
-                FailureMode::PowerPull => {
-                    CrashPolicy::Random(self.seed ^ 0xD1CE ^ ((s as u64) << 17))
-                }
-                FailureMode::ProcessKill => CrashPolicy::PersistAll,
-            };
-            d.crash(policy);
-        }
+        Cut::of(self.mode, self.seed ^ 0xD1CE).apply(&devices);
         let store = TincaStore::recover(devices, disk, clock, cfg)
             .map_err(|e| self.tag(format!("pool recovery failed: {e}")))?;
         let db = Db::open(store).map_err(|e| self.tag(format!("db reopen failed: {e}")))?;
@@ -477,48 +456,13 @@ impl RecoverableApp for TincaKvApp {
 
         // Per-shard and merged persist-order cleanliness (the merged view
         // audits the spanning intent publish/resolve/retire stores too).
-        let traces: Vec<_> = db
-            .store()
-            .devices()
-            .iter()
-            .map(|d| d.take_trace())
-            .collect();
-        for (s, trace) in traces.iter().enumerate() {
-            let mut checker =
-                Checker::new(CheckConfig::with_metadata(self.metadata_ranges[s].clone()));
-            checker.push_all(trace);
-            let report = checker.report();
-            if !report.is_clean() {
-                return Err(format!(
-                    "{prefix}: shard {s} persist-order violation: {report}"
-                ));
-            }
-        }
-        let shard_capacity = db.store().devices()[0].capacity();
-        let merged_ranges: Vec<_> = self
-            .metadata_ranges
-            .iter()
-            .enumerate()
-            .flat_map(|(s, ranges)| {
-                let base = s * shard_capacity;
-                ranges.iter().map(move |r| r.start + base..r.end + base)
-            })
-            .collect();
-        let mut checker = Checker::new(CheckConfig::with_metadata(merged_ranges));
-        checker.push_all(&merge_shard_traces(traces, shard_capacity));
-        let report = checker.report();
-        if !report.is_clean() {
-            return Err(format!(
-                "{prefix}: merged-trace persist-order violation: {report}"
-            ));
-        }
+        audit(db.store().devices(), &self.metadata_ranges).map_err(|e| format!("{prefix}: {e}"))?;
 
         let staged = if self.committed_count < self.plan.len() {
             self.plan[self.committed_count].writes.clone()
         } else {
             Vec::new()
         };
-        let _ = self.shards;
         self.rolled_forward =
             check_kv_state(db, &self.committed, &staged).map_err(|e| format!("{prefix}: {e}"))?;
         Ok(())
@@ -544,7 +488,7 @@ pub fn wal_kv_fuzz_campaign(
     trip_max: u64,
     mode: FailureMode,
 ) -> CampaignReport {
-    campaign(runs, false, |i| {
+    campaign(runs, false, |i, _| {
         app_or_violation(WalKvApp::new(base_seed + i, txns, trip_max, mode))
     })
 }
@@ -557,7 +501,7 @@ pub fn tinca_kv_fuzz_campaign(
     trip_max: u64,
     mode: FailureMode,
 ) -> CampaignReport {
-    campaign(runs, false, |i| {
+    campaign(runs, false, |i, _| {
         app_or_violation(TincaKvApp::new(base_seed + i, txns, trip_max, mode))
     })
 }
@@ -635,9 +579,15 @@ fn run_wal_state(
     let mut db = Db::open(store).map_err(|e| format!("format: {e}"))?;
     let mut committed = BTreeMap::new();
     let mut committed_count = 0usize;
-    db.store().stack().nvm.set_trip(Some(rel_trip));
-    let (crashed, bug) = run_plan(&mut db, plan, &mut committed, &mut committed_count);
-    db.store().stack().nvm.set_trip(None);
+    let devices = [db.store().stack().nvm.clone()];
+    devices[0].set_trip(Some(rel_trip));
+    let (crashed, bug) = run_plan(
+        &mut db,
+        &devices,
+        plan,
+        &mut committed,
+        &mut committed_count,
+    );
     if let Some(b) = bug {
         return Err(b);
     }
@@ -648,19 +598,16 @@ fn run_wal_state(
     let cfg = stack.config.clone();
     let (nvm, disk, clock) = (stack.nvm, stack.disk, stack.clock);
     drop(stack.fs);
-    let keep_set: HashSet<usize> = keep.iter().copied().collect();
-    nvm.crash_frontier(&keep_set);
+    Cut::Frontier { dev: 0, keep }.apply(from_ref(&nvm));
     let rebooted = remount(&cfg, nvm, disk, clock).map_err(|e| format!("remount failed: {e}"))?;
     let store =
         WalStore::mount(rebooted, wal_cfg).map_err(|e| format!("WAL recovery failed: {e}"))?;
     let mut db = Db::open(store).map_err(|e| format!("db reopen failed: {e}"))?;
 
-    let mut checker = Checker::new(CheckConfig::with_metadata(metadata_ranges));
-    checker.push_all(&db.store().stack().nvm.take_trace());
-    let report = checker.report();
-    if !report.is_clean() {
-        return Err(format!("persist-order violation: {report}"));
-    }
+    audit(
+        from_ref(&db.store().stack().nvm),
+        from_ref(&metadata_ranges),
+    )?;
     let staged = if committed_count < plan.len() {
         plan[committed_count].writes.clone()
     } else {
@@ -740,9 +687,15 @@ fn run_tinca_state(
     let mut db = Db::open(store).map_err(|e| format!("format: {e}"))?;
     let mut committed = BTreeMap::new();
     let mut committed_count = 0usize;
-    db.store().devices()[trip_shard].set_trip(Some(rel_trip));
-    let (crashed, bug) = run_plan(&mut db, plan, &mut committed, &mut committed_count);
-    db.store().devices()[trip_shard].set_trip(None);
+    let devices = db.store().devices().to_vec();
+    devices[trip_shard].set_trip(Some(rel_trip));
+    let (crashed, bug) = run_plan(
+        &mut db,
+        &devices,
+        plan,
+        &mut committed,
+        &mut committed_count,
+    );
     if let Some(b) = bug {
         return Err(b);
     }
@@ -750,13 +703,11 @@ fn run_tinca_state(
         return Err("trip did not fire on replay (stream not deterministic?)".into());
     }
     let (devices, disk, clock, cfg) = db.into_store().into_parts();
-    let keep_set: HashSet<usize> = keep.iter().copied().collect();
-    devices[trip_shard].crash_frontier(&keep_set);
-    for (s, d) in devices.iter().enumerate() {
-        if s != trip_shard {
-            d.crash(CrashPolicy::LoseVolatile);
-        }
+    Cut::Frontier {
+        dev: trip_shard,
+        keep,
     }
+    .apply(&devices);
     let store = TincaStore::recover(devices, disk, clock, cfg)
         .map_err(|e| format!("pool recovery failed: {e}"))?;
     let mut db = Db::open(store).map_err(|e| format!("db reopen failed: {e}"))?;
@@ -765,35 +716,7 @@ fn run_tinca_state(
         .pool()
         .check_consistency()
         .map_err(|e| format!("inconsistent internals: {e}"))?;
-    let traces: Vec<_> = db
-        .store()
-        .devices()
-        .iter()
-        .map(|d| d.take_trace())
-        .collect();
-    for (s, trace) in traces.iter().enumerate() {
-        let mut checker = Checker::new(CheckConfig::with_metadata(metadata_ranges[s].clone()));
-        checker.push_all(trace);
-        let report = checker.report();
-        if !report.is_clean() {
-            return Err(format!("shard {s} persist-order violation: {report}"));
-        }
-    }
-    let shard_capacity = db.store().devices()[0].capacity();
-    let merged_ranges: Vec<_> = metadata_ranges
-        .iter()
-        .enumerate()
-        .flat_map(|(s, ranges)| {
-            let base = s * shard_capacity;
-            ranges.iter().map(move |r| r.start + base..r.end + base)
-        })
-        .collect();
-    let mut checker = Checker::new(CheckConfig::with_metadata(merged_ranges));
-    checker.push_all(&merge_shard_traces(traces, shard_capacity));
-    let report = checker.report();
-    if !report.is_clean() {
-        return Err(format!("merged-trace persist-order violation: {report}"));
-    }
+    audit(db.store().devices(), &metadata_ranges)?;
     let staged = if committed_count < plan.len() {
         plan[committed_count].writes.clone()
     } else {

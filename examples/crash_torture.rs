@@ -8,7 +8,7 @@
 //! cargo run --release --example crash_torture [runs]
 //! ```
 
-use tinca_repro::crashsim::{fuzz_system, FuzzReport};
+use tinca_repro::crashsim::{fuzz_system, CampaignReport};
 use tinca_repro::fssim::stack::System;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
 
     println!("crash-torture: {runs} runs per system\n");
     for (system, seed) in [(System::Tinca, 9_000u64), (System::Classic, 19_000)] {
-        let report: FuzzReport = fuzz_system(system, seed, runs, 80);
+        let report: CampaignReport = fuzz_system(system, seed, runs, 80);
         println!(
             "{:<22} runs={} completed={} crashes={} violations={}",
             system.name(),
