@@ -6,7 +6,7 @@ use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 use classic::{ClassicCache, ClassicConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{TincaCache, TincaConfig};
+use tinca::{PoolConfig, TincaPool};
 
 fn nvm_disk() -> (nvmsim::Nvm, blockdev::Disk) {
     let clock = SimClock::new();
@@ -19,13 +19,13 @@ fn bench_single_block_write(c: &mut Criterion) {
     let mut group = c.benchmark_group("single_block_write");
     group.bench_function("tinca_txn_commit", |b| {
         let (nvm, disk) = nvm_disk();
-        let mut cache = TincaCache::format(nvm, disk, TincaConfig::default());
+        let cache = TincaPool::format(vec![nvm], disk, PoolConfig::default());
         let payload = [3u8; BLOCK_SIZE];
         let mut i = 0u64;
         b.iter(|| {
             let mut txn = cache.init_txn();
             txn.write(i % 4096, &payload);
-            cache.commit(&txn).unwrap();
+            cache.commit(txn).unwrap();
             i += 1;
         });
     });
@@ -71,13 +71,13 @@ fn bench_read_hit(c: &mut Criterion) {
     let mut group = c.benchmark_group("read_hit");
     group.bench_function("tinca", |b| {
         let (nvm, disk) = nvm_disk();
-        let mut cache = TincaCache::format(nvm, disk, TincaConfig::default());
+        let cache = TincaPool::format(vec![nvm], disk, PoolConfig::default());
         let payload = [6u8; BLOCK_SIZE];
         let mut seed = cache.init_txn();
         for i in 0..512u64 {
             seed.write(i, &payload);
         }
-        cache.commit(&seed).unwrap();
+        cache.commit(seed).unwrap();
         let mut buf = [0u8; BLOCK_SIZE];
         let mut i = 0u64;
         b.iter(|| {
@@ -108,14 +108,14 @@ fn bench_eviction_pressure(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("tinca", |b| {
         let (nvm, disk) = nvm_disk();
-        let mut cache = TincaCache::format(nvm, disk, TincaConfig::default());
-        let blocks = cache.data_block_count() as u64 * 4;
+        let cache = TincaPool::format(vec![nvm], disk, PoolConfig::default());
+        let blocks = u64::from(cache.shard_layout(0).data_blocks) * 4;
         let payload = [8u8; BLOCK_SIZE];
         let mut i = 0u64;
         b.iter(|| {
             let mut txn = cache.init_txn();
             txn.write((i * 17) % blocks, &payload);
-            cache.commit(&txn).unwrap();
+            cache.commit(txn).unwrap();
             i += 1;
         });
     });

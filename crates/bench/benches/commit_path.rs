@@ -7,9 +7,9 @@
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{TincaCache, TincaConfig};
+use tinca::{PoolConfig, TincaConfig, TincaPool};
 
-fn build_cache(role_switch: bool) -> TincaCache {
+fn build_cache(role_switch: bool) -> TincaPool {
     build_cache_cfg(TincaConfig {
         ring_bytes: 256 << 10,
         role_switch,
@@ -17,11 +17,20 @@ fn build_cache(role_switch: bool) -> TincaCache {
     })
 }
 
-fn build_cache_cfg(cfg: TincaConfig) -> TincaCache {
+fn build_cache_cfg(cfg: TincaConfig) -> TincaPool {
+    build_cache_on(64 << 20, cfg)
+}
+
+/// The paper's single cache (a one-shard pool) on `nvm_bytes` of PCM.
+fn build_cache_on(nvm_bytes: usize, cache: TincaConfig) -> TincaPool {
     let clock = SimClock::new();
-    let nvm = NvmDevice::new(NvmConfig::new(64 << 20, NvmTech::Pcm), clock.clone());
+    let nvm = NvmDevice::new(NvmConfig::new(nvm_bytes, NvmTech::Pcm), clock.clone());
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 18, clock);
-    TincaCache::format(nvm, disk, cfg)
+    let cfg = PoolConfig {
+        cache,
+        ..PoolConfig::default()
+    };
+    TincaPool::format(vec![nvm], disk, cfg)
 }
 
 fn bench_commit_sizes(c: &mut Criterion) {
@@ -29,7 +38,7 @@ fn bench_commit_sizes(c: &mut Criterion) {
     for &blocks in &[1usize, 8, 64, 256] {
         group.throughput(Throughput::Bytes((blocks * BLOCK_SIZE) as u64));
         group.bench_with_input(BenchmarkId::new("tinca", blocks), &blocks, |b, &n| {
-            let mut cache = build_cache(true);
+            let cache = build_cache(true);
             let payload = [0x5Au8; BLOCK_SIZE];
             let mut round = 0u64;
             b.iter(|| {
@@ -38,7 +47,7 @@ fn bench_commit_sizes(c: &mut Criterion) {
                     // Rotate block numbers so hits and misses both occur.
                     txn.write((round * 7 + i) % 4096, &payload);
                 }
-                cache.commit(&txn).unwrap();
+                cache.commit(txn).unwrap();
                 round += 1;
             });
         });
@@ -50,7 +59,7 @@ fn bench_role_switch_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("role_switch_ablation");
     for (name, role_switch) in [("role_switch", true), ("double_write", false)] {
         group.bench_function(name, |b| {
-            let mut cache = build_cache(role_switch);
+            let cache = build_cache(role_switch);
             let payload = [0xA5u8; BLOCK_SIZE];
             let mut round = 0u64;
             b.iter(|| {
@@ -58,7 +67,7 @@ fn bench_role_switch_ablation(c: &mut Criterion) {
                 for i in 0..16u64 {
                     txn.write((round * 3 + i) % 2048, &payload);
                 }
-                cache.commit(&txn).unwrap();
+                cache.commit(txn).unwrap();
                 round += 1;
             });
         });
@@ -69,24 +78,24 @@ fn bench_role_switch_ablation(c: &mut Criterion) {
 fn bench_commit_hit_vs_miss(c: &mut Criterion) {
     let mut group = c.benchmark_group("commit_hit_vs_miss");
     group.bench_function("all_hits_cow", |b| {
-        let mut cache = build_cache(true);
+        let cache = build_cache(true);
         let payload = [1u8; BLOCK_SIZE];
         // Pre-populate so every commit is a COW write hit.
         let mut seed = cache.init_txn();
         for i in 0..64u64 {
             seed.write(i, &payload);
         }
-        cache.commit(&seed).unwrap();
+        cache.commit(seed).unwrap();
         b.iter(|| {
             let mut txn = cache.init_txn();
             for i in 0..64u64 {
                 txn.write(i, &payload);
             }
-            cache.commit(&txn).unwrap();
+            cache.commit(txn).unwrap();
         });
     });
     group.bench_function("all_misses_fresh", |b| {
-        let mut cache = build_cache(true);
+        let cache = build_cache(true);
         let payload = [2u8; BLOCK_SIZE];
         let mut next = 0u64;
         b.iter(|| {
@@ -95,7 +104,7 @@ fn bench_commit_hit_vs_miss(c: &mut Criterion) {
                 txn.write(next, &payload);
                 next += 1;
             }
-            cache.commit(&txn).unwrap();
+            cache.commit(txn).unwrap();
         });
     });
     group.finish();
@@ -109,7 +118,7 @@ fn bench_flush_coalescing(c: &mut Criterion) {
     let mut group = c.benchmark_group("flush_coalescing");
     for (name, coalesce) in [("per_line_flush", false), ("coalesced_flush", true)] {
         group.bench_function(name, |b| {
-            let mut cache = build_cache_cfg(TincaConfig {
+            let cache = build_cache_cfg(TincaConfig {
                 ring_bytes: 256 << 10,
                 coalesce_flushes: coalesce,
                 ..TincaConfig::default()
@@ -121,7 +130,7 @@ fn bench_flush_coalescing(c: &mut Criterion) {
                 for i in 0..32u64 {
                     txn.write((round * 5 + i) % 2048, &payload);
                 }
-                cache.commit(&txn).unwrap();
+                cache.commit(txn).unwrap();
                 round += 1;
             });
         });
@@ -136,12 +145,8 @@ fn bench_destage_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("destage_pipeline");
     for (name, destage) in [("sync_writeback", false), ("write_behind", true)] {
         group.bench_function(name, |b| {
-            let clock = SimClock::new();
-            let nvm = NvmDevice::new(NvmConfig::new(1 << 20, NvmTech::Pcm), clock.clone());
-            let disk = SimDisk::new(DiskKind::Ssd, 1 << 18, clock);
-            let mut cache = TincaCache::format(
-                nvm,
-                disk,
+            let cache = build_cache_on(
+                1 << 20,
                 TincaConfig {
                     ring_bytes: 4096,
                     destage,
@@ -149,7 +154,7 @@ fn bench_destage_pipeline(c: &mut Criterion) {
                     ..TincaConfig::default()
                 },
             );
-            let span = cache.data_block_count() as u64 * 2;
+            let span = u64::from(cache.shard_layout(0).data_blocks) * 2;
             let payload = [0xC3u8; BLOCK_SIZE];
             let mut round = 0u64;
             b.iter(|| {
@@ -157,7 +162,7 @@ fn bench_destage_pipeline(c: &mut Criterion) {
                 for i in 0..4u64 {
                     txn.write((round * 13 + i) % span, &payload);
                 }
-                cache.commit(&txn).unwrap();
+                cache.commit(txn).unwrap();
                 round += 1;
             });
         });

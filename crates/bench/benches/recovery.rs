@@ -5,15 +5,25 @@
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nvmsim::{CrashPolicy, NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{TincaCache, TincaConfig};
+use tinca::{PoolConfig, TincaError, TincaPool};
+
+/// Formats the paper's single cache (a one-shard pool) on `nvm`.
+fn format(nvm: &nvmsim::Nvm, disk: &blockdev::Disk) -> TincaPool {
+    TincaPool::format(vec![nvm.clone()], disk.clone(), PoolConfig::default())
+}
+
+/// Recovers the one-shard pool on `nvm`.
+fn recover(nvm: &nvmsim::Nvm, disk: &blockdev::Disk) -> Result<TincaPool, TincaError> {
+    TincaPool::recover(vec![nvm.clone()], disk.clone(), PoolConfig::default())
+}
 
 /// Builds a crashed NVM image with `fill` fraction of the cache populated.
 fn crashed_image(nvm_bytes: usize, fill_pct: u32) -> (nvmsim::Nvm, blockdev::Disk) {
     let clock = SimClock::new();
     let nvm = NvmDevice::new(NvmConfig::new(nvm_bytes, NvmTech::Pcm), clock.clone());
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 18, clock);
-    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), TincaConfig::default());
-    let n = cache.data_block_count() as u64 * fill_pct as u64 / 100;
+    let cache = format(&nvm, &disk);
+    let n = u64::from(cache.shard_layout(0).data_blocks) * fill_pct as u64 / 100;
     let payload = [1u8; BLOCK_SIZE];
     let mut i = 0u64;
     while i < n {
@@ -22,7 +32,7 @@ fn crashed_image(nvm_bytes: usize, fill_pct: u32) -> (nvmsim::Nvm, blockdev::Dis
             txn.write(i, &payload);
             i += 1;
         }
-        cache.commit(&txn).unwrap();
+        cache.commit(txn).unwrap();
     }
     drop(cache);
     nvm.crash(CrashPolicy::LoseVolatile);
@@ -36,8 +46,7 @@ fn bench_recovery_scan(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("clean_cache", mb), &mb, |b, &mb| {
             let (nvm, disk) = crashed_image(mb << 20, 80);
             b.iter(|| {
-                let cache =
-                    TincaCache::recover(nvm.clone(), disk.clone(), TincaConfig::default()).unwrap();
+                let cache = recover(&nvm, &disk).unwrap();
                 assert!(cache.cached_blocks() > 0);
             });
         });
@@ -54,26 +63,25 @@ fn bench_recovery_with_revocation(c: &mut Criterion) {
         let clock = SimClock::new();
         let nvm = NvmDevice::new(NvmConfig::new(16 << 20, NvmTech::Pcm), clock.clone());
         let disk = SimDisk::new(DiskKind::Ssd, 1 << 18, clock);
-        let mut cache = TincaCache::format(nvm.clone(), disk.clone(), TincaConfig::default());
+        let cache = format(&nvm, &disk);
         let payload = [2u8; BLOCK_SIZE];
         let mut seed = cache.init_txn();
         for i in 0..64u64 {
             seed.write(i, &payload);
         }
-        cache.commit(&seed).unwrap();
+        cache.commit(seed).unwrap();
         // Interrupt an update of all 64 blocks near its end.
         let mut txn = cache.init_txn();
         for i in 0..64u64 {
             txn.write(i, &payload);
         }
         nvm.set_trip(Some(4300));
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.commit(&txn)));
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.commit(txn)));
         nvm.set_trip(None);
         drop(cache);
         nvm.crash(CrashPolicy::LoseVolatile);
         b.iter(|| {
-            let cache =
-                TincaCache::recover(nvm.clone(), disk.clone(), TincaConfig::default()).unwrap();
+            let cache = recover(&nvm, &disk).unwrap();
             criterion::black_box(cache.stats().revoked_blocks);
         });
     });

@@ -17,7 +17,7 @@
 use blockdev::{DiskKind, FaultPlan, FaultyDisk, SimDisk, BLOCK_SIZE};
 use crashsim::fault_fuzz_campaign;
 use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{Health, TincaCache, TincaConfig};
+use tinca::{Health, PoolConfig, TincaPool};
 
 use crate::table::Table;
 use crate::{banner, fmt, write_csv};
@@ -42,14 +42,9 @@ fn run_point(label: &'static str, plan: Option<FaultPlan>) -> DegradedPoint {
         Some(p) => FaultyDisk::new(disk, p),
         None => disk,
     };
-    let mut cache = TincaCache::format(
-        nvm,
-        cache_disk,
-        TincaConfig {
-            ring_bytes: 8 << 10,
-            ..TincaConfig::default()
-        },
-    );
+    let mut cfg = PoolConfig::default();
+    cfg.cache.ring_bytes = 8 << 10;
+    let cache = TincaPool::format(vec![nvm], cache_disk, cfg);
     let blocks = 512u64;
     let ops = 4_000u64;
     let t0 = clock.now_ns();
@@ -58,9 +53,7 @@ fn run_point(label: &'static str, plan: Option<FaultPlan>) -> DegradedPoint {
         let b = (i * 17) % blocks;
         txn.write(b, &[(i % 251) as u8 + 1; BLOCK_SIZE]);
         txn.write((b + 7) % blocks, &[(i % 241) as u8 + 1; BLOCK_SIZE]);
-        cache
-            .commit(&txn)
-            .expect("commits must survive disk faults");
+        cache.commit(txn).expect("commits must survive disk faults");
     }
     let elapsed = (clock.now_ns() - t0).max(1);
     let s = cache.stats();
@@ -69,7 +62,7 @@ fn run_point(label: &'static str, plan: Option<FaultPlan>) -> DegradedPoint {
         ops_per_sec: ops as f64 / (elapsed as f64 / 1e9),
         io_retries: s.io_retries,
         absorbed: s.transient_errors_absorbed,
-        quarantined: cache.quarantined_count(),
+        quarantined: cache.shard_quarantined(0),
         health: cache.health(),
     }
 }

@@ -64,7 +64,7 @@ fn run_one(kind: DiskKind, destage: bool, quick: bool, ops: u64) -> RunResult {
     RunResult {
         iops: r.ops_per_sec(),
         commit_ns,
-        snapshot: StatsSnapshot::collect(&tb.cache),
+        snapshot: StatsSnapshot::collect_pool(&tb.cache),
     }
 }
 

@@ -56,7 +56,7 @@ pub fn run(quick: bool) -> Table {
             .backend()
             .as_any()
             .downcast_ref::<TincaBackend>()
-            .map(|b| b.cache.layout().data_off)
+            .map(|b| b.cache.shard_layout(0).data_off)
             .or_else(|| {
                 stack
                     .fs

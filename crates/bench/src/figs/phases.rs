@@ -1,8 +1,9 @@
 //! Commit-path phase breakdown — where every simulated nanosecond of a
 //! Tinca commit goes (telemetry subsystem demo + acceptance gate).
 //!
-//! Runs a seeded mixed workload against a bare [`TincaCache`] with the
-//! telemetry recorder armed, prints the phase tree, and writes:
+//! Runs a seeded mixed workload against the paper's single Tinca cache (a
+//! one-shard [`TincaPool`]) with the telemetry recorder armed, prints the
+//! phase tree, and writes:
 //!
 //! * `EXPERIMENTS-results/phases.csv` / `.json` — top-level phase totals;
 //! * `EXPERIMENTS-results/phases.jsonl` — the full JSONL event stream;
@@ -25,7 +26,7 @@ use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use telemetry::Json;
-use tinca::{StatsSnapshot, TincaCache, TincaConfig};
+use tinca::{PoolConfig, StatsSnapshot, TincaConfig, TincaPool};
 
 use crate::table::Table;
 use crate::{banner, fmt, results_dir, write_csv};
@@ -47,18 +48,21 @@ pub fn run(quick: bool) -> f64 {
     let clock = SimClock::new();
     let nvm = NvmDevice::new(NvmConfig::new(nvm_bytes, NvmTech::Pcm), clock.clone());
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock.clone());
-    let cfg = TincaConfig {
-        ring_bytes: 4096,
-        // The gate protects the optimised commit path: write-behind
-        // destage + flush coalescing, as the local figures run it.
-        destage: true,
-        coalesce_flushes: true,
-        ..TincaConfig::default()
+    let cfg = PoolConfig {
+        cache: TincaConfig {
+            ring_bytes: 4096,
+            // The gate protects the optimised commit path: write-behind
+            // destage + flush coalescing, as the local figures run it.
+            destage: true,
+            coalesce_flushes: true,
+            ..TincaConfig::default()
+        },
+        ..PoolConfig::default()
     };
-    let mut cache = TincaCache::format(nvm, disk, cfg.clone());
+    let mut cache = TincaPool::format(vec![nvm.clone()], disk.clone(), cfg.clone());
     // 2.5× the cache's block capacity so evictions and writebacks appear
     // in the tree alongside the commit protocol itself.
-    let span_blocks = cache.data_block_count() as u64 * 5 / 2;
+    let span_blocks = u64::from(cache.shard_layout(0).data_blocks) * 5 / 2;
 
     let (snapshot, report) = telemetry::record(&clock, telemetry::Config::with_events(), || {
         let mut rng = StdRng::seed_from_u64(0x9E57);
@@ -73,14 +77,13 @@ pub fn run(quick: bool) -> f64 {
                     let blk = rng.gen_range(0..span_blocks);
                     txn.write(blk, &[blk as u8; BLOCK_SIZE]);
                 }
-                cache.commit(&txn).expect("fault-free commit");
+                cache.commit(txn).expect("fault-free commit");
             }
         }
         cache.flush_all().expect("fault-free flush");
         // Reopen from NVM so recovery shows up in the phase tree too.
-        let (nvm, disk) = (cache.nvm().clone(), cache.disk().clone());
-        cache = TincaCache::recover(nvm, disk, cfg).expect("recover");
-        StatsSnapshot::collect(&cache)
+        cache = TincaPool::recover(vec![nvm], disk, cfg).expect("recover");
+        StatsSnapshot::collect_pool(&cache)
     });
 
     println!("{}", report.phase_report());

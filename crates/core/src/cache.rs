@@ -115,8 +115,11 @@ pub enum Health {
 /// `Head`/`Tail` ring pointers, the ring buffer of in-flight block numbers,
 /// the 16-byte cache entries, and the 4 KB data blocks. Everything else
 /// (hash index, LRU list, free monitors) is DRAM-only and is rebuilt by
-/// [`recover`](Self::recover) (§4.6).
-pub struct TincaCache {
+/// [`recover_with_intent`](Self::recover_with_intent) (§4.6).
+///
+/// Crate-private: [`TincaPool`](crate::TincaPool) is the one public entry
+/// point, and a one-shard pool drives exactly this cache.
+pub(crate) struct TincaCache {
     nvm: Nvm,
     disk: DynDisk,
     layout: Layout,
@@ -168,7 +171,7 @@ pub struct TincaCache {
 
 impl TincaCache {
     /// Formats the NVM region and creates an empty cache.
-    pub fn format(nvm: Nvm, disk: DynDisk, cfg: TincaConfig) -> Self {
+    pub(crate) fn format(nvm: Nvm, disk: DynDisk, cfg: TincaConfig) -> Self {
         let layout = Layout::compute(nvm.capacity(), cfg.ring_bytes);
         // Zero the entry array so every entry decodes as invalid.
         let zeros = vec![0u8; 64 << 10];
@@ -230,19 +233,13 @@ impl TincaCache {
         }
     }
 
-    /// Starts a running transaction (`tinca_init_txn`, §4.1). Running
-    /// transactions are DRAM-only; any number may be open concurrently.
-    pub fn init_txn(&self) -> Txn {
-        Txn::new()
-    }
-
     /// Commits all blocks staged in `txn` atomically (`tinca_commit`, §4.4).
     ///
     /// On success every staged block is durable in NVM and mapped by the
     /// cache; the payload of each block was written exactly **once** (no
     /// journal double write). On error the cache is rolled back to its
     /// pre-transaction state (`tinca_abort` semantics).
-    pub fn commit(&mut self, txn: &Txn) -> Result<(), TincaError> {
+    pub(crate) fn commit(&mut self, txn: &Txn) -> Result<(), TincaError> {
         if txn.is_empty() {
             return Ok(());
         }
@@ -257,15 +254,6 @@ impl TincaCache {
             self.maybe_destage();
         }
         out
-    }
-
-    /// Aborts a running transaction (`tinca_abort`, §4.1). Running
-    /// transactions are DRAM-only, so nothing needs revoking; the staged
-    /// blocks are simply dropped. (A *committing* transaction that fails
-    /// mid-way is revoked internally by [`commit`](Self::commit).)
-    pub fn abort(&mut self, txn: Txn) {
-        drop(txn);
-        self.stats.user_aborts += 1;
     }
 
     // ------------------------------------------------------------------
@@ -1062,7 +1050,7 @@ impl TincaCache {
     }
 
     /// The cache's current fault condition; see [`Health`].
-    pub fn health(&self) -> Health {
+    pub(crate) fn health(&self) -> Health {
         let q = self.quarantined.len();
         if q == 0 {
             return Health::Healthy;
@@ -1078,7 +1066,7 @@ impl TincaCache {
     /// Number of currently quarantined dirty blocks (the live count;
     /// [`CacheStats::quarantined_blocks`](crate::CacheStats) is
     /// cumulative).
-    pub fn quarantined_count(&self) -> usize {
+    pub(crate) fn quarantined_count(&self) -> usize {
         self.quarantined.len()
     }
 
@@ -1187,7 +1175,7 @@ impl TincaCache {
     /// Reads on-disk block `disk_blk` through the cache (§4.6: Tinca caches
     /// reads as well as writes). Misses retry transient disk errors with
     /// backoff; a permanent fault surfaces as [`TincaError::Io`].
-    pub fn read(&mut self, disk_blk: u64, buf: &mut [u8]) -> Result<(), TincaError> {
+    pub(crate) fn read(&mut self, disk_blk: u64, buf: &mut [u8]) -> Result<(), TincaError> {
         assert_eq!(buf.len(), BLOCK_SIZE);
         let _t = telemetry::span(telemetry::phase::CACHE_READ);
         if let Some(&idx) = self.index.get(&disk_blk) {
@@ -1346,7 +1334,7 @@ impl TincaCache {
     /// them). Errors are collected, not short-circuited: every dirty
     /// block gets its flush attempt, then the first error is returned —
     /// with [`Health`] reporting how much is still pinned in NVM.
-    pub fn flush_all(&mut self) -> Result<(), TincaError> {
+    pub(crate) fn flush_all(&mut self) -> Result<(), TincaError> {
         if self.head != self.tail {
             return Err(TincaError::CommitInProgress {
                 head: self.head,
@@ -1567,51 +1555,45 @@ impl TincaCache {
     // Accessors & inspection
     // ------------------------------------------------------------------
 
-    /// Number of dirty (modified, valid) cached blocks — maintained
-    /// incrementally; audited by [`Self::check_consistency`].
-    pub fn dirty_block_count(&self) -> usize {
-        self.dirty_idx.len()
-    }
-
     /// The cache's NVM space partitioning.
-    pub fn layout(&self) -> &Layout {
+    pub(crate) fn layout(&self) -> &Layout {
         &self.layout
     }
 
     /// The NVM device below the cache.
-    pub fn nvm(&self) -> &Nvm {
+    pub(crate) fn nvm(&self) -> &Nvm {
         &self.nvm
     }
 
     /// The disk below the cache.
-    pub fn disk(&self) -> &DynDisk {
+    pub(crate) fn disk(&self) -> &DynDisk {
         &self.disk
     }
 
     /// Cumulative cache counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
     /// Number of currently cached (valid) blocks.
-    pub fn cached_blocks(&self) -> usize {
+    pub(crate) fn cached_blocks(&self) -> usize {
         self.index.len()
     }
 
     /// Number of NVM data blocks no entry references: the free list plus
     /// the shadow reserve (allocation falls back on it, so it is supply).
-    pub fn free_block_count(&self) -> usize {
+    pub(crate) fn free_block_count(&self) -> usize {
         self.free_blocks.free_count() + self.shadows.len()
     }
 
     /// True if `disk_blk` is cached.
-    pub fn contains(&self, disk_blk: u64) -> bool {
+    pub(crate) fn contains(&self, disk_blk: u64) -> bool {
         self.index.contains_key(&disk_blk)
     }
 
     /// Returns the cached payload of `disk_blk`, if present (no LRU touch,
     /// no stats — inspection only).
-    pub fn peek(&self, disk_blk: u64) -> Option<[u8; BLOCK_SIZE]> {
+    pub(crate) fn peek(&self, disk_blk: u64) -> Option<[u8; BLOCK_SIZE]> {
         let &idx = self.index.get(&disk_blk)?;
         let e = self.read_entry(idx);
         let mut buf = [0u8; BLOCK_SIZE];
@@ -1733,7 +1715,7 @@ impl TincaCache {
     /// Exhaustive self-check of the DRAM/NVM invariants; used by tests and
     /// the crash-recovery verifier. Returns a description of the first
     /// violation found.
-    pub fn check_consistency(&self) -> Result<(), String> {
+    pub(crate) fn check_consistency(&self) -> Result<(), String> {
         if self.head != self.tail {
             return Err(format!(
                 "ring open outside commit: head={} tail={}",
@@ -1844,6 +1826,7 @@ impl TincaCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::SpanningIntent;
     use blockdev::{DiskKind, SimDisk};
     use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
 
@@ -1873,7 +1856,7 @@ mod tests {
             ..TincaConfig::default()
         });
         for v in [1u8, 2] {
-            let mut t = c.init_txn();
+            let mut t = Txn::new();
             t.write(5, &[v; BLOCK_SIZE]);
             t.write(6, &[v; BLOCK_SIZE]);
             c.commit(&t).unwrap();
@@ -1905,6 +1888,81 @@ mod tests {
         assert!(err.contains("referenced elsewhere"), "{err}");
     }
 
+    fn destage_cfg(coalesce_flushes: bool) -> TincaConfig {
+        TincaConfig {
+            destage: true,
+            coalesce_flushes,
+            ..TincaConfig::default()
+        }
+    }
+
+    /// One-block transactions over `span` distinct disk blocks, `n` commits.
+    fn write_cycle(c: &mut TincaCache, n: u64, span: u64) {
+        for i in 0..n {
+            let mut t = Txn::new();
+            t.write(i % span, &[(i % 251) as u8; BLOCK_SIZE]);
+            c.commit(&t).unwrap();
+        }
+    }
+
+    #[test]
+    fn destage_fires_below_low_watermark_and_keeps_victims_clean() {
+        let mut c = small_cache_with(destage_cfg(false));
+        let capacity = u64::from(c.layout.data_blocks);
+        // Dirty more blocks than the high watermark allows to stay dirty.
+        write_cycle(&mut c, capacity - 2, capacity - 2);
+        let s = c.stats();
+        assert!(s.destage_batches > 0, "daemon never fired: {s:?}");
+        assert!(s.destage_blocks > 0);
+        assert_eq!(s.destage_stalls, 0, "no eviction happened yet");
+        // The supply (free + clean) must be back at or above the low mark
+        // (25 % of the data blocks).
+        let supply = c.free_block_count() + c.cached_blocks() - c.dirty_idx.len();
+        let low = capacity as usize * 25 / 100;
+        assert!(supply >= low, "supply {supply} still below low mark {low}");
+        c.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn flush_all_after_destage_leaves_disk_image_complete() {
+        let clock = SimClock::new();
+        let nvm = NvmDevice::new(NvmConfig::new(256 << 10, NvmTech::Pcm), clock.clone());
+        let disk = SimDisk::new(DiskKind::Hdd, 1 << 16, clock);
+        let mut c = TincaCache::format(
+            nvm,
+            disk,
+            TincaConfig {
+                ring_bytes: 4096,
+                ..destage_cfg(false)
+            },
+        );
+        let span = u64::from(c.layout.data_blocks) + 10;
+        write_cycle(&mut c, span * 2, span);
+        c.flush_all().unwrap();
+        assert!(c.dirty_idx.is_empty());
+        // Every block readable with its last-committed payload.
+        let mut buf = [0u8; BLOCK_SIZE];
+        for b in 0..span {
+            let last = (0..span * 2).rev().find(|i| i % span == b).unwrap();
+            c.read(b, &mut buf).unwrap();
+            assert_eq!(buf, [(last % 251) as u8; BLOCK_SIZE], "block {b}");
+        }
+        c.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn destage_survives_recovery_and_rebuilds_dirty_count() {
+        let mut c = small_cache_with(destage_cfg(true));
+        let capacity = u64::from(c.layout.data_blocks);
+        write_cycle(&mut c, capacity - 2, capacity - 2);
+        let dirty_before = c.dirty_idx.len();
+        let (nvm, disk, cfg) = (c.nvm.clone(), c.disk.clone(), c.cfg.clone());
+        drop(c);
+        let rec = TincaCache::recover_with_intent(nvm, disk, cfg, SpanningIntent::None).unwrap();
+        rec.check_consistency().unwrap();
+        assert_eq!(rec.dirty_idx.len(), dirty_before);
+    }
+
     /// `flush_all` must refuse to run while a transaction is committing
     /// (`Head != Tail`) — in release builds too, not just under
     /// `debug_assert`. A flush interleaved with the commit protocol could
@@ -1912,7 +1970,7 @@ mod tests {
     #[test]
     fn flush_all_mid_commit_is_rejected_at_runtime() {
         let mut c = small_cache();
-        let mut t = c.init_txn();
+        let mut t = Txn::new();
         t.write(5, &[7u8; BLOCK_SIZE]);
         c.commit(&t).unwrap();
         // Reproduce the mid-protocol window (Head moved, Tail not) that a

@@ -1,6 +1,7 @@
 //! Tinca configuration knobs.
 
-/// Configuration for a [`crate::TincaCache`].
+/// Per-shard cache configuration of a [`crate::TincaPool`]
+/// ([`crate::PoolConfig::cache`]).
 #[derive(Clone, Debug)]
 pub struct TincaConfig {
     /// Ring buffer size in bytes (paper default 1 MB; scaled runs use less).

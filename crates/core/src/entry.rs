@@ -15,11 +15,11 @@
 /// `prev` value for a block that had no cached previous version (§4.3:
 /// "Tinca just creates a new cache entry where the previous NVM block
 /// number is set to be a special FRESH tag").
-pub const FRESH: u32 = u32::MAX;
+pub(crate) const FRESH: u32 = u32::MAX;
 
 /// The role of a cached block (§4.3). Stored in the entry's R bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Role {
+pub(crate) enum Role {
     /// Block belongs to the ongoing committing transaction; may not be
     /// replaced and must be revoked if the transaction does not complete.
     Log,
@@ -34,7 +34,7 @@ const DISK_BLK_MAX: u64 = (1 << 56) - 1;
 
 /// Decoded view of a cache entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CacheEntry {
+pub(crate) struct CacheEntry {
     pub valid: bool,
     pub role: Role,
     /// True if the cached (current) version differs from the disk copy.
@@ -49,7 +49,7 @@ pub struct CacheEntry {
 
 impl CacheEntry {
     /// An invalid (empty) entry; encodes to all-zero.
-    pub const INVALID: CacheEntry = CacheEntry {
+    pub(crate) const INVALID: CacheEntry = CacheEntry {
         valid: false,
         role: Role::Buffer,
         modified: false,
@@ -59,7 +59,7 @@ impl CacheEntry {
     };
 
     /// Creates a valid entry.
-    pub fn new(role: Role, modified: bool, disk_blk: u64, prev: u32, cur: u32) -> Self {
+    pub(crate) fn new(role: Role, modified: bool, disk_blk: u64, prev: u32, cur: u32) -> Self {
         assert!(
             disk_blk <= DISK_BLK_MAX,
             "disk block number exceeds 7 bytes"
@@ -75,7 +75,7 @@ impl CacheEntry {
     }
 
     /// Packs the entry into its 16-byte NVM representation.
-    pub fn encode(&self) -> u128 {
+    pub(crate) fn encode(&self) -> u128 {
         if !self.valid {
             return 0;
         }
@@ -92,7 +92,7 @@ impl CacheEntry {
     }
 
     /// Unpacks a 16-byte NVM representation.
-    pub fn decode(raw: u128) -> CacheEntry {
+    pub(crate) fn decode(raw: u128) -> CacheEntry {
         let lo = raw as u64;
         let hi = (raw >> 64) as u64;
         if lo & FLAG_VALID == 0 {
@@ -116,7 +116,7 @@ impl CacheEntry {
     /// leaves the log role and becomes a replaceable buffer block. `prev` is
     /// retained — it is only reclaimed (in DRAM) once `Tail` has moved, so a
     /// crash between role switch and `Tail` can still revoke.
-    pub fn switched_to_buffer(&self) -> CacheEntry {
+    pub(crate) fn switched_to_buffer(&self) -> CacheEntry {
         CacheEntry {
             role: Role::Buffer,
             ..*self
@@ -133,7 +133,7 @@ impl CacheEntry {
     /// the marker lets a *second* recovery pass — after a crash during the
     /// first — recognise already-revoked entries and skip them, making
     /// recovery idempotent.
-    pub fn revoked(&self) -> Option<CacheEntry> {
+    pub(crate) fn revoked(&self) -> Option<CacheEntry> {
         if self.prev == FRESH {
             return None;
         }
@@ -150,7 +150,7 @@ impl CacheEntry {
 
     /// True if this entry is the result of a revocation (see
     /// [`Self::revoked`]): recovery must not process it a second time.
-    pub fn is_revoked_marker(&self) -> bool {
+    pub(crate) fn is_revoked_marker(&self) -> bool {
         self.valid && self.prev == self.cur
     }
 }

@@ -4,7 +4,7 @@ use std::fmt;
 
 use blockdev::IoError;
 
-/// Errors reported by [`crate::TincaCache`].
+/// Errors reported by [`crate::TincaPool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TincaError {
     /// The transaction stages more blocks than the ring buffer can record.

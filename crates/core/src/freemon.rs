@@ -4,14 +4,14 @@
 /// entries). DRAM-only; reconstructed on startup/recovery by scanning the
 /// persistent cache entries.
 #[derive(Clone, Debug)]
-pub struct FreeMonitor {
+pub(crate) struct FreeMonitor {
     free: Vec<u32>,
     is_free: Vec<bool>,
 }
 
 impl FreeMonitor {
     /// All of `0..count` start free.
-    pub fn new_all_free(count: u32) -> Self {
+    pub(crate) fn new_all_free(count: u32) -> Self {
         Self {
             free: (0..count).rev().collect(),
             is_free: vec![true; count as usize],
@@ -20,7 +20,7 @@ impl FreeMonitor {
 
     /// Starts with everything allocated; used by recovery which then
     /// [`Self::release`]s unreferenced blocks.
-    pub fn new_all_used(count: u32) -> Self {
+    pub(crate) fn new_all_used(count: u32) -> Self {
         Self {
             free: Vec::new(),
             is_free: vec![false; count as usize],
@@ -28,24 +28,24 @@ impl FreeMonitor {
     }
 
     /// Takes a free block, if any.
-    pub fn allocate(&mut self) -> Option<u32> {
+    pub(crate) fn allocate(&mut self) -> Option<u32> {
         let b = self.free.pop()?;
         self.is_free[b as usize] = false;
         Some(b)
     }
 
     /// Returns a block to the free pool. Panics on double free.
-    pub fn release(&mut self, b: u32) {
+    pub(crate) fn release(&mut self, b: u32) {
         assert!(!self.is_free[b as usize], "double free of block {b}");
         self.is_free[b as usize] = true;
         self.free.push(b);
     }
 
-    pub fn free_count(&self) -> usize {
+    pub(crate) fn free_count(&self) -> usize {
         self.free.len()
     }
 
-    pub fn is_free(&self, b: u32) -> bool {
+    pub(crate) fn is_free(&self, b: u32) -> bool {
         self.is_free[b as usize]
     }
 }

@@ -4,50 +4,50 @@
 use blockdev::BLOCK_SIZE;
 
 /// Magic number identifying a formatted Tinca NVM region ("TINCAv01").
-pub const MAGIC: u64 = 0x5449_4e43_4176_3031;
+pub(crate) const MAGIC: u64 = 0x5449_4e43_4176_3031;
 
 /// Header field offsets (bytes). `Head` and `Tail` live on their own cache
 /// lines so each can be flushed independently with a single `clflush`.
-pub const MAGIC_OFF: usize = 0;
-pub const RING_CAP_OFF: usize = 8;
-pub const ENTRY_COUNT_OFF: usize = 16;
-pub const DATA_BLOCKS_OFF: usize = 24;
-pub const HEAD_OFF: usize = 64;
-pub const TAIL_OFF: usize = 128;
+pub(crate) const MAGIC_OFF: usize = 0;
+pub(crate) const RING_CAP_OFF: usize = 8;
+pub(crate) const ENTRY_COUNT_OFF: usize = 16;
+pub(crate) const DATA_BLOCKS_OFF: usize = 24;
+pub(crate) const HEAD_OFF: usize = 64;
+pub(crate) const TAIL_OFF: usize = 128;
 
 /// Byte offset of the pool's **spanning-intent record**: one cache line in
 /// the header block, used only on shard 0's device of a multi-shard pool.
 /// Formatting persists bytes `0..INTENT_OFF` and never touches this line,
 /// so an all-zero line means "no spanning transaction in flight" on both
 /// fresh and legacy regions.
-pub const INTENT_OFF: usize = 192;
+pub(crate) const INTENT_OFF: usize = 192;
 /// Intent state word: `0` when no intent exists, otherwise
 /// `(intent_id << 8) | state` with `state` one of
 /// [`INTENT_PREPARED`]/[`INTENT_RESOLVED`]. Published, resolved, and
 /// retired with single 8 B atomic stores.
-pub const INTENT_STATE_OFF: usize = INTENT_OFF;
+pub(crate) const INTENT_STATE_OFF: usize = INTENT_OFF;
 /// Participant shard bitmap (bit `s` set when shard `s` holds a fragment;
 /// shards ≥ 64 saturate onto bit 63). Advisory — recovery trusts the
 /// per-slot intent tags, not this summary.
-pub const INTENT_SHARDS_OFF: usize = INTENT_OFF + 8;
+pub(crate) const INTENT_SHARDS_OFF: usize = INTENT_OFF + 8;
 /// Intent state: every fragment is being prepared; none is visible yet.
 /// Recovery must roll tagged fragments **back**.
-pub const INTENT_PREPARED: u64 = 1;
+pub(crate) const INTENT_PREPARED: u64 = 1;
 /// Intent state: every fragment is durable; the transaction is committed.
 /// Recovery must roll tagged fragments **forward**.
-pub const INTENT_RESOLVED: u64 = 2;
+pub(crate) const INTENT_RESOLVED: u64 = 2;
 
 /// Bits of a ring slot holding the disk block number. Disk block numbers
 /// are bounded by [`crate::entry::CacheEntry`]'s 56-bit field, so the top
 /// byte of the 8 B slot is free to carry a spanning-intent tag.
-pub const SLOT_BLK_MASK: u64 = (1 << 56) - 1;
+pub(crate) const SLOT_BLK_MASK: u64 = (1 << 56) - 1;
 /// Shift of the intent tag within a ring slot.
-pub const SLOT_TAG_SHIFT: u32 = 56;
+pub(crate) const SLOT_TAG_SHIFT: u32 = 56;
 
 /// Encodes a ring slot: the disk block number plus an intent tag in the
 /// top byte. Tag `0` (ordinary single-shard commit) stores exactly
 /// `disk_blk` — bit-for-bit what the untagged protocol stored.
-pub fn slot_value(disk_blk: u64, tag: u8) -> u64 {
+pub(crate) fn slot_value(disk_blk: u64, tag: u8) -> u64 {
     debug_assert!(disk_blk <= SLOT_BLK_MASK);
     disk_blk | (tag as u64) << SLOT_TAG_SHIFT
 }
@@ -74,23 +74,23 @@ pub fn intent_tag(intent_id: u64) -> u8 {
 /// and a reserved word written 0. Only single-shard windows have one — a
 /// spanning fragment commits on a quiesced shard through the mutex path's
 /// protocol and is judged by its slots' intent tags.
-pub const MW_DESC_OFF: usize = 256;
+pub(crate) const MW_DESC_OFF: usize = 256;
 /// Number of window descriptors (bounds in-flight windows per shard).
-pub const MW_WINDOWS: usize = 32;
+pub(crate) const MW_WINDOWS: usize = 32;
 /// Bytes per descriptor — a full cache line, so concurrent writers never
 /// share a line when staging or publishing their own descriptor.
-pub const MW_DESC_BYTES: usize = 64;
+pub(crate) const MW_DESC_BYTES: usize = 64;
 
 /// Descriptor word 0 (the *state word*, published with one 8 B atomic
 /// store): `(window ordinal << 8) | state`. An all-zero word is
 /// [`MW_FREE`].
-pub const MW_FREE: u64 = 0;
+pub(crate) const MW_FREE: u64 = 0;
 /// State: the window's ring slots are reserved and its entries are being
 /// staged; nothing in it is visible to recovery yet.
-pub const MW_RESERVED: u64 = 1;
+pub(crate) const MW_RESERVED: u64 = 1;
 /// State: the writer finished staging and flushing; the window is durable
 /// once the sequencer's fence drains it, and `Head` may advance past it.
-pub const MW_STAGED: u64 = 2;
+pub(crate) const MW_STAGED: u64 = 2;
 
 /// Slot tag marking a **dead** ring slot inside a multi-writer window that
 /// failed mid-staging: the slot was reserved but never received a real
@@ -98,27 +98,27 @@ pub const MW_STAGED: u64 = 2;
 /// ring's previous lap could otherwise name another in-flight window's
 /// block). The high bit is clear, so a dead tag can never collide with an
 /// [`intent_tag`]; it is nonzero, so scrubbing rewrites it like any tag.
-pub const MW_DEAD_TAG: u8 = 0x7f;
+pub(crate) const MW_DEAD_TAG: u8 = 0x7f;
 
 /// Byte address of multi-writer descriptor `slot` (`0..MW_WINDOWS`).
-pub fn mw_desc_addr(slot: usize) -> usize {
+pub(crate) fn mw_desc_addr(slot: usize) -> usize {
     debug_assert!(slot < MW_WINDOWS);
     MW_DESC_OFF + slot * MW_DESC_BYTES
 }
 
 /// Encodes a descriptor state word from a window ordinal and state.
-pub fn mw_state_word(ordinal: u64, state: u64) -> u64 {
+pub(crate) fn mw_state_word(ordinal: u64, state: u64) -> u64 {
     debug_assert!(state <= MW_STAGED);
     (ordinal << 8) | state
 }
 
 /// Splits a descriptor state word into `(ordinal, state)`.
-pub fn mw_split_state(word: u64) -> (u64, u64) {
+pub(crate) fn mw_split_state(word: u64) -> (u64, u64) {
     (word >> 8, word & 0xff)
 }
 
 /// Size reserved for the header.
-pub const HEADER_BYTES: usize = BLOCK_SIZE;
+pub(crate) const HEADER_BYTES: usize = BLOCK_SIZE;
 
 // The intent record must sit inside the persisted header — cache-line
 // aligned, after the format prefix (`Tail` is its last word), before the
@@ -138,10 +138,10 @@ const _: () = assert!(MW_DESC_OFF + MW_WINDOWS * MW_DESC_BYTES <= HEADER_BYTES);
 
 /// Size of one cache entry in bytes (§4.2: 16 B, atomically writable with
 /// `LOCK cmpxchg16b`).
-pub const ENTRY_BYTES: usize = 16;
+pub(crate) const ENTRY_BYTES: usize = 16;
 
 /// Size of one ring-buffer slot (an on-disk block number, 8 B).
-pub const RING_SLOT_BYTES: usize = 8;
+pub(crate) const RING_SLOT_BYTES: usize = 8;
 
 /// Computed partitioning of the NVM region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,7 +164,7 @@ impl Layout {
     /// Partitions an NVM region of `capacity` bytes with a ring buffer of
     /// (at least) `ring_bytes`. The paper's default ring is 1 MB; the
     /// scaled-down experiments use 64 KB.
-    pub fn compute(capacity: usize, ring_bytes: usize) -> Layout {
+    pub(crate) fn compute(capacity: usize, ring_bytes: usize) -> Layout {
         let ring_bytes = ring_bytes.next_multiple_of(BLOCK_SIZE);
         let ring_cap = (ring_bytes / RING_SLOT_BYTES) as u64;
         let fixed = HEADER_BYTES + ring_bytes;
@@ -200,7 +200,7 @@ impl Layout {
     }
 
     /// Byte address of cache entry `idx`.
-    pub fn entry_addr(&self, idx: u32) -> usize {
+    pub(crate) fn entry_addr(&self, idx: u32) -> usize {
         debug_assert!(idx < self.entry_count);
         self.entries_off + idx as usize * ENTRY_BYTES
     }
@@ -214,11 +214,6 @@ impl Layout {
         );
         self.data_off + blk as usize * BLOCK_SIZE
     }
-
-    /// Total bytes consumed (must be ≤ device capacity).
-    pub fn total_bytes(&self) -> usize {
-        self.data_off + self.data_blocks as usize * BLOCK_SIZE
-    }
 }
 
 #[cfg(test)]
@@ -229,7 +224,8 @@ mod tests {
     fn layout_fits_capacity() {
         for cap in [1 << 20, 16 << 20, 128 << 20] {
             let l = Layout::compute(cap, 64 << 10);
-            assert!(l.total_bytes() <= cap, "{l:?} exceeds {cap}");
+            let total = l.data_off + l.data_blocks as usize * BLOCK_SIZE;
+            assert!(total <= cap, "{l:?} exceeds {cap}");
             assert!(l.data_blocks > 0);
             assert_eq!(l.data_off % BLOCK_SIZE, 0);
             assert_eq!(l.entries_off % BLOCK_SIZE, 0);

@@ -21,20 +21,21 @@
 //! ## Quick start
 //!
 //! ```
-//! use blockdev::{BlockDevice, DiskKind, SimDisk, BLOCK_SIZE};
+//! use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 //! use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
-//! use tinca::{TincaCache, TincaConfig};
+//! use tinca::{PoolConfig, TincaPool};
 //!
 //! let clock = SimClock::new();
 //! let nvm = NvmDevice::new(NvmConfig::new(4 << 20, NvmTech::Pcm), clock.clone());
 //! let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock.clone());
-//! let mut cache = TincaCache::format(nvm, disk, TincaConfig::default());
+//! // One shard: the paper's single Tinca cache.
+//! let cache = TincaPool::format(vec![nvm], disk, PoolConfig::default());
 //!
 //! // Atomically commit two blocks.
 //! let mut txn = cache.init_txn();
 //! txn.write(10, &[0xAA; BLOCK_SIZE]);
 //! txn.write(11, &[0xBB; BLOCK_SIZE]);
-//! cache.commit(&txn).unwrap();
+//! cache.commit(txn).unwrap();
 //!
 //! let mut buf = [0u8; BLOCK_SIZE];
 //! cache.read(10, &mut buf).unwrap();
@@ -56,14 +57,12 @@ mod snapshot;
 mod stats;
 mod txn;
 
-pub use cache::{DynDisk, Health, TincaCache};
+pub use cache::{DynDisk, Health};
 pub use config::TincaConfig;
-pub use entry::{CacheEntry, Role, FRESH};
 pub use error::TincaError;
 pub use layout::{intent_tag, split_slot, Layout};
 pub use mwring::{CommitMode, MwAdmission, MwTicket};
 pub use pool::{PoolConfig, TincaPool};
-pub use recovery::SpanningIntent;
 pub use snapshot::StatsSnapshot;
 pub use stats::CacheStats;
-pub use txn::{block_buf, BlockBuf, Txn};
+pub use txn::Txn;

@@ -12,7 +12,7 @@ const NIL: u32 = u32::MAX;
 /// `head` is the MRU end, `tail` the LRU end. All operations are O(1);
 /// iteration from the LRU end is used for victim selection.
 #[derive(Clone, Debug)]
-pub struct LruList {
+pub(crate) struct LruList {
     prev: Vec<u32>, // towards MRU
     next: Vec<u32>, // towards LRU
     linked: Vec<bool>,
@@ -23,7 +23,7 @@ pub struct LruList {
 
 impl LruList {
     /// Creates an empty list able to hold indices `0..capacity`.
-    pub fn new(capacity: u32) -> Self {
+    pub(crate) fn new(capacity: u32) -> Self {
         Self {
             prev: vec![NIL; capacity as usize],
             next: vec![NIL; capacity as usize],
@@ -34,21 +34,16 @@ impl LruList {
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    #[allow(dead_code)] // part of the list's API surface, exercised in tests
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn contains(&self, idx: u32) -> bool {
+    pub(crate) fn contains(&self, idx: u32) -> bool {
         self.linked[idx as usize]
     }
 
     /// Inserts `idx` at the MRU end. Panics if already present.
-    pub fn push_mru(&mut self, idx: u32) {
+    pub(crate) fn push_mru(&mut self, idx: u32) {
         assert!(
             !self.linked[idx as usize],
             "index {idx} already in LRU list"
@@ -67,7 +62,7 @@ impl LruList {
     }
 
     /// Removes `idx` from the list. Panics if absent.
-    pub fn remove(&mut self, idx: u32) {
+    pub(crate) fn remove(&mut self, idx: u32) {
         assert!(self.linked[idx as usize], "index {idx} not in LRU list");
         let i = idx as usize;
         let (p, n) = (self.prev[i], self.next[i]);
@@ -88,7 +83,7 @@ impl LruList {
     }
 
     /// Moves `idx` to the MRU end (a cache hit).
-    pub fn touch(&mut self, idx: u32) {
+    pub(crate) fn touch(&mut self, idx: u32) {
         if self.head == idx {
             return;
         }
@@ -97,12 +92,12 @@ impl LruList {
     }
 
     /// The current LRU-end index, if any.
-    pub fn lru(&self) -> Option<u32> {
+    pub(crate) fn lru(&self) -> Option<u32> {
         (self.tail != NIL).then_some(self.tail)
     }
 
     /// Iterates indices from LRU to MRU (victim-selection order).
-    pub fn iter_lru(&self) -> LruIter<'_> {
+    pub(crate) fn iter_lru(&self) -> LruIter<'_> {
         LruIter {
             list: self,
             cur: self.tail,
@@ -111,7 +106,7 @@ impl LruList {
 }
 
 /// Iterator over an [`LruList`] from the LRU end towards MRU.
-pub struct LruIter<'a> {
+pub(crate) struct LruIter<'a> {
     list: &'a LruList,
     cur: u32,
 }
@@ -184,7 +179,7 @@ mod tests {
         let mut l = LruList::new(2);
         l.push_mru(0);
         l.remove(0);
-        assert!(l.is_empty());
+        assert_eq!(l.len(), 0);
         assert_eq!(l.lru(), None);
         // reuse after emptying works
         l.push_mru(1);

@@ -176,11 +176,6 @@ impl MwTicket {
     pub fn shard(&self) -> usize {
         self.shard
     }
-
-    /// The window's ordinal (shard-local identity).
-    pub fn ordinal(&self) -> u64 {
-        self.ordinal
-    }
 }
 
 /// Outcome of a non-blocking multi-writer admission attempt.

@@ -1,9 +1,11 @@
-//! `TincaPool` — a sharded, thread-safe front-end over [`TincaCache`].
+//! `TincaPool` — the Tinca cache's one public entry point: a sharded,
+//! thread-safe front-end over the crate-private single-region cache
+//! (`cache.rs`).
 //!
 //! The paper evaluates Tinca under multi-threaded Fio/Filebench/MySQL
-//! load; a single `TincaCache` serialises everything behind `&mut self`.
+//! load; one cache region serialises everything behind `&mut self`.
 //! The pool partitions the NVM into `N` independent shards — each shard is
-//! a complete `TincaCache` on its own NVM device region (disjoint
+//! a complete cache on its own NVM device region (disjoint
 //! [`Layout`](crate::Layout)s, own `Head`/`Tail` ring, own entry table) —
 //! and routes disk block `b` to shard `b % N`. Because every commit point
 //! is still a single 8-byte `Tail` store *within one shard's region*, the
@@ -13,15 +15,22 @@
 //!
 //! In [`CommitMode::Mutex`] (the default) a single-shard commit is the
 //! paper's protocol and nothing else: take the shard's cache lock, run
-//! [`TincaCache::commit`], release. Threads on one shard serialise on that
+//! the shard's commit, release. Threads on one shard serialise on that
 //! lock; there is no queue, no leader and no merged transaction. This is
 //! the paper-exact, per-step-persist *reference* path every paper figure
 //! runs on. Batching lives in one place only — the sequencer rounds of
 //! [`CommitMode::LockFreeRing`] (DESIGN §16), which retire every published
 //! window with one fence and one `Head` store.
 //!
-//! With `N = 1`, the pool is bit-for-bit identical to a bare `TincaCache`:
-//! same NVM stores, flushes, fences, simulated time, and statistics.
+//! ## One shard: the paper's cache
+//!
+//! With `N = 1` the pool *is* the paper's single Tinca cache: the same NVM
+//! stores, flushes, fences, simulated time and statistics as the shard's
+//! cache driven alone, through format, commit, read and crash recovery
+//! alike (the pool never touches the spanning-intent record). That is the
+//! stack every paper figure, the file-system stack (`fssim`) and the
+//! cluster build, so the pool's lock and routing are all they add — pinned
+//! by this module's `single_shard_pool_matches_bare_cache_bit_for_bit`.
 //!
 //! ## Atomicity scope
 //!
@@ -78,13 +87,14 @@ use blockdev::BLOCK_SIZE;
 use nvmsim::Nvm;
 use parking_lot::Mutex;
 
-use crate::cache::{DynDisk, MwStagedMeta, PreparedFragment};
+use crate::cache::{DynDisk, MwStagedMeta, PreparedFragment, TincaCache};
 use crate::layout::{
-    intent_tag, mw_desc_addr, mw_state_word, INTENT_OFF, INTENT_SHARDS_OFF, INTENT_STATE_OFF,
-    MW_STAGED, MW_WINDOWS,
+    intent_tag, mw_desc_addr, mw_state_word, Layout, INTENT_OFF, INTENT_SHARDS_OFF,
+    INTENT_STATE_OFF, MW_STAGED, MW_WINDOWS,
 };
 use crate::mwring::{CommitMode, MwAdmission, MwShard, MwState, MwTicket, MwWindow};
-use crate::{CacheStats, Health, SpanningIntent, TincaCache, TincaConfig, TincaError, Txn};
+use crate::recovery::SpanningIntent;
+use crate::{CacheStats, Health, TincaConfig, TincaError, Txn};
 
 /// Configuration for a [`TincaPool`].
 #[derive(Clone, Debug)]
@@ -134,9 +144,10 @@ const SYNC_MW_PUBLISH: u64 = 2;
 
 struct Shard {
     cache: Mutex<TincaCache>,
-    /// Ring slots of this shard's layout.
-    ring_slots: usize,
-    /// This shard's NVM device, for sync-event trace annotations.
+    /// This shard's NVM partitioning (fixed at format).
+    layout: Layout,
+    /// This shard's NVM device: sync-event trace annotations, and the
+    /// lock-free device accessor.
     nvm: Nvm,
     /// First sync-object id of this shard's namespace.
     sync_base: u64,
@@ -206,6 +217,8 @@ fn trip_event(payload: &(dyn std::any::Any + Send)) -> Option<u64> {
 /// Sharded multi-threaded front-end; see the module docs.
 pub struct TincaPool {
     shards: Vec<Shard>,
+    /// The backing disk every shard shares.
+    disk: DynDisk,
     commit_mode: CommitMode,
     /// Serialises spanning commits (the persistent intent record has one
     /// slot) and hands out intent sequence ids. Poison-tolerant: a
@@ -214,7 +227,7 @@ pub struct TincaPool {
 }
 
 impl TincaPool {
-    /// Formats one [`TincaCache`] per device and assembles the pool.
+    /// Formats one cache region per device and assembles the pool.
     /// `devices[i]` becomes shard `i`; all shards share the backing disk
     /// (their disk-block sets are disjoint by routing).
     pub fn format(devices: Vec<Nvm>, disk: DynDisk, cfg: PoolConfig) -> Self {
@@ -234,6 +247,7 @@ impl TincaPool {
             .collect();
         TincaPool {
             shards,
+            disk,
             commit_mode: cfg.commit_mode,
             spanning: StdMutex::new(0),
         }
@@ -252,7 +266,7 @@ impl TincaPool {
     /// Recovers every shard from its NVM region after a crash or clean
     /// shutdown. The pool decodes the spanning-intent record (shard 0's
     /// device) first and hands each shard's §4.5 recovery the same
-    /// [`SpanningIntent`] directive, so an interrupted spanning
+    /// roll-forward/roll-back directive, so an interrupted spanning
     /// transaction rolls the same direction on every shard; the record is
     /// retired only once every shard has recovered.
     ///
@@ -302,21 +316,22 @@ impl TincaPool {
         }
         Ok(TincaPool {
             shards,
+            disk,
             commit_mode: cfg.commit_mode,
             spanning: StdMutex::new(0),
         })
     }
 
     fn shard(index: usize, cache: TincaCache) -> Shard {
-        let ring_slots = cache.layout().ring_cap as usize;
+        let layout = *cache.layout();
         let nvm = cache.nvm().clone();
         let (head, _tail) = cache.head_tail();
         Shard {
             cache: Mutex::new(cache),
-            ring_slots,
+            layout,
             nvm,
             sync_base: index as u64 * SYNC_STRIDE,
-            mw: MwShard::new(head, ring_slots as u64),
+            mw: MwShard::new(head, layout.ring_cap),
         }
     }
 
@@ -330,10 +345,20 @@ impl TincaPool {
         (disk_blk % self.shards.len() as u64) as usize
     }
 
-    /// Starts a running transaction (DRAM-only, same as
-    /// [`TincaCache::init_txn`]).
+    /// Starts a running transaction (`tinca_init_txn`, §4.1). Running
+    /// transactions are DRAM-only; any number may be open concurrently.
     pub fn init_txn(&self) -> Txn {
         Txn::new()
+    }
+
+    /// Aborts a running transaction (`tinca_abort`, §4.1). Running
+    /// transactions are DRAM-only, so nothing needs revoking; the staged
+    /// blocks are simply dropped and counted in `user_aborts` on shard 0.
+    /// (A *committing* transaction that fails mid-way is revoked inside
+    /// [`commit`](Self::commit).)
+    pub fn abort(&self, txn: Txn) {
+        drop(txn);
+        self.shards[0].lock_cache().stats_mut().user_aborts += 1;
     }
 
     /// The single shard all of `txn`'s blocks route to, or `None` when
@@ -539,10 +564,10 @@ impl TincaPool {
     fn mw_try_begin_on(&self, s: usize, txn: Txn) -> Result<MwAdmission, TincaError> {
         let sh = &self.shards[s];
         let n = txn.len() as u64;
-        if txn.len() > sh.ring_slots {
+        if n > sh.layout.ring_cap {
             return Err(TincaError::TxnTooLarge {
                 blocks: txn.len(),
-                ring_cap: sh.ring_slots as u64,
+                ring_cap: sh.layout.ring_cap,
             });
         }
         // Conflict admission *before* reservation: claim the disk blocks
@@ -846,7 +871,7 @@ impl TincaPool {
                         .fetch_add(round.len() as u64, Ordering::AcqRel);
                     sh.mw
                         .ring_limit
-                        .store(end + sh.ring_slots as u64, Ordering::Release);
+                        .store(end + sh.layout.ring_cap, Ordering::Release);
                     sh.mw.cv.notify_all();
                     retired_total += round.len();
                 }
@@ -1001,7 +1026,7 @@ impl TincaPool {
                 sh.mw.cursor.store(head, Ordering::Release);
                 sh.mw
                     .ring_limit
-                    .store(head + sh.ring_slots as u64, Ordering::Release);
+                    .store(head + sh.layout.ring_cap, Ordering::Release);
                 mw.frontier = head;
             }
             if let Some(event) = failed {
@@ -1040,8 +1065,9 @@ impl TincaPool {
     }
 
     /// Writes back every dirty block of every shard (orderly shutdown).
-    /// Every shard gets its flush attempt even if an earlier one fails;
-    /// the first error is returned (see [`TincaCache::flush_all`]).
+    /// Every shard gets its flush attempt even if an earlier one fails —
+    /// and within a shard every dirty block gets its attempt, failures
+    /// quarantining the block — then the first error is returned.
     pub fn flush_all(&self) -> Result<(), TincaError> {
         let mut first_err = Ok(());
         for (s, sh) in self.shards.iter().enumerate() {
@@ -1098,7 +1124,8 @@ impl TincaPool {
         }
     }
 
-    /// Runs [`TincaCache::check_consistency`] on every shard.
+    /// Exhaustive self-check of every shard's DRAM/NVM invariants (tests
+    /// and crash verifiers); the first violation found, by shard.
     pub fn check_consistency(&self) -> Result<(), String> {
         for (i, sh) in self.shards.iter().enumerate() {
             sh.cache
@@ -1132,14 +1159,26 @@ impl TincaPool {
         st
     }
 
-    /// Runs `f` with shard `s`'s cache locked (tests, fuzzers, benches).
-    pub fn with_shard<R>(&self, s: usize, f: impl FnOnce(&mut TincaCache) -> R) -> R {
-        f(&mut self.shards[s].lock_cache())
+    /// Shard `s`'s NVM device (no lock taken).
+    pub fn shard_nvm(&self, s: usize) -> &Nvm {
+        &self.shards[s].nvm
     }
 
-    /// The commit-path mode this pool was built with.
-    pub fn commit_mode(&self) -> CommitMode {
-        self.commit_mode
+    /// Shard `s`'s NVM partitioning; `data_blocks` is its block capacity.
+    pub fn shard_layout(&self, s: usize) -> Layout {
+        self.shards[s].layout
+    }
+
+    /// Dirty blocks shard `s` currently holds quarantined after a
+    /// permanent writeback failure (the live count;
+    /// [`CacheStats::quarantined_blocks`] is cumulative).
+    pub fn shard_quarantined(&self, s: usize) -> usize {
+        self.shards[s].lock_cache().quarantined_count()
+    }
+
+    /// The backing disk every shard shares.
+    pub(crate) fn disk(&self) -> &DynDisk {
+        &self.disk
     }
 
     /// How many commits one shard can hold in flight at once: 1 for the
@@ -1178,7 +1217,7 @@ impl TincaPool {
     /// NVM data blocks no entry references, across all shards: block
     /// *supply*, not the free list alone — with
     /// [`TincaConfig::delta_stage`] it includes every shard's shadow
-    /// reserve (see [`TincaCache::free_block_count`]), so `0` means
+    /// reserve, which allocation falls back on, so `0` means
     /// "nothing left to allocate without evicting", and a nonzero count
     /// does not mean the free list is non-empty.
     pub fn free_block_count(&self) -> usize {
@@ -1334,6 +1373,133 @@ mod tests {
         assert_eq!(sh.mw.cursor.load(Ordering::Acquire), head);
         assert_eq!(head, a_start + 1);
         assert_block(&p, 1, 0xA1);
+        p.check_consistency().unwrap();
+    }
+
+    fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
+        [byte; BLOCK_SIZE]
+    }
+
+    fn cache_cfg() -> TincaConfig {
+        TincaConfig {
+            ring_bytes: 4096,
+            ..TincaConfig::default()
+        }
+    }
+
+    /// A device's whole persistent image.
+    fn image(nvm: &Nvm) -> Vec<u8> {
+        let mut img = vec![0u8; nvm.capacity()];
+        nvm.read_persistent(0, &mut img);
+        img
+    }
+
+    /// With one shard and one thread the pool must be indistinguishable from a
+    /// bare `TincaCache`: same persistent image, same NVM counters, same
+    /// simulated time, same cache statistics — and so must a torn commit, a
+    /// power cut and the recovery after it.
+    #[test]
+    fn single_shard_pool_matches_bare_cache_bit_for_bit() {
+        use nvmsim::{CrashPolicy, CrashTripped, NvmDevice};
+        use std::panic::catch_unwind;
+
+        const SEED: u64 = 0x0B17_F0B1;
+        let cap = 1 << 20;
+        let mk = || {
+            let clock = SimClock::new();
+            let nvm = NvmDevice::new(NvmConfig::new(cap, NvmTech::Pcm), clock.clone());
+            let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, clock.clone());
+            (nvm, disk)
+        };
+
+        // Reference: bare cache.
+        let (nvm_a, disk_a) = mk();
+        let mut cache = TincaCache::format(nvm_a.clone(), disk_a.clone(), cache_cfg());
+        // Pool under test: one shard on an identical device.
+        let (nvm_b, disk_b) = mk();
+        let pool_cfg = PoolConfig {
+            shards: 1,
+            cache: cache_cfg(),
+            ..PoolConfig::default()
+        };
+        let p = TincaPool::format(vec![nvm_b.clone()], disk_b.clone(), pool_cfg.clone());
+
+        // Identical workload on both, including coalescing rewrites and reads.
+        let mut buf = [0u8; BLOCK_SIZE];
+        for round in 0..20u64 {
+            let mut ta = Txn::new();
+            let mut tb = p.init_txn();
+            for t in [&mut ta, &mut tb] {
+                t.write(round % 7, &blk((round % 251) as u8));
+                t.write(100 + round, &blk(1));
+                t.write(round % 7, &blk((round % 249) as u8)); // coalesce
+            }
+            cache.commit(&ta).unwrap();
+            p.commit(tb).unwrap();
+            cache.read(round % 7, &mut buf).unwrap();
+            let mut buf2 = [0u8; BLOCK_SIZE];
+            p.read(round % 7, &mut buf2).unwrap();
+            assert_eq!(buf, buf2);
+        }
+
+        let assert_same = |leg: &str, a: CacheStats, b: CacheStats| {
+            assert_eq!(a, b, "{leg}: cache statistics must match");
+            assert_eq!(
+                nvm_a.stats(),
+                nvm_b.stats(),
+                "{leg}: NVM event counters must match"
+            );
+            assert_eq!(
+                nvm_a.clock().now_ns(),
+                nvm_b.clock().now_ns(),
+                "{leg}: simulated time must match"
+            );
+            assert!(
+                image(&nvm_a) == image(&nvm_b),
+                "{leg}: persistent NVM images must be identical"
+            );
+        };
+        assert_same("workload", cache.stats(), p.stats());
+        cache.check_consistency().unwrap();
+        p.check_consistency().unwrap();
+
+        // The same torn commit on both — a write hit, a miss and a hit, cut
+        // inside the second block's payload flushes — then the same power
+        // cut, resolved by the same coins.
+        let torn = || {
+            let mut t = Txn::new();
+            for (b, v) in [(3u64, 0xE1), (500, 0xE2), (5, 0xE3)] {
+                t.write(b, &blk(v));
+            }
+            t
+        };
+        let cut = |nvm: &Nvm, commit: &mut dyn FnMut()| {
+            nvm.set_trip(Some(100));
+            let tripped = catch_unwind(AssertUnwindSafe(commit))
+                .expect_err("the armed trip fires inside the commit");
+            assert!(tripped.is::<CrashTripped>());
+            nvm.set_trip(None);
+        };
+        cut(&nvm_a, &mut || {
+            let _ = cache.commit(&torn());
+        });
+        cut(&nvm_b, &mut || {
+            let _ = p.commit(torn());
+        });
+        drop((cache, p));
+        nvm_a.crash(CrashPolicy::Random(SEED));
+        nvm_b.crash(CrashPolicy::Random(SEED));
+
+        let cache = TincaCache::recover_with_intent(
+            nvm_a.clone(),
+            disk_a,
+            cache_cfg(),
+            SpanningIntent::None,
+        )
+        .unwrap();
+        let p = TincaPool::recover(vec![nvm_b.clone()], disk_b, pool_cfg).unwrap();
+        assert_same("recovery", cache.stats(), p.stats());
+        cache.check_consistency().unwrap();
         p.check_consistency().unwrap();
     }
 

@@ -52,14 +52,14 @@ use std::collections::HashMap;
 use blockdev::BLOCK_SIZE;
 use nvmsim::{Nvm, CACHE_LINE};
 
-use crate::cache::DynDisk;
+use crate::cache::{DynDisk, TincaCache};
 use crate::entry::{CacheEntry, Role};
 use crate::layout::{
     intent_tag, mw_split_state, slot_value, split_slot, Layout, DATA_BLOCKS_OFF, ENTRY_BYTES,
     ENTRY_COUNT_OFF, HEAD_OFF, INTENT_PREPARED, INTENT_RESOLVED, MAGIC, MAGIC_OFF, MW_DEAD_TAG,
     MW_DESC_BYTES, MW_DESC_OFF, MW_STAGED, MW_WINDOWS, RING_CAP_OFF, RING_SLOT_BYTES, TAIL_OFF,
 };
-use crate::{TincaCache, TincaConfig, TincaError};
+use crate::{TincaConfig, TincaError};
 
 /// The header words recovery validates — magic, ring capacity, entry
 /// count, data blocks — share line 0, so one load reads them all.
@@ -77,7 +77,7 @@ fn bytes_at<const N: usize>(buf: &[u8], off: usize) -> [u8; N] {
 /// record (always [`None`](SpanningIntent::None) for a standalone cache or
 /// a single-shard pool — roll every in-flight fragment back).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SpanningIntent {
+pub(crate) enum SpanningIntent {
     /// No spanning transaction was in flight (or its fragments must roll
     /// back because the intent never resolved).
     #[default]
@@ -101,7 +101,7 @@ impl SpanningIntent {
     /// Decodes a persistent intent-state word (`INTENT_STATE_OFF` in the
     /// layout module). Unknown state bytes decode as `Prepared` — the
     /// conservative direction (roll back).
-    pub fn decode(word: u64) -> SpanningIntent {
+    pub(crate) fn decode(word: u64) -> SpanningIntent {
         let id = word >> 8;
         match word & 0xff {
             0 => SpanningIntent::None,
@@ -111,7 +111,7 @@ impl SpanningIntent {
     }
 
     /// Encodes back into the persistent state word.
-    pub fn encode(self) -> u64 {
+    pub(crate) fn encode(self) -> u64 {
         match self {
             SpanningIntent::None => 0,
             SpanningIntent::Prepared { id } => (id << 8) | INTENT_PREPARED,
@@ -122,15 +122,10 @@ impl SpanningIntent {
 
 impl TincaCache {
     /// Opens an existing Tinca NVM region after a crash or clean shutdown:
-    /// validates the header, revokes any incomplete transaction, and
-    /// rebuilds the DRAM index/LRU/free monitors (§4.5, §4.6).
-    pub fn recover(nvm: Nvm, disk: DynDisk, cfg: TincaConfig) -> Result<Self, TincaError> {
-        Self::recover_with_intent(nvm, disk, cfg, SpanningIntent::None)
-    }
-
-    /// [`recover`](Self::recover) with a pool-supplied spanning-intent
-    /// directive; see the module docs.
-    pub fn recover_with_intent(
+    /// validates the header, revokes any incomplete transaction — rolling
+    /// fragments of the pool-supplied spanning `intent` its way (module
+    /// docs) — and rebuilds the DRAM index/LRU/free monitors (§4.5, §4.6).
+    pub(crate) fn recover_with_intent(
         nvm: Nvm,
         disk: DynDisk,
         cfg: TincaConfig,
@@ -463,23 +458,101 @@ impl TincaCache {
         Ok(())
     }
 
-    /// Convenience used by tests and harnesses: the number of 4 KB blocks
-    /// the data area holds (capacity knob for workload sizing).
-    pub fn data_block_count(&self) -> u32 {
-        self.layout().data_blocks
-    }
-
     /// Reads `disk_blk` *without* populating the cache — used by recovery
     /// verifiers to compare post-crash contents against an oracle. No
     /// retry loop: verifiers run with fault injection disabled, so an
     /// error here is a real harness bug and is surfaced as-is.
-    pub fn read_nocache(&self, disk_blk: u64, buf: &mut [u8]) -> Result<(), TincaError> {
+    pub(crate) fn read_nocache(&self, disk_blk: u64, buf: &mut [u8]) -> Result<(), TincaError> {
         assert_eq!(buf.len(), BLOCK_SIZE);
         if let Some(data) = self.peek(disk_blk) {
             buf.copy_from_slice(&data);
             Ok(())
         } else {
             self.disk().read_block(disk_blk, buf).map_err(Into::into)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Txn;
+    use blockdev::{DiskKind, SimDisk};
+    use nvmsim::{CrashPolicy, NvmConfig, NvmDevice, NvmTech, SimClock};
+
+    fn cfg() -> TincaConfig {
+        TincaConfig {
+            ring_bytes: 4096,
+            ..TincaConfig::default()
+        }
+    }
+
+    /// Rewrites a valid entry (`victim`) given the other valid one.
+    type Corruption = fn(CacheEntry, CacheEntry, &Layout) -> CacheEntry;
+
+    /// Commits blocks 3 and 5, then rewrites the persisted entry of the one
+    /// with the higher entry index through `corrupt(victim, other)` and
+    /// returns that index with the devices to recover from.
+    fn corrupt_table(corrupt: Corruption) -> (Nvm, DynDisk, u32) {
+        let clock = SimClock::new();
+        let nvm = NvmDevice::new(NvmConfig::new(1 << 20, NvmTech::Pcm), clock.clone());
+        let disk: DynDisk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
+        let mut cache = TincaCache::format(nvm.clone(), disk.clone(), cfg());
+        let mut t = Txn::new();
+        t.write(3, &[3; BLOCK_SIZE]);
+        t.write(5, &[5; BLOCK_SIZE]);
+        cache.commit(&t).unwrap();
+        let layout = *cache.layout();
+        drop(cache);
+        let entry = |idx: u32| {
+            let mut raw = [0u8; ENTRY_BYTES];
+            nvm.read_persistent(layout.entry_addr(idx), &mut raw);
+            CacheEntry::decode(u128::from_le_bytes(raw))
+        };
+        let valid: Vec<u32> = (0..layout.entry_count)
+            .filter(|&i| entry(i).valid)
+            .collect();
+        let [other, victim] = valid[..] else {
+            panic!("expected two valid entries, found {valid:?}");
+        };
+        let addr = layout.entry_addr(victim);
+        let bad = corrupt(entry(victim), entry(other), &layout);
+        nvm.atomic_write_u128(addr, bad.encode());
+        nvm.persist(addr, ENTRY_BYTES);
+        nvm.crash(CrashPolicy::LoseVolatile);
+        (nvm, disk, victim)
+    }
+
+    /// A persisted entry table that no crash can produce — two valid entries
+    /// on one disk block, two on one NVM block, or an NVM block past the data
+    /// area — fails recovery with `CorruptEntry` naming the entry, instead of
+    /// a panic in the DRAM rebuild.
+    #[test]
+    fn recover_with_corrupt_entry_table_returns_structured_error() {
+        let cases: [(&str, Corruption); 3] = [
+            ("disk block mapped by another valid entry", |v, o, _| {
+                CacheEntry {
+                    disk_blk: o.disk_blk,
+                    ..v
+                }
+            }),
+            ("NVM block referenced by another valid entry", |v, o, _| {
+                CacheEntry { cur: o.cur, ..v }
+            }),
+            ("NVM block outside the data area", |v, _, l| CacheEntry {
+                cur: l.data_blocks,
+                ..v
+            }),
+        ];
+        for (want, corrupt) in cases {
+            let (nvm, disk, victim) = corrupt_table(corrupt);
+            match TincaCache::recover_with_intent(nvm, disk, cfg(), SpanningIntent::None) {
+                Err(TincaError::CorruptEntry { entry, fault, .. }) => {
+                    assert_eq!((entry, fault), (victim, want));
+                }
+                Err(other) => panic!("{want}: expected CorruptEntry, got {other:?}"),
+                Ok(_) => panic!("{want}: recovery over a corrupt table must fail"),
+            }
         }
     }
 }

@@ -13,7 +13,7 @@ use nvmsim::NvmStats;
 use telemetry::Json;
 
 use crate::cache::Health;
-use crate::{CacheStats, TincaCache, TincaPool};
+use crate::{CacheStats, TincaPool};
 
 /// One coherent sample of every counter domain, stamped with the simulated
 /// clock.
@@ -32,30 +32,17 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Samples a single cache.
-    pub fn collect(cache: &TincaCache) -> StatsSnapshot {
-        StatsSnapshot {
-            sim_ns: cache.nvm().clock().now_ns(),
-            cache: cache.stats(),
-            nvm: cache.nvm().stats(),
-            disk: cache.disk().stats(),
-            health: cache.health(),
-        }
-    }
-
     /// Samples a pool: cache and NVM counters are summed over shards, the
     /// disk is shared (read once), and `sim_ns` is shard 0's clock.
     pub fn collect_pool(pool: &TincaPool) -> StatsSnapshot {
-        let mut nvm = NvmStats::default();
-        for s in 0..pool.shard_count() {
-            nvm = nvm.merge(&pool.with_shard(s, |c| c.nvm().stats()));
-        }
-        let (sim_ns, disk) = pool.with_shard(0, |c| (c.nvm().clock().now_ns(), c.disk().stats()));
+        let nvm = (0..pool.shard_count()).fold(NvmStats::default(), |acc, s| {
+            acc.merge(&pool.shard_nvm(s).stats())
+        });
         StatsSnapshot {
-            sim_ns,
+            sim_ns: pool.shard_nvm(0).clock().now_ns(),
             cache: pool.stats(),
             nvm,
-            disk,
+            disk: pool.disk().stats(),
             health: pool.health(),
         }
     }
@@ -164,48 +151,43 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TincaConfig;
+    use crate::PoolConfig;
     use blockdev::{DiskKind, SimDisk};
     use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
 
-    fn cache() -> TincaCache {
+    fn pool() -> TincaPool {
         let clock = SimClock::new();
         let nvm = NvmDevice::new(NvmConfig::new(1 << 20, NvmTech::Pcm), clock.clone());
         let disk = SimDisk::new(DiskKind::Ssd, 1 << 14, clock);
-        TincaCache::format(
-            nvm,
-            disk,
-            TincaConfig {
-                ring_bytes: 4096,
-                ..TincaConfig::default()
-            },
-        )
+        let mut cfg = PoolConfig::with_shards(1);
+        cfg.cache.ring_bytes = 4096;
+        TincaPool::format(vec![nvm], disk, cfg)
+    }
+
+    fn commit_one(p: &TincaPool, blk: u64, byte: u8) {
+        let mut t = p.init_txn();
+        t.write(blk, &[byte; blockdev::BLOCK_SIZE]);
+        p.commit(t).unwrap();
     }
 
     #[test]
     fn collect_stamps_clock_and_domains() {
-        let mut c = cache();
-        let mut t = c.init_txn();
-        t.write(3, &[7u8; blockdev::BLOCK_SIZE]);
-        c.commit(&t).unwrap();
-        let s = StatsSnapshot::collect(&c);
+        let p = pool();
+        commit_one(&p, 3, 7);
+        let s = StatsSnapshot::collect_pool(&p);
         assert_eq!(s.cache.commits, 1);
         assert!(s.nvm.clflush > 0, "commit must flush lines");
-        assert_eq!(s.sim_ns, c.nvm().clock().now_ns());
+        assert_eq!(s.sim_ns, p.shard_nvm(0).clock().now_ns());
         assert_eq!(s.health, Health::Healthy);
     }
 
     #[test]
     fn delta_isolates_an_interval() {
-        let mut c = cache();
-        let mut t = c.init_txn();
-        t.write(1, &[1u8; blockdev::BLOCK_SIZE]);
-        c.commit(&t).unwrap();
-        let mid = StatsSnapshot::collect(&c);
-        let mut t = c.init_txn();
-        t.write(2, &[2u8; blockdev::BLOCK_SIZE]);
-        c.commit(&t).unwrap();
-        let end = StatsSnapshot::collect(&c);
+        let p = pool();
+        commit_one(&p, 1, 1);
+        let mid = StatsSnapshot::collect_pool(&p);
+        commit_one(&p, 2, 2);
+        let end = StatsSnapshot::collect_pool(&p);
         let d = end.delta(&mid);
         assert_eq!(d.cache.commits, 1);
         assert!(d.sim_ns > 0);
@@ -213,8 +195,7 @@ mod tests {
 
     #[test]
     fn json_round_trips_field_names() {
-        let c = cache();
-        let rendered = StatsSnapshot::collect(&c).to_json().render();
+        let rendered = StatsSnapshot::collect_pool(&pool()).to_json().render();
         for key in ["sim_ns", "\"cache\"", "\"nvm\"", "\"disk\"", "\"health\""] {
             assert!(rendered.contains(key), "missing {key} in {rendered}");
         }

@@ -1,6 +1,7 @@
 //! Cache-level counters (hit rates, commits, evictions — Figs. 7–13).
 
-/// Cumulative counters for one [`crate::TincaCache`].
+/// Cumulative cache counters: one shard's ([`crate::TincaPool::shard_stats`])
+/// or summed over a pool's shards ([`crate::TincaPool::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Read requests served from NVM.
@@ -107,18 +108,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Write hit rate in `[0, 1]`; `None` before any write.
-    pub fn write_hit_rate(&self) -> Option<f64> {
-        let total = self.write_hits + self.write_misses;
-        (total > 0).then(|| self.write_hits as f64 / total as f64)
-    }
-
-    /// Read hit rate in `[0, 1]`; `None` before any read.
-    pub fn read_hit_rate(&self) -> Option<f64> {
-        let total = self.read_hits + self.read_misses;
-        (total > 0).then(|| self.read_hits as f64 / total as f64)
-    }
-
     /// All aborted transactions: user aborts plus failed commits.
     pub fn aborts(&self) -> u64 {
         self.user_aborts + self.failed_commits
@@ -167,7 +156,7 @@ impl CacheStats {
 
     /// Per-field sum `self + other` (merging per-shard counters into one
     /// pool-wide view).
-    pub fn merge(&self, o: &CacheStats) -> CacheStats {
+    pub(crate) fn merge(&self, o: &CacheStats) -> CacheStats {
         CacheStats {
             read_hits: self.read_hits + o.read_hits,
             read_misses: self.read_misses + o.read_misses,
@@ -211,25 +200,6 @@ impl CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hit_rates() {
-        let s = CacheStats {
-            write_hits: 3,
-            write_misses: 1,
-            read_hits: 1,
-            read_misses: 3,
-            ..Default::default()
-        };
-        assert_eq!(s.write_hit_rate(), Some(0.75));
-        assert_eq!(s.read_hit_rate(), Some(0.25));
-    }
-
-    #[test]
-    fn hit_rate_none_when_empty() {
-        assert_eq!(CacheStats::default().write_hit_rate(), None);
-        assert_eq!(CacheStats::default().read_hit_rate(), None);
-    }
 
     #[test]
     fn aborts_sums_both_kinds() {

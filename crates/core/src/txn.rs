@@ -2,7 +2,7 @@
 //!
 //! A running transaction lives entirely in DRAM: the file system links the
 //! data blocks it wants committed, then hands the transaction to
-//! [`crate::TincaCache::commit`], which turns it into the *committing*
+//! [`crate::TincaPool::commit`], which turns it into the *committing*
 //! transaction and drives the commit protocol.
 
 use std::collections::HashMap;
@@ -10,10 +10,10 @@ use std::collections::HashMap;
 use blockdev::BLOCK_SIZE;
 
 /// One 4 KB block payload.
-pub type BlockBuf = Box<[u8; BLOCK_SIZE]>;
+pub(crate) type BlockBuf = Box<[u8; BLOCK_SIZE]>;
 
 /// Copies a slice into a fresh [`BlockBuf`].
-pub fn block_buf(data: &[u8]) -> BlockBuf {
+pub(crate) fn block_buf(data: &[u8]) -> BlockBuf {
     assert_eq!(data.len(), BLOCK_SIZE);
     let mut b: BlockBuf = Box::new([0u8; BLOCK_SIZE]);
     b.copy_from_slice(data);
@@ -62,7 +62,7 @@ impl Txn {
 
     /// Stages an already-boxed payload without copying. Coalesces like
     /// [`write`](Self::write) but swaps the buffer in on a rewrite.
-    pub fn stage_owned(&mut self, disk_blk: u64, data: BlockBuf) {
+    pub fn stage_owned(&mut self, disk_blk: u64, data: Box<[u8; BLOCK_SIZE]>) {
         match self.index.get(&disk_blk) {
             Some(&i) => {
                 self.coalesced += 1;
@@ -75,22 +75,17 @@ impl Txn {
         }
     }
 
-    /// Reads back staged contents, if this transaction updates `disk_blk`.
-    pub fn get(&self, disk_blk: u64) -> Option<&[u8; BLOCK_SIZE]> {
-        self.index.get(&disk_blk).map(|&i| &*self.blocks[i].1)
-    }
-
     /// Number of distinct blocks staged.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.blocks.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.blocks.is_empty()
     }
 
     /// Rewrites coalesced into an already-staged block so far.
-    pub fn coalesced_writes(&self) -> u64 {
+    pub(crate) fn coalesced_writes(&self) -> u64 {
         self.coalesced
     }
 
@@ -102,19 +97,19 @@ impl Txn {
     }
 
     /// The staged updates, in first-write order.
-    pub fn blocks(&self) -> &[(u64, BlockBuf)] {
+    pub(crate) fn blocks(&self) -> &[(u64, BlockBuf)] {
         &self.blocks
     }
 
     /// Consumes the transaction, yielding the staged updates in first-write
     /// order (used to split a transaction across pool shards without
     /// copying payloads).
-    pub fn into_blocks(self) -> Vec<(u64, BlockBuf)> {
+    pub(crate) fn into_blocks(self) -> Vec<(u64, BlockBuf)> {
         self.blocks
     }
 
     /// Disk block numbers staged, in first-write order.
-    pub fn disk_blocks(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn disk_blocks(&self) -> impl Iterator<Item = u64> + '_ {
         self.blocks.iter().map(|(b, _)| *b)
     }
 }
@@ -125,6 +120,14 @@ mod tests {
 
     fn buf(byte: u8) -> Vec<u8> {
         vec![byte; BLOCK_SIZE]
+    }
+
+    /// First byte of the contents `t` stages for `disk_blk`.
+    fn staged(t: &Txn, disk_blk: u64) -> Option<u8> {
+        t.blocks()
+            .iter()
+            .find(|(b, _)| *b == disk_blk)
+            .map(|(_, data)| data[0])
     }
 
     #[test]
@@ -143,7 +146,7 @@ mod tests {
         t.write(5, &buf(1));
         t.write(5, &buf(9));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(5).unwrap()[0], 9);
+        assert_eq!(staged(&t, 5), Some(9));
         assert_eq!(t.coalesced_writes(), 1);
     }
 
@@ -153,10 +156,10 @@ mod tests {
         t.write(5, &buf(7));
         t.write(5, &buf(7)); // identical: copy skipped, still counted
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(5).unwrap()[0], 7);
+        assert_eq!(staged(&t, 5), Some(7));
         assert_eq!(t.coalesced_writes(), 1);
         t.write(5, &buf(8)); // different: contents must update
-        assert_eq!(t.get(5).unwrap()[0], 8);
+        assert_eq!(staged(&t, 5), Some(8));
         assert_eq!(t.coalesced_writes(), 2);
     }
 
@@ -166,7 +169,7 @@ mod tests {
         t.stage_owned(4, block_buf(&buf(1)));
         t.stage_owned(4, block_buf(&buf(2)));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(4).unwrap()[0], 2);
+        assert_eq!(staged(&t, 4), Some(2));
         assert_eq!(t.coalesced_writes(), 1);
     }
 
@@ -183,7 +186,7 @@ mod tests {
     #[test]
     fn get_missing_is_none() {
         let t = Txn::new();
-        assert!(t.get(1).is_none());
+        assert!(staged(&t, 1).is_none());
         assert!(t.is_empty());
     }
 

@@ -1,28 +1,47 @@
 // Integration tests are exempt from the crate's unwrap/expect ban.
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-//! Integration tests for the Tinca cache: commit protocol, COW writes,
-//! replacement, pinning, and the cost model the paper's figures rely on.
-
-use std::sync::Arc;
+//! Integration tests for the Tinca cache (a one-shard pool): commit
+//! protocol, COW writes, replacement, pinning, and the cost model the
+//! paper's figures rely on.
 
 use blockdev::{BlockDevice, DiskKind, SimDisk, BLOCK_SIZE};
 use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{TincaCache, TincaConfig, TincaError};
+use tinca::{PoolConfig, TincaConfig, TincaError, TincaPool};
+
+/// A one-shard pool — the paper's single cache — on an `nvm_bytes` PCM
+/// device and an SSD sharing one clock.
+fn setup_with(
+    nvm_bytes: usize,
+    cfg: TincaConfig,
+) -> (TincaPool, nvmsim::Nvm, blockdev::Disk, SimClock) {
+    let clock = SimClock::new();
+    let nvm = NvmDevice::new(NvmConfig::new(nvm_bytes, NvmTech::Pcm), clock.clone());
+    let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, clock.clone());
+    let cfg = PoolConfig {
+        cache: cfg,
+        ..PoolConfig::default()
+    };
+    let cache = TincaPool::format(vec![nvm.clone()], disk.clone(), cfg);
+    (cache, nvm, disk, clock)
+}
 
 fn setup(
     nvm_bytes: usize,
     ring_bytes: usize,
-) -> (TincaCache, nvmsim::Nvm, blockdev::Disk, SimClock) {
-    let clock = SimClock::new();
-    let nvm = NvmDevice::new(NvmConfig::new(nvm_bytes, NvmTech::Pcm), clock.clone());
-    let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, clock.clone());
-    let cfg = TincaConfig {
-        ring_bytes,
-        ..TincaConfig::default()
-    };
-    let cache = TincaCache::format(nvm.clone(), disk.clone(), cfg);
-    (cache, nvm, disk, clock)
+) -> (TincaPool, nvmsim::Nvm, blockdev::Disk, SimClock) {
+    setup_with(
+        nvm_bytes,
+        TincaConfig {
+            ring_bytes,
+            ..TincaConfig::default()
+        },
+    )
+}
+
+/// The cache's data-block capacity.
+fn capacity(cache: &TincaPool) -> u64 {
+    u64::from(cache.shard_layout(0).data_blocks)
 }
 
 fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
@@ -31,12 +50,12 @@ fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
 
 #[test]
 fn commit_then_read_back() {
-    let (mut cache, _, _, _) = setup(1 << 20, 4096);
+    let (cache, _, _, _) = setup(1 << 20, 4096);
     let mut txn = cache.init_txn();
     txn.write(100, &blk(1));
     txn.write(200, &blk(2));
     txn.write(300, &blk(3));
-    cache.commit(&txn).unwrap();
+    cache.commit(txn).unwrap();
 
     let mut buf = [0u8; BLOCK_SIZE];
     for (b, v) in [(100u64, 1u8), (200, 2), (300, 3)] {
@@ -53,23 +72,23 @@ fn commit_then_read_back() {
 
 #[test]
 fn empty_commit_is_noop() {
-    let (mut cache, nvm, _, _) = setup(1 << 20, 4096);
+    let (cache, nvm, _, _) = setup(1 << 20, 4096);
     let before = nvm.stats();
     let txn = cache.init_txn();
-    cache.commit(&txn).unwrap();
+    cache.commit(txn).unwrap();
     assert_eq!(cache.stats().commits, 0);
     assert_eq!(nvm.stats(), before);
 }
 
 #[test]
 fn write_hit_uses_cow_and_counts_hit() {
-    let (mut cache, _, _, _) = setup(1 << 20, 4096);
+    let (cache, _, _, _) = setup(1 << 20, 4096);
     let mut t1 = cache.init_txn();
     t1.write(7, &blk(1));
-    cache.commit(&t1).unwrap();
+    cache.commit(t1).unwrap();
     let mut t2 = cache.init_txn();
     t2.write(7, &blk(2));
-    cache.commit(&t2).unwrap();
+    cache.commit(t2).unwrap();
 
     let mut buf = [0u8; BLOCK_SIZE];
     cache.read(7, &mut buf).unwrap();
@@ -84,7 +103,7 @@ fn write_hit_uses_cow_and_counts_hit() {
 
 #[test]
 fn read_miss_fills_cache() {
-    let (mut cache, _, disk, _) = setup(1 << 20, 4096);
+    let (cache, _, disk, _) = setup(1 << 20, 4096);
     disk.write_block(42, &blk(9)).unwrap();
     let mut buf = [0u8; BLOCK_SIZE];
     cache.read(42, &mut buf).unwrap();
@@ -101,14 +120,14 @@ fn read_miss_fills_cache() {
 #[test]
 fn eviction_writes_back_dirty_lru_block() {
     // Cache with very few data blocks to force eviction quickly.
-    let (mut cache, _, disk, _) = setup(256 << 10, 4096);
-    let n = cache.data_block_count() as u64;
+    let (cache, _, disk, _) = setup(256 << 10, 4096);
+    let n = capacity(&cache);
     assert!(n >= 8, "test expects at least 8 data blocks, got {n}");
     // Fill the cache beyond capacity with dirty blocks.
     for i in 0..n + 4 {
         let mut t = cache.init_txn();
         t.write(i, &blk((i % 251) as u8));
-        cache.commit(&t).unwrap();
+        cache.commit(t).unwrap();
     }
     let s = cache.stats();
     assert!(s.evictions >= 4, "expected evictions, got {}", s.evictions);
@@ -122,8 +141,8 @@ fn eviction_writes_back_dirty_lru_block() {
 
 #[test]
 fn clean_eviction_does_not_touch_disk() {
-    let (mut cache, _, disk, _) = setup(256 << 10, 4096);
-    let n = cache.data_block_count() as u64;
+    let (cache, _, disk, _) = setup(256 << 10, 4096);
+    let n = capacity(&cache);
     // Fill with clean read-misses only.
     let mut buf = [0u8; BLOCK_SIZE];
     for i in 0..n + 4 {
@@ -139,12 +158,12 @@ fn clean_eviction_does_not_touch_disk() {
 
 #[test]
 fn txn_larger_than_ring_is_rejected() {
-    let (mut cache, _, _, _) = setup(1 << 20, 4096); // ring: 512 slots
+    let (cache, _, _, _) = setup(1 << 20, 4096); // ring: 512 slots
     let mut txn = cache.init_txn();
     for i in 0..513u64 {
         txn.write(i, &blk(0));
     }
-    let err = cache.commit(&txn).unwrap_err();
+    let err = cache.commit(txn).unwrap_err();
     assert!(matches!(err, TincaError::TxnTooLarge { .. }));
     // Nothing leaked.
     assert_eq!(cache.cached_blocks(), 0);
@@ -153,13 +172,13 @@ fn txn_larger_than_ring_is_rejected() {
 
 #[test]
 fn txn_too_big_for_cache_is_rejected_cleanly() {
-    let (mut cache, _, _, _) = setup(256 << 10, 64 << 10);
-    let n = cache.data_block_count() as usize;
+    let (cache, _, _, _) = setup(256 << 10, 64 << 10);
+    let n = capacity(&cache) as usize;
     // Fill the cache completely with committed blocks.
     for i in 0..n {
         let mut t = cache.init_txn();
         t.write(i as u64, &blk(1));
-        cache.commit(&t).unwrap();
+        cache.commit(t).unwrap();
     }
     assert_eq!(cache.free_block_count(), 0);
     // A transaction needing more blocks than free + evictable must be
@@ -169,7 +188,7 @@ fn txn_too_big_for_cache_is_rejected_cleanly() {
     for i in 0..=n {
         txn.write(1_000 + i as u64, &blk(2));
     }
-    let err = cache.commit(&txn).unwrap_err();
+    let err = cache.commit(txn).unwrap_err();
     assert!(matches!(
         err,
         TincaError::CacheExhausted { needed, available }
@@ -191,13 +210,13 @@ fn full_capacity_fresh_txn_is_admitted() {
     // *total* data-block count instead of the free pool plus evictable
     // blocks, rejecting a perfectly feasible transaction that exactly
     // fills an empty cache.
-    let (mut cache, _, _, _) = setup(256 << 10, 64 << 10);
-    let n = cache.data_block_count() as usize;
+    let (cache, _, _, _) = setup(256 << 10, 64 << 10);
+    let n = capacity(&cache) as usize;
     let mut txn = cache.init_txn();
     for i in 0..n {
         txn.write(i as u64, &blk(3));
     }
-    cache.commit(&txn).unwrap();
+    cache.commit(txn).unwrap();
     assert_eq!(cache.free_block_count(), 0);
     assert_eq!(cache.cached_blocks(), n);
     let mut buf = [0u8; BLOCK_SIZE];
@@ -211,13 +230,13 @@ fn full_capacity_fresh_txn_is_admitted() {
 #[test]
 fn failed_commit_rolls_back_previous_values() {
     // A commit that fails mid-way (NoVictim) must restore the pre-txn state.
-    let (mut cache, _, _, _) = setup(256 << 10, 64 << 10);
-    let n = cache.data_block_count() as u64;
+    let (cache, _, _, _) = setup(256 << 10, 64 << 10);
+    let n = capacity(&cache);
     // Seed every block with version 1 in several small txns.
     for i in 0..n / 2 {
         let mut t = cache.init_txn();
         t.write(i, &blk(1));
-        cache.commit(&t).unwrap();
+        cache.commit(t).unwrap();
     }
     // One transaction touching n/2 blocks: needs n/2 new + n/2 pinned prevs
     // = all blocks, leaving nothing evictable part-way if other blocks are
@@ -227,7 +246,7 @@ fn failed_commit_rolls_back_previous_values() {
     for i in 0..(n / 2) {
         big.write(i, &blk(2));
     }
-    match cache.commit(&big) {
+    match cache.commit(big) {
         Ok(()) => {
             // Fine on this geometry — all version 2.
             let mut buf = [0u8; BLOCK_SIZE];
@@ -251,13 +270,13 @@ fn no_double_write_single_data_flush_per_block() {
     // The heart of the paper: committing a block flushes its 64 payload
     // lines exactly once (plus O(1) metadata lines), with no second
     // "checkpoint" copy.
-    let (mut cache, nvm, _, _) = setup(4 << 20, 4096);
+    let (cache, nvm, _, _) = setup(4 << 20, 4096);
     let before = nvm.stats();
     let mut txn = cache.init_txn();
     for i in 0..8u64 {
         txn.write(i, &blk(i as u8));
     }
-    cache.commit(&txn).unwrap();
+    cache.commit(txn).unwrap();
     let d = nvm.stats().delta(&before);
     let lines_per_block = d.lines_written as f64 / 8.0;
     // 64 payload lines + 1 entry line + 1 ring line + 1 head line + switch
@@ -271,21 +290,18 @@ fn no_double_write_single_data_flush_per_block() {
 
 #[test]
 fn ablation_double_write_costs_two_payload_writes() {
-    let clock = SimClock::new();
-    let nvm = NvmDevice::new(NvmConfig::new(4 << 20, NvmTech::Pcm), clock.clone());
-    let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock.clone());
     let cfg = TincaConfig {
         ring_bytes: 4096,
         role_switch: false,
         ..TincaConfig::default()
     };
-    let mut cache = TincaCache::format(nvm.clone(), disk, cfg);
+    let (cache, nvm, _, _) = setup_with(4 << 20, cfg);
     let before = nvm.stats();
     let mut txn = cache.init_txn();
     for i in 0..8u64 {
         txn.write(i, &blk(i as u8));
     }
-    cache.commit(&txn).unwrap();
+    cache.commit(txn).unwrap();
     let d = nvm.stats().delta(&before);
     let lines_per_block = d.lines_written as f64 / 8.0;
     assert!(
@@ -301,11 +317,11 @@ fn ablation_double_write_costs_two_payload_writes() {
 
 #[test]
 fn flush_all_persists_everything_to_disk() {
-    let (mut cache, _, disk, _) = setup(1 << 20, 4096);
+    let (cache, _, disk, _) = setup(1 << 20, 4096);
     for i in 0..10u64 {
         let mut t = cache.init_txn();
         t.write(i, &blk(i as u8 + 1));
-        cache.commit(&t).unwrap();
+        cache.commit(t).unwrap();
     }
     cache.flush_all().unwrap();
     let mut buf = [0u8; BLOCK_SIZE];
@@ -322,12 +338,12 @@ fn flush_all_persists_everything_to_disk() {
 
 #[test]
 fn lru_order_respected_on_eviction() {
-    let (mut cache, _, disk, _) = setup(256 << 10, 4096);
-    let n = cache.data_block_count() as u64;
+    let (cache, _, disk, _) = setup(256 << 10, 4096);
+    let n = capacity(&cache);
     for i in 0..n {
         let mut t = cache.init_txn();
         t.write(i, &blk(1));
-        cache.commit(&t).unwrap();
+        cache.commit(t).unwrap();
     }
     // Touch block 0 so it becomes MRU; block 1 is now LRU.
     let mut buf = [0u8; BLOCK_SIZE];
@@ -335,7 +351,7 @@ fn lru_order_respected_on_eviction() {
     // Trigger one eviction.
     let mut t = cache.init_txn();
     t.write(n + 1, &blk(2));
-    cache.commit(&t).unwrap();
+    cache.commit(t).unwrap();
     assert!(cache.contains(0), "recently-touched block must survive");
     assert!(!cache.contains(1), "LRU block must be the victim");
     let mut dbuf = [0u8; BLOCK_SIZE];
@@ -345,12 +361,12 @@ fn lru_order_respected_on_eviction() {
 
 #[test]
 fn ring_wraps_across_many_commits() {
-    let (mut cache, _, _, _) = setup(1 << 20, 4096); // 512 slots
+    let (cache, _, _, _) = setup(1 << 20, 4096); // 512 slots
     for round in 0..300u64 {
         let mut t = cache.init_txn();
         t.write(round % 50, &blk((round % 251) as u8));
         t.write(50 + round % 50, &blk((round % 241) as u8));
-        cache.commit(&t).unwrap();
+        cache.commit(t).unwrap();
     }
     assert_eq!(cache.stats().commits, 300);
     cache.check_consistency().unwrap();
@@ -358,7 +374,7 @@ fn ring_wraps_across_many_commits() {
 
 #[test]
 fn abort_running_txn_leaves_cache_untouched() {
-    let (mut cache, nvm, _, _) = setup(1 << 20, 4096);
+    let (cache, nvm, _, _) = setup(1 << 20, 4096);
     let before = nvm.stats();
     let mut t = cache.init_txn();
     t.write(1, &blk(1));
@@ -371,10 +387,10 @@ fn abort_running_txn_leaves_cache_untouched() {
 
 #[test]
 fn peek_does_not_disturb_lru_or_stats() {
-    let (mut cache, _, _, _) = setup(1 << 20, 4096);
+    let (cache, _, _, _) = setup(1 << 20, 4096);
     let mut t = cache.init_txn();
     t.write(3, &blk(7));
-    cache.commit(&t).unwrap();
+    cache.commit(t).unwrap();
     let s = cache.stats();
     let got = cache.peek(3).unwrap();
     assert_eq!(got, blk(7));
@@ -384,11 +400,11 @@ fn peek_does_not_disturb_lru_or_stats() {
 
 #[test]
 fn simulated_time_advances_with_work() {
-    let (mut cache, _, _, clock) = setup(1 << 20, 4096);
+    let (cache, _, _, clock) = setup(1 << 20, 4096);
     let t0 = clock.now_ns();
     let mut t = cache.init_txn();
     t.write(0, &blk(1));
-    cache.commit(&t).unwrap();
+    cache.commit(t).unwrap();
     let commit_cost = clock.now_ns() - t0;
     // 64 payload flushes at PCM speed (280 ns each) dominate.
     assert!(commit_cost > 64 * 240, "commit too cheap: {commit_cost} ns");
@@ -400,12 +416,12 @@ fn simulated_time_advances_with_work() {
 
 #[test]
 fn many_blocks_one_txn_all_visible() {
-    let (mut cache, _, _, _) = setup(4 << 20, 64 << 10);
+    let (cache, _, _, _) = setup(4 << 20, 64 << 10);
     let mut txn = cache.init_txn();
     for i in 0..200u64 {
         txn.write(i * 3, &blk((i % 251) as u8));
     }
-    cache.commit(&txn).unwrap();
+    cache.commit(txn).unwrap();
     let mut buf = [0u8; BLOCK_SIZE];
     for i in 0..200u64 {
         cache.read(i * 3, &mut buf).unwrap();
@@ -416,14 +432,13 @@ fn many_blocks_one_txn_all_visible() {
 
 #[test]
 fn disk_sees_old_version_until_eviction() {
-    let (mut cache, _, disk, _) = setup(1 << 20, 4096);
+    let (cache, _, disk, _) = setup(1 << 20, 4096);
     let mut t = cache.init_txn();
     t.write(5, &blk(1));
-    cache.commit(&t).unwrap();
+    cache.commit(t).unwrap();
     // Write-back: the disk still has zeroes.
     let mut buf = [0u8; BLOCK_SIZE];
     disk.read_block(5, &mut buf).unwrap();
     assert_eq!(buf, blk(0));
-    let d = Arc::clone(cache.disk());
-    assert_eq!(d.stats().writes, 0);
+    assert_eq!(disk.stats().writes, 0);
 }

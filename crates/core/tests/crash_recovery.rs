@@ -10,7 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use blockdev::{BlockDevice, DiskKind, SimDisk, BLOCK_SIZE};
 use nvmsim::{CrashPolicy, CrashTripped, NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{CacheEntry, Layout, TincaCache, TincaConfig, TincaError, Txn};
+use tinca::{PoolConfig, TincaConfig, TincaError, TincaPool, Txn};
 
 const NVM_BYTES: usize = 1 << 20;
 const RING_BYTES: usize = 4096;
@@ -44,7 +44,7 @@ fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
 
 /// Reads block `b` the way a rebooted system would (cache first, then disk)
 /// and returns its first byte (our block payloads are constant-filled).
-fn observed(cache: &TincaCache, b: u64) -> u8 {
+fn observed(cache: &TincaPool, b: u64) -> u8 {
     let mut buf = [0u8; BLOCK_SIZE];
     cache.read_nocache(b, &mut buf).unwrap();
     let first = buf[0];
@@ -60,14 +60,14 @@ fn observed(cache: &TincaCache, b: u64) -> u8 {
 /// recover, and verify all-or-nothing visibility.
 fn run_one_crash(trip: u64, policy: CrashPolicy, blocks: &[u64]) -> bool {
     let (nvm, disk) = fresh_stack();
-    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
+    let cache = format(&nvm, &disk);
 
     // Seed: every block at version 1, committed and durable.
     let mut seed = cache.init_txn();
     for &b in blocks {
         seed.write(b, &blk(1));
     }
-    cache.commit(&seed).unwrap();
+    cache.commit(seed).unwrap();
 
     // Attempt: version 2, crashing at persistence event `trip`.
     let mut txn = cache.init_txn();
@@ -75,7 +75,7 @@ fn run_one_crash(trip: u64, policy: CrashPolicy, blocks: &[u64]) -> bool {
         txn.write(b, &blk(2));
     }
     nvm.set_trip(Some(trip)); // relative: trip events from now
-    let outcome = catch_unwind(AssertUnwindSafe(|| cache.commit(&txn)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| cache.commit(txn)));
     nvm.set_trip(None);
     let crashed = match outcome {
         Ok(Ok(())) => false,
@@ -91,7 +91,7 @@ fn run_one_crash(trip: u64, policy: CrashPolicy, blocks: &[u64]) -> bool {
     drop(cache); // DRAM state dies with the "power failure"
     nvm.crash(policy);
 
-    let recovered = TincaCache::recover(nvm, disk, tinca_cfg()).expect("recovery must succeed");
+    let recovered = recover(&nvm, &disk).expect("recovery must succeed");
     recovered
         .check_consistency()
         .unwrap_or_else(|e| panic!("inconsistent after recovery: {e}"));
@@ -116,23 +116,48 @@ fn tinca_cfg() -> TincaConfig {
     }
 }
 
+fn pool_cfg(cache: TincaConfig) -> PoolConfig {
+    PoolConfig {
+        cache,
+        ..PoolConfig::default()
+    }
+}
+
+/// Formats the paper's single cache (a one-shard pool) on `nvm`.
+fn format(nvm: &nvmsim::Nvm, disk: &blockdev::Disk) -> TincaPool {
+    TincaPool::format(vec![nvm.clone()], disk.clone(), pool_cfg(tinca_cfg()))
+}
+
+/// Recovers the one-shard pool on `nvm` after a crash.
+fn recover(nvm: &nvmsim::Nvm, disk: &blockdev::Disk) -> Result<TincaPool, TincaError> {
+    recover_with(nvm, disk, tinca_cfg())
+}
+
+fn recover_with(
+    nvm: &nvmsim::Nvm,
+    disk: &blockdev::Disk,
+    cfg: TincaConfig,
+) -> Result<TincaPool, TincaError> {
+    TincaPool::recover(vec![nvm.clone()], disk.clone(), pool_cfg(cfg))
+}
+
 #[test]
 fn crash_sweep_every_event_of_a_commit() {
     let blocks = [10u64, 20, 30];
     // Determine the event window of the second commit.
     let (nvm, disk) = fresh_stack();
-    let mut cache = TincaCache::format(nvm.clone(), disk, tinca_cfg());
+    let cache = format(&nvm, &disk);
     let mut seed = cache.init_txn();
     for &b in &blocks {
         seed.write(b, &blk(1));
     }
-    cache.commit(&seed).unwrap();
+    cache.commit(seed).unwrap();
     let start = nvm.events();
     let mut txn = cache.init_txn();
     for &b in &blocks {
         txn.write(b, &blk(2));
     }
-    cache.commit(&txn).unwrap();
+    cache.commit(txn).unwrap();
     let window = nvm.events() - start;
     drop(cache);
 
@@ -164,17 +189,17 @@ fn crash_long_after_commit_keeps_everything() {
         CrashPolicy::Random(3),
     ] {
         let (nvm, disk) = fresh_stack();
-        let mut cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
+        let cache = format(&nvm, &disk);
         for round in 0..5u64 {
             let mut t = cache.init_txn();
             for b in 0..8u64 {
                 t.write(b, &blk(round as u8 + 1));
             }
-            cache.commit(&t).unwrap();
+            cache.commit(t).unwrap();
         }
         drop(cache);
         nvm.crash(policy);
-        let rec = TincaCache::recover(nvm, disk, tinca_cfg()).unwrap();
+        let rec = recover(&nvm, &disk).unwrap();
         rec.check_consistency().unwrap();
         for b in 0..8u64 {
             assert_eq!(observed(&rec, b), 5, "block {b} lost committed data");
@@ -185,10 +210,10 @@ fn crash_long_after_commit_keeps_everything() {
 #[test]
 fn crash_before_any_commit_recovers_empty() {
     let (nvm, disk) = fresh_stack();
-    let cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
+    let cache = format(&nvm, &disk);
     drop(cache);
     nvm.crash(CrashPolicy::LoseVolatile);
-    let rec = TincaCache::recover(nvm, disk, tinca_cfg()).unwrap();
+    let rec = recover(&nvm, &disk).unwrap();
     rec.check_consistency().unwrap();
     assert_eq!(rec.cached_blocks(), 0);
     assert_eq!(rec.stats().recoveries, 1);
@@ -197,7 +222,7 @@ fn crash_before_any_commit_recovers_empty() {
 #[test]
 fn recovery_of_unformatted_region_fails() {
     let (nvm, disk) = fresh_stack();
-    match TincaCache::recover(nvm, disk, tinca_cfg()) {
+    match recover(&nvm, &disk) {
         Err(TincaError::BadMagic { .. }) => {}
         Err(e) => panic!("wrong error: {e}"),
         Ok(_) => panic!("recovery of an unformatted region must fail"),
@@ -209,16 +234,16 @@ fn write_miss_crash_removes_fresh_block() {
     // A transaction writing a *fresh* block (never cached) that crashes
     // mid-commit must leave no trace of the block in the cache.
     let (nvm, disk) = fresh_stack();
-    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
+    let cache = format(&nvm, &disk);
     let mut txn: Txn = cache.init_txn();
     txn.write(77, &blk(9));
     // Trip inside the payload flush (event window starts right away).
     nvm.set_trip(Some(10));
-    let r = catch_unwind(AssertUnwindSafe(|| cache.commit(&txn)));
+    let r = catch_unwind(AssertUnwindSafe(|| cache.commit(txn)));
     assert!(r.is_err());
     drop(cache);
     nvm.crash(CrashPolicy::Random(42));
-    let rec = TincaCache::recover(nvm, disk, tinca_cfg()).unwrap();
+    let rec = recover(&nvm, &disk).unwrap();
     rec.check_consistency().unwrap();
     assert!(!rec.contains(77), "fresh block of torn txn must be revoked");
     assert_eq!(observed(&rec, 77), 0);
@@ -229,12 +254,12 @@ fn double_crash_during_recovery_is_idempotent() {
     // Crash mid-commit, then crash *during recovery*, then recover again.
     let blocks = [1u64, 2, 3, 4];
     let (nvm, disk) = fresh_stack();
-    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
+    let cache = format(&nvm, &disk);
     let mut seed = cache.init_txn();
     for &b in &blocks {
         seed.write(b, &blk(1));
     }
-    cache.commit(&seed).unwrap();
+    cache.commit(seed).unwrap();
     let start = nvm.events();
 
     let mut txn = cache.init_txn();
@@ -244,56 +269,54 @@ fn double_crash_during_recovery_is_idempotent() {
     // Crash near the end of the commit (role-switch region) so recovery
     // has real revocation work to do.
     let (nvm2, disk2) = fresh_stack();
-    let mut probe = TincaCache::format(nvm2.clone(), disk2, tinca_cfg());
+    let probe = format(&nvm2, &disk2);
     let mut p1 = probe.init_txn();
     for &b in &blocks {
         p1.write(b, &blk(1));
     }
-    probe.commit(&p1).unwrap();
+    probe.commit(p1).unwrap();
     let p_start = nvm2.events();
     let mut p2 = probe.init_txn();
     for &b in &blocks {
         p2.write(b, &blk(2));
     }
-    probe.commit(&p2).unwrap();
+    probe.commit(p2).unwrap();
     let commit_events = nvm2.events() - p_start;
 
     let _ = start;
     nvm.set_trip(Some(commit_events - 3));
-    let r = catch_unwind(AssertUnwindSafe(|| cache.commit(&txn)));
+    let r = catch_unwind(AssertUnwindSafe(|| cache.commit(txn)));
     assert!(r.is_err(), "commit should crash near its end");
     drop(cache);
     nvm.crash(CrashPolicy::Random(7));
 
     // First recovery: crash it at every possible event.
-    let probe_rec = TincaCache::recover(nvm.clone(), disk.clone(), tinca_cfg()).unwrap();
+    let probe_rec = recover(&nvm, &disk).unwrap();
     drop(probe_rec);
     // nvm now reflects a *completed* first recovery; capture how many
     // events a full recovery takes by re-crashing and measuring.
     // Simpler: sweep a bounded number of trip points on fresh replays.
     for trip in 1..40u64 {
         let (nvm_i, disk_i) = fresh_stack();
-        let mut c = TincaCache::format(nvm_i.clone(), disk_i.clone(), tinca_cfg());
+        let c = format(&nvm_i, &disk_i);
         let mut s = c.init_txn();
         for &b in &blocks {
             s.write(b, &blk(1));
         }
-        c.commit(&s).unwrap();
+        c.commit(s).unwrap();
         let mut t = c.init_txn();
         for &b in &blocks {
             t.write(b, &blk(2));
         }
         nvm_i.set_trip(Some(commit_events - 3));
-        let r = catch_unwind(AssertUnwindSafe(|| c.commit(&t)));
+        let r = catch_unwind(AssertUnwindSafe(|| c.commit(t)));
         assert!(r.is_err());
         drop(c);
         nvm_i.crash(CrashPolicy::Random(trip));
 
         // First recovery, tripped at `trip` events in.
         nvm_i.set_trip(Some(trip));
-        let r1 = catch_unwind(AssertUnwindSafe(|| {
-            TincaCache::recover(nvm_i.clone(), disk_i.clone(), tinca_cfg())
-        }));
+        let r1 = catch_unwind(AssertUnwindSafe(|| recover(&nvm_i, &disk_i)));
         match r1 {
             Ok(Ok(rec1)) => {
                 // Recovery finished before the trip.
@@ -309,8 +332,7 @@ fn double_crash_during_recovery_is_idempotent() {
             Err(_) => {
                 // Crashed during recovery; crash the device and re-recover.
                 nvm_i.crash(CrashPolicy::Random(trip ^ 0xABCD));
-                let rec2 =
-                    TincaCache::recover(nvm_i, disk_i, tinca_cfg()).expect("second recovery");
+                let rec2 = recover(&nvm_i, &disk_i).expect("second recovery");
                 rec2.check_consistency()
                     .unwrap_or_else(|e| panic!("inconsistent after double crash: {e}"));
                 let v: Vec<u8> = blocks.iter().map(|&b| observed(&rec2, b)).collect();
@@ -328,14 +350,14 @@ fn crash_with_dirty_cache_preserves_committed_data_not_yet_on_disk() {
     // Committed data lives only in NVM (write-back). After a crash it must
     // still be readable even though the disk never saw it.
     let (nvm, disk) = fresh_stack();
-    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
+    let cache = format(&nvm, &disk);
     let mut t = cache.init_txn();
     t.write(500, &blk(0x77));
-    cache.commit(&t).unwrap();
+    cache.commit(t).unwrap();
     assert_eq!(disk.stats().writes, 0);
     drop(cache);
     nvm.crash(CrashPolicy::LoseVolatile);
-    let rec = TincaCache::recover(nvm, disk, tinca_cfg()).unwrap();
+    let rec = recover(&nvm, &disk).unwrap();
     assert_eq!(observed(&rec, 500), 0x77);
 }
 
@@ -347,12 +369,12 @@ fn mixed_hit_miss_transaction_crash_atomicity() {
     let misses = [100u64, 101];
     // Measure event window.
     let (nvm0, disk0) = fresh_stack();
-    let mut c0 = TincaCache::format(nvm0.clone(), disk0, tinca_cfg());
+    let c0 = format(&nvm0, &disk0);
     let mut s0 = c0.init_txn();
     for &b in &hits {
         s0.write(b, &blk(1));
     }
-    c0.commit(&s0).unwrap();
+    c0.commit(s0).unwrap();
     let e0 = nvm0.events();
     let mut t0 = c0.init_txn();
     for &b in &hits {
@@ -361,18 +383,18 @@ fn mixed_hit_miss_transaction_crash_atomicity() {
     for &b in &misses {
         t0.write(b, &blk(2));
     }
-    c0.commit(&t0).unwrap();
+    c0.commit(t0).unwrap();
     let window = nvm0.events() - e0;
 
     for frac in 1..=10u64 {
         let trip_off = window * frac / 10;
         let (nvm, disk) = fresh_stack();
-        let mut cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
+        let cache = format(&nvm, &disk);
         let mut seed = cache.init_txn();
         for &b in &hits {
             seed.write(b, &blk(1));
         }
-        cache.commit(&seed).unwrap();
+        cache.commit(seed).unwrap();
         let mut txn = cache.init_txn();
         for &b in &hits {
             txn.write(b, &blk(2));
@@ -381,11 +403,11 @@ fn mixed_hit_miss_transaction_crash_atomicity() {
             txn.write(b, &blk(2));
         }
         nvm.set_trip(Some(trip_off.max(1)));
-        let crashed = catch_unwind(AssertUnwindSafe(|| cache.commit(&txn))).is_err();
+        let crashed = catch_unwind(AssertUnwindSafe(|| cache.commit(txn))).is_err();
         nvm.set_trip(None);
         drop(cache);
         nvm.crash(CrashPolicy::Random(frac));
-        let rec = TincaCache::recover(nvm, disk, tinca_cfg()).unwrap();
+        let rec = recover(&nvm, &disk).unwrap();
         rec.check_consistency().unwrap();
         let hv: Vec<u8> = hits.iter().map(|&b| observed(&rec, b)).collect();
         let mv: Vec<u8> = misses.iter().map(|&b| observed(&rec, b)).collect();
@@ -401,17 +423,17 @@ fn mixed_hit_miss_transaction_crash_atomicity() {
 #[test]
 fn recovery_counts_revoked_blocks() {
     let (nvm, disk) = fresh_stack();
-    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
+    let cache = format(&nvm, &disk);
     let mut txn = cache.init_txn();
     for b in 0..4u64 {
         txn.write(b, &blk(1));
     }
     // Crash late in the commit so several blocks are in flight.
     nvm.set_trip(Some(200));
-    let crashed = catch_unwind(AssertUnwindSafe(|| cache.commit(&txn))).is_err();
+    let crashed = catch_unwind(AssertUnwindSafe(|| cache.commit(txn))).is_err();
     drop(cache);
     nvm.crash(CrashPolicy::LoseVolatile);
-    let rec = TincaCache::recover(nvm, disk, tinca_cfg()).unwrap();
+    let rec = recover(&nvm, &disk).unwrap();
     if crashed {
         assert!(
             rec.stats().revoked_blocks > 0,
@@ -428,7 +450,7 @@ fn recovery_across_ring_wraparound() {
     // the wrapped window correctly.
     quiet_crash_panics();
     let (nvm, disk) = fresh_stack();
-    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
+    let cache = format(&nvm, &disk);
     let ring_cap = RING_BYTES as u64 / 8;
     // Advance Head/Tail to just short of a multiple of the capacity.
     let mut advanced = 0u64;
@@ -439,7 +461,7 @@ fn recovery_across_ring_wraparound() {
         for k in 0..batch {
             t.write(b + k, &blk(1));
         }
-        cache.commit(&t).unwrap();
+        cache.commit(t).unwrap();
         advanced += batch;
         b += batch;
     }
@@ -449,17 +471,17 @@ fn recovery_across_ring_wraparound() {
     for &v in &victims {
         seed.write(v, &blk(1));
     }
-    cache.commit(&seed).unwrap(); // this txn itself wraps the ring
-                                  // Now crash a wrapping update mid-commit.
+    cache.commit(seed).unwrap(); // this txn itself wraps the ring
+                                 // Now crash a wrapping update mid-commit.
     let mut txn = cache.init_txn();
     for &v in &victims {
         txn.write(v, &blk(2));
     }
     nvm.set_trip(Some(300)); // inside the per-block phase
-    let crashed = catch_unwind(AssertUnwindSafe(|| cache.commit(&txn))).is_err();
+    let crashed = catch_unwind(AssertUnwindSafe(|| cache.commit(txn))).is_err();
     drop(cache);
     nvm.crash(CrashPolicy::Random(77));
-    let rec = TincaCache::recover(nvm, disk, tinca_cfg()).unwrap();
+    let rec = recover(&nvm, &disk).unwrap();
     rec.check_consistency().unwrap();
     let versions: Vec<u8> = victims.iter().map(|&v| observed(&rec, v)).collect();
     let all_old = versions.iter().all(|&v| v == 1);
@@ -481,17 +503,17 @@ fn recover_with_wrong_geometry_returns_structured_error() {
         ring_bytes: RING_BYTES,
         ..TincaConfig::default()
     };
-    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), cfg.clone());
+    let cache = TincaPool::format(vec![nvm.clone()], disk.clone(), pool_cfg(cfg.clone()));
     let mut t = cache.init_txn();
     t.write(3, &blk(0x42));
-    cache.commit(&t).unwrap();
+    cache.commit(t).unwrap();
     drop(cache);
 
     let wrong = TincaConfig {
         ring_bytes: RING_BYTES * 2,
         ..TincaConfig::default()
     };
-    match TincaCache::recover(nvm.clone(), disk.clone(), wrong) {
+    match recover_with(&nvm, &disk, wrong) {
         Err(TincaError::GeometryMismatch {
             field,
             found,
@@ -507,76 +529,9 @@ fn recover_with_wrong_geometry_returns_structured_error() {
 
     // The failed attempt read the header only; the right config recovers
     // the region and the committed block intact.
-    let cache = TincaCache::recover(nvm, disk, cfg).unwrap();
+    let cache = recover_with(&nvm, &disk, cfg).unwrap();
     cache.check_consistency().unwrap();
     assert_eq!(observed(&cache, 3), 0x42);
-}
-
-/// Rewrites a valid entry (`victim`) given the other valid one.
-type Corruption = fn(CacheEntry, CacheEntry, &Layout) -> CacheEntry;
-
-/// Commits blocks 3 and 5, then rewrites the persisted entry of the one
-/// with the higher entry index through `corrupt(victim, other)` and
-/// returns that index with the devices to recover from.
-fn corrupt_table(corrupt: Corruption) -> (nvmsim::Nvm, blockdev::Disk, u32) {
-    let (nvm, disk) = fresh_stack();
-    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
-    let mut t = cache.init_txn();
-    t.write(3, &blk(3));
-    t.write(5, &blk(5));
-    cache.commit(&t).unwrap();
-    let layout = *cache.layout();
-    drop(cache);
-    let entry = |idx: u32| {
-        let mut raw = [0u8; 16];
-        nvm.read_persistent(layout.entry_addr(idx), &mut raw);
-        CacheEntry::decode(u128::from_le_bytes(raw))
-    };
-    let valid: Vec<u32> = (0..layout.entry_count)
-        .filter(|&i| entry(i).valid)
-        .collect();
-    let [other, victim] = valid[..] else {
-        panic!("expected two valid entries, found {valid:?}");
-    };
-    let addr = layout.entry_addr(victim);
-    let bad = corrupt(entry(victim), entry(other), &layout);
-    nvm.atomic_write_u128(addr, bad.encode());
-    nvm.persist(addr, 16);
-    nvm.crash(CrashPolicy::LoseVolatile);
-    (nvm, disk, victim)
-}
-
-/// A persisted entry table that no crash can produce — two valid entries
-/// on one disk block, two on one NVM block, or an NVM block past the data
-/// area — fails recovery with `CorruptEntry` naming the entry, instead of
-/// a panic in the DRAM rebuild.
-#[test]
-fn recover_with_corrupt_entry_table_returns_structured_error() {
-    let cases: [(&str, Corruption); 3] = [
-        ("disk block mapped by another valid entry", |v, o, _| {
-            CacheEntry {
-                disk_blk: o.disk_blk,
-                ..v
-            }
-        }),
-        ("NVM block referenced by another valid entry", |v, o, _| {
-            CacheEntry { cur: o.cur, ..v }
-        }),
-        ("NVM block outside the data area", |v, _, l| CacheEntry {
-            cur: l.data_blocks,
-            ..v
-        }),
-    ];
-    for (want, corrupt) in cases {
-        let (nvm, disk, victim) = corrupt_table(corrupt);
-        match TincaCache::recover(nvm, disk, tinca_cfg()) {
-            Err(TincaError::CorruptEntry { entry, fault, .. }) => {
-                assert_eq!((entry, fault), (victim, want));
-            }
-            Err(other) => panic!("{want}: expected CorruptEntry, got {other:?}"),
-            Ok(_) => panic!("{want}: recovery over a corrupt table must fail"),
-        }
-    }
 }
 
 /// Recovery's load cost, pinned: a clean-crash recovery loads each
@@ -591,18 +546,18 @@ fn clean_recovery_loads_each_metadata_line_once() {
         let clock = SimClock::new();
         let nvm = NvmDevice::new(NvmConfig::new(nvm_bytes, NvmTech::Pcm), clock.clone());
         let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-        let mut cache = TincaCache::format(nvm.clone(), disk.clone(), tinca_cfg());
+        let cache = format(&nvm, &disk);
         let mut t = cache.init_txn();
         for b in 0..8u64 {
             t.write(b, &blk(b as u8));
         }
-        cache.commit(&t).unwrap();
-        let entry_count = u64::from(cache.layout().entry_count);
+        cache.commit(t).unwrap();
+        let entry_count = u64::from(cache.shard_layout(0).entry_count);
         drop(cache);
         nvm.crash(CrashPolicy::LoseVolatile);
 
         let before = nvm.stats().lines_read;
-        let rec = TincaCache::recover(nvm.clone(), disk, tinca_cfg()).unwrap();
+        let rec = recover(&nvm, &disk).unwrap();
         let table_lines = (entry_count * 16).div_ceil(64);
         assert_eq!(
             nvm.stats().lines_read - before,

@@ -14,7 +14,7 @@ use nvmsim::{
     shard_devices, CrashPolicy, Nvm, NvmConfig, NvmDevice, NvmTech, SimClock, TraceEvent,
     CACHE_LINE,
 };
-use tinca::{PoolConfig, TincaCache, TincaConfig, TincaError, TincaPool};
+use tinca::{DynDisk, PoolConfig, TincaConfig, TincaError, TincaPool};
 
 const LINES: usize = BLOCK_SIZE / CACHE_LINE;
 
@@ -26,15 +26,32 @@ fn cfg(delta_stage: bool) -> TincaConfig {
     }
 }
 
-fn cache(nvm_bytes: usize) -> (Nvm, blockdev::Disk, TincaCache) {
+fn pool_cfg(cache: TincaConfig) -> PoolConfig {
+    PoolConfig {
+        cache,
+        ..PoolConfig::default()
+    }
+}
+
+/// The paper's single cache (a one-shard pool) on `nvm`.
+fn format(nvm: &Nvm, disk: DynDisk, cache: TincaConfig) -> TincaPool {
+    TincaPool::format(vec![nvm.clone()], disk, pool_cfg(cache))
+}
+
+fn cache(nvm_bytes: usize) -> (Nvm, blockdev::Disk, TincaPool) {
     let clock = SimClock::new();
     let nvm = NvmDevice::new(
         NvmConfig::new(nvm_bytes, NvmTech::Pcm).with_tracing(),
         clock.clone(),
     );
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-    let cache = TincaCache::format(nvm.clone(), disk.clone(), cfg(true));
+    let cache = format(&nvm, disk.clone(), cfg(true));
     (nvm, disk, cache)
+}
+
+/// Shard `s`'s data-block capacity.
+fn capacity(pool: &TincaPool, s: usize) -> u64 {
+    u64::from(pool.shard_layout(s).data_blocks)
 }
 
 /// A block image that differs from position to position, with `patch`
@@ -48,18 +65,18 @@ fn image(seed: u8, line: usize, patch: u8) -> [u8; BLOCK_SIZE] {
     b
 }
 
-fn commit(cache: &mut TincaCache, writes: &[(u64, [u8; BLOCK_SIZE])]) {
+fn commit(cache: &TincaPool, writes: &[(u64, [u8; BLOCK_SIZE])]) {
     let mut t = cache.init_txn();
     for (b, data) in writes {
         t.write(*b, data);
     }
-    cache.commit(&t).unwrap();
+    cache.commit(t).unwrap();
     cache.check_consistency().unwrap();
 }
 
 /// Dirty payload lines flushed since the trace was last drained.
-fn payload_lines_flushed(nvm: &Nvm, cache: &TincaCache) -> usize {
-    let data_start = cache.layout().data_addr(0) / CACHE_LINE;
+fn payload_lines_flushed(nvm: &Nvm, cache: &TincaPool) -> usize {
+    let data_start = cache.shard_layout(0).data_addr(0) / CACHE_LINE;
     nvm.take_trace()
         .iter()
         .filter(|op| matches!(op.event, TraceEvent::Clflush { line, staged: true } if line >= data_start))
@@ -68,18 +85,18 @@ fn payload_lines_flushed(nvm: &Nvm, cache: &TincaCache) -> usize {
 
 #[test]
 fn one_changed_line_flushes_one_payload_line() {
-    let (nvm, disk, mut cache) = cache(1 << 20);
-    commit(&mut cache, &[(7, image(3, 5, 0xA0))]);
+    let (nvm, disk, cache) = cache(1 << 20);
+    commit(&cache, &[(7, image(3, 5, 0xA0))]);
     nvm.take_trace();
     // A write hit with no shadow yet stages the whole block; the version
     // it replaced becomes the shadow.
-    commit(&mut cache, &[(7, image(3, 5, 0xA1))]);
+    commit(&cache, &[(7, image(3, 5, 0xA1))]);
     assert_eq!(payload_lines_flushed(&nvm, &cache), LINES);
     assert_eq!(cache.stats().delta_stages, 0);
 
     // Version 2 differs from the shadow (version 0) in line 5 alone.
     let v2 = image(3, 5, 0xA2);
-    commit(&mut cache, &[(7, v2)]);
+    commit(&cache, &[(7, v2)]);
     assert_eq!(payload_lines_flushed(&nvm, &cache), 1);
     let s = cache.stats();
     assert_eq!(
@@ -90,7 +107,7 @@ fn one_changed_line_flushes_one_payload_line() {
 
     // Rewriting the shadow's own content stores nothing at all.
     let v1 = image(3, 5, 0xA1);
-    commit(&mut cache, &[(7, v1)]);
+    commit(&cache, &[(7, v1)]);
     assert_eq!(payload_lines_flushed(&nvm, &cache), 0);
     assert_eq!(cache.stats().delta_lines_skipped, 2 * LINES as u64 - 1);
     assert_eq!(cache.peek(7), Some(v1));
@@ -98,7 +115,7 @@ fn one_changed_line_flushes_one_payload_line() {
     // The skipped lines were durable all along.
     drop(cache);
     nvm.crash(CrashPolicy::LoseVolatile);
-    let rec = TincaCache::recover(nvm, disk, cfg(true)).unwrap();
+    let rec = TincaPool::recover(vec![nvm], disk, pool_cfg(cfg(true))).unwrap();
     rec.check_consistency().unwrap();
     assert_eq!(rec.peek(7), Some(v1));
 }
@@ -109,10 +126,10 @@ fn one_changed_line_flushes_one_payload_line() {
 /// afterwards must therefore find no shadow anywhere.
 #[test]
 fn evict_releases_the_shadow() {
-    let (_nvm, _disk, mut cache) = cache(256 << 10);
-    let data_blocks = cache.data_block_count() as u64;
+    let (_nvm, _disk, cache) = cache(256 << 10);
+    let data_blocks = capacity(&cache, 0);
     for v in 0..3u8 {
-        commit(&mut cache, &[(0, image(9, 1, v))]);
+        commit(&cache, &[(0, image(9, 1, v))]);
     }
     assert_eq!(cache.stats().delta_stages, 1, "block 0 holds a shadow");
     // Read misses fill the cache until block 0 is the LRU victim.
@@ -125,13 +142,13 @@ fn evict_releases_the_shadow() {
     assert_eq!(cache.free_block_count(), 0, "no block may stay reserved");
     for b in 100..100 + 2 * data_blocks {
         if cache.contains(b) {
-            commit(&mut cache, &[(b, image(b as u8, 2, 1))]);
+            commit(&cache, &[(b, image(b as u8, 2, 1))]);
         }
     }
     assert_eq!(cache.stats().delta_stages, 1);
     // Back in the cache, block 0 starts over without a hint.
-    commit(&mut cache, &[(0, image(9, 1, 7))]);
-    commit(&mut cache, &[(0, image(9, 1, 8))]);
+    commit(&cache, &[(0, image(9, 1, 7))]);
+    commit(&cache, &[(0, image(9, 1, 8))]);
     assert_eq!(cache.stats().delta_stages, 1);
 }
 
@@ -151,19 +168,19 @@ fn allocation_falls_back_on_the_reserve() {
         SimDisk::new(DiskKind::Ssd, 1 << 16, clock),
         FaultPlan::quiet(5).with_bad_modulo(2, 1),
     );
-    let mut cache = TincaCache::format(nvm, disk, cfg(true));
-    let data_blocks = cache.data_block_count() as u64;
-    commit(&mut cache, &[(1, image(1, 0, 0))]);
-    commit(&mut cache, &[(1, image(1, 0, 1))]);
+    let cache = format(&nvm, disk, cfg(true));
+    let data_blocks = capacity(&cache, 0);
+    commit(&cache, &[(1, image(1, 0, 0))]);
+    commit(&cache, &[(1, image(1, 0, 1))]);
     assert_eq!(cache.free_block_count(), data_blocks as usize - 1);
 
     let writes: Vec<(u64, [u8; BLOCK_SIZE])> = (1..data_blocks)
         .map(|i| (2 * i, image(i as u8, 2, 0xEE)))
         .collect();
-    commit(&mut cache, &writes);
+    commit(&cache, &writes);
     let s = cache.stats();
     assert_eq!((s.failed_commits, s.eviction_errors), (0, 1));
-    assert_eq!(cache.quarantined_count(), 1);
+    assert_eq!(cache.shard_quarantined(0), 1);
     assert_eq!(cache.free_block_count(), 0);
     assert_eq!(cache.cached_blocks(), data_blocks as usize);
     assert_eq!(cache.peek(1), Some(image(1, 0, 1)));
@@ -176,7 +193,7 @@ fn allocation_falls_back_on_the_reserve() {
         t.write(5000 + 2 * b, &image(0, 0, 1));
     }
     assert!(matches!(
-        cache.commit(&t),
+        cache.commit(t),
         Err(TincaError::CacheExhausted { .. })
     ));
 }
@@ -200,7 +217,7 @@ fn revoked_fragment_frees_its_shadow_target() {
         t.write(0, &image(4, 3, v));
         pool.commit(t).unwrap();
     }
-    let shard1_blocks = pool.with_shard(1, |c| c.data_block_count()) as u64;
+    let shard1_blocks = capacity(&pool, 1);
     let mut t = pool.init_txn();
     t.write(0, &image(4, 3, 2));
     for i in 0..shard1_blocks + 8 {
@@ -216,12 +233,12 @@ fn revoked_fragment_frees_its_shadow_target() {
     let mut buf = [0u8; BLOCK_SIZE];
     pool.read(0, &mut buf).unwrap();
     assert_eq!(buf, image(4, 3, 1), "the revoked rewrite must not show");
-    pool.with_shard(0, |c| {
-        assert_eq!(
-            c.free_block_count() + c.cached_blocks(),
-            c.data_block_count() as usize
-        );
-    });
+    // No shard can hold more blocks than it has, so the pool-wide sum
+    // accounts for every block of every shard, shard 0's shadow included.
+    assert_eq!(
+        (pool.free_block_count() + pool.cached_blocks()) as u64,
+        capacity(&pool, 0) + capacity(&pool, 1)
+    );
     // The hint is gone: the next rewrite stages the whole block, and the
     // one after it has a shadow again.
     for v in 3..5u8 {
@@ -253,9 +270,9 @@ fn inert_without_the_role_switch() {
         role_switch: false,
         ..cfg(true)
     };
-    let mut cache = TincaCache::format(nvm, disk, no_switch);
+    let cache = format(&nvm, disk, no_switch);
     for v in 0..4u8 {
-        commit(&mut cache, &[(7, image(3, 5, v))]);
+        commit(&cache, &[(7, image(3, 5, v))]);
     }
     let s = cache.stats();
     assert_eq!((s.delta_stages, s.delta_lines_skipped), (0, 0));

@@ -1,16 +1,18 @@
 // Integration tests are exempt from the crate's unwrap/expect ban.
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-//! Write-behind destage pipeline and commit-path flush coalescing:
-//! watermark behavior, foreground-latency benefit, durability, and the
-//! eviction-error accounting regression.
+//! Write-behind destage pipeline and commit-path flush coalescing on the
+//! paper's single cache (a one-shard pool): foreground-latency benefit,
+//! durability, and the eviction-error accounting regression. The
+//! watermark and dirty-count checks, which need the cache's dirty set,
+//! are unit tests in `cache.rs`.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use blockdev::{BlockDevice, DiskKind, FaultPlan, FaultyDisk, SimDisk, BLOCK_SIZE};
 use nvmsim::{CrashPolicy, CrashTripped, NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{StatsSnapshot, TincaCache, TincaConfig};
+use tinca::{DynDisk, PoolConfig, StatsSnapshot, TincaConfig, TincaPool};
 
 const NVM_BYTES: usize = 256 << 10; // 61 data blocks
 const RING_BYTES: usize = 4096;
@@ -35,40 +37,38 @@ fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
     [byte; BLOCK_SIZE]
 }
 
-/// One-block transactions over `span` distinct disk blocks, `n` commits.
-fn write_cycle(cache: &mut TincaCache, n: u64, span: u64) {
-    for i in 0..n {
-        let mut t = cache.init_txn();
-        t.write(i % span, &blk((i % 251) as u8));
-        cache.commit(&t).unwrap();
+fn pool_cfg(cache: TincaConfig) -> PoolConfig {
+    PoolConfig {
+        cache,
+        ..PoolConfig::default()
     }
 }
 
-#[test]
-fn destage_fires_below_low_watermark_and_keeps_victims_clean() {
-    let (nvm, disk, _) = stack(DiskKind::Ssd);
-    let mut cache = TincaCache::format(nvm, disk, cfg(true, false));
-    let capacity = cache.data_block_count() as u64;
-    // Dirty more blocks than the high watermark allows to stay dirty.
-    write_cycle(&mut cache, capacity - 2, capacity - 2);
-    let s = cache.stats();
-    assert!(s.destage_batches > 0, "daemon never fired: {s:?}");
-    assert!(s.destage_blocks > 0);
-    assert_eq!(s.destage_stalls, 0, "no eviction happened yet");
-    // The supply (free + clean) must be back at or above the low mark
-    // (25 % of the data blocks).
-    let supply = cache.free_block_count() + cache.cached_blocks() - cache.dirty_block_count();
-    let low = capacity as usize * 25 / 100;
-    assert!(supply >= low, "supply {supply} still below low mark {low}");
-    cache.check_consistency().unwrap();
+/// The paper's single cache: a one-shard pool on `nvm`.
+fn format(nvm: &nvmsim::Nvm, disk: DynDisk, cache: TincaConfig) -> TincaPool {
+    TincaPool::format(vec![nvm.clone()], disk, pool_cfg(cache))
+}
+
+/// The cache's data-block capacity.
+fn capacity(cache: &TincaPool) -> u64 {
+    u64::from(cache.shard_layout(0).data_blocks)
+}
+
+/// One-block transactions over `span` distinct disk blocks, `n` commits.
+fn write_cycle(cache: &TincaPool, n: u64, span: u64) {
+    for i in 0..n {
+        let mut t = cache.init_txn();
+        t.write(i % span, &blk((i % 251) as u8));
+        cache.commit(t).unwrap();
+    }
 }
 
 #[test]
 fn destage_disabled_never_touches_the_disk_early() {
     let (nvm, disk, _) = stack(DiskKind::Ssd);
-    let mut cache = TincaCache::format(nvm, disk.clone(), cfg(false, false));
-    let capacity = cache.data_block_count() as u64;
-    write_cycle(&mut cache, capacity - 2, capacity - 2);
+    let cache = format(&nvm, disk.clone(), cfg(false, false));
+    let capacity = capacity(&cache);
+    write_cycle(&cache, capacity - 2, capacity - 2);
     assert_eq!(cache.stats().destage_batches, 0);
     assert_eq!(cache.stats().writebacks, 0);
     assert_eq!(disk.stats().writes, 0, "write-back cache wrote early");
@@ -81,9 +81,9 @@ fn destage_cuts_foreground_time_on_eviction_heavy_writes() {
     // paying synchronous writebacks, so simulated wall time drops.
     let run = |destage: bool| {
         let (nvm, disk, clock) = stack(DiskKind::Ssd);
-        let mut cache = TincaCache::format(nvm, disk, cfg(destage, false));
-        let span = cache.data_block_count() as u64 * 2;
-        write_cycle(&mut cache, span * 2, span);
+        let cache = format(&nvm, disk, cfg(destage, false));
+        let span = capacity(&cache) * 2;
+        write_cycle(&cache, span * 2, span);
         let s = cache.stats();
         (clock.now_ns(), s)
     };
@@ -100,43 +100,10 @@ fn destage_cuts_foreground_time_on_eviction_heavy_writes() {
 }
 
 #[test]
-fn flush_all_after_destage_leaves_disk_image_complete() {
-    let (nvm, disk, _) = stack(DiskKind::Hdd);
-    let mut cache = TincaCache::format(nvm, disk.clone(), cfg(true, false));
-    let capacity = cache.data_block_count() as u64;
-    let span = capacity + 10;
-    write_cycle(&mut cache, span * 2, span);
-    cache.flush_all().unwrap();
-    assert_eq!(cache.dirty_block_count(), 0);
-    // Every block readable with its last-committed payload.
-    let mut buf = [0u8; BLOCK_SIZE];
-    for b in 0..span {
-        let last = (0..span * 2).rev().find(|i| i % span == b).unwrap();
-        cache.read(b, &mut buf).unwrap();
-        assert_eq!(buf, blk((last % 251) as u8), "block {b}");
-    }
-    cache.check_consistency().unwrap();
-}
-
-#[test]
-fn destage_survives_recovery_and_rebuilds_dirty_count() {
-    let (nvm, disk, _) = stack(DiskKind::Ssd);
-    let c = cfg(true, true);
-    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), c.clone());
-    let capacity = cache.data_block_count() as u64;
-    write_cycle(&mut cache, capacity - 2, capacity - 2);
-    let dirty_before = cache.dirty_block_count();
-    drop(cache);
-    let rec = TincaCache::recover(nvm, disk, c).unwrap();
-    rec.check_consistency().unwrap();
-    assert_eq!(rec.dirty_block_count(), dirty_before);
-}
-
-#[test]
 fn coalescing_reduces_clflush_without_changing_contents() {
     let run = |coalesce: bool| {
         let (nvm, disk, _) = stack(DiskKind::Ssd);
-        let mut cache = TincaCache::format(nvm.clone(), disk, cfg(false, coalesce));
+        let cache = format(&nvm, disk, cfg(false, coalesce));
         // Multi-block transactions: entries allocated together share
         // 64 B lines, which is where coalescing wins.
         for i in 0..8u64 {
@@ -144,7 +111,7 @@ fn coalescing_reduces_clflush_without_changing_contents() {
             for j in 0..6u64 {
                 t.write(i * 6 + j, &blk((i * 6 + j) as u8));
             }
-            cache.commit(&t).unwrap();
+            cache.commit(t).unwrap();
         }
         cache.check_consistency().unwrap();
         let mut buf = [0u8; BLOCK_SIZE];
@@ -153,7 +120,7 @@ fn coalescing_reduces_clflush_without_changing_contents() {
             cache.read(b, &mut buf).unwrap();
             contents.push(buf);
         }
-        (StatsSnapshot::collect(&cache), contents)
+        (StatsSnapshot::collect_pool(&cache), contents)
     };
     let (base, base_contents) = run(false);
     let (co, co_contents) = run(true);
@@ -182,14 +149,14 @@ fn failed_eviction_is_counted_and_quarantined() {
     let inner = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
     // Disk block 0 is permanently bad: its dirty writeback can't succeed.
     let disk = FaultyDisk::new(inner, FaultPlan::quiet(7).with_bad_range(0..1));
-    let mut cache = TincaCache::format(nvm, disk, cfg(false, false));
-    let capacity = cache.data_block_count() as u64;
+    let cache = format(&nvm, disk, cfg(false, false));
+    let capacity = capacity(&cache);
     // Block 0 first → it becomes the LRU victim once the pool drains.
-    write_cycle(&mut cache, capacity * 2, capacity * 2);
+    write_cycle(&cache, capacity * 2, capacity * 2);
     let s = cache.stats();
     assert!(s.eviction_errors >= 1, "failed eviction not counted: {s:?}");
     assert_eq!(s.eviction_errors, s.permanent_io_errors);
-    assert!(cache.quarantined_count() >= 1);
+    assert!(cache.shard_quarantined(0) >= 1);
     cache.check_consistency().unwrap();
 }
 
@@ -204,13 +171,13 @@ fn destage_quarantines_bad_blocks_and_retries_transients() {
             .with_bad_range(3..4)
             .with_transient_writes(120),
     );
-    let mut cache = TincaCache::format(nvm, disk, cfg(true, false));
-    let capacity = cache.data_block_count() as u64;
-    write_cycle(&mut cache, capacity - 2, capacity - 2);
+    let cache = format(&nvm, disk, cfg(true, false));
+    let capacity = capacity(&cache);
+    write_cycle(&cache, capacity - 2, capacity - 2);
     let s = cache.stats();
     assert!(s.destage_batches > 0);
     // The bad block never destages: it is quarantined, not lost.
-    assert!(cache.quarantined_count() >= 1);
+    assert!(cache.shard_quarantined(0) >= 1);
     assert!(cache.contains(3), "bad block must stay pinned in NVM");
     assert!(
         s.io_retries > 0 && s.transient_errors_absorbed > 0,
@@ -242,22 +209,22 @@ fn quiet_crash_panics() {
 fn run_crash_destage(trip: u64, policy: CrashPolicy) -> (bool, u64) {
     let (nvm, disk, _) = stack(DiskKind::Ssd);
     let c = cfg(true, true);
-    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), c.clone());
-    let span = cache.data_block_count() as u64 + 16;
+    let cache = format(&nvm, disk.clone(), c.clone());
+    let span = capacity(&cache) + 16;
     // Oracle of acknowledged commits; `in_flight` is the one transaction
     // the crash may legitimately have torn down to all-or-nothing.
     let mut durable: HashMap<u64, u8> = HashMap::new();
     let mut in_flight: Option<(u64, u8)> = None;
     nvm.set_trip(Some(trip));
     let crashed = {
-        let (cache, durable, in_flight) = (&mut cache, &mut durable, &mut in_flight);
+        let (cache, durable, in_flight) = (&cache, &mut durable, &mut in_flight);
         catch_unwind(AssertUnwindSafe(move || {
             for i in 0..span * 2 {
                 let (b, v) = (i % span, (i % 251) as u8 + 1);
                 *in_flight = Some((b, v));
                 let mut t = cache.init_txn();
                 t.write(b, &blk(v));
-                cache.commit(&t).unwrap();
+                cache.commit(t).unwrap();
                 durable.insert(b, v);
                 *in_flight = None;
             }
@@ -269,7 +236,7 @@ fn run_crash_destage(trip: u64, policy: CrashPolicy) -> (bool, u64) {
     drop(cache); // DRAM dies with the power failure
     nvm.crash(policy);
 
-    let rec = TincaCache::recover(nvm, disk, c).expect("recovery must succeed");
+    let rec = TincaPool::recover(vec![nvm], disk, pool_cfg(c)).expect("recovery must succeed");
     rec.check_consistency()
         .unwrap_or_else(|e| panic!("inconsistent after trip {trip}: {e}"));
     let staged = in_flight.filter(|_| crashed);
@@ -305,9 +272,9 @@ fn crash_mid_destage_never_loses_an_acknowledged_commit() {
     // and confirm the workload exercises the daemon at all.
     let window = {
         let (nvm, disk, _) = stack(DiskKind::Ssd);
-        let mut cache = TincaCache::format(nvm.clone(), disk, cfg(true, true));
-        let span = cache.data_block_count() as u64 + 16;
-        write_cycle(&mut cache, span * 2, span);
+        let cache = format(&nvm, disk, cfg(true, true));
+        let span = capacity(&cache) + 16;
+        write_cycle(&cache, span * 2, span);
         assert!(cache.stats().destage_batches > 0, "workload never destages");
         nvm.events()
     };

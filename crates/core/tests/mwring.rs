@@ -139,7 +139,7 @@ fn mw_conflicting_writer_is_busy_until_retire() {
 #[test]
 fn mw_failed_admission_seals_window_and_commits_continue() {
     let p = mw_pool(1, 1 << 20);
-    let blocks = p.with_shard(0, |c| c.data_block_count()) as u64;
+    let blocks = u64::from(p.shard_layout(0).data_blocks);
 
     let mut big = p.init_txn();
     for b in 0..blocks + 8 {
@@ -195,7 +195,7 @@ fn mw_spanning_commits_atomically_across_shards() {
 #[test]
 fn mw_spanning_abort_leaves_nothing_durable() {
     let p = mw_pool(2, 1 << 20);
-    let blocks = p.with_shard(1, |c| c.data_block_count()) as u64;
+    let blocks = u64::from(p.shard_layout(1).data_blocks);
 
     let mut t = p.init_txn();
     t.write(0, &blk(0x77)); // shard 0: fine

@@ -1,16 +1,17 @@
 // Integration tests are exempt from the crate's unwrap/expect ban.
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-//! Integration tests for `TincaPool`: single-shard equivalence, shard
-//! routing, a power cut under contention, and deterministic
-//! multi-threaded stress.
+//! Integration tests for `TincaPool`: shard routing, a power cut under
+//! contention, and deterministic multi-threaded stress. (The one-shard
+//! pool's bit-for-bit equivalence to the bare cache is a unit test in
+//! `pool.rs`: the bare cache is crate-private.)
 
 use std::sync::{Arc, Barrier};
 
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
-use nvmsim::{shard_devices, NvmConfig, NvmDevice, NvmTech, SimClock};
+use nvmsim::{shard_devices, NvmConfig, NvmTech, SimClock};
 use proptest::prelude::*;
-use tinca::{PoolConfig, TincaCache, TincaConfig, TincaPool, Txn};
+use tinca::{PoolConfig, TincaConfig, TincaPool, Txn};
 
 fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
     [byte; BLOCK_SIZE]
@@ -35,72 +36,6 @@ fn pool(shards: usize, nvm_bytes: usize) -> TincaPool {
             ..PoolConfig::default()
         },
     )
-}
-
-/// With one shard and one thread the pool must be indistinguishable from a
-/// bare `TincaCache`: same persistent image, same NVM counters, same
-/// simulated time, same cache statistics.
-#[test]
-fn single_shard_pool_matches_bare_cache_bit_for_bit() {
-    let cap = 1 << 20;
-    let mk = || {
-        let clock = SimClock::new();
-        let nvm = NvmDevice::new(NvmConfig::new(cap, NvmTech::Pcm), clock.clone());
-        let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, clock.clone());
-        (nvm, disk)
-    };
-
-    // Reference: bare cache.
-    let (nvm_a, disk_a) = mk();
-    let mut cache = TincaCache::format(nvm_a.clone(), disk_a, cache_cfg());
-    // Pool under test: one shard on an identical device.
-    let (nvm_b, disk_b) = mk();
-    let p = TincaPool::format(
-        vec![nvm_b.clone()],
-        disk_b,
-        PoolConfig {
-            shards: 1,
-            cache: cache_cfg(),
-            ..PoolConfig::default()
-        },
-    );
-
-    // Identical workload on both, including coalescing rewrites and reads.
-    let mut buf = [0u8; BLOCK_SIZE];
-    for round in 0..20u64 {
-        let mut ta = cache.init_txn();
-        let mut tb = p.init_txn();
-        for t in [&mut ta, &mut tb] {
-            t.write(round % 7, &blk((round % 251) as u8));
-            t.write(100 + round, &blk(1));
-            t.write(round % 7, &blk((round % 249) as u8)); // coalesce
-        }
-        cache.commit(&ta).unwrap();
-        p.commit(tb).unwrap();
-        cache.read(round % 7, &mut buf).unwrap();
-        let mut buf2 = [0u8; BLOCK_SIZE];
-        p.read(round % 7, &mut buf2).unwrap();
-        assert_eq!(buf, buf2);
-    }
-
-    assert_eq!(cache.stats(), p.stats(), "cache statistics must match");
-    assert_eq!(
-        nvm_a.stats(),
-        nvm_b.stats(),
-        "NVM event counters must match"
-    );
-    assert_eq!(
-        nvm_a.clock().now_ns(),
-        nvm_b.clock().now_ns(),
-        "simulated time must match"
-    );
-    let mut img_a = vec![0u8; cap];
-    let mut img_b = vec![0u8; cap];
-    nvm_a.read_persistent(0, &mut img_a);
-    nvm_b.read_persistent(0, &mut img_b);
-    assert!(img_a == img_b, "persistent NVM images must be identical");
-    cache.check_consistency().unwrap();
-    p.check_consistency().unwrap();
 }
 
 #[test]
@@ -167,7 +102,7 @@ fn power_cut_under_contention_strands_no_committer_and_keeps_acked_txns() {
     // the power mid-run, inside a payload flush (ring closed), whichever
     // thread happens to run that commit.
     let probe = pool(1, 1 << 20);
-    let events = || probe.with_shard(0, |c| c.nvm().events());
+    let events = || probe.shard_nvm(0).events();
     let mut per_commit = Vec::new();
     for round in 0..2 {
         let before = events();
@@ -359,7 +294,9 @@ proptest! {
     /// Routing property: after committing an arbitrary mix of
     /// single-shard and spanning transactions, every block is cached on
     /// exactly `shard_of(blk)` — the split never strands a fragment on a
-    /// foreign shard — and every block reads back its last value.
+    /// foreign shard — and every block reads back its last value. Each
+    /// block is cached on its home shard and the pool caches no more
+    /// blocks than were written, so no copy sits on a foreign shard.
     #[test]
     fn split_fragments_land_on_their_home_shard(
         specs in proptest::collection::vec(
@@ -382,16 +319,11 @@ proptest! {
         for (&b, &v) in &expect {
             let home = p.shard_of(b);
             prop_assert_eq!(home, (b % shards as u64) as usize);
-            for s in 0..shards {
-                prop_assert_eq!(
-                    p.with_shard(s, |c| c.contains(b)),
-                    s == home,
-                    "block {} cached on shard {} but homes on {}", b, s, home
-                );
-            }
+            prop_assert!(p.contains(b), "block {} not cached on its home shard {}", b, home);
             p.read(b, &mut buf).unwrap();
             prop_assert_eq!(buf, blk(v), "block {} read back wrong", b);
         }
+        prop_assert_eq!(p.cached_blocks(), expect.len());
         p.check_consistency().unwrap();
     }
 }
@@ -466,11 +398,11 @@ fn one_bad_shard_degrades_pool_but_commits_continue() {
         pool.flush_all().is_err(),
         "flush over a bad shard must surface the error"
     );
-    let q = pool.with_shard(2, |c| c.quarantined_count());
+    let q = pool.shard_quarantined(2);
     assert!(q > 0, "shard 2 must quarantine its dirty blocks");
     assert!(pool.shard_stats(2).permanent_io_errors > 0);
     for s in [0usize, 1, 3] {
-        assert_eq!(pool.with_shard(s, |c| c.quarantined_count()), 0);
+        assert_eq!(pool.shard_quarantined(s), 0);
         assert_eq!(pool.shard_stats(s).permanent_io_errors, 0);
     }
     match pool.health() {

@@ -11,7 +11,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 use nvmsim::{CrashPolicy, CrashTripped, NvmConfig, NvmDevice, NvmTech, SimClock};
 use proptest::prelude::*;
-use tinca::{TincaCache, TincaConfig};
+use tinca::{PoolConfig, TincaConfig, TincaPool};
 
 const NVM_BYTES: usize = 512 << 10; // small: forces eviction pressure
 const RING_BYTES: usize = 4096;
@@ -25,12 +25,24 @@ fn cfg(delta_stage: bool) -> TincaConfig {
     }
 }
 
-fn fresh(delta_stage: bool) -> (nvmsim::Nvm, blockdev::Disk, TincaCache) {
+fn pool_cfg(delta_stage: bool) -> PoolConfig {
+    PoolConfig {
+        cache: cfg(delta_stage),
+        ..PoolConfig::default()
+    }
+}
+
+/// The paper's single cache: a one-shard pool.
+fn fresh(delta_stage: bool) -> (nvmsim::Nvm, blockdev::Disk, TincaPool) {
     let clock = SimClock::new();
     let nvm = NvmDevice::new(NvmConfig::new(NVM_BYTES, NvmTech::Pcm), clock.clone());
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-    let cache = TincaCache::format(nvm.clone(), disk.clone(), cfg(delta_stage));
+    let cache = TincaPool::format(vec![nvm.clone()], disk.clone(), pool_cfg(delta_stage));
     (nvm, disk, cache)
+}
+
+fn recover(nvm: &nvmsim::Nvm, disk: &blockdev::Disk, delta_stage: bool) -> TincaPool {
+    TincaPool::recover(vec![nvm.clone()], disk.clone(), pool_cfg(delta_stage)).unwrap()
 }
 
 fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
@@ -87,7 +99,7 @@ proptest! {
                     for (b, v) in &writes {
                         txn.write(*b, &blk(*v));
                     }
-                    cache.commit(&txn).unwrap();
+                    cache.commit(txn).unwrap();
                     for (b, v) in writes {
                         model.insert(b, v);
                     }
@@ -104,8 +116,7 @@ proptest! {
                         Some(s) => nvm.crash(CrashPolicy::Random(s)),
                         None => nvm.crash(CrashPolicy::LoseVolatile),
                     }
-                    cache = TincaCache::recover(nvm.clone(), disk.clone(), cfg(delta_stage))
-                        .unwrap();
+                    cache = recover(&nvm, &disk, delta_stage);
                     cache.check_consistency().map_err(|e| {
                         TestCaseError::fail(format!("inconsistent after restart: {e}"))
                     })?;
@@ -139,12 +150,12 @@ proptest! {
             let mut touched: Vec<u64> = Vec::new();
             match op {
                 Op::Commit(writes) => {
-                    for (_, _, cache) in &mut sides {
+                    for (_, _, cache) in &sides {
                         let mut txn = cache.init_txn();
                         for (b, v) in &writes {
                             txn.write(*b % HOT, &sparse(*b % HOT, *v));
                         }
-                        cache.commit(&txn).unwrap();
+                        cache.commit(txn).unwrap();
                     }
                     for (b, v) in writes {
                         model.insert(b % HOT, v);
@@ -152,7 +163,7 @@ proptest! {
                     }
                 }
                 Op::Read(b) => {
-                    for ((_, _, cache), buf) in sides.iter_mut().zip(&mut buf) {
+                    for ((_, _, cache), buf) in sides.iter().zip(&mut buf) {
                         cache.read(b, buf).unwrap();
                     }
                     touched.push(b);
@@ -164,12 +175,7 @@ proptest! {
                             None => CrashPolicy::LoseVolatile,
                         };
                         side.0.crash(policy);
-                        side.2 = TincaCache::recover(
-                            side.0.clone(),
-                            side.1.clone(),
-                            cfg(delta_stage == 1),
-                        )
-                        .unwrap();
+                        side.2 = recover(&side.0, &side.1, delta_stage == 1);
                     }
                     touched.extend(model.keys());
                 }
@@ -202,18 +208,19 @@ proptest! {
         delta_stage in any::<bool>(),
     ) {
         quiet_crash_panics();
-        let (nvm, disk, mut cache) = fresh(delta_stage);
+        let (nvm, disk, cache) = fresh(delta_stage);
         let mut model: HashMap<u64, u8> = HashMap::new();
-        // Pre-populate with committed data.
-        let mut seed_txn = cache.init_txn();
-        for (b, v) in &pre {
-            seed_txn.write(*b, &blk(*v));
-            model.insert(*b, *v);
+        // Pre-populate with committed data — twice: with delta staging the
+        // rewrite parks a shadow under every block, so the crashing
+        // transaction below rewrites shadows.
+        for _ in 0..2 {
+            let mut seed_txn = cache.init_txn();
+            for (b, v) in &pre {
+                seed_txn.write(*b, &blk(*v));
+                model.insert(*b, *v);
+            }
+            cache.commit(seed_txn).unwrap();
         }
-        cache.commit(&seed_txn).unwrap();
-        // Twice: with delta staging the rewrite parks a shadow under every
-        // block, so the crashing transaction below rewrites shadows.
-        cache.commit(&seed_txn).unwrap();
 
         // The crashing transaction writes 255 everywhere it touches.
         let mut txn = cache.init_txn();
@@ -225,13 +232,13 @@ proptest! {
             }
         }
         nvm.set_trip(Some(trip));
-        let outcome = catch_unwind(AssertUnwindSafe(|| cache.commit(&txn)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| cache.commit(txn)));
         nvm.set_trip(None);
         let committed = matches!(outcome, Ok(Ok(())));
         drop(cache);
         nvm.crash(CrashPolicy::Random(seed));
 
-        let rec = TincaCache::recover(nvm, disk, cfg(delta_stage)).unwrap();
+        let rec = recover(&nvm, &disk, delta_stage);
         rec.check_consistency().map_err(TestCaseError::fail)?;
 
         let mut buf = [0u8; BLOCK_SIZE];

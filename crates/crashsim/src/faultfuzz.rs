@@ -114,7 +114,7 @@ fn play(pool: &TincaPool, ops: &[Op], oracle: &mut BlockOracle) -> Result<(), St
 
 fn quarantined(pool: &TincaPool) -> usize {
     (0..pool.shard_count())
-        .map(|s| pool.with_shard(s, |c| c.quarantined_count()))
+        .map(|s| pool.shard_quarantined(s))
         .sum()
 }
 

@@ -266,16 +266,14 @@ fn mid_sequence_fragment_failure_leaves_nothing_visible() {
 /// as `(seq, tag)` pairs. The wraparound guard's structural invariant
 /// says this is empty whenever no spanning window is open.
 fn tagged_slots(pool: &TincaPool, s: usize) -> Vec<(u64, u8)> {
-    pool.with_shard(s, |cache| {
-        let layout = *cache.layout();
-        (0..layout.ring_cap)
-            .filter_map(|seq| {
-                let raw = cache.nvm().read_u64(layout.ring_slot_addr(seq));
-                let (_, tag) = tinca::split_slot(raw);
-                (tag != 0).then_some((seq, tag))
-            })
-            .collect()
-    })
+    let layout = pool.shard_layout(s);
+    (0..layout.ring_cap)
+        .filter_map(|seq| {
+            let raw = pool.shard_nvm(s).read_u64(layout.ring_slot_addr(seq));
+            let (_, tag) = tinca::split_slot(raw);
+            (tag != 0).then_some((seq, tag))
+        })
+        .collect()
 }
 
 fn commit_spanning_pair(pool: &TincaPool, setup: Setup, v: u8) {
@@ -370,7 +368,7 @@ fn failed_tagged_fragment_scrubs_its_slots() {
     let (devices, disk, pool_cfg) = build_pool(2);
     let faulty = FaultyDisk::new(disk, FaultPlan::quiet(5).with_bad_modulo(2, 1));
     let pool = TincaPool::format(devices.clone(), faulty.clone(), pool_cfg.clone());
-    let cap = pool.with_shard(1, |c| c.data_block_count()) as u64;
+    let cap = u64::from(pool.shard_layout(1).data_blocks);
     // Dirty odd blocks until shard 1 has exactly one free block left.
     for i in 0..cap - 1 {
         let mut t = pool.init_txn();

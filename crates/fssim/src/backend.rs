@@ -1,10 +1,16 @@
 //! Cache-layer abstraction: the file system runs identically above Tinca,
-//! Classic, or the bare disk; only the commit step differs.
+//! Classic, UBJ or the bare disk; only the commit step differs.
+//!
+//! Tinca plugs in through its one public entry point, a one-shard
+//! [`TincaPool`]: the paper's single transactional cache, bit-for-bit
+//! (`tinca`'s `pool.rs` pins the equivalence through commit, crash and
+//! recovery). So the paper figures, the cluster and the crash harnesses
+//! drive the same cache API as every pool-based caller.
 
 use blockdev::{BlockDevice, BLOCK_SIZE};
 use classic::ClassicCache;
 use std::sync::Arc;
-use tinca::TincaCache;
+use tinca::TincaPool;
 use ubj::UbjCache;
 
 /// What the file system needs from the layer below it.
@@ -22,9 +28,10 @@ pub trait CacheBackend {
     /// commit-record protocol relies on).
     fn write_block(&mut self, blk: u64, data: &[u8]) -> Result<(), String>;
 
-    /// Atomically commits a set of blocks (used by Tinca mode).
+    /// Atomically commits a set of blocks (used by Tinca mode). The
+    /// buffers move in, so a backend that stages them need not copy.
     /// Backends without transactional support return an error.
-    fn commit_txn(&mut self, blocks: &[(u64, Box<[u8; BLOCK_SIZE]>)]) -> Result<(), String>;
+    fn commit_txn(&mut self, blocks: Vec<(u64, Box<[u8; BLOCK_SIZE]>)>) -> Result<(), String>;
 
     /// Whether [`Self::commit_txn`] is supported.
     fn supports_txn(&self) -> bool;
@@ -66,13 +73,14 @@ pub trait CacheBackend {
 }
 
 /// Tinca as the cache layer: `write_block` is a one-block transaction,
-/// `commit_txn` maps directly onto `tinca_commit`.
+/// `commit_txn` maps directly onto `tinca_commit`. The cache is a
+/// one-shard [`TincaPool`] — the paper's single Tinca cache.
 pub struct TincaBackend {
-    pub cache: TincaCache,
+    pub cache: TincaPool,
 }
 
 impl TincaBackend {
-    pub fn new(cache: TincaCache) -> Self {
+    pub fn new(cache: TincaPool) -> Self {
         Self { cache }
     }
 }
@@ -89,15 +97,15 @@ impl CacheBackend for TincaBackend {
     fn write_block(&mut self, blk: u64, data: &[u8]) -> Result<(), String> {
         let mut txn = self.cache.init_txn();
         txn.write(blk, data);
-        self.cache.commit(&txn).map_err(|e| e.to_string())
+        self.cache.commit(txn).map_err(|e| e.to_string())
     }
 
-    fn commit_txn(&mut self, blocks: &[(u64, Box<[u8; BLOCK_SIZE]>)]) -> Result<(), String> {
+    fn commit_txn(&mut self, blocks: Vec<(u64, Box<[u8; BLOCK_SIZE]>)>) -> Result<(), String> {
         let mut txn = self.cache.init_txn();
         for (blk, data) in blocks {
-            txn.write(*blk, &data[..]);
+            txn.stage_owned(blk, data);
         }
-        self.cache.commit(&txn).map_err(|e| e.to_string())
+        self.cache.commit(txn).map_err(|e| e.to_string())
     }
 
     fn supports_txn(&self) -> bool {
@@ -130,7 +138,7 @@ impl CacheBackend for TincaBackend {
 
     fn metadata_ranges(&self) -> Vec<std::ops::Range<usize>> {
         // Everything below the data area: header, ring, entry table.
-        let metadata = 0..self.cache.layout().data_off;
+        let metadata = 0..self.cache.shard_layout(0).data_off;
         vec![metadata]
     }
 }
@@ -159,7 +167,7 @@ impl CacheBackend for ClassicBackend {
         self.cache.write(blk, data).map_err(|e| e.to_string())
     }
 
-    fn commit_txn(&mut self, _blocks: &[(u64, Box<[u8; BLOCK_SIZE]>)]) -> Result<(), String> {
+    fn commit_txn(&mut self, _blocks: Vec<(u64, Box<[u8; BLOCK_SIZE]>)>) -> Result<(), String> {
         Err("Classic cache has no transactional support — use JBD2 journaling above it".into())
     }
 
@@ -225,8 +233,8 @@ impl CacheBackend for UbjBackend {
         self.cache.commit_txn(&[(blk, b)])
     }
 
-    fn commit_txn(&mut self, blocks: &[(u64, Box<[u8; BLOCK_SIZE]>)]) -> Result<(), String> {
-        self.cache.commit_txn(blocks)
+    fn commit_txn(&mut self, blocks: Vec<(u64, Box<[u8; BLOCK_SIZE]>)>) -> Result<(), String> {
+        self.cache.commit_txn(&blocks)
     }
 
     fn supports_txn(&self) -> bool {
@@ -285,7 +293,7 @@ impl CacheBackend for RawDiskBackend {
         self.disk.write_block(blk, data).map_err(|e| e.to_string())
     }
 
-    fn commit_txn(&mut self, _blocks: &[(u64, Box<[u8; BLOCK_SIZE]>)]) -> Result<(), String> {
+    fn commit_txn(&mut self, _blocks: Vec<(u64, Box<[u8; BLOCK_SIZE]>)>) -> Result<(), String> {
         Err("raw disk has no transactional support".into())
     }
 
@@ -313,18 +321,12 @@ mod tests {
         let clock = SimClock::new();
         let nvm = NvmDevice::new(NvmConfig::new(1 << 20, NvmTech::Pcm), clock.clone());
         let disk = SimDisk::new(DiskKind::Ssd, 1 << 14, clock);
-        let cache = TincaCache::format(
-            nvm,
-            disk,
-            tinca::TincaConfig {
-                ring_bytes: 4096,
-                ..Default::default()
-            },
-        );
-        let mut be = TincaBackend::new(cache);
+        let mut cfg = tinca::PoolConfig::default();
+        cfg.cache.ring_bytes = 4096;
+        let mut be = TincaBackend::new(TincaPool::format(vec![nvm], disk, cfg));
         assert!(be.supports_txn());
-        let blocks = vec![(5u64, Box::new([7u8; BLOCK_SIZE]))];
-        be.commit_txn(&blocks).unwrap();
+        be.commit_txn(vec![(5, Box::new([7u8; BLOCK_SIZE]))])
+            .unwrap();
         let mut buf = [0u8; BLOCK_SIZE];
         be.read(5, &mut buf).unwrap();
         assert_eq!(buf[0], 7);
@@ -345,7 +347,7 @@ mod tests {
         );
         let mut be = ClassicBackend::new(cache);
         assert!(!be.supports_txn());
-        assert!(be.commit_txn(&[]).is_err());
+        assert!(be.commit_txn(Vec::new()).is_err());
         be.write_block(3, &[9u8; BLOCK_SIZE]).unwrap();
         let mut buf = [0u8; BLOCK_SIZE];
         be.read(3, &mut buf).unwrap();

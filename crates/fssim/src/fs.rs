@@ -130,7 +130,7 @@ impl FsSim {
     /// validates the superblock, runs journal recovery if in JBD2 mode,
     /// and rebuilds the DRAM mirrors from the committed on-disk state.
     ///
-    /// (In Tinca mode the *cache* recovery — `TincaCache::recover` — must
+    /// (In Tinca mode the *cache* recovery — `TincaPool::recover` — must
     /// already have happened when constructing the backend.)
     pub fn mount(mut backend: Box<dyn CacheBackend>, geo: Geometry) -> Result<FsSim, FsError> {
         let _t = telemetry::span(telemetry::phase::FS_MOUNT);
@@ -732,7 +732,7 @@ impl FsSim {
                     .map_err(FsError::Backend)?;
             }
             JournalMode::Tinca => {
-                self.backend.commit_txn(&dirty).map_err(FsError::Backend)?;
+                self.backend.commit_txn(dirty).map_err(FsError::Backend)?;
             }
         }
         self.stats.commits += 1;

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use blockdev::{DiskKind, SimDisk};
 use classic::{ClassicCache, ClassicConfig, MetadataScheme};
 use nvmsim::{Nvm, NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{TincaCache, TincaConfig};
+use tinca::{PoolConfig, TincaConfig, TincaPool};
 use ubj::{UbjCache, UbjConfig};
 
 use crate::backend::{ClassicBackend, TincaBackend, UbjBackend};
@@ -156,13 +156,17 @@ impl StackConfig {
         }
     }
 
-    fn tinca_config(&self) -> TincaConfig {
-        TincaConfig {
-            ring_bytes: self.ring_bytes,
-            role_switch: self.system != System::TincaNoRoleSwitch,
-            destage: self.destage,
-            coalesce_flushes: self.destage,
-            ..TincaConfig::default()
+    /// The paper's single Tinca cache: a one-shard pool.
+    fn tinca_config(&self) -> PoolConfig {
+        PoolConfig {
+            cache: TincaConfig {
+                ring_bytes: self.ring_bytes,
+                role_switch: self.system != System::TincaNoRoleSwitch,
+                destage: self.destage,
+                coalesce_flushes: self.destage,
+                ..TincaConfig::default()
+            },
+            ..PoolConfig::default()
         }
     }
 
@@ -207,7 +211,7 @@ pub fn build(cfg: &StackConfig) -> Result<Stack, FsError> {
     let disk = SimDisk::new(cfg.disk_kind, cfg.disk_blocks, clock.clone());
     let geo = cfg.geometry();
     let fs = if cfg.is_tinca() {
-        let cache = TincaCache::format(nvm.clone(), disk.clone(), cfg.tinca_config());
+        let cache = TincaPool::format(vec![nvm.clone()], disk.clone(), cfg.tinca_config());
         FsSim::mkfs(Box::new(TincaBackend::new(cache)), geo, cfg.journal_mode())?
     } else if cfg.system == System::Ubj {
         let cache = UbjCache::format(nvm.clone(), disk.clone(), UbjConfig::default());
@@ -240,7 +244,7 @@ pub fn remount(
 ) -> Result<Stack, FsError> {
     let geo = cfg.geometry();
     let fs = if cfg.is_tinca() {
-        let cache = TincaCache::recover(nvm.clone(), disk.clone() as Arc<_>, cfg.tinca_config())
+        let cache = TincaPool::recover(vec![nvm.clone()], disk.clone(), cfg.tinca_config())
             .map_err(|e| FsError::Backend(e.to_string()))?;
         FsSim::mount(Box::new(TincaBackend::new(cache)), geo)?
     } else if cfg.system == System::Ubj {

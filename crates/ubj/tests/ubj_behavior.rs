@@ -86,21 +86,16 @@ fn tinca_never_pays_that_memcpy() {
     let clock = SimClock::new();
     let nvm = NvmDevice::new(NvmConfig::new(1 << 20, NvmTech::Pcm), clock.clone());
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-    let mut tinca = tinca::TincaCache::format(
-        nvm.clone(),
-        disk,
-        tinca::TincaConfig {
-            ring_bytes: 4096,
-            ..Default::default()
-        },
-    );
+    let mut cfg = tinca::PoolConfig::default();
+    cfg.cache.ring_bytes = 4096;
+    let tinca = tinca::TincaPool::format(vec![nvm.clone()], disk, cfg);
     let mut t1 = tinca.init_txn();
     t1.write(5, &blk(1)[..]);
-    tinca.commit(&t1).unwrap();
+    tinca.commit(t1).unwrap();
     let before = nvm.stats();
     let mut t2 = tinca.init_txn();
     t2.write(5, &blk(2)[..]);
-    tinca.commit(&t2).unwrap();
+    tinca.commit(t2).unwrap();
     let d = nvm.stats().delta(&before);
     // One payload write (64 lines) + metadata; the old version is never
     // read or copied (the few line reads are 16 B entry lookups).

@@ -161,11 +161,9 @@ impl Baseline {
     fn take(pool: &TincaPool) -> Baseline {
         let shards = pool.shard_count();
         Baseline {
-            nvm0: (0..shards)
-                .map(|s| pool.with_shard(s, |c| c.nvm().stats()))
-                .collect(),
+            nvm0: (0..shards).map(|s| pool.shard_nvm(s).stats()).collect(),
             clk0: (0..shards)
-                .map(|s| pool.with_shard(s, |c| c.nvm().clock().now_ns()))
+                .map(|s| pool.shard_nvm(s).clock().now_ns())
                 .collect(),
             cache0: pool.stats(),
         }
@@ -438,10 +436,10 @@ impl MtFio {
         let mut busy_ns = 0u64;
         let mut nvm = NvmStats::default();
         for s in 0..shards {
-            let d = pool.with_shard(s, |c| c.nvm().clock().now_ns()) - base.clk0[s];
+            let d = pool.shard_nvm(s).clock().now_ns() - base.clk0[s];
             wall_ns = wall_ns.max(d);
             busy_ns += d;
-            nvm = nvm.merge(&pool.with_shard(s, |c| c.nvm().stats()).delta(&base.nvm0[s]));
+            nvm = nvm.merge(&pool.shard_nvm(s).stats().delta(&base.nvm0[s]));
         }
         // Graham/list-scheduling bound with p = min(threads, shards)
         // service contexts: any schedule finishes within busy/p + the

@@ -6,7 +6,7 @@
 
 use tinca_repro::blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 use tinca_repro::nvmsim::{CrashPolicy, NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca_repro::tinca::{TincaCache, TincaConfig};
+use tinca_repro::tinca::{PoolConfig, TincaPool};
 
 fn main() {
     // A simulated PCM device and SSD share one simulated clock.
@@ -14,8 +14,9 @@ fn main() {
     let nvm = NvmDevice::new(NvmConfig::new(16 << 20, NvmTech::Pcm), clock.clone());
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 18, clock.clone());
 
-    // Format the transactional NVM cache on top of them.
-    let mut cache = TincaCache::format(nvm.clone(), disk.clone(), TincaConfig::default());
+    // Format the transactional NVM cache on top of them: a one-shard pool
+    // is the paper's single Tinca cache.
+    let cache = TincaPool::format(vec![nvm.clone()], disk.clone(), PoolConfig::default());
 
     // Commit a multi-block transaction atomically — each payload is
     // written to NVM exactly once (role switch, no journal double write).
@@ -23,7 +24,7 @@ fn main() {
     txn.write(1000, &[0xAA; BLOCK_SIZE]);
     txn.write(2000, &[0xBB; BLOCK_SIZE]);
     txn.write(3000, &[0xCC; BLOCK_SIZE]);
-    cache.commit(&txn).expect("commit");
+    cache.commit(txn).expect("commit");
     println!(
         "committed 3 blocks in {} ns of simulated time",
         clock.now_ns()
@@ -49,7 +50,7 @@ fn main() {
     // Recovery rebuilds the DRAM index from the persistent cache entries
     // and revokes any incomplete transaction (there is none here).
     let recovered =
-        TincaCache::recover(nvm, disk, TincaConfig::default()).expect("recover after crash");
+        TincaPool::recover(vec![nvm], disk, PoolConfig::default()).expect("recover after crash");
     recovered
         .check_consistency()
         .expect("consistent after crash");

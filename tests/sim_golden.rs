@@ -1,5 +1,7 @@
-//! Simulated-time golden: a fixed-seed 2-shard pool script whose simulated
-//! clocks, device counters and persistent images are pinned to constants.
+//! Simulated-time goldens: a fixed-seed 2-shard pool script, and a
+//! fixed-seed file-system script on the paper-figure stack
+//! (`fssim::stack` on `System::Tinca`), whose simulated clocks, device
+//! counters and persistent images are pinned to constants.
 //!
 //! The simulator is deterministic, so a host-side change (a faster overlay,
 //! a different charging granularity, a new container) must reproduce these
@@ -7,7 +9,7 @@
 //! well under a second, where otherwise only the full benchmark's
 //! `sim_fingerprint` would. A change that *means* to move simulated time
 //! regenerates the constants: run with `--nocapture` and paste the printed
-//! `Golden` values.
+//! `Golden` / `StackGolden` values.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -15,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tinca_repro::blockdev::{BlockDevice, DiskKind, DiskStats, SimDisk, BLOCK_SIZE};
+use tinca_repro::fssim::stack::{build, remount, Stack, StackConfig, System};
 use tinca_repro::nvmsim::{
     shard_devices, CrashPolicy, CrashTripped, Nvm, NvmConfig, NvmStats, NvmTech, SimClock,
 };
@@ -229,4 +232,158 @@ fn fixed_seed_pool_script_reproduces_the_golden_simulation() {
 
     assert_eq!(before, BEFORE_CRASH);
     assert_eq!(after, AFTER_RECOVERY);
+}
+
+/// The file-system script's pinned state. The stack's NVM device and disk
+/// share one simulated clock.
+#[derive(Debug, PartialEq, Eq)]
+struct StackGolden {
+    clock_ns: u64,
+    nvm: NvmStats,
+    disk: DiskStats,
+    /// FNV-1a over the NVM device's whole persistent image.
+    image_fnv: u64,
+}
+
+/// After mkfs, the scripted writes and the closing fsync.
+const STACK_BEFORE_CUT: StackGolden = StackGolden {
+    clock_ns: 1_612_130,
+    nvm: NvmStats {
+        clflush: 5016,
+        sfence: 291,
+        atomic_stores: 284,
+        lines_written: 5016,
+        lines_read: 73,
+        bytes_stored: 306328,
+        bytes_read: 1744,
+    },
+    disk: DiskStats {
+        reads: 3,
+        writes: 0,
+        busy_ns: 180_000,
+        read_errors: 0,
+        write_errors: 0,
+    },
+    image_fnv: 8_145_729_740_086_640_014,
+};
+
+/// After the torn fsync, `crash(Random(STACK_SEED))`, `remount` and the
+/// read-back.
+const STACK_AFTER_REMOUNT: StackGolden = StackGolden {
+    clock_ns: 4_912_700,
+    nvm: NvmStats {
+        clflush: 7592,
+        sfence: 370,
+        atomic_stores: 324,
+        lines_written: 7592,
+        lines_read: 2182,
+        bytes_stored: 470800,
+        bytes_read: 135216,
+    },
+    disk: DiskStats {
+        reads: 42,
+        writes: 0,
+        busy_ns: 2_520_000,
+        read_errors: 0,
+        write_errors: 0,
+    },
+    image_fnv: 11_601_236_627_102_705_951,
+};
+
+const STACK_SEED: u64 = 0xF5_601D;
+const FILES: usize = 4;
+const FILE_SPAN: usize = 24 << 10;
+const STACK_OPS: usize = 48;
+/// Persistence events into the torn fsync at which the power is cut:
+/// inside the first block's payload flushes.
+const STACK_TRIP_AFTER_EVENTS: u64 = 40;
+
+fn stack_snapshot(stack: &Stack) -> StackGolden {
+    StackGolden {
+        clock_ns: stack.clock.now_ns(),
+        nvm: stack.nvm.stats(),
+        disk: stack.disk.stats(),
+        image_fnv: image_fnv(&stack.nvm),
+    }
+}
+
+/// Reads every scripted file back whole.
+fn read_files(stack: &mut Stack) -> Vec<Vec<u8>> {
+    (0..FILES)
+        .map(|f| {
+            let ino = stack.fs.open(&format!("f{f}")).unwrap();
+            let mut buf = vec![0u8; stack.fs.file_size(ino) as usize];
+            let n = stack.fs.read(ino, 0, &mut buf).unwrap();
+            buf.truncate(n);
+            buf
+        })
+        .collect()
+}
+
+/// Writes `data` at `offset` of file `f`, on the stack and in the model.
+fn write_file(stack: &mut Stack, model: &mut [Vec<u8>], f: usize, offset: usize, data: &[u8]) {
+    let ino = stack.fs.open(&format!("f{f}")).unwrap();
+    stack.fs.write(ino, offset as u64, data).unwrap();
+    let file = &mut model[f];
+    if file.len() < offset + data.len() {
+        file.resize(offset + data.len(), 0);
+    }
+    file[offset..offset + data.len()].copy_from_slice(data);
+}
+
+#[test]
+fn fixed_seed_fs_stack_script_reproduces_the_golden_simulation() {
+    let cfg = StackConfig::tiny(System::Tinca);
+    let mut stack = build(&cfg).unwrap();
+    let mut model = vec![Vec::new(); FILES];
+    for f in 0..FILES {
+        stack.fs.create(&format!("f{f}")).unwrap();
+    }
+    let mut rng = StdRng::seed_from_u64(STACK_SEED);
+    for op in 0..STACK_OPS {
+        let f = rng.gen_range(0..FILES);
+        let len = rng.gen_range(1..=6000usize);
+        let offset = rng.gen_range(0..FILE_SPAN - len);
+        let data: Vec<u8> = (0..len).map(|i| (op * 7 + i) as u8).collect();
+        write_file(&mut stack, &mut model, f, offset, &data);
+        if op % 8 == 7 {
+            stack.fs.fsync().unwrap();
+        }
+    }
+    stack.fs.fsync().unwrap();
+    assert_eq!(read_files(&mut stack), model);
+    stack.fs.check_consistency().unwrap();
+    let before = stack_snapshot(&stack);
+    println!("const STACK_BEFORE_CUT: StackGolden = {before:#?};");
+
+    // Cut the power inside an fsync: the torn transaction rewrites two
+    // blocks of `f0` and is never acknowledged.
+    let mut torn = model.clone();
+    write_file(&mut stack, &mut torn, 0, 0, &[0xEE; 2 * BLOCK_SIZE]);
+    let before_events = stack.nvm.events();
+    stack.nvm.set_trip(Some(STACK_TRIP_AFTER_EVENTS));
+    let tripped = catch_unwind(AssertUnwindSafe(|| stack.fs.fsync()))
+        .expect_err("the armed trip fires inside the fsync");
+    assert!(tripped.is::<CrashTripped>());
+    assert_eq!(stack.nvm.events() - before_events, STACK_TRIP_AFTER_EVENTS);
+
+    let Stack {
+        fs,
+        nvm,
+        disk,
+        clock,
+        ..
+    } = stack;
+    drop(fs);
+    nvm.crash(CrashPolicy::Random(STACK_SEED));
+    let mut stack = remount(&cfg, nvm, disk, clock).unwrap();
+    stack.fs.check_consistency().unwrap();
+    let files = read_files(&mut stack);
+    assert!(files[0] == model[0] || files[0] == torn[0], "f0 torn");
+    assert_eq!(files[1..], model[1..]);
+    let after = stack_snapshot(&stack);
+    println!("const STACK_AFTER_REMOUNT: StackGolden = {after:#?};");
+
+    assert_eq!(before, STACK_BEFORE_CUT);
+    assert_eq!(after, STACK_AFTER_REMOUNT);
 }
