@@ -20,7 +20,7 @@ use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
 use tinca::{Health, PoolConfig, TincaPool};
 
 use crate::table::Table;
-use crate::{banner, fmt, write_csv};
+use crate::{banner, checks, fmt, write_csv};
 
 /// One measured throughput point.
 struct DegradedPoint {
@@ -67,10 +67,10 @@ fn run_point(label: &'static str, plan: Option<FaultPlan>) -> DegradedPoint {
     }
 }
 
-/// Runs the figure. Returns `(table, clean)` where `clean` is true iff the
-/// fuzz campaign had zero violations and the degraded points behaved
-/// (transients fully absorbed, bad range ⇒ `Degraded`).
-pub fn run(quick: bool) -> (Table, bool) {
+/// Runs the figure. Fails unless the fuzz campaign had zero violations
+/// and the degraded points behaved (transients fully absorbed, bad range
+/// ⇒ `Degraded`).
+pub fn run(quick: bool) -> Vec<String> {
     banner(
         "degraded",
         "Fault injection: crash+fault fuzz campaign and degraded-mode throughput",
@@ -94,7 +94,6 @@ pub fn run(quick: bool) -> (Table, bool) {
     for v in campaign.violations.iter().take(5) {
         println!("  !! {v}");
     }
-    let mut clean = campaign.clean();
 
     let transient_plan = FaultPlan::quiet(0xDE6)
         .with_transient_reads(60)
@@ -105,6 +104,7 @@ pub fn run(quick: bool) -> (Table, bool) {
     // store permanently.
     let bad_plan = FaultPlan::quiet(0xDE7).with_bad_range(100..124);
 
+    let mut behaved = true;
     let mut t = Table::new(&[
         "disk",
         "ops/s",
@@ -120,15 +120,15 @@ pub fn run(quick: bool) -> (Table, bool) {
     ] {
         match p.label {
             "healthy" => {
-                clean &= p.io_retries == 0 && p.quarantined == 0 && p.health == Health::Healthy;
+                behaved &= p.io_retries == 0 && p.quarantined == 0 && p.health == Health::Healthy;
             }
             "transient-faults" => {
                 // Every transient burst fits the retry budget: no
                 // quarantine, still healthy, retries visible.
-                clean &= p.quarantined == 0 && p.health == Health::Healthy;
+                behaved &= p.quarantined == 0 && p.health == Health::Healthy;
             }
             _ => {
-                clean &= p.quarantined > 0
+                behaved &= p.quarantined > 0
                     && matches!(p.health, Health::Degraded { .. } | Health::ReadOnly);
             }
         }
@@ -142,10 +142,15 @@ pub fn run(quick: bool) -> (Table, bool) {
         ]);
     }
     t.print();
-    println!(
-        "degraded-mode check: {}",
-        if clean { "CLEAN" } else { "FAIL" }
-    );
     write_csv("degraded", &t.headers(), t.rows());
-    (t, clean)
+    checks(&[
+        (
+            campaign.clean(),
+            "fault-fuzz campaign must have zero violations",
+        ),
+        (
+            behaved,
+            "transients must be absorbed (Healthy) and a bad range quarantined (Degraded)",
+        ),
+    ])
 }

@@ -19,7 +19,7 @@ use workloads::fio::{Fio, FioSpec};
 
 use crate::figs::local_cfg;
 use crate::table::Table;
-use crate::{banner, fmt, write_csv};
+use crate::{banner, checks, fmt, write_csv};
 
 /// Minimum relative reduction of the `commit` phase total (SSD).
 pub const MIN_COMMIT_DROP: f64 = 0.20;
@@ -68,8 +68,9 @@ fn run_one(kind: DiskKind, destage: bool, quick: bool, ops: u64) -> RunResult {
     }
 }
 
-/// Runs the ablation; returns the SSD commit-phase reduction fraction.
-pub fn run(quick: bool) -> f64 {
+/// Runs the ablation; fails unless the SSD commit phase drops by
+/// [`MIN_COMMIT_DROP`].
+pub fn run(quick: bool) -> Vec<String> {
     banner(
         "Destage",
         "Write-behind pipeline ablation: Fio 3/7 write-heavy, destage+coalescing off vs on",
@@ -110,11 +111,12 @@ pub fn run(quick: bool) -> f64 {
     }
     t.print();
     write_csv("destage", &t.headers(), t.rows());
-    assert!(
+    checks(&[(
         ssd_drop >= MIN_COMMIT_DROP,
-        "destage cut the SSD commit phase by only {:.1}% (< {:.0}%)",
-        ssd_drop * 100.0,
-        MIN_COMMIT_DROP * 100.0
-    );
-    ssd_drop
+        &format!(
+            "destage cut the SSD commit phase by only {:.1}% (< {:.0}%)",
+            ssd_drop * 100.0,
+            MIN_COMMIT_DROP * 100.0
+        ),
+    )])
 }

@@ -13,7 +13,7 @@ use crate::{banner, fmt, write_csv};
 /// Fig. 12(a): TPM on SSD vs HDD. Paper: both systems drop on HDD
 /// (Classic ≈ 5×, Tinca ≈ 3×); the Tinca/Classic gap widens from 1.7× to
 /// 2.8× because avoided disk writes matter more on slow disks.
-pub fn fig12a(quick: bool) -> Table {
+pub fn fig12a(quick: bool) -> Vec<String> {
     banner(
         "Fig 12(a)",
         "TPC-C (20 users) on SSD vs HDD",
@@ -43,12 +43,12 @@ pub fn fig12a(quick: bool) -> Table {
     }
     t.print();
     write_csv("fig12a", &t.headers(), t.rows());
-    t
+    Vec::new()
 }
 
 /// Fig. 12(b): TPM on PCM vs NVDIMM vs STT-RAM (SSD disk). Paper: faster
 /// NVM lifts both; the gap narrows slightly (1.7× → 1.6×).
-pub fn fig12b(quick: bool) -> Table {
+pub fn fig12b(quick: bool) -> Vec<String> {
     banner(
         "Fig 12(b)",
         "TPC-C (20 users) on PCM / NVDIMM / STT-RAM",
@@ -78,13 +78,13 @@ pub fn fig12b(quick: bool) -> Table {
     }
     t.print();
     write_csv("fig12b", &t.headers(), t.rows());
-    t
+    Vec::new()
 }
 
 /// Fig. 12(c): cache write hit rate under TPC-C (20 users). Paper:
 /// Classic 80 %, Tinca 93 % — the double writes waste Classic's cache
 /// space.
-pub fn fig12c(quick: bool) -> Table {
+pub fn fig12c(quick: bool) -> Vec<String> {
     banner(
         "Fig 12(c)",
         "Cache write hit rate, TPC-C 20 users",
@@ -98,5 +98,5 @@ pub fn fig12c(quick: bool) -> Table {
     }
     t.print();
     write_csv("fig12c", &t.headers(), t.rows());
-    t
+    Vec::new()
 }

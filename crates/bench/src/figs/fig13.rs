@@ -53,7 +53,7 @@ fn txn_sizes(personality: Personality, quick: bool) -> Vec<u32> {
 /// personalities and the worst-case COW overhead (§5.4.3). Paper:
 /// fileserver ≈ 2× webproxy blocks/txn; worst-case COW cost ≈ 0.4 % of an
 /// 8 GB cache.
-pub fn run(quick: bool) -> Table {
+pub fn run(quick: bool) -> Vec<String> {
     banner(
         "Fig 13 / §5.4.3",
         "Blocks per committed transaction (fileserver vs webproxy) + COW overhead",
@@ -107,5 +107,5 @@ pub fn run(quick: bool) -> Table {
         &series,
     );
     write_csv("fig13", &t.headers(), t.rows());
-    t
+    Vec::new()
 }

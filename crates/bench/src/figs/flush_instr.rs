@@ -15,7 +15,7 @@ use crate::figs::local_cfg;
 use crate::table::Table;
 use crate::{banner, fmt, write_csv};
 
-pub fn run(quick: bool) -> Table {
+pub fn run(quick: bool) -> Vec<String> {
     banner(
         "Flush instructions (§2.1)",
         "Tinca under clflush / clflushopt / clwb",
@@ -60,5 +60,5 @@ pub fn run(quick: bool) -> Table {
     }
     t.print();
     write_csv("flush_instr", &t.headers(), t.rows());
-    t
+    Vec::new()
 }

@@ -12,17 +12,19 @@
 //!
 //! Output: the standard CSV/JSON pair under `EXPERIMENTS-results/`, plus
 //! `BENCH_6.json` at the repo root with the `{figure,headers,rows}`
-//! payload, a flat `gate` object for `perfgate` (knee throughput and
-//! sub-knee p99, ±5 %), and the crash-mid-backlog campaign verdict.
+//! payload, a flat `gate` object (knee throughput and sub-knee p99,
+//! gated ±5 % by the runner), and the crash-mid-backlog campaign verdict.
+//!
+//! Fails unless Tinca's knee sits at a strictly higher offered load than
+//! Classic's, p999 rises superlinearly past saturation, the persist-order
+//! audit is clean at every load point, and the campaign crashes mid-
+//! backlog with zero oracle violations.
 //!
 //! Every Tinca point runs on traced NVM devices and must pass the
 //! per-shard persist-order audit — saturation (a standing backlog,
 //! destage under pressure) must not bend the commit protocol.
 
-use std::fs;
-
 use blockdev::{DiskKind, SimDisk};
-use crashsim::CampaignReport;
 use nvmsim::{shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
 use persistcheck::{CheckConfig, Checker};
 use telemetry::Json;
@@ -33,7 +35,7 @@ use workloads::openloop::{
 };
 
 use crate::table::Table;
-use crate::{banner, fmt, results_dir, write_csv};
+use crate::{banner, checks, fmt, table_json, write_bench, write_csv};
 
 /// A delivered:offered ratio at or above this is "keeping up"; the knee
 /// is the largest ladder rate that still clears it.
@@ -45,20 +47,6 @@ pub struct LoadPoint {
     pub report: OpenLoopReport,
     /// Persist-order violations (Tinca points only; 0 for Classic).
     pub violations: usize,
-}
-
-/// Everything the figure produced (for the bin's acceptance checks).
-pub struct LatencyLoadResult {
-    pub table: Table,
-    pub tinca_knee: f64,
-    pub classic_knee: f64,
-    pub tinca_p99_subknee: f64,
-    pub classic_p99_subknee: f64,
-    /// Tinca p999 at the top of the ladder over p999 at the bottom —
-    /// the "superlinear past saturation" acceptance signal.
-    pub tinca_tail_ratio: f64,
-    pub persist_clean: bool,
-    pub campaign: CampaignReport,
 }
 
 const SHARDS: usize = 4;
@@ -159,7 +147,7 @@ fn knee(points: &[LoadPoint]) -> f64 {
 /// log-spaced rate ladder across them, measures every (system, rate)
 /// point, runs the crash-mid-backlog campaign, and writes CSV +
 /// `BENCH_6.json`.
-pub fn run(quick: bool) -> LatencyLoadResult {
+pub fn run(quick: bool) -> Vec<String> {
     banner(
         "latency_load",
         "Open-loop latency under offered load: Tinca vs Classic+JBD2 knee curve",
@@ -231,6 +219,8 @@ pub fn run(quick: bool) -> LatencyLoadResult {
     let tinca_knee = knee(&tinca_points);
     let classic_knee = knee(&classic_points);
     let p999_of = |p: &LoadPoint| p.report.p999().unwrap_or(0) as f64;
+    // Tinca p999 at the top of the ladder over p999 at the bottom — the
+    // "superlinear past saturation" signal.
     let tinca_tail_ratio = p999_of(tinca_points.last().unwrap())
         / p999_of(tinca_points.first().unwrap()).max(f64::MIN_POSITIVE);
     let tinca_p99_subknee = tinca_points[0].report.p99().unwrap_or(0) as f64;
@@ -259,9 +249,8 @@ pub fn run(quick: bool) -> LatencyLoadResult {
         eprintln!("  violation: {v}");
     }
 
-    // BENCH_6.json — machine-readable summary at the repo root. The flat
-    // `gate` counters are what `perfgate` diffs in CI (string-extraction
-    // parsing: keep names stable, keep the object flat).
+    // BENCH_6.json — machine-readable summary at the repo root. The
+    // `gate` counters are what the runner diffs: keep their names stable.
     let gate = Json::obj(vec![
         ("tinca_knee_ops_per_sec", tinca_knee.into()),
         ("tinca_p99_ns_subknee", tinca_p99_subknee.into()),
@@ -274,22 +263,6 @@ pub fn run(quick: bool) -> LatencyLoadResult {
         ("shed", campaign.shed.into()),
         ("violations", (campaign.violations.len() as u64).into()),
     ]);
-    let figure = Json::obj(vec![
-        ("figure", "latency_load".into()),
-        (
-            "headers",
-            Json::Arr(t.headers().iter().map(|h| (*h).into()).collect()),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                t.rows()
-                    .iter()
-                    .map(|r| Json::Arr(r.iter().map(|c| c.as_str().into()).collect()))
-                    .collect(),
-            ),
-        ),
-    ]);
     let bench = Json::obj(vec![
         ("bench", "latency_load".into()),
         ("quick", quick.into()),
@@ -301,22 +274,37 @@ pub fn run(quick: bool) -> LatencyLoadResult {
         ("persistcheck_clean", persist_clean.into()),
         ("gate", gate),
         ("crash_campaign", campaign_json),
-        ("latency_load", figure),
+        (
+            "latency_load",
+            table_json("latency_load", &t.headers(), t.rows()),
+        ),
     ]);
-    let dir = results_dir();
-    let root = dir.parent().expect("results dir sits in the repo root");
-    let path = root.join("BENCH_6.json");
-    fs::write(&path, bench.render()).expect("write BENCH_6.json");
-    eprintln!("  [bench] {}", path.display());
+    write_bench("BENCH_6.json", &bench);
 
-    LatencyLoadResult {
-        table: t,
-        tinca_knee,
-        classic_knee,
-        tinca_p99_subknee,
-        classic_p99_subknee,
-        tinca_tail_ratio,
-        persist_clean,
-        campaign,
-    }
+    checks(&[
+        (
+            tinca_knee > classic_knee,
+            "Tinca's knee must sit at strictly higher offered load than Classic+JBD2's",
+        ),
+        (
+            classic_knee > 0.0,
+            "Classic must keep up at the bottom of the ladder (ladder mis-spanned?)",
+        ),
+        (
+            tinca_tail_ratio > 4.0,
+            "p999 must rise superlinearly past saturation (knee not visible)",
+        ),
+        (
+            persist_clean,
+            "persist-order audit must be clean at every load point",
+        ),
+        (
+            campaign.clean(),
+            "crash-mid-backlog campaign must have zero oracle violations",
+        ),
+        (
+            campaign.crashes > 0 && campaign.shed > 0,
+            "campaign must actually crash mid-backlog (trips fired, ops shed)",
+        ),
+    ])
 }

@@ -1,4 +1,5 @@
-//! One module per table/figure of the paper's evaluation.
+//! One module per table/figure of the paper's evaluation, and the
+//! registry the `bench` binary runs them from.
 
 pub mod degraded;
 pub mod destage;
@@ -15,6 +16,7 @@ pub mod flush_instr;
 pub mod latency_load;
 pub mod meta_schemes;
 pub mod mw_scaling;
+pub mod persistcheck;
 pub mod persistrace;
 pub mod phases;
 pub mod recoverability;
@@ -25,6 +27,122 @@ pub mod ubj_compare;
 pub mod wal_elim;
 
 use fssim::stack::{StackConfig, System};
+
+use crate::runner::Direction::{self, HigherIsBetter, Info, LowerIsBetter};
+use crate::runner::{Figure, Gate};
+
+const fn fig(name: &'static str, run: fn(bool) -> Vec<String>) -> Figure {
+    Figure {
+        name,
+        run,
+        gate: None,
+    }
+}
+
+const fn gated(
+    name: &'static str,
+    run: fn(bool) -> Vec<String>,
+    file: &'static str,
+    counters: &'static [(&'static str, Direction)],
+) -> Figure {
+    Figure {
+        name,
+        run,
+        gate: Some(Gate { file, counters }),
+    }
+}
+
+/// Every table and figure of the evaluation, in the order `all` runs
+/// them, with the gate schema of each `BENCH_N.json`.
+pub const REGISTRY: &[Figure] = &[
+    fig("table1", |_| tables::table1()),
+    fig("table2", |_| tables::table2()),
+    fig("fig3a", fig3::fig3a),
+    fig("fig3b", fig3::fig3b),
+    fig("fig4", fig4::run),
+    fig("fig7", fig7::run),
+    fig("fig8", fig8::run),
+    fig("fig10", fig10::run),
+    fig("fig11", fig11::run),
+    fig("fig12a", fig12::fig12a),
+    fig("fig12b", fig12::fig12b),
+    fig("fig12c", fig12::fig12c),
+    fig("fig13", fig13::run),
+    fig("ubj_compare", ubj_compare::run),
+    fig("endurance", endurance::run),
+    fig("flush_instr", flush_instr::run),
+    fig("meta_schemes", meta_schemes::run),
+    fig("recoverability", recoverability::run),
+    fig("persistcheck", persistcheck::run),
+    fig("degraded", degraded::run),
+    fig("destage", destage::run),
+    // Flush coalescing and destage batching must keep paying.
+    gated(
+        "phases",
+        phases::run,
+        "BENCH_5.json",
+        &[
+            ("clflush_per_op", LowerIsBetter),
+            ("disk_busy_ns", LowerIsBetter),
+            ("commit_total_ns", Info),
+            ("sim_ns", Info),
+        ],
+    ),
+    fig("persistrace", persistrace::run),
+    fig("scaling", scaling::run),
+    // The knee must not move down the load axis nor the sub-knee tail
+    // inflate; the baseline system's drift is context.
+    gated(
+        "latency_load",
+        latency_load::run,
+        "BENCH_6.json",
+        &[
+            ("tinca_knee_ops_per_sec", HigherIsBetter),
+            ("tinca_p99_ns_subknee", LowerIsBetter),
+            ("classic_knee_ops_per_sec", Info),
+            ("classic_p99_ns_subknee", Info),
+        ],
+    ),
+    // The spanning machinery must never tax the 0 %-spanning fast path.
+    gated(
+        "spanning",
+        spanning::run,
+        "BENCH_7.json",
+        &[
+            ("single_shard_ns_per_txn", LowerIsBetter),
+            ("spanning50_ns_per_txn", LowerIsBetter),
+            ("spanning_overhead_x", Info),
+        ],
+    ),
+    // The 8-writer speedup must not shrink nor the uncontended ring cost
+    // drift.
+    gated(
+        "mw_scaling",
+        mw_scaling::run,
+        "BENCH_9.json",
+        &[
+            ("mw_speedup_x_8w", HigherIsBetter),
+            ("mw_ns_per_txn_1w", LowerIsBetter),
+            ("mutex_ns_per_txn_8w", Info),
+            ("mw_ns_per_txn_8w", Info),
+        ],
+    ),
+    // The no-WAL personality's cost and write volume must not drift; the
+    // WAL twins and the ratios are context.
+    gated(
+        "wal_elim",
+        wal_elim::run,
+        "BENCH_8.json",
+        &[
+            ("tinca_ns_per_txn", LowerIsBetter),
+            ("tinca_bytes_per_txn", LowerIsBetter),
+            ("wal_ns_per_txn", Info),
+            ("wal_bytes_per_txn", Info),
+            ("speedup_x", Info),
+            ("bytes_ratio_x", Info),
+        ],
+    ),
+];
 
 /// The scaled local-machine configuration shared by the local figures
 /// (÷256 of the paper's 8 GB NVM / 128 GB SSD testbed, with a 32 MB NVM

@@ -14,20 +14,17 @@
 //!   private clocks (overlapped), publishes in rotated order and lets
 //!   one sequencer round retire the whole batch with a single fence.
 //!
-//! The headline gate is the single-shard speedup at 8 writers: the
+//! The headline check is the single-shard speedup at 8 writers: the
 //! pipeline must reach **≥ 2x** the mutex baseline's commit throughput,
-//! and the uncontended 1-writer ring cost must not drift (both gated via
-//! `BENCH_9.json`). Every point runs on traced devices and must pass the
-//! persist-order + HB-race audit per shard *and* on the merged
-//! pool-wide trace. The run embeds the multi-writer crash smoke: a
+//! and neither it nor the uncontended 1-writer ring cost may drift (both
+//! gated via `BENCH_9.json`). Every point runs on traced devices and
+//! must pass the persist-order + HB-race audit per shard *and* on the
+//! merged pool-wide trace. The run embeds the multi-writer crash smoke: a
 //! random-trip fuzz sweep (200 seeds full, covering crash-mid-
 //! publication) and a bounded-exhaustive frontier enumeration over
 //! concurrent publication orders — both must be violation-free.
 
-use std::fs;
-
 use blockdev::{DiskKind, SimDisk};
-use crashsim::FrontierReport;
 use nvmsim::{merge_shard_traces, shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
 use persistcheck::{CheckConfig, Checker};
 use telemetry::Json;
@@ -35,7 +32,7 @@ use tinca::{CommitMode, PoolConfig, TincaConfig, TincaPool};
 use workloads::mtfio::{MtFio, MtFioSpec, MtReport};
 
 use crate::table::Table;
-use crate::{banner, fmt, results_dir, write_csv};
+use crate::{banner, checks, fmt, table_json, write_bench, write_csv};
 
 /// One measured (shards, writers, mode) point.
 pub struct MwPoint {
@@ -48,18 +45,6 @@ pub struct MwPoint {
     pub ns_per_txn: f64,
     /// Persist-order + race violations over per-shard and merged traces.
     pub violations: usize,
-}
-
-/// Everything the figure produced (for the bin's acceptance checks).
-pub struct MwScalingResult {
-    pub table: Table,
-    /// Single-shard lock-free over mutex throughput at 8 writers.
-    pub speedup_x_8w: f64,
-    /// Uncontended (1 writer, 1 shard) ring-path commit cost.
-    pub mw_ns_per_txn_1w: f64,
-    pub persist_clean: bool,
-    pub fuzz: crashsim::CampaignReport,
-    pub frontier: FrontierReport,
 }
 
 fn build_pool(shards: usize, lockfree: bool, quick: bool) -> (TincaPool, Vec<Nvm>) {
@@ -164,7 +149,7 @@ fn run_point(shards: usize, writers: usize, lockfree: bool, quick: bool) -> MwPo
 
 /// Runs the figure: the writer sweep on both pools and both commit
 /// paths, the embedded multi-writer crash campaigns, and `BENCH_9.json`.
-pub fn run(quick: bool) -> MwScalingResult {
+pub fn run(quick: bool) -> Vec<String> {
     banner(
         "mw_scaling",
         "Multi-writer commit: lock-free ring pipeline vs mutex baseline, 1-16 writers",
@@ -249,9 +234,9 @@ pub fn run(quick: bool) -> MwScalingResult {
         eprintln!("  violation: {v}");
     }
 
-    // BENCH_9.json — machine-readable summary for perfgate: the 8-writer
-    // speedup must not shrink and the uncontended ring cost must not
-    // drift.
+    // BENCH_9.json — machine-readable summary for the runner's gate: the
+    // 8-writer speedup must not shrink and the uncontended ring cost must
+    // not drift.
     let gate = Json::obj(vec![
         ("mw_speedup_x_8w", speedup_x_8w.into()),
         ("mw_ns_per_txn_1w", mw_ns_per_txn_1w.into()),
@@ -268,22 +253,6 @@ pub fn run(quick: bool) -> MwScalingResult {
         ("states", frontier.states_run.into()),
         ("violations", (frontier.violations.len() as u64).into()),
     ]);
-    let figure = Json::obj(vec![
-        ("figure", "mw_scaling".into()),
-        (
-            "headers",
-            Json::Arr(t.headers().iter().map(|h| (*h).into()).collect()),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                t.rows()
-                    .iter()
-                    .map(|r| Json::Arr(r.iter().map(|c| c.as_str().into()).collect()))
-                    .collect(),
-            ),
-        ),
-    ]);
     let bench = Json::obj(vec![
         ("bench", "mw_scaling".into()),
         ("quick", quick.into()),
@@ -291,20 +260,25 @@ pub fn run(quick: bool) -> MwScalingResult {
         ("gate", gate),
         ("fuzz_campaign", fuzz_json),
         ("frontier_campaign", frontier_json),
-        ("mw_scaling", figure),
+        (
+            "mw_scaling",
+            table_json("mw_scaling", &t.headers(), t.rows()),
+        ),
     ]);
-    let dir = results_dir();
-    let root = dir.parent().expect("results dir sits in the repo root");
-    let path = root.join("BENCH_9.json");
-    fs::write(&path, bench.render()).expect("write BENCH_9.json");
-    eprintln!("  [bench] {}", path.display());
+    write_bench("BENCH_9.json", &bench);
 
-    MwScalingResult {
-        table: t,
-        speedup_x_8w,
-        mw_ns_per_txn_1w,
-        persist_clean,
-        fuzz,
-        frontier,
-    }
+    checks(&[
+        (
+            persist_clean,
+            "persist-order violations on the multi-writer commit path",
+        ),
+        (
+            fuzz.clean() && frontier.clean(),
+            "multi-writer crash campaign violations",
+        ),
+        (
+            speedup_x_8w >= 2.0,
+            &format!("multi-writer speedup {speedup_x_8w:.2}x at 8 writers below the 2x bar"),
+        ),
+    ])
 }

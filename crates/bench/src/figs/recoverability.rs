@@ -5,12 +5,13 @@ use crashsim::{fuzz_system_opts, FailureMode};
 use fssim::stack::System;
 
 use crate::table::Table;
-use crate::{banner, write_csv};
+use crate::{banner, checks, write_csv};
 
 /// Fuzzes both systems with crashes at random persistence events and
 /// adversarial write-back resolution. Paper: "Each time Tinca can recover
-/// and crash consistency of the system is never impaired."
-pub fn run(quick: bool) -> Table {
+/// and crash consistency of the system is never impaired." Every campaign
+/// must come out violation-free.
+pub fn run(quick: bool) -> Vec<String> {
     banner(
         "Recoverability (§5.1)",
         "Crash-fuzz campaign: random power cuts + adversarial write-back resolution",
@@ -18,6 +19,7 @@ pub fn run(quick: bool) -> Table {
     );
     let runs: u64 = if quick { 10 } else { 40 };
     let mut t = Table::new(&["System", "runs", "mid-run crashes", "violations"]);
+    let mut clean = true;
     for (sys, seed, destage) in [
         (System::Tinca, 51_000u64, false),
         (System::Classic, 52_000, false),
@@ -40,8 +42,12 @@ pub fn run(quick: bool) -> Table {
         for v in &report.violations {
             println!("  !! {v}");
         }
+        clean &= report.clean();
     }
     t.print();
     write_csv("recoverability", &t.headers(), t.rows());
-    t
+    checks(&[(
+        clean,
+        "every crash-fuzz campaign must recover with zero violations",
+    )])
 }

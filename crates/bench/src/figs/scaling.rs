@@ -27,7 +27,7 @@ use tinca::{PoolConfig, TincaConfig, TincaPool};
 use workloads::mtfio::{MtFio, MtFioSpec, MtReport};
 
 use crate::table::Table;
-use crate::{banner, fmt, write_csv};
+use crate::{banner, checks, fmt, write_csv};
 
 /// One measured point of the figure.
 pub struct ScalingPoint {
@@ -95,10 +95,10 @@ pub fn run_point(shards: usize, threads: usize, quick: bool) -> ScalingPoint {
     }
 }
 
-/// Runs the full figure. Returns `(table, speedup, clean)` where `speedup`
-/// is N=4 over N=1 throughput at the highest thread count and `clean` is
-/// true iff no shard's trace had a persist-order violation.
-pub fn run(quick: bool) -> (Table, f64, bool) {
+/// Runs the full figure. Fails if any shard's trace had a persist-order
+/// violation, or if N=4 falls short of 2x the N=1 throughput at the
+/// highest thread count.
+pub fn run(quick: bool) -> Vec<String> {
     banner(
         "scaling",
         "Sharded pool: throughput & flushes/txn vs threads (N=1 vs N=4)",
@@ -143,5 +143,11 @@ pub fn run(quick: bool) -> (Table, f64, bool) {
         if clean { "CLEAN" } else { "FAIL" }
     );
     write_csv("scaling", &t.headers(), t.rows());
-    (t, speedup, clean)
+    checks(&[
+        (clean, "persist-order violations on the sharded commit path"),
+        (
+            speedup >= 2.0,
+            &format!("sharded pool speedup {speedup:.2}x below the 2x bar"),
+        ),
+    ])
 }

@@ -4,9 +4,10 @@
 //! fraction of transactions that **span every shard** (and therefore run
 //! the two-phase spanning protocol: intent publish → per-shard fragment
 //! prepares → resolve → window retirement) sweeps 0 % → 50 %. The 0 %
-//! point is the plain sharded fast path — its cost is gated by
-//! `perfgate` so the spanning machinery can never tax single-shard
-//! commits — and the spread to the 50 % point prices the protocol.
+//! point is the plain sharded fast path — its cost is gated by the
+//! runner so the spanning machinery can never tax single-shard commits —
+//! and the spread to the 50 % point prices the protocol, which must cost
+//! something but stay under 8x.
 //!
 //! Every point runs on traced devices and must pass the persist-order
 //! audit per shard **and** on the merged pool-wide trace (the intent
@@ -16,13 +17,9 @@
 //! report zero torn transactions.
 //!
 //! Output: the standard CSV/JSON pair under `EXPERIMENTS-results/`, plus
-//! `BENCH_7.json` at the repo root with a flat `gate` object for
-//! `perfgate`.
-
-use std::fs;
+//! `BENCH_7.json` at the repo root with a flat `gate` object.
 
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
-use crashsim::{CampaignReport, FrontierReport};
 use nvmsim::{merge_shard_traces, shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
 use persistcheck::{CheckConfig, Checker};
 use rand::rngs::StdRng;
@@ -31,7 +28,7 @@ use telemetry::Json;
 use tinca::{PoolConfig, TincaConfig, TincaPool};
 
 use crate::table::Table;
-use crate::{banner, fmt, results_dir, write_csv};
+use crate::{banner, checks, fmt, table_json, write_bench, write_csv};
 
 const SHARDS: usize = 4;
 /// Spanning percentages swept by the figure.
@@ -39,26 +36,10 @@ pub const FRACS: [u32; 4] = [0, 10, 25, 50];
 
 /// One measured mix point.
 pub struct MixPoint {
-    pub frac_pct: u32,
     pub txns: u64,
     pub spanning_txns: u64,
     pub ns_per_txn: f64,
     pub violations: usize,
-}
-
-/// Everything the figure produced (for the bin's acceptance checks).
-pub struct SpanningResult {
-    pub table: Table,
-    pub points: Vec<MixPoint>,
-    /// Fast-path cost at 0 % spanning — the perfgate anchor.
-    pub single_shard_ns_per_txn: f64,
-    /// Cost at the 50 % mix.
-    pub spanning50_ns_per_txn: f64,
-    /// `spanning50 / single_shard`: what the two-phase protocol prices in.
-    pub overhead_x: f64,
-    pub persist_clean: bool,
-    pub frontier: FrontierReport,
-    pub fuzz: CampaignReport,
 }
 
 fn build_pool(quick: bool) -> (TincaPool, Vec<Nvm>) {
@@ -154,7 +135,6 @@ fn run_point(quick: bool, frac_pct: u32) -> MixPoint {
     }
 
     MixPoint {
-        frac_pct,
         txns,
         spanning_txns,
         ns_per_txn: elapsed as f64 / txns as f64,
@@ -165,7 +145,7 @@ fn run_point(quick: bool, frac_pct: u32) -> MixPoint {
 /// Runs the figure: the spanning-fraction sweep, the embedded crash
 /// smoke (frontier enumeration + random-trip fuzz), and writes CSV +
 /// `BENCH_7.json`.
-pub fn run(quick: bool) -> SpanningResult {
+pub fn run(quick: bool) -> Vec<String> {
     banner(
         "spanning",
         "Cross-shard transaction mix: two-phase spanning commit cost vs fraction",
@@ -228,9 +208,9 @@ pub fn run(quick: bool) -> SpanningResult {
         eprintln!("  violation: {v}");
     }
 
-    // BENCH_7.json — machine-readable summary at the repo root. The flat
-    // `gate` counters are what `perfgate` diffs in CI: the 0% point is
-    // the single-shard fast path and must not drift.
+    // BENCH_7.json — machine-readable summary at the repo root. The
+    // `gate` counters are what the runner diffs: the 0% point is the
+    // single-shard fast path and must not drift.
     let gate = Json::obj(vec![
         ("single_shard_ns_per_txn", single_shard_ns_per_txn.into()),
         ("spanning50_ns_per_txn", spanning50_ns_per_txn.into()),
@@ -246,22 +226,6 @@ pub fn run(quick: bool) -> SpanningResult {
         ("crashes", fuzz.crashes.into()),
         ("violations", (fuzz.violations.len() as u64).into()),
     ]);
-    let figure = Json::obj(vec![
-        ("figure", "spanning".into()),
-        (
-            "headers",
-            Json::Arr(t.headers().iter().map(|h| (*h).into()).collect()),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                t.rows()
-                    .iter()
-                    .map(|r| Json::Arr(r.iter().map(|c| c.as_str().into()).collect()))
-                    .collect(),
-            ),
-        ),
-    ]);
     let bench = Json::obj(vec![
         ("bench", "spanning".into()),
         ("quick", quick.into()),
@@ -270,22 +234,38 @@ pub fn run(quick: bool) -> SpanningResult {
         ("gate", gate),
         ("frontier_campaign", frontier_json),
         ("fuzz_campaign", fuzz_json),
-        ("spanning", figure),
+        ("spanning", table_json("spanning", &t.headers(), t.rows())),
     ]);
-    let dir = results_dir();
-    let root = dir.parent().expect("results dir sits in the repo root");
-    let path = root.join("BENCH_7.json");
-    fs::write(&path, bench.render()).expect("write BENCH_7.json");
-    eprintln!("  [bench] {}", path.display());
+    write_bench("BENCH_7.json", &bench);
 
-    SpanningResult {
-        table: t,
-        points,
-        single_shard_ns_per_txn,
-        spanning50_ns_per_txn,
-        overhead_x,
-        persist_clean,
-        frontier,
-        fuzz,
-    }
+    checks(&[
+        (
+            points[0].spanning_txns == 0,
+            "the 0% point must run no spanning transaction at all",
+        ),
+        (
+            points.iter().skip(1).all(|p| p.spanning_txns > 0),
+            "every non-zero mix must actually run spanning transactions",
+        ),
+        (
+            overhead_x > 1.0,
+            "the two-phase protocol cannot be free: 50% mix must cost more than 0%",
+        ),
+        (
+            overhead_x < 8.0,
+            "spanning overhead out of hand (fast path regressed or protocol bloated?)",
+        ),
+        (
+            persist_clean,
+            "persist-order audit must be clean per shard and on the merged trace",
+        ),
+        (
+            frontier.clean() && frontier.states_run > 0,
+            "frontier enumeration must run states and find zero torn spanning txns",
+        ),
+        (
+            fuzz.clean() && fuzz.crashes > 0,
+            "fuzz sweep must crash mid-commit and find zero torn spanning txns",
+        ),
+    ])
 }

@@ -6,7 +6,7 @@ use crate::table::Table;
 use crate::{banner, write_csv};
 
 /// Table 1: the NVM technology parameters the simulator uses.
-pub fn table1() -> Table {
+pub fn table1() -> Vec<String> {
     banner(
         "Table 1",
         "Typical DRAM and NVM technologies (simulator latency presets)",
@@ -22,11 +22,11 @@ pub fn table1() -> Table {
     }
     t.print();
     write_csv("table1", &t.headers(), t.rows());
-    t
+    Vec::new()
 }
 
 /// Table 2: the benchmark roster at paper scale and at this repo's scale.
-pub fn table2() -> Table {
+pub fn table2() -> Vec<String> {
     banner(
         "Table 2",
         "Benchmarks used to evaluate Tinca and Classic",
@@ -54,5 +54,5 @@ pub fn table2() -> Table {
     }
     t.print();
     write_csv("table2", &t.headers(), t.rows());
-    t
+    Vec::new()
 }

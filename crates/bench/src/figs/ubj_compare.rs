@@ -13,7 +13,7 @@ use crate::figs::local_cfg;
 use crate::table::Table;
 use crate::{banner, fmt, write_csv};
 
-pub fn run(quick: bool) -> Table {
+pub fn run(quick: bool) -> Vec<String> {
     banner(
         "§5.4.4",
         "Tinca vs UBJ: throughput, frozen-block memcpy cost, checkpoint stalls",
@@ -70,5 +70,5 @@ pub fn run(quick: bool) -> Table {
     }
     t.print();
     write_csv("ubj_compare", &t.headers(), t.rows());
-    t
+    Vec::new()
 }

@@ -19,14 +19,15 @@
 //! Embeds both modes' crash smoke (random-trip fuzz + persist-frontier
 //! enumeration, persistcheck audited inside each recovery) so the
 //! headline claim — faster *and* fewer bytes *without* losing crash
-//! consistency — is checked in one run.
+//! consistency — is checked in one run: both personalities must commit
+//! the same stream, the no-WAL one cheaper in time, device bytes and
+//! write amplification, and every campaign must crash and recover clean.
 //!
 //! Output: the standard CSV/JSON pair under `EXPERIMENTS-results/`, plus
-//! `BENCH_8.json` at the repo root with a flat `gate` object for
-//! `perfgate` and the run's host wall-clock (`wall_ms`: both modes and
-//! the crash smoke — the other clock, informational).
+//! `BENCH_8.json` at the repo root with a flat `gate` object and the
+//! run's host wall-clock (`wall_ms`: both modes and the crash smoke — the
+//! other clock, informational).
 
-use std::fs;
 use std::time::Instant;
 
 use crashsim::{CampaignReport, FailureMode, FrontierReport};
@@ -39,7 +40,7 @@ use kvdb::{
 use telemetry::Json;
 
 use crate::table::Table;
-use crate::{banner, fmt, results_dir, write_csv};
+use crate::{banner, checks, fmt, table_json, write_bench, write_csv};
 
 /// TPC-C warehouses the figure's key stream draws from.
 const WAREHOUSES: u32 = 4;
@@ -61,21 +62,6 @@ pub struct ModePoint {
     pub payload_amplification: f64,
     /// Rendered commit-path phase tree.
     pub phase_tree: String,
-}
-
-/// Everything the figure produced (for the bin's acceptance checks).
-pub struct WalElimResult {
-    pub table: Table,
-    pub wal: ModePoint,
-    pub tinca: ModePoint,
-    /// `wal_ns_per_txn / tinca_ns_per_txn` — the WAL-elimination speedup.
-    pub speedup_x: f64,
-    /// `wal_bytes_per_txn / tinca_bytes_per_txn` — the write saving.
-    pub bytes_ratio_x: f64,
-    pub wal_fuzz: CampaignReport,
-    pub tinca_fuzz: CampaignReport,
-    pub wal_frontier: FrontierReport,
-    pub tinca_frontier: FrontierReport,
 }
 
 /// Runs `txns` driver transactions against `db`, timing with `clock_now`
@@ -174,7 +160,7 @@ fn frontier_json(r: &FrontierReport) -> Json {
 /// Runs the figure: both personalities over the identical transaction
 /// stream, the embedded crash smoke for each, and writes CSV +
 /// `BENCH_8.json`.
-pub fn run(quick: bool) -> WalElimResult {
+pub fn run(quick: bool) -> Vec<String> {
     banner(
         "wal_elim",
         "KV commit path with and without a WAL (same TPC-C stream, both personalities)",
@@ -211,6 +197,7 @@ pub fn run(quick: bool) -> WalElimResult {
     t.print();
     write_csv("wal_elim", &t.headers(), t.rows());
 
+    // The WAL-elimination speedup and write saving.
     let speedup_x = wal.ns_per_txn / tinca.ns_per_txn.max(f64::MIN_POSITIVE);
     let bytes_ratio_x = wal.bytes_per_txn / tinca.bytes_per_txn.max(f64::MIN_POSITIVE);
     println!(
@@ -281,10 +268,9 @@ pub fn run(quick: bool) -> WalElimResult {
         }
     }
 
-    // BENCH_8.json — machine-readable summary at the repo root. The flat
-    // `gate` counters are what `perfgate` diffs in CI: the no-WAL
-    // personality's cost and write volume must not drift; the WAL twins
-    // are context.
+    // BENCH_8.json — machine-readable summary at the repo root. The
+    // `gate` counters are what the runner diffs: the no-WAL personality's
+    // cost and write volume must not drift; the WAL twins are context.
     let gate = Json::obj(vec![
         ("tinca_ns_per_txn", tinca.ns_per_txn.into()),
         ("tinca_bytes_per_txn", tinca.bytes_per_txn.into()),
@@ -292,22 +278,6 @@ pub fn run(quick: bool) -> WalElimResult {
         ("wal_bytes_per_txn", wal.bytes_per_txn.into()),
         ("speedup_x", speedup_x.into()),
         ("bytes_ratio_x", bytes_ratio_x.into()),
-    ]);
-    let figure = Json::obj(vec![
-        ("figure", "wal_elim".into()),
-        (
-            "headers",
-            Json::Arr(t.headers().iter().map(|h| (*h).into()).collect()),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                t.rows()
-                    .iter()
-                    .map(|r| Json::Arr(r.iter().map(|c| c.as_str().into()).collect()))
-                    .collect(),
-            ),
-        ),
     ]);
     let crashes = Json::obj(vec![
         ("wal_fuzz", campaign_json(&wal_fuzz)),
@@ -326,23 +296,45 @@ pub fn run(quick: bool) -> WalElimResult {
         ("persistcheck_clean", persist_clean.into()),
         ("gate", gate),
         ("crash_campaigns", crashes),
-        ("wal_elim", figure),
+        ("wal_elim", table_json("wal_elim", &t.headers(), t.rows())),
     ]);
-    let dir = results_dir();
-    let root = dir.parent().expect("results dir sits in the repo root");
-    let path = root.join("BENCH_8.json");
-    fs::write(&path, bench.render()).expect("write BENCH_8.json");
-    eprintln!("  [bench] {}", path.display());
+    write_bench("BENCH_8.json", &bench);
 
-    WalElimResult {
-        table: t,
-        wal,
-        tinca,
-        speedup_x,
-        bytes_ratio_x,
-        wal_fuzz,
-        tinca_fuzz,
-        wal_frontier,
-        tinca_frontier,
-    }
+    // Read-only TPC-C transactions dirty no page, so store commits can be
+    // fewer than driver transactions — but the two personalities replay
+    // the same seeded stream and must agree exactly.
+    checks(&[
+        (
+            wal.txns == tinca.txns && wal.commits == tinca.commits && wal.commits > 0,
+            "both personalities must commit the same transaction stream",
+        ),
+        (
+            speedup_x > 1.0,
+            "eliminating the WAL must make commits cheaper, not dearer",
+        ),
+        (
+            bytes_ratio_x > 1.0,
+            "the WAL route must write more device bytes than the no-WAL route",
+        ),
+        (
+            wal.payload_amplification > tinca.payload_amplification,
+            "write amplification must drop when the journaling-of-journal route goes away",
+        ),
+        (
+            wal_fuzz.clean() && wal_fuzz.crashes > 0,
+            "WAL-mode fuzz must crash mid-commit and recover with zero violations",
+        ),
+        (
+            tinca_fuzz.clean() && tinca_fuzz.crashes > 0,
+            "no-WAL fuzz must crash mid-commit and recover with zero violations",
+        ),
+        (
+            wal_frontier.clean() && wal_frontier.states_run > 0,
+            "WAL-mode frontier enumeration must run states with zero violations",
+        ),
+        (
+            tinca_frontier.clean() && tinca_frontier.states_run > 0,
+            "no-WAL frontier enumeration must run states with zero violations",
+        ),
+    ])
 }

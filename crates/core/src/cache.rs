@@ -1327,8 +1327,10 @@ impl TincaCache {
         Ok(())
     }
 
-    /// Writes back every dirty cached block and marks it clean. Used at
-    /// orderly shutdown and by verification harnesses.
+    /// Writes back every dirty cached block and marks it clean, in
+    /// ascending disk-block order (so the disk sees the same request
+    /// stream in every process). Used at orderly shutdown and by
+    /// verification harnesses.
     ///
     /// Quarantined blocks are re-attempted (a replaced disk recovers
     /// them). Errors are collected, not short-circuited: every dirty
@@ -1348,8 +1350,9 @@ impl TincaCache {
         self.drain_destage_lane();
         let mut buf = [0u8; BLOCK_SIZE];
         let mut first_err = Ok(());
-        let idxs: Vec<u32> = self.index.values().copied().collect();
-        for idx in idxs {
+        let mut cached: Vec<(u64, u32)> = self.index.iter().map(|(&b, &i)| (b, i)).collect();
+        cached.sort_unstable();
+        for (_, idx) in cached {
             let e = self.read_entry(idx);
             if e.valid && e.modified {
                 let _w = telemetry::span(telemetry::phase::CACHE_WRITEBACK);
@@ -1987,5 +1990,55 @@ mod tests {
         c.set_head_tail(head, tail);
         c.flush_all().unwrap();
         assert_eq!(c.stats().writebacks, 1);
+    }
+
+    /// A disk that records the block number of every write it serves.
+    struct WriteLog {
+        inner: DynDisk,
+        writes: std::sync::Mutex<Vec<u64>>,
+    }
+
+    impl BlockDevice for WriteLog {
+        fn read_block(&self, blk: u64, buf: &mut [u8]) -> Result<(), IoError> {
+            self.inner.read_block(blk, buf)
+        }
+        fn write_block(&self, blk: u64, buf: &[u8]) -> Result<(), IoError> {
+            self.writes.lock().unwrap().push(blk);
+            self.inner.write_block(blk, buf)
+        }
+        fn num_blocks(&self) -> u64 {
+            self.inner.num_blocks()
+        }
+        fn stats(&self) -> blockdev::DiskStats {
+            self.inner.stats()
+        }
+    }
+
+    /// `flush_all` writes dirty blocks back in ascending disk-block order,
+    /// whatever order they were committed (and hashed) in.
+    #[test]
+    fn flush_all_writes_back_in_ascending_disk_block_order() {
+        let clock = SimClock::new();
+        let nvm = NvmDevice::new(NvmConfig::new(256 << 10, NvmTech::Pcm), clock.clone());
+        let log = Arc::new(WriteLog {
+            inner: SimDisk::new(DiskKind::Ssd, 1 << 16, clock),
+            writes: Default::default(),
+        });
+        let cfg = TincaConfig {
+            ring_bytes: 4096,
+            ..TincaConfig::default()
+        };
+        let mut c = TincaCache::format(nvm, log.clone(), cfg);
+        let blocks = [907u64, 3, 512, 44, 9000, 45, 128, 7];
+        for &b in &blocks {
+            let mut t = Txn::new();
+            t.write(b, &[b as u8; BLOCK_SIZE]);
+            c.commit(&t).unwrap();
+        }
+        log.writes.lock().unwrap().clear();
+        c.flush_all().unwrap();
+        let mut ascending = blocks.to_vec();
+        ascending.sort_unstable();
+        assert_eq!(*log.writes.lock().unwrap(), ascending);
     }
 }

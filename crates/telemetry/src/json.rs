@@ -1,5 +1,6 @@
 //! Minimal deterministic JSON value model (the workspace builds offline,
-//! so serde is not available; exporters hand-roll their JSON through this).
+//! so serde is not available; exporters hand-roll their JSON through this,
+//! and readers of those files parse it back with [`Json::parse`]).
 
 use std::fmt::Write as _;
 
@@ -26,6 +27,42 @@ impl Json {
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
         )
+    }
+
+    /// Parses one JSON document. A number with a `.` or an exponent
+    /// parses to [`Json::F64`], a negative integer to [`Json::I64`] and
+    /// any other integer to [`Json::U64`] — the forms [`Json::render`]
+    /// writes — so `parse(&v.render()) == v` for every finite value that
+    /// keeps `I64` for negatives.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            s: text.as_bytes(),
+            at: 0,
+        };
+        let v = p.value()?;
+        p.space();
+        if p.at != p.s.len() {
+            return Err(format!("trailing input at byte {}", p.at));
+        }
+        Ok(v)
+    }
+
+    /// The value of `key` if `self` is an object that has it.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Any JSON number as an `f64`; `None` for every other value.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Json::U64(v) => Some(v as f64),
+            Json::I64(v) => Some(v as f64),
+            Json::F64(v) => Some(v),
+            _ => None,
+        }
     }
 
     /// Renders compact JSON (no whitespace).
@@ -111,6 +148,144 @@ impl From<bool> for Json {
     }
 }
 
+struct Parser<'a> {
+    s: &'a [u8],
+    at: usize,
+}
+
+impl Parser<'_> {
+    fn space(&mut self) {
+        while self.s.get(self.at).is_some_and(u8::is_ascii_whitespace) {
+            self.at += 1;
+        }
+    }
+
+    fn eat(&mut self, lit: &str) -> bool {
+        let hit = self.s[self.at..].starts_with(lit.as_bytes());
+        if hit {
+            self.at += lit.len();
+        }
+        hit
+    }
+
+    fn expect(&mut self, lit: &str) -> Result<(), String> {
+        self.space();
+        if self.eat(lit) {
+            Ok(())
+        } else {
+            Err(format!("expected `{lit}` at byte {}", self.at))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.space();
+        match self.s.get(self.at) {
+            Some(b'{') => {
+                self.at += 1;
+                let mut fields = Vec::new();
+                self.space();
+                if self.eat("}") {
+                    return Ok(Json::Obj(fields));
+                }
+                loop {
+                    self.space();
+                    let key = self.string()?;
+                    self.expect(":")?;
+                    fields.push((key, self.value()?));
+                    self.space();
+                    if self.eat("}") {
+                        return Ok(Json::Obj(fields));
+                    }
+                    self.expect(",")?;
+                }
+            }
+            Some(b'[') => {
+                self.at += 1;
+                let mut items = Vec::new();
+                self.space();
+                if self.eat("]") {
+                    return Ok(Json::Arr(items));
+                }
+                loop {
+                    items.push(self.value()?);
+                    self.space();
+                    if self.eat("]") {
+                        return Ok(Json::Arr(items));
+                    }
+                    self.expect(",")?;
+                }
+            }
+            Some(b'"') => self.string().map(Json::Str),
+            Some(_) if self.eat("true") => Ok(Json::Bool(true)),
+            Some(_) if self.eat("false") => Ok(Json::Bool(false)),
+            Some(_) if self.eat("null") => Ok(Json::Null),
+            Some(_) => self.number(),
+            None => Err("unexpected end of input".into()),
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.at;
+        while self
+            .s
+            .get(self.at)
+            .is_some_and(|b| b.is_ascii_digit() || b"+-.eE".contains(b))
+        {
+            self.at += 1;
+        }
+        let t = std::str::from_utf8(&self.s[start..self.at]).unwrap_or_default();
+        let v = if t.contains(['.', 'e', 'E']) {
+            t.parse().ok().map(Json::F64)
+        } else if t.starts_with('-') {
+            t.parse().ok().map(Json::I64)
+        } else {
+            t.parse().ok().map(Json::U64)
+        };
+        v.ok_or_else(|| format!("bad value at byte {start}"))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if !self.eat("\"") {
+            return Err(format!("expected a string at byte {}", self.at));
+        }
+        let mut out = Vec::new();
+        loop {
+            match self.s.get(self.at) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.at += 1;
+                    return String::from_utf8(out).map_err(|e| e.to_string());
+                }
+                Some(b'\\') => {
+                    let c = match self.s.get(self.at + 1) {
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(&c @ (b'"' | b'\\' | b'/')) => char::from(c),
+                        Some(b'u') => self
+                            .s
+                            .get(self.at + 2..self.at + 6)
+                            .and_then(|h| {
+                                u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()
+                            })
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| format!("bad \\u escape at byte {}", self.at))?,
+                        _ => return Err(format!("unsupported escape at byte {}", self.at)),
+                    };
+                    self.at += if self.s[self.at + 1] == b'u' { 6 } else { 2 };
+                    out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                }
+                Some(&c) => {
+                    out.push(c);
+                    self.at += 1;
+                }
+            }
+        }
+    }
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -157,5 +332,52 @@ mod tests {
             ("a", Json::Arr(vec![Json::Null, "x".into()])),
         ]);
         assert_eq!(j.render(), r#"{"b":1,"a":[null,"x"]}"#);
+    }
+
+    #[test]
+    fn parse_inverts_render() {
+        let v = Json::obj(vec![
+            ("int", Json::U64(2)),
+            ("float", Json::F64(2.0)),
+            ("max", Json::U64(u64::MAX)),
+            ("neg", Json::I64(-7)),
+            ("tiny", Json::F64(1.5e-300)),
+            ("huge", Json::F64(-3.25e300)),
+            ("esc", "q\"b\\s/n\nr\rt\t\u{1}é".into()),
+            (
+                "nested",
+                Json::obj(vec![
+                    ("empty", Json::obj(vec![])),
+                    (
+                        "arr",
+                        Json::Arr(vec![Json::Null, true.into(), Json::Arr(vec![])]),
+                    ),
+                ]),
+            ),
+        ]);
+        let text = v.render();
+        assert_eq!(Json::parse(&text), Ok(v.clone()));
+        assert_eq!(v.get("int"), Some(&Json::U64(2)));
+        assert_eq!(v.get("float"), Some(&Json::F64(2.0)));
+        assert_eq!(v.get("max").and_then(Json::as_f64), Some(u64::MAX as f64));
+        assert_eq!(v.get("esc").and_then(Json::as_f64), None);
+        // Whitespace between tokens is accepted; trailing garbage is not.
+        assert_eq!(
+            Json::parse(" { \"a\" : [ 1 , 2.5 ] } "),
+            Ok(Json::obj(vec![(
+                "a",
+                Json::Arr(vec![Json::U64(1), Json::F64(2.5)])
+            )]))
+        );
+        for bad in [
+            "{\"a\":1} x",
+            "{\"a\":}",
+            "[1,",
+            "\"open",
+            "1.2.3",
+            "\"\\x\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
     }
 }

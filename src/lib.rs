@@ -16,8 +16,8 @@
 //! | [`persistcheck`] | pmemcheck-style persist-ordering analyzer over NVM event traces |
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, and the `bench`
-//! crate's binaries (`cargo run --release -p bench --bin run_all`) for the
-//! paper's full evaluation.
+//! crate (`cargo run --release -p bench -- all`) for the paper's full
+//! evaluation.
 
 pub use blockdev;
 pub use classic;
