@@ -11,9 +11,9 @@
 //! and says why.
 
 use crashsim::{
-    backlog_campaign, fault_fuzz_campaign, fuzz_system, fuzz_system_opts, mw_frontier_campaign,
-    mw_pool_fuzz_campaign, pool_frontier_campaign, pool_fuzz_campaign, spanning_frontier_campaign,
-    FailureMode, FrontierReport,
+    backlog_campaign, fault_fuzz_campaign, frontier_fs_campaign, fuzz_system, fuzz_system_mode,
+    fuzz_system_opts, mw_frontier_campaign, mw_pool_fuzz_campaign, pool_frontier_campaign,
+    pool_fuzz_campaign, spanning_frontier_campaign, FailureMode, FrontierReport,
 };
 use fssim::stack::System;
 
@@ -89,6 +89,24 @@ fn fs_fuzz_tallies() {
     assert_eq!(tally!(fuzz_system(System::Tinca, 1000, 10, 60)), (10, 8, 2));
     let destage = fuzz_system_opts(System::Tinca, 7000, 10, 60, FailureMode::PowerPull, true);
     assert_eq!(tally!(destage), (10, 7, 3));
+    assert_eq!(
+        tally!(fuzz_system(System::Classic, 2000, 10, 60)),
+        (10, 1, 9)
+    );
+    let kill = fuzz_system_mode(System::Tinca, 61_000, 10, 50, FailureMode::ProcessKill);
+    assert_eq!(tally!(kill), (10, 7, 3));
+}
+
+#[test]
+fn fs_frontier_tallies() {
+    assert_eq!(
+        epochs(frontier_fs_campaign(System::Tinca, 11, 4, 4)),
+        (36, 26, 10, 94)
+    );
+    assert_eq!(
+        epochs(frontier_fs_campaign(System::Classic, 11, 4, 2)),
+        (24, 0, 24, 48)
+    );
 }
 
 #[test]
