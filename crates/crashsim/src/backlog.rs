@@ -26,8 +26,7 @@ use workloads::openloop::{
 };
 
 use crate::app::{campaign, AppOutcome, CampaignReport};
-use crate::engine::{small_pool, BlockOracle, Cut, Images, Rig, Trip};
-use crate::quiet_crash_panics;
+use crate::engine::{run_one, small_pool, BlockOracle, Cut, Images, PoolApp, Rig, Trip};
 
 fn overload_spec(shards: usize, seed: u64) -> OpenLoopSpec {
     OpenLoopSpec {
@@ -52,10 +51,8 @@ fn overload_spec(shards: usize, seed: u64) -> OpenLoopSpec {
 /// writes admission control shed before the crash (or stream end) added
 /// to `report`.
 fn backlog_seed(shards: usize, seed: u64, report: &mut CampaignReport) -> AppOutcome {
-    quiet_crash_panics();
     let spec = overload_spec(shards, seed);
     let (rig, pool) = Rig::new(small_pool(shards, CommitMode::Mutex, false), 512 << 10);
-    let _seed_span = telemetry::span(telemetry::phase::CRASH_SEED);
 
     // The stream is deterministic, so the oracle sees the whole plan up
     // front: step `i` serves arrival `i`.
@@ -64,13 +61,10 @@ fn backlog_seed(shards: usize, seed: u64, report: &mut CampaignReport) -> AppOut
         dev: (seed % shards as u64) as usize,
         at: 1 + (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 3_000),
     };
-    let mut oracle = BlockOracle::new(Images::Stamped, spec.blocks);
-    let mut driver = OpenLoopDriver::new(spec, TincaServer::new(&pool, rig.clock.clone()));
-    let cut = Cut::Random {
-        seed: seed ^ 0xBAC1,
-        shift: 13,
-    };
-    rig.run_seed(seed, trip, cut, &mut oracle, |oracle| {
+    let oracle = BlockOracle::new(Images::Stamped, spec.blocks);
+    let mut app = PoolApp::new(rig, pool, oracle, |rig, pool, oracle| {
+        let server = TincaServer::new(pool, rig.clock.clone());
+        let mut driver = OpenLoopDriver::new(spec.clone(), server);
         for arrival in &plan {
             let write: Option<Vec<(u64, u64)>> = match &arrival.kind {
                 OpKind::Write { blks, seq } => Some(blks.iter().map(|&b| (b, *seq)).collect()),
@@ -88,7 +82,13 @@ fn backlog_seed(shards: usize, seed: u64, report: &mut CampaignReport) -> AppOut
                 None => break,
             }
         }
-    })
+        Ok(())
+    });
+    let cut = Cut::Random {
+        seed: seed ^ 0xBAC1,
+        shift: 13,
+    };
+    run_one(&mut app, trip, cut).tagged(format_args!("seed {seed} {trip}"))
 }
 
 /// Runs one seeded crash-mid-backlog iteration against an `N`-shard pool.

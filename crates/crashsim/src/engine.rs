@@ -1,22 +1,33 @@
-//! The pool crash engine: what every pool-level campaign shares.
+//! The crash engine: the one trip → cut → recover → verify sequence every
+//! campaign runs.
 //!
-//! A campaign brings its plan (a script of block transactions, a
-//! multi-writer round schedule, an open-loop arrival stream), its driver
-//! and any checks of its own. Everything else is here, once:
+//! An application — the FS stack, a kvdb personality, a pool and its
+//! plan — implements [`Crashable`]; two drivers run the experiment on
+//! it:
+//!
+//! * [`run_one`] — one trip: arm it, drive the app until it returns or
+//!   the trip cuts it, and if it was cut, fail the power, recover and
+//!   verify. The random sweeps run it once per seed, the directed ones
+//!   once per chosen instant;
+//! * [`frontier`] — bounded exhaustive enumeration: a probe run harvests
+//!   every device's fence epochs, then every persist frontier of every
+//!   epoch is replayed through [`run_one`] with [`Cut::Frontier`].
+//!
+//! The pieces they and the pool campaigns share are here too, once:
 //!
 //! * [`Rig`] — the traced shard devices, the disk (plain, or wrapped in a
 //!   [`FaultyDisk`]), the [`PoolConfig`] and each shard's metadata ranges;
-//!   it formats and recovers the pool;
+//!   it formats, recovers, audits and checks the pool;
 //! * [`tripped`] — the trip runner: runs a driver until it returns or an
 //!   armed trip cuts it, re-raises any other panic, disarms;
-//! * [`Cut`] — how the power fails: adversarially on every device, or at
-//!   one exact persist frontier of the tripped device;
+//! * [`Cut`] — how the power fails: adversarially on every device, a
+//!   process kill, or one exact persist frontier of the tripped device;
 //! * [`audit`] — the persist-order check of every shard's trace and of
 //!   the merged pool-wide trace;
 //! * [`BlockOracle`] — the payload images, the durable map and the
 //!   in-flight transactions, judged after recovery;
 //! * the report is [`crate::CampaignReport`], one outcome per seed an
-//!   [`AppOutcome`].
+//!   [`AppOutcome`] ([`FrontierReport`] per enumeration).
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -29,18 +40,135 @@ use nvmsim::{
     NvmTech, SimClock, CACHE_LINE,
 };
 use persistcheck::{CheckConfig, Checker};
-use tinca::{CommitMode, DynDisk, PoolConfig, TincaConfig, TincaPool, Txn};
+use tinca::{CommitMode, DynDisk, PoolConfig, TincaConfig, TincaError, TincaPool, Txn};
 use workloads::openloop::write_payload;
 
 use crate::app::AppOutcome;
-use crate::FailureMode;
+use crate::frontier::{epochs_from_trace, frontiers};
+use crate::{quiet_crash_panics, FailureMode, FrontierReport};
+
+/// One application under the crash experiment. It is built fresh:
+/// formatted, its plan rolled, no trip armed.
+pub trait Crashable {
+    /// The traced NVM devices, in shard order.
+    fn devices(&self) -> &[Nvm];
+    /// Runs the plan, telling the oracle what it committed. An error with
+    /// no crash is a workload bug, and a violation.
+    fn drive(&mut self) -> Result<(), String>;
+    /// Fails the power per `cut` and runs the application's own recovery.
+    fn recover(&mut self, cut: Cut<'_>) -> Result<(), String>;
+    /// Checks the recovered state: internals, the persist-order
+    /// [`audit`], then the oracle.
+    fn verify(&mut self) -> Result<(), String>;
+}
+
+/// One crash experiment: arms `trip`, drives `app` until it returns (the
+/// run completed) or the trip cuts it, and then fails the power per `cut`,
+/// recovers and verifies.
+pub fn run_one(app: &mut impl Crashable, trip: Trip, cut: Cut<'_>) -> AppOutcome {
+    quiet_crash_panics();
+    let _seed_span = telemetry::span(telemetry::phase::CRASH_SEED);
+    let devices = app.devices().to_vec();
+    devices[trip.dev].set_trip(Some(trip.at));
+    let verdict = match tripped(&devices, || app.drive()) {
+        Some(Ok(())) => return AppOutcome::Completed,
+        Some(Err(e)) => Err(e),
+        None => app.recover(cut).and_then(|()| app.verify()),
+    };
+    match verdict {
+        Ok(()) => AppOutcome::CrashedVerified,
+        Err(e) => AppOutcome::Violation(e),
+    }
+}
+
+/// Bounded exhaustive crash-state enumeration of the app `build` makes. A
+/// probe run harvests every device's fence epochs; epochs before the
+/// workload (format, mount) are skipped. Each other epoch is replayed on
+/// a fresh build to its last staged `clflush` and cut at every frontier
+/// ([`Cut::Frontier`]): all `2^k` subsets of its `k` staged lines when
+/// that fits `cap_per_epoch`, else a deterministic sample that keeps the
+/// empty and full ones. `site` names the device in violations (`"seed S
+/// shard D epoch I …"`); `None` omits it, for one-device apps.
+pub fn frontier<A: Crashable>(
+    build: impl Fn() -> Result<A, String>,
+    seed: u64,
+    cap_per_epoch: usize,
+    site: Option<&str>,
+) -> FrontierReport {
+    let mut report = FrontierReport {
+        cap_per_epoch: cap_per_epoch.max(2),
+        ..FrontierReport::default()
+    };
+    let probe = build().and_then(|mut app| {
+        let starts: Vec<u64> = app.devices().iter().map(|d| d.events()).collect();
+        app.drive()?;
+        let epochs: Vec<_> = app
+            .devices()
+            .iter()
+            .map(|d| epochs_from_trace(&d.take_trace()))
+            .collect();
+        Ok((starts, epochs))
+    });
+    let (starts, epochs) = match probe {
+        Ok(probe) => probe,
+        Err(e) => {
+            report.violations.push(format!("probe: {e}"));
+            return report;
+        }
+    };
+    for (s, epochs) in epochs.iter().enumerate() {
+        for (i, ep) in epochs.iter().enumerate() {
+            if ep.trip_event <= starts[s] {
+                report.epochs_skipped_setup += 1;
+                continue;
+            }
+            report.epochs_total += 1;
+            let sub_seed = seed ^ ((s as u64) << 48) ^ ((i as u64) << 32);
+            let (keeps, capped) = frontiers(&ep.staged, cap_per_epoch, sub_seed);
+            if capped {
+                report.epochs_capped += 1;
+                telemetry::count("frontier.epochs.capped", 1);
+            } else {
+                report.epochs_exhaustive += 1;
+            }
+            let trip = Trip {
+                dev: s,
+                at: ep.trip_event - starts[s],
+            };
+            for keep in keeps {
+                report.states_run += 1;
+                telemetry::count("frontier.states", 1);
+                let cut = Cut::Frontier {
+                    dev: s,
+                    keep: &keep,
+                };
+                let e = match build().map(|mut app| run_one(&mut app, trip, cut)) {
+                    Ok(AppOutcome::CrashedVerified) => continue,
+                    Ok(AppOutcome::Completed) => {
+                        "trip did not fire on replay (workload not deterministic?)".into()
+                    }
+                    Ok(AppOutcome::Violation(e)) | Err(e) => e,
+                };
+                let at = match site {
+                    Some(site) => format!("{site} {s} epoch {i}"),
+                    None => format!("epoch {i}"),
+                };
+                report.violations.push(format!(
+                    "seed {seed} {at} trip {} keep {keep:?}: {e}",
+                    ep.trip_event
+                ));
+            }
+        }
+    }
+    report
+}
 
 /// NVM bytes per shard of the campaigns' small pools.
-pub(crate) const SHARD_BYTES: usize = 256 << 10;
+pub const SHARD_BYTES: usize = 256 << 10;
 
 /// The campaigns' small pool: a 4 KB ring per shard, everything else
 /// default.
-pub(crate) fn small_pool(shards: usize, commit_mode: CommitMode, delta_stage: bool) -> PoolConfig {
+pub fn small_pool(shards: usize, commit_mode: CommitMode, delta_stage: bool) -> PoolConfig {
     PoolConfig {
         shards,
         commit_mode,
@@ -55,8 +183,8 @@ pub(crate) fn small_pool(shards: usize, commit_mode: CommitMode, delta_stage: bo
 /// One scripted transaction: disjoint `(block, version)` writes.
 pub(crate) type TxnSpec = Vec<(u64, u64)>;
 
-/// Where a random-trip seed cuts the power: persistence event `at`
-/// (counted from arming) of device `dev`.
+/// Where the power fails: persistence event `at` (counted from arming)
+/// of device `dev`.
 #[derive(Clone, Copy, Debug)]
 pub struct Trip {
     pub dev: usize,
@@ -69,8 +197,8 @@ impl std::fmt::Display for Trip {
     }
 }
 
-/// One formatted pool under test and everything needed to cut its power
-/// and recover it.
+/// One formatted pool under test and everything needed to recover and
+/// check it.
 pub struct Rig {
     /// One traced device per shard.
     pub devices: Vec<Nvm>,
@@ -145,11 +273,6 @@ impl Rig {
         BlockOracle::new(images, blocks)
     }
 
-    /// Arms `trip`.
-    pub fn arm(&self, trip: Trip) {
-        self.devices[trip.dev].set_trip(Some(trip.at));
-    }
-
     /// Checks a live or recovered pool, with fault injection off so the
     /// reads observe state rather than perturb it: every shard's
     /// internals, the persist-order [`audit`] of everything traced since
@@ -160,36 +283,80 @@ impl Rig {
         }
         pool.check_consistency()
             .map_err(|e| format!("inconsistent internals: {e}"))?;
-        audit(&self.devices, &self.metadata)?;
+        self.audit()?;
         oracle.check(pool)
     }
 
-    /// Cuts the power, recovers the pool from what the devices hold and
-    /// [`check`](Self::check)s it.
-    pub fn cut(&self, cut: Cut<'_>, oracle: &BlockOracle) -> Result<(), String> {
-        cut.apply(&self.devices);
-        let pool = TincaPool::recover(self.devices.clone(), self.disk.clone(), self.cfg.clone())
-            .map_err(|e| format!("recovery failed: {e}"))?;
-        self.check(&pool, oracle)
+    /// The persist-order [`audit`] of everything the devices traced since
+    /// the last one.
+    pub fn audit(&self) -> Result<(), String> {
+        audit(&self.devices, &self.metadata)
     }
 
-    /// One random-trip seed: `drive` runs with `trip` armed, telling
-    /// `oracle` what it commits. If it returns first the seed completed;
-    /// otherwise the power fails per `cut` and the recovered pool is
-    /// checked.
-    pub fn run_seed(
-        &self,
-        seed: u64,
-        trip: Trip,
-        cut: Cut<'_>,
-        oracle: &mut BlockOracle,
-        drive: impl FnOnce(&mut BlockOracle),
-    ) -> AppOutcome {
-        self.arm(trip);
-        if tripped(&self.devices, || drive(oracle)).is_some() {
-            return AppOutcome::Completed;
+    /// Recovers the pool from what the devices hold.
+    pub fn recover(&self) -> Result<TincaPool, TincaError> {
+        TincaPool::recover(self.devices.clone(), self.disk.clone(), self.cfg.clone())
+    }
+}
+
+/// A pool campaign as a [`Crashable`]: the rig, the pool it formatted, the
+/// oracle, and the campaign's drive, which plays the plan on the pool and
+/// tells the oracle what it commits.
+pub(crate) struct PoolApp<D> {
+    pub rig: Rig,
+    /// The pool the drive ran on. A crash leaves it as the workload did,
+    /// DRAM counters included; recovery builds a new one.
+    pub pool: TincaPool,
+    pub oracle: BlockOracle,
+    recovered: Option<TincaPool>,
+    drive: D,
+}
+
+impl<D> PoolApp<D>
+where
+    D: FnMut(&Rig, &TincaPool, &mut BlockOracle) -> Result<(), String>,
+{
+    pub fn new(rig: Rig, pool: TincaPool, oracle: BlockOracle, drive: D) -> PoolApp<D> {
+        PoolApp {
+            rig,
+            pool,
+            oracle,
+            recovered: None,
+            drive,
         }
-        AppOutcome::judged(self.cut(cut, oracle), format_args!("seed {seed} {trip}"))
+    }
+
+    /// A freshly formatted pool of `cfg` with [`SHARD_BYTES`] shards, and
+    /// an oracle over blocks `0..blocks` with the images `cfg` calls for.
+    pub fn fresh(cfg: &PoolConfig, blocks: u64, drive: D) -> PoolApp<D> {
+        let (rig, pool) = Rig::new(cfg.clone(), SHARD_BYTES);
+        let oracle = rig.oracle(blocks);
+        PoolApp::new(rig, pool, oracle, drive)
+    }
+}
+
+impl<D> Crashable for PoolApp<D>
+where
+    D: FnMut(&Rig, &TincaPool, &mut BlockOracle) -> Result<(), String>,
+{
+    fn devices(&self) -> &[Nvm] {
+        &self.rig.devices
+    }
+
+    fn drive(&mut self) -> Result<(), String> {
+        (self.drive)(&self.rig, &self.pool, &mut self.oracle)
+    }
+
+    fn recover(&mut self, cut: Cut<'_>) -> Result<(), String> {
+        cut.apply(&self.rig.devices);
+        let pool = self.rig.recover();
+        self.recovered = Some(pool.map_err(|e| format!("recovery failed: {e}"))?);
+        Ok(())
+    }
+
+    fn verify(&mut self) -> Result<(), String> {
+        let pool = self.recovered.as_ref().expect("recovered pool");
+        self.rig.check(pool, &self.oracle)
     }
 }
 
@@ -221,6 +388,8 @@ pub enum Cut<'a> {
     /// A process kill: DRAM is lost but the CPU caches drain, so
     /// everything stored reaches NVM.
     PersistAll,
+    /// Every device loses everything not yet fenced.
+    LoseVolatile,
     /// Device `dev` resolves its open fence epoch to exactly the staged
     /// lines `keep`; every other device loses its volatile state.
     Frontier { dev: usize, keep: &'a [usize] },
@@ -248,6 +417,9 @@ impl Cut<'_> {
             Cut::PersistAll => devices
                 .iter()
                 .for_each(|d| d.crash(CrashPolicy::PersistAll)),
+            Cut::LoseVolatile => devices
+                .iter()
+                .for_each(|d| d.crash(CrashPolicy::LoseVolatile)),
             Cut::Frontier { dev, keep } => {
                 let keep: HashSet<usize> = keep.iter().copied().collect();
                 devices[dev].crash_frontier(&keep);
@@ -462,6 +634,52 @@ impl BlockOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    struct Scripted {
+        devices: Vec<Nvm>,
+        crashes: bool,
+        recover: Result<(), String>,
+    }
+
+    impl Crashable for Scripted {
+        fn devices(&self) -> &[Nvm] {
+            &self.devices
+        }
+        fn drive(&mut self) -> Result<(), String> {
+            if self.crashes {
+                resume_unwind(Box::new(CrashTripped { event: 1 }));
+            }
+            Ok(())
+        }
+        fn recover(&mut self, _: Cut<'_>) -> Result<(), String> {
+            self.recover.clone()
+        }
+        fn verify(&mut self) -> Result<(), String> {
+            Err("verify must not run".into())
+        }
+    }
+
+    fn scripted(crashes: bool, recover: Result<(), String>) -> AppOutcome {
+        let device = NvmDevice::new(NvmConfig::new(4096, NvmTech::Pcm), SimClock::new());
+        let mut app = Scripted {
+            devices: vec![device],
+            crashes,
+            recover,
+        };
+        run_one(&mut app, Trip { dev: 0, at: 1 }, Cut::LoseVolatile)
+    }
+
+    #[test]
+    fn completed_skips_recovery() {
+        let recover = Err("recovery must not run".into());
+        assert_eq!(scripted(false, recover), AppOutcome::Completed);
+    }
+
+    #[test]
+    fn recovery_failure_is_a_violation() {
+        let outcome = scripted(true, Err("boom".into())).tagged("seed 3");
+        assert_eq!(outcome, AppOutcome::Violation("seed 3: boom".into()));
+    }
 
     #[test]
     fn sparse_images_change_runs_in_both_halves_and_hold_no_zero_line() {

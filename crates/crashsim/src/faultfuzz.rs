@@ -35,8 +35,9 @@ use rand::{Rng, SeedableRng};
 use tinca::{CommitMode, Health, TincaPool};
 
 use crate::app::{campaign, AppOutcome, CampaignReport};
-use crate::engine::{small_pool, tripped, BlockOracle, Cut, Rig, Trip, TxnSpec, SHARD_BYTES};
-use crate::quiet_crash_panics;
+use crate::engine::{
+    run_one, small_pool, BlockOracle, Cut, PoolApp, Rig, Trip, TxnSpec, SHARD_BYTES,
+};
 
 /// Disk blocks the workload touches.
 const WORK_BLOCKS: u64 = 96;
@@ -147,7 +148,6 @@ fn check_completed(rig: &Rig, pool: &TincaPool, oracle: &BlockOracle) -> Result<
 /// One seeded crash+fault iteration on an `N`-shard pool, its fault
 /// counters added to `report`.
 fn fault_seed(shards: usize, seed: u64, txns: usize, report: &mut CampaignReport) -> AppOutcome {
-    quiet_crash_panics();
     let mut rng = StdRng::seed_from_u64(seed);
     let plan = draw_plan(&mut rng, seed);
     // Odd seeds run the write-behind pipeline: the 256 KB of NVM (split
@@ -160,7 +160,6 @@ fn fault_seed(shards: usize, seed: u64, txns: usize, report: &mut CampaignReport
     cfg.cache.destage = destage;
     cfg.cache.coalesce_flushes = destage;
     let (rig, pool) = Rig::with_faults(cfg, SHARD_BYTES / shards, plan);
-    let _seed_span = telemetry::span(telemetry::phase::CRASH_SEED);
 
     // The trip range deliberately overshoots the script's event count for
     // part of the seed space, so campaigns cover both mid-run crashes and
@@ -171,35 +170,34 @@ fn fault_seed(shards: usize, seed: u64, txns: usize, report: &mut CampaignReport
         dev: (seed / 2 % shards as u64) as usize,
         at: rng.gen_range(1..12_000u64),
     };
-    let mut oracle = rig.oracle(WORK_BLOCKS);
-    rig.arm(trip);
-    let run = tripped(&rig.devices, || play(&pool, &ops, &mut oracle));
+    let oracle = rig.oracle(WORK_BLOCKS);
+    let mut app = PoolApp::new(rig, pool, oracle, |_, pool, oracle| {
+        play(pool, &ops, oracle)
+    });
+    // Power failure mid-run: recovery runs with fault injection still
+    // live (it must not need the disk).
+    let cut = Cut::Random {
+        seed: seed ^ 0xD15C,
+        shift: 17,
+    };
+    let outcome = run_one(&mut app, trip, cut);
 
-    // Fault counters live in DRAM, so they are read off the pre-crash
-    // pool (a crash wipes them along with the rest of DRAM).
-    let s = pool.stats();
+    // Fault counters live in DRAM: they are read off the pool the
+    // workload ran on (a crash wipes them along with the rest of DRAM).
+    let s = app.pool.stats();
     report.io_retries += s.io_retries;
     report.transients_absorbed += s.transient_errors_absorbed;
     report.permanent_errors += s.permanent_io_errors;
-    report.degraded += u64::from(quarantined(&pool) > 0);
+    report.degraded += u64::from(quarantined(&app.pool) > 0);
 
-    let completed = run.is_some();
-    let verdict = match run {
-        Some(played) => played.and_then(|()| check_completed(&rig, &pool, &oracle)),
-        // Power failure mid-run: recovery runs with fault injection still
-        // live (it must not need the disk).
-        None => rig.cut(
-            Cut::Random {
-                seed: seed ^ 0xD15C,
-                shift: 17,
-            },
-            &oracle,
-        ),
-    };
-    match AppOutcome::judged(verdict, format_args!("seed {seed} {trip}")) {
-        AppOutcome::CrashedVerified if completed => AppOutcome::Completed,
+    let outcome = match outcome {
+        AppOutcome::Completed => match check_completed(&app.rig, &app.pool, &app.oracle) {
+            Ok(()) => AppOutcome::Completed,
+            Err(e) => AppOutcome::Violation(e),
+        },
         outcome => outcome,
-    }
+    };
+    outcome.tagged(format_args!("seed {seed} {trip}"))
 }
 
 /// Runs one seeded crash+fault iteration on an `N`-shard pool.

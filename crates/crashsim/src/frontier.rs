@@ -1,15 +1,16 @@
 //! Bounded exhaustive crash-state enumeration.
 //!
 //! The random trip sweep ([`crate::fuzz`], [`crate::poolfuzz`]) samples one
-//! crash instant and one write-back resolution per seed. This module
-//! *enumerates* instead: a probe run records the full event trace of a
-//! scripted workload, every fence epoch (the staged lines between two
-//! consecutive `sfence`s) is extracted, and for each epoch every reachable
-//! **persist frontier** — every subset of the epoch's staged lines — is
-//! materialised with [`nvmsim::NvmDevice::crash_frontier`], recovered, and
-//! verified against the oracle. For small scripts this subsumes the random
-//! sweep: any crash state `CrashPolicy::Random` can produce at line
-//! granularity is one of the enumerated frontiers.
+//! crash instant and one write-back resolution per seed. The engine's
+//! [`frontier`] driver *enumerates* instead: a probe run records the full
+//! event trace of a scripted workload, every fence epoch (the staged lines
+//! between two consecutive `sfence`s) is extracted here, and for each
+//! epoch every reachable **persist frontier** — every subset of the
+//! epoch's staged lines — is materialised with
+//! [`nvmsim::NvmDevice::crash_frontier`], recovered, and verified against
+//! the oracle. For small scripts this subsumes the random sweep: any crash
+//! state `CrashPolicy::Random` can produce at line granularity is one of
+//! the enumerated frontiers.
 //!
 //! Epochs with more than `log2(cap_per_epoch)` staged lines are sampled
 //! instead of enumerated (the empty and full frontiers are always
@@ -17,8 +18,7 @@
 //! mistaken for an exhaustive one.
 //!
 //! Three campaigns are provided here (the multi-writer one lives in
-//! [`crate::mwfuzz`]); the pool ones enumerate through the engine's rig,
-//! cut and oracle:
+//! [`crate::mwfuzz`]), each a call to [`frontier`]:
 //!
 //! * [`frontier_fs_campaign`] — the single-threaded FS stack, replaying
 //!   the same scripts as [`crate::fuzz`];
@@ -36,19 +36,17 @@
 //!   window retirement; recovery must make each transaction
 //!   all-or-nothing across all shards at every frontier.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
+use std::panic::resume_unwind;
 
-use fssim::stack::{StackConfig, System};
-use nvmsim::{Nvm, TraceEvent, TracedOp};
+use fssim::stack::System;
+use nvmsim::{CrashTripped, Nvm, TraceEvent, TracedOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tinca::{CommitMode, PoolConfig, TincaPool};
+use tinca::{CommitMode, TincaPool};
 
-use crate::engine::{
-    small_pool, tripped, BlockOracle, Cut, Images, Rig, Trip, TxnSpec, SHARD_BYTES,
-};
-use crate::fuzz::{apply, script};
-use crate::{quiet_crash_panics, CrashHarness, FsOracle};
+use crate::engine::{frontier, small_pool, tripped, BlockOracle, Images, PoolApp, Rig, TxnSpec};
+use crate::fuzz::{script, FsApp};
 
 /// Aggregate over a frontier-enumeration campaign.
 #[derive(Clone, Debug, Default)]
@@ -92,7 +90,7 @@ impl std::fmt::Display for FrontierReport {
 
 /// One fence epoch reconstructed from a probe trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FenceEpoch {
+pub(crate) struct FenceEpoch {
     /// Staged lines, in first-staging order, deduplicated.
     pub staged: Vec<usize>,
     /// Absolute persistence-event ordinal of the epoch's **last staged
@@ -106,7 +104,7 @@ pub struct FenceEpoch {
 /// one line, mirroring the device's persistence-event counter: each
 /// `clflush` *line*, each `sfence`, and each atomic store bumps it; plain
 /// stores and sync annotations do not.
-pub fn epochs_from_trace(ops: &[TracedOp]) -> Vec<FenceEpoch> {
+pub(crate) fn epochs_from_trace(ops: &[TracedOp]) -> Vec<FenceEpoch> {
     let mut out = Vec::new();
     let mut event = 0u64;
     let mut staged: Vec<usize> = Vec::new();
@@ -142,7 +140,7 @@ pub fn epochs_from_trace(ops: &[TracedOp]) -> Vec<FenceEpoch> {
 /// The frontiers to run for one epoch: all `2^k` line subsets when that
 /// fits the cap, else a deterministic sample (always containing the empty
 /// and full frontiers). Returns `(frontiers, capped)`.
-fn frontiers(staged: &[usize], cap: usize, seed: u64) -> (Vec<Vec<usize>>, bool) {
+pub(crate) fn frontiers(staged: &[usize], cap: usize, seed: u64) -> (Vec<Vec<usize>>, bool) {
     let k = staged.len();
     let cap = cap.max(2);
     if k < usize::BITS as usize - 1 && (1usize << k) <= cap {
@@ -177,69 +175,6 @@ fn frontiers(staged: &[usize], cap: usize, seed: u64) -> (Vec<Vec<usize>>, bool)
     (seen.into_iter().collect(), true)
 }
 
-/// The shared frontier-enumeration loop: for each device's probe-harvested
-/// fence epochs, skips setup epochs, enumerates (or samples) each epoch's
-/// frontiers, and calls `run_state(device, rel_trip, keep)` once per crash
-/// state — which must replay the workload to `rel_trip` events past the
-/// device's start, crash at exactly `keep`, recover, and verify.
-///
-/// `site` labels the device index in violation strings (`Some("shard")` →
-/// `"seed S shard D epoch I …"`; `None` omits it, for single-device
-/// campaigns). Every frontier campaign, the kvdb ones included, runs
-/// through this loop.
-pub fn frontier_enumerate<F>(
-    seed: u64,
-    cap_per_epoch: usize,
-    epochs_per_dev: &[Vec<FenceEpoch>],
-    starts: &[u64],
-    site: Option<&str>,
-    mut run_state: F,
-) -> FrontierReport
-where
-    F: FnMut(usize, u64, &[usize]) -> Result<(), String>,
-{
-    let mut report = FrontierReport {
-        cap_per_epoch: cap_per_epoch.max(2),
-        ..FrontierReport::default()
-    };
-    for (s, epochs) in epochs_per_dev.iter().enumerate() {
-        for (i, ep) in epochs.iter().enumerate() {
-            if ep.trip_event <= starts[s] {
-                report.epochs_skipped_setup += 1;
-                continue;
-            }
-            report.epochs_total += 1;
-            let sub_seed = seed ^ ((s as u64) << 48) ^ ((i as u64) << 32);
-            let (keeps, capped) = frontiers(&ep.staged, cap_per_epoch, sub_seed);
-            if capped {
-                report.epochs_capped += 1;
-                telemetry::count("frontier.epochs.capped", 1);
-            } else {
-                report.epochs_exhaustive += 1;
-            }
-            for keep in keeps {
-                report.states_run += 1;
-                telemetry::count("frontier.states", 1);
-                if let Err(e) = run_state(s, ep.trip_event - starts[s], &keep) {
-                    let at = match site {
-                        Some(site) => format!("{site} {s} epoch {i}"),
-                        None => format!("epoch {i}"),
-                    };
-                    report.violations.push(format!(
-                        "seed {seed} {at} trip {} keep {keep:?}: {e}",
-                        ep.trip_event
-                    ));
-                }
-            }
-        }
-    }
-    report
-}
-
-// ---------------------------------------------------------------------------
-// FS campaign (single-threaded stack, same scripts as the random fuzzer)
-// ---------------------------------------------------------------------------
-
 /// Enumerates crash frontiers for one seeded FS script against `system`.
 ///
 /// A probe run traces the complete workload once; every fence epoch in the
@@ -252,119 +187,12 @@ pub fn frontier_fs_campaign(
     steps: usize,
     cap_per_epoch: usize,
 ) -> FrontierReport {
-    quiet_crash_panics();
-    let mut cfg = StackConfig::tiny(system);
-    cfg.txn_block_limit = 100_000; // commits only at explicit fsync
-    let plan = {
-        let mut rng = StdRng::seed_from_u64(seed);
-        script(&mut rng, steps, 12)
-    };
-
-    // Probe: run the whole script once, untripped, and harvest the epochs.
-    let (epochs, start_events) = {
-        let mut probe = CrashHarness::new(cfg.clone());
-        telemetry::swap_clock(&probe.stack().clock);
-        let start = probe.events();
-        let mut oracle = FsOracle::new();
-        probe.run(|fs| {
-            for step in &plan {
-                apply(fs, &mut oracle, step);
-            }
-        });
-        (epochs_from_trace(&probe.stack().nvm.take_trace()), start)
-    };
-
-    frontier_enumerate(
+    let plan = script(&mut StdRng::seed_from_u64(seed), steps, 12);
+    frontier(
+        || Ok(FsApp::new(system, false, &plan)),
         seed,
         cap_per_epoch,
-        &[epochs],
-        &[start_events],
         None,
-        |_, rel_trip, keep| run_fs_state(&cfg, &plan, rel_trip, keep),
-    )
-}
-
-/// One crash state: replay to the epoch's trip, crash at exactly `keep`,
-/// remount, verify.
-fn run_fs_state(
-    cfg: &StackConfig,
-    plan: &[crate::fuzz::Step],
-    rel_trip: u64,
-    keep: &[usize],
-) -> Result<(), String> {
-    let mut harness = CrashHarness::new(cfg.clone());
-    telemetry::swap_clock(&harness.stack().clock);
-    let mut oracle = FsOracle::new();
-    let crashed = {
-        let oracle = &mut oracle;
-        harness.run_with_trip(rel_trip, move |fs| {
-            for step in plan {
-                apply(fs, oracle, step);
-            }
-        })
-    };
-    if !crashed {
-        return Err("trip did not fire on replay (workload not deterministic?)".into());
-    }
-    let keep_set: HashSet<usize> = keep.iter().copied().collect();
-    harness.crash_frontier_and_remount(&keep_set);
-    harness.verify(&oracle).map_err(|e| e.to_string())
-}
-
-// ---------------------------------------------------------------------------
-// Pool campaigns, on the engine
-// ---------------------------------------------------------------------------
-
-/// Bounded-exhaustive frontier enumeration of a pool workload over
-/// blocks `0..blocks`. `drive` plays the workload on a freshly formatted
-/// [`Rig`] — through [`tripped`], so an armed trip can cut it — tells the
-/// oracle what it committed and what it left in flight, and returns
-/// whether the trip fired (`Err`: a violation of the campaign's own).
-/// A probe run harvests every device's fence epochs; each epoch is then
-/// replayed to its last staged `clflush` on its device, cut at every
-/// enumerated frontier ([`Cut::Frontier`]), recovered and checked.
-pub(crate) fn pool_frontier<D>(
-    cfg: &PoolConfig,
-    blocks: u64,
-    seed: u64,
-    cap_per_epoch: usize,
-    site: &str,
-    drive: D,
-) -> FrontierReport
-where
-    D: Fn(&Rig, &TincaPool, &mut BlockOracle) -> Result<bool, String>,
-{
-    quiet_crash_panics();
-    let (rig, pool) = Rig::new(cfg.clone(), SHARD_BYTES);
-    let starts: Vec<u64> = rig.devices.iter().map(|d| d.events()).collect();
-    if drive(&rig, &pool, &mut rig.oracle(blocks)) != Ok(false) {
-        return FrontierReport {
-            cap_per_epoch: cap_per_epoch.max(2),
-            violations: vec!["probe run crashed with no trip armed".into()],
-            ..FrontierReport::default()
-        };
-    }
-    let epochs: Vec<Vec<FenceEpoch>> = rig
-        .devices
-        .iter()
-        .map(|d| epochs_from_trace(&d.take_trace()))
-        .collect();
-
-    frontier_enumerate(
-        seed,
-        cap_per_epoch,
-        &epochs,
-        &starts,
-        Some(site),
-        |dev, at, keep| {
-            let (rig, pool) = Rig::new(cfg.clone(), SHARD_BYTES);
-            let mut oracle = rig.oracle(blocks);
-            rig.arm(Trip { dev, at });
-            if !drive(&rig, &pool, &mut oracle)? {
-                return Err("trip did not fire on replay (stream not deterministic?)".into());
-            }
-            rig.cut(Cut::Frontier { dev, keep }, &oracle)
-        },
     )
 }
 
@@ -470,29 +298,33 @@ pub fn pool_frontier_campaign(
         })
         .collect();
     let cfg = small_pool(shards, CommitMode::Mutex, delta_stage);
-    pool_frontier(
-        &cfg,
-        blocks,
+    let drive = |rig: &Rig, pool: &TincaPool, oracle: &mut BlockOracle| {
+        let results = run_pool_threads(pool, &rig.devices, &plans, oracle.images());
+        let crashed = results.iter().filter(|(_, c)| *c).count();
+        if crashed > 1 {
+            return Err(format!("{crashed} threads crashed on one trip"));
+        }
+        for (plan, &(committed, _)) in plans.iter().zip(&results) {
+            for spec in &plan[..committed] {
+                oracle.begin(spec);
+                oracle.commit();
+            }
+        }
+        // The crashed worker's trip, raised again now that every worker
+        // has joined.
+        if let Some(s) = results.iter().position(|r| r.1) {
+            oracle.begin(&plans[s][results[s].0]);
+            resume_unwind(Box::new(CrashTripped {
+                event: rig.devices[s].events(),
+            }));
+        }
+        Ok(())
+    };
+    frontier(
+        || Ok(PoolApp::fresh(&cfg, blocks, drive)),
         seed,
         cap_per_epoch,
-        "shard",
-        |rig, pool, oracle| {
-            let results = run_pool_threads(pool, &rig.devices, &plans, oracle.images());
-            let crashed = results.iter().filter(|(_, c)| *c).count();
-            if crashed > 1 {
-                return Err(format!("{crashed} threads crashed on one trip"));
-            }
-            for (plan, &(committed, _)) in plans.iter().zip(&results) {
-                for spec in &plan[..committed] {
-                    oracle.begin(spec);
-                    oracle.commit();
-                }
-            }
-            if let Some((plan, &(committed, _))) = plans.iter().zip(&results).find(|(_, r)| r.1) {
-                oracle.begin(&plan[committed]);
-            }
-            Ok(crashed == 1)
-        },
+        Some("shard"),
     )
 }
 
@@ -533,15 +365,17 @@ pub fn spanning_frontier_campaign(
     let bases = if delta_stage { 1 } else { 12 };
     let plan = spanning_script(&mut StdRng::seed_from_u64(seed), txns, bases, shards as u64);
     let cfg = small_pool(shards, CommitMode::Mutex, delta_stage);
-    let blocks = bases * shards as u64;
-    pool_frontier(
-        &cfg,
-        blocks,
-        seed,
-        cap_per_epoch,
-        "device",
-        |rig, pool, oracle| Ok(tripped(&rig.devices, || oracle.commit_each(pool, &plan)).is_none()),
-    )
+    let build = || {
+        Ok(PoolApp::fresh(
+            &cfg,
+            bases * shards as u64,
+            |_, pool, oracle| {
+                oracle.commit_each(pool, &plan);
+                Ok(())
+            },
+        ))
+    };
+    frontier(build, seed, cap_per_epoch, Some("device"))
 }
 
 #[cfg(test)]

@@ -3,11 +3,12 @@
 
 use fssim::stack::{StackConfig, System};
 use fssim::FsSim;
-use nvmsim::CrashPolicy;
+use nvmsim::Nvm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::app::{campaign, run_recoverable, AppOutcome, CampaignReport, RecoverableApp};
+use crate::app::{campaign, AppOutcome, CampaignReport};
+use crate::engine::{run_one, Crashable, Cut, Trip};
 use crate::{CrashHarness, FsOracle};
 
 /// A deterministic scripted workload step. Shared with the crash-frontier
@@ -103,39 +104,21 @@ pub enum FailureMode {
     ProcessKill,
 }
 
-/// Runs one seeded crash-fuzz iteration against `system` (a power
-/// pull).
-///
-/// The workload batches through explicit fsyncs only (`txn_block_limit`
-/// is raised above the script's reach), so the oracle knows every commit
-/// boundary exactly.
-pub fn fuzz_one(system: System, seed: u64, steps: usize) -> AppOutcome {
-    run_recoverable(&mut FsApp::new(
-        system,
-        seed,
-        steps,
-        FailureMode::PowerPull,
-        false,
-    ))
-}
-
 /// The FS-level crash application: a scripted file workload over one
-/// stack, with the [`FsOracle`] tracking durable/staged state.
-struct FsApp {
+/// stack, with the [`FsOracle`] tracking durable/staged state. The stack
+/// batches through explicit fsyncs only (`txn_block_limit` is raised
+/// above the script's reach), so the oracle knows every commit boundary
+/// exactly.
+pub(crate) struct FsApp<'p> {
     harness: CrashHarness,
     oracle: FsOracle,
-    plan: Vec<Step>,
-    trip: u64,
-    mode: FailureMode,
-    seed: u64,
-    /// Attributes the whole run (workload + recovery + verify) to this
-    /// seed's simulated clock; dropped when the app is.
-    _seed_span: telemetry::Span,
+    plan: &'p [Step],
 }
 
-impl FsApp {
-    fn new(system: System, seed: u64, steps: usize, mode: FailureMode, destage: bool) -> FsApp {
-        let mut rng = StdRng::seed_from_u64(seed);
+impl<'p> FsApp<'p> {
+    /// `plan` on a fresh `system` stack; `destage` as in
+    /// [`fuzz_system_opts`].
+    pub(crate) fn new(system: System, destage: bool, plan: &'p [Step]) -> FsApp<'p> {
         let mut cfg = StackConfig::tiny(system);
         cfg.txn_block_limit = 100_000; // commits only at explicit fsync
         if destage {
@@ -143,52 +126,66 @@ impl FsApp {
             cfg.nvm_bytes = 160 << 10;
         }
         let harness = CrashHarness::new(cfg);
-        // Each seed builds a fresh stack with its own simulated clock;
+        // Each app builds a fresh stack with its own simulated clock;
         // point any installed telemetry recorder at it so per-seed spans
         // attribute this run's simulated time (a no-op when telemetry is
         // off).
         telemetry::swap_clock(&harness.stack().clock);
-        let _seed_span = telemetry::span(telemetry::phase::CRASH_SEED);
-        let plan = script(&mut rng, steps, 12);
-        let trip = rng.gen_range(1..20_000u64);
         FsApp {
             harness,
             oracle: FsOracle::new(),
             plan,
-            trip,
-            mode,
-            seed,
-            _seed_span,
         }
     }
 }
 
-impl RecoverableApp for FsApp {
-    fn run_to_trip(&mut self) -> bool {
-        let oracle = &mut self.oracle;
-        let plan = &self.plan;
-        self.harness.run_with_trip(self.trip, move |fs| {
-            for step in plan {
-                apply(fs, oracle, step);
-            }
-        })
+impl Crashable for FsApp<'_> {
+    fn devices(&self) -> &[Nvm] {
+        std::slice::from_ref(&self.harness.stack().nvm)
     }
 
-    fn crash_recover(&mut self) -> Result<(), String> {
-        let policy = match self.mode {
-            FailureMode::PowerPull => CrashPolicy::Random(self.seed ^ 0xD1CE),
-            FailureMode::ProcessKill => CrashPolicy::PersistAll,
-        };
-        self.harness.crash_and_remount(policy);
+    fn drive(&mut self) -> Result<(), String> {
+        let (oracle, plan) = (&mut self.oracle, self.plan);
+        self.harness
+            .run(|fs| plan.iter().for_each(|step| apply(fs, oracle, step)));
+        Ok(())
+    }
+
+    fn recover(&mut self, cut: Cut<'_>) -> Result<(), String> {
+        self.harness.crash_and_remount(cut);
         Ok(())
     }
 
     fn verify(&mut self) -> Result<(), String> {
-        self.harness.verify(&self.oracle).map_err(|e| {
-            let (seed, trip, mode) = (self.seed, self.trip, self.mode);
-            format!("seed {seed} trip {trip} ({mode:?}): {e}")
-        })
+        self.harness.verify(&self.oracle).map_err(|e| e.to_string())
     }
+}
+
+fn fs_seed(
+    system: System,
+    seed: u64,
+    steps: usize,
+    mode: FailureMode,
+    destage: bool,
+) -> AppOutcome {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let plan = script(&mut rng, steps, 12);
+    let trip = Trip {
+        dev: 0,
+        at: rng.gen_range(1..20_000u64),
+    };
+    run_one(
+        &mut FsApp::new(system, destage, &plan),
+        trip,
+        Cut::of(mode, seed ^ 0xD1CE),
+    )
+    .tagged(format_args!("seed {seed} trip {} ({mode:?})", trip.at))
+}
+
+/// Runs one seeded crash-fuzz iteration against `system` (a power
+/// pull).
+pub fn fuzz_one(system: System, seed: u64, steps: usize) -> AppOutcome {
+    fs_seed(system, seed, steps, FailureMode::PowerPull, false)
 }
 
 /// Runs a fuzz campaign of `runs` seeds against `system` (power pulls).
@@ -223,7 +220,7 @@ pub fn fuzz_system_opts(
     destage: bool,
 ) -> CampaignReport {
     campaign(runs, true, |i, _| {
-        run_recoverable(&mut FsApp::new(system, base_seed + i, steps, mode, destage))
+        fs_seed(system, base_seed + i, steps, mode, destage)
     })
 }
 

@@ -3,10 +3,10 @@
 
 use fssim::stack::{build, remount, Stack, StackConfig};
 use fssim::FsSim;
-use nvmsim::{CrashPolicy, CrashTripped, NvmConfig};
+use nvmsim::{CrashTripped, NvmConfig};
 use persistcheck::{CheckConfig, Checker, Report};
 
-use crate::engine::tripped;
+use crate::engine::{tripped, Cut};
 use crate::FsOracle;
 
 /// Suppresses panic-hook output for the *expected* [`CrashTripped`] panics
@@ -126,26 +126,12 @@ impl CrashHarness {
 
     /// Simulates the power failure and reboots the stack: DRAM state is
     /// discarded, the NVM resolves its volatile write-back state per
-    /// `policy`, and cache + file system run their recovery paths.
-    pub fn crash_and_remount(&mut self, policy: CrashPolicy) {
+    /// `cut`, and cache + file system run their recovery paths.
+    pub fn crash_and_remount(&mut self, cut: Cut<'_>) {
         let stack = self.stack.take().expect("stack live");
         let (nvm, disk, clock) = (stack.nvm, stack.disk, stack.clock);
         drop(stack.fs);
-        nvm.crash(policy);
-        let rebooted = remount(&self.cfg, nvm, disk, clock).expect("remount after crash");
-        self.stack = Some(rebooted);
-    }
-
-    /// Like [`Self::crash_and_remount`], but the power failure resolves to
-    /// an *exact* persist frontier: of the lines staged in the open fence
-    /// epoch, precisely those in `keep` persist; everything else (other
-    /// staged lines, all dirty overlay lines) drops. The crash-frontier
-    /// enumerator drives this once per reachable frontier.
-    pub fn crash_frontier_and_remount(&mut self, keep: &std::collections::HashSet<usize>) {
-        let stack = self.stack.take().expect("stack live");
-        let (nvm, disk, clock) = (stack.nvm, stack.disk, stack.clock);
-        drop(stack.fs);
-        nvm.crash_frontier(keep);
+        cut.apply(std::slice::from_ref(&nvm));
         let rebooted = remount(&self.cfg, nvm, disk, clock).expect("remount after crash");
         self.stack = Some(rebooted);
     }
@@ -217,11 +203,54 @@ fn diff_state(
             ));
         }
         let mut buf = vec![0u8; want.len()];
-        fs.read(ino, 0, &mut buf).ok()?;
+        match fs.read(ino, 0, &mut buf) {
+            Err(e) => return Some(format!("{name}: unreadable: {e}")),
+            Ok(n) if n != want.len() => {
+                return Some(format!("{name}: read {n} of {} bytes", want.len()))
+            }
+            Ok(_) => {}
+        }
         if &buf != want {
             let pos = buf.iter().zip(want).position(|(a, b)| a != b).unwrap_or(0);
             return Some(format!("{name}: contents differ at byte {pos}"));
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use blockdev::{DiskKind, FaultPlan, FaultyDisk, SimDisk};
+    use fssim::{Geometry, JournalMode, RawDiskBackend};
+    use nvmsim::SimClock;
+
+    use super::*;
+
+    /// A recovered file whose data block fails to read is a difference,
+    /// never a match.
+    #[test]
+    fn an_unreadable_file_is_a_difference() {
+        let geo = Geometry::compute(1024, 0, 16);
+        let disk = SimDisk::new(DiskKind::Ssd, geo.total_blocks, SimClock::new());
+        let bad_data = FaultPlan::quiet(1).with_bad_range(geo.data_off..geo.total_blocks);
+        let faulty = FaultyDisk::new(disk, bad_data);
+        faulty.set_enabled(false);
+        let raw = || Box::new(RawDiskBackend::new(faulty.clone()));
+        let mut fs = FsSim::mkfs(raw(), geo, JournalMode::None).unwrap();
+        let f = fs.create("f").unwrap();
+        fs.write(f, 0, &[7; 100]).unwrap();
+        fs.fsync().unwrap();
+        // A fresh mount has nothing in its page cache: the read goes to
+        // the data block, which now fails.
+        let mut fs = FsSim::mount(raw(), geo).unwrap();
+        faulty.set_enabled(true);
+        let expected = HashMap::from([("f".to_string(), vec![7u8; 100])]);
+        let diff = diff_state(&mut fs, &expected);
+        assert!(
+            diff.as_deref().is_some_and(|d| d.contains("f: unreadable")),
+            "{diff:?}"
+        );
+    }
 }

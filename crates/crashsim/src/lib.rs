@@ -16,34 +16,44 @@
 //!   one of the two, internal invariants must hold and the event trace
 //!   must pass the persist-order analyzer.
 //!
-//! ## The pool crash engine
+//! ## The crash engine
 //!
-//! Every pool-level campaign runs on [`engine`], in layers:
+//! Every campaign runs one experiment, on [`engine`]. An application
+//! implements [`engine::Crashable`] — its devices, a drive that runs the
+//! plan and tells the oracle what it committed, its own recovery, and a
+//! verify — and two drivers run it:
 //!
-//! 1. **rig** ([`engine::Rig`]) — traced shard devices, a plain or faulty
-//!    disk, the `PoolConfig` and each shard's metadata ranges; formats
-//!    and recovers the pool;
-//! 2. **trip runner** ([`engine::tripped`]) — runs a driver until it
-//!    returns or the armed trip cuts it;
-//! 3. **cut** ([`engine::Cut`]) — every device resolved adversarially, a
-//!    process kill, or one exact persist frontier of the tripped device;
-//! 4. **audit** ([`engine::audit`]) — persistcheck over every shard's
-//!    trace and the merged pool-wide trace;
-//! 5. **oracle** ([`engine::BlockOracle`]) — the payload images, the
-//!    durable map and the in-flight transactions, each all-or-nothing;
-//! 6. **report** — one [`AppOutcome`] per seed, one [`CampaignReport`]
-//!    per campaign ([`FrontierReport`] per enumeration).
+//! * [`engine::run_one`] — arm one trip, drive until it fires, cut the
+//!   power, recover, verify: once per seed in a random sweep, once per
+//!   chosen instant in a directed one;
+//! * [`engine::frontier`] — a probe run harvests every device's fence
+//!   epochs, and every persist frontier of each is replayed through
+//!   `run_one`.
 //!
-//! On it sit the random-trip campaigns [`pool_fuzz_campaign`] (dense or
+//! The implementors are the FS stack ([`CrashHarness`] and [`FsOracle`]
+//! over a scripted file workload: [`fuzz_system`],
+//! [`frontier_fs_campaign`]), kvdb's two personalities (in the `kvdb`
+//! crate), and a pool with its plan. The pool campaigns share the rest of
+//! the engine:
+//!
+//! * **rig** ([`engine::Rig`]) — traced shard devices, a plain or faulty
+//!   disk, the `PoolConfig` and each shard's metadata ranges; formats,
+//!   recovers and checks the pool;
+//! * **cut** ([`engine::Cut`]) — every device resolved adversarially, a
+//!   process kill, or one exact persist frontier of the tripped device;
+//! * **audit** ([`engine::audit`]) — persistcheck over every shard's
+//!   trace and the merged pool-wide trace;
+//! * **oracle** ([`engine::BlockOracle`]) — the payload images, the
+//!   durable map and the in-flight transactions, each all-or-nothing;
+//! * **report** — one [`AppOutcome`] per seed, one [`CampaignReport`]
+//!   per campaign ([`FrontierReport`] per enumeration).
+//!
+//! They are the random-trip campaigns [`pool_fuzz_campaign`] (dense or
 //! delta-staged), [`mw_pool_fuzz_campaign`] (the lock-free ring),
 //! [`fault_fuzz_campaign`] (disk faults, any shard count) and
 //! [`backlog_campaign`] (open-loop overload), and the frontier
 //! enumerations [`mw_frontier_campaign`], [`pool_frontier_campaign`] (one
-//! OS thread per shard) and [`spanning_frontier_campaign`]. kvdb's
-//! campaigns use its trip runner, cut and audit. The file-system level —
-//! [`CrashHarness`], [`FsOracle`], [`fuzz_system`] and
-//! [`frontier_fs_campaign`] — judges files, not blocks, and keeps its own
-//! harness.
+//! OS thread per shard) and [`spanning_frontier_campaign`].
 //!
 //! ```
 //! use crashsim::{fuzz_system, CampaignReport};
@@ -64,12 +74,11 @@ mod mwfuzz;
 mod oracle;
 mod poolfuzz;
 
-pub use app::{campaign, run_recoverable, AppOutcome, CampaignReport, RecoverableApp};
+pub use app::{campaign, AppOutcome, CampaignReport};
 pub use backlog::{backlog_campaign, backlog_one};
 pub use faultfuzz::{fault_fuzz_campaign, fault_fuzz_one};
 pub use frontier::{
-    epochs_from_trace, frontier_enumerate, frontier_fs_campaign, pool_frontier_campaign,
-    spanning_frontier_campaign, FenceEpoch, FrontierReport,
+    frontier_fs_campaign, pool_frontier_campaign, spanning_frontier_campaign, FrontierReport,
 };
 pub use fuzz::{fuzz_one, fuzz_system, fuzz_system_mode, fuzz_system_opts, FailureMode};
 pub use harness::{quiet_crash_panics, CrashHarness, VerifyError};

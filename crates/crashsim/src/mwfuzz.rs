@@ -34,9 +34,8 @@ use rand::{Rng, SeedableRng};
 use tinca::{CommitMode, MwAdmission, MwTicket, TincaPool};
 
 use crate::app::{campaign, AppOutcome};
-use crate::engine::{small_pool, tripped, BlockOracle, Cut, Rig, Trip, TxnSpec, SHARD_BYTES};
-use crate::frontier::{pool_frontier, FrontierReport};
-use crate::quiet_crash_panics;
+use crate::engine::{frontier, run_one, small_pool, BlockOracle, Cut, PoolApp, Trip, TxnSpec};
+use crate::FrontierReport;
 
 /// Blocks the multi-writer scripts draw from.
 const BLOCKS: u64 = 96;
@@ -142,13 +141,7 @@ fn play(pool: &TincaPool, plan: &[MwRound], oracle: &mut BlockOracle) {
 /// Runs one seeded multi-writer crash-fuzz iteration: a random trip on
 /// one shard, every shard's write-back state resolved adversarially.
 pub fn mw_pool_fuzz_one(shards: usize, seed: u64, rounds: usize) -> AppOutcome {
-    quiet_crash_panics();
     let mut rng = StdRng::seed_from_u64(seed);
-    let (rig, pool) = Rig::new(
-        small_pool(shards, CommitMode::LockFreeRing, false),
-        SHARD_BYTES,
-    );
-    let _seed_span = telemetry::span(telemetry::phase::CRASH_SEED);
     let plan = mw_script(&mut rng, rounds, BLOCKS, shards as u64);
     let trip = Trip {
         dev: (seed % shards as u64) as usize,
@@ -158,9 +151,12 @@ pub fn mw_pool_fuzz_one(shards: usize, seed: u64, rounds: usize) -> AppOutcome {
         seed: seed ^ 0x3757,
         shift: 17,
     };
-    rig.run_seed(seed, trip, cut, &mut rig.oracle(BLOCKS), |oracle| {
-        play(&pool, &plan, oracle);
-    })
+    let cfg = small_pool(shards, CommitMode::LockFreeRing, false);
+    let mut app = PoolApp::fresh(&cfg, BLOCKS, |_, pool, oracle| {
+        play(pool, &plan, oracle);
+        Ok(())
+    });
+    run_one(&mut app, trip, cut).tagged(format_args!("seed {seed} {trip}"))
 }
 
 /// Runs a multi-writer crash-fuzz campaign of `runs` seeds.
@@ -197,14 +193,13 @@ pub fn mw_frontier_campaign(
         shards as u64,
     );
     let cfg = small_pool(shards, CommitMode::LockFreeRing, false);
-    pool_frontier(
-        &cfg,
-        BLOCKS,
-        seed,
-        cap_per_epoch,
-        "shard",
-        |rig, pool, oracle| Ok(tripped(&rig.devices, || play(pool, &plan, oracle)).is_none()),
-    )
+    let build = || {
+        Ok(PoolApp::fresh(&cfg, BLOCKS, |_, pool, oracle| {
+            play(pool, &plan, oracle);
+            Ok(())
+        }))
+    };
+    frontier(build, seed, cap_per_epoch, Some("shard"))
 }
 
 #[cfg(test)]

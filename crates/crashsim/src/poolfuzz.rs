@@ -26,8 +26,7 @@ use rand::{Rng, SeedableRng};
 use tinca::CommitMode;
 
 use crate::app::{campaign, AppOutcome};
-use crate::engine::{small_pool, Cut, Rig, Trip, TxnSpec, SHARD_BYTES};
-use crate::quiet_crash_panics;
+use crate::engine::{run_one, small_pool, Cut, PoolApp, Trip, TxnSpec};
 
 fn script(rng: &mut StdRng, txns: usize, blocks: u64) -> Vec<TxnSpec> {
     (0..txns)
@@ -47,14 +46,8 @@ fn script(rng: &mut StdRng, txns: usize, blocks: u64) -> Vec<TxnSpec> {
 
 /// Runs one seeded crash-fuzz iteration against an `N`-shard pool.
 pub fn pool_fuzz_one(shards: usize, seed: u64, txns: usize, delta_stage: bool) -> AppOutcome {
-    quiet_crash_panics();
     let mut rng = StdRng::seed_from_u64(seed);
     let blocks = if delta_stage { 16u64 } else { 96 };
-    let (rig, pool) = Rig::new(
-        small_pool(shards, CommitMode::Mutex, delta_stage),
-        SHARD_BYTES,
-    );
-    let _seed_span = telemetry::span(telemetry::phase::CRASH_SEED);
     let plan = script(&mut rng, txns, blocks);
     let trip = Trip {
         dev: (seed % shards as u64) as usize,
@@ -64,9 +57,12 @@ pub fn pool_fuzz_one(shards: usize, seed: u64, txns: usize, delta_stage: bool) -
         seed: seed ^ 0xD1CE,
         shift: 17,
     };
-    rig.run_seed(seed, trip, cut, &mut rig.oracle(blocks), |oracle| {
-        oracle.commit_each(&pool, &plan);
-    })
+    let cfg = small_pool(shards, CommitMode::Mutex, delta_stage);
+    let mut app = PoolApp::fresh(&cfg, blocks, |_, pool, oracle| {
+        oracle.commit_each(pool, &plan);
+        Ok(())
+    });
+    run_one(&mut app, trip, cut).tagged(format_args!("seed {seed} {trip}"))
 }
 
 /// Runs a pool-fuzz campaign of `runs` seeds.

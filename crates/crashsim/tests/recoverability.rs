@@ -3,11 +3,11 @@
 //! no-journal baseline must *not* (demonstrating that the consistency the
 //! other two provide is real, not vacuous).
 
+use crashsim::engine::Cut;
 use crashsim::{
     fuzz_system, fuzz_system_mode, fuzz_system_opts, CrashHarness, FailureMode, FsOracle,
 };
 use fssim::stack::{StackConfig, System};
-use nvmsim::CrashPolicy;
 
 #[test]
 fn tinca_survives_fuzzed_crashes() {
@@ -103,7 +103,7 @@ fn no_journal_baseline_can_lose_consistency() {
         if !crashed {
             continue;
         }
-        h.crash_and_remount(CrashPolicy::Random(seed));
+        h.crash_and_remount(Cut::Random { seed, shift: 0 });
         if h.verify(&oracle).is_err() {
             violated = true;
             break;
@@ -133,7 +133,7 @@ fn quiescent_crash_preserves_exact_state() {
         }
         oracle.committed();
         assert!(oracle.quiescent());
-        h.crash_and_remount(CrashPolicy::LoseVolatile);
+        h.crash_and_remount(Cut::LoseVolatile);
         h.verify(&oracle)
             .unwrap_or_else(|e| panic!("{}: {e}", system.name()));
     }
@@ -157,7 +157,7 @@ fn shadow_analyzer_observes_commits_and_stays_clean() {
         report.is_clean(),
         "unmodified protocol must be clean:\n{report}"
     );
-    h.crash_and_remount(CrashPolicy::LoseVolatile);
+    h.crash_and_remount(Cut::LoseVolatile);
     let report = h.persist_report();
     assert!(report.crashes >= 1, "the crash must appear in the trace");
     assert!(report.is_clean(), "recovery must stay clean:\n{report}");
@@ -187,7 +187,10 @@ fn repeated_crash_remount_cycles() {
         if !crashed {
             oracle.committed();
         }
-        h.crash_and_remount(CrashPolicy::Random(round * 7 + 1));
+        h.crash_and_remount(Cut::Random {
+            seed: round * 7 + 1,
+            shift: 0,
+        });
         h.verify(&oracle)
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
         // Re-sync the oracle to whatever survived, then continue.

@@ -27,16 +27,11 @@
 //! land mid-way through a shadow's rewrite and inside the second
 //! fragment's. With it off the payloads are dense, `[v; BLOCK_SIZE]`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
+use blockdev::BLOCK_SIZE;
+use crashsim::engine::{small_pool, tripped, Cut, Images, Rig, SHARD_BYTES};
 use crashsim::quiet_crash_panics;
-use nvmsim::{
-    merge_shard_traces, shard_devices, CrashPolicy, CrashTripped, Nvm, NvmConfig, NvmTech,
-    SimClock, CACHE_LINE,
-};
-use persistcheck::{CheckConfig, Checker};
-use tinca::{CommitMode, PoolConfig, TincaConfig, TincaPool};
+use nvmsim::{CrashPolicy, Nvm};
+use tinca::{CommitMode, TincaPool};
 
 /// What a sweep runs on.
 #[derive(Clone, Copy, Debug)]
@@ -52,74 +47,42 @@ const MUTEX: Setup = Setup {
     delta_stage: false,
 };
 
-fn build_pool(shards: usize) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
-    build_pool_with(Setup { shards, ..MUTEX })
-}
-
-fn build_pool_with(setup: Setup) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
-    let Setup {
-        shards,
-        mode,
-        delta_stage,
-    } = setup;
-    let nvm_cfg = NvmConfig::new(shards * (256 << 10), NvmTech::Pcm).with_tracing();
-    let devices = shard_devices(&nvm_cfg, shards);
-    let clock = SimClock::new();
-    telemetry::swap_clock(&clock);
-    let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-    let pool_cfg = PoolConfig {
-        shards,
-        commit_mode: mode,
-        cache: TincaConfig {
-            ring_bytes: 4096,
-            delta_stage,
-            ..TincaConfig::default()
-        },
-    };
-    (devices, disk, pool_cfg)
-}
-
-fn fill(v: u8) -> [u8; BLOCK_SIZE] {
-    [v; BLOCK_SIZE]
-}
-
 impl Setup {
-    /// Version `v` of block `b`: `fill(v)` without delta staging, with it
-    /// a sparse image — most lines constant per block and nonzero, `v` in
-    /// two separate three-line runs, one in each half of the block, whose
-    /// positions move with `v` — so a delta-staged rewrite has lines to
-    /// skip and runs to store in both halves, and no line of any version
-    /// equals the fresh device's zeroes.
+    /// A formatted pool of this setup, with the campaigns' shard size.
+    fn rig(self) -> (Rig, TincaPool) {
+        Rig::new(
+            small_pool(self.shards, self.mode, self.delta_stage),
+            SHARD_BYTES,
+        )
+    }
+
+    /// Version `v` of block `b`: dense without delta staging, with it the
+    /// engine's sparse image, so a delta-staged rewrite has lines to skip
+    /// and runs to store in both halves.
     fn image(self, b: u64, v: u8) -> [u8; BLOCK_SIZE] {
-        if !self.delta_stage {
-            return fill(v);
-        }
-        let mut p = [0u8; BLOCK_SIZE];
-        for (l, line) in p.chunks_exact_mut(CACHE_LINE).enumerate() {
-            line.fill((b as u8).wrapping_mul(31).wrapping_add(l as u8) | 1);
-        }
-        let v_line = usize::from(v);
-        for start in [v_line % 24, 32 + v_line % 29] {
-            p[start * CACHE_LINE..(start + 3) * CACHE_LINE].fill(v);
-        }
-        p
+        let images = if self.delta_stage {
+            Images::Sparse
+        } else {
+            Images::Dense
+        };
+        images.of(b, Some(v.into()))
     }
 }
 
+fn fill(v: u8) -> [u8; BLOCK_SIZE] {
+    Images::Dense.of(0, Some(v.into()))
+}
+
 /// Commits one two-shard spanning transaction (block 0 → shard 0,
-/// block 1 → shard 1); returns whether the armed trip fired.
-fn try_spanning_commit(pool: &TincaPool, setup: Setup) -> bool {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+/// block 1 → shard 1); returns whether a trip armed on `devices` fired.
+fn try_spanning_commit(pool: &TincaPool, devices: &[Nvm], setup: Setup) -> bool {
+    tripped(devices, || {
         let mut t = pool.init_txn();
         t.write(0, &setup.image(0, 0xAA));
         t.write(1, &setup.image(1, 0xBB));
         pool.commit(t).expect("spanning commit");
-    }));
-    match outcome {
-        Ok(()) => false,
-        Err(p) if p.downcast_ref::<CrashTripped>().is_some() => true,
-        Err(p) => std::panic::resume_unwind(p),
-    }
+    })
+    .is_none()
 }
 
 fn read_block(pool: &TincaPool, b: u64) -> [u8; BLOCK_SIZE] {
@@ -128,22 +91,23 @@ fn read_block(pool: &TincaPool, b: u64) -> [u8; BLOCK_SIZE] {
     buf
 }
 
-/// Arms a trip at persistence event `k` of device `dev`, runs the
-/// spanning commit until it crashes, power-cycles every device
-/// (volatile state lost), recovers, and returns the recovered pool.
-fn crash_at(dev: usize, k: u64) -> (TincaPool, Vec<Nvm>) {
-    let (devices, disk, pool_cfg) = build_pool(2);
-    let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
-    devices[dev].set_trip(Some(k));
-    let crashed = try_spanning_commit(&pool, MUTEX);
-    devices[dev].set_trip(None);
+/// Arms a trip at persistence event `k` of device `dev`, runs `setup`'s
+/// spanning commit on `pool` until it crashes, drops the pool and
+/// power-cycles every device (volatile state lost).
+fn cut_commit(rig: &Rig, pool: TincaPool, setup: Setup, (dev, k): (usize, u64)) {
+    rig.devices[dev].set_trip(Some(k));
+    let crashed = try_spanning_commit(&pool, &rig.devices, setup);
     drop(pool);
-    assert!(crashed, "trip {k} on device {dev} did not fire");
-    for d in &devices {
-        d.crash(CrashPolicy::LoseVolatile);
-    }
-    let pool = TincaPool::recover(devices.clone(), disk, pool_cfg).expect("recovery");
-    (pool, devices)
+    let mode = setup.mode;
+    assert!(crashed, "{mode:?}: trip {k} on device {dev} did not fire");
+    Cut::LoseVolatile.apply(&rig.devices);
+}
+
+/// [`cut_commit`] on a fresh pool, recovered.
+fn crash_at(dev: usize, k: u64) -> TincaPool {
+    let (rig, pool) = MUTEX.rig();
+    cut_commit(&rig, pool, MUTEX, (dev, k));
+    rig.recover().expect("recovery")
 }
 
 /// Crash between fragments: the first persistence event on device 1
@@ -153,7 +117,7 @@ fn crash_at(dev: usize, k: u64) -> (TincaPool, Vec<Nvm>) {
 #[test]
 fn crash_between_fragments_rolls_the_prepared_fragment_back() {
     quiet_crash_panics();
-    let (pool, _devices) = crash_at(1, 1);
+    let pool = crash_at(1, 1);
     assert_eq!(read_block(&pool, 0), fill(0), "shard 0 fragment leaked");
     assert_eq!(read_block(&pool, 1), fill(0), "shard 1 fragment leaked");
     let stats = pool.stats();
@@ -174,18 +138,12 @@ fn every_crash_instant_is_all_or_nothing() {
     quiet_crash_panics();
     // Probe: per-device persistence events consumed by one spanning commit.
     let spans: Vec<u64> = {
-        let (devices, disk, pool_cfg) = build_pool(2);
-        let pool = TincaPool::format(devices.clone(), disk, pool_cfg);
-        let starts: Vec<u64> = devices.iter().map(|d| d.events()).collect();
-        assert!(
-            !try_spanning_commit(&pool, MUTEX),
-            "probe crashed with no trip"
-        );
-        devices
-            .iter()
-            .zip(&starts)
-            .map(|(d, s)| d.events() - s)
-            .collect()
+        let (rig, pool) = MUTEX.rig();
+        let (crashed, spans) = events_during(&rig.devices, || {
+            try_spanning_commit(&pool, &rig.devices, MUTEX)
+        });
+        assert!(!crashed, "probe crashed with no trip");
+        spans
     };
     assert!(
         spans.iter().all(|&e| e > 0),
@@ -195,7 +153,7 @@ fn every_crash_instant_is_all_or_nothing() {
     let (mut saw_rolled_back, mut saw_rolled_forward) = (false, false);
     for (dev, &events) in spans.iter().enumerate() {
         for k in 1..=events {
-            let (pool, _devices) = crash_at(dev, k);
+            let pool = crash_at(dev, k);
             let (b0, b1) = (read_block(&pool, 0), read_block(&pool, 1));
             let stats = pool.stats();
             if b0 == fill(0xAA) && b1 == fill(0xBB) {
@@ -224,8 +182,7 @@ fn every_crash_instant_is_all_or_nothing() {
 /// nothing resurfaces after a power cut — the pool stays usable.
 #[test]
 fn mid_sequence_fragment_failure_leaves_nothing_visible() {
-    let (devices, disk, pool_cfg) = build_pool(2);
-    let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
+    let (rig, pool) = MUTEX.rig();
 
     // One block on shard 0, far more blocks on shard 1 than its cache
     // can hold: fragment 0 prepares, fragment 1 is refused.
@@ -246,10 +203,8 @@ fn mid_sequence_fragment_failure_leaves_nothing_visible() {
     drop(pool);
 
     // …or after it.
-    for d in &devices {
-        d.crash(CrashPolicy::LoseVolatile);
-    }
-    let pool = TincaPool::recover(devices, disk, pool_cfg).expect("recovery");
+    Cut::LoseVolatile.apply(&rig.devices);
+    let pool = rig.recover().expect("recovery");
     assert_eq!(read_block(&pool, 0), fill(0));
     assert_eq!(read_block(&pool, 1), fill(0));
 
@@ -276,6 +231,18 @@ fn tagged_slots(pool: &TincaPool, s: usize) -> Vec<(u64, u8)> {
         .collect()
 }
 
+/// The guard's invariant with no window open: no stale tag on either
+/// shard, checked `when`.
+fn assert_no_stale_tags(pool: &TincaPool, when: &str) {
+    for s in 0..2 {
+        assert_eq!(
+            tagged_slots(pool, s),
+            vec![],
+            "stale tags on shard {s} {when}"
+        );
+    }
+}
+
 fn commit_spanning_pair(pool: &TincaPool, setup: Setup, v: u8) {
     let mut t = pool.init_txn();
     t.write(0, &setup.image(0, v));
@@ -292,19 +259,12 @@ fn commit_spanning_pair(pool: &TincaPool, setup: Setup, v: u8) {
 #[test]
 fn intent_tag_wraparound_leaves_no_stale_tags() {
     quiet_crash_panics();
-    let (devices, disk, pool_cfg) = build_pool(2);
-    let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
+    let (rig, pool) = MUTEX.rig();
 
     // Drive the 7-bit tag space around: ids 0..=129, tags wrap at 128.
     for i in 0..130u32 {
         commit_spanning_pair(&pool, MUTEX, (i % 251) as u8 + 1);
-        for s in 0..2 {
-            assert_eq!(
-                tagged_slots(&pool, s),
-                vec![],
-                "stale tags on shard {s} after commit {i}"
-            );
-        }
+        assert_no_stale_tags(&pool, &format!("after commit {i}"));
     }
     assert!(pool.stats().spanning_commits >= 130);
 
@@ -312,16 +272,8 @@ fn intent_tag_wraparound_leaves_no_stale_tags() {
     // (id 130 → tag 0x82) equals intent 2's tag, whose slots went
     // through this very ring long ago. Recovery must judge only the open
     // window and come out clean + all-or-nothing.
-    devices[1].set_trip(Some(1));
-    let crashed = try_spanning_commit(&pool, MUTEX);
-    devices[1].set_trip(None);
-    drop(pool);
-    assert!(crashed, "trip did not fire");
-    for d in &devices {
-        d.crash(CrashPolicy::LoseVolatile);
-    }
-    let pool = TincaPool::recover(devices.clone(), disk.clone(), pool_cfg.clone())
-        .expect("recovery after wrap");
+    cut_commit(&rig, pool, MUTEX, (1, 1));
+    let pool = rig.recover().expect("recovery after wrap");
     let (b0, b1) = (read_block(&pool, 0), read_block(&pool, 1));
     let last = 130u8; // commit 129's fill: `(i % 251) + 1`
     let atomic = (b0 == fill(0xAA) && b1 == fill(0xBB)) // rolled forward
@@ -331,13 +283,7 @@ fn intent_tag_wraparound_leaves_no_stale_tags() {
         "post-wrap crash not all-or-nothing: block0={:#x} block1={:#x}",
         b0[0], b1[0]
     );
-    for s in 0..2 {
-        assert_eq!(
-            tagged_slots(&pool, s),
-            vec![],
-            "stale tags on shard {s} after recovery"
-        );
-    }
+    assert_no_stale_tags(&pool, "after recovery");
 
     // Recovery reset the intent-id counter to 0: the next 130 spanning
     // commits reuse every id the pre-crash run already consumed. The
@@ -345,13 +291,7 @@ fn intent_tag_wraparound_leaves_no_stale_tags() {
     for i in 0..130u32 {
         commit_spanning_pair(&pool, MUTEX, (i % 250) as u8 + 1);
     }
-    for s in 0..2 {
-        assert_eq!(
-            tagged_slots(&pool, s),
-            vec![],
-            "stale tags on shard {s} after id reuse"
-        );
-    }
+    assert_no_stale_tags(&pool, "after id reuse");
     assert_eq!(read_block(&pool, 0), fill(130)); // `(129 % 250) + 1`
 }
 
@@ -363,11 +303,8 @@ fn intent_tag_wraparound_leaves_no_stale_tags() {
 /// finds every eviction victim unwritable (`NoVictim`).
 #[test]
 fn failed_tagged_fragment_scrubs_its_slots() {
-    use blockdev::{FaultPlan, FaultyDisk};
-
-    let (devices, disk, pool_cfg) = build_pool(2);
-    let faulty = FaultyDisk::new(disk, FaultPlan::quiet(5).with_bad_modulo(2, 1));
-    let pool = TincaPool::format(devices.clone(), faulty.clone(), pool_cfg.clone());
+    let plan = blockdev::FaultPlan::quiet(5).with_bad_modulo(2, 1);
+    let (rig, pool) = Rig::with_faults(small_pool(2, CommitMode::Mutex, false), SHARD_BYTES, plan);
     let cap = u64::from(pool.shard_layout(1).data_blocks);
     // Dirty odd blocks until shard 1 has exactly one free block left.
     for i in 0..cap - 1 {
@@ -385,13 +322,7 @@ fn failed_tagged_fragment_scrubs_its_slots() {
         "the fragment must fail inside the protocol, past admission"
     );
     assert!(pool.shard_stats(1).failed_commits >= 1);
-    for s in 0..2 {
-        assert_eq!(
-            tagged_slots(&pool, s),
-            vec![],
-            "stale tags on shard {s} after the failed fragment"
-        );
-    }
+    assert_no_stale_tags(&pool, "after the failed fragment");
     pool.check_consistency()
         .expect("consistent after the abort");
     assert_eq!(read_block(&pool, 0), fill(0));
@@ -405,25 +336,12 @@ fn failed_tagged_fragment_scrubs_its_slots() {
     }
     assert_eq!(pool.stats().spanning_commits, 128);
     drop(pool);
-    for d in &devices {
-        d.crash(CrashPolicy::LoseVolatile);
-    }
-    let pool = TincaPool::recover(devices, faulty, pool_cfg).expect("recovery");
+    Cut::LoseVolatile.apply(&rig.devices);
+    let pool = rig.recover().expect("recovery");
     pool.check_consistency().expect("consistent after recovery");
     assert_eq!(read_block(&pool, 0), fill(129));
     assert_eq!(read_block(&pool, 1), fill(129 ^ 0xFF));
-    for s in 0..2 {
-        assert_eq!(tagged_slots(&pool, s), vec![], "stale tags on shard {s}");
-    }
-}
-
-/// Runs `f` and reports whether an armed crash trip unwound it.
-fn tripped<R>(f: impl FnOnce() -> R) -> Result<R, ()> {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(r) => Ok(r),
-        Err(p) if p.downcast_ref::<CrashTripped>().is_some() => Err(()),
-        Err(p) => std::panic::resume_unwind(p),
-    }
+    assert_no_stale_tags(&pool, "after recovery");
 }
 
 /// The durable state a commit of `0xAA`/`0xBB` over blocks 0/1 (spanning
@@ -433,10 +351,8 @@ fn tripped<R>(f: impl FnOnce() -> R) -> Result<R, ()> {
 /// and their descriptors precede the cut), then the cut itself. With
 /// delta staging the history rewrites blocks 0/1 once more, so both hold
 /// a shadow and the cut commit rewrites those.
-fn cut_spanning_commit(setup: Setup, dev: usize, k: u64) -> (Vec<Nvm>, blockdev::Disk, PoolConfig) {
-    let mode = setup.mode;
-    let (devices, disk, pool_cfg) = build_pool_with(setup);
-    let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
+fn cut_spanning_commit(setup: Setup, dev: usize, k: u64) -> Rig {
+    let (rig, pool) = setup.rig();
     if setup.delta_stage {
         commit_spanning_pair(&pool, setup, 0x02);
     }
@@ -446,14 +362,8 @@ fn cut_spanning_commit(setup: Setup, dev: usize, k: u64) -> (Vec<Nvm>, blockdev:
         t.write(blk, &setup.image(blk, v));
         pool.commit(t).expect("single-shard commit");
     }
-    devices[dev].set_trip(Some(k));
-    let crashed = try_spanning_commit(&pool, setup);
-    drop(pool);
-    assert!(crashed, "{mode:?}: trip {k} on device {dev} did not fire");
-    for d in &devices {
-        d.crash(CrashPolicy::LoseVolatile);
-    }
-    (devices, disk, pool_cfg)
+    cut_commit(&rig, pool, setup, (dev, k));
+    rig
 }
 
 /// Blocks 0 and 1 as one of the two legal outcomes: `true` when the cut
@@ -492,7 +402,8 @@ fn events_during<R>(devices: &[Nvm], f: impl FnOnce() -> R) -> (R, Vec<u64>) {
 /// the recovery dies at its event `j` on device `rdev` (unfenced lines
 /// resolved adversarially). The next recovery must roll `expect_forward`'s
 /// way on every shard and leave nothing for a third one to roll; the whole
-/// history must be persistcheck-clean as one merged trace.
+/// history must be persistcheck-clean on every shard and as one merged
+/// trace.
 fn cut_recovery(
     setup: Setup,
     (dev, k): (usize, u64),
@@ -500,17 +411,16 @@ fn cut_recovery(
     expect_forward: bool,
 ) {
     let what = format!("{setup:?} cut dev{dev}@{k}, recovery cut dev{rdev}@{j}");
-    let (devices, disk, pool_cfg) = cut_spanning_commit(setup, dev, k);
-    let recover = || TincaPool::recover(devices.clone(), disk.clone(), pool_cfg.clone());
-    devices[rdev].set_trip(Some(j));
+    let rig = cut_spanning_commit(setup, dev, k);
+    rig.devices[rdev].set_trip(Some(j));
     assert!(
-        tripped(recover).is_err(),
+        tripped(&rig.devices, || rig.recover()).is_none(),
         "{what}: recovery trip did not fire"
     );
-    for d in &devices {
+    for d in &rig.devices {
         d.crash(CrashPolicy::Random(k * 131 + j));
     }
-    let pool = recover().expect("second recovery");
+    let pool = rig.recover().expect("second recovery");
     assert_eq!(
         rolled_forward(&pool, setup, &what),
         expect_forward,
@@ -525,13 +435,10 @@ fn cut_recovery(
     }
     pool.check_consistency()
         .unwrap_or_else(|e| panic!("{what}: {e}"));
-    let merged_ranges = merged_metadata_ranges(&pool, &devices);
     drop(pool);
 
-    for d in &devices {
-        d.crash(CrashPolicy::LoseVolatile);
-    }
-    let pool = recover().expect("third recovery");
+    Cut::LoseVolatile.apply(&rig.devices);
+    let pool = rig.recover().expect("third recovery");
     let st = pool.stats();
     assert_eq!(
         (
@@ -548,31 +455,9 @@ fn cut_recovery(
         "{what}"
     );
 
-    // Format, commits, three power cuts, three recoveries — in persist order.
-    assert_persist_clean(merged_ranges, &devices, &what);
-}
-
-/// Every shard's metadata ranges, rebased into the merged trace's
-/// address space.
-fn merged_metadata_ranges(pool: &TincaPool, devices: &[Nvm]) -> Vec<std::ops::Range<usize>> {
-    let capacity = devices[0].capacity();
-    (0..devices.len())
-        .flat_map(|s| {
-            pool.shard_metadata_ranges(s)
-                .into_iter()
-                .map(move |r| (s, r))
-        })
-        .map(|(s, r)| r.start + s * capacity..r.end + s * capacity)
-        .collect()
-}
-
-/// Drains every device's trace and audits the merged history.
-fn assert_persist_clean(merged_ranges: Vec<std::ops::Range<usize>>, devices: &[Nvm], what: &str) {
-    let mut checker = Checker::new(CheckConfig::with_metadata(merged_ranges));
-    let traces = devices.iter().map(|d| d.take_trace()).collect();
-    checker.push_all(&merge_shard_traces(traces, devices[0].capacity()));
-    let report = checker.report();
-    assert!(report.is_clean(), "{what}: {report}");
+    // Format, commits, three power cuts, three recoveries — in persist
+    // order, on every shard and merged.
+    rig.audit().unwrap_or_else(|e| panic!("{what}: {e}"));
 }
 
 const DELTA: Setup = Setup {
@@ -583,15 +468,17 @@ const DELTA: Setup = Setup {
 /// Per-device persistence events of the commit [`cut_spanning_commit`]
 /// cuts, counted on an uninterrupted run after the same history.
 fn commit_events(setup: Setup) -> Vec<u64> {
-    let (devices, disk, pool_cfg) = cut_spanning_commit(setup, 0, 1);
-    let pool = TincaPool::recover(devices.clone(), disk, pool_cfg).expect("recovery");
+    let rig = cut_spanning_commit(setup, 0, 1);
+    let pool = rig.recover().expect("recovery");
     if setup.delta_stage {
         // Recovery dropped the hints with the rest of DRAM; park them again.
         commit_spanning_pair(&pool, setup, 0x02);
         commit_spanning_pair(&pool, setup, 0x01);
     }
     let before = pool.stats();
-    let (crashed, spans) = events_during(&devices, || try_spanning_commit(&pool, setup));
+    let (crashed, spans) = events_during(&rig.devices, || {
+        try_spanning_commit(&pool, &rig.devices, setup)
+    });
     assert!(!crashed, "probe crashed with no trip");
     if setup.delta_stage {
         let after = pool.stats();
@@ -626,8 +513,8 @@ fn every_crash_instant_of_a_delta_staged_commit_is_all_or_nothing() {
         for (dev, &events) in commit_events(setup).iter().enumerate() {
             for k in 1..=events {
                 let what = format!("{setup:?} cut dev{dev}@{k}");
-                let (devices, disk, pool_cfg) = cut_spanning_commit(setup, dev, k);
-                let pool = TincaPool::recover(devices.clone(), disk, pool_cfg).expect("recovery");
+                let rig = cut_spanning_commit(setup, dev, k);
+                let pool = rig.recover().expect("recovery");
                 let forward = rolled_forward(&pool, setup, &what);
                 saw_forward |= forward;
                 saw_back |= !forward;
@@ -640,7 +527,7 @@ fn every_crash_instant_of_a_delta_staged_commit_is_all_or_nothing() {
                 }
                 pool.check_consistency()
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
-                assert_persist_clean(merged_metadata_ranges(&pool, &devices), &devices, &what);
+                rig.audit().unwrap_or_else(|e| panic!("{what}: {e}"));
             }
         }
         assert!(saw_back, "{shards} shard(s): no instant rolled back");
@@ -676,10 +563,9 @@ fn crash_inside_recovery_repeats_the_roll_decision() {
             for k in instants {
                 // The uninterrupted recovery fixes the expected direction
                 // and counts the recovery's own events per device.
-                let (devices, disk, pool_cfg) = cut_spanning_commit(setup, dev, k);
-                let (pool, rec_events) = events_during(&devices, || {
-                    TincaPool::recover(devices.clone(), disk, pool_cfg).expect("recovery")
-                });
+                let rig = cut_spanning_commit(setup, dev, k);
+                let (pool, rec_events) =
+                    events_during(&rig.devices, || rig.recover().expect("recovery"));
                 let expect_forward = rolled_forward(&pool, setup, "uninterrupted recovery");
                 saw_forward |= expect_forward;
                 saw_back |= !expect_forward;

@@ -42,7 +42,7 @@ pub mod wal;
 
 pub use crash::{
     tinca_kv_frontier_campaign, tinca_kv_fuzz_campaign, wal_kv_frontier_campaign,
-    wal_kv_fuzz_campaign, TincaKvApp, WalKvApp,
+    wal_kv_fuzz_campaign, KvApp, Personality, TincaKvApp, WalKvApp,
 };
 pub use db::{Db, KvPair};
 pub use driver::{apply_txn, value_for, KvTpccDriver, KvTxn, VALUE_LEN};

@@ -2,9 +2,9 @@
 //! policies, full verification — a compact version of the §5.1
 //! recoverability experiment run as part of the test suite.
 
+use tinca_repro::crashsim::engine::Cut;
 use tinca_repro::crashsim::{fuzz_system, CrashHarness, FsOracle};
 use tinca_repro::fssim::stack::{StackConfig, System};
-use tinca_repro::nvmsim::CrashPolicy;
 
 #[test]
 fn fuzz_matrix_is_clean() {
@@ -37,7 +37,10 @@ fn trip_sweep_over_one_fs_transaction() {
             fs.fsync().unwrap();
         });
         oracle.write("doc", 0, &[2u8; 24_000]);
-        h.crash_and_remount(CrashPolicy::Random(trip));
+        h.crash_and_remount(Cut::Random {
+            seed: trip,
+            shift: 0,
+        });
         h.verify(&oracle)
             .unwrap_or_else(|e| panic!("Tinca torn at trip {trip}: {e}"));
     }
@@ -67,7 +70,10 @@ fn deletion_is_crash_atomic() {
             fs.fsync().unwrap();
         });
         oracle.delete("victim");
-        h.crash_and_remount(CrashPolicy::Random(trip ^ 0xDEAD));
+        h.crash_and_remount(Cut::Random {
+            seed: trip ^ 0xDEAD,
+            shift: 0,
+        });
         h.verify(&oracle)
             .unwrap_or_else(|e| panic!("delete torn at trip {trip}: {e}"));
         // Whatever happened to "victim", "keeper" is intact.
