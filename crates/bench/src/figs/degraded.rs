@@ -15,9 +15,10 @@
 //!    serving.
 
 use blockdev::{DiskKind, FaultPlan, FaultyDisk, SimDisk, BLOCK_SIZE};
-use crashsim::fault_fuzz_campaign;
+use crashsim::engine::sweep;
+use crashsim::FaultsPlan;
 use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{Health, PoolConfig, TincaPool};
+use tinca::{CommitMode, Health, PoolConfig, TincaPool};
 
 use crate::table::Table;
 use crate::{banner, checks, fmt, write_csv};
@@ -78,7 +79,12 @@ pub fn run(quick: bool) -> Vec<String> {
     );
 
     let runs: u64 = if quick { 200 } else { 1200 };
-    let campaign = fault_fuzz_campaign(1, 0xFA57_0000, runs, 40);
+    let plan = FaultsPlan {
+        shards: 1,
+        txns: 40,
+        mode: CommitMode::Mutex,
+    };
+    let campaign = sweep(&plan, 0xFA57_0000..0xFA57_0000 + runs);
     println!(
         "fault-fuzz: {} runs, {} crashed, {} completed, {} degraded, \
          {} transients absorbed over {} retries, {} permanent errors, {} violations",

@@ -25,6 +25,8 @@
 //! destage under pressure) must not bend the commit protocol.
 
 use blockdev::{DiskKind, SimDisk};
+use crashsim::engine::sweep;
+use crashsim::BacklogPlan;
 use nvmsim::{shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
 use persistcheck::{CheckConfig, Checker};
 use telemetry::Json;
@@ -237,7 +239,8 @@ pub fn run(quick: bool) -> Vec<String> {
 
     // Crash mid-backlog: overload + bounded queue + power cut; recovery
     // must be exact and shed/queued ops must leave no trace.
-    let campaign = crashsim::backlog_campaign(SHARDS, 0x6B10, if quick { 10 } else { 40 });
+    let backlog = BacklogPlan { shards: SHARDS };
+    let campaign = sweep(&backlog, 0x6B10..0x6B10 + if quick { 10 } else { 40 });
     println!(
         "crash-mid-backlog: {} runs, {} crashes, {} ops shed, {} violations",
         campaign.runs,

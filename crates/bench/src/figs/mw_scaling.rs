@@ -25,6 +25,8 @@
 //! concurrent publication orders — both must be violation-free.
 
 use blockdev::{DiskKind, SimDisk};
+use crashsim::engine::{frontier, sweep};
+use crashsim::RingPlan;
 use nvmsim::{merge_shard_traces, shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
 use persistcheck::{CheckConfig, Checker};
 use telemetry::Json;
@@ -218,7 +220,13 @@ pub fn run(quick: bool) -> Vec<String> {
     // fuzz (200 seeds full — the acceptance sweep, crash-mid-publication
     // included) and bounded-exhaustive frontier enumeration over
     // publication orders.
-    let fuzz = crashsim::mw_pool_fuzz_campaign(2, 0x3757_B900, if quick { 40 } else { 200 }, 20);
+    let fuzz = sweep(
+        &RingPlan {
+            shards: 2,
+            rounds: 20,
+        },
+        0x3757_B900..0x3757_B900 + if quick { 40 } else { 200 },
+    );
     println!(
         "mw fuzz: {} runs, {} crashes, {} violations",
         fuzz.runs,
@@ -228,7 +236,8 @@ pub fn run(quick: bool) -> Vec<String> {
     for v in &fuzz.violations {
         eprintln!("  violation: {v}");
     }
-    let frontier = crashsim::mw_frontier_campaign(2, 0x3757_B901, if quick { 3 } else { 4 }, 6);
+    let rounds = if quick { 3 } else { 4 };
+    let frontier = frontier(&RingPlan { shards: 2, rounds }, 0x3757_B901..0x3757_B902, 6);
     println!("mw frontier: {frontier}");
     for v in &frontier.violations {
         eprintln!("  violation: {v}");
@@ -250,7 +259,7 @@ pub fn run(quick: bool) -> Vec<String> {
     ]);
     let frontier_json = Json::obj(vec![
         ("epochs", frontier.epochs_total.into()),
-        ("states", frontier.states_run.into()),
+        ("states", frontier.runs.into()),
         ("violations", (frontier.violations.len() as u64).into()),
     ]);
     let bench = Json::obj(vec![

@@ -1,7 +1,8 @@
 //! §5.1 recoverability — the power-pull experiment, mechanised as a crash
 //! fuzz campaign.
 
-use crashsim::{fuzz_system_opts, FailureMode};
+use crashsim::engine::sweep;
+use crashsim::{FailureMode, FsPlan};
 use fssim::stack::System;
 
 use crate::table::Table;
@@ -27,7 +28,13 @@ pub fn run(quick: bool) -> Vec<String> {
         // during background destage batches too.
         (System::Tinca, 53_000, true),
     ] {
-        let report = fuzz_system_opts(sys, seed, runs, 60, FailureMode::PowerPull, destage);
+        let plan = FsPlan {
+            system: sys,
+            steps: 60,
+            mode: FailureMode::PowerPull,
+            destage,
+        };
+        let report = sweep(&plan, seed..seed + runs);
         let label = if destage {
             format!("{}+destage", sys.name())
         } else {

@@ -20,6 +20,8 @@
 //! `BENCH_7.json` at the repo root with a flat `gate` object.
 
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
+use crashsim::engine::{frontier, sweep};
+use crashsim::{PoolPlan, SpanningPlan};
 use nvmsim::{merge_shard_traces, shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
 use persistcheck::{CheckConfig, Checker};
 use rand::rngs::StdRng;
@@ -191,13 +193,22 @@ pub fn run(quick: bool) -> Vec<String> {
 
     // Embedded crash smoke: enumerate frontiers of a spanning workload
     // and sweep random trips; both must see zero torn transactions.
-    let frontier =
-        crashsim::spanning_frontier_campaign(2, 0x57A6, if quick { 1 } else { 2 }, 4, false);
+    let spanning = SpanningPlan {
+        shards: 2,
+        txns: if quick { 1 } else { 2 },
+        delta_stage: false,
+    };
+    let frontier = frontier(&spanning, 0x57A6..0x57A7, 4);
     println!("frontier: {frontier}");
     for v in &frontier.violations {
         eprintln!("  violation: {v}");
     }
-    let fuzz = crashsim::pool_fuzz_campaign(SHARDS, 0x57A7, if quick { 20 } else { 60 }, 40, false);
+    let pool = PoolPlan {
+        shards: SHARDS,
+        txns: 40,
+        delta_stage: false,
+    };
+    let fuzz = sweep(&pool, 0x57A7..0x57A7 + if quick { 20 } else { 60 });
     println!(
         "fuzz: {} runs, {} crashes, {} violations",
         fuzz.runs,
@@ -218,7 +229,7 @@ pub fn run(quick: bool) -> Vec<String> {
     ]);
     let frontier_json = Json::obj(vec![
         ("epochs", frontier.epochs_total.into()),
-        ("states", frontier.states_run.into()),
+        ("states", frontier.runs.into()),
         ("violations", (frontier.violations.len() as u64).into()),
     ]);
     let fuzz_json = Json::obj(vec![
@@ -260,7 +271,7 @@ pub fn run(quick: bool) -> Vec<String> {
             "persist-order audit must be clean per shard and on the merged trace",
         ),
         (
-            frontier.clean() && frontier.states_run > 0,
+            frontier.clean() && frontier.runs > 0,
             "frontier enumeration must run states and find zero torn spanning txns",
         ),
         (

@@ -30,11 +30,12 @@
 
 use std::time::Instant;
 
-use crashsim::{CampaignReport, FailureMode, FrontierReport};
+use crashsim::engine::{frontier, sweep};
+use crashsim::CampaignReport;
+use crashsim::FailureMode::PowerPull;
 use fssim::stack::{StackConfig, System};
 use kvdb::{
-    apply_txn, tinca_kv_frontier_campaign, tinca_kv_fuzz_campaign, wal_kv_frontier_campaign,
-    wal_kv_fuzz_campaign, Db, KvTpccDriver, PageStore, TincaStore, TincaStoreConfig, WalConfig,
+    apply_txn, Db, KvPlan, KvTpccDriver, PageStore, TincaStore, TincaStoreConfig, WalConfig,
     WalStore,
 };
 use telemetry::Json;
@@ -149,10 +150,10 @@ fn campaign_json(r: &CampaignReport) -> Json {
     ])
 }
 
-fn frontier_json(r: &FrontierReport) -> Json {
+fn frontier_json(r: &CampaignReport) -> Json {
     Json::obj(vec![
         ("epochs", r.epochs_total.into()),
-        ("states", r.states_run.into()),
+        ("states", r.runs.into()),
         ("violations", (r.violations.len() as u64).into()),
     ])
 }
@@ -215,24 +216,26 @@ pub fn run(quick: bool) -> Vec<String> {
     // the persist-order audit clean inside every recovery.
     let crash_txns = 15;
     let (fuzz_seeds, frontier_cap) = if quick { (8, 3) } else { (20, 6) };
-    let wal_fuzz = wal_kv_fuzz_campaign(
-        0xE1F0,
-        fuzz_seeds,
-        crash_txns,
-        20_000,
-        FailureMode::PowerPull,
+    let wal_fuzz = sweep(
+        &KvPlan::<WalStore>::new(crash_txns, 20_000, PowerPull),
+        0xE1F0..0xE1F0 + fuzz_seeds,
     );
     // Trip ranges follow each stack's event count per run (see
-    // `crates/kvdb/tests/crash.rs`).
-    let tinca_fuzz = tinca_kv_fuzz_campaign(
-        0xE1F1,
-        fuzz_seeds,
-        crash_txns,
-        1_000,
-        FailureMode::PowerPull,
+    // `kvdb::WAL_TRIP_MAX`).
+    let tinca_fuzz = sweep(
+        &KvPlan::<TincaStore>::new(crash_txns, 1_000, PowerPull),
+        0xE1F1..0xE1F1 + fuzz_seeds,
     );
-    let wal_frontier = wal_kv_frontier_campaign(0xE1F2, 2, frontier_cap);
-    let tinca_frontier = tinca_kv_frontier_campaign(0xE1F3, 2, frontier_cap);
+    let wal_frontier = frontier(
+        &KvPlan::<WalStore>::new(2, 0, PowerPull),
+        0xE1F2..0xE1F3,
+        frontier_cap,
+    );
+    let tinca_frontier = frontier(
+        &KvPlan::<TincaStore>::new(2, 0, PowerPull),
+        0xE1F3..0xE1F4,
+        frontier_cap,
+    );
     for (what, runs, crashes, violations) in [
         (
             "wal fuzz",
@@ -249,13 +252,13 @@ pub fn run(quick: bool) -> Vec<String> {
         (
             "wal frontier",
             wal_frontier.epochs_total,
-            wal_frontier.states_run,
+            wal_frontier.runs,
             &wal_frontier.violations,
         ),
         (
             "tinca frontier",
             tinca_frontier.epochs_total,
-            tinca_frontier.states_run,
+            tinca_frontier.runs,
             &tinca_frontier.violations,
         ),
     ] {
@@ -329,11 +332,11 @@ pub fn run(quick: bool) -> Vec<String> {
             "no-WAL fuzz must crash mid-commit and recover with zero violations",
         ),
         (
-            wal_frontier.clean() && wal_frontier.states_run > 0,
+            wal_frontier.clean() && wal_frontier.runs > 0,
             "WAL-mode frontier enumeration must run states with zero violations",
         ),
         (
-            tinca_frontier.clean() && tinca_frontier.states_run > 0,
+            tinca_frontier.clean() && tinca_frontier.runs > 0,
             "no-WAL frontier enumeration must run states with zero violations",
         ),
     ])

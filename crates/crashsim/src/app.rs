@@ -1,108 +1,196 @@
-//! The outcome and report every crash campaign shares.
+//! The verdicts and the report every crash campaign shares.
 //!
-//! Each seed ends in one [`AppOutcome`] — from the engine's
-//! [`run_one`](crate::engine::run_one) — and [`campaign`] aggregates a
-//! sweep of seeds into one [`CampaignReport`].
+//! Each check that fails says which it is ([`Check`]) and what it saw
+//! ([`Finding`]); each run ends in one [`AppOutcome`] — from the engine's
+//! [`run_one`](crate::engine::run_one) — and the drivers add it to one
+//! [`CampaignReport`], where a failed check becomes a [`Violation`] that
+//! names the campaign, the seed and the trip. A [`Campaign`] is one named
+//! entry of a crate's campaign table.
 
-/// The outcome of one crash experiment.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AppOutcome {
-    /// Workload completed before the trip fired.
-    Completed,
-    /// Crash injected; recovery verified clean.
-    CrashedVerified,
-    /// Recovery or verification failed — a consistency bug.
-    Violation(String),
+use std::fmt;
+use std::ops::Range;
+
+use persistcheck::Rule;
+
+use crate::engine::Trip;
+
+/// The check that raised a violation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Check {
+    /// The workload failed with no crash, or its app could not be built.
+    Workload,
+    /// A frontier state's replay did not reach its trip.
+    Replay,
+    /// The application's recovery failed.
+    Recovery,
+    /// The recovered internals (cache, file system, B-tree) are
+    /// inconsistent.
+    Internals,
+    /// The persist-order analyzer flagged the trace: the first correctness
+    /// rule that fired.
+    PersistOrder(Rule),
+    /// The recovered contents are not the durable state plus each
+    /// in-flight transaction, all or nothing.
+    Oracle,
 }
 
-impl AppOutcome {
-    /// The outcome with a violation tagged by what identifies the seed.
-    pub fn tagged(self, tag: impl std::fmt::Display) -> AppOutcome {
-        match self {
-            AppOutcome::Violation(e) => AppOutcome::Violation(format!("{tag}: {e}")),
-            outcome => outcome,
+impl Check {
+    /// A finding of this check: `detail` is what it saw.
+    pub fn found(self, detail: impl fmt::Display) -> Finding {
+        Finding {
+            check: self,
+            detail: detail.to_string(),
         }
     }
 }
 
-/// Aggregate over a campaign of seeds — every campaign's report.
-#[derive(Clone, Debug, Default)]
+/// A check that failed, and what it saw.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Finding {
+    pub check: Check,
+    pub detail: String,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}: {}", self.check, self.detail)
+    }
+}
+
+/// A finding on one run of a campaign.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Violation {
+    /// The plan family that ran ([`Plan::NAME`](crate::engine::Plan::NAME)).
+    pub campaign: &'static str,
+    pub seed: u64,
+    /// Where the power failed; `None` when the app never ran to a trip.
+    pub trip: Option<Trip>,
+    pub check: Check,
+    pub detail: String,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} seed {}", self.campaign, self.seed)?;
+        if let Some(trip) = self.trip {
+            write!(f, " {trip}")?;
+        }
+        write!(f, ": {:?}: {}", self.check, self.detail)
+    }
+}
+
+/// The outcome of one crash experiment.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AppOutcome {
+    /// The trip fired and cut the run.
+    pub crashed: bool,
+    /// The first check that failed.
+    pub verdict: Result<(), Finding>,
+}
+
+/// Aggregate over a campaign: a sweep of seeds, or the crash states of a
+/// frontier enumeration.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CampaignReport {
+    /// Seeds swept, or frontier states run.
     pub runs: u64,
+    /// Runs the trip never cut.
     pub completed: u64,
+    /// Runs the trip cut.
     pub crashes: u64,
+    /// A frontier enumeration's per-epoch crash-state budget (0 for a
+    /// sweep); the fence epochs in its probe traces' workload window;
+    /// those enumerated exhaustively (2^k ≤ cap) and those sampled (empty
+    /// and full frontiers always included); and those before the workload
+    /// (format, mount), skipped.
+    pub cap_per_epoch: usize,
+    pub epochs_total: u64,
+    pub epochs_exhaustive: u64,
+    pub epochs_capped: u64,
+    pub epochs_skipped_setup: u64,
     /// Writes admission control shed (the crash-mid-backlog campaign: it
     /// is only meaningful if there *was* a backlog).
     pub shed: u64,
-    /// Runs that ended with at least one quarantined block (fault fuzz).
+    /// Disk faults: runs that ended with a quarantined block, and over all
+    /// runs the transient faults absorbed by retry, the retry attempts and
+    /// the permanent I/O errors.
     pub degraded: u64,
-    /// Transient disk faults absorbed by retry, over all runs.
     pub transients_absorbed: u64,
-    /// Retry attempts, over all runs.
     pub io_retries: u64,
-    /// Permanent I/O errors, over all runs.
     pub permanent_errors: u64,
-    pub violations: Vec<String>,
+    pub violations: Vec<Violation>,
 }
 
 impl CampaignReport {
     pub fn clean(&self) -> bool {
         self.violations.is_empty()
     }
-}
 
-/// Runs `runs` seeds through `run_seed` (which typically builds an app
-/// for the seed index and runs it through
-/// [`run_one`](crate::engine::run_one); it may add its own tallies to the
-/// report) and aggregates the outcomes. With `count_seeds`, each outcome
-/// also bumps the `crash.seeds.*` telemetry counters.
-pub fn campaign<F>(runs: u64, count_seeds: bool, mut run_seed: F) -> CampaignReport
-where
-    F: FnMut(u64, &mut CampaignReport) -> AppOutcome,
-{
-    let mut report = CampaignReport::default();
-    for i in 0..runs {
-        report.runs += 1;
-        match run_seed(i, &mut report) {
-            AppOutcome::Completed => {
-                report.completed += 1;
-                if count_seeds {
-                    telemetry::count("crash.seeds.completed", 1);
-                }
-            }
-            AppOutcome::CrashedVerified => {
-                report.crashes += 1;
-                if count_seeds {
-                    telemetry::count("crash.seeds.crashed", 1);
-                }
-            }
-            AppOutcome::Violation(v) => {
-                report.crashes += 1;
-                if count_seeds {
-                    telemetry::count("crash.seeds.violations", 1);
-                }
-                report.violations.push(v);
-            }
+    /// Adds one run of `campaign` at `seed` that ended in `outcome`.
+    pub(crate) fn record(
+        &mut self,
+        campaign: &'static str,
+        seed: u64,
+        trip: Option<Trip>,
+        outcome: AppOutcome,
+    ) {
+        self.runs += 1;
+        if outcome.crashed {
+            self.crashes += 1;
+        } else {
+            self.completed += 1;
+        }
+        if let Err(Finding { check, detail }) = outcome.verdict {
+            self.violations.push(Violation {
+                campaign,
+                seed,
+                trip,
+                check,
+                detail,
+            });
         }
     }
-    report
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn campaign_aggregates() {
-        let outcomes = [
-            AppOutcome::Completed,
-            AppOutcome::CrashedVerified,
-            AppOutcome::Violation("v".into()),
-        ];
-        let mut it = outcomes.iter().cloned();
-        let r = campaign(3, false, |_, _| it.next().expect("three outcomes"));
-        assert_eq!((r.runs, r.completed, r.crashes), (3, 1, 2));
-        assert_eq!(r.violations, vec!["v".to_string()]);
-        assert!(!r.clean());
+impl fmt::Display for CampaignReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let violations = self.violations.len();
+        if self.cap_per_epoch > 0 {
+            return write!(
+                f,
+                "{} epochs ({} exhaustive, {} capped at {} states), {} crash states, \
+                 {violations} violations",
+                self.epochs_total,
+                self.epochs_exhaustive,
+                self.epochs_capped,
+                self.cap_per_epoch,
+                self.runs,
+            );
+        }
+        write!(
+            f,
+            "{} runs, {} completed, {} crashed, {violations} violations",
+            self.runs, self.completed, self.crashes
+        )?;
+        if self.shed > 0 {
+            write!(f, ", {} shed", self.shed)?;
+        }
+        if self.io_retries > 0 {
+            write!(
+                f,
+                ", {} degraded, {} transients absorbed over {} retries, {} permanent errors",
+                self.degraded, self.transients_absorbed, self.io_retries, self.permanent_errors
+            )?;
+        }
+        Ok(())
     }
+}
+
+/// One entry of a campaign table: a plan instance under a name, run over
+/// a seed range, and the seeds whose exact tally tier-1 pins.
+#[derive(Clone, Debug)]
+pub struct Campaign {
+    pub name: &'static str,
+    pub run: fn(Range<u64>) -> CampaignReport,
+    pub tier1: Range<u64>,
 }

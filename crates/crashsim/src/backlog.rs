@@ -19,14 +19,14 @@
 //!   every block of the working set, which makes the check exact;
 //! * every shard's internals and persist-order event trace are clean.
 
-use tinca::CommitMode;
+use tinca::{CommitMode, TincaPool};
 use workloads::openloop::{
     Arrival, ArrivalStream, Arrivals, OpKind, OpenLoopDriver, OpenLoopSpec, StepOutcome,
     TincaServer,
 };
 
-use crate::app::{campaign, AppOutcome, CampaignReport};
-use crate::engine::{run_one, small_pool, BlockOracle, Cut, Images, PoolApp, Rig, Trip};
+use crate::engine::{small_pool, BlockOracle, Cut, Images, Plan, PoolApp, Rig, Trip, Workload};
+use crate::{CampaignReport, Finding};
 
 fn overload_spec(shards: usize, seed: u64) -> OpenLoopSpec {
     OpenLoopSpec {
@@ -47,25 +47,25 @@ fn overload_spec(shards: usize, seed: u64) -> OpenLoopSpec {
     }
 }
 
-/// One seeded crash-mid-backlog iteration against an `N`-shard pool, the
-/// writes admission control shed before the crash (or stream end) added
-/// to `report`.
-fn backlog_seed(shards: usize, seed: u64, report: &mut CampaignReport) -> AppOutcome {
-    let spec = overload_spec(shards, seed);
-    let (rig, pool) = Rig::new(small_pool(shards, CommitMode::Mutex, false), 512 << 10);
+/// The open-loop driver's spec, its arrivals (step `i` serves arrival
+/// `i`), and the writes admission control shed before the crash or the
+/// stream's end.
+pub struct Backlog {
+    spec: OpenLoopSpec,
+    plan: Vec<Arrival>,
+    shed: u64,
+}
 
-    // The stream is deterministic, so the oracle sees the whole plan up
-    // front: step `i` serves arrival `i`.
-    let plan: Vec<Arrival> = ArrivalStream::new(&spec, shards).collect();
-    let trip = Trip {
-        dev: (seed % shards as u64) as usize,
-        at: 1 + (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 3_000),
-    };
-    let oracle = BlockOracle::new(Images::Stamped, spec.blocks);
-    let mut app = PoolApp::new(rig, pool, oracle, |rig, pool, oracle| {
+impl Workload for Backlog {
+    fn play(
+        &mut self,
+        rig: &Rig,
+        pool: &TincaPool,
+        oracle: &mut BlockOracle,
+    ) -> Result<(), Finding> {
         let server = TincaServer::new(pool, rig.clock.clone());
-        let mut driver = OpenLoopDriver::new(spec.clone(), server);
-        for arrival in &plan {
+        let mut driver = OpenLoopDriver::new(self.spec.clone(), server);
+        for arrival in &self.plan {
             let write: Option<Vec<(u64, u64)>> = match &arrival.kind {
                 OpKind::Write { blks, seq } => Some(blks.iter().map(|&b| (b, *seq)).collect()),
                 _ => None,
@@ -76,56 +76,50 @@ fn backlog_seed(shards: usize, seed: u64, report: &mut CampaignReport) -> AppOut
             match driver.step() {
                 Some(StepOutcome::Completed { .. }) => oracle.commit(),
                 Some(StepOutcome::ShedQueueFull { .. } | StepOutcome::ShedThrottled { .. }) => {
-                    report.shed += u64::from(write.is_some());
+                    self.shed += u64::from(write.is_some());
                     oracle.abort();
                 }
                 None => break,
             }
         }
         Ok(())
-    });
-    let cut = Cut::Random {
-        seed: seed ^ 0xBAC1,
-        shift: 13,
-    };
-    run_one(&mut app, trip, cut).tagged(format_args!("seed {seed} {trip}"))
-}
-
-/// Runs one seeded crash-mid-backlog iteration against an `N`-shard pool.
-pub fn backlog_one(shards: usize, seed: u64) -> AppOutcome {
-    backlog_seed(shards, seed, &mut CampaignReport::default())
-}
-
-/// Runs a crash-mid-backlog campaign of `runs` seeds.
-pub fn backlog_campaign(shards: usize, base_seed: u64, runs: u64) -> CampaignReport {
-    campaign(runs, false, |i, report| {
-        backlog_seed(shards, base_seed + i, report)
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn overload_spec_actually_sheds() {
-        // Without a crash (trip unarmed path: run the driver directly),
-        // the overload spec must build a backlog and shed — otherwise
-        // the campaign proves nothing.
-        let shards = 2;
-        let spec = overload_spec(shards, 7);
-        let (rig, pool) = Rig::new(small_pool(shards, CommitMode::Mutex, false), 512 << 10);
-        let r = OpenLoopDriver::new(spec, TincaServer::new(&pool, rig.clock.clone())).run();
-        assert!(r.shed_queue_full > 0, "no backlog formed");
-        assert!(r.completed > 0);
     }
 
-    #[test]
-    fn single_seed_verifies() {
-        let out = backlog_one(2, 3);
-        assert!(
-            matches!(out, AppOutcome::Completed | AppOutcome::CrashedVerified),
-            "{out:?}"
-        );
+    fn tally(&self, _: &TincaPool, report: &mut CampaignReport) {
+        report.shed += self.shed;
+    }
+}
+
+/// Random trips into an overloaded open-loop tier on an `N`-shard pool.
+#[derive(Clone, Copy, Debug)]
+pub struct BacklogPlan {
+    pub shards: usize,
+}
+
+impl Plan for BacklogPlan {
+    type App = PoolApp<Backlog>;
+    const NAME: &'static str = "backlog";
+
+    fn build(&self, seed: u64) -> Result<(Self::App, Trip, Cut<'static>), Finding> {
+        let spec = overload_spec(self.shards, seed);
+        let (rig, pool) = Rig::new(small_pool(self.shards, CommitMode::Mutex, false), 512 << 10);
+        // The stream is deterministic, so the oracle sees the whole plan
+        // up front.
+        let plan: Vec<Arrival> = ArrivalStream::new(&spec, self.shards).collect();
+        let trip = Trip {
+            dev: (seed % self.shards as u64) as usize,
+            at: 1 + (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 3_000),
+        };
+        let oracle = BlockOracle::new(Images::Stamped, spec.blocks);
+        let cut = Cut::Random {
+            seed: seed ^ 0xBAC1,
+            shift: 13,
+        };
+        let work = Backlog {
+            spec,
+            plan,
+            shed: 0,
+        };
+        Ok((PoolApp::new(rig, pool, oracle, work), trip, cut))
     }
 }

@@ -2,18 +2,19 @@
 //! campaign runs.
 //!
 //! An application — the FS stack, a kvdb personality, a pool and its
-//! plan — implements [`Crashable`]; two drivers run the experiment on
-//! it:
+//! workload — implements [`Crashable`]; a campaign is a [`Plan`] value that
+//! builds a fresh app per seed, with its trip and its cut. Two drivers run
+//! a plan:
 //!
-//! * [`run_one`] — one trip: arm it, drive the app until it returns or
-//!   the trip cuts it, and if it was cut, fail the power, recover and
-//!   verify. The random sweeps run it once per seed, the directed ones
-//!   once per chosen instant;
+//! * [`sweep`] — one [`run_one`] per seed: arm the trip, drive the app
+//!   until it returns or the trip cuts it, and if it was cut, fail the
+//!   power, recover and verify;
 //! * [`frontier`] — bounded exhaustive enumeration: a probe run harvests
 //!   every device's fence epochs, then every persist frontier of every
 //!   epoch is replayed through [`run_one`] with [`Cut::Frontier`].
 //!
-//! The pieces they and the pool campaigns share are here too, once:
+//! Both fill one [`CampaignReport`], and every failed check names itself
+//! ([`Check`]). The pieces the pool plans share are here too, once:
 //!
 //! * [`Rig`] — the traced shard devices, the disk (plain, or wrapped in a
 //!   [`FaultyDisk`]), the [`PoolConfig`] and each shard's metadata ranges;
@@ -25,9 +26,7 @@
 //! * [`audit`] — the persist-order check of every shard's trace and of
 //!   the merged pool-wide trace;
 //! * [`BlockOracle`] — the payload images, the durable map and the
-//!   in-flight transactions, judged after recovery;
-//! * the report is [`crate::CampaignReport`], one outcome per seed an
-//!   [`AppOutcome`] ([`FrontierReport`] per enumeration).
+//!   in-flight transactions, judged after recovery.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -39,27 +38,47 @@ use nvmsim::{
     merge_shard_traces, shard_devices, CrashPolicy, CrashTripped, Nvm, NvmConfig, NvmDevice,
     NvmTech, SimClock, CACHE_LINE,
 };
-use persistcheck::{CheckConfig, Checker};
+use persistcheck::{CheckConfig, Checker, Report};
+use rand::rngs::StdRng;
+use rand::Rng;
 use tinca::{CommitMode, DynDisk, PoolConfig, TincaConfig, TincaError, TincaPool, Txn};
 use workloads::openloop::write_payload;
 
-use crate::app::AppOutcome;
 use crate::frontier::{epochs_from_trace, frontiers};
-use crate::{quiet_crash_panics, FailureMode, FrontierReport};
+use crate::{quiet_crash_panics, AppOutcome, CampaignReport, Check, FailureMode, Finding};
 
 /// One application under the crash experiment. It is built fresh:
 /// formatted, its plan rolled, no trip armed.
 pub trait Crashable {
     /// The traced NVM devices, in shard order.
     fn devices(&self) -> &[Nvm];
-    /// Runs the plan, telling the oracle what it committed. An error with
-    /// no crash is a workload bug, and a violation.
-    fn drive(&mut self) -> Result<(), String>;
+    /// Runs the plan, telling the oracle what it committed. A failure with
+    /// no crash is a [`Check::Workload`] violation.
+    fn drive(&mut self) -> Result<(), Finding>;
     /// Fails the power per `cut` and runs the application's own recovery.
-    fn recover(&mut self, cut: Cut<'_>) -> Result<(), String>;
+    fn recover(&mut self, cut: Cut<'_>) -> Result<(), Finding>;
     /// Checks the recovered state: internals, the persist-order
     /// [`audit`], then the oracle.
-    fn verify(&mut self) -> Result<(), String>;
+    fn verify(&mut self) -> Result<(), Finding>;
+    /// Adds the app's own counters to `report` once its run is over; none
+    /// by default.
+    fn tally(&self, _report: &mut CampaignReport) {}
+    /// [`sweep`]'s checks of a run the trip never cut, after its
+    /// [`tally`](Crashable::tally); none by default.
+    fn completed(&mut self) -> Result<(), Finding> {
+        Ok(())
+    }
+}
+
+/// A crash campaign: builds the app for a seed, with the trip and the cut
+/// that seed draws. Its fields are the campaign's axes.
+pub trait Plan {
+    type App: Crashable;
+    /// Names the campaign in violations.
+    const NAME: &'static str;
+    /// The fresh app for `seed`, its [`Trip`] and its [`Cut`], drawn from
+    /// the seed in the campaign's fixed order, so every seed keeps them.
+    fn build(&self, seed: u64) -> Result<(Self::App, Trip, Cut<'static>), Finding>;
 }
 
 /// One crash experiment: arms `trip`, drives `app` until it returns (the
@@ -70,93 +89,116 @@ pub fn run_one(app: &mut impl Crashable, trip: Trip, cut: Cut<'_>) -> AppOutcome
     let _seed_span = telemetry::span(telemetry::phase::CRASH_SEED);
     let devices = app.devices().to_vec();
     devices[trip.dev].set_trip(Some(trip.at));
-    let verdict = match tripped(&devices, || app.drive()) {
-        Some(Ok(())) => return AppOutcome::Completed,
-        Some(Err(e)) => Err(e),
-        None => app.recover(cut).and_then(|()| app.verify()),
-    };
-    match verdict {
-        Ok(()) => AppOutcome::CrashedVerified,
-        Err(e) => AppOutcome::Violation(e),
+    match tripped(&devices, || app.drive()) {
+        Some(verdict) => AppOutcome {
+            crashed: false,
+            verdict,
+        },
+        None => AppOutcome {
+            crashed: true,
+            verdict: app.recover(cut).and_then(|()| app.verify()),
+        },
     }
 }
 
-/// Bounded exhaustive crash-state enumeration of the app `build` makes. A
-/// probe run harvests every device's fence epochs; epochs before the
-/// workload (format, mount) are skipped. Each other epoch is replayed on
-/// a fresh build to its last staged `clflush` and cut at every frontier
-/// ([`Cut::Frontier`]): all `2^k` subsets of its `k` staged lines when
-/// that fits `cap_per_epoch`, else a deterministic sample that keeps the
-/// empty and full ones. `site` names the device in violations (`"seed S
-/// shard D epoch I …"`); `None` omits it, for one-device apps.
-pub fn frontier<A: Crashable>(
-    build: impl Fn() -> Result<A, String>,
-    seed: u64,
-    cap_per_epoch: usize,
-    site: Option<&str>,
-) -> FrontierReport {
-    let mut report = FrontierReport {
+/// Runs `plan` once per seed of `seeds` through [`run_one`]. A run counts
+/// as a crash exactly when its trip fired.
+pub fn sweep<P: Plan>(plan: &P, seeds: Range<u64>) -> CampaignReport {
+    let mut report = CampaignReport::default();
+    for seed in seeds {
+        let (trip, outcome) = match plan.build(seed) {
+            Ok((mut app, trip, cut)) => {
+                let mut outcome = run_one(&mut app, trip, cut);
+                app.tally(&mut report);
+                if !outcome.crashed && outcome.verdict.is_ok() {
+                    outcome.verdict = app.completed();
+                }
+                (Some(trip), outcome)
+            }
+            Err(e) => (None, not_built(e)),
+        };
+        report.record(P::NAME, seed, trip, outcome);
+    }
+    report
+}
+
+fn not_built(e: Finding) -> AppOutcome {
+    AppOutcome {
+        crashed: false,
+        verdict: Err(e),
+    }
+}
+
+/// Bounded exhaustive crash-state enumeration of `plan` at each seed of
+/// `seeds`; the plan's trip and cut are not used. A probe run harvests
+/// every device's fence epochs; epochs before the workload (format, mount)
+/// are skipped. Each other epoch is replayed on a fresh build to its last
+/// staged `clflush` and cut at every frontier ([`Cut::Frontier`]): all
+/// `2^k` subsets of its `k` staged lines when that fits `cap_per_epoch`,
+/// else a deterministic sample that keeps the empty and full ones. Each
+/// crash state is one run of the report; a failed probe is one run with no
+/// trip.
+pub fn frontier<P: Plan>(plan: &P, seeds: Range<u64>, cap_per_epoch: usize) -> CampaignReport {
+    let mut report = CampaignReport {
         cap_per_epoch: cap_per_epoch.max(2),
-        ..FrontierReport::default()
+        ..CampaignReport::default()
     };
-    let probe = build().and_then(|mut app| {
-        let starts: Vec<u64> = app.devices().iter().map(|d| d.events()).collect();
-        app.drive()?;
-        let epochs: Vec<_> = app
-            .devices()
-            .iter()
-            .map(|d| epochs_from_trace(&d.take_trace()))
-            .collect();
-        Ok((starts, epochs))
-    });
-    let (starts, epochs) = match probe {
-        Ok(probe) => probe,
-        Err(e) => {
-            report.violations.push(format!("probe: {e}"));
-            return report;
-        }
-    };
-    for (s, epochs) in epochs.iter().enumerate() {
-        for (i, ep) in epochs.iter().enumerate() {
-            if ep.trip_event <= starts[s] {
-                report.epochs_skipped_setup += 1;
+    for seed in seeds {
+        let probe = plan.build(seed).and_then(|(mut app, _, _)| {
+            let starts: Vec<u64> = app.devices().iter().map(|d| d.events()).collect();
+            app.drive()?;
+            let epochs: Vec<_> = app
+                .devices()
+                .iter()
+                .map(|d| epochs_from_trace(&d.take_trace()))
+                .collect();
+            Ok((starts, epochs))
+        });
+        let (starts, epochs) = match probe {
+            Ok(probe) => probe,
+            Err(e) => {
+                report.record(P::NAME, seed, None, not_built(e));
                 continue;
             }
-            report.epochs_total += 1;
-            let sub_seed = seed ^ ((s as u64) << 48) ^ ((i as u64) << 32);
-            let (keeps, capped) = frontiers(&ep.staged, cap_per_epoch, sub_seed);
-            if capped {
-                report.epochs_capped += 1;
-                telemetry::count("frontier.epochs.capped", 1);
-            } else {
-                report.epochs_exhaustive += 1;
-            }
-            let trip = Trip {
-                dev: s,
-                at: ep.trip_event - starts[s],
-            };
-            for keep in keeps {
-                report.states_run += 1;
-                telemetry::count("frontier.states", 1);
-                let cut = Cut::Frontier {
+        };
+        for (s, epochs) in epochs.iter().enumerate() {
+            for (i, ep) in epochs.iter().enumerate() {
+                if ep.trip_event <= starts[s] {
+                    report.epochs_skipped_setup += 1;
+                    continue;
+                }
+                report.epochs_total += 1;
+                let sub_seed = seed ^ ((s as u64) << 48) ^ ((i as u64) << 32);
+                let (keeps, capped) = frontiers(&ep.staged, cap_per_epoch, sub_seed);
+                if capped {
+                    report.epochs_capped += 1;
+                    telemetry::count("frontier.epochs.capped", 1);
+                } else {
+                    report.epochs_exhaustive += 1;
+                }
+                let trip = Trip {
                     dev: s,
-                    keep: &keep,
+                    at: ep.trip_event - starts[s],
                 };
-                let e = match build().map(|mut app| run_one(&mut app, trip, cut)) {
-                    Ok(AppOutcome::CrashedVerified) => continue,
-                    Ok(AppOutcome::Completed) => {
-                        "trip did not fire on replay (workload not deterministic?)".into()
+                for keep in keeps {
+                    telemetry::count("frontier.states", 1);
+                    let cut = Cut::Frontier {
+                        dev: s,
+                        keep: &keep,
+                    };
+                    let mut outcome = match plan.build(seed) {
+                        Ok((mut app, _, _)) => run_one(&mut app, trip, cut),
+                        Err(e) => not_built(e),
+                    };
+                    if !outcome.crashed && outcome.verdict.is_ok() {
+                        outcome.verdict = Err(Check::Replay.found("the trip did not fire"));
                     }
-                    Ok(AppOutcome::Violation(e)) | Err(e) => e,
-                };
-                let at = match site {
-                    Some(site) => format!("{site} {s} epoch {i}"),
-                    None => format!("epoch {i}"),
-                };
-                report.violations.push(format!(
-                    "seed {seed} {at} trip {} keep {keep:?}: {e}",
-                    ep.trip_event
-                ));
+                    outcome.verdict = outcome.verdict.map_err(|e| Finding {
+                        detail: format!("epoch {i} keep {keep:?}: {}", e.detail),
+                        ..e
+                    });
+                    report.record(P::NAME, seed, Some(trip), outcome);
+                }
             }
         }
     }
@@ -183,9 +225,37 @@ pub fn small_pool(shards: usize, commit_mode: CommitMode, delta_stage: bool) -> 
 /// One scripted transaction: disjoint `(block, version)` writes.
 pub(crate) type TxnSpec = Vec<(u64, u64)>;
 
+/// Draws one scripted transaction of `n` writes, every script's one
+/// shape: a block from `block`, redrawn until `taken` had not seen it,
+/// then its version.
+pub(crate) fn draw_txn(
+    rng: &mut StdRng,
+    n: usize,
+    taken: &mut HashSet<u64>,
+    mut block: impl FnMut(&mut StdRng) -> u64,
+) -> TxnSpec {
+    let mut spec = Vec::with_capacity(n);
+    while spec.len() < n {
+        let b = block(rng);
+        if taken.insert(b) {
+            spec.push((b, rng.gen_range(1..=255u8).into()));
+        }
+    }
+    spec
+}
+
+/// The pool plans' random trip: shard `seed mod shards`, at an event
+/// drawn from `1..4000`.
+pub(crate) fn pool_trip(rng: &mut StdRng, seed: u64, shards: usize) -> Trip {
+    Trip {
+        dev: (seed % shards as u64) as usize,
+        at: rng.gen_range(1..4_000u64),
+    }
+}
+
 /// Where the power fails: persistence event `at` (counted from arming)
 /// of device `dev`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Trip {
     pub dev: usize,
     pub at: u64,
@@ -277,19 +347,19 @@ impl Rig {
     /// reads observe state rather than perturb it: every shard's
     /// internals, the persist-order [`audit`] of everything traced since
     /// the last check, then `oracle`.
-    pub fn check(&self, pool: &TincaPool, oracle: &BlockOracle) -> Result<(), String> {
+    pub fn check(&self, pool: &TincaPool, oracle: &BlockOracle) -> Result<(), Finding> {
         if let Some(faulty) = &self.faulty {
             faulty.set_enabled(false);
         }
         pool.check_consistency()
-            .map_err(|e| format!("inconsistent internals: {e}"))?;
+            .map_err(|e| Check::Internals.found(e))?;
         self.audit()?;
         oracle.check(pool)
     }
 
     /// The persist-order [`audit`] of everything the devices traced since
     /// the last one.
-    pub fn audit(&self) -> Result<(), String> {
+    pub fn audit(&self) -> Result<(), Finding> {
         audit(&self.devices, &self.metadata)
     }
 
@@ -299,64 +369,91 @@ impl Rig {
     }
 }
 
-/// A pool campaign as a [`Crashable`]: the rig, the pool it formatted, the
-/// oracle, and the campaign's drive, which plays the plan on the pool and
-/// tells the oracle what it commits.
-pub(crate) struct PoolApp<D> {
-    pub rig: Rig,
-    /// The pool the drive ran on. A crash leaves it as the workload did,
-    /// DRAM counters included; recovery builds a new one.
-    pub pool: TincaPool,
-    pub oracle: BlockOracle,
-    recovered: Option<TincaPool>,
-    drive: D,
+/// What a pool app plays: its drive, and hooks for a run the trip never
+/// cut and for the app's own counters.
+pub trait Workload {
+    /// Plays the plan on `pool`, telling `oracle` what it commits.
+    fn play(
+        &mut self,
+        rig: &Rig,
+        pool: &TincaPool,
+        oracle: &mut BlockOracle,
+    ) -> Result<(), Finding>;
+    /// [`Crashable::completed`], on the pool the drive ran on.
+    fn completed(&mut self, _: &Rig, _: &TincaPool, _: &BlockOracle) -> Result<(), Finding> {
+        Ok(())
+    }
+    /// [`Crashable::tally`], off the pool the drive ran on.
+    fn tally(&self, _: &TincaPool, _: &mut CampaignReport) {}
 }
 
-impl<D> PoolApp<D>
-where
-    D: FnMut(&Rig, &TincaPool, &mut BlockOracle) -> Result<(), String>,
-{
-    pub fn new(rig: Rig, pool: TincaPool, oracle: BlockOracle, drive: D) -> PoolApp<D> {
+/// The plain script: commit each transaction in turn.
+impl Workload for Vec<TxnSpec> {
+    fn play(&mut self, _: &Rig, pool: &TincaPool, oracle: &mut BlockOracle) -> Result<(), Finding> {
+        oracle.commit_each(pool, self);
+        Ok(())
+    }
+}
+
+/// A pool plan as a [`Crashable`]: the rig, the pool it formatted, the
+/// oracle, and the workload that plays on the pool.
+pub struct PoolApp<W> {
+    rig: Rig,
+    /// The pool the drive ran on. A crash leaves it as the workload did,
+    /// DRAM counters included; recovery builds a new one.
+    pool: TincaPool,
+    oracle: BlockOracle,
+    recovered: Option<TincaPool>,
+    work: W,
+}
+
+impl<W: Workload> PoolApp<W> {
+    pub fn new(rig: Rig, pool: TincaPool, oracle: BlockOracle, work: W) -> PoolApp<W> {
         PoolApp {
             rig,
             pool,
             oracle,
             recovered: None,
-            drive,
+            work,
         }
     }
 
     /// A freshly formatted pool of `cfg` with [`SHARD_BYTES`] shards, and
     /// an oracle over blocks `0..blocks` with the images `cfg` calls for.
-    pub fn fresh(cfg: &PoolConfig, blocks: u64, drive: D) -> PoolApp<D> {
+    pub fn fresh(cfg: &PoolConfig, blocks: u64, work: W) -> PoolApp<W> {
         let (rig, pool) = Rig::new(cfg.clone(), SHARD_BYTES);
         let oracle = rig.oracle(blocks);
-        PoolApp::new(rig, pool, oracle, drive)
+        PoolApp::new(rig, pool, oracle, work)
     }
 }
 
-impl<D> Crashable for PoolApp<D>
-where
-    D: FnMut(&Rig, &TincaPool, &mut BlockOracle) -> Result<(), String>,
-{
+impl<W: Workload> Crashable for PoolApp<W> {
     fn devices(&self) -> &[Nvm] {
         &self.rig.devices
     }
 
-    fn drive(&mut self) -> Result<(), String> {
-        (self.drive)(&self.rig, &self.pool, &mut self.oracle)
+    fn drive(&mut self) -> Result<(), Finding> {
+        self.work.play(&self.rig, &self.pool, &mut self.oracle)
     }
 
-    fn recover(&mut self, cut: Cut<'_>) -> Result<(), String> {
+    fn recover(&mut self, cut: Cut<'_>) -> Result<(), Finding> {
         cut.apply(&self.rig.devices);
-        let pool = self.rig.recover();
-        self.recovered = Some(pool.map_err(|e| format!("recovery failed: {e}"))?);
+        let pool = self.rig.recover().map_err(|e| Check::Recovery.found(e))?;
+        self.recovered = Some(pool);
         Ok(())
     }
 
-    fn verify(&mut self) -> Result<(), String> {
+    fn verify(&mut self) -> Result<(), Finding> {
         let pool = self.recovered.as_ref().expect("recovered pool");
         self.rig.check(pool, &self.oracle)
+    }
+
+    fn completed(&mut self) -> Result<(), Finding> {
+        self.work.completed(&self.rig, &self.pool, &self.oracle)
+    }
+
+    fn tally(&self, report: &mut CampaignReport) {
+        self.work.tally(&self.pool, report);
     }
 }
 
@@ -438,21 +535,15 @@ impl Cut<'_> {
 /// with several shards, the merged pool-wide trace — the spanning
 /// intent's publish/resolve/retire stores on shard 0 must be ordered like
 /// any other commit point.
-pub fn audit(devices: &[Nvm], metadata: &[Vec<Range<usize>>]) -> Result<(), String> {
-    let check = |ranges: Vec<Range<usize>>, trace: &[nvmsim::TracedOp]| {
+pub fn audit(devices: &[Nvm], metadata: &[Vec<Range<usize>>]) -> Result<(), Finding> {
+    let check = |what: String, ranges: Vec<Range<usize>>, trace: &[nvmsim::TracedOp]| {
         let mut checker = Checker::new(CheckConfig::with_metadata(ranges));
         checker.push_all(trace);
-        let report = checker.report();
-        if report.is_clean() {
-            Ok(())
-        } else {
-            Err(report.to_string())
-        }
+        persist_order(&what, &checker.report())
     };
     let traces: Vec<_> = devices.iter().map(|d| d.take_trace()).collect();
     for (s, trace) in traces.iter().enumerate() {
-        check(metadata[s].clone(), trace)
-            .map_err(|r| format!("shard {s} persist-order violation: {r}"))?;
+        check(format!("shard {s}"), metadata[s].clone(), trace)?;
     }
     if devices.len() > 1 {
         let capacity = devices[0].capacity();
@@ -465,10 +556,22 @@ pub fn audit(devices: &[Nvm], metadata: &[Vec<Range<usize>>]) -> Result<(), Stri
                     .map(move |r| r.start + s * capacity..r.end + s * capacity)
             })
             .collect();
-        check(merged, &merge_shard_traces(traces, capacity))
-            .map_err(|r| format!("merged-trace persist-order violation: {r}"))?;
+        check(
+            "merged trace".into(),
+            merged,
+            &merge_shard_traces(traces, capacity),
+        )?;
     }
     Ok(())
+}
+
+/// An analyzer report as a verdict: a [`Check::PersistOrder`] finding
+/// naming the first correctness rule that fired on `what`, if any did.
+pub(crate) fn persist_order(what: &str, report: &Report) -> Result<(), Finding> {
+    match report.violations.first() {
+        None => Ok(()),
+        Some(v) => Err(Check::PersistOrder(v.rule).found(format_args!("{what}: {report}"))),
+    }
 }
 
 /// The payloads a campaign writes. Version `v` of block `b` is
@@ -589,18 +692,21 @@ impl BlockOracle {
     /// refused, shed or torn leaked). Each in-flight transaction must
     /// read wholly new or wholly old; a block whose new version equals
     /// its durable one witnesses neither, but must read that version.
-    pub fn check(&self, pool: &TincaPool) -> Result<(), String> {
+    pub fn check(&self, pool: &TincaPool) -> Result<(), Finding> {
+        fn fail<T>(detail: String) -> Result<T, Finding> {
+            Err(Check::Oracle.found(detail))
+        }
         let read = |b: u64| {
             let mut buf = [0u8; BLOCK_SIZE];
             pool.read_nocache(b, &mut buf)
                 .map(|()| buf)
-                .map_err(|e| format!("block {b} unreadable: {e}"))
+                .or_else(|e| fail(format!("block {b} unreadable: {e}")))
         };
         let open: HashSet<u64> = self.in_flight.iter().flatten().map(|&(b, _)| b).collect();
         for b in (0..self.blocks).filter(|b| !open.contains(b)) {
             let want = self.durable.get(&b).copied();
             if read(b)? != self.images.of(b, want) {
-                return Err(format!("block {b}: not its durable version {want:?}"));
+                return fail(format!("block {b}: not its durable version {want:?}"));
             }
         }
         for (t, writes) in self.in_flight.iter().enumerate() {
@@ -618,11 +724,11 @@ impl BlockOracle {
                     got != self.images.of(b, old)
                 };
                 if torn {
-                    return Err(format!("in-flight txn {t} block {b} is torn"));
+                    return fail(format!("in-flight txn {t} block {b} is torn"));
                 }
             }
             if !news.is_empty() && !olds.is_empty() {
-                return Err(format!(
+                return fail(format!(
                     "in-flight txn {t} not atomic: blocks {news:?} read new, {olds:?} read old"
                 ));
             }
@@ -635,63 +741,67 @@ impl BlockOracle {
 mod tests {
     use super::*;
 
+    /// An app that is cut at once, or fails its drive with no crash, and
+    /// whose recovery fails.
     struct Scripted {
         devices: Vec<Nvm>,
         crashes: bool,
-        recover: Result<(), String>,
     }
 
     impl Crashable for Scripted {
         fn devices(&self) -> &[Nvm] {
             &self.devices
         }
-        fn drive(&mut self) -> Result<(), String> {
+        fn drive(&mut self) -> Result<(), Finding> {
             if self.crashes {
                 resume_unwind(Box::new(CrashTripped { event: 1 }));
             }
-            Ok(())
+            Err(Check::Workload.found("no crash, and no result"))
         }
-        fn recover(&mut self, _: Cut<'_>) -> Result<(), String> {
-            self.recover.clone()
+        fn recover(&mut self, _: Cut<'_>) -> Result<(), Finding> {
+            Err(Check::Recovery.found("boom"))
         }
-        fn verify(&mut self) -> Result<(), String> {
-            Err("verify must not run".into())
+        fn verify(&mut self) -> Result<(), Finding> {
+            unreachable!("verify after a failed recovery")
         }
     }
 
-    fn scripted(crashes: bool, recover: Result<(), String>) -> AppOutcome {
-        let device = NvmDevice::new(NvmConfig::new(4096, NvmTech::Pcm), SimClock::new());
-        let mut app = Scripted {
-            devices: vec![device],
-            crashes,
-            recover,
-        };
-        run_one(&mut app, Trip { dev: 0, at: 1 }, Cut::LoseVolatile)
+    /// The plan: whether the app crashes.
+    struct Crashes(bool);
+
+    impl Plan for Crashes {
+        type App = Scripted;
+        const NAME: &'static str = "scripted";
+        fn build(&self, _: u64) -> Result<(Scripted, Trip, Cut<'static>), Finding> {
+            let device = NvmDevice::new(NvmConfig::new(4096, NvmTech::Pcm), SimClock::new());
+            let app = Scripted {
+                devices: vec![device],
+                crashes: self.0,
+            };
+            Ok((app, Trip { dev: 0, at: 1 }, Cut::LoseVolatile))
+        }
     }
 
     #[test]
-    fn completed_skips_recovery() {
-        let recover = Err("recovery must not run".into());
-        assert_eq!(scripted(false, recover), AppOutcome::Completed);
+    fn a_failed_drive_with_no_crash_is_a_completed_run() {
+        let r = sweep(&Crashes(false), 3..4);
+        assert_eq!((r.runs, r.completed, r.crashes), (1, 1, 0));
+        assert_eq!(r.violations.len(), 1);
+        assert_eq!(r.violations[0].check, Check::Workload);
     }
 
     #[test]
     fn recovery_failure_is_a_violation() {
-        let outcome = scripted(true, Err("boom".into())).tagged("seed 3");
-        assert_eq!(outcome, AppOutcome::Violation("seed 3: boom".into()));
-    }
-
-    #[test]
-    fn sparse_images_change_runs_in_both_halves_and_hold_no_zero_line() {
-        let of = |b, v| Images::Sparse.of(b, Some(v));
-        assert_eq!(Images::Dense.of(7, Some(9)), [9u8; BLOCK_SIZE]);
-        assert_eq!(Images::Sparse.of(7, None), [0u8; BLOCK_SIZE]);
-        let (a, b) = (of(7, 9), of(7, 200));
-        assert!(a.iter().all(|&x| x != 0));
-        let changed: Vec<usize> = (0..BLOCK_SIZE / CACHE_LINE)
-            .filter(|l| a[l * CACHE_LINE..][..CACHE_LINE] != b[l * CACHE_LINE..][..CACHE_LINE])
-            .collect();
-        assert_eq!(changed, [8, 9, 10, 11, 41, 42, 43, 58, 59, 60]);
-        assert_ne!(of(7, 9), of(8, 9));
+        let r = sweep(&Crashes(true), 3..4);
+        assert_eq!((r.runs, r.completed, r.crashes), (1, 0, 1));
+        let v = &r.violations[0];
+        assert_eq!(
+            (v.trip, v.check),
+            (Some(Trip { dev: 0, at: 1 }), Check::Recovery)
+        );
+        assert_eq!(
+            v.to_string(),
+            "scripted seed 3 trip 1@shard0: Recovery: boom"
+        );
     }
 }

@@ -23,21 +23,27 @@
 //!
 //! With one shard the pool is bit-for-bit a bare cache. With several the
 //! script's random blocks make most transactions span shards, so the
-//! two-phase spanning commit runs under transient bursts and bad ranges.
+//! two-phase spanning commit runs under transient bursts and bad ranges —
+//! behind the commit mutex or through the lock-free ring, as the plan's
+//! `mode` says.
 //!
 //! Fault injection stays enabled through the workload *and* recovery;
 //! verification reads run with injection disabled so they observe state
 //! rather than perturb it.
+
+use std::collections::HashSet;
 
 use blockdev::{FaultPlan, BLOCK_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tinca::{CommitMode, Health, TincaPool};
 
-use crate::app::{campaign, AppOutcome, CampaignReport};
 use crate::engine::{
-    run_one, small_pool, BlockOracle, Cut, PoolApp, Rig, Trip, TxnSpec, SHARD_BYTES,
+    draw_txn, small_pool, BlockOracle, Cut, Plan, PoolApp, Rig, Trip, TxnSpec, Workload,
+    SHARD_BYTES,
 };
+use crate::FailureMode::PowerPull;
+use crate::{CampaignReport, Check, Finding};
 
 /// Disk blocks the workload touches.
 const WORK_BLOCKS: u64 = 96;
@@ -55,13 +61,9 @@ fn script(rng: &mut StdRng, txns: usize) -> Vec<Op> {
             out.push(Op::Read(rng.gen_range(0..WORK_BLOCKS)));
         }
         let n = rng.gen_range(1..=4usize);
-        let mut spec: TxnSpec = Vec::with_capacity(n);
-        while spec.len() < n {
-            let b = rng.gen_range(0..WORK_BLOCKS);
-            if spec.iter().all(|(x, _)| *x != b) {
-                spec.push((b, rng.gen_range(1..=255u8).into()));
-            }
-        }
+        let spec = draw_txn(rng, n, &mut HashSet::new(), |rng| {
+            rng.gen_range(0..WORK_BLOCKS)
+        });
         out.push(Op::Txn(spec));
     }
     out
@@ -85,33 +87,8 @@ fn draw_plan(rng: &mut StdRng, seed: u64) -> FaultPlan {
     plan
 }
 
-/// Plays the script. A commit error means the transaction aborted cleanly
-/// (e.g. every eviction victim quarantined): its writes must not become
-/// durable. A read may fail permanently (a bad uncached block) — losing
-/// *committed* data may not, and a read that succeeds must agree with the
-/// oracle.
-fn play(pool: &TincaPool, ops: &[Op], oracle: &mut BlockOracle) -> Result<(), String> {
-    let images = oracle.images();
-    for op in ops {
-        match op {
-            Op::Read(b) => {
-                let mut buf = [0u8; BLOCK_SIZE];
-                if pool.read(*b, &mut buf).is_ok() && buf != oracle.durable_image(*b) {
-                    return Err(format!("read of block {b} disagrees with the oracle"));
-                }
-            }
-            Op::Txn(spec) => {
-                oracle.begin(spec);
-                if pool.commit(images.txn(pool, spec)).is_ok() {
-                    oracle.commit();
-                } else {
-                    oracle.abort();
-                }
-            }
-        }
-    }
-    Ok(())
-}
+/// The fault plan's script.
+pub struct Faults(Vec<Op>);
 
 fn quarantined(pool: &TincaPool) -> usize {
     (0..pool.shard_count())
@@ -119,127 +96,120 @@ fn quarantined(pool: &TincaPool) -> usize {
         .sum()
 }
 
-/// The checks of a run the trip never cut: health mirrors the quarantine
-/// set, and an orderly flush keeps failing only while something is
-/// quarantined — every committed block must still read back, from NVM if
-/// pinned.
-fn check_completed(rig: &Rig, pool: &TincaPool, oracle: &BlockOracle) -> Result<(), String> {
-    let q = quarantined(pool);
-    let health = pool.health();
-    let health_ok = match health {
-        Health::Healthy => q == 0,
-        Health::Degraded { quarantined } => quarantined == q && q > 0,
-        Health::ReadOnly => q > 0,
-    };
-    if !health_ok {
-        return Err(format!(
-            "health {health:?} disagrees with quarantined_count {q}"
-        ));
+impl Workload for Faults {
+    /// Plays the script. A commit error means the transaction aborted
+    /// cleanly (e.g. every eviction victim quarantined): its writes must
+    /// not become durable. A read may fail permanently (a bad uncached
+    /// block) — losing *committed* data may not, and a read that succeeds
+    /// must agree with the oracle.
+    fn play(&mut self, _: &Rig, pool: &TincaPool, oracle: &mut BlockOracle) -> Result<(), Finding> {
+        let images = oracle.images();
+        for op in &self.0 {
+            match op {
+                Op::Read(b) => {
+                    let mut buf = [0u8; BLOCK_SIZE];
+                    if pool.read(*b, &mut buf).is_ok() && buf != oracle.durable_image(*b) {
+                        return Err(Check::Oracle
+                            .found(format_args!("read of block {b} disagrees with the oracle")));
+                    }
+                }
+                Op::Txn(spec) => {
+                    oracle.begin(spec);
+                    if pool.commit(images.txn(pool, spec)).is_ok() {
+                        oracle.commit();
+                    } else {
+                        oracle.abort();
+                    }
+                }
+            }
+        }
+        Ok(())
     }
-    let flush = pool.flush_all();
-    if flush.is_err() && quarantined(pool) == 0 {
-        return Err(format!(
-            "flush_all failed ({flush:?}) yet nothing is quarantined"
-        ));
-    }
-    rig.check(pool, oracle)
-}
 
-/// One seeded crash+fault iteration on an `N`-shard pool, its fault
-/// counters added to `report`.
-fn fault_seed(shards: usize, seed: u64, txns: usize, report: &mut CampaignReport) -> AppOutcome {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan = draw_plan(&mut rng, seed);
-    // Odd seeds run the write-behind pipeline: the 256 KB of NVM (split
-    // over the shards) holds ~61 data blocks against a 96-block working
-    // set, so the destage daemon fires mid-script and the campaign covers
-    // crash-during-destage and destage-retry-under-faults schedules
-    // alongside the synchronous path.
-    let destage = seed % 2 == 1;
-    let mut cfg = small_pool(shards, CommitMode::Mutex, false);
-    cfg.cache.destage = destage;
-    cfg.cache.coalesce_flushes = destage;
-    let (rig, pool) = Rig::with_faults(cfg, SHARD_BYTES / shards, plan);
-
-    // The trip range deliberately overshoots the script's event count for
-    // part of the seed space, so campaigns cover both mid-run crashes and
-    // completed runs (where flush_all and degraded-health checks apply).
-    // The trip shard skips the seed's low bit, which picks `destage`.
-    let ops = script(&mut rng, txns);
-    let trip = Trip {
-        dev: (seed / 2 % shards as u64) as usize,
-        at: rng.gen_range(1..12_000u64),
-    };
-    let oracle = rig.oracle(WORK_BLOCKS);
-    let mut app = PoolApp::new(rig, pool, oracle, |_, pool, oracle| {
-        play(pool, &ops, oracle)
-    });
-    // Power failure mid-run: recovery runs with fault injection still
-    // live (it must not need the disk).
-    let cut = Cut::Random {
-        seed: seed ^ 0xD15C,
-        shift: 17,
-    };
-    let outcome = run_one(&mut app, trip, cut);
-
-    // Fault counters live in DRAM: they are read off the pool the
-    // workload ran on (a crash wipes them along with the rest of DRAM).
-    let s = app.pool.stats();
-    report.io_retries += s.io_retries;
-    report.transients_absorbed += s.transient_errors_absorbed;
-    report.permanent_errors += s.permanent_io_errors;
-    report.degraded += u64::from(quarantined(&app.pool) > 0);
-
-    let outcome = match outcome {
-        AppOutcome::Completed => match check_completed(&app.rig, &app.pool, &app.oracle) {
-            Ok(()) => AppOutcome::Completed,
-            Err(e) => AppOutcome::Violation(e),
-        },
-        outcome => outcome,
-    };
-    outcome.tagged(format_args!("seed {seed} {trip}"))
-}
-
-/// Runs one seeded crash+fault iteration on an `N`-shard pool.
-pub fn fault_fuzz_one(shards: usize, seed: u64, txns: usize) -> AppOutcome {
-    fault_seed(shards, seed, txns, &mut CampaignReport::default())
-}
-
-/// Runs a fault-fuzz campaign of `runs` seeds on an `N`-shard pool.
-pub fn fault_fuzz_campaign(
-    shards: usize,
-    base_seed: u64,
-    runs: u64,
-    txns: usize,
-) -> CampaignReport {
-    campaign(runs, false, |i, report| {
-        fault_seed(shards, base_seed + i, txns, report)
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn plans_are_deterministic() {
-        let draw = |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let p = draw_plan(&mut rng, seed);
-            (
-                p.transient_read_per_mille,
-                p.transient_write_per_mille,
-                p.burst_len,
-                p.bad_ranges.clone(),
-            )
+    /// The checks of a run the trip never cut: health mirrors the
+    /// quarantine set, and an orderly flush keeps failing only while
+    /// something is quarantined — every committed block must still read
+    /// back, from NVM if pinned.
+    fn completed(
+        &mut self,
+        rig: &Rig,
+        pool: &TincaPool,
+        oracle: &BlockOracle,
+    ) -> Result<(), Finding> {
+        let q = quarantined(pool);
+        let health = pool.health();
+        let health_ok = match health {
+            Health::Healthy => q == 0,
+            Health::Degraded { quarantined } => quarantined == q && q > 0,
+            Health::ReadOnly => q > 0,
         };
-        assert_eq!(draw(42), draw(42));
+        if !health_ok {
+            return Err(Check::Internals.found(format_args!(
+                "health {health:?} disagrees with quarantined_count {q}"
+            )));
+        }
+        let flush = pool.flush_all();
+        if flush.is_err() && quarantined(pool) == 0 {
+            return Err(Check::Internals.found(format_args!(
+                "flush_all failed ({flush:?}) yet nothing is quarantined"
+            )));
+        }
+        rig.check(pool, oracle)
     }
 
-    #[test]
-    fn small_campaign_is_clean() {
-        let report = fault_fuzz_campaign(1, 7, 25, 40);
-        assert!(report.clean(), "violations: {:#?}", report.violations);
-        assert!(report.crashes + report.completed == report.runs);
+    /// The fault counters live in DRAM: they are read off the pool the
+    /// workload ran on (a crash wipes them along with the rest of DRAM),
+    /// before [`completed`](Workload::completed)'s flush.
+    fn tally(&self, pool: &TincaPool, report: &mut CampaignReport) {
+        let s = pool.stats();
+        report.io_retries += s.io_retries;
+        report.transients_absorbed += s.transient_errors_absorbed;
+        report.permanent_errors += s.permanent_io_errors;
+        report.degraded += u64::from(quarantined(pool) > 0);
+    }
+}
+
+/// Random trips under a randomized disk-fault plan per seed.
+#[derive(Clone, Copy, Debug)]
+pub struct FaultsPlan {
+    pub shards: usize,
+    /// Transactions per script.
+    pub txns: usize,
+    pub mode: CommitMode,
+}
+
+impl Plan for FaultsPlan {
+    type App = PoolApp<Faults>;
+    const NAME: &'static str = "faults";
+
+    fn build(&self, seed: u64) -> Result<(Self::App, Trip, Cut<'static>), Finding> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = draw_plan(&mut rng, seed);
+        // Odd seeds run the write-behind pipeline: the 256 KB of NVM (split
+        // over the shards) holds ~61 data blocks against a 96-block working
+        // set, so the destage daemon fires mid-script and the campaign
+        // covers crash-during-destage and destage-retry-under-faults
+        // schedules alongside the synchronous path.
+        let destage = seed % 2 == 1;
+        let mut cfg = small_pool(self.shards, self.mode, false);
+        cfg.cache.destage = destage;
+        cfg.cache.coalesce_flushes = destage;
+        let (rig, pool) = Rig::with_faults(cfg, SHARD_BYTES / self.shards, plan);
+
+        // The trip range deliberately overshoots the script's event count
+        // for part of the seed space, so campaigns cover both mid-run
+        // crashes and completed runs (where flush_all and degraded-health
+        // checks apply). The trip shard skips the seed's low bit, which
+        // picks `destage`.
+        let ops = script(&mut rng, self.txns);
+        let trip = Trip {
+            dev: (seed / 2 % self.shards as u64) as usize,
+            at: rng.gen_range(1..12_000u64),
+        };
+        let oracle = rig.oracle(WORK_BLOCKS);
+        // Power failure mid-run: recovery runs with fault injection still
+        // live (it must not need the disk).
+        let cut = Cut::of(PowerPull, seed ^ 0xD15C);
+        Ok((PoolApp::new(rig, pool, oracle, Faults(ops)), trip, cut))
     }
 }

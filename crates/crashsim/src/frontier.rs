@@ -1,92 +1,42 @@
-//! Bounded exhaustive crash-state enumeration.
+//! Bounded exhaustive crash-state enumeration, and the one plan that only
+//! it runs.
 //!
-//! The random trip sweep ([`crate::fuzz`], [`crate::poolfuzz`]) samples one
-//! crash instant and one write-back resolution per seed. The engine's
-//! [`frontier`] driver *enumerates* instead: a probe run records the full
-//! event trace of a scripted workload, every fence epoch (the staged lines
-//! between two consecutive `sfence`s) is extracted here, and for each
-//! epoch every reachable **persist frontier** — every subset of the
-//! epoch's staged lines — is materialised with
-//! [`nvmsim::NvmDevice::crash_frontier`], recovered, and verified against
-//! the oracle. For small scripts this subsumes the random sweep: any crash
-//! state `CrashPolicy::Random` can produce at line granularity is one of
-//! the enumerated frontiers.
+//! A random sweep samples one crash instant and one write-back resolution
+//! per seed. The engine's [`frontier`](crate::engine::frontier) driver
+//! *enumerates* instead: a probe run records the full event trace of a
+//! scripted workload, every fence epoch (the staged lines between two
+//! consecutive `sfence`s) is extracted here, and for each epoch every
+//! reachable **persist frontier** — every subset of the epoch's staged
+//! lines — is materialised with [`nvmsim::NvmDevice::crash_frontier`],
+//! recovered, and verified against the oracle. For small scripts this
+//! subsumes the random sweep: any crash state `CrashPolicy::Random` can
+//! produce at line granularity is one of the enumerated frontiers.
 //!
 //! Epochs with more than `log2(cap_per_epoch)` staged lines are sampled
 //! instead of enumerated (the empty and full frontiers are always
 //! included); the report counts those epochs so a capped run is never
 //! mistaken for an exhaustive one.
 //!
-//! Three campaigns are provided here (the multi-writer one lives in
-//! [`crate::mwfuzz`]), each a call to [`frontier`]:
-//!
-//! * [`frontier_fs_campaign`] — the single-threaded FS stack, replaying
-//!   the same scripts as [`crate::fuzz`];
-//! * [`pool_frontier_campaign`] — a genuinely multi-threaded pool
-//!   workload: one OS thread per shard (blocks ≡ thread mod shards keep
-//!   every shard single-writer and its event stream deterministic), the
-//!   spawn handoff annotated with release/acquire sync events so the
-//!   persistrace rules audit each shard's trace and the merged trace
-//!   without false positives;
-//! * [`spanning_frontier_campaign`] — a single-threaded stream of
-//!   transactions that each touch **every** shard, so each commit runs
-//!   the pool's two-phase spanning protocol. Epochs are enumerated on
-//!   every device in turn, which lands crashes inside the intent publish,
-//!   between fragment prepares, around the resolve store, and during
-//!   window retirement; recovery must make each transaction
-//!   all-or-nothing across all shards at every frontier.
+//! [`ThreadedPlan`] is a genuinely multi-threaded pool workload: one OS
+//! thread per shard (blocks ≡ thread mod shards keep every shard
+//! single-writer and its event stream deterministic), the spawn handoff
+//! annotated with release/acquire sync events so the persistrace rules
+//! audit each shard's trace and the merged trace without false positives.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::panic::resume_unwind;
 
-use fssim::stack::System;
 use nvmsim::{CrashTripped, Nvm, TraceEvent, TracedOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tinca::{CommitMode, TincaPool};
 
-use crate::engine::{frontier, small_pool, tripped, BlockOracle, Images, PoolApp, Rig, TxnSpec};
-use crate::fuzz::{script, FsApp};
-
-/// Aggregate over a frontier-enumeration campaign.
-#[derive(Clone, Debug, Default)]
-pub struct FrontierReport {
-    /// Per-epoch crash-state budget the campaign ran with.
-    pub cap_per_epoch: usize,
-    /// Fence epochs found in the workload window of the probe trace.
-    pub epochs_total: u64,
-    /// Epochs whose frontier set was enumerated exhaustively (2^k ≤ cap).
-    pub epochs_exhaustive: u64,
-    /// Epochs that exceeded the cap and were deterministically sampled
-    /// (empty + full frontiers always included).
-    pub epochs_capped: u64,
-    /// Epochs before the workload window (stack format/mount) — skipped.
-    pub epochs_skipped_setup: u64,
-    /// Crash states materialised, recovered, and verified.
-    pub states_run: u64,
-    pub violations: Vec<String>,
-}
-
-impl FrontierReport {
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-impl std::fmt::Display for FrontierReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} epochs ({} exhaustive, {} capped at {} states), {} crash states, {} violations",
-            self.epochs_total,
-            self.epochs_exhaustive,
-            self.epochs_capped,
-            self.cap_per_epoch,
-            self.states_run,
-            self.violations.len()
-        )
-    }
-}
+use crate::engine::{
+    draw_txn, pool_trip, small_pool, tripped, BlockOracle, Cut, Images, Plan, PoolApp, Rig, Trip,
+    TxnSpec, Workload,
+};
+use crate::FailureMode::PowerPull;
+use crate::{Check, Finding};
 
 /// One fence epoch reconstructed from a probe trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -175,27 +125,6 @@ pub(crate) fn frontiers(staged: &[usize], cap: usize, seed: u64) -> (Vec<Vec<usi
     (seen.into_iter().collect(), true)
 }
 
-/// Enumerates crash frontiers for one seeded FS script against `system`.
-///
-/// A probe run traces the complete workload once; every fence epoch in the
-/// workload window is then re-run to its last staged `clflush`, crashed at
-/// each enumerated frontier, recovered, and verified against the oracle
-/// (all-or-nothing visibility plus persist-order cleanliness).
-pub fn frontier_fs_campaign(
-    system: System,
-    seed: u64,
-    steps: usize,
-    cap_per_epoch: usize,
-) -> FrontierReport {
-    let plan = script(&mut StdRng::seed_from_u64(seed), steps, 12);
-    frontier(
-        || Ok(FsApp::new(system, false, &plan)),
-        seed,
-        cap_per_epoch,
-        None,
-    )
-}
-
 /// Worker trace-thread ids start here, far above any lazily assigned id.
 const WORKER_TRACE_BASE: u32 = 1000;
 /// Sync-object id for the spawn handoff of shard `s` is `HANDOFF_OBJ + s`.
@@ -214,14 +143,9 @@ fn thread_script(
     (0..txns)
         .map(|_| {
             let n = rng.gen_range(1..=2usize);
-            let mut spec: TxnSpec = Vec::with_capacity(n);
-            while spec.len() < n {
-                let b = rng.gen_range(0..blocks / shards) * shards + thread;
-                if spec.iter().all(|(x, _)| *x != b) {
-                    spec.push((b, rng.gen_range(1..=255u8).into()));
-                }
-            }
-            spec
+            draw_txn(rng, n, &mut HashSet::new(), |rng| {
+                rng.gen_range(0..blocks / shards) * shards + thread
+            })
         })
         .collect()
 }
@@ -269,119 +193,82 @@ fn run_pool_threads(
     })
 }
 
-/// Enumerates crash frontiers for a multi-threaded pool workload: one OS
-/// thread per shard commits its own transaction stream; each shard's
-/// fence epochs are enumerated in turn, the crash landing mid-commit on
-/// that shard while the other threads run to completion. Every shard's
-/// trace and the merged trace pass the analyzer, concurrency rules
-/// (persist-race, unordered-commit, cross-thread-flush-dependency)
-/// included.
-///
-/// With `delta_stage` the pool runs
-/// [`TincaConfig::delta_stage`](tinca::TincaConfig::delta_stage), each
-/// thread rewrites a narrow block range and the images are sparse, so the
-/// enumerated frontiers cut shadow rewrites on every shard.
-pub fn pool_frontier_campaign(
-    shards: usize,
-    seed: u64,
-    txns_per_thread: usize,
-    cap_per_epoch: usize,
-    delta_stage: bool,
-) -> FrontierReport {
-    // Under delta staging each thread rewrites two blocks, so from a
-    // block's third write on its commits rewrite a reserved shadow.
-    let blocks = if delta_stage { 2 * shards as u64 } else { 96 };
-    let plans: Vec<Vec<TxnSpec>> = (0..shards)
-        .map(|t| {
-            let mut rng = StdRng::seed_from_u64(seed ^ ((t as u64 + 1) << 8));
-            thread_script(&mut rng, txns_per_thread, blocks, shards as u64, t as u64)
-        })
-        .collect();
-    let cfg = small_pool(shards, CommitMode::Mutex, delta_stage);
-    let drive = |rig: &Rig, pool: &TincaPool, oracle: &mut BlockOracle| {
-        let results = run_pool_threads(pool, &rig.devices, &plans, oracle.images());
+/// One thread per shard, each committing its own script; the crashed
+/// worker's trip is raised again once every worker has joined.
+impl Workload for Vec<Vec<TxnSpec>> {
+    fn play(
+        &mut self,
+        rig: &Rig,
+        pool: &TincaPool,
+        oracle: &mut BlockOracle,
+    ) -> Result<(), Finding> {
+        let results = run_pool_threads(pool, &rig.devices, self, oracle.images());
         let crashed = results.iter().filter(|(_, c)| *c).count();
         if crashed > 1 {
-            return Err(format!("{crashed} threads crashed on one trip"));
+            return Err(
+                Check::Workload.found(format_args!("{crashed} threads crashed on one trip"))
+            );
         }
-        for (plan, &(committed, _)) in plans.iter().zip(&results) {
+        for (plan, &(committed, _)) in self.iter().zip(&results) {
             for spec in &plan[..committed] {
                 oracle.begin(spec);
                 oracle.commit();
             }
         }
-        // The crashed worker's trip, raised again now that every worker
-        // has joined.
         if let Some(s) = results.iter().position(|r| r.1) {
-            oracle.begin(&plans[s][results[s].0]);
+            oracle.begin(&self[s][results[s].0]);
             resume_unwind(Box::new(CrashTripped {
                 event: rig.devices[s].events(),
             }));
         }
         Ok(())
-    };
-    frontier(
-        || Ok(PoolApp::fresh(&cfg, blocks, drive)),
-        seed,
-        cap_per_epoch,
-        Some("shard"),
-    )
+    }
 }
 
-/// Spanning script: every transaction writes one block on **each** shard
-/// (`base * shards + s`), so every commit exercises the pool's two-phase
-/// spanning protocol — intent publish, one prepared fragment per shard,
-/// resolve, and window retirement.
-fn spanning_script(rng: &mut StdRng, txns: usize, bases: u64, shards: u64) -> Vec<TxnSpec> {
-    (0..txns)
-        .map(|_| {
-            let base = rng.gen_range(0..bases);
-            (0..shards)
-                .map(|s| (base * shards + s, rng.gen_range(1..=255u8).into()))
-                .collect()
-        })
-        .collect()
-}
-
-/// Enumerates crash frontiers for a spanning-transaction workload. The
-/// script is single-threaded (the spanning path serialises pool-wide
-/// anyway), so every device's event stream is replay-stable; each
-/// device's fence epochs are enumerated in turn, the crash landing on
-/// that device while the others lose their volatile state.
+/// Each shard's fence epochs enumerated in turn, the crash landing
+/// mid-commit on that shard while the other threads run to completion.
+/// Every shard's trace and the merged trace pass the analyzer,
+/// concurrency rules (persist-race, unordered-commit,
+/// cross-thread-flush-dependency) included.
 ///
 /// With `delta_stage` the pool runs
-/// [`TincaConfig::delta_stage`](tinca::TincaConfig::delta_stage), every
-/// transaction rewrites the same block per shard and the images are
-/// sparse, so from the third transaction on each fragment rewrites a
-/// reserved shadow block and the enumerated frontiers are subsets of the
-/// few lines it stored, in both halves of the block.
-pub fn spanning_frontier_campaign(
-    shards: usize,
-    seed: u64,
-    txns: usize,
-    cap_per_epoch: usize,
-    delta_stage: bool,
-) -> FrontierReport {
-    let bases = if delta_stage { 1 } else { 12 };
-    let plan = spanning_script(&mut StdRng::seed_from_u64(seed), txns, bases, shards as u64);
-    let cfg = small_pool(shards, CommitMode::Mutex, delta_stage);
-    let build = || {
-        Ok(PoolApp::fresh(
-            &cfg,
-            bases * shards as u64,
-            |_, pool, oracle| {
-                oracle.commit_each(pool, &plan);
-                Ok(())
-            },
-        ))
-    };
-    frontier(build, seed, cap_per_epoch, Some("device"))
+/// [`TincaConfig::delta_stage`](tinca::TincaConfig::delta_stage), each
+/// thread rewrites a narrow block range and the images are sparse, so the
+/// enumerated frontiers cut shadow rewrites on every shard.
+#[derive(Clone, Copy, Debug)]
+pub struct ThreadedPlan {
+    pub shards: usize,
+    pub txns_per_thread: usize,
+    pub delta_stage: bool,
+}
+
+impl Plan for ThreadedPlan {
+    type App = PoolApp<Vec<Vec<TxnSpec>>>;
+    const NAME: &'static str = "threaded";
+
+    fn build(&self, seed: u64) -> Result<(Self::App, Trip, Cut<'static>), Finding> {
+        let (txns, n) = (self.txns_per_thread, self.shards as u64);
+        // Under delta staging each thread rewrites two blocks, so from a
+        // block's third write on its commits rewrite a reserved shadow.
+        let blocks = if self.delta_stage { 2 * n } else { 96 };
+        let plans: Vec<Vec<TxnSpec>> = (0..n)
+            .map(|t| {
+                let mut rng = StdRng::seed_from_u64(seed ^ ((t + 1) << 8));
+                thread_script(&mut rng, txns, blocks, n, t)
+            })
+            .collect();
+        let trip = pool_trip(&mut StdRng::seed_from_u64(seed), seed, self.shards);
+        let cut = Cut::of(PowerPull, seed ^ 0xD1CE);
+        let cfg = small_pool(self.shards, CommitMode::Mutex, self.delta_stage);
+        Ok((PoolApp::fresh(&cfg, blocks, plans), trip, cut))
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
+
+    use super::*;
 
     fn traced_device() -> Nvm {
         NvmDevice::new(
@@ -457,53 +344,5 @@ mod tests {
         assert!(f.contains(&staged));
         // Deterministic across calls.
         assert_eq!(f, frontiers(&staged, 6, 42).0);
-    }
-
-    #[test]
-    fn fs_frontier_enumeration_recovers_clean() {
-        let report = frontier_fs_campaign(System::Tinca, 11, 8, 4);
-        assert!(report.clean(), "{:?}", report.violations);
-        assert!(report.epochs_total > 0, "probe found no workload epochs");
-        assert!(report.states_run >= 2 * report.epochs_total);
-        // The commit record is a single line: some epochs must have been
-        // enumerated exhaustively even with a tiny cap.
-        assert!(report.epochs_exhaustive > 0, "{report}");
-    }
-
-    #[test]
-    fn spanning_frontier_enumeration_is_all_or_nothing() {
-        let report = spanning_frontier_campaign(2, 9, 2, 4, false);
-        assert!(report.clean(), "{:?}", report.violations);
-        assert!(report.epochs_total > 0, "probe found no workload epochs");
-        // Epochs exist on both devices: the intent record lives on device
-        // 0, the second fragment commits on device 1.
-        assert!(report.states_run >= 2 * report.epochs_total);
-    }
-
-    /// Delta staging under the same enumerator: the third and fourth
-    /// transactions rewrite a shadow on each shard, and every frontier of
-    /// the lines they stored recovers all-or-nothing.
-    #[test]
-    fn spanning_frontier_enumeration_covers_delta_staged_fragments() {
-        let report = spanning_frontier_campaign(2, 9, 4, 4, true);
-        println!("delta spanning frontier: {report}");
-        assert!(report.clean(), "{:?}", report.violations);
-        assert!(report.states_run >= 2 * report.epochs_total);
-    }
-
-    #[test]
-    fn pool_frontier_enumeration_recovers_clean_multithreaded() {
-        let report = pool_frontier_campaign(2, 5, 2, 4, false);
-        assert!(report.clean(), "{:?}", report.violations);
-        assert!(report.epochs_total > 0, "probe found no workload epochs");
-        // Data-block epochs (64 lines) must have hit the cap, and the
-        // report must say so.
-        assert!(report.epochs_capped > 0, "{report}");
-        // Delta staging on the threaded path: four commits per thread
-        // over its two blocks, so the later ones rewrite shadows.
-        let report = pool_frontier_campaign(2, 5, 4, 4, true);
-        println!("delta threaded frontier: {report}");
-        assert!(report.clean(), "{:?}", report.violations);
-        assert!(report.states_run >= 2 * report.epochs_total);
     }
 }

@@ -1,5 +1,6 @@
-//! Randomised crash fuzzing: a seeded workload, a random crash point, an
-//! adversarial write-back resolution, then full verification — repeated.
+//! Crash plans for the file-system stack: a seeded file workload, a
+//! random crash point, an adversarial write-back resolution (or a process
+//! kill), then full verification — swept over seeds, or enumerated.
 
 use fssim::stack::{StackConfig, System};
 use fssim::FsSim;
@@ -7,12 +8,10 @@ use nvmsim::Nvm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::app::{campaign, AppOutcome, CampaignReport};
-use crate::engine::{run_one, Crashable, Cut, Trip};
-use crate::{CrashHarness, FsOracle};
+use crate::engine::{Crashable, Cut, Plan, Trip};
+use crate::{CrashHarness, Finding, FsOracle};
 
-/// A deterministic scripted workload step. Shared with the crash-frontier
-/// enumerator ([`crate::frontier`]), which replays the same scripts.
+/// A deterministic scripted workload step.
 pub(crate) enum Step {
     Create(String),
     Write {
@@ -104,24 +103,50 @@ pub enum FailureMode {
     ProcessKill,
 }
 
-/// The FS-level crash application: a scripted file workload over one
-/// stack, with the [`FsOracle`] tracking durable/staged state. The stack
-/// batches through explicit fsyncs only (`txn_block_limit` is raised
-/// above the script's reach), so the oracle knows every commit boundary
-/// exactly.
-pub(crate) struct FsApp<'p> {
-    harness: CrashHarness,
-    oracle: FsOracle,
-    plan: &'p [Step],
+/// A scripted file workload over one stack: `steps` steps on `system`,
+/// failing per `mode`. The stack batches through explicit fsyncs only
+/// (`txn_block_limit` is raised above the script's reach), so the
+/// [`FsOracle`] knows every commit boundary exactly.
+///
+/// With `destage`, the stack runs the watermark destage daemon and
+/// commit-path flush coalescing on a shrunken NVM (160 KB ≈ 34 data
+/// blocks), so the script's working set crosses the low watermark and
+/// crashes land during background writeback — the campaign then proves
+/// that a crash mid-destage never loses an acknowledged commit.
+#[derive(Clone, Copy, Debug)]
+pub struct FsPlan {
+    pub system: System,
+    pub steps: usize,
+    pub mode: FailureMode,
+    pub destage: bool,
 }
 
-impl<'p> FsApp<'p> {
-    /// `plan` on a fresh `system` stack; `destage` as in
-    /// [`fuzz_system_opts`].
-    pub(crate) fn new(system: System, destage: bool, plan: &'p [Step]) -> FsApp<'p> {
-        let mut cfg = StackConfig::tiny(system);
+impl FsPlan {
+    /// Power pulls on `system`, `steps` steps per script, no destage.
+    pub const fn new(system: System, steps: usize) -> FsPlan {
+        FsPlan {
+            system,
+            steps,
+            mode: FailureMode::PowerPull,
+            destage: false,
+        }
+    }
+}
+
+impl Plan for FsPlan {
+    type App = FsApp;
+    const NAME: &'static str = "fs";
+
+    fn build(&self, seed: u64) -> Result<(FsApp, Trip, Cut<'static>), Finding> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = script(&mut rng, self.steps, 12);
+        let trip = Trip {
+            dev: 0,
+            at: rng.gen_range(1..20_000u64),
+        };
+        let mut cfg = StackConfig::tiny(self.system);
         cfg.txn_block_limit = 100_000; // commits only at explicit fsync
-        if destage {
+        if self.destage {
             cfg.destage = true;
             cfg.nvm_bytes = 160 << 10;
         }
@@ -131,133 +156,41 @@ impl<'p> FsApp<'p> {
         // attribute this run's simulated time (a no-op when telemetry is
         // off).
         telemetry::swap_clock(&harness.stack().clock);
-        FsApp {
+        let app = FsApp {
             harness,
             oracle: FsOracle::new(),
             plan,
-        }
+        };
+        Ok((app, trip, Cut::of(self.mode, seed ^ 0xD1CE)))
     }
 }
 
-impl Crashable for FsApp<'_> {
+/// The FS-level crash application: the harness, the oracle and the
+/// script.
+pub struct FsApp {
+    harness: CrashHarness,
+    oracle: FsOracle,
+    plan: Vec<Step>,
+}
+
+impl Crashable for FsApp {
     fn devices(&self) -> &[Nvm] {
         std::slice::from_ref(&self.harness.stack().nvm)
     }
 
-    fn drive(&mut self) -> Result<(), String> {
-        let (oracle, plan) = (&mut self.oracle, self.plan);
+    fn drive(&mut self) -> Result<(), Finding> {
+        let (oracle, plan) = (&mut self.oracle, &self.plan);
         self.harness
             .run(|fs| plan.iter().for_each(|step| apply(fs, oracle, step)));
         Ok(())
     }
 
-    fn recover(&mut self, cut: Cut<'_>) -> Result<(), String> {
+    fn recover(&mut self, cut: Cut<'_>) -> Result<(), Finding> {
         self.harness.crash_and_remount(cut);
         Ok(())
     }
 
-    fn verify(&mut self) -> Result<(), String> {
-        self.harness.verify(&self.oracle).map_err(|e| e.to_string())
-    }
-}
-
-fn fs_seed(
-    system: System,
-    seed: u64,
-    steps: usize,
-    mode: FailureMode,
-    destage: bool,
-) -> AppOutcome {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan = script(&mut rng, steps, 12);
-    let trip = Trip {
-        dev: 0,
-        at: rng.gen_range(1..20_000u64),
-    };
-    run_one(
-        &mut FsApp::new(system, destage, &plan),
-        trip,
-        Cut::of(mode, seed ^ 0xD1CE),
-    )
-    .tagged(format_args!("seed {seed} trip {} ({mode:?})", trip.at))
-}
-
-/// Runs one seeded crash-fuzz iteration against `system` (a power
-/// pull).
-pub fn fuzz_one(system: System, seed: u64, steps: usize) -> AppOutcome {
-    fs_seed(system, seed, steps, FailureMode::PowerPull, false)
-}
-
-/// Runs a fuzz campaign of `runs` seeds against `system` (power pulls).
-pub fn fuzz_system(system: System, base_seed: u64, runs: u64, steps: usize) -> CampaignReport {
-    fuzz_system_mode(system, base_seed, runs, steps, FailureMode::PowerPull)
-}
-
-/// [`fuzz_system`] with an explicit failure mode.
-pub fn fuzz_system_mode(
-    system: System,
-    base_seed: u64,
-    runs: u64,
-    steps: usize,
-    mode: FailureMode,
-) -> CampaignReport {
-    fuzz_system_opts(system, base_seed, runs, steps, mode, false)
-}
-
-/// [`fuzz_system_mode`] with the write-behind pipeline toggle.
-///
-/// With `destage`, the stack runs the watermark destage daemon and
-/// commit-path flush coalescing on a shrunken NVM (160 KB ≈ 34 data
-/// blocks), so the script's working set crosses the low watermark and
-/// crashes land during background writeback — the campaign then proves
-/// that a crash mid-destage never loses an acknowledged commit.
-pub fn fuzz_system_opts(
-    system: System,
-    base_seed: u64,
-    runs: u64,
-    steps: usize,
-    mode: FailureMode,
-    destage: bool,
-) -> CampaignReport {
-    campaign(runs, true, |i, _| {
-        fs_seed(system, base_seed + i, steps, mode, destage)
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scripts_are_deterministic() {
-        let mut a = StdRng::seed_from_u64(7);
-        let mut b = StdRng::seed_from_u64(7);
-        let sa = script(&mut a, 50, 8);
-        let sb = script(&mut b, 50, 8);
-        assert_eq!(sa.len(), sb.len());
-        for (x, y) in sa.iter().zip(&sb) {
-            match (x, y) {
-                (Step::Create(p), Step::Create(q)) => assert_eq!(p, q),
-                (Step::Fsync, Step::Fsync) => {}
-                (Step::Delete(p), Step::Delete(q)) => assert_eq!(p, q),
-                (
-                    Step::Write {
-                        name: p,
-                        offset: o1,
-                        len: l1,
-                        fill: f1,
-                    },
-                    Step::Write {
-                        name: q,
-                        offset: o2,
-                        len: l2,
-                        fill: f2,
-                    },
-                ) => {
-                    assert_eq!((p, o1, l1, f1), (q, o2, l2, f2));
-                }
-                _ => panic!("scripts diverged"),
-            }
-        }
+    fn verify(&mut self) -> Result<(), Finding> {
+        self.harness.verify(&self.oracle)
     }
 }

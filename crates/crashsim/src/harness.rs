@@ -6,8 +6,8 @@ use fssim::FsSim;
 use nvmsim::{CrashTripped, NvmConfig};
 use persistcheck::{CheckConfig, Checker, Report};
 
-use crate::engine::{tripped, Cut};
-use crate::FsOracle;
+use crate::engine::{persist_order, tripped, Cut};
+use crate::{Check, Finding, FsOracle};
 
 /// Suppresses panic-hook output for the *expected* [`CrashTripped`] panics
 /// crash injection produces. Install once per process (idempotent).
@@ -22,28 +22,6 @@ pub fn quiet_crash_panics() {
             }
         }));
     });
-}
-
-/// What the post-recovery verification found.
-#[derive(Clone, Debug)]
-pub enum VerifyError {
-    /// The observed state is neither the durable nor the staged state.
-    TornState(String),
-    /// Cache- or FS-internal invariants violated.
-    Inconsistent(String),
-    /// The shadow persist-order analyzer flagged the event trace (a store
-    /// reached a commit point unflushed, unfenced, or tearably written).
-    PersistOrder(String),
-}
-
-impl std::fmt::Display for VerifyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VerifyError::TornState(m) => write!(f, "torn state: {m}"),
-            VerifyError::Inconsistent(m) => write!(f, "inconsistent internals: {m}"),
-            VerifyError::PersistOrder(m) => write!(f, "persist-order violation: {m}"),
-        }
-    }
 }
 
 /// Drives one crash experiment on one stack. Every harness runs the
@@ -119,11 +97,6 @@ impl CrashHarness {
         workload(&mut stack.fs);
     }
 
-    /// Total persistence events so far (to size trip sweeps).
-    pub fn events(&self) -> u64 {
-        self.stack().nvm.events()
-    }
-
     /// Simulates the power failure and reboots the stack: DRAM state is
     /// discarded, the NVM resolves its volatile write-back state per
     /// `cut`, and cache + file system run their recovery paths.
@@ -136,44 +109,25 @@ impl CrashHarness {
         self.stack = Some(rebooted);
     }
 
-    /// Checks the recovered state against the oracle: internal invariants
-    /// hold, and the visible file set + contents equal either the durable
-    /// or the staged state (all-or-nothing).
-    pub fn verify(&mut self, oracle: &FsOracle) -> Result<(), VerifyError> {
+    /// Checks the recovered state against the oracle: the event trace is
+    /// persist-order clean, internal invariants hold, and the visible file
+    /// set + contents equal either the durable or the staged state
+    /// (all-or-nothing).
+    pub fn verify(&mut self, oracle: &FsOracle) -> Result<(), Finding> {
         self.drain_trace();
-        let report = self.checker.report();
-        if !report.is_clean() {
-            return Err(VerifyError::PersistOrder(report.to_string()));
-        }
+        persist_order("trace", &self.checker.report())?;
         let stack = self.stack.as_mut().expect("stack live");
-        stack
-            .fs
-            .backend()
-            .check()
-            .map_err(VerifyError::Inconsistent)?;
-        stack
-            .fs
-            .check_consistency()
-            .map_err(VerifyError::Inconsistent)?;
+        let internals = |e| Check::Internals.found(e);
+        stack.fs.backend().check().map_err(internals)?;
+        stack.fs.check_consistency().map_err(internals)?;
 
-        let durable_diff = diff_state(&mut stack.fs, oracle.durable_state());
-        if durable_diff.is_none() {
+        let Some(durable) = diff_state(&mut stack.fs, oracle.durable_state()) else {
             return Ok(());
-        }
-        let staged_diff = diff_state(&mut stack.fs, oracle.staged_state());
-        if staged_diff.is_none() {
+        };
+        let Some(staged) = diff_state(&mut stack.fs, oracle.staged_state()) else {
             return Ok(());
-        }
-        Err(VerifyError::TornState(format!(
-            "vs durable: {}; vs staged: {}",
-            durable_diff.unwrap(),
-            staged_diff.unwrap()
-        )))
-    }
-
-    /// The stack configuration in use.
-    pub fn config(&self) -> &StackConfig {
-        &self.cfg
+        };
+        Err(Check::Oracle.found(format_args!("vs durable: {durable}; vs staged: {staged}")))
     }
 }
 

@@ -22,10 +22,11 @@
 //! every shard's trace — plus the merged pool-wide trace — passes the
 //! persist-order analyzer.
 //!
-//! Two campaigns: [`mw_pool_fuzz_campaign`] (random trip + adversarial
-//! write-back resolution per seed) and [`mw_frontier_campaign`] (bounded
-//! exhaustive enumeration of every fence epoch's persist frontiers,
-//! subsuming every line-granular crash state of the random sweep).
+//! One plan, [`RingPlan`], is swept and enumerated. Writers stage and
+//! publish **without fencing** (only the sequencer fences), so a round's
+//! payloads *and* `STAGED` publications share one fence epoch, and its
+//! frontiers cover every publication order a real multi-writer race could
+//! persist.
 
 use std::collections::HashSet;
 
@@ -33,16 +34,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tinca::{CommitMode, MwAdmission, MwTicket, TincaPool};
 
-use crate::app::{campaign, AppOutcome};
-use crate::engine::{frontier, run_one, small_pool, BlockOracle, Cut, PoolApp, Trip, TxnSpec};
-use crate::FrontierReport;
+use crate::engine::{
+    draw_txn, pool_trip, small_pool, BlockOracle, Cut, Plan, PoolApp, Rig, Trip, TxnSpec, Workload,
+};
+use crate::FailureMode::PowerPull;
+use crate::Finding;
 
 /// Blocks the multi-writer scripts draw from.
 const BLOCKS: u64 = 96;
 
 /// One step of the multi-writer plan.
 #[derive(Clone, Debug)]
-enum MwRound {
+pub enum MwRound {
     /// Concurrent single-shard windows: all reserved and staged, then
     /// published in a rotated order, then sequenced.
     Writers(Vec<TxnSpec>),
@@ -57,28 +60,22 @@ enum MwRound {
 fn mw_script(rng: &mut StdRng, rounds: usize, blocks: u64, shards: u64) -> Vec<MwRound> {
     (0..rounds)
         .map(|_| {
+            let mut used: HashSet<u64> = HashSet::new();
             if shards > 1 && rng.gen_range(0..5) == 0 {
-                let base = rng.gen_range(0..blocks / shards);
-                return MwRound::Spanning(
-                    (0..shards)
-                        .map(|s| (base * shards + s, rng.gen_range(1..=255u8).into()))
-                        .collect(),
-                );
+                let mut b = rng.gen_range(0..blocks / shards) * shards;
+                return MwRound::Spanning(draw_txn(rng, shards as usize, &mut used, |_| {
+                    b += 1;
+                    b - 1
+                }));
             }
             let k = rng.gen_range(1..=3usize);
-            let mut used: HashSet<u64> = HashSet::new();
             let specs = (0..k)
                 .map(|_| {
                     let s = rng.gen_range(0..shards);
                     let n = rng.gen_range(1..=2usize);
-                    let mut spec: TxnSpec = Vec::with_capacity(n);
-                    while spec.len() < n {
-                        let b = rng.gen_range(0..blocks / shards) * shards + s;
-                        if used.insert(b) {
-                            spec.push((b, rng.gen_range(1..=255u8).into()));
-                        }
-                    }
-                    spec
+                    draw_txn(rng, n, &mut used, |rng| {
+                        rng.gen_range(0..blocks / shards) * shards + s
+                    })
                 })
                 .collect();
             MwRound::Writers(specs)
@@ -86,120 +83,80 @@ fn mw_script(rng: &mut StdRng, rounds: usize, blocks: u64, shards: u64) -> Vec<M
         .collect()
 }
 
-/// Plays `plan` on the calling thread through the steppable window API,
-/// every window in flight in `oracle` from its admission until its round
-/// retires. The driving is deterministic, so every device's event stream
-/// is replay-stable — which both the per-seed determinism of the fuzzer
-/// and the frontier campaign's trip replay depend on.
-fn play(pool: &TincaPool, plan: &[MwRound], oracle: &mut BlockOracle) {
-    let images = oracle.images();
-    for (round, step) in plan.iter().enumerate() {
-        match step {
-            MwRound::Spanning(spec) => {
-                oracle.begin(spec);
-                pool.commit(images.txn(pool, spec))
-                    .expect("mw spanning commit");
-            }
-            MwRound::Writers(specs) => {
-                let mut tickets: Vec<MwTicket> = Vec::with_capacity(specs.len());
-                for spec in specs {
+/// Plays the plan on the calling thread through the steppable window API,
+/// every window in flight in the oracle from its admission until its
+/// round retires. The driving is deterministic, so every device's event
+/// stream is replay-stable — which both the per-seed determinism of the
+/// sweep and the frontier enumerator's trip replay depend on.
+impl Workload for Vec<MwRound> {
+    fn play(&mut self, _: &Rig, pool: &TincaPool, oracle: &mut BlockOracle) -> Result<(), Finding> {
+        let images = oracle.images();
+        for (round, step) in self.iter().enumerate() {
+            match step {
+                MwRound::Spanning(spec) => {
                     oracle.begin(spec);
-                    match pool
-                        .mw_try_begin(images.txn(pool, spec))
-                        .expect("mw admission")
-                    {
-                        MwAdmission::Admitted(tk) => tickets.push(tk),
-                        // Rounds are block-disjoint and fully retired
-                        // before the next one starts.
-                        MwAdmission::Busy(_) => {
-                            panic!("unexpected Busy admission in disjoint round")
+                    pool.commit(images.txn(pool, spec))
+                        .expect("mw spanning commit");
+                }
+                MwRound::Writers(specs) => {
+                    let mut tickets: Vec<MwTicket> = Vec::with_capacity(specs.len());
+                    for spec in specs {
+                        oracle.begin(spec);
+                        match pool
+                            .mw_try_begin(images.txn(pool, spec))
+                            .expect("mw admission")
+                        {
+                            MwAdmission::Admitted(tk) => tickets.push(tk),
+                            // Rounds are block-disjoint and fully retired
+                            // before the next one starts.
+                            MwAdmission::Busy(_) => {
+                                panic!("unexpected Busy admission in disjoint round")
+                            }
                         }
                     }
-                }
-                for tk in tickets.iter_mut() {
-                    pool.mw_stage(tk);
-                }
-                // Publish out of ring order: the rotation makes the crash
-                // land with arbitrary STAGED/RESERVED mixes.
-                tickets.rotate_left(round % specs.len().max(1));
-                let mut touched: Vec<usize> = Vec::new();
-                for tk in tickets.drain(..) {
-                    if !touched.contains(&tk.shard()) {
-                        touched.push(tk.shard());
+                    for tk in tickets.iter_mut() {
+                        pool.mw_stage(tk);
                     }
-                    pool.mw_publish(tk);
-                }
-                for s in touched {
-                    while pool.mw_sequence(s) > 0 {}
+                    // Publish out of ring order: the rotation makes the crash
+                    // land with arbitrary STAGED/RESERVED mixes.
+                    tickets.rotate_left(round % specs.len().max(1));
+                    let mut touched: Vec<usize> = Vec::new();
+                    for tk in tickets.drain(..) {
+                        if !touched.contains(&tk.shard()) {
+                            touched.push(tk.shard());
+                        }
+                        pool.mw_publish(tk);
+                    }
+                    for s in touched {
+                        while pool.mw_sequence(s) > 0 {}
+                    }
                 }
             }
+            oracle.commit();
         }
-        oracle.commit();
+        Ok(())
     }
 }
 
-/// Runs one seeded multi-writer crash-fuzz iteration: a random trip on
-/// one shard, every shard's write-back state resolved adversarially.
-pub fn mw_pool_fuzz_one(shards: usize, seed: u64, rounds: usize) -> AppOutcome {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan = mw_script(&mut rng, rounds, BLOCKS, shards as u64);
-    let trip = Trip {
-        dev: (seed % shards as u64) as usize,
-        at: rng.gen_range(1..4_000u64),
-    };
-    let cut = Cut::Random {
-        seed: seed ^ 0x3757,
-        shift: 17,
-    };
-    let cfg = small_pool(shards, CommitMode::LockFreeRing, false);
-    let mut app = PoolApp::fresh(&cfg, BLOCKS, |_, pool, oracle| {
-        play(pool, &plan, oracle);
-        Ok(())
-    });
-    run_one(&mut app, trip, cut).tagged(format_args!("seed {seed} {trip}"))
+/// Rounds of concurrent windows on a ring-mode pool, with random trips.
+#[derive(Clone, Copy, Debug)]
+pub struct RingPlan {
+    pub shards: usize,
+    pub rounds: usize,
 }
 
-/// Runs a multi-writer crash-fuzz campaign of `runs` seeds.
-pub fn mw_pool_fuzz_campaign(
-    shards: usize,
-    base_seed: u64,
-    runs: u64,
-    rounds: usize,
-) -> crate::CampaignReport {
-    campaign(runs, false, |i, _| {
-        mw_pool_fuzz_one(shards, base_seed + i, rounds)
-    })
-}
+impl Plan for RingPlan {
+    type App = PoolApp<Vec<MwRound>>;
+    const NAME: &'static str = "ring";
 
-/// Enumerates crash frontiers for the multi-writer workload. A probe run
-/// harvests every device's fence epochs; each epoch is then replayed to
-/// its last staged `clflush` and crashed at every enumerated persist
-/// frontier. Because writers stage and publish **without fencing** (only
-/// the sequencer fences), a whole round's window payloads *and* `STAGED`
-/// descriptor publications share one fence epoch — the frontier subsets
-/// therefore cover every combination of published/unpublished/torn
-/// descriptors, i.e. every concurrent publication order a real
-/// multi-writer race could persist.
-pub fn mw_frontier_campaign(
-    shards: usize,
-    seed: u64,
-    rounds: usize,
-    cap_per_epoch: usize,
-) -> FrontierReport {
-    let plan = mw_script(
-        &mut StdRng::seed_from_u64(seed),
-        rounds,
-        BLOCKS,
-        shards as u64,
-    );
-    let cfg = small_pool(shards, CommitMode::LockFreeRing, false);
-    let build = || {
-        Ok(PoolApp::fresh(&cfg, BLOCKS, |_, pool, oracle| {
-            play(pool, &plan, oracle);
-            Ok(())
-        }))
-    };
-    frontier(build, seed, cap_per_epoch, Some("shard"))
+    fn build(&self, seed: u64) -> Result<(Self::App, Trip, Cut<'static>), Finding> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = mw_script(&mut rng, self.rounds, BLOCKS, self.shards as u64);
+        let trip = pool_trip(&mut rng, seed, self.shards);
+        let cut = Cut::of(PowerPull, seed ^ 0x3757);
+        let cfg = small_pool(self.shards, CommitMode::LockFreeRing, false);
+        Ok((PoolApp::fresh(&cfg, BLOCKS, plan), trip, cut))
+    }
 }
 
 #[cfg(test)]
@@ -237,23 +194,5 @@ mod tests {
         }
         assert!(saw_multi, "plan never exercised concurrent windows");
         assert!(saw_spanning, "plan never exercised the spanning path");
-    }
-
-    #[test]
-    fn mw_fuzz_outcomes_are_deterministic_per_seed() {
-        let a = mw_pool_fuzz_one(2, 21, 20);
-        let b = mw_pool_fuzz_one(2, 21, 20);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn mw_frontier_enumeration_covers_publication_states() {
-        let report = mw_frontier_campaign(2, 7, 3, 4);
-        assert!(report.clean(), "{:?}", report.violations);
-        assert!(report.epochs_total > 0, "probe found no workload epochs");
-        // Multi-window rounds stage several payloads and descriptor
-        // publications inside one fence epoch, so some epochs must have
-        // exceeded the tiny cap.
-        assert!(report.epochs_capped > 0, "{report}");
     }
 }

@@ -2,11 +2,12 @@
 //! overloaded (queue full, admission shedding) must never corrupt
 //! recovery, and shed/queued ops must leave no trace.
 
-use crashsim::{backlog_campaign, AppOutcome};
+use crashsim::engine::sweep;
+use crashsim::BacklogPlan;
 
 #[test]
 fn campaign_over_seeds_is_clean_and_actually_crashes_mid_backlog() {
-    let report = backlog_campaign(4, 0xB10C, 40);
+    let report = sweep(&BacklogPlan { shards: 4 }, 0xB10C..0xB10C + 40);
     assert_eq!(report.runs, 40);
     assert!(
         report.crashes >= 10,
@@ -19,14 +20,14 @@ fn campaign_over_seeds_is_clean_and_actually_crashes_mid_backlog() {
     );
     assert!(
         report.clean(),
-        "oracle violations:\n{}",
-        report.violations.join("\n")
+        "oracle violations: {:#?}",
+        report.violations
     );
 }
 
 #[test]
 fn two_shard_campaign_is_clean() {
-    let report = backlog_campaign(2, 0x2B10, 20);
+    let report = sweep(&BacklogPlan { shards: 2 }, 0x2B10..0x2B10 + 20);
     assert_eq!(report.runs, 20);
     assert!(report.clean(), "{:?}", report.violations);
     assert!(report.crashes + report.completed == 20);
@@ -34,8 +35,8 @@ fn two_shard_campaign_is_clean() {
 
 #[test]
 fn outcomes_are_deterministic_per_seed() {
-    let a = crashsim::backlog_one(2, 11);
-    let b = crashsim::backlog_one(2, 11);
-    assert_eq!(a, b);
-    assert!(!matches!(a, AppOutcome::Violation(_)), "{a:?}");
+    let plan = BacklogPlan { shards: 2 };
+    let a = sweep(&plan, 11..12);
+    assert_eq!(a, sweep(&plan, 11..12));
+    assert!(a.clean(), "{:?}", a.violations);
 }

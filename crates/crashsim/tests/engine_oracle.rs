@@ -3,8 +3,11 @@
 //! live two-shard pool, checks it clean, then corrupts the pool one way
 //! the oracle never saw — and the check must fail.
 
+use blockdev::BLOCK_SIZE;
 use crashsim::engine::{audit, BlockOracle, Images, Rig};
+use crashsim::Check;
 use nvmsim::CACHE_LINE;
+use persistcheck::Rule;
 use tinca::{PoolConfig, TincaConfig, TincaPool};
 
 const BLOCKS: u64 = 16;
@@ -38,7 +41,8 @@ fn a_commit_the_oracle_never_saw_fails_the_check() {
     let (rig, pool, oracle) = live(Images::Dense);
     commit(&pool, 2, &Images::Dense.of(2, Some(9)));
     let e = rig.check(&pool, &oracle).unwrap_err();
-    assert!(e.contains("block 2"), "{e}");
+    assert_eq!(e.check, Check::Oracle, "{e}");
+    assert!(e.detail.contains("block 2"), "{e}");
 }
 
 #[test]
@@ -47,7 +51,8 @@ fn a_half_committed_in_flight_txn_fails_the_check() {
     oracle.begin(&[(0, 7), (1, 8)]);
     commit(&pool, 0, &Images::Dense.of(0, Some(7)));
     let e = rig.check(&pool, &oracle).unwrap_err();
-    assert!(e.contains("not atomic"), "{e}");
+    assert_eq!(e.check, Check::Oracle, "{e}");
+    assert!(e.detail.contains("not atomic"), "{e}");
 }
 
 #[test]
@@ -63,7 +68,8 @@ fn one_line_from_another_image_fails_the_check() {
     oracle.begin(&[(2, 4)]);
     commit(&pool, 2, &torn);
     let e = rig.check(&pool, &oracle).unwrap_err();
-    assert!(e.contains("torn"), "{e}");
+    assert_eq!(e.check, Check::Oracle, "{e}");
+    assert!(e.detail.contains("torn"), "{e}");
 }
 
 #[test]
@@ -75,5 +81,20 @@ fn an_unflushed_metadata_store_under_a_commit_record_fails_the_audit() {
     device.write(end - 2 * CACHE_LINE, &[0xEE; 8]);
     device.note_commit(end - CACHE_LINE, 8);
     let e = audit(&rig.devices, &metadata).unwrap_err();
-    assert!(e.contains("shard 1 persist-order violation"), "{e}");
+    assert_eq!(e.check, Check::PersistOrder(Rule::MissingFlush), "{e}");
+    assert!(e.detail.starts_with("shard 1:"), "{e}");
+}
+
+#[test]
+fn sparse_images_change_runs_in_both_halves_and_hold_no_zero_line() {
+    let of = |b, v| Images::Sparse.of(b, Some(v));
+    assert_eq!(Images::Dense.of(7, Some(9)), [9u8; BLOCK_SIZE]);
+    assert_eq!(Images::Sparse.of(7, None), [0u8; BLOCK_SIZE]);
+    let (a, b) = (of(7, 9), of(7, 200));
+    assert!(a.iter().all(|&x| x != 0));
+    let changed: Vec<usize> = (0..BLOCK_SIZE / CACHE_LINE)
+        .filter(|l| a[l * CACHE_LINE..][..CACHE_LINE] != b[l * CACHE_LINE..][..CACHE_LINE])
+        .collect();
+    assert_eq!(changed, [8, 9, 10, 11, 41, 42, 43, 58, 59, 60]);
+    assert_ne!(of(7, 9), of(8, 9));
 }

@@ -3,11 +3,23 @@
 //! transaction atomicity across shards, and persist-order cleanliness on
 //! every shard and on the merged pool-wide trace.
 
-use crashsim::{pool_fuzz_campaign, pool_fuzz_one};
+use crashsim::engine::{frontier, sweep};
+use crashsim::{CampaignReport, PoolPlan, ThreadedPlan};
+
+/// `runs` seeds from `seed` on an `shards`-shard pool, 40 transactions
+/// per script.
+fn pool_fuzz(shards: usize, seed: u64, runs: u64, delta_stage: bool) -> CampaignReport {
+    let plan = PoolPlan {
+        shards,
+        txns: 40,
+        delta_stage,
+    };
+    sweep(&plan, seed..seed + runs)
+}
 
 #[test]
 fn four_shard_pool_survives_fuzz_campaign() {
-    let report = pool_fuzz_campaign(4, 0x900D, 24, 40, false);
+    let report = pool_fuzz(4, 0x900D, 24, false);
     assert!(
         report.clean(),
         "pool crash-consistency violations: {:#?}",
@@ -21,7 +33,7 @@ fn four_shard_pool_survives_fuzz_campaign() {
 
 #[test]
 fn single_shard_pool_survives_fuzz() {
-    let report = pool_fuzz_campaign(1, 0x1D, 10, 40, false);
+    let report = pool_fuzz(1, 0x1D, 10, false);
     assert!(report.clean(), "violations: {:#?}", report.violations);
     assert!(report.crashes > 0);
 }
@@ -33,7 +45,7 @@ fn single_shard_pool_survives_fuzz() {
 /// transactions tolerated.
 #[test]
 fn spanning_txns_all_or_nothing_200_seed_sweep() {
-    let report = pool_fuzz_campaign(4, 0x59A7, 200, 40, false);
+    let report = pool_fuzz(4, 0x59A7, 200, false);
     assert!(
         report.clean(),
         "spanning crash-consistency violations: {:#?}",
@@ -47,9 +59,12 @@ fn spanning_txns_all_or_nothing_200_seed_sweep() {
 #[test]
 fn outcomes_are_deterministic_per_seed() {
     for delta_stage in [false, true] {
-        let a = pool_fuzz_one(4, 77, 30, delta_stage);
-        let b = pool_fuzz_one(4, 77, 30, delta_stage);
-        assert_eq!(a, b);
+        let plan = PoolPlan {
+            shards: 4,
+            txns: 30,
+            delta_stage,
+        };
+        assert_eq!(sweep(&plan, 77..78), sweep(&plan, 77..78));
     }
 }
 
@@ -59,7 +74,7 @@ fn outcomes_are_deterministic_per_seed() {
 #[test]
 fn delta_staged_commits_survive_200_seed_sweeps() {
     for (shards, base_seed) in [(1, 0xDE17A1), (2, 0xDE17A2)] {
-        let report = pool_fuzz_campaign(shards, base_seed, 200, 40, true);
+        let report = pool_fuzz(shards, base_seed, 200, true);
         assert!(
             report.clean(),
             "{shards}-shard delta-staging violations: {:#?}",
@@ -67,4 +82,20 @@ fn delta_staged_commits_survive_200_seed_sweeps() {
         );
         assert!(report.crashes > 60, "crashes: {}", report.crashes);
     }
+}
+
+/// Delta staging on the threaded frontier: four commits per thread over
+/// its two blocks, so the later ones rewrite shadows, and every enumerated
+/// frontier of every shard recovers clean.
+#[test]
+fn threaded_delta_staged_frontier_recovers_clean() {
+    let plan = ThreadedPlan {
+        shards: 2,
+        txns_per_thread: 4,
+        delta_stage: true,
+    };
+    let report = frontier(&plan, 5..6, 4);
+    println!("delta threaded frontier: {report}");
+    assert!(report.clean(), "{:?}", report.violations);
+    assert!(report.runs >= 2 * report.epochs_total);
 }

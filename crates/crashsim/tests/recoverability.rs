@@ -3,22 +3,34 @@
 //! no-journal baseline must *not* (demonstrating that the consistency the
 //! other two provide is real, not vacuous).
 
-use crashsim::engine::Cut;
-use crashsim::{
-    fuzz_system, fuzz_system_mode, fuzz_system_opts, CrashHarness, FailureMode, FsOracle,
-};
+use crashsim::engine::{frontier, sweep, Cut};
+use crashsim::{CampaignReport, Check, CrashHarness, FailureMode, FsOracle, FsPlan};
 use fssim::stack::{StackConfig, System};
+
+/// `runs` power-pull seeds from `seed` of `steps`-step scripts.
+fn fuzz(system: System, seed: u64, runs: u64, steps: usize) -> CampaignReport {
+    sweep(&FsPlan::new(system, steps), seed..seed + runs)
+}
+
+/// As [`fuzz`], on the write-behind destage pipeline.
+fn fuzz_destaged(seed: u64, runs: u64, steps: usize) -> CampaignReport {
+    let plan = FsPlan {
+        destage: true,
+        ..FsPlan::new(System::Tinca, steps)
+    };
+    sweep(&plan, seed..seed + runs)
+}
 
 #[test]
 fn tinca_survives_fuzzed_crashes() {
-    let report = fuzz_system(System::Tinca, 1000, 30, 60);
+    let report = fuzz(System::Tinca, 1000, 30, 60);
     assert!(report.crashes > 0, "campaign should hit mid-run crashes");
     assert!(report.clean(), "violations: {:?}", report.violations);
 }
 
 #[test]
 fn classic_jbd2_survives_fuzzed_crashes() {
-    let report = fuzz_system(System::Classic, 2000, 30, 60);
+    let report = fuzz(System::Classic, 2000, 30, 60);
     assert!(report.crashes > 0);
     assert!(report.clean(), "violations: {:?}", report.violations);
 }
@@ -26,7 +38,7 @@ fn classic_jbd2_survives_fuzzed_crashes() {
 #[test]
 fn tinca_without_role_switch_still_consistent() {
     // The ablation changes the cost, not the correctness.
-    let report = fuzz_system(System::TincaNoRoleSwitch, 3000, 15, 40);
+    let report = fuzz(System::TincaNoRoleSwitch, 3000, 15, 40);
     assert!(report.clean(), "violations: {:?}", report.violations);
 }
 
@@ -34,7 +46,7 @@ fn tinca_without_role_switch_still_consistent() {
 fn ubj_survives_fuzzed_crashes() {
     // The §5.4.4 baseline provides the same consistency guarantee (at a
     // different cost), so it must pass the same campaign.
-    let report = fuzz_system(System::Ubj, 4000, 30, 60);
+    let report = fuzz(System::Ubj, 4000, 30, 60);
     assert!(report.crashes > 0);
     assert!(report.clean(), "violations: {:?}", report.violations);
 }
@@ -43,7 +55,7 @@ fn ubj_survives_fuzzed_crashes() {
 fn tinca_coalesced_flushes_survive_fuzzed_crashes() {
     // Batching the ring slots and the `Head` move behind one fence
     // (`coalesce_flushes`) must not weaken crash consistency.
-    let report = fuzz_system_opts(System::Tinca, 4500, 20, 50, FailureMode::PowerPull, true);
+    let report = fuzz_destaged(4500, 20, 50);
     assert!(report.clean(), "violations: {:?}", report.violations);
 }
 
@@ -51,7 +63,7 @@ fn tinca_coalesced_flushes_survive_fuzzed_crashes() {
 fn classic_logmeta_survives_fuzzed_crashes() {
     // The FlashTier/bcache-style metadata log must be as crash-safe as
     // the synchronous metadata blocks.
-    let report = fuzz_system(System::ClassicLogMeta, 5000, 20, 50);
+    let report = fuzz(System::ClassicLogMeta, 5000, 20, 50);
     assert!(report.clean(), "violations: {:?}", report.violations);
 }
 
@@ -60,7 +72,7 @@ fn tinca_destage_pipeline_survives_fuzzed_crashes() {
     // Write-behind destage + flush coalescing on a cache small enough
     // that the watermark daemon runs mid-script: power cuts landing
     // during background writeback must never lose an acknowledged fsync.
-    let report = fuzz_system_opts(System::Tinca, 7000, 30, 60, FailureMode::PowerPull, true);
+    let report = fuzz_destaged(7000, 30, 60);
     assert!(report.crashes > 0, "campaign should hit mid-run crashes");
     assert!(report.clean(), "violations: {:?}", report.violations);
 }
@@ -70,7 +82,11 @@ fn process_kill_scenario_is_clean_for_both() {
     // §5.1's second failure scenario: killing the process loses DRAM but
     // the CPU caches drain, so everything stored reaches NVM.
     for (sys, seed) in [(System::Tinca, 61_000u64), (System::Classic, 62_000)] {
-        let report = fuzz_system_mode(sys, seed, 15, 50, FailureMode::ProcessKill);
+        let plan = FsPlan {
+            mode: FailureMode::ProcessKill,
+            ..FsPlan::new(sys, 50)
+        };
+        let report = sweep(&plan, seed..seed + 15);
         assert!(report.clean(), "{}: {:?}", sys.name(), report.violations);
     }
 }
@@ -104,7 +120,8 @@ fn no_journal_baseline_can_lose_consistency() {
             continue;
         }
         h.crash_and_remount(Cut::Random { seed, shift: 0 });
-        if h.verify(&oracle).is_err() {
+        if let Err(e) = h.verify(&oracle) {
+            assert_eq!(e.check, Check::Oracle, "{e}");
             violated = true;
             break;
         }
@@ -113,6 +130,17 @@ fn no_journal_baseline_can_lose_consistency() {
         violated,
         "the no-journal baseline should exhibit torn states under crash"
     );
+}
+
+#[test]
+fn fs_frontier_enumeration_recovers_clean() {
+    let report = frontier(&FsPlan::new(System::Tinca, 8), 11..12, 4);
+    assert!(report.clean(), "{:?}", report.violations);
+    assert!(report.epochs_total > 0, "probe found no workload epochs");
+    assert!(report.runs >= 2 * report.epochs_total);
+    // The commit record is a single line: some epochs must have been
+    // enumerated exhaustively even with a tiny cap.
+    assert!(report.epochs_exhaustive > 0, "{report}");
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Deterministic spanning-commit crash coverage.
 //!
-//! The fuzz sweep ([`crashsim::pool_fuzz_campaign`]) and the frontier
-//! enumerator ([`crashsim::spanning_frontier_campaign`]) sample and
-//! enumerate crash states; these tests instead **pin** the instants that
+//! The fuzz sweep ([`crashsim::PoolPlan`]) and the frontier enumerator
+//! ([`crashsim::SpanningPlan`]) sample and enumerate crash states; these tests instead **pin** the instants that
 //! define the two-phase protocol's correctness argument:
 //!
 //! * a crash *between fragments* — after shard 0's fragment is prepared

@@ -41,8 +41,7 @@ pub mod tincastore;
 pub mod wal;
 
 pub use crash::{
-    tinca_kv_frontier_campaign, tinca_kv_fuzz_campaign, wal_kv_frontier_campaign,
-    wal_kv_fuzz_campaign, KvApp, Personality, TincaKvApp, WalKvApp,
+    KvApp, KvPlan, Personality, TincaKvApp, WalKvApp, CAMPAIGNS, TINCA_TRIP_MAX, TXNS, WAL_TRIP_MAX,
 };
 pub use db::{Db, KvPair};
 pub use driver::{apply_txn, value_for, KvTpccDriver, KvTxn, VALUE_LEN};

@@ -2,123 +2,82 @@
 //! random trip sweeps under both failure modes, bounded exhaustive
 //! persist-frontier enumeration, and a directed sweep that cuts the power
 //! between a meta-less commit and the split that next carries page 0. The
-//! ignored 200-seed sweeps run in CI's dedicated kvdb crash step
+//! ignored 200-seed sweep runs in CI's dedicated kvdb crash step
 //! (`--ignored`).
 //!
-//! The `pinned_` tests are the refactoring test for these campaigns, as
-//! `crates/crashsim/tests/pinned_tallies.rs` is for crashsim's: exact
-//! tallies of a small fixed seed range. If a number moves, a trip, a cut
-//! or a persistence event moved.
+//! The exact tallies of `kvdb::CAMPAIGNS` are pinned, beside crashsim's, in
+//! the workspace's `tests/pinned_campaigns.rs`; the `pinned_` tests here
+//! pin the directed sweep's splits. If a number moves, a trip, a cut or a
+//! persistence event moved.
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-use crashsim::engine::{run_one, Crashable, Cut, Trip};
-use crashsim::{AppOutcome, FailureMode, FrontierReport};
+use crashsim::engine::{frontier, run_one, sweep, Crashable, Cut, Trip};
+use crashsim::{AppOutcome, CampaignReport, FailureMode};
 use kvdb::{
-    tinca_kv_frontier_campaign, tinca_kv_fuzz_campaign, wal_kv_frontier_campaign,
-    wal_kv_fuzz_campaign, KvApp, Meta, Personality, TincaStore, WalStore,
+    KvApp, KvPlan, Meta, Personality, TincaStore, WalStore, TINCA_TRIP_MAX, TXNS, WAL_TRIP_MAX,
 };
 
-/// Transactions per seeded plan.
-const TXNS: usize = 15;
-/// Trip ranges sized from measured event rates (~1430 events/txn for the
-/// WAL stack; a 15-transaction run on the delta-staging pool emits 492
-/// events per shard in the median and 879 at most), so trips land
-/// mid-workload for most seeds while some seeds run to completion. A
-/// change that moves a stack's event count moves its range with it, or
-/// fewer seeds crash.
-const WAL_TRIP_MAX: u64 = 20_000;
-const TINCA_TRIP_MAX: u64 = 1_000;
+fn wal(base: u64, runs: u64, mode: FailureMode) -> CampaignReport {
+    sweep(
+        &KvPlan::<WalStore>::new(TXNS, WAL_TRIP_MAX, mode),
+        base..base + runs,
+    )
+}
+
+fn tinca(base: u64, runs: u64, mode: FailureMode) -> CampaignReport {
+    sweep(
+        &KvPlan::<TincaStore>::new(TXNS, TINCA_TRIP_MAX, mode),
+        base..base + runs,
+    )
+}
 
 #[test]
 fn wal_kv_fuzz_power_pull_smoke() {
-    let r = wal_kv_fuzz_campaign(0x11A0, 12, TXNS, WAL_TRIP_MAX, FailureMode::PowerPull);
+    let r = wal(0x11A0, 12, FailureMode::PowerPull);
     assert!(r.clean(), "violations: {:#?}", r.violations);
     assert!(r.crashes > 0, "no seed crashed: widen the trip range");
 }
 
 #[test]
 fn wal_kv_fuzz_process_kill_smoke() {
-    let r = wal_kv_fuzz_campaign(0x11B0, 6, TXNS, WAL_TRIP_MAX, FailureMode::ProcessKill);
+    let r = wal(0x11B0, 6, FailureMode::ProcessKill);
     assert!(r.clean(), "violations: {:#?}", r.violations);
     assert!(r.crashes > 0, "no seed crashed: widen the trip range");
 }
 
 #[test]
 fn tinca_kv_fuzz_power_pull_smoke() {
-    let r = tinca_kv_fuzz_campaign(0x22A0, 12, TXNS, TINCA_TRIP_MAX, FailureMode::PowerPull);
+    let r = tinca(0x22A0, 12, FailureMode::PowerPull);
     assert!(r.clean(), "violations: {:#?}", r.violations);
     assert!(r.crashes > 0, "no seed crashed: widen the trip range");
 }
 
 #[test]
 fn tinca_kv_fuzz_process_kill_smoke() {
-    let r = tinca_kv_fuzz_campaign(0x22B0, 6, TXNS, TINCA_TRIP_MAX, FailureMode::ProcessKill);
+    let r = tinca(0x22B0, 6, FailureMode::ProcessKill);
     assert!(r.clean(), "violations: {:#?}", r.violations);
     assert!(r.crashes > 0, "no seed crashed: widen the trip range");
 }
 
 #[test]
 fn wal_kv_frontier_smoke() {
-    let r = wal_kv_frontier_campaign(0x33A0, 2, 4);
+    let plan = KvPlan::<WalStore>::new(2, 0, FailureMode::PowerPull);
+    let r = frontier(&plan, 0x33A0..0x33A1, 4);
     assert!(r.clean(), "violations: {:#?}", r.violations);
     assert!(r.epochs_total > 0, "probe found no workload epochs");
-    assert!(r.states_run >= 2 * r.epochs_total);
+    assert!(r.runs >= 2 * r.epochs_total);
 }
 
 #[test]
 fn tinca_kv_frontier_smoke() {
-    let r = tinca_kv_frontier_campaign(0x44A0, 2, 4);
+    let plan = KvPlan::<TincaStore>::new(2, 0, FailureMode::PowerPull);
+    let r = frontier(&plan, 0x44A0..0x44A1, 4);
     assert!(r.clean(), "violations: {:#?}", r.violations);
     assert!(r.epochs_total > 0, "probe found no workload epochs");
     // Both shards must contribute epochs: even pages (the meta page
     // among them, when a split moves it) commit on shard 0, odd ones on
     // shard 1.
-    assert!(r.states_run >= 2 * r.epochs_total);
-}
-
-/// `(runs, completed, crashes)` of a random-trip campaign, which must be
-/// clean.
-macro_rules! tally {
-    ($r:expr) => {{
-        let r = $r;
-        assert!(r.violations.is_empty(), "{:#?}", r.violations);
-        (r.runs, r.completed, r.crashes)
-    }};
-}
-
-/// `(epochs_total, epochs_exhaustive, epochs_capped, states_run)` of a
-/// clean frontier campaign.
-fn epochs(r: FrontierReport) -> (u64, u64, u64, u64) {
-    assert!(r.clean(), "{:#?}", r.violations);
-    (
-        r.epochs_total,
-        r.epochs_exhaustive,
-        r.epochs_capped,
-        r.states_run,
-    )
-}
-
-#[test]
-fn pinned_kv_fuzz_tallies() {
-    let (pull, kill) = (FailureMode::PowerPull, FailureMode::ProcessKill);
-    let wal = |base, runs, mode| wal_kv_fuzz_campaign(base, runs, TXNS, WAL_TRIP_MAX, mode);
-    let tinca = |base, runs, mode| tinca_kv_fuzz_campaign(base, runs, TXNS, TINCA_TRIP_MAX, mode);
-    assert_eq!(tally!(wal(0x11A0, 6, pull)), (6, 2, 4));
-    assert_eq!(tally!(wal(0x11B0, 4, kill)), (4, 3, 1));
-    assert_eq!(tally!(tinca(0x22A0, 12, pull)), (12, 7, 5));
-    assert_eq!(tally!(tinca(0x22B0, 6, kill)), (6, 3, 3));
-}
-
-#[test]
-fn pinned_kv_frontier_tallies() {
-    assert_eq!(
-        epochs(wal_kv_frontier_campaign(0x33A0, 1, 2)),
-        (12, 0, 12, 24)
-    );
-    assert_eq!(
-        epochs(tinca_kv_frontier_campaign(0x44A0, 2, 4)),
-        (12, 10, 2, 28)
-    );
+    assert!(r.runs >= 2 * r.epochs_total);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,9 +157,13 @@ fn cut_between_meta_less_and_split<S: Personality>(
             .chain(hi.saturating_sub(3).max(lo + 1)..=hi);
         for k in trips {
             let mut a = app(i + 1);
+            let crashed_clean = AppOutcome {
+                crashed: true,
+                verdict: Ok(()),
+            };
             assert_eq!(
                 run_one(&mut a, Trip { dev, at: k }, cut),
-                AppOutcome::CrashedVerified,
+                crashed_clean,
                 "device {dev} trip {k}"
             );
             let s = seen(&a);
@@ -241,18 +204,16 @@ fn pinned_wal_kv_cut_between_meta_less_commit_and_split() {
 #[test]
 #[ignore = "long: run via cargo test -p kvdb --release --test crash -- --ignored"]
 fn kv_fuzz_200_seeds() {
-    let mut violations: Vec<String> = Vec::new();
+    let mut violations = Vec::new();
     let mut crashes = 0u64;
     for (base, mode) in [
         (0xA000, FailureMode::PowerPull),
         (0xB000, FailureMode::ProcessKill),
     ] {
-        let w = wal_kv_fuzz_campaign(base, 50, TXNS, WAL_TRIP_MAX, mode);
-        crashes += w.crashes;
-        violations.extend(w.violations);
-        let t = tinca_kv_fuzz_campaign(base ^ 0xF0F0, 50, TXNS, TINCA_TRIP_MAX, mode);
-        crashes += t.crashes;
-        violations.extend(t.violations);
+        for r in [wal(base, 50, mode), tinca(base ^ 0xF0F0, 50, mode)] {
+            crashes += r.crashes;
+            violations.extend(r.violations);
+        }
     }
     println!(
         "{crashes} of 200 seeds crashed, {} violations",

@@ -2,14 +2,14 @@
 //! policies, full verification — a compact version of the §5.1
 //! recoverability experiment run as part of the test suite.
 
-use tinca_repro::crashsim::engine::Cut;
-use tinca_repro::crashsim::{fuzz_system, CrashHarness, FsOracle};
+use tinca_repro::crashsim::engine::{sweep, Cut};
+use tinca_repro::crashsim::{CrashHarness, FsOracle, FsPlan};
 use tinca_repro::fssim::stack::{StackConfig, System};
 
 #[test]
 fn fuzz_matrix_is_clean() {
     for (sys, seed) in [(System::Tinca, 777u64), (System::Classic, 888)] {
-        let report = fuzz_system(sys, seed, 12, 50);
+        let report = sweep(&FsPlan::new(sys, 50), seed..seed + 12);
         assert!(report.clean(), "{}: {:?}", sys.name(), report.violations);
     }
 }
