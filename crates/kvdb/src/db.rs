@@ -22,6 +22,16 @@
 //! recovery guarantees the batch was all-or-nothing — the same contract
 //! Tinca gives the journal-free file system, one level up.
 //!
+//! The page cache is a true LRU, as the paper keeps its own replacement
+//! state one level down (§4.6): every access stamps the node from one
+//! counter, and a commit that leaves the cache over budget drops the
+//! pages with the oldest stamps. A touch adds one store to the lookup it
+//! makes anyway; eviction, orders of magnitude rarer on `kv_tpcc`, scans
+//! the cache once. The stamps come from a counter, not a clock or
+//! a hash, so which pages are evicted — and so every page read — is
+//! replay-stable. Every descent, `put` and `delete` included, borrows the
+//! nodes it passes; a writer returns to a branch only to change it.
+//!
 //! Structure policy: nodes split when their encoding would overflow the
 //! page; a leaf that empties is freed and unlinked from its parent (a
 //! non-root branch that loses every separator survives as a one-child
@@ -32,6 +42,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::ops::Bound;
 
 use crate::page::{
@@ -40,22 +51,95 @@ use crate::page::{
 };
 use crate::store::{KvError, PageStore};
 
-/// Decoded pages kept in DRAM before clean ones become eviction
-/// candidates. Dirty pages are pinned until commit.
+/// Decoded pages kept in DRAM after a commit. Dirty pages are pinned
+/// until commit, so a transaction may take the cache past it.
 const CACHE_PAGES: usize = 1024;
 
 /// An owned key/value pair, as returned by scans.
 pub type KvPair = (Vec<u8>, Vec<u8>);
 
+/// A promoted separator and the new right sibling it points at.
+type Split = Option<(Vec<u8>, u32)>;
+
 /// Validation work-list entry: (child page, lower bound, upper bound).
 type ChildBounds = (u32, Option<Vec<u8>>, Option<Vec<u8>>);
+
+/// A structural invariant [`Db::validate`] found broken.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TreeError {
+    /// A page id at or past the allocation frontier, reachable or (with
+    /// `free`) on the free list.
+    BeyondFrontier {
+        page: u32,
+        frontier: u32,
+        free: bool,
+    },
+    /// A page reachable along two paths.
+    ReachableTwice(u32),
+    /// A leaf at another depth than the first leaf found.
+    LeafDepth {
+        page: u32,
+        depth: usize,
+        expected: usize,
+    },
+    /// A leaf key (or, with `leaf` false, a branch separator) outside the
+    /// bounds its parent's separators give.
+    OutsideBounds { page: u32, key: Vec<u8>, leaf: bool },
+    /// A page both reachable and on the free list.
+    FreeAndReachable(u32),
+    /// A reachable page failed to read or decode.
+    Corrupt(KvError),
+}
+
+impl fmt::Display for TreeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TreeError::BeyondFrontier {
+                page,
+                frontier,
+                free,
+            } => {
+                let free = if *free { "free " } else { "" };
+                write!(f, "{free}page {page} beyond allocation frontier {frontier}")
+            }
+            TreeError::ReachableTwice(page) => write!(f, "page {page} reachable twice"),
+            TreeError::LeafDepth {
+                page,
+                depth,
+                expected,
+            } => write!(f, "leaf {page} at depth {depth}, expected {expected}"),
+            TreeError::OutsideBounds {
+                page,
+                key,
+                leaf: true,
+            } => write!(f, "leaf {page} key {key:?} outside separator bounds"),
+            TreeError::OutsideBounds { page, key, .. } => {
+                write!(f, "branch {page} separator {key:?} outside bounds")
+            }
+            TreeError::FreeAndReachable(page) => {
+                write!(f, "page {page} is both reachable and on the free list")
+            }
+            TreeError::Corrupt(err) => write!(f, "{err}"),
+        }
+    }
+}
+
+impl std::error::Error for TreeError {}
+
+/// A decoded node and the tick of its last use.
+struct Cached {
+    node: Node,
+    used: u64,
+}
 
 /// An embedded ordered KV store over a [`PageStore`].
 pub struct Db<S: PageStore> {
     store: S,
-    /// Decoded node cache. A `BTreeMap` keyed by page id keeps eviction
-    /// deterministic, so crash-replay event streams are replay-stable.
-    cache: BTreeMap<u32, Node>,
+    /// Decoded node cache, each node stamped with its last use; the
+    /// oldest stamps are evicted first.
+    cache: BTreeMap<u32, Cached>,
+    /// The stamp counter: one tick per node access.
+    tick: u64,
     dirty: BTreeSet<u32>,
     meta: Meta,
     /// The last meta image a successful commit made durable (what `open`
@@ -77,39 +161,35 @@ impl<S: PageStore> Db<S> {
     pub fn open(mut store: S) -> Result<Db<S>, KvError> {
         let mut buf = [0u8; PAGE_SIZE];
         store.read_page(0, &mut buf)?;
-        if is_blank(&buf) {
+        let fresh = is_blank(&buf);
+        let (meta, durable_meta, commit_seq) = if fresh {
             let meta = Meta {
                 root: 1,
                 page_count: 2,
                 free: Vec::new(),
             };
-            let mut db = Db {
-                store,
-                cache: BTreeMap::new(),
-                dirty: BTreeSet::new(),
-                meta,
-                // Nothing is durable yet: the first batch carries page 0.
-                durable_meta: Meta::default(),
-                commit_seq: 0,
-                in_txn: false,
-                batch: Vec::new(),
-            };
-            db.cache.insert(1, Node::Leaf(Vec::new()));
-            db.dirty.insert(1);
-            db.write_batch()?;
-            return Ok(db);
-        }
-        let (meta, lsn) = decode_meta(&buf).map_err(|err| KvError::Corrupt { page: 0, err })?;
-        Ok(Db {
+            // Nothing is durable yet: the first batch carries page 0.
+            (meta, Meta::default(), 0)
+        } else {
+            let (meta, lsn) = decode_meta(&buf).map_err(|err| KvError::Corrupt { page: 0, err })?;
+            (meta.clone(), meta, lsn)
+        };
+        let mut db = Db {
             store,
             cache: BTreeMap::new(),
+            tick: 0,
             dirty: BTreeSet::new(),
-            durable_meta: meta.clone(),
             meta,
-            commit_seq: lsn,
+            durable_meta,
+            commit_seq,
             in_txn: false,
             batch: Vec::new(),
-        })
+        };
+        if fresh {
+            db.stage(1, Node::Leaf(Vec::new()));
+            db.write_batch()?;
+        }
+        Ok(db)
     }
 
     /// The underlying store (device-stats access).
@@ -190,11 +270,12 @@ impl<S: PageStore> Db<S> {
             }
         }
         for (&id, (slot_id, page)) in self.dirty.iter().zip(slots) {
-            let node = self.cache.get(&id).ok_or(KvError::TxnState(
+            let cached = self.cache.get(&id).ok_or(KvError::TxnState(
                 "dirty page missing from cache (internal bug)",
             ))?;
             *slot_id = id;
-            encode_node(node, lsn, page).map_err(|err| KvError::Corrupt { page: id, err })?;
+            encode_node(&cached.node, lsn, page)
+                .map_err(|err| KvError::Corrupt { page: id, err })?;
         }
         self.store.commit_pages(&self.batch[..pages])?;
         // Only a successful commit moves the durable image: after an error
@@ -206,40 +287,51 @@ impl<S: PageStore> Db<S> {
         Ok(())
     }
 
-    /// Drops clean decoded pages (lowest id first — deterministic) until
-    /// the cache fits its budget again.
+    /// Drops the least recently used decoded pages until the cache fits
+    /// its budget again. It runs only after a commit, when no page is
+    /// dirty, so every cached page is a candidate.
     fn evict(&mut self) {
-        while self.cache.len() > CACHE_PAGES {
-            let Some(id) = self
-                .cache
-                .keys()
-                .copied()
-                .find(|id| !self.dirty.contains(id))
-            else {
-                return; // everything dirty: pinned until commit
-            };
-            self.cache.remove(&id);
+        let excess = self.cache.len().saturating_sub(CACHE_PAGES);
+        if excess == 0 {
+            return;
+        }
+        let mut by_use: Vec<(u64, u32)> = self
+            .cache
+            .iter()
+            .map(|(&id, cached)| (cached.used, id))
+            .collect();
+        // Stamps are unique, so the victims are exactly the `excess`
+        // oldest pages, in whatever order the selection leaves them.
+        by_use.select_nth_unstable(excess - 1);
+        for (_, id) in &by_use[..excess] {
+            self.cache.remove(id);
         }
     }
 
     // -- node access -------------------------------------------------------
 
-    /// Faults page `id` into the cache and removes it for exclusive use;
-    /// callers must put it back. The mutating paths need the node owned
-    /// while they allocate and mark pages dirty; readers use [`Self::node`].
-    fn take_node(&mut self, id: u32) -> Result<Node, KvError> {
-        if let Some(n) = self.cache.remove(&id) {
-            return Ok(n);
-        }
-        load_node(&mut self.store, &mut self.commit_seq, id)
+    /// Faults page `id` into the cache, stamps it as just used, and
+    /// borrows it there.
+    fn node(&mut self, id: u32) -> Result<&mut Node, KvError> {
+        self.tick += 1;
+        let used = self.tick;
+        let cached = match self.cache.entry(id) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                let node = load_node(&mut self.store, &mut self.commit_seq, id)?;
+                v.insert(Cached { node, used })
+            }
+        };
+        cached.used = used;
+        Ok(&mut cached.node)
     }
 
-    /// Faults page `id` into the cache and borrows it there.
-    fn node(&mut self, id: u32) -> Result<&Node, KvError> {
-        match self.cache.entry(id) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(v) => Ok(v.insert(load_node(&mut self.store, &mut self.commit_seq, id)?)),
-        }
+    /// Caches a new or replaced node as just used and dirty.
+    fn stage(&mut self, id: u32, node: Node) {
+        self.tick += 1;
+        let used = self.tick;
+        self.cache.insert(id, Cached { node, used });
+        self.dirty.insert(id);
     }
 
     fn alloc(&mut self) -> Result<u32, KvError> {
@@ -305,7 +397,7 @@ impl<S: PageStore> Db<S> {
     ) -> Result<(), KvError> {
         let kids: Vec<u32> = match self.node(id)? {
             Node::Leaf(entries) => {
-                for (k, v) in entries {
+                for (k, v) in entries.iter() {
                     if in_lo(lo, k) && in_hi(hi, k) {
                         out.push((k.clone(), v.clone()));
                     }
@@ -363,88 +455,72 @@ impl<S: PageStore> Db<S> {
         if let Some((sep, right)) = self.insert_rec(root, key, val)? {
             // Root split: grow the tree by one level.
             let new_root = self.alloc()?;
-            self.cache.insert(
+            self.stage(
                 new_root,
                 Node::Branch {
                     first: root,
                     seps: vec![(sep, right)],
                 },
             );
-            self.dirty.insert(new_root);
             self.meta.root = new_root;
         }
         Ok(())
     }
 
-    fn insert_rec(
-        &mut self,
-        id: u32,
-        key: &[u8],
-        val: &[u8],
-    ) -> Result<Option<(Vec<u8>, u32)>, KvError> {
-        let mut node = self.take_node(id)?;
-        let split = match &mut node {
+    /// Inserts below page `id`; returns the split to promote if `id`
+    /// overflowed.
+    fn insert_rec(&mut self, id: u32, key: &[u8], val: &[u8]) -> Result<Split, KvError> {
+        let (sep, new_child) = match self.node(id)? {
             Node::Leaf(entries) => {
                 match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
                     Ok(i) => entries[i].1 = val.to_vec(),
                     Err(i) => entries.insert(i, (key.to_vec(), val.to_vec())),
                 }
                 self.dirty.insert(id);
-                if node.fits() {
-                    None
-                } else {
-                    let Node::Leaf(entries) = &mut node else {
-                        return Err(KvError::TxnState("leaf changed kind (internal bug)"));
-                    };
-                    let right_entries = split_half(entries);
-                    let sep = right_entries[0].0.clone();
-                    let right = self.alloc()?;
-                    self.cache.insert(right, Node::Leaf(right_entries));
-                    self.dirty.insert(right);
-                    Some((sep, right))
-                }
+                return self.split_if_full(id);
             }
             Node::Branch { first, seps } => {
                 let child = child_for(*first, seps, key);
-                // Reinsert before recursing so the child's own descent
-                // can fault pages freely.
-                self.cache.insert(id, node);
-                let promoted = self.insert_rec(child, key, val)?;
-                node = self.take_node(id)?;
-                let Some((sep, new_child)) = promoted else {
-                    self.cache.insert(id, node);
-                    return Ok(None);
-                };
-                let Node::Branch { seps, .. } = &mut node else {
-                    return Err(KvError::TxnState("branch changed kind (internal bug)"));
-                };
-                let pos = seps.partition_point(|(k, _)| k.as_slice() <= sep.as_slice());
-                seps.insert(pos, (sep, new_child));
-                self.dirty.insert(id);
-                if node.fits() {
-                    None
-                } else {
-                    let Node::Branch { seps, .. } = &mut node else {
-                        return Err(KvError::TxnState("branch changed kind (internal bug)"));
-                    };
-                    let mid = seps.len() / 2;
-                    let mut right_seps = seps.split_off(mid);
-                    let (promote_key, right_first) = right_seps.remove(0);
-                    let right = self.alloc()?;
-                    self.cache.insert(
-                        right,
-                        Node::Branch {
-                            first: right_first,
-                            seps: right_seps,
-                        },
-                    );
-                    self.dirty.insert(right);
-                    Some((promote_key, right))
+                match self.insert_rec(child, key, val)? {
+                    Some(promoted) => promoted,
+                    None => return Ok(None),
                 }
             }
         };
-        self.cache.insert(id, node);
-        Ok(split)
+        // The child split: this branch takes the promoted separator.
+        let Node::Branch { seps, .. } = self.node(id)? else {
+            return Err(KvError::TxnState("branch changed kind (internal bug)"));
+        };
+        let pos = seps.partition_point(|(k, _)| k.as_slice() <= sep.as_slice());
+        seps.insert(pos, (sep, new_child));
+        self.dirty.insert(id);
+        self.split_if_full(id)
+    }
+
+    /// Splits page `id` if its encoding overflows: a leaf at its byte
+    /// midpoint, a branch at its middle separator, which moves up.
+    fn split_if_full(&mut self, id: u32) -> Result<Split, KvError> {
+        if self.node(id)?.fits() {
+            return Ok(None);
+        }
+        let right = self.alloc()?;
+        let (sep, right_node) = match self.node(id)? {
+            Node::Leaf(entries) => {
+                let right_entries = split_half(entries);
+                (right_entries[0].0.clone(), Node::Leaf(right_entries))
+            }
+            Node::Branch { seps, .. } => {
+                let mut right_seps = seps.split_off(seps.len() / 2);
+                let (promote_key, right_first) = right_seps.remove(0);
+                let right_node = Node::Branch {
+                    first: right_first,
+                    seps: right_seps,
+                };
+                (promote_key, right_node)
+            }
+        };
+        self.stage(right, right_node);
+        Ok(Some((sep, right)))
     }
 
     /// Removes `key`; returns whether it was present.
@@ -457,79 +533,62 @@ impl<S: PageStore> Db<S> {
         if emptied {
             // The whole tree emptied: reset the root to an empty leaf in
             // place (the root id never dangles).
-            self.cache.insert(root, Node::Leaf(Vec::new()));
-            self.dirty.insert(root);
+            self.stage(root, Node::Leaf(Vec::new()));
         }
         // A root branch left with no separator collapses into its single
         // child, shrinking every path uniformly.
         loop {
-            let node = self.take_node(self.meta.root)?;
-            if let Node::Branch { first, seps } = &node {
-                if seps.is_empty() {
-                    let old = self.meta.root;
-                    let first = *first;
-                    self.free_page(old);
-                    self.meta.root = first;
-                    continue;
-                }
-            }
-            self.cache.insert(self.meta.root, node);
-            break;
+            let first = match self.node(self.meta.root)? {
+                Node::Branch { first, seps } if seps.is_empty() => *first,
+                _ => break,
+            };
+            self.free_page(self.meta.root);
+            self.meta.root = first;
         }
         Ok(removed)
     }
 
     /// Returns `(removed, subtree_now_empty)`.
     fn delete_rec(&mut self, id: u32, key: &[u8]) -> Result<(bool, bool), KvError> {
-        let mut node = self.take_node(id)?;
-        match &mut node {
+        let child = match self.node(id)? {
             Node::Leaf(entries) => {
-                let removed = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        entries.remove(i);
-                        self.dirty.insert(id);
-                        true
-                    }
-                    Err(_) => false,
+                let Ok(i) = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) else {
+                    return Ok((false, false));
                 };
+                entries.remove(i);
                 let empty = entries.is_empty();
-                self.cache.insert(id, node);
-                Ok((removed, removed && empty))
-            }
-            Node::Branch { first, seps } => {
-                let child = child_for(*first, seps, key);
-                self.cache.insert(id, node);
-                let (removed, child_empty) = self.delete_rec(child, key)?;
-                if !child_empty {
-                    return Ok((removed, false));
-                }
-                // Unlink and free the emptied child.
-                self.free_page(child);
-                let mut node = self.take_node(id)?;
-                let Node::Branch { first, seps } = &mut node else {
-                    return Err(KvError::TxnState("branch changed kind (internal bug)"));
-                };
-                let now_empty = if *first == child {
-                    if let Some(c) = seps.first().map(|(_, c)| *c) {
-                        *first = c;
-                        seps.remove(0);
-                        false
-                    } else {
-                        // Childless non-root branch: report empty so the
-                        // parent unlinks us too.
-                        true
-                    }
-                } else if let Some(pos) = seps.iter().position(|(_, c)| *c == child) {
-                    seps.remove(pos);
-                    false
-                } else {
-                    return Err(KvError::TxnState("freed child not found in parent"));
-                };
                 self.dirty.insert(id);
-                self.cache.insert(id, node);
-                Ok((removed, now_empty))
+                return Ok((true, empty));
             }
+            Node::Branch { first, seps } => child_for(*first, seps, key),
+        };
+        let (removed, child_empty) = self.delete_rec(child, key)?;
+        if !child_empty {
+            return Ok((removed, false));
         }
+        // Unlink and free the emptied child.
+        self.free_page(child);
+        let Node::Branch { first, seps } = self.node(id)? else {
+            return Err(KvError::TxnState("branch changed kind (internal bug)"));
+        };
+        let now_empty = if *first == child {
+            if let Some(c) = seps.first().map(|(_, c)| *c) {
+                *first = c;
+                seps.remove(0);
+                false
+            } else {
+                // Childless non-root branch: report empty so the parent
+                // unlinks us too.
+                true
+            }
+        } else if let Some(pos) = seps.iter().position(|(_, c)| *c == child) {
+            seps.remove(pos);
+            false
+        } else {
+            return Err(KvError::TxnState("freed child not found in parent"));
+        };
+        self.dirty.insert(id);
+        Ok((removed, now_empty))
     }
 
     // -- validation (crash-oracle support) ---------------------------------
@@ -539,20 +598,22 @@ impl<S: PageStore> Db<S> {
     /// subtrees, all leaves sit at the same depth, no page is reachable
     /// twice or also on the free list, and every id is inside the
     /// allocation frontier.
-    pub fn validate(&mut self) -> Result<(), String> {
+    pub fn validate(&mut self) -> Result<(), TreeError> {
         let mut seen = BTreeSet::new();
         let root = self.meta.root;
         let mut leaf_depth = None;
         self.validate_rec(root, None, None, 0, &mut seen, &mut leaf_depth)?;
-        for id in &self.meta.free {
-            if seen.contains(id) {
-                return Err(format!("page {id} is both reachable and on the free list"));
+        let frontier = self.meta.page_count;
+        for &page in &self.meta.free {
+            if seen.contains(&page) {
+                return Err(TreeError::FreeAndReachable(page));
             }
-            if *id >= self.meta.page_count {
-                return Err(format!(
-                    "free page {id} beyond allocation frontier {}",
-                    self.meta.page_count
-                ));
+            if page >= frontier {
+                return Err(TreeError::BeyondFrontier {
+                    page,
+                    frontier,
+                    free: true,
+                });
             }
         }
         Ok(())
@@ -567,37 +628,45 @@ impl<S: PageStore> Db<S> {
         depth: usize,
         seen: &mut BTreeSet<u32>,
         leaf_depth: &mut Option<usize>,
-    ) -> Result<(), String> {
+    ) -> Result<(), TreeError> {
         if id >= self.meta.page_count {
-            return Err(format!(
-                "page {id} beyond allocation frontier {}",
-                self.meta.page_count
-            ));
+            return Err(TreeError::BeyondFrontier {
+                page: id,
+                frontier: self.meta.page_count,
+                free: false,
+            });
         }
         if !seen.insert(id) {
-            return Err(format!("page {id} reachable twice"));
+            return Err(TreeError::ReachableTwice(id));
         }
         let in_bounds =
             |k: &[u8]| -> bool { lo.is_none_or(|l| k >= l) && hi.is_none_or(|h| k < h) };
-        let children: Vec<ChildBounds> = match self.node(id).map_err(|e| e.to_string())? {
+        let outside = |key: &[u8], leaf: bool| TreeError::OutsideBounds {
+            page: id,
+            key: key.to_vec(),
+            leaf,
+        };
+        let children: Vec<ChildBounds> = match self.node(id).map_err(TreeError::Corrupt)? {
             Node::Leaf(entries) => {
                 match *leaf_depth {
                     None => *leaf_depth = Some(depth),
-                    Some(d) if d != depth => {
-                        return Err(format!("leaf {id} at depth {depth}, expected {d}"));
+                    Some(expected) if expected != depth => {
+                        return Err(TreeError::LeafDepth {
+                            page: id,
+                            depth,
+                            expected,
+                        });
                     }
                     _ => {}
                 }
                 return entries
                     .iter()
                     .find(|(k, _)| !in_bounds(k))
-                    .map_or(Ok(()), |(k, _)| {
-                        Err(format!("leaf {id} key {k:?} outside separator bounds"))
-                    });
+                    .map_or(Ok(()), |(k, _)| Err(outside(k, true)));
             }
             Node::Branch { first, seps } => {
                 if let Some((k, _)) = seps.iter().find(|(k, _)| !in_bounds(k)) {
-                    return Err(format!("branch {id} separator {k:?} outside bounds"));
+                    return Err(outside(k, false));
                 }
                 let mut out = Vec::with_capacity(seps.len() + 1);
                 let mut prev_lo: Option<Vec<u8>> = lo.map(<[u8]>::to_vec);

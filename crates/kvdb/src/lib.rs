@@ -43,7 +43,7 @@ pub mod wal;
 pub use crash::{
     KvApp, KvPlan, Personality, TincaKvApp, WalKvApp, CAMPAIGNS, TINCA_TRIP_MAX, TXNS, WAL_TRIP_MAX,
 };
-pub use db::{Db, KvPair};
+pub use db::{Db, KvPair, TreeError};
 pub use driver::{apply_txn, value_for, KvTpccDriver, KvTxn, VALUE_LEN};
 pub use page::{Meta, Node, PageError, MAX_KEY, MAX_VAL, PAGE_SIZE};
 pub use store::{KvError, PageStore, StoreStats};

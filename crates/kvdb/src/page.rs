@@ -101,8 +101,9 @@ const CRC_TABLE: [u32; 256] = {
 /// Slicing-by-16 tables derived from [`CRC_TABLE`]: `CRC_SLICES[k][b]` is
 /// the CRC state after byte `b` followed by `k` zero bytes, so sixteen input
 /// bytes fold into the state with sixteen independent lookups instead of a
-/// chain of sixteen dependent ones.
-const CRC_SLICES: [[u32; 256]; 16] = {
+/// chain of sixteen dependent ones. A `static`: an unoptimised build copies
+/// a `const` array at every index, here 16 KB per lookup.
+static CRC_SLICES: [[u32; 256]; 16] = {
     let mut t = [[0u32; 256]; 16];
     t[0] = CRC_TABLE;
     let mut k = 1;

@@ -1,13 +1,19 @@
 //! B-tree correctness: unit tests for splits, merges and the page codec,
 //! plus property tests against a `BTreeMap` model on both durability
-//! personalities.
+//! personalities, and a seeded model run on a tree that outgrows the page
+//! cache.
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use kvdb::{Db, KvError, PageStore, TincaStore, TincaStoreConfig, WalConfig, WalStore};
+use kvdb::{
+    Db, KvError, PageStore, StoreStats, TincaStore, TincaStoreConfig, WalConfig, WalStore,
+    PAGE_SIZE,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn tinca_db() -> Db<TincaStore> {
     Db::open(TincaStore::format(TincaStoreConfig {
@@ -332,4 +338,174 @@ proptest! {
         let got: BTreeMap<_, _> = db.scan_all().unwrap().into_iter().collect();
         prop_assert_eq!(got, model);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The write descent under eviction
+// ---------------------------------------------------------------------------
+
+/// Committed pages in memory, counting reads; a page never committed
+/// reads as zeros.
+#[derive(Default)]
+struct MemStore {
+    pages: BTreeMap<u32, Box<[u8; PAGE_SIZE]>>,
+    reads: u64,
+    stats: StoreStats,
+}
+
+impl PageStore for MemStore {
+    fn read_page(&mut self, id: u32, buf: &mut [u8; PAGE_SIZE]) -> Result<(), KvError> {
+        self.reads += 1;
+        match self.pages.get(&id) {
+            Some(page) => buf.copy_from_slice(&page[..]),
+            None => buf.fill(0),
+        }
+        Ok(())
+    }
+
+    fn commit_pages(&mut self, dirty: &[(u32, [u8; PAGE_SIZE])]) -> Result<(), KvError> {
+        for (id, page) in dirty {
+            self.pages.insert(*id, Box::new(*page));
+        }
+        self.stats.commits += 1;
+        self.stats.pages_committed += dirty.len() as u64;
+        Ok(())
+    }
+
+    fn page_capacity(&self) -> u32 {
+        u32::MAX
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.stats
+    }
+}
+
+/// Live pages at which the first round stops growing: past the page
+/// cache's 1 024, so every commit from there on evicts.
+const PEAK_PAGES: u32 = 1_100;
+
+/// What one round of [`evicting_model_run`] exercised.
+#[derive(Debug, Default)]
+struct Round {
+    /// Transactions that allocated a page: leaf or branch splits.
+    splits: u32,
+    /// Transactions that freed a page.
+    frees: u32,
+    /// Transactions that moved the root while shrinking: root collapses.
+    collapses: u32,
+    /// Pages read back from the store: each one was evicted first.
+    reads: u64,
+}
+
+/// A random key: eight hex digits, then 0–23 filler bytes.
+fn random_key(rng: &mut StdRng) -> Vec<u8> {
+    let mut key = format!("{:08x}", rng.gen::<u32>()).into_bytes();
+    key.resize(8 + rng.gen_range(0..24usize), b'~');
+    key
+}
+
+/// Seeded puts, deletes, gets and scans against a `BTreeMap` model, with
+/// `validate` every 500 ops. Each round grows the tree past [`PEAK_PAGES`]
+/// and then deletes every key, so splits and frees run while the cache
+/// evicts, and the root collapses level by level over pages that were
+/// evicted and read back. Ops come in runs of neighbouring keys, so whole
+/// leaves fill and empty within a transaction.
+fn evicting_model_run(seed: u64, rounds: u32) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut db = Db::open(MemStore::default()).unwrap();
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let mut ops = 0u32;
+    let mut peak_keys = None;
+    for round in 0..rounds {
+        let mut seen = Round::default();
+        let reads = db.store().reads;
+        let mut growing = true;
+        while growing || !model.is_empty() {
+            let before = db.meta().clone();
+            db.begin().unwrap();
+            for _ in 0..8 {
+                let at = random_key(&mut rng);
+                let run: Vec<Vec<u8>> = match rng.gen_range(0..10u32) {
+                    0..=6 if growing => (0..8u8).map(|j| [&at[..], &[b'0' + j]].concat()).collect(),
+                    // The next live keys, wrapping, so the tree empties.
+                    0..=6 => model
+                        .range(at.clone()..)
+                        .chain(model.range(..at.clone()))
+                        .take(8)
+                        .map(|(k, _)| k.clone())
+                        .collect(),
+                    _ => vec![at.clone()],
+                };
+                for key in run {
+                    match rng.gen_range(0..10u32) {
+                        // Growing, mostly puts; shrinking, mostly deletes.
+                        0..=7 if growing => {
+                            let mut val = vec![rng.gen::<u8>(); rng.gen_range(900..=1020usize)];
+                            val[0] = b'v';
+                            db.put(&key, &val).unwrap();
+                            model.insert(key, val);
+                        }
+                        0..=7 => {
+                            let want = model.remove(&key).is_some();
+                            assert_eq!(db.delete(&key).unwrap(), want, "delete");
+                        }
+                        8 => assert_eq!(db.get(&key).unwrap().as_ref(), model.get(&key)),
+                        _ => {
+                            let (lo, hi) = (&key[..2], [key[0], key[1].saturating_add(1)]);
+                            let got = db.scan(Bound::Included(lo), Bound::Excluded(&hi)).unwrap();
+                            let want: Vec<_> = model
+                                .range::<[u8], _>((Bound::Included(lo), Bound::Excluded(&hi[..])))
+                                .map(|(k, v)| (k.clone(), v.clone()))
+                                .collect();
+                            assert_eq!(got, want, "scan");
+                        }
+                    }
+                    ops += 1;
+                    if ops.is_multiple_of(500) {
+                        db.validate().unwrap();
+                    }
+                }
+            }
+            db.commit().unwrap();
+            let after = db.meta();
+            seen.splits += u32::from(
+                after.page_count > before.page_count || after.free.len() < before.free.len(),
+            );
+            seen.frees += u32::from(after.free.len() > before.free.len());
+            seen.collapses += u32::from(!growing && after.root != before.root);
+            if growing {
+                // Only the first round counts pages: a free list that
+                // overflows its page leaks ids, so later rounds stop at
+                // the same key count instead.
+                let live = after.page_count - 1 - after.free.len() as u32;
+                growing = match peak_keys {
+                    None if live > PEAK_PAGES => {
+                        peak_keys = Some(model.len());
+                        false
+                    }
+                    None => true,
+                    Some(n) => model.len() < n,
+                };
+            }
+        }
+        seen.reads = db.store().reads - reads;
+        db.validate().unwrap();
+        assert!(db.scan_all().unwrap().is_empty());
+        assert!(
+            seen.splits > 20 && seen.frees > 20 && seen.collapses > 0 && seen.reads > 50,
+            "round {round}: {seen:?}"
+        );
+    }
+}
+
+#[test]
+fn writes_match_the_model_while_the_cache_evicts() {
+    evicting_model_run(0xE71C, 1);
+}
+
+#[test]
+#[ignore = "long: run via cargo test -p kvdb --release --test btree -- --ignored"]
+fn writes_match_the_model_while_the_cache_evicts_stress() {
+    evicting_model_run(0xE71C_57E5, 10);
 }
