@@ -55,7 +55,7 @@ fn bench_single_block_write(c: &mut Criterion) {
     });
     group.bench_function("ubj_txn_commit", |b| {
         let (nvm, disk) = nvm_disk();
-        let mut cache = ubj::UbjCache::format(nvm, disk, ubj::UbjConfig::default());
+        let mut cache = ubj::UbjCache::format(nvm, disk);
         let mut i = 0u64;
         b.iter(|| {
             cache

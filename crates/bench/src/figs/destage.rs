@@ -13,7 +13,7 @@
 
 use blockdev::DiskKind;
 use fssim::stack::{build, System};
-use fssim::TincaBackend;
+use fssim::Backend;
 use tinca::StatsSnapshot;
 use workloads::fio::{Fio, FioSpec};
 
@@ -47,12 +47,9 @@ fn run_one(kind: DiskKind, destage: bool, quick: bool, ops: u64) -> RunResult {
     fio.setup(&mut stack);
     let (r, report) =
         telemetry::record(&clock, telemetry::Config::default(), || fio.run(&mut stack));
-    let tb = stack
-        .fs
-        .backend()
-        .as_any()
-        .downcast_ref::<TincaBackend>()
-        .expect("Tinca stack");
+    let Backend::Tinca(pool) = stack.fs.backend() else {
+        panic!("destage runs on a Tinca stack");
+    };
     // `commit` nests under `fs.op` in a full stack; sum every node of
     // that name wherever it appears in the tree.
     let commit_ns = report
@@ -64,7 +61,7 @@ fn run_one(kind: DiskKind, destage: bool, quick: bool, ops: u64) -> RunResult {
     RunResult {
         iops: r.ops_per_sec(),
         commit_ns,
-        snapshot: StatsSnapshot::collect_pool(&tb.cache),
+        snapshot: StatsSnapshot::collect_pool(pool),
     }
 }
 

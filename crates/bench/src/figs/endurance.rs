@@ -11,7 +11,7 @@
 //! un-levelled wear.
 
 use fssim::stack::{build, System};
-use fssim::{ClassicBackend, TincaBackend};
+use fssim::Backend;
 use workloads::fio::{Fio, FioSpec};
 
 use crate::figs::local_cfg;
@@ -51,21 +51,11 @@ pub fn run(quick: bool) -> Vec<String> {
         let wear = stack.nvm.wear_summary();
         // Payload region: the cache's data-block area, past the pointer /
         // ring / entry metadata whose fixed lines are intrinsically hot.
-        let data_off = stack
-            .fs
-            .backend()
-            .as_any()
-            .downcast_ref::<TincaBackend>()
-            .map(|b| b.cache.shard_layout(0).data_off)
-            .or_else(|| {
-                stack
-                    .fs
-                    .backend()
-                    .as_any()
-                    .downcast_ref::<ClassicBackend>()
-                    .map(|b| b.cache.layout().data_off)
-            })
-            .unwrap_or(0);
+        let data_off = match stack.fs.backend() {
+            Backend::Tinca(pool) => pool.shard_layout(0).data_off,
+            Backend::Classic(cache) => cache.layout().data_off,
+            _ => 0,
+        };
         let payload = stack.nvm.wear_summary_range(data_off, cfg.nvm_bytes);
         let lines_per_op = (wear.total_line_writes - wear0.total_line_writes) as f64
             / fio.write_ops().max(1) as f64;

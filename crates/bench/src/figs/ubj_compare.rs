@@ -6,7 +6,7 @@
 //! the same Fio write workload over identical devices.
 
 use fssim::stack::{build, System};
-use fssim::UbjBackend;
+use fssim::Backend;
 use workloads::fio::{Fio, FioSpec};
 
 use crate::figs::local_cfg;
@@ -43,21 +43,18 @@ pub fn run(quick: bool) -> Vec<String> {
         fio.setup(&mut stack);
         let r = fio.run(&mut stack);
         // UBJ-specific counters, where applicable.
-        let (copies, copy_mb, ckpts, stall_ms) = stack
-            .fs
-            .backend()
-            .as_any()
-            .downcast_ref::<UbjBackend>()
-            .map(|ubj| {
-                let s = ubj.cache.stats();
+        let (copies, copy_mb, ckpts, stall_ms) = match stack.fs.backend() {
+            Backend::Ubj(ubj) => {
+                let s = ubj.stats();
                 (
                     s.frozen_copies,
                     s.frozen_copy_bytes as f64 / (1 << 20) as f64,
                     s.checkpoints,
                     s.checkpoint_stall_ns as f64 / 1e6,
                 )
-            })
-            .unwrap_or((0, 0.0, 0, 0.0));
+            }
+            _ => (0, 0.0, 0, 0.0),
+        };
         t.row(vec![
             sys.name().into(),
             fmt(r.ops_per_sec()),

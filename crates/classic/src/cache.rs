@@ -6,6 +6,7 @@ use std::sync::Arc;
 use blockdev::{BlockDevice, BLOCK_SIZE};
 use nvmsim::Nvm;
 
+use crate::config::DIRTY_THRESH_PCT;
 use crate::meta::{
     decode_log_record, encode_log_record, ClassicLayout, SlotRecord, ASSOC_OFF, LOG_SLOTS, MAGIC,
     MAGIC_OFF, NUM_BLOCKS_OFF, RECORDS_PER_META_BLOCK, RECORD_BYTES,
@@ -40,7 +41,7 @@ pub struct ClassicCache {
     /// metadata area; what a metadata-block write serialises).
     records: Vec<SlotRecord>,
     lru: SetLru,
-    /// Dirty blocks per set (drives the `dirty_thresh_pct` cleaner).
+    /// Dirty blocks per set (drives the `DIRTY_THRESH_PCT` cleaner).
     set_dirty: Vec<u32>,
     /// Monotone cache block-write counter (the fallow-cleaning clock).
     write_seq: u64,
@@ -77,16 +78,16 @@ impl ClassicCache {
     /// index from the persistent metadata blocks. Dirty blocks stay dirty;
     /// torn data blocks are *not* detected (the journaling FS above
     /// re-writes them from its journal).
-    pub fn recover(nvm: Nvm, disk: DynDisk, cfg: ClassicConfig) -> Result<Self, String> {
+    pub fn recover(nvm: Nvm, disk: DynDisk, cfg: ClassicConfig) -> Result<Self, ClassicError> {
         let magic = nvm.read_u64(MAGIC_OFF);
         if magic != MAGIC {
-            return Err(format!("not a Classic cache region (magic {magic:#x})"));
+            return Err(ClassicError::NotFormatted { magic });
         }
         let layout = ClassicLayout::compute(nvm.capacity(), cfg.assoc);
         let num_blocks = nvm.read_u64(NUM_BLOCKS_OFF);
         let assoc = nvm.read_u64(ASSOC_OFF);
         if (num_blocks, assoc) != (layout.num_blocks as u64, layout.assoc as u64) {
-            return Err("header/configuration mismatch".into());
+            return Err(ClassicError::GeometryMismatch);
         }
         let mut cache = Self::from_parts(nvm, disk, cfg, layout);
         // Base state: the persistent metadata array (the last checkpoint,
@@ -187,10 +188,10 @@ impl ClassicCache {
     }
 
     /// Flashcache's proactive cleaner: while the set holds more dirty
-    /// blocks than `dirty_thresh_pct` allows, write the LRU-most dirty
+    /// blocks than `DIRTY_THRESH_PCT` allows, write the LRU-most dirty
     /// blocks back to disk and mark them clean.
     fn clean_set(&mut self, set: u32) -> Result<(), ClassicError> {
-        let allowed = (self.layout.assoc * self.cfg.dirty_thresh_pct / 100).max(1);
+        let allowed = (self.layout.assoc * DIRTY_THRESH_PCT / 100).max(1);
         if self.set_dirty[set as usize] <= allowed {
             return Ok(());
         }
@@ -238,22 +239,20 @@ impl ClassicCache {
             .read_block(disk_blk, buf)
             .map_err(|e| ClassicError::io("read miss fill", disk_blk, e))?;
         self.stats.read_misses += 1;
-        if self.cfg.cache_reads {
-            let slot = self.take_slot(disk_blk)?;
-            self.index.insert(disk_blk, slot);
-            self.lru.push_mru(slot);
-            let addr = self.layout.data_addr(slot);
-            self.nvm.write(addr, buf);
-            self.nvm.persist(addr, BLOCK_SIZE);
-            self.set_record(
-                slot,
-                SlotRecord {
-                    valid: true,
-                    dirty: false,
-                    disk_blk,
-                },
-            );
-        }
+        let slot = self.take_slot(disk_blk)?;
+        self.index.insert(disk_blk, slot);
+        self.lru.push_mru(slot);
+        let addr = self.layout.data_addr(slot);
+        self.nvm.write(addr, buf);
+        self.nvm.persist(addr, BLOCK_SIZE);
+        self.set_record(
+            slot,
+            SlotRecord {
+                valid: true,
+                dirty: false,
+                disk_blk,
+            },
+        );
         Ok(())
     }
 
@@ -374,7 +373,7 @@ impl ClassicCache {
 
     /// Handles a device flush barrier (REQ_FLUSH) from the file system:
     /// cleans the least-recently-used dirty blocks of every set down to
-    /// the `dirty_thresh_pct` pool, in elevator (ascending disk block)
+    /// the `DIRTY_THRESH_PCT` pool, in elevator (ascending disk block)
     /// order, persisting the affected metadata blocks in one batched pass
     /// (Flashcache's cleaner batches metadata I/O).
     ///
@@ -386,7 +385,7 @@ impl ClassicCache {
         if !self.cfg.drain_on_flush {
             return Ok(());
         }
-        let allowed = (self.layout.assoc * self.cfg.dirty_thresh_pct / 100).max(1);
+        let allowed = (self.layout.assoc * DIRTY_THRESH_PCT / 100).max(1);
         let mut to_clean: Vec<(u64, u32)> = Vec::new();
         // Fallow pass: dirty blocks not re-written within the fallow age
         // (journal copies prominently: the log only returns to a slot a
@@ -697,6 +696,19 @@ mod tests {
         rec.read_nocache(7, &mut buf).unwrap();
         assert_eq!(buf, blk(9));
         rec.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn recover_rejects_foreign_regions_by_kind() {
+        let clock = SimClock::new();
+        let blank = NvmDevice::new(NvmConfig::new(2 << 20, NvmTech::Pcm), clock.clone());
+        let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
+        let err = ClassicCache::recover(blank, disk, ClassicConfig::default()).err();
+        assert_eq!(err, Some(ClassicError::NotFormatted { magic: 0 }));
+        let (c, nvm, disk) = setup(64);
+        drop(c);
+        let err = ClassicCache::recover(nvm, disk, ClassicConfig::default()).err();
+        assert_eq!(err, Some(ClassicError::GeometryMismatch));
     }
 
     #[test]

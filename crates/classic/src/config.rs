@@ -13,7 +13,15 @@ pub enum MetadataScheme {
     Log,
 }
 
-/// Tuning knobs for [`crate::ClassicCache`].
+/// Per-set dirty-block threshold in percent (Flashcache's
+/// `dirty_thresh_pct` default): when a set exceeds it, the LRU dirty
+/// blocks are proactively cleaned to disk. This background cleaning is why
+/// journal blocks reach the SSD even while cached — a major source of
+/// Classic's disk write amplification (§3, Fig. 7c).
+pub(crate) const DIRTY_THRESH_PCT: u32 = 20;
+
+/// Tuning knobs for [`crate::ClassicCache`]. Read misses always populate
+/// the cache.
 #[derive(Clone, Debug)]
 pub struct ClassicConfig {
     /// Set associativity (Flashcache default: 512 blocks per set).
@@ -24,14 +32,6 @@ pub struct ClassicConfig {
     pub sync_metadata: bool,
     /// Metadata persistence scheme (see [`MetadataScheme`]).
     pub metadata_scheme: MetadataScheme,
-    /// Whether read misses populate the cache.
-    pub cache_reads: bool,
-    /// Per-set dirty-block threshold in percent (Flashcache's
-    /// `dirty_thresh_pct`, default 20): when a set exceeds it, the LRU
-    /// dirty blocks are proactively cleaned to disk. This background
-    /// cleaning is why journal blocks reach the SSD even while cached —
-    /// a major source of Classic's disk write amplification (§3, Fig. 7c).
-    pub dirty_thresh_pct: u32,
     /// Whether a device flush barrier (REQ_FLUSH from the journaling FS
     /// above) drains all dirty blocks to disk. The legacy stack treats the
     /// cache as a volatile block device and flushes conservatively at
@@ -55,8 +55,6 @@ impl Default for ClassicConfig {
             assoc: 512,
             sync_metadata: true,
             metadata_scheme: MetadataScheme::SyncBlock,
-            cache_reads: true,
-            dirty_thresh_pct: 20,
             drain_on_flush: true,
             fallow_age_writes: 256,
         }
@@ -72,8 +70,6 @@ mod tests {
         let c = ClassicConfig::default();
         assert_eq!(c.assoc, 512);
         assert!(c.sync_metadata);
-        assert!(c.cache_reads);
-        assert_eq!(c.dirty_thresh_pct, 20);
         assert_eq!(c.metadata_scheme, MetadataScheme::SyncBlock);
     }
 }

@@ -4,27 +4,35 @@ use std::fmt;
 
 use blockdev::IoError;
 
-/// A backing-disk failure surfaced by the Classic cache.
+/// Why a Classic cache operation failed.
 ///
 /// The Classic baseline has no retry or quarantine machinery — that is
 /// Tinca's contribution — so any disk error aborts the operation in
 /// progress and is handed to the caller (the journaling file system
 /// above, which treats it like a failed bio).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ClassicError {
-    /// The cache operation that needed the disk (`"writeback"`,
-    /// `"read miss fill"`, ...).
-    pub op: &'static str,
-    /// The disk block the failed request addressed.
-    pub disk_blk: u64,
-    /// The underlying device error.
-    pub source: IoError,
+pub enum ClassicError {
+    /// A backing-disk request failed.
+    Io {
+        /// The cache operation that needed the disk (`"writeback"`,
+        /// `"read miss fill"`, ...).
+        op: &'static str,
+        /// The disk block the failed request addressed.
+        disk_blk: u64,
+        /// The underlying device error.
+        source: IoError,
+    },
+    /// [`crate::ClassicCache::recover`] found no Classic header.
+    NotFormatted { magic: u64 },
+    /// The header's block count or associativity disagrees with the
+    /// configuration the region is opened with.
+    GeometryMismatch,
 }
 
 impl ClassicError {
     /// Tags a disk error with the cache operation it interrupted.
     pub fn io(op: &'static str, disk_blk: u64, source: IoError) -> ClassicError {
-        ClassicError {
+        ClassicError::Io {
             op,
             disk_blk,
             source,
@@ -34,17 +42,29 @@ impl ClassicError {
 
 impl fmt::Display for ClassicError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "classic cache {} of disk block {} failed: {}",
-            self.op, self.disk_blk, self.source
-        )
+        match self {
+            ClassicError::Io {
+                op,
+                disk_blk,
+                source,
+            } => write!(
+                f,
+                "classic cache {op} of disk block {disk_blk} failed: {source}"
+            ),
+            ClassicError::NotFormatted { magic } => {
+                write!(f, "not a Classic cache region (magic {magic:#x})")
+            }
+            ClassicError::GeometryMismatch => write!(f, "header/configuration mismatch"),
+        }
     }
 }
 
 impl std::error::Error for ClassicError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
+        match self {
+            ClassicError::Io { source, .. } => Some(source),
+            _ => None,
+        }
     }
 }
 

@@ -21,6 +21,9 @@
 //! The `sync_metadata` knob disables metadata persistence to regenerate
 //! Fig. 4 (throughput head-room of metadata updates).
 //!
+//! A failed operation is a [`ClassicError`]: a backing-disk request that
+//! failed, or a region [`ClassicCache::recover`] cannot open.
+//!
 //! ```
 //! use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 //! use classic::{ClassicCache, ClassicConfig};

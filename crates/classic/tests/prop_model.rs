@@ -79,7 +79,7 @@ proptest! {
                     drop(cache);
                     nvm.crash(CrashPolicy::PersistAll);
                     cache = ClassicCache::recover(nvm.clone(), disk.clone(), cfg())
-                        .map_err(TestCaseError::fail)?;
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
                 }
             }
             cache.check_consistency().map_err(TestCaseError::fail)?;

@@ -177,7 +177,7 @@ mod tests {
     use std::collections::HashMap;
 
     use blockdev::{DiskKind, FaultPlan, FaultyDisk, SimDisk};
-    use fssim::{Geometry, JournalMode, RawDiskBackend};
+    use fssim::{Backend, Geometry, JournalMode};
     use nvmsim::SimClock;
 
     use super::*;
@@ -191,7 +191,7 @@ mod tests {
         let bad_data = FaultPlan::quiet(1).with_bad_range(geo.data_off..geo.total_blocks);
         let faulty = FaultyDisk::new(disk, bad_data);
         faulty.set_enabled(false);
-        let raw = || Box::new(RawDiskBackend::new(faulty.clone()));
+        let raw = || Backend::Raw(faulty.clone());
         let mut fs = FsSim::mkfs(raw(), geo, JournalMode::None).unwrap();
         let f = fs.create("f").unwrap();
         fs.write(f, 0, &[7; 100]).unwrap();

@@ -4,13 +4,12 @@
 use blockdev::BLOCK_SIZE;
 use std::collections::HashMap;
 
-use crate::backend::CacheBackend;
 use crate::bytes;
-use crate::error::FsError;
 use crate::geometry::{Geometry, MAX_NAME_LEN, NAMES_PER_BLOCK, NAME_ENTRY_BYTES};
 use crate::inode::{classify, BlockPath, Inode, INODE_BYTES, NO_BLOCK, PTRS_PER_BLOCK};
 use crate::jbd2::{Jbd2, JournalMode};
 use crate::pagecache::PageCache;
+use crate::{Backend, BackendError, FsError};
 
 type Buf = Box<[u8; BLOCK_SIZE]>;
 
@@ -69,7 +68,7 @@ impl FsStats {
 
 /// The mounted file system.
 pub struct FsSim {
-    backend: Box<dyn CacheBackend>,
+    backend: Backend,
     geo: Geometry,
     mode: JournalMode,
     journal: Option<Jbd2>,
@@ -91,18 +90,13 @@ pub struct FsSim {
 impl FsSim {
     /// Creates a new file system on `backend` and mounts it.
     ///
-    /// In [`JournalMode::Tinca`] the backend must support transactions; in
+    /// In [`JournalMode::Tinca`] the backend must be Tinca or UBJ (any
+    /// other is refused with [`BackendError::NoTransactions`]); in
     /// [`JournalMode::Jbd2`] a redo journal is formatted in the reserved
     /// journal region.
-    pub fn mkfs(
-        mut backend: Box<dyn CacheBackend>,
-        geo: Geometry,
-        mode: JournalMode,
-    ) -> Result<FsSim, FsError> {
-        if mode == JournalMode::Tinca && !backend.supports_txn() {
-            return Err(FsError::Backend(
-                "Tinca journal mode requires a transactional cache backend".into(),
-            ));
+    pub fn mkfs(mut backend: Backend, geo: Geometry, mode: JournalMode) -> Result<FsSim, FsError> {
+        if mode == JournalMode::Tinca && matches!(backend, Backend::Classic(_) | Backend::Raw(_)) {
+            return Err(BackendError::NoTransactions.into());
         }
         // Superblock (the disk reads zeroes everywhere else, which decodes
         // as "all free" — no need to zero the metadata regions).
@@ -117,9 +111,9 @@ impl FsSim {
             JournalMode::Jbd2 => 1,
             JournalMode::Tinca => 2,
         };
-        backend.write_block(0, &sb).map_err(FsError::Backend)?;
+        backend.write_block(0, &sb)?;
         let journal = if mode == JournalMode::Jbd2 {
-            Some(Jbd2::format(&geo, &mut *backend).map_err(FsError::Backend)?)
+            Some(Jbd2::format(&geo, &mut backend)?)
         } else {
             None
         };
@@ -132,11 +126,15 @@ impl FsSim {
     ///
     /// (In Tinca mode the *cache* recovery — `TincaPool::recover` — must
     /// already have happened when constructing the backend.)
-    pub fn mount(mut backend: Box<dyn CacheBackend>, geo: Geometry) -> Result<FsSim, FsError> {
+    ///
+    /// A missing or garbled superblock (the file system's or the journal's)
+    /// is [`FsError::BadSuperblock`]; a cache or disk failure on the way,
+    /// journal replay included, is [`FsError::Backend`].
+    pub fn mount(mut backend: Backend, geo: Geometry) -> Result<FsSim, FsError> {
         let _t = telemetry::span(telemetry::phase::FS_MOUNT);
         let superblock = telemetry::span(telemetry::phase::FS_MOUNT_SUPERBLOCK);
         let mut sb = [0u8; BLOCK_SIZE];
-        backend.read(0, &mut sb).map_err(FsError::Backend)?;
+        backend.read(0, &mut sb)?;
         if bytes::le_u64(&sb, 0) != SB_MAGIC {
             return Err(FsError::BadSuperblock("magic mismatch".into()));
         }
@@ -154,9 +152,7 @@ impl FsSim {
         };
         drop(superblock);
         let journal = match mode {
-            JournalMode::Jbd2 => {
-                Some(Jbd2::recover(&geo, &mut *backend).map_err(FsError::BadSuperblock)?)
-            }
+            JournalMode::Jbd2 => Some(Jbd2::recover(&geo, &mut backend)?),
             _ => None,
         };
         let mut fs = Self::fresh(backend, geo, mode, journal);
@@ -164,12 +160,7 @@ impl FsSim {
         Ok(fs)
     }
 
-    fn fresh(
-        backend: Box<dyn CacheBackend>,
-        geo: Geometry,
-        mode: JournalMode,
-        journal: Option<Jbd2>,
-    ) -> FsSim {
+    fn fresh(backend: Backend, geo: Geometry, mode: JournalMode, journal: Option<Jbd2>) -> FsSim {
         let bitmap_words = (geo.data_blocks as usize).div_ceil(64);
         FsSim {
             backend,
@@ -198,9 +189,7 @@ impl FsSim {
         self.names.clear();
         self.free_name_slots.clear();
         for nb in 0..geo.name_blocks {
-            self.backend
-                .read(geo.name_off + nb, &mut block)
-                .map_err(FsError::Backend)?;
+            self.backend.read(geo.name_off + nb, &mut block)?;
             for i in 0..NAMES_PER_BLOCK {
                 let slot = nb * NAMES_PER_BLOCK as u64 + i as u64;
                 if slot >= geo.max_files {
@@ -222,9 +211,7 @@ impl FsSim {
         let inodes = telemetry::span(telemetry::phase::FS_MOUNT_INODES);
         self.free_inodes.clear();
         for ib in 0..geo.inode_blocks {
-            self.backend
-                .read(geo.inode_off + ib, &mut block)
-                .map_err(FsError::Backend)?;
+            self.backend.read(geo.inode_off + ib, &mut block)?;
             for i in 0..crate::INODES_PER_BLOCK {
                 let ino = ib * crate::INODES_PER_BLOCK as u64 + i as u64;
                 if ino >= geo.max_files {
@@ -242,9 +229,7 @@ impl FsSim {
         let _bitmap = telemetry::span(telemetry::phase::FS_MOUNT_BITMAP);
         self.free_data_blocks = 0;
         for bb in 0..geo.bitmap_blocks {
-            self.backend
-                .read(geo.bitmap_off + bb, &mut block)
-                .map_err(FsError::Backend)?;
+            self.backend.read(geo.bitmap_off + bb, &mut block)?;
             for w in 0..BLOCK_SIZE / 8 {
                 let word_idx = bb as usize * (BLOCK_SIZE / 8) + w;
                 if word_idx < self.bitmap.len() {
@@ -269,9 +254,7 @@ impl FsSim {
             return Ok(Box::new(*b));
         }
         let mut buf: Buf = Box::new([0u8; BLOCK_SIZE]);
-        self.backend
-            .read(blk, &mut buf[..])
-            .map_err(FsError::Backend)?;
+        self.backend.read(blk, &mut buf[..])?;
         self.pc.insert_clean(blk, buf.clone());
         Ok(buf)
     }
@@ -716,9 +699,7 @@ impl FsSim {
         match self.mode {
             JournalMode::None => {
                 for (blk, data) in &dirty {
-                    self.backend
-                        .write_block(*blk, &data[..])
-                        .map_err(FsError::Backend)?;
+                    self.backend.write_block(*blk, &data[..])?;
                 }
             }
             JournalMode::Jbd2 => {
@@ -727,12 +708,10 @@ impl FsSim {
                         "mounted in JBD2 mode but the journal failed to open".into(),
                     ));
                 };
-                journal
-                    .commit(&mut *self.backend, dirty)
-                    .map_err(FsError::Backend)?;
+                journal.commit(&mut self.backend, dirty)?;
             }
             JournalMode::Tinca => {
-                self.backend.commit_txn(dirty).map_err(FsError::Backend)?;
+                self.backend.commit_txn(dirty)?;
             }
         }
         self.stats.commits += 1;
@@ -752,10 +731,9 @@ impl FsSim {
     pub fn unmount(mut self) -> Result<(), FsError> {
         self.commit()?;
         if let Some(j) = self.journal.as_mut() {
-            j.checkpoint_all(&mut *self.backend)
-                .map_err(FsError::Backend)?;
+            j.checkpoint_all(&mut self.backend)?;
         }
-        self.backend.flush_all().map_err(FsError::Backend)?;
+        self.backend.flush_all()?;
         Ok(())
     }
 
@@ -789,13 +767,9 @@ impl FsSim {
         self.free_data_blocks
     }
 
-    /// Access to the cache backend (harnesses read device stats through it).
-    pub fn backend(&self) -> &dyn CacheBackend {
-        &*self.backend
-    }
-
-    pub fn backend_mut(&mut self) -> &mut dyn CacheBackend {
-        &mut *self.backend
+    /// The cache layer below (harnesses read its counters through it).
+    pub fn backend(&self) -> &Backend {
+        &self.backend
     }
 
     /// Invariant check for tests: DRAM bitmap free count matches the

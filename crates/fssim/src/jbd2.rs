@@ -15,9 +15,9 @@ use std::collections::VecDeque;
 
 use blockdev::BLOCK_SIZE;
 
-use crate::backend::CacheBackend;
 use crate::bytes;
 use crate::geometry::Geometry;
+use crate::{Backend, FsError};
 
 type Buf = Box<[u8; BLOCK_SIZE]>;
 
@@ -60,7 +60,7 @@ pub struct JournalStats {
 }
 
 /// The redo journal manager.
-pub struct Jbd2 {
+pub(crate) struct Jbd2 {
     journal_off: u64,
     area_slots: u64,
     /// Monotone slot counters; position = counter % area_slots.
@@ -76,7 +76,7 @@ pub struct Jbd2 {
 
 impl Jbd2 {
     /// Creates a fresh journal and writes its superblock.
-    pub fn format(geo: &Geometry, backend: &mut dyn CacheBackend) -> Result<Jbd2, String> {
+    pub(crate) fn format(geo: &Geometry, backend: &mut Backend) -> Result<Jbd2, FsError> {
         assert!(geo.journal_blocks >= 8, "journal too small");
         let mut j = Jbd2 {
             journal_off: geo.journal_off,
@@ -95,11 +95,11 @@ impl Jbd2 {
     /// Opens the journal after a crash: replays every fully committed
     /// transaction (writing its blocks to their home locations) and resets
     /// the log.
-    pub fn recover(geo: &Geometry, backend: &mut dyn CacheBackend) -> Result<Jbd2, String> {
+    pub(crate) fn recover(geo: &Geometry, backend: &mut Backend) -> Result<Jbd2, FsError> {
         let mut sb = [0u8; BLOCK_SIZE];
         backend.read(geo.journal_off, &mut sb)?;
         if bytes::le_u64(&sb, 0) != SB_MAGIC {
-            return Err("journal superblock missing".into());
+            return Err(FsError::BadSuperblock("journal superblock missing".into()));
         }
         let tail = bytes::le_u64(&sb, 8);
         let seq_at_tail = bytes::le_u64(&sb, 16);
@@ -126,12 +126,12 @@ impl Jbd2 {
         self.area_slots - (self.head - self.tail)
     }
 
-    fn write_sb(&mut self, backend: &mut dyn CacheBackend) -> Result<(), String> {
+    fn write_sb(&mut self, backend: &mut Backend) -> Result<(), FsError> {
         let mut sb = [0u8; BLOCK_SIZE];
         sb[0..8].copy_from_slice(&SB_MAGIC.to_le_bytes());
         sb[8..16].copy_from_slice(&self.tail.to_le_bytes());
         sb[16..24].copy_from_slice(&self.seq_at_tail.to_le_bytes());
-        backend.write_block(self.journal_off, &sb)
+        Ok(backend.write_block(self.journal_off, &sb)?)
     }
 
     /// Slots a transaction of `n` blocks occupies in the log.
@@ -146,11 +146,11 @@ impl Jbd2 {
     /// Oversized batches are split into multiple journal transactions —
     /// JBD2 likewise caps a transaction at a fraction of the journal
     /// (`j_max_transaction_buffers` = journal/4).
-    pub fn commit(
+    pub(crate) fn commit(
         &mut self,
-        backend: &mut dyn CacheBackend,
+        backend: &mut Backend,
         blocks: Vec<(u64, Buf)>,
-    ) -> Result<(), String> {
+    ) -> Result<(), FsError> {
         let max_txn = (self.area_slots as usize / 2).saturating_sub(4).max(1);
         if blocks.len() > max_txn {
             let mut rest = blocks;
@@ -166,9 +166,9 @@ impl Jbd2 {
 
     fn commit_one(
         &mut self,
-        backend: &mut dyn CacheBackend,
+        backend: &mut Backend,
         blocks: Vec<(u64, Buf)>,
-    ) -> Result<(), String> {
+    ) -> Result<(), FsError> {
         if blocks.is_empty() {
             return Ok(());
         }
@@ -230,15 +230,13 @@ impl Jbd2 {
 
     /// Checkpoints the oldest committed transaction: writes every block to
     /// its home location (the **second** write) and frees its log space.
-    fn checkpoint_oldest(&mut self, backend: &mut dyn CacheBackend) -> Result<(), String> {
+    fn checkpoint_oldest(&mut self, backend: &mut Backend) -> Result<(), FsError> {
         let _t = telemetry::span(telemetry::phase::JBD2_CHECKPOINT);
         let Some(txn) = self.committed.pop_front() else {
             // Reachable only if the journal is too small for the txn split
             // limit; surfaced instead of panicking so the FS can refuse the
             // write and stay consistent.
-            return Err(
-                "journal full but nothing to checkpoint — journal too small for txn limit".into(),
-            );
+            return Err(FsError::JournalFull);
         };
         for (home, data) in &txn.blocks {
             backend.write_block(*home, &data[..])?;
@@ -250,7 +248,7 @@ impl Jbd2 {
     }
 
     /// Checkpoints everything (orderly shutdown).
-    pub fn checkpoint_all(&mut self, backend: &mut dyn CacheBackend) -> Result<(), String> {
+    pub(crate) fn checkpoint_all(&mut self, backend: &mut Backend) -> Result<(), FsError> {
         while !self.committed.is_empty() {
             self.checkpoint_oldest(backend)?;
         }
@@ -259,7 +257,7 @@ impl Jbd2 {
 
     /// Redo replay: walk the log from `tail`, applying every fully
     /// committed transaction, stopping at the first incomplete one.
-    fn replay(&mut self, backend: &mut dyn CacheBackend) -> Result<(), String> {
+    fn replay(&mut self, backend: &mut Backend) -> Result<(), FsError> {
         let _t = telemetry::span(telemetry::phase::JBD2_REPLAY);
         let mut pos = self.tail;
         let mut expect = self.seq_at_tail;
@@ -328,17 +326,11 @@ impl Jbd2 {
         self.seq_at_tail = expect;
         Ok(())
     }
-
-    /// Committed-but-unchckpointed transactions (test introspection).
-    pub fn pending_checkpoints(&self) -> usize {
-        self.committed.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::RawDiskBackend;
     use blockdev::{BlockDevice, DiskKind, SimDisk};
     use nvmsim::SimClock;
 
@@ -346,9 +338,9 @@ mod tests {
         Geometry::compute(1 << 14, 64, 100)
     }
 
-    fn backend() -> (RawDiskBackend, blockdev::Disk) {
+    fn backend() -> (Backend, blockdev::Disk) {
         let disk = SimDisk::new(DiskKind::Ssd, 1 << 14, SimClock::new());
-        (RawDiskBackend::new(disk.clone()), disk)
+        (Backend::Raw(disk.clone()), disk)
     }
 
     fn buf(b: u8) -> Buf {
@@ -368,7 +360,7 @@ mod tests {
         let mut b = [0u8; BLOCK_SIZE];
         disk.read_block(5000, &mut b).unwrap();
         assert_eq!(b[0], 0, "home not written before checkpoint");
-        assert_eq!(j.pending_checkpoints(), 1);
+        assert_eq!(j.committed.len(), 1);
     }
 
     #[test]
@@ -382,7 +374,7 @@ mod tests {
         disk.read_block(6000, &mut b).unwrap();
         assert_eq!(b[0], 9);
         assert_eq!(j.stats.checkpoint_blocks, 1);
-        assert_eq!(j.pending_checkpoints(), 0);
+        assert_eq!(j.committed.len(), 0);
     }
 
     #[test]

@@ -22,11 +22,17 @@
 //!
 //! * [`JournalMode::Jbd2`] — data-journaling redo log with descriptor /
 //!   commit blocks, circular journal space, lazy checkpointing, and replay
-//!   recovery; runs on any [`CacheBackend`].
+//!   recovery; runs on any [`Backend`].
 //! * [`JournalMode::Tinca`] — one `commit_txn` call per transaction; needs
-//!   a transactional backend.
+//!   a transactional backend (Tinca or UBJ).
 //! * [`JournalMode::None`] — in-place writes, no crash consistency
 //!   (the paper's "Ext4 without journaling" baseline of Figs. 3–4).
+//!
+//! The cache below is one closed [`Backend`]: Tinca, Classic, UBJ or the
+//! bare disk. Its failures are [`BackendError`]s, one case per cache, and
+//! the file system reports them as [`FsError::Backend`]. Asking a Tinca-mode
+//! transaction of Classic or the bare disk is
+//! [`BackendError::NoTransactions`].
 //!
 //! ```
 //! use fssim::stack::{build, StackConfig, System};
@@ -51,10 +57,10 @@ mod pagecache;
 mod snapshot;
 pub mod stack;
 
-pub use backend::{CacheBackend, ClassicBackend, RawDiskBackend, TincaBackend, UbjBackend};
-pub use error::FsError;
+pub use backend::Backend;
+pub use error::{BackendError, FsError};
 pub use fs::{FileId, FsSim, FsStats};
 pub use geometry::Geometry;
 pub use inode::{Inode, INODES_PER_BLOCK, MAX_FILE_BLOCKS};
-pub use jbd2::{Jbd2, JournalMode, JournalStats};
+pub use jbd2::{JournalMode, JournalStats};
 pub use snapshot::CacheSnapshot;

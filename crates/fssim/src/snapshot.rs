@@ -1,6 +1,6 @@
-//! Cache-level counters surfaced through the backend trait (Fig. 12(c)
+//! Cache-level counters surfaced through the cache layer (Fig. 12(c)
 //! reports write hit rates; figure harnesses read them via
-//! [`crate::CacheBackend::cache_snapshot`]).
+//! [`crate::Backend::cache_snapshot`]).
 
 /// Cache counters independent of which cache sits below the file system.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

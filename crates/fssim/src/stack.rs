@@ -5,16 +5,13 @@
 //! figure benches) builds its stacks here, so the two systems always differ
 //! in exactly the dimensions the paper varies.
 
-use std::sync::Arc;
-
 use blockdev::{DiskKind, SimDisk};
 use classic::{ClassicCache, ClassicConfig, MetadataScheme};
 use nvmsim::{Nvm, NvmConfig, NvmDevice, NvmTech, SimClock};
 use tinca::{PoolConfig, TincaConfig, TincaPool};
-use ubj::{UbjCache, UbjConfig};
+use ubj::UbjCache;
 
-use crate::backend::{ClassicBackend, TincaBackend, UbjBackend};
-use crate::{FsError, FsSim, Geometry, JournalMode};
+use crate::{Backend, FsError, FsSim, Geometry, JournalMode};
 
 /// Which of the paper's systems (or ablations) to build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -209,21 +206,22 @@ pub fn build(cfg: &StackConfig) -> Result<Stack, FsError> {
         .unwrap_or_else(|| NvmConfig::new(cfg.nvm_bytes, cfg.nvm_tech));
     let nvm = NvmDevice::new(nvm_cfg, clock.clone());
     let disk = SimDisk::new(cfg.disk_kind, cfg.disk_blocks, clock.clone());
-    let geo = cfg.geometry();
-    let fs = if cfg.is_tinca() {
-        let cache = TincaPool::format(vec![nvm.clone()], disk.clone(), cfg.tinca_config());
-        FsSim::mkfs(Box::new(TincaBackend::new(cache)), geo, cfg.journal_mode())?
+    let backend = if cfg.is_tinca() {
+        Backend::Tinca(TincaPool::format(
+            vec![nvm.clone()],
+            disk.clone(),
+            cfg.tinca_config(),
+        ))
     } else if cfg.system == System::Ubj {
-        let cache = UbjCache::format(nvm.clone(), disk.clone(), UbjConfig::default());
-        FsSim::mkfs(Box::new(UbjBackend::new(cache)), geo, cfg.journal_mode())?
+        Backend::Ubj(UbjCache::format(nvm.clone(), disk.clone()))
     } else {
-        let cache = ClassicCache::format(nvm.clone(), disk.clone(), cfg.classic_config());
-        FsSim::mkfs(
-            Box::new(ClassicBackend::new(cache)),
-            geo,
-            cfg.journal_mode(),
-        )?
+        Backend::Classic(ClassicCache::format(
+            nvm.clone(),
+            disk.clone(),
+            cfg.classic_config(),
+        ))
     };
+    let fs = FsSim::mkfs(backend, cfg.geometry(), cfg.journal_mode())?;
     Ok(Stack {
         fs,
         nvm,
@@ -242,21 +240,22 @@ pub fn remount(
     disk: blockdev::Disk,
     clock: SimClock,
 ) -> Result<Stack, FsError> {
-    let geo = cfg.geometry();
-    let fs = if cfg.is_tinca() {
-        let cache = TincaPool::recover(vec![nvm.clone()], disk.clone(), cfg.tinca_config())
-            .map_err(|e| FsError::Backend(e.to_string()))?;
-        FsSim::mount(Box::new(TincaBackend::new(cache)), geo)?
+    let backend = if cfg.is_tinca() {
+        Backend::Tinca(TincaPool::recover(
+            vec![nvm.clone()],
+            disk.clone(),
+            cfg.tinca_config(),
+        )?)
     } else if cfg.system == System::Ubj {
-        let cache = UbjCache::recover(nvm.clone(), disk.clone() as Arc<_>, UbjConfig::default())
-            .map_err(FsError::Backend)?;
-        FsSim::mount(Box::new(UbjBackend::new(cache)), geo)?
+        Backend::Ubj(UbjCache::recover(nvm.clone(), disk.clone())?)
     } else {
-        let cache =
-            ClassicCache::recover(nvm.clone(), disk.clone() as Arc<_>, cfg.classic_config())
-                .map_err(FsError::Backend)?;
-        FsSim::mount(Box::new(ClassicBackend::new(cache)), geo)?
+        Backend::Classic(ClassicCache::recover(
+            nvm.clone(),
+            disk.clone(),
+            cfg.classic_config(),
+        )?)
     };
+    let fs = FsSim::mount(backend, cfg.geometry())?;
     Ok(Stack {
         fs,
         nvm,

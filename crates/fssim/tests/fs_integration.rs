@@ -3,9 +3,10 @@
 
 //! End-to-end file-system tests across all stack configurations.
 
-use blockdev::BLOCK_SIZE;
+use blockdev::{DiskKind, FaultPlan, FaultyDisk, IoError, SimDisk, BLOCK_SIZE};
 use fssim::stack::{build, remount, Stack, StackConfig, System};
-use fssim::FsError;
+use fssim::{Backend, BackendError, FsError, FsSim, Geometry, JournalMode};
+use nvmsim::SimClock;
 
 fn tiny(system: System) -> Stack {
     build(&StackConfig::tiny(system)).unwrap()
@@ -360,4 +361,26 @@ fn rename_preserves_contents_and_survives_remount() {
     re.fs.read(f, 0, &mut buf).unwrap();
     assert_eq!(&buf, b"payload");
     re.fs.check_consistency().unwrap();
+}
+
+/// A disk fault while the journal replays is an I/O error, not a damaged
+/// superblock.
+#[test]
+fn journal_replay_io_error_is_reported_as_io() {
+    let geo = Geometry::compute(1 << 12, 64, 16);
+    let disk = SimDisk::new(DiskKind::Ssd, geo.total_blocks, SimClock::new());
+    let journal = geo.journal_off..geo.journal_off + geo.journal_blocks;
+    let faulty = FaultyDisk::new(disk, FaultPlan::quiet(1).with_bad_range(journal));
+    faulty.set_enabled(false);
+    let mut fs = FsSim::mkfs(Backend::Raw(faulty.clone()), geo, JournalMode::Jbd2).unwrap();
+    let f = fs.create("f").unwrap();
+    fs.write(f, 0, &[7; 100]).unwrap();
+    fs.fsync().unwrap();
+    drop(fs);
+    faulty.set_enabled(true);
+    let err = FsSim::mount(Backend::Raw(faulty), geo).err();
+    let bad = IoError::BadBlock {
+        blk: geo.journal_off,
+    };
+    assert_eq!(err, Some(FsError::Backend(BackendError::Io(bad))));
 }

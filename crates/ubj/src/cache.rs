@@ -8,7 +8,7 @@ use blockdev::{BlockDevice, BLOCK_SIZE};
 use nvmsim::Nvm;
 
 use crate::entry::{UbjEntry, UbjState, FRESH};
-use crate::{UbjConfig, UbjStats};
+use crate::{UbjError, UbjStats};
 
 /// Shared handle to the backing disk.
 pub type DynDisk = Arc<dyn BlockDevice>;
@@ -21,6 +21,12 @@ const DATA_BLOCKS_OFF: usize = 16;
 const FLAG_OFF: usize = 64;
 const HEADER_BYTES: usize = 4096;
 const ENTRY_BYTES: usize = 16;
+/// Checkpoint when free NVM blocks drop below this fraction (per mill):
+/// UBJ checkpoints to free space, not continuously.
+const CHECKPOINT_LOW_WATER_PERMILLE: u64 = 100;
+/// Transactions checkpointed per space-reclamation stall (UBJ's unit is
+/// whole transactions).
+const CHECKPOINT_BATCH_TXNS: usize = 1;
 
 #[derive(Clone, Copy, Debug)]
 struct Layout {
@@ -74,7 +80,6 @@ pub struct UbjCache {
     nvm: Nvm,
     disk: DynDisk,
     layout: Layout,
-    cfg: UbjConfig,
     index: HashMap<u64, u32>,
     /// Clean entries in LRU order (front = LRU); only clean blocks are
     /// evictable without a checkpoint.
@@ -89,7 +94,7 @@ pub struct UbjCache {
 
 impl UbjCache {
     /// Formats the NVM region and creates an empty cache.
-    pub fn format(nvm: Nvm, disk: DynDisk, cfg: UbjConfig) -> UbjCache {
+    pub fn format(nvm: Nvm, disk: DynDisk) -> UbjCache {
         let layout = Layout::compute(nvm.capacity());
         let zeros = vec![0u8; 64 << 10];
         let entry_bytes = layout.entry_count as usize * ENTRY_BYTES;
@@ -107,14 +112,13 @@ impl UbjCache {
         nvm.persist(0, 128);
         nvm.atomic_write_u64(MAGIC_OFF, MAGIC);
         nvm.persist(MAGIC_OFF, 8);
-        Self::from_parts(nvm, disk, cfg, layout)
+        Self::from_parts(nvm, disk, layout)
     }
 
-    fn from_parts(nvm: Nvm, disk: DynDisk, cfg: UbjConfig, layout: Layout) -> UbjCache {
+    fn from_parts(nvm: Nvm, disk: DynDisk, layout: Layout) -> UbjCache {
         UbjCache {
             nvm,
             disk,
-            cfg,
             index: HashMap::new(),
             clean_lru: VecDeque::new(),
             free_blocks: (0..layout.data_blocks).rev().collect(),
@@ -129,18 +133,18 @@ impl UbjCache {
     /// Opens an existing region after a crash: resolves the two-phase
     /// commit (publish flag decides), reverts uncommitted working copies,
     /// rebuilds the DRAM structures.
-    pub fn recover(nvm: Nvm, disk: DynDisk, cfg: UbjConfig) -> Result<UbjCache, String> {
+    pub fn recover(nvm: Nvm, disk: DynDisk) -> Result<UbjCache, UbjError> {
         if nvm.read_u64(MAGIC_OFF) != MAGIC {
-            return Err("not a UBJ region".into());
+            return Err(UbjError::NotFormatted);
         }
         let layout = Layout::compute(nvm.capacity());
         if nvm.read_u64(ENTRY_COUNT_OFF) != layout.entry_count as u64
             || nvm.read_u64(DATA_BLOCKS_OFF) != layout.data_blocks as u64
         {
-            return Err("header/capacity mismatch".into());
+            return Err(UbjError::GeometryMismatch);
         }
         let committed = nvm.read_u64(FLAG_OFF) == 1;
-        let mut c = Self::from_parts(nvm, disk, cfg, layout);
+        let mut c = Self::from_parts(nvm, disk, layout);
         c.free_blocks.clear();
         c.block_free = vec![false; layout.data_blocks as usize];
         c.free_entries.clear();
@@ -211,16 +215,15 @@ impl UbjCache {
     /// Commits `blocks` atomically: applies them to the NVM buffer cache
     /// (with out-of-place `memcpy` for frozen targets), then
     /// commits-in-place by freezing (PreFrozen → publish → Frozen).
-    pub fn commit_txn(&mut self, blocks: &[(u64, Box<[u8; BLOCK_SIZE]>)]) -> Result<(), String> {
+    pub fn commit_txn(&mut self, blocks: &[(u64, Box<[u8; BLOCK_SIZE]>)]) -> Result<(), UbjError> {
         if blocks.is_empty() {
             return Ok(());
         }
         if 2 * blocks.len() >= self.layout.data_blocks as usize {
-            return Err(format!(
-                "transaction of {} blocks cannot fit the {}-block NVM buffer",
-                blocks.len(),
-                self.layout.data_blocks
-            ));
+            return Err(UbjError::TxnTooLarge {
+                blocks: blocks.len(),
+                buffer_blocks: self.layout.data_blocks,
+            });
         }
         // Phase 0: apply the writes as dirty working copies.
         let mut touched: Vec<u32> = Vec::with_capacity(blocks.len());
@@ -271,7 +274,7 @@ impl UbjCache {
     }
 
     /// Stages one write into the NVM buffer cache; returns the entry.
-    fn apply_write(&mut self, disk_blk: u64, data: &[u8]) -> Result<u32, String> {
+    fn apply_write(&mut self, disk_blk: u64, data: &[u8]) -> Result<u32, UbjError> {
         assert_eq!(data.len(), BLOCK_SIZE);
         if let Some(&idx) = self.index.get(&disk_blk) {
             let e = self.read_entry(idx);
@@ -360,7 +363,7 @@ impl UbjCache {
     // Space management & checkpointing
     // ------------------------------------------------------------------
 
-    fn alloc_block(&mut self) -> Result<u32, String> {
+    fn alloc_block(&mut self) -> Result<u32, UbjError> {
         loop {
             if let Some(b) = self.free_blocks.pop() {
                 self.block_free[b as usize] = false;
@@ -379,7 +382,7 @@ impl UbjCache {
             }
             // Stall: checkpoint the oldest transaction to free space.
             if !self.checkpoint_oldest() {
-                return Err("NVM buffer exhausted: everything dirty or frozen".into());
+                return Err(UbjError::NvmExhausted);
             }
         }
     }
@@ -419,9 +422,8 @@ impl UbjCache {
 
     /// Background-style space keeping: checkpoint when free space is low.
     fn maybe_checkpoint_for_space(&mut self) {
-        let low_water =
-            self.layout.data_blocks as u64 * self.cfg.checkpoint_low_water_permille as u64 / 1000;
-        let mut budget = self.cfg.checkpoint_batch_txns;
+        let low_water = self.layout.data_blocks as u64 * CHECKPOINT_LOW_WATER_PERMILLE / 1000;
+        let mut budget = CHECKPOINT_BATCH_TXNS;
         while (self.free_blocks.len() + self.clean_lru.len()) < low_water as usize && budget > 0 {
             if !self.checkpoint_oldest() {
                 break;

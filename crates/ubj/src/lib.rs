@@ -24,15 +24,20 @@
 //! giving the same all-or-nothing crash atomicity as Tinca so the two are
 //! compared at equal consistency.
 //!
+//! UBJ has no tuning knobs: it checkpoints one transaction whenever free
+//! NVM drops below 10 %. A failed operation is a [`UbjError`]: a region
+//! [`UbjCache::recover`] cannot open, a transaction too large for the
+//! buffer, or a buffer with nothing left to checkpoint.
+//!
 //! ```
 //! use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 //! use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
-//! use ubj::{UbjCache, UbjConfig};
+//! use ubj::UbjCache;
 //!
 //! let clock = SimClock::new();
 //! let nvm = NvmDevice::new(NvmConfig::new(1 << 20, NvmTech::Pcm), clock.clone());
 //! let disk = SimDisk::new(DiskKind::Ssd, 1 << 14, clock);
-//! let mut cache = UbjCache::format(nvm, disk, UbjConfig::default());
+//! let mut cache = UbjCache::format(nvm, disk);
 //! cache.commit_txn(&[(9, Box::new([7u8; BLOCK_SIZE]))]).unwrap();
 //! cache.commit_txn(&[(9, Box::new([8u8; BLOCK_SIZE]))]).unwrap();
 //! // The second commit found block 9 frozen: one memcpy on the write path.
@@ -40,11 +45,11 @@
 //! ```
 
 mod cache;
-mod config;
 mod entry;
+mod error;
 mod stats;
 
 pub use cache::{DynDisk, UbjCache};
-pub use config::UbjConfig;
 pub use entry::{UbjEntry, UbjState, FRESH as UBJ_FRESH};
+pub use error::UbjError;
 pub use stats::UbjStats;

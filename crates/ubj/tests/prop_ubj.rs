@@ -8,7 +8,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 use nvmsim::{CrashPolicy, CrashTripped, NvmConfig, NvmDevice, NvmTech, SimClock};
 use proptest::prelude::*;
-use ubj::{UbjCache, UbjConfig};
+use ubj::UbjCache;
 
 const BLOCK_SPACE: u64 = 160;
 
@@ -16,7 +16,7 @@ fn fresh() -> (UbjCache, nvmsim::Nvm, blockdev::Disk) {
     let clock = SimClock::new();
     let nvm = NvmDevice::new(NvmConfig::new(512 << 10, NvmTech::Pcm), clock.clone());
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-    let cache = UbjCache::format(nvm.clone(), disk.clone(), UbjConfig::default());
+    let cache = UbjCache::format(nvm.clone(), disk.clone());
     (cache, nvm, disk)
 }
 
@@ -81,8 +81,8 @@ proptest! {
                 Op::Restart { seed } => {
                     drop(cache);
                     nvm.crash(CrashPolicy::Random(seed));
-                    cache = UbjCache::recover(nvm.clone(), disk.clone(), UbjConfig::default())
-                        .map_err(TestCaseError::fail)?;
+                    cache = UbjCache::recover(nvm.clone(), disk.clone())
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
                     cache.check_consistency().map_err(TestCaseError::fail)?;
                 }
             }
@@ -127,8 +127,7 @@ proptest! {
         nvm.set_trip(None);
         drop(cache);
         nvm.crash(CrashPolicy::Random(seed));
-        let rec = UbjCache::recover(nvm, disk, UbjConfig::default())
-            .map_err(TestCaseError::fail)?;
+        let rec = UbjCache::recover(nvm, disk).map_err(|e| TestCaseError::fail(e.to_string()))?;
         rec.check_consistency().map_err(TestCaseError::fail)?;
         let mut buf = [0u8; BLOCK_SIZE];
         let versions: Vec<(u64, u8)> = touched

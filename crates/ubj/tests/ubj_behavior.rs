@@ -5,13 +5,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use blockdev::{BlockDevice, DiskKind, SimDisk, BLOCK_SIZE};
 use nvmsim::{CrashPolicy, CrashTripped, NvmConfig, NvmDevice, NvmTech, SimClock};
-use ubj::{UbjCache, UbjConfig};
+use ubj::{UbjCache, UbjError};
 
 fn setup(nvm_bytes: usize) -> (UbjCache, nvmsim::Nvm, blockdev::Disk) {
     let clock = SimClock::new();
     let nvm = NvmDevice::new(NvmConfig::new(nvm_bytes, NvmTech::Pcm), clock.clone());
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-    let cache = UbjCache::format(nvm.clone(), disk.clone(), UbjConfig::default());
+    let cache = UbjCache::format(nvm.clone(), disk.clone());
     (cache, nvm, disk)
 }
 
@@ -159,12 +159,25 @@ fn space_pressure_forces_checkpoint_stall() {
 }
 
 #[test]
+fn a_transaction_of_half_the_buffer_is_refused() {
+    let (mut c, _, _) = setup(512 << 10);
+    let n = c.data_block_count();
+    let blocks: Vec<_> = (0..n as u64 / 2 + 1).map(|i| (i, blk(1))).collect();
+    let refused = UbjError::TxnTooLarge {
+        blocks: blocks.len(),
+        buffer_blocks: n,
+    };
+    assert_eq!(c.commit_txn(&blocks), Err(refused));
+    assert_eq!(c.stats().commits, 0);
+}
+
+#[test]
 fn committed_data_survives_crash() {
     let (mut c, nvm, disk) = setup(1 << 20);
     c.commit_txn(&[(1, blk(0xAA)), (2, blk(0xBB))]).unwrap();
     drop(c);
     nvm.crash(CrashPolicy::Random(3));
-    let rec = UbjCache::recover(nvm, disk, UbjConfig::default()).unwrap();
+    let rec = UbjCache::recover(nvm, disk).unwrap();
     rec.check_consistency().unwrap();
     let mut buf = [0u8; BLOCK_SIZE];
     rec.read_nocache(1, &mut buf);
@@ -205,7 +218,7 @@ fn crash_sweep_commit_is_atomic() {
         nvm.set_trip(None);
         drop(c);
         nvm.crash(CrashPolicy::Random(trip * 31));
-        let rec = UbjCache::recover(nvm, disk, UbjConfig::default()).unwrap();
+        let rec = UbjCache::recover(nvm, disk).unwrap();
         rec.check_consistency()
             .unwrap_or_else(|e| panic!("trip {trip}: {e}"));
         let mut versions = [0u8; 3];
@@ -237,7 +250,7 @@ fn crash_after_checkpoint_keeps_data_on_disk_and_cache() {
     c.checkpoint_all();
     drop(c);
     nvm.crash(CrashPolicy::LoseVolatile);
-    let mut rec = UbjCache::recover(nvm, disk, UbjConfig::default()).unwrap();
+    let mut rec = UbjCache::recover(nvm, disk).unwrap();
     let mut buf = [0u8; BLOCK_SIZE];
     rec.read(4, &mut buf);
     assert_eq!(buf[0], 9);
@@ -270,5 +283,8 @@ fn recovery_of_unformatted_region_fails() {
     let clock = SimClock::new();
     let nvm = NvmDevice::new(NvmConfig::new(1 << 20, NvmTech::Pcm), clock.clone());
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-    assert!(UbjCache::recover(nvm, disk, UbjConfig::default()).is_err());
+    assert!(matches!(
+        UbjCache::recover(nvm, disk),
+        Err(UbjError::NotFormatted)
+    ));
 }
