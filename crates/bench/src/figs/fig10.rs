@@ -34,8 +34,9 @@ pub fn run(quick: bool) -> Vec<String> {
             // it the double-write penalty) grows with the replica count,
             // which is what widens the gap in the paper.
             let total_bytes = cfg.nvm_bytes as u64 * 4;
-            let cluster = HdfsCluster::new(4, replicas, &cfg, 2 << 20);
-            let report = cluster.run_teragen(total_bytes, 16 << 10);
+            let mut cluster = HdfsCluster::new(4, replicas, &cfg, 2 << 20);
+            cluster.run_teragen(total_bytes, 16 << 10);
+            let report = cluster.finish();
             secs.push(report.exec_seconds());
             let saved = if secs.len() == 2 {
                 format!("{:.1}%", (1.0 - secs[1] / secs[0]) * 100.0)

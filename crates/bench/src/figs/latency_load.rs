@@ -64,7 +64,6 @@ fn base_spec(quick: bool, rate: f64) -> OpenLoopSpec {
         blocks: if quick { 2_048 } else { 8_192 },
         txn_blocks: 2,
         queue_cap: 0, // unbounded: let the backlog grow so the knee shows
-        limiter: None,
         seed: 0x10AD,
     }
 }

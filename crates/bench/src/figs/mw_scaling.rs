@@ -88,12 +88,7 @@ fn run_point(shards: usize, writers: usize, lockfree: bool, quick: bool) -> MwPo
         txn_blocks: 2,
         seed: 0x3757_0009 + shards as u64,
     };
-    let fio = MtFio::new(spec);
-    let report = if lockfree {
-        fio.run_multi_writer(&pool)
-    } else {
-        fio.run_lanes_blocking(&pool)
-    };
+    let report = MtFio::new(spec).run_lanes(&pool);
     pool.flush_all().expect("quiesce after measured phase");
 
     // The mutex path serialises writers behind the shard lock — its

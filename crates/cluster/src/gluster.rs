@@ -7,13 +7,14 @@ use fssim::stack::StackConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{ClusterReport, NetModel, NodeCmd, NodeHandle};
+use crate::node::Node;
+use crate::{ClusterReport, NetModel};
 use workloads::rand_util::Zipf;
 
 /// A GlusterFS-like cluster: N nodes in groups of `replicas`; file
 /// placement by name hash (Gluster's elastic hash), client-side mirroring.
 pub struct GlusterCluster {
-    nodes: Vec<NodeHandle>,
+    nodes: Vec<Node>,
     replicas: usize,
     groups: usize,
 }
@@ -30,7 +31,7 @@ impl GlusterCluster {
         );
         let net = NetModel::ten_gbe();
         let nodes = (0..n_nodes)
-            .map(|i| NodeHandle::spawn(i, cfg.clone(), net, Self::OP_OVERHEAD_NS))
+            .map(|i| Node::new(i, cfg, net, Self::OP_OVERHEAD_NS))
             .collect();
         GlusterCluster {
             nodes,
@@ -50,72 +51,52 @@ impl GlusterCluster {
         (0..self.replicas).map(|k| g * self.replicas + k).collect()
     }
 
-    fn create(&self, name: &str) {
+    fn create(&mut self, name: &str) {
         for ni in self.group_of(name) {
-            self.nodes[ni].send(NodeCmd::Create {
-                name: name.to_string(),
-            });
+            self.nodes[ni].create(name);
         }
     }
 
-    fn write(&self, name: &str, offset: u64, data: Vec<u8>) {
+    fn write(&mut self, name: &str, offset: u64, data: &[u8]) {
         for ni in self.group_of(name) {
-            self.nodes[ni].send(NodeCmd::Write {
-                name: name.to_string(),
-                offset,
-                data: data.clone(),
-                net_bytes: data.len() as u64,
-            });
+            self.nodes[ni].write(name, offset, data);
         }
     }
 
-    fn read(&self, name: &str, offset: u64, len: usize) {
-        // Reads go to the group primary only.
+    /// Reads go to the group primary only.
+    fn read(&mut self, name: &str, offset: u64, len: usize) -> Vec<u8> {
         let primary = self.group_of(name)[0];
-        self.nodes[primary].send(NodeCmd::Read {
-            name: name.to_string(),
-            offset,
-            len,
-            reply: None,
-        });
+        self.nodes[primary].read(name, offset, len)
     }
 
-    fn delete(&self, name: &str) {
+    fn delete(&mut self, name: &str) {
         for ni in self.group_of(name) {
-            self.nodes[ni].send(NodeCmd::Delete {
-                name: name.to_string(),
-            });
+            self.nodes[ni].delete(name);
         }
     }
 
-    fn fsync_group(&self, name: &str) {
+    fn fsync_group(&mut self, name: &str) {
         for ni in self.group_of(name) {
-            self.nodes[ni].send(NodeCmd::Fsync);
+            self.nodes[ni].fsync();
         }
     }
 
     /// Re-baselines every node (end of the setup phase).
-    pub fn mark_all(&self) {
-        for n in &self.nodes {
-            n.send(NodeCmd::Mark);
+    pub fn mark_all(&mut self) {
+        for n in &mut self.nodes {
+            n.mark();
         }
     }
 
-    /// Power-fails node `node` (it reboots through recovery before its
-    /// next queued command).
-    pub fn crash_node(&self, node: usize, seed: u64) {
-        self.nodes[node].send(NodeCmd::Crash { seed });
+    /// Power-fails node `node`; it reboots through recovery.
+    pub fn crash_node(&mut self, node: usize, seed: u64) {
+        self.nodes[node].crash(seed);
     }
 
     fn finish(self, label: String, client_ops: u64, client_bytes: u64) -> ClusterReport {
-        let nodes = self
-            .nodes
-            .into_iter()
-            .map(super::node::NodeHandle::finish)
-            .collect();
         ClusterReport {
             label,
-            nodes,
+            nodes: self.nodes.into_iter().map(Node::finish).collect(),
             client_ops,
             client_bytes,
             client_floor_ns: 0,
@@ -137,7 +118,7 @@ pub struct GlusterFilebench {
 
 impl GlusterFilebench {
     /// Runs setup + measured phase and returns the aggregate report.
-    pub fn run(self, cluster: GlusterCluster) -> ClusterReport {
+    pub fn run(self, mut cluster: GlusterCluster) -> ClusterReport {
         use workloads::filebench::Personality;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let zipf = Zipf::new(self.nfiles, 0.9);
@@ -147,7 +128,7 @@ impl GlusterFilebench {
         let fill = vec![0x55u8; self.file_bytes as usize];
         for i in 0..self.nfiles {
             cluster.create(&name(i));
-            cluster.write(&name(i), 0, fill.clone());
+            cluster.write(&name(i), 0, &fill);
         }
         for i in 0..self.nfiles {
             cluster.fsync_group(&name(i));
@@ -185,7 +166,7 @@ impl GlusterFilebench {
             if rng.gen_range(0..rw_r + rw_w) < rw_r {
                 cluster.read(&f, off, self.io_bytes);
             } else {
-                cluster.write(&f, off, wbuf.clone());
+                cluster.write(&f, off, &wbuf);
                 bytes += self.io_bytes as u64;
                 if self.personality == Personality::Varmail {
                     cluster.fsync_group(&f);
@@ -219,9 +200,9 @@ mod tests {
     #[test]
     fn writes_are_mirrored_to_replicas() {
         let cfg = StackConfig::tiny(System::Tinca);
-        let c = GlusterCluster::new(4, 2, &cfg);
+        let mut c = GlusterCluster::new(4, 2, &cfg);
         c.create("mirrored");
-        c.write("mirrored", 0, vec![9u8; 8192]);
+        c.write("mirrored", 0, &[9u8; 8192]);
         c.fsync_group("mirrored");
         let group = c.group_of("mirrored");
         let report = c.finish("t".into(), 1, 8192);
@@ -234,23 +215,16 @@ mod tests {
     #[test]
     fn replica_crash_preserves_mirrored_data() {
         let cfg = StackConfig::tiny(System::Tinca);
-        let c = GlusterCluster::new(4, 2, &cfg);
+        let mut c = GlusterCluster::new(4, 2, &cfg);
         c.create("mail");
-        c.write("mail", 0, vec![3u8; 12_000]);
+        c.write("mail", 0, &[3u8; 12_000]);
         c.fsync_group("mail");
         // Crash both replicas of the group (worst case), then read back.
         let group = c.group_of("mail");
         for &ni in &group {
             c.crash_node(ni, 99 + ni as u64);
         }
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        c.nodes[group[0]].send(NodeCmd::Read {
-            name: "mail".into(),
-            offset: 0,
-            len: 12_000,
-            reply: Some(tx),
-        });
-        let data = rx.recv().unwrap();
+        let data = c.read("mail", 0, 12_000);
         assert!(
             data.iter().all(|&b| b == 3),
             "fsynced mirrored data lost in crash"

@@ -5,16 +5,20 @@ use fssim::stack::StackConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{ClusterReport, NetModel, NodeCmd, NodeHandle};
+use crate::node::Node;
+use crate::{ClusterReport, NetModel};
 
 /// An HDFS-like cluster: a name node (chunk→pipeline placement) over N
 /// data nodes.
 pub struct HdfsCluster {
-    nodes: Vec<NodeHandle>,
+    nodes: Vec<Node>,
     replicas: usize,
     chunk_bytes: u64,
     rng: StdRng,
-    next_pipeline_start: usize,
+    /// Index of the next chunk to place.
+    next_chunk: u64,
+    /// Client bytes streamed so far.
+    written: u64,
 }
 
 impl HdfsCluster {
@@ -28,84 +32,78 @@ impl HdfsCluster {
     /// two storage stacks widens as replication multiplies storage work.
     pub const CLIENT_NS_PER_MB: u64 = 12_000_000;
 
-    /// Spawns `n_nodes` data nodes, each with a stack built from `cfg`.
+    /// Builds `n_nodes` data nodes, each with a stack built from `cfg`.
     pub fn new(n_nodes: usize, replicas: usize, cfg: &StackConfig, chunk_bytes: u64) -> Self {
         assert!(replicas >= 1 && replicas <= n_nodes, "1 ≤ replicas ≤ nodes");
         let net = NetModel::ten_gbe();
         let nodes = (0..n_nodes)
-            .map(|i| NodeHandle::spawn(i, cfg.clone(), net, Self::OP_OVERHEAD_NS))
+            .map(|i| Node::new(i, cfg, net, Self::OP_OVERHEAD_NS))
             .collect();
         HdfsCluster {
             nodes,
             replicas,
             chunk_bytes,
             rng: StdRng::seed_from_u64(0x4DF5),
-            next_pipeline_start: 0,
+            next_chunk: 0,
+            written: 0,
         }
     }
 
-    /// The name node's placement: `replicas` distinct nodes, rotating so
-    /// load spreads evenly (HDFS randomises; rotation keeps determinism).
-    fn place(&mut self) -> Vec<usize> {
+    /// The name node's placement of the next chunk: `replicas` distinct
+    /// nodes, rotating so load spreads evenly (HDFS randomises; rotation
+    /// keeps determinism).
+    fn place(&self) -> Vec<usize> {
         let n = self.nodes.len();
-        let start = self.next_pipeline_start;
-        self.next_pipeline_start = (self.next_pipeline_start + 1) % n;
+        let start = (self.next_chunk % n as u64) as usize;
         (0..self.replicas).map(|k| (start + k) % n).collect()
     }
 
-    /// Power-fails data node `node` at this point in the stream (commands
-    /// already queued complete first; the node reboots through recovery).
-    pub fn crash_node(&self, node: usize, seed: u64) {
-        self.nodes[node].send(NodeCmd::Crash { seed });
+    /// Power-fails data node `node` at this point in the stream; it
+    /// reboots through recovery.
+    pub fn crash_node(&mut self, node: usize, seed: u64) {
+        self.nodes[node].crash(seed);
     }
 
-    /// Writes a TeraGen-style dataset of `total_bytes` (100 B rows,
-    /// buffered into ~16 KB appends), replicated `replicas`-way. Returns
-    /// the aggregate report.
-    pub fn run_teragen(mut self, total_bytes: u64, write_bytes: usize) -> ClusterReport {
-        let mut written = 0u64;
-        let mut chunk_idx = 0u64;
+    /// Streams `bytes` more of a TeraGen-style dataset (100 B rows,
+    /// buffered into `write_bytes` appends), replicated `replicas`-way.
+    /// The stream opens a fresh chunk and closes its last one.
+    pub fn run_teragen(&mut self, bytes: u64, write_bytes: usize) {
+        let end = self.written + bytes;
         let mut buf = vec![0u8; write_bytes];
-        while written < total_bytes {
+        while self.written < end {
             // One chunk: place it, create the chunk file on each replica,
             // stream appends down the pipeline.
             let pipeline = self.place();
-            let chunk_name = format!("chunk-{chunk_idx:06}");
+            let chunk_name = format!("chunk-{:06}", self.next_chunk);
             for &ni in &pipeline {
-                self.nodes[ni].send(NodeCmd::Create {
-                    name: chunk_name.clone(),
-                });
+                self.nodes[ni].create(&chunk_name);
             }
             let mut in_chunk = 0u64;
-            while in_chunk < self.chunk_bytes && written < total_bytes {
+            while in_chunk < self.chunk_bytes && self.written < end {
                 self.rng.fill(&mut buf[..]);
                 let n = (write_bytes as u64)
                     .min(self.chunk_bytes - in_chunk)
-                    .min(total_bytes - written) as usize;
+                    .min(end - self.written) as usize;
                 for &ni in &pipeline {
-                    self.nodes[ni].send(NodeCmd::Append {
-                        name: chunk_name.clone(),
-                        data: buf[..n].to_vec(),
-                        net_bytes: n as u64,
-                    });
+                    self.nodes[ni].append(&chunk_name, &buf[..n]);
                 }
                 in_chunk += n as u64;
-                written += n as u64;
+                self.written += n as u64;
             }
             // HDFS finalises (hflushes) the chunk on close.
             for &ni in &pipeline {
-                self.nodes[ni].send(NodeCmd::Fsync);
+                self.nodes[ni].fsync();
             }
-            chunk_idx += 1;
+            self.next_chunk += 1;
         }
-        let nodes = self
-            .nodes
-            .into_iter()
-            .map(super::node::NodeHandle::finish)
-            .collect::<Vec<_>>();
+    }
+
+    /// Finishes every node and returns the aggregate report.
+    pub fn finish(self) -> ClusterReport {
+        let written = self.written;
         ClusterReport {
             label: format!("teragen r={}", self.replicas),
-            nodes,
+            nodes: self.nodes.into_iter().map(Node::finish).collect(),
             client_ops: written / 100, // rows
             client_bytes: written,
             client_floor_ns: written / (1 << 20) * Self::CLIENT_NS_PER_MB,
@@ -118,15 +116,17 @@ mod tests {
     use super::*;
     use fssim::stack::System;
 
+    fn teragen(replicas: usize, bytes: u64) -> ClusterReport {
+        let cfg = StackConfig::tiny(System::Tinca);
+        let mut cluster = HdfsCluster::new(4, replicas, &cfg, 1 << 20);
+        cluster.run_teragen(bytes, 16 << 10);
+        cluster.finish()
+    }
+
     #[test]
     fn replication_multiplies_node_traffic() {
-        let run = |replicas: usize| {
-            let cfg = StackConfig::tiny(System::Tinca);
-            let cluster = HdfsCluster::new(4, replicas, &cfg, 1 << 20);
-            cluster.run_teragen(2 << 20, 16 << 10)
-        };
-        let r1 = run(1);
-        let r3 = run(3);
+        let r1 = teragen(1, 2 << 20);
+        let r3 = teragen(3, 2 << 20);
         assert!(r1.exec_seconds() > 0.0);
         // 3 replicas ⇒ ~3× aggregate bytes ⇒ ~3× total flushes.
         let ratio = r3.total_clflush() as f64 / r1.total_clflush() as f64;
@@ -136,9 +136,7 @@ mod tests {
 
     #[test]
     fn chunks_rotate_across_nodes() {
-        let cfg = StackConfig::tiny(System::Tinca);
-        let cluster = HdfsCluster::new(4, 1, &cfg, 1 << 20);
-        let report = cluster.run_teragen(4 << 20, 16 << 10);
+        let report = teragen(1, 4 << 20);
         // 4 chunks, one per node: every node holds exactly one file.
         for n in &report.nodes {
             assert_eq!(n.files, 1, "node {} files {}", n.node_id, n.files);
@@ -148,15 +146,18 @@ mod tests {
     #[test]
     fn cluster_tolerates_a_node_crash_mid_run() {
         let cfg = StackConfig::tiny(System::Tinca);
-        let cluster = HdfsCluster::new(4, 2, &cfg, 1 << 20);
-        // Crash node 1 after the stream has started (commands queue up; the
-        // crash lands between two of its appends).
+        let mut cluster = HdfsCluster::new(4, 2, &cfg, 1 << 20);
+        // Chunks 0 and 1 land on nodes {0,1} and {1,2}: node 1 holds two
+        // closed chunks when it crashes, and chunks 2 and 3 follow.
+        cluster.run_teragen(2 << 20, 16 << 10);
         cluster.crash_node(1, 42);
-        let report = cluster.run_teragen(3 << 20, 16 << 10);
-        assert_eq!(report.client_bytes, 3 << 20);
-        // Every node still finished with its chunks intact.
+        cluster.run_teragen(2 << 20, 16 << 10);
+        let report = cluster.finish();
+        assert_eq!(report.client_bytes, 4 << 20);
+        // Every node holds exactly its two chunks, node 1's pre-crash
+        // chunks included.
         for n in &report.nodes {
-            assert!(n.files > 0, "node {} lost its chunks", n.node_id);
+            assert_eq!(n.files, 2, "node {} files {}", n.node_id, n.files);
         }
     }
 

@@ -5,19 +5,20 @@
 //! the local storage manager of HDFS (TeraGen, Fig. 10) and GlusterFS
 //! (Filebench, Fig. 11).
 //!
-//! Here every node owns a complete simulated stack and runs on its own OS
-//! thread, driven through crossbeam channels; a 10 GbE latency/bandwidth
-//! model charges network time to the receiving node's simulated clock.
-//! Cluster execution time is the maximum simulated time across nodes —
-//! replicas work in parallel, exactly like a replication pipeline.
+//! Here every node is a plain value owning a complete simulated stack with
+//! its own simulated clock, and the client calls it directly; a 10 GbE
+//! latency/bandwidth model charges network time to the receiving node's
+//! clock. Cluster execution time is the maximum simulated time across
+//! nodes — replicas work in parallel, exactly like a replication pipeline.
 
 //! ```
 //! use cluster::HdfsCluster;
 //! use fssim::stack::{StackConfig, System};
 //!
 //! let cfg = StackConfig::tiny(System::Tinca);
-//! let cluster = HdfsCluster::new(4, 2, &cfg, 1 << 20);
-//! let report = cluster.run_teragen(2 << 20, 16 << 10);
+//! let mut cluster = HdfsCluster::new(4, 2, &cfg, 1 << 20);
+//! cluster.run_teragen(2 << 20, 16 << 10);
+//! let report = cluster.finish();
 //! assert_eq!(report.client_bytes, 2 << 20);
 //! assert!(report.exec_seconds() > 0.0);
 //! ```
@@ -25,11 +26,11 @@
 pub mod gluster;
 pub mod hdfs;
 pub mod net;
-pub mod node;
+mod node;
 pub mod report;
 
 pub use gluster::{GlusterCluster, GlusterFilebench};
 pub use hdfs::HdfsCluster;
 pub use net::NetModel;
-pub use node::{NodeCmd, NodeHandle, NodeReport};
+pub use node::NodeReport;
 pub use report::ClusterReport;

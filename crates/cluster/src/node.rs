@@ -1,58 +1,15 @@
-//! A storage node: one full stack on its own thread, driven by commands.
+//! A storage node: one full stack the cluster client calls directly.
+//!
+//! Every node owns its own simulated clock, so the client calling its nodes
+//! one after another charges each node exactly its own operations, in the
+//! order they were issued to it.
 
 use blockdev::{BlockDevice, DiskStats};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use fssim::stack::{build, remount, StackConfig};
+use fssim::stack::{build, remount, Stack, StackConfig};
 use fssim::{CacheSnapshot, FsStats};
 use nvmsim::NvmStats;
 
 use crate::NetModel;
-
-/// Commands a node accepts from the cluster client.
-pub enum NodeCmd {
-    Create {
-        name: String,
-    },
-    /// Write `data` at `offset`; `net_bytes` is charged to the node's
-    /// clock as network transfer before the write executes.
-    Write {
-        name: String,
-        offset: u64,
-        data: Vec<u8>,
-        net_bytes: u64,
-    },
-    Append {
-        name: String,
-        data: Vec<u8>,
-        net_bytes: u64,
-    },
-    /// Read `len` bytes; the reply channel, when given, receives the data
-    /// (tests); otherwise the read is applied for its cost only.
-    Read {
-        name: String,
-        offset: u64,
-        len: usize,
-        reply: Option<Sender<Vec<u8>>>,
-    },
-    Delete {
-        name: String,
-    },
-    Fsync,
-    /// Re-baselines the node's measurement window (used after a setup
-    /// phase so reports cover only the measured phase).
-    Mark,
-    /// Power-fails this node: DRAM state dies, the NVM resolves its
-    /// volatile write-back state adversarially (seeded), and the node
-    /// reboots through cache recovery + journal replay before processing
-    /// the next command.
-    Crash {
-        seed: u64,
-    },
-    /// Finish: flush, report, and shut the node down.
-    Finish {
-        reply: Sender<NodeReport>,
-    },
-}
 
 /// What a node reports when finished.
 #[derive(Clone, Debug)]
@@ -67,166 +24,141 @@ pub struct NodeReport {
     pub files: usize,
 }
 
-/// Client-side handle to a running node.
-pub struct NodeHandle {
-    pub node_id: usize,
-    tx: Sender<NodeCmd>,
-    join: Option<std::thread::JoinHandle<()>>,
+/// The counters a node's reports are measured from.
+struct Baseline {
+    sim_ns: u64,
+    nvm: NvmStats,
+    disk: DiskStats,
+    fs: FsStats,
+    cache: CacheSnapshot,
 }
 
-impl NodeHandle {
-    /// Spawns a node thread with a freshly built stack. Returns once the
-    /// node finished formatting (so setup cost is excluded from reports).
-    ///
-    /// `op_overhead_ns` models the distributed file system's per-operation
-    /// software cost (RPC dispatch, FUSE crossings, replication
-    /// coordination) charged on every data command.
-    pub fn spawn(
-        node_id: usize,
-        cfg: StackConfig,
-        net: NetModel,
-        op_overhead_ns: u64,
-    ) -> NodeHandle {
-        let (tx, rx) = unbounded::<NodeCmd>();
-        let (ready_tx, ready_rx) = bounded::<()>(1);
-        let join = std::thread::Builder::new()
-            .name(format!("node-{node_id}"))
-            .spawn(move || node_main(node_id, cfg, net, op_overhead_ns, rx, ready_tx))
-            .expect("spawn node thread");
-        ready_rx.recv().expect("node ready");
-        NodeHandle {
-            node_id,
-            tx,
-            join: Some(join),
+impl Baseline {
+    fn take(stack: &Stack) -> Baseline {
+        Baseline {
+            sim_ns: stack.clock.now_ns(),
+            nvm: stack.nvm.stats(),
+            disk: stack.disk.stats(),
+            fs: stack.fs.stats(),
+            cache: stack.fs.backend().cache_snapshot(),
         }
-    }
-
-    pub fn send(&self, cmd: NodeCmd) {
-        self.tx.send(cmd).expect("node alive");
-    }
-
-    /// Finishes the node and collects its report.
-    pub fn finish(mut self) -> NodeReport {
-        let (tx, rx) = bounded(1);
-        self.tx
-            .send(NodeCmd::Finish { reply: tx })
-            .expect("node alive");
-        let report = rx.recv().expect("node report");
-        if let Some(j) = self.join.take() {
-            j.join().expect("node thread joined cleanly");
-        }
-        report
     }
 }
 
-fn node_main(
-    node_id: usize,
-    cfg: StackConfig,
+/// One data node: its stack, its link to the client and its measurement
+/// window.
+pub(crate) struct Node {
+    id: usize,
+    stack: Stack,
     net: NetModel,
+    /// The distributed file system's per-operation software cost (RPC
+    /// dispatch, FUSE crossings, replication coordination), charged on
+    /// every data operation.
     op_overhead_ns: u64,
-    rx: Receiver<NodeCmd>,
-    ready: Sender<()>,
-) {
-    let mut stack = build(&cfg).expect("node stack");
-    // Baseline after formatting: reports cover the measured phase only.
-    let mut t0 = stack.clock.now_ns();
-    let mut nvm0 = stack.nvm.stats();
-    let mut disk0 = stack.disk.stats();
-    let mut fs0 = stack.fs.stats();
-    let mut cache0 = stack.fs.backend().cache_snapshot();
-    // FS/cache counters die with the process at a node crash; fold the
-    // pre-crash deltas into these accumulators so reports stay cumulative.
-    let mut fs_acc = FsStats::default();
-    let mut cache_acc = CacheSnapshot::default();
-    ready.send(()).ok();
+    base: Baseline,
+    /// FS/cache counters die with the process at a node crash; the
+    /// pre-crash deltas fold into these so reports stay cumulative.
+    fs_acc: FsStats,
+    cache_acc: CacheSnapshot,
+}
 
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            NodeCmd::Mark => {
-                stack.fs.fsync().expect("fsync at mark");
-                t0 = stack.clock.now_ns();
-                nvm0 = stack.nvm.stats();
-                disk0 = stack.disk.stats();
-                fs0 = stack.fs.stats();
-                cache0 = stack.fs.backend().cache_snapshot();
-            }
-            NodeCmd::Crash { seed } => {
-                fs_acc = fs_acc + stack.fs.stats().delta(&fs0);
-                cache_acc = cache_acc + stack.fs.backend().cache_snapshot().delta(&cache0);
-                let (nvm, disk, clock) =
-                    (stack.nvm.clone(), stack.disk.clone(), stack.clock.clone());
-                drop(stack);
-                nvm.crash(nvmsim::CrashPolicy::Random(seed));
-                // Reboot penalty: detection + restart of the storage daemon.
-                clock.advance(2_000_000_000);
-                stack = remount(&cfg, nvm, disk, clock).expect("node reboot");
-                fs0 = stack.fs.stats();
-                cache0 = stack.fs.backend().cache_snapshot();
-            }
-            NodeCmd::Create { name } => {
-                stack.clock.advance(net.transfer_ns(64) + op_overhead_ns);
-                stack.fs.create(&name).expect("create");
-            }
-            NodeCmd::Write {
-                name,
-                offset,
-                data,
-                net_bytes,
-            } => {
-                stack
-                    .clock
-                    .advance(net.transfer_ns(net_bytes) + op_overhead_ns);
-                let ino = stack.fs.open(&name).expect("open");
-                stack.fs.write(ino, offset, &data).expect("write");
-            }
-            NodeCmd::Append {
-                name,
-                data,
-                net_bytes,
-            } => {
-                stack
-                    .clock
-                    .advance(net.transfer_ns(net_bytes) + op_overhead_ns);
-                let ino = stack.fs.open(&name).expect("open");
-                stack.fs.append(ino, &data).expect("append");
-            }
-            NodeCmd::Read {
-                name,
-                offset,
-                len,
-                reply,
-            } => {
-                stack.clock.advance(op_overhead_ns);
-                let ino = stack.fs.open(&name).expect("open");
-                let mut buf = vec![0u8; len];
-                let n = stack.fs.read(ino, offset, &mut buf).expect("read");
-                buf.truncate(n);
-                stack.clock.advance(net.transfer_ns(n as u64));
-                if let Some(r) = reply {
-                    r.send(buf).ok();
-                }
-            }
-            NodeCmd::Delete { name } => {
-                stack.clock.advance(net.transfer_ns(64) + op_overhead_ns);
-                stack.fs.delete(&name).expect("delete");
-            }
-            NodeCmd::Fsync => {
-                stack.fs.fsync().expect("fsync");
-            }
-            NodeCmd::Finish { reply } => {
-                stack.fs.fsync().expect("final fsync");
-                let report = NodeReport {
-                    node_id,
-                    sim_ns: stack.clock.now_ns() - t0,
-                    nvm: stack.nvm.stats().delta(&nvm0),
-                    disk: stack.disk.stats().delta(&disk0),
-                    fs: fs_acc + stack.fs.stats().delta(&fs0),
-                    cache: cache_acc + stack.fs.backend().cache_snapshot().delta(&cache0),
-                    files: stack.fs.file_count(),
-                };
-                reply.send(report).ok();
-                return;
-            }
+impl Node {
+    /// A node on a freshly formatted stack; the baseline is taken after
+    /// formatting, so setup cost stays out of its report.
+    pub(crate) fn new(id: usize, cfg: &StackConfig, net: NetModel, op_overhead_ns: u64) -> Node {
+        let stack = build(cfg).expect("node stack");
+        Node {
+            id,
+            base: Baseline::take(&stack),
+            stack,
+            net,
+            op_overhead_ns,
+            fs_acc: FsStats::default(),
+            cache_acc: CacheSnapshot::default(),
+        }
+    }
+
+    /// Charges one request carrying `bytes` over the network plus the
+    /// per-operation overhead.
+    fn receive(&self, bytes: u64) {
+        self.stack
+            .clock
+            .advance(self.net.transfer_ns(bytes) + self.op_overhead_ns);
+    }
+
+    pub(crate) fn create(&mut self, name: &str) {
+        self.receive(64);
+        self.stack.fs.create(name).expect("create");
+    }
+
+    pub(crate) fn write(&mut self, name: &str, offset: u64, data: &[u8]) {
+        self.receive(data.len() as u64);
+        let ino = self.stack.fs.open(name).expect("open");
+        self.stack.fs.write(ino, offset, data).expect("write");
+    }
+
+    pub(crate) fn append(&mut self, name: &str, data: &[u8]) {
+        self.receive(data.len() as u64);
+        let ino = self.stack.fs.open(name).expect("open");
+        self.stack.fs.append(ino, data).expect("append");
+    }
+
+    /// Reads up to `len` bytes and charges sending them back.
+    pub(crate) fn read(&mut self, name: &str, offset: u64, len: usize) -> Vec<u8> {
+        self.stack.clock.advance(self.op_overhead_ns);
+        let ino = self.stack.fs.open(name).expect("open");
+        let mut buf = vec![0u8; len];
+        let n = self.stack.fs.read(ino, offset, &mut buf).expect("read");
+        buf.truncate(n);
+        self.stack.clock.advance(self.net.transfer_ns(n as u64));
+        buf
+    }
+
+    pub(crate) fn delete(&mut self, name: &str) {
+        self.receive(64);
+        self.stack.fs.delete(name).expect("delete");
+    }
+
+    pub(crate) fn fsync(&mut self) {
+        self.stack.fs.fsync().expect("fsync");
+    }
+
+    /// Re-baselines the measurement window (after a setup phase, so the
+    /// report covers only the measured phase).
+    pub(crate) fn mark(&mut self) {
+        self.stack.fs.fsync().expect("fsync at mark");
+        self.base = Baseline::take(&self.stack);
+    }
+
+    /// Power-fails the node: DRAM state dies, the NVM resolves its
+    /// volatile write-back state adversarially (seeded), and the node
+    /// reboots through cache recovery and journal replay.
+    pub(crate) fn crash(&mut self, seed: u64) {
+        let stack = &self.stack;
+        self.fs_acc = self.fs_acc + stack.fs.stats().delta(&self.base.fs);
+        let cache = stack.fs.backend().cache_snapshot();
+        self.cache_acc = self.cache_acc + cache.delta(&self.base.cache);
+        let (nvm, disk, clock) = (stack.nvm.clone(), stack.disk.clone(), stack.clock.clone());
+        nvm.crash(nvmsim::CrashPolicy::Random(seed));
+        // Reboot penalty: detection + restart of the storage daemon.
+        clock.advance(2_000_000_000);
+        self.stack = remount(&stack.config, nvm, disk, clock).expect("node reboot");
+        self.base.fs = self.stack.fs.stats();
+        self.base.cache = self.stack.fs.backend().cache_snapshot();
+    }
+
+    /// Flushes and reports.
+    pub(crate) fn finish(mut self) -> NodeReport {
+        self.stack.fs.fsync().expect("final fsync");
+        let stack = &self.stack;
+        NodeReport {
+            node_id: self.id,
+            sim_ns: stack.clock.now_ns() - self.base.sim_ns,
+            nvm: stack.nvm.stats().delta(&self.base.nvm),
+            disk: stack.disk.stats().delta(&self.base.disk),
+            fs: self.fs_acc + stack.fs.stats().delta(&self.base.fs),
+            cache: self.cache_acc + stack.fs.backend().cache_snapshot().delta(&self.base.cache),
+            files: stack.fs.file_count(),
         }
     }
 }
@@ -236,28 +168,21 @@ mod tests {
     use super::*;
     use fssim::stack::System;
 
+    fn node(id: usize) -> Node {
+        let cfg = StackConfig::tiny(System::Tinca);
+        Node::new(id, &cfg, NetModel::ten_gbe(), 0)
+    }
+
     #[test]
     fn node_round_trip() {
-        let h = NodeHandle::spawn(0, StackConfig::tiny(System::Tinca), NetModel::ten_gbe(), 0);
-        h.send(NodeCmd::Create { name: "a".into() });
-        h.send(NodeCmd::Write {
-            name: "a".into(),
-            offset: 0,
-            data: vec![7u8; 5000],
-            net_bytes: 5000,
-        });
-        h.send(NodeCmd::Fsync);
-        let (tx, rx) = bounded(1);
-        h.send(NodeCmd::Read {
-            name: "a".into(),
-            offset: 0,
-            len: 5000,
-            reply: Some(tx),
-        });
-        let data = rx.recv().unwrap();
+        let mut n = node(0);
+        n.create("a");
+        n.write("a", 0, &[7u8; 5000]);
+        n.fsync();
+        let data = n.read("a", 0, 5000);
         assert_eq!(data.len(), 5000);
         assert!(data.iter().all(|&b| b == 7));
-        let report = h.finish();
+        let report = n.finish();
         assert_eq!(report.files, 1);
         assert!(report.sim_ns > 0);
         assert!(report.nvm.clflush > 0);
@@ -265,38 +190,20 @@ mod tests {
 
     #[test]
     fn node_survives_a_crash_reboot_cycle() {
-        let h = NodeHandle::spawn(2, StackConfig::tiny(System::Tinca), NetModel::ten_gbe(), 0);
-        h.send(NodeCmd::Create {
-            name: "durable".into(),
-        });
-        h.send(NodeCmd::Write {
-            name: "durable".into(),
-            offset: 0,
-            data: vec![0xCD; 6000],
-            net_bytes: 6000,
-        });
-        h.send(NodeCmd::Fsync);
-        h.send(NodeCmd::Crash { seed: 1234 });
+        let mut n = node(2);
+        n.create("durable");
+        n.write("durable", 0, &[0xCD; 6000]);
+        n.fsync();
+        n.crash(1234);
         // Post-reboot, the fsynced file must read back intact, and the
         // node keeps serving.
-        let (tx, rx) = bounded(1);
-        h.send(NodeCmd::Read {
-            name: "durable".into(),
-            offset: 0,
-            len: 6000,
-            reply: Some(tx),
-        });
-        let data = rx.recv().unwrap();
+        let data = n.read("durable", 0, 6000);
         assert!(
             data.iter().all(|&b| b == 0xCD),
             "data lost across node crash"
         );
-        h.send(NodeCmd::Append {
-            name: "durable".into(),
-            data: vec![1u8; 100],
-            net_bytes: 100,
-        });
-        let report = h.finish();
+        n.append("durable", &[1u8; 100]);
+        let report = n.finish();
         assert_eq!(report.files, 1);
         assert!(
             report.sim_ns >= 2_000_000_000,
@@ -306,15 +213,10 @@ mod tests {
 
     #[test]
     fn network_cost_is_charged() {
-        let h = NodeHandle::spawn(1, StackConfig::tiny(System::Tinca), NetModel::ten_gbe(), 0);
-        h.send(NodeCmd::Create { name: "big".into() });
-        h.send(NodeCmd::Write {
-            name: "big".into(),
-            offset: 0,
-            data: vec![1u8; 1 << 20],
-            net_bytes: 1 << 20,
-        });
-        let report = h.finish();
+        let mut n = node(1);
+        n.create("big");
+        n.write("big", 0, &vec![1u8; 1 << 20]);
+        let report = n.finish();
         // At least the 1 MB transfer time (≈ 0.84 ms) must be present.
         assert!(report.sim_ns > 800_000, "sim_ns {}", report.sim_ns);
     }

@@ -42,7 +42,6 @@ fn overload_spec(shards: usize, seed: u64) -> OpenLoopSpec {
         blocks: 16 * shards as u64,
         txn_blocks: 2,
         queue_cap: 6,
-        limiter: None,
         seed,
     }
 }
@@ -75,7 +74,7 @@ impl Workload for Backlog {
             }
             match driver.step() {
                 Some(StepOutcome::Completed { .. }) => oracle.commit(),
-                Some(StepOutcome::ShedQueueFull { .. } | StepOutcome::ShedThrottled { .. }) => {
+                Some(StepOutcome::ShedQueueFull { .. }) => {
                     self.shed += u64::from(write.is_some());
                     oracle.abort();
                 }

@@ -127,6 +127,5 @@ pub const OPENLOOP_LATENCY: &str = "openloop.latency";
 pub const OPENLOOP_QUEUE_WAIT: &str = "openloop.queue_wait";
 /// Open-loop service time: service start → completion.
 pub const OPENLOOP_SERVICE: &str = "openloop.service";
-/// Open-loop admission rejections (bounded queue full or token-bucket
-/// throttle) — count-only.
+/// Open-loop admission rejections (bounded queue full) — count-only.
 pub const OPENLOOP_SHED: &str = "openloop.shed";

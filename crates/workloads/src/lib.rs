@@ -8,7 +8,9 @@
 //! | Fio random R/W mix (3/7, 5/5, 7/3; 4 KB; 20 GB) | [`fio`] | request size, ratios, dataset:cache ratio |
 //! | TPC-C via MySQL+HammerDB (350 warehouses, 5–60 users) | [`tpcc`] | txn mix, NURand skew, per-user streams, fsync-per-txn |
 //! | Filebench fileserver / webproxy / varmail | [`filebench`] | R/W ratios (1/2, 5/1, 1/1), 16 KB requests, file-pool churn, varmail's fsync-heavy pattern |
-//! | TeraGen (100 B rows, 100 GB) | [`teragen`] | sequential row append, chunked output files |
+//!
+//! TeraGen, the paper's fourth benchmark, streams replicated chunks through
+//! the `cluster` crate's `HdfsCluster`.
 //!
 //! All generators are seeded and deterministic; every figure harness prints
 //! the seed it used. The [`report`] module snapshots NVM / disk / FS / cache
@@ -41,7 +43,6 @@ pub mod openloop;
 pub mod rand_util;
 pub mod report;
 pub mod spec;
-pub mod teragen;
 pub mod tpcc;
 pub mod trace;
 

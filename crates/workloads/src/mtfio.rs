@@ -35,18 +35,18 @@
 //! ([`openloop`](crate::openloop)), which stamps arrivals and records
 //! wait explicitly.
 //!
-//! ## Multi-writer contention mode
+//! ## Lanes: multi-writer contention mode
 //!
 //! [`MtFio::run`] measures *shard*-level parallelism: excess threads on
-//! one shard still serialise behind its commit mutex. When the pool runs
-//! [`tinca::CommitMode::LockFreeRing`],
-//! [`MtFio::run_multi_writer`] instead drives true
-//! *intra-shard* write concurrency through the steppable window API —
-//! several logical writers hold reserved windows on the **same** shard
-//! at once, stage on private clocks, and retire through one sequencer
-//! round. Because the interleaving is scripted on a single OS thread, the
-//! run is deterministic, which is what mode-vs-mode comparisons (the
-//! `mw_scaling` figure) require.
+//! one shard still serialise behind its commit mutex. [`MtFio::run_lanes`]
+//! scripts the writers on a single OS thread instead. When the pool runs
+//! [`tinca::CommitMode::LockFreeRing`] it drives true *intra-shard* write
+//! concurrency through the steppable window API — several logical writers
+//! hold reserved windows on the **same** shard at once, stage on private
+//! clocks, and retire through one sequencer round; on the mutex path the
+//! same work commits one transaction at a time. The run is deterministic,
+//! which is what mode-vs-mode comparisons (the `mw_scaling` figure)
+//! require.
 
 use blockdev::BLOCK_SIZE;
 use nvmsim::NvmStats;
@@ -248,26 +248,36 @@ impl MtFio {
         self.finish(pool, base, read_ops, write_txns)
     }
 
-    /// Runs the measured phase in **multi-writer contention mode**: the
-    /// pool must run [`tinca::CommitMode::LockFreeRing`], and
-    /// `spec.threads` *logical* writers are interleaved deterministically
-    /// on one OS thread through the steppable window API
-    /// (`mw_try_begin` → `mw_stage` → `mw_publish` → `mw_sequence`).
+    /// Runs the measured phase as **lanes**: `spec.threads` *logical*
+    /// writers interleaved deterministically on one OS thread, round
+    /// after round, each with its own RNG stream.
     ///
     /// Writer `w` targets shard `w % shards` with a block lane disjoint
-    /// from every other writer's, so admissions never conflict and each
-    /// round genuinely overlaps `ceil(threads / shards)` windows per
-    /// shard: staging charges land on private clocks and only the
-    /// sequencer's single fence-and-`Head`-store round serialises on the
-    /// shard clock. Publish order rotates per round to exercise
-    /// out-of-ring-order publication. Unlike [`run`](Self::run) this is
-    /// bit-for-bit deterministic (no OS-thread interleaving), which is
-    /// what the `mw_scaling` figure needs to compare modes.
-    pub fn run_multi_writer(&self, pool: &TincaPool) -> MtReport {
+    /// from every other writer's, so admissions never conflict. Only the
+    /// commit step depends on the pool:
+    ///
+    /// * when a shard holds several commits in flight
+    ///   ([`TincaPool::commit_concurrency`] > 1, i.e.
+    ///   [`tinca::CommitMode::LockFreeRing`]), each write reserves and
+    ///   stages a window (`mw_try_begin` → `mw_stage`) and the round
+    ///   retires through `mw_publish` → `mw_sequence`. Each round overlaps
+    ///   `ceil(threads / shards)` windows per shard: staging charges land
+    ///   on private clocks and only the sequencer's single
+    ///   fence-and-`Head`-store round serialises on the shard clock.
+    ///   Publish order rotates per round to exercise out-of-ring-order
+    ///   publication;
+    /// * otherwise each write commits through [`TincaPool::commit`] as
+    ///   it is built, paying the full serialised per-transaction cost.
+    ///
+    /// Unlike [`run`](Self::run) this is bit-for-bit deterministic (no
+    /// OS-thread interleaving), so the `mw_scaling` figure prices the
+    /// two commit paths on identical work.
+    pub fn run_lanes(&self, pool: &TincaPool) -> MtReport {
         let base = Baseline::take(pool);
         let spec = &self.spec;
         let shards = pool.shard_count();
         let writers = spec.threads;
+        let windows = pool.commit_concurrency() > 1;
         // Writer w owns the blocks `s + shards * (lane + wps * k)` for
         // k in 0..per: all route to shard s = w % shards, and distinct
         // writers own disjoint sets, so concurrent windows never touch
@@ -316,6 +326,11 @@ impl MtFio {
                     wbuf.fill(rng.gen());
                     txn.write(b, &wbuf);
                 }
+                write_txns += 1;
+                if !windows {
+                    pool.commit(txn).expect("lane workload commit");
+                    continue;
+                }
                 // Lanes are disjoint, so Busy only ever means ring or
                 // descriptor capacity — retiring the round's windows
                 // frees it.
@@ -325,7 +340,6 @@ impl MtFio {
                         MwAdmission::Admitted(mut ticket) => {
                             pool.mw_stage(&mut ticket);
                             pending.push((2000 + w as u32, ticket));
-                            write_txns += 1;
                             break;
                         }
                         MwAdmission::Busy(t) => {
@@ -338,61 +352,6 @@ impl MtFio {
                 }
             }
             Self::mw_flush_round(pool, &mut pending, round as usize);
-        }
-        self.finish(pool, base, read_ops, write_txns)
-    }
-
-    /// Replays the **exact** multi-writer lane workload through the
-    /// blocking commit path: same writer RNG streams, same blocks, same
-    /// fill values, same round-robin writer order — only the commit
-    /// mechanism differs. The `mw_scaling` figure prices the lock-free
-    /// pipeline against the mutex path on identical work with this. The
-    /// mutex path pays the full serialised per-transaction cost, the
-    /// same c = 1 service model the open-loop tier uses for
-    /// `CommitMode::Mutex`.
-    pub fn run_lanes_blocking(&self, pool: &TincaPool) -> MtReport {
-        let base = Baseline::take(pool);
-        let spec = &self.spec;
-        let shards = pool.shard_count();
-        let writers = spec.threads;
-        let wps = writers.div_ceil(shards) as u64;
-        let per = (spec.blocks / writers as u64).max(spec.txn_blocks as u64);
-        let block_of = |w: usize, k: u64| -> u64 {
-            let s = (w % shards) as u64;
-            let lane = (w / shards) as u64;
-            s + shards as u64 * (lane + wps * (k % per))
-        };
-        let mut rngs: Vec<StdRng> = (0..writers)
-            .map(|w| {
-                let stream = spec
-                    .seed
-                    .wrapping_add((w as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                StdRng::seed_from_u64(stream)
-            })
-            .collect();
-        let mut read_ops = 0u64;
-        let mut write_txns = 0u64;
-        let mut wbuf = [0u8; BLOCK_SIZE];
-        let mut rbuf = [0u8; BLOCK_SIZE];
-        for _round in 0..spec.ops_per_thread {
-            for (w, rng) in rngs.iter_mut().enumerate() {
-                nvmsim::set_trace_thread(2000 + w as u32);
-                if rng.gen_range(0..100) < spec.read_pct {
-                    let b = block_of(w, rng.gen_range(0..per));
-                    pool.read(b, &mut rbuf)
-                        .expect("workload disk is fault-free");
-                    read_ops += 1;
-                    continue;
-                }
-                let mut txn = pool.init_txn();
-                for _ in 0..spec.txn_blocks {
-                    let b = block_of(w, rng.gen_range(0..per));
-                    wbuf.fill(rng.gen());
-                    txn.write(b, &wbuf);
-                }
-                pool.commit(txn).expect("lane workload commit");
-                write_txns += 1;
-            }
         }
         self.finish(pool, base, read_ops, write_txns)
     }
@@ -574,7 +533,7 @@ mod tests {
             read_pct: 30,
             ..MtFioSpec::smoke(1)
         });
-        let r = fio.run_multi_writer(&pool);
+        let r = fio.run_lanes(&pool);
         assert_eq!(r.ops(), 200);
         assert!(r.read_ops > 0 && r.write_txns > 0);
         assert_eq!(r.cache.commits, r.write_txns);
@@ -595,7 +554,7 @@ mod tests {
             txn_blocks: 2,
             seed: 0x3711,
         });
-        let r = fio.run_multi_writer(&pool);
+        let r = fio.run_lanes(&pool);
         assert_eq!(r.write_txns, 8 * 40);
         assert_eq!(r.cache.commits, r.write_txns);
         assert_eq!(r.cache.failed_commits, 0);
@@ -619,7 +578,7 @@ mod tests {
         };
         let run = || {
             let pool = make_mw_pool(2);
-            let r = MtFio::new(spec.clone()).run_multi_writer(&pool);
+            let r = MtFio::new(spec.clone()).run_lanes(&pool);
             (r.wall_ns, r.busy_ns, r.nvm.clflush, r.cache.commits)
         };
         assert_eq!(run(), run(), "scripted interleaving must be replayable");
@@ -641,7 +600,7 @@ mod tests {
             seed: 0x3713,
         };
         let mw_pool = make_mw_pool(1);
-        let mw = MtFio::new(spec.clone()).run_multi_writer(&mw_pool);
+        let mw = MtFio::new(spec.clone()).run_lanes(&mw_pool);
 
         let mutex_pool = make_pool(1);
         let mutex = MtFio::new(spec).run(&mutex_pool);
@@ -653,6 +612,38 @@ mod tests {
             mw.wall_ns,
             mutex.wall_ns
         );
+    }
+
+    #[test]
+    fn lanes_do_the_same_work_on_both_commit_paths() {
+        // Four writers over two shards: the lanes tile blocks 0..256.
+        let spec = MtFioSpec {
+            threads: 4,
+            read_pct: 20,
+            blocks: 256,
+            ops_per_thread: 30,
+            txn_blocks: 2,
+            seed: 0x3714,
+        };
+        let mutex_pool = make_pool(2);
+        let ring_pool = make_mw_pool(2);
+        let mutex = MtFio::new(spec.clone()).run_lanes(&mutex_pool);
+        let ring = MtFio::new(spec.clone()).run_lanes(&ring_pool);
+        assert!(mutex.write_txns > 0);
+        assert_eq!(mutex.write_txns, ring.write_txns);
+        assert_eq!(mutex.read_ops, ring.read_ops);
+        assert_eq!(ring.cache.commits, ring.write_txns);
+        let (mut a, mut b) = ([0u8; BLOCK_SIZE], [0u8; BLOCK_SIZE]);
+        let mut written = 0;
+        for blk in 0..spec.blocks {
+            mutex_pool.read(blk, &mut a).unwrap();
+            ring_pool.read(blk, &mut b).unwrap();
+            assert_eq!(a, b, "block {blk} differs between commit paths");
+            written += usize::from(a != [0u8; BLOCK_SIZE]);
+        }
+        assert!(written > 0);
+        mutex_pool.check_consistency().unwrap();
+        ring_pool.check_consistency().unwrap();
     }
 
     #[test]

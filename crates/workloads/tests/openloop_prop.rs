@@ -30,7 +30,6 @@ fn spec(seed: u64, rate: f64, bursty: bool) -> OpenLoopSpec {
         blocks: 256,
         txn_blocks: 2,
         queue_cap: 0,
-        limiter: None,
         seed,
     }
 }

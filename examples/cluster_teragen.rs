@@ -1,6 +1,7 @@
 //! TeraGen on the HDFS-like cluster (Fig. 9/10 of the paper): four data
-//! nodes, each a full NVM-cache storage stack on its own thread, with
-//! pipelined replication — comparing Tinca and Classic node stacks.
+//! nodes, each a full NVM-cache storage stack with its own simulated
+//! clock, with pipelined replication — comparing Tinca and Classic node
+//! stacks.
 //!
 //! ```text
 //! cargo run --release --example cluster_teragen [replicas] [MiB]
@@ -24,8 +25,9 @@ fn main() {
     for sys in [System::Classic, System::Tinca] {
         let mut cfg = StackConfig::scaled_local(sys);
         cfg.nvm_bytes = 8 << 20;
-        let cluster = HdfsCluster::new(4, replicas, &cfg, 2 << 20);
-        let report = cluster.run_teragen(mib << 20, 16 << 10);
+        let mut cluster = HdfsCluster::new(4, replicas, &cfg, 2 << 20);
+        cluster.run_teragen(mib << 20, 16 << 10);
+        let report = cluster.finish();
         times.push(report.exec_seconds());
         println!(
             "{:<10} exec {:>7.3}s  clflush/MB {:>8.0}  disk-writes/MB {:>7.1}  rows {:>9}",

@@ -10,8 +10,8 @@
 //! | [`tinca`] | **the paper's contribution**: the transactional NVM disk cache |
 //! | [`classic`] | the Flashcache-like baseline cache |
 //! | [`fssim`] | mini file system with JBD2 / Tinca / no-journal modes, plus [`fssim::stack`] full-stack builders |
-//! | [`workloads`] | Fio / TPC-C / Filebench / TeraGen generators |
-//! | [`cluster`] | HDFS- and GlusterFS-like replicated clusters |
+//! | [`workloads`] | Fio / TPC-C / Filebench / open-loop generators |
+//! | [`cluster`] | HDFS- (TeraGen) and GlusterFS-like replicated clusters |
 //! | [`crashsim`] | crash injection + recovery verification |
 //! | [`persistcheck`] | pmemcheck-style persist-ordering analyzer over NVM event traces |
 //!

@@ -1,15 +1,22 @@
 //! Workspace-level cluster tests: replicated stacks behave like the
 //! paper's Fig. 9 deployment.
 
-use tinca_repro::cluster::{GlusterCluster, GlusterFilebench, HdfsCluster};
+use tinca_repro::cluster::{ClusterReport, GlusterCluster, GlusterFilebench, HdfsCluster};
 use tinca_repro::fssim::stack::{StackConfig, System};
 use tinca_repro::workloads::filebench::Personality;
+
+/// TeraGen of `bytes` on four data nodes in 1 MB chunks.
+fn teragen(cfg: &StackConfig, replicas: usize, bytes: u64) -> ClusterReport {
+    let mut cluster = HdfsCluster::new(4, replicas, cfg, 1 << 20);
+    cluster.run_teragen(bytes, 16 << 10);
+    cluster.finish()
+}
 
 #[test]
 fn hdfs_replication_scales_cluster_work() {
     let cfg = StackConfig::tiny(System::Tinca);
-    let one = HdfsCluster::new(4, 1, &cfg, 1 << 20).run_teragen(4 << 20, 16 << 10);
-    let three = HdfsCluster::new(4, 3, &cfg, 1 << 20).run_teragen(4 << 20, 16 << 10);
+    let one = teragen(&cfg, 1, 4 << 20);
+    let three = teragen(&cfg, 3, 4 << 20);
     // Replication multiplies aggregate cache traffic ~3x.
     let ratio = three.total_clflush() as f64 / one.total_clflush() as f64;
     assert!((2.2..4.0).contains(&ratio), "clflush ratio {ratio}");
@@ -23,7 +30,7 @@ fn tinca_cluster_beats_classic_cluster_on_teragen() {
     let mut times = Vec::new();
     for sys in [System::Classic, System::Tinca] {
         let cfg = StackConfig::tiny(sys);
-        let report = HdfsCluster::new(4, 2, &cfg, 1 << 20).run_teragen(6 << 20, 16 << 10);
+        let report = teragen(&cfg, 2, 6 << 20);
         times.push(report.exec_seconds());
     }
     assert!(
