@@ -234,24 +234,18 @@ impl TincaCache {
     /// loads each slot just before its rewrite.
     fn scrub_window_tags(&self, tail: u64, window: &[u64]) {
         let layout = *self.layout();
-        let mut lines: Vec<usize> = Vec::new();
+        let mut tagged: Vec<usize> = Vec::new();
         for (seq, &raw) in (tail..).zip(window) {
             let (blk, tag) = split_slot(raw);
             if tag != 0 {
                 let addr = layout.ring_slot_addr(seq);
                 self.nvm().atomic_write_u64(addr, slot_value(blk, 0));
-                lines.push(addr / CACHE_LINE);
+                tagged.push(addr);
             }
         }
-        if lines.is_empty() {
-            return;
+        if self.flush_lines(tagged) > 0 {
+            self.nvm().sfence();
         }
-        lines.sort_unstable();
-        lines.dedup();
-        for line in lines {
-            self.nvm().clflush(line * CACHE_LINE, 1);
-        }
-        self.nvm().sfence();
     }
 
     fn run_recovery(

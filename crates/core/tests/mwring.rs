@@ -7,7 +7,7 @@
 //! failed-window sealing, spanning transactions, and recovery of
 //! unsequenced windows.
 
-use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
+use blockdev::{DiskKind, FaultPlan, FaultyDisk, SimDisk, BLOCK_SIZE};
 use nvmsim::{shard_devices, CrashTripped, NvmConfig, NvmTech, SimClock};
 use tinca::{CommitMode, MwAdmission, PoolConfig, TincaConfig, TincaError, TincaPool, Txn};
 
@@ -163,6 +163,40 @@ fn mw_failed_admission_seals_window_and_commits_continue() {
     // The failed window left no durable residue: recovery sees a closed
     // ring and clean descriptors.
     p.flush_all().unwrap();
+}
+
+/// A window admitted past the supply check that fails mid meta phase — its
+/// first block staged and pinned, the second finding no victim because
+/// every cached block is dirty on a bad disk block — drops every pin it
+/// took: the cache is consistent (no pin held at rest) and commits go on.
+#[test]
+fn mw_window_failing_mid_meta_phase_releases_its_pins() {
+    let devices = shard_devices(&NvmConfig::new(256 << 10, NvmTech::Pcm), 1);
+    let plan = FaultPlan::quiet(5).with_bad_modulo(2, 1);
+    let disk = FaultyDisk::new(SimDisk::new(DiskKind::Ssd, 1 << 16, SimClock::new()), plan);
+    let p = TincaPool::format(devices, disk, mw_pool_cfg(1));
+    let cap = u64::from(p.shard_layout(0).data_blocks);
+    // Dirty odd (unwritable) blocks until exactly one free block is left.
+    for i in 0..cap - 1 {
+        let mut t = p.init_txn();
+        t.write(2 * i + 1, &blk(0x10));
+        p.commit(t).unwrap();
+    }
+    let mut t = p.init_txn();
+    t.write(2 * cap + 1, &blk(0x5B));
+    t.write(2 * cap + 3, &blk(0x5C));
+    let err = p.commit(t).unwrap_err();
+    assert!(matches!(err, TincaError::NoVictim), "{err}");
+    assert_eq!(p.stats().failed_commits, 1);
+    p.check_consistency().unwrap();
+
+    let mut t = p.init_txn();
+    t.write(0, &blk(0x5A));
+    p.commit(t).unwrap();
+    let mut buf = [0u8; BLOCK_SIZE];
+    p.read(0, &mut buf).unwrap();
+    assert_eq!(buf, blk(0x5A));
+    p.check_consistency().unwrap();
 }
 
 /// Spanning transactions in lock-free mode quiesce their participants and
