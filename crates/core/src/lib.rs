@@ -49,7 +49,6 @@ mod error;
 mod freemon;
 mod layout;
 mod lru;
-mod mwring;
 mod pool;
 mod recovery;
 mod shadow;
@@ -61,7 +60,7 @@ pub use cache::{DynDisk, Health};
 pub use config::TincaConfig;
 pub use error::TincaError;
 pub use layout::{intent_tag, split_slot, Layout};
-pub use mwring::{CommitMode, MwAdmission, MwTicket};
+pub use pool::ring::{CommitMode, MwAdmission, MwTicket};
 pub use pool::{PoolConfig, TincaPool};
 pub use snapshot::StatsSnapshot;
 pub use stats::CacheStats;
