@@ -672,7 +672,7 @@ impl BlockOracle {
     }
 
     /// The durable image of block `b`.
-    pub fn durable_image(&self, b: u64) -> [u8; BLOCK_SIZE] {
+    pub(crate) fn durable_image(&self, b: u64) -> [u8; BLOCK_SIZE] {
         self.images.of(b, self.durable.get(&b).copied())
     }
 

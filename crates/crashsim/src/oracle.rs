@@ -52,7 +52,7 @@ impl FsOracle {
     }
 
     /// The state that must survive any crash.
-    pub fn durable_state(&self) -> &HashMap<String, Vec<u8>> {
+    pub(crate) fn durable_state(&self) -> &HashMap<String, Vec<u8>> {
         &self.durable
     }
 

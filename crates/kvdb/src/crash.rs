@@ -159,11 +159,6 @@ pub struct KvApp<S: Personality> {
     rolled_forward: bool,
 }
 
-/// The WAL personality's crash application.
-pub type WalKvApp = KvApp<WalStore>;
-/// The Tinca personality's crash application.
-pub type TincaKvApp = KvApp<TincaStore>;
-
 impl<S: Personality> KvApp<S> {
     /// Formats the store and rolls the first `txns` transactions of
     /// `seed`'s plan.

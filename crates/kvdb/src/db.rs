@@ -56,7 +56,7 @@ use crate::store::{KvError, PageStore};
 const CACHE_PAGES: usize = 1024;
 
 /// An owned key/value pair, as returned by scans.
-pub type KvPair = (Vec<u8>, Vec<u8>);
+pub(crate) type KvPair = (Vec<u8>, Vec<u8>);
 
 /// A promoted separator and the new right sibling it points at.
 type Split = Option<(Vec<u8>, u32)>;
@@ -200,7 +200,7 @@ impl<S: PageStore> Db<S> {
     /// Mutable store access (crash harnesses arm trips and run
     /// device-level checks through this; the store's pages are not
     /// touched behind the cache's back).
-    pub fn store_mut(&mut self) -> &mut S {
+    pub(crate) fn store_mut(&mut self) -> &mut S {
         &mut self.store
     }
 

@@ -12,7 +12,7 @@ use crate::db::Db;
 use crate::store::{KvError, PageStore};
 
 /// Bytes per TPC-C record value (a scaled-down row image).
-pub const VALUE_LEN: usize = 120;
+pub(crate) const VALUE_LEN: usize = 120;
 
 /// One planned KV transaction: the record keys it touches and the exact
 /// encoded writes `apply` will issue (also the crash oracle's staged set).
@@ -26,7 +26,7 @@ pub struct KvTxn {
 /// Deterministic record image for `key` as of commit `seq`: the commit
 /// sequence is recoverable from the first 8 bytes, so verification can
 /// tell *which* transaction's write survived a crash.
-pub fn value_for(key: &RecordKey, seq: u64) -> Vec<u8> {
+pub(crate) fn value_for(key: &RecordKey, seq: u64) -> Vec<u8> {
     let enc = key.encode();
     let mut v = Vec::with_capacity(VALUE_LEN);
     v.extend_from_slice(&seq.to_le_bytes());

@@ -37,14 +37,12 @@ pub mod db;
 pub mod driver;
 pub mod page;
 pub mod store;
-pub mod tincastore;
+mod tincastore;
 pub mod wal;
 
-pub use crash::{
-    KvApp, KvPlan, Personality, TincaKvApp, WalKvApp, CAMPAIGNS, TINCA_TRIP_MAX, TXNS, WAL_TRIP_MAX,
-};
-pub use db::{Db, KvPair, TreeError};
-pub use driver::{apply_txn, value_for, KvTpccDriver, KvTxn, VALUE_LEN};
+pub use crash::{KvApp, KvPlan, Personality, CAMPAIGNS, TINCA_TRIP_MAX, TXNS, WAL_TRIP_MAX};
+pub use db::{Db, TreeError};
+pub use driver::{apply_txn, KvTpccDriver, KvTxn};
 pub use page::{Meta, Node, PageError, MAX_KEY, MAX_VAL, PAGE_SIZE};
 pub use store::{KvError, PageStore, StoreStats};
 pub use tincastore::{TincaStore, TincaStoreConfig};

@@ -39,7 +39,7 @@ use std::fmt;
 /// Page size — one cache/disk block.
 pub const PAGE_SIZE: usize = blockdev::BLOCK_SIZE;
 /// Header bytes before the body.
-pub const HEADER_LEN: usize = 24;
+pub(crate) const HEADER_LEN: usize = 24;
 /// Longest encodable key.
 pub const MAX_KEY: usize = 64;
 /// Longest encodable value.
@@ -162,7 +162,7 @@ fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
 }
 
 /// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(0xFFFF_FFFF, bytes)
 }
 
@@ -233,7 +233,7 @@ pub enum Node {
 
 impl Node {
     /// Bytes this node would occupy encoded (header included).
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         match self {
             Node::Leaf(entries) => {
                 HEADER_LEN
@@ -265,7 +265,7 @@ pub struct Meta {
 impl Meta {
     /// Free-list ids the 4 KB meta page can hold. Beyond this, freed
     /// pages are leaked (documented bound; never reached by the drivers).
-    pub fn free_capacity() -> usize {
+    pub(crate) fn free_capacity() -> usize {
         (PAGE_SIZE - HEADER_LEN - 12) / 4
     }
 }
@@ -302,7 +302,11 @@ fn check_seal(buf: &[u8; PAGE_SIZE]) -> Result<(), PageError> {
 /// Encodes a node into `page`, overwriting all of it; `Err(Oversized)` if
 /// the node no longer fits (callers split before encoding, so this is a
 /// defensive check) — `page` is untouched then.
-pub fn encode_node(node: &Node, lsn: u64, page: &mut [u8; PAGE_SIZE]) -> Result<(), PageError> {
+pub(crate) fn encode_node(
+    node: &Node,
+    lsn: u64,
+    page: &mut [u8; PAGE_SIZE],
+) -> Result<(), PageError> {
     if !node.fits() {
         return Err(PageError::Oversized);
     }
@@ -341,7 +345,7 @@ pub fn encode_node(node: &Node, lsn: u64, page: &mut [u8; PAGE_SIZE]) -> Result<
 
 /// Decodes a node page, validating magic, CRC, bounds, and key order.
 /// Returns the node and the `lsn` it was stamped with.
-pub fn decode_node(buf: &[u8; PAGE_SIZE]) -> Result<(Node, u64), PageError> {
+pub(crate) fn decode_node(buf: &[u8; PAGE_SIZE]) -> Result<(Node, u64), PageError> {
     check_seal(buf)?;
     let kind = buf[4];
     let nkeys = u16::from_le_bytes([buf[6], buf[7]]) as usize;
@@ -409,7 +413,11 @@ pub fn decode_node(buf: &[u8; PAGE_SIZE]) -> Result<(Node, u64), PageError> {
 }
 
 /// Encodes the meta page into `page`, overwriting all of it.
-pub fn encode_meta(meta: &Meta, lsn: u64, page: &mut [u8; PAGE_SIZE]) -> Result<(), PageError> {
+pub(crate) fn encode_meta(
+    meta: &Meta,
+    lsn: u64,
+    page: &mut [u8; PAGE_SIZE],
+) -> Result<(), PageError> {
     if meta.free.len() > Meta::free_capacity() {
         return Err(PageError::Oversized);
     }

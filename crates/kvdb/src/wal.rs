@@ -202,7 +202,7 @@ impl WalStore {
     }
 
     /// Mutable stack access (the crash apps arm trips through this).
-    pub fn stack_mut(&mut self) -> &mut Stack {
+    pub(crate) fn stack_mut(&mut self) -> &mut Stack {
         &mut self.stack
     }
 

@@ -80,7 +80,7 @@ pub enum FlushInstr {
 
 impl FlushInstr {
     /// Instruction overhead excluding the media write.
-    pub fn overhead_ns(self) -> u64 {
+    pub(crate) fn overhead_ns(self) -> u64 {
         match self {
             FlushInstr::Clflush => 40,
             FlushInstr::Clflushopt => 25,

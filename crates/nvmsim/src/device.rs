@@ -656,11 +656,6 @@ impl NvmDevice {
         self.state.lock().poison.len()
     }
 
-    /// Whether event tracing is enabled on this device.
-    pub fn is_tracing(&self) -> bool {
-        self.cfg.trace_events
-    }
-
     /// Drains and returns the recorded trace. Sequence numbers keep
     /// increasing across drains. Empty when tracing is disabled.
     pub fn take_trace(&self) -> Vec<TracedOp> {
@@ -675,12 +670,6 @@ impl NvmDevice {
             .as_ref()
             .map(TraceBuf::snapshot)
             .unwrap_or_default()
-    }
-
-    /// Total events recorded so far, including drained ones.
-    pub fn trace_len(&self) -> u64 {
-        let st = self.state.lock();
-        st.trace.as_ref().map_or(0, TraceBuf::len)
     }
 
     fn bump_event(&self, st: parking_lot::MutexGuard<'_, State>) {
@@ -1090,11 +1079,9 @@ mod tests {
     #[test]
     fn tracing_off_records_nothing() {
         let d = dev();
-        assert!(!d.is_tracing());
         d.write(0, &[1u8; 64]);
         d.persist(0, 64);
         d.note_commit(0, 8);
-        assert_eq!(d.trace_len(), 0);
         assert!(d.take_trace().is_empty());
     }
 
@@ -1179,8 +1166,8 @@ mod tests {
         d.sfence();
         let b = d.take_trace();
         assert_eq!(a[0].seq, 0);
+        assert_eq!((a.len(), b.len()), (1, 1));
         assert_eq!(b[0].seq, 1);
-        assert_eq!(d.trace_len(), 2);
     }
 
     #[test]
@@ -1249,7 +1236,7 @@ mod tests {
         assert_eq!(d.clock().now_ns(), t0);
         assert_eq!(d.stats(), s0);
         assert_eq!(d.events(), e0);
-        assert_eq!(d.trace_len(), 0, "tracing off records nothing");
+        assert!(d.take_trace().is_empty(), "tracing off records nothing");
     }
 
     #[test]

@@ -54,6 +54,5 @@ pub use line::{CACHE_LINE, WORDS_PER_LINE, WORD_SIZE};
 pub use shard::{merge_shard_traces, shard_devices};
 pub use stats::{NvmStats, WearSummary};
 pub use trace::{
-    set_trace_thread, set_trace_txn, trace_thread, trace_txn, txn_scope, TraceEvent, TracedOp,
-    TxnScope,
+    set_trace_thread, trace_thread, trace_txn, txn_scope, TraceEvent, TracedOp, TxnScope,
 };

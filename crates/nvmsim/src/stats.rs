@@ -83,16 +83,6 @@ impl WearSummary {
         self.total_line_writes as f64 / self.lines_total as f64
     }
 
-    /// Wear concentration: hottest line vs device mean (1.0 = perfectly
-    /// level). Without wear levelling this bounds achievable lifetime.
-    pub fn concentration(&self) -> f64 {
-        let mean = self.mean_line_writes();
-        if mean == 0.0 {
-            return 0.0;
-        }
-        self.max_line_writes as f64 / mean
-    }
-
     /// Projected lifetime in device-overwrite units for a medium enduring
     /// `cycles` writes per line: how many times the whole device's worth
     /// of data could be written before the hottest line wears out.
@@ -170,10 +160,8 @@ mod tests {
             lines_total: 100,
         };
         assert_eq!(w.mean_line_writes(), 10.0);
-        assert_eq!(w.concentration(), 10.0);
         // 10^6-cycle medium: 10^6/100 traffic multiples × 10 mean writes.
         assert_eq!(w.lifetime_device_writes(1_000_000), 100_000.0);
-        assert_eq!(WearSummary::default().concentration(), 0.0);
         assert_eq!(
             WearSummary::default().lifetime_device_writes(10),
             f64::INFINITY

@@ -19,7 +19,7 @@
 //! numbering (e.g. the pool scaling bench) pin ids with
 //! [`set_trace_thread`]; everyone else gets a process-unique id lazily on
 //! first traced event. Transaction scopes are delimited with
-//! [`txn_scope`] (RAII) or [`set_trace_txn`].
+//! [`txn_scope`] (RAII).
 //!
 //! ## Synchronization events
 //!
@@ -178,12 +178,6 @@ pub fn set_trace_thread(id: u32) {
     TRACE_THREAD.with(|c| c.set(Some(id)));
 }
 
-/// Sets (or with `None` clears) the transaction id stamped on this
-/// thread's subsequent traced events.
-pub fn set_trace_txn(txn: Option<u64>) {
-    TRACE_TXN.with(|c| c.set(txn));
-}
-
 /// The transaction id active on the calling thread, if any.
 pub fn trace_txn() -> Option<u64> {
     TRACE_TXN.with(Cell::get)
@@ -219,9 +213,8 @@ pub(crate) struct TraceBuf {
 
 impl TraceBuf {
     pub(crate) fn push(&mut self, event: TraceEvent) {
-        let seq = self.base + self.ops.len() as u64;
         self.ops.push(TracedOp {
-            seq,
+            seq: self.len(),
             thread: trace_thread(),
             txn: trace_txn(),
             device: 0,
@@ -238,7 +231,7 @@ impl TraceBuf {
         self.ops.clone()
     }
 
-    pub(crate) fn len(&self) -> u64 {
+    fn len(&self) -> u64 {
         self.base + self.ops.len() as u64
     }
 }
@@ -249,7 +242,6 @@ mod tests {
 
     #[test]
     fn txn_scopes_nest_and_restore() {
-        set_trace_txn(None);
         assert_eq!(trace_txn(), None);
         {
             let _a = txn_scope(7);

@@ -58,11 +58,6 @@ impl SimClock {
         }
     }
 
-    /// Current simulated time in seconds.
-    pub fn now_secs(&self) -> f64 {
-        self.now_ns() as f64 / 1e9
-    }
-
     /// Resets the clock to zero (for reuse between experiment phases).
     pub fn reset(&self) {
         self.ns.store(0, Ordering::Relaxed);
@@ -85,7 +80,6 @@ mod tests {
         c.advance(100);
         c.advance(23);
         assert_eq!(c.now_ns(), 123);
-        assert!((c.now_secs() - 123e-9).abs() < 1e-18);
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl Histogram {
     }
 
     /// 95th percentile.
-    pub fn p95(&self) -> Option<u64> {
+    pub(crate) fn p95(&self) -> Option<u64> {
         self.quantile(0.95)
     }
 

@@ -2,7 +2,7 @@
 //! so serde is not available; exporters hand-roll their JSON through this,
 //! and readers of those files parse it back with [`Json::parse`]).
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects preserve insertion order, so rendering is
 /// deterministic — a hard requirement for the telemetry determinism tests.
@@ -34,7 +34,7 @@ impl Json {
     /// any other integer to [`Json::U64`] — the forms [`Json::render`]
     /// writes — so `parse(&v.render()) == v` for every finite value that
     /// keeps `I64` for negatives.
-    pub fn parse(text: &str) -> Result<Json, String> {
+    pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             s: text.as_bytes(),
             at: 0,
@@ -42,7 +42,7 @@ impl Json {
         let v = p.value()?;
         p.space();
         if p.at != p.s.len() {
-            return Err(format!("trailing input at byte {}", p.at));
+            return Err(p.error(Expected::End));
         }
         Ok(v)
     }
@@ -148,6 +148,57 @@ impl From<bool> for Json {
     }
 }
 
+/// Why [`Json::parse`] rejected its input: where it stopped and what it
+/// expected there.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset into the input.
+    pub at: usize,
+    pub expected: Expected,
+}
+
+/// What [`Json::parse`] expected where it stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Expected {
+    /// The end of the document: trailing input follows it.
+    End,
+    /// This punctuation.
+    Literal(&'static str),
+    /// A value; the input held something else.
+    Value,
+    /// A value; the input ended.
+    MoreInput,
+    /// A string's opening quote.
+    String,
+    /// A string's closing quote; the input ended.
+    Quote,
+    /// Four hex digits naming a char after `\u`.
+    Unicode,
+    /// An escape character after `\`.
+    Escape,
+    /// UTF-8 string content.
+    Utf8(std::str::Utf8Error),
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let at = self.at;
+        match self.expected {
+            Expected::End => write!(f, "trailing input at byte {at}"),
+            Expected::Literal(lit) => write!(f, "expected `{lit}` at byte {at}"),
+            Expected::Value => write!(f, "bad value at byte {at}"),
+            Expected::MoreInput => f.write_str("unexpected end of input"),
+            Expected::String => write!(f, "expected a string at byte {at}"),
+            Expected::Quote => f.write_str("unterminated string"),
+            Expected::Unicode => write!(f, "bad \\u escape at byte {at}"),
+            Expected::Escape => write!(f, "unsupported escape at byte {at}"),
+            Expected::Utf8(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
 struct Parser<'a> {
     s: &'a [u8],
     at: usize,
@@ -168,16 +219,23 @@ impl Parser<'_> {
         hit
     }
 
-    fn expect(&mut self, lit: &str) -> Result<(), String> {
+    fn error(&self, expected: Expected) -> JsonError {
+        JsonError {
+            at: self.at,
+            expected,
+        }
+    }
+
+    fn expect(&mut self, lit: &'static str) -> Result<(), JsonError> {
         self.space();
         if self.eat(lit) {
             Ok(())
         } else {
-            Err(format!("expected `{lit}` at byte {}", self.at))
+            Err(self.error(Expected::Literal(lit)))
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, JsonError> {
         self.space();
         match self.s.get(self.at) {
             Some(b'{') => {
@@ -220,11 +278,11 @@ impl Parser<'_> {
             Some(_) if self.eat("false") => Ok(Json::Bool(false)),
             Some(_) if self.eat("null") => Ok(Json::Null),
             Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
+            None => Err(self.error(Expected::MoreInput)),
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.at;
         while self
             .s
@@ -241,20 +299,24 @@ impl Parser<'_> {
         } else {
             t.parse().ok().map(Json::U64)
         };
-        v.ok_or_else(|| format!("bad value at byte {start}"))
+        v.ok_or(JsonError {
+            at: start,
+            expected: Expected::Value,
+        })
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, JsonError> {
         if !self.eat("\"") {
-            return Err(format!("expected a string at byte {}", self.at));
+            return Err(self.error(Expected::String));
         }
         let mut out = Vec::new();
         loop {
             match self.s.get(self.at) {
-                None => return Err("unterminated string".into()),
+                None => return Err(self.error(Expected::Quote)),
                 Some(b'"') => {
                     self.at += 1;
-                    return String::from_utf8(out).map_err(|e| e.to_string());
+                    return String::from_utf8(out)
+                        .map_err(|e| self.error(Expected::Utf8(e.utf8_error())));
                 }
                 Some(b'\\') => {
                     let c = match self.s.get(self.at + 1) {
@@ -271,8 +333,8 @@ impl Parser<'_> {
                                 u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()
                             })
                             .and_then(char::from_u32)
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", self.at))?,
-                        _ => return Err(format!("unsupported escape at byte {}", self.at)),
+                            .ok_or(self.error(Expected::Unicode))?,
+                        _ => return Err(self.error(Expected::Escape)),
                     };
                     self.at += if self.s[self.at + 1] == b'u' { 6 } else { 2 };
                     out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
@@ -369,15 +431,45 @@ mod tests {
                 Json::Arr(vec![Json::U64(1), Json::F64(2.5)])
             )]))
         );
-        for bad in [
-            "{\"a\":1} x",
-            "{\"a\":}",
-            "[1,",
-            "\"open",
-            "1.2.3",
-            "\"\\x\"",
+        let err = |at, expected| Err(JsonError { at, expected });
+        for (bad, expected, text) in [
+            (
+                "{\"a\":1} x",
+                err(8, Expected::End),
+                "trailing input at byte 8",
+            ),
+            ("{\"a\":}", err(5, Expected::Value), "bad value at byte 5"),
+            (
+                "[1,",
+                err(3, Expected::MoreInput),
+                "unexpected end of input",
+            ),
+            (
+                "[1 2]",
+                err(3, Expected::Literal(",")),
+                "expected `,` at byte 3",
+            ),
+            (
+                "{1:2}",
+                err(1, Expected::String),
+                "expected a string at byte 1",
+            ),
+            ("\"open", err(5, Expected::Quote), "unterminated string"),
+            ("1.2.3", err(0, Expected::Value), "bad value at byte 0"),
+            (
+                "\"\\x\"",
+                err(1, Expected::Escape),
+                "unsupported escape at byte 1",
+            ),
+            (
+                "\"\\u00zz\"",
+                err(1, Expected::Unicode),
+                "bad \\u escape at byte 1",
+            ),
         ] {
-            assert!(Json::parse(bad).is_err(), "{bad}");
+            let got = Json::parse(bad);
+            assert_eq!(got, expected, "{bad}");
+            assert_eq!(got.unwrap_err().to_string(), text, "{bad}");
         }
     }
 }

@@ -5,12 +5,12 @@
 //! # Design
 //!
 //! - **Zero-cost when disabled.** Every facade call first does one relaxed
-//!   atomic load ([`is_enabled`]); with no recorder installed anywhere
+//!   atomic load; with no recorder installed anywhere
 //!   that's the entire cost. Spans only *read* the clock — they never
 //!   advance it — so enabling telemetry cannot change any simulated
 //!   result: stats, figure outputs, and crash behaviour stay bit-for-bit
 //!   identical.
-//! - **Thread-local recording.** [`install`] arms the calling thread;
+//! - **Thread-local recording.** [`record`] arms the calling thread;
 //!   other threads (e.g. I/O worker pools) see no recorder and no-op.
 //!   The global counter only gates the fast path.
 //! - **Phase tree.** [`span`] guards nest; simulated ns are attributed to
@@ -49,11 +49,13 @@ mod report;
 
 pub use clock::SimClock;
 pub use hist::Histogram;
-pub use json::Json;
-pub use recorder::{Config, Event, Recorder};
+pub use json::{Expected, Json, JsonError};
+pub use recorder::{Config, Event};
 pub use report::{PhaseNode, TelemetryReport};
 
 use std::cell::RefCell;
+
+use recorder::Recorder;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of threads with an installed recorder. Zero ⇒ the facade's fast
@@ -67,14 +69,14 @@ thread_local! {
 /// True if *any* thread currently records (cheap pre-filter; per-thread
 /// state still decides whether this thread's calls do anything).
 #[inline]
-pub fn is_enabled() -> bool {
+fn is_enabled() -> bool {
     INSTALLED.load(Ordering::Relaxed) != 0
 }
 
 /// Arms telemetry on the calling thread, attributing simulated ns read
 /// from `clock`. Replaces any recorder already installed on this thread
 /// (discarding its data).
-pub fn install(clock: &SimClock, cfg: Config) {
+fn install(clock: &SimClock, cfg: Config) {
     RECORDER.with(|r| {
         let prev = r.borrow_mut().replace(Recorder::new(clock.clone(), cfg));
         if prev.is_none() {
@@ -85,7 +87,7 @@ pub fn install(clock: &SimClock, cfg: Config) {
 
 /// Disarms the calling thread and returns its finished report (`None` if
 /// nothing was installed).
-pub fn uninstall() -> Option<TelemetryReport> {
+fn uninstall() -> Option<TelemetryReport> {
     RECORDER.with(|r| {
         let rec = r.borrow_mut().take()?;
         INSTALLED.fetch_sub(1, Ordering::Relaxed);

@@ -66,7 +66,7 @@ struct Frame {
 }
 
 /// Accumulates spans, charges, and metrics for one thread.
-pub struct Recorder {
+pub(crate) struct Recorder {
     clock: SimClock,
     cfg: Config,
     start_ns: u64,
@@ -81,7 +81,7 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    pub fn new(clock: SimClock, cfg: Config) -> Self {
+    pub(crate) fn new(clock: SimClock, cfg: Config) -> Self {
         let start_ns = clock.now_ns();
         Recorder {
             clock,
@@ -125,7 +125,7 @@ impl Recorder {
     }
 
     /// Opens a span named `name` under the current span.
-    pub fn enter(&mut self, name: &'static str) {
+    pub(crate) fn enter(&mut self, name: &'static str) {
         let parent = self.current();
         let node = self.intern(parent, name);
         let start_ns = self.clock.now_ns();
@@ -133,7 +133,7 @@ impl Recorder {
     }
 
     /// Closes the innermost open span, attributing elapsed simulated ns.
-    pub fn exit(&mut self) {
+    pub(crate) fn exit(&mut self) {
         let Some(frame) = self.stack.pop() else {
             return;
         };
@@ -161,7 +161,7 @@ impl Recorder {
     /// Attributes `ns` already-charged simulated nanoseconds to a leaf
     /// phase `cat` under the current span, without opening a span (for
     /// device charge points that advance the clock in one shot).
-    pub fn charge(&mut self, cat: &'static str, ns: u64) {
+    pub(crate) fn charge(&mut self, cat: &'static str, ns: u64) {
         let parent = self.current();
         let node = self.intern(parent, cat);
         let n = &mut self.nodes[node as usize];
@@ -171,7 +171,7 @@ impl Recorder {
     }
 
     /// Adds `n` to the counter `name`.
-    pub fn count(&mut self, name: &'static str, n: u64) {
+    pub(crate) fn count(&mut self, name: &'static str, n: u64) {
         *self.counters.entry(name).or_insert(0) += n;
     }
 
@@ -180,26 +180,26 @@ impl Recorder {
     /// the latency histograms). Used for per-phase event tallies — e.g.
     /// flush/fence perf smells — where *where in the tree* the event
     /// happened is the datum, not how long it took.
-    pub fn mark(&mut self, name: &'static str, n: u64) {
+    pub(crate) fn mark(&mut self, name: &'static str, n: u64) {
         let parent = self.current();
         let node = self.intern(parent, name);
         self.nodes[node as usize].count += n;
     }
 
     /// Sets the gauge `name` to `v`.
-    pub fn gauge(&mut self, name: &'static str, v: i64) {
+    pub(crate) fn gauge(&mut self, name: &'static str, v: i64) {
         self.gauges.insert(name, v);
     }
 
     /// Records `v` into the histogram `name`.
-    pub fn observe(&mut self, name: &'static str, v: u64) {
+    pub(crate) fn observe(&mut self, name: &'static str, v: u64) {
         self.hists.entry(name).or_default().record(v);
     }
 
     /// Rebinds the recorder to a different simulated clock (crash
     /// campaigns build a fresh stack — and clock — per seed). Open spans
     /// would straddle two timelines, so the span stack must be empty.
-    pub fn swap_clock(&mut self, clock: &SimClock) {
+    pub(crate) fn swap_clock(&mut self, clock: &SimClock) {
         debug_assert!(
             self.stack.is_empty(),
             "swap_clock with open spans would attribute time across clocks"
@@ -211,7 +211,7 @@ impl Recorder {
     /// Closes out the recording and builds the report. Any spans still
     /// open (e.g. a panic unwound past their guards without dropping them)
     /// are attributed up to "now".
-    pub fn finish(mut self) -> TelemetryReport {
+    pub(crate) fn finish(mut self) -> TelemetryReport {
         while !self.stack.is_empty() {
             self.exit();
         }

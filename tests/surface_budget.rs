@@ -8,24 +8,27 @@
 //!   spell a `Result` whose error is a `String`. A line is non-test when
 //!   it comes before its file's first `#[cfg(test)]`. The ones left are
 //!   invariant-check verdicts (diagnostic text a crash harness copies into
-//!   its findings), `telemetry`'s JSON parser, the open-loop `serve` hook
-//!   and the figure runner.
+//!   its findings), the open-loop `serve` hook and the figure runner.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Line-start `pub` declarations allowed under each crate's `src/`.
-const PUB_BUDGETS: [(&str, usize); 6] = [
+const PUB_BUDGETS: [(&str, usize); 10] = [
     ("core", 64),
     ("fssim", 89),
     ("ubj", 31),
     ("classic", 61),
     ("cluster", 36),
     ("workloads", 122),
+    ("telemetry", 106),
+    ("nvmsim", 89),
+    ("kvdb", 77),
+    ("crashsim", 85),
 ];
 
 /// Non-test `Result<…, String>` lines allowed under `crates/*/src`.
-const STRING_ERROR_BUDGET: usize = 16;
+const STRING_ERROR_BUDGET: usize = 11;
 
 const KINDS: [&str; 9] = [
     "fn", "struct", "enum", "const", "type", "trait", "mod", "use", "static",
