@@ -1,19 +1,22 @@
 //! The ordered KV store: a B-tree of fixed-size pages over a
 //! [`PageStore`], with single-writer transactions.
 //!
-//! All tree mutation happens in a DRAM page cache; `commit` encodes the
-//! dirty nodes and hands them to the store as one atomic batch. The meta
-//! page (root, allocation frontier, free list) joins the batch only when
-//! it differs from the last image known durable — a split, a free or a
-//! root collapse — so the committed root is always consistent with the
-//! committed pages without rewriting 4 KB of unchanged metadata per
-//! commit (the paper's §3 charge against Flashcache, one level up). On
-//! `kv_tpcc` that takes the batch from 3.58 to 2.61 pages and the share
-//! of commits on the pool's two-phase spanning path from 0.91 to 0.65.
+//! All tree mutation happens in a DRAM page cache that holds the pages'
+//! bytes: a node is a [`Page`] view, edited in place (module
+//! [`crate::page`]). `commit` seals the dirty pages — stamps the LSN and
+//! re-CRCs only the 64 B lines the transaction wrote — and hands them to
+//! the store as one atomic batch. The meta page (root, allocation
+//! frontier, free list) joins the batch only when it differs from the last
+//! image known durable — a split, a free or a root collapse — so the
+//! committed root is always consistent with the committed pages without
+//! rewriting 4 KB of unchanged metadata per commit (the paper's §3 charge
+//! against Flashcache, one level up). On `kv_tpcc` that takes the batch
+//! from 3.58 to 2.61 pages and the share of commits on the pool's
+//! two-phase spanning path from 0.91 to 0.65.
 //!
 //! Page LSNs stay monotone without the every-commit meta write: the
 //! commit sequence is the maximum of the meta page's LSN and every LSN
-//! decoded since `open`, and a page is always read before it is
+//! loaded since `open`, and a page is always read before it is
 //! rewritten or freed, so no page is ever re-stamped below the LSN it
 //! carried — also after a reopen from a meta page older than the tree's
 //! newest leaves.
@@ -22,37 +25,37 @@
 //! recovery guarantees the batch was all-or-nothing — the same contract
 //! Tinca gives the journal-free file system, one level up.
 //!
-//! The page cache is a true LRU, as the paper keeps its own replacement
-//! state one level down (§4.6): every access stamps the node from one
-//! counter, and a commit that leaves the cache over budget drops the
-//! pages with the oldest stamps. A touch adds one store to the lookup it
-//! makes anyway; eviction, orders of magnitude rarer on `kv_tpcc`, scans
-//! the cache once. The stamps come from a counter, not a clock or
-//! a hash, so which pages are evicted — and so every page read — is
-//! replay-stable. Every descent, `put` and `delete` included, borrows the
-//! nodes it passes; a writer returns to a branch only to change it.
+//! The page cache is a table indexed by page id and a true LRU, as the
+//! paper keeps its own replacement state one level down (§4.6): every
+//! access stamps the page from one counter, and a commit that leaves the
+//! cache over budget drops the pages with the oldest stamps. A touch adds
+//! one store to the lookup it makes anyway; eviction, orders of magnitude
+//! rarer on `kv_tpcc`, scans the table once. The stamps come from a
+//! counter, not a clock or a hash, so which pages are evicted — and so
+//! every page read — is replay-stable. Every descent, `put` and `delete`
+//! included, borrows the pages it passes; a writer returns to a branch
+//! only to change it.
 //!
-//! Structure policy: nodes split when their encoding would overflow the
-//! page; a leaf that empties is freed and unlinked from its parent (a
-//! non-root branch that loses every separator survives as a one-child
-//! chain node, keeping all leaves at uniform depth), and a root branch
-//! with no separator collapses into its single child. `validate` walks
-//! the committed tree re-checking exactly these invariants — the crash
-//! oracles run it after every recovery.
+//! Structure policy: nodes split when a record would overflow the page; a
+//! leaf that empties is freed and unlinked from its parent (a non-root
+//! branch that loses every separator survives as a one-child chain node,
+//! keeping all leaves at uniform depth), and a root branch with no
+//! separator collapses into its single child. `validate` walks the
+//! committed tree re-checking exactly these invariants — the crash oracles
+//! run it after every recovery.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Bound;
 
 use crate::page::{
-    decode_meta, decode_node, encode_meta, encode_node, is_blank, Meta, Node, MAX_KEY, MAX_VAL,
-    PAGE_SIZE,
+    branch_record, decode_meta, encode_meta, is_blank, leaf_record, Meta, Page, PageError, MAX_KEY,
+    MAX_VAL, PAGE_SIZE,
 };
 use crate::store::{KvError, PageStore};
 
-/// Decoded pages kept in DRAM after a commit. Dirty pages are pinned
-/// until commit, so a transaction may take the cache past it.
+/// Pages kept in DRAM after a commit. Dirty pages are pinned until
+/// commit, so a transaction may take the cache past it.
 const CACHE_PAGES: usize = 1024;
 
 /// An owned key/value pair, as returned by scans.
@@ -126,19 +129,21 @@ impl fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
-/// A decoded node and the tick of its last use.
+/// A cached page and the tick of its last use.
 struct Cached {
-    node: Node,
+    page: Page,
     used: u64,
 }
 
 /// An embedded ordered KV store over a [`PageStore`].
 pub struct Db<S: PageStore> {
     store: S,
-    /// Decoded node cache, each node stamped with its last use; the
-    /// oldest stamps are evicted first.
-    cache: BTreeMap<u32, Cached>,
-    /// The stamp counter: one tick per node access.
+    /// The page cache, indexed by page id, each page stamped with its last
+    /// use; the oldest stamps are evicted first.
+    cache: Vec<Option<Cached>>,
+    /// Pages in `cache`.
+    cached: usize,
+    /// The stamp counter: one tick per page access.
     tick: u64,
     dirty: BTreeSet<u32>,
     meta: Meta,
@@ -148,10 +153,14 @@ pub struct Db<S: PageStore> {
     durable_meta: Meta,
     commit_seq: u64,
     in_txn: bool,
-    /// Commit batch slots, kept across commits: every encoder overwrites
-    /// its whole page, so a slot is reused as it is instead of being
-    /// zeroed and moved into a fresh batch each time.
+    /// Commit batch slots, kept across commits: every image overwrites its
+    /// whole slot, so a slot is reused as it is instead of being zeroed and
+    /// moved into a fresh batch each time.
     batch: Vec<(u32, [u8; PAGE_SIZE])>,
+}
+
+fn corrupt(page: u32) -> impl FnOnce(PageError) -> KvError {
+    move |err| KvError::Corrupt { page, err }
 }
 
 impl<S: PageStore> Db<S> {
@@ -171,12 +180,13 @@ impl<S: PageStore> Db<S> {
             // Nothing is durable yet: the first batch carries page 0.
             (meta, Meta::default(), 0)
         } else {
-            let (meta, lsn) = decode_meta(&buf).map_err(|err| KvError::Corrupt { page: 0, err })?;
+            let (meta, lsn) = decode_meta(&buf).map_err(corrupt(0))?;
             (meta.clone(), meta, lsn)
         };
         let mut db = Db {
             store,
-            cache: BTreeMap::new(),
+            cache: Vec::new(),
+            cached: 0,
             tick: 0,
             dirty: BTreeSet::new(),
             meta,
@@ -186,7 +196,7 @@ impl<S: PageStore> Db<S> {
             batch: Vec::new(),
         };
         if fresh {
-            db.stage(1, Node::Leaf(Vec::new()));
+            db.stage(1, Page::build(true, 0, &[]).map_err(corrupt(1))?);
             db.write_batch()?;
         }
         Ok(db)
@@ -234,8 +244,8 @@ impl<S: PageStore> Db<S> {
         Ok(())
     }
 
-    /// Commits the open transaction: encodes every dirty node — and the
-    /// meta page, if it changed — and applies them through the store as
+    /// Commits the open transaction: seals every dirty page — and encodes
+    /// the meta page, if it changed — and applies them through the store as
     /// one atomic batch. A read-only transaction commits without touching
     /// the store.
     pub fn commit(&mut self) -> Result<(), KvError> {
@@ -260,22 +270,19 @@ impl<S: PageStore> Db<S> {
         if self.batch.len() < pages {
             self.batch.resize(pages, (0, [0u8; PAGE_SIZE]));
         }
-        // Each image is encoded in place, in its slot of the batch.
         let mut slots = self.batch.iter_mut();
         if meta_changed {
             if let Some((id, page)) = slots.next() {
                 *id = 0;
-                encode_meta(&self.meta, lsn, page)
-                    .map_err(|err| KvError::Corrupt { page: 0, err })?;
+                encode_meta(&self.meta, lsn, page).map_err(corrupt(0))?;
             }
         }
-        for (&id, (slot_id, page)) in self.dirty.iter().zip(slots) {
-            let cached = self.cache.get(&id).ok_or(KvError::TxnState(
-                "dirty page missing from cache (internal bug)",
-            ))?;
+        for (&id, (slot_id, image)) in self.dirty.iter().zip(slots) {
+            let cached = (self.cache.get_mut(id as usize).and_then(Option::as_mut)).ok_or(
+                KvError::TxnState("dirty page missing from cache (internal bug)"),
+            )?;
             *slot_id = id;
-            encode_node(&cached.node, lsn, page)
-                .map_err(|err| KvError::Corrupt { page: id, err })?;
+            *image = *cached.page.seal(lsn);
         }
         self.store.commit_pages(&self.batch[..pages])?;
         // Only a successful commit moves the durable image: after an error
@@ -287,50 +294,58 @@ impl<S: PageStore> Db<S> {
         Ok(())
     }
 
-    /// Drops the least recently used decoded pages until the cache fits
-    /// its budget again. It runs only after a commit, when no page is
-    /// dirty, so every cached page is a candidate.
+    /// Drops the least recently used pages until the cache fits its
+    /// budget again. It runs only after a commit, when no page is dirty,
+    /// so every cached page is a candidate.
     fn evict(&mut self) {
-        let excess = self.cache.len().saturating_sub(CACHE_PAGES);
+        let excess = self.cached.saturating_sub(CACHE_PAGES);
         if excess == 0 {
             return;
         }
-        let mut by_use: Vec<(u64, u32)> = self
-            .cache
-            .iter()
-            .map(|(&id, cached)| (cached.used, id))
+        let mut by_use: Vec<(u64, u32)> = (self.cache.iter().enumerate())
+            .filter_map(|(id, c)| c.as_ref().map(|c| (c.used, id as u32)))
             .collect();
         // Stamps are unique, so the victims are exactly the `excess`
         // oldest pages, in whatever order the selection leaves them.
         by_use.select_nth_unstable(excess - 1);
-        for (_, id) in &by_use[..excess] {
-            self.cache.remove(id);
+        for &(_, id) in &by_use[..excess] {
+            self.cache[id as usize] = None;
+        }
+        self.cached -= excess;
+    }
+
+    // -- page access -------------------------------------------------------
+
+    /// Faults page `id` into the cache, stamps it as just used, and
+    /// borrows it there. The table grows only once a page has loaded, so a
+    /// corrupt child id cannot size it.
+    fn page(&mut self, id: u32) -> Result<&mut Page, KvError> {
+        self.tick += 1;
+        let i = id as usize;
+        if self.cache.get(i).is_none_or(Option::is_none) {
+            let page = load_page(&mut self.store, &mut self.commit_seq, id)?;
+            self.put_cached(id, page);
+        }
+        let cached = self.cache[i].as_mut().expect("the page is cached");
+        cached.used = self.tick;
+        Ok(&mut cached.page)
+    }
+
+    fn put_cached(&mut self, id: u32, page: Page) {
+        let i = id as usize;
+        if i >= self.cache.len() {
+            self.cache.resize_with(i + 1, || None);
+        }
+        let used = self.tick;
+        if self.cache[i].replace(Cached { page, used }).is_none() {
+            self.cached += 1;
         }
     }
 
-    // -- node access -------------------------------------------------------
-
-    /// Faults page `id` into the cache, stamps it as just used, and
-    /// borrows it there.
-    fn node(&mut self, id: u32) -> Result<&mut Node, KvError> {
+    /// Caches a new or replaced page as just used and dirty.
+    fn stage(&mut self, id: u32, page: Page) {
         self.tick += 1;
-        let used = self.tick;
-        let cached = match self.cache.entry(id) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => {
-                let node = load_node(&mut self.store, &mut self.commit_seq, id)?;
-                v.insert(Cached { node, used })
-            }
-        };
-        cached.used = used;
-        Ok(&mut cached.node)
-    }
-
-    /// Caches a new or replaced node as just used and dirty.
-    fn stage(&mut self, id: u32, node: Node) {
-        self.tick += 1;
-        let used = self.tick;
-        self.cache.insert(id, Cached { node, used });
+        self.put_cached(id, page);
         self.dirty.insert(id);
     }
 
@@ -347,7 +362,11 @@ impl<S: PageStore> Db<S> {
     }
 
     fn free_page(&mut self, id: u32) {
-        self.cache.remove(&id);
+        if let Some(slot) = self.cache.get_mut(id as usize) {
+            if slot.take().is_some() {
+                self.cached -= 1;
+            }
+        }
         self.dirty.remove(&id);
         if self.meta.free.len() < Meta::free_capacity() {
             self.meta.free.push(id);
@@ -362,15 +381,11 @@ impl<S: PageStore> Db<S> {
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         let mut id = self.meta.root;
         loop {
-            id = match self.node(id)? {
-                Node::Leaf(entries) => {
-                    return Ok(entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| entries[i].1.clone()));
-                }
-                Node::Branch { first, seps } => child_for(*first, seps, key),
-            };
+            let page = self.page(id)?;
+            if page.is_leaf() {
+                return Ok(page.search(key).ok().map(|i| page.val(i).to_vec()));
+            }
+            id = page.child_for(key);
         }
     }
 
@@ -395,43 +410,39 @@ impl<S: PageStore> Db<S> {
         hi: Bound<&[u8]>,
         out: &mut Vec<KvPair>,
     ) -> Result<(), KvError> {
-        let kids: Vec<u32> = match self.node(id)? {
-            Node::Leaf(entries) => {
-                for (k, v) in entries.iter() {
-                    if in_lo(lo, k) && in_hi(hi, k) {
-                        out.push((k.clone(), v.clone()));
-                    }
+        let page = self.page(id)?;
+        let n = page.len();
+        if page.is_leaf() {
+            for i in 0..n {
+                let k = page.key(i);
+                if in_lo(lo, k) && in_hi(hi, k) {
+                    out.push((k.to_vec(), page.val(i).to_vec()));
                 }
-                return Ok(());
             }
-            Node::Branch { first, seps } => {
-                // Child i covers [seps[i-1].0, seps[i].0) (open-ended at
-                // the edges); prune subtrees wholly outside the range.
-                let lower = |i: usize| -> Option<&[u8]> {
-                    if i == 0 {
-                        None
-                    } else {
-                        Some(seps[i - 1].0.as_slice())
-                    }
-                };
-                let upper = |i: usize| -> Option<&[u8]> { seps.get(i).map(|(k, _)| k.as_slice()) };
-                std::iter::once(*first)
-                    .chain(seps.iter().map(|(_, c)| *c))
-                    .enumerate()
-                    .filter(|&(i, _)| {
-                        let below = matches!((upper(i), lo), (Some(u), Bound::Included(l)) if u <= l)
-                            || matches!((upper(i), lo), (Some(u), Bound::Excluded(l)) if u <= l);
-                        let above = match (lower(i), hi) {
-                            (Some(l), Bound::Included(h)) => l > h,
-                            (Some(l), Bound::Excluded(h)) => l >= h,
-                            _ => false,
-                        };
-                        !below && !above
-                    })
-                    .map(|(_, child)| child)
-                    .collect()
-            }
-        };
+            return Ok(());
+        }
+        // Child i covers [key(i-1), key(i)) (open-ended at the edges);
+        // prune subtrees wholly outside the range.
+        let kids: Vec<u32> = (0..=n)
+            .filter(|&i| {
+                let below = i < n
+                    && matches!(lo, Bound::Included(l) | Bound::Excluded(l) if page.key(i) <= l);
+                let above = i > 0
+                    && match hi {
+                        Bound::Included(h) => page.key(i - 1) > h,
+                        Bound::Excluded(h) => page.key(i - 1) >= h,
+                        Bound::Unbounded => false,
+                    };
+                !below && !above
+            })
+            .map(|i| {
+                if i == 0 {
+                    page.first()
+                } else {
+                    page.child(i - 1)
+                }
+            })
+            .collect();
         for child in kids {
             self.scan_rec(child, lo, hi, out)?;
         }
@@ -455,13 +466,8 @@ impl<S: PageStore> Db<S> {
         if let Some((sep, right)) = self.insert_rec(root, key, val)? {
             // Root split: grow the tree by one level.
             let new_root = self.alloc()?;
-            self.stage(
-                new_root,
-                Node::Branch {
-                    first: root,
-                    seps: vec![(sep, right)],
-                },
-            );
+            let page = Page::build(false, root, &[branch_record(&sep, right)]);
+            self.stage(new_root, page.map_err(corrupt(new_root))?);
             self.meta.root = new_root;
         }
         Ok(())
@@ -470,56 +476,33 @@ impl<S: PageStore> Db<S> {
     /// Inserts below page `id`; returns the split to promote if `id`
     /// overflowed.
     fn insert_rec(&mut self, id: u32, key: &[u8], val: &[u8]) -> Result<Split, KvError> {
-        let (sep, new_child) = match self.node(id)? {
-            Node::Leaf(entries) => {
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => entries[i].1 = val.to_vec(),
-                    Err(i) => entries.insert(i, (key.to_vec(), val.to_vec())),
-                }
+        let page = self.page(id)?;
+        let (at, rec) = if page.is_leaf() {
+            let at = page.search(key);
+            if page.put(at, key, val) {
                 self.dirty.insert(id);
-                return self.split_if_full(id);
+                return Ok(None);
             }
-            Node::Branch { first, seps } => {
-                let child = child_for(*first, seps, key);
-                match self.insert_rec(child, key, val)? {
-                    Some(promoted) => promoted,
-                    None => return Ok(None),
-                }
+            (at, leaf_record(key, val))
+        } else {
+            let child = page.child_for(key);
+            let Some((sep, right)) = self.insert_rec(child, key, val)? else {
+                return Ok(None);
+            };
+            // The child split: this branch takes the promoted separator.
+            let page = self.page(id)?;
+            let at = page.search(&sep).map_or_else(|i| i, |i| i + 1);
+            if page.insert_sep(at, &sep, right) {
+                self.dirty.insert(id);
+                return Ok(None);
             }
+            (Err(at), branch_record(&sep, right))
         };
-        // The child split: this branch takes the promoted separator.
-        let Node::Branch { seps, .. } = self.node(id)? else {
-            return Err(KvError::TxnState("branch changed kind (internal bug)"));
-        };
-        let pos = seps.partition_point(|(k, _)| k.as_slice() <= sep.as_slice());
-        seps.insert(pos, (sep, new_child));
-        self.dirty.insert(id);
-        self.split_if_full(id)
-    }
-
-    /// Splits page `id` if its encoding overflows: a leaf at its byte
-    /// midpoint, a branch at its middle separator, which moves up.
-    fn split_if_full(&mut self, id: u32) -> Result<Split, KvError> {
-        if self.node(id)?.fits() {
-            return Ok(None);
-        }
+        // The change does not fit: split with it applied.
         let right = self.alloc()?;
-        let (sep, right_node) = match self.node(id)? {
-            Node::Leaf(entries) => {
-                let right_entries = split_half(entries);
-                (right_entries[0].0.clone(), Node::Leaf(right_entries))
-            }
-            Node::Branch { seps, .. } => {
-                let mut right_seps = seps.split_off(seps.len() / 2);
-                let (promote_key, right_first) = right_seps.remove(0);
-                let right_node = Node::Branch {
-                    first: right_first,
-                    seps: right_seps,
-                };
-                (promote_key, right_node)
-            }
-        };
-        self.stage(right, right_node);
+        let (sep, right_page) = self.page(id)?.split(at, rec).map_err(corrupt(id))?;
+        self.dirty.insert(id);
+        self.stage(right, right_page);
         Ok(Some((sep, right)))
     }
 
@@ -533,15 +516,16 @@ impl<S: PageStore> Db<S> {
         if emptied {
             // The whole tree emptied: reset the root to an empty leaf in
             // place (the root id never dangles).
-            self.stage(root, Node::Leaf(Vec::new()));
+            self.stage(root, Page::build(true, 0, &[]).map_err(corrupt(root))?);
         }
         // A root branch left with no separator collapses into its single
         // child, shrinking every path uniformly.
         loop {
-            let first = match self.node(self.meta.root)? {
-                Node::Branch { first, seps } if seps.is_empty() => *first,
-                _ => break,
-            };
+            let page = self.page(self.meta.root)?;
+            if page.is_leaf() || page.len() > 0 {
+                break;
+            }
+            let first = page.first();
             self.free_page(self.meta.root);
             self.meta.root = first;
         }
@@ -550,39 +534,36 @@ impl<S: PageStore> Db<S> {
 
     /// Returns `(removed, subtree_now_empty)`.
     fn delete_rec(&mut self, id: u32, key: &[u8]) -> Result<(bool, bool), KvError> {
-        let child = match self.node(id)? {
-            Node::Leaf(entries) => {
-                let Ok(i) = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) else {
-                    return Ok((false, false));
-                };
-                entries.remove(i);
-                let empty = entries.is_empty();
-                self.dirty.insert(id);
-                return Ok((true, empty));
-            }
-            Node::Branch { first, seps } => child_for(*first, seps, key),
-        };
+        let page = self.page(id)?;
+        if page.is_leaf() {
+            let Ok(i) = page.search(key) else {
+                return Ok((false, false));
+            };
+            page.remove(i);
+            let empty = page.len() == 0;
+            self.dirty.insert(id);
+            return Ok((true, empty));
+        }
+        let child = page.child_for(key);
         let (removed, child_empty) = self.delete_rec(child, key)?;
         if !child_empty {
             return Ok((removed, false));
         }
         // Unlink and free the emptied child.
         self.free_page(child);
-        let Node::Branch { first, seps } = self.node(id)? else {
-            return Err(KvError::TxnState("branch changed kind (internal bug)"));
-        };
-        let now_empty = if *first == child {
-            if let Some(c) = seps.first().map(|(_, c)| *c) {
-                *first = c;
-                seps.remove(0);
-                false
-            } else {
+        let page = self.page(id)?;
+        let now_empty = if page.first() == child {
+            if page.len() == 0 {
                 // Childless non-root branch: report empty so the parent
                 // unlinks us too.
                 true
+            } else {
+                page.set_first(page.child(0));
+                page.remove(0);
+                false
             }
-        } else if let Some(pos) = seps.iter().position(|(_, c)| *c == child) {
-            seps.remove(pos);
+        } else if let Some(i) = (0..page.len()).position(|i| page.child(i) == child) {
+            page.remove(i);
             false
         } else {
             return Err(KvError::TxnState("freed child not found in parent"));
@@ -594,7 +575,7 @@ impl<S: PageStore> Db<S> {
     // -- validation (crash-oracle support) ---------------------------------
 
     /// Walks the tree re-checking structural invariants: every reachable
-    /// page decodes (magic + CRC + sorted keys), separators bound their
+    /// page loads (magic + CRC + sorted keys), separators bound their
     /// subtrees, all leaves sit at the same depth, no page is reachable
     /// twice or also on the free list, and every id is inside the
     /// allocation frontier.
@@ -646,42 +627,48 @@ impl<S: PageStore> Db<S> {
             key: key.to_vec(),
             leaf,
         };
-        let children: Vec<ChildBounds> = match self.node(id).map_err(TreeError::Corrupt)? {
-            Node::Leaf(entries) => {
-                match *leaf_depth {
-                    None => *leaf_depth = Some(depth),
-                    Some(expected) if expected != depth => {
-                        return Err(TreeError::LeafDepth {
-                            page: id,
-                            depth,
-                            expected,
-                        });
-                    }
-                    _ => {}
+        let page = self.page(id).map_err(TreeError::Corrupt)?;
+        let n = page.len();
+        let keys = || (0..n).map(|i| page.key(i));
+        if page.is_leaf() {
+            match *leaf_depth {
+                None => *leaf_depth = Some(depth),
+                Some(expected) if expected != depth => {
+                    return Err(TreeError::LeafDepth {
+                        page: id,
+                        depth,
+                        expected,
+                    });
                 }
-                return entries
-                    .iter()
-                    .find(|(k, _)| !in_bounds(k))
-                    .map_or(Ok(()), |(k, _)| Err(outside(k, true)));
+                _ => {}
             }
-            Node::Branch { first, seps } => {
-                if let Some((k, _)) = seps.iter().find(|(k, _)| !in_bounds(k)) {
-                    return Err(outside(k, false));
-                }
-                let mut out = Vec::with_capacity(seps.len() + 1);
-                let mut prev_lo: Option<Vec<u8>> = lo.map(<[u8]>::to_vec);
-                for i in 0..=seps.len() {
-                    let child = if i == 0 { *first } else { seps[i - 1].1 };
-                    let upper = seps
-                        .get(i)
-                        .map(|(k, _)| k.clone())
-                        .or_else(|| hi.map(<[u8]>::to_vec));
-                    out.push((child, prev_lo.clone(), upper.clone()));
-                    prev_lo = seps.get(i).map(|(k, _)| k.clone());
-                }
-                out
-            }
-        };
+            return keys()
+                .find(|k| !in_bounds(k))
+                .map_or(Ok(()), |k| Err(outside(k, true)));
+        }
+        if let Some(k) = keys().find(|k| !in_bounds(k)) {
+            return Err(outside(k, false));
+        }
+        let children: Vec<ChildBounds> = (0..=n)
+            .map(|i| {
+                let child = if i == 0 {
+                    page.first()
+                } else {
+                    page.child(i - 1)
+                };
+                let lower = if i == 0 {
+                    lo.map(<[u8]>::to_vec)
+                } else {
+                    Some(page.key(i - 1).to_vec())
+                };
+                let upper = if i < n {
+                    Some(page.key(i).to_vec())
+                } else {
+                    hi.map(<[u8]>::to_vec)
+                };
+                (child, lower, upper)
+            })
+            .collect();
         for (child, clo, chi) in children {
             self.validate_rec(
                 child,
@@ -696,40 +683,14 @@ impl<S: PageStore> Db<S> {
     }
 }
 
-/// Reads and decodes page `id`, folding its LSN into the commit sequence
-/// so the next commit stamps above every page read back so far.
-fn load_node<S: PageStore>(store: &mut S, commit_seq: &mut u64, id: u32) -> Result<Node, KvError> {
-    let mut buf = [0u8; PAGE_SIZE];
-    store.read_page(id, &mut buf)?;
-    let (node, lsn) = decode_node(&buf).map_err(|err| KvError::Corrupt { page: id, err })?;
+/// Reads and loads page `id`, folding its LSN into the commit sequence so
+/// the next commit stamps above every page read back so far.
+fn load_page<S: PageStore>(store: &mut S, commit_seq: &mut u64, id: u32) -> Result<Page, KvError> {
+    let mut bytes = Box::new([0u8; PAGE_SIZE]);
+    store.read_page(id, &mut bytes)?;
+    let (page, lsn) = Page::load(bytes).map_err(corrupt(id))?;
     *commit_seq = (*commit_seq).max(lsn);
-    Ok(node)
-}
-
-/// The child of a branch that covers `key`.
-fn child_for(first: u32, seps: &[(Vec<u8>, u32)], key: &[u8]) -> u32 {
-    let pos = seps.partition_point(|(k, _)| k.as_slice() <= key);
-    if pos == 0 {
-        first
-    } else {
-        seps[pos - 1].1
-    }
-}
-
-/// Splits `entries` at the byte-size midpoint; returns the right half.
-fn split_half(entries: &mut Vec<(Vec<u8>, Vec<u8>)>) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let total: usize = entries.iter().map(|(k, v)| 3 + k.len() + v.len()).sum();
-    let mut acc = 0usize;
-    let mut split_at = entries.len() / 2; // fallback: count midpoint
-    for (i, (k, v)) in entries.iter().enumerate() {
-        acc += 3 + k.len() + v.len();
-        if acc >= total / 2 {
-            split_at = i + 1;
-            break;
-        }
-    }
-    let split_at = split_at.clamp(1, entries.len() - 1);
-    entries.split_off(split_at)
+    Ok(page)
 }
 
 fn in_lo(lo: Bound<&[u8]>, k: &[u8]) -> bool {

@@ -43,7 +43,7 @@ pub mod wal;
 pub use crash::{KvApp, KvPlan, Personality, CAMPAIGNS, TINCA_TRIP_MAX, TXNS, WAL_TRIP_MAX};
 pub use db::{Db, TreeError};
 pub use driver::{apply_txn, KvTpccDriver, KvTxn};
-pub use page::{Meta, Node, PageError, MAX_KEY, MAX_VAL, PAGE_SIZE};
+pub use page::{Meta, PageError, MAX_KEY, MAX_VAL, PAGE_SIZE};
 pub use store::{KvError, PageStore, StoreStats};
 pub use tincastore::{TincaStore, TincaStoreConfig};
 pub use wal::{WalConfig, WalStore};

@@ -1,4 +1,4 @@
-//! Fixed-size B-tree page codec.
+//! Fixed-size B-tree pages, and the cached view that edits them in place.
 //!
 //! Every kvdb page is one 4 KB block (the unit both personalities commit:
 //! a Tinca transaction block, or a WAL page image). A page starts with a
@@ -14,7 +14,8 @@
 //! [20..24) extra  reserved, 0
 //! ```
 //!
-//! Bodies are packed little-endian records:
+//! Bodies are packed little-endian records, and every byte past the body
+//! is zero:
 //!
 //! * **leaf** — `nkeys` × `[klen u8][vlen u16][key][val]`, keys strictly
 //!   ascending;
@@ -28,13 +29,36 @@
 //! a page is never re-stamped below the LSN it carried. The meta page is
 //! only rewritten when it changes, so after a reopen its LSN can trail the
 //! newest leaf's; [`crate::Db`] therefore resumes the sequence from the
-//! highest LSN it has decoded, not from the meta page's alone.
+//! highest LSN it has loaded, not from the meta page's alone.
 //!
-//! The decode path validates magic, kind, CRC, bounds, and key order, so
-//! a torn or stale page surfaces as [`PageError`] — the crash oracles
-//! treat any decode failure on a reachable page as a torn-page violation.
+//! **The view.** A cached node is a [`Page`]: the page's bytes plus a
+//! DRAM-only slot index holding each record's offset and the 16-byte
+//! big-endian head of its key. Search compares heads as integers and whole
+//! keys only when two heads are equal. A head is 16 bytes, not 8, because
+//! TPC-C's 13-byte record keys (warehouse, table, row) share their first 8
+//! bytes across a leaf. Edits work on the bytes: a same-length value update
+//! is a copy, an insert or a delete shifts the body's tail inside the page
+//! and zeroes what it vacates, and a split copies the byte-midpoint half to
+//! a new page. So the bytes are at every moment the image the by-value
+//! encoder this replaced would have written.
+//!
+//! **The incremental seal.** CRC-32 is affine over GF(2): for two pages of
+//! one length, `crc(new) = crc(old) ⊕ L(old ⊕ new)`, `L` being the register
+//! run from 0. A difference inside line `j` adds that line's register,
+//! advanced through the `63 − j` zero lines after it by one precomputed
+//! 32 × 32 matrix ([`LINE_SHIFT`]). So a page saves each line's bytes the
+//! first time it writes to it, and [`Page::seal`] stamps the LSN (line 0)
+//! and folds only those lines into the CRC the page already carries. A page
+//! built here, or one that wrote more than half its lines (an insert near
+//! the front of a full leaf, a split), takes the full [`crc32_page`]; a
+//! page read from the store was checked in full by [`check_seal`].
+//!
+//! Loading validates magic, kind, CRC, bounds, and key order, so a torn or
+//! stale page surfaces as [`PageError`] — the crash oracles treat any load
+//! failure on a reachable page as a torn-page violation.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Page size — one cache/disk block.
 pub const PAGE_SIZE: usize = blockdev::BLOCK_SIZE;
@@ -47,8 +71,14 @@ pub const MAX_VAL: usize = 1024;
 
 const MAGIC: [u8; 4] = *b"KVPG";
 const CRC_OFF: usize = 16;
+const META: u8 = 0;
+const BRANCH: u8 = 1;
+const LEAF: u8 = 2;
+/// The seal's unit: one CPU cache line.
+const LINE: usize = nvmsim::CACHE_LINE;
+const LINES: usize = PAGE_SIZE / LINE;
 
-/// Why a page failed to decode.
+/// Why a page failed to load.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PageError {
     BadMagic,
@@ -168,28 +198,53 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 
 const HALF_PAGE: usize = PAGE_SIZE / 2;
 
-/// The CRC register's advance through [`HALF_PAGE`] zero bytes, as a 32 × 32
-/// bit matrix: `CRC_SHIFT_HALF[i]` is where state bit `i` ends up. The
-/// register update is linear over GF(2), so a state advances as the XOR of
-/// its set bits' columns.
-const CRC_SHIFT_HALF: [u32; 32] = {
-    let mut cols = [0u32; 32];
+/// `LINE_SHIFT[n]` is the CRC register's advance through `n` lines of zero
+/// bytes, as a 32 × 32 bit matrix: column `i` is where state bit `i` ends
+/// up. The register update is linear over GF(2), so a state advances as the
+/// XOR of its set bits' columns ([`shift`]). A `static`, as [`CRC_SLICES`].
+static LINE_SHIFT: [[u32; 32]; LINES] = {
+    let mut m = [[0u32; 32]; LINES];
     let mut i = 0;
     while i < 32 {
+        m[0][i] = 1 << i;
         let mut c = 1u32 << i;
         let mut n = 0;
-        while n < HALF_PAGE {
+        while n < LINE {
             c = CRC_TABLE[(c & 0xFF) as usize] ^ (c >> 8);
             n += 1;
         }
-        cols[i] = c;
+        m[1][i] = c;
         i += 1;
     }
-    cols
+    let mut k = 2;
+    while k < LINES {
+        let mut i = 0;
+        while i < 32 {
+            // One line further than column `i` of the previous matrix.
+            let (x, mut out, mut b) = (m[k - 1][i], 0u32, 0);
+            while b < 32 {
+                if (x >> b) & 1 != 0 {
+                    out ^= m[1][b];
+                }
+                b += 1;
+            }
+            m[k][i] = out;
+            i += 1;
+        }
+        k += 1;
+    }
+    m
 };
 
+/// The register state `x` advanced by the matrix `m`.
+fn shift(m: &[u32; 32], x: u32) -> u32 {
+    m.iter().enumerate().fold(0, |acc, (i, col)| {
+        acc ^ (col & 0u32.wrapping_sub((x >> i) & 1))
+    })
+}
+
 /// The page CRC: CRC-32 of `page` with its CRC field read as zero — what
-/// [`seal`] stamps and [`check_seal`] compares against.
+/// a seal stamps and [`check_seal`] compares against.
 ///
 /// One slicing-by-16 chain is a serial dependency through the state; the
 /// two page halves run as two independent chains in one loop instead, and
@@ -209,49 +264,26 @@ fn crc32_page(page: &[u8; PAGE_SIZE]) -> u32 {
         ca = fold16(ca, x);
         cb = fold16(cb, y);
     }
-    let mut joined = cb;
-    for (i, col) in CRC_SHIFT_HALF.iter().enumerate() {
-        if (ca >> i) & 1 != 0 {
-            joined ^= col;
-        }
-    }
-    !joined
+    !(cb ^ shift(&LINE_SHIFT[LINES / 2], ca))
 }
 
-/// A decoded B-tree node.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Node {
-    /// Sorted `(key, value)` records.
-    Leaf(Vec<(Vec<u8>, Vec<u8>)>),
-    /// `first` holds keys below `seps[0].0`; `seps[i].1` holds keys in
-    /// `[seps[i].0, seps[i+1].0)`.
-    Branch {
-        first: u32,
-        seps: Vec<(Vec<u8>, u32)>,
-    },
-}
-
-impl Node {
-    /// Bytes this node would occupy encoded (header included).
-    pub(crate) fn encoded_len(&self) -> usize {
-        match self {
-            Node::Leaf(entries) => {
-                HEADER_LEN
-                    + entries
-                        .iter()
-                        .map(|(k, v)| 3 + k.len() + v.len())
-                        .sum::<usize>()
-            }
-            Node::Branch { seps, .. } => {
-                HEADER_LEN + 4 + seps.iter().map(|(k, _)| 5 + k.len()).sum::<usize>()
-            }
+/// The page CRC of `page` from `crc`, the page CRC it had when every line
+/// of `pre` still held the bytes saved there: each changed line adds its
+/// difference's register, advanced through the lines after it.
+fn crc32_page_delta(page: &[u8; PAGE_SIZE], crc: u32, pre: &[(u8, [u8; LINE])]) -> u32 {
+    let (lines, _) = page.as_chunks::<LINE>();
+    pre.iter().fold(crc, |crc, (line, old)| {
+        let line = usize::from(*line);
+        let mut diff = [0u8; LINE];
+        for ((d, a), b) in diff.iter_mut().zip(old).zip(&lines[line]) {
+            *d = a ^ b;
         }
-    }
-
-    /// Whether the node still fits one page.
-    pub fn fits(&self) -> bool {
-        self.encoded_len() <= PAGE_SIZE
-    }
+        if line == 0 {
+            diff[CRC_OFF..CRC_OFF + 4].fill(0);
+        }
+        let reg = diff.as_chunks::<16>().0.iter().fold(0, fold16);
+        crc ^ shift(&LINE_SHIFT[LINES - 1 - line], reg)
+    })
 }
 
 /// The meta page (page 0): tree root, allocation frontier, free list.
@@ -279,19 +311,24 @@ fn header(page: &mut [u8; PAGE_SIZE], kind: u8, nkeys: u16, lsn: u64) {
     page[8..16].copy_from_slice(&lsn.to_le_bytes());
 }
 
-/// Zeroes the page past the body's end `off` (the caller's buffer may hold
-/// anything), then stamps the CRC.
-fn seal(page: &mut [u8; PAGE_SIZE], off: usize) {
-    page[off..].fill(0);
-    let crc = crc32_page(page);
-    page[CRC_OFF..CRC_OFF + 4].copy_from_slice(&crc.to_le_bytes());
+fn lsn_of(page: &[u8; PAGE_SIZE]) -> u64 {
+    u64::from_le_bytes(page[8..16].try_into().expect("8 header bytes"))
 }
 
-fn check_seal(buf: &[u8; PAGE_SIZE]) -> Result<(), PageError> {
+fn stored_crc(page: &[u8; PAGE_SIZE]) -> u32 {
+    u32::from_le_bytes(
+        page[CRC_OFF..CRC_OFF + 4]
+            .try_into()
+            .expect("4 header bytes"),
+    )
+}
+
+/// Checks a page's magic and CRC, the first step of loading any page.
+pub fn check_seal(buf: &[u8; PAGE_SIZE]) -> Result<(), PageError> {
     if buf[0..4] != MAGIC {
         return Err(PageError::BadMagic);
     }
-    let stored = u32::from_le_bytes([buf[16], buf[17], buf[18], buf[19]]);
+    let stored = stored_crc(buf);
     let computed = crc32_page(buf);
     if stored != computed {
         return Err(PageError::BadCrc { stored, computed });
@@ -299,117 +336,397 @@ fn check_seal(buf: &[u8; PAGE_SIZE]) -> Result<(), PageError> {
     Ok(())
 }
 
-/// Encodes a node into `page`, overwriting all of it; `Err(Oversized)` if
-/// the node no longer fits (callers split before encoding, so this is a
-/// defensive check) — `page` is untouched then.
-pub(crate) fn encode_node(
-    node: &Node,
-    lsn: u64,
-    page: &mut [u8; PAGE_SIZE],
-) -> Result<(), PageError> {
-    if !node.fits() {
-        return Err(PageError::Oversized);
-    }
-    let off = match node {
-        Node::Leaf(entries) => {
-            header(page, 2, entries.len() as u16, lsn);
-            let mut off = HEADER_LEN;
-            for (k, v) in entries {
-                page[off] = k.len() as u8;
-                page[off + 1..off + 3].copy_from_slice(&(v.len() as u16).to_le_bytes());
-                off += 3;
-                page[off..off + k.len()].copy_from_slice(k);
-                off += k.len();
-                page[off..off + v.len()].copy_from_slice(v);
-                off += v.len();
-            }
-            off
-        }
-        Node::Branch { first, seps } => {
-            header(page, 1, seps.len() as u16, lsn);
-            page[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&first.to_le_bytes());
-            let mut off = HEADER_LEN + 4;
-            for (k, child) in seps {
-                page[off] = k.len() as u8;
-                page[off + 1..off + 5].copy_from_slice(&child.to_le_bytes());
-                off += 5;
-                page[off..off + k.len()].copy_from_slice(k);
-                off += k.len();
-            }
-            off
-        }
-    };
-    seal(page, off);
-    Ok(())
+/// One record's offset in its page and the head of its key.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u128,
+    off: u16,
 }
 
-/// Decodes a node page, validating magic, CRC, bounds, and key order.
-/// Returns the node and the `lsn` it was stamped with.
-pub(crate) fn decode_node(buf: &[u8; PAGE_SIZE]) -> Result<(Node, u64), PageError> {
-    check_seal(buf)?;
-    let kind = buf[4];
-    let nkeys = u16::from_le_bytes([buf[6], buf[7]]) as usize;
-    let lsn = u64::from_le_bytes(buf[8..16].try_into().map_err(|_| PageError::Truncated)?);
-    let take = |off: &mut usize, n: usize| -> Result<&[u8], PageError> {
-        if *off + n > PAGE_SIZE {
-            return Err(PageError::Truncated);
-        }
-        let s = &buf[*off..*off + n];
-        *off += n;
-        Ok(s)
-    };
-    match kind {
-        2 => {
-            let mut off = HEADER_LEN;
-            let mut entries = Vec::with_capacity(nkeys);
-            for _ in 0..nkeys {
-                let hdr = take(&mut off, 3)?;
-                let (klen, vlen) = (
-                    hdr[0] as usize,
-                    u16::from_le_bytes([hdr[1], hdr[2]]) as usize,
-                );
-                if klen > MAX_KEY || vlen > MAX_VAL {
-                    return Err(PageError::Truncated);
-                }
-                let k = take(&mut off, klen)?.to_vec();
-                let v = take(&mut off, vlen)?.to_vec();
-                if let Some((prev, _)) = entries.last() {
-                    if *prev >= k {
-                        return Err(PageError::KeysOutOfOrder);
-                    }
-                }
-                entries.push((k, v));
-            }
-            Ok((Node::Leaf(entries), lsn))
-        }
-        1 => {
-            let mut off = HEADER_LEN;
-            let first = u32::from_le_bytes(
-                take(&mut off, 4)?
-                    .try_into()
-                    .map_err(|_| PageError::Truncated)?,
-            );
-            let mut seps = Vec::with_capacity(nkeys);
-            for _ in 0..nkeys {
-                let hdr = take(&mut off, 5)?;
-                let klen = hdr[0] as usize;
-                if klen > MAX_KEY {
-                    return Err(PageError::Truncated);
-                }
-                let child =
-                    u32::from_le_bytes(hdr[1..5].try_into().map_err(|_| PageError::Truncated)?);
-                let k = take(&mut off, klen)?.to_vec();
-                if let Some((prev, _)) = seps.last() {
-                    if *prev >= k {
-                        return Err(PageError::KeysOutOfOrder);
-                    }
-                }
-                seps.push((k, child));
-            }
-            Ok((Node::Branch { first, seps }, lsn))
-        }
-        k => Err(PageError::BadKind(k)),
+/// The first 16 bytes of `key`, zero-padded, as a big-endian integer. Two
+/// keys whose heads differ are in their heads' order; equal heads decide
+/// nothing.
+fn head(key: &[u8]) -> u128 {
+    let mut h = [0u8; 16];
+    let n = key.len().min(16);
+    h[..n].copy_from_slice(&key[..n]);
+    u128::from_be_bytes(h)
+}
+
+/// A leaf record's bytes.
+pub(crate) fn leaf_record(key: &[u8], val: &[u8]) -> Vec<u8> {
+    [
+        &[key.len() as u8][..],
+        &(val.len() as u16).to_le_bytes(),
+        key,
+        val,
+    ]
+    .concat()
+}
+
+/// A branch record's bytes.
+pub(crate) fn branch_record(key: &[u8], child: u32) -> Vec<u8> {
+    [&[key.len() as u8][..], &child.to_le_bytes(), key].concat()
+}
+
+/// A cached leaf or branch page: its bytes, a DRAM-only index of its
+/// records, and what the next [`Page::seal`] needs.
+pub(crate) struct Page {
+    bytes: Box<[u8; PAGE_SIZE]>,
+    slots: Vec<Slot>,
+    /// End of the body.
+    end: usize,
+    /// Lines written since the last seal, one bit each.
+    touched: u64,
+    /// Each line of `touched` with its bytes at the last seal, unless
+    /// `full`.
+    pre: Vec<(u8, [u8; LINE])>,
+    /// The next seal computes the whole-page CRC: the page was built here,
+    /// or more than half its lines were written.
+    full: bool,
+}
+
+impl Page {
+    /// A fresh page holding `recs` in order; `first` is a branch's leftmost
+    /// child. `Err(Oversized)` if they do not fit.
+    pub(crate) fn build(leaf: bool, first: u32, recs: &[Vec<u8>]) -> Result<Page, PageError> {
+        let mut page = Page {
+            bytes: Box::new([0; PAGE_SIZE]),
+            slots: Vec::new(),
+            end: 0,
+            touched: 0,
+            pre: Vec::new(),
+            full: true,
+        };
+        page.fill(leaf, first, recs)?;
+        Ok(page)
     }
+
+    /// Checks and indexes a page read from the store; returns it and the
+    /// LSN it carries.
+    pub(crate) fn load(bytes: Box<[u8; PAGE_SIZE]>) -> Result<(Page, u64), PageError> {
+        check_seal(&bytes)?;
+        let lsn = lsn_of(&bytes);
+        let mut page = Page {
+            bytes,
+            slots: Vec::new(),
+            end: 0,
+            touched: 0,
+            pre: Vec::new(),
+            full: false,
+        };
+        page.index()?;
+        Ok((page, lsn))
+    }
+
+    /// Rewrites the whole page to hold `recs`.
+    fn fill(&mut self, leaf: bool, first: u32, recs: &[Vec<u8>]) -> Result<(), PageError> {
+        let body = HEADER_LEN + if leaf { 0 } else { 4 };
+        if body + recs.iter().map(Vec::len).sum::<usize>() > PAGE_SIZE {
+            return Err(PageError::Oversized);
+        }
+        let page = &mut *self.bytes;
+        header(page, if leaf { LEAF } else { BRANCH }, recs.len() as u16, 0);
+        if !leaf {
+            page[HEADER_LEN..body].copy_from_slice(&first.to_le_bytes());
+        }
+        let mut off = body;
+        for rec in recs {
+            page[off..off + rec.len()].copy_from_slice(rec);
+            off += rec.len();
+        }
+        page[off..].fill(0);
+        self.full = true;
+        self.pre = Vec::new();
+        self.index()
+    }
+
+    /// Rebuilds the slot index from the bytes, validating kind, bounds and
+    /// key order.
+    fn index(&mut self) -> Result<(), PageError> {
+        let page = &*self.bytes;
+        let leaf = match page[4] {
+            LEAF => true,
+            BRANCH => false,
+            kind => return Err(PageError::BadKind(kind)),
+        };
+        let (fixed, mut off) = if leaf {
+            (3, HEADER_LEN)
+        } else {
+            (5, HEADER_LEN + 4)
+        };
+        self.slots.clear();
+        let mut prev = 0..0;
+        for i in 0..u16::from_le_bytes([page[6], page[7]]) {
+            if off + fixed > PAGE_SIZE {
+                return Err(PageError::Truncated);
+            }
+            let klen = usize::from(page[off]);
+            let vlen = if leaf {
+                usize::from(u16::from_le_bytes([page[off + 1], page[off + 2]]))
+            } else {
+                0
+            };
+            let key = off + fixed..off + fixed + klen;
+            if klen > MAX_KEY || vlen > MAX_VAL || key.end + vlen > PAGE_SIZE {
+                return Err(PageError::Truncated);
+            }
+            if i > 0 && page[prev] >= page[key.clone()] {
+                return Err(PageError::KeysOutOfOrder);
+            }
+            self.slots.push(Slot {
+                head: head(&page[key.clone()]),
+                off: off as u16,
+            });
+            off = key.end + vlen;
+            prev = key;
+        }
+        self.end = off;
+        Ok(())
+    }
+
+    pub(crate) fn is_leaf(&self) -> bool {
+        self.bytes[4] == LEAF
+    }
+
+    /// Records (a leaf's entries, a branch's separators).
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn key_range(&self, i: usize) -> Range<usize> {
+        let off = usize::from(self.slots[i].off);
+        let start = off + if self.is_leaf() { 3 } else { 5 };
+        start..start + usize::from(self.bytes[off])
+    }
+
+    fn record(&self, i: usize) -> &[u8] {
+        let end = self
+            .slots
+            .get(i + 1)
+            .map_or(self.end, |s| usize::from(s.off));
+        &self.bytes[usize::from(self.slots[i].off)..end]
+    }
+
+    fn word(&self, off: usize) -> u32 {
+        u32::from_le_bytes(self.bytes[off..off + 4].try_into().expect("4 bytes"))
+    }
+
+    pub(crate) fn key(&self, i: usize) -> &[u8] {
+        &self.bytes[self.key_range(i)]
+    }
+
+    /// A leaf's value `i`.
+    pub(crate) fn val(&self, i: usize) -> &[u8] {
+        let (key, rec) = (self.key_range(i), self.record(i));
+        &rec[key.end - usize::from(self.slots[i].off)..]
+    }
+
+    /// A branch's leftmost child.
+    pub(crate) fn first(&self) -> u32 {
+        self.word(HEADER_LEN)
+    }
+
+    /// The child right of a branch's separator `i`.
+    pub(crate) fn child(&self, i: usize) -> u32 {
+        self.word(usize::from(self.slots[i].off) + 1)
+    }
+
+    /// `Ok` with the record holding `key`, or `Err` with where it would go.
+    pub(crate) fn search(&self, key: &[u8]) -> Result<usize, usize> {
+        let h = head(key);
+        self.slots.binary_search_by(|s| {
+            s.head.cmp(&h).then_with(|| {
+                let off = usize::from(s.off);
+                let start = off + if self.is_leaf() { 3 } else { 5 };
+                self.bytes[start..start + usize::from(self.bytes[off])].cmp(key)
+            })
+        })
+    }
+
+    /// The child of a branch that covers `key`.
+    pub(crate) fn child_for(&self, key: &[u8]) -> u32 {
+        match self.search(key) {
+            Ok(i) => self.child(i),
+            Err(0) => self.first(),
+            Err(i) => self.child(i - 1),
+        }
+    }
+
+    /// Borrows `range` for writing, first saving the bytes of every line
+    /// it reaches that this seal period has not written yet.
+    fn modify(&mut self, range: Range<usize>) -> &mut [u8] {
+        if !range.is_empty() {
+            let (first, last) = (range.start / LINE, (range.end - 1) / LINE);
+            let lines = (u64::MAX >> (LINES - 1 - last)) & (u64::MAX << first);
+            let mut fresh = lines & !self.touched;
+            self.touched |= lines;
+            if self.touched.count_ones() as usize > LINES / 2 {
+                self.full = true;
+                self.pre = Vec::new();
+            }
+            while fresh != 0 && !self.full {
+                let line = fresh.trailing_zeros() as usize;
+                fresh &= fresh - 1;
+                self.pre
+                    .push((line as u8, self.bytes.as_chunks::<LINE>().0[line]));
+            }
+        }
+        &mut self.bytes[range]
+    }
+
+    /// Replaces the `old` bytes at `at` with `parts`, shifting the body's
+    /// tail and zeroing what it vacates, and moves slots `from..` with the
+    /// tail. False, with the page untouched, if the body would not fit.
+    fn splice(&mut self, from: usize, at: usize, old: usize, parts: &[&[u8]]) -> bool {
+        let new: usize = parts.iter().map(|p| p.len()).sum();
+        let (end, new_end) = (self.end, self.end - old + new);
+        if new_end > PAGE_SIZE {
+            return false;
+        }
+        let bytes = self.modify(
+            at..if new == old {
+                at + new
+            } else {
+                end.max(new_end)
+            },
+        );
+        if new != old {
+            bytes.copy_within(old..end - at, new);
+        }
+        let mut o = 0;
+        for part in parts {
+            bytes[o..o + part.len()].copy_from_slice(part);
+            o += part.len();
+        }
+        if new_end < end {
+            bytes[new_end - at..].fill(0);
+        }
+        self.end = new_end;
+        if new != old {
+            for s in &mut self.slots[from..] {
+                s.off = (usize::from(s.off) + new - old) as u16;
+            }
+        }
+        true
+    }
+
+    fn set_len(&mut self) {
+        let n = (self.slots.len() as u16).to_le_bytes();
+        self.modify(6..8).copy_from_slice(&n);
+    }
+
+    /// Inserts the record `parts` as record `i`; false if it does not fit.
+    fn insert(&mut self, i: usize, key: &[u8], parts: &[&[u8]]) -> bool {
+        let off = self.slots.get(i).map_or(self.end, |s| usize::from(s.off));
+        if !self.splice(i, off, 0, parts) {
+            return false;
+        }
+        let (head, off) = (head(key), off as u16);
+        self.slots.insert(i, Slot { head, off });
+        self.set_len();
+        true
+    }
+
+    /// Sets a leaf's value for `key` at its [`Page::search`] result `at`:
+    /// in place on `Ok`, inserted on `Err`. False, with the page untouched,
+    /// if the leaf would overflow.
+    pub(crate) fn put(&mut self, at: Result<usize, usize>, key: &[u8], val: &[u8]) -> bool {
+        let vlen = (val.len() as u16).to_le_bytes();
+        let i = match at {
+            Err(i) => return self.insert(i, key, &[&[key.len() as u8], &vlen, key, val]),
+            Ok(i) => i,
+        };
+        let off = usize::from(self.slots[i].off);
+        let old = self.val(i).len();
+        if !self.splice(i + 1, self.key_range(i).end, old, &[val]) {
+            return false;
+        }
+        if old != val.len() {
+            self.modify(off + 1..off + 3).copy_from_slice(&vlen);
+        }
+        true
+    }
+
+    /// Inserts a branch separator as record `i`; false if it does not fit.
+    pub(crate) fn insert_sep(&mut self, i: usize, key: &[u8], child: u32) -> bool {
+        self.insert(i, key, &[&[key.len() as u8], &child.to_le_bytes(), key])
+    }
+
+    /// Removes record `i`.
+    pub(crate) fn remove(&mut self, i: usize) {
+        let (off, len) = (usize::from(self.slots[i].off), self.record(i).len());
+        self.slots.remove(i);
+        // A shrinking splice always fits.
+        self.splice(i, off, len, &[]);
+        self.set_len();
+    }
+
+    /// Sets a branch's leftmost child.
+    pub(crate) fn set_first(&mut self, child: u32) {
+        self.modify(HEADER_LEN..HEADER_LEN + 4)
+            .copy_from_slice(&child.to_le_bytes());
+    }
+
+    /// Splits the page with one record change applied that did not fit:
+    /// `rec` replaces record `i` on `Ok(i)` or goes in before it on
+    /// `Err(i)`. A leaf splits at its byte midpoint, a branch at its middle
+    /// separator, which moves up. This page keeps the left half; returns
+    /// the separator to promote and the right half's page.
+    pub(crate) fn split(
+        &mut self,
+        at: Result<usize, usize>,
+        rec: Vec<u8>,
+    ) -> Result<(Vec<u8>, Page), PageError> {
+        let mut recs: Vec<Vec<u8>> = (0..self.len()).map(|i| self.record(i).to_vec()).collect();
+        match at {
+            Ok(i) => recs[i] = rec,
+            Err(i) => recs.insert(i, rec),
+        }
+        if self.is_leaf() {
+            let mid = split_point(&recs);
+            let right = Page::build(true, 0, &recs[mid..])?;
+            self.fill(true, 0, &recs[..mid])?;
+            Ok((right.key(0).to_vec(), right))
+        } else {
+            let mid = recs.len() / 2;
+            let promoted = &recs[mid];
+            let child = u32::from_le_bytes(promoted[1..5].try_into().expect("4 bytes"));
+            let right = Page::build(false, child, &recs[mid + 1..])?;
+            self.fill(false, self.first(), &recs[..mid])?;
+            Ok((promoted[5..].to_vec(), right))
+        }
+    }
+
+    /// Stamps `lsn` and the CRC, and returns the sealed image. The CRC
+    /// folds in only the lines written since the last seal unless the page
+    /// needs a full one.
+    pub(crate) fn seal(&mut self, lsn: u64) -> &[u8; PAGE_SIZE] {
+        self.modify(8..16).copy_from_slice(&lsn.to_le_bytes());
+        let crc = if self.full {
+            crc32_page(&self.bytes)
+        } else {
+            crc32_page_delta(&self.bytes, stored_crc(&self.bytes), &self.pre)
+        };
+        self.bytes[CRC_OFF..CRC_OFF + 4].copy_from_slice(&crc.to_le_bytes());
+        self.touched = 0;
+        self.pre.clear();
+        self.full = false;
+        &self.bytes
+    }
+}
+
+/// Where a leaf's records split: after the first records that reach half
+/// their bytes, keeping at least one record on each side.
+fn split_point(recs: &[Vec<u8>]) -> usize {
+    let total: usize = recs.iter().map(Vec::len).sum();
+    let mut acc = 0;
+    let at = recs.iter().position(|rec| {
+        acc += rec.len();
+        acc >= total / 2
+    });
+    at.map_or(recs.len() / 2, |i| i + 1)
+        .clamp(1, recs.len() - 1)
 }
 
 /// Encodes the meta page into `page`, overwriting all of it.
@@ -421,7 +738,7 @@ pub(crate) fn encode_meta(
     if meta.free.len() > Meta::free_capacity() {
         return Err(PageError::Oversized);
     }
-    header(page, 0, 0, lsn);
+    header(page, META, 0, lsn);
     let mut off = HEADER_LEN;
     page[off..off + 4].copy_from_slice(&meta.root.to_le_bytes());
     page[off + 4..off + 8].copy_from_slice(&meta.page_count.to_le_bytes());
@@ -431,17 +748,18 @@ pub(crate) fn encode_meta(
         page[off..off + 4].copy_from_slice(&id.to_le_bytes());
         off += 4;
     }
-    seal(page, off);
+    page[off..].fill(0);
+    let crc = crc32_page(page);
+    page[CRC_OFF..CRC_OFF + 4].copy_from_slice(&crc.to_le_bytes());
     Ok(())
 }
 
 /// Decodes the meta page; returns it and its `lsn`.
 pub fn decode_meta(buf: &[u8; PAGE_SIZE]) -> Result<(Meta, u64), PageError> {
     check_seal(buf)?;
-    if buf[4] != 0 {
+    if buf[4] != META {
         return Err(PageError::BadKind(buf[4]));
     }
-    let lsn = u64::from_le_bytes(buf[8..16].try_into().map_err(|_| PageError::Truncated)?);
     let off = HEADER_LEN;
     let word =
         |o: usize| -> u32 { u32::from_le_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]]) };
@@ -458,7 +776,7 @@ pub fn decode_meta(buf: &[u8; PAGE_SIZE]) -> Result<(Meta, u64), PageError> {
             page_count,
             free,
         },
-        lsn,
+        lsn_of(buf),
     ))
 }
 
@@ -485,6 +803,57 @@ mod tests {
                 (z ^ (z >> 31)) as u8
             })
             .collect()
+    }
+
+    /// A node by value: the fixtures' shape, built and read back through
+    /// the view.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    enum Node {
+        Leaf(Vec<(Vec<u8>, Vec<u8>)>),
+        Branch {
+            first: u32,
+            seps: Vec<(Vec<u8>, u32)>,
+        },
+    }
+
+    fn build(node: &Node) -> Result<Page, PageError> {
+        match node {
+            Node::Leaf(entries) => {
+                let recs: Vec<_> = entries.iter().map(|(k, v)| leaf_record(k, v)).collect();
+                Page::build(true, 0, &recs)
+            }
+            Node::Branch { first, seps } => {
+                let recs: Vec<_> = seps.iter().map(|(k, c)| branch_record(k, *c)).collect();
+                Page::build(false, *first, &recs)
+            }
+        }
+    }
+
+    /// Builds and seals the node's page into `page`, overwriting all of it.
+    fn encode_node(node: &Node, lsn: u64, page: &mut [u8; PAGE_SIZE]) -> Result<(), PageError> {
+        page.copy_from_slice(build(node)?.seal(lsn));
+        Ok(())
+    }
+
+    /// Loads a page and reads every record back through the view.
+    fn decode_node(buf: &[u8; PAGE_SIZE]) -> Result<(Node, u64), PageError> {
+        let (page, lsn) = Page::load(Box::new(*buf))?;
+        Ok((node_of(&page), lsn))
+    }
+
+    fn node_of(page: &Page) -> Node {
+        let keys = (0..page.len()).map(|i| page.key(i).to_vec());
+        if page.is_leaf() {
+            Node::Leaf(
+                keys.zip((0..page.len()).map(|i| page.val(i).to_vec()))
+                    .collect(),
+            )
+        } else {
+            Node::Branch {
+                first: page.first(),
+                seps: keys.zip((0..page.len()).map(|i| page.child(i))).collect(),
+            }
+        }
     }
 
     fn encoded_node(node: &Node, lsn: u64) -> [u8; PAGE_SIZE] {
@@ -740,12 +1109,16 @@ mod tests {
 
     #[test]
     fn out_of_order_keys_rejected() {
-        // Encode bypassing the sorted-insert invariant.
+        // A sealed page whose two keys are swapped behind the view's back.
         let node = Node::Leaf(vec![
-            (b"z".to_vec(), b"1".to_vec()),
-            (b"a".to_vec(), b"2".to_vec()),
+            (b"a".to_vec(), b"1".to_vec()),
+            (b"z".to_vec(), b"2".to_vec()),
         ]);
-        let page = encoded_node(&node, 1);
+        let mut page = encoded_node(&node, 1);
+        page[HEADER_LEN + 3] = b'z';
+        page[HEADER_LEN + 8] = b'a';
+        let crc = crc32_page(&page);
+        page[CRC_OFF..CRC_OFF + 4].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(decode_node(&page), Err(PageError::KeysOutOfOrder));
     }
 
@@ -755,8 +1128,145 @@ mod tests {
             .map(|i| (vec![i; MAX_KEY], vec![i; MAX_VAL]))
             .collect();
         let node = Node::Leaf(entries);
-        assert!(!node.fits());
         let mut page = [0u8; PAGE_SIZE];
         assert_eq!(encode_node(&node, 1, &mut page), Err(PageError::Oversized));
+    }
+
+    /// The reference page CRC: bytewise, over a copy with the field zeroed.
+    fn reference_crc(page: &[u8; PAGE_SIZE]) -> u32 {
+        let mut copy = *page;
+        copy[CRC_OFF..CRC_OFF + 4].fill(0);
+        !crc32_bytewise(0xFFFF_FFFF, &copy)
+    }
+
+    /// A seeded LCG draw in `0..n`.
+    fn draw(x: &mut u64, n: u64) -> u64 {
+        *x = x
+            .wrapping_mul(0x5851_F42D_4C95_7F2D)
+            .wrapping_add(0x1405_7B7E_F767_814F);
+        (*x >> 33) % n
+    }
+
+    /// Seals `page` at `lsn` and checks the image against a fresh build of
+    /// `want` and the reference CRC; returns whether the seal was
+    /// incremental.
+    fn seal_matches(page: &mut Page, want: &Node, lsn: u64) -> bool {
+        let incremental = !page.full;
+        let sealed = *page.seal(lsn);
+        assert_eq!(sealed, encoded_node(want, lsn), "lsn {lsn}");
+        assert_eq!(stored_crc(&sealed), reference_crc(&sealed), "lsn {lsn}");
+        incremental
+    }
+
+    /// Seeded in-place leaf edits — inserts, updates of the same and of
+    /// other lengths, rewrites of the bytes already there, deletes, puts
+    /// that do not fit — sealed every few edits: the bytes always equal a
+    /// fresh build of the model, and the CRC the reference one.
+    #[test]
+    fn leaf_edits_in_place_match_a_fresh_build_and_seal_exactly() {
+        let mut x = 0x5EED;
+        let mut page = Page::build(true, 0, &[]).unwrap();
+        let mut model = std::collections::BTreeMap::new();
+        let (mut incremental, mut refused) = (0, 0);
+        for step in 1..=4000u64 {
+            let key = format!("k{:03}", draw(&mut x, 120)).into_bytes();
+            let at = page.search(&key);
+            match (draw(&mut x, 5), at) {
+                (0, Ok(i)) => {
+                    page.remove(i);
+                    model.remove(&key);
+                }
+                (1, Ok(i)) => {
+                    // The same bytes written back: a touched line that does
+                    // not change.
+                    let same = page.val(i).to_vec();
+                    assert!(page.put(at, &key, &same));
+                }
+                _ => {
+                    let len = if draw(&mut x, 3) == 0 {
+                        draw(&mut x, 200)
+                    } else {
+                        40
+                    };
+                    let val = vec![step as u8; len as usize];
+                    if page.put(at, &key, &val) {
+                        model.insert(key, val);
+                    } else {
+                        refused += 1;
+                    }
+                }
+            }
+            if step % 4 == 0 {
+                let want = Node::Leaf(model.clone().into_iter().collect());
+                incremental += u32::from(seal_matches(&mut page, &want, step));
+            }
+        }
+        assert!(incremental > 200 && refused > 50, "{incremental} {refused}");
+    }
+
+    /// The same for a branch: separator inserts and removals and
+    /// leftmost-child changes.
+    #[test]
+    fn branch_edits_in_place_match_a_fresh_build_and_seal_exactly() {
+        let mut x = 0xB4A7;
+        let mut page = Page::build(false, 7, &[]).unwrap();
+        let (mut first, mut seps) = (7u32, std::collections::BTreeMap::new());
+        for step in 1..=2000u64 {
+            let key = format!("sep-{:04}", draw(&mut x, 400)).into_bytes();
+            match (draw(&mut x, 3), page.search(&key)) {
+                (0, Ok(i)) => {
+                    page.remove(i);
+                    seps.remove(&key);
+                }
+                (1, _) => {
+                    first = step as u32;
+                    page.set_first(first);
+                }
+                (_, Err(i)) => {
+                    if page.insert_sep(i, &key, step as u32) {
+                        seps.insert(key, step as u32);
+                    }
+                }
+                _ => {}
+            }
+            if step % 3 == 0 {
+                let want = Node::Branch {
+                    first,
+                    seps: seps.clone().into_iter().collect(),
+                };
+                seal_matches(&mut page, &want, step);
+            }
+        }
+    }
+
+    /// A split keeps the left records here and hands back a right page and
+    /// separator equal to fresh builds, at `split_half`'s byte midpoint.
+    #[test]
+    fn split_halves_match_fresh_builds() {
+        let entries: Vec<_> = (0..30u8)
+            .map(|i| (vec![b'k', i], vec![i; 100 + usize::from(i) * 3]))
+            .collect();
+        let fits = entries.iter().take_while({
+            let mut end = HEADER_LEN;
+            move |(k, v)| {
+                end += 3 + k.len() + v.len();
+                end <= PAGE_SIZE
+            }
+        });
+        let n = fits.count();
+        let mut page = build(&Node::Leaf(entries[..n].to_vec())).unwrap();
+        let (key, val) = &entries[n];
+        let at = page.search(key);
+        assert!(!page.put(at, key, val));
+        let (sep, mut right) = page.split(at, leaf_record(key, val)).unwrap();
+        let all = &entries[..=n];
+        let mid = split_point(
+            &all.iter()
+                .map(|(k, v)| leaf_record(k, v))
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(sep, all[mid].0);
+        seal_matches(&mut page, &Node::Leaf(all[..mid].to_vec()), 9);
+        seal_matches(&mut right, &Node::Leaf(all[mid..].to_vec()), 9);
     }
 }
