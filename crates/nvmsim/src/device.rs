@@ -236,7 +236,12 @@ impl NvmDevice {
             let line = a / CACHE_LINE;
             let off = a % CACHE_LINE;
             let n = (CACHE_LINE - off).min(buf.len() - pos);
-            let lb = cached_line(&mut st, line);
+            let lb = match buf[pos..pos + n].first_chunk::<CACHE_LINE>() {
+                // A store over a whole line not in the overlay has no use
+                // for the line's persistent bytes.
+                Some(whole) if st.index[line] == 0 => insert_line(&mut st, line, *whole),
+                _ => cached_line(&mut st, line),
+            };
             lb.data[off..off + n].copy_from_slice(&buf[pos..pos + n]);
             let first_w = off / WORD_SIZE;
             let last_w = (off + n - 1) / WORD_SIZE;
@@ -694,18 +699,23 @@ fn bump_event(st: &mut State) -> Option<u64> {
 /// The overlay copy of `line`, pulled in clean from the persistent image on
 /// first touch.
 fn cached_line(st: &mut State, line: usize) -> &mut LineBuf {
-    let slot = match st.index[line] {
+    match st.index[line] {
         0 => {
             let base = line * CACHE_LINE;
             let mut data = [0u8; CACHE_LINE];
             data.copy_from_slice(&st.persistent[base..base + CACHE_LINE]);
-            st.slab.push((line as u32, LineBuf::clean(data)));
-            st.index[line] = st.slab.len() as u32;
-            st.slab.len() - 1
+            insert_line(st, line, data)
         }
-        slot => slot as usize - 1,
-    };
-    &mut st.slab[slot].1
+        slot => &mut st.slab[slot as usize - 1].1,
+    }
+}
+
+/// Adds `line`, absent from the overlay, as a clean line holding `data`.
+fn insert_line(st: &mut State, line: usize, data: [u8; CACHE_LINE]) -> &mut LineBuf {
+    st.slab.push((line as u32, LineBuf::clean(data)));
+    let slot = st.slab.len();
+    st.index[line] = slot as u32;
+    &mut st.slab[slot - 1].1
 }
 
 impl State {
