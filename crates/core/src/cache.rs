@@ -804,7 +804,19 @@ impl TincaCache {
         let addr = self.layout.data_addr(shadow);
         let mut old = [0u8; BLOCK_SIZE];
         self.nvm.read(addr, &mut old);
-        let differs = |l: usize| old[l * LINE..(l + 1) * LINE] != data[l * LINE..(l + 1) * LINE];
+        // Eight word compares per line, not a `bcmp` call.
+        let (old_lines, new_lines) = (old.as_chunks::<LINE>().0, data.as_chunks::<LINE>().0);
+        let differs = |l: usize| {
+            let (a, b) = (
+                old_lines[l].as_chunks::<8>().0,
+                new_lines[l].as_chunks::<8>().0,
+            );
+            let word = |w: &[u8; 8]| u64::from_ne_bytes(*w);
+            a.iter()
+                .zip(b)
+                .fold(0, |acc, (x, y)| acc | (word(x) ^ word(y)))
+                != 0
+        };
         let mut stored = 0;
         let mut line = 0;
         while line < BLOCK_LINES {
