@@ -326,7 +326,8 @@ impl<S: PageStore> Db<S> {
             let page = load_page(&mut self.store, &mut self.commit_seq, id)?;
             self.put_cached(id, page);
         }
-        let cached = self.cache[i].as_mut().expect("the page is cached");
+        let cached = (self.cache.get_mut(i).and_then(Option::as_mut))
+            .ok_or(KvError::TxnState("page missing from cache (internal bug)"))?;
         cached.used = self.tick;
         Ok(&mut cached.page)
     }
@@ -421,20 +422,19 @@ impl<S: PageStore> Db<S> {
             }
             return Ok(());
         }
-        // Child i covers [key(i-1), key(i)) (open-ended at the edges);
-        // prune subtrees wholly outside the range.
-        let kids: Vec<u32> = (0..=n)
-            .filter(|&i| {
-                let below = i < n
-                    && matches!(lo, Bound::Included(l) | Bound::Excluded(l) if page.key(i) <= l);
-                let above = i > 0
-                    && match hi {
-                        Bound::Included(h) => page.key(i - 1) > h,
-                        Bound::Excluded(h) => page.key(i - 1) >= h,
-                        Bound::Unbounded => false,
-                    };
-                !below && !above
-            })
+        // Child i covers [key(i-1), key(i)) (open-ended at the edges):
+        // visit only the children that can hold a key in range.
+        let upper = |k| page.search(k).map_or_else(|i| i, |i| i + 1);
+        let from = match lo {
+            Bound::Included(l) | Bound::Excluded(l) => upper(l),
+            Bound::Unbounded => 0,
+        };
+        let to = match hi {
+            Bound::Included(h) => upper(h),
+            Bound::Excluded(h) => page.search(h).unwrap_or_else(|i| i),
+            Bound::Unbounded => n,
+        };
+        let kids: Vec<u32> = (from..=to)
             .map(|i| {
                 if i == 0 {
                     page.first()
@@ -706,5 +706,77 @@ fn in_hi(hi: Bound<&[u8]>, k: &[u8]) -> bool {
         Bound::Included(h) => k <= h,
         Bound::Excluded(h) => k < h,
         Bound::Unbounded => true,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use super::*;
+    use crate::store::StoreStats;
+
+    /// Committed pages in memory; counts page reads.
+    #[derive(Default)]
+    struct Mem {
+        pages: BTreeMap<u32, [u8; PAGE_SIZE]>,
+        reads: u64,
+        stats: StoreStats,
+    }
+
+    impl PageStore for Mem {
+        fn read_page(&mut self, id: u32, buf: &mut [u8; PAGE_SIZE]) -> Result<(), KvError> {
+            self.reads += 1;
+            *buf = self.pages.get(&id).copied().unwrap_or([0; PAGE_SIZE]);
+            Ok(())
+        }
+
+        fn commit_pages(&mut self, dirty: &[(u32, [u8; PAGE_SIZE])]) -> Result<(), KvError> {
+            self.pages.extend(dirty.iter().copied());
+            self.stats.commits += 1;
+            self.stats.pages_committed += dirty.len() as u64;
+            Ok(())
+        }
+
+        fn page_capacity(&self) -> u32 {
+            u32::MAX
+        }
+
+        fn stats(&self) -> StoreStats {
+            self.stats
+        }
+    }
+
+    /// A steady-state commit — same-length updates, the meta page unchanged,
+    /// every page cached — computes no full-page CRC: the meta page is not
+    /// encoded, nothing is loaded (and so checked), and no dirty page needs
+    /// the full seal, which are the only three places a page CRC is taken.
+    #[test]
+    fn a_steady_state_commit_computes_no_full_page_crc() {
+        let key = |i: u32| format!("row-{i:08}").into_bytes();
+        let val =
+            |i: u32, round: u32| format!("{round:04}/{i:04}/{}", "v".repeat(110)).into_bytes();
+        let mut db = Db::open(Mem::default()).unwrap();
+        db.begin().unwrap();
+        for i in 0..600 {
+            db.put(&key(i), &val(i, 0)).unwrap();
+        }
+        db.commit().unwrap();
+        let reads = db.store.reads;
+        for round in 1..=50 {
+            db.begin().unwrap();
+            for i in [round * 7 % 600, round * 131 % 600, round * 313 % 600] {
+                db.put(&key(i), &val(i, round)).unwrap();
+            }
+            assert_eq!(db.meta, db.durable_meta, "round {round}");
+            assert!(!db.dirty.is_empty(), "round {round}");
+            for &id in &db.dirty {
+                let cached = db.cache[id as usize].as_ref().unwrap();
+                assert!(!cached.page.full, "round {round}: page {id} full seal");
+            }
+            db.commit().unwrap();
+        }
+        assert_eq!(db.store.reads, reads, "pages loaded in the steady state");
+        assert_eq!(db.get(&key(7)).unwrap(), Some(val(7, 1)));
     }
 }

@@ -204,31 +204,22 @@ const HALF_PAGE: usize = PAGE_SIZE / 2;
 /// XOR of its set bits' columns ([`shift`]). A `static`, as [`CRC_SLICES`].
 static LINE_SHIFT: [[u32; 32]; LINES] = {
     let mut m = [[0u32; 32]; LINES];
-    let mut i = 0;
-    while i < 32 {
-        m[0][i] = 1 << i;
-        let mut c = 1u32 << i;
-        let mut n = 0;
-        while n < LINE {
-            c = CRC_TABLE[(c & 0xFF) as usize] ^ (c >> 8);
-            n += 1;
-        }
-        m[1][i] = c;
-        i += 1;
-    }
-    let mut k = 2;
+    let mut k = 0;
     while k < LINES {
         let mut i = 0;
         while i < 32 {
-            // One line further than column `i` of the previous matrix.
-            let (x, mut out, mut b) = (m[k - 1][i], 0u32, 0);
-            while b < 32 {
-                if (x >> b) & 1 != 0 {
-                    out ^= m[1][b];
-                }
-                b += 1;
+            // Matrix 0 is the identity; matrix k advances matrix k − 1's
+            // column through one more line of zeros.
+            let (mut c, mut n) = if k == 0 {
+                (1 << i, LINE)
+            } else {
+                (m[k - 1][i], 0)
+            };
+            while n < LINE {
+                c = CRC_TABLE[(c & 0xFF) as usize] ^ (c >> 8);
+                n += 1;
             }
-            m[k][i] = out;
+            m[k][i] = c;
             i += 1;
         }
         k += 1;
@@ -312,15 +303,12 @@ fn header(page: &mut [u8; PAGE_SIZE], kind: u8, nkeys: u16, lsn: u64) {
 }
 
 fn lsn_of(page: &[u8; PAGE_SIZE]) -> u64 {
-    u64::from_le_bytes(page[8..16].try_into().expect("8 header bytes"))
+    u64::from_le_bytes(std::array::from_fn(|i| page[8 + i]))
 }
 
-fn stored_crc(page: &[u8; PAGE_SIZE]) -> u32 {
-    u32::from_le_bytes(
-        page[CRC_OFF..CRC_OFF + 4]
-            .try_into()
-            .expect("4 header bytes"),
-    )
+/// The little-endian `u32` at `at`.
+fn word(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
 }
 
 /// Checks a page's magic and CRC, the first step of loading any page.
@@ -328,7 +316,7 @@ pub fn check_seal(buf: &[u8; PAGE_SIZE]) -> Result<(), PageError> {
     if buf[0..4] != MAGIC {
         return Err(PageError::BadMagic);
     }
-    let stored = stored_crc(buf);
+    let stored = word(buf, CRC_OFF);
     let computed = crc32_page(buf);
     if stored != computed {
         return Err(PageError::BadCrc { stored, computed });
@@ -383,23 +371,65 @@ pub(crate) struct Page {
     pre: Vec<(u8, [u8; LINE])>,
     /// The next seal computes the whole-page CRC: the page was built here,
     /// or more than half its lines were written.
-    full: bool,
+    pub(crate) full: bool,
 }
 
 impl Page {
-    /// A fresh page holding `recs` in order; `first` is a branch's leftmost
-    /// child. `Err(Oversized)` if they do not fit.
-    pub(crate) fn build(leaf: bool, first: u32, recs: &[Vec<u8>]) -> Result<Page, PageError> {
-        let mut page = Page {
-            bytes: Box::new([0; PAGE_SIZE]),
-            slots: Vec::new(),
-            end: 0,
-            touched: 0,
-            pre: Vec::new(),
-            full: true,
+    /// Indexes `bytes`, validating kind, bounds and key order.
+    fn new(bytes: Box<[u8; PAGE_SIZE]>, full: bool) -> Result<Page, PageError> {
+        let leaf = match bytes[4] {
+            LEAF => true,
+            BRANCH => false,
+            kind => return Err(PageError::BadKind(kind)),
         };
-        page.fill(leaf, first, recs)?;
-        Ok(page)
+        let fixed = if leaf { 3 } else { 5 };
+        let (mut off, mut prev) = (HEADER_LEN + if leaf { 0 } else { 4 }, 0..0);
+        let mut slots = Vec::new();
+        for _ in 0..u16::from_le_bytes([bytes[6], bytes[7]]) {
+            if off + fixed > PAGE_SIZE {
+                return Err(PageError::Truncated);
+            }
+            let vlen = if leaf {
+                usize::from(u16::from_le_bytes([bytes[off + 1], bytes[off + 2]]))
+            } else {
+                0
+            };
+            let key = off + fixed..off + fixed + usize::from(bytes[off]);
+            if key.len() > MAX_KEY || vlen > MAX_VAL || key.end + vlen > PAGE_SIZE {
+                return Err(PageError::Truncated);
+            }
+            if !slots.is_empty() && bytes[prev] >= bytes[key.clone()] {
+                return Err(PageError::KeysOutOfOrder);
+            }
+            let (head, slot) = (head(&bytes[key.clone()]), off as u16);
+            slots.push(Slot { head, off: slot });
+            (off, prev) = (key.end + vlen, key);
+        }
+        let (touched, pre) = (0, Vec::new());
+        Ok(Page {
+            bytes,
+            slots,
+            end: off,
+            touched,
+            pre,
+            full,
+        })
+    }
+
+    /// A page built here holding `recs` in order; `first` is a branch's
+    /// leftmost child. `Err(Oversized)` if they do not fit.
+    pub(crate) fn build(leaf: bool, first: u32, recs: &[Vec<u8>]) -> Result<Page, PageError> {
+        let (body, n) = (HEADER_LEN + if leaf { 0 } else { 4 }, recs.len() as u16);
+        let recs = recs.concat();
+        if body + recs.len() > PAGE_SIZE {
+            return Err(PageError::Oversized);
+        }
+        let mut bytes = Box::new([0; PAGE_SIZE]);
+        header(&mut bytes, if leaf { LEAF } else { BRANCH }, n, 0);
+        // A leaf's body starts at the header's end: no `first` to write.
+        bytes[HEADER_LEN..body].copy_from_slice(&first.to_le_bytes()[..body - HEADER_LEN]);
+        bytes[body..body + recs.len()].copy_from_slice(&recs);
+        Page::new(bytes, true)
     }
 
     /// Checks and indexes a page read from the store; returns it and the
@@ -407,141 +437,56 @@ impl Page {
     pub(crate) fn load(bytes: Box<[u8; PAGE_SIZE]>) -> Result<(Page, u64), PageError> {
         check_seal(&bytes)?;
         let lsn = lsn_of(&bytes);
-        let mut page = Page {
-            bytes,
-            slots: Vec::new(),
-            end: 0,
-            touched: 0,
-            pre: Vec::new(),
-            full: false,
-        };
-        page.index()?;
-        Ok((page, lsn))
-    }
-
-    /// Rewrites the whole page to hold `recs`.
-    fn fill(&mut self, leaf: bool, first: u32, recs: &[Vec<u8>]) -> Result<(), PageError> {
-        let body = HEADER_LEN + if leaf { 0 } else { 4 };
-        if body + recs.iter().map(Vec::len).sum::<usize>() > PAGE_SIZE {
-            return Err(PageError::Oversized);
-        }
-        let page = &mut *self.bytes;
-        header(page, if leaf { LEAF } else { BRANCH }, recs.len() as u16, 0);
-        if !leaf {
-            page[HEADER_LEN..body].copy_from_slice(&first.to_le_bytes());
-        }
-        let mut off = body;
-        for rec in recs {
-            page[off..off + rec.len()].copy_from_slice(rec);
-            off += rec.len();
-        }
-        page[off..].fill(0);
-        self.full = true;
-        self.pre = Vec::new();
-        self.index()
-    }
-
-    /// Rebuilds the slot index from the bytes, validating kind, bounds and
-    /// key order.
-    fn index(&mut self) -> Result<(), PageError> {
-        let page = &*self.bytes;
-        let leaf = match page[4] {
-            LEAF => true,
-            BRANCH => false,
-            kind => return Err(PageError::BadKind(kind)),
-        };
-        let (fixed, mut off) = if leaf {
-            (3, HEADER_LEN)
-        } else {
-            (5, HEADER_LEN + 4)
-        };
-        self.slots.clear();
-        let mut prev = 0..0;
-        for i in 0..u16::from_le_bytes([page[6], page[7]]) {
-            if off + fixed > PAGE_SIZE {
-                return Err(PageError::Truncated);
-            }
-            let klen = usize::from(page[off]);
-            let vlen = if leaf {
-                usize::from(u16::from_le_bytes([page[off + 1], page[off + 2]]))
-            } else {
-                0
-            };
-            let key = off + fixed..off + fixed + klen;
-            if klen > MAX_KEY || vlen > MAX_VAL || key.end + vlen > PAGE_SIZE {
-                return Err(PageError::Truncated);
-            }
-            if i > 0 && page[prev] >= page[key.clone()] {
-                return Err(PageError::KeysOutOfOrder);
-            }
-            self.slots.push(Slot {
-                head: head(&page[key.clone()]),
-                off: off as u16,
-            });
-            off = key.end + vlen;
-            prev = key;
-        }
-        self.end = off;
-        Ok(())
+        Ok((Page::new(bytes, false)?, lsn))
     }
 
     pub(crate) fn is_leaf(&self) -> bool {
         self.bytes[4] == LEAF
     }
 
-    /// Records (a leaf's entries, a branch's separators).
+    /// Records: a leaf's entries, a branch's separators.
     pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
-    fn key_range(&self, i: usize) -> Range<usize> {
-        let off = usize::from(self.slots[i].off);
-        let start = off + if self.is_leaf() { 3 } else { 5 };
-        start..start + usize::from(self.bytes[off])
+    /// The key of the record at `off`.
+    fn key_at(&self, off: u16) -> &[u8] {
+        let start = usize::from(off) + if self.is_leaf() { 3 } else { 5 };
+        &self.bytes[start..start + usize::from(self.bytes[usize::from(off)])]
     }
 
-    fn record(&self, i: usize) -> &[u8] {
+    fn record(&self, i: usize) -> Range<usize> {
         let end = self
             .slots
             .get(i + 1)
             .map_or(self.end, |s| usize::from(s.off));
-        &self.bytes[usize::from(self.slots[i].off)..end]
-    }
-
-    fn word(&self, off: usize) -> u32 {
-        u32::from_le_bytes(self.bytes[off..off + 4].try_into().expect("4 bytes"))
+        usize::from(self.slots[i].off)..end
     }
 
     pub(crate) fn key(&self, i: usize) -> &[u8] {
-        &self.bytes[self.key_range(i)]
+        self.key_at(self.slots[i].off)
     }
 
     /// A leaf's value `i`.
     pub(crate) fn val(&self, i: usize) -> &[u8] {
-        let (key, rec) = (self.key_range(i), self.record(i));
-        &rec[key.end - usize::from(self.slots[i].off)..]
+        let rec = self.record(i);
+        &self.bytes[rec.start + 3 + self.key(i).len()..rec.end]
     }
 
     /// A branch's leftmost child.
     pub(crate) fn first(&self) -> u32 {
-        self.word(HEADER_LEN)
+        word(&self.bytes[..], HEADER_LEN)
     }
 
     /// The child right of a branch's separator `i`.
     pub(crate) fn child(&self, i: usize) -> u32 {
-        self.word(usize::from(self.slots[i].off) + 1)
+        word(&self.bytes[..], usize::from(self.slots[i].off) + 1)
     }
 
     /// `Ok` with the record holding `key`, or `Err` with where it would go.
     pub(crate) fn search(&self, key: &[u8]) -> Result<usize, usize> {
         let h = head(key);
-        self.slots.binary_search_by(|s| {
-            s.head.cmp(&h).then_with(|| {
-                let off = usize::from(s.off);
-                let start = off + if self.is_leaf() { 3 } else { 5 };
-                self.bytes[start..start + usize::from(self.bytes[off])].cmp(key)
-            })
-        })
+        (self.slots).binary_search_by(|s| s.head.cmp(&h).then_with(|| self.key_at(s.off).cmp(key)))
     }
 
     /// The child of a branch that covers `key`.
@@ -568,8 +513,8 @@ impl Page {
             while fresh != 0 && !self.full {
                 let line = fresh.trailing_zeros() as usize;
                 fresh &= fresh - 1;
-                self.pre
-                    .push((line as u8, self.bytes.as_chunks::<LINE>().0[line]));
+                let old = self.bytes.as_chunks::<LINE>().0[line];
+                self.pre.push((line as u8, old));
             }
         }
         &mut self.bytes[range]
@@ -603,62 +548,59 @@ impl Page {
             bytes[new_end - at..].fill(0);
         }
         self.end = new_end;
-        if new != old {
-            for s in &mut self.slots[from..] {
-                s.off = (usize::from(s.off) + new - old) as u16;
-            }
+        for s in &mut self.slots[from..] {
+            s.off = (usize::from(s.off) + new - old) as u16;
+        }
+        true
+    }
+
+    /// Writes the record `parts` over record `i` on `Ok(i)`, or inserts it
+    /// as record `i` on `Err(i)`. False, with the page untouched, if it does
+    /// not fit.
+    fn place(&mut self, at: Result<usize, usize>, key: &[u8], parts: &[&[u8]]) -> bool {
+        let (i, old) = match at {
+            Ok(i) => (i, self.record(i).len()),
+            Err(i) => (i, 0),
+        };
+        let off = self.slots.get(i).map_or(self.end, |s| usize::from(s.off));
+        if !self.splice(i + usize::from(at.is_ok()), off, old, parts) {
+            return false;
+        }
+        if at.is_err() {
+            let (head, off) = (head(key), off as u16);
+            self.slots.insert(i, Slot { head, off });
+            self.set_len();
         }
         true
     }
 
     fn set_len(&mut self) {
-        let n = (self.slots.len() as u16).to_le_bytes();
-        self.modify(6..8).copy_from_slice(&n);
+        let n = self.slots.len() as u16;
+        self.modify(6..8).copy_from_slice(&n.to_le_bytes());
     }
 
-    /// Inserts the record `parts` as record `i`; false if it does not fit.
-    fn insert(&mut self, i: usize, key: &[u8], parts: &[&[u8]]) -> bool {
-        let off = self.slots.get(i).map_or(self.end, |s| usize::from(s.off));
-        if !self.splice(i, off, 0, parts) {
-            return false;
-        }
-        let (head, off) = (head(key), off as u16);
-        self.slots.insert(i, Slot { head, off });
-        self.set_len();
-        true
-    }
-
-    /// Sets a leaf's value for `key` at its [`Page::search`] result `at`:
-    /// in place on `Ok`, inserted on `Err`. False, with the page untouched,
-    /// if the leaf would overflow.
+    /// Sets a leaf's value for `key` at its [`Page::search`] result `at`.
+    /// False, with the page untouched, if the leaf would overflow.
     pub(crate) fn put(&mut self, at: Result<usize, usize>, key: &[u8], val: &[u8]) -> bool {
         let vlen = (val.len() as u16).to_le_bytes();
-        let i = match at {
-            Err(i) => return self.insert(i, key, &[&[key.len() as u8], &vlen, key, val]),
-            Ok(i) => i,
-        };
-        let off = usize::from(self.slots[i].off);
-        let old = self.val(i).len();
-        if !self.splice(i + 1, self.key_range(i).end, old, &[val]) {
-            return false;
-        }
-        if old != val.len() {
-            self.modify(off + 1..off + 3).copy_from_slice(&vlen);
-        }
-        true
+        self.place(at, key, &[&[key.len() as u8], &vlen, key, val])
     }
 
     /// Inserts a branch separator as record `i`; false if it does not fit.
     pub(crate) fn insert_sep(&mut self, i: usize, key: &[u8], child: u32) -> bool {
-        self.insert(i, key, &[&[key.len() as u8], &child.to_le_bytes(), key])
+        self.place(
+            Err(i),
+            key,
+            &[&[key.len() as u8], &child.to_le_bytes(), key],
+        )
     }
 
     /// Removes record `i`.
     pub(crate) fn remove(&mut self, i: usize) {
-        let (off, len) = (usize::from(self.slots[i].off), self.record(i).len());
+        let rec = self.record(i);
         self.slots.remove(i);
         // A shrinking splice always fits.
-        self.splice(i, off, len, &[]);
+        self.splice(i, rec.start, rec.len(), &[]);
         self.set_len();
     }
 
@@ -678,7 +620,9 @@ impl Page {
         at: Result<usize, usize>,
         rec: Vec<u8>,
     ) -> Result<(Vec<u8>, Page), PageError> {
-        let mut recs: Vec<Vec<u8>> = (0..self.len()).map(|i| self.record(i).to_vec()).collect();
+        let mut recs: Vec<Vec<u8>> = (0..self.len())
+            .map(|i| self.bytes[self.record(i)].to_vec())
+            .collect();
         match at {
             Ok(i) => recs[i] = rec,
             Err(i) => recs.insert(i, rec),
@@ -686,15 +630,13 @@ impl Page {
         if self.is_leaf() {
             let mid = split_point(&recs);
             let right = Page::build(true, 0, &recs[mid..])?;
-            self.fill(true, 0, &recs[..mid])?;
+            *self = Page::build(true, 0, &recs[..mid])?;
             Ok((right.key(0).to_vec(), right))
         } else {
             let mid = recs.len() / 2;
-            let promoted = &recs[mid];
-            let child = u32::from_le_bytes(promoted[1..5].try_into().expect("4 bytes"));
-            let right = Page::build(false, child, &recs[mid + 1..])?;
-            self.fill(false, self.first(), &recs[..mid])?;
-            Ok((promoted[5..].to_vec(), right))
+            let right = Page::build(false, word(&recs[mid], 1), &recs[mid + 1..])?;
+            *self = Page::build(false, self.first(), &recs[..mid])?;
+            Ok((recs[mid][5..].to_vec(), right))
         }
     }
 
@@ -706,7 +648,7 @@ impl Page {
         let crc = if self.full {
             crc32_page(&self.bytes)
         } else {
-            crc32_page_delta(&self.bytes, stored_crc(&self.bytes), &self.pre)
+            crc32_page_delta(&self.bytes, word(&self.bytes[..], CRC_OFF), &self.pre)
         };
         self.bytes[CRC_OFF..CRC_OFF + 4].copy_from_slice(&crc.to_le_bytes());
         self.touched = 0;
@@ -761,15 +703,13 @@ pub fn decode_meta(buf: &[u8; PAGE_SIZE]) -> Result<(Meta, u64), PageError> {
         return Err(PageError::BadKind(buf[4]));
     }
     let off = HEADER_LEN;
-    let word =
-        |o: usize| -> u32 { u32::from_le_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]]) };
-    let root = word(off);
-    let page_count = word(off + 4);
-    let free_len = word(off + 8) as usize;
+    let root = word(buf, off);
+    let page_count = word(buf, off + 4);
+    let free_len = word(buf, off + 8) as usize;
     if off + 12 + free_len * 4 > PAGE_SIZE {
         return Err(PageError::Truncated);
     }
-    let free = (0..free_len).map(|i| word(off + 12 + i * 4)).collect();
+    let free = (0..free_len).map(|i| word(buf, off + 12 + i * 4)).collect();
     Ok((
         Meta {
             root,
@@ -1154,7 +1094,7 @@ mod tests {
         let incremental = !page.full;
         let sealed = *page.seal(lsn);
         assert_eq!(sealed, encoded_node(want, lsn), "lsn {lsn}");
-        assert_eq!(stored_crc(&sealed), reference_crc(&sealed), "lsn {lsn}");
+        assert_eq!(word(&sealed, CRC_OFF), reference_crc(&sealed), "lsn {lsn}");
         incremental
     }
 
@@ -1222,10 +1162,8 @@ mod tests {
                     first = step as u32;
                     page.set_first(first);
                 }
-                (_, Err(i)) => {
-                    if page.insert_sep(i, &key, step as u32) {
-                        seps.insert(key, step as u32);
-                    }
+                (_, Err(i)) if page.insert_sep(i, &key, step as u32) => {
+                    seps.insert(key, step as u32);
                 }
                 _ => {}
             }

@@ -23,7 +23,7 @@ const PUB_BUDGETS: [(&str, usize); 10] = [
     ("workloads", 122),
     ("telemetry", 106),
     ("nvmsim", 89),
-    ("kvdb", 77),
+    ("kvdb", 76),
     ("crashsim", 85),
 ];
 
