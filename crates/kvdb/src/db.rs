@@ -2,7 +2,7 @@
 //! [`PageStore`], with single-writer transactions.
 //!
 //! All tree mutation happens in a DRAM page cache that holds the pages'
-//! bytes: a node is a [`Page`] view, edited in place (module
+//! bytes: a node is a `Page` view, edited in place (module
 //! [`crate::page`]). `commit` seals the dirty pages — stamps the LSN and
 //! re-CRCs only the 64 B lines the transaction wrote — and hands them to
 //! the store as one atomic batch. The meta page (root, allocation

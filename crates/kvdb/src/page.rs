@@ -31,7 +31,7 @@
 //! newest leaf's; [`crate::Db`] therefore resumes the sequence from the
 //! highest LSN it has loaded, not from the meta page's alone.
 //!
-//! **The view.** A cached node is a [`Page`]: the page's bytes plus a
+//! **The view.** A cached node is a `Page`: the page's bytes plus a
 //! DRAM-only slot index holding each record's offset and the 16-byte
 //! big-endian head of its key. Search compares heads as integers and whole
 //! keys only when two heads are equal. A head is 16 bytes, not 8, because
@@ -39,18 +39,18 @@
 //! bytes across a leaf. Edits work on the bytes: a same-length value update
 //! is a copy, an insert or a delete shifts the body's tail inside the page
 //! and zeroes what it vacates, and a split copies the byte-midpoint half to
-//! a new page. So the bytes are at every moment the image the by-value
-//! encoder this replaced would have written.
+//! a new page. So the bytes are at every moment the node's one canonical
+//! image: records packed after the header, zeros after the body.
 //!
 //! **The incremental seal.** CRC-32 is affine over GF(2): for two pages of
 //! one length, `crc(new) = crc(old) ⊕ L(old ⊕ new)`, `L` being the register
 //! run from 0. A difference inside line `j` adds that line's register,
 //! advanced through the `63 − j` zero lines after it by one precomputed
-//! 32 × 32 matrix ([`LINE_SHIFT`]). So a page saves each line's bytes the
-//! first time it writes to it, and [`Page::seal`] stamps the LSN (line 0)
+//! 32 × 32 matrix (`LINE_SHIFT`). So a page saves each line's bytes the
+//! first time it writes to it, and `Page::seal` stamps the LSN (line 0)
 //! and folds only those lines into the CRC the page already carries. A page
 //! built here, or one that wrote more than half its lines (an insert near
-//! the front of a full leaf, a split), takes the full [`crc32_page`]; a
+//! the front of a full leaf, a split), takes the full `crc32_page`; a
 //! page read from the store was checked in full by [`check_seal`].
 //!
 //! Loading validates magic, kind, CRC, bounds, and key order, so a torn or
@@ -63,7 +63,7 @@ use std::ops::Range;
 /// Page size — one cache/disk block.
 pub const PAGE_SIZE: usize = blockdev::BLOCK_SIZE;
 /// Header bytes before the body.
-pub(crate) const HEADER_LEN: usize = 24;
+const HEADER_LEN: usize = 24;
 /// Longest encodable key.
 pub const MAX_KEY: usize = 64;
 /// Longest encodable value.
@@ -260,7 +260,9 @@ fn crc32_page(page: &[u8; PAGE_SIZE]) -> u32 {
 
 /// The page CRC of `page` from `crc`, the page CRC it had when every line
 /// of `pre` still held the bytes saved there: each changed line adds its
-/// difference's register, advanced through the lines after it.
+/// difference's register, advanced through the lines after it. The CRC
+/// field itself is only written by a seal, so it holds `crc` on both sides
+/// and adds nothing.
 fn crc32_page_delta(page: &[u8; PAGE_SIZE], crc: u32, pre: &[(u8, [u8; LINE])]) -> u32 {
     let (lines, _) = page.as_chunks::<LINE>();
     pre.iter().fold(crc, |crc, (line, old)| {
@@ -268,9 +270,6 @@ fn crc32_page_delta(page: &[u8; PAGE_SIZE], crc: u32, pre: &[(u8, [u8; LINE])]) 
         let mut diff = [0u8; LINE];
         for ((d, a), b) in diff.iter_mut().zip(old).zip(&lines[line]) {
             *d = a ^ b;
-        }
-        if line == 0 {
-            diff[CRC_OFF..CRC_OFF + 4].fill(0);
         }
         let reg = diff.as_chunks::<16>().0.iter().fold(0, fold16);
         crc ^ shift(&LINE_SHIFT[LINES - 1 - line], reg)

@@ -302,8 +302,9 @@ proptest! {
 }
 
 /// Aligned whole-line stores onto a line in each overlay state — never
-/// touched, dirty in the overlay, flushed but not yet fenced — then a fence
-/// and a power cut: the device agrees with the reference after every step.
+/// touched, dirty in the overlay, flushed but not yet fenced — then a
+/// flush, a fence, a store over a written-back line and a power cut: the
+/// device agrees with the reference after every step.
 #[test]
 fn whole_line_writes_match_the_reference_in_every_line_state() {
     const L: usize = CACHE_LINE;
@@ -320,9 +321,15 @@ fn whole_line_writes_match_the_reference_in_every_line_state() {
         write(4 * L, L, 4),
         write(8 * L, L, 5),
         write(3 * L, 7 * L, 6),
+        Op::Flush {
+            addr: 0,
+            len: 12 * L,
+        },
         Op::Fence,
+        write(8 * L, L, 8),
         write(12 * L, L, 7),
-        Op::Crash { policy: 0, seed: 0 },
+        // Every dirty overlay line persists: a stale copy would show.
+        Op::Crash { policy: 1, seed: 0 },
     ];
     for traced in [false, true] {
         let mut cfg = NvmConfig::new(CAP, NvmTech::Pcm);
@@ -344,8 +351,8 @@ fn whole_line_writes_match_the_reference_in_every_line_state() {
                     model.sfence();
                 }
                 _ => {
-                    dev.crash(CrashPolicy::LoseVolatile);
-                    model.crash(CrashPolicy::LoseVolatile);
+                    dev.crash(CrashPolicy::PersistAll);
+                    model.crash(CrashPolicy::PersistAll);
                 }
             }
             assert_same(&dev, &mut model, &format!("step {i} {op:?}")).unwrap();
