@@ -801,20 +801,14 @@ impl TincaCache {
     /// block was a committed `cur` and has not been stored to since.
     fn stage_delta(&mut self, shadow: u32, data: &[u8; BLOCK_SIZE], coalesce: bool) {
         const LINE: usize = nvmsim::CACHE_LINE;
+        const WORDS: usize = LINE / 8;
         let addr = self.layout.data_addr(shadow);
         let mut old = [0u8; BLOCK_SIZE];
         self.nvm.read(addr, &mut old);
         // Eight word compares per line, not a `bcmp` call.
-        let (old_lines, new_lines) = (old.as_chunks::<LINE>().0, data.as_chunks::<LINE>().0);
+        let word = |block: &[u8; BLOCK_SIZE], w| u64::from_ne_bytes(block.as_chunks::<8>().0[w]);
         let differs = |l: usize| {
-            let (a, b) = (
-                old_lines[l].as_chunks::<8>().0,
-                new_lines[l].as_chunks::<8>().0,
-            );
-            let word = |w: &[u8; 8]| u64::from_ne_bytes(*w);
-            a.iter()
-                .zip(b)
-                .fold(0, |acc, (x, y)| acc | (word(x) ^ word(y)))
+            (l * WORDS..(l + 1) * WORDS).fold(0, |acc, w| acc | (word(&old, w) ^ word(data, w)))
                 != 0
         };
         let mut stored = 0;

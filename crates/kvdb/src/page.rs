@@ -485,7 +485,8 @@ impl Page {
     /// `Ok` with the record holding `key`, or `Err` with where it would go.
     pub(crate) fn search(&self, key: &[u8]) -> Result<usize, usize> {
         let h = head(key);
-        (self.slots).binary_search_by(|s| s.head.cmp(&h).then_with(|| self.key_at(s.off).cmp(key)))
+        self.slots
+            .binary_search_by(|s| s.head.cmp(&h).then_with(|| self.key_at(s.off).cmp(key)))
     }
 
     /// The child of a branch that covers `key`.
@@ -528,13 +529,12 @@ impl Page {
         if new_end > PAGE_SIZE {
             return false;
         }
-        let bytes = self.modify(
-            at..if new == old {
-                at + new
-            } else {
-                end.max(new_end)
-            },
-        );
+        let stop = if new == old {
+            at + new
+        } else {
+            end.max(new_end)
+        };
+        let bytes = self.modify(at..stop);
         if new != old {
             bytes.copy_within(old..end - at, new);
         }
@@ -547,8 +547,10 @@ impl Page {
             bytes[new_end - at..].fill(0);
         }
         self.end = new_end;
-        for s in &mut self.slots[from..] {
-            s.off = (usize::from(s.off) + new - old) as u16;
+        if new != old {
+            for s in &mut self.slots[from..] {
+                s.off = (usize::from(s.off) + new - old) as u16;
+            }
         }
         true
     }
@@ -657,8 +659,8 @@ impl Page {
     }
 }
 
-/// Where a leaf's records split: after the first records that reach half
-/// their bytes, keeping at least one record on each side.
+/// Where a leaf's records split (the byte midpoint): after the first
+/// records that reach half their bytes, keeping one record on each side.
 fn split_point(recs: &[Vec<u8>]) -> usize {
     let total: usize = recs.iter().map(Vec::len).sum();
     let mut acc = 0;
