@@ -6,7 +6,7 @@
 //! streams, same blocks, same fills) through both commit paths:
 //!
 //! * **mutex** — `CommitMode::Mutex`, every transaction through the
-//!   blocking `commit()`; with one OS thread driving the round-robin the
+//!   blocking `commit()` in scripted rounds ([`Policy::Rounds`]): the
 //!   shard serialises the full per-transaction cost (the c = 1 service
 //!   model of the open-loop tier).
 //! * **lockfree** — `CommitMode::LockFreeRing` via the steppable window
@@ -32,6 +32,7 @@ use persistcheck::{CheckConfig, Checker};
 use telemetry::Json;
 use tinca::{CommitMode, PoolConfig, TincaConfig, TincaPool};
 use workloads::mtfio::{MtFio, MtFioSpec, MtReport};
+use workloads::sched::{Policy, Sched};
 
 use crate::table::Table;
 use crate::{banner, checks, fmt, table_json, write_bench, write_csv};
@@ -88,7 +89,10 @@ fn run_point(shards: usize, writers: usize, lockfree: bool, quick: bool) -> MwPo
         txn_blocks: 2,
         seed: 0x3757_0009 + shards as u64,
     };
-    let report = MtFio::new(spec).run_lanes(&pool);
+    let rounds = Sched {
+        policy: Policy::Rounds,
+    };
+    let report = MtFio::new(spec).run(&pool, &rounds);
     pool.flush_all().expect("quiesce after measured phase");
 
     // The mutex path serialises writers behind the shard lock — its
@@ -219,6 +223,7 @@ pub fn run(quick: bool) -> Vec<String> {
         &RingPlan {
             shards: 2,
             rounds: 20,
+            sched: Policy::Rounds,
         },
         0x3757_B900..0x3757_B900 + if quick { 40 } else { 200 },
     );
@@ -232,7 +237,12 @@ pub fn run(quick: bool) -> Vec<String> {
         eprintln!("  violation: {v}");
     }
     let rounds = if quick { 3 } else { 4 };
-    let frontier = frontier(&RingPlan { shards: 2, rounds }, 0x3757_B901..0x3757_B902, 6);
+    let plan = RingPlan {
+        shards: 2,
+        rounds,
+        sched: Policy::Rounds,
+    };
+    let frontier = frontier(&plan, 0x3757_B901..0x3757_B902, 6);
     println!("mw frontier: {frontier}");
     for v in &frontier.violations {
         eprintln!("  violation: {v}");

@@ -1,8 +1,9 @@
 //! persistrace figure — concurrency-aware persist-order audit of the
 //! sharded pool under multi-threaded load.
 //!
-//! Runs the scaling workload (multi-threaded Fio over a sharded
-//! [`TincaPool`]) with NVM event tracing on, then audits the traces with
+//! Runs the scaling workload (multi-writer Fio over a sharded
+//! [`TincaPool`], its writers interleaved by a seeded scheduler) with NVM
+//! event tracing on, then audits the traces with
 //! the full `persistcheck` rule set, including the happens-before race
 //! rules (`persist-race`, `unordered-commit`,
 //! `cross-thread-flush-dependency`). Two views per point:
@@ -20,9 +21,9 @@
 //! outside its shard's cache lock, or a destage racing a commit — fails
 //! the figure.
 //!
-//! Tracing neutrality is checked on the deterministic single-thread
-//! points: the same workload untraced must land on the same simulated
-//! clock, nanosecond for nanosecond.
+//! Tracing neutrality is checked at every audited point: the same
+//! workload and schedule untraced must land on the same simulated clocks,
+//! nanosecond for nanosecond.
 
 use std::fs;
 
@@ -32,6 +33,7 @@ use persistcheck::{CheckConfig, Checker, Report, Rule};
 use telemetry::Json;
 use tinca::{PoolConfig, TincaConfig, TincaPool};
 use workloads::mtfio::{MtFio, MtFioSpec};
+use workloads::sched::{Policy, Sched};
 
 use crate::table::Table;
 use crate::{banner, checks, results_dir, write_csv};
@@ -46,6 +48,9 @@ pub struct RacePoint {
     pub sync_events: u64,
     /// Correctness-rule hits summed over both views (gate).
     pub correctness: usize,
+    /// Tracing is observation-only: an untraced run ends on the same
+    /// shard clocks.
+    pub neutral: bool,
 }
 
 fn build_pool(shards: usize, nvm_bytes: usize, traced: bool) -> (TincaPool, Vec<Nvm>) {
@@ -81,11 +86,24 @@ fn spec(shards: usize, threads: usize, quick: bool) -> MtFioSpec {
     }
 }
 
-fn run_workload(pool: &TincaPool, shards: usize, threads: usize, quick: bool) {
-    let fio = MtFio::new(spec(shards, threads, quick));
-    fio.setup(pool, if quick { 64 } else { 256 });
-    fio.run(pool);
+/// Builds a pool, runs the workload on it and returns the pool and its
+/// devices.
+fn run_workload(shards: usize, threads: usize, quick: bool, traced: bool) -> (TincaPool, Vec<Nvm>) {
+    let nvm_bytes = if quick { 4 << 20 } else { 16 << 20 };
+    let (pool, devices) = build_pool(shards, nvm_bytes, traced);
+    let spec = spec(shards, threads, quick);
+    let sched = Sched {
+        policy: Policy::Seeded(spec.seed),
+    };
+    let fio = MtFio::new(spec);
+    fio.setup(&pool, if quick { 64 } else { 256 });
+    fio.run(&pool, &sched);
     pool.flush_all().expect("fault-free flush");
+    (pool, devices)
+}
+
+fn clocks(devices: &[Nvm]) -> Vec<u64> {
+    devices.iter().map(|d| d.clock().now_ns()).collect()
 }
 
 fn correctness_hits(r: &Report) -> usize {
@@ -95,11 +113,11 @@ fn correctness_hits(r: &Report) -> usize {
         .count()
 }
 
-/// Runs one point and audits it per shard and merged.
+/// Runs one point, audits it per shard and merged, and checks it
+/// against the same run untraced.
 pub fn audit_point(shards: usize, threads: usize, quick: bool) -> RacePoint {
-    let nvm_bytes = if quick { 4 << 20 } else { 16 << 20 };
-    let (pool, devices) = build_pool(shards, nvm_bytes, true);
-    run_workload(&pool, shards, threads, quick);
+    let (pool, devices) = run_workload(shards, threads, quick, true);
+    let neutral = clocks(&devices) == clocks(&run_workload(shards, threads, quick, false).1);
 
     let traces: Vec<_> = devices.iter().map(|d| d.take_trace()).collect();
     let shard_capacity = devices[0].capacity();
@@ -144,19 +162,8 @@ pub fn audit_point(shards: usize, threads: usize, quick: bool) -> RacePoint {
         merged,
         sync_events,
         correctness,
+        neutral,
     }
-}
-
-/// Whether tracing is observation-only on the deterministic single-thread
-/// workload: traced and untraced runs must agree on every shard clock.
-fn tracing_neutral(shards: usize, quick: bool) -> bool {
-    let nvm_bytes = if quick { 4 << 20 } else { 16 << 20 };
-    let clocks = |traced: bool| -> Vec<u64> {
-        let (pool, devices) = build_pool(shards, nvm_bytes, traced);
-        run_workload(&pool, shards, 1, quick);
-        devices.iter().map(|d| d.clock().now_ns()).collect()
-    };
-    clocks(true) == clocks(false)
 }
 
 /// Runs the full figure. Fails if any correctness rule (including the
@@ -185,10 +192,12 @@ pub fn run(quick: bool) -> Vec<String> {
         "verdict",
     ]);
     let mut clean = true;
+    let mut neutral = true;
     let mut json_points = Vec::new();
     for &(shards, threads) in points {
         let p = audit_point(shards, threads, quick);
         clean &= p.correctness == 0;
+        neutral &= p.neutral;
         let r = &p.merged;
         t.row(vec![
             shards.to_string(),
@@ -213,10 +222,7 @@ pub fn run(quick: bool) -> Vec<String> {
             ("merged", r.to_json()),
         ]));
     }
-    let neutral = [1usize, 4]
-        .iter()
-        .all(|&shards| tracing_neutral(shards, quick));
-    println!("tracing neutral (traced == untraced simulated clocks, 1 and 4 shards): {neutral}");
+    println!("tracing neutral (traced == untraced simulated clocks, every point): {neutral}");
     t.print();
     write_csv("persistrace", &t.headers(), t.rows());
     let out = Json::obj(vec![

@@ -2,7 +2,7 @@
 //!
 //! The paper drives Tinca with multi-threaded Fio; this figure shows what
 //! the sharded front-end buys: an `N = 4` pool against an `N = 1` pool at
-//! 1–16 worker threads, same total NVM budget, same per-thread workload.
+//! 1–16 writers, same total NVM budget, same per-writer workload.
 //!
 //! * **throughput** (ops per simulated second of parallel wall time):
 //!   `N = 1` serialises every commit on one shard clock; `N = 4` spreads
@@ -14,8 +14,9 @@
 //!   transactions — so nothing on this path amortises flushes across
 //!   transactions; the series moves with the workload only.
 //!
-//! The rows with more than one thread run on real OS threads; their
-//! interleaving, and so their exact numbers, vary from run to run.
+//! The writers are stepped by a seeded scheduler ([`Policy::Seeded`]), so
+//! every row is reproducible. Writer `w` works a block lane on shard
+//! `w % N`: one writer keeps one shard busy.
 //!
 //! Every run traces NVM events; the persist-order analyzer must report
 //! zero correctness violations on **each shard's** commit stream.
@@ -25,6 +26,7 @@ use nvmsim::{shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
 use persistcheck::{CheckConfig, Checker};
 use tinca::{PoolConfig, TincaConfig, TincaPool};
 use workloads::mtfio::{MtFio, MtFioSpec, MtReport};
+use workloads::sched::{Policy, Sched};
 
 use crate::table::Table;
 use crate::{banner, checks, fmt, write_csv};
@@ -72,9 +74,12 @@ pub fn run_point(shards: usize, threads: usize, quick: bool) -> ScalingPoint {
         txn_blocks: 2,
         seed: 0x5CA1 + shards as u64,
     };
+    let sched = Sched {
+        policy: Policy::Seeded(spec.seed),
+    };
     let fio = MtFio::new(spec);
     fio.setup(&pool, if quick { 64 } else { 256 });
-    let report = fio.run(&pool);
+    let report = fio.run(&pool, &sched);
     pool.flush_all().unwrap();
 
     let mut violations = 0usize;

@@ -60,7 +60,7 @@ pub use cache::{DynDisk, Health};
 pub use config::TincaConfig;
 pub use error::TincaError;
 pub use layout::{intent_tag, split_slot, Layout};
-pub use pool::ring::{CommitMode, MwAdmission, MwTicket};
+pub use pool::ring::{CommitMode, MwAdmission, MwReservation, MwTicket};
 pub use pool::{PoolConfig, TincaPool};
 pub use snapshot::StatsSnapshot;
 pub use stats::CacheStats;

@@ -202,13 +202,32 @@ impl MwTicket {
     pub fn shard(&self) -> usize {
         self.shard
     }
+
+    /// The window's identity on its shard, for
+    /// [`TincaPool::mw_retired`](crate::TincaPool::mw_retired).
+    pub fn ordinal(&self) -> u64 {
+        self.ordinal
+    }
 }
 
-/// Outcome of a non-blocking multi-writer admission attempt.
-pub enum MwAdmission {
-    /// The window is reserved and its meta phase has run; stage and
-    /// publish the returned ticket.
-    Admitted(MwTicket),
+/// A reserved ring range whose window is not registered yet: the writer
+/// holds its block claims, a descriptor credit and `[start, start + len)`
+/// of the ring. Until [`TincaPool::mw_register`](crate::TincaPool::mw_register)
+/// takes it, the range is a hole the sequencer must not pass.
+pub struct MwReservation {
+    shard: usize,
+    txn: Txn,
+    start: u64,
+    retries: u64,
+}
+
+/// Outcome of a non-blocking multi-writer admission attempt: `T` is an
+/// [`MwTicket`] for a whole admission, an [`MwReservation`] for its
+/// reserve step.
+pub enum MwAdmission<T = MwTicket> {
+    /// The window is reserved (and, for a ticket, its meta phase has
+    /// run); carry on with the returned step.
+    Admitted(T),
     /// The transaction conflicts with an in-flight window, the shard is
     /// quiesced for a spanning commit, or ring/descriptor capacity is
     /// exhausted. The transaction is handed back; retry after the shard
@@ -231,7 +250,9 @@ fn trip_event(payload: &(dyn std::any::Any + Send)) -> Option<u64> {
 
 impl TincaPool {
     /// Non-blocking multi-writer admission of a single-shard transaction
-    /// (`LockFreeRing` mode only; see [`CommitMode`]). On
+    /// (`LockFreeRing` mode only; see [`CommitMode`]): the
+    /// [`mw_reserve`](Self::mw_reserve) step, then the
+    /// [`mw_register`](Self::mw_register) step. On
     /// [`MwAdmission::Admitted`] the caller owns a reserved window and
     /// must drive it through [`mw_stage`](Self::mw_stage),
     /// [`mw_publish`](Self::mw_publish), and (eventually)
@@ -240,22 +261,37 @@ impl TincaPool {
     /// the steppable face of the pipeline — deterministic drivers
     /// (benches, fuzzers, proptests) interleave the steps explicitly.
     pub fn mw_try_begin(&self, txn: Txn) -> Result<MwAdmission, TincaError> {
+        self.mw_admit(self.mw_reserve(txn)?)
+    }
+
+    fn mw_admit(&self, reserved: MwAdmission<MwReservation>) -> Result<MwAdmission, TincaError> {
+        match reserved {
+            MwAdmission::Admitted(r) => self.mw_register(r).map(MwAdmission::Admitted),
+            MwAdmission::Busy(txn) => Ok(MwAdmission::Busy(txn)),
+        }
+    }
+
+    /// The first step of an admission: claims the transaction's disk
+    /// blocks, takes a descriptor credit and CAS-reserves its ring range.
+    /// Touches no device. The reservation is a hole in the shard's window
+    /// queue until [`mw_register`](Self::mw_register) takes it.
+    pub fn mw_reserve(&self, txn: Txn) -> Result<MwAdmission<MwReservation>, TincaError> {
         assert_eq!(
             self.commit_mode,
             CommitMode::LockFreeRing,
-            "mw_try_begin requires CommitMode::LockFreeRing"
+            "mw_reserve requires CommitMode::LockFreeRing"
         );
         assert!(!txn.is_empty(), "empty transactions commit trivially");
         let home = self.home_shard(&txn);
         assert!(
             home.is_some(),
-            "mw_try_begin requires a single-shard transaction"
+            "mw_reserve requires a single-shard transaction"
         );
-        self.mw_try_begin_on(home.unwrap_or(0), txn)
+        self.mw_reserve_on(home.unwrap_or(0), txn)
     }
 
-    /// [`mw_try_begin`](Self::mw_try_begin) on a known home shard.
-    fn mw_try_begin_on(&self, s: usize, txn: Txn) -> Result<MwAdmission, TincaError> {
+    /// [`mw_reserve`](Self::mw_reserve) on a known home shard.
+    fn mw_reserve_on(&self, s: usize, txn: Txn) -> Result<MwAdmission<MwReservation>, TincaError> {
         let sh = &self.shards[s];
         let n = txn.len() as u64;
         if n > sh.layout.ring_cap {
@@ -311,20 +347,18 @@ impl TincaPool {
                 Err(_) => retries += 1,
             }
         };
-        self.mw_register(s, txn, start, retries)
+        Ok(MwAdmission::Admitted(MwReservation {
+            shard: s,
+            txn,
+            start,
+            retries,
+        }))
     }
 
-    /// Second half of an admission, after the cursor CAS reserved
-    /// `[start, start + txn.len())`: registers the window and runs the meta
-    /// phase. Between the CAS and this call the reservation is a hole in
-    /// `MwState::windows` that the sequencer must not pass.
-    fn mw_register(
-        &self,
-        s: usize,
-        txn: Txn,
-        start: u64,
-        retries: u64,
-    ) -> Result<MwAdmission, TincaError> {
+    /// The second step of an admission: registers the reserved window and
+    /// runs its meta phase, closing the hole its reservation left.
+    pub fn mw_register(&self, r: MwReservation) -> Result<MwTicket, TincaError> {
+        let (s, txn, start, retries) = (r.shard, r.txn, r.start, r.retries);
         let sh = &self.shards[s];
         let n = txn.len() as u64;
         let (ordinal, desc_slot) = {
@@ -368,13 +402,13 @@ impl TincaPool {
                     let mut mw = lock_mw(sh);
                     Self::mw_window_mut(&mut mw, ordinal).meta = MwMeta::Staged(frag);
                 }
-                Ok(MwAdmission::Admitted(MwTicket {
+                Ok(MwTicket {
                     shard: s,
                     ordinal,
                     desc_slot,
                     stage_jobs,
                     ready_ns,
-                }))
+                })
             }
             Err(e) => {
                 // The window is sealed as a failed no-op (entries revoked,
@@ -398,8 +432,8 @@ impl TincaPool {
     /// Undoes a reservation attempt that failed at the credit or cursor
     /// CAS: un-claims the conflict-admission blocks (the caller still owns
     /// `txn`) and refunds the descriptor credit if one was taken.
-    fn mw_back_out(&self, sh: &Shard, txn: Txn, retries: u64, refund_credit: bool) -> MwAdmission {
-        if refund_credit {
+    fn mw_back_out<T>(&self, sh: &Shard, txn: Txn, retries: u64, refund: bool) -> MwAdmission<T> {
+        if refund {
             sh.mw.slots_avail.fetch_add(1, Ordering::AcqRel);
         }
         let mut mw = lock_mw(sh);
@@ -413,8 +447,8 @@ impl TincaPool {
         MwAdmission::Busy(txn)
     }
 
-    /// The window registered by [`mw_try_begin_on`](Self::mw_try_begin_on)
-    /// for `ordinal` (only the sequencer removes windows, and it never
+    /// The window registered by [`mw_register`](Self::mw_register) for
+    /// `ordinal` (only the sequencer removes windows, and it never
     /// removes one whose writer still holds the ticket).
     fn mw_window_mut(mw: &mut MwState, ordinal: u64) -> &mut MwWindow {
         // Audited panic: see the doc comment — the window is present for
@@ -475,6 +509,16 @@ impl TincaPool {
         sh.nvm.clflush(addr, 8);
         sh.nvm
             .note_atomic_store_release(sh.sync_base + SYNC_MW_PUBLISH);
+    }
+
+    /// Whether shard `s`'s window `ordinal` (see [`MwTicket::ordinal`])
+    /// has retired: the sequencer drops a window from the queue when its
+    /// round commits. Unwinds like a committer if the shard's pipeline
+    /// failed.
+    pub fn mw_retired(&self, s: usize, ordinal: u64) -> bool {
+        let mw = lock_mw(&self.shards[s]);
+        Self::mw_leave_if_failed(&mw);
+        !mw.windows.iter().any(|w| w.ordinal == ordinal)
     }
 
     /// Runs sequencer rounds on shard `s` until no retirable prefix
@@ -597,7 +641,7 @@ impl TincaPool {
     /// window retires.
     pub(super) fn commit_on_shard_mw(&self, s: usize, mut txn: Txn) -> Result<(), TincaError> {
         let mut ticket = loop {
-            match self.mw_try_begin_on(s, txn)? {
+            match self.mw_admit(self.mw_reserve_on(s, txn)?)? {
                 MwAdmission::Admitted(t) => break t,
                 MwAdmission::Busy(t) => {
                     txn = t;
@@ -746,24 +790,26 @@ mod tests {
         t
     }
 
-    /// The first half of an admission and nothing more: the writer claimed
-    /// its block, took a descriptor credit and won the cursor CAS, then was
-    /// descheduled before registering its window. Returns the reserved start.
-    fn reserve_unregistered(p: &TincaPool, txn: &Txn) -> u64 {
-        let sh = &p.shards[0];
-        lock_mw(sh).in_flight.extend(txn.disk_blocks());
-        sh.mw.slots_avail.fetch_sub(1, Ordering::AcqRel);
-        sh.mw.cursor.fetch_add(txn.len() as u64, Ordering::AcqRel)
+    /// The reserve step and nothing more: the writer claimed its block,
+    /// took a descriptor credit and won the cursor CAS, then was
+    /// descheduled before registering its window.
+    fn reserve(p: &TincaPool, txn: Txn) -> MwReservation {
+        match p.mw_reserve(txn).unwrap() {
+            MwAdmission::Admitted(r) => r,
+            MwAdmission::Busy(_) => panic!("reservation refused"),
+        }
     }
 
     fn admit(p: &TincaPool, admission: Result<MwAdmission, TincaError>) -> MwTicket {
         match admission.unwrap() {
-            MwAdmission::Admitted(mut t) => {
-                p.mw_stage(&mut t);
-                t
-            }
+            MwAdmission::Admitted(t) => staged(p, t),
             MwAdmission::Busy(_) => panic!("admission refused"),
         }
+    }
+
+    fn staged(p: &TincaPool, mut t: MwTicket) -> MwTicket {
+        p.mw_stage(&mut t);
+        t
     }
 
     fn assert_block(p: &TincaPool, blk: u64, byte: u8) {
@@ -777,14 +823,13 @@ mod tests {
     #[test]
     fn sequencer_waits_for_an_unregistered_window_at_the_frontier() {
         let p = ring_pool();
-        let a_txn = one_block(1, 0xA1);
-        let a_start = reserve_unregistered(&p, &a_txn);
+        let a_res = reserve(&p, one_block(1, 0xA1));
         let b = admit(&p, p.mw_try_begin(one_block(2, 0xB2)));
         p.mw_publish(b);
         assert_eq!(p.mw_sequence(0), 0, "B sits behind A's unwritten slot");
 
         // A wakes up: registered but unpublished still blocks the prefix.
-        let a = admit(&p, p.mw_register(0, a_txn, a_start, 0));
+        let a = staged(&p, p.mw_register(a_res).unwrap());
         assert_eq!(p.mw_sequence(0), 0, "A is registered, not yet staged");
         p.mw_publish(a);
         assert_eq!(p.mw_sequence(0), 2, "one round retires A and B");
@@ -800,15 +845,14 @@ mod tests {
     fn sequencer_cuts_the_prefix_at_a_gap_between_windows() {
         let p = ring_pool();
         let a = admit(&p, p.mw_try_begin(one_block(1, 0xA1)));
-        let b_txn = one_block(2, 0xB2);
-        let b_start = reserve_unregistered(&p, &b_txn);
+        let b_res = reserve(&p, one_block(2, 0xB2));
         let c = admit(&p, p.mw_try_begin(one_block(3, 0xC3)));
         p.mw_publish(c);
         p.mw_publish(a);
         assert_eq!(p.mw_sequence(0), 1, "only A: B's range is a hole before C");
         assert_block(&p, 1, 0xA1);
 
-        let b = admit(&p, p.mw_register(0, b_txn, b_start, 0));
+        let b = staged(&p, p.mw_register(b_res).unwrap());
         p.mw_publish(b);
         assert_eq!(p.mw_sequence(0), 2, "B and C retire together");
         assert_block(&p, 2, 0xB2);
@@ -825,8 +869,8 @@ mod tests {
         use std::sync::mpsc;
         use std::time::Duration;
         let p = ring_pool();
-        let a_txn = one_block(1, 0xA1);
-        let a_start = reserve_unregistered(&p, &a_txn);
+        let a_res = reserve(&p, one_block(1, 0xA1));
+        let a_start = a_res.start;
         std::thread::scope(|sc| {
             let (done_tx, done_rx) = mpsc::channel();
             let pool = &p;
@@ -840,7 +884,7 @@ mod tests {
             );
             // A wakes up and drives its window; whichever thread sequences
             // it, the quiescer is released only after it retired.
-            let a = admit(&p, p.mw_register(0, a_txn, a_start, 0));
+            let a = staged(&p, p.mw_register(a_res).unwrap());
             p.mw_publish(a);
             p.mw_sequence(0);
             done_rx

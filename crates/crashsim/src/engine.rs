@@ -43,6 +43,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use tinca::{CommitMode, DynDisk, PoolConfig, TincaConfig, TincaError, TincaPool, Txn};
 use workloads::openloop::write_payload;
+use workloads::sched::{Op, Policy, Sched, Script};
 
 use crate::frontier::{epochs_from_trace, frontiers};
 use crate::{quiet_crash_panics, AppOutcome, CampaignReport, Check, FailureMode, Finding};
@@ -387,11 +388,86 @@ pub trait Workload {
     fn tally(&self, _: &TincaPool, _: &mut CampaignReport) {}
 }
 
-/// The plain script: commit each transaction in turn.
-impl Workload for Vec<TxnSpec> {
+/// Scripted writers stepped by a [`Sched`]: writer `w` commits
+/// `queues[w]` in order and idles through its `None` entries. A
+/// transaction is in flight in the oracle from its reservation, or its
+/// one-step commit, until it takes effect. A trip ends the run at once,
+/// unless `survive`: then the writer it cut stops, the others run to
+/// completion, and the trip unwinds again. (`survive` restarts the
+/// schedule, so it suits one-step commits: a mutex pool.)
+pub struct Writers {
+    pub queues: Vec<Vec<Option<TxnSpec>>>,
+    pub sched: Sched,
+    pub survive: bool,
+}
+
+impl Writers {
+    /// The plain script: one writer committing each transaction in turn.
+    pub fn serial(plan: Vec<TxnSpec>) -> Writers {
+        Writers {
+            queues: vec![plan.into_iter().map(Some).collect()],
+            sched: Sched {
+                policy: Policy::Rounds,
+            },
+            survive: false,
+        }
+    }
+}
+
+/// [`Writers`]' [`Script`].
+struct Queues<'a> {
+    queues: Vec<std::slice::Iter<'a, Option<TxnSpec>>>,
+    oracle: &'a mut BlockOracle,
+    /// Each writer's transaction, from its draw until it takes effect.
+    current: Vec<Option<&'a TxnSpec>>,
+}
+
+impl Script for Queues<'_> {
+    fn next(&mut self, w: usize, pool: &TincaPool) -> Option<Op> {
+        let Some(spec) = self.queues[w].next()? else {
+            return Some(Op::Idle);
+        };
+        self.current[w] = Some(spec);
+        let txn = self.oracle.images().txn(pool, spec);
+        let home = pool.shard_of(spec[0].0);
+        if spec.iter().all(|&(b, _)| pool.shard_of(b) == home) {
+            Some(Op::Commit(txn))
+        } else {
+            Some(Op::Spanning(txn))
+        }
+    }
+
+    fn begin(&mut self, w: usize) {
+        self.oracle
+            .begin(self.current[w].expect("a drawn transaction"));
+    }
+
+    fn done(&mut self, w: usize) {
+        self.oracle
+            .retire(self.current[w].take().expect("a drawn transaction"));
+    }
+}
+
+impl Workload for Writers {
     fn play(&mut self, _: &Rig, pool: &TincaPool, oracle: &mut BlockOracle) -> Result<(), Finding> {
-        oracle.commit_each(pool, self);
-        Ok(())
+        let n = self.queues.len();
+        let mut script = Queues {
+            queues: self.queues.iter().map(|q| q.iter()).collect(),
+            oracle,
+            current: vec![None; n],
+        };
+        let sched = self.sched;
+        let Err(trip) = catch_unwind(AssertUnwindSafe(|| sched.run(pool, n, &mut script))) else {
+            return Ok(());
+        };
+        if !self.survive || !trip.is::<CrashTripped>() {
+            resume_unwind(trip);
+        }
+        for w in (0..n).filter(|&w| script.current[w].is_some()) {
+            script.queues[w] = [].iter();
+        }
+        sched.run(pool, n, &mut script);
+        resume_unwind(trip)
     }
 }
 
@@ -665,6 +741,13 @@ impl BlockOracle {
         }
     }
 
+    /// The in-flight transaction `writes` took effect on its own: durable
+    /// now, while the others stay in flight.
+    pub fn retire(&mut self, writes: &[(u64, u64)]) {
+        self.in_flight.retain(|t| t != writes);
+        self.durable.extend(writes.iter().copied());
+    }
+
     /// Every transaction in flight ended without effect (a refused
     /// commit, a shed op).
     pub fn abort(&mut self) {
@@ -674,17 +757,6 @@ impl BlockOracle {
     /// The durable image of block `b`.
     pub(crate) fn durable_image(&self, b: u64) -> [u8; BLOCK_SIZE] {
         self.images.of(b, self.durable.get(&b).copied())
-    }
-
-    /// Commits each transaction of `plan` in turn, in flight until the
-    /// commit returns.
-    pub fn commit_each(&mut self, pool: &TincaPool, plan: &[TxnSpec]) {
-        for writes in plan {
-            self.begin(writes);
-            pool.commit(self.images.txn(pool, writes))
-                .expect("scripted commit");
-            self.commit();
-        }
     }
 
     /// Reads every block back. A block no in-flight transaction touches

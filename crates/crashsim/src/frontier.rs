@@ -17,26 +17,21 @@
 //! included); the report counts those epochs so a capped run is never
 //! mistaken for an exhaustive one.
 //!
-//! [`ThreadedPlan`] is a genuinely multi-threaded pool workload: one OS
-//! thread per shard (blocks ≡ thread mod shards keep every shard
-//! single-writer and its event stream deterministic), the spawn handoff
-//! annotated with release/acquire sync events so the persistrace rules
-//! audit each shard's trace and the merged trace without false positives.
+//! [`ThreadedPlan`] is a multi-writer pool workload: one writer per shard
+//! (blocks ≡ writer mod shards keep every shard single-writer), the
+//! writers interleaved by a seeded scheduler.
 
 use std::collections::{BTreeSet, HashSet};
-use std::panic::resume_unwind;
 
-use nvmsim::{CrashTripped, Nvm, TraceEvent, TracedOp};
+use nvmsim::{TraceEvent, TracedOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tinca::{CommitMode, TincaPool};
+use tinca::CommitMode;
+use workloads::sched::{Policy, Sched};
 
-use crate::engine::{
-    draw_txn, pool_trip, small_pool, tripped, BlockOracle, Cut, Images, Plan, PoolApp, Rig, Trip,
-    TxnSpec, Workload,
-};
+use crate::engine::{draw_txn, pool_trip, small_pool, Cut, Plan, PoolApp, Trip, Writers};
 use crate::FailureMode::PowerPull;
-use crate::{Check, Finding};
+use crate::Finding;
 
 /// One fence epoch reconstructed from a probe trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,115 +120,15 @@ pub(crate) fn frontiers(staged: &[usize], cap: usize, seed: u64) -> (Vec<Vec<usi
     (seen.into_iter().collect(), true)
 }
 
-/// Worker trace-thread ids start here, far above any lazily assigned id.
-const WORKER_TRACE_BASE: u32 = 1000;
-/// Sync-object id for the spawn handoff of shard `s` is `HANDOFF_OBJ + s`.
-const HANDOFF_OBJ: u64 = 0x5F00;
-
-/// Per-thread script: thread `t` of `shards` only touches blocks
-/// ≡ `t` (mod `shards`), so each shard has exactly one writer and its
-/// device event stream is deterministic under any thread interleaving.
-fn thread_script(
-    rng: &mut StdRng,
-    txns: usize,
-    blocks: u64,
-    shards: u64,
-    thread: u64,
-) -> Vec<TxnSpec> {
-    (0..txns)
-        .map(|_| {
-            let n = rng.gen_range(1..=2usize);
-            draw_txn(rng, n, &mut HashSet::new(), |rng| {
-                rng.gen_range(0..blocks / shards) * shards + thread
-            })
-        })
-        .collect()
-}
-
-/// Runs one OS thread per plan against the shared pool; thread `i` owns
-/// shard `i` and disarms its device when it stops. Returns per-thread
-/// `(committed, crashed)`.
-fn run_pool_threads(
-    pool: &TincaPool,
-    devices: &[Nvm],
-    plans: &[Vec<TxnSpec>],
-    images: Images,
-) -> Vec<(usize, bool)> {
-    // Annotate the spawn handoff: the spawning thread releases, each
-    // worker acquires, giving the race rules the happens-before edge the
-    // real `thread::scope` spawn provides.
-    for (s, d) in devices.iter().enumerate() {
-        d.note_atomic_store_release(HANDOFF_OBJ + s as u64);
-    }
-    std::thread::scope(|sc| {
-        let handles: Vec<_> = plans
-            .iter()
-            .enumerate()
-            .map(|(i, plan)| {
-                let device = &devices[i..=i];
-                sc.spawn(move || {
-                    nvmsim::set_trace_thread(WORKER_TRACE_BASE + i as u32);
-                    device[0].note_atomic_load_acquire(HANDOFF_OBJ + i as u64);
-                    let mut committed = 0usize;
-                    let done = tripped(device, || {
-                        for spec in plan {
-                            pool.commit(images.txn(pool, spec))
-                                .expect("frontier commit");
-                            committed += 1;
-                        }
-                    });
-                    (committed, done.is_none())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("frontier worker"))
-            .collect()
-    })
-}
-
-/// One thread per shard, each committing its own script; the crashed
-/// worker's trip is raised again once every worker has joined.
-impl Workload for Vec<Vec<TxnSpec>> {
-    fn play(
-        &mut self,
-        rig: &Rig,
-        pool: &TincaPool,
-        oracle: &mut BlockOracle,
-    ) -> Result<(), Finding> {
-        let results = run_pool_threads(pool, &rig.devices, self, oracle.images());
-        let crashed = results.iter().filter(|(_, c)| *c).count();
-        if crashed > 1 {
-            return Err(
-                Check::Workload.found(format_args!("{crashed} threads crashed on one trip"))
-            );
-        }
-        for (plan, &(committed, _)) in self.iter().zip(&results) {
-            for spec in &plan[..committed] {
-                oracle.begin(spec);
-                oracle.commit();
-            }
-        }
-        if let Some(s) = results.iter().position(|r| r.1) {
-            oracle.begin(&self[s][results[s].0]);
-            resume_unwind(Box::new(CrashTripped {
-                event: rig.devices[s].events(),
-            }));
-        }
-        Ok(())
-    }
-}
-
 /// Each shard's fence epochs enumerated in turn, the crash landing
-/// mid-commit on that shard while the other threads run to completion.
+/// mid-commit on that shard while the other writers run to completion.
 /// Every shard's trace and the merged trace pass the analyzer,
 /// concurrency rules (persist-race, unordered-commit,
 /// cross-thread-flush-dependency) included.
 ///
 /// With `delta_stage` the pool runs
 /// [`TincaConfig::delta_stage`](tinca::TincaConfig::delta_stage), each
-/// thread rewrites a narrow block range and the images are sparse, so the
+/// writer rewrites a narrow block range and the images are sparse, so the
 /// enumerated frontiers cut shadow rewrites on every shard.
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadedPlan {
@@ -243,30 +138,45 @@ pub struct ThreadedPlan {
 }
 
 impl Plan for ThreadedPlan {
-    type App = PoolApp<Vec<Vec<TxnSpec>>>;
+    type App = PoolApp<Writers>;
     const NAME: &'static str = "threaded";
 
     fn build(&self, seed: u64) -> Result<(Self::App, Trip, Cut<'static>), Finding> {
         let (txns, n) = (self.txns_per_thread, self.shards as u64);
-        // Under delta staging each thread rewrites two blocks, so from a
+        // Under delta staging each writer rewrites two blocks, so from a
         // block's third write on its commits rewrite a reserved shadow.
         let blocks = if self.delta_stage { 2 * n } else { 96 };
-        let plans: Vec<Vec<TxnSpec>> = (0..n)
+        // Writer t touches only blocks ≡ t (mod n): one writer per shard,
+        // so each shard's event stream is the same under any interleaving.
+        let queues = (0..n)
             .map(|t| {
-                let mut rng = StdRng::seed_from_u64(seed ^ ((t + 1) << 8));
-                thread_script(&mut rng, txns, blocks, n, t)
+                let rng = &mut StdRng::seed_from_u64(seed ^ ((t + 1) << 8));
+                let lane = |rng: &mut StdRng| rng.gen_range(0..blocks / n) * n + t;
+                (0..txns)
+                    .map(|_| {
+                        let k = rng.gen_range(1..=2usize);
+                        Some(draw_txn(rng, k, &mut HashSet::new(), lane))
+                    })
+                    .collect()
             })
             .collect();
         let trip = pool_trip(&mut StdRng::seed_from_u64(seed), seed, self.shards);
         let cut = Cut::of(PowerPull, seed ^ 0xD1CE);
         let cfg = small_pool(self.shards, CommitMode::Mutex, self.delta_stage);
-        Ok((PoolApp::fresh(&cfg, blocks, plans), trip, cut))
+        let work = Writers {
+            queues,
+            sched: Sched {
+                policy: Policy::Seeded(seed),
+            },
+            survive: true,
+        };
+        Ok((PoolApp::fresh(&cfg, blocks, work), trip, cut))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
+    use nvmsim::{Nvm, NvmConfig, NvmDevice, NvmTech, SimClock};
 
     use super::*;
 

@@ -41,7 +41,7 @@
 //! cut, persist-order audit and block oracle: [`PoolPlan`] (dense or
 //! delta-staged), [`RingPlan`] (the lock-free ring), [`FaultsPlan`] (disk
 //! faults, any shard count and commit mode), [`BacklogPlan`] (open-loop
-//! overload), [`ThreadedPlan`] (one OS thread per shard) and
+//! overload), [`ThreadedPlan`] (one scheduled writer per shard) and
 //! [`SpanningPlan`].
 //!
 //! [`CAMPAIGNS`] names every instance a pin or CI runs, with the seeds
@@ -81,6 +81,7 @@ pub use poolfuzz::{PoolPlan, SpanningPlan};
 use engine::{frontier, sweep};
 use fssim::stack::System::{Classic, ClassicLogMeta, Tinca, TincaNoRoleSwitch, Ubj};
 use tinca::CommitMode::{LockFreeRing, Mutex};
+use workloads::sched::Policy::{Rounds, Seeded};
 use FailureMode::ProcessKill;
 
 /// Every crashsim campaign instance a pin or CI runs, with the seeds whose
@@ -103,10 +104,11 @@ pub const CAMPAIGNS: &[Campaign] = &[
     Campaign { name: "pool-4",                  run: |s| sweep(&PoolPlan { shards: 4, txns: 40, delta_stage: false }, s),                     tier1: 0x900D..0x900D + 24 },
     Campaign { name: "pool-delta-1",            run: |s| sweep(&PoolPlan { shards: 1, txns: 40, delta_stage: true }, s),                      tier1: 0xDE17A1..0xDE17A1 + 24 },
     Campaign { name: "pool-delta-2",            run: |s| sweep(&PoolPlan { shards: 2, txns: 40, delta_stage: true }, s),                      tier1: 0xDE17A2..0xDE17A2 + 24 },
-    Campaign { name: "ring-1",                  run: |s| sweep(&RingPlan { shards: 1, rounds: 20 }, s),                                       tier1: 0x3757_1111..0x3757_1111 + 10 },
-    Campaign { name: "ring-2",                  run: |s| sweep(&RingPlan { shards: 2, rounds: 20 }, s),                                       tier1: 0x3757_0000..0x3757_0000 + 24 },
-    Campaign { name: "ring-4",                  run: |s| sweep(&RingPlan { shards: 4, rounds: 20 }, s),                                       tier1: 0x3757_4444..0x3757_4444 + 10 },
-    Campaign { name: "ring-frontier",           run: |s| frontier(&RingPlan { shards: 2, rounds: 3 }, s, 4),                                  tier1: 0x3757_F0F0..0x3757_F0F1 },
+    Campaign { name: "ring-1",                  run: |s| sweep(&RingPlan { shards: 1, rounds: 20, sched: Rounds }, s),                        tier1: 0x3757_1111..0x3757_1111 + 10 },
+    Campaign { name: "ring-2",                  run: |s| sweep(&RingPlan { shards: 2, rounds: 20, sched: Rounds }, s),                        tier1: 0x3757_0000..0x3757_0000 + 24 },
+    Campaign { name: "ring-4",                  run: |s| sweep(&RingPlan { shards: 4, rounds: 20, sched: Rounds }, s),                        tier1: 0x3757_4444..0x3757_4444 + 10 },
+    Campaign { name: "ring-seeded-2",           run: |s| sweep(&RingPlan { shards: 2, rounds: 20, sched: Seeded(0x5EED) }, s),                tier1: 0x3757_5EED..0x3757_5EED + 24 },
+    Campaign { name: "ring-frontier",           run: |s| frontier(&RingPlan { shards: 2, rounds: 3, sched: Rounds }, s, 4),                   tier1: 0x3757_F0F0..0x3757_F0F1 },
     Campaign { name: "faults-1",                run: |s| sweep(&FaultsPlan { shards: 1, txns: 40, mode: Mutex }, s),                          tier1: 0xFA57_0000..0xFA57_0000 + 40 },
     Campaign { name: "faults-2",                run: |s| sweep(&FaultsPlan { shards: 2, txns: 40, mode: Mutex }, s),                          tier1: 0xFA57_2000..0xFA57_2000 + 10 },
     Campaign { name: "faults-ring-2",           run: |s| sweep(&FaultsPlan { shards: 2, txns: 40, mode: LockFreeRing }, s),                   tier1: 0xFA57_3000..0xFA57_3000 + 10 },

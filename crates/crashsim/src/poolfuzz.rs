@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tinca::CommitMode;
 
-use crate::engine::{draw_txn, pool_trip, small_pool, Cut, Plan, PoolApp, Trip, TxnSpec};
+use crate::engine::{draw_txn, pool_trip, small_pool, Cut, Plan, PoolApp, Trip, TxnSpec, Writers};
 use crate::FailureMode::PowerPull;
 use crate::Finding;
 
@@ -55,17 +55,17 @@ fn script(rng: &mut StdRng, txns: usize, blocks: u64) -> Vec<TxnSpec> {
 }
 
 impl Plan for PoolPlan {
-    type App = PoolApp<Vec<TxnSpec>>;
+    type App = PoolApp<Writers>;
     const NAME: &'static str = "pool";
 
     fn build(&self, seed: u64) -> Result<(Self::App, Trip, Cut<'static>), Finding> {
         let mut rng = StdRng::seed_from_u64(seed);
         let blocks = if self.delta_stage { 16u64 } else { 96 };
-        let plan = script(&mut rng, self.txns, blocks);
+        let work = Writers::serial(script(&mut rng, self.txns, blocks));
         let trip = pool_trip(&mut rng, seed, self.shards);
         let cut = Cut::of(PowerPull, seed ^ 0xD1CE);
         let cfg = small_pool(self.shards, CommitMode::Mutex, self.delta_stage);
-        Ok((PoolApp::fresh(&cfg, blocks, plan), trip, cut))
+        Ok((PoolApp::fresh(&cfg, blocks, work), trip, cut))
     }
 }
 
@@ -83,7 +83,7 @@ pub struct SpanningPlan {
 }
 
 impl Plan for SpanningPlan {
-    type App = PoolApp<Vec<TxnSpec>>;
+    type App = PoolApp<Writers>;
     const NAME: &'static str = "spanning";
 
     fn build(&self, seed: u64) -> Result<(Self::App, Trip, Cut<'static>), Finding> {
@@ -102,7 +102,8 @@ impl Plan for SpanningPlan {
         let trip = pool_trip(&mut rng, seed, self.shards);
         let cut = Cut::of(PowerPull, seed ^ 0xD1CE);
         let cfg = small_pool(self.shards, CommitMode::Mutex, self.delta_stage);
-        Ok((PoolApp::fresh(&cfg, bases * shards, plan), trip, cut))
+        let work = Writers::serial(plan);
+        Ok((PoolApp::fresh(&cfg, bases * shards, work), trip, cut))
     }
 }
 

@@ -24,7 +24,11 @@ fn live(images: Images) -> (Rig, TincaPool, BlockOracle) {
     };
     let (rig, pool) = Rig::new(cfg, 256 << 10);
     let mut oracle = BlockOracle::new(images, BLOCKS);
-    oracle.commit_each(&pool, &[vec![(0, 1), (1, 2)], vec![(2, 3), (3, 4)]]);
+    for writes in [[(0, 1), (1, 2)], [(2, 3), (3, 4)]] {
+        oracle.begin(&writes);
+        pool.commit(images.txn(&pool, &writes)).expect("commit");
+        oracle.commit();
+    }
     rig.check(&pool, &oracle)
         .expect("an honest history checks clean");
     (rig, pool, oracle)

@@ -42,6 +42,7 @@ pub mod mtfio;
 pub mod openloop;
 pub mod rand_util;
 pub mod report;
+pub mod sched;
 pub mod spec;
 pub mod tpcc;
 pub mod trace;

@@ -36,6 +36,7 @@ const PINS: &[(&str, &str)] = &[
     ("ring-1",                  "10 runs, 0 completed, 10 crashed, 0 violations"),
     ("ring-2",                  "24 runs, 7 completed, 17 crashed, 0 violations"),
     ("ring-4",                  "10 runs, 8 completed, 2 crashed, 0 violations"),
+    ("ring-seeded-2",           "24 runs, 9 completed, 15 crashed, 0 violations"),
     ("ring-frontier",           "38 epochs (33 exhaustive, 5 capped at 4 states), 86 crash states, 0 violations"),
     ("faults-1",                "40 runs, 14 completed, 26 crashed, 0 violations, 0 degraded, 20 transients absorbed over 42 retries, 2 permanent errors"),
     ("faults-2",                "10 runs, 8 completed, 2 crashed, 0 violations, 3 degraded, 15 transients absorbed over 38 retries, 4 permanent errors"),

@@ -15,16 +15,16 @@ use std::path::{Path, PathBuf};
 
 /// Line-start `pub` declarations allowed under each crate's `src/`.
 const PUB_BUDGETS: [(&str, usize); 10] = [
-    ("core", 64),
+    ("core", 69),
     ("fssim", 89),
     ("ubj", 31),
     ("classic", 61),
     ("cluster", 36),
-    ("workloads", 122),
+    ("workloads", 125),
     ("telemetry", 106),
     ("nvmsim", 89),
     ("kvdb", 76),
-    ("crashsim", 85),
+    ("crashsim", 86),
 ];
 
 /// Non-test `Result<…, String>` lines allowed under `crates/*/src`.
