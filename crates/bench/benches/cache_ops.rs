@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks comparing the two caches' per-operation
 //! mechanics: Tinca's 16 B atomic cache-entry update vs Classic's 4 KB
-//! metadata-block rewrite (§4.2 vs §3.2), and the read paths.
+//! metadata-block rewrite (§4.2 vs §3.2), and the read paths; plus the
+//! host cost of Tinca's cold miss path (victim search, eviction, destage
+//! and the NVM persist under them).
 
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 use classic::{ClassicCache, ClassicConfig};
@@ -133,9 +135,84 @@ fn bench_eviction_pressure(c: &mut Criterion) {
     group.finish();
 }
 
+/// A one-shard destage-on pool whose working set is 16× its cache, warmed
+/// by two passes of alternating reads and 2-block commits over that set,
+/// so the LRU holds a clean/dirty mix and every later op on a cold block
+/// evicts. Returns the pool and the working set's size in blocks.
+fn cold_pool() -> (TincaPool, u64) {
+    let clock = SimClock::new();
+    let nvm = NvmDevice::new(NvmConfig::new(4 << 20, NvmTech::Pcm), clock.clone());
+    let disk = SimDisk::new(DiskKind::Ssd, 1 << 18, clock);
+    let mut cfg = PoolConfig::default();
+    cfg.cache.destage = true;
+    cfg.cache.coalesce_flushes = true;
+    let pool = TincaPool::format(vec![nvm], disk, cfg);
+    let span = u64::from(pool.shard_layout(0).data_blocks) * 16;
+    let payload = [10u8; BLOCK_SIZE];
+    let mut buf = [0u8; BLOCK_SIZE];
+    for i in 0..span {
+        let blk = (i * 7919) % span;
+        if i % 2 == 0 {
+            pool.read(blk, &mut buf).unwrap();
+        } else {
+            let mut txn = pool.init_txn();
+            txn.write(blk, &payload);
+            txn.write((blk + 1) % span, &payload);
+            pool.commit(txn).unwrap();
+        }
+    }
+    (pool, span)
+}
+
+fn bench_miss_path(c: &mut Criterion) {
+    let mut group = c.benchmark_group("miss_path");
+    group.sample_size(4000);
+    group.bench_function("tinca_read_miss", |b| {
+        let (pool, span) = cold_pool();
+        let mut buf = [0u8; BLOCK_SIZE];
+        let mut i = 0u64;
+        b.iter(|| {
+            pool.read((i * 104_729 + 3) % span, &mut buf).unwrap();
+            i += 1;
+        });
+    });
+    group.bench_function("tinca_commit_miss_2_blocks", |b| {
+        let (pool, span) = cold_pool();
+        let payload = [11u8; BLOCK_SIZE];
+        let mut i = 0u64;
+        b.iter(|| {
+            let blk = (i * 104_729 + 5) % span;
+            let mut txn = pool.init_txn();
+            txn.write(blk, &payload);
+            txn.write((blk + span / 2) % span, &payload);
+            pool.commit(txn).unwrap();
+            i += 1;
+        });
+    });
+    group.bench_function("nvmsim_persist_block", |b| {
+        // 256 blocks, cycled: the image's pages fault in once, untimed.
+        let nvm = NvmDevice::new(NvmConfig::new(1 << 20, NvmTech::Pcm), SimClock::new());
+        let payload = [12u8; BLOCK_SIZE];
+        let blocks = nvm.capacity() / BLOCK_SIZE;
+        for i in 0..blocks {
+            nvm.write(i * BLOCK_SIZE, &payload);
+            nvm.persist(i * BLOCK_SIZE, BLOCK_SIZE);
+        }
+        let mut i = 0usize;
+        b.iter(|| {
+            let addr = (i % blocks) * BLOCK_SIZE;
+            nvm.write(addr, &payload);
+            nvm.clflush(addr, BLOCK_SIZE);
+            nvm.sfence();
+            i += 1;
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_single_block_write, bench_read_hit, bench_eviction_pressure
+    targets = bench_single_block_write, bench_read_hit, bench_eviction_pressure, bench_miss_path
 );
 criterion_main!(benches);

@@ -1,5 +1,6 @@
 //! In-memory sparse-block disk simulator.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -14,7 +15,7 @@ use crate::{
 pub type Disk = Arc<SimDisk>;
 
 struct State {
-    blocks: HashMap<u64, Box<[u8; BLOCK_SIZE]>>,
+    blocks: HashMap<u64, Box<[u8]>>,
     last_blk: u64,
     stats: DiskStats,
 }
@@ -116,6 +117,18 @@ impl SimDisk {
     }
 }
 
+/// Stores one block's bytes: an overwrite copies into the block's box; the
+/// first write of a block allocates its box from `buf`, with no zero-fill
+/// before the copy.
+fn store(blocks: &mut HashMap<u64, Box<[u8]>>, blk: u64, buf: &[u8]) {
+    match blocks.entry(blk) {
+        Entry::Occupied(mut b) => b.get_mut().copy_from_slice(buf),
+        Entry::Vacant(v) => {
+            v.insert(buf.into());
+        }
+    }
+}
+
 impl BlockDevice for SimDisk {
     fn read_block(&self, blk: u64, buf: &mut [u8]) -> Result<(), IoError> {
         assert_eq!(buf.len(), BLOCK_SIZE);
@@ -151,11 +164,7 @@ impl BlockDevice for SimDisk {
             });
         }
         let mut st = self.state.lock();
-        let entry = st
-            .blocks
-            .entry(blk)
-            .or_insert_with(|| Box::new([0u8; BLOCK_SIZE]));
-        entry.copy_from_slice(buf);
+        store(&mut st.blocks, blk, buf);
         let ns = self.model.write_ns(blk, st.last_blk);
         st.last_blk = blk;
         st.stats.writes += 1;
@@ -202,11 +211,7 @@ impl BlockDevice for SimDisk {
                     self.model.write_ns(*blk, st.last_blk)
                 };
                 in_batch = true;
-                let entry = st
-                    .blocks
-                    .entry(*blk)
-                    .or_insert_with(|| Box::new([0u8; BLOCK_SIZE]));
-                entry.copy_from_slice(buf);
+                store(&mut st.blocks, *blk, buf);
                 st.last_blk = *blk;
                 st.stats.writes += 1;
                 st.stats.busy_ns += ns;

@@ -1,6 +1,6 @@
 //! The transactional NVM disk cache (§4).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use blockdev::{BlockDevice, IoError, IoLane, BLOCK_SIZE};
@@ -8,6 +8,7 @@ use nvmsim::Nvm;
 
 use crate::config::destage_watermarks;
 use crate::entry::{CacheEntry, Role, FRESH};
+use crate::entryset::EntrySet;
 use crate::freemon::FreeMonitor;
 use crate::layout::{
     mw_desc_addr, mw_state_word, slot_value, split_slot, Layout, DATA_BLOCKS_OFF, ENTRY_COUNT_OFF,
@@ -138,32 +139,39 @@ pub(crate) struct TincaCache {
     /// NVM blocks pinned by committing fragments (§4.6 rule 2); each
     /// fragment's [`Pins`] lists its own.
     pin_blocks: Vec<bool>,
-    /// Entries pinned by committing fragments.
-    pin_entries: Vec<bool>,
+    /// Entries pinned by committing fragments, with the live count of
+    /// every fragment in flight. Concurrent ring windows keep log-role
+    /// entries alive between rounds, and those must not count as
+    /// evictable supply at admission. The count is always zero when a
+    /// mutex-path commit is admitted: a mutex shard runs one fragment at
+    /// a time.
+    pin_entries: EntrySet,
     /// Entries whose dirty payload could not be written back (permanent
-    /// disk fault). Quarantined entries stay pinned-dirty in NVM: never
+    /// disk fault), one flag per entry plus the live count [`Health`]
+    /// reports. Quarantined entries stay pinned-dirty in NVM: never
     /// chosen as eviction victims, still served to reads, re-attempted by
-    /// [`flush_all`](Self::flush_all).
-    quarantined: HashSet<u32>,
-    /// Entry indices whose cached block is modified — the DRAM mirror of
-    /// the durable `modified` bits (recounting from NVM would charge read
-    /// latency to the foreground clock). Drives the destage watermark
-    /// check and lets the clean-victim scan reject dirty candidates
-    /// without touching NVM; audited by
+    /// [`flush_all`](Self::flush_all). Every flagged entry is valid and
+    /// dirty: a freed slot drops its flag, and so does a successful
+    /// writeback.
+    quarantined: EntrySet,
+    /// Entries whose cached block is modified, one flag per entry — the
+    /// DRAM mirror of the durable `modified` bits (recounting from NVM
+    /// would charge read latency to the foreground clock). Its live count
+    /// drives the destage watermark check; its flags let the clean-victim
+    /// scan and the destage harvest test a candidate by index, without
+    /// touching NVM or hashing. Audited by
     /// [`check_consistency`](Self::check_consistency).
-    dirty_idx: HashSet<u32>,
+    dirty_idx: EntrySet,
+    /// Payload staging for one destage batch: `DESTAGE_BATCH` blocks at
+    /// most, kept across batches so a batch allocates and zeroes nothing
+    /// (DESIGN §11).
+    destage_buf: Vec<u8>,
     /// Absolute simulated time at which the background destage lane is
     /// free again. The lane is busy while one vectored writeback batch
     /// is "in flight": its device time extends this deadline instead of
     /// advancing the foreground clock (wall = max, busy = sum — the same
     /// overlap model `workloads::mtfio` uses for shard parallelism).
     destage_lane_free_ns: u64,
-    /// Entries pinned by every fragment in flight. Concurrent ring windows
-    /// keep log-role entries alive between rounds, and those must not
-    /// count as evictable supply at admission. Always zero when a
-    /// mutex-path commit is admitted: a mutex shard runs one fragment at
-    /// a time.
-    pinned_entries: usize,
     stats: CacheStats,
 }
 
@@ -219,11 +227,11 @@ impl TincaCache {
             free_entries: FreeMonitor::new_all_free(layout.entry_count),
             shadows: ShadowReserve::new(layout.entry_count, shadow_cap),
             pin_blocks: vec![false; layout.data_blocks as usize],
-            pin_entries: vec![false; layout.entry_count as usize],
-            quarantined: HashSet::new(),
-            dirty_idx: HashSet::new(),
+            pin_entries: EntrySet::new(layout.entry_count),
+            quarantined: EntrySet::new(layout.entry_count),
+            dirty_idx: EntrySet::new(layout.entry_count),
+            destage_buf: Vec::new(),
             destage_lane_free_ns: 0,
-            pinned_entries: 0,
             stats: CacheStats::default(),
             layout,
         }
@@ -284,7 +292,7 @@ impl TincaCache {
             .iter()
             .filter(|(b, _)| self.index.contains_key(b))
             .count();
-        let evictable = (self.index.len() - overlap).saturating_sub(self.pinned_entries);
+        let evictable = (self.index.len() - overlap).saturating_sub(self.pin_entries.len());
         let available = self.free_block_count() + evictable;
         if needed > available {
             return Err(TincaError::CacheExhausted { needed, available });
@@ -1021,11 +1029,11 @@ impl TincaCache {
                 }
                 // A freed entry slot must not carry a stale quarantine mark
                 // into its next life.
-                self.quarantined.remove(&idx);
+                self.quarantined.remove(idx);
                 // A no-op during crash recovery (the set is rebuilt from
                 // the surviving entries afterwards); at runtime the entry
                 // was tracked.
-                self.dirty_idx.remove(&idx);
+                self.dirty_idx.remove(idx);
                 CacheEntry::INVALID
             }
         };
@@ -1140,22 +1148,63 @@ impl TincaCache {
     /// committing prev/cur stay (§4.6 rule 2); quarantined entries are
     /// never victims. `clean_only` restricts the search to unmodified
     /// blocks (evictable without disk I/O).
-    fn find_victim(&self, clean_only: bool) -> Option<u32> {
-        self.lru.iter_lru().find(|&idx| {
-            if self.pin_entries[idx as usize] || self.quarantined.contains(&idx) {
+    ///
+    /// A clean-only search starts at the LRU list's mark and leaves it on
+    /// the first candidate its flags pass. Every entry on the mark's LRU
+    /// side is dirty, pinned or quarantined: entries leave that run only
+    /// by leaving the list or by a flag clearing, which clears the mark
+    /// ([`Self::unmark_if_clean`]). So the scan visits, and charges an
+    /// NVM entry read for, exactly the candidates a walk from the LRU end
+    /// would, without re-walking the dirty run before them on every
+    /// eviction.
+    fn find_victim(&mut self, clean_only: bool) -> Option<u32> {
+        debug_assert!(
+            self.lru.before_mark().all(|idx| self.flagged(idx)),
+            "the victim scan's mark skips an unflagged entry"
+        );
+        let mut first_passed = None;
+        let mut candidates = if clean_only {
+            self.lru.iter_from_mark()
+        } else {
+            self.lru.iter_lru()
+        };
+        let victim = candidates.find(|&idx| {
+            // DRAM flag rejections first, the dirty flag ahead of the rarer
+            // pin and quarantine: a clean-only scan that finds nothing must
+            // not charge an NVM entry read per candidate.
+            if (clean_only && self.dirty_idx.contains(idx))
+                || self.pin_entries.contains(idx)
+                || self.quarantined.contains(idx)
+            {
                 return false;
             }
-            // DRAM dirty-set rejection first: a clean-only scan that finds
-            // nothing must not charge an NVM entry read per candidate.
-            if clean_only && self.dirty_idx.contains(&idx) {
-                return false;
-            }
+            first_passed.get_or_insert(idx);
             let e = self.read_entry(idx);
             e.valid
                 && e.role == Role::Buffer
                 && !self.pin_blocks[e.cur as usize]
                 && (!clean_only || !e.modified)
-        })
+        });
+        if clean_only {
+            self.lru.set_mark(first_passed);
+        }
+        victim
+    }
+
+    /// Clears the victim scan's mark if entry `idx`, still cached, is
+    /// neither dirty, pinned nor quarantined: it may sit in the run the
+    /// mark skips.
+    fn unmark_if_clean(&mut self, idx: u32) {
+        if !self.flagged(idx) {
+            self.lru.set_mark(None);
+        }
+    }
+
+    /// True if entry `idx` is dirty, pinned or quarantined.
+    fn flagged(&self, idx: u32) -> bool {
+        self.dirty_idx.contains(idx)
+            || self.pin_entries.contains(idx)
+            || self.quarantined.contains(idx)
     }
 
     /// Evicts entry `idx`: writes the block back if dirty, then
@@ -1183,7 +1232,7 @@ impl TincaCache {
         self.free_entries.release(idx);
         self.free_blocks.release(e.cur);
         self.shadows.release(idx, &mut self.free_blocks);
-        self.dirty_idx.remove(&idx);
+        self.dirty_idx.remove(idx);
         self.stats.evictions += 1;
         Ok(())
     }
@@ -1228,8 +1277,9 @@ impl TincaCache {
                                 ..e
                             },
                         );
-                        self.quarantined.remove(&idx);
-                        self.dirty_idx.remove(&idx);
+                        self.quarantined.remove(idx);
+                        self.dirty_idx.remove(idx);
+                        self.unmark_if_clean(idx);
                     }
                     Err(err) => {
                         self.quarantine(idx);
@@ -1298,9 +1348,9 @@ impl TincaCache {
             if victims.len() >= need {
                 break;
             }
-            if self.pin_entries[idx as usize]
-                || self.quarantined.contains(&idx)
-                || !self.dirty_idx.contains(&idx)
+            if !self.dirty_idx.contains(idx)
+                || self.pin_entries.contains(idx)
+                || self.quarantined.contains(idx)
             {
                 continue;
             }
@@ -1315,19 +1365,18 @@ impl TincaCache {
         // Address-sort: contiguous runs stream on the device after one
         // seek (the point of batching).
         victims.sort_unstable_by_key(|&(_, e)| e.disk_blk);
-        let payloads: Vec<Vec<u8>> = victims
-            .iter()
-            .map(|&(_, e)| {
-                let mut buf = vec![0u8; BLOCK_SIZE];
-                self.nvm
-                    .read_persistent(self.layout.data_addr(e.cur), &mut buf);
-                buf
-            })
-            .collect();
+        // The batch's payloads share one buffer, grown only by a batch
+        // larger than any before. It leaves the cache for the batch, so
+        // `destage_retry` can borrow the cache mutably beside it.
+        let mut staging = std::mem::take(&mut self.destage_buf);
+        staging.resize(staging.len().max(victims.len() * BLOCK_SIZE), 0);
+        for (&(_, e), buf) in victims.iter().zip(staging.chunks_exact_mut(BLOCK_SIZE)) {
+            self.nvm.read_persistent(self.layout.data_addr(e.cur), buf);
+        }
         let reqs: Vec<(u64, &[u8])> = victims
             .iter()
-            .zip(&payloads)
-            .map(|(&(_, e), p)| (e.disk_blk, &p[..]))
+            .zip(staging.chunks_exact(BLOCK_SIZE))
+            .map(|(&(_, e), p)| (e.disk_blk, p))
             .collect();
         let report = self.disk.write_blocks(&reqs, IoLane::Background);
         drop(reqs);
@@ -1338,7 +1387,8 @@ impl TincaCache {
             let res = match failed.get(&pos) {
                 None => Ok(()),
                 Some(&err) => {
-                    let (extra, res) = self.destage_retry(e.disk_blk, &payloads[pos], err);
+                    let payload = &staging[pos * BLOCK_SIZE..(pos + 1) * BLOCK_SIZE];
+                    let (extra, res) = self.destage_retry(e.disk_blk, payload, err);
                     lane_ns += extra;
                     res
                 }
@@ -1355,14 +1405,16 @@ impl TincaCache {
                             ..e
                         },
                     );
-                    self.quarantined.remove(&idx);
-                    self.dirty_idx.remove(&idx);
+                    self.quarantined.remove(idx);
+                    self.dirty_idx.remove(idx);
+                    self.unmark_if_clean(idx);
                     self.stats.writebacks += 1;
                     self.stats.destage_blocks += 1;
                 }
                 Err(_) => self.quarantine(idx),
             }
         }
+        self.destage_buf = staging;
         self.destage_lane_free_ns = now + lane_ns;
         // Busy-lane time, deliberately charged without a clock advance:
         // the phase report shows overlapped device time next to the
@@ -1509,10 +1561,8 @@ impl TincaCache {
     }
 
     fn pin_entry(&mut self, idx: u32, pins: &mut Pins) {
-        if !self.pin_entries[idx as usize] {
-            self.pin_entries[idx as usize] = true;
+        if self.pin_entries.insert(idx) {
             pins.entries.push(idx);
-            self.pinned_entries += 1;
         }
     }
 
@@ -1521,9 +1571,9 @@ impl TincaCache {
         for b in pins.blocks {
             self.pin_blocks[b as usize] = false;
         }
-        self.pinned_entries -= pins.entries.len();
         for i in pins.entries {
-            self.pin_entries[i as usize] = false;
+            self.pin_entries.remove(i);
+            self.unmark_if_clean(i);
         }
     }
 
@@ -1589,20 +1639,45 @@ impl TincaCache {
                 self.head, self.tail
             ));
         }
+        // Each dense flag set's live count is the number of its flags.
+        for (name, set) in [
+            ("pin", &self.pin_entries),
+            ("dirty", &self.dirty_idx),
+            ("quarantine", &self.quarantined),
+        ] {
+            let flagged = set.iter().count();
+            if flagged != set.len() {
+                return Err(format!(
+                    "{name} count {} but {flagged} {name} flags set",
+                    set.len()
+                ));
+            }
+        }
         // Every fragment releases its pins when it retires or is revoked.
-        let marked = |bits: &[bool]| bits.iter().filter(|&&b| b).count();
-        let (entries, blocks) = (marked(&self.pin_entries), marked(&self.pin_blocks));
-        if self.pinned_entries + entries + blocks != 0 {
+        let blocks = self.pin_blocks.iter().filter(|&&b| b).count();
+        if self.pin_entries.len() + blocks != 0 {
             return Err(format!(
-                "pins held at rest: {} entries counted, {entries} entries, {blocks} blocks",
-                self.pinned_entries
+                "pins held at rest: {} entries, {blocks} blocks",
+                self.pin_entries.len()
             ));
+        }
+        // The victim scan skips the run on the LRU side of its mark.
+        if let Some(idx) = self.lru.before_mark().find(|&idx| !self.flagged(idx)) {
+            return Err(format!("victim scan's mark skips unflagged entry {idx}"));
         }
         let mut seen_cur = vec![false; self.layout.data_blocks as usize];
         let mut valid_count = 0usize;
         let mut dirty = 0usize;
         for idx in 0..self.layout.entry_count {
             let e = self.read_entry(idx);
+            // Only a valid, dirty entry can be quarantined: a freed slot
+            // or a written-back block carries no mark.
+            if self.quarantined.contains(idx) && !(e.valid && e.modified) {
+                return Err(format!(
+                    "quarantined entry {idx} is {}",
+                    if e.valid { "clean" } else { "invalid" }
+                ));
+            }
             if !e.valid {
                 if !self.free_entries.is_free(idx) {
                     return Err(format!("invalid entry {idx} not in free-entry pool"));
@@ -1613,11 +1688,11 @@ impl TincaCache {
             if e.modified {
                 dirty += 1;
             }
-            if e.modified != self.dirty_idx.contains(&idx) {
+            if e.modified != self.dirty_idx.contains(idx) {
                 return Err(format!(
                     "entry {idx} modified={} but dirty set says {}",
                     e.modified,
-                    self.dirty_idx.contains(&idx)
+                    self.dirty_idx.contains(idx)
                 ));
             }
             if e.role == Role::Log {
@@ -1764,6 +1839,115 @@ mod tests {
         assert!(err.contains("referenced elsewhere"), "{err}");
     }
 
+    /// A cache holding block 5 dirty and block 6 clean (a read miss's
+    /// fill), and the index of an entry slot no block uses.
+    fn cache_with_dirty_clean_and_free() -> (TincaCache, u32) {
+        let mut c = small_cache();
+        let mut t = Txn::new();
+        t.write(5, &[1u8; BLOCK_SIZE]);
+        c.commit(&t).unwrap();
+        c.read(6, &mut [0u8; BLOCK_SIZE]).unwrap();
+        let free = c.layout.entry_count - 1;
+        assert!(c.free_entries.is_free(free));
+        c.check_consistency().unwrap();
+        (c, free)
+    }
+
+    #[test]
+    fn check_consistency_rejects_an_uncounted_dirty_flag() {
+        let (mut c, free) = cache_with_dirty_clean_and_free();
+        c.dirty_idx.plant(free);
+        let err = c.check_consistency().unwrap_err();
+        assert!(err.contains("dirty count 1 but 2 dirty flags"), "{err}");
+    }
+
+    #[test]
+    fn check_consistency_rejects_a_pin_held_at_rest_counted_or_not() {
+        let (mut c, _) = cache_with_dirty_clean_and_free();
+        let idx5 = c.index[&5];
+        c.pin_entries.insert(idx5);
+        let err = c.check_consistency().unwrap_err();
+        assert!(err.contains("pins held at rest: 1 entries"), "{err}");
+        let (mut c, _) = cache_with_dirty_clean_and_free();
+        c.pin_entries.plant(idx5);
+        let err = c.check_consistency().unwrap_err();
+        assert!(err.contains("pin count 0 but 1 pin flags"), "{err}");
+    }
+
+    #[test]
+    fn check_consistency_rejects_a_scan_mark_past_a_clean_entry() {
+        let (mut c, _) = cache_with_dirty_clean_and_free();
+        let idx6 = c.index[&6];
+        // Past the dirty block 5 only: legal.
+        c.lru.set_mark(Some(idx6));
+        c.check_consistency().unwrap();
+        c.read(7, &mut [0u8; BLOCK_SIZE]).unwrap();
+        c.lru.set_mark(Some(c.index[&7]));
+        let err = c.check_consistency().unwrap_err();
+        assert!(
+            err.contains(&format!("mark skips unflagged entry {idx6}")),
+            "{err}"
+        );
+    }
+
+    /// Flag changes that can free a skipped entry clear the mark; the
+    /// audit after every commit, read and destage batch of a cold
+    /// working set finds the mark's run flagged throughout.
+    #[test]
+    fn the_scan_mark_survives_a_cold_destage_run() {
+        let mut c = small_cache_with(destage_cfg(true));
+        let span = u64::from(c.layout.data_blocks) * 4;
+        let mut buf = [0u8; BLOCK_SIZE];
+        for i in 0..span * 2 {
+            let blk = (i * 7919) % span;
+            if i % 3 == 0 {
+                c.read(blk, &mut buf).unwrap();
+            } else {
+                let mut t = Txn::new();
+                t.write(blk, &[i as u8; BLOCK_SIZE]);
+                t.write((blk + 1) % span, &[i as u8; BLOCK_SIZE]);
+                c.commit(&t).unwrap();
+            }
+            c.check_consistency().unwrap();
+        }
+        assert!(c.stats().destage_batches > 0 && c.stats().evictions > 0);
+    }
+
+    #[test]
+    fn check_consistency_rejects_an_uncounted_quarantine_flag() {
+        let (mut c, _) = cache_with_dirty_clean_and_free();
+        let idx5 = c.index[&5];
+        c.quarantined.plant(idx5);
+        let err = c.check_consistency().unwrap_err();
+        assert!(err.contains("quarantine count 0 but 1"), "{err}");
+    }
+
+    #[test]
+    fn check_consistency_rejects_a_quarantined_free_slot() {
+        let (mut c, free) = cache_with_dirty_clean_and_free();
+        // A quarantined dirty entry is legal.
+        c.quarantine(c.index[&5]);
+        c.check_consistency().unwrap();
+        c.quarantine(free);
+        let err = c.check_consistency().unwrap_err();
+        assert!(
+            err.contains(&format!("quarantined entry {free} is invalid")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn check_consistency_rejects_a_quarantined_clean_entry() {
+        let (mut c, _) = cache_with_dirty_clean_and_free();
+        let idx6 = c.index[&6];
+        c.quarantine(idx6);
+        let err = c.check_consistency().unwrap_err();
+        assert!(
+            err.contains(&format!("quarantined entry {idx6} is clean")),
+            "{err}"
+        );
+    }
+
     fn destage_cfg(coalesce_flushes: bool) -> TincaConfig {
         TincaConfig {
             destage: true,
@@ -1815,7 +1999,7 @@ mod tests {
         let span = u64::from(c.layout.data_blocks) + 10;
         write_cycle(&mut c, span * 2, span);
         c.flush_all().unwrap();
-        assert!(c.dirty_idx.is_empty());
+        assert_eq!(c.dirty_idx.len(), 0);
         // Every block readable with its last-committed payload.
         let mut buf = [0u8; BLOCK_SIZE];
         for b in 0..span {

@@ -45,6 +45,7 @@
 mod cache;
 mod config;
 mod entry;
+mod entryset;
 mod error;
 mod freemon;
 mod layout;

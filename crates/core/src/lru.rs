@@ -19,6 +19,11 @@ pub(crate) struct LruList {
     head: u32,
     tail: u32,
     len: usize,
+    /// A caller's bookmark into the list ([`Self::iter_from_mark`]), or
+    /// `NIL`. Removing the marked index moves the mark one step towards
+    /// MRU (clearing it at the MRU end), so every index on its LRU side
+    /// was already there when the caller set it.
+    mark: u32,
 }
 
 impl LruList {
@@ -31,6 +36,7 @@ impl LruList {
             head: NIL,
             tail: NIL,
             len: 0,
+            mark: NIL,
         }
     }
 
@@ -76,6 +82,9 @@ impl LruList {
         } else {
             self.tail = p;
         }
+        if self.mark == idx {
+            self.mark = p;
+        }
         self.prev[i] = NIL;
         self.next[i] = NIL;
         self.linked[i] = false;
@@ -102,6 +111,33 @@ impl LruList {
             list: self,
             cur: self.tail,
         }
+    }
+
+    /// Marks `idx` (in the list), or clears the mark (`None`).
+    pub(crate) fn set_mark(&mut self, idx: Option<u32>) {
+        debug_assert!(idx.is_none_or(|i| self.contains(i)));
+        self.mark = idx.unwrap_or(NIL);
+    }
+
+    /// Iterates from the mark towards MRU, or from the LRU end when no
+    /// mark is set.
+    pub(crate) fn iter_from_mark(&self) -> LruIter<'_> {
+        LruIter {
+            list: self,
+            cur: if self.mark == NIL {
+                self.tail
+            } else {
+                self.mark
+            },
+        }
+    }
+
+    /// The indices on the LRU side of the mark, LRU first (none when no
+    /// mark is set).
+    pub(crate) fn before_mark(&self) -> impl Iterator<Item = u32> + '_ {
+        let mark = self.mark;
+        self.iter_lru()
+            .take_while(move |&idx| mark != NIL && idx != mark)
     }
 }
 
@@ -172,6 +208,28 @@ mod tests {
         assert!(!l.contains(2));
         assert!(l.contains(3));
         assert_eq!(l.len(), 2);
+    }
+
+    #[test]
+    fn removing_the_marked_index_moves_the_mark_towards_mru() {
+        let mut l = LruList::new(8);
+        for i in 0..5 {
+            l.push_mru(i);
+        }
+        assert_eq!(l.iter_from_mark().collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        l.set_mark(Some(2));
+        assert_eq!(l.iter_from_mark().collect::<Vec<_>>(), [2, 3, 4]);
+        assert_eq!(l.before_mark().collect::<Vec<_>>(), [0, 1]);
+        l.remove(2);
+        assert_eq!(l.iter_from_mark().collect::<Vec<_>>(), [3, 4]);
+        l.touch(3);
+        assert_eq!(l.iter_from_mark().collect::<Vec<_>>(), [4, 3]);
+        assert_eq!(l.before_mark().collect::<Vec<_>>(), [0, 1]);
+        // Removing the marked MRU end clears the mark.
+        l.remove(3);
+        l.remove(4);
+        assert_eq!(l.before_mark().count(), 0);
+        assert_eq!(l.iter_from_mark().collect::<Vec<_>>(), [0, 1]);
     }
 
     #[test]

@@ -236,16 +236,14 @@ impl NvmDevice {
             let line = a / CACHE_LINE;
             let off = a % CACHE_LINE;
             let n = (CACHE_LINE - off).min(buf.len() - pos);
-            let lb = match buf[pos..pos + n].first_chunk::<CACHE_LINE>() {
-                // A store over a whole line not in the overlay has no use
-                // for the line's persistent bytes.
-                Some(whole) if st.index[line] == 0 => insert_line(&mut st, line, *whole),
-                _ => cached_line(&mut st, line),
-            };
-            lb.data[off..off + n].copy_from_slice(&buf[pos..pos + n]);
-            let first_w = off / WORD_SIZE;
-            let last_w = (off + n - 1) / WORD_SIZE;
-            lb.mark_dirty_words(first_w, last_w);
+            match buf[pos..pos + n].first_chunk::<CACHE_LINE>() {
+                Some(whole) => store_whole_line(&mut st, line, whole),
+                None => {
+                    let lb = cached_line(&mut st, line);
+                    lb.data[off..off + n].copy_from_slice(&buf[pos..pos + n]);
+                    lb.mark_dirty_words(off / WORD_SIZE, (off + n - 1) / WORD_SIZE);
+                }
+            }
             pos += n;
             lines += 1;
         }
@@ -370,33 +368,35 @@ impl NvmDevice {
         // per call, before the lock drops — and before an armed trip
         // unwinds, so the clock at every crash point is what per-line
         // charging would have left.
-        let (mut dirty, mut clean) = (0u64, 0u64);
+        let lines = (last - first + 1) as u64;
+        let (mut dirty, mut flushed) = (0u64, 0u64);
         let mut tripped = None;
-        for line in first..=last {
-            let staged = match st.index[line] {
-                0 => false,
-                slot => {
-                    let lb = &mut st.slab[slot as usize - 1].1;
-                    let staged = !lb.is_clean();
-                    if staged {
-                        st.epoch.push(FlushRecord::take(line, lb));
-                        st.wear[line] += 1;
-                    }
-                    staged
-                }
-            };
-            record(st, || TraceEvent::Clflush { line, staged });
-            if staged {
-                dirty += 1;
-            } else {
-                clean += 1;
+        if st.trace.is_none() && st.trip_at.is_none_or(|t| st.events + lines < t) {
+            // Nothing to record, and no armed trip inside the range: its
+            // events are `events + 1 ..= events + lines`, and a trip fires
+            // at the first one that reaches `trip_at`. Stage the dirty
+            // lines, then count the range's events at once. Otherwise
+            // each line records and counts its own event, so a trip stops
+            // the loop at its exact line.
+            for line in first..=last {
+                dirty += u64::from(stage_line(st, line));
             }
-            tripped = bump_event(st);
-            if tripped.is_some() {
-                break;
+            st.events += lines;
+            flushed = lines;
+        } else {
+            for line in first..=last {
+                let staged = stage_line(st, line);
+                record(st, || TraceEvent::Clflush { line, staged });
+                dirty += u64::from(staged);
+                flushed += 1;
+                tripped = bump_event(st);
+                if tripped.is_some() {
+                    break;
+                }
             }
         }
-        st.stats.clflush += dirty + clean;
+        let clean = flushed - dirty;
+        st.stats.clflush += flushed;
         st.stats.lines_written += dirty;
         if clean > 0 {
             telemetry::mark(telemetry::phase::NVM_FLUSH_CLEAN, clean);
@@ -696,6 +696,23 @@ fn bump_event(st: &mut State) -> Option<u64> {
     }
 }
 
+/// `clflush` of one line: a dirty overlay copy moves into the open fence
+/// epoch and counts one media write of wear. Returns whether it did.
+fn stage_line(st: &mut State, line: usize) -> bool {
+    match st.index[line] {
+        0 => false,
+        slot => {
+            let lb = &mut st.slab[slot as usize - 1].1;
+            let staged = !lb.is_clean();
+            if staged {
+                st.epoch.push(FlushRecord::take(line, lb));
+                st.wear[line] += 1;
+            }
+            staged
+        }
+    }
+}
+
 /// The overlay copy of `line`, pulled in clean from the persistent image on
 /// first touch.
 fn cached_line(st: &mut State, line: usize) -> &mut LineBuf {
@@ -704,18 +721,36 @@ fn cached_line(st: &mut State, line: usize) -> &mut LineBuf {
             let base = line * CACHE_LINE;
             let mut data = [0u8; CACHE_LINE];
             data.copy_from_slice(&st.persistent[base..base + CACHE_LINE]);
-            insert_line(st, line, data)
+            insert_line(st, line, LineBuf::clean(data))
         }
         slot => &mut st.slab[slot as usize - 1].1,
     }
 }
 
-/// Adds `line`, absent from the overlay, as a clean line holding `data`.
-fn insert_line(st: &mut State, line: usize, data: [u8; CACHE_LINE]) -> &mut LineBuf {
-    st.slab.push((line as u32, LineBuf::clean(data)));
+/// Adds `line`, absent from the overlay, as `lb`.
+fn insert_line(st: &mut State, line: usize, lb: LineBuf) -> &mut LineBuf {
+    st.slab.push((line as u32, lb));
     let slot = st.slab.len();
     st.index[line] = slot as u32;
     &mut st.slab[slot - 1].1
+}
+
+/// A plain store over all of `line`: the overlay copy becomes `data`, every
+/// word dirty and no atomic pair left — what a copy plus
+/// [`LineBuf::mark_dirty_words`] over the whole line leaves — in one copy,
+/// without first reading the line in.
+fn store_whole_line(st: &mut State, line: usize, data: &[u8; CACHE_LINE]) {
+    let lb = LineBuf {
+        data: *data,
+        dirty: u8::MAX,
+        pair_lead: 0,
+    };
+    match st.index[line] {
+        0 => {
+            insert_line(st, line, lb);
+        }
+        slot => st.slab[slot as usize - 1].1 = lb,
+    }
 }
 
 impl State {

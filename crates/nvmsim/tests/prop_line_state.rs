@@ -184,118 +184,177 @@ fn assert_same(dev: &Nvm, model: &mut RefDevice, step: &str) -> Result<(), TestC
     Ok(())
 }
 
+/// Applies `op` (anything but [`Op::ToggleDivert`], which needs the
+/// caller's scope) to both sides; returns the event each one tripped at.
+fn step(
+    dev: &Nvm,
+    model: &mut RefDevice,
+    op: &Op,
+) -> Result<(Option<u64>, Option<u64>), TestCaseError> {
+    let fired = match *op {
+        Op::Write { addr, len, salt } => {
+            let data = pattern(len, salt);
+            dev.write(addr, &data);
+            model.write(addr, &data);
+            (None, None)
+        }
+        Op::Read { addr, len } => {
+            let (mut a, mut b) = (vec![0u8; len], vec![0u8; len]);
+            dev.read(addr, &mut a);
+            model.read(addr, &mut b);
+            prop_assert_eq!(a, b, "read {}+{}", addr, len);
+            (None, None)
+        }
+        Op::Atomic8 { word, val } => (
+            tripped(|| dev.atomic_write_u64(word * 8, val)),
+            model.atomic_write_u64(word * 8, val),
+        ),
+        Op::Atomic16 { pair, val } => (
+            tripped(|| dev.atomic_write_u128(pair * 16, val)),
+            model.atomic_write_u128(pair * 16, val),
+        ),
+        Op::Flush { addr, len } => (tripped(|| dev.clflush(addr, len)), model.clflush(addr, len)),
+        Op::Fence => (tripped(|| dev.sfence()), model.sfence()),
+        Op::Poison { addr } => {
+            dev.poison(addr);
+            model.poison(addr);
+            (None, None)
+        }
+        Op::ClearPoison { addr } => {
+            dev.clear_poison(addr);
+            model.clear_poison(addr);
+            (None, None)
+        }
+        Op::SetTrip { after } => {
+            dev.set_trip(after);
+            model.set_trip(after);
+            (None, None)
+        }
+        Op::Crash { policy, seed } => {
+            let policy = match policy {
+                0 => CrashPolicy::LoseVolatile,
+                1 => CrashPolicy::PersistAll,
+                _ => CrashPolicy::Random(seed),
+            };
+            dev.crash(policy);
+            model.crash(policy);
+            (None, None)
+        }
+        Op::CrashFrontier { keep } => {
+            let keep: HashSet<usize> = model
+                .staged_lines()
+                .into_iter()
+                .filter(|l| keep >> (l % 64) & 1 == 1)
+                .collect();
+            dev.crash_frontier(&keep);
+            model.crash_frontier(&keep);
+            (None, None)
+        }
+        Op::NoteCommit { addr } => {
+            dev.note_commit(addr, 8);
+            model.note_commit(addr, 8);
+            (None, None)
+        }
+        Op::TakeTrace => {
+            prop_assert_eq!(dev.take_trace(), model.take_trace());
+            (None, None)
+        }
+        Op::ToggleDivert => unreachable!("the script loop owns the diversion scope"),
+    };
+    Ok(fired)
+}
+
+/// Drives a fresh device and a fresh reference through `script`; after
+/// every step the two agree on every observable, and on the event an
+/// armed trip fired at. A fired trip is then disarmed, so the rest of the
+/// script is not one trip per event.
+fn check_script(script: &[Op], cfg: NvmConfig) -> Result<(), TestCaseError> {
+    silence_trip_panics();
+    let dev = NvmDevice::new(cfg.clone(), SimClock::new());
+    let mut model = RefDevice::new(cfg, SimClock::new());
+    // The open diversion scope and the clock it charges, if any.
+    let mut scope = None;
+    for (i, op) in script.iter().enumerate() {
+        let fired = if let Op::ToggleDivert = op {
+            if scope.take().is_none() {
+                let (real, shadow) = (SimClock::new(), SimClock::new());
+                model.diverted = Some(shadow.clone());
+                scope = Some((divert_charges(real.clone()), real, shadow));
+            } else {
+                model.diverted = None;
+            }
+            (None, None)
+        } else {
+            step(&dev, &mut model, op)?
+        };
+        prop_assert_eq!(fired.0, fired.1, "trip at step {} {:?}", i, op);
+        if fired.0.is_some() {
+            dev.set_trip(None);
+            model.set_trip(None);
+        }
+        assert_same(&dev, &mut model, &format!("step {i} {op:?}"))?;
+        if let Some((_, real, shadow)) = &scope {
+            prop_assert_eq!(
+                real.now_ns(),
+                shadow.now_ns(),
+                "diverted clock at step {}",
+                i
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A device configuration: traced or not, `clflush` or `clwb`.
+fn config(traced: bool, clwb: bool) -> NvmConfig {
+    let mut cfg = NvmConfig::new(CAP, NvmTech::Pcm);
+    cfg.trace_events = traced;
+    if clwb {
+        cfg = cfg.with_flush_instr(FlushInstr::Clwb);
+    }
+    cfg
+}
+
+fn script() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(ops(), 1..70)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
     fn line_state_matches_the_hashmap_reference(
-        script in proptest::collection::vec(ops(), 1..70),
+        script in script(),
         traced in any::<bool>(),
         clwb in any::<bool>(),
     ) {
-        silence_trip_panics();
-        let mut cfg = NvmConfig::new(CAP, NvmTech::Pcm);
-        cfg.trace_events = traced;
-        if clwb {
-            cfg = cfg.with_flush_instr(FlushInstr::Clwb);
-        }
-        let dev = NvmDevice::new(cfg.clone(), SimClock::new());
-        let mut model = RefDevice::new(cfg, SimClock::new());
-        // The open diversion scope and the clock it charges, if any.
-        let mut scope = None;
+        check_script(&script, config(traced, clwb))?;
+    }
+}
 
-        for (i, op) in script.iter().enumerate() {
-            let fired = match *op {
-                Op::Write { addr, len, salt } => {
-                    let data = pattern(len, salt);
-                    dev.write(addr, &data);
-                    model.write(addr, &data);
-                    (None, None)
-                }
-                Op::Read { addr, len } => {
-                    let (mut a, mut b) = (vec![0u8; len], vec![0u8; len]);
-                    dev.read(addr, &mut a);
-                    model.read(addr, &mut b);
-                    prop_assert_eq!(a, b, "read {}+{}", addr, len);
-                    (None, None)
-                }
-                Op::Atomic8 { word, val } => (
-                    tripped(|| dev.atomic_write_u64(word * 8, val)),
-                    model.atomic_write_u64(word * 8, val),
-                ),
-                Op::Atomic16 { pair, val } => (
-                    tripped(|| dev.atomic_write_u128(pair * 16, val)),
-                    model.atomic_write_u128(pair * 16, val),
-                ),
-                Op::Flush { addr, len } => {
-                    (tripped(|| dev.clflush(addr, len)), model.clflush(addr, len))
-                }
-                Op::Fence => (tripped(|| dev.sfence()), model.sfence()),
-                Op::Poison { addr } => {
-                    dev.poison(addr);
-                    model.poison(addr);
-                    (None, None)
-                }
-                Op::ClearPoison { addr } => {
-                    dev.clear_poison(addr);
-                    model.clear_poison(addr);
-                    (None, None)
-                }
-                Op::SetTrip { after } => {
-                    dev.set_trip(after);
-                    model.set_trip(after);
-                    (None, None)
-                }
-                Op::Crash { policy, seed } => {
-                    let policy = match policy {
-                        0 => CrashPolicy::LoseVolatile,
-                        1 => CrashPolicy::PersistAll,
-                        _ => CrashPolicy::Random(seed),
-                    };
-                    dev.crash(policy);
-                    model.crash(policy);
-                    (None, None)
-                }
-                Op::CrashFrontier { keep } => {
-                    let keep: HashSet<usize> = model
-                        .staged_lines()
-                        .into_iter()
-                        .filter(|l| keep >> (l % 64) & 1 == 1)
-                        .collect();
-                    dev.crash_frontier(&keep);
-                    model.crash_frontier(&keep);
-                    (None, None)
-                }
-                Op::NoteCommit { addr } => {
-                    dev.note_commit(addr, 8);
-                    model.note_commit(addr, 8);
-                    (None, None)
-                }
-                Op::TakeTrace => {
-                    prop_assert_eq!(dev.take_trace(), model.take_trace());
-                    (None, None)
-                }
-                Op::ToggleDivert => {
-                    if scope.take().is_none() {
-                        let (real, shadow) = (SimClock::new(), SimClock::new());
-                        model.diverted = Some(shadow.clone());
-                        scope = Some((divert_charges(real.clone()), real, shadow));
-                    } else {
-                        model.diverted = None;
-                    }
-                    (None, None)
-                }
-            };
-            prop_assert_eq!(fired.0, fired.1, "trip at step {} {:?}", i, op);
-            if fired.0.is_some() {
-                // A fired trip stays armed; disarm so the rest of the
-                // script is not one trip per event.
-                dev.set_trip(None);
-                model.set_trip(None);
-            }
-            assert_same(&dev, &mut model, &format!("step {i} {op:?}"))?;
-            if let Some((_, real, shadow)) = &scope {
-                prop_assert_eq!(real.now_ns(), shadow.now_ns(), "diverted clock at step {}", i);
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+    /// The same property over 2 000 scripts; run it in release builds
+    /// with `--include-ignored`.
+    #[test]
+    #[ignore]
+    fn line_state_matches_the_hashmap_reference_2000(
+        script in script(),
+        traced in any::<bool>(),
+        clwb in any::<bool>(),
+    ) {
+        check_script(&script, config(traced, clwb))?;
+    }
+}
+
+/// Runs a directed script under every configuration, traced and untraced
+/// (the device's two `clflush` loops), with `clflush` and with `clwb`.
+fn check_directed(script: &[Op]) {
+    for traced in [false, true] {
+        for clwb in [false, true] {
+            if let Err(e) = check_script(script, config(traced, clwb)) {
+                panic!("traced={traced} clwb={clwb}: {e}");
             }
         }
     }
@@ -309,7 +368,7 @@ proptest! {
 fn whole_line_writes_match_the_reference_in_every_line_state() {
     const L: usize = CACHE_LINE;
     let write = |addr, len, salt| Op::Write { addr, len, salt };
-    let script = [
+    check_directed(&[
         // Line 4 dirty in the overlay; line 8 flushed, not fenced.
         write(4 * L + 3, 10, 1),
         write(8 * L + 40, 20, 2),
@@ -330,32 +389,83 @@ fn whole_line_writes_match_the_reference_in_every_line_state() {
         write(12 * L, L, 7),
         // Every dirty overlay line persists: a stale copy would show.
         Op::Crash { policy: 1, seed: 0 },
-    ];
-    for traced in [false, true] {
-        let mut cfg = NvmConfig::new(CAP, NvmTech::Pcm);
-        cfg.trace_events = traced;
-        let dev = NvmDevice::new(cfg.clone(), SimClock::new());
-        let mut model = RefDevice::new(cfg, SimClock::new());
-        for (i, op) in script.iter().enumerate() {
-            match *op {
-                Op::Write { addr, len, salt } => {
-                    dev.write(addr, &pattern(len, salt));
-                    model.write(addr, &pattern(len, salt));
-                }
-                Op::Flush { addr, len } => {
-                    dev.clflush(addr, len);
-                    model.clflush(addr, len);
-                }
-                Op::Fence => {
-                    dev.sfence();
-                    model.sfence();
-                }
-                _ => {
-                    dev.crash(CrashPolicy::PersistAll);
-                    model.crash(CrashPolicy::PersistAll);
-                }
-            }
-            assert_same(&dev, &mut model, &format!("step {i} {op:?}")).unwrap();
+    ]);
+}
+
+/// One aligned store across five lines, one in each state — never
+/// touched, dirty, flushed but not fenced, holding a 16-byte atomic pair,
+/// and clean in the overlay (`clwb` keeps fenced lines cached) — then a
+/// flush, a torn power cut, and the same store over the survivors.
+#[test]
+fn one_multi_line_store_spans_every_line_state() {
+    const L: usize = CACHE_LINE;
+    let write = |addr, len, salt| Op::Write { addr, len, salt };
+    let span = write(20 * L, 5 * L, 9);
+    check_directed(&[
+        write(24 * L, L, 1),
+        Op::Flush {
+            addr: 24 * L,
+            len: L,
+        },
+        Op::Fence,
+        write(21 * L + 8, 16, 2),
+        write(22 * L, 24, 3),
+        Op::Flush {
+            addr: 22 * L,
+            len: L,
+        },
+        Op::Atomic16 {
+            pair: 23 * L / 16 + 1,
+            val: 7,
+        },
+        span.clone(),
+        Op::Flush {
+            addr: 20 * L,
+            len: 5 * L,
+        },
+        Op::Crash {
+            policy: 2,
+            seed: 11,
+        },
+        span,
+        Op::Fence,
+    ]);
+}
+
+/// The trip boundary of `clflush`: a flush over `m` lines (one clean, the
+/// rest dirty) with a trip armed `k` events ahead trips at its last line
+/// when `k == m`, and not at all when `k == m + 1` (the next event, a
+/// fence, trips instead). Untraced, only the second takes the loop that
+/// counts a range's events at once; the device must trip at the
+/// reference's event either way, with the same clock, counters, wear and
+/// image.
+#[test]
+fn a_trip_at_the_last_flushed_line_or_one_past_it_fires_where_the_reference_does() {
+    const L: usize = CACHE_LINE;
+    for m in [1usize, 2, 6] {
+        for k in [m as u64, m as u64 + 1] {
+            let flush = Op::Flush {
+                addr: 2 * L,
+                len: m * L,
+            };
+            check_directed(&[
+                // Line 2 stays clean; lines 3.. are dirty.
+                Op::Write {
+                    addr: 3 * L,
+                    len: (m - 1) * L,
+                    salt: 4,
+                },
+                Op::SetTrip { after: Some(k) },
+                flush.clone(),
+                Op::Fence,
+                Op::Write {
+                    addr: 2 * L + 8,
+                    len: m * L - 8,
+                    salt: 5,
+                },
+                flush,
+                Op::Crash { policy: 0, seed: 0 },
+            ]);
         }
     }
 }

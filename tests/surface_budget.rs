@@ -14,7 +14,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Line-start `pub` declarations allowed under each crate's `src/`.
-const PUB_BUDGETS: [(&str, usize); 10] = [
+const PUB_BUDGETS: [(&str, usize); 11] = [
     ("core", 69),
     ("fssim", 89),
     ("ubj", 31),
@@ -25,6 +25,7 @@ const PUB_BUDGETS: [(&str, usize); 10] = [
     ("nvmsim", 89),
     ("kvdb", 76),
     ("crashsim", 86),
+    ("blockdev", 49),
 ];
 
 /// Non-test `Result<…, String>` lines allowed under `crates/*/src`.
