@@ -207,6 +207,29 @@ fn bench_miss_path(c: &mut Criterion) {
             i += 1;
         });
     });
+    group.bench_function("nvmsim_persist_2_blocks_cold", |b| {
+        // An `ol_write_hot` commit's shape: two blocks at scattered
+        // addresses of a 16 MB device, each stored and flushed, then one
+        // fence. The 1 MB image above stays in L2 and so under-reads the
+        // write-back. The image's pages fault in once, untimed.
+        let nvm = NvmDevice::new(NvmConfig::new(16 << 20, NvmTech::Pcm), SimClock::new());
+        let payload = [13u8; BLOCK_SIZE];
+        let blocks = nvm.capacity() / BLOCK_SIZE;
+        for i in 0..blocks {
+            nvm.write(i * BLOCK_SIZE, &payload);
+            nvm.persist(i * BLOCK_SIZE, BLOCK_SIZE);
+        }
+        let mut i = 0usize;
+        b.iter(|| {
+            for k in 0..2 {
+                let addr = ((i * 104_729 + k * blocks / 2) % blocks) * BLOCK_SIZE;
+                nvm.write(addr, &payload);
+                nvm.clflush(addr, BLOCK_SIZE);
+            }
+            nvm.sfence();
+            i += 1;
+        });
+    });
     group.finish();
 }
 

@@ -469,3 +469,195 @@ fn a_trip_at_the_last_flushed_line_or_one_past_it_fires_where_the_reference_does
         }
     }
 }
+
+/// Copy-on-write: a store of every kind — whole-line, partial, 8-byte and
+/// 16-byte atomic — onto a line that a flush staged (the middle line of a
+/// three-line run) before its fence, sometimes flushed again, then a fence,
+/// a crash under each policy, or a crash frontier. The epoch must write
+/// back what was flushed, and loads must see the newer store.
+#[test]
+fn a_store_to_a_staged_line_leaves_the_flushed_bytes_to_the_epoch() {
+    const L: usize = CACHE_LINE;
+    let restores = [
+        Op::Write {
+            addr: 5 * L,
+            len: L,
+            salt: 7,
+        },
+        Op::Write {
+            addr: 5 * L + 12,
+            len: 20,
+            salt: 8,
+        },
+        Op::Atomic8 {
+            word: 5 * L / 8 + 3,
+            val: 0x1122_3344_5566_7788,
+        },
+        Op::Atomic16 {
+            pair: 5 * L / 16 + 2,
+            val: u128::MAX - 5,
+        },
+    ];
+    let ends = [
+        Op::Fence,
+        Op::Crash { policy: 0, seed: 0 },
+        Op::Crash { policy: 1, seed: 0 },
+        Op::Crash {
+            policy: 2,
+            seed: 21,
+        },
+        Op::CrashFrontier { keep: u64::MAX },
+        Op::CrashFrontier { keep: 1 << 5 },
+        Op::CrashFrontier {
+            keep: (1 << 4) | (1 << 6),
+        },
+    ];
+    let run = Op::Flush {
+        addr: 4 * L,
+        len: 3 * L,
+    };
+    for restore in &restores {
+        for end in &ends {
+            for reflush in [false, true] {
+                let mut script = vec![
+                    Op::Write {
+                        addr: 4 * L,
+                        len: 3 * L,
+                        salt: 1,
+                    },
+                    run.clone(),
+                    restore.clone(),
+                    Op::Read {
+                        addr: 4 * L,
+                        len: 3 * L,
+                    },
+                ];
+                if reflush {
+                    // The line is staged twice in one epoch; then a third
+                    // store copies it again.
+                    script.extend([run.clone(), restore.clone()]);
+                }
+                script.extend([
+                    end.clone(),
+                    Op::Read {
+                        addr: 4 * L,
+                        len: 3 * L,
+                    },
+                    Op::Write {
+                        addr: 5 * L,
+                        len: 8,
+                        salt: 9,
+                    },
+                    run.clone(),
+                    Op::Fence,
+                ]);
+                check_directed(&script);
+            }
+        }
+    }
+}
+
+/// A flush range whose lines cannot stage as one run: a line cached dirty
+/// before the rest (its slot is elsewhere), partly dirty first and last
+/// lines, a line holding a 16-byte atomic pair, lines stored out of order
+/// or with another line's store between them. Each range is flushed whole,
+/// then fenced or cut with a torn crash.
+#[test]
+fn a_flush_range_with_a_broken_run_stages_every_line() {
+    const L: usize = CACHE_LINE;
+    let write = |addr, len, salt| Op::Write { addr, len, salt };
+    let flush = |addr, len| Op::Flush { addr, len };
+    for end in [Op::Fence, Op::Crash { policy: 2, seed: 3 }] {
+        check_directed(&[
+            // Line 12 is cached dirty before lines 10..15 are stored.
+            write(12 * L, L, 1),
+            write(10 * L, 5 * L, 2),
+            flush(10 * L, 5 * L),
+            // Lines 20 and 24 partly dirty, 21 to 23 whole, in consecutive
+            // slots.
+            write(20 * L + 8, 5 * L - 16, 3),
+            flush(20 * L, 5 * L),
+            // A 16-byte atomic pair inside a whole-dirty run.
+            write(30 * L, 4 * L, 4),
+            Op::Atomic16 {
+                pair: 32 * L / 16 + 1,
+                val: 99,
+            },
+            flush(30 * L, 4 * L),
+            // Lines stored in reverse order, and a gap in the slots.
+            write(41 * L, L, 5),
+            write(40 * L, L, 6),
+            write(50 * L, 2 * L, 7),
+            write(60 * L, L, 8),
+            write(52 * L, L, 9),
+            flush(40 * L, 2 * L),
+            flush(50 * L, 3 * L),
+            // A range partly cached: lines 70 and 71 fresh, 72 staged.
+            write(72 * L, L, 10),
+            flush(72 * L, L),
+            write(70 * L, 2 * L, 11),
+            flush(70 * L, 3 * L),
+            end.clone(),
+        ]);
+    }
+}
+
+/// A torn crash and a crash frontier over an epoch of multi-line runs (an
+/// eight-line block and a two-line one), a partly dirty line between them,
+/// and dirty lines never flushed: the coins fall line by line in staging
+/// order, then over the dirty lines in ascending order, as in the
+/// reference.
+#[test]
+fn a_crash_inside_a_multi_line_run_persists_line_by_line() {
+    const L: usize = CACHE_LINE;
+    let epoch = [
+        Op::Write {
+            addr: 16 * L,
+            len: 8 * L,
+            salt: 1,
+        },
+        Op::Flush {
+            addr: 16 * L,
+            len: 8 * L,
+        },
+        Op::Write {
+            addr: 3 * L + 40,
+            len: 8,
+            salt: 2,
+        },
+        Op::Flush {
+            addr: 3 * L,
+            len: 1,
+        },
+        Op::Write {
+            addr: 30 * L,
+            len: 2 * L,
+            salt: 3,
+        },
+        Op::Flush {
+            addr: 30 * L,
+            len: 2 * L,
+        },
+        // Dirty, never flushed, stored in descending line order.
+        Op::Write {
+            addr: 9 * L,
+            len: 20,
+            salt: 4,
+        },
+        Op::Write {
+            addr: 2 * L,
+            len: L,
+            salt: 5,
+        },
+    ];
+    for seed in 0..8 {
+        let mut script = epoch.to_vec();
+        script.push(Op::Crash { policy: 2, seed });
+        check_directed(&script);
+    }
+    for keep in [0, u64::MAX, 0x00F0_0000, 0xC000_0000_0051_0008] {
+        let mut script = epoch.to_vec();
+        script.push(Op::CrashFrontier { keep });
+        check_directed(&script);
+    }
+}

@@ -14,7 +14,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Line-start `pub` declarations allowed under each crate's `src/`.
-const PUB_BUDGETS: [(&str, usize); 11] = [
+const PUB_BUDGETS: [(&str, usize); 12] = [
     ("core", 69),
     ("fssim", 89),
     ("ubj", 31),
@@ -22,10 +22,11 @@ const PUB_BUDGETS: [(&str, usize); 11] = [
     ("cluster", 36),
     ("workloads", 125),
     ("telemetry", 106),
-    ("nvmsim", 89),
+    ("nvmsim", 82),
     ("kvdb", 76),
     ("crashsim", 86),
     ("blockdev", 49),
+    ("persistcheck", 19),
 ];
 
 /// Non-test `Result<…, String>` lines allowed under `crates/*/src`.
