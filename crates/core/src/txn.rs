@@ -12,12 +12,12 @@ use blockdev::BLOCK_SIZE;
 /// One 4 KB block payload.
 pub(crate) type BlockBuf = Box<[u8; BLOCK_SIZE]>;
 
-/// Copies a slice into a fresh [`BlockBuf`].
+/// Copies a slice into a fresh [`BlockBuf`]: one copy, no zero-fill.
+// Audited: the length is asserted first, so the conversion cannot fail.
+#[allow(clippy::disallowed_methods)]
 pub(crate) fn block_buf(data: &[u8]) -> BlockBuf {
     assert_eq!(data.len(), BLOCK_SIZE);
-    let mut b: BlockBuf = Box::new([0u8; BLOCK_SIZE]);
-    b.copy_from_slice(data);
-    b
+    Box::<[u8]>::from(data).try_into().expect("one whole block")
 }
 
 /// A running transaction: an ordered set of (disk block → new contents)

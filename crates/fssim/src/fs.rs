@@ -11,8 +11,6 @@ use crate::jbd2::{Jbd2, JournalMode};
 use crate::pagecache::PageCache;
 use crate::{Backend, BackendError, FsError};
 
-type Buf = Box<[u8; BLOCK_SIZE]>;
-
 const SB_MAGIC: u64 = 0x4653_5349_4d53_4231; // "FSSIMSB1"
 
 /// A file handle: the file's inode number.
@@ -249,17 +247,19 @@ impl FsSim {
     // Staging helpers (everything funnels into the page-cache dirty set)
     // ------------------------------------------------------------------
 
-    fn fetch_block(&mut self, blk: u64) -> Result<Buf, FsError> {
-        if let Some(b) = self.pc.get(blk) {
-            return Ok(Box::new(*b));
-        }
-        let mut buf: Buf = Box::new([0u8; BLOCK_SIZE]);
-        self.backend.read(blk, &mut buf[..])?;
-        self.pc.insert_clean(blk, buf.clone());
-        Ok(buf)
+    /// The newest contents of `blk`, read through the cache on a miss.
+    fn fetch_block(&mut self, blk: u64) -> Result<&[u8; BLOCK_SIZE], FsError> {
+        let backend = &mut self.backend;
+        Ok(self.pc.get_or_fill(blk, |buf| backend.read(blk, buf))?)
     }
 
     /// Mutates `blk` in the running transaction (read-modify-write).
+    ///
+    /// A block not yet dirty is copied once, into a recycled buffer. On a
+    /// miss the read admits the block as clean (evicting the LRU clean
+    /// block at capacity) and `write` drops that clean copy at once: the
+    /// eviction buys nothing, but it can decide later hits and misses,
+    /// and so simulated time.
     fn stage_mutate(
         &mut self,
         blk: u64,
@@ -269,15 +269,18 @@ impl FsSim {
             f(b);
             return Ok(());
         }
-        let mut buf = self.fetch_block(blk)?;
+        let mut buf = self.pc.spare_buf();
+        buf.copy_from_slice(self.fetch_block(blk)?);
         f(&mut buf);
         self.pc.write(blk, buf);
         Ok(())
     }
 
-    /// Replaces `blk` wholesale in the running transaction.
-    fn stage_full(&mut self, blk: u64, data: Buf) {
-        self.pc.write(blk, data);
+    /// Stages a block of zeroes (a new pointer block: all holes).
+    fn stage_zeroed(&mut self, blk: u64) {
+        let mut buf = self.pc.spare_buf();
+        buf.fill(0);
+        self.pc.write(blk, buf);
     }
 
     fn stage_inode(&mut self, ino: u64) -> Result<(), FsError> {
@@ -361,8 +364,7 @@ impl FsSim {
     // ------------------------------------------------------------------
 
     fn read_ptr(&mut self, blk: u64, slot: usize) -> Result<u64, FsError> {
-        let buf = self.fetch_block(blk)?;
-        Ok(bytes::le_u64(&buf[..], slot * 8))
+        Ok(bytes::le_u64(self.fetch_block(blk)?, slot * 8))
     }
 
     fn write_ptr(&mut self, blk: u64, slot: usize, value: u64) -> Result<(), FsError> {
@@ -414,7 +416,7 @@ impl FsSim {
             BlockPath::Indirect(i) => {
                 if self.inodes[ino as usize].indirect == NO_BLOCK {
                     let nb = self.alloc_block()?;
-                    self.stage_full(nb, Box::new([0u8; BLOCK_SIZE]));
+                    self.stage_zeroed(nb);
                     self.inodes[ino as usize].indirect = nb;
                     self.stage_inode(ino)?;
                 }
@@ -430,7 +432,7 @@ impl FsSim {
             BlockPath::DoubleIndirect(i, j) => {
                 if self.inodes[ino as usize].dindirect == NO_BLOCK {
                     let nb = self.alloc_block()?;
-                    self.stage_full(nb, Box::new([0u8; BLOCK_SIZE]));
+                    self.stage_zeroed(nb);
                     self.inodes[ino as usize].dindirect = nb;
                     self.stage_inode(ino)?;
                 }
@@ -438,7 +440,7 @@ impl FsSim {
                 let mut l2 = self.read_ptr(l1, i)?;
                 if l2 == NO_BLOCK {
                     l2 = self.alloc_block()?;
-                    self.stage_full(l2, Box::new([0u8; BLOCK_SIZE]));
+                    self.stage_zeroed(l2);
                     self.write_ptr(l1, i, l2)?;
                 }
                 let ptr = self.read_ptr(l2, j)?;
@@ -513,16 +515,15 @@ impl FsSim {
             let in_off = (at % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - in_off).min(data.len() - pos);
             let (blk, fresh) = self.resolve_alloc(ino, fb)?;
-            if in_off == 0 && n == BLOCK_SIZE {
-                let mut buf: Buf = Box::new([0u8; BLOCK_SIZE]);
-                buf.copy_from_slice(&data[pos..pos + n]);
-                self.stage_full(blk, buf);
-            } else if fresh {
-                // A freshly allocated (possibly reused) block: start from
-                // zeroes so stale contents of a freed block never leak.
-                let mut buf: Buf = Box::new([0u8; BLOCK_SIZE]);
+            if n == BLOCK_SIZE || fresh {
+                // A partial write to a freshly allocated (possibly reused)
+                // block starts from zeroes, so stale contents of a freed
+                // block (or of the recycled buffer) never leak.
+                let mut buf = self.pc.spare_buf();
+                buf[..in_off].fill(0);
+                buf[in_off + n..].fill(0);
                 buf[in_off..in_off + n].copy_from_slice(&data[pos..pos + n]);
-                self.stage_full(blk, buf);
+                self.pc.write(blk, buf);
             } else {
                 self.stage_mutate(blk, |b| {
                     b[in_off..in_off + n].copy_from_slice(&data[pos..pos + n]);

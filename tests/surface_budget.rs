@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 /// Line-start `pub` declarations allowed under each crate's `src/`.
 const PUB_BUDGETS: [(&str, usize); 12] = [
     ("core", 69),
-    ("fssim", 89),
+    ("fssim", 80),
     ("ubj", 31),
     ("classic", 61),
     ("cluster", 36),
