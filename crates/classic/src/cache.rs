@@ -9,7 +9,7 @@ use nvmsim::Nvm;
 use crate::config::DIRTY_THRESH_PCT;
 use crate::meta::{
     decode_log_record, encode_log_record, ClassicLayout, SlotRecord, ASSOC_OFF, LOG_SLOTS, MAGIC,
-    MAGIC_OFF, NUM_BLOCKS_OFF, RECORDS_PER_META_BLOCK, RECORD_BYTES,
+    MAGIC_OFF, NUM_BLOCKS_OFF, RECORD_BYTES,
 };
 use crate::setlru::SetLru;
 use crate::{ClassicConfig, ClassicError, ClassicStats, MetadataScheme};
@@ -38,8 +38,12 @@ pub struct ClassicCache {
     /// disk block → slot.
     index: HashMap<u64, u32>,
     /// DRAM mirror of every slot's record (authoritative copy of the
-    /// metadata area; what a metadata-block write serialises).
+    /// metadata area).
     records: Vec<SlotRecord>,
+    /// `records` encoded, as whole metadata blocks (zeroes past the last
+    /// slot): what a metadata-block write persists, kept in step by
+    /// [`Self::put_record`].
+    image: Vec<u8>,
     lru: SetLru,
     /// Dirty blocks per set (drives the `DIRTY_THRESH_PCT` cleaner).
     set_dirty: Vec<u32>,
@@ -95,7 +99,7 @@ impl ClassicCache {
         let mut raw = [0u8; RECORD_BYTES];
         for slot in 0..layout.num_blocks {
             cache.nvm.read(layout.record_addr(slot), &mut raw);
-            cache.records[slot as usize] = SlotRecord::decode(&raw);
+            cache.put_record(slot, SlotRecord::decode(&raw));
         }
         if cache.cfg.metadata_scheme == MetadataScheme::Log {
             // Replay the current generation's log records, in order, over
@@ -108,7 +112,7 @@ impl ClassicCache {
                 match decode_log_record(raw) {
                     Some((gen, slot, rec)) if gen == cache.gen => {
                         if (slot as usize) < cache.records.len() {
-                            cache.records[slot as usize] = rec;
+                            cache.put_record(slot, rec);
                         }
                         cursor += 1;
                     }
@@ -117,15 +121,12 @@ impl ClassicCache {
             }
             cache.log_cursor = cursor;
         }
-        // Rebuild the DRAM structures from the resolved records.
+        // Rebuild the index and the LRU from the resolved records.
         for slot in 0..layout.num_blocks {
             let rec = cache.records[slot as usize];
             if rec.valid {
                 cache.index.insert(rec.disk_blk, slot);
                 cache.lru.push_mru(slot);
-                if rec.dirty {
-                    cache.set_dirty[(slot / layout.assoc) as usize] += 1;
-                }
             }
         }
         cache.stats.recoveries = 1;
@@ -139,6 +140,7 @@ impl ClassicCache {
             cfg,
             index: HashMap::new(),
             records: vec![SlotRecord::INVALID; layout.num_blocks as usize],
+            image: vec![0u8; layout.meta_blocks * BLOCK_SIZE],
             lru: SetLru::new(layout.num_blocks, layout.num_sets, layout.assoc),
             set_dirty: vec![0; layout.num_sets as usize],
             write_seq: 0,
@@ -298,15 +300,7 @@ impl ClassicCache {
     /// block (the write-amplification source of §3.2); FlashTier/bcache
     /// append one 16 B log record.
     fn set_record(&mut self, slot: u32, rec: SlotRecord) {
-        let set = (slot / self.layout.assoc) as usize;
-        let was_dirty = self.records[slot as usize].valid && self.records[slot as usize].dirty;
-        let now_dirty = rec.valid && rec.dirty;
-        match (was_dirty, now_dirty) {
-            (false, true) => self.set_dirty[set] += 1,
-            (true, false) => self.set_dirty[set] -= 1,
-            _ => {}
-        }
-        self.records[slot as usize] = rec;
+        self.put_record(slot, rec);
         if !self.cfg.sync_metadata {
             return;
         }
@@ -316,6 +310,21 @@ impl ClassicCache {
             }
             MetadataScheme::Log => self.append_log(slot),
         }
+    }
+
+    /// Sets `slot`'s record in DRAM: the record, its 16 B slot of the
+    /// metadata image and its set's dirty count.
+    fn put_record(&mut self, slot: u32, rec: SlotRecord) {
+        let s = slot as usize;
+        let set = (slot / self.layout.assoc) as usize;
+        let was = self.records[s];
+        match (was.valid && was.dirty, rec.valid && rec.dirty) {
+            (false, true) => self.set_dirty[set] += 1,
+            (true, false) => self.set_dirty[set] -= 1,
+            _ => {}
+        }
+        self.records[s] = rec;
+        self.image[s * RECORD_BYTES..(s + 1) * RECORD_BYTES].copy_from_slice(&rec.encode());
     }
 
     /// Appends one record to the metadata log, checkpointing first if the
@@ -427,13 +436,9 @@ impl ClassicCache {
                 .write_block(disk_blk, &buf)
                 .map_err(|e| ClassicError::io("barrier writeback", disk_blk, e))?;
             self.stats.writebacks += 1;
-            let set = (slot / self.layout.assoc) as usize;
-            self.set_dirty[set] -= 1;
-            let rec = self.records[slot as usize];
-            self.records[slot as usize] = SlotRecord {
-                dirty: false,
-                ..rec
-            };
+            let mut rec = self.records[slot as usize];
+            rec.dirty = false;
+            self.put_record(slot, rec);
             touched_slots.push(slot);
         }
         if self.cfg.sync_metadata {
@@ -461,21 +466,17 @@ impl ClassicCache {
         Ok(())
     }
 
-    /// Serialises and persists one metadata block from the DRAM mirror.
+    /// Persists one metadata block from the DRAM image.
     fn write_meta_block(&mut self, mb: usize) {
-        let first = mb * RECORDS_PER_META_BLOCK;
-        let mut image = [0u8; BLOCK_SIZE];
-        for i in 0..RECORDS_PER_META_BLOCK {
-            let s = first + i;
-            if s < self.records.len() {
-                image[i * RECORD_BYTES..(i + 1) * RECORD_BYTES]
-                    .copy_from_slice(&self.records[s].encode());
-            }
-        }
         let addr = self.layout.meta_block_addr(mb);
-        self.nvm.write(addr, &image);
+        self.nvm.write(addr, self.meta_image(mb));
         self.nvm.persist(addr, BLOCK_SIZE);
         self.stats.meta_block_writes += 1;
+    }
+
+    /// Metadata block `mb` of the DRAM image.
+    fn meta_image(&self, mb: usize) -> &[u8] {
+        &self.image[mb * BLOCK_SIZE..(mb + 1) * BLOCK_SIZE]
     }
 
     /// Reads `disk_blk` without populating the cache (verification).
@@ -515,12 +516,17 @@ impl ClassicCache {
         self.index.len()
     }
 
-    /// Invariant self-check (tests): DRAM mirror ↔ NVM records ↔ index.
+    /// Invariant self-check (tests): DRAM image ↔ DRAM mirror ↔ NVM
+    /// records ↔ index.
     pub fn check_consistency(&self) -> Result<(), String> {
         let mut raw = [0u8; RECORD_BYTES];
         let mut valid = 0usize;
         for slot in 0..self.layout.num_blocks {
             let mem = self.records[slot as usize];
+            let at = slot as usize * RECORD_BYTES;
+            if self.image[at..at + RECORD_BYTES] != mem.encode() {
+                return Err(format!("slot {slot}: image != {mem:?} encoded"));
+            }
             // In the SyncBlock scheme the record area mirrors DRAM exactly;
             // in the Log scheme it is only the last checkpoint base (the
             // deltas live in the log, exercised by the recovery tests).
@@ -549,6 +555,12 @@ impl ClassicCache {
             } else if self.lru.contains(slot) {
                 return Err(format!("invalid slot {slot} linked in LRU"));
             }
+        }
+        if self.image[self.records.len() * RECORD_BYTES..]
+            .iter()
+            .any(|&b| b != 0)
+        {
+            return Err("metadata image not zero past the last slot".into());
         }
         if valid != self.index.len() {
             return Err(format!(
@@ -766,6 +778,80 @@ mod tests {
         c.flush_all().unwrap();
         assert_eq!(disk.stats().writes, w, "second flush writes nothing");
         c.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn check_consistency_rejects_an_image_that_drifts_from_the_records() {
+        let (mut c, _, _) = setup(64);
+        c.write(7, &blk(1)).unwrap();
+        c.check_consistency().unwrap();
+        let slot = c.index[&7] as usize;
+        c.image[slot * RECORD_BYTES] ^= 0x02; // the dirty flag
+        let err = c.check_consistency().unwrap_err();
+        assert!(err.contains(&format!("slot {slot}: image")), "{err}");
+        c.image[slot * RECORD_BYTES] ^= 0x02;
+        c.check_consistency().unwrap();
+        let past = c.records.len() * RECORD_BYTES;
+        assert!(
+            past < c.image.len(),
+            "the layout leaves room past the last slot"
+        );
+        c.image[past] = 1;
+        let err = c.check_consistency().unwrap_err();
+        assert!(err.contains("past the last slot"), "{err}");
+    }
+
+    /// Writes, barriers and evictions under both metadata schemes, then a
+    /// crash: recovery rebuilds the image the cache had, and every
+    /// persisted metadata block equals the image of its last write (the
+    /// live state in SyncBlock, the last checkpoint in Log).
+    #[test]
+    fn recovery_rebuilds_the_persisted_metadata_image() {
+        for scheme in [MetadataScheme::SyncBlock, MetadataScheme::Log] {
+            let clock = SimClock::new();
+            let nvm = NvmDevice::new(NvmConfig::new(2 << 20, NvmTech::Pcm), clock.clone());
+            let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
+            let cfg = ClassicConfig {
+                assoc: 16,
+                metadata_scheme: scheme,
+                fallow_age_writes: 8,
+                ..ClassicConfig::default()
+            };
+            let mut c = ClassicCache::format(nvm.clone(), disk.clone(), cfg.clone());
+            let run = |c: &mut ClassicCache, from: u64| {
+                for i in from..from + 400 {
+                    c.write(i * 7 % 1000, &blk(i as u8)).unwrap();
+                    if i % 40 == 39 {
+                        c.flush_barrier().unwrap();
+                    }
+                }
+                c.flush_barrier().unwrap();
+            };
+            run(&mut c, 0);
+            if scheme == MetadataScheme::Log {
+                c.checkpoint_metadata();
+            }
+            let persisted_image = c.image.clone();
+            if scheme == MetadataScheme::Log {
+                run(&mut c, 400); // log records on top of the checkpoint
+            }
+            assert!(c.stats().evictions > 0 && c.stats().writebacks > 0);
+            let image = c.image.clone();
+            drop(c);
+            nvm.crash(CrashPolicy::LoseVolatile);
+            let rec = ClassicCache::recover(nvm.clone(), disk, cfg).unwrap();
+            rec.check_consistency().unwrap();
+            assert_eq!(rec.image, image, "{scheme:?}: rebuilt image");
+            let mut block = [0u8; BLOCK_SIZE];
+            for mb in 0..rec.layout.meta_blocks {
+                nvm.read(rec.layout.meta_block_addr(mb), &mut block);
+                let want = &persisted_image[mb * BLOCK_SIZE..(mb + 1) * BLOCK_SIZE];
+                assert_eq!(&block[..], want, "{scheme:?}: metadata block {mb}");
+                if scheme == MetadataScheme::SyncBlock {
+                    assert_eq!(&block[..], rec.meta_image(mb));
+                }
+            }
+        }
     }
 
     #[test]
