@@ -138,23 +138,23 @@ fn diff_state(
     fs: &mut FsSim,
     expected: &std::collections::HashMap<String, Vec<u8>>,
 ) -> Option<String> {
-    if fs.file_count() != expected.len() {
-        return Some(format!(
-            "file count {} != expected {}",
-            fs.file_count(),
-            expected.len()
-        ));
+    let count = match fs.file_count() {
+        Ok(n) => n,
+        Err(e) => return Some(format!("name table unreadable: {e}")),
+    };
+    if count != expected.len() {
+        return Some(format!("file count {count} != expected {}", expected.len()));
     }
     for (name, want) in expected {
         let Ok(ino) = fs.open(name) else {
             return Some(format!("missing file {name}"));
         };
-        if fs.file_size(ino) != want.len() as u64 {
-            return Some(format!(
-                "{name}: size {} != {}",
-                fs.file_size(ino),
-                want.len()
-            ));
+        let size = match fs.file_size(ino) {
+            Ok(size) => size,
+            Err(e) => return Some(format!("{name}: inode unreadable: {e}")),
+        };
+        if size != want.len() as u64 {
+            return Some(format!("{name}: size {size} != {}", want.len()));
         }
         let mut buf = vec![0u8; want.len()];
         match fs.read(ino, 0, &mut buf) {

@@ -224,10 +224,10 @@ fn repeated_crash_remount_cycles() {
         // Re-sync the oracle to whatever survived, then continue.
         let mut fresh = FsOracle::new();
         let fs = h.fs();
-        let survived = fs.exists("log");
+        let survived = fs.exists("log").unwrap();
         assert!(survived, "committed file must never vanish");
         let ino = fs.open("log").unwrap();
-        let size = fs.file_size(ino) as usize;
+        let size = fs.file_size(ino).unwrap() as usize;
         let mut buf = vec![0u8; size];
         fs.read(ino, 0, &mut buf).unwrap();
         fresh.create("log");

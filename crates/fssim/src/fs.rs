@@ -1,5 +1,23 @@
 //! The mini file system: flat namespace, inode table, block bitmap,
 //! direct/indirect/double-indirect files, batched transactions.
+//!
+//! The name table, the inode table and the bitmap live on the device and
+//! are mirrored in DRAM. `mkfs` starts with complete mirrors; `mount`
+//! reads only the superblock (and replays the journal in JBD2 mode), and
+//! each mirror fills on first use, read through [`Backend::read`], never
+//! through the page cache:
+//!
+//! * a name lookup scans name blocks from slot 0 and stops at its name;
+//! * a file's inode block loads whole when its [`FileId`] is first used;
+//! * the bitmap loads whole before the first data-block allocation or free;
+//! * a namespace mutation (create, delete, rename) and
+//!   [`FsSim::check_consistency`] first finish every pending load — names,
+//!   then inodes, then the bitmap, each in ascending block order, which is
+//!   the order an eager mount reads them in — so free-slot choices and the
+//!   audit's device traffic are those of an eager mount.
+//!
+//! A block's mirror is whole before anything in that block is staged, so a
+//! load never reads a block the running transaction has changed.
 
 use blockdev::BLOCK_SIZE;
 use std::collections::HashMap;
@@ -71,13 +89,23 @@ pub struct FsSim {
     mode: JournalMode,
     journal: Option<Jbd2>,
     pc: PageCache,
-    /// name → (inode, name-table slot).
+    /// name → (inode, name-table slot), for the name blocks read so far.
     names: HashMap<String, (u64, u64)>,
+    /// Name-table blocks read into `names`, from block 0 up.
+    name_blocks_read: u64,
+    /// Free name slots, lowest last; complete once every name block is read.
     free_name_slots: Vec<u64>,
     inodes: Vec<Inode>,
+    /// Which inode-table blocks `inodes` holds; empty once it holds them
+    /// all, so a formatted file system allocates nothing for it.
+    inode_block_read: Vec<bool>,
+    /// Free inodes, lowest last; built by the first full load.
     free_inodes: Vec<u64>,
+    /// Every mirror is complete and both free lists are built.
+    mirrors_complete: bool,
     /// One bit per data-area block; DRAM mirror of the on-disk bitmap.
     bitmap: Vec<u64>,
+    bitmap_read: bool,
     free_data_blocks: u64,
     alloc_cursor: u64,
     stats: FsStats,
@@ -115,12 +143,15 @@ impl FsSim {
         } else {
             None
         };
-        Ok(Self::fresh(backend, geo, mode, journal))
+        Ok(Self::new(backend, geo, mode, journal, true))
     }
 
     /// Mounts an existing file system (after a crash or clean shutdown):
-    /// validates the superblock, runs journal recovery if in JBD2 mode,
-    /// and rebuilds the DRAM mirrors from the committed on-disk state.
+    /// validates the superblock and runs journal recovery if in JBD2 mode.
+    /// Nothing else is read here: the name, inode and bitmap mirrors fill
+    /// from the committed on-disk state on first use (see the module doc),
+    /// so the mount costs the same for one file as for every provisioned
+    /// one.
     ///
     /// (In Tinca mode the *cache* recovery — `TincaPool::recover` — must
     /// already have happened when constructing the backend.)
@@ -153,24 +184,40 @@ impl FsSim {
             JournalMode::Jbd2 => Some(Jbd2::recover(&geo, &mut backend)?),
             _ => None,
         };
-        let mut fs = Self::fresh(backend, geo, mode, journal);
-        fs.rebuild_mirrors()?;
-        Ok(fs)
+        Ok(Self::new(backend, geo, mode, journal, false))
     }
 
-    fn fresh(backend: Backend, geo: Geometry, mode: JournalMode, journal: Option<Jbd2>) -> FsSim {
+    /// The file system over `backend`. With `formatted`, the mirrors are
+    /// complete and hold the empty metadata `mkfs` leaves on the device;
+    /// otherwise nothing is loaded yet.
+    fn new(
+        backend: Backend,
+        geo: Geometry,
+        mode: JournalMode,
+        journal: Option<Jbd2>,
+        formatted: bool,
+    ) -> FsSim {
         let bitmap_words = (geo.data_blocks as usize).div_ceil(64);
+        let all = |n: u64| if formatted { n } else { 0 };
         FsSim {
             backend,
             mode,
             journal,
             pc: PageCache::new(geo.dram_cache_blocks),
             names: HashMap::new(),
-            free_name_slots: (0..geo.max_files).rev().collect(),
+            name_blocks_read: all(geo.name_blocks),
+            free_name_slots: (0..all(geo.max_files)).rev().collect(),
             inodes: vec![Inode::FREE; geo.max_files as usize],
-            free_inodes: (0..geo.max_files).rev().collect(),
+            inode_block_read: if formatted {
+                Vec::new()
+            } else {
+                vec![false; geo.inode_blocks as usize]
+            },
+            free_inodes: (0..all(geo.max_files)).rev().collect(),
+            mirrors_complete: formatted,
             bitmap: vec![0u64; bitmap_words],
-            free_data_blocks: geo.data_blocks,
+            bitmap_read: formatted,
+            free_data_blocks: all(geo.data_blocks),
             alloc_cursor: 0,
             stats: FsStats::default(),
             txn_sizes: Vec::new(),
@@ -178,8 +225,137 @@ impl FsSim {
         }
     }
 
-    /// Rebuilds names/inodes/bitmap mirrors by scanning the metadata
-    /// regions through the cache.
+    // ------------------------------------------------------------------
+    // Mirror loads (a mounted file system reads its metadata on first use)
+    // ------------------------------------------------------------------
+
+    /// The inode and name slot of `name`, scanning name blocks not yet
+    /// read, in order, until it turns up.
+    fn lookup(&mut self, name: &str) -> Result<Option<(u64, u64)>, FsError> {
+        let unread = |fs: &Self| fs.name_blocks_read < fs.geo.name_blocks;
+        if unread(self) && !self.names.contains_key(name) {
+            let _t = telemetry::span(telemetry::phase::FS_MOUNT_NAMES);
+            while unread(self) && !self.names.contains_key(name) {
+                self.load_name_block()?;
+            }
+        }
+        Ok(self.names.get(name).copied())
+    }
+
+    /// Reads the rest of the name table.
+    fn load_names(&mut self) -> Result<(), FsError> {
+        if self.name_blocks_read < self.geo.name_blocks {
+            let _t = telemetry::span(telemetry::phase::FS_MOUNT_NAMES);
+            while self.name_blocks_read < self.geo.name_blocks {
+                self.load_name_block()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads the next name block into `names` and `free_name_slots`.
+    fn load_name_block(&mut self) -> Result<(), FsError> {
+        let nb = self.name_blocks_read;
+        let mut block = [0u8; BLOCK_SIZE];
+        self.backend.read(self.geo.name_off + nb, &mut block)?;
+        for i in 0..NAMES_PER_BLOCK {
+            let slot = nb * NAMES_PER_BLOCK as u64 + i as u64;
+            if slot >= self.geo.max_files {
+                break;
+            }
+            let e = &block[i * NAME_ENTRY_BYTES..(i + 1) * NAME_ENTRY_BYTES];
+            let len = e[8] as usize;
+            if len == 0 {
+                self.free_name_slots.push(slot);
+            } else {
+                let ino = bytes::le_u64(e, 0);
+                let name = String::from_utf8_lossy(&e[9..9 + len]).into_owned();
+                self.names.insert(name, (ino, slot));
+            }
+        }
+        self.name_blocks_read += 1;
+        if self.name_blocks_read == self.geo.name_blocks {
+            self.free_name_slots.reverse();
+        }
+        Ok(())
+    }
+
+    /// Makes sure the inode block holding `ino` is in the mirror.
+    fn load_inode(&mut self, ino: FileId) -> Result<(), FsError> {
+        let ib = ino / crate::INODES_PER_BLOCK as u64;
+        if self.inode_block_read.get(ib as usize) != Some(&false) {
+            return Ok(());
+        }
+        let _t = telemetry::span(telemetry::phase::FS_MOUNT_INODES);
+        self.load_inode_block(ib)
+    }
+
+    fn load_inode_block(&mut self, ib: u64) -> Result<(), FsError> {
+        let mut block = [0u8; BLOCK_SIZE];
+        self.backend.read(self.geo.inode_off + ib, &mut block)?;
+        for i in 0..crate::INODES_PER_BLOCK {
+            let ino = ib * crate::INODES_PER_BLOCK as u64 + i as u64;
+            if ino >= self.geo.max_files {
+                break;
+            }
+            self.inodes[ino as usize] =
+                Inode::decode(&block[i * INODE_BYTES..(i + 1) * INODE_BYTES]);
+        }
+        self.inode_block_read[ib as usize] = true;
+        Ok(())
+    }
+
+    /// Makes sure the bitmap mirror and the free count are loaded.
+    fn load_bitmap(&mut self) -> Result<(), FsError> {
+        if self.bitmap_read {
+            return Ok(());
+        }
+        let _t = telemetry::span(telemetry::phase::FS_MOUNT_BITMAP);
+        let mut block = [0u8; BLOCK_SIZE];
+        for bb in 0..self.geo.bitmap_blocks {
+            self.backend.read(self.geo.bitmap_off + bb, &mut block)?;
+            for w in 0..BLOCK_SIZE / 8 {
+                let word_idx = bb as usize * (BLOCK_SIZE / 8) + w;
+                if word_idx < self.bitmap.len() {
+                    self.bitmap[word_idx] = bytes::le_u64(&block, w * 8);
+                }
+            }
+        }
+        self.free_data_blocks = (0..self.geo.data_blocks).filter(|&b| !self.bit(b)).count() as u64;
+        self.bitmap_read = true;
+        Ok(())
+    }
+
+    /// Finishes every pending load — the rest of the name table, the
+    /// inode blocks not yet read, the bitmap, each ascending — and builds
+    /// the free lists, as an eager mount would have.
+    fn load_all(&mut self) -> Result<(), FsError> {
+        if self.mirrors_complete {
+            return Ok(());
+        }
+        self.load_names()?;
+        if self.inode_block_read.contains(&false) {
+            let _t = telemetry::span(telemetry::phase::FS_MOUNT_INODES);
+            for ib in 0..self.geo.inode_blocks {
+                if !self.inode_block_read[ib as usize] {
+                    self.load_inode_block(ib)?;
+                }
+            }
+        }
+        self.inode_block_read = Vec::new();
+        self.load_bitmap()?;
+        self.free_inodes = (0..self.geo.max_files)
+            .rev()
+            .filter(|&ino| !self.inodes[ino as usize].used)
+            .collect();
+        self.mirrors_complete = true;
+        Ok(())
+    }
+
+    /// The eager mount's loader, kept as the reference the demand-loaded
+    /// mirrors are tested against: rebuilds names/inodes/bitmap mirrors by
+    /// scanning the metadata regions through the cache.
+    #[cfg(test)]
     fn rebuild_mirrors(&mut self) -> Result<(), FsError> {
         let geo = self.geo;
         let mut block = [0u8; BLOCK_SIZE];
@@ -240,6 +416,10 @@ impl FsSim {
                 self.free_data_blocks += 1;
             }
         }
+        self.name_blocks_read = geo.name_blocks;
+        self.inode_block_read = Vec::new();
+        self.bitmap_read = true;
+        self.mirrors_complete = true;
         Ok(())
     }
 
@@ -255,11 +435,10 @@ impl FsSim {
 
     /// Mutates `blk` in the running transaction (read-modify-write).
     ///
-    /// A block not yet dirty is copied once, into a recycled buffer. On a
-    /// miss the read admits the block as clean (evicting the LRU clean
-    /// block at capacity) and `write` drops that clean copy at once: the
-    /// eviction buys nothing, but it can decide later hits and misses,
-    /// and so simulated time.
+    /// A block not yet dirty is copied once, into a recycled buffer: from
+    /// its clean copy if cached (the dirty copy supersedes it, so its
+    /// recency does not matter), else read straight from the backend. A
+    /// miss admits nothing, so it evicts no clean block.
     fn stage_mutate(
         &mut self,
         blk: u64,
@@ -270,7 +449,10 @@ impl FsSim {
             return Ok(());
         }
         let mut buf = self.pc.spare_buf();
-        buf.copy_from_slice(self.fetch_block(blk)?);
+        match self.pc.peek(blk) {
+            Some(clean) => buf.copy_from_slice(clean),
+            None => self.backend.read(blk, &mut buf[..])?,
+        }
         f(&mut buf);
         self.pc.write(blk, buf);
         Ok(())
@@ -333,6 +515,7 @@ impl FsSim {
 
     /// Allocates one data block; returns its absolute disk block number.
     fn alloc_block(&mut self) -> Result<u64, FsError> {
+        self.load_bitmap()?;
         if self.free_data_blocks == 0 {
             return Err(FsError::NoSpace);
         }
@@ -351,6 +534,7 @@ impl FsSim {
 
     fn free_block(&mut self, abs: u64) -> Result<(), FsError> {
         debug_assert!(abs >= self.geo.data_off && abs < self.geo.total_blocks);
+        self.load_bitmap()?;
         let rel = abs - self.geo.data_off;
         debug_assert!(self.bit(rel), "double free of data block {abs}");
         self.set_bit(rel, false)?;
@@ -463,6 +647,7 @@ impl FsSim {
         if name.len() > MAX_NAME_LEN {
             return Err(FsError::NameTooLong(name.into()));
         }
+        self.load_all()?;
         if self.names.contains_key(name) {
             return Err(FsError::Exists(name.into()));
         }
@@ -484,28 +669,30 @@ impl FsSim {
     }
 
     /// Opens an existing file.
-    pub fn open(&self, name: &str) -> Result<FileId, FsError> {
-        self.names
-            .get(name)
-            .map(|&(ino, _)| ino)
+    pub fn open(&mut self, name: &str) -> Result<FileId, FsError> {
+        self.lookup(name)?
+            .map(|(ino, _)| ino)
             .ok_or_else(|| FsError::NotFound(name.into()))
     }
 
-    pub fn exists(&self, name: &str) -> bool {
-        self.names.contains_key(name)
+    pub fn exists(&mut self, name: &str) -> Result<bool, FsError> {
+        Ok(self.lookup(name)?.is_some())
     }
 
     /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.names.len()
+    pub fn file_count(&mut self) -> Result<usize, FsError> {
+        self.load_names()?;
+        Ok(self.names.len())
     }
 
-    pub fn file_size(&self, ino: FileId) -> u64 {
-        self.inodes[ino as usize].size
+    pub fn file_size(&mut self, ino: FileId) -> Result<u64, FsError> {
+        self.load_inode(ino)?;
+        Ok(self.inodes[ino as usize].size)
     }
 
     /// Writes `data` at byte `offset` of the file, extending it if needed.
     pub fn write(&mut self, ino: FileId, offset: u64, data: &[u8]) -> Result<(), FsError> {
+        self.load_inode(ino)?;
         debug_assert!(self.inodes[ino as usize].used, "write to free inode {ino}");
         let end = offset + data.len() as u64;
         let mut pos = 0usize;
@@ -542,13 +729,14 @@ impl FsSim {
 
     /// Appends `data` to the end of the file.
     pub fn append(&mut self, ino: FileId, data: &[u8]) -> Result<(), FsError> {
-        self.write(ino, self.inodes[ino as usize].size, data)
+        let size = self.file_size(ino)?;
+        self.write(ino, size, data)
     }
 
     /// Reads up to `buf.len()` bytes at `offset`; returns bytes read
     /// (short at end-of-file; holes read as zeroes).
     pub fn read(&mut self, ino: FileId, offset: u64, buf: &mut [u8]) -> Result<usize, FsError> {
-        let size = self.inodes[ino as usize].size;
+        let size = self.file_size(ino)?;
         if offset >= size {
             return Ok(0);
         }
@@ -575,6 +763,7 @@ impl FsSim {
 
     /// Deletes a file, freeing all of its blocks.
     pub fn delete(&mut self, name: &str) -> Result<(), FsError> {
+        self.load_all()?;
         let (ino, slot) = self
             .names
             .remove(name)
@@ -619,6 +808,7 @@ impl FsSim {
     /// blocks wholly past the new end are freed; an extension leaves a
     /// hole (reads return zeroes), as POSIX `ftruncate` does.
     pub fn truncate(&mut self, ino: FileId, new_size: u64) -> Result<(), FsError> {
+        self.load_inode(ino)?;
         let inode = self.inodes[ino as usize].clone();
         debug_assert!(inode.used, "truncate of free inode {ino}");
         let old_blocks = inode.block_count();
@@ -665,6 +855,7 @@ impl FsSim {
         if to.len() > MAX_NAME_LEN {
             return Err(FsError::NameTooLong(to.into()));
         }
+        self.load_all()?;
         if self.names.contains_key(to) {
             return Err(FsError::Exists(to.into()));
         }
@@ -764,8 +955,9 @@ impl FsSim {
         self.journal.as_ref().map(|j| j.stats)
     }
 
-    pub fn free_space_blocks(&self) -> u64 {
-        self.free_data_blocks
+    pub fn free_space_blocks(&mut self) -> Result<u64, FsError> {
+        self.load_bitmap()?;
+        Ok(self.free_data_blocks)
     }
 
     /// The cache layer below (harnesses read its counters through it).
@@ -774,8 +966,10 @@ impl FsSim {
     }
 
     /// Invariant check for tests: DRAM bitmap free count matches the
-    /// mirror, and every file's mapped blocks are marked allocated.
+    /// mirror, and every file's mapped blocks are marked allocated. Loads
+    /// every mirror first.
     pub fn check_consistency(&mut self) -> Result<(), String> {
+        self.load_all().map_err(|e| e.to_string())?;
         let mut counted = 0u64;
         for b in 0..self.geo.data_blocks {
             if !self.bit(b) {
@@ -788,12 +982,15 @@ impl FsSim {
                 self.free_data_blocks
             ));
         }
-        let files: Vec<(String, u64)> = self
+        // In name-table order, so the audit's reads do not depend on the
+        // map's hashing.
+        let mut files: Vec<(u64, String, u64)> = self
             .names
             .iter()
-            .map(|(n, &(i, _))| (n.clone(), i))
+            .map(|(n, &(i, slot))| (slot, n.clone(), i))
             .collect();
-        for (name, ino) in files {
+        files.sort_unstable();
+        for (_, name, ino) in files {
             if !self.inodes[ino as usize].used {
                 return Err(format!("file {name} points at free inode {ino}"));
             }
@@ -811,3 +1008,6 @@ impl FsSim {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod twin;

@@ -106,6 +106,11 @@ impl PageCache {
         Ok(self.fill(blk, buf))
     }
 
+    /// The newest cached copy of `blk`, without touching the recency list.
+    pub(crate) fn peek(&self, blk: u64) -> Option<&Block> {
+        self.map.get(&blk).map(|&i| &*self.nodes[i as usize].buf)
+    }
+
     /// Mutable access to the dirty copy of `blk`, if staged.
     pub(crate) fn get_dirty_mut(&mut self, blk: u64) -> Option<&mut Block> {
         let &i = self.map.get(&blk)?;
@@ -256,11 +261,6 @@ mod tests {
                 Ok::<(), ()>(())
             })
             .unwrap();
-        }
-
-        /// The newest copy of `blk`, without touching the recency list.
-        fn cached(&self, blk: u64) -> Option<&Block> {
-            self.map.get(&blk).map(|&i| &*self.nodes[i as usize].buf)
         }
 
         /// Clean blocks from the least to the most recently used.
@@ -475,8 +475,9 @@ mod tests {
         Write(u64, u8),
         /// A read: a hit touches, a miss fills (the file system's path).
         Read(u64, u8),
-        /// `stage_mutate` on a block not dirty: read (filling a miss),
-        /// then stage a modified copy.
+        /// `stage_mutate` on a block not dirty: copy the clean copy if
+        /// cached, else read it without admitting it, then stage a
+        /// modified copy.
         Mutate(u64, u8),
         TakeDirty,
         Forget(u64),
@@ -529,21 +530,17 @@ mod tests {
                         if reference.dirty.contains_key(&b) {
                             continue;
                         }
-                        let mut staged = buf(0);
-                        match reference.get(b) {
-                            Some(x) => staged.copy_from_slice(x),
-                            None => {
-                                reference.insert_clean(b, buf(v));
-                                staged.copy_from_slice(&buf(v)[..]);
-                            }
+                        let mut staged = buf(v);
+                        if let Some(x) = reference.cached(b) {
+                            staged.copy_from_slice(x);
                         }
                         staged[1] = v;
                         reference.write(b, staged);
                         let mut copy = pc.spare_buf();
-                        copy.copy_from_slice(pc.get_or_fill(b, |x| {
-                            x.fill(v);
-                            Ok::<(), ()>(())
-                        }).unwrap());
+                        match pc.peek(b) {
+                            Some(x) => copy.copy_from_slice(x),
+                            None => copy.fill(v),
+                        }
                         copy[1] = v;
                         pc.write(b, copy);
                     }
@@ -567,7 +564,7 @@ mod tests {
                 prop_assert_eq!(pc.dirty_len(), reference.dirty.len());
                 for b in 0..BLOCKS {
                     prop_assert_eq!(
-                        pc.cached(b).map(|x| x.to_vec()),
+                        pc.peek(b).map(|x| x.to_vec()),
                         reference.cached(b).map(|x| x.to_vec()),
                         "contents of block {}", b
                     );

@@ -281,8 +281,8 @@ mod tests {
             System::Ubj,
             System::ClassicLogMeta,
         ] {
-            let stack = build(&StackConfig::tiny(sys)).unwrap();
-            assert_eq!(stack.fs.file_count(), 0, "{}", sys.name());
+            let mut stack = build(&StackConfig::tiny(sys)).unwrap();
+            assert_eq!(stack.fs.file_count().unwrap(), 0, "{}", sys.name());
         }
     }
 

@@ -33,7 +33,7 @@ fn create_write_read_on_every_system() {
         let n = s.fs.read(f, 0, &mut back).unwrap();
         assert_eq!(n, data.len(), "{}", sys.name());
         assert_eq!(back, data, "{}", sys.name());
-        assert_eq!(s.fs.file_size(f), data.len() as u64);
+        assert_eq!(s.fs.file_size(f).unwrap(), data.len() as u64);
         s.fs.check_consistency().unwrap();
     }
 }
@@ -80,7 +80,7 @@ fn large_file_through_indirect_blocks() {
     for i in 0..4u64 {
         s.fs.write(f, i * chunk.len() as u64, &chunk).unwrap();
     }
-    assert_eq!(s.fs.file_size(f), 4 * chunk.len() as u64); // 1 MB > 48 KB direct
+    assert_eq!(s.fs.file_size(f).unwrap(), 4 * chunk.len() as u64); // 1 MB > 48 KB direct
     let mut buf = vec![0u8; BLOCK_SIZE];
     // Verify a block deep in the indirect range.
     s.fs.read(f, 200 * BLOCK_SIZE as u64, &mut buf).unwrap();
@@ -109,17 +109,21 @@ fn double_indirect_range_works() {
 #[test]
 fn delete_frees_space_and_name() {
     let mut s = tiny(System::Tinca);
-    let free0 = s.fs.free_space_blocks();
+    let free0 = s.fs.free_space_blocks().unwrap();
     let f = s.fs.create("temp").unwrap();
     s.fs.write(f, 0, &vec![1u8; 40 * BLOCK_SIZE]).unwrap();
-    assert!(s.fs.free_space_blocks() < free0);
+    assert!(s.fs.free_space_blocks().unwrap() < free0);
     s.fs.delete("temp").unwrap();
-    assert_eq!(s.fs.free_space_blocks(), free0, "all blocks must return");
-    assert!(!s.fs.exists("temp"));
+    assert_eq!(
+        s.fs.free_space_blocks().unwrap(),
+        free0,
+        "all blocks must return"
+    );
+    assert!(!s.fs.exists("temp").unwrap());
     assert!(matches!(s.fs.open("temp"), Err(FsError::NotFound(_))));
     // Name and inode are reusable.
     let f2 = s.fs.create("temp").unwrap();
-    assert_eq!(s.fs.file_size(f2), 0);
+    assert_eq!(s.fs.file_size(f2).unwrap(), 0);
     s.fs.check_consistency().unwrap();
 }
 
@@ -200,8 +204,8 @@ fn many_files_and_remount_preserves_namespace() {
             sys.name(),
             mount.total_ns
         );
-        assert_eq!(re.fs.file_count(), 99, "{}", sys.name());
-        assert!(!re.fs.exists("file-050"));
+        assert_eq!(re.fs.file_count().unwrap(), 99, "{}", sys.name());
+        assert!(!re.fs.exists("file-050").unwrap());
         for i in [0u32, 25, 99] {
             let f = re.fs.open(&format!("file-{i:03}")).unwrap();
             let want = format!("contents of {i}");
@@ -287,14 +291,14 @@ fn unmount_then_mount_without_journal_replay() {
 #[test]
 fn truncate_shrinks_and_frees() {
     let mut s = tiny(System::Tinca);
-    let free0 = s.fs.free_space_blocks();
+    let free0 = s.fs.free_space_blocks().unwrap();
     let f = s.fs.create("t").unwrap();
     s.fs.write(f, 0, &vec![7u8; 20 * BLOCK_SIZE]).unwrap();
-    let free_full = s.fs.free_space_blocks();
+    let free_full = s.fs.free_space_blocks().unwrap();
     s.fs.truncate(f, 5 * BLOCK_SIZE as u64 + 100).unwrap();
-    assert_eq!(s.fs.file_size(f), 5 * BLOCK_SIZE as u64 + 100);
+    assert_eq!(s.fs.file_size(f).unwrap(), 5 * BLOCK_SIZE as u64 + 100);
     assert!(
-        s.fs.free_space_blocks() > free_full,
+        s.fs.free_space_blocks().unwrap() > free_full,
         "blocks past the cut must free"
     );
     // Contents up to the cut survive; the freed range reads as zero after
@@ -308,7 +312,7 @@ fn truncate_shrinks_and_frees() {
     s.fs.read(f, 7 * BLOCK_SIZE as u64, &mut tail).unwrap();
     assert!(tail.iter().all(|&b| b == 0), "extension reads zeroes");
     s.fs.delete("t").unwrap();
-    assert_eq!(s.fs.free_space_blocks(), free0);
+    assert_eq!(s.fs.free_space_blocks().unwrap(), free0);
     s.fs.check_consistency().unwrap();
 }
 
@@ -342,7 +346,7 @@ fn rename_preserves_contents_and_survives_remount() {
     let f = s.fs.create("old-name").unwrap();
     s.fs.write(f, 0, b"payload").unwrap();
     s.fs.rename("old-name", "new-name").unwrap();
-    assert!(!s.fs.exists("old-name"));
+    assert!(!s.fs.exists("old-name").unwrap());
     assert!(matches!(
         s.fs.rename("old-name", "x"),
         Err(FsError::NotFound(_))
@@ -383,4 +387,42 @@ fn journal_replay_io_error_is_reported_as_io() {
         blk: geo.journal_off,
     };
     assert_eq!(err, Some(FsError::Backend(BackendError::Io(bad))));
+}
+
+/// A mirror load's disk fault reaches the caller that needed the load: the
+/// mount itself reads only the superblock and succeeds.
+#[test]
+fn a_mirror_load_io_error_is_reported_by_the_call_that_loads() {
+    let geo = Geometry::compute(1 << 12, 64, 16);
+    let regions = [
+        (geo.name_off, "name table"),
+        (geo.inode_off, "inode table"),
+        (geo.bitmap_off, "bitmap"),
+    ];
+    for (bad, region) in regions {
+        let disk = SimDisk::new(DiskKind::Ssd, geo.total_blocks, SimClock::new());
+        let faulty = FaultyDisk::new(disk, FaultPlan::quiet(1).with_bad_range(bad..bad + 1));
+        faulty.set_enabled(false);
+        let mut fs = FsSim::mkfs(Backend::Raw(faulty.clone()), geo, JournalMode::None).unwrap();
+        let f = fs.create("f").unwrap();
+        fs.write(f, 0, &[7; 100]).unwrap();
+        fs.unmount().unwrap();
+        faulty.set_enabled(true);
+        let mut fs = FsSim::mount(Backend::Raw(faulty), geo).unwrap();
+        let io = || FsError::Backend(BackendError::Io(IoError::BadBlock { blk: bad }));
+        if bad == geo.name_off {
+            assert_eq!(fs.open("f"), Err(io()), "{region}");
+            assert_eq!(fs.file_count(), Err(io()), "{region}");
+        } else if bad == geo.inode_off {
+            assert_eq!(fs.open("f"), Ok(f), "{region}");
+            assert_eq!(fs.file_size(f), Err(io()), "{region}");
+            assert_eq!(fs.read(f, 0, &mut [0; 10]), Err(io()), "{region}");
+        } else {
+            assert_eq!(fs.file_size(f), Ok(100), "{region}");
+            assert_eq!(fs.free_space_blocks(), Err(io()), "{region}");
+            assert_eq!(fs.write(f, 8192, &[1; 10]), Err(io()), "{region}");
+        }
+        assert_eq!(fs.create("g"), Err(io()), "{region}");
+        assert!(fs.check_consistency().is_err(), "{region}");
+    }
 }

@@ -115,10 +115,10 @@ fn run_model(system: System, ops: Vec<Op>) -> Result<(), TestCaseError> {
         }
     }
     // Final: full model equality, then internal invariants.
-    prop_assert_eq!(stack.fs.file_count(), model.len());
+    prop_assert_eq!(stack.fs.file_count().unwrap(), model.len());
     for (&i, contents) in &model {
         let ino = stack.fs.open(&name(i)).unwrap();
-        prop_assert_eq!(stack.fs.file_size(ino) as usize, contents.len());
+        prop_assert_eq!(stack.fs.file_size(ino).unwrap() as usize, contents.len());
         let mut buf = vec![0u8; contents.len()];
         stack.fs.read(ino, 0, &mut buf).unwrap();
         prop_assert_eq!(&buf, contents, "final contents of file {}", i);

@@ -117,7 +117,7 @@ impl WalStore {
     /// discards the torn tail, then checkpoints so the store restarts
     /// with an empty WAL.
     fn recover(&mut self) -> Result<(), KvError> {
-        let wal_size = self.stack.fs.file_size(self.wal_ino);
+        let wal_size = self.stack.fs.file_size(self.wal_ino).map_err(fs_err)?;
         if wal_size == 0 {
             return Ok(());
         }
@@ -232,7 +232,7 @@ impl PageStore for WalStore {
         }
         buf.fill(0);
         let off = u64::from(id) * PAGE_SIZE as u64;
-        if off < self.stack.fs.file_size(self.db_ino) {
+        if off < self.stack.fs.file_size(self.db_ino).map_err(fs_err)? {
             self.stack.fs.read(self.db_ino, off, buf).map_err(fs_err)?;
         }
         Ok(())

@@ -150,7 +150,7 @@ impl Filebench {
             // 4% of ops churn the pool (delete + recreate), as filebench's
             // create/delete flowlets do — except for the read-mostly proxy.
             if self.spec.personality != Personality::Webproxy && self.rng.gen_range(0..100) < 4 {
-                if stack.fs.exists(&name) {
+                if stack.fs.exists(&name).expect("lookup") {
                     stack.fs.delete(&name).expect("delete");
                     self.deletes += 1;
                 } else {
@@ -160,7 +160,7 @@ impl Filebench {
                 self.ops_done += 1;
                 continue;
             }
-            if !stack.fs.exists(&name) {
+            if !stack.fs.exists(&name).expect("lookup") {
                 stack.fs.create(&name).expect("recreate");
                 self.creates += 1;
                 self.ops_done += 1;
@@ -176,7 +176,7 @@ impl Filebench {
                 // writes go in place. Appended files are capped at 4× the
                 // mean size (the churn flowlets recycle them).
                 let do_append = self.rng.gen_range(0..100) < 25
-                    && stack.fs.file_size(f) < self.spec.file_bytes * 4;
+                    && stack.fs.file_size(f).expect("file size") < self.spec.file_bytes * 4;
                 if do_append {
                     stack.fs.append(f, &wbuf).expect("append");
                     self.appends += 1;
@@ -265,10 +265,10 @@ mod tests {
         fb.setup(&mut stack);
         let _ = fb.run(&mut stack);
         for i in 0..s.nfiles {
-            if stack.fs.exists(&format!("fbpool-{i:05}")) {
+            if stack.fs.exists(&format!("fbpool-{i:05}")).unwrap() {
                 let f = stack.fs.open(&format!("fbpool-{i:05}")).unwrap();
                 assert!(
-                    stack.fs.file_size(f) <= s.file_bytes * 4 + s.io_bytes as u64,
+                    stack.fs.file_size(f).unwrap() <= s.file_bytes * 4 + s.io_bytes as u64,
                     "file {i} grew unboundedly"
                 );
             }

@@ -28,10 +28,9 @@ struct KvStore {
 
 impl KvStore {
     fn open(stack: &mut Stack) -> KvStore {
-        let file = if stack.fs.exists("kv.db") {
-            stack.fs.open("kv.db").unwrap()
-        } else {
-            stack.fs.create("kv.db").unwrap()
+        let file = match stack.fs.open("kv.db") {
+            Ok(file) => file,
+            Err(_) => stack.fs.create("kv.db").unwrap(),
         };
         KvStore { file }
     }

@@ -312,7 +312,7 @@ fn read_files(stack: &mut Stack) -> Vec<Vec<u8>> {
     (0..FILES)
         .map(|f| {
             let ino = stack.fs.open(&format!("f{f}")).unwrap();
-            let mut buf = vec![0u8; stack.fs.file_size(ino) as usize];
+            let mut buf = vec![0u8; stack.fs.file_size(ino).unwrap() as usize];
             let n = stack.fs.read(ino, 0, &mut buf).unwrap();
             buf.truncate(n);
             buf
