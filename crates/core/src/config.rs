@@ -17,6 +17,10 @@ pub struct TincaConfig {
     /// path find clean victims instead of paying a synchronous disk
     /// write. Default `false` (the paper's passive free-block monitor:
     /// writebacks happen one block at a time on the eviction path).
+    /// `kvdb::TincaStore` is the one library client that always sets it;
+    /// elsewhere only figures, crash plans and the open-loop benchmark
+    /// workloads turn it on (through `fssim::stack`'s `destage` option or
+    /// their own pool config).
     pub destage: bool,
     /// Commit-path flush coalescing: dedupe `clflush` at cache-line
     /// granularity within one committing transaction — entry flushes are
@@ -25,7 +29,9 @@ pub struct TincaConfig {
     /// before the `Head` move. The commit point is provably not
     /// reordered: `Tail` persists only after a fence that drains every
     /// staged line. Only takes effect with `role_switch`. Default
-    /// `false` (the paper's per-step persist ordering).
+    /// `false` (the paper's per-step persist ordering). As with
+    /// [`Self::destage`], `kvdb::TincaStore` is the one library client
+    /// that always sets it.
     pub coalesce_flushes: bool,
     /// Delta staging: after a commit point the block a write hit replaced
     /// is parked in a small DRAM-tracked reserve (at most 1/16 of the data

@@ -1,21 +1,26 @@
 //! Crash-consistency campaigns for both kvdb durability personalities:
 //! random trip sweeps under both failure modes, bounded exhaustive
-//! persist-frontier enumeration, and a directed sweep that cuts the power
-//! between a meta-less commit and the split that next carries page 0. The
-//! ignored 200-seed sweep runs in CI's dedicated kvdb crash step
-//! (`--ignored`).
+//! persist-frontier enumeration, and two directed sweeps: one cuts the
+//! power between a meta-less commit and the split that next carries page
+//! 0, the other at every event of the first commit that fires the destage
+//! daemon. The ignored 200-seed sweep runs in CI's dedicated kvdb crash
+//! step (`--ignored`).
 //!
 //! The exact tallies of `kvdb::CAMPAIGNS` are pinned, beside crashsim's, in
 //! the workspace's `tests/pinned_campaigns.rs`; the `pinned_` tests here
-//! pin the directed sweep's splits. If a number moves, a trip, a cut or a
+//! pin the directed sweeps' splits. If a number moves, a trip, a cut or a
 //! persistence event moved.
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
+use std::ops::Range;
+
 use crashsim::engine::{frontier, run_one, sweep, Crashable, Cut, Trip};
-use crashsim::{AppOutcome, CampaignReport, FailureMode};
+use crashsim::{AppOutcome, CampaignReport, FailureMode, Finding};
 use kvdb::{
-    KvApp, KvPlan, Meta, Personality, TincaStore, WalStore, TINCA_TRIP_MAX, TXNS, WAL_TRIP_MAX,
+    KvApp, KvError, KvPlan, Meta, PageStore, Personality, StoreStats, TincaStore, TincaStoreConfig,
+    WalStore, PAGE_SIZE, TINCA_TRIP_MAX, TXNS, WAL_TRIP_MAX,
 };
+use nvmsim::{Nvm, TraceEvent};
 
 fn wal(base: u64, runs: u64, mode: FailureMode) -> CampaignReport {
     sweep(
@@ -54,7 +59,7 @@ fn tinca_kv_fuzz_power_pull_smoke() {
 
 #[test]
 fn tinca_kv_fuzz_process_kill_smoke() {
-    let r = tinca(0x22B0, 6, FailureMode::ProcessKill);
+    let r = tinca(0x22B0, 8, FailureMode::ProcessKill);
     assert!(r.clean(), "violations: {:#?}", r.violations);
     assert!(r.crashes > 0, "no seed crashed: widen the trip range");
 }
@@ -88,6 +93,35 @@ fn tinca_kv_frontier_smoke() {
 /// left page 0 alone.
 const CUT_SEED: u64 = 7;
 
+/// Builds personality `S`'s crash app over the first `i + 1` transactions
+/// of `seed`'s plan once per trip in `trips` (each counted from where
+/// [`run_one`] arms it, after the format) and cuts the power there. Every cut
+/// must fire inside transaction `i` and pass the app's own checks: store
+/// internals, the persist-order audit of every device, and the
+/// all-or-nothing oracle. Returns, per trip, whether `i` rolled forward.
+fn cut_through_commit<S: Personality>(seed: u64, i: usize, trips: &[Trip]) -> Vec<bool> {
+    let cut = Cut::of(FailureMode::PowerPull, seed ^ 0xD1CE);
+    let crashed_clean = AppOutcome {
+        crashed: true,
+        verdict: Ok(()),
+    };
+    trips
+        .iter()
+        .map(|&trip| {
+            let mut a = KvApp::<S>::new(seed, i + 1).unwrap();
+            assert_eq!(run_one(&mut a, trip, cut), crashed_clean, "{trip:?}");
+            assert_eq!(a.committed_count(), i, "{trip:?} fired early");
+            a.rolled_forward()
+        })
+        .collect()
+}
+
+/// How many cuts rolled the cut transaction back, and how many forward.
+fn tally(rolled: &[bool]) -> (u32, u32) {
+    let forward = rolled.iter().filter(|&&f| f).count() as u32;
+    (rolled.len() as u32 - forward, forward)
+}
+
 /// What the directed sweep reads off a crash app once it has run.
 struct Seen {
     /// Persistence events so far, per trippable device.
@@ -96,8 +130,6 @@ struct Seen {
     commit_seq: u64,
     /// Commits that took the pool's two-phase spanning path (Tinca only).
     spanning_commits: u64,
-    committed_count: usize,
-    rolled_forward: bool,
 }
 
 /// The page the every-commit meta write used to paper over: commit `i - 1`
@@ -122,8 +154,6 @@ fn cut_between_meta_less_and_split<S: Personality>(
             meta: db.meta().clone(),
             commit_seq: db.commit_seq(),
             spanning_commits: spanning_commits(db.store()),
-            committed_count: a.committed_count(),
-            rolled_forward: a.rolled_forward(),
         }
     };
     // Probe: the state after each prefix of the plan, no trip armed.
@@ -143,8 +173,7 @@ fn cut_between_meta_less_and_split<S: Personality>(
         }
     };
 
-    let cut = Cut::of(FailureMode::PowerPull, CUT_SEED ^ 0xD1CE);
-    let (mut back, mut forward) = (0, 0);
+    let mut trips = Vec::new();
     for dev in 0..ends[0].events.len() {
         let armed_at = ends[0].events[dev];
         let (lo, hi) = (
@@ -152,29 +181,14 @@ fn cut_between_meta_less_and_split<S: Personality>(
             ends[i + 1].events[dev] - armed_at,
         );
         let stride = ((hi - lo) / samples).max(1);
-        let trips = (lo + 1..=hi)
-            .step_by(stride as usize)
-            .chain(hi.saturating_sub(3).max(lo + 1)..=hi);
-        for k in trips {
-            let mut a = app(i + 1);
-            let crashed_clean = AppOutcome {
-                crashed: true,
-                verdict: Ok(()),
-            };
-            assert_eq!(
-                run_one(&mut a, Trip { dev, at: k }, cut),
-                crashed_clean,
-                "device {dev} trip {k}"
-            );
-            let s = seen(&a);
-            assert_eq!(s.committed_count, i, "device {dev} trip {k} fired early");
-            if s.rolled_forward {
-                forward += 1;
-            } else {
-                back += 1;
-            }
-        }
+        trips.extend(
+            (lo + 1..=hi)
+                .step_by(stride as usize)
+                .chain(hi.saturating_sub(3).max(lo + 1)..=hi)
+                .map(|k| Trip { dev, at: k }),
+        );
     }
+    let (back, forward) = tally(&cut_through_commit::<S>(CUT_SEED, i, &trips));
     let spanning = ends[i + 1].spanning_commits > ends[i].spanning_commits;
     (back, forward, spanning)
 }
@@ -189,7 +203,7 @@ fn pinned_tinca_kv_cut_between_meta_less_commit_and_split() {
     );
     assert!(spanning, "the split batch stayed on one shard");
     assert!(back > 0 && forward > 0, "{back} back, {forward} forward");
-    assert_eq!((back, forward), (25, 10));
+    assert_eq!((back, forward), (23, 11));
 }
 
 #[test]
@@ -197,6 +211,177 @@ fn pinned_wal_kv_cut_between_meta_less_commit_and_split() {
     let (back, forward, _) = cut_between_meta_less_and_split(|_: &WalStore| 0, 12);
     assert!(back > 0 && forward > 0, "{back} back, {forward} forward");
     assert_eq!((back, forward), (12, 5));
+}
+
+// ---------------------------------------------------------------------------
+// Directed: a power cut at every event of the first commit that destages
+// ---------------------------------------------------------------------------
+
+/// The crash personality's [`TincaStore`] on 76 KB of NVM a shard instead
+/// of 256 KB, so the plan's tree outgrows it within a few hundred
+/// transactions and the destage daemon fires. 76 KB is the smallest shard
+/// (16 data blocks) whose delta-staging reserve, a sixteenth of them, is
+/// not empty. Only [`Personality::fresh`] differs; everything else is the
+/// inner store's.
+struct SmallTinca(TincaStore);
+
+impl PageStore for SmallTinca {
+    fn read_page(&mut self, id: u32, buf: &mut [u8; PAGE_SIZE]) -> Result<(), KvError> {
+        self.0.read_page(id, buf)
+    }
+
+    fn commit_pages(&mut self, dirty: &[(u32, [u8; PAGE_SIZE])]) -> Result<(), KvError> {
+        self.0.commit_pages(dirty)
+    }
+
+    fn page_capacity(&self) -> u32 {
+        self.0.page_capacity()
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.0.stats()
+    }
+}
+
+impl Personality for SmallTinca {
+    const NAME: &'static str = "kv-tinca-small";
+
+    fn fresh() -> Result<SmallTinca, Finding> {
+        let store = TincaStore::format(TincaStoreConfig {
+            shards: 2,
+            nvm_bytes_per_shard: 76 << 10,
+            disk_blocks: 1 << 16,
+            ring_bytes: 4096,
+            traced: true,
+        });
+        telemetry::swap_clock(store.clock());
+        Ok(SmallTinca(store))
+    }
+
+    fn devices(&self) -> &[Nvm] {
+        self.0.devices()
+    }
+
+    fn metadata_ranges(&self) -> Vec<Vec<Range<usize>>> {
+        self.0.metadata_ranges()
+    }
+
+    fn crash_recover(self, cut: Cut<'_>) -> Result<SmallTinca, Finding> {
+        self.0.crash_recover(cut).map(SmallTinca)
+    }
+
+    fn check(&mut self) -> Result<(), Finding> {
+        self.0.check()
+    }
+}
+
+/// The plan whose first destage batch [`SmallTinca`] cuts through: of the
+/// first 60 seeds, the cheapest whose batch's commit writes no dirty
+/// victim back itself (the batch fires at transaction 479).
+const DESTAGE_SEED: u64 = 1;
+
+/// Plan prefix long enough for [`SmallTinca`]'s first destage batch.
+const DESTAGE_TXNS: usize = 1024;
+
+/// Destage, coalesced flushes and delta staging under the two-phase
+/// spanning commit, cut at every persistence event. A binary search over
+/// plan prefixes finds the first commit `i` during which a destage batch
+/// fires; the power is then cut at each of `i`'s events on the firing
+/// shard, from its first stage through the batch's clean-mark entry
+/// writes (the last entry-table stores `i` makes there) to its end.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "177 cuts of 480 audited transactions each: 16 s optimised; run via cargo test -p kvdb --release --test crash pinned"
+)]
+fn pinned_tinca_kv_cut_through_the_first_destage_batch() {
+    let after = |txns: usize| {
+        let mut a = KvApp::<SmallTinca>::new(DESTAGE_SEED, txns).unwrap();
+        assert_eq!(a.drive(), Ok(()));
+        a
+    };
+    let pool = |a: &KvApp<SmallTinca>| a.db().unwrap().store().0.pool().stats();
+    let (mut lo, mut hi) = (0, DESTAGE_TXNS);
+    assert!(
+        pool(&after(hi)).destage_batches > 0,
+        "no destage batch: grow the plan"
+    );
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if pool(&after(mid)).destage_batches > 0 {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    let i = lo;
+    let (before, fired) = (after(i), after(i + 1));
+    let store = &fired.db().unwrap().store().0;
+    let s = (0..2)
+        .find(|&s| store.pool().shard_stats(s).destage_batches > 0)
+        .unwrap();
+    let shard = store.pool().shard_stats(s);
+    assert_eq!(shard.destage_batches, 1);
+    assert_eq!(
+        shard.writebacks, shard.destage_blocks,
+        "commit {i} wrote a dirty victim back itself"
+    );
+    let marks = shard.destage_blocks as usize;
+    let (then, now) = (pool(&before), pool(&fired));
+    assert!(
+        now.spanning_commits > then.spanning_commits,
+        "commit {i} stayed on one shard"
+    );
+    assert!(now.coalesced_flushes > then.coalesced_flushes);
+    assert!(now.delta_stages > 0);
+
+    // Number the firing shard's persistence events as the device counts
+    // them, and find commit `i`'s entry-table stores there: the batch's
+    // clean marks are the last `marks` of them.
+    let armed_at = after(0).devices()[s].events();
+    let (first, last) = (
+        before.devices()[s].events() - armed_at,
+        fired.devices()[s].events() - armed_at,
+    );
+    let layout = store.pool().shard_layout(s);
+    let entries = layout.entries_off..layout.data_off;
+    let mut event = 0;
+    let mut entry_stores = Vec::new();
+    for op in fired.devices()[s].trace_snapshot() {
+        match op.event {
+            TraceEvent::AtomicStore { addr, .. } => {
+                event += 1;
+                if event > armed_at + first && entries.contains(&addr) {
+                    entry_stores.push(event - armed_at);
+                }
+            }
+            TraceEvent::Clflush { .. } | TraceEvent::Sfence { .. } => event += 1,
+            _ => {}
+        }
+    }
+    assert_eq!(
+        event,
+        armed_at + last,
+        "the trace counts events as the device does"
+    );
+    let first_mark = entry_stores[entry_stores.len() - marks];
+
+    let trips: Vec<Trip> = (first + 1..=last).map(|at| Trip { dev: s, at }).collect();
+    let rolled = cut_through_commit::<SmallTinca>(DESTAGE_SEED, i, &trips);
+    // The batch runs after the commit point: every cut from its first
+    // clean mark on finds the transaction whole.
+    let after_mark = trips.iter().zip(&rolled).filter(|(t, _)| t.at > first_mark);
+    assert!(
+        after_mark.clone().count() > 0,
+        "no cut after the first clean mark"
+    );
+    assert!(
+        after_mark.clone().all(|(_, &f)| f),
+        "a cut after a clean mark rolled back"
+    );
+    let (back, forward) = tally(&rolled);
+    assert_eq!((i, s, marks, after_mark.count()), (479, 0, 5, 17));
+    assert_eq!((back, forward), (151, 26));
 }
 
 /// The 200-seed sweep CI runs with `--ignored`: 100 seeds per

@@ -49,9 +49,9 @@ const PINS: &[(&str, &str)] = &[
     ("kv-wal-pull",             "6 runs, 2 completed, 4 crashed, 0 violations"),
     ("kv-wal-kill",             "4 runs, 3 completed, 1 crashed, 0 violations"),
     ("kv-tinca-pull",           "12 runs, 7 completed, 5 crashed, 0 violations"),
-    ("kv-tinca-kill",           "6 runs, 3 completed, 3 crashed, 0 violations"),
+    ("kv-tinca-kill",           "8 runs, 5 completed, 3 crashed, 0 violations"),
     ("kv-wal-frontier",         "12 epochs (0 exhaustive, 12 capped at 2 states), 24 crash states, 0 violations"),
-    ("kv-tinca-frontier",       "12 epochs (10 exhaustive, 2 capped at 4 states), 28 crash states, 0 violations"),
+    ("kv-tinca-frontier",       "8 epochs (6 exhaustive, 2 capped at 4 states), 20 crash states, 0 violations"),
 ];
 
 fn table() -> Vec<&'static Campaign> {
