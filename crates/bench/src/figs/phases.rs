@@ -136,11 +136,14 @@ pub fn run(quick: bool) -> Vec<String> {
     write_csv("phases", &t.headers(), t.rows());
 
     // Flush-hygiene smells per commit phase: the device marks every
-    // clflush of an already-clean line and every sfence that found
-    // nothing staged (count-only — no simulated time), so wasted persist
-    // instructions show up under the exact phase that issued them.
+    // clflush of an already-clean line, every sfence that found nothing
+    // staged and every store that landed on a line already staged in the
+    // open fence epoch (copied, to be flushed again; `nvmsim` names the
+    // mark `nvm.store.cow`) — count-only, no simulated time — so wasted
+    // persist instructions show up under the exact phase that issued them.
     let mut clean_flushes = 0u64;
     let mut empty_fences = 0u64;
+    let mut cow_stores = 0u64;
     let mut smells = Table::new(&["Phase", "smell", "count"]);
     for p in &report.phases {
         let smell = match p.name.as_str() {
@@ -152,6 +155,10 @@ pub fn run(quick: bool) -> Vec<String> {
                 empty_fences += p.count;
                 "empty sfence"
             }
+            "nvm.store.cow" => {
+                cow_stores += p.count;
+                "store to a staged line"
+            }
             _ => continue,
         };
         let parent = p
@@ -160,7 +167,8 @@ pub fn run(quick: bool) -> Vec<String> {
         smells.row(vec![parent, smell.into(), p.count.to_string()]);
     }
     println!(
-        "flush-hygiene smells: {clean_flushes} clean-line clflush, {empty_fences} empty sfence"
+        "flush-hygiene smells: {clean_flushes} clean-line clflush, {empty_fences} empty sfence, \
+         {cow_stores} store to a staged line"
     );
     if !smells.rows().is_empty() {
         smells.print();
@@ -190,6 +198,7 @@ pub fn run(quick: bool) -> Vec<String> {
     let smell_totals = Json::obj(vec![
         ("clean_line_clflush", clean_flushes.into()),
         ("empty_sfence", empty_fences.into()),
+        ("store_to_staged_line", cow_stores.into()),
     ]);
     let bench = Json::obj(vec![
         ("bench", "phases".into()),

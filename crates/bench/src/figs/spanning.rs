@@ -197,6 +197,7 @@ pub fn run(quick: bool) -> Vec<String> {
         shards: 2,
         txns: if quick { 1 } else { 2 },
         delta_stage: false,
+        coalesce: false,
     };
     let frontier = frontier(&spanning, 0x57A6..0x57A7, 4);
     println!("frontier: {frontier}");

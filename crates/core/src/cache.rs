@@ -58,6 +58,14 @@ pub(crate) struct Fragment {
     coalesced: u64,
     /// Intent tag in the window's ring slots (`0`: ordinary commit).
     tag: u8,
+    /// The values a tagged mutex-path fragment stored in its window's
+    /// slots, in ring order: the tag scrub rewrites the slots from here
+    /// instead of loading them back. Empty for untagged fragments.
+    slots: Vec<u64>,
+    /// Coalesced mode: the window's slots are stored but not flushed yet.
+    /// The commit's deferred slot flush clears it, so the revoke path
+    /// finds it set only when the commit failed before that flush.
+    slots_unflushed: bool,
 }
 
 impl Fragment {
@@ -68,6 +76,8 @@ impl Fragment {
             pins: Pins::default(),
             coalesced: txn.coalesced_writes(),
             tag,
+            slots: Vec::new(),
+            slots_unflushed: false,
         }
     }
 }
@@ -340,16 +350,18 @@ impl TincaCache {
     ///
     /// With [`TincaConfig::coalesce_flushes`] the per-step persists are
     /// deduplicated at cache-line granularity *within this transaction*:
-    /// payloads are flushed without a fence, entry updates (four 16 B
-    /// entries per 64 B line) defer their flush to one pass over
-    /// distinct lines, and ring slots are flushed with their fence
-    /// deferred. A single fence then drains everything before `Head`
-    /// moves — so the commit point (`Tail`, persisted by the caller
-    /// strictly after the role switch's own fence) still orders after
-    /// every staged line.
+    /// payloads are flushed without a fence, and entry updates (four 16 B
+    /// entries per 64 B line) and ring slots (eight 8 B slots per line)
+    /// defer their flush to one pass over distinct lines each. A single
+    /// fence then drains everything before `Head` moves — so the commit
+    /// point (`Tail`, persisted by the caller strictly after the role
+    /// switch's own fence) still orders after every staged line.
     /// Crash-safety is unchanged: until the `Head` move persists, `Head
     /// == Tail` and recovery's full entry scan revokes every log-role
-    /// entry; after it, the ring window names every staged block.
+    /// entry; after it, the ring window names every staged block. A
+    /// failure before the fence leaves the slots unflushed, and
+    /// [`revoke_fragment`](Self::revoke_fragment) persists them before
+    /// it re-persists `Head`.
     /// The fragment's `tag` is the spanning-intent tag recorded in each
     /// ring slot's top byte ([`slot_value`]); ordinary commits carry `0`,
     /// which stores the bare block number — bit-for-bit the untagged
@@ -394,17 +406,20 @@ impl TincaCache {
             self.log_entry(*disk_blk, new_blk, frag, !coalesce);
             // (3) Record the block number in the ring via an 8 B atomic
             // store, then (4) move Head. In coalesced mode the slot is
-            // only flushed (fence deferred) and Head moves once at the
-            // end. The slot flush is *not* deferred: a failed commit's
-            // revoke path re-persists entries but not ring slots, so
-            // slots must already be flushed when it fences.
+            // only stored: its line is flushed once, with the window's
+            // other slot lines, before the one fence, and Head moves once
+            // at the end. A commit that fails before then leaves the
+            // slots unflushed, and the revoke path persists them.
             let _r = telemetry::span(telemetry::phase::COMMIT_RING);
             let slot = self.layout.ring_slot_addr(self.head);
-            self.nvm
-                .atomic_write_u64(slot, slot_value(*disk_blk, frag.tag));
+            let value = slot_value(*disk_blk, frag.tag);
+            self.nvm.atomic_write_u64(slot, value);
+            if frag.tag != 0 {
+                frag.slots.push(value);
+            }
             self.head += 1;
             if coalesce {
-                self.nvm.clflush(slot, 8);
+                frag.slots_unflushed = true;
             } else {
                 self.nvm.persist(slot, 8);
                 self.nvm.atomic_write_u64(HEAD_OFF, self.head);
@@ -422,6 +437,7 @@ impl TincaCache {
             // vs the paper's per-block Head persist: all but one of the
             // Head flushes are elided.
             let _r = telemetry::span(telemetry::phase::COMMIT_RING);
+            self.flush_window_slots(frag);
             self.stats.coalesced_flushes += (frag.touched.len() - 1) as u64;
             self.nvm.sfence();
             self.nvm.atomic_write_u64(HEAD_OFF, self.head);
@@ -493,6 +509,16 @@ impl TincaCache {
         self.stats.coalesced_flushes += (touched.len() - lines) as u64;
     }
 
+    /// Flushes the distinct 64 B lines holding the open ring window's
+    /// slots `[Tail, Head)`, no fence: the coalesced commit's deferred slot
+    /// flush, and the revoke path's when that commit failed before it.
+    fn flush_window_slots(&mut self, frag: &mut Fragment) {
+        let slots = (self.tail..self.head).map(|seq| self.layout.ring_slot_addr(seq));
+        let lines = self.flush_lines(slots);
+        self.stats.coalesced_flushes += self.head - self.tail - lines as u64;
+        frag.slots_unflushed = false;
+    }
+
     /// One `clflush` per distinct cache line among `addrs`, in address
     /// order, no fence. Returns the number of lines flushed.
     pub(crate) fn flush_lines(&self, addrs: impl IntoIterator<Item = usize>) -> usize {
@@ -524,7 +550,7 @@ impl TincaCache {
             // §14). Strictly after the commit point: a crash in between
             // leaves the tags behind `Tail`, where window homogeneity keeps
             // them inert until the slots are reused.
-            self.scrub_slot_tags(window.0, window.1);
+            self.scrub_slot_tags(window.0, frag.slots.iter().copied());
             self.stats.spanning_fragments += 1;
         }
         self.retire(frag);
@@ -552,14 +578,22 @@ impl TincaCache {
     /// of a committing transaction). A tagged fragment's slots — all of
     /// them, or the ones staged before a mid-protocol failure — then lose
     /// their tags, so no tag outlives its window (DESIGN §14).
-    fn revoke_fragment(&mut self, frag: Fragment) {
+    fn revoke_fragment(&mut self, mut frag: Fragment) {
         let window = (self.tail, self.head);
         {
             let _t = telemetry::span(telemetry::phase::COMMIT_REVOKE);
             self.revoke_entries(&frag.touched);
             // Close the ring. `Head` is re-persisted first: in coalesced
             // mode the in-DRAM head may be ahead of the persistent one,
-            // and `Tail` must never persist past `Head`.
+            // and `Tail` must never persist past `Head`. A coalesced
+            // commit that failed before its fence left its slots
+            // unflushed; they are made durable first, so the persisted
+            // `Head` never covers a slot still holding its value from the
+            // ring's previous lap.
+            if frag.slots_unflushed {
+                self.flush_window_slots(&mut frag);
+                self.nvm.sfence();
+            }
             self.nvm.atomic_write_u64(HEAD_OFF, self.head);
             self.nvm.persist(HEAD_OFF, 8);
             self.tail = self.head;
@@ -570,7 +604,7 @@ impl TincaCache {
         self.unpin(frag.pins);
         self.stats.failed_commits += 1;
         if frag.tag != 0 {
-            self.scrub_slot_tags(window.0, window.1);
+            self.scrub_slot_tags(window.0, frag.slots.iter().copied());
         }
     }
 
@@ -781,7 +815,9 @@ impl TincaCache {
         self.move_tail();
         // Retired windows' slots may carry dead tags; scrub them so the
         // "no tags at rest" invariant (DESIGN §14) holds on this path too.
-        self.scrub_slot_tags(old_tail, end);
+        // No fragment recorded them, so each slot is loaded back.
+        let slots = (old_tail..end).map(|seq| self.nvm.read_u64(self.layout.ring_slot_addr(seq)));
+        self.scrub_slot_tags(old_tail, slots);
         let mut ok_windows = 0u64;
         for w in windows {
             self.mw_retire_desc(w.desc_slot);
@@ -968,9 +1004,13 @@ impl TincaCache {
         self.quarantined.len()
     }
 
-    /// Clears the intent tags of the retired ring window `[from, to)`:
-    /// each tagged slot is rewritten with the bare block number, the
-    /// touched lines flushed, and one fence drains them.
+    /// Clears the intent tags of the retired ring window that starts at
+    /// sequence `from` and holds the raw slot values `slots`: each tagged
+    /// slot is rewritten with the bare block number, the touched lines
+    /// flushed, and one fence drains them. The values come from the
+    /// caller — a mutex-path fragment's own record, recovery's decoded
+    /// window, or (lock-free ring rounds) loads from the device — so the
+    /// scrub itself reads nothing.
     ///
     /// This guards the 7-bit intent tag against wraparound collision
     /// (DESIGN §14): intent ids grow without bound but tags keep only the
@@ -984,11 +1024,11 @@ impl TincaCache {
     /// a colliding tag simply does not exist on the device. Untagged
     /// windows (every single-shard commit) scrub nothing and emit no
     /// events.
-    pub(crate) fn scrub_slot_tags(&mut self, from: u64, to: u64) {
+    pub(crate) fn scrub_slot_tags(&self, from: u64, slots: impl IntoIterator<Item = u64>) {
         let mut tagged: Vec<usize> = Vec::new();
-        for seq in from..to {
+        for (seq, raw) in (from..).zip(slots) {
             let addr = self.layout.ring_slot_addr(seq);
-            let (blk, tag) = split_slot(self.nvm.read_u64(addr));
+            let (blk, tag) = split_slot(raw);
             if tag != 0 {
                 self.nvm.atomic_write_u64(addr, slot_value(blk, 0));
                 tagged.push(addr);

@@ -23,10 +23,12 @@ pub struct TincaConfig {
     /// their own pool config).
     pub destage: bool,
     /// Commit-path flush coalescing: dedupe `clflush` at cache-line
-    /// granularity within one committing transaction — entry flushes are
-    /// deferred to one pass over *distinct* lines (four 16 B entries
-    /// share a 64 B line) and per-block fences collapse into one fence
-    /// before the `Head` move. The commit point is provably not
+    /// granularity within one committing transaction — entry and ring-slot
+    /// flushes are deferred to one pass over *distinct* lines (four 16 B
+    /// entries or eight 8 B slots share a 64 B line) and per-block fences
+    /// collapse into one fence before the `Head` move; a commit that fails
+    /// before that fence persists its slots on the revoke path before it
+    /// re-persists `Head`. The commit point is provably not
     /// reordered: `Tail` persists only after a fence that drains every
     /// staged line. Only takes effect with `role_switch`. Default
     /// `false` (the paper's per-step persist ordering). As with

@@ -55,9 +55,9 @@ use nvmsim::{Nvm, CACHE_LINE};
 use crate::cache::{DynDisk, TincaCache};
 use crate::entry::{CacheEntry, Role};
 use crate::layout::{
-    intent_tag, mw_split_state, slot_value, split_slot, Layout, DATA_BLOCKS_OFF, ENTRY_BYTES,
-    ENTRY_COUNT_OFF, HEAD_OFF, INTENT_PREPARED, INTENT_RESOLVED, MAGIC, MAGIC_OFF, MW_DEAD_TAG,
-    MW_DESC_BYTES, MW_DESC_OFF, MW_STAGED, MW_WINDOWS, RING_CAP_OFF, RING_SLOT_BYTES, TAIL_OFF,
+    intent_tag, mw_split_state, split_slot, Layout, DATA_BLOCKS_OFF, ENTRY_BYTES, ENTRY_COUNT_OFF,
+    HEAD_OFF, INTENT_PREPARED, INTENT_RESOLVED, MAGIC, MAGIC_OFF, MW_DEAD_TAG, MW_DESC_BYTES,
+    MW_DESC_OFF, MW_STAGED, MW_WINDOWS, RING_CAP_OFF, RING_SLOT_BYTES, TAIL_OFF,
 };
 use crate::{TincaConfig, TincaError};
 
@@ -227,27 +227,6 @@ impl TincaCache {
             .collect()
     }
 
-    /// [`TincaCache::scrub_slot_tags`] over the window recovery already
-    /// loaded: the same stores, flushes and fence, without loading the
-    /// slots again (the judgment stores no ring slot, so the loaded window
-    /// is still the device's). The commit path keeps its own scrub, which
-    /// loads each slot just before its rewrite.
-    fn scrub_window_tags(&self, tail: u64, window: &[u64]) {
-        let layout = *self.layout();
-        let mut tagged: Vec<usize> = Vec::new();
-        for (seq, &raw) in (tail..).zip(window) {
-            let (blk, tag) = split_slot(raw);
-            if tag != 0 {
-                let addr = layout.ring_slot_addr(seq);
-                self.nvm().atomic_write_u64(addr, slot_value(blk, 0));
-                tagged.push(addr);
-            }
-        }
-        if self.flush_lines(tagged) > 0 {
-            self.nvm().sfence();
-        }
-    }
-
     fn run_recovery(
         &mut self,
         intent: SpanningIntent,
@@ -388,7 +367,9 @@ impl TincaCache {
         // tag, restoring the invariant that no closed-window slot is
         // tagged. A no-op (no events) when the window held no tags —
         // i.e. on every single-shard recovery.
-        self.scrub_window_tags(tail, &window);
+        // The judgment stores no ring slot, so the loaded window is
+        // still the device's and the scrub reloads nothing.
+        self.scrub_slot_tags(tail, window.iter().copied());
 
         // Retire every multi-writer descriptor — strictly *after* the ring
         // close: a crash in between leaves stale descriptors whose windows

@@ -115,6 +115,7 @@ pub const CAMPAIGNS: &[Campaign] = &[
     Campaign { name: "backlog-2",               run: |s| sweep(&BacklogPlan { shards: 2 }, s),                                                tier1: 0x2B10..0x2B10 + 10 },
     Campaign { name: "backlog-4",               run: |s| sweep(&BacklogPlan { shards: 4 }, s),                                                tier1: 0xB10C..0xB10C + 10 },
     Campaign { name: "threaded-frontier",       run: |s| frontier(&ThreadedPlan { shards: 2, txns_per_thread: 2, delta_stage: false }, s, 4), tier1: 5..6 },
-    Campaign { name: "spanning-frontier",       run: |s| frontier(&SpanningPlan { shards: 2, txns: 2, delta_stage: false }, s, 4),            tier1: 9..10 },
-    Campaign { name: "spanning-delta-frontier", run: |s| frontier(&SpanningPlan { shards: 2, txns: 4, delta_stage: true }, s, 4),             tier1: 9..10 },
+    Campaign { name: "spanning-frontier",       run: |s| frontier(&SpanningPlan { shards: 2, txns: 2, delta_stage: false, coalesce: false }, s, 4), tier1: 9..10 },
+    Campaign { name: "spanning-delta-frontier", run: |s| frontier(&SpanningPlan { shards: 2, txns: 4, delta_stage: true, coalesce: false }, s, 4),  tier1: 9..10 },
+    Campaign { name: "spanning-coalesced-frontier", run: |s| frontier(&SpanningPlan { shards: 2, txns: 2, delta_stage: false, coalesce: true }, s, 4), tier1: 9..10 },
 ];

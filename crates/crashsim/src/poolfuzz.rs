@@ -74,12 +74,17 @@ impl Plan for PoolPlan {
 /// rewrites the same block per shard and the images are sparse, so from
 /// the third transaction on each fragment rewrites a reserved shadow block
 /// and the enumerated frontiers are subsets of the few lines it stored, in
-/// both halves of the block.
+/// both halves of the block. With `coalesce` the pool runs
+/// [`TincaConfig::coalesce_flushes`](tinca::TincaConfig::coalesce_flushes):
+/// each fragment stores its payload, entry and ring slot unfenced and
+/// drains them with one fence before its `Head` move, so the frontiers
+/// enumerate subsets of all three.
 #[derive(Clone, Copy, Debug)]
 pub struct SpanningPlan {
     pub shards: usize,
     pub txns: usize,
     pub delta_stage: bool,
+    pub coalesce: bool,
 }
 
 impl Plan for SpanningPlan {
@@ -101,7 +106,8 @@ impl Plan for SpanningPlan {
             .collect();
         let trip = pool_trip(&mut rng, seed, self.shards);
         let cut = Cut::of(PowerPull, seed ^ 0xD1CE);
-        let cfg = small_pool(self.shards, CommitMode::Mutex, self.delta_stage);
+        let mut cfg = small_pool(self.shards, CommitMode::Mutex, self.delta_stage);
+        cfg.cache.coalesce_flushes = self.coalesce;
         let work = Writers::serial(plan);
         Ok((PoolApp::fresh(&cfg, bases * shards, work), trip, cut))
     }

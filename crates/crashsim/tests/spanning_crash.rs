@@ -294,24 +294,29 @@ fn intent_tag_wraparound_leaves_no_stale_tags() {
     assert_eq!(read_block(&pool, 0), fill(130)); // `(129 % 250) + 1`
 }
 
-/// A *tagged* fragment that fails mid-protocol — after it staged a slot —
-/// must retire that slot's tag itself: the pool only calls
-/// `abort_fragment` for fragments that prepared. Shard 1 sits on a disk
-/// whose odd blocks are permanently bad and holds one free block, so the
-/// fragment's first block stages (tagged slot written) and the second
-/// finds every eviction victim unwritable (`NoVictim`).
-#[test]
-fn failed_tagged_fragment_scrubs_its_slots() {
+/// A pool whose shard 1 sits on a disk with its odd blocks permanently
+/// bad and holds exactly one free block — every other one is dirty — with
+/// coalesced flushes on or off; returns it with the first odd block
+/// beyond the ones it dirtied.
+fn one_free_block_on_shard_1(coalesce: bool) -> (Rig, TincaPool, u64) {
     let plan = blockdev::FaultPlan::quiet(5).with_bad_modulo(2, 1);
-    let (rig, pool) = Rig::with_faults(small_pool(2, CommitMode::Mutex, false), SHARD_BYTES, plan);
+    let mut cfg = small_pool(2, CommitMode::Mutex, false);
+    cfg.cache.coalesce_flushes = coalesce;
+    let (rig, pool) = Rig::with_faults(cfg, SHARD_BYTES, plan);
     let cap = u64::from(pool.shard_layout(1).data_blocks);
-    // Dirty odd blocks until shard 1 has exactly one free block left.
     for i in 0..cap - 1 {
         let mut t = pool.init_txn();
         t.write(2 * i + 1, &fill(0x10));
         pool.commit(t).expect("single-shard fill");
     }
-    let fresh = 2 * cap + 1;
+    (rig, pool, 2 * cap + 1)
+}
+
+/// A spanning commit whose shard-1 fragment fails mid-protocol on
+/// [`one_free_block_on_shard_1`]'s pool: block 0 prepares on shard 0,
+/// `fresh` stages into shard 1's last free block (its tagged slot
+/// written) and `fresh + 2` finds every eviction victim unwritable.
+fn commit_failing_fragment(pool: &TincaPool, fresh: u64) {
     let mut t = pool.init_txn();
     t.write(0, &fill(0x5A));
     t.write(fresh, &fill(0x5B));
@@ -320,27 +325,88 @@ fn failed_tagged_fragment_scrubs_its_slots() {
         matches!(pool.commit(t), Err(tinca::TincaError::NoVictim)),
         "the fragment must fail inside the protocol, past admission"
     );
-    assert!(pool.shard_stats(1).failed_commits >= 1);
-    assert_no_stale_tags(&pool, "after the failed fragment");
-    pool.check_consistency()
-        .expect("consistent after the abort");
-    assert_eq!(read_block(&pool, 0), fill(0));
+}
 
-    // The failed commit was intent 0; 128 spanning commits later the tag
-    // collides. Each rewrites cached block 1, so shard 1's one free block
-    // suffices and is handed back at every commit point.
-    assert_eq!(tinca::intent_tag(0), tinca::intent_tag(128));
-    for i in 1..=128u32 {
-        commit_spanning_pair(&pool, MUTEX, (i % 251) as u8 + 1);
+/// A *tagged* fragment that fails mid-protocol — after it staged a slot —
+/// must retire that slot's tag itself: the pool only calls
+/// `abort_fragment` for fragments that prepared. With coalesced flushes
+/// the failed fragment's slot is still unflushed when it fails, and its
+/// revoke path persists it before `Head`.
+#[test]
+fn failed_tagged_fragment_scrubs_its_slots() {
+    for coalesce in [false, true] {
+        let (rig, pool, fresh) = one_free_block_on_shard_1(coalesce);
+        commit_failing_fragment(&pool, fresh);
+        assert!(pool.shard_stats(1).failed_commits >= 1);
+        assert_no_stale_tags(&pool, "after the failed fragment");
+        pool.check_consistency()
+            .expect("consistent after the abort");
+        assert_eq!(read_block(&pool, 0), fill(0));
+
+        // The failed commit was intent 0; 128 spanning commits later the
+        // tag collides. Each rewrites cached block 1, so shard 1's one
+        // free block suffices and is handed back at every commit point.
+        assert_eq!(tinca::intent_tag(0), tinca::intent_tag(128));
+        for i in 1..=128u32 {
+            commit_spanning_pair(&pool, MUTEX, (i % 251) as u8 + 1);
+        }
+        assert_eq!(pool.stats().spanning_commits, 128);
+        drop(pool);
+        Cut::LoseVolatile.apply(&rig.devices);
+        let pool = rig.recover().expect("recovery");
+        pool.check_consistency().expect("consistent after recovery");
+        assert_eq!(read_block(&pool, 0), fill(129));
+        assert_eq!(read_block(&pool, 1), fill(129 ^ 0xFF));
+        assert_no_stale_tags(&pool, "after recovery");
     }
-    assert_eq!(pool.stats().spanning_commits, 128);
-    drop(pool);
-    Cut::LoseVolatile.apply(&rig.devices);
-    let pool = rig.recover().expect("recovery");
-    pool.check_consistency().expect("consistent after recovery");
-    assert_eq!(read_block(&pool, 0), fill(129));
-    assert_eq!(read_block(&pool, 1), fill(129 ^ 0xFF));
-    assert_no_stale_tags(&pool, "after recovery");
+}
+
+/// The failing commit of [`failed_tagged_fragment_scrubs_its_slots`], cut
+/// at **every** persistence event of both devices, with coalesced flushes
+/// on and off; each device resolves its unfenced lines adversarially.
+/// Every recovery leaves block 0 unwritten, a consistent pool that takes
+/// the next spanning commit, and a clean persist-order audit. Tags are
+/// not asserted away: a cut between a fragment's slot persist and its
+/// `Head` move, or between a `Tail` store and the scrub after it, leaves
+/// a tag outside every window, inert by window homogeneity until the slot
+/// is reused (DESIGN §14).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a cut per persistence event, each after a fresh fill: run via cargo test -p crashsim --release --test spanning_crash"
+)]
+fn every_cut_of_a_failed_tagged_fragment_recovers_clean() {
+    quiet_crash_panics();
+    for coalesce in [false, true] {
+        let spans = {
+            let (rig, pool, fresh) = one_free_block_on_shard_1(coalesce);
+            events_during(&rig.devices, || commit_failing_fragment(&pool, fresh)).1
+        };
+        // Coalesced: fewer fences on both shards; shard 1's revoke path
+        // adds one flush and one fence for the slot its failed stage left
+        // unflushed.
+        assert_eq!(spans, if coalesce { [94, 80] } else { [96, 86] });
+        for (dev, &events) in spans.iter().enumerate() {
+            for k in 1..=events {
+                let what = format!("coalesce {coalesce}, cut dev{dev}@{k}");
+                let (rig, pool, fresh) = one_free_block_on_shard_1(coalesce);
+                rig.devices[dev].set_trip(Some(k));
+                let crashed = tripped(&rig.devices, || commit_failing_fragment(&pool, fresh));
+                assert!(crashed.is_none(), "{what}: trip did not fire");
+                drop(pool);
+                Cut::Random { seed: k, shift: 17 }.apply(&rig.devices);
+                let pool = rig.recover().unwrap_or_else(|e| panic!("{what}: {e}"));
+                pool.check_consistency()
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(read_block(&pool, 0), fill(0), "{what}");
+                commit_spanning_pair(&pool, MUTEX, 0x33);
+                assert_eq!(read_block(&pool, 0), fill(0x33), "{what}");
+                pool.check_consistency()
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                rig.audit().unwrap_or_else(|e| panic!("{what}: {e}"));
+            }
+        }
+    }
 }
 
 /// The durable state a commit of `0xAA`/`0xBB` over blocks 0/1 (spanning

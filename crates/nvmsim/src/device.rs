@@ -11,6 +11,13 @@ use crate::line::{Run, Slot, CACHE_LINE, WORDS_PER_LINE, WORD_SIZE};
 use crate::trace::TraceBuf;
 use crate::{NvmConfig, NvmStats, SimClock, TraceEvent, TracedOp, WearSummary};
 
+/// Perf-smell mark (count-only, under the store's span): a store landed on
+/// a line already staged in the open fence epoch, so the line is copied to
+/// a fresh slot and needs a second flush before the fence — a persist the
+/// writer could have issued once. The phases figure matches this name
+/// beside `telemetry::phase::NVM_FLUSH_CLEAN` and `NVM_FENCE_EMPTY`.
+const STORE_COW_MARK: &str = "nvm.store.cow";
+
 /// Panic payload thrown when an armed crash trip fires (see
 /// [`NvmDevice::set_trip`]). `crashsim` catches this with `catch_unwind`
 /// to emulate a power failure at an exact persistence event.
@@ -786,6 +793,7 @@ impl State {
                 if !self.slots[slot].staged {
                     return slot;
                 }
+                telemetry::mark(STORE_COW_MARK, 1);
                 self.slots[slot].orphan = true;
                 self.bytes[slot]
             }
@@ -800,6 +808,7 @@ impl State {
     fn store_whole_line(&mut self, line: usize, data: &[u8; CACHE_LINE]) {
         let slot = self.index[line] as usize - 1;
         if self.slots[slot].staged {
+            telemetry::mark(STORE_COW_MARK, 1);
             self.slots[slot].orphan = true;
             self.push_slot(Slot::whole(line), *data);
         } else {

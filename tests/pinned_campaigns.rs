@@ -46,6 +46,7 @@ const PINS: &[(&str, &str)] = &[
     ("threaded-frontier",       "32 epochs (26 exhaustive, 6 capped at 4 states), 76 crash states, 0 violations"),
     ("spanning-frontier",       "34 epochs (30 exhaustive, 4 capped at 4 states), 76 crash states, 0 violations"),
     ("spanning-delta-frontier", "68 epochs (60 exhaustive, 8 capped at 4 states), 152 crash states, 0 violations"),
+    ("spanning-coalesced-frontier", "26 epochs (22 exhaustive, 4 capped at 4 states), 60 crash states, 0 violations"),
     ("kv-wal-pull",             "6 runs, 2 completed, 4 crashed, 0 violations"),
     ("kv-wal-kill",             "4 runs, 3 completed, 1 crashed, 0 violations"),
     ("kv-tinca-pull",           "12 runs, 7 completed, 5 crashed, 0 violations"),

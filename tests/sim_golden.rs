@@ -47,26 +47,26 @@ struct Golden {
 
 /// After the scripted commits and reads, cache still dirty.
 const BEFORE_CRASH: Golden = Golden {
-    nvm_clock_ns: [6_701_520, 6_639_542],
+    nvm_clock_ns: [6_667_888, 6_604_822],
     disk_clock_ns: 4_900_000,
     nvm: [
         NvmStats {
-            clflush: 22727,
+            clflush: 22661,
             sfence: 1660,
             atomic_stores: 2232,
-            lines_written: 22723,
-            lines_read: 2098,
+            lines_written: 22657,
+            lines_read: 1961,
             bytes_stored: 1349128,
-            bytes_read: 94640,
+            bytes_read: 93216,
         },
         NvmStats {
-            clflush: 22310,
+            clflush: 22242,
             sfence: 1220,
             atomic_stores: 1678,
-            lines_written: 22308,
-            lines_read: 2747,
+            lines_written: 22240,
+            lines_read: 2605,
             bytes_stored: 1344688,
-            bytes_read: 135648,
+            bytes_read: 134272,
         },
     ],
     disk: DiskStats {
@@ -82,26 +82,26 @@ const BEFORE_CRASH: Golden = Golden {
 /// After the torn commit, `crash(Random(SEED + shard))`, `recover` and the
 /// read-back.
 const AFTER_RECOVERY: Golden = Golden {
-    nvm_clock_ns: [10_721_274, 10_421_329],
+    nvm_clock_ns: [10_687_642, 10_386_609],
     disk_clock_ns: 25_600_000,
     nvm: [
         NvmStats {
-            clflush: 34804,
+            clflush: 34738,
             sfence: 2239,
             atomic_stores: 2632,
-            lines_written: 34800,
-            lines_read: 7527,
+            lines_written: 34734,
+            lines_read: 7390,
             bytes_stored: 2105080,
-            bytes_read: 414920,
+            bytes_read: 413496,
         },
         NvmStats {
-            clflush: 33135,
+            clflush: 33067,
             sfence: 1713,
             atomic_stores: 2007,
-            lines_written: 33133,
-            lines_read: 9247,
+            lines_written: 33065,
+            lines_read: 9105,
             bytes_stored: 2021688,
-            bytes_read: 525296,
+            bytes_read: 523920,
         },
     ],
     disk: DiskStats {
@@ -111,7 +111,7 @@ const AFTER_RECOVERY: Golden = Golden {
         read_errors: 0,
         write_errors: 0,
     },
-    image_fnv: [4_554_115_580_075_317_360, 9_414_707_038_406_723_113],
+    image_fnv: [16_511_372_219_325_319_954, 9_414_707_038_406_723_113],
 };
 
 fn image_fnv(dev: &Nvm) -> u64 {
