@@ -20,22 +20,21 @@
 //! audit is clean at every load point, and the campaign crashes mid-
 //! backlog with zero oracle violations.
 //!
-//! Every Tinca point runs on traced NVM devices and must pass the
-//! per-shard persist-order audit — saturation (a standing backlog,
+//! Every Tinca point runs on the crash engine's traced [`Rig`] and must
+//! pass its persist-order [`audit`](crashsim::engine::audit), per shard
+//! and on the merged pool-wide trace — saturation (a standing backlog,
 //! destage under pressure) must not bend the commit protocol.
 
-use blockdev::{DiskKind, SimDisk};
-use crashsim::engine::sweep;
+use crashsim::engine::{sweep, Rig};
 use crashsim::BacklogPlan;
-use nvmsim::{shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
-use persistcheck::{CheckConfig, Checker};
 use telemetry::Json;
-use tinca::{PoolConfig, TincaConfig, TincaPool};
+use tinca::TincaPool;
 use workloads::openloop::{
     probe_capacity, Arrivals, ClassicServer, OpenLoopDriver, OpenLoopReport, OpenLoopSpec,
     TincaServer,
 };
 
+use super::{sharded_pool, violations};
 use crate::table::Table;
 use crate::{banner, checks, fmt, table_json, write_bench, write_csv};
 
@@ -68,29 +67,13 @@ fn base_spec(quick: bool, rate: f64) -> OpenLoopSpec {
     }
 }
 
-fn build_pool(quick: bool) -> (TincaPool, Vec<Nvm>, SimClock) {
-    let per_shard = if quick { 2 << 20 } else { 4 << 20 };
-    let devices = shard_devices(
-        &NvmConfig::new(SHARDS * per_shard, NvmTech::Pcm).with_tracing(),
-        SHARDS,
-    );
-    let disk_clock = SimClock::new();
-    let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, disk_clock.clone());
-    let pool = TincaPool::format(
-        devices.clone(),
-        disk,
-        PoolConfig {
-            shards: SHARDS,
-            cache: TincaConfig {
-                ring_bytes: 16 << 10,
-                destage: true,
-                coalesce_flushes: true,
-                ..TincaConfig::default()
-            },
-            ..PoolConfig::default()
-        },
-    );
-    (pool, devices, disk_clock)
+/// A fresh traced pool with the write-behind pipeline (destage daemon
+/// and flush coalescing) on.
+fn tinca_pool(quick: bool) -> (Rig, TincaPool) {
+    let mut cfg = sharded_pool(SHARDS);
+    cfg.cache.destage = true;
+    cfg.cache.coalesce_flushes = true;
+    Rig::new(cfg, if quick { 2 << 20 } else { 4 << 20 })
 }
 
 fn classic_server(quick: bool) -> ClassicServer {
@@ -100,26 +83,19 @@ fn classic_server(quick: bool) -> ClassicServer {
 }
 
 /// Runs one Tinca rate point on a fresh pool, auditing every shard's
-/// persist-order trace.
+/// persist-order trace and the merged one.
 fn tinca_point(quick: bool, rate: f64) -> LoadPoint {
-    let (pool, devices, disk_clock) = build_pool(quick);
-    let report =
-        OpenLoopDriver::new(base_spec(quick, rate), TincaServer::new(&pool, disk_clock)).run();
+    let (rig, pool) = tinca_pool(quick);
+    let report = OpenLoopDriver::new(
+        base_spec(quick, rate),
+        TincaServer::new(&pool, rig.clock.clone()),
+    )
+    .run();
     pool.flush_all().unwrap();
-    let mut violations = 0usize;
-    for (s, d) in devices.iter().enumerate() {
-        let mut checker = Checker::new(CheckConfig::with_metadata(pool.shard_metadata_ranges(s)));
-        checker.push_all(&d.take_trace());
-        let r = checker.report();
-        if !r.is_clean() {
-            violations += r.violations.len();
-            eprintln!("--- Tinca shard {s} at {rate:.0} ops/s ---\n{r}");
-        }
-    }
     LoadPoint {
         offered_rate: rate,
         report,
-        violations,
+        violations: violations(&rig.audit(), &format!("Tinca at {rate:.0} ops/s")),
     }
 }
 
@@ -159,8 +135,8 @@ pub fn run(quick: bool) -> Vec<String> {
     // measured points below use fresh builds).
     let probe_ops = if quick { 200 } else { 400 };
     let cap_tinca = {
-        let (pool, _devices, disk_clock) = build_pool(quick);
-        let mut server = TincaServer::new(&pool, disk_clock);
+        let (rig, pool) = tinca_pool(quick);
+        let mut server = TincaServer::new(&pool, rig.clock.clone());
         probe_capacity(&mut server, &base_spec(quick, 1_000.0), probe_ops)
     };
     let cap_classic = {

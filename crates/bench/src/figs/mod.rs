@@ -26,7 +26,9 @@ pub mod tables;
 pub mod ubj_compare;
 pub mod wal_elim;
 
+use crashsim::engine::Audit;
 use fssim::stack::{StackConfig, System};
+use tinca::{PoolConfig, TincaConfig};
 
 use crate::runner::Direction::{self, HigherIsBetter, Info, LowerIsBetter};
 use crate::runner::{Figure, Gate};
@@ -157,6 +159,33 @@ pub fn local_cfg(system: System, quick: bool) -> StackConfig {
     // isolates its contribution with an explicit on/off comparison.
     cfg.destage = true;
     cfg
+}
+
+/// The sharded figures' pool: `shards` shards with a 16 KB ring each,
+/// everything else default. The figures build it traced through
+/// [`crashsim::engine::Rig::new`].
+pub(crate) fn sharded_pool(shards: usize) -> PoolConfig {
+    PoolConfig {
+        shards,
+        cache: TincaConfig {
+            ring_bytes: 16 << 10,
+            ..TincaConfig::default()
+        },
+        ..PoolConfig::default()
+    }
+}
+
+/// The correctness violations of `audit`, summed over its views; prints
+/// every view one fired on, tagged with `point`.
+pub(crate) fn violations(audit: &Audit, point: &str) -> usize {
+    audit
+        .views()
+        .filter(|(_, r)| !r.is_clean())
+        .map(|(what, r)| {
+            eprintln!("--- {what} ({point}) ---\n{r}");
+            r.violations.len()
+        })
+        .sum()
 }
 
 /// Per-node configuration for the cluster figures (four nodes).

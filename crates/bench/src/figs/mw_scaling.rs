@@ -17,23 +17,22 @@
 //! The headline check is the single-shard speedup at 8 writers: the
 //! pipeline must reach **≥ 2x** the mutex baseline's commit throughput,
 //! and neither it nor the uncontended 1-writer ring cost may drift (both
-//! gated via `BENCH_9.json`). Every point runs on traced devices and
-//! must pass the persist-order + HB-race audit per shard *and* on the
-//! merged pool-wide trace. The run embeds the multi-writer crash smoke: a
-//! random-trip fuzz sweep (200 seeds full, covering crash-mid-
-//! publication) and a bounded-exhaustive frontier enumeration over
-//! concurrent publication orders — both must be violation-free.
+//! gated via `BENCH_9.json`). Every point runs on the crash engine's
+//! traced [`Rig`] and must pass its persist-order + HB-race audit per
+//! shard *and* on the merged pool-wide trace. The run embeds the
+//! multi-writer crash smoke: a random-trip fuzz sweep (200 seeds full,
+//! covering crash-mid-publication) and a bounded-exhaustive frontier
+//! enumeration over concurrent publication orders — both must be
+//! violation-free.
 
-use blockdev::{DiskKind, SimDisk};
-use crashsim::engine::{frontier, sweep};
+use crashsim::engine::{frontier, sweep, Rig};
 use crashsim::RingPlan;
-use nvmsim::{merge_shard_traces, shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
-use persistcheck::{CheckConfig, Checker};
 use telemetry::Json;
-use tinca::{CommitMode, PoolConfig, TincaConfig, TincaPool};
+use tinca::{CommitMode, PoolConfig};
 use workloads::mtfio::{MtFio, MtFioSpec, MtReport};
 use workloads::sched::{Policy, Sched};
 
+use super::{sharded_pool, violations};
 use crate::table::Table;
 use crate::{banner, checks, fmt, table_json, write_bench, write_csv};
 
@@ -50,37 +49,19 @@ pub struct MwPoint {
     pub violations: usize,
 }
 
-fn build_pool(shards: usize, lockfree: bool, quick: bool) -> (TincaPool, Vec<Nvm>) {
-    let per_shard = if quick { 2 << 20 } else { 4 << 20 };
-    let devices = shard_devices(
-        &NvmConfig::new(shards * per_shard, NvmTech::Pcm).with_tracing(),
-        shards,
-    );
-    let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, SimClock::new());
-    let pool = TincaPool::format(
-        devices.clone(),
-        disk,
-        PoolConfig {
-            shards,
-            commit_mode: if lockfree {
-                CommitMode::LockFreeRing
-            } else {
-                CommitMode::Mutex
-            },
-            cache: TincaConfig {
-                ring_bytes: 16 << 10,
-                ..TincaConfig::default()
-            },
-        },
-    );
-    (pool, devices)
-}
-
 /// Runs one point: the lane workload through the chosen commit path,
 /// then the persist-order audit of each shard's trace and the merged
 /// pool trace.
 fn run_point(shards: usize, writers: usize, lockfree: bool, quick: bool) -> MwPoint {
-    let (pool, devices) = build_pool(shards, lockfree, quick);
+    let cfg = PoolConfig {
+        commit_mode: if lockfree {
+            CommitMode::LockFreeRing
+        } else {
+            CommitMode::Mutex
+        },
+        ..sharded_pool(shards)
+    };
+    let (rig, pool) = Rig::new(cfg, if quick { 2 << 20 } else { 4 << 20 });
     let spec = MtFioSpec {
         threads: writers,
         read_pct: 0, // a pure commit-path figure
@@ -105,38 +86,10 @@ fn run_point(shards: usize, writers: usize, lockfree: bool, quick: bool) -> MwPo
     };
     let ns_per_txn = wall as f64 / report.write_txns.max(1) as f64;
 
-    let mut violations = 0usize;
-    let traces: Vec<_> = devices.iter().map(|d| d.take_trace()).collect();
-    let ranges: Vec<_> = (0..shards).map(|s| pool.shard_metadata_ranges(s)).collect();
-    for (s, trace) in traces.iter().enumerate() {
-        let mut checker = Checker::new(CheckConfig::with_metadata(ranges[s].clone()));
-        checker.push_all(trace);
-        let r = checker.report();
-        if !r.is_clean() {
-            violations += r.violations.len();
-            eprintln!(
-                "--- shard {s} ({shards} shards, {writers} writers, lockfree={lockfree}) ---\n{r}"
-            );
-        }
-    }
-    let shard_capacity = devices[0].capacity();
-    let merged_ranges: Vec<_> = ranges
-        .iter()
-        .enumerate()
-        .flat_map(|(s, rs)| {
-            let base = s * shard_capacity;
-            rs.iter().map(move |r| r.start + base..r.end + base)
-        })
-        .collect();
-    let mut checker = Checker::new(CheckConfig::with_metadata(merged_ranges));
-    checker.push_all(&merge_shard_traces(traces, shard_capacity));
-    let r = checker.report();
-    if !r.is_clean() {
-        violations += r.violations.len();
-        eprintln!(
-            "--- merged trace ({shards} shards, {writers} writers, lockfree={lockfree}) ---\n{r}"
-        );
-    }
+    let violations = violations(
+        &rig.audit(),
+        &format!("{shards} shards, {writers} writers, lockfree={lockfree}"),
+    );
 
     MwPoint {
         shards,

@@ -11,8 +11,10 @@
 //! * **per shard** — each device's trace in true device order (the device
 //!   mutex serialises its events);
 //! * **merged** — all shard traces rebased into one pool-wide address
-//!   space via [`nvmsim::merge_shard_traces`], analysed as a single
-//!   stream.
+//!   space, analysed as a single stream.
+//!
+//! Both come from the crash engine: the pool is built traced by
+//! [`Rig::new`] and audited by [`crashsim::engine::audit`].
 //!
 //! The pool's commit path is mutex-serialised and annotates its locks as
 //! sync events, so the gate is strict: **zero** correctness-rule hits (the
@@ -28,13 +30,15 @@
 use std::fs;
 
 use blockdev::{DiskKind, SimDisk};
-use nvmsim::{merge_shard_traces, shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
-use persistcheck::{CheckConfig, Checker, Report, Rule};
+use crashsim::engine::Rig;
+use nvmsim::{shard_devices, NvmConfig, NvmTech, SimClock};
+use persistcheck::{Report, Rule};
 use telemetry::Json;
-use tinca::{PoolConfig, TincaConfig, TincaPool};
+use tinca::TincaPool;
 use workloads::mtfio::{MtFio, MtFioSpec};
 use workloads::sched::{Policy, Sched};
 
+use super::{sharded_pool, violations};
 use crate::table::Table;
 use crate::{banner, checks, results_dir, write_csv};
 
@@ -53,113 +57,65 @@ pub struct RacePoint {
     pub neutral: bool,
 }
 
-fn build_pool(shards: usize, nvm_bytes: usize, traced: bool) -> (TincaPool, Vec<Nvm>) {
-    let mut nvm_cfg = NvmConfig::new(nvm_bytes, NvmTech::Pcm);
-    if traced {
-        nvm_cfg = nvm_cfg.with_tracing();
+fn nvm_bytes(quick: bool) -> usize {
+    if quick {
+        4 << 20
+    } else {
+        16 << 20
     }
-    let devices = shard_devices(&nvm_cfg, shards);
-    let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, SimClock::new());
-    let pool = TincaPool::format(
-        devices.clone(),
-        disk,
-        PoolConfig {
-            shards,
-            cache: TincaConfig {
-                ring_bytes: 16 << 10,
-                ..TincaConfig::default()
-            },
-            ..PoolConfig::default()
-        },
-    );
-    (pool, devices)
 }
 
-fn spec(shards: usize, threads: usize, quick: bool) -> MtFioSpec {
-    MtFioSpec {
+/// Runs the workload of one point on `pool`.
+fn run_workload(pool: &TincaPool, shards: usize, threads: usize, quick: bool) {
+    let spec = MtFioSpec {
         threads,
         read_pct: 30,
         blocks: if quick { 512 } else { 2048 },
         ops_per_thread: if quick { 250 } else { 1000 },
         txn_blocks: 2,
         seed: 0xACED + shards as u64,
-    }
-}
-
-/// Builds a pool, runs the workload on it and returns the pool and its
-/// devices.
-fn run_workload(shards: usize, threads: usize, quick: bool, traced: bool) -> (TincaPool, Vec<Nvm>) {
-    let nvm_bytes = if quick { 4 << 20 } else { 16 << 20 };
-    let (pool, devices) = build_pool(shards, nvm_bytes, traced);
-    let spec = spec(shards, threads, quick);
+    };
     let sched = Sched {
         policy: Policy::Seeded(spec.seed),
     };
     let fio = MtFio::new(spec);
-    fio.setup(&pool, if quick { 64 } else { 256 });
-    fio.run(&pool, &sched);
+    fio.setup(pool, if quick { 64 } else { 256 });
+    fio.run(pool, &sched);
     pool.flush_all().expect("fault-free flush");
-    (pool, devices)
 }
 
-fn clocks(devices: &[Nvm]) -> Vec<u64> {
-    devices.iter().map(|d| d.clock().now_ns()).collect()
-}
-
-fn correctness_hits(r: &Report) -> usize {
-    r.violations
-        .iter()
-        .filter(|v| v.rule.is_correctness())
-        .count()
+/// The point's pool untraced, the one pool a [`Rig`] cannot build.
+fn untraced_pool(shards: usize, quick: bool) -> TincaPool {
+    let devices = shard_devices(&NvmConfig::new(nvm_bytes(quick), NvmTech::Pcm), shards);
+    let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, SimClock::new());
+    TincaPool::format(devices, disk, sharded_pool(shards))
 }
 
 /// Runs one point, audits it per shard and merged, and checks it
 /// against the same run untraced.
 pub fn audit_point(shards: usize, threads: usize, quick: bool) -> RacePoint {
-    let (pool, devices) = run_workload(shards, threads, quick, true);
-    let neutral = clocks(&devices) == clocks(&run_workload(shards, threads, quick, false).1);
+    let (rig, pool) = Rig::new(sharded_pool(shards), nvm_bytes(quick) / shards);
+    run_workload(&pool, shards, threads, quick);
+    let twin = untraced_pool(shards, quick);
+    run_workload(&twin, shards, threads, quick);
 
-    let traces: Vec<_> = devices.iter().map(|d| d.take_trace()).collect();
-    let shard_capacity = devices[0].capacity();
-
-    let mut correctness = 0usize;
-    for (s, trace) in traces.iter().enumerate() {
-        let mut checker = Checker::new(CheckConfig::with_metadata(pool.shard_metadata_ranges(s)));
-        checker.push_all(trace);
-        let r = checker.report();
-        let hits = correctness_hits(&r);
-        if hits > 0 {
-            eprintln!("--- shard {s} ({shards} shards, {threads} threads) ---\n{r}");
-        }
-        correctness += hits;
-    }
-
-    // Pool-wide view: rebase every shard trace into the pool address
-    // space and analyse the deterministic merged stream. Metadata ranges
-    // shift with the same per-shard base as the addresses.
-    let merged_trace = merge_shard_traces(traces, shard_capacity);
-    let sync_events = merged_trace.iter().filter(|op| op.event.is_sync()).count() as u64;
-    let merged_ranges: Vec<_> = (0..shards)
-        .flat_map(|s| {
-            let base = s * shard_capacity;
-            pool.shard_metadata_ranges(s)
-                .into_iter()
-                .map(move |r| r.start + base..r.end + base)
-        })
-        .collect();
-    let mut checker = Checker::new(CheckConfig::with_metadata(merged_ranges));
-    checker.push_all(&merged_trace);
-    let merged = checker.report();
-    let hits = correctness_hits(&merged);
-    if hits > 0 {
-        eprintln!("--- merged ({shards} shards, {threads} threads) ---\n{merged}");
-    }
-    correctness += hits;
+    // The merged trace holds every shard's events, sync annotations
+    // included.
+    let sync_events = rig
+        .devices
+        .iter()
+        .flat_map(|d| d.trace_snapshot())
+        .filter(|op| op.event.is_sync())
+        .count() as u64;
+    let audit = rig.audit();
+    let correctness = violations(&audit, &format!("{shards} shards, {threads} threads"));
+    // After the audit: `shard_clock` takes the shard's lock, which traces.
+    let neutral = (0..shards).all(|s| pool.shard_clock(s).now_ns() == twin.shard_clock(s).now_ns());
 
     RacePoint {
         shards,
         threads,
-        merged,
+        merged: audit.merged,
         sync_events,
         correctness,
         neutral,

@@ -18,16 +18,16 @@
 //! every row is reproducible. Writer `w` works a block lane on shard
 //! `w % N`: one writer keeps one shard busy.
 //!
-//! Every run traces NVM events; the persist-order analyzer must report
-//! zero correctness violations on **each shard's** commit stream.
+//! Every run traces NVM events on the crash engine's [`Rig`]; its
+//! persist-order [`audit`](crashsim::engine::audit) must report zero
+//! correctness violations on **each shard's** commit stream and on the
+//! merged pool-wide trace.
 
-use blockdev::{DiskKind, SimDisk};
-use nvmsim::{shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
-use persistcheck::{CheckConfig, Checker};
-use tinca::{PoolConfig, TincaConfig, TincaPool};
+use crashsim::engine::Rig;
 use workloads::mtfio::{MtFio, MtFioSpec, MtReport};
 use workloads::sched::{Policy, Sched};
 
+use super::{sharded_pool, violations};
 use crate::table::Table;
 use crate::{banner, checks, fmt, write_csv};
 
@@ -36,36 +36,16 @@ pub struct ScalingPoint {
     pub shards: usize,
     pub threads: usize,
     pub report: MtReport,
-    /// Persist-order correctness violations summed over shards.
+    /// Persist-order correctness violations summed over the shards and
+    /// the merged trace.
     pub violations: usize,
 }
 
-fn build_pool(shards: usize, nvm_bytes: usize) -> (TincaPool, Vec<Nvm>) {
-    let devices = shard_devices(
-        &NvmConfig::new(nvm_bytes, NvmTech::Pcm).with_tracing(),
-        shards,
-    );
-    let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, SimClock::new());
-    let pool = TincaPool::format(
-        devices.clone(),
-        disk,
-        PoolConfig {
-            shards,
-            cache: TincaConfig {
-                ring_bytes: 16 << 10,
-                ..TincaConfig::default()
-            },
-            ..PoolConfig::default()
-        },
-    );
-    (pool, devices)
-}
-
-/// Runs one (shards, threads) point: the measured phase plus a per-shard
+/// Runs one (shards, threads) point: the measured phase plus the
 /// persist-order audit of the full event trace.
 pub fn run_point(shards: usize, threads: usize, quick: bool) -> ScalingPoint {
     let nvm_bytes = if quick { 4 << 20 } else { 16 << 20 };
-    let (pool, devices) = build_pool(shards, nvm_bytes);
+    let (rig, pool) = Rig::new(sharded_pool(shards), nvm_bytes / shards);
     let spec = MtFioSpec {
         threads,
         read_pct: 30,
@@ -82,16 +62,7 @@ pub fn run_point(shards: usize, threads: usize, quick: bool) -> ScalingPoint {
     let report = fio.run(&pool, &sched);
     pool.flush_all().unwrap();
 
-    let mut violations = 0usize;
-    for (s, d) in devices.iter().enumerate() {
-        let mut checker = Checker::new(CheckConfig::with_metadata(pool.shard_metadata_ranges(s)));
-        checker.push_all(&d.take_trace());
-        let r = checker.report();
-        if !r.is_clean() {
-            violations += r.violations.len();
-            eprintln!("--- shard {s} ({shards} shards, {threads} threads) ---\n{r}");
-        }
-    }
+    let violations = violations(&rig.audit(), &format!("{shards} shards, {threads} threads"));
     ScalingPoint {
         shards,
         threads,
@@ -100,14 +71,14 @@ pub fn run_point(shards: usize, threads: usize, quick: bool) -> ScalingPoint {
     }
 }
 
-/// Runs the full figure. Fails if any shard's trace had a persist-order
-/// violation, or if N=4 falls short of 2x the N=1 throughput at the
+/// Runs the full figure. Fails if any shard's trace or the merged one
+/// had a persist-order violation, or if N=4 falls short of 2x the N=1 throughput at the
 /// highest thread count.
 pub fn run(quick: bool) -> Vec<String> {
     banner(
         "scaling",
         "Sharded pool: throughput & flushes/txn vs threads (N=1 vs N=4)",
-        "N=4 at 8 threads >= 2x N=1 throughput; persistcheck clean per shard",
+        "N=4 at 8 threads >= 2x N=1 throughput; persistcheck clean per shard and merged",
     );
     let thread_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8, 16] };
     let mut t = Table::new(&[

@@ -9,26 +9,24 @@
 //! and the spread to the 50 % point prices the protocol, which must cost
 //! something but stay under 8x.
 //!
-//! Every point runs on traced devices and must pass the persist-order
-//! audit per shard **and** on the merged pool-wide trace (the intent
-//! record's publish/resolve/retire stores are commit points like any
-//! other). The run also embeds the spanning crash smoke: a frontier
-//! enumeration and a short random-trip fuzz sweep, both of which must
-//! report zero torn transactions.
+//! Every point runs on the crash engine's traced [`Rig`] and must pass
+//! its persist-order audit per shard **and** on the merged pool-wide
+//! trace (the intent record's publish/resolve/retire stores are commit
+//! points like any other). The run also embeds the spanning crash smoke:
+//! a frontier enumeration and a short random-trip fuzz sweep, both of
+//! which must report zero torn transactions.
 //!
 //! Output: the standard CSV/JSON pair under `EXPERIMENTS-results/`, plus
 //! `BENCH_7.json` at the repo root with a flat `gate` object.
 
-use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
-use crashsim::engine::{frontier, sweep};
+use blockdev::BLOCK_SIZE;
+use crashsim::engine::{frontier, sweep, Rig};
 use crashsim::{PoolPlan, SpanningPlan};
-use nvmsim::{merge_shard_traces, shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
-use persistcheck::{CheckConfig, Checker};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use telemetry::Json;
-use tinca::{PoolConfig, TincaConfig, TincaPool};
 
+use super::{sharded_pool, violations};
 use crate::table::Table;
 use crate::{banner, checks, fmt, table_json, write_bench, write_csv};
 
@@ -44,38 +42,16 @@ pub struct MixPoint {
     pub violations: usize,
 }
 
-fn build_pool(quick: bool) -> (TincaPool, Vec<Nvm>) {
-    let per_shard = if quick { 2 << 20 } else { 4 << 20 };
-    let devices = shard_devices(
-        &NvmConfig::new(SHARDS * per_shard, NvmTech::Pcm).with_tracing(),
-        SHARDS,
-    );
-    let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, SimClock::new());
-    let pool = TincaPool::format(
-        devices.clone(),
-        disk,
-        PoolConfig {
-            shards: SHARDS,
-            cache: TincaConfig {
-                ring_bytes: 16 << 10,
-                ..TincaConfig::default()
-            },
-            ..PoolConfig::default()
-        },
-    );
-    (pool, devices)
-}
-
 /// Runs one mix point: `txns` four-block transactions, `frac_pct` of
 /// which touch all four shards (one block each); the rest land all four
 /// blocks on one round-robin home shard. Deterministic per seed, so the
 /// gated costs are replay-stable.
 fn run_point(quick: bool, frac_pct: u32) -> MixPoint {
-    let (pool, devices) = build_pool(quick);
+    let (rig, pool) = Rig::new(sharded_pool(SHARDS), if quick { 2 << 20 } else { 4 << 20 });
     let txns: u64 = if quick { 400 } else { 2_000 };
     let bases: u64 = if quick { 128 } else { 256 };
     let mut rng = StdRng::seed_from_u64(0x5BA6 ^ u64::from(frac_pct));
-    let starts: Vec<u64> = devices.iter().map(|d| d.clock().now_ns()).collect();
+    let starts: Vec<u64> = rig.devices.iter().map(|d| d.clock().now_ns()).collect();
 
     let mut buf = [0u8; BLOCK_SIZE];
     for i in 0..txns {
@@ -98,7 +74,8 @@ fn run_point(quick: bool, frac_pct: u32) -> MixPoint {
         pool.commit(t).expect("spanning bench commit");
     }
     // Pool wall-clock is the maximum over per-shard clocks.
-    let elapsed = devices
+    let elapsed = rig
+        .devices
         .iter()
         .zip(&starts)
         .map(|(d, s)| d.clock().now_ns() - s)
@@ -107,34 +84,7 @@ fn run_point(quick: bool, frac_pct: u32) -> MixPoint {
     let spanning_txns = pool.stats().spanning_commits;
 
     // Persist-order audit: each shard alone, then the merged pool trace.
-    let mut violations = 0usize;
-    let traces: Vec<_> = devices.iter().map(|d| d.take_trace()).collect();
-    let ranges: Vec<_> = (0..SHARDS).map(|s| pool.shard_metadata_ranges(s)).collect();
-    for (s, trace) in traces.iter().enumerate() {
-        let mut checker = Checker::new(CheckConfig::with_metadata(ranges[s].clone()));
-        checker.push_all(trace);
-        let r = checker.report();
-        if !r.is_clean() {
-            violations += r.violations.len();
-            eprintln!("--- shard {s} at {frac_pct}% spanning ---\n{r}");
-        }
-    }
-    let shard_capacity = devices[0].capacity();
-    let merged_ranges: Vec<_> = ranges
-        .iter()
-        .enumerate()
-        .flat_map(|(s, rs)| {
-            let base = s * shard_capacity;
-            rs.iter().map(move |r| r.start + base..r.end + base)
-        })
-        .collect();
-    let mut checker = Checker::new(CheckConfig::with_metadata(merged_ranges));
-    checker.push_all(&merge_shard_traces(traces, shard_capacity));
-    let r = checker.report();
-    if !r.is_clean() {
-        violations += r.violations.len();
-        eprintln!("--- merged trace at {frac_pct}% spanning ---\n{r}");
-    }
+    let violations = violations(&rig.audit(), &format!("{frac_pct}% spanning"));
 
     MixPoint {
         txns,

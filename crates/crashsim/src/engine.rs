@@ -24,7 +24,8 @@
 //! * [`Cut`] — how the power fails: adversarially on every device, a
 //!   process kill, or one exact persist frontier of the tripped device;
 //! * [`audit`] — the persist-order check of every shard's trace and of
-//!   the merged pool-wide trace;
+//!   the merged pool-wide trace, as an [`Audit`] of reports that a
+//!   campaign folds into its first [`Finding`] and a figure counts;
 //! * [`BlockOracle`] — the payload images, the durable map and the
 //!   in-flight transactions, judged after recovery.
 
@@ -354,13 +355,13 @@ impl Rig {
         }
         pool.check_consistency()
             .map_err(|e| Check::Internals.found(e))?;
-        self.audit()?;
+        self.audit().verdict()?;
         oracle.check(pool)
     }
 
     /// The persist-order [`audit`] of everything the devices traced since
     /// the last one.
-    pub fn audit(&self) -> Result<(), Finding> {
+    pub fn audit(&self) -> Audit {
         audit(&self.devices, &self.metadata)
     }
 
@@ -403,7 +404,7 @@ pub struct Writers {
 
 impl Writers {
     /// The plain script: one writer committing each transaction in turn.
-    pub fn serial(plan: Vec<TxnSpec>) -> Writers {
+    pub(crate) fn serial(plan: Vec<TxnSpec>) -> Writers {
         Writers {
             queues: vec![plan.into_iter().map(Some).collect()],
             sched: Sched {
@@ -484,7 +485,7 @@ pub struct PoolApp<W> {
 }
 
 impl<W: Workload> PoolApp<W> {
-    pub fn new(rig: Rig, pool: TincaPool, oracle: BlockOracle, work: W) -> PoolApp<W> {
+    pub(crate) fn new(rig: Rig, pool: TincaPool, oracle: BlockOracle, work: W) -> PoolApp<W> {
         PoolApp {
             rig,
             pool,
@@ -496,7 +497,7 @@ impl<W: Workload> PoolApp<W> {
 
     /// A freshly formatted pool of `cfg` with [`SHARD_BYTES`] shards, and
     /// an oracle over blocks `0..blocks` with the images `cfg` calls for.
-    pub fn fresh(cfg: &PoolConfig, blocks: u64, work: W) -> PoolApp<W> {
+    pub(crate) fn fresh(cfg: &PoolConfig, blocks: u64, work: W) -> PoolApp<W> {
         let (rig, pool) = Rig::new(cfg.clone(), SHARD_BYTES);
         let oracle = rig.oracle(blocks);
         PoolApp::new(rig, pool, oracle, work)
@@ -608,22 +609,25 @@ impl Cut<'_> {
 
 /// The persist-order audit of everything `devices` traced since the last
 /// audit: each shard's trace against its own `metadata` ranges, then,
-/// with several shards, the merged pool-wide trace — the spanning
-/// intent's publish/resolve/retire stores on shard 0 must be ordered like
-/// any other commit point.
-pub fn audit(devices: &[Nvm], metadata: &[Vec<Range<usize>>]) -> Result<(), Finding> {
-    let check = |what: String, ranges: Vec<Range<usize>>, trace: &[nvmsim::TracedOp]| {
+/// with several shards, the merged pool-wide trace, its addresses and
+/// ranges rebased by `s * capacity` — the spanning intent's
+/// publish/resolve/retire stores on shard 0 must be ordered like any
+/// other commit point.
+pub fn audit(devices: &[Nvm], metadata: &[Vec<Range<usize>>]) -> Audit {
+    let report = |ranges: Vec<Range<usize>>, trace: &[nvmsim::TracedOp]| {
         let mut checker = Checker::new(CheckConfig::with_metadata(ranges));
         checker.push_all(trace);
-        persist_order(&what, &checker.report())
+        checker.report()
     };
     let traces: Vec<_> = devices.iter().map(|d| d.take_trace()).collect();
-    for (s, trace) in traces.iter().enumerate() {
-        check(format!("shard {s}"), metadata[s].clone(), trace)?;
-    }
-    if devices.len() > 1 {
+    let shards: Vec<Report> = traces
+        .iter()
+        .zip(metadata)
+        .map(|(trace, ranges)| report(ranges.clone(), trace))
+        .collect();
+    let merged = if devices.len() > 1 {
         let capacity = devices[0].capacity();
-        let merged = metadata
+        let ranges = metadata
             .iter()
             .enumerate()
             .flat_map(|(s, ranges)| {
@@ -632,13 +636,40 @@ pub fn audit(devices: &[Nvm], metadata: &[Vec<Range<usize>>]) -> Result<(), Find
                     .map(move |r| r.start + s * capacity..r.end + s * capacity)
             })
             .collect();
-        check(
-            "merged trace".into(),
-            merged,
-            &merge_shard_traces(traces, capacity),
-        )?;
+        report(ranges, &merge_shard_traces(traces, capacity))
+    } else {
+        shards[0].clone()
+    };
+    Audit { shards, merged }
+}
+
+/// The reports of one [`audit`].
+pub struct Audit {
+    /// Each shard's report, in shard order.
+    pub shards: Vec<Report>,
+    /// The merged pool-wide trace's report. With one shard the shard's
+    /// trace is the pool's, and this is its report.
+    pub merged: Report,
+}
+
+impl Audit {
+    /// Every view with its name: each shard, then, with several shards,
+    /// the merged trace.
+    pub fn views(&self) -> impl Iterator<Item = (String, &Report)> {
+        let merged = (self.shards.len() > 1).then(|| ("merged trace".to_string(), &self.merged));
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(s, r)| (format!("shard {s}"), r))
+            .chain(merged)
     }
-    Ok(())
+
+    /// The audit as a verdict: a [`Check::PersistOrder`] finding naming
+    /// the first correctness rule that fired, view by view.
+    pub fn verdict(&self) -> Result<(), Finding> {
+        self.views()
+            .try_for_each(|(what, report)| persist_order(&what, report))
+    }
 }
 
 /// An analyzer report as a verdict: a [`Check::PersistOrder`] finding

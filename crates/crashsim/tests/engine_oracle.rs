@@ -7,7 +7,7 @@ use blockdev::BLOCK_SIZE;
 use crashsim::engine::{audit, BlockOracle, Images, Rig};
 use crashsim::Check;
 use nvmsim::CACHE_LINE;
-use persistcheck::Rule;
+use persistcheck::{Report, Rule};
 use tinca::{PoolConfig, TincaConfig, TincaPool};
 
 const BLOCKS: u64 = 16;
@@ -82,11 +82,32 @@ fn an_unflushed_metadata_store_under_a_commit_record_fails_the_audit() {
     let metadata: Vec<_> = (0..2).map(|s| pool.shard_metadata_ranges(s)).collect();
     let end = metadata[1][0].end;
     let device = &rig.devices[1];
-    device.write(end - 2 * CACHE_LINE, &[0xEE; 8]);
+    let (unflushed, torn) = (end - 2 * CACHE_LINE, 0);
+    device.write(unflushed, &[0xEE; 8]);
     device.note_commit(end - CACHE_LINE, 8);
-    let e = audit(&rig.devices, &metadata).unwrap_err();
+    // A durable metadata line, then two plain words into it: only the
+    // metadata ranges make the second store a torn update.
+    device.write(torn, &[0xEE; 8]);
+    device.clflush(torn, 8);
+    device.sfence();
+    device.write(torn, &[0xEE; 16]);
+    let audit = audit(&rig.devices, &metadata);
+    let e = audit.verdict().unwrap_err();
     assert_eq!(e.check, Check::PersistOrder(Rule::MissingFlush), "{e}");
     assert!(e.detail.starts_with("shard 1:"), "{e}");
+    // The merged view flags both stores at their rebased addresses, the
+    // torn one only if the metadata ranges were rebased with them.
+    let flagged = |r: &Report| -> Vec<(Rule, usize)> {
+        r.violations.iter().map(|v| (v.rule, v.addr)).collect()
+    };
+    let expected = |base: usize| {
+        [
+            (Rule::MissingFlush, base + unflushed),
+            (Rule::TornUpdate, base + torn),
+        ]
+    };
+    assert_eq!(flagged(&audit.shards[1]), expected(0));
+    assert_eq!(flagged(&audit.merged), expected(device.capacity()));
 }
 
 #[test]

@@ -403,7 +403,9 @@ fn every_cut_of_a_failed_tagged_fragment_recovers_clean() {
                 assert_eq!(read_block(&pool, 0), fill(0x33), "{what}");
                 pool.check_consistency()
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
-                rig.audit().unwrap_or_else(|e| panic!("{what}: {e}"));
+                rig.audit()
+                    .verdict()
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
             }
         }
     }
@@ -522,7 +524,9 @@ fn cut_recovery(
 
     // Format, commits, three power cuts, three recoveries — in persist
     // order, on every shard and merged.
-    rig.audit().unwrap_or_else(|e| panic!("{what}: {e}"));
+    rig.audit()
+        .verdict()
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
 }
 
 const DELTA: Setup = Setup {
@@ -592,7 +596,9 @@ fn every_crash_instant_of_a_delta_staged_commit_is_all_or_nothing() {
                 }
                 pool.check_consistency()
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
-                rig.audit().unwrap_or_else(|e| panic!("{what}: {e}"));
+                rig.audit()
+                    .verdict()
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
             }
         }
         assert!(saw_back, "{shards} shard(s): no instant rolled back");

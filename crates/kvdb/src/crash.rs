@@ -232,7 +232,7 @@ impl<S: Personality> Crashable for KvApp<S> {
         db.store_mut().check()?;
         // Per-shard and merged persist-order cleanliness of the whole
         // trace: format, workload, crash, recovery.
-        audit(&self.devices, &self.metadata)?;
+        audit(&self.devices, &self.metadata).verdict()?;
         let staged = self
             .plan
             .get(self.committed_count)

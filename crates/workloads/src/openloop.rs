@@ -502,22 +502,13 @@ pub struct OpenLoopReport {
 }
 
 impl OpenLoopReport {
-    fn per_sec(&self, n: u64) -> f64 {
-        if self.horizon_ns == 0 {
-            return 0.0;
-        }
-        n as f64 / (self.horizon_ns as f64 / 1e9)
-    }
-
-    /// Measured offered rate over the run's horizon.
-    pub fn offered_ops_per_sec(&self) -> f64 {
-        self.per_sec(self.offered)
-    }
-
     /// Completions per second — the delivered-throughput axis of the
     /// knee curve.
     pub fn delivered_ops_per_sec(&self) -> f64 {
-        self.per_sec(self.completed)
+        if self.horizon_ns == 0 {
+            return 0.0;
+        }
+        self.completed as f64 / (self.horizon_ns as f64 / 1e9)
     }
 
     pub fn p50(&self) -> Option<u64> {

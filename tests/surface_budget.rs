@@ -14,19 +14,20 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Line-start `pub` declarations allowed under each crate's `src/`.
-const PUB_BUDGETS: [(&str, usize); 12] = [
+const PUB_BUDGETS: [(&str, usize); 13] = [
     ("core", 69),
     ("fssim", 80),
     ("ubj", 31),
     ("classic", 61),
     ("cluster", 36),
-    ("workloads", 125),
+    ("workloads", 124),
     ("telemetry", 106),
     ("nvmsim", 82),
     ("kvdb", 76),
     ("crashsim", 86),
     ("blockdev", 49),
     ("persistcheck", 19),
+    ("bench", 92),
 ];
 
 /// Non-test `Result<…, String>` lines allowed under `crates/*/src`.
