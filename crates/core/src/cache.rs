@@ -12,7 +12,8 @@ use crate::entryset::EntrySet;
 use crate::freemon::FreeMonitor;
 use crate::layout::{
     mw_desc_addr, mw_state_word, slot_value, split_slot, Layout, DATA_BLOCKS_OFF, ENTRY_COUNT_OFF,
-    HEAD_OFF, MAGIC, MAGIC_OFF, MW_DEAD_TAG, MW_FREE, MW_RESERVED, RING_CAP_OFF, TAIL_OFF,
+    HEAD_OFF, MAGIC, MAGIC_OFF, MW_ARMED_OFF, MW_DEAD_TAG, MW_DESC_BYTES, MW_DESC_OFF, MW_FREE,
+    MW_RESERVED, MW_WINDOWS, RING_CAP_OFF, TAIL_OFF,
 };
 use crate::lru::LruList;
 use crate::pool::ring::{MwMeta, MwWindow};
@@ -186,10 +187,21 @@ pub(crate) struct TincaCache {
 }
 
 impl TincaCache {
-    /// Formats the NVM region and creates an empty cache.
-    pub(crate) fn format(nvm: Nvm, disk: DynDisk, cfg: TincaConfig) -> Self {
+    /// Formats the NVM region and creates an empty cache. `arm` arms the
+    /// window-descriptor table for a lock-free ring pool (`MW_ARMED_OFF`
+    /// in the layout module); a format without it disarms the region.
+    pub(crate) fn format(nvm: Nvm, disk: DynDisk, cfg: TincaConfig, arm: bool) -> Self {
         let layout = Layout::compute(nvm.capacity(), cfg.ring_bytes);
-        // Zero the entry array so every entry decodes as invalid.
+        // The armed word is persisted the moment it is stored, so on the
+        // quiesced region a format runs on the persistent image holds its
+        // current value; like the destage scan's entry reads, the peek is
+        // not charged to the clock.
+        let mut armed = [0u8; 8];
+        nvm.read_persistent(MW_ARMED_OFF, &mut armed);
+        let armed = u64::from_le_bytes(armed) != 0;
+        // Zero the entry array so every entry decodes as invalid, and an
+        // armed region's descriptor table, which may hold a previous
+        // life's windows, before the header below can disarm it.
         let zeros = vec![0u8; 64 << 10];
         let entry_bytes = layout.entry_count as usize * crate::layout::ENTRY_BYTES;
         let mut off = 0;
@@ -199,11 +211,19 @@ impl TincaCache {
             nvm.clflush(layout.entries_off + off, n);
             off += n;
         }
+        if armed {
+            let table = MW_WINDOWS * MW_DESC_BYTES;
+            nvm.write(MW_DESC_OFF, &zeros[..table]);
+            nvm.clflush(MW_DESC_OFF, table);
+        }
         nvm.sfence();
         // Header fields; magic last so a half-formatted region is invalid.
         nvm.atomic_write_u64(RING_CAP_OFF, layout.ring_cap);
         nvm.atomic_write_u64(ENTRY_COUNT_OFF, layout.entry_count as u64);
         nvm.atomic_write_u64(DATA_BLOCKS_OFF, layout.data_blocks as u64);
+        if arm != armed {
+            nvm.atomic_write_u64(MW_ARMED_OFF, arm.into());
+        }
         nvm.atomic_write_u64(HEAD_OFF, 0);
         nvm.atomic_write_u64(TAIL_OFF, 0);
         nvm.persist(0, 192);
@@ -1836,6 +1856,7 @@ mod tests {
                 ring_bytes: 4096,
                 ..cfg
             },
+            false,
         )
     }
 
@@ -2035,6 +2056,7 @@ mod tests {
                 ring_bytes: 4096,
                 ..destage_cfg(false)
             },
+            false,
         );
         let span = u64::from(c.layout.data_blocks) + 10;
         write_cycle(&mut c, span * 2, span);
@@ -2058,7 +2080,8 @@ mod tests {
         let dirty_before = c.dirty_idx.len();
         let (nvm, disk, cfg) = (c.nvm.clone(), c.disk.clone(), c.cfg.clone());
         drop(c);
-        let rec = TincaCache::recover_with_intent(nvm, disk, cfg, SpanningIntent::None).unwrap();
+        let rec =
+            TincaCache::recover_with_intent(nvm, disk, cfg, SpanningIntent::None, false).unwrap();
         rec.check_consistency().unwrap();
         assert_eq!(rec.dirty_idx.len(), dirty_before);
     }
@@ -2125,7 +2148,7 @@ mod tests {
             ring_bytes: 4096,
             ..TincaConfig::default()
         };
-        let mut c = TincaCache::format(nvm, log.clone(), cfg);
+        let mut c = TincaCache::format(nvm, log.clone(), cfg, false);
         let blocks = [907u64, 3, 512, 44, 9000, 45, 128, 7];
         for &b in &blocks {
             let mut t = Txn::new();

@@ -12,6 +12,11 @@ pub(crate) const MAGIC_OFF: usize = 0;
 pub(crate) const RING_CAP_OFF: usize = 8;
 pub(crate) const ENTRY_COUNT_OFF: usize = 16;
 pub(crate) const DATA_BLOCKS_OFF: usize = 24;
+/// The **descriptors-armed** word: nonzero once the region may hold
+/// multi-writer window descriptors (see [`MW_DESC_OFF`]). It shares line
+/// 0 with the geometry, so recovery reads it with the load it already
+/// issues, and loads the descriptor table only when it is set.
+pub(crate) const MW_ARMED_OFF: usize = 32;
 pub(crate) const HEAD_OFF: usize = 64;
 pub(crate) const TAIL_OFF: usize = 128;
 
@@ -67,9 +72,13 @@ pub fn intent_tag(intent_id: u64) -> u8 {
 
 /// Byte offset of the **multi-writer window descriptor table**: one cache
 /// line per descriptor, used only when the pool runs the lock-free commit
-/// path ([`crate::CommitMode::LockFreeRing`]). Formatting never touches
-/// this region, so an all-zero table means "no window in flight" on fresh,
-/// legacy, and mutex-mode regions alike. A descriptor is four 8 B words:
+/// path ([`crate::CommitMode::LockFreeRing`]). An all-zero table means "no
+/// window in flight". The table is *armed* ([`MW_ARMED_OFF`]) by a
+/// ring-mode format or recovery, persisted before any descriptor can be
+/// written; nothing but a format clears the word, and a format that finds
+/// it set zeroes the table first, so a clear word implies an all-zero
+/// table on fresh, re-formatted and mutex-mode regions alike. A
+/// descriptor is four 8 B words:
 /// the state word, the window's first ring sequence number, its length,
 /// and a reserved word written 0. Only single-shard windows have one — a
 /// spanning fragment commits on a quiesced shard through the mutex path's
@@ -127,10 +136,14 @@ const _: () = assert!(INTENT_OFF.is_multiple_of(64));
 const _: () = assert!(INTENT_OFF >= TAIL_OFF + 8);
 const _: () = assert!(INTENT_SHARDS_OFF + 8 <= HEADER_BYTES);
 
+// The armed word shares line 0 with the geometry words recovery
+// validates, ahead of `Head`'s line.
+const _: () = assert!(MW_ARMED_OFF == DATA_BLOCKS_OFF + 8 && MW_ARMED_OFF + 8 <= HEAD_OFF);
+
 // The descriptor table must sit inside the header — cache-line aligned,
 // after the intent record's line, one line per descriptor — so the
-// existing metadata ranges `0..data_off` cover it and formatting (which
-// persists only `0..INTENT_OFF` plus the magic) leaves it all-zero.
+// existing metadata ranges `0..data_off` cover it and the header persist
+// of a format (`0..INTENT_OFF`) never reaches it.
 const _: () = assert!(MW_DESC_OFF.is_multiple_of(64));
 const _: () = assert!(MW_DESC_OFF >= INTENT_SHARDS_OFF + 8);
 const _: () = assert!(MW_DESC_BYTES == 64);

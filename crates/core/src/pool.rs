@@ -216,7 +216,9 @@ pub struct TincaPool {
 impl TincaPool {
     /// Formats one cache region per device and assembles the pool.
     /// `devices[i]` becomes shard `i`; all shards share the backing disk
-    /// (their disk-block sets are disjoint by routing).
+    /// (their disk-block sets are disjoint by routing). A
+    /// [`CommitMode::LockFreeRing`] pool arms each region's window
+    /// descriptors (DESIGN §16).
     pub fn format(devices: Vec<Nvm>, disk: DynDisk, cfg: PoolConfig) -> Self {
         assert_eq!(
             devices.len(),
@@ -225,19 +227,35 @@ impl TincaPool {
         );
         assert!(cfg.shards >= 1, "pool needs at least one shard");
         Self::check_mode(&cfg);
+        let ring = cfg.commit_mode == CommitMode::LockFreeRing;
         let shards = devices
             .into_iter()
             .enumerate()
             .map(|(i, nvm)| {
-                Self::shard(i, TincaCache::format(nvm, disk.clone(), cfg.cache.clone()))
+                Self::shard(
+                    i,
+                    TincaCache::format(nvm, disk.clone(), cfg.cache.clone(), ring),
+                )
             })
             .collect();
-        TincaPool {
+        Self::publish(TincaPool {
             shards,
             disk,
             commit_mode: cfg.commit_mode,
             spanning: StdMutex::new(0),
+        })
+    }
+
+    /// Ends a format or a recovery: each shard's cache mutex is released
+    /// on its trace, so the thread that built the regions happens-before
+    /// every later holder of the lock (the ring's writers included) — the
+    /// edge spawning them provides, which the trace does not otherwise
+    /// model.
+    fn publish(pool: TincaPool) -> TincaPool {
+        for sh in &pool.shards {
+            sh.nvm.note_lock_release(sh.sync_base + SYNC_CACHE_MUTEX);
         }
+        pool
     }
 
     /// The lock-free path stages payloads outside the cache lock and
@@ -255,7 +273,9 @@ impl TincaPool {
     /// device) first and hands each shard's §4.5 recovery the same
     /// roll-forward/roll-back directive, so an interrupted spanning
     /// transaction rolls the same direction on every shard; the record is
-    /// retired only once every shard has recovered.
+    /// retired only once every shard has recovered. A
+    /// [`CommitMode::LockFreeRing`] pool arms the window descriptors of a
+    /// region formatted for the mutex path (DESIGN §16).
     ///
     /// A pool needs one device per configured shard and at least one
     /// shard; anything else is [`TincaError::GeometryMismatch`] on field
@@ -270,6 +290,7 @@ impl TincaPool {
             });
         }
         Self::check_mode(&cfg);
+        let ring = cfg.commit_mode == CommitMode::LockFreeRing;
         // Single-shard pools never write the record; skipping the read
         // keeps `N = 1` recovery bit-for-bit identical to a bare cache.
         let intent = if cfg.shards > 1 {
@@ -287,6 +308,7 @@ impl TincaPool {
                     disk.clone(),
                     cfg.cache.clone(),
                     intent,
+                    ring,
                 )?,
             ));
         }
@@ -301,12 +323,12 @@ impl TincaPool {
             host.persist(INTENT_OFF, 16);
             host.note_commit(INTENT_OFF, 64);
         }
-        Ok(TincaPool {
+        Ok(Self::publish(TincaPool {
             shards,
             disk,
             commit_mode: cfg.commit_mode,
             spanning: StdMutex::new(0),
-        })
+        }))
     }
 
     fn shard(index: usize, cache: TincaCache) -> Shard {
@@ -691,8 +713,9 @@ impl TincaPool {
 
     /// NVM metadata byte ranges of shard `s` (header + ring + entry table,
     /// in that shard's device address space) for persist-order analysis.
+    /// Read from the fixed layout, without the cache lock.
     pub fn shard_metadata_ranges(&self, s: usize) -> Vec<std::ops::Range<usize>> {
-        let metadata = 0..self.shards[s].lock_cache().layout().data_off;
+        let metadata = 0..self.shards[s].layout.data_off;
         vec![metadata]
     }
 
@@ -771,7 +794,7 @@ mod tests {
 
         // Reference: bare cache.
         let (nvm_a, disk_a) = mk();
-        let mut cache = TincaCache::format(nvm_a.clone(), disk_a.clone(), cache_cfg());
+        let mut cache = TincaCache::format(nvm_a.clone(), disk_a.clone(), cache_cfg(), false);
         // Pool under test: one shard on an identical device.
         let (nvm_b, disk_b) = mk();
         let pool_cfg = PoolConfig {
@@ -852,6 +875,7 @@ mod tests {
             disk_a,
             cache_cfg(),
             SpanningIntent::None,
+            false,
         )
         .unwrap();
         let p = TincaPool::recover(vec![nvm_b.clone()], disk_b, pool_cfg).unwrap();

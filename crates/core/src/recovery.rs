@@ -19,15 +19,16 @@
 //!
 //! ## One decoded table
 //!
-//! Recovery loads each metadata line it needs once: line 0 (magic and
-//! geometry), `Head`, `Tail`, the descriptor table, the ring window, and
-//! the entry table, read a page at a time and decoded into one DRAM
-//! `Vec<CacheEntry>`. Every judgment pass and the DRAM rebuild run over
-//! that table, and **every recovery store that changes an entry updates
-//! the table in the same step** (the roll-forward stores the switched
-//! entry it writes, a revoke the entry [`TincaCache::revoke_entry`]
-//! persisted), so the table always equals the device and no entry is
-//! loaded twice. The stores, flushes and fences are the ones a per-entry
+//! Recovery loads each metadata line it needs once: line 0 (magic,
+//! geometry and the descriptors-armed word), `Head`, `Tail`, the
+//! descriptor table when line 0 says a lock-free ring armed it, the ring
+//! window, and the entry table, read a page at a time and decoded into
+//! one DRAM `Vec<CacheEntry>`. Every judgment pass and the DRAM rebuild
+//! run over that table, and **every recovery store that changes an entry
+//! updates the table in the same step** (the roll-forward stores the
+//! switched entry it writes, a revoke the entry
+//! [`TincaCache::revoke_entry`] persisted), so the table always equals
+//! the device and no entry is loaded twice. The stores, flushes and fences are the ones a per-entry
 //! reload would issue, in the same order; only the loads differ.
 //!
 //! Recovery is **idempotent**: revoked entries carry the `prev == cur`
@@ -56,14 +57,15 @@ use crate::cache::{DynDisk, TincaCache};
 use crate::entry::{CacheEntry, Role};
 use crate::layout::{
     intent_tag, mw_split_state, split_slot, Layout, DATA_BLOCKS_OFF, ENTRY_BYTES, ENTRY_COUNT_OFF,
-    HEAD_OFF, INTENT_PREPARED, INTENT_RESOLVED, MAGIC, MAGIC_OFF, MW_DEAD_TAG, MW_DESC_BYTES,
-    MW_DESC_OFF, MW_STAGED, MW_WINDOWS, RING_CAP_OFF, RING_SLOT_BYTES, TAIL_OFF,
+    HEAD_OFF, INTENT_PREPARED, INTENT_RESOLVED, MAGIC, MAGIC_OFF, MW_ARMED_OFF, MW_DEAD_TAG,
+    MW_DESC_BYTES, MW_DESC_OFF, MW_STAGED, MW_WINDOWS, RING_CAP_OFF, RING_SLOT_BYTES, TAIL_OFF,
 };
 use crate::{TincaConfig, TincaError};
 
-/// The header words recovery validates — magic, ring capacity, entry
-/// count, data blocks — share line 0, so one load reads them all.
-const HEADER_WORDS_BYTES: usize = DATA_BLOCKS_OFF + 8;
+/// The header words recovery reads — magic, ring capacity, entry count,
+/// data blocks, descriptors armed — share line 0, so one load reads them
+/// all.
+const HEADER_WORDS_BYTES: usize = MW_ARMED_OFF + 8;
 const _: () = assert!(MAGIC_OFF == 0 && HEADER_WORDS_BYTES <= CACHE_LINE);
 
 /// The `N` bytes at `off` of a loaded range, for little-endian decoding.
@@ -125,11 +127,14 @@ impl TincaCache {
     /// validates the header, revokes any incomplete transaction — rolling
     /// fragments of the pool-supplied spanning `intent` its way (module
     /// docs) — and rebuilds the DRAM index/LRU/free monitors (§4.5, §4.6).
+    /// With `arm`, an unarmed region leaves recovery armed for a lock-free
+    /// ring; recovery never disarms one.
     pub(crate) fn recover_with_intent(
         nvm: Nvm,
         disk: DynDisk,
         cfg: TincaConfig,
         intent: SpanningIntent,
+        arm: bool,
     ) -> Result<Self, TincaError> {
         let _t = telemetry::span(telemetry::phase::RECOVERY);
         let scan = telemetry::span(telemetry::phase::RECOVERY_SCAN);
@@ -166,13 +171,20 @@ impl TincaCache {
                 });
             }
         }
+        // A clear armed word means an all-zero descriptor table (layout
+        // module), which judges exactly as no table at all.
+        let armed = word(MW_ARMED_OFF) != 0;
         let head = nvm.read_u64(HEAD_OFF);
         let tail = nvm.read_u64(TAIL_OFF);
         let mut cache = Self::recovery_parts(nvm, disk, cfg, layout, head, tail);
-        let descriptors = cache.load_descriptors();
+        let descriptors = if armed {
+            cache.load_descriptors()
+        } else {
+            Vec::new()
+        };
         let entries = cache.load_entries();
         drop(scan);
-        cache.run_recovery(intent, &descriptors, entries)?;
+        cache.run_recovery(intent, &descriptors, entries, arm && !armed)?;
         Ok(cache)
     }
 
@@ -232,6 +244,7 @@ impl TincaCache {
         intent: SpanningIntent,
         mw_desc: &[(usize, u64, u64, u64)],
         mut entries: Vec<CacheEntry>,
+        arm: bool,
     ) -> Result<(), TincaError> {
         let judge = telemetry::span(telemetry::phase::RECOVERY_JUDGE);
         let (head, tail) = self.head_tail();
@@ -382,6 +395,12 @@ impl TincaCache {
             }
             self.nvm().sfence();
         }
+        // Arm the (all-zero) descriptor table for a lock-free ring before
+        // its first window can be written.
+        if arm {
+            self.nvm().atomic_write_u64(MW_ARMED_OFF, 1);
+            self.nvm().persist(MW_ARMED_OFF, 8);
+        }
         drop(close);
 
         // Pass 4: rebuild the DRAM structures from the surviving entries
@@ -472,7 +491,7 @@ mod tests {
         let clock = SimClock::new();
         let nvm = NvmDevice::new(NvmConfig::new(1 << 20, NvmTech::Pcm), clock.clone());
         let disk: DynDisk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-        let mut cache = TincaCache::format(nvm.clone(), disk.clone(), cfg());
+        let mut cache = TincaCache::format(nvm.clone(), disk.clone(), cfg(), false);
         let mut t = Txn::new();
         t.write(3, &[3; BLOCK_SIZE]);
         t.write(5, &[5; BLOCK_SIZE]);
@@ -521,7 +540,7 @@ mod tests {
         ];
         for (want, corrupt) in cases {
             let (nvm, disk, victim) = corrupt_table(corrupt);
-            match TincaCache::recover_with_intent(nvm, disk, cfg(), SpanningIntent::None) {
+            match TincaCache::recover_with_intent(nvm, disk, cfg(), SpanningIntent::None, false) {
                 Err(TincaError::CorruptEntry { entry, fault, .. }) => {
                     assert_eq!((entry, fault), (victim, want));
                 }

@@ -10,7 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use blockdev::{BlockDevice, DiskKind, SimDisk, BLOCK_SIZE};
 use nvmsim::{CrashPolicy, CrashTripped, NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{PoolConfig, TincaConfig, TincaError, TincaPool, Txn};
+use tinca::{CommitMode, PoolConfig, TincaConfig, TincaError, TincaPool, Txn};
 
 const NVM_BYTES: usize = 1 << 20;
 const RING_BYTES: usize = 4096;
@@ -535,36 +535,46 @@ fn recover_with_wrong_geometry_returns_structured_error() {
 }
 
 /// Recovery's load cost, pinned: a clean-crash recovery loads each
-/// metadata line once — line 0 (magic and geometry), `Head`, `Tail`, the
-/// 32-line descriptor table, and the entry table's
-/// `⌈entry_count · 16 / 64⌉` lines — at two NVM sizes.
+/// metadata line once — line 0 (magic, geometry and the descriptors-armed
+/// word), `Head`, `Tail` and the entry table's `⌈entry_count · 16 / 64⌉`
+/// lines, plus the 32-line descriptor table on a lock-free ring pool,
+/// whose format armed it — at two NVM sizes.
 #[test]
 fn clean_recovery_loads_each_metadata_line_once() {
     const HEADER_LINES: u64 = 3;
     const DESCRIPTOR_LINES: u64 = 32;
-    for nvm_bytes in [NVM_BYTES, 4 << 20] {
-        let clock = SimClock::new();
-        let nvm = NvmDevice::new(NvmConfig::new(nvm_bytes, NvmTech::Pcm), clock.clone());
-        let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-        let cache = format(&nvm, &disk);
-        let mut t = cache.init_txn();
-        for b in 0..8u64 {
-            t.write(b, &blk(b as u8));
-        }
-        cache.commit(t).unwrap();
-        let entry_count = u64::from(cache.shard_layout(0).entry_count);
-        drop(cache);
-        nvm.crash(CrashPolicy::LoseVolatile);
+    for (commit_mode, descriptor_lines) in [
+        (CommitMode::Mutex, 0),
+        (CommitMode::LockFreeRing, DESCRIPTOR_LINES),
+    ] {
+        for nvm_bytes in [NVM_BYTES, 4 << 20] {
+            let clock = SimClock::new();
+            let nvm = NvmDevice::new(NvmConfig::new(nvm_bytes, NvmTech::Pcm), clock.clone());
+            let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
+            let cfg = PoolConfig {
+                commit_mode,
+                ..pool_cfg(tinca_cfg())
+            };
+            let cache = TincaPool::format(vec![nvm.clone()], disk.clone(), cfg.clone());
+            let mut t = cache.init_txn();
+            for b in 0..8u64 {
+                t.write(b, &blk(b as u8));
+            }
+            cache.commit(t).unwrap();
+            let entry_count = u64::from(cache.shard_layout(0).entry_count);
+            drop(cache);
+            nvm.crash(CrashPolicy::LoseVolatile);
 
-        let before = nvm.stats().lines_read;
-        let rec = recover(&nvm, &disk).unwrap();
-        let table_lines = (entry_count * 16).div_ceil(64);
-        assert_eq!(
-            nvm.stats().lines_read - before,
-            table_lines + HEADER_LINES + DESCRIPTOR_LINES,
-            "{nvm_bytes} B of NVM, {entry_count} entries"
-        );
-        rec.check_consistency().unwrap();
-        assert_eq!(observed(&rec, 7), 7);
+            let before = nvm.stats().lines_read;
+            let rec = TincaPool::recover(vec![nvm.clone()], disk.clone(), cfg).unwrap();
+            let table_lines = (entry_count * 16).div_ceil(64);
+            assert_eq!(
+                nvm.stats().lines_read - before,
+                table_lines + HEADER_LINES + descriptor_lines,
+                "{commit_mode:?}: {nvm_bytes} B of NVM, {entry_count} entries"
+            );
+            rec.check_consistency().unwrap();
+            assert_eq!(observed(&rec, 7), 7);
+        }
     }
 }

@@ -32,6 +32,9 @@ pub enum Check {
     /// The recovered contents are not the durable state plus each
     /// in-flight transaction, all or nothing.
     Oracle,
+    /// A second recovery of the recovered state changed it, or stored
+    /// more than its ring close (see [`crate::engine::run_one`]).
+    Fixpoint,
 }
 
 impl Check {

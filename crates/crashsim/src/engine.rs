@@ -37,7 +37,7 @@ use std::sync::Arc;
 use blockdev::{DiskKind, FaultPlan, FaultyDisk, SimDisk, BLOCK_SIZE};
 use nvmsim::{
     merge_shard_traces, shard_devices, CrashPolicy, CrashTripped, Nvm, NvmConfig, NvmDevice,
-    NvmTech, SimClock, CACHE_LINE,
+    NvmTech, SimClock, TraceEvent, TracedOp, CACHE_LINE,
 };
 use persistcheck::{CheckConfig, Checker, Report};
 use rand::rngs::StdRng;
@@ -70,6 +70,19 @@ pub trait Crashable {
     fn completed(&mut self) -> Result<(), Finding> {
         Ok(())
     }
+    /// Whether a second recovery must store nothing but the commit records
+    /// it annotates (the store clause of [`run_one`]'s fixpoint check). An
+    /// app whose recovery rewrites what it already holds returns `false`.
+    fn store_free_recovery(&self) -> bool {
+        true
+    }
+    /// Whether a second recovery must leave every persistent image
+    /// byte-identical (the image clause of the fixpoint check). An app whose
+    /// recovery leaves work of its own for the next one returns `false`,
+    /// and keeps only the read-back.
+    fn stable_recovery(&self) -> bool {
+        true
+    }
 }
 
 /// A crash campaign: builds the app for a seed, with the trip and the cut
@@ -85,12 +98,24 @@ pub trait Plan {
 
 /// One crash experiment: arms `trip`, drives `app` until it returns (the
 /// run completed) or the trip cuts it, and then fails the power per `cut`,
-/// recovers and verifies.
+/// recovers and verifies. A recovered and verified run then checks that
+/// recovery is a fixpoint — an interrupted operation resolves exactly
+/// once, so a second recovery changes nothing: every device's persistent
+/// image is kept, the power fails again with nothing in flight
+/// ([`Cut::LoseVolatile`]) and the app recovers; the images must be
+/// byte-identical, the second recovery must store nothing but the commit
+/// records it annotates — the ring close's `Tail := Head` — and the app
+/// must verify again ([`Check::Fixpoint`]). An app may opt out of the
+/// image or store clause ([`Crashable::stable_recovery`],
+/// [`Crashable::store_free_recovery`]). A debug build checks the fixpoint
+/// on the runs whose trip event is a multiple of 8, a subset drawn with the
+/// trip from the seed; a release build on every run.
 pub fn run_one(app: &mut impl Crashable, trip: Trip, cut: Cut<'_>) -> AppOutcome {
     quiet_crash_panics();
     let _seed_span = telemetry::span(telemetry::phase::CRASH_SEED);
     let devices = app.devices().to_vec();
     devices[trip.dev].set_trip(Some(trip.at));
+    let fixpoint_due = !cfg!(debug_assertions) || trip.at.is_multiple_of(DEBUG_FIXPOINT_STRIDE);
     match tripped(&devices, || app.drive()) {
         Some(verdict) => AppOutcome {
             crashed: false,
@@ -98,9 +123,82 @@ pub fn run_one(app: &mut impl Crashable, trip: Trip, cut: Cut<'_>) -> AppOutcome
         },
         None => AppOutcome {
             crashed: true,
-            verdict: app.recover(cut).and_then(|()| app.verify()),
+            verdict: app.recover(cut).and_then(|()| app.verify()).and_then(|()| {
+                if fixpoint_due {
+                    fixpoint(app)
+                } else {
+                    Ok(())
+                }
+            }),
         },
     }
+}
+
+/// The stride of the runs a debug build checks for a recovery fixpoint
+/// (see [`run_one`]), which keeps the campaigns' tier-1 pins fast.
+const DEBUG_FIXPOINT_STRIDE: u64 = 8;
+
+/// [`run_one`]'s fixpoint check of a recovered and verified `app`.
+fn fixpoint(app: &mut impl Crashable) -> Result<(), Finding> {
+    let devices = app.devices().to_vec();
+    let images: Vec<Vec<u8>> = if app.stable_recovery() {
+        devices.iter().map(persistent_image).collect()
+    } else {
+        Vec::new()
+    };
+    app.recover(Cut::LoseVolatile)?;
+    for (s, (d, before)) in devices.iter().zip(&images).enumerate() {
+        let after = persistent_image(d);
+        if after != *before {
+            let at = after.iter().zip(before).take_while(|(a, b)| a == b).count();
+            return Err(Check::Fixpoint.found(format_args!(
+                "device {s}: a second recovery changed the image at byte {at:#x}"
+            )));
+        }
+    }
+    if app.store_free_recovery() {
+        for (s, d) in devices.iter().enumerate() {
+            if let Some(store) = recovery_store(&d.trace_snapshot()) {
+                return Err(Check::Fixpoint.found(format_args!(
+                    "device {s}: a second recovery stored {store:?}"
+                )));
+            }
+        }
+    }
+    app.verify()
+}
+
+/// The whole persistent image of `d`.
+fn persistent_image(d: &Nvm) -> Vec<u8> {
+    let mut image = vec![0u8; d.capacity()];
+    d.read_persistent(0, &mut image);
+    image
+}
+
+/// The first store `trace` holds after its last crash that is not an 8 B
+/// commit record the same recovery annotates.
+fn recovery_store(trace: &[TracedOp]) -> Option<TraceEvent> {
+    let since = trace
+        .iter()
+        .rposition(|op| op.event == TraceEvent::Crash)
+        .map_or(0, |i| i + 1);
+    let recovery = &trace[since..];
+    let commits: HashSet<usize> = recovery
+        .iter()
+        .filter_map(|op| match op.event {
+            TraceEvent::Commit { addr, len: 8 } => Some(addr),
+            _ => None,
+        })
+        .collect();
+    recovery
+        .iter()
+        .map(|op| &op.event)
+        .find(|event| match **event {
+            TraceEvent::AtomicStore { addr, len: 8 } => !commits.contains(&addr),
+            TraceEvent::Store { .. } | TraceEvent::AtomicStore { .. } => true,
+            _ => false,
+        })
+        .cloned()
 }
 
 /// Runs `plan` once per seed of `seeds` through [`run_one`]. A run counts

@@ -193,4 +193,10 @@ impl Crashable for FsApp {
     fn verify(&mut self) -> Result<(), Finding> {
         self.harness.verify(&self.oracle)
     }
+
+    /// UBJ's recovery clears its publish flag with a persisted store
+    /// whether or not the flag was set.
+    fn store_free_recovery(&self) -> bool {
+        self.harness.stack().config.system != System::Ubj
+    }
 }

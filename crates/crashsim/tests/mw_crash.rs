@@ -127,3 +127,18 @@ fn mw_seeded_frontier_enumeration_recovers_clean() {
     assert!(report.clean(), "{:#?}", report.violations);
     assert!(report.epochs_total > 0, "probe found no workload epochs");
 }
+
+/// `bench mw_scaling --quick`'s two campaigns. `Rig` reads each shard's
+/// metadata ranges without taking the cache lock, so the only edge from
+/// the formatting (or recovering) thread to the ring's writers in the
+/// trace is the cache-mutex release `TincaPool::format` and
+/// `TincaPool::recover` end with. Without it the sweep reports 15
+/// `UnorderedCommit` violations: a commit covers lines whose fence no
+/// edge orders before it.
+#[test]
+fn format_and_recover_publish_the_regions_to_the_ring_writers() {
+    let fuzz = sweep(&ring(2, 20), 0x3757_B900..0x3757_B900 + 40);
+    assert!(fuzz.clean(), "{:#?}", fuzz.violations);
+    let frontier = frontier(&ring(2, 3), 0x3757_B901..0x3757_B902, 6);
+    assert!(frontier.clean(), "{:#?}", frontier.violations);
+}

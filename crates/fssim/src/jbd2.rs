@@ -94,7 +94,9 @@ impl Jbd2 {
 
     /// Opens the journal after a crash: replays every fully committed
     /// transaction (writing its blocks to their home locations) and resets
-    /// the log.
+    /// the log. A replay that applied nothing leaves the log as the
+    /// superblock already describes it, and writes nothing, so mounting a
+    /// recovered journal again is a fixpoint.
     pub(crate) fn recover(geo: &Geometry, backend: &mut Backend) -> Result<Jbd2, FsError> {
         let mut sb = [0u8; BLOCK_SIZE];
         backend.read(geo.journal_off, &mut sb)?;
@@ -114,7 +116,9 @@ impl Jbd2 {
             stats: JournalStats::default(),
         };
         j.replay(backend)?;
-        j.write_sb(backend)?;
+        if j.stats.replayed_txns > 0 {
+            j.write_sb(backend)?;
+        }
         Ok(j)
     }
 

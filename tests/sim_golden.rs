@@ -82,7 +82,7 @@ const BEFORE_CRASH: Golden = Golden {
 /// After the torn commit, `crash(Random(SEED + shard))`, `recover` and the
 /// read-back.
 const AFTER_RECOVERY: Golden = Golden {
-    nvm_clock_ns: [10_687_642, 10_386_609],
+    nvm_clock_ns: [10_684_122, 10_383_089],
     disk_clock_ns: 25_600_000,
     nvm: [
         NvmStats {
@@ -90,18 +90,18 @@ const AFTER_RECOVERY: Golden = Golden {
             sfence: 2239,
             atomic_stores: 2632,
             lines_written: 34734,
-            lines_read: 7390,
+            lines_read: 7358,
             bytes_stored: 2105080,
-            bytes_read: 413496,
+            bytes_read: 411456,
         },
         NvmStats {
             clflush: 33067,
             sfence: 1713,
             atomic_stores: 2007,
             lines_written: 33065,
-            lines_read: 9105,
+            lines_read: 9073,
             bytes_stored: 2021688,
-            bytes_read: 523920,
+            bytes_read: 521880,
         },
     ],
     disk: DiskStats {
@@ -270,15 +270,15 @@ const STACK_BEFORE_CUT: StackGolden = StackGolden {
 /// After the torn fsync, `crash(Random(STACK_SEED))`, `remount` and the
 /// read-back.
 const STACK_AFTER_REMOUNT: StackGolden = StackGolden {
-    clock_ns: 4_912_700,
+    clock_ns: 4_909_180,
     nvm: NvmStats {
         clflush: 7592,
         sfence: 370,
         atomic_stores: 324,
         lines_written: 7592,
-        lines_read: 2182,
+        lines_read: 2150,
         bytes_stored: 470800,
-        bytes_read: 135216,
+        bytes_read: 133176,
     },
     disk: DiskStats {
         reads: 42,
