@@ -15,11 +15,10 @@
 //!    serving.
 
 use blockdev::{DiskKind, FaultPlan, FaultyDisk, SimDisk, BLOCK_SIZE};
-use crashsim::engine::sweep;
-use crashsim::FaultsPlan;
 use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
-use tinca::{CommitMode, Health, PoolConfig, TincaPool};
+use tinca::{Health, PoolConfig, TincaPool};
 
+use super::campaign;
 use crate::table::Table;
 use crate::{banner, checks, fmt, write_csv};
 
@@ -78,28 +77,7 @@ pub fn run(quick: bool) -> Vec<String> {
         "zero violations; transients absorbed by retry; bad range => Degraded, still serving",
     );
 
-    let runs: u64 = if quick { 200 } else { 1200 };
-    let plan = FaultsPlan {
-        shards: 1,
-        txns: 40,
-        mode: CommitMode::Mutex,
-    };
-    let campaign = sweep(&plan, 0xFA57_0000..0xFA57_0000 + runs);
-    println!(
-        "fault-fuzz: {} runs, {} crashed, {} completed, {} degraded, \
-         {} transients absorbed over {} retries, {} permanent errors, {} violations",
-        campaign.runs,
-        campaign.crashes,
-        campaign.completed,
-        campaign.degraded,
-        campaign.transients_absorbed,
-        campaign.io_retries,
-        campaign.permanent_errors,
-        campaign.violations.len(),
-    );
-    for v in campaign.violations.iter().take(5) {
-        println!("  !! {v}");
-    }
+    let campaign = campaign("faults-1", quick);
 
     let transient_plan = FaultPlan::quiet(0xDE6)
         .with_transient_reads(60)

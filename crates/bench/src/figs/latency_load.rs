@@ -25,8 +25,7 @@
 //! and on the merged pool-wide trace — saturation (a standing backlog,
 //! destage under pressure) must not bend the commit protocol.
 
-use crashsim::engine::{sweep, Rig};
-use crashsim::BacklogPlan;
+use crashsim::engine::Rig;
 use telemetry::Json;
 use tinca::TincaPool;
 use workloads::openloop::{
@@ -34,7 +33,7 @@ use workloads::openloop::{
     TincaServer,
 };
 
-use super::{sharded_pool, violations};
+use super::{campaign, sharded_pool, violations};
 use crate::table::Table;
 use crate::{banner, checks, fmt, table_json, write_bench, write_csv};
 
@@ -214,18 +213,7 @@ pub fn run(quick: bool) -> Vec<String> {
 
     // Crash mid-backlog: overload + bounded queue + power cut; recovery
     // must be exact and shed/queued ops must leave no trace.
-    let backlog = BacklogPlan { shards: SHARDS };
-    let campaign = sweep(&backlog, 0x6B10..0x6B10 + if quick { 10 } else { 40 });
-    println!(
-        "crash-mid-backlog: {} runs, {} crashes, {} ops shed, {} violations",
-        campaign.runs,
-        campaign.crashes,
-        campaign.shed,
-        campaign.violations.len()
-    );
-    for v in &campaign.violations {
-        eprintln!("  violation: {v}");
-    }
+    let campaign = campaign("backlog-4", quick);
 
     // BENCH_6.json — machine-readable summary at the repo root. The
     // `gate` counters are what the runner diffs: keep their names stable.
@@ -234,12 +222,6 @@ pub fn run(quick: bool) -> Vec<String> {
         ("tinca_p99_ns_subknee", tinca_p99_subknee.into()),
         ("classic_knee_ops_per_sec", classic_knee.into()),
         ("classic_p99_ns_subknee", classic_p99_subknee.into()),
-    ]);
-    let campaign_json = Json::obj(vec![
-        ("runs", campaign.runs.into()),
-        ("crashes", campaign.crashes.into()),
-        ("shed", campaign.shed.into()),
-        ("violations", (campaign.violations.len() as u64).into()),
     ]);
     let bench = Json::obj(vec![
         ("bench", "latency_load".into()),
@@ -251,7 +233,7 @@ pub fn run(quick: bool) -> Vec<String> {
         ("tinca_tail_ratio", tinca_tail_ratio.into()),
         ("persistcheck_clean", persist_clean.into()),
         ("gate", gate),
-        ("crash_campaign", campaign_json),
+        ("crash_campaign", campaign.json()),
         (
             "latency_load",
             table_json("latency_load", &t.headers(), t.rows()),

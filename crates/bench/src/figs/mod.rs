@@ -27,6 +27,7 @@ pub mod ubj_compare;
 pub mod wal_elim;
 
 use crashsim::engine::Audit;
+use crashsim::CampaignReport;
 use fssim::stack::{StackConfig, System};
 use tinca::{PoolConfig, TincaConfig};
 
@@ -186,6 +187,23 @@ pub(crate) fn violations(audit: &Audit, point: &str) -> usize {
             r.violations.len()
         })
         .sum()
+}
+
+/// Runs the campaign-table entry `name` (crashsim's or kvdb's) at its
+/// tier-1 seeds under `--quick`, at its CI seeds in full, and prints its
+/// report and every violation.
+pub(crate) fn campaign(name: &str, quick: bool) -> CampaignReport {
+    let c = crashsim::CAMPAIGNS
+        .iter()
+        .chain(kvdb::CAMPAIGNS)
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| panic!("no campaign entry {name:?}"));
+    let report = c.report(if quick { c.tier1 } else { c.ci });
+    println!("{name}: {report}");
+    for v in &report.violations {
+        println!("  !! {v}");
+    }
+    report
 }
 
 /// Per-node configuration for the cluster figures (four nodes).

@@ -25,14 +25,13 @@
 //! enumeration over concurrent publication orders — both must be
 //! violation-free.
 
-use crashsim::engine::{frontier, sweep, Rig};
-use crashsim::RingPlan;
+use crashsim::engine::Rig;
 use telemetry::Json;
 use tinca::{CommitMode, PoolConfig};
 use workloads::mtfio::{MtFio, MtFioSpec, MtReport};
 use workloads::sched::{Policy, Sched};
 
-use super::{sharded_pool, violations};
+use super::{campaign, sharded_pool, violations};
 use crate::table::Table;
 use crate::{banner, checks, fmt, table_json, write_bench, write_csv};
 
@@ -172,34 +171,8 @@ pub fn run(quick: bool) -> Vec<String> {
     // fuzz (200 seeds full — the acceptance sweep, crash-mid-publication
     // included) and bounded-exhaustive frontier enumeration over
     // publication orders.
-    let fuzz = sweep(
-        &RingPlan {
-            shards: 2,
-            rounds: 20,
-            sched: Policy::Rounds,
-        },
-        0x3757_B900..0x3757_B900 + if quick { 40 } else { 200 },
-    );
-    println!(
-        "mw fuzz: {} runs, {} crashes, {} violations",
-        fuzz.runs,
-        fuzz.crashes,
-        fuzz.violations.len()
-    );
-    for v in &fuzz.violations {
-        eprintln!("  violation: {v}");
-    }
-    let rounds = if quick { 3 } else { 4 };
-    let plan = RingPlan {
-        shards: 2,
-        rounds,
-        sched: Policy::Rounds,
-    };
-    let frontier = frontier(&plan, 0x3757_B901..0x3757_B902, 6);
-    println!("mw frontier: {frontier}");
-    for v in &frontier.violations {
-        eprintln!("  violation: {v}");
-    }
+    let fuzz = campaign("ring-2", quick);
+    let frontier = campaign("ring-frontier", quick);
 
     // BENCH_9.json — machine-readable summary for the runner's gate: the
     // 8-writer speedup must not shrink and the uncontended ring cost must
@@ -210,23 +183,13 @@ pub fn run(quick: bool) -> Vec<String> {
         ("mutex_ns_per_txn_8w", mutex_ns_per_txn_8w.into()),
         ("mw_ns_per_txn_8w", mw_ns_per_txn_8w.into()),
     ]);
-    let fuzz_json = Json::obj(vec![
-        ("runs", fuzz.runs.into()),
-        ("crashes", fuzz.crashes.into()),
-        ("violations", (fuzz.violations.len() as u64).into()),
-    ]);
-    let frontier_json = Json::obj(vec![
-        ("epochs", frontier.epochs_total.into()),
-        ("states", frontier.runs.into()),
-        ("violations", (frontier.violations.len() as u64).into()),
-    ]);
     let bench = Json::obj(vec![
         ("bench", "mw_scaling".into()),
         ("quick", quick.into()),
         ("persistcheck_clean", persist_clean.into()),
         ("gate", gate),
-        ("fuzz_campaign", fuzz_json),
-        ("frontier_campaign", frontier_json),
+        ("fuzz_campaign", fuzz.json()),
+        ("frontier_campaign", frontier.json()),
         (
             "mw_scaling",
             table_json("mw_scaling", &t.headers(), t.rows()),

@@ -1,10 +1,7 @@
 //! §5.1 recoverability — the power-pull experiment, mechanised as a crash
 //! fuzz campaign.
 
-use crashsim::engine::sweep;
-use crashsim::{FailureMode, FsPlan};
-use fssim::stack::System;
-
+use super::campaign;
 use crate::table::Table;
 use crate::{banner, checks, write_csv};
 
@@ -18,37 +15,22 @@ pub fn run(quick: bool) -> Vec<String> {
         "Crash-fuzz campaign: random power cuts + adversarial write-back resolution",
         "zero consistency violations for Tinca (and for Classic's JBD2 stack)",
     );
-    let runs: u64 = if quick { 10 } else { 40 };
     let mut t = Table::new(&["System", "runs", "mid-run crashes", "violations"]);
     let mut clean = true;
-    for (sys, seed, destage) in [
-        (System::Tinca, 51_000u64, false),
-        (System::Classic, 52_000, false),
+    for (label, entry) in [
+        ("Tinca", "fs-tinca"),
+        ("Classic", "fs-classic"),
         // The write-behind pipeline on a shrunken cache: crashes land
         // during background destage batches too.
-        (System::Tinca, 53_000, true),
+        ("Tinca+destage", "fs-tinca-destage"),
     ] {
-        let plan = FsPlan {
-            system: sys,
-            steps: 60,
-            mode: FailureMode::PowerPull,
-            destage,
-        };
-        let report = sweep(&plan, seed..seed + runs);
-        let label = if destage {
-            format!("{}+destage", sys.name())
-        } else {
-            sys.name().to_string()
-        };
+        let report = campaign(entry, quick);
         t.row(vec![
-            label,
+            label.to_string(),
             report.runs.to_string(),
             report.crashes.to_string(),
             report.violations.len().to_string(),
         ]);
-        for v in &report.violations {
-            println!("  !! {v}");
-        }
         clean &= report.clean();
     }
     t.print();

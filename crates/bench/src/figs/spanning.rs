@@ -20,13 +20,12 @@
 //! `BENCH_7.json` at the repo root with a flat `gate` object.
 
 use blockdev::BLOCK_SIZE;
-use crashsim::engine::{frontier, sweep, Rig};
-use crashsim::{PoolPlan, SpanningPlan};
+use crashsim::engine::Rig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use telemetry::Json;
 
-use super::{sharded_pool, violations};
+use super::{campaign, sharded_pool, violations};
 use crate::table::Table;
 use crate::{banner, checks, fmt, table_json, write_bench, write_csv};
 
@@ -143,32 +142,8 @@ pub fn run(quick: bool) -> Vec<String> {
 
     // Embedded crash smoke: enumerate frontiers of a spanning workload
     // and sweep random trips; both must see zero torn transactions.
-    let spanning = SpanningPlan {
-        shards: 2,
-        txns: if quick { 1 } else { 2 },
-        delta_stage: false,
-        coalesce: false,
-    };
-    let frontier = frontier(&spanning, 0x57A6..0x57A7, 4);
-    println!("frontier: {frontier}");
-    for v in &frontier.violations {
-        eprintln!("  violation: {v}");
-    }
-    let pool = PoolPlan {
-        shards: SHARDS,
-        txns: 40,
-        delta_stage: false,
-    };
-    let fuzz = sweep(&pool, 0x57A7..0x57A7 + if quick { 20 } else { 60 });
-    println!(
-        "fuzz: {} runs, {} crashes, {} violations",
-        fuzz.runs,
-        fuzz.crashes,
-        fuzz.violations.len()
-    );
-    for v in &fuzz.violations {
-        eprintln!("  violation: {v}");
-    }
+    let frontier = campaign("spanning-frontier", quick);
+    let fuzz = campaign("pool-4", quick);
 
     // BENCH_7.json — machine-readable summary at the repo root. The
     // `gate` counters are what the runner diffs: the 0% point is the
@@ -178,24 +153,14 @@ pub fn run(quick: bool) -> Vec<String> {
         ("spanning50_ns_per_txn", spanning50_ns_per_txn.into()),
         ("spanning_overhead_x", overhead_x.into()),
     ]);
-    let frontier_json = Json::obj(vec![
-        ("epochs", frontier.epochs_total.into()),
-        ("states", frontier.runs.into()),
-        ("violations", (frontier.violations.len() as u64).into()),
-    ]);
-    let fuzz_json = Json::obj(vec![
-        ("runs", fuzz.runs.into()),
-        ("crashes", fuzz.crashes.into()),
-        ("violations", (fuzz.violations.len() as u64).into()),
-    ]);
     let bench = Json::obj(vec![
         ("bench", "spanning".into()),
         ("quick", quick.into()),
         ("shards", (SHARDS as u64).into()),
         ("persistcheck_clean", persist_clean.into()),
         ("gate", gate),
-        ("frontier_campaign", frontier_json),
-        ("fuzz_campaign", fuzz_json),
+        ("frontier_campaign", frontier.json()),
+        ("fuzz_campaign", fuzz.json()),
         ("spanning", table_json("spanning", &t.headers(), t.rows())),
     ]);
     write_bench("BENCH_7.json", &bench);

@@ -30,16 +30,13 @@
 
 use std::time::Instant;
 
-use crashsim::engine::{frontier, sweep};
-use crashsim::CampaignReport;
-use crashsim::FailureMode::PowerPull;
 use fssim::stack::{StackConfig, System};
 use kvdb::{
-    apply_txn, Db, KvPlan, KvTpccDriver, PageStore, TincaStore, TincaStoreConfig, WalConfig,
-    WalStore,
+    apply_txn, Db, KvTpccDriver, PageStore, TincaStore, TincaStoreConfig, WalConfig, WalStore,
 };
 use telemetry::Json;
 
+use super::campaign;
 use crate::table::Table;
 use crate::{banner, checks, fmt, table_json, write_bench, write_csv};
 
@@ -142,22 +139,6 @@ fn run_tinca(txns: u64) -> ModePoint {
     run_mode("tinca (no WAL)", &mut db, &now, &clock, txns)
 }
 
-fn campaign_json(r: &CampaignReport) -> Json {
-    Json::obj(vec![
-        ("runs", r.runs.into()),
-        ("crashes", r.crashes.into()),
-        ("violations", (r.violations.len() as u64).into()),
-    ])
-}
-
-fn frontier_json(r: &CampaignReport) -> Json {
-    Json::obj(vec![
-        ("epochs", r.epochs_total.into()),
-        ("states", r.runs.into()),
-        ("violations", (r.violations.len() as u64).into()),
-    ])
-}
-
 /// Runs the figure: both personalities over the identical transaction
 /// stream, the embedded crash smoke for each, and writes CSV +
 /// `BENCH_8.json`.
@@ -214,62 +195,10 @@ pub fn run(quick: bool) -> Vec<String> {
     // Embedded crash smoke: both personalities must survive random
     // mid-commit trips and exhaustive persist-frontier enumeration, with
     // the persist-order audit clean inside every recovery.
-    let crash_txns = 15;
-    let (fuzz_seeds, frontier_cap) = if quick { (8, 3) } else { (20, 6) };
-    let wal_fuzz = sweep(
-        &KvPlan::<WalStore>::new(crash_txns, 20_000, PowerPull),
-        0xE1F0..0xE1F0 + fuzz_seeds,
-    );
-    // Trip ranges follow each stack's event count per run (see
-    // `kvdb::WAL_TRIP_MAX`).
-    let tinca_fuzz = sweep(
-        &KvPlan::<TincaStore>::new(crash_txns, 1_000, PowerPull),
-        0xE1F1..0xE1F1 + fuzz_seeds,
-    );
-    let wal_frontier = frontier(
-        &KvPlan::<WalStore>::new(2, 0, PowerPull),
-        0xE1F2..0xE1F3,
-        frontier_cap,
-    );
-    let tinca_frontier = frontier(
-        &KvPlan::<TincaStore>::new(2, 0, PowerPull),
-        0xE1F3..0xE1F4,
-        frontier_cap,
-    );
-    for (what, runs, crashes, violations) in [
-        (
-            "wal fuzz",
-            wal_fuzz.runs,
-            wal_fuzz.crashes,
-            &wal_fuzz.violations,
-        ),
-        (
-            "tinca fuzz",
-            tinca_fuzz.runs,
-            tinca_fuzz.crashes,
-            &tinca_fuzz.violations,
-        ),
-        (
-            "wal frontier",
-            wal_frontier.epochs_total,
-            wal_frontier.runs,
-            &wal_frontier.violations,
-        ),
-        (
-            "tinca frontier",
-            tinca_frontier.epochs_total,
-            tinca_frontier.runs,
-            &tinca_frontier.violations,
-        ),
-    ] {
-        println!(
-            "{what}: {runs} runs/epochs, {crashes} crashes/states, {} violations",
-            violations.len()
-        );
-        for v in violations {
-            eprintln!("  violation: {v}");
-        }
-    }
+    let wal_fuzz = campaign("kv-wal-pull", quick);
+    let tinca_fuzz = campaign("kv-tinca-pull", quick);
+    let wal_frontier = campaign("kv-wal-frontier", quick);
+    let tinca_frontier = campaign("kv-tinca-frontier", quick);
 
     // BENCH_8.json — machine-readable summary at the repo root. The
     // `gate` counters are what the runner diffs: the no-WAL personality's
@@ -283,10 +212,10 @@ pub fn run(quick: bool) -> Vec<String> {
         ("bytes_ratio_x", bytes_ratio_x.into()),
     ]);
     let crashes = Json::obj(vec![
-        ("wal_fuzz", campaign_json(&wal_fuzz)),
-        ("tinca_fuzz", campaign_json(&tinca_fuzz)),
-        ("wal_frontier", frontier_json(&wal_frontier)),
-        ("tinca_frontier", frontier_json(&tinca_frontier)),
+        ("wal_fuzz", wal_fuzz.json()),
+        ("tinca_fuzz", tinca_fuzz.json()),
+        ("wal_frontier", wal_frontier.json()),
+        ("tinca_frontier", tinca_frontier.json()),
     ]);
     let persist_clean =
         wal_fuzz.clean() && tinca_fuzz.clean() && wal_frontier.clean() && tinca_frontier.clean();

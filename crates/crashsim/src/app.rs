@@ -11,6 +11,7 @@ use std::fmt;
 use std::ops::Range;
 
 use persistcheck::Rule;
+use telemetry::Json;
 
 use crate::engine::Trip;
 
@@ -129,6 +130,24 @@ impl CampaignReport {
         self.violations.is_empty()
     }
 
+    /// The report as a figure's summary records it: a frontier's
+    /// `{epochs, states, violations}`, a sweep's `{runs, crashes,
+    /// violations}`, with `shed` before `violations` when admission
+    /// control shed any write.
+    pub fn json(&self) -> Json {
+        let violations = ("violations", (self.violations.len() as u64).into());
+        if self.cap_per_epoch > 0 {
+            return Json::obj(vec![
+                ("epochs", self.epochs_total.into()),
+                ("states", self.runs.into()),
+                violations,
+            ]);
+        }
+        let shed = (self.shed > 0).then(|| ("shed", self.shed.into()));
+        let fields = [("runs", self.runs.into()), ("crashes", self.crashes.into())];
+        Json::obj(fields.into_iter().chain(shed).chain([violations]).collect())
+    }
+
     /// Adds one run of `campaign` at `seed` that ended in `outcome`.
     pub(crate) fn record(
         &mut self,
@@ -190,10 +209,21 @@ impl fmt::Display for CampaignReport {
 }
 
 /// One entry of a campaign table: a plan instance under a name, run over
-/// a seed range, and the seeds whose exact tally tier-1 pins.
+/// seeds counted from `base`. Tier-1 pins the exact tally of its first
+/// `tier1` seeds, and CI, in a release build, that of its first `ci`; a
+/// figure runs the first at `--quick` and the second in full.
 #[derive(Clone, Debug)]
 pub struct Campaign {
     pub name: &'static str,
     pub run: fn(Range<u64>) -> CampaignReport,
-    pub tier1: Range<u64>,
+    pub base: u64,
+    pub tier1: u64,
+    pub ci: u64,
+}
+
+impl Campaign {
+    /// Runs the entry's first `seeds` seeds.
+    pub fn report(&self, seeds: u64) -> CampaignReport {
+        (self.run)(self.base..self.base + seeds)
+    }
 }

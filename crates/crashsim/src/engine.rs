@@ -60,8 +60,10 @@ pub trait Crashable {
     /// Fails the power per `cut` and runs the application's own recovery.
     fn recover(&mut self, cut: Cut<'_>) -> Result<(), Finding>;
     /// Checks the recovered state: internals, the persist-order
-    /// [`audit`], then the oracle.
-    fn verify(&mut self) -> Result<(), Finding>;
+    /// [`audit`], then the oracle. Returns the state the oracle matched:
+    /// per transaction in flight at the cut, in the oracle's order,
+    /// whether it rolled forward.
+    fn verify(&mut self) -> Result<Vec<bool>, Finding>;
     /// Adds the app's own counters to `report` once its run is over; none
     /// by default.
     fn tally(&self, _report: &mut CampaignReport) {}
@@ -70,16 +72,11 @@ pub trait Crashable {
     fn completed(&mut self) -> Result<(), Finding> {
         Ok(())
     }
-    /// Whether a second recovery must store nothing but the commit records
-    /// it annotates (the store clause of [`run_one`]'s fixpoint check). An
-    /// app whose recovery rewrites what it already holds returns `false`.
-    fn store_free_recovery(&self) -> bool {
-        true
-    }
-    /// Whether a second recovery must leave every persistent image
-    /// byte-identical (the image clause of the fixpoint check). An app whose
-    /// recovery leaves work of its own for the next one returns `false`,
-    /// and keeps only the read-back.
+    /// Whether a further recovery must leave every persistent image
+    /// byte-identical and store nothing but the commit records it
+    /// annotates (the image and store clauses of [`run_one`]'s fixpoint
+    /// check). An app whose recovery leaves work of its own for the next
+    /// one returns `false`, and keeps only the read-back.
     fn stable_recovery(&self) -> bool {
         true
     }
@@ -100,16 +97,19 @@ pub trait Plan {
 /// run completed) or the trip cuts it, and then fails the power per `cut`,
 /// recovers and verifies. A recovered and verified run then checks that
 /// recovery is a fixpoint — an interrupted operation resolves exactly
-/// once, so a second recovery changes nothing: every device's persistent
-/// image is kept, the power fails again with nothing in flight
-/// ([`Cut::LoseVolatile`]) and the app recovers; the images must be
-/// byte-identical, the second recovery must store nothing but the commit
-/// records it annotates — the ring close's `Tail := Head` — and the app
-/// must verify again ([`Check::Fixpoint`]). An app may opt out of the
-/// image or store clause ([`Crashable::stable_recovery`],
-/// [`Crashable::store_free_recovery`]). A debug build checks the fixpoint
-/// on the runs whose trip event is a multiple of 8, a subset drawn with the
-/// trip from the seed; a release build on every run.
+/// once, so a further recovery changes nothing. The power fails again with
+/// nothing in flight ([`Cut::LoseVolatile`]) and the app recovers; every
+/// device's persistent image is kept; the power fails and the app recovers
+/// once more. The images must be byte-identical, the last recovery must
+/// store nothing but the commit records it annotates — the ring close's
+/// `Tail := Head` — and the app must verify again, to the state the first
+/// verify matched ([`Check::Fixpoint`]). The reference image is a
+/// recovery's own output, not the verified one: a verify's reads may move
+/// a block within a cache (a read miss that evicts a clean block), which
+/// the recovery after it may undo. An app may opt out of the image and
+/// store clauses ([`Crashable::stable_recovery`]). A debug build checks
+/// the fixpoint on the runs whose trip event is a multiple of 8, a subset
+/// drawn with the trip from the seed; a release build on every run.
 pub fn run_one(app: &mut impl Crashable, trip: Trip, cut: Cut<'_>) -> AppOutcome {
     quiet_crash_panics();
     let _seed_span = telemetry::span(telemetry::phase::CRASH_SEED);
@@ -123,13 +123,16 @@ pub fn run_one(app: &mut impl Crashable, trip: Trip, cut: Cut<'_>) -> AppOutcome
         },
         None => AppOutcome {
             crashed: true,
-            verdict: app.recover(cut).and_then(|()| app.verify()).and_then(|()| {
-                if fixpoint_due {
-                    fixpoint(app)
-                } else {
-                    Ok(())
-                }
-            }),
+            verdict: app
+                .recover(cut)
+                .and_then(|()| app.verify())
+                .and_then(|matched| {
+                    if fixpoint_due {
+                        fixpoint(app, &matched)
+                    } else {
+                        Ok(())
+                    }
+                }),
         },
     }
 }
@@ -138,10 +141,13 @@ pub fn run_one(app: &mut impl Crashable, trip: Trip, cut: Cut<'_>) -> AppOutcome
 /// (see [`run_one`]), which keeps the campaigns' tier-1 pins fast.
 const DEBUG_FIXPOINT_STRIDE: u64 = 8;
 
-/// [`run_one`]'s fixpoint check of a recovered and verified `app`.
-fn fixpoint(app: &mut impl Crashable) -> Result<(), Finding> {
+/// [`run_one`]'s fixpoint check of a recovered `app` whose verify matched
+/// `first`.
+fn fixpoint(app: &mut impl Crashable, first: &[bool]) -> Result<(), Finding> {
     let devices = app.devices().to_vec();
-    let images: Vec<Vec<u8>> = if app.stable_recovery() {
+    let stable = app.stable_recovery();
+    app.recover(Cut::LoseVolatile)?;
+    let images: Vec<Vec<u8>> = if stable {
         devices.iter().map(persistent_image).collect()
     } else {
         Vec::new()
@@ -152,20 +158,26 @@ fn fixpoint(app: &mut impl Crashable) -> Result<(), Finding> {
         if after != *before {
             let at = after.iter().zip(before).take_while(|(a, b)| a == b).count();
             return Err(Check::Fixpoint.found(format_args!(
-                "device {s}: a second recovery changed the image at byte {at:#x}"
+                "device {s}: a further recovery changed the image at byte {at:#x}"
             )));
         }
     }
-    if app.store_free_recovery() {
+    if stable {
         for (s, d) in devices.iter().enumerate() {
             if let Some(store) = recovery_store(&d.trace_snapshot()) {
                 return Err(Check::Fixpoint.found(format_args!(
-                    "device {s}: a second recovery stored {store:?}"
+                    "device {s}: a further recovery stored {store:?}"
                 )));
             }
         }
     }
-    app.verify()
+    let last = app.verify()?;
+    if last != first {
+        return Err(Check::Fixpoint.found(format_args!(
+            "the in-flight transactions read rolled forward {first:?}, then {last:?}"
+        )));
+    }
+    Ok(())
 }
 
 /// The whole persistent image of `d`.
@@ -446,8 +458,8 @@ impl Rig {
     /// Checks a live or recovered pool, with fault injection off so the
     /// reads observe state rather than perturb it: every shard's
     /// internals, the persist-order [`audit`] of everything traced since
-    /// the last check, then `oracle`.
-    pub fn check(&self, pool: &TincaPool, oracle: &BlockOracle) -> Result<(), Finding> {
+    /// the last check, then `oracle`, whose verdict it returns.
+    pub fn check(&self, pool: &TincaPool, oracle: &BlockOracle) -> Result<Vec<bool>, Finding> {
         if let Some(faulty) = &self.faulty {
             faulty.set_enabled(false);
         }
@@ -618,7 +630,7 @@ impl<W: Workload> Crashable for PoolApp<W> {
         Ok(())
     }
 
-    fn verify(&mut self) -> Result<(), Finding> {
+    fn verify(&mut self) -> Result<Vec<bool>, Finding> {
         let pool = self.recovered.as_ref().expect("recovered pool");
         self.rig.check(pool, &self.oracle)
     }
@@ -857,7 +869,7 @@ impl BlockOracle {
     }
 
     /// `writes` is in flight: from here until [`commit`](Self::commit)
-    /// or [`abort`](Self::abort) a cut may leave it all or nothing.
+    /// or `abort` a cut may leave it all or nothing.
     pub fn begin(&mut self, writes: &[(u64, u64)]) {
         assert!(writes.iter().all(|&(b, _)| b < self.blocks));
         self.in_flight.push(writes.to_vec());
@@ -879,7 +891,7 @@ impl BlockOracle {
 
     /// Every transaction in flight ended without effect (a refused
     /// commit, a shed op).
-    pub fn abort(&mut self) {
+    pub(crate) fn abort(&mut self) {
         self.in_flight.clear();
     }
 
@@ -893,7 +905,8 @@ impl BlockOracle {
     /// refused, shed or torn leaked). Each in-flight transaction must
     /// read wholly new or wholly old; a block whose new version equals
     /// its durable one witnesses neither, but must read that version.
-    pub fn check(&self, pool: &TincaPool) -> Result<(), Finding> {
+    /// Returns, per in-flight transaction, whether it read new.
+    pub fn check(&self, pool: &TincaPool) -> Result<Vec<bool>, Finding> {
         fn fail<T>(detail: String) -> Result<T, Finding> {
             Err(Check::Oracle.found(detail))
         }
@@ -910,6 +923,7 @@ impl BlockOracle {
                 return fail(format!("block {b}: not its durable version {want:?}"));
             }
         }
+        let mut forward = Vec::with_capacity(self.in_flight.len());
         for (t, writes) in self.in_flight.iter().enumerate() {
             let (mut news, mut olds) = (Vec::new(), Vec::new());
             for &(b, v) in writes {
@@ -933,8 +947,9 @@ impl BlockOracle {
                     "in-flight txn {t} not atomic: blocks {news:?} read new, {olds:?} read old"
                 ));
             }
+            forward.push(!news.is_empty());
         }
-        Ok(())
+        Ok(forward)
     }
 }
 
@@ -962,7 +977,7 @@ mod tests {
         fn recover(&mut self, _: Cut<'_>) -> Result<(), Finding> {
             Err(Check::Recovery.found("boom"))
         }
-        fn verify(&mut self) -> Result<(), Finding> {
+        fn verify(&mut self) -> Result<Vec<bool>, Finding> {
             unreachable!("verify after a failed recovery")
         }
     }

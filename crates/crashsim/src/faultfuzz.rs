@@ -154,7 +154,7 @@ impl Workload for Faults {
                 "flush_all failed ({flush:?}) yet nothing is quarantined"
             )));
         }
-        rig.check(pool, oracle)
+        rig.check(pool, oracle).map(drop)
     }
 
     /// The fault counters live in DRAM: they are read off the pool the

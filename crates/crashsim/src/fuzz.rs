@@ -190,13 +190,7 @@ impl Crashable for FsApp {
         Ok(())
     }
 
-    fn verify(&mut self) -> Result<(), Finding> {
-        self.harness.verify(&self.oracle)
-    }
-
-    /// UBJ's recovery clears its publish flag with a persisted store
-    /// whether or not the flag was set.
-    fn store_free_recovery(&self) -> bool {
-        self.harness.stack().config.system != System::Ubj
+    fn verify(&mut self) -> Result<Vec<bool>, Finding> {
+        self.harness.verify(&self.oracle).map(|staged| vec![staged])
     }
 }

@@ -73,7 +73,7 @@ impl CrashHarness {
     }
 
     /// The live stack.
-    pub fn stack(&self) -> &Stack {
+    pub(crate) fn stack(&self) -> &Stack {
         self.stack.as_ref().expect("stack live")
     }
 
@@ -112,8 +112,9 @@ impl CrashHarness {
     /// Checks the recovered state against the oracle: the event trace is
     /// persist-order clean, internal invariants hold, and the visible file
     /// set + contents equal either the durable or the staged state
-    /// (all-or-nothing).
-    pub fn verify(&mut self, oracle: &FsOracle) -> Result<(), Finding> {
+    /// (all-or-nothing). Returns whether it matched the staged state, and
+    /// not the durable one.
+    pub fn verify(&mut self, oracle: &FsOracle) -> Result<bool, Finding> {
         self.drain_trace();
         persist_order("trace", &self.checker.report())?;
         let stack = self.stack.as_mut().expect("stack live");
@@ -122,10 +123,10 @@ impl CrashHarness {
         stack.fs.check_consistency().map_err(internals)?;
 
         let Some(durable) = diff_state(&mut stack.fs, oracle.durable_state()) else {
-            return Ok(());
+            return Ok(false);
         };
         let Some(staged) = diff_state(&mut stack.fs, oracle.staged_state()) else {
-            return Ok(());
+            return Ok(true);
         };
         Err(Check::Oracle.found(format_args!("vs durable: {durable}; vs staged: {staged}")))
     }

@@ -33,7 +33,8 @@
 //!
 //! Both return one [`CampaignReport`], and each [`Violation`] in it names
 //! the [`Check`] that raised it: the workload, a frontier replay, the
-//! recovery, the internals, a persist-order rule, or the oracle.
+//! recovery, the internals, a persist-order rule, the oracle, or the
+//! fixpoint (a further recovery changed the recovered state).
 //!
 //! The plans are the FS stack ([`FsPlan`]: [`CrashHarness`] and
 //! [`FsOracle`] over a scripted file workload), kvdb's two personalities
@@ -44,16 +45,18 @@
 //! overload), [`ThreadedPlan`] (one scheduled writer per shard) and
 //! [`SpanningPlan`].
 //!
-//! [`CAMPAIGNS`] names every instance a pin or CI runs, with the seeds
-//! tier-1 pins; figures and tests that need another size build the plan
-//! value directly:
+//! [`CAMPAIGNS`] names every instance a pin, CI or a figure runs, with its
+//! seed sizes: a [`Campaign`] runs its first `tier1` seeds in tier-1's
+//! pins and `bench --quick`, its first `ci` seeds (200 for a sweep, 4 for
+//! a frontier) in CI's release pins and a full `bench` run. Callers
+//! select entries by name; only directed tests build a plan value
+//! themselves:
 //!
 //! ```
-//! use crashsim::engine::sweep;
-//! use crashsim::{CampaignReport, FsPlan};
-//! use fssim::stack::System;
+//! use crashsim::CAMPAIGNS;
 //!
-//! let report: CampaignReport = sweep(&FsPlan::new(System::Tinca, 30), 7..10);
+//! let entry = CAMPAIGNS.iter().find(|c| c.name == "fs-tinca").unwrap();
+//! let report = entry.report(3);
 //! assert!(report.clean(), "no consistency violations: {:?}", report.violations);
 //! ```
 
@@ -84,38 +87,42 @@ use tinca::CommitMode::{LockFreeRing, Mutex};
 use workloads::sched::Policy::{Rounds, Seeded};
 use FailureMode::ProcessKill;
 
-/// Every crashsim campaign instance a pin or CI runs, with the seeds whose
-/// exact tally `tests/pinned_campaigns.rs` asserts. A frontier entry
-/// enumerates each seed of its range.
+/// Every crashsim campaign instance a pin, CI or a figure runs, with the
+/// seed sizes whose exact tallies `tests/pinned_campaigns.rs` asserts. A
+/// frontier entry enumerates each of its seeds.
 #[rustfmt::skip]
 pub const CAMPAIGNS: &[Campaign] = &[
-    Campaign { name: "fs-tinca",                run: |s| sweep(&FsPlan::new(Tinca, 60), s),                                                   tier1: 1000..1000 + 10 },
-    Campaign { name: "fs-classic",              run: |s| sweep(&FsPlan::new(Classic, 60), s),                                                 tier1: 2000..2000 + 10 },
-    Campaign { name: "fs-norole",               run: |s| sweep(&FsPlan::new(TincaNoRoleSwitch, 40), s),                                       tier1: 3000..3000 + 10 },
-    Campaign { name: "fs-ubj",                  run: |s| sweep(&FsPlan::new(Ubj, 60), s),                                                     tier1: 4000..4000 + 10 },
-    Campaign { name: "fs-logmeta",              run: |s| sweep(&FsPlan::new(ClassicLogMeta, 50), s),                                          tier1: 5000..5000 + 10 },
-    Campaign { name: "fs-tinca-destage",        run: |s| sweep(&FsPlan { destage: true, ..FsPlan::new(Tinca, 60) }, s),                       tier1: 7000..7000 + 10 },
-    Campaign { name: "fs-tinca-coalesced",      run: |s| sweep(&FsPlan { destage: true, ..FsPlan::new(Tinca, 50) }, s),                       tier1: 4500..4500 + 10 },
-    Campaign { name: "fs-tinca-kill",           run: |s| sweep(&FsPlan { mode: ProcessKill, ..FsPlan::new(Tinca, 50) }, s),                   tier1: 61_000..61_000 + 10 },
-    Campaign { name: "fs-classic-kill",         run: |s| sweep(&FsPlan { mode: ProcessKill, ..FsPlan::new(Classic, 50) }, s),                 tier1: 62_000..62_000 + 10 },
-    Campaign { name: "fs-tinca-frontier",       run: |s| frontier(&FsPlan::new(Tinca, 4), s, 4),                                              tier1: 11..12 },
-    Campaign { name: "fs-classic-frontier",     run: |s| frontier(&FsPlan::new(Classic, 4), s, 2),                                            tier1: 11..12 },
-    Campaign { name: "pool-1",                  run: |s| sweep(&PoolPlan { shards: 1, txns: 40, delta_stage: false }, s),                     tier1: 0x1D..0x1D + 10 },
-    Campaign { name: "pool-4",                  run: |s| sweep(&PoolPlan { shards: 4, txns: 40, delta_stage: false }, s),                     tier1: 0x900D..0x900D + 24 },
-    Campaign { name: "pool-delta-1",            run: |s| sweep(&PoolPlan { shards: 1, txns: 40, delta_stage: true }, s),                      tier1: 0xDE17A1..0xDE17A1 + 24 },
-    Campaign { name: "pool-delta-2",            run: |s| sweep(&PoolPlan { shards: 2, txns: 40, delta_stage: true }, s),                      tier1: 0xDE17A2..0xDE17A2 + 24 },
-    Campaign { name: "ring-1",                  run: |s| sweep(&RingPlan { shards: 1, rounds: 20, sched: Rounds }, s),                        tier1: 0x3757_1111..0x3757_1111 + 10 },
-    Campaign { name: "ring-2",                  run: |s| sweep(&RingPlan { shards: 2, rounds: 20, sched: Rounds }, s),                        tier1: 0x3757_0000..0x3757_0000 + 24 },
-    Campaign { name: "ring-4",                  run: |s| sweep(&RingPlan { shards: 4, rounds: 20, sched: Rounds }, s),                        tier1: 0x3757_4444..0x3757_4444 + 10 },
-    Campaign { name: "ring-seeded-2",           run: |s| sweep(&RingPlan { shards: 2, rounds: 20, sched: Seeded(0x5EED) }, s),                tier1: 0x3757_5EED..0x3757_5EED + 24 },
-    Campaign { name: "ring-frontier",           run: |s| frontier(&RingPlan { shards: 2, rounds: 3, sched: Rounds }, s, 4),                   tier1: 0x3757_F0F0..0x3757_F0F1 },
-    Campaign { name: "faults-1",                run: |s| sweep(&FaultsPlan { shards: 1, txns: 40, mode: Mutex }, s),                          tier1: 0xFA57_0000..0xFA57_0000 + 40 },
-    Campaign { name: "faults-2",                run: |s| sweep(&FaultsPlan { shards: 2, txns: 40, mode: Mutex }, s),                          tier1: 0xFA57_2000..0xFA57_2000 + 10 },
-    Campaign { name: "faults-ring-2",           run: |s| sweep(&FaultsPlan { shards: 2, txns: 40, mode: LockFreeRing }, s),                   tier1: 0xFA57_3000..0xFA57_3000 + 10 },
-    Campaign { name: "backlog-2",               run: |s| sweep(&BacklogPlan { shards: 2 }, s),                                                tier1: 0x2B10..0x2B10 + 10 },
-    Campaign { name: "backlog-4",               run: |s| sweep(&BacklogPlan { shards: 4 }, s),                                                tier1: 0xB10C..0xB10C + 10 },
-    Campaign { name: "threaded-frontier",       run: |s| frontier(&ThreadedPlan { shards: 2, txns_per_thread: 2, delta_stage: false }, s, 4), tier1: 5..6 },
-    Campaign { name: "spanning-frontier",       run: |s| frontier(&SpanningPlan { shards: 2, txns: 2, delta_stage: false, coalesce: false }, s, 4), tier1: 9..10 },
-    Campaign { name: "spanning-delta-frontier", run: |s| frontier(&SpanningPlan { shards: 2, txns: 4, delta_stage: true, coalesce: false }, s, 4),  tier1: 9..10 },
-    Campaign { name: "spanning-coalesced-frontier", run: |s| frontier(&SpanningPlan { shards: 2, txns: 2, delta_stage: false, coalesce: true }, s, 4), tier1: 9..10 },
+    Campaign { name: "fs-tinca",                run: |s| sweep(&FsPlan::new(Tinca, 60), s),                                                   base: 1000, tier1: 10, ci: 200 },
+    Campaign { name: "fs-classic",              run: |s| sweep(&FsPlan::new(Classic, 60), s),                                                 base: 2000, tier1: 10, ci: 200 },
+    Campaign { name: "fs-norole",               run: |s| sweep(&FsPlan::new(TincaNoRoleSwitch, 40), s),                                       base: 3000, tier1: 10, ci: 200 },
+    Campaign { name: "fs-ubj",                  run: |s| sweep(&FsPlan::new(Ubj, 60), s),                                                     base: 4000, tier1: 10, ci: 200 },
+    Campaign { name: "fs-logmeta",              run: |s| sweep(&FsPlan::new(ClassicLogMeta, 50), s),                                          base: 5000, tier1: 10, ci: 200 },
+    Campaign { name: "fs-tinca-destage",        run: |s| sweep(&FsPlan { destage: true, ..FsPlan::new(Tinca, 60) }, s),                       base: 7000, tier1: 10, ci: 200 },
+    Campaign { name: "fs-tinca-coalesced",      run: |s| sweep(&FsPlan { destage: true, ..FsPlan::new(Tinca, 50) }, s),                       base: 4500, tier1: 10, ci: 200 },
+    Campaign { name: "fs-tinca-kill",           run: |s| sweep(&FsPlan { mode: ProcessKill, ..FsPlan::new(Tinca, 50) }, s),                   base: 61_000, tier1: 10, ci: 200 },
+    Campaign { name: "fs-classic-kill",         run: |s| sweep(&FsPlan { mode: ProcessKill, ..FsPlan::new(Classic, 50) }, s),                 base: 62_000, tier1: 10, ci: 200 },
+    Campaign { name: "fs-tinca-frontier",       run: |s| frontier(&FsPlan::new(Tinca, 4), s, 4),                                              base: 11, tier1: 1, ci: 4 },
+    Campaign { name: "fs-classic-frontier",     run: |s| frontier(&FsPlan::new(Classic, 4), s, 2),                                            base: 11, tier1: 1, ci: 4 },
+    Campaign { name: "pool-1",                  run: |s| sweep(&PoolPlan { shards: 1, txns: 40, delta_stage: false }, s),                     base: 0x1D, tier1: 10, ci: 200 },
+    Campaign { name: "pool-4",                  run: |s| sweep(&PoolPlan { shards: 4, txns: 40, delta_stage: false }, s),                     base: 0x900D, tier1: 24, ci: 200 },
+    Campaign { name: "pool-delta-1",            run: |s| sweep(&PoolPlan { shards: 1, txns: 40, delta_stage: true }, s),                      base: 0xDE17A1, tier1: 24, ci: 200 },
+    Campaign { name: "pool-delta-2",            run: |s| sweep(&PoolPlan { shards: 2, txns: 40, delta_stage: true }, s),                      base: 0xDE17A2, tier1: 24, ci: 200 },
+    Campaign { name: "ring-1",                  run: |s| sweep(&RingPlan { shards: 1, rounds: 20, sched: Rounds }, s),                        base: 0x3757_1111, tier1: 10, ci: 200 },
+    Campaign { name: "ring-2",                  run: |s| sweep(&RingPlan { shards: 2, rounds: 20, sched: Rounds }, s),                        base: 0x3757_0000, tier1: 24, ci: 200 },
+    Campaign { name: "ring-4",                  run: |s| sweep(&RingPlan { shards: 4, rounds: 20, sched: Rounds }, s),                        base: 0x3757_4444, tier1: 10, ci: 200 },
+    Campaign { name: "ring-seeded-1",           run: |s| sweep(&RingPlan { shards: 1, rounds: 20, sched: Seeded(0x5EED) }, s),                base: 0x5EED_1111, tier1: 10, ci: 200 },
+    Campaign { name: "ring-seeded-2",           run: |s| sweep(&RingPlan { shards: 2, rounds: 20, sched: Seeded(0x5EED) }, s),                base: 0x3757_5EED, tier1: 24, ci: 200 },
+    Campaign { name: "ring-seeded-4",           run: |s| sweep(&RingPlan { shards: 4, rounds: 20, sched: Seeded(0x5EED) }, s),                base: 0x5EED_4444, tier1: 10, ci: 200 },
+    Campaign { name: "ring-frontier",           run: |s| frontier(&RingPlan { shards: 2, rounds: 3, sched: Rounds }, s, 4),                   base: 0x3757_F0F0, tier1: 1, ci: 4 },
+    Campaign { name: "ring-seeded-frontier",    run: |s| frontier(&RingPlan { shards: 2, rounds: 3, sched: Seeded(0x5EED) }, s, 4),           base: 0x3757_F0F0, tier1: 1, ci: 4 },
+    Campaign { name: "faults-1",                run: |s| sweep(&FaultsPlan { shards: 1, txns: 40, mode: Mutex }, s),                          base: 0xFA57_0000, tier1: 40, ci: 200 },
+    Campaign { name: "faults-2",                run: |s| sweep(&FaultsPlan { shards: 2, txns: 40, mode: Mutex }, s),                          base: 0xFA57_2000, tier1: 10, ci: 200 },
+    Campaign { name: "faults-ring-2",           run: |s| sweep(&FaultsPlan { shards: 2, txns: 40, mode: LockFreeRing }, s),                   base: 0xFA57_3000, tier1: 10, ci: 200 },
+    Campaign { name: "backlog-2",               run: |s| sweep(&BacklogPlan { shards: 2 }, s),                                                base: 0x2B10, tier1: 10, ci: 200 },
+    Campaign { name: "backlog-4",               run: |s| sweep(&BacklogPlan { shards: 4 }, s),                                                base: 0xB10C, tier1: 10, ci: 200 },
+    Campaign { name: "threaded-frontier",       run: |s| frontier(&ThreadedPlan { shards: 2, txns_per_thread: 2, delta_stage: false }, s, 4), base: 5, tier1: 1, ci: 4 },
+    Campaign { name: "threaded-delta-frontier", run: |s| frontier(&ThreadedPlan { shards: 2, txns_per_thread: 3, delta_stage: true }, s, 4),  base: 7, tier1: 1, ci: 4 },
+    Campaign { name: "spanning-frontier",       run: |s| frontier(&SpanningPlan { shards: 2, txns: 2, delta_stage: false, coalesce: false }, s, 4), base: 9, tier1: 1, ci: 4 },
+    Campaign { name: "spanning-delta-frontier", run: |s| frontier(&SpanningPlan { shards: 2, txns: 4, delta_stage: true, coalesce: false }, s, 4),  base: 9, tier1: 1, ci: 4 },
+    Campaign { name: "spanning-coalesced-frontier", run: |s| frontier(&SpanningPlan { shards: 2, txns: 2, delta_stage: false, coalesce: true }, s, 4), base: 9, tier1: 1, ci: 4 },
 ];

@@ -19,7 +19,7 @@
 //! trips) or [`frontier`] (a probe run harvests every fence epoch, and each
 //! reachable persist frontier is materialised, recovered, and verified).
 //! What differs between the personalities is one [`Personality`];
-//! [`CAMPAIGNS`] names the instances the pins run.
+//! [`CAMPAIGNS`] names the instances the pins, CI and figures run.
 
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -67,10 +67,9 @@ pub trait Personality: PageStore + Sized {
     fn crash_recover(self, cut: Cut<'_>) -> Result<Self, Finding>;
     /// The store's internal invariants.
     fn check(&mut self) -> Result<(), Finding>;
-    /// Whether a second recovery of a recovered store leaves its images
+    /// Whether a further recovery of a recovered store leaves its images
     /// byte-identical and stores nothing but its commit records (the
-    /// crash engine's fixpoint check, `Crashable::stable_recovery` and
-    /// `Crashable::store_free_recovery`).
+    /// crash engine's fixpoint check, `Crashable::stable_recovery`).
     const FIXPOINT: bool = true;
 }
 
@@ -235,7 +234,7 @@ impl<S: Personality> Crashable for KvApp<S> {
         Ok(())
     }
 
-    fn verify(&mut self) -> Result<(), Finding> {
+    fn verify(&mut self) -> Result<Vec<bool>, Finding> {
         let Some(db) = self.db.as_mut() else {
             return Err(Check::Recovery.found("no recovered db"));
         };
@@ -248,11 +247,7 @@ impl<S: Personality> Crashable for KvApp<S> {
             .get(self.committed_count)
             .map_or(&[][..], |txn| &txn.writes);
         self.rolled_forward = check_kv_state(db, &self.committed, staged)?;
-        Ok(())
-    }
-
-    fn store_free_recovery(&self) -> bool {
-        S::FIXPOINT
+        Ok(vec![self.rolled_forward])
     }
 
     fn stable_recovery(&self) -> bool {
@@ -351,11 +346,12 @@ pub const TXNS: usize = 15;
 /// mid-workload for most seeds while some seeds run to completion. A
 /// change that moves a stack's event count moves its range with it, or
 /// fewer seeds crash.
-pub const WAL_TRIP_MAX: u64 = 20_000;
-pub const TINCA_TRIP_MAX: u64 = 1_000;
+const WAL_TRIP_MAX: u64 = 20_000;
+const TINCA_TRIP_MAX: u64 = 1_000;
 
-/// Every kvdb campaign instance a pin runs, with the seeds whose exact
-/// tally the workspace's `tests/pinned_campaigns.rs` asserts. The
+/// Every kvdb campaign instance a pin, CI or a figure runs, with the seed
+/// sizes whose exact tallies the workspace's `tests/pinned_campaigns.rs`
+/// asserts. The
 /// frontier entries enumerate shorter plans: every reachable persist
 /// frontier of every workload epoch — on **every** shard device in turn
 /// for the Tinca personality, so the commit-ring writes, the spanning
@@ -363,10 +359,10 @@ pub const TINCA_TRIP_MAX: u64 = 1_000;
 /// get their frontiers crashed.
 #[rustfmt::skip]
 pub const CAMPAIGNS: &[Campaign] = &[
-    Campaign { name: "kv-wal-pull",       run: |s| sweep(&KvPlan::<WalStore>::new(TXNS, WAL_TRIP_MAX, PowerPull), s),       tier1: 0x11A0..0x11A0 + 6 },
-    Campaign { name: "kv-wal-kill",       run: |s| sweep(&KvPlan::<WalStore>::new(TXNS, WAL_TRIP_MAX, ProcessKill), s),     tier1: 0x11B0..0x11B0 + 4 },
-    Campaign { name: "kv-tinca-pull",     run: |s| sweep(&KvPlan::<TincaStore>::new(TXNS, TINCA_TRIP_MAX, PowerPull), s),   tier1: 0x22A0..0x22A0 + 12 },
-    Campaign { name: "kv-tinca-kill",     run: |s| sweep(&KvPlan::<TincaStore>::new(TXNS, TINCA_TRIP_MAX, ProcessKill), s), tier1: 0x22B0..0x22B0 + 8 },
-    Campaign { name: "kv-wal-frontier",   run: |s| frontier(&KvPlan::<WalStore>::new(1, 0, PowerPull), s, 2),               tier1: 0x33A0..0x33A1 },
-    Campaign { name: "kv-tinca-frontier", run: |s| frontier(&KvPlan::<TincaStore>::new(2, 0, PowerPull), s, 4),             tier1: 0x44A0..0x44A1 },
+    Campaign { name: "kv-wal-pull",       run: |s| sweep(&KvPlan::<WalStore>::new(TXNS, WAL_TRIP_MAX, PowerPull), s),       base: 0x11A0, tier1: 6, ci: 200 },
+    Campaign { name: "kv-wal-kill",       run: |s| sweep(&KvPlan::<WalStore>::new(TXNS, WAL_TRIP_MAX, ProcessKill), s),     base: 0x11B0, tier1: 4, ci: 200 },
+    Campaign { name: "kv-tinca-pull",     run: |s| sweep(&KvPlan::<TincaStore>::new(TXNS, TINCA_TRIP_MAX, PowerPull), s),   base: 0x22A0, tier1: 12, ci: 200 },
+    Campaign { name: "kv-tinca-kill",     run: |s| sweep(&KvPlan::<TincaStore>::new(TXNS, TINCA_TRIP_MAX, ProcessKill), s), base: 0x22B0, tier1: 8, ci: 200 },
+    Campaign { name: "kv-wal-frontier",   run: |s| frontier(&KvPlan::<WalStore>::new(1, 0, PowerPull), s, 2),               base: 0x33A0, tier1: 1, ci: 4 },
+    Campaign { name: "kv-tinca-frontier", run: |s| frontier(&KvPlan::<TincaStore>::new(2, 0, PowerPull), s, 4),             base: 0x44A0, tier1: 1, ci: 4 },
 ];

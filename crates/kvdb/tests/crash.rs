@@ -1,89 +1,24 @@
-//! Crash-consistency campaigns for both kvdb durability personalities:
-//! random trip sweeps under both failure modes, bounded exhaustive
-//! persist-frontier enumeration, and two directed sweeps: one cuts the
-//! power between a meta-less commit and the split that next carries page
-//! 0, the other at every event of the first commit that fires the destage
-//! daemon. The ignored 200-seed sweep runs in CI's dedicated kvdb crash
-//! step (`--ignored`).
+//! Directed crash tests for both kvdb durability personalities: one cuts
+//! the power between a meta-less commit and the split that next carries
+//! page 0, the other at every event of the first commit that fires the
+//! destage daemon.
 //!
-//! The exact tallies of `kvdb::CAMPAIGNS` are pinned, beside crashsim's, in
-//! the workspace's `tests/pinned_campaigns.rs`; the `pinned_` tests here
-//! pin the directed sweeps' splits. If a number moves, a trip, a cut or a
-//! persistence event moved.
+//! The personalities' sweeps and frontiers are `kvdb::CAMPAIGNS` entries,
+//! whose exact tallies are pinned, beside crashsim's, in the workspace's
+//! `tests/pinned_campaigns.rs`; the `pinned_` tests here pin the directed
+//! sweeps' splits. If a number moves, a trip, a cut or a persistence event
+//! moved.
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use std::ops::Range;
 
-use crashsim::engine::{frontier, run_one, sweep, Crashable, Cut, Trip};
-use crashsim::{AppOutcome, CampaignReport, FailureMode, Finding};
+use crashsim::engine::{run_one, Crashable, Cut, Trip};
+use crashsim::{AppOutcome, FailureMode, Finding};
 use kvdb::{
-    KvApp, KvError, KvPlan, Meta, PageStore, Personality, StoreStats, TincaStore, TincaStoreConfig,
-    WalStore, PAGE_SIZE, TINCA_TRIP_MAX, TXNS, WAL_TRIP_MAX,
+    KvApp, KvError, Meta, PageStore, Personality, StoreStats, TincaStore, TincaStoreConfig,
+    WalStore, PAGE_SIZE, TXNS,
 };
 use nvmsim::{Nvm, TraceEvent};
-
-fn wal(base: u64, runs: u64, mode: FailureMode) -> CampaignReport {
-    sweep(
-        &KvPlan::<WalStore>::new(TXNS, WAL_TRIP_MAX, mode),
-        base..base + runs,
-    )
-}
-
-fn tinca(base: u64, runs: u64, mode: FailureMode) -> CampaignReport {
-    sweep(
-        &KvPlan::<TincaStore>::new(TXNS, TINCA_TRIP_MAX, mode),
-        base..base + runs,
-    )
-}
-
-#[test]
-fn wal_kv_fuzz_power_pull_smoke() {
-    let r = wal(0x11A0, 12, FailureMode::PowerPull);
-    assert!(r.clean(), "violations: {:#?}", r.violations);
-    assert!(r.crashes > 0, "no seed crashed: widen the trip range");
-}
-
-#[test]
-fn wal_kv_fuzz_process_kill_smoke() {
-    let r = wal(0x11B0, 6, FailureMode::ProcessKill);
-    assert!(r.clean(), "violations: {:#?}", r.violations);
-    assert!(r.crashes > 0, "no seed crashed: widen the trip range");
-}
-
-#[test]
-fn tinca_kv_fuzz_power_pull_smoke() {
-    let r = tinca(0x22A0, 12, FailureMode::PowerPull);
-    assert!(r.clean(), "violations: {:#?}", r.violations);
-    assert!(r.crashes > 0, "no seed crashed: widen the trip range");
-}
-
-#[test]
-fn tinca_kv_fuzz_process_kill_smoke() {
-    let r = tinca(0x22B0, 8, FailureMode::ProcessKill);
-    assert!(r.clean(), "violations: {:#?}", r.violations);
-    assert!(r.crashes > 0, "no seed crashed: widen the trip range");
-}
-
-#[test]
-fn wal_kv_frontier_smoke() {
-    let plan = KvPlan::<WalStore>::new(2, 0, FailureMode::PowerPull);
-    let r = frontier(&plan, 0x33A0..0x33A1, 4);
-    assert!(r.clean(), "violations: {:#?}", r.violations);
-    assert!(r.epochs_total > 0, "probe found no workload epochs");
-    assert!(r.runs >= 2 * r.epochs_total);
-}
-
-#[test]
-fn tinca_kv_frontier_smoke() {
-    let plan = KvPlan::<TincaStore>::new(2, 0, FailureMode::PowerPull);
-    let r = frontier(&plan, 0x44A0..0x44A1, 4);
-    assert!(r.clean(), "violations: {:#?}", r.violations);
-    assert!(r.epochs_total > 0, "probe found no workload epochs");
-    // Both shards must contribute epochs: even pages (the meta page
-    // among them, when a split moves it) commit on shard 0, odd ones on
-    // shard 1.
-    assert!(r.runs >= 2 * r.epochs_total);
-}
 
 // ---------------------------------------------------------------------------
 // Directed: a power cut between a meta-less commit and the next split
@@ -382,28 +317,4 @@ fn pinned_tinca_kv_cut_through_the_first_destage_batch() {
     let (back, forward) = tally(&rolled);
     assert_eq!((i, s, marks, after_mark.count()), (479, 0, 5, 17));
     assert_eq!((back, forward), (150, 26));
-}
-
-/// The 200-seed sweep CI runs with `--ignored`: 100 seeds per
-/// personality, both failure modes interleaved.
-#[test]
-#[ignore = "long: run via cargo test -p kvdb --release --test crash -- --ignored"]
-fn kv_fuzz_200_seeds() {
-    let mut violations = Vec::new();
-    let mut crashes = 0u64;
-    for (base, mode) in [
-        (0xA000, FailureMode::PowerPull),
-        (0xB000, FailureMode::ProcessKill),
-    ] {
-        for r in [wal(base, 50, mode), tinca(base ^ 0xF0F0, 50, mode)] {
-            crashes += r.crashes;
-            violations.extend(r.violations);
-        }
-    }
-    println!(
-        "{crashes} of 200 seeds crashed, {} violations",
-        violations.len()
-    );
-    assert!(violations.is_empty(), "violations: {violations:#?}");
-    assert!(crashes >= 40, "only {crashes} of 200 seeds crashed");
 }

@@ -143,11 +143,6 @@ impl Rule {
             Rule::FenceWithoutFlush => "fence-without-flush",
         }
     }
-
-    /// Whether a hit means possible data loss (vs. wasted work).
-    pub fn is_correctness(self) -> bool {
-        !matches!(self, Rule::RedundantFlush | Rule::FenceWithoutFlush)
-    }
 }
 
 impl fmt::Display for Rule {

@@ -202,8 +202,12 @@ impl UbjCache {
         if !frozen_refs.is_empty() {
             c.txn_queue.push_back(frozen_refs);
         }
-        c.nvm.atomic_write_u64(FLAG_OFF, 0);
-        c.nvm.persist(FLAG_OFF, 8);
+        // A clear flag needs no store: recovery then rewrites nothing it
+        // already holds.
+        if committed {
+            c.nvm.atomic_write_u64(FLAG_OFF, 0);
+            c.nvm.persist(FLAG_OFF, 8);
+        }
         c.stats.recoveries += 1;
         Ok(c)
     }

@@ -1,18 +1,11 @@
-//! Workspace-level crash matrix: both consistent systems, several crash
-//! policies, full verification — a compact version of the §5.1
-//! recoverability experiment run as part of the test suite.
+//! Workspace-level directed crash tests: one FS transaction, an
+//! overwrite or a deletion, cut at a spread of trips; the recovered state
+//! must be old or new, never mixed. The FS plans' sweeps are
+//! `crashsim::CAMPAIGNS` entries, pinned in `tests/pinned_campaigns.rs`.
 
-use tinca_repro::crashsim::engine::{sweep, Cut};
-use tinca_repro::crashsim::{CrashHarness, FsOracle, FsPlan};
+use tinca_repro::crashsim::engine::Cut;
+use tinca_repro::crashsim::{CrashHarness, FsOracle};
 use tinca_repro::fssim::stack::{StackConfig, System};
-
-#[test]
-fn fuzz_matrix_is_clean() {
-    for (sys, seed) in [(System::Tinca, 777u64), (System::Classic, 888)] {
-        let report = sweep(&FsPlan::new(sys, 50), seed..seed + 12);
-        assert!(report.clean(), "{}: {:?}", sys.name(), report.violations);
-    }
-}
 
 #[test]
 fn trip_sweep_over_one_fs_transaction() {

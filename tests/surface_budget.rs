@@ -26,7 +26,7 @@ const PUB_BUDGETS: [(&str, usize); 13] = [
     ("kvdb", 76),
     ("crashsim", 86),
     ("blockdev", 49),
-    ("persistcheck", 19),
+    ("persistcheck", 18),
     ("bench", 92),
 ];
 
