@@ -25,7 +25,7 @@ use workloads::openloop::{
     TincaServer,
 };
 
-use crate::engine::{small_pool, BlockOracle, Cut, Images, Plan, PoolApp, Rig, Trip, Workload};
+use crate::engine::{small_pool, Blocks, Cut, Images, Plan, PoolApp, Rig, Trip, Workload};
 use crate::{CampaignReport, Finding};
 
 fn overload_spec(shards: usize, seed: u64) -> OpenLoopSpec {
@@ -56,26 +56,17 @@ pub struct Backlog {
 }
 
 impl Workload for Backlog {
-    fn play(
-        &mut self,
-        rig: &Rig,
-        pool: &TincaPool,
-        oracle: &mut BlockOracle,
-    ) -> Result<(), Finding> {
+    fn play(&mut self, rig: &Rig, pool: &TincaPool, oracle: &mut Blocks) -> Result<(), Finding> {
         let server = TincaServer::new(pool, rig.clock.clone());
         let mut driver = OpenLoopDriver::new(self.spec.clone(), server);
         for arrival in &self.plan {
-            let write: Option<Vec<(u64, u64)>> = match &arrival.kind {
-                OpKind::Write { blks, seq } => Some(blks.iter().map(|&b| (b, *seq)).collect()),
-                _ => None,
-            };
-            if let Some(w) = &write {
-                oracle.begin(w);
+            if let OpKind::Write { blks, seq } = &arrival.kind {
+                oracle.begin(blks.iter().map(|&b| (b, *seq)));
             }
             match driver.step() {
                 Some(StepOutcome::Completed { .. }) => oracle.commit(),
                 Some(StepOutcome::ShedQueueFull { .. }) => {
-                    self.shed += u64::from(write.is_some());
+                    self.shed += u64::from(matches!(arrival.kind, OpKind::Write { .. }));
                     oracle.abort();
                 }
                 None => break,
@@ -101,7 +92,9 @@ impl Plan for BacklogPlan {
 
     fn build(&self, seed: u64) -> Result<(Self::App, Trip, Cut<'static>), Finding> {
         let spec = overload_spec(self.shards, seed);
-        let (rig, pool) = Rig::new(small_pool(self.shards, CommitMode::Mutex, false), 512 << 10);
+        let (mut rig, pool) =
+            Rig::new(small_pool(self.shards, CommitMode::Mutex, false), 512 << 10);
+        rig.images = Images::Stamped;
         // The stream is deterministic, so the oracle sees the whole plan
         // up front.
         let plan: Vec<Arrival> = ArrivalStream::new(&spec, self.shards).collect();
@@ -109,7 +102,7 @@ impl Plan for BacklogPlan {
             dev: (seed % self.shards as u64) as usize,
             at: 1 + (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 3_000),
         };
-        let oracle = BlockOracle::new(Images::Stamped, spec.blocks);
+        let blocks = spec.blocks;
         let cut = Cut::Random {
             seed: seed ^ 0xBAC1,
             shift: 13,
@@ -119,6 +112,6 @@ impl Plan for BacklogPlan {
             plan,
             shed: 0,
         };
-        Ok((PoolApp::new(rig, pool, oracle, work), trip, cut))
+        Ok((PoolApp::new(rig, pool, blocks, work), trip, cut))
     }
 }

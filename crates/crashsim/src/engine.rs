@@ -26,10 +26,12 @@
 //! * [`audit`] — the persist-order check of every shard's trace and of
 //!   the merged pool-wide trace, as an [`Audit`] of reports that a
 //!   campaign folds into its first [`Finding`] and a figure counts;
-//! * [`BlockOracle`] — the payload images, the durable map and the
-//!   in-flight transactions, judged after recovery.
+//! * [`Oracle`] — the durable value of every key and the transactions in
+//!   flight, judged after recovery: the pool plans' blocks, the FS plans'
+//!   files and kvdb's records.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -386,6 +388,10 @@ pub struct Rig {
     pub devices: Vec<Nvm>,
     /// The disk's clock, which is also the telemetry clock.
     pub clock: SimClock,
+    /// The payloads the oracle's blocks read as: sparse under delta
+    /// staging (a rewrite then skips lines and stores runs in both
+    /// halves), dense otherwise.
+    pub images: Images,
     disk: DynDisk,
     faulty: Option<Arc<FaultyDisk>>,
     cfg: PoolConfig,
@@ -432,9 +438,15 @@ impl Rig {
         let metadata = (0..cfg.shards)
             .map(|s| pool.shard_metadata_ranges(s))
             .collect();
+        let images = if cfg.cache.delta_stage {
+            Images::Sparse
+        } else {
+            Images::Dense
+        };
         let rig = Rig {
             devices,
             clock,
+            images,
             disk,
             faulty,
             cfg,
@@ -443,30 +455,30 @@ impl Rig {
         (rig, pool)
     }
 
-    /// An oracle over blocks `0..blocks` with the images this pool's
-    /// configuration calls for: sparse under delta staging (a rewrite
-    /// then skips lines and stores runs in both halves), dense otherwise.
-    pub fn oracle(&self, blocks: u64) -> BlockOracle {
-        let images = if self.cfg.cache.delta_stage {
-            Images::Sparse
-        } else {
-            Images::Dense
-        };
-        BlockOracle::new(images, blocks)
-    }
-
     /// Checks a live or recovered pool, with fault injection off so the
     /// reads observe state rather than perturb it: every shard's
     /// internals, the persist-order [`audit`] of everything traced since
-    /// the last check, then `oracle`, whose verdict it returns.
-    pub fn check(&self, pool: &TincaPool, oracle: &BlockOracle) -> Result<Vec<bool>, Finding> {
+    /// the last check, then `oracle` over blocks `0..blocks` (one never
+    /// written reads zeroes: nothing refused, shed or torn leaked), whose
+    /// verdict it returns.
+    pub fn check(
+        &self,
+        pool: &TincaPool,
+        oracle: &Blocks,
+        blocks: u64,
+    ) -> Result<Vec<bool>, Finding> {
         if let Some(faulty) = &self.faulty {
             faulty.set_enabled(false);
         }
         pool.check_consistency()
             .map_err(|e| Check::Internals.found(e))?;
         self.audit().verdict()?;
-        oracle.check(pool)
+        oracle.judge(0..blocks, |&b, version| {
+            let mut buf = [0u8; BLOCK_SIZE];
+            pool.read_nocache(b, &mut buf)
+                .map_err(|e| Check::Oracle.found(format_args!("block {b} unreadable: {e}")))?;
+            Ok(buf == self.images.of(b, version.copied()))
+        })
     }
 
     /// The persist-order [`audit`] of everything the devices traced since
@@ -485,14 +497,9 @@ impl Rig {
 /// cut and for the app's own counters.
 pub trait Workload {
     /// Plays the plan on `pool`, telling `oracle` what it commits.
-    fn play(
-        &mut self,
-        rig: &Rig,
-        pool: &TincaPool,
-        oracle: &mut BlockOracle,
-    ) -> Result<(), Finding>;
+    fn play(&mut self, rig: &Rig, pool: &TincaPool, oracle: &mut Blocks) -> Result<(), Finding>;
     /// [`Crashable::completed`], on the pool the drive ran on.
-    fn completed(&mut self, _: &Rig, _: &TincaPool, _: &BlockOracle) -> Result<(), Finding> {
+    fn completed(&mut self, _: &Rig, _: &TincaPool, _: &Blocks) -> Result<(), Finding> {
         Ok(())
     }
     /// [`Crashable::tally`], off the pool the drive ran on.
@@ -528,7 +535,8 @@ impl Writers {
 /// [`Writers`]' [`Script`].
 struct Queues<'a> {
     queues: Vec<std::slice::Iter<'a, Option<TxnSpec>>>,
-    oracle: &'a mut BlockOracle,
+    images: Images,
+    oracle: &'a mut Blocks,
     /// Each writer's transaction, from its draw until it takes effect.
     current: Vec<Option<&'a TxnSpec>>,
 }
@@ -539,7 +547,7 @@ impl Script for Queues<'_> {
             return Some(Op::Idle);
         };
         self.current[w] = Some(spec);
-        let txn = self.oracle.images().txn(pool, spec);
+        let txn = self.images.txn(pool, spec);
         let home = pool.shard_of(spec[0].0);
         if spec.iter().all(|&(b, _)| pool.shard_of(b) == home) {
             Some(Op::Commit(txn))
@@ -549,21 +557,22 @@ impl Script for Queues<'_> {
     }
 
     fn begin(&mut self, w: usize) {
-        self.oracle
-            .begin(self.current[w].expect("a drawn transaction"));
+        let spec = self.current[w].expect("a drawn transaction");
+        self.oracle.begin(spec.iter().copied());
     }
 
     fn done(&mut self, w: usize) {
-        self.oracle
-            .retire(self.current[w].take().expect("a drawn transaction"));
+        let spec = self.current[w].take().expect("a drawn transaction");
+        self.oracle.retire(spec.iter().copied());
     }
 }
 
 impl Workload for Writers {
-    fn play(&mut self, _: &Rig, pool: &TincaPool, oracle: &mut BlockOracle) -> Result<(), Finding> {
+    fn play(&mut self, rig: &Rig, pool: &TincaPool, oracle: &mut Blocks) -> Result<(), Finding> {
         let n = self.queues.len();
         let mut script = Queues {
             queues: self.queues.iter().map(|q| q.iter()).collect(),
+            images: rig.images,
             oracle,
             current: vec![None; n],
         };
@@ -583,34 +592,36 @@ impl Workload for Writers {
 }
 
 /// A pool plan as a [`Crashable`]: the rig, the pool it formatted, the
-/// oracle, and the workload that plays on the pool.
+/// oracle over its blocks `0..blocks`, and the workload that plays on the
+/// pool.
 pub struct PoolApp<W> {
     rig: Rig,
     /// The pool the drive ran on. A crash leaves it as the workload did,
     /// DRAM counters included; recovery builds a new one.
     pool: TincaPool,
-    oracle: BlockOracle,
+    oracle: Blocks,
+    blocks: u64,
     recovered: Option<TincaPool>,
     work: W,
 }
 
 impl<W: Workload> PoolApp<W> {
-    pub(crate) fn new(rig: Rig, pool: TincaPool, oracle: BlockOracle, work: W) -> PoolApp<W> {
+    pub(crate) fn new(rig: Rig, pool: TincaPool, blocks: u64, work: W) -> PoolApp<W> {
         PoolApp {
             rig,
             pool,
-            oracle,
+            oracle: Oracle::default(),
+            blocks,
             recovered: None,
             work,
         }
     }
 
-    /// A freshly formatted pool of `cfg` with [`SHARD_BYTES`] shards, and
-    /// an oracle over blocks `0..blocks` with the images `cfg` calls for.
+    /// A freshly formatted pool of `cfg` with [`SHARD_BYTES`] shards,
+    /// whose oracle judges blocks `0..blocks`.
     pub(crate) fn fresh(cfg: &PoolConfig, blocks: u64, work: W) -> PoolApp<W> {
         let (rig, pool) = Rig::new(cfg.clone(), SHARD_BYTES);
-        let oracle = rig.oracle(blocks);
-        PoolApp::new(rig, pool, oracle, work)
+        PoolApp::new(rig, pool, blocks, work)
     }
 }
 
@@ -632,7 +643,7 @@ impl<W: Workload> Crashable for PoolApp<W> {
 
     fn verify(&mut self) -> Result<Vec<bool>, Finding> {
         let pool = self.recovered.as_ref().expect("recovered pool");
-        self.rig.check(pool, &self.oracle)
+        self.rig.check(pool, &self.oracle, self.blocks)
     }
 
     fn completed(&mut self) -> Result<(), Finding> {
@@ -778,16 +789,10 @@ impl Audit {
     /// the first correctness rule that fired, view by view.
     pub fn verdict(&self) -> Result<(), Finding> {
         self.views()
-            .try_for_each(|(what, report)| persist_order(&what, report))
-    }
-}
-
-/// An analyzer report as a verdict: a [`Check::PersistOrder`] finding
-/// naming the first correctness rule that fired on `what`, if any did.
-pub(crate) fn persist_order(what: &str, report: &Report) -> Result<(), Finding> {
-    match report.violations.first() {
-        None => Ok(()),
-        Some(v) => Err(Check::PersistOrder(v.rule).found(format_args!("{what}: {report}"))),
+            .try_for_each(|(what, report)| match report.violations.first() {
+                None => Ok(()),
+                Some(v) => Err(Check::PersistOrder(v.rule).found(format_args!("{what}: {report}"))),
+            })
     }
 }
 
@@ -843,50 +848,61 @@ impl Images {
     }
 }
 
-/// What blocks `0..blocks` must hold: the durable version of each, plus
-/// the transactions in flight when the power failed, each judged
-/// all-or-nothing on its own.
-#[derive(Clone, Debug)]
-pub struct BlockOracle {
-    images: Images,
-    blocks: u64,
-    durable: HashMap<u64, u64>,
-    in_flight: Vec<Vec<(u64, u64)>>,
+/// What a store must hold after a crash: the durable value of every key,
+/// and the transactions in flight when the power failed, each judged all
+/// or nothing on its own. A transaction is its writes, and a `None` value
+/// deletes its key. The pool plans key blocks by number, each value
+/// a version of its [`Images`] payload; the FS plans key files by name,
+/// each value its contents; kvdb keys its records.
+#[derive(Clone, Debug, Default)]
+pub struct Oracle<K, V> {
+    durable: BTreeMap<K, V>,
+    in_flight: Vec<BTreeMap<K, Option<V>>>,
 }
 
-impl BlockOracle {
-    pub fn new(images: Images, blocks: u64) -> BlockOracle {
-        BlockOracle {
-            images,
-            blocks,
-            durable: HashMap::new(),
-            in_flight: Vec::new(),
+/// The pool plans' oracle: each block's version.
+pub(crate) type Blocks = Oracle<u64, u64>;
+
+impl<K: Ord + Clone + fmt::Debug, V: Clone + PartialEq> Oracle<K, V> {
+    /// The value of every key that must survive any crash.
+    pub fn durable(&self) -> &BTreeMap<K, V> {
+        &self.durable
+    }
+
+    /// A transaction of `writes` is in flight: from here until it commits,
+    /// retires or aborts a cut may leave it all or nothing.
+    pub fn begin(&mut self, writes: impl IntoIterator<Item = (K, V)>) {
+        let txn = writes.into_iter().map(|(k, v)| (k, Some(v))).collect();
+        self.in_flight.push(txn);
+    }
+
+    /// Adds a write to the newest transaction in flight, opening one if
+    /// none is; it replaces that transaction's earlier write of `key`.
+    pub fn stage(&mut self, key: K, value: Option<V>) {
+        if self.in_flight.is_empty() {
+            self.in_flight.push(BTreeMap::new());
         }
-    }
-
-    pub fn images(&self) -> Images {
-        self.images
-    }
-
-    /// `writes` is in flight: from here until [`commit`](Self::commit)
-    /// or `abort` a cut may leave it all or nothing.
-    pub fn begin(&mut self, writes: &[(u64, u64)]) {
-        assert!(writes.iter().all(|&(b, _)| b < self.blocks));
-        self.in_flight.push(writes.to_vec());
+        let txn = self.in_flight.last_mut().expect("a transaction in flight");
+        txn.insert(key, value);
     }
 
     /// Every transaction in flight returned: durable now.
     pub fn commit(&mut self) {
-        for (b, v) in self.in_flight.drain(..).flatten() {
-            self.durable.insert(b, v);
+        for (k, v) in self.in_flight.drain(..).flatten() {
+            match v {
+                Some(v) => self.durable.insert(k, v),
+                None => self.durable.remove(&k),
+            };
         }
     }
 
     /// The in-flight transaction `writes` took effect on its own: durable
     /// now, while the others stay in flight.
-    pub fn retire(&mut self, writes: &[(u64, u64)]) {
-        self.in_flight.retain(|t| t != writes);
-        self.durable.extend(writes.iter().copied());
+    pub fn retire(&mut self, writes: impl IntoIterator<Item = (K, V)>) {
+        let txn: BTreeMap<_, _> = writes.into_iter().map(|(k, v)| (k, Some(v))).collect();
+        self.in_flight.retain(|t| *t != txn);
+        self.durable
+            .extend(txn.into_iter().filter_map(|(k, v)| Some((k, v?))));
     }
 
     /// Every transaction in flight ended without effect (a refused
@@ -895,61 +911,68 @@ impl BlockOracle {
         self.in_flight.clear();
     }
 
-    /// The durable image of block `b`.
-    pub(crate) fn durable_image(&self, b: u64) -> [u8; BLOCK_SIZE] {
-        self.images.of(b, self.durable.get(&b).copied())
-    }
-
-    /// Reads every block back. A block no in-flight transaction touches
-    /// must hold its durable version (zeroes if never written: nothing
-    /// refused, shed or torn leaked). Each in-flight transaction must
-    /// read wholly new or wholly old; a block whose new version equals
-    /// its durable one witnesses neither, but must read that version.
-    /// Returns, per in-flight transaction, whether it read new.
-    pub fn check(&self, pool: &TincaPool) -> Result<Vec<bool>, Finding> {
-        fn fail<T>(detail: String) -> Result<T, Finding> {
-            Err(Check::Oracle.found(detail))
-        }
-        let read = |b: u64| {
-            let mut buf = [0u8; BLOCK_SIZE];
-            pool.read_nocache(b, &mut buf)
-                .map(|()| buf)
-                .or_else(|e| fail(format!("block {b} unreadable: {e}")))
-        };
-        let open: HashSet<u64> = self.in_flight.iter().flatten().map(|&(b, _)| b).collect();
-        for b in (0..self.blocks).filter(|b| !open.contains(b)) {
-            let want = self.durable.get(&b).copied();
-            if read(b)? != self.images.of(b, want) {
-                return fail(format!("block {b}: not its durable version {want:?}"));
+    /// Judges a recovered store, which `holds` reads: whether it holds a
+    /// value at a key (`None`: no value). Every key of `keys` or of the
+    /// durable map that no in-flight transaction writes must hold its
+    /// durable value. Each in-flight transaction must read wholly new or
+    /// wholly old; a key whose new value is its durable one witnesses
+    /// neither, but must hold it. Returns, per in-flight transaction,
+    /// whether it read new — rolled forward. A passing judge accepts each
+    /// key it reads after exactly one `holds` that returned `true`.
+    pub fn judge(
+        &self,
+        keys: impl IntoIterator<Item = K>,
+        mut holds: impl FnMut(&K, Option<&V>) -> Result<bool, Finding>,
+    ) -> Result<Vec<bool>, Finding> {
+        let fail = |detail: String| Err(Check::Oracle.found(detail));
+        let open: BTreeSet<&K> = self.in_flight.iter().flatten().map(|(k, _)| k).collect();
+        let settled: BTreeSet<K> = keys
+            .into_iter()
+            .chain(self.durable.keys().cloned())
+            .collect();
+        for k in settled.iter().filter(|k| !open.contains(k)) {
+            if !holds(k, self.durable.get(k))? {
+                return fail(format!("{k:?}: not its durable value"));
             }
         }
         let mut forward = Vec::with_capacity(self.in_flight.len());
         for (t, writes) in self.in_flight.iter().enumerate() {
             let (mut news, mut olds) = (Vec::new(), Vec::new());
-            for &(b, v) in writes {
-                let old = self.durable.get(&b).copied();
-                let got = read(b)?;
-                let torn = if old == Some(v) {
-                    got != self.images.of(b, old)
-                } else if got == self.images.of(b, Some(v)) {
-                    news.push(b);
-                    false
-                } else {
-                    olds.push(b);
-                    got != self.images.of(b, old)
-                };
-                if torn {
-                    return fail(format!("in-flight txn {t} block {b} is torn"));
+            for (k, new) in writes {
+                let (old, new) = (self.durable.get(k), new.as_ref());
+                if old != new && holds(k, new)? {
+                    news.push(k);
+                } else if !holds(k, old)? {
+                    return fail(format!("in-flight txn {t}: {k:?} is torn"));
+                } else if old != new {
+                    olds.push(k);
                 }
             }
             if !news.is_empty() && !olds.is_empty() {
                 return fail(format!(
-                    "in-flight txn {t} not atomic: blocks {news:?} read new, {olds:?} read old"
+                    "in-flight txn {t} not atomic: {news:?} read new, {olds:?} read old"
                 ));
             }
             forward.push(!news.is_empty());
         }
         Ok(forward)
+    }
+}
+
+/// Files: a write lands in the file's newest contents.
+impl Oracle<String, Vec<u8>> {
+    /// Stages `data` written at `offset` of the file `name`, which must
+    /// exist; the file grows, zero-filled, to cover it.
+    pub fn write_at(&mut self, name: &str, offset: u64, data: &[u8]) {
+        let staged = self.in_flight.iter().rev().find_map(|t| t.get(name));
+        let newest = staged.map_or(self.durable.get(name), Option::as_ref);
+        let mut file = newest.expect("oracle: write to unknown file").clone();
+        let end = offset as usize + data.len();
+        if file.len() < end {
+            file.resize(end, 0);
+        }
+        file[offset as usize..end].copy_from_slice(data);
+        self.stage(name.to_string(), Some(file));
     }
 }
 

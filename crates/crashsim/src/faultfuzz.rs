@@ -1,6 +1,6 @@
 //! Combined crash + disk-fault fuzzing.
 //!
-//! The crash fuzzers ([`crate::fuzz`], [`crate::poolfuzz`]) assume a
+//! The crash fuzzers ([`crate::harness`], [`crate::poolfuzz`]) assume a
 //! perfect disk. This campaign drops that assumption: each seeded run
 //! wraps the disk in a [`FaultyDisk`](blockdev::FaultyDisk) with a
 //! randomized [`FaultPlan`] (transient read/write bursts, an occasional
@@ -39,8 +39,7 @@ use rand::{Rng, SeedableRng};
 use tinca::{CommitMode, Health, TincaPool};
 
 use crate::engine::{
-    draw_txn, small_pool, BlockOracle, Cut, Plan, PoolApp, Rig, Trip, TxnSpec, Workload,
-    SHARD_BYTES,
+    draw_txn, small_pool, Blocks, Cut, Plan, PoolApp, Rig, Trip, TxnSpec, Workload, SHARD_BYTES,
 };
 use crate::FailureMode::PowerPull;
 use crate::{CampaignReport, Check, Finding};
@@ -102,19 +101,20 @@ impl Workload for Faults {
     /// not become durable. A read may fail permanently (a bad uncached
     /// block) — losing *committed* data may not, and a read that succeeds
     /// must agree with the oracle.
-    fn play(&mut self, _: &Rig, pool: &TincaPool, oracle: &mut BlockOracle) -> Result<(), Finding> {
-        let images = oracle.images();
+    fn play(&mut self, rig: &Rig, pool: &TincaPool, oracle: &mut Blocks) -> Result<(), Finding> {
+        let images = rig.images;
         for op in &self.0 {
             match op {
                 Op::Read(b) => {
                     let mut buf = [0u8; BLOCK_SIZE];
-                    if pool.read(*b, &mut buf).is_ok() && buf != oracle.durable_image(*b) {
+                    let durable = images.of(*b, oracle.durable().get(b).copied());
+                    if pool.read(*b, &mut buf).is_ok() && buf != durable {
                         return Err(Check::Oracle
                             .found(format_args!("read of block {b} disagrees with the oracle")));
                     }
                 }
                 Op::Txn(spec) => {
-                    oracle.begin(spec);
+                    oracle.begin(spec.iter().copied());
                     if pool.commit(images.txn(pool, spec)).is_ok() {
                         oracle.commit();
                     } else {
@@ -130,12 +130,7 @@ impl Workload for Faults {
     /// quarantine set, and an orderly flush keeps failing only while
     /// something is quarantined — every committed block must still read
     /// back, from NVM if pinned.
-    fn completed(
-        &mut self,
-        rig: &Rig,
-        pool: &TincaPool,
-        oracle: &BlockOracle,
-    ) -> Result<(), Finding> {
+    fn completed(&mut self, rig: &Rig, pool: &TincaPool, oracle: &Blocks) -> Result<(), Finding> {
         let q = quarantined(pool);
         let health = pool.health();
         let health_ok = match health {
@@ -154,7 +149,7 @@ impl Workload for Faults {
                 "flush_all failed ({flush:?}) yet nothing is quarantined"
             )));
         }
-        rig.check(pool, oracle).map(drop)
+        rig.check(pool, oracle, WORK_BLOCKS).map(drop)
     }
 
     /// The fault counters live in DRAM: they are read off the pool the
@@ -206,10 +201,9 @@ impl Plan for FaultsPlan {
             dev: (seed / 2 % self.shards as u64) as usize,
             at: rng.gen_range(1..12_000u64),
         };
-        let oracle = rig.oracle(WORK_BLOCKS);
         // Power failure mid-run: recovery runs with fault injection still
         // live (it must not need the disk).
         let cut = Cut::of(PowerPull, seed ^ 0xD15C);
-        Ok((PoolApp::new(rig, pool, oracle, Faults(ops)), trip, cut))
+        Ok((PoolApp::new(rig, pool, WORK_BLOCKS, Faults(ops)), trip, cut))
     }
 }

@@ -1,13 +1,22 @@
-//! The crash harness: run a workload against a stack with a trip armed,
-//! crash, remount, verify against the oracle.
+//! The FS stack under the crash engine: run a workload against a stack
+//! with a trip armed, crash, remount, and verify against a file oracle.
+//! The cut → remount step and the stack's internals check are here once,
+//! for [`CrashHarness`] and for kvdb's WAL personality. [`FsPlan`] is the
+//! harness's campaign: a seeded file workload, a random crash point, an
+//! adversarial write-back resolution (or a process kill), then full
+//! verification — swept over seeds, or enumerated.
 
-use fssim::stack::{build, remount, Stack, StackConfig};
-use fssim::FsSim;
-use nvmsim::{CrashTripped, NvmConfig};
-use persistcheck::{CheckConfig, Checker, Report};
+use std::ops::Range;
+use std::slice::from_ref;
 
-use crate::engine::{persist_order, tripped, Cut};
-use crate::{Check, Finding, FsOracle};
+use fssim::stack::{self, build, Stack, StackConfig, System};
+use fssim::{FsError, FsSim};
+use nvmsim::{CrashTripped, Nvm, NvmConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use crate::engine::{audit, tripped, Audit, Crashable, Cut, Oracle, Plan, Trip};
+use crate::{Check, Finding};
 
 /// Suppresses panic-hook output for the *expected* [`CrashTripped`] panics
 /// crash injection produces. Install once per process (idempotent).
@@ -24,47 +33,36 @@ pub fn quiet_crash_panics() {
     });
 }
 
-/// Drives one crash experiment on one stack. Every harness runs the
-/// persist-order analyzer in shadow mode: the NVM device records its
-/// event trace (no effect on simulated time), and [`Self::verify`] fails
-/// if any commit point was reached with unflushed or unfenced stores.
+/// Drives one crash experiment on one stack. Its NVM device records its
+/// event trace (no effect on simulated time), and [`Self::verify`] runs
+/// the persist-order [`audit`] of everything traced since the last one.
 pub struct CrashHarness {
-    cfg: StackConfig,
     stack: Option<Stack>,
-    checker: Checker,
+    nvm: Nvm,
+    metadata: Vec<Range<usize>>,
 }
 
 impl CrashHarness {
-    /// Builds a fresh stack with event tracing enabled.
-    pub fn new(mut cfg: StackConfig) -> Self {
+    /// Builds a fresh stack with event tracing enabled; a stack that
+    /// cannot be built is a [`Check::Workload`] finding.
+    pub fn new(mut cfg: StackConfig) -> Result<Self, Finding> {
         quiet_crash_panics();
         let nvm_cfg = cfg
             .nvm_override
             .take()
             .unwrap_or_else(|| NvmConfig::new(cfg.nvm_bytes, cfg.nvm_tech));
         cfg.nvm_override = Some(nvm_cfg.with_tracing());
-        let stack = build(&cfg).expect("stack build");
-        let checker = Checker::new(CheckConfig::with_metadata(
-            stack.fs.backend().metadata_ranges(),
-        ));
-        Self {
-            cfg,
+        let stack = build(&cfg).map_err(|e| Check::Workload.found(format_args!("mkfs: {e}")))?;
+        Ok(Self {
+            nvm: stack.nvm.clone(),
+            metadata: stack.fs.backend().metadata_ranges(),
             stack: Some(stack),
-            checker,
-        }
+        })
     }
 
-    /// Feeds the events traced since the last drain to the analyzer.
-    fn drain_trace(&mut self) {
-        if let Some(stack) = self.stack.as_ref() {
-            self.checker.push_all(&stack.nvm.take_trace());
-        }
-    }
-
-    /// The analyzer's cumulative view of this harness's event trace.
-    pub fn persist_report(&mut self) -> Report {
-        self.drain_trace();
-        self.checker.report()
+    /// The persist-order [`audit`] of everything traced since the last.
+    pub fn audit(&self) -> Audit {
+        audit(from_ref(&self.nvm), from_ref(&self.metadata))
     }
 
     /// The live file system (panics after a crash until remounted).
@@ -72,9 +70,9 @@ impl CrashHarness {
         &mut self.stack.as_mut().expect("stack live").fs
     }
 
-    /// The live stack.
-    pub(crate) fn stack(&self) -> &Stack {
-        self.stack.as_ref().expect("stack live")
+    /// The traced NVM device, which outlives every remount.
+    pub(crate) fn nvm(&self) -> &Nvm {
+        &self.nvm
     }
 
     /// Runs `workload` with a crash trip armed `trip` persistence events
@@ -83,110 +81,278 @@ impl CrashHarness {
     where
         F: FnOnce(&mut FsSim),
     {
-        let stack = self.stack.as_mut().expect("stack live");
-        stack.nvm.set_trip(Some(trip));
-        tripped(std::slice::from_ref(&stack.nvm), || workload(&mut stack.fs)).is_none()
+        let fs = &mut self.stack.as_mut().expect("stack live").fs;
+        self.nvm.set_trip(Some(trip));
+        tripped(from_ref(&self.nvm), || workload(fs)).is_none()
     }
 
-    /// Runs `workload` with no trip (must complete).
-    pub fn run<F>(&mut self, workload: F)
-    where
-        F: FnOnce(&mut FsSim),
-    {
-        let stack = self.stack.as_mut().expect("stack live");
-        workload(&mut stack.fs);
-    }
-
-    /// Simulates the power failure and reboots the stack: DRAM state is
-    /// discarded, the NVM resolves its volatile write-back state per
-    /// `cut`, and cache + file system run their recovery paths.
-    pub fn crash_and_remount(&mut self, cut: Cut<'_>) {
+    /// Simulates the power failure and reboots the stack ([`remount`]).
+    /// After a failed remount the stack stays down.
+    pub fn crash_and_remount(&mut self, cut: Cut<'_>) -> Result<(), Finding> {
         let stack = self.stack.take().expect("stack live");
-        let (nvm, disk, clock) = (stack.nvm, stack.disk, stack.clock);
-        drop(stack.fs);
-        cut.apply(std::slice::from_ref(&nvm));
-        let rebooted = remount(&self.cfg, nvm, disk, clock).expect("remount after crash");
-        self.stack = Some(rebooted);
+        self.stack = Some(remount(stack, cut)?);
+        Ok(())
     }
 
-    /// Checks the recovered state against the oracle: the event trace is
-    /// persist-order clean, internal invariants hold, and the visible file
-    /// set + contents equal either the durable or the staged state
-    /// (all-or-nothing). Returns whether it matched the staged state, and
-    /// not the durable one.
-    pub fn verify(&mut self, oracle: &FsOracle) -> Result<bool, Finding> {
-        self.drain_trace();
-        persist_order("trace", &self.checker.report())?;
-        let stack = self.stack.as_mut().expect("stack live");
-        let internals = |e| Check::Internals.found(e);
-        stack.fs.backend().check().map_err(internals)?;
-        stack.fs.check_consistency().map_err(internals)?;
-
-        let Some(durable) = diff_state(&mut stack.fs, oracle.durable_state()) else {
-            return Ok(false);
-        };
-        let Some(staged) = diff_state(&mut stack.fs, oracle.staged_state()) else {
-            return Ok(true);
-        };
-        Err(Check::Oracle.found(format_args!("vs durable: {durable}; vs staged: {staged}")))
+    /// Checks the recovered state: the event trace is persist-order
+    /// clean, the [`internals`] hold, and `oracle` judges the files by
+    /// name and contents, with no file it never saw. Returns its verdict.
+    pub fn verify(&mut self, oracle: &Oracle<String, Vec<u8>>) -> Result<Vec<bool>, Finding> {
+        self.audit().verdict()?;
+        let fs = self.fs();
+        internals(fs)?;
+        // The judge accepts each file after one `holds` that returned
+        // true, so `files` counts those the matched state holds.
+        let mut files = 0;
+        let forward = oracle.judge([], |name, want| {
+            let held = file_holds(fs, name, want)?;
+            files += usize::from(held && want.is_some());
+            Ok(held)
+        })?;
+        match fs.file_count() {
+            Ok(count) if count == files => Ok(forward),
+            Ok(count) => Err(Check::Oracle.found(format_args!("{count} files, expected {files}"))),
+            Err(e) => Err(Check::Oracle.found(format_args!("name table unreadable: {e}"))),
+        }
     }
 }
 
-/// Compares the mounted FS against an expected name→contents map.
-/// Returns `None` on an exact match, or a description of the first
-/// difference.
-fn diff_state(
-    fs: &mut FsSim,
-    expected: &std::collections::HashMap<String, Vec<u8>>,
-) -> Option<String> {
-    let count = match fs.file_count() {
-        Ok(n) => n,
-        Err(e) => return Some(format!("name table unreadable: {e}")),
+/// Fails the power on `stack`'s NVM per `cut` and reboots it: DRAM state
+/// is discarded, the NVM resolves its volatile write-back state, and the
+/// cache and the file system run their recovery paths. A remount that
+/// fails is a [`Check::Recovery`] finding.
+pub fn remount(stack: Stack, cut: Cut<'_>) -> Result<Stack, Finding> {
+    drop(stack.fs);
+    cut.apply(from_ref(&stack.nvm));
+    stack::remount(&stack.config, stack.nvm, stack.disk, stack.clock)
+        .map_err(|e| Check::Recovery.found(format_args!("remount: {e}")))
+}
+
+/// A mounted stack's internal invariants: its cache's, then its file
+/// system's ([`Check::Internals`]).
+pub fn internals(fs: &mut FsSim) -> Result<(), Finding> {
+    fs.backend()
+        .check()
+        .map_err(|e| Check::Internals.found(format_args!("cache: {e}")))?;
+    fs.check_consistency()
+        .map_err(|e| Check::Internals.found(format_args!("fs: {e}")))
+}
+
+/// Whether the mounted file system holds `want` under `name`: exactly
+/// those contents, or, for `None`, no such file. A file that fails to read
+/// is a [`Check::Oracle`] finding.
+fn file_holds(fs: &mut FsSim, name: &str, want: Option<&Vec<u8>>) -> Result<bool, Finding> {
+    let unreadable = |e: FsError| Check::Oracle.found(format_args!("{name}: unreadable: {e}"));
+    let Some(want) = want else {
+        return fs.exists(name).map(|found| !found).map_err(unreadable);
     };
-    if count != expected.len() {
-        return Some(format!("file count {count} != expected {}", expected.len()));
+    let Ok(ino) = fs.open(name) else {
+        return Ok(false);
+    };
+    if fs.file_size(ino).map_err(unreadable)? != want.len() as u64 {
+        return Ok(false);
     }
-    for (name, want) in expected {
-        let Ok(ino) = fs.open(name) else {
-            return Some(format!("missing file {name}"));
-        };
-        let size = match fs.file_size(ino) {
-            Ok(size) => size,
-            Err(e) => return Some(format!("{name}: inode unreadable: {e}")),
-        };
-        if size != want.len() as u64 {
-            return Some(format!("{name}: size {size} != {}", want.len()));
+    let mut buf = vec![0u8; want.len()];
+    Ok(fs.read(ino, 0, &mut buf).map_err(unreadable)? == want.len() && buf == *want)
+}
+
+/// A deterministic scripted workload step.
+enum Step {
+    Create(String),
+    Write {
+        name: String,
+        offset: u64,
+        len: usize,
+        fill: u8,
+    },
+    Delete(String),
+    Fsync,
+}
+
+fn script(rng: &mut StdRng, steps: usize, max_files: usize) -> Vec<Step> {
+    let mut live: Vec<String> = Vec::new();
+    let mut out = Vec::with_capacity(steps);
+    let mut next_id = 0u32;
+    for _ in 0..steps {
+        let roll = rng.gen_range(0..100);
+        if roll < 20 && live.len() < max_files {
+            let name = format!("f{next_id}");
+            next_id += 1;
+            live.push(name.clone());
+            out.push(Step::Create(name));
+        } else if roll < 70 && !live.is_empty() {
+            let name = live[rng.gen_range(0..live.len())].clone();
+            out.push(Step::Write {
+                name,
+                offset: rng.gen_range(0..16) * 1024,
+                len: rng.gen_range(1..8192),
+                fill: rng.gen_range(1..=255),
+            });
+        } else if roll < 80 && live.len() > 1 {
+            let i = rng.gen_range(0..live.len());
+            let name = live.remove(i);
+            out.push(Step::Delete(name));
+        } else {
+            out.push(Step::Fsync);
         }
-        let mut buf = vec![0u8; want.len()];
-        match fs.read(ino, 0, &mut buf) {
-            Err(e) => return Some(format!("{name}: unreadable: {e}")),
-            Ok(n) if n != want.len() => {
-                return Some(format!("{name}: read {n} of {} bytes", want.len()))
+    }
+    out.push(Step::Fsync);
+    out
+}
+
+fn apply(fs: &mut FsSim, oracle: &mut Oracle<String, Vec<u8>>, step: &Step) {
+    match step {
+        Step::Create(name) => {
+            if fs.create(name).is_ok() {
+                oracle.stage(name.clone(), Some(Vec::new()));
             }
-            Ok(_) => {}
         }
-        if &buf != want {
-            let pos = buf.iter().zip(want).position(|(a, b)| a != b).unwrap_or(0);
-            return Some(format!("{name}: contents differ at byte {pos}"));
+        Step::Write {
+            name,
+            offset,
+            len,
+            fill,
+        } => {
+            if let Ok(ino) = fs.open(name) {
+                let data = vec![*fill; *len];
+                if fs.write(ino, *offset, &data).is_ok() {
+                    oracle.write_at(name, *offset, &data);
+                }
+            }
+        }
+        Step::Delete(name) => {
+            if fs.delete(name).is_ok() {
+                oracle.stage(name.clone(), None);
+            }
+        }
+        Step::Fsync => {
+            // A commit error is a clean abort (e.g. the destage variant's
+            // tiny cache cannot stage the whole batch): the batch stays
+            // uncommitted and a later fsync may retry it.
+            if fs.fsync().is_ok() {
+                oracle.commit();
+            }
         }
     }
-    None
+}
+
+/// How the simulated failure happens (§5.1 runs both scenarios).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FailureMode {
+    /// "Unexpectedly plugging out the power cable": un-fenced write-back
+    /// state resolves adversarially.
+    PowerPull,
+    /// "Suddenly killing Tinca's process": DRAM state is lost but the CPU
+    /// caches survive and eventually drain — everything stored reaches
+    /// NVM.
+    ProcessKill,
+}
+
+/// A scripted file workload over one stack: `steps` steps on `system`,
+/// failing per `mode`. The stack batches through explicit fsyncs only
+/// (`txn_block_limit` is raised above the script's reach), so the oracle
+/// knows every commit boundary exactly: the files changed since the last
+/// fsync are one transaction in flight.
+///
+/// With `destage`, the stack runs the watermark destage daemon and
+/// commit-path flush coalescing on a shrunken NVM (160 KB ≈ 34 data
+/// blocks), so the script's working set crosses the low watermark and
+/// crashes land during background writeback — the campaign then proves
+/// that a crash mid-destage never loses an acknowledged commit.
+#[derive(Clone, Copy, Debug)]
+pub struct FsPlan {
+    pub system: System,
+    pub steps: usize,
+    pub mode: FailureMode,
+    pub destage: bool,
+}
+
+impl FsPlan {
+    /// Power pulls on `system`, `steps` steps per script, no destage.
+    pub const fn new(system: System, steps: usize) -> FsPlan {
+        FsPlan {
+            system,
+            steps,
+            mode: FailureMode::PowerPull,
+            destage: false,
+        }
+    }
+}
+
+impl Plan for FsPlan {
+    type App = FsApp;
+    const NAME: &'static str = "fs";
+
+    fn build(&self, seed: u64) -> Result<(FsApp, Trip, Cut<'static>), Finding> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = script(&mut rng, self.steps, 12);
+        let trip = Trip {
+            dev: 0,
+            at: rng.gen_range(1..20_000u64),
+        };
+        let mut cfg = StackConfig::tiny(self.system);
+        cfg.txn_block_limit = 100_000; // commits only at explicit fsync
+        if self.destage {
+            cfg.destage = true;
+            cfg.nvm_bytes = 160 << 10;
+        }
+        let harness = CrashHarness::new(cfg)?;
+        // Each app builds a fresh stack with its own simulated clock;
+        // point any installed telemetry recorder at it so per-seed spans
+        // attribute this run's simulated time (a no-op when telemetry is
+        // off).
+        telemetry::swap_clock(harness.nvm().clock());
+        let app = FsApp {
+            harness,
+            oracle: Oracle::default(),
+            plan,
+        };
+        Ok((app, trip, Cut::of(self.mode, seed ^ 0xD1CE)))
+    }
+}
+
+/// The FS-level crash application: the harness, the oracle over file
+/// names and the script.
+pub struct FsApp {
+    harness: CrashHarness,
+    oracle: Oracle<String, Vec<u8>>,
+    plan: Vec<Step>,
+}
+
+impl Crashable for FsApp {
+    fn devices(&self) -> &[Nvm] {
+        std::slice::from_ref(self.harness.nvm())
+    }
+
+    fn drive(&mut self) -> Result<(), Finding> {
+        let fs = self.harness.fs();
+        self.plan
+            .iter()
+            .for_each(|step| apply(fs, &mut self.oracle, step));
+        Ok(())
+    }
+
+    fn recover(&mut self, cut: Cut<'_>) -> Result<(), Finding> {
+        self.harness.crash_and_remount(cut)
+    }
+
+    fn verify(&mut self) -> Result<Vec<bool>, Finding> {
+        self.harness.verify(&self.oracle)
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     use blockdev::{DiskKind, FaultPlan, FaultyDisk, SimDisk};
     use fssim::{Backend, Geometry, JournalMode};
     use nvmsim::SimClock;
 
     use super::*;
 
-    /// A recovered file whose data block fails to read is a difference,
+    /// A recovered file whose data block fails to read is a finding,
     /// never a match.
     #[test]
-    fn an_unreadable_file_is_a_difference() {
+    fn an_unreadable_file_is_a_finding() {
         let geo = Geometry::compute(1024, 0, 16);
         let disk = SimDisk::new(DiskKind::Ssd, geo.total_blocks, SimClock::new());
         let bad_data = FaultPlan::quiet(1).with_bad_range(geo.data_off..geo.total_blocks);
@@ -201,11 +367,8 @@ mod tests {
         // the data block, which now fails.
         let mut fs = FsSim::mount(raw(), geo).unwrap();
         faulty.set_enabled(true);
-        let expected = HashMap::from([("f".to_string(), vec![7u8; 100])]);
-        let diff = diff_state(&mut fs, &expected);
-        assert!(
-            diff.as_deref().is_some_and(|d| d.contains("f: unreadable")),
-            "{diff:?}"
-        );
+        let e = file_holds(&mut fs, "f", Some(&vec![7u8; 100])).unwrap_err();
+        assert_eq!(e.check, Check::Oracle, "{e}");
+        assert!(e.detail.contains("f: unreadable"), "{e}");
     }
 }

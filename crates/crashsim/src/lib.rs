@@ -10,36 +10,27 @@
 //! * the un-fenced write-back state is resolved adversarially (each dirty
 //!   word independently persists or drops, honouring 16-byte atomics), or
 //!   to one exact persist frontier of the open fence epoch;
-//! * an **oracle** tracks the state that must be durable and the state
-//!   that may additionally be visible (the in-flight transaction,
-//!   all-or-nothing); after recovery the observed state must be exactly
-//!   one of the two, internal invariants must hold and the event trace
-//!   must pass the persist-order analyzer.
+//! * one **oracle**, [`engine::Oracle`], holds the value every key must
+//!   keep and the transactions in flight; after recovery every other key
+//!   must hold its durable value and each in-flight transaction must read
+//!   all new or all old, internal invariants must hold and the event
+//!   trace must pass the persist-order analyzer. Its keys are the pool
+//!   plans' blocks, the FS plans' file names (a file's value is its
+//!   contents) and kvdb's records.
 //!
 //! ## The crash engine
 //!
-//! Every campaign runs one experiment, on [`engine`]. An application
-//! implements [`engine::Crashable`] — its devices, a drive that runs the
-//! workload and tells the oracle what it committed, its own recovery, and
-//! a verify — and a campaign is an [`engine::Plan`] value whose fields are
-//! its axes: it builds the app for a seed, with the seed's trip and cut.
-//! Two drivers run a plan:
+//! Every campaign runs one experiment, on [`engine`]: an application is
+//! an [`engine::Crashable`], a campaign an [`engine::Plan`] value whose
+//! fields are its axes, run per seed by [`engine::sweep`] or per persist
+//! frontier by [`engine::frontier`] into one [`CampaignReport`], each
+//! [`Violation`] in it naming the [`Check`] that raised it.
 //!
-//! * [`engine::sweep`] — per seed, arm the trip, drive until it fires, cut
-//!   the power, recover, verify;
-//! * [`engine::frontier`] — a probe run harvests every device's fence
-//!   epochs, and every persist frontier of each is replayed through
-//!   [`engine::run_one`].
-//!
-//! Both return one [`CampaignReport`], and each [`Violation`] in it names
-//! the [`Check`] that raised it: the workload, a frontier replay, the
-//! recovery, the internals, a persist-order rule, the oracle, or the
-//! fixpoint (a further recovery changed the recovered state).
-//!
-//! The plans are the FS stack ([`FsPlan`]: [`CrashHarness`] and
-//! [`FsOracle`] over a scripted file workload), kvdb's two personalities
+//! The plans are the FS stack ([`FsPlan`]: [`CrashHarness`] over a
+//! scripted file workload; its cut → [`remount`] and [`internals`] check
+//! serve kvdb's WAL personality too), kvdb's two personalities
 //! (`kvdb::KvPlan`), and the pool plans, which share the engine's rig,
-//! cut, persist-order audit and block oracle: [`PoolPlan`] (dense or
+//! cut and persist-order audit: [`PoolPlan`] (dense or
 //! delta-staged), [`RingPlan`] (the lock-free ring), [`FaultsPlan`] (disk
 //! faults, any shard count and commit mode), [`BacklogPlan`] (open-loop
 //! overload), [`ThreadedPlan`] (one scheduled writer per shard) and
@@ -65,20 +56,16 @@ mod backlog;
 pub mod engine;
 mod faultfuzz;
 mod frontier;
-mod fuzz;
 mod harness;
 mod mwfuzz;
-mod oracle;
 mod poolfuzz;
 
 pub use app::{AppOutcome, Campaign, CampaignReport, Check, Finding, Violation};
 pub use backlog::BacklogPlan;
 pub use faultfuzz::FaultsPlan;
 pub use frontier::ThreadedPlan;
-pub use fuzz::{FailureMode, FsPlan};
-pub use harness::{quiet_crash_panics, CrashHarness};
+pub use harness::{internals, quiet_crash_panics, remount, CrashHarness, FailureMode, FsPlan};
 pub use mwfuzz::RingPlan;
-pub use oracle::FsOracle;
 pub use poolfuzz::{PoolPlan, SpanningPlan};
 
 use engine::{frontier, sweep};

@@ -4,8 +4,8 @@
 //! loses power again at a random persistence event. The remount after the
 //! second cut must hold exactly the durable or the staged state.
 
-use crashsim::engine::Cut;
-use crashsim::{CrashHarness, FsOracle};
+use crashsim::engine::{Cut, Oracle};
+use crashsim::CrashHarness;
 use fssim::stack::{StackConfig, System};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,21 +32,17 @@ fn second_cut(system: System, seed: u64) -> bool {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cfg = StackConfig::tiny(system);
     cfg.txn_block_limit = 100_000; // commits only at explicit fsync
-    let mut h = CrashHarness::new(cfg);
-    let mut oracle = FsOracle::new();
-    h.run(|fs| {
-        for i in 0..FILES {
-            let f = fs.create(&name(i)).unwrap();
-            fs.write(f, 0, &[i as u8; 100]).unwrap();
-        }
-        fs.fsync().unwrap();
-    });
+    let mut h = CrashHarness::new(cfg).unwrap();
+    let fs = h.fs();
     for i in 0..FILES {
-        oracle.create(&name(i));
-        oracle.write(&name(i), 0, &[i as u8; 100]);
+        let f = fs.create(&name(i)).unwrap();
+        fs.write(f, 0, &[i as u8; 100]).unwrap();
     }
-    oracle.committed();
-    h.crash_and_remount(Cut::Random { seed, shift: 0 });
+    fs.fsync().unwrap();
+    let mut oracle = Oracle::default();
+    oracle.begin((0..FILES).map(|i| (name(i), vec![i as u8; 100])));
+    oracle.commit();
+    h.crash_and_remount(Cut::Random { seed, shift: 0 }).unwrap();
 
     // Writes reach the direct and the indirect blocks (past 48 KB), so
     // they allocate, load the bitmap and stage inode blocks.
@@ -73,11 +69,11 @@ fn second_cut(system: System, seed: u64) -> bool {
                 } => {
                     let f = fs.open(&name(file)).unwrap();
                     fs.write(f, offset, &vec![fill; len]).unwrap();
-                    oracle.write(&name(file), offset, &vec![fill; len]);
+                    oracle.write_at(&name(file), offset, &vec![fill; len]);
                 }
                 Step::Fsync => {
                     fs.fsync().unwrap();
-                    oracle.committed();
+                    oracle.commit();
                 }
             }
         }
@@ -85,7 +81,8 @@ fn second_cut(system: System, seed: u64) -> bool {
     h.crash_and_remount(Cut::Random {
         seed: seed ^ 0x005E_C00D,
         shift: 0,
-    });
+    })
+    .unwrap();
     h.verify(&oracle)
         .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", system.name()));
     crashed

@@ -1,14 +1,23 @@
 //! The paper's §5.1 recoverability experiment, directed: the no-journal
 //! baseline must lose consistency under a power cut (so the consistency
-//! the journaled systems keep is real, not vacuous), and a quiescent
-//! crash, the shadow persist-order analyzer and repeated crash/remount
-//! cycles keep the exact state. The FS plans' sweeps and frontiers are
-//! `crashsim::CAMPAIGNS` entries (`fs-*`), pinned by the workspace's
-//! `tests/pinned_campaigns.rs`.
+//! the journaled systems keep is real, not vacuous), a quiescent crash,
+//! the shadow persist-order analyzer and repeated crash/remount cycles
+//! keep the exact state, and a remount that fails is one run's finding.
+//! The FS plans' sweeps and frontiers are `crashsim::CAMPAIGNS` entries
+//! (`fs-*`), pinned by the workspace's `tests/pinned_campaigns.rs`.
 
-use crashsim::engine::Cut;
-use crashsim::{Check, CrashHarness, FsOracle};
+use crashsim::engine::{run_one, Crashable, Cut, Oracle, Plan, Trip};
+use crashsim::{Check, CrashHarness, Finding, FsPlan};
 use fssim::stack::{StackConfig, System};
+use nvmsim::Nvm;
+
+/// A file oracle that saw `name` committed with `contents`.
+fn committed(name: &str, contents: Vec<u8>) -> Oracle<String, Vec<u8>> {
+    let mut oracle = Oracle::default();
+    oracle.begin([(name.to_string(), contents)]);
+    oracle.commit();
+    oracle
+}
 
 #[test]
 fn no_journal_baseline_can_lose_consistency() {
@@ -18,27 +27,23 @@ fn no_journal_baseline_can_lose_consistency() {
     for seed in 0..200u64 {
         let mut cfg = StackConfig::tiny(System::ClassicNoJournal);
         cfg.txn_block_limit = 100_000;
-        let mut h = CrashHarness::new(cfg);
-        let mut oracle = FsOracle::new();
-        h.run(|fs| {
-            let f = fs.create("doc").unwrap();
-            fs.write(f, 0, &[1u8; 20_000]).unwrap();
-            fs.fsync().unwrap();
-        });
-        oracle.create("doc");
-        oracle.write("doc", 0, &[1u8; 20_000]);
-        oracle.committed();
+        let mut h = CrashHarness::new(cfg).unwrap();
+        let fs = h.fs();
+        let f = fs.create("doc").unwrap();
+        fs.write(f, 0, &[1u8; 20_000]).unwrap();
+        fs.fsync().unwrap();
+        let mut oracle = committed("doc", vec![1u8; 20_000]);
         // Overwrite with version 2, crash mid-commit.
         let crashed = h.run_with_trip(20 + seed * 10, |fs| {
             let f = fs.open("doc").unwrap();
             fs.write(f, 0, &[2u8; 20_000]).unwrap();
             fs.fsync().unwrap();
         });
-        oracle.write("doc", 0, &[2u8; 20_000]);
+        oracle.write_at("doc", 0, &[2u8; 20_000]);
         if !crashed {
             continue;
         }
-        h.crash_and_remount(Cut::Random { seed, shift: 0 });
+        h.crash_and_remount(Cut::Random { seed, shift: 0 }).unwrap();
         if let Err(e) = h.verify(&oracle) {
             assert_eq!(e.check, Check::Oracle, "{e}");
             violated = true;
@@ -54,24 +59,20 @@ fn no_journal_baseline_can_lose_consistency() {
 #[test]
 fn quiescent_crash_preserves_exact_state() {
     for system in [System::Tinca, System::Classic] {
-        let mut h = CrashHarness::new(StackConfig::tiny(system));
-        let mut oracle = FsOracle::new();
-        h.run(|fs| {
-            for i in 0..5 {
-                let f = fs.create(&format!("file{i}")).unwrap();
-                fs.write(f, 0, format!("data {i}").as_bytes()).unwrap();
-            }
-            fs.fsync().unwrap();
-        });
+        let mut h = CrashHarness::new(StackConfig::tiny(system)).unwrap();
+        let fs = h.fs();
         for i in 0..5 {
-            oracle.create(&format!("file{i}"));
-            oracle.write(&format!("file{i}"), 0, format!("data {i}").as_bytes());
+            let f = fs.create(&format!("file{i}")).unwrap();
+            fs.write(f, 0, format!("data {i}").as_bytes()).unwrap();
         }
-        oracle.committed();
-        assert!(oracle.quiescent());
-        h.crash_and_remount(Cut::LoseVolatile);
-        h.verify(&oracle)
-            .unwrap_or_else(|e| panic!("{}: {e}", system.name()));
+        fs.fsync().unwrap();
+        let mut oracle = Oracle::default();
+        oracle.begin((0..5).map(|i| (format!("file{i}"), format!("data {i}").into_bytes())));
+        oracle.commit();
+        h.crash_and_remount(Cut::LoseVolatile).unwrap();
+        // Nothing in flight: the one legal state.
+        let verdict = h.verify(&oracle);
+        assert_eq!(verdict, Ok(vec![]), "{}", system.name());
     }
 }
 
@@ -81,20 +82,19 @@ fn shadow_analyzer_observes_commits_and_stays_clean() {
     // unmodified Tinca stack it must see real commit points and report
     // zero correctness violations — including across a crash/remount,
     // where recovery's ring close is itself a commit point.
-    let mut h = CrashHarness::new(StackConfig::tiny(System::Tinca));
-    h.run(|fs| {
-        let f = fs.create("doc").unwrap();
-        fs.write(f, 0, &[7u8; 8192]).unwrap();
-        fs.fsync().unwrap();
-    });
-    let report = h.persist_report();
+    let mut h = CrashHarness::new(StackConfig::tiny(System::Tinca)).unwrap();
+    let fs = h.fs();
+    let f = fs.create("doc").unwrap();
+    fs.write(f, 0, &[7u8; 8192]).unwrap();
+    fs.fsync().unwrap();
+    let report = h.audit().merged;
     assert!(report.commits >= 1, "analyzer must observe commit points");
     assert!(
         report.is_clean(),
         "unmodified protocol must be clean:\n{report}"
     );
-    h.crash_and_remount(Cut::LoseVolatile);
-    let report = h.persist_report();
+    h.crash_and_remount(Cut::LoseVolatile).unwrap();
+    let report = h.audit().merged;
     assert!(report.crashes >= 1, "the crash must appear in the trace");
     assert!(report.is_clean(), "recovery must stay clean:\n{report}");
 }
@@ -103,14 +103,11 @@ fn shadow_analyzer_observes_commits_and_stays_clean() {
 fn repeated_crash_remount_cycles() {
     // Five consecutive crash/recover cycles with work in between; state
     // must stay exact throughout (Tinca).
-    let mut h = CrashHarness::new(StackConfig::tiny(System::Tinca));
-    let mut oracle = FsOracle::new();
-    h.run(|fs| {
-        fs.create("log").unwrap();
-        fs.fsync().unwrap();
-    });
-    oracle.create("log");
-    oracle.committed();
+    let mut h = CrashHarness::new(StackConfig::tiny(System::Tinca)).unwrap();
+    let fs = h.fs();
+    fs.create("log").unwrap();
+    fs.fsync().unwrap();
+    let mut oracle = committed("log", Vec::new());
     for round in 0..5u64 {
         let fill = round as u8 + 1;
         let crashed = h.run_with_trip(200 + round * 37, move |fs| {
@@ -118,19 +115,19 @@ fn repeated_crash_remount_cycles() {
             fs.append(f, &[fill; 3000]).unwrap();
             fs.fsync().unwrap();
         });
-        let offset = oracle.staged_state()["log"].len() as u64;
-        oracle.write("log", offset, &[fill; 3000]);
+        let offset = oracle.durable()["log"].len() as u64;
+        oracle.write_at("log", offset, &[fill; 3000]);
         if !crashed {
-            oracle.committed();
+            oracle.commit();
         }
         h.crash_and_remount(Cut::Random {
             seed: round * 7 + 1,
             shift: 0,
-        });
+        })
+        .unwrap();
         h.verify(&oracle)
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
         // Re-sync the oracle to whatever survived, then continue.
-        let mut fresh = FsOracle::new();
         let fs = h.fs();
         let survived = fs.exists("log").unwrap();
         assert!(survived, "committed file must never vanish");
@@ -138,9 +135,42 @@ fn repeated_crash_remount_cycles() {
         let size = fs.file_size(ino).unwrap() as usize;
         let mut buf = vec![0u8; size];
         fs.read(ino, 0, &mut buf).unwrap();
-        fresh.create("log");
-        fresh.write("log", 0, &buf);
-        fresh.committed();
-        oracle = fresh;
+        oracle = committed("log", buf);
     }
+}
+
+/// The FS plan's app, whose recovery first zeroes the cache's NVM header
+/// on its way down: the remount that follows cannot find the cache.
+struct Clobbered(<FsPlan as Plan>::App);
+
+impl Crashable for Clobbered {
+    fn devices(&self) -> &[Nvm] {
+        self.0.devices()
+    }
+
+    fn drive(&mut self) -> Result<(), Finding> {
+        self.0.drive()
+    }
+
+    fn recover(&mut self, cut: Cut<'_>) -> Result<(), Finding> {
+        let nvm = &self.0.devices()[0];
+        nvm.write(0, &[0; 64]);
+        nvm.clflush(0, 64);
+        nvm.sfence();
+        self.0.recover(cut)
+    }
+
+    fn verify(&mut self) -> Result<Vec<bool>, Finding> {
+        self.0.verify()
+    }
+}
+
+#[test]
+fn a_failed_remount_is_one_runs_recovery_finding() {
+    let (app, _, cut) = FsPlan::new(System::Tinca, 60).build(1000).unwrap();
+    let outcome = run_one(&mut Clobbered(app), Trip { dev: 0, at: 500 }, cut);
+    assert!(outcome.crashed);
+    let e = outcome.verdict.unwrap_err();
+    assert_eq!(e.check, Check::Recovery, "{e}");
+    assert!(e.detail.starts_with("remount: "), "{e}");
 }

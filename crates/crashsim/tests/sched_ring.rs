@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 
-use crashsim::engine::{small_pool, BlockOracle, Rig};
+use crashsim::engine::{small_pool, Images, Oracle, Rig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tinca::{CommitMode, TincaPool};
@@ -38,7 +38,8 @@ struct Lanes<'a> {
     left: Vec<usize>,
     shards: u64,
     writers: u64,
-    oracle: &'a mut BlockOracle,
+    images: Images,
+    oracle: &'a mut Oracle<u64, u64>,
     /// Whether writers commit bulk transactions.
     bulk: bool,
     /// Each writer's transaction in progress, as `(block, version)`s.
@@ -82,7 +83,7 @@ impl Script for Lanes<'_> {
         if self.held[s as usize] + n > RING_SLOTS {
             self.busy += 1;
         }
-        Some(Op::Commit(self.oracle.images().txn(pool, &self.current[w])))
+        Some(Op::Commit(self.images.txn(pool, &self.current[w])))
     }
 
     fn begin(&mut self, w: usize) {
@@ -90,7 +91,7 @@ impl Script for Lanes<'_> {
         self.held[s] += self.current[w].len() as u64;
         self.overlaps += u64::from(!self.open[s].is_empty());
         self.open[s].push_back(w);
-        self.oracle.begin(&self.current[w]);
+        self.oracle.begin(self.current[w].iter().copied());
     }
 
     fn done(&mut self, w: usize) {
@@ -102,7 +103,7 @@ impl Script for Lanes<'_> {
             Some(w),
             "shard {s}: a window retired out of ring order"
         );
-        self.oracle.retire(&self.current[w]);
+        self.oracle.retire(self.current[w].iter().copied());
     }
 }
 
@@ -114,7 +115,7 @@ fn run(shards: usize, writers: usize, ops: usize, bulk: bool, seed: u64) -> (u64
         SHARD_BYTES,
     );
     let blocks = LANE * writers as u64 * shards as u64;
-    let mut oracle = rig.oracle(blocks);
+    let mut oracle = Oracle::default();
     let mut lanes = Lanes {
         rngs: (0..writers)
             .map(|w| StdRng::seed_from_u64(seed ^ ((w as u64 + 1) << 40)))
@@ -122,6 +123,7 @@ fn run(shards: usize, writers: usize, ops: usize, bulk: bool, seed: u64) -> (u64
         left: vec![ops; writers],
         shards: shards as u64,
         writers: writers as u64,
+        images: rig.images,
         oracle: &mut oracle,
         bulk,
         current: vec![Vec::new(); writers],
@@ -136,7 +138,7 @@ fn run(shards: usize, writers: usize, ops: usize, bulk: bool, seed: u64) -> (u64
     };
     sched.run(&pool, writers, &mut lanes);
     let (busy, overlaps) = (lanes.busy, lanes.overlaps);
-    if let Err(e) = rig.check(&pool, &oracle) {
+    if let Err(e) = rig.check(&pool, &oracle, blocks) {
         panic!("seed {seed}, {shards} shards, {writers} writers: {e}");
     }
     (busy, overlaps)

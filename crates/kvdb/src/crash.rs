@@ -4,16 +4,12 @@
 //! engine: a seeded TPC-C KV plan runs with a crash trip armed on an NVM
 //! device, the power is pulled mid-commit, the store recovers (WAL replay
 //! for [`WalStore`], ring recovery — spanning two-phase included — for
-//! [`TincaStore`]), and the recovered database is verified against a
-//! committed-KV oracle:
-//!
-//! * the store's internals hold, and B-tree structural invariants hold
-//!   ([`Db::validate`]);
-//! * every NVM event trace passes the persist-order analyzer (per shard
-//!   *and* merged, for the pool-backed store);
-//! * the full contents equal the committed map, or the committed map
-//!   plus the in-flight transaction's writes — all-or-nothing at the KV
-//!   transaction level, across every page and shard the commit touched.
+//! [`TincaStore`]), and the recovered database is verified: the store's
+//! internals, the persist-order analyzer over every NVM event trace (per
+//! shard *and* merged, for the pool-backed store), then [`judge`]: the
+//! B-tree's invariants, and the engine's [`Oracle`] over every record —
+//! the acknowledged transactions, and the one in flight all or nothing
+//! across every page and shard its commit touched.
 //!
 //! A campaign is one [`KvPlan`], run by the engine's [`sweep`] (random
 //! trips) or [`frontier`] (a probe run harvests every fence epoch, and each
@@ -26,9 +22,8 @@ use std::marker::PhantomData;
 use std::ops::Range;
 use std::slice::from_ref;
 
-use crashsim::engine::{audit, frontier, sweep, Crashable, Cut, Plan, Trip};
-use crashsim::{Campaign, Check, FailureMode, Finding};
-use fssim::stack::remount;
+use crashsim::engine::{audit, frontier, sweep, Crashable, Cut, Oracle, Plan, Trip};
+use crashsim::{internals, remount, Campaign, Check, FailureMode, Finding};
 use nvmsim::Nvm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -97,23 +92,12 @@ impl Personality for WalStore {
     }
 
     fn crash_recover(self, cut: Cut<'_>) -> Result<WalStore, Finding> {
-        let stack = self.into_stack();
-        let (cfg, nvm, disk, clock) = (stack.config.clone(), stack.nvm, stack.disk, stack.clock);
-        drop(stack.fs);
-        cut.apply(from_ref(&nvm));
-        let rebooted = remount(&cfg, nvm, disk, clock)
-            .map_err(|e| Check::Recovery.found(format_args!("remount: {e}")))?;
-        WalStore::mount(rebooted, WAL_CFG)
+        WalStore::mount(remount(self.into_stack(), cut)?, WAL_CFG)
             .map_err(|e| Check::Recovery.found(format_args!("WAL replay: {e}")))
     }
 
     fn check(&mut self) -> Result<(), Finding> {
-        let fs = &mut self.stack_mut().fs;
-        fs.backend()
-            .check()
-            .map_err(|e| Check::Internals.found(format_args!("cache: {e}")))?;
-        fs.check_consistency()
-            .map_err(|e| Check::Internals.found(format_args!("fs: {e}")))
+        internals(&mut self.stack_mut().fs)
     }
 }
 
@@ -157,15 +141,13 @@ impl Personality for TincaStore {
 }
 
 /// A kvdb crash application: one seeded TPC-C KV plan on a fresh `S`,
-/// and the committed-KV oracle.
+/// and the oracle over its records.
 pub struct KvApp<S: Personality> {
     db: Option<Db<S>>,
     devices: Vec<Nvm>,
     metadata: Vec<Vec<Range<usize>>>,
     plan: Vec<KvTxn>,
-    committed: BTreeMap<Vec<u8>, Vec<u8>>,
-    committed_count: usize,
-    rolled_forward: bool,
+    oracle: Oracle<Vec<u8>, Vec<u8>>,
 }
 
 impl<S: Personality> KvApp<S> {
@@ -182,9 +164,7 @@ impl<S: Personality> KvApp<S> {
             devices,
             metadata,
             plan: (0..txns).map(|_| driver.next_txn()).collect(),
-            committed: BTreeMap::new(),
-            committed_count: 0,
-            rolled_forward: false,
+            oracle: Oracle::default(),
         })
     }
 
@@ -194,15 +174,10 @@ impl<S: Personality> KvApp<S> {
         self.db.as_ref()
     }
 
-    /// Transactions acknowledged before the trip fired.
-    pub fn committed_count(&self) -> usize {
-        self.committed_count
-    }
-
-    /// Whether [`verify`](Crashable::verify) found the in-flight
-    /// transaction rolled forward rather than back.
-    pub fn rolled_forward(&self) -> bool {
-        self.rolled_forward
+    /// What the drive told the oracle: the records of the transactions
+    /// acknowledged before the trip fired, and the one in flight.
+    pub fn oracle(&self) -> &Oracle<Vec<u8>, Vec<u8>> {
+        &self.oracle
     }
 }
 
@@ -216,9 +191,9 @@ impl<S: Personality> Crashable for KvApp<S> {
             return Err(Check::Workload.found("no live db"));
         };
         for txn in &self.plan {
+            self.oracle.begin(txn.writes.iter().cloned());
             apply_txn(db, txn).map_err(|e| Check::Workload.found(e))?;
-            self.committed.extend(txn.writes.iter().cloned());
-            self.committed_count += 1;
+            self.oracle.commit();
         }
         Ok(())
     }
@@ -242,12 +217,7 @@ impl<S: Personality> Crashable for KvApp<S> {
         // Per-shard and merged persist-order cleanliness of the whole
         // trace: format, workload, crash, recovery.
         audit(&self.devices, &self.metadata).verdict()?;
-        let staged = self
-            .plan
-            .get(self.committed_count)
-            .map_or(&[][..], |txn| &txn.writes);
-        self.rolled_forward = check_kv_state(db, &self.committed, staged)?;
-        Ok(vec![self.rolled_forward])
+        judge(db, &self.oracle)
     }
 
     fn stable_recovery(&self) -> bool {
@@ -255,49 +225,22 @@ impl<S: Personality> Crashable for KvApp<S> {
     }
 }
 
-/// The shared KV oracle: structural validity ([`Check::Internals`]) plus
-/// all-or-nothing contents ([`Check::Oracle`]). `staged` is the in-flight
-/// transaction's write set (empty if the workload completed). `Ok(true)`
-/// means the in-flight transaction rolled forward, `Ok(false)` that the
-/// contents are the committed map.
-fn check_kv_state<S: PageStore>(
+/// kvdb's verdict on a database: its B-tree's structural invariants
+/// ([`Check::Internals`]), then `oracle` over every record it holds.
+pub fn judge<S: PageStore>(
     db: &mut Db<S>,
-    committed: &BTreeMap<Vec<u8>, Vec<u8>>,
-    staged: &[(Vec<u8>, Vec<u8>)],
-) -> Result<bool, Finding> {
+    oracle: &Oracle<Vec<u8>, Vec<u8>>,
+) -> Result<Vec<bool>, Finding> {
     db.validate().map_err(|e| Check::Internals.found(e))?;
-    let contents: BTreeMap<Vec<u8>, Vec<u8>> = db
+    let records: BTreeMap<Vec<u8>, Vec<u8>> = db
         .scan_all()
         .map_err(|e| Check::Oracle.found(format_args!("scan: {e}")))?
         .into_iter()
         .collect();
-    if contents == *committed {
-        return Ok(false);
-    }
-    let mut with_staged = committed.clone();
-    for (k, v) in staged {
-        with_staged.insert(k.clone(), v.clone());
-    }
-    if contents == with_staged {
-        return Ok(true);
-    }
-    // Describe the first divergence from the nearer oracle state.
-    let diff = |want: &BTreeMap<Vec<u8>, Vec<u8>>| -> String {
-        if contents.len() != want.len() {
-            return format!("{} keys, expected {}", contents.len(), want.len());
-        }
-        contents
-            .iter()
-            .zip(want.iter())
-            .find(|(a, b)| a != b)
-            .map(|((k, _), _)| format!("first divergent key {k:?}"))
-            .unwrap_or_else(|| "divergence not localised".into())
-    };
-    Err(Check::Oracle.found(format_args!(
-        "torn KV state: vs committed: {}; vs committed+staged: {}",
-        diff(committed),
-        diff(&with_staged)
-    )))
+    oracle.judge(
+        records.keys().cloned(),
+        |k, want| Ok(records.get(k) == want),
+    )
 }
 
 /// A TPC-C KV campaign over personality `S`: `txns` transactions per
@@ -351,8 +294,7 @@ const TINCA_TRIP_MAX: u64 = 1_000;
 
 /// Every kvdb campaign instance a pin, CI or a figure runs, with the seed
 /// sizes whose exact tallies the workspace's `tests/pinned_campaigns.rs`
-/// asserts. The
-/// frontier entries enumerate shorter plans: every reachable persist
+/// asserts. The frontier entries enumerate shorter plans: every reachable persist
 /// frontier of every workload epoch — on **every** shard device in turn
 /// for the Tinca personality, so the commit-ring writes, the spanning
 /// intent record on shard 0 and the second fragment's ring on shard 1 all

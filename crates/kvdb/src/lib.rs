@@ -40,7 +40,7 @@ pub mod store;
 mod tincastore;
 pub mod wal;
 
-pub use crash::{KvApp, KvPlan, Personality, CAMPAIGNS, TXNS};
+pub use crash::{judge, KvApp, KvPlan, Personality, CAMPAIGNS, TXNS};
 pub use db::{Db, TreeError};
 pub use driver::{apply_txn, KvTpccDriver, KvTxn};
 pub use page::{Meta, PageError, MAX_KEY, MAX_VAL, PAGE_SIZE};

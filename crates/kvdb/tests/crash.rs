@@ -31,22 +31,32 @@ const CUT_SEED: u64 = 7;
 /// Builds personality `S`'s crash app over the first `i + 1` transactions
 /// of `seed`'s plan once per trip in `trips` (each counted from where
 /// [`run_one`] arms it, after the format) and cuts the power there. Every cut
-/// must fire inside transaction `i` and pass the app's own checks: store
-/// internals, the persist-order audit of every device, and the
-/// all-or-nothing oracle. Returns, per trip, whether `i` rolled forward.
+/// must fire inside transaction `i` — the oracle holds the records of the
+/// `i` before it durable, as it does after the first `i` run uncut — and
+/// pass the app's own checks: store internals, the persist-order audit of
+/// every device, and the all-or-nothing oracle. Returns, per trip, whether
+/// `i` rolled forward.
 fn cut_through_commit<S: Personality>(seed: u64, i: usize, trips: &[Trip]) -> Vec<bool> {
     let cut = Cut::of(FailureMode::PowerPull, seed ^ 0xD1CE);
     let crashed_clean = AppOutcome {
         crashed: true,
         verdict: Ok(()),
     };
+    let mut uncut = KvApp::<S>::new(seed, i).unwrap();
+    assert_eq!(uncut.drive(), Ok(()));
     trips
         .iter()
         .map(|&trip| {
             let mut a = KvApp::<S>::new(seed, i + 1).unwrap();
             assert_eq!(run_one(&mut a, trip, cut), crashed_clean, "{trip:?}");
-            assert_eq!(a.committed_count(), i, "{trip:?} fired early");
-            a.rolled_forward()
+            let acknowledged = a.oracle().durable();
+            assert!(
+                acknowledged == uncut.oracle().durable(),
+                "{trip:?} fired early"
+            );
+            let rolled = a.verify().unwrap_or_else(|e| panic!("{trip:?}: {e}"));
+            assert_eq!(rolled.len(), 1, "{trip:?}: one transaction in flight");
+            rolled[0]
         })
         .collect()
 }

@@ -3,8 +3,8 @@
 //! must be old or new, never mixed. The FS plans' sweeps are
 //! `crashsim::CAMPAIGNS` entries, pinned in `tests/pinned_campaigns.rs`.
 
-use tinca_repro::crashsim::engine::Cut;
-use tinca_repro::crashsim::{CrashHarness, FsOracle};
+use tinca_repro::crashsim::engine::{Cut, Oracle};
+use tinca_repro::crashsim::CrashHarness;
 use tinca_repro::fssim::stack::{StackConfig, System};
 
 #[test]
@@ -14,26 +14,25 @@ fn trip_sweep_over_one_fs_transaction() {
     for trip in (25..1200u64).step_by(120) {
         let mut cfg = StackConfig::tiny(System::Tinca);
         cfg.txn_block_limit = 100_000;
-        let mut h = CrashHarness::new(cfg);
-        let mut oracle = FsOracle::new();
-        h.run(|fs| {
-            let f = fs.create("doc").unwrap();
-            fs.write(f, 0, &[1u8; 24_000]).unwrap();
-            fs.fsync().unwrap();
-        });
-        oracle.create("doc");
-        oracle.write("doc", 0, &[1u8; 24_000]);
-        oracle.committed();
+        let mut h = CrashHarness::new(cfg).unwrap();
+        let fs = h.fs();
+        let f = fs.create("doc").unwrap();
+        fs.write(f, 0, &[1u8; 24_000]).unwrap();
+        fs.fsync().unwrap();
+        let mut oracle = Oracle::default();
+        oracle.begin([("doc".to_string(), vec![1u8; 24_000])]);
+        oracle.commit();
         let _ = h.run_with_trip(trip, |fs| {
             let f = fs.open("doc").unwrap();
             fs.write(f, 0, &[2u8; 24_000]).unwrap();
             fs.fsync().unwrap();
         });
-        oracle.write("doc", 0, &[2u8; 24_000]);
+        oracle.begin([("doc".to_string(), vec![2u8; 24_000])]);
         h.crash_and_remount(Cut::Random {
             seed: trip,
             shift: 0,
-        });
+        })
+        .unwrap();
         h.verify(&oracle)
             .unwrap_or_else(|e| panic!("Tinca torn at trip {trip}: {e}"));
     }
@@ -44,29 +43,29 @@ fn deletion_is_crash_atomic() {
     let mut cfg = StackConfig::tiny(System::Tinca);
     cfg.txn_block_limit = 100_000;
     for trip in [40u64, 200, 800] {
-        let mut h = CrashHarness::new(cfg.clone());
-        let mut oracle = FsOracle::new();
-        h.run(|fs| {
-            let f = fs.create("victim").unwrap();
-            fs.write(f, 0, &[5u8; 10_000]).unwrap();
-            let g = fs.create("keeper").unwrap();
-            fs.write(g, 0, &[6u8; 5_000]).unwrap();
-            fs.fsync().unwrap();
-        });
-        oracle.create("victim");
-        oracle.write("victim", 0, &[5u8; 10_000]);
-        oracle.create("keeper");
-        oracle.write("keeper", 0, &[6u8; 5_000]);
-        oracle.committed();
+        let mut h = CrashHarness::new(cfg.clone()).unwrap();
+        let fs = h.fs();
+        let f = fs.create("victim").unwrap();
+        fs.write(f, 0, &[5u8; 10_000]).unwrap();
+        let g = fs.create("keeper").unwrap();
+        fs.write(g, 0, &[6u8; 5_000]).unwrap();
+        fs.fsync().unwrap();
+        let mut oracle = Oracle::default();
+        oracle.begin([
+            ("victim".to_string(), vec![5u8; 10_000]),
+            ("keeper".to_string(), vec![6u8; 5_000]),
+        ]);
+        oracle.commit();
         let _ = h.run_with_trip(trip, |fs| {
             fs.delete("victim").unwrap();
             fs.fsync().unwrap();
         });
-        oracle.delete("victim");
+        oracle.stage("victim".to_string(), None);
         h.crash_and_remount(Cut::Random {
             seed: trip ^ 0xDEAD,
             shift: 0,
-        });
+        })
+        .unwrap();
         h.verify(&oracle)
             .unwrap_or_else(|e| panic!("delete torn at trip {trip}: {e}"));
         // Whatever happened to "victim", "keeper" is intact.

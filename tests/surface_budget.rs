@@ -23,8 +23,8 @@ const PUB_BUDGETS: [(&str, usize); 13] = [
     ("workloads", 124),
     ("telemetry", 106),
     ("nvmsim", 82),
-    ("kvdb", 76),
-    ("crashsim", 86),
+    ("kvdb", 74),
+    ("crashsim", 77),
     ("blockdev", 49),
     ("persistcheck", 18),
     ("bench", 92),
