@@ -88,17 +88,16 @@ fn run_mode<S: PageStore>(
         }
     });
     let elapsed = clock_now(db).saturating_sub(start_ns);
-    let stats = db.store().stats();
-    let device_bytes = stats.device_bytes() - start_stats.device_bytes();
-    let pages = stats.pages_committed - start_stats.pages_committed;
+    let stats = db.store().stats().delta(&start_stats);
+    let device_bytes = stats.device_bytes();
     ModePoint {
         mode,
         txns,
-        commits: stats.commits - start_stats.commits,
+        commits: stats.commits,
         ns_per_txn: elapsed as f64 / txns as f64,
         device_bytes,
         bytes_per_txn: device_bytes as f64 / txns as f64,
-        amplification: device_bytes as f64 / (pages * kvdb::PAGE_SIZE as u64).max(1) as f64,
+        amplification: stats.amplification(),
         payload_amplification: device_bytes as f64 / payload_bytes.max(1) as f64,
         phase_tree: report.phase_report(),
     }

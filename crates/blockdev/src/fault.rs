@@ -110,18 +110,19 @@ impl FaultPlan {
     }
 }
 
-/// Counters of what the wrapper injected (distinct from [`DiskStats`],
-/// which counts what the device experienced).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Transient read errors injected.
-    pub injected_read_errors: u64,
-    /// Transient write errors injected.
-    pub injected_write_errors: u64,
-    /// Accesses rejected because the block is permanently bad.
-    pub permanent_rejections: u64,
-    /// Latency spikes injected.
-    pub latency_spikes: u64,
+telemetry::counters! {
+    /// Counters of what the wrapper injected (distinct from [`DiskStats`],
+    /// which counts what the device experienced).
+    pub struct FaultStats {
+        /// Transient read errors injected.
+        pub injected_read_errors: u64,
+        /// Transient write errors injected.
+        pub injected_write_errors: u64,
+        /// Accesses rejected because the block is permanently bad.
+        pub permanent_rejections: u64,
+        /// Latency spikes injected.
+        pub latency_spikes: u64,
+    }
 }
 
 struct FaultState {

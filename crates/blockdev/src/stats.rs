@@ -1,63 +1,18 @@
 //! Disk I/O counters (the paper reports disk blocks written per operation).
 
-/// Cumulative counters for one disk.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DiskStats {
-    /// Blocks read.
-    pub reads: u64,
-    /// Blocks written.
-    pub writes: u64,
-    /// Simulated nanoseconds spent in this device (successful and failed
-    /// requests alike — a failed attempt still occupies the device).
-    pub busy_ns: u64,
-    /// Read requests that failed (no data transferred).
-    pub read_errors: u64,
-    /// Write requests that failed (no data transferred).
-    pub write_errors: u64,
-}
-
-impl DiskStats {
-    /// Per-field difference `self - earlier`.
-    pub fn delta(&self, earlier: &DiskStats) -> DiskStats {
-        DiskStats {
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            busy_ns: self.busy_ns - earlier.busy_ns,
-            read_errors: self.read_errors - earlier.read_errors,
-            write_errors: self.write_errors - earlier.write_errors,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn delta_subtracts() {
-        let a = DiskStats {
-            reads: 1,
-            writes: 2,
-            busy_ns: 10,
-            read_errors: 0,
-            write_errors: 1,
-        };
-        let b = DiskStats {
-            reads: 5,
-            writes: 7,
-            busy_ns: 50,
-            read_errors: 2,
-            write_errors: 3,
-        };
-        assert_eq!(
-            b.delta(&a),
-            DiskStats {
-                reads: 4,
-                writes: 5,
-                busy_ns: 40,
-                read_errors: 2,
-                write_errors: 2,
-            }
-        );
+telemetry::counters! {
+    /// Cumulative counters for one disk.
+    pub struct DiskStats {
+        /// Blocks read.
+        pub reads: u64,
+        /// Blocks written.
+        pub writes: u64,
+        /// Simulated nanoseconds spent in this device (successful and failed
+        /// requests alike — a failed attempt still occupies the device).
+        pub busy_ns: u64,
+        /// Read requests that failed (no data transferred).
+        pub read_errors: u64,
+        /// Write requests that failed (no data transferred).
+        pub write_errors: u64,
     }
 }

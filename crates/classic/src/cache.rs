@@ -389,11 +389,10 @@ impl ClassicCache {
     /// Hot blocks re-dirtied within the pool keep absorbing writes, but
     /// every colder version — journal copies prominently — reaches the
     /// SSD, which is the disk write amplification of §3.1 / Fig. 7(c).
-    /// No-op when `drain_on_flush` is disabled.
+    /// The legacy stack treats the cache as a volatile block device and
+    /// drains at every journal commit; Tinca needs no such drain because
+    /// its NVM commit *is* the durability point.
     pub fn flush_barrier(&mut self) -> Result<(), ClassicError> {
-        if !self.cfg.drain_on_flush {
-            return Ok(());
-        }
         let allowed = (self.layout.assoc * DIRTY_THRESH_PCT / 100).max(1);
         let mut to_clean: Vec<(u64, u32)> = Vec::new();
         // Fallow pass: dirty blocks not re-written within the fallow age

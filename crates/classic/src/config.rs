@@ -32,12 +32,6 @@ pub struct ClassicConfig {
     pub sync_metadata: bool,
     /// Metadata persistence scheme (see [`MetadataScheme`]).
     pub metadata_scheme: MetadataScheme,
-    /// Whether a device flush barrier (REQ_FLUSH from the journaling FS
-    /// above) drains all dirty blocks to disk. The legacy stack treats the
-    /// cache as a volatile block device and flushes conservatively at
-    /// every journal commit; Tinca needs no such drain because its NVM
-    /// commit *is* the durability point. Default `true`.
-    pub drain_on_flush: bool,
     /// Fallow cleaning age (Flashcache's `fallow_delay`, 15 min of wall
     /// time by default): dirty blocks not re-written for this many cache
     /// block-writes are cleaned at the next flush barrier. Hot pages are
@@ -55,7 +49,6 @@ impl Default for ClassicConfig {
             assoc: 512,
             sync_metadata: true,
             metadata_scheme: MetadataScheme::SyncBlock,
-            drain_on_flush: true,
             fallow_age_writes: 256,
         }
     }

@@ -1,21 +1,22 @@
 //! Counters for the Classic cache.
 
-/// Cumulative counters for one [`crate::ClassicCache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClassicStats {
-    pub read_hits: u64,
-    pub read_misses: u64,
-    pub write_hits: u64,
-    pub write_misses: u64,
-    /// Metadata blocks written to NVM (the synchronous-update overhead).
-    pub meta_block_writes: u64,
-    /// 16 B records appended to the metadata log (FlashTier/bcache scheme).
-    pub meta_log_appends: u64,
-    /// Log-full checkpoints of the whole metadata array.
-    pub meta_checkpoints: u64,
-    pub evictions: u64,
-    pub writebacks: u64,
-    pub recoveries: u64,
+telemetry::counters! {
+    /// Cumulative counters for one [`crate::ClassicCache`].
+    pub struct ClassicStats {
+        pub read_hits: u64,
+        pub read_misses: u64,
+        pub write_hits: u64,
+        pub write_misses: u64,
+        /// Metadata blocks written to NVM (the synchronous-update overhead).
+        pub meta_block_writes: u64,
+        /// 16 B records appended to the metadata log (FlashTier/bcache scheme).
+        pub meta_log_appends: u64,
+        /// Log-full checkpoints of the whole metadata array.
+        pub meta_checkpoints: u64,
+        pub evictions: u64,
+        pub writebacks: u64,
+        pub recoveries: u64,
+    }
 }
 
 impl ClassicStats {
@@ -28,21 +29,6 @@ impl ClassicStats {
         let total = self.read_hits + self.read_misses;
         (total > 0).then(|| self.read_hits as f64 / total as f64)
     }
-
-    pub fn delta(&self, e: &ClassicStats) -> ClassicStats {
-        ClassicStats {
-            read_hits: self.read_hits - e.read_hits,
-            read_misses: self.read_misses - e.read_misses,
-            write_hits: self.write_hits - e.write_hits,
-            write_misses: self.write_misses - e.write_misses,
-            meta_block_writes: self.meta_block_writes - e.meta_block_writes,
-            meta_log_appends: self.meta_log_appends - e.meta_log_appends,
-            meta_checkpoints: self.meta_checkpoints - e.meta_checkpoints,
-            evictions: self.evictions - e.evictions,
-            writebacks: self.writebacks - e.writebacks,
-            recoveries: self.recoveries - e.recoveries,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -50,7 +36,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rates_and_delta() {
+    fn rates() {
         let s = ClassicStats {
             write_hits: 1,
             write_misses: 3,
@@ -58,11 +44,5 @@ mod tests {
         };
         assert_eq!(s.write_hit_rate(), Some(0.25));
         assert_eq!(s.read_hit_rate(), None);
-        let t = ClassicStats {
-            write_hits: 5,
-            write_misses: 3,
-            ..Default::default()
-        };
-        assert_eq!(t.delta(&s).write_hits, 4);
     }
 }

@@ -89,26 +89,6 @@ fn cold_versions_hit_disk_once_each() {
 }
 
 #[test]
-fn drain_can_be_disabled() {
-    let cfg = ClassicConfig {
-        assoc: 64,
-        fallow_age_writes: 1,
-        drain_on_flush: false,
-        ..ClassicConfig::default()
-    };
-    let (mut c, disk) = setup(cfg);
-    for i in 0..50u64 {
-        c.write(i, &blk(1)).unwrap();
-    }
-    c.flush_barrier().unwrap();
-    assert_eq!(
-        disk.stats().writes,
-        0,
-        "disabled drain must not touch the disk"
-    );
-}
-
-#[test]
 fn barrier_cleaning_is_elevator_ordered() {
     let cfg = ClassicConfig {
         assoc: 256,

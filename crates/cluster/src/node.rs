@@ -135,9 +135,9 @@ impl Node {
     /// reboots through cache recovery and journal replay.
     pub(crate) fn crash(&mut self, seed: u64) {
         let stack = &self.stack;
-        self.fs_acc = self.fs_acc + stack.fs.stats().delta(&self.base.fs);
+        self.fs_acc = self.fs_acc.merge(&stack.fs.stats().delta(&self.base.fs));
         let cache = stack.fs.backend().cache_snapshot();
-        self.cache_acc = self.cache_acc + cache.delta(&self.base.cache);
+        self.cache_acc = self.cache_acc.merge(&cache.delta(&self.base.cache));
         let (nvm, disk, clock) = (stack.nvm.clone(), stack.disk.clone(), stack.clock.clone());
         nvm.crash(nvmsim::CrashPolicy::Random(seed));
         // Reboot penalty: detection + restart of the storage daemon.
@@ -156,8 +156,10 @@ impl Node {
             sim_ns: stack.clock.now_ns() - self.base.sim_ns,
             nvm: stack.nvm.stats().delta(&self.base.nvm),
             disk: stack.disk.stats().delta(&self.base.disk),
-            fs: self.fs_acc + stack.fs.stats().delta(&self.base.fs),
-            cache: self.cache_acc + stack.fs.backend().cache_snapshot().delta(&self.base.cache),
+            fs: self.fs_acc.merge(&stack.fs.stats().delta(&self.base.fs)),
+            cache: self
+                .cache_acc
+                .merge(&stack.fs.backend().cache_snapshot().delta(&self.base.cache)),
             files: 0,
         };
         // Counted after the snapshot: after a reboot, counting reads the

@@ -4,9 +4,10 @@
 //! ([`DiskStats`]) and pool health ([`Health`]) each keep their own
 //! counters; figure harnesses and telemetry exporters want them as one
 //! coherent object stamped with the simulated time they were taken at.
-//! [`StatsSnapshot`] is that object, with a hand-rolled JSON rendering
-//! (via [`telemetry::Json`]) so benches can emit machine-readable results
-//! without a serialization dependency.
+//! [`StatsSnapshot`] is that object, with a JSON rendering (via
+//! [`telemetry::Json`]; each domain's keys come from its
+//! `telemetry::counters!` field list) so benches can emit machine-readable
+//! results without a serialization dependency.
 
 use blockdev::DiskStats;
 use nvmsim::NvmStats;
@@ -62,9 +63,6 @@ impl StatsSnapshot {
     /// JSON value with one object per domain, field names matching the
     /// Rust struct fields.
     pub fn to_json(&self) -> Json {
-        let c = &self.cache;
-        let n = &self.nvm;
-        let d = &self.disk;
         let (status, quarantined) = match self.health {
             Health::Healthy => ("healthy", 0u64),
             Health::Degraded { quarantined } => ("degraded", quarantined as u64),
@@ -72,71 +70,9 @@ impl StatsSnapshot {
         };
         Json::obj(vec![
             ("sim_ns", self.sim_ns.into()),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("read_hits", c.read_hits.into()),
-                    ("read_misses", c.read_misses.into()),
-                    ("write_hits", c.write_hits.into()),
-                    ("write_misses", c.write_misses.into()),
-                    ("commits", c.commits.into()),
-                    ("committed_blocks", c.committed_blocks.into()),
-                    ("user_aborts", c.user_aborts.into()),
-                    ("failed_commits", c.failed_commits.into()),
-                    ("group_commits", c.group_commits.into()),
-                    ("batched_txns", c.batched_txns.into()),
-                    ("coalesced_writes", c.coalesced_writes.into()),
-                    ("evictions", c.evictions.into()),
-                    ("eviction_errors", c.eviction_errors.into()),
-                    ("writebacks", c.writebacks.into()),
-                    ("coalesced_flushes", c.coalesced_flushes.into()),
-                    ("delta_stages", c.delta_stages.into()),
-                    ("delta_lines_skipped", c.delta_lines_skipped.into()),
-                    ("destage_batches", c.destage_batches.into()),
-                    ("destage_blocks", c.destage_blocks.into()),
-                    ("destage_stalls", c.destage_stalls.into()),
-                    ("revoked_blocks", c.revoked_blocks.into()),
-                    ("recoveries", c.recoveries.into()),
-                    ("io_retries", c.io_retries.into()),
-                    (
-                        "transient_errors_absorbed",
-                        c.transient_errors_absorbed.into(),
-                    ),
-                    ("permanent_io_errors", c.permanent_io_errors.into()),
-                    ("quarantined_blocks", c.quarantined_blocks.into()),
-                    ("spanning_commits", c.spanning_commits.into()),
-                    ("spanning_aborts", c.spanning_aborts.into()),
-                    ("spanning_fragments", c.spanning_fragments.into()),
-                    ("spanning_rolled_back", c.spanning_rolled_back.into()),
-                    ("spanning_rolled_forward", c.spanning_rolled_forward.into()),
-                    ("reservation_cas_retries", c.reservation_cas_retries.into()),
-                    ("sequencer_handoffs", c.sequencer_handoffs.into()),
-                    ("mw_windows_resumed", c.mw_windows_resumed.into()),
-                    ("mw_windows_rolled_back", c.mw_windows_rolled_back.into()),
-                ]),
-            ),
-            (
-                "nvm",
-                Json::obj(vec![
-                    ("clflush", n.clflush.into()),
-                    ("sfence", n.sfence.into()),
-                    ("atomic_stores", n.atomic_stores.into()),
-                    ("lines_written", n.lines_written.into()),
-                    ("lines_read", n.lines_read.into()),
-                    ("bytes_stored", n.bytes_stored.into()),
-                    ("bytes_read", n.bytes_read.into()),
-                ]),
-            ),
-            (
-                "disk",
-                Json::obj(vec![
-                    ("reads", d.reads.into()),
-                    ("writes", d.writes.into()),
-                    ("busy_ns", d.busy_ns.into()),
-                    ("read_errors", d.read_errors.into()),
-                    ("write_errors", d.write_errors.into()),
-                ]),
-            ),
+            ("cache", self.cache.to_json()),
+            ("nvm", self.nvm.to_json()),
+            ("disk", self.disk.to_json()),
             (
                 "health",
                 Json::obj(vec![

@@ -105,13 +105,12 @@ pub struct CampaignReport {
     /// A frontier enumeration's per-epoch crash-state budget (0 for a
     /// sweep); the fence epochs in its probe traces' workload window;
     /// those enumerated exhaustively (2^k ≤ cap) and those sampled (empty
-    /// and full frontiers always included); and those before the workload
-    /// (format, mount), skipped.
+    /// and full frontiers always included). Epochs before the workload
+    /// (format, mount) are skipped uncounted.
     pub cap_per_epoch: usize,
     pub epochs_total: u64,
     pub epochs_exhaustive: u64,
     pub epochs_capped: u64,
-    pub epochs_skipped_setup: u64,
     /// Writes admission control shed (the crash-mid-backlog campaign: it
     /// is only meaningful if there *was* a backlog).
     pub shed: u64,

@@ -278,7 +278,6 @@ pub fn frontier<P: Plan>(plan: &P, seeds: Range<u64>, cap_per_epoch: usize) -> C
         for (s, epochs) in epochs.iter().enumerate() {
             for (i, ep) in epochs.iter().enumerate() {
                 if ep.trip_event <= starts[s] {
-                    report.epochs_skipped_setup += 1;
                     continue;
                 }
                 report.epochs_total += 1;

@@ -34,51 +34,18 @@ const SB_MAGIC: u64 = 0x4653_5349_4d53_4231; // "FSSIMSB1"
 /// A file handle: the file's inode number.
 pub type FileId = u64;
 
-/// Operation counters for one mounted file system.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FsStats {
-    pub creates: u64,
-    pub deletes: u64,
-    pub write_ops: u64,
-    pub read_ops: u64,
-    pub bytes_written: u64,
-    pub bytes_read: u64,
-    pub fsyncs: u64,
-    pub commits: u64,
-    pub committed_blocks: u64,
-}
-
-impl std::ops::Add for FsStats {
-    type Output = FsStats;
-
-    fn add(self, o: FsStats) -> FsStats {
-        FsStats {
-            creates: self.creates + o.creates,
-            deletes: self.deletes + o.deletes,
-            write_ops: self.write_ops + o.write_ops,
-            read_ops: self.read_ops + o.read_ops,
-            bytes_written: self.bytes_written + o.bytes_written,
-            bytes_read: self.bytes_read + o.bytes_read,
-            fsyncs: self.fsyncs + o.fsyncs,
-            commits: self.commits + o.commits,
-            committed_blocks: self.committed_blocks + o.committed_blocks,
-        }
-    }
-}
-
-impl FsStats {
-    pub fn delta(&self, e: &FsStats) -> FsStats {
-        FsStats {
-            creates: self.creates - e.creates,
-            deletes: self.deletes - e.deletes,
-            write_ops: self.write_ops - e.write_ops,
-            read_ops: self.read_ops - e.read_ops,
-            bytes_written: self.bytes_written - e.bytes_written,
-            bytes_read: self.bytes_read - e.bytes_read,
-            fsyncs: self.fsyncs - e.fsyncs,
-            commits: self.commits - e.commits,
-            committed_blocks: self.committed_blocks - e.committed_blocks,
-        }
+telemetry::counters! {
+    /// Operation counters for one mounted file system.
+    pub struct FsStats {
+        pub creates: u64,
+        pub deletes: u64,
+        pub write_ops: u64,
+        pub read_ops: u64,
+        pub bytes_written: u64,
+        pub bytes_read: u64,
+        pub fsyncs: u64,
+        pub commits: u64,
+        pub committed_blocks: u64,
     }
 }
 

@@ -47,16 +47,17 @@ struct JTxn {
     slots: u64,
 }
 
-/// Journal statistics (drives the write-amplification analysis of §3.1).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct JournalStats {
-    pub commits: u64,
-    pub log_blocks: u64,
-    pub desc_blocks: u64,
-    pub commit_blocks: u64,
-    pub checkpoint_blocks: u64,
-    pub replayed_txns: u64,
-    pub replayed_blocks: u64,
+telemetry::counters! {
+    /// Journal statistics (drives the write-amplification analysis of §3.1).
+    pub struct JournalStats {
+        pub commits: u64,
+        pub log_blocks: u64,
+        pub desc_blocks: u64,
+        pub commit_blocks: u64,
+        pub checkpoint_blocks: u64,
+        pub replayed_txns: u64,
+        pub replayed_blocks: u64,
+    }
 }
 
 /// The redo journal manager.

@@ -45,18 +45,19 @@ impl fmt::Display for KvError {
     }
 }
 
-/// Device-write accounting for the WAL-elimination comparison: how many
-/// bytes actually reached persistent media on behalf of this store.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// KV commits executed.
-    pub commits: u64,
-    /// Dirty pages carried by those commits.
-    pub pages_committed: u64,
-    /// Bytes written back to the NVM medium (cache lines × 64).
-    pub nvm_bytes: u64,
-    /// Bytes written to the disk (blocks × 4096).
-    pub disk_bytes: u64,
+telemetry::counters! {
+    /// Device-write accounting for the WAL-elimination comparison: how many
+    /// bytes actually reached persistent media on behalf of this store.
+    pub struct StoreStats {
+        /// KV commits executed.
+        pub commits: u64,
+        /// Dirty pages carried by those commits.
+        pub pages_committed: u64,
+        /// Bytes written back to the NVM medium (cache lines × 64).
+        pub nvm_bytes: u64,
+        /// Bytes written to the disk (blocks × 4096).
+        pub disk_bytes: u64,
+    }
 }
 
 impl StoreStats {

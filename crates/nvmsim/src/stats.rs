@@ -1,57 +1,31 @@
 //! Counters the paper's evaluation reports for the NVM cache device.
 
-/// Cumulative counters for one NVM device.
-///
-/// The evaluation of the paper normalises `clflush` executions against
-/// write operations / file operations / TPC-C transactions (Figs. 7–11),
-/// so `clflush` is counted per instruction, and dirty-line write-backs are
-/// tracked separately as `lines_written`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NvmStats {
-    /// `clflush` instructions executed (dirty or clean lines).
-    pub clflush: u64,
-    /// `sfence` instructions executed.
-    pub sfence: u64,
-    /// 8- or 16-byte atomic stores executed.
-    pub atomic_stores: u64,
-    /// Cache lines actually written back to the NVM medium.
-    pub lines_written: u64,
-    /// Cache lines read from the NVM medium.
-    pub lines_read: u64,
-    /// Bytes stored through the write path (before any flush).
-    pub bytes_stored: u64,
-    /// Bytes read through the read path.
-    pub bytes_read: u64,
+telemetry::counters! {
+    /// Cumulative counters for one NVM device.
+    ///
+    /// The evaluation of the paper normalises `clflush` executions against
+    /// write operations / file operations / TPC-C transactions (Figs. 7–11),
+    /// so `clflush` is counted per instruction, and dirty-line write-backs are
+    /// tracked separately as `lines_written`.
+    pub struct NvmStats {
+        /// `clflush` instructions executed (dirty or clean lines).
+        pub clflush: u64,
+        /// `sfence` instructions executed.
+        pub sfence: u64,
+        /// 8- or 16-byte atomic stores executed.
+        pub atomic_stores: u64,
+        /// Cache lines actually written back to the NVM medium.
+        pub lines_written: u64,
+        /// Cache lines read from the NVM medium.
+        pub lines_read: u64,
+        /// Bytes stored through the write path (before any flush).
+        pub bytes_stored: u64,
+        /// Bytes read through the read path.
+        pub bytes_read: u64,
+    }
 }
 
 impl NvmStats {
-    /// Per-field difference `self - earlier` (counters are monotone).
-    pub fn delta(&self, earlier: &NvmStats) -> NvmStats {
-        NvmStats {
-            clflush: self.clflush - earlier.clflush,
-            sfence: self.sfence - earlier.sfence,
-            atomic_stores: self.atomic_stores - earlier.atomic_stores,
-            lines_written: self.lines_written - earlier.lines_written,
-            lines_read: self.lines_read - earlier.lines_read,
-            bytes_stored: self.bytes_stored - earlier.bytes_stored,
-            bytes_read: self.bytes_read - earlier.bytes_read,
-        }
-    }
-
-    /// Per-field sum `self + other` (aggregating per-shard devices into
-    /// one pool-wide view).
-    pub fn merge(&self, o: &NvmStats) -> NvmStats {
-        NvmStats {
-            clflush: self.clflush + o.clflush,
-            sfence: self.sfence + o.sfence,
-            atomic_stores: self.atomic_stores + o.atomic_stores,
-            lines_written: self.lines_written + o.lines_written,
-            lines_read: self.lines_read + o.lines_read,
-            bytes_stored: self.bytes_stored + o.bytes_stored,
-            bytes_read: self.bytes_read + o.bytes_read,
-        }
-    }
-
     /// Bytes written back to the medium (`lines_written × 64`).
     pub fn bytes_written_back(&self) -> u64 {
         self.lines_written * crate::CACHE_LINE as u64
@@ -101,45 +75,6 @@ impl WearSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delta_subtracts_fieldwise() {
-        let a = NvmStats {
-            clflush: 10,
-            sfence: 4,
-            ..Default::default()
-        };
-        let b = NvmStats {
-            clflush: 25,
-            sfence: 9,
-            lines_written: 3,
-            ..Default::default()
-        };
-        let d = b.delta(&a);
-        assert_eq!(d.clflush, 15);
-        assert_eq!(d.sfence, 5);
-        assert_eq!(d.lines_written, 3);
-    }
-
-    #[test]
-    fn merge_adds_fieldwise() {
-        let a = NvmStats {
-            clflush: 10,
-            sfence: 4,
-            bytes_read: 7,
-            ..Default::default()
-        };
-        let b = NvmStats {
-            clflush: 5,
-            atomic_stores: 2,
-            ..Default::default()
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.clflush, 15);
-        assert_eq!(m.sfence, 4);
-        assert_eq!(m.atomic_stores, 2);
-        assert_eq!(m.bytes_read, 7);
-    }
 
     #[test]
     fn writeback_bytes() {

@@ -41,6 +41,7 @@
 //! ```
 
 mod clock;
+mod counters;
 mod hist;
 mod json;
 pub mod phase;

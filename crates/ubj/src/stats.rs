@@ -1,50 +1,32 @@
 //! UBJ counters — including the costs §5.4.4 attributes to the design.
 
-/// Cumulative counters for one [`crate::UbjCache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct UbjStats {
-    pub commits: u64,
-    pub committed_blocks: u64,
-    /// Out-of-place updates of frozen blocks: each one is a full-block
-    /// `memcpy` **on the write critical path** (§5.4.4 difference #2).
-    pub frozen_copies: u64,
-    /// Bytes copied by those updates.
-    pub frozen_copy_bytes: u64,
-    /// Checkpoint passes (each stalls for a whole transaction, §5.4.4 #3).
-    pub checkpoints: u64,
-    /// Blocks written to disk by checkpoints.
-    pub checkpoint_blocks: u64,
-    /// Simulated ns spent inside checkpoint stalls.
-    pub checkpoint_stall_ns: u64,
-    pub read_hits: u64,
-    pub read_misses: u64,
-    pub write_hits: u64,
-    pub write_misses: u64,
-    pub evictions: u64,
-    pub recoveries: u64,
-    pub reverted_blocks: u64,
+telemetry::counters! {
+    /// Cumulative counters for one [`crate::UbjCache`].
+    pub struct UbjStats {
+        pub commits: u64,
+        pub committed_blocks: u64,
+        /// Out-of-place updates of frozen blocks: each one is a full-block
+        /// `memcpy` **on the write critical path** (§5.4.4 difference #2).
+        pub frozen_copies: u64,
+        /// Bytes copied by those updates.
+        pub frozen_copy_bytes: u64,
+        /// Checkpoint passes (each stalls for a whole transaction, §5.4.4 #3).
+        pub checkpoints: u64,
+        /// Blocks written to disk by checkpoints.
+        pub checkpoint_blocks: u64,
+        /// Simulated ns spent inside checkpoint stalls.
+        pub checkpoint_stall_ns: u64,
+        pub read_hits: u64,
+        pub read_misses: u64,
+        pub write_hits: u64,
+        pub write_misses: u64,
+        pub evictions: u64,
+        pub recoveries: u64,
+        pub reverted_blocks: u64,
+    }
 }
 
 impl UbjStats {
-    pub fn delta(&self, e: &UbjStats) -> UbjStats {
-        UbjStats {
-            commits: self.commits - e.commits,
-            committed_blocks: self.committed_blocks - e.committed_blocks,
-            frozen_copies: self.frozen_copies - e.frozen_copies,
-            frozen_copy_bytes: self.frozen_copy_bytes - e.frozen_copy_bytes,
-            checkpoints: self.checkpoints - e.checkpoints,
-            checkpoint_blocks: self.checkpoint_blocks - e.checkpoint_blocks,
-            checkpoint_stall_ns: self.checkpoint_stall_ns - e.checkpoint_stall_ns,
-            read_hits: self.read_hits - e.read_hits,
-            read_misses: self.read_misses - e.read_misses,
-            write_hits: self.write_hits - e.write_hits,
-            write_misses: self.write_misses - e.write_misses,
-            evictions: self.evictions - e.evictions,
-            recoveries: self.recoveries - e.recoveries,
-            reverted_blocks: self.reverted_blocks - e.reverted_blocks,
-        }
-    }
-
     pub fn write_hit_rate(&self) -> Option<f64> {
         let t = self.write_hits + self.write_misses;
         (t > 0).then(|| self.write_hits as f64 / t as f64)
@@ -56,22 +38,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delta_and_rates() {
-        let a = UbjStats {
-            commits: 1,
-            frozen_copies: 2,
+    fn write_hit_rate() {
+        let s = UbjStats {
+            write_hits: 3,
+            write_misses: 1,
             ..Default::default()
         };
-        let b = UbjStats {
-            commits: 5,
-            frozen_copies: 9,
-            checkpoints: 1,
-            ..Default::default()
-        };
-        let d = b.delta(&a);
-        assert_eq!(d.commits, 4);
-        assert_eq!(d.frozen_copies, 7);
-        assert_eq!(d.checkpoints, 1);
+        assert_eq!(s.write_hit_rate(), Some(0.75));
         assert_eq!(UbjStats::default().write_hit_rate(), None);
     }
 }

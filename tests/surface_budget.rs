@@ -15,17 +15,17 @@ use std::path::{Path, PathBuf};
 
 /// Line-start `pub` declarations allowed under each crate's `src/`.
 const PUB_BUDGETS: [(&str, usize); 13] = [
-    ("core", 69),
-    ("fssim", 80),
-    ("ubj", 31),
-    ("classic", 61),
+    ("core", 68),
+    ("fssim", 78),
+    ("ubj", 30),
+    ("classic", 60),
     ("cluster", 36),
     ("workloads", 124),
-    ("telemetry", 106),
-    ("nvmsim", 82),
+    ("telemetry", 109),
+    ("nvmsim", 80),
     ("kvdb", 74),
     ("crashsim", 77),
-    ("blockdev", 49),
+    ("blockdev", 48),
     ("persistcheck", 18),
     ("bench", 92),
 ];
