@@ -36,14 +36,7 @@ fn run_one(kind: DiskKind, destage: bool, quick: bool, ops: u64) -> RunResult {
     cfg.destage = destage;
     let mut stack = build(&cfg).unwrap();
     let clock = stack.clock.clone();
-    let mut fio = Fio::new(FioSpec {
-        read_pct: 30,
-        file_bytes: cfg.nvm_bytes as u64 * 5 / 2,
-        req_bytes: 4096,
-        ops,
-        fsync_every: 64,
-        seed: 0x07,
-    });
+    let mut fio = Fio::new(FioSpec::paper(30, cfg.nvm_bytes, ops, 0x07));
     fio.setup(&mut stack);
     let (r, report) =
         telemetry::record(&clock, telemetry::Config::default(), || fio.run(&mut stack));

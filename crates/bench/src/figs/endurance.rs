@@ -37,14 +37,7 @@ pub fn run(quick: bool) -> Vec<String> {
     for sys in [System::Classic, System::TincaNoRoleSwitch, System::Tinca] {
         let cfg = local_cfg(sys, quick);
         let mut stack = build(&cfg).unwrap();
-        let mut fio = Fio::new(FioSpec {
-            read_pct: 0,
-            file_bytes: cfg.nvm_bytes as u64 * 5 / 2,
-            req_bytes: 4096,
-            ops,
-            fsync_every: 64,
-            seed: 0xED0,
-        });
+        let mut fio = Fio::new(FioSpec::paper(0, cfg.nvm_bytes, ops, 0xED0));
         fio.setup(&mut stack);
         let wear0 = stack.nvm.wear_summary();
         let _ = fio.run(&mut stack);

@@ -4,10 +4,9 @@
 use fssim::stack::{build, System};
 use nvmsim::NvmConfig;
 use workloads::filebench::{Filebench, FilebenchSpec, Personality};
-use workloads::fio::{Fio, FioSpec};
 use workloads::measure;
 
-use crate::figs::local_cfg;
+use crate::figs::{local_cfg, run_fio};
 use crate::table::Table;
 use crate::{banner, fmt, write_csv};
 
@@ -87,17 +86,7 @@ pub fn fig3b(quick: bool) -> Vec<String> {
             nvm.tech = nvmsim::NvmTech::Nvdimm;
             cfg.nvm_override = Some(nvm);
         }
-        let mut stack = build(&cfg).unwrap();
-        let mut fio = Fio::new(FioSpec {
-            read_pct: 0,
-            file_bytes: cfg.nvm_bytes as u64 * 5 / 2, // the paper's 20GB:8GB
-            req_bytes: 4096,
-            ops,
-            fsync_every: 64,
-            seed: 0x3B,
-        });
-        fio.setup(&mut stack);
-        let r = fio.run(&mut stack);
+        let r = run_fio(&cfg, 0, ops, 0x3B);
         let bw = r.app_write_mb_per_sec();
         if first == 0.0 {
             first = bw;

@@ -1,10 +1,9 @@
 //! Figure 4 — the cost of Flashcache's synchronous block-format cache
 //! metadata updates (§3.2).
 
-use fssim::stack::{build, System};
-use workloads::fio::{Fio, FioSpec};
+use fssim::stack::System;
 
-use crate::figs::local_cfg;
+use crate::figs::{local_cfg, run_fio};
 use crate::table::Table;
 use crate::{banner, fmt, write_csv};
 
@@ -27,18 +26,7 @@ pub fn run(quick: bool) -> Vec<String> {
     let mut t = Table::new(&["Configuration", "write IOPS", "vs metadata-on"]);
     let mut results: Vec<f64> = Vec::new();
     for (name, sys) in variants {
-        let cfg = local_cfg(sys, quick);
-        let mut stack = build(&cfg).unwrap();
-        let mut fio = Fio::new(FioSpec {
-            read_pct: 0,
-            file_bytes: cfg.nvm_bytes as u64 * 5 / 2,
-            req_bytes: 4096,
-            ops,
-            fsync_every: 64,
-            seed: 0x04,
-        });
-        fio.setup(&mut stack);
-        let r = fio.run(&mut stack);
+        let r = run_fio(&local_cfg(sys, quick), 0, ops, 0x04);
         results.push(r.ops_per_sec());
         let base = match results.len() {
             2 => Some(results[0]),

@@ -1,9 +1,8 @@
 //! Figure 7 — Fio micro-benchmark, Classic vs Tinca (§5.2.1).
 
-use fssim::stack::{build, System};
-use workloads::fio::{Fio, FioSpec};
+use fssim::stack::System;
 
-use crate::figs::local_cfg;
+use crate::figs::{local_cfg, run_fio};
 use crate::table::Table;
 use crate::{banner, fmt, write_csv};
 
@@ -28,18 +27,7 @@ pub fn run(quick: bool) -> Vec<String> {
     for read_pct in [30u32, 50, 70] {
         let mut iops = Vec::new();
         for sys in [System::Classic, System::Tinca] {
-            let cfg = local_cfg(sys, quick);
-            let mut stack = build(&cfg).unwrap();
-            let mut fio = Fio::new(FioSpec {
-                read_pct,
-                file_bytes: cfg.nvm_bytes as u64 * 5 / 2,
-                req_bytes: 4096,
-                ops,
-                fsync_every: 64,
-                seed: 0x07,
-            });
-            fio.setup(&mut stack);
-            let r = fio.run(&mut stack);
+            let r = run_fio(&local_cfg(sys, quick), read_pct, ops, 0x07);
             iops.push(r.ops_per_sec());
             let ratio = if iops.len() == 2 {
                 format!("{:.2}x", iops[1] / iops[0])

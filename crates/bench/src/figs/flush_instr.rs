@@ -7,11 +7,10 @@
 //! successor is cheaper, but none is free — commit cost stays dominated by
 //! the media write itself.
 
-use fssim::stack::{build, System};
+use fssim::stack::System;
 use nvmsim::{FlushInstr, NvmConfig};
-use workloads::fio::{Fio, FioSpec};
 
-use crate::figs::local_cfg;
+use crate::figs::{local_cfg, run_fio};
 use crate::table::Table;
 use crate::{banner, fmt, write_csv};
 
@@ -37,17 +36,7 @@ pub fn run(quick: bool) -> Vec<String> {
         let mut cfg = local_cfg(System::Tinca, quick);
         cfg.nvm_override =
             Some(NvmConfig::new(cfg.nvm_bytes, cfg.nvm_tech).with_flush_instr(instr));
-        let mut stack = build(&cfg).unwrap();
-        let mut fio = Fio::new(FioSpec {
-            read_pct: 30,
-            file_bytes: cfg.nvm_bytes as u64 * 5 / 2,
-            req_bytes: 4096,
-            ops,
-            fsync_every: 64,
-            seed: 0xF1,
-        });
-        fio.setup(&mut stack);
-        let r = fio.run(&mut stack);
+        let r = run_fio(&cfg, 30, ops, 0xF1);
         if base == 0.0 {
             base = r.ops_per_sec();
         }

@@ -7,10 +7,9 @@
 //! separately from data; Tinca folds metadata persistence into the same
 //! atomic entry update that commits the data.
 
-use fssim::stack::{build, System};
-use workloads::fio::{Fio, FioSpec};
+use fssim::stack::System;
 
-use crate::figs::local_cfg;
+use crate::figs::{local_cfg, run_fio};
 use crate::table::Table;
 use crate::{banner, fmt, write_csv};
 
@@ -35,17 +34,7 @@ pub fn run(quick: bool) -> Vec<String> {
         (System::Tinca, "16B atomic entries"),
     ] {
         let cfg = local_cfg(sys, quick);
-        let mut stack = build(&cfg).unwrap();
-        let mut fio = Fio::new(FioSpec {
-            read_pct: 0,
-            file_bytes: cfg.nvm_bytes as u64 * 5 / 2,
-            req_bytes: 4096,
-            ops,
-            fsync_every: 64,
-            seed: 0x3E7A,
-        });
-        fio.setup(&mut stack);
-        let r = fio.run(&mut stack);
+        let r = run_fio(&cfg, 0, ops, 0x3E7A);
         if base == 0.0 {
             base = r.ops_per_sec();
         }

@@ -28,8 +28,10 @@ pub mod wal_elim;
 
 use crashsim::engine::Audit;
 use crashsim::CampaignReport;
-use fssim::stack::{StackConfig, System};
+use fssim::stack::{build, StackConfig, System};
 use tinca::{PoolConfig, TincaConfig};
+use workloads::fio::{Fio, FioSpec};
+use workloads::RunReport;
 
 use crate::runner::Direction::{self, HigherIsBetter, Info, LowerIsBetter};
 use crate::runner::{Figure, Gate};
@@ -160,6 +162,15 @@ pub fn local_cfg(system: System, quick: bool) -> StackConfig {
     // isolates its contribution with an explicit on/off comparison.
     cfg.destage = true;
     cfg
+}
+
+/// Builds `cfg`'s stack, lays out the paper's Fio file
+/// ([`FioSpec::paper`] over `cfg.nvm_bytes`) and runs `ops` operations.
+pub(crate) fn run_fio(cfg: &StackConfig, read_pct: u32, ops: u64, seed: u64) -> RunReport {
+    let mut stack = build(cfg).unwrap();
+    let mut fio = Fio::new(FioSpec::paper(read_pct, cfg.nvm_bytes, ops, seed));
+    fio.setup(&mut stack);
+    fio.run(&mut stack)
 }
 
 /// The sharded figures' pool: `shards` shards with a 16 KB ring each,

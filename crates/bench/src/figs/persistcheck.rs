@@ -31,14 +31,7 @@ fn run_one(mut cfg: StackConfig, ops: u64, traced: bool) -> (u64, Option<Report>
         cfg.nvm_override = Some(nvm.with_tracing());
     }
     let mut stack = build(&cfg).unwrap();
-    let mut fio = Fio::new(FioSpec {
-        read_pct: 0,
-        file_bytes: cfg.nvm_bytes as u64 * 5 / 2,
-        req_bytes: 4096,
-        ops,
-        fsync_every: 64,
-        seed: 0x04,
-    });
+    let mut fio = Fio::new(FioSpec::paper(0, cfg.nvm_bytes, ops, 0x04));
     fio.setup(&mut stack);
     let _ = fio.run(&mut stack);
     let now = stack.clock.now_ns();

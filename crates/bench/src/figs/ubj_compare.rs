@@ -32,14 +32,7 @@ pub fn run(quick: bool) -> Vec<String> {
     for sys in [System::Ubj, System::Tinca] {
         let cfg = local_cfg(sys, quick);
         let mut stack = build(&cfg).unwrap();
-        let mut fio = Fio::new(FioSpec {
-            read_pct: 0,
-            file_bytes: cfg.nvm_bytes as u64 * 5 / 2,
-            req_bytes: 4096,
-            ops,
-            fsync_every: 64,
-            seed: 0x544,
-        });
+        let mut fio = Fio::new(FioSpec::paper(0, cfg.nvm_bytes, ops, 0x544));
         fio.setup(&mut stack);
         let r = fio.run(&mut stack);
         // UBJ-specific counters, where applicable.

@@ -15,14 +15,7 @@ fn fig7_cell() -> RunReport {
     let mut cfg = local_cfg(System::Tinca, true);
     cfg.nvm_bytes = 4 << 20; // keep the test < 1 s
     let mut stack = build(&cfg).unwrap();
-    let mut fio = Fio::new(FioSpec {
-        read_pct: 30,
-        file_bytes: cfg.nvm_bytes as u64 * 5 / 2,
-        req_bytes: 4096,
-        ops: 1_500,
-        fsync_every: 64,
-        seed: 0x07,
-    });
+    let mut fio = Fio::new(FioSpec::paper(30, cfg.nvm_bytes, 1_500, 0x07));
     fio.setup(&mut stack);
     fio.run(&mut stack)
 }

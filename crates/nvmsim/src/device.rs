@@ -67,13 +67,6 @@ struct State {
     /// True between a crash and the next commit annotation; reads in this
     /// window are traced as [`TraceEvent::ReadAfterRecovery`].
     in_recovery: bool,
-    /// Media-fault hook: line indices whose persistent image is "poisoned"
-    /// (uncorrectable media error). Loads still return the stored bytes —
-    /// the simulator does not corrupt data — but callers that opt in via
-    /// [`NvmDevice::check_poison`] can observe the fault and take a
-    /// degraded-mode path. A media write to the line scrubs the poison,
-    /// as rewriting a failed line does on real NVDIMMs.
-    poison: HashSet<usize>,
 }
 
 /// Appends to the trace when recording is enabled; free of clock and
@@ -163,7 +156,6 @@ impl NvmDevice {
                 trip_at: None,
                 trace,
                 in_recovery: false,
-                poison: HashSet::new(),
             }),
         })
     }
@@ -657,42 +649,6 @@ impl NvmDevice {
         st.trip_at = None;
     }
 
-    /// Marks the cache line containing `addr` as a media fault: the line's
-    /// persistent image is "poisoned" (uncorrectable error). Fault
-    /// injection hook for crash/fault campaigns; no clock or stats side
-    /// effects.
-    pub fn poison(&self, addr: usize) {
-        self.check_range(addr, 1);
-        self.state.lock().poison.insert(addr / CACHE_LINE);
-    }
-
-    /// Clears a poison mark set by [`Self::poison`] without writing the
-    /// line (models an explicit management-level scrub).
-    pub fn clear_poison(&self, addr: usize) {
-        self.state.lock().poison.remove(&(addr / CACHE_LINE));
-    }
-
-    /// Returns the base address of the first poisoned line overlapping
-    /// `[addr, addr + len)`, or `None` if the range is healthy. Readers
-    /// that care about media faults call this before trusting a load.
-    pub fn check_poison(&self, addr: usize, len: usize) -> Option<usize> {
-        if len == 0 {
-            return None;
-        }
-        self.check_range(addr, len);
-        let st = self.state.lock();
-        let first = addr / CACHE_LINE;
-        let last = (addr + len - 1) / CACHE_LINE;
-        (first..=last)
-            .find(|line| st.poison.contains(line))
-            .map(|line| line * CACHE_LINE)
-    }
-
-    /// Number of currently poisoned lines.
-    pub fn poisoned_lines(&self) -> usize {
-        self.state.lock().poison.len()
-    }
-
     /// Drains and returns the recorded trace. Sequence numbers keep
     /// increasing across drains. Empty when tracing is disabled.
     pub fn take_trace(&self) -> Vec<TracedOp> {
@@ -840,11 +796,6 @@ impl State {
             let base = run.line * CACHE_LINE;
             let src = self.bytes[run.slot..run.slot + run.len].as_flattened();
             write_words(&mut self.persistent[base..base + src.len()], src, run.dirty);
-            if !self.poison.is_empty() {
-                for line in run.line..run.line + run.len {
-                    self.poison.remove(&line);
-                }
-            }
         }
     }
 
@@ -861,15 +812,11 @@ impl State {
     }
 
     /// Applies the words of slot `slot` selected by `keep` to `line`'s
-    /// persistent image; a media write that lands at least one word scrubs
-    /// the line's poison.
+    /// persistent image.
     fn write_back(&mut self, line: usize, slot: usize, keep: u8) {
         let base = line * CACHE_LINE;
         let image = &mut self.persistent[base..base + CACHE_LINE];
         write_words(image, &self.bytes[slot], keep);
-        if keep != 0 && !self.poison.is_empty() {
-            self.poison.remove(&line);
-        }
     }
 
     /// Ends the epoch's hold on its slots while they stay cached (`clwb`):
@@ -1494,57 +1441,6 @@ mod tests {
         d.read(0, &mut a);
         d2.read(0, &mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn poison_marks_lines_and_check_finds_first() {
-        let d = dev();
-        assert_eq!(d.poisoned_lines(), 0);
-        d.poison(130); // line 2 (bytes 128..192)
-        assert_eq!(d.poisoned_lines(), 1);
-        assert_eq!(d.check_poison(0, 64), None);
-        assert_eq!(d.check_poison(100, 64), Some(128), "range touches line 2");
-        assert_eq!(d.check_poison(128, 64), Some(128));
-        assert_eq!(d.check_poison(192, 64), None);
-        assert_eq!(d.check_poison(128, 0), None, "empty range is healthy");
-        d.clear_poison(191);
-        assert_eq!(d.check_poison(0, 4096), None);
-    }
-
-    #[test]
-    fn media_write_scrubs_poison() {
-        let d = dev();
-        d.poison(64);
-        d.write(64, &[0xEE; 64]);
-        assert_eq!(
-            d.check_poison(64, 64),
-            Some(64),
-            "volatile store does not scrub"
-        );
-        d.persist(64, 64);
-        assert_eq!(d.check_poison(64, 64), None, "media write-back scrubs");
-        // Crash-applied dirty lines scrub too.
-        d.poison(0);
-        d.write(0, &[0x11; 64]);
-        d.crash(CrashPolicy::PersistAll);
-        assert_eq!(d.check_poison(0, 64), None);
-    }
-
-    #[test]
-    fn poison_does_not_corrupt_data_or_charge_time() {
-        let d = dev();
-        d.write(0, &[0x42; 64]);
-        d.persist(0, 64);
-        let t0 = d.clock().now_ns();
-        let (s0, e0) = (d.stats(), d.events());
-        d.poison(0);
-        let _ = d.check_poison(0, 64);
-        assert_eq!(d.clock().now_ns(), t0);
-        assert_eq!(d.stats(), s0);
-        assert_eq!(d.events(), e0);
-        let mut b = [0u8; 64];
-        d.read(0, &mut b);
-        assert_eq!(b, [0x42; 64], "loads still see stored bytes");
     }
 
     #[test]

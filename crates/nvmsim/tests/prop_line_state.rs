@@ -3,7 +3,7 @@
 //! `HashMap`-overlay reference model in `refmodel`: random scripts drive
 //! both, and after every step every observable must agree — bytes, the
 //! persistent image, counters, the simulated clock, the event counter,
-//! per-line wear, poison, and the trace stream.
+//! per-line wear, and the trace stream.
 
 mod refmodel;
 
@@ -46,12 +46,6 @@ enum Op {
         len: usize,
     },
     Fence,
-    Poison {
-        addr: usize,
-    },
-    ClearPoison {
-        addr: usize,
-    },
     SetTrip {
         after: Option<u64>,
     },
@@ -99,8 +93,6 @@ fn ops() -> impl Strategy<Value = Op> {
         3 => (0..CAP / 16, any::<u128>()).prop_map(|(pair, val)| Op::Atomic16 { pair, val }),
         8 => extent(MAX_WRITE).prop_map(|(addr, len)| Op::Flush { addr, len }),
         5 => Just(Op::Fence),
-        2 => (0..CAP).prop_map(|addr| Op::Poison { addr }),
-        1 => (0..CAP).prop_map(|addr| Op::ClearPoison { addr }),
         2 => proptest::option::of(1..40u64).prop_map(|after| Op::SetTrip { after }),
         2 => (0..3u8, any::<u64>()).prop_map(|(policy, seed)| Op::Crash { policy, seed }),
         1 => any::<u64>().prop_map(|keep| Op::CrashFrontier { keep }),
@@ -171,10 +163,6 @@ fn assert_same(dev: &Nvm, model: &mut RefDevice, step: &str) -> Result<(), TestC
             step
         );
     }
-    prop_assert_eq!(dev.poisoned_lines(), model.poisoned_lines());
-    for (addr, len) in [(0, CAP), (CAP / 2, CAP / 2), (CAP / 4, 4096), (100, 64)] {
-        prop_assert_eq!(dev.check_poison(addr, len), model.check_poison(addr, len));
-    }
     prop_assert_eq!(
         dev.trace_snapshot(),
         model.trace_snapshot(),
@@ -215,16 +203,6 @@ fn step(
         ),
         Op::Flush { addr, len } => (tripped(|| dev.clflush(addr, len)), model.clflush(addr, len)),
         Op::Fence => (tripped(|| dev.sfence()), model.sfence()),
-        Op::Poison { addr } => {
-            dev.poison(addr);
-            model.poison(addr);
-            (None, None)
-        }
-        Op::ClearPoison { addr } => {
-            dev.clear_poison(addr);
-            model.clear_poison(addr);
-            (None, None)
-        }
         Op::SetTrip { after } => {
             dev.set_trip(after);
             model.set_trip(after);

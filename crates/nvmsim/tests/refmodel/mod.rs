@@ -65,7 +65,6 @@ pub struct RefDevice {
     trace: Option<Vec<TracedOp>>,
     trace_base: u64,
     in_recovery: bool,
-    poison: HashSet<usize>,
 }
 
 impl RefDevice {
@@ -84,7 +83,6 @@ impl RefDevice {
             trip_at: None,
             trace_base: 0,
             in_recovery: false,
-            poison: HashSet::new(),
         }
     }
 
@@ -271,7 +269,6 @@ impl RefDevice {
         });
         for rec in std::mem::take(&mut self.epoch) {
             apply_record(&mut self.persistent, &rec, u8::MAX);
-            self.poison.remove(&rec.line);
         }
         if self.cfg.flush_instr.invalidates() {
             self.overlay.retain(|_, lb| lb.dirty != 0);
@@ -313,9 +310,6 @@ impl RefDevice {
                 .as_mut()
                 .map_or(u8::MAX, |rng| random_keep_mask(rng, &rec));
             apply_record(&mut self.persistent, &rec, keep);
-            if rec.dirty & keep != 0 {
-                self.poison.remove(&rec.line);
-            }
         }
         self.overlay.clear();
         self.trip_at = None;
@@ -327,7 +321,6 @@ impl RefDevice {
         for rec in std::mem::take(&mut self.epoch) {
             if keep.contains(&rec.line) {
                 apply_record(&mut self.persistent, &rec, u8::MAX);
-                self.poison.remove(&rec.line);
             }
         }
         self.overlay.clear();
@@ -353,27 +346,6 @@ impl RefDevice {
         }
         self.record(TraceEvent::Commit { addr, len });
         self.in_recovery = false;
-    }
-
-    pub fn poison(&mut self, addr: usize) {
-        self.poison.insert(addr / CACHE_LINE);
-    }
-
-    pub fn clear_poison(&mut self, addr: usize) {
-        self.poison.remove(&(addr / CACHE_LINE));
-    }
-
-    pub fn check_poison(&self, addr: usize, len: usize) -> Option<usize> {
-        if len == 0 {
-            return None;
-        }
-        (addr / CACHE_LINE..=(addr + len - 1) / CACHE_LINE)
-            .find(|line| self.poison.contains(line))
-            .map(|line| line * CACHE_LINE)
-    }
-
-    pub fn poisoned_lines(&self) -> usize {
-        self.poison.len()
     }
 
     pub fn take_trace(&mut self) -> Vec<TracedOp> {

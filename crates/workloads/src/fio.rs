@@ -27,16 +27,16 @@ pub struct FioSpec {
 }
 
 impl FioSpec {
-    /// The paper's configuration at `scale` (1 = full 20 GB; 128 = default
-    /// scaled run).
-    pub fn paper(read_pct: u32, scale: u64, ops: u64) -> FioSpec {
+    /// The paper's job: 4 KB requests, an fsync every 64 writes, on a
+    /// file 2.5× the NVM cache (the paper's 20 GB file over 8 GB).
+    pub fn paper(read_pct: u32, cache_bytes: usize, ops: u64, seed: u64) -> FioSpec {
         FioSpec {
             read_pct,
-            file_bytes: (20 << 30) / scale,
+            file_bytes: cache_bytes as u64 * 5 / 2,
             req_bytes: 4 << 10,
             ops,
             fsync_every: 64,
-            seed: 0x0F10 + read_pct as u64,
+            seed,
         }
     }
 }
@@ -170,8 +170,8 @@ mod tests {
 
     #[test]
     fn paper_spec_keeps_dataset_cache_ratio() {
-        let s = FioSpec::paper(30, 128, 1000);
-        assert_eq!(s.file_bytes, (20 << 30) / 128);
+        let s = FioSpec::paper(30, 8 << 20, 1000, 1);
+        assert_eq!(s.file_bytes, 20 << 20);
         assert_eq!(s.req_bytes, 4096);
     }
 }

@@ -45,6 +45,5 @@ pub mod report;
 pub mod sched;
 pub mod spec;
 pub mod tpcc;
-pub mod trace;
 
 pub use report::{measure, Measurement, RunReport};

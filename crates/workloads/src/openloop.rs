@@ -57,35 +57,12 @@ pub enum Arrivals {
     /// Memoryless arrivals at `rate_ops_per_sec` (exponential
     /// inter-arrival gaps) — the aggregate of many independent users.
     Poisson { rate_ops_per_sec: f64 },
-    /// On/off bursts: Poisson arrivals at `rate_ops_per_sec` during each
-    /// `burst_ns` window, silence for `idle_ns`, repeating. The *average*
-    /// offered rate is `rate · burst / (burst + idle)`.
-    Bursty {
-        rate_ops_per_sec: f64,
-        burst_ns: u64,
-        idle_ns: u64,
-    },
 }
 
 impl Arrivals {
     fn rate(&self) -> f64 {
         match *self {
             Arrivals::Poisson { rate_ops_per_sec } => rate_ops_per_sec,
-            Arrivals::Bursty {
-                rate_ops_per_sec, ..
-            } => rate_ops_per_sec,
-        }
-    }
-
-    /// Long-run average offered rate (ops/s).
-    pub fn mean_rate(&self) -> f64 {
-        match *self {
-            Arrivals::Poisson { rate_ops_per_sec } => rate_ops_per_sec,
-            Arrivals::Bursty {
-                rate_ops_per_sec,
-                burst_ns,
-                idle_ns,
-            } => rate_ops_per_sec * burst_ns as f64 / (burst_ns + idle_ns) as f64,
         }
     }
 }
@@ -180,9 +157,8 @@ pub struct ArrivalStream {
     txn_blocks: usize,
     shards: u64,
     remaining: u64,
-    /// Cumulative "active" (in-burst) time; bursty streams expand it onto
-    /// the real timeline by re-inserting the idle windows.
-    active_ns: f64,
+    /// Arrival time of the last op, ns.
+    last_ns: f64,
     next_seq: u64,
 }
 
@@ -190,9 +166,6 @@ impl ArrivalStream {
     pub fn new(spec: &OpenLoopSpec, shards: usize) -> ArrivalStream {
         assert!(spec.users >= 1);
         assert!(spec.arrivals.rate() > 0.0, "arrival rate must be positive");
-        if let Arrivals::Bursty { burst_ns, .. } = spec.arrivals {
-            assert!(burst_ns >= 1, "burst window must be non-empty");
-        }
         assert!(shards >= 1);
         assert!(
             spec.blocks / shards as u64 >= spec.txn_blocks as u64,
@@ -208,18 +181,8 @@ impl ArrivalStream {
             txn_blocks: spec.txn_blocks,
             shards: shards as u64,
             remaining: spec.ops,
-            active_ns: 0.0,
+            last_ns: 0.0,
             next_seq: 1,
-        }
-    }
-
-    /// Maps cumulative active time onto the real timeline.
-    fn expand(&self, active: u64) -> u64 {
-        match self.arrivals {
-            Arrivals::Poisson { .. } => active,
-            Arrivals::Bursty {
-                burst_ns, idle_ns, ..
-            } => (active / burst_ns) * (burst_ns + idle_ns) + active % burst_ns,
         }
     }
 }
@@ -232,10 +195,10 @@ impl Iterator for ArrivalStream {
             return None;
         }
         self.remaining -= 1;
-        // Exponential inter-arrival gap at the in-burst rate.
+        // Exponential inter-arrival gap.
         let u: f64 = self.rng.gen();
-        self.active_ns += -(1.0 - u).ln() / self.arrivals.rate() * 1e9;
-        let at_ns = self.expand(self.active_ns as u64);
+        self.last_ns += -(1.0 - u).ln() / self.arrivals.rate() * 1e9;
+        let at_ns = self.last_ns as u64;
         let user = self.rng.gen_range(0..self.users);
         let kind = if self.rng.gen_range(0..100) < self.read_pct {
             OpKind::Read {
@@ -304,10 +267,6 @@ pub struct TincaServer<'a> {
     pool: &'a TincaPool,
     shard_clocks: Vec<SimClock>,
     disk_clock: SimClock,
-    /// Per-shard service multiplicity, derived from the pool's commit
-    /// mode (1 for the mutex path, the window-descriptor capacity for
-    /// the lock-free ring).
-    commit_concurrency: usize,
 }
 
 impl<'a> TincaServer<'a> {
@@ -321,17 +280,7 @@ impl<'a> TincaServer<'a> {
             pool,
             shard_clocks,
             disk_clock,
-            commit_concurrency: pool.commit_concurrency(),
         }
-    }
-
-    /// Overrides the service multiplicity the pool's commit mode implies
-    /// (e.g. to model a bounded writer pool narrower than the
-    /// descriptor-table capacity).
-    pub fn with_commit_concurrency(mut self, c: usize) -> TincaServer<'a> {
-        assert!(c >= 1, "a shard serves at least one op at a time");
-        self.commit_concurrency = c;
-        self
     }
 }
 
@@ -378,8 +327,10 @@ impl OpenLoopServer for TincaServer<'_> {
         Ok(())
     }
 
+    /// 1 for the mutex commit path, the window-descriptor capacity for
+    /// the lock-free ring.
     fn concurrency(&self, _s: usize) -> usize {
-        self.commit_concurrency
+        self.pool.commit_concurrency()
     }
 }
 
@@ -764,32 +715,10 @@ mod tests {
     }
 
     #[test]
-    fn bursty_stream_respects_idle_windows() {
-        let spec = OpenLoopSpec {
-            arrivals: Arrivals::Bursty {
-                rate_ops_per_sec: 100_000.0,
-                burst_ns: 1_000_000,
-                idle_ns: 4_000_000,
-            },
-            ..OpenLoopSpec::smoke(0.0)
-        };
-        let arrivals: Vec<Arrival> = ArrivalStream::new(&spec, 2).collect();
-        assert_eq!(arrivals.len(), spec.ops as usize);
-        for a in &arrivals {
-            assert!(
-                a.at_ns % 5_000_000 < 1_000_000,
-                "arrival at {} inside an idle window",
-                a.at_ns
-            );
-        }
-        // Mean-rate bookkeeping: 100k in-burst at 1/5 duty cycle.
-        assert!((spec.arrivals.mean_rate() - 20_000.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn underloaded_run_has_negligible_queue_wait() {
         let (pool, disk_clock) = make_pool(2);
         let server = TincaServer::new(&pool, disk_clock);
+        assert_eq!(server.concurrency(0), 1, "the mutex path is strict FIFO");
         // 1k ops/s against a cache serving in ~µs: essentially idle.
         let r = OpenLoopDriver::new(OpenLoopSpec::smoke(1_000.0), server).run();
         assert_eq!(r.offered, 400);
@@ -874,20 +803,6 @@ mod tests {
             "concurrent path p99 wait {mw_p99} should sit far below mutex {mutex_p99}"
         );
         mw_pool.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn narrowed_concurrency_degrades_to_fifo_model() {
-        // Forcing one slot on a lock-free-ring pool reproduces the
-        // strict-FIFO queue-wait accounting: latency == wait + service
-        // with completions stamped straight off the shard clock.
-        let (pool, clk) = make_mw_pool(1);
-        let server = TincaServer::new(&pool, clk).with_commit_concurrency(1);
-        assert_eq!(server.concurrency(0), 1);
-        let r = OpenLoopDriver::new(OpenLoopSpec::smoke(1_000.0), server).run();
-        assert_eq!(r.completed, r.offered);
-        assert_eq!(r.queue_wait.p50(), Some(0));
-        pool.check_consistency().unwrap();
     }
 
     #[test]

@@ -11,19 +11,11 @@ use workloads::openloop::{
     TincaServer,
 };
 
-fn spec(seed: u64, rate: f64, bursty: bool) -> OpenLoopSpec {
+fn spec(seed: u64, rate: f64) -> OpenLoopSpec {
     OpenLoopSpec {
         users: 100_000,
-        arrivals: if bursty {
-            Arrivals::Bursty {
-                rate_ops_per_sec: rate,
-                burst_ns: 500_000,
-                idle_ns: 1_500_000,
-            }
-        } else {
-            Arrivals::Poisson {
-                rate_ops_per_sec: rate,
-            }
+        arrivals: Arrivals::Poisson {
+            rate_ops_per_sec: rate,
         },
         ops: 300,
         read_pct: 30,
@@ -56,17 +48,16 @@ fn make_pool(shards: usize) -> (TincaPool, SimClock) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Same seed ⇒ bit-identical arrival stream, for both arrival models
-    /// and any shard count; different seeds diverge.
+    /// Same seed ⇒ bit-identical arrival stream, for any shard count;
+    /// different seeds diverge.
     #[test]
     fn seeded_streams_are_replay_identical(
         seed in 0u64..1_000_000,
         rate_kops in 1u64..10_000,
-        bursty in any::<bool>(),
         shards in 1usize..=8,
     ) {
         let rate = rate_kops as f64 * 1000.0;
-        let s = spec(seed, rate, bursty);
+        let s = spec(seed, rate);
         let a: Vec<Arrival> = ArrivalStream::new(&s, shards).collect();
         let b: Vec<Arrival> = ArrivalStream::new(&s, shards).collect();
         prop_assert_eq!(&a, &b);
@@ -75,7 +66,7 @@ proptest! {
         for w in a.windows(2) {
             prop_assert!(w[0].at_ns <= w[1].at_ns);
         }
-        let other = spec(seed.wrapping_add(1), rate, bursty);
+        let other = spec(seed.wrapping_add(1), rate);
         let c: Vec<Arrival> = ArrivalStream::new(&other, shards).collect();
         prop_assert!(a != c, "different seeds must diverge");
     }
@@ -88,7 +79,7 @@ fn full_run_is_replay_identical() {
     let run = |rate: f64| {
         let (pool, disk_clock) = make_pool(4);
         let server = TincaServer::new(&pool, disk_clock);
-        OpenLoopDriver::new(spec(0xDE7, rate, false), server).run()
+        OpenLoopDriver::new(spec(0xDE7, rate), server).run()
     };
     for rate in [5_000.0, 50_000_000.0] {
         let a = run(rate);
@@ -151,7 +142,7 @@ fn stalled_shard_inflates_p999_not_service_bulk() {
     let s = OpenLoopSpec {
         ops: 2_000,
         // ~20k ops/s: ~1000 arrivals land during a 50 ms stall.
-        ..spec(0xC0, 20_000.0, false)
+        ..spec(0xC0, 20_000.0)
     };
 
     let (pool, disk_clock) = make_pool(2);

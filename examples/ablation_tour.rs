@@ -46,14 +46,7 @@ fn main() {
         let mut cfg = StackConfig::scaled_local(sys);
         cfg.nvm_bytes = 16 << 20;
         let mut stack = build(&cfg).expect("stack");
-        let mut fio = Fio::new(FioSpec {
-            read_pct: 0,
-            file_bytes: cfg.nvm_bytes as u64 * 5 / 2,
-            req_bytes: 4096,
-            ops: 8_000,
-            fsync_every: 64,
-            seed: 0xAB1,
-        });
+        let mut fio = Fio::new(FioSpec::paper(0, cfg.nvm_bytes, 8_000, 0xAB1));
         fio.setup(&mut stack);
         let m = measure(&stack, sys.name());
         let _ = fio.run(&mut stack);

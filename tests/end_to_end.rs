@@ -8,14 +8,7 @@ use tinca_repro::workloads::fio::{Fio, FioSpec};
 use tinca_repro::workloads::measure;
 
 fn fio_spec(read_pct: u32, nvm_bytes: usize) -> FioSpec {
-    FioSpec {
-        read_pct,
-        file_bytes: nvm_bytes as u64 * 5 / 2,
-        req_bytes: 4096,
-        ops: 2_000,
-        fsync_every: 64,
-        seed: 0xE2E,
-    }
+    FioSpec::paper(read_pct, nvm_bytes, 2_000, 0xE2E)
 }
 
 /// The paper's headline: same workload, same consistency, Tinca beats the

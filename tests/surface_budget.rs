@@ -20,9 +20,9 @@ const PUB_BUDGETS: [(&str, usize); 13] = [
     ("ubj", 30),
     ("classic", 60),
     ("cluster", 36),
-    ("workloads", 124),
+    ("workloads", 110),
     ("telemetry", 109),
-    ("nvmsim", 80),
+    ("nvmsim", 76),
     ("kvdb", 74),
     ("crashsim", 77),
     ("blockdev", 48),
