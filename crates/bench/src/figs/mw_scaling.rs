@@ -1,5 +1,5 @@
 //! Multi-writer scaling figure — lock-free intra-shard commit pipeline
-//! vs the mutex baseline (DESIGN §16).
+//! vs the mutex baseline (DESIGN §8).
 //!
 //! Sweeps 1–16 logical writers against `N = 1` and `N = 4` shard pools,
 //! running the **identical** lane-disjoint transaction stream (same RNG

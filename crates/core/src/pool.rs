@@ -19,7 +19,7 @@
 //! lock; there is no queue, no leader and no merged transaction. This is
 //! the paper-exact, per-step-persist *reference* path every paper figure
 //! runs on. Batching lives in one place only — the sequencer rounds of
-//! [`CommitMode::LockFreeRing`] (DESIGN §16), which retire every published
+//! [`CommitMode::LockFreeRing`] (DESIGN §8), which retire every published
 //! window with one fence and one `Head` store.
 //!
 //! ## One shard: the paper's cache
@@ -103,7 +103,7 @@ pub struct PoolConfig {
     pub shards: usize,
     /// How intra-shard commits are serialised; see [`CommitMode`]. The
     /// default (`Mutex`) is bit-for-bit the classic path; `LockFreeRing`
-    /// enables the multi-writer pipeline (DESIGN §16) and requires the
+    /// enables the multi-writer pipeline (DESIGN §8) and requires the
     /// role switch.
     pub commit_mode: CommitMode,
     /// Per-shard cache configuration.
@@ -218,7 +218,7 @@ impl TincaPool {
     /// `devices[i]` becomes shard `i`; all shards share the backing disk
     /// (their disk-block sets are disjoint by routing). A
     /// [`CommitMode::LockFreeRing`] pool arms each region's window
-    /// descriptors (DESIGN §16).
+    /// descriptors (DESIGN §8).
     pub fn format(devices: Vec<Nvm>, disk: DynDisk, cfg: PoolConfig) -> Self {
         assert_eq!(
             devices.len(),
@@ -275,7 +275,7 @@ impl TincaPool {
     /// transaction rolls the same direction on every shard; the record is
     /// retired only once every shard has recovered. A
     /// [`CommitMode::LockFreeRing`] pool arms the window descriptors of a
-    /// region formatted for the mutex path (DESIGN §16).
+    /// region formatted for the mutex path (DESIGN §8).
     ///
     /// A pool needs one device per configured shard and at least one
     /// shard; anything else is [`TincaError::GeometryMismatch`] on field

@@ -1,5 +1,5 @@
 //! The pool half of the **multi-writer lock-free commit path**
-//! (DESIGN §16): its DRAM state and the `TincaPool` methods that drive it.
+//! (DESIGN §8): its DRAM state and the `TincaPool` methods that drive it.
 //!
 //! In [`CommitMode::LockFreeRing`] a shard's writers no longer serialise
 //! the whole commit behind the cache mutex. Instead each writer:
@@ -720,7 +720,7 @@ impl TincaPool {
     /// Tail == cursor`, every descriptor free and `spanning_open` holding
     /// rivals off, so the fragment protocol is valid as it stands — then
     /// republish each participant's reservation state from its new
-    /// `Head` and reopen admissions (DESIGN §16).
+    /// `Head` and reopen admissions (DESIGN §8).
     pub(super) fn commit_spanning_mw(&self, txn: Txn) -> Result<(), TincaError> {
         let mut participants: Vec<usize> = txn.disk_blocks().map(|b| self.shard_of(b)).collect();
         participants.sort_unstable();

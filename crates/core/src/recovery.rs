@@ -262,7 +262,7 @@ impl TincaCache {
             }
         }
 
-        // Multi-writer window descriptors (DESIGN §16). Retired windows
+        // Multi-writer window descriptors (DESIGN §8). Retired windows
         // (end at or before `Tail`) are stale retire stores lost to the
         // crash — inert, zeroed below. Published (`STAGED`) windows
         // overlapping `[Tail, Head)` are **durably committed**: `Head`
@@ -376,7 +376,7 @@ impl TincaCache {
         self.nvm().note_commit(TAIL_OFF, 8);
 
         // Retire the judged window's intent tags (wraparound guard,
-        // DESIGN §14): rolled-forward slots keep their data but lose the
+        // DESIGN §7.2): rolled-forward slots keep their data but lose the
         // tag, restoring the invariant that no closed-window slot is
         // tagged. A no-op (no events) when the window held no tags —
         // i.e. on every single-shard recovery.

@@ -2,7 +2,7 @@
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 //! Integration tests for the multi-writer lock-free commit path
-//! (`CommitMode::LockFreeRing`, DESIGN §16): blocking commits, the
+//! (`CommitMode::LockFreeRing`, DESIGN §8): blocking commits, the
 //! steppable reserve/stage/publish/sequence API, conflict admission,
 //! failed-window sealing, spanning transactions, and recovery of
 //! unsequenced windows.

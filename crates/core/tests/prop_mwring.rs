@@ -2,7 +2,7 @@
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 //! Property-based tests for the multi-writer lock-free commit path
-//! (DESIGN §16), driven through the steppable reserve/stage/publish/
+//! (DESIGN §8), driven through the steppable reserve/stage/publish/
 //! sequence API — deterministic single-thread interleavings, no OS
 //! threads.
 //!

@@ -1,5 +1,5 @@
 //! Crash campaigns for the **multi-writer lock-free commit path**
-//! (`CommitMode::LockFreeRing`, DESIGN §16).
+//! (`CommitMode::LockFreeRing`, DESIGN §8).
 //!
 //! [`RingPlan`] deals a seeded script to three writers stepped through
 //! the pool's window steps, several windows possibly on one shard, so a

@@ -249,7 +249,7 @@ fn commit_spanning_pair(pool: &TincaPool, setup: Setup, v: u8) {
     pool.commit(t).expect("spanning commit");
 }
 
-/// Wraparound guard (DESIGN §14): the intent tag keeps only the low
+/// Wraparound guard (DESIGN §7.2): the intent tag keeps only the low
 /// 7 bits of the intent id, so after 128 spanning commits a new intent's
 /// tag collides with a stale one's. Retiring commits must scrub their
 /// window's tags, so no stale tag ever survives on the device — even
@@ -369,7 +369,7 @@ fn failed_tagged_fragment_scrubs_its_slots() {
 /// not asserted away: a cut between a fragment's slot persist and its
 /// `Head` move, or between a `Tail` store and the scrub after it, leaves
 /// a tag outside every window, inert by window homogeneity until the slot
-/// is reused (DESIGN §14).
+/// is reused (DESIGN §7.2).
 #[test]
 #[cfg_attr(
     debug_assertions,

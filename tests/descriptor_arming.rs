@@ -1,4 +1,4 @@
-//! The window-descriptor table's arming rule (DESIGN §16): recovery loads
+//! The window-descriptor table's arming rule (DESIGN §8): recovery loads
 //! the 32-line descriptor table only on a region a lock-free ring armed.
 //! A mutex pool's recovery reads line 0, `Head`, `Tail` and the entry
 //! table, pinned here in lines and simulated time; a mutex-formatted
