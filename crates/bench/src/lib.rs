@@ -9,8 +9,9 @@
 //! one on disk, and exits non-zero if any check failed.
 //!
 //! `quick = true` shrinks datasets/op counts for CI-speed smoke runs; the
-//! default sizes are the ÷128-scaled configuration documented in
-//! `DESIGN.md` (shape reproduction, not absolute numbers).
+//! default sizes are the ÷256-scaled configuration of `DESIGN.md` §1 (a
+//! 32 MB NVM cache against the paper's 8 GB; shape reproduction, not
+//! absolute numbers).
 
 pub mod figs;
 pub mod runner;

@@ -11,9 +11,10 @@ use crate::entry::{CacheEntry, Role, FRESH};
 use crate::entryset::EntrySet;
 use crate::freemon::FreeMonitor;
 use crate::layout::{
-    mw_desc_addr, mw_state_word, slot_value, split_slot, Layout, DATA_BLOCKS_OFF, ENTRY_COUNT_OFF,
-    HEAD_OFF, MAGIC, MAGIC_OFF, MW_ARMED_OFF, MW_DEAD_TAG, MW_DESC_BYTES, MW_DESC_OFF, MW_FREE,
-    MW_RESERVED, MW_WINDOWS, RING_CAP_OFF, TAIL_OFF,
+    mw_desc_addr, mw_state_word, slot_value, split_slot, Layout, DATA_BLOCKS_OFF, ENTRY_BYTES,
+    ENTRY_COUNT_OFF, HEAD_OFF, MAGIC, MAGIC_OFF, MW_ARMED_OFF, MW_DEAD_TAG, MW_DESC_BYTES,
+    MW_DESC_OFF, MW_FREE, MW_RESERVED, MW_WINDOWS, RING_CAP_OFF, TAIL_OFF, WATERMARK_OFF,
+    WATERMARK_STEP,
 };
 use crate::lru::LruList;
 use crate::pool::ring::{MwMeta, MwWindow};
@@ -143,6 +144,9 @@ pub(crate) struct TincaCache {
     lru: LruList,
     free_blocks: FreeMonitor,
     free_entries: FreeMonitor,
+    /// DRAM copy of the persisted entry watermark (`WATERMARK_OFF` in the
+    /// layout module): every slot at or above it is all-zero in NVM.
+    entry_watermark: u32,
     /// Previous block versions parked for delta staging: referenced by no
     /// entry, not on the free list, handed to nobody but their owner's
     /// next write hit. Empty unless [`TincaConfig::delta_stage`].
@@ -192,18 +196,21 @@ impl TincaCache {
     /// in the layout module); a format without it disarms the region.
     pub(crate) fn format(nvm: Nvm, disk: DynDisk, cfg: TincaConfig, arm: bool) -> Self {
         let layout = Layout::compute(nvm.capacity(), cfg.ring_bytes);
-        // The armed word is persisted the moment it is stored, so on the
-        // quiesced region a format runs on the persistent image holds its
-        // current value; like the destage scan's entry reads, the peek is
-        // not charged to the clock.
-        let mut armed = [0u8; 8];
-        nvm.read_persistent(MW_ARMED_OFF, &mut armed);
-        let armed = u64::from_le_bytes(armed) != 0;
+        // The armed word and the entry watermark are persisted the moment
+        // they are stored, so on the quiesced region a format runs on the
+        // persistent image holds their current values; like the destage
+        // scan's entry reads, the peek is not charged to the clock.
+        let peek = |off: usize| {
+            let mut word = [0u8; 8];
+            nvm.read_persistent(off, &mut word);
+            u64::from_le_bytes(word)
+        };
+        let (armed, watermark) = (peek(MW_ARMED_OFF) != 0, peek(WATERMARK_OFF));
         // Zero the entry array so every entry decodes as invalid, and an
         // armed region's descriptor table, which may hold a previous
         // life's windows, before the header below can disarm it.
         let zeros = vec![0u8; 64 << 10];
-        let entry_bytes = layout.entry_count as usize * crate::layout::ENTRY_BYTES;
+        let entry_bytes = layout.entry_count as usize * ENTRY_BYTES;
         let mut off = 0;
         while off < entry_bytes {
             let n = zeros.len().min(entry_bytes - off);
@@ -223,6 +230,10 @@ impl TincaCache {
         nvm.atomic_write_u64(DATA_BLOCKS_OFF, layout.data_blocks as u64);
         if arm != armed {
             nvm.atomic_write_u64(MW_ARMED_OFF, arm.into());
+        }
+        // The table is all-zero now, so no slot needs the watermark.
+        if watermark != 0 {
+            nvm.atomic_write_u64(WATERMARK_OFF, 0);
         }
         nvm.atomic_write_u64(HEAD_OFF, 0);
         nvm.atomic_write_u64(TAIL_OFF, 0);
@@ -255,6 +266,7 @@ impl TincaCache {
             lru: LruList::new(layout.entry_count),
             free_blocks: FreeMonitor::new_all_free(layout.data_blocks),
             free_entries: FreeMonitor::new_all_free(layout.entry_count),
+            entry_watermark: 0,
             shadows: ShadowReserve::new(layout.entry_count, shadow_cap),
             pin_blocks: vec![false; layout.data_blocks as usize],
             pin_entries: EntrySet::new(layout.entry_count),
@@ -377,9 +389,9 @@ impl TincaCache {
     /// point (`Tail`, persisted by the caller strictly after the role
     /// switch's own fence) still orders after every staged line.
     /// Crash-safety is unchanged: until the `Head` move persists, `Head
-    /// == Tail` and recovery's full entry scan revokes every log-role
-    /// entry; after it, the ring window names every staged block. A
-    /// failure before the fence leaves the slots unflushed, and
+    /// == Tail` and recovery's entry scan up to the watermark revokes
+    /// every log-role entry; after it, the ring window names every staged
+    /// block. A failure before the fence leaves the slots unflushed, and
     /// [`revoke_fragment`](Self::revoke_fragment) persists them before
     /// it re-persists `Head`.
     /// The fragment's `tag` is the spanning-intent tag recorded in each
@@ -495,15 +507,7 @@ impl TincaCache {
                 (idx, old.cur)
             }
             None => {
-                // Audited panic: the layout allocates one entry slot
-                // per data block, so a free block implies a free
-                // entry; exhaustion here is a layout bug, not a
-                // recoverable condition.
-                #[allow(clippy::disallowed_methods)]
-                let idx = self
-                    .free_entries
-                    .allocate()
-                    .expect("entry pool exhausts strictly after block pool");
+                let idx = self.alloc_entry();
                 self.index.insert(disk_blk, idx);
                 self.lru.push_mru(idx);
                 self.dirty_idx.insert(idx);
@@ -1149,17 +1153,38 @@ impl TincaCache {
         let addr = self.layout.data_addr(blk);
         self.nvm.write(addr, data);
         self.nvm.persist(addr, BLOCK_SIZE);
-        // Audited panic: same layout invariant as commit — one entry slot
-        // per data block, so the just-allocated block guarantees a slot.
+        let idx = self.alloc_entry();
+        let e = CacheEntry::new(Role::Buffer, false, disk_blk, FRESH, blk);
+        self.write_entry(idx, e);
+        self.index.insert(disk_blk, idx);
+        self.lru.push_mru(idx);
+    }
+
+    /// Takes a free entry slot for a new cache entry: the one
+    /// entry-allocation path of a write miss (both commit modes) and a
+    /// read-miss fill. A slot at or above the entry watermark first raises
+    /// it to the next [`WATERMARK_STEP`] boundary past the slot, capped at
+    /// the entry count, with an 8 B atomic store, a `clflush` and an
+    /// `sfence`: the raise is durable before the caller's first store to
+    /// the slot, so recovery, which loads only the slots below the
+    /// persisted watermark, can never miss a valid entry.
+    fn alloc_entry(&mut self) -> u32 {
+        // Audited panic: the layout allocates one entry slot per data
+        // block, so a free block implies a free entry; exhaustion here is
+        // a layout bug, not a recoverable condition.
         #[allow(clippy::disallowed_methods)]
         let idx = self
             .free_entries
             .allocate()
             .expect("entry pool exhausts strictly after block pool");
-        let e = CacheEntry::new(Role::Buffer, false, disk_blk, FRESH, blk);
-        self.write_entry(idx, e);
-        self.index.insert(disk_blk, idx);
-        self.lru.push_mru(idx);
+        if idx >= self.entry_watermark {
+            let raised = (idx / WATERMARK_STEP + 1) * WATERMARK_STEP;
+            self.entry_watermark = raised.min(self.layout.entry_count);
+            self.nvm
+                .atomic_write_u64(WATERMARK_OFF, self.entry_watermark.into());
+            self.nvm.persist(WATERMARK_OFF, 8);
+        }
+        idx
     }
 
     /// Allocates an NVM data block, evicting the LRU unpinned buffer block
@@ -1635,6 +1660,9 @@ impl TincaCache {
     // Recovery plumbing (the algorithm lives in recovery.rs)
     // ------------------------------------------------------------------
 
+    /// A cache over a region recovery is about to judge: `Head`, `Tail`
+    /// and the entry watermark as line 0 and the header hold them, and
+    /// every block and entry in use until the rebuild frees them.
     pub(crate) fn recovery_parts(
         nvm: Nvm,
         disk: DynDisk,
@@ -1642,11 +1670,19 @@ impl TincaCache {
         layout: Layout,
         head: u64,
         tail: u64,
+        entry_watermark: u32,
     ) -> Self {
         let mut c = Self::from_parts(nvm, disk, cfg, layout, head, tail);
         c.free_blocks = FreeMonitor::new_all_used(layout.data_blocks);
         c.free_entries = FreeMonitor::new_all_used(layout.entry_count);
+        c.entry_watermark = entry_watermark;
         c
+    }
+
+    /// The entry watermark: every slot at or above it is free and
+    /// all-zero in NVM.
+    pub(crate) fn entry_watermark(&self) -> u32 {
+        self.entry_watermark
     }
 
     pub(crate) fn dram_mark_dirty(&mut self, idx: u32) {
@@ -1675,8 +1711,8 @@ impl TincaCache {
         &mut self.free_blocks
     }
 
-    pub(crate) fn free_entries_mut(&mut self) -> &mut FreeMonitor {
-        &mut self.free_entries
+    pub(crate) fn set_free_entries(&mut self, free: FreeMonitor) {
+        self.free_entries = free;
     }
 
     pub(crate) fn stats_mut(&mut self) -> &mut CacheStats {
@@ -1719,10 +1755,11 @@ impl TincaCache {
         if let Some(idx) = self.lru.before_mark().find(|&idx| !self.flagged(idx)) {
             return Err(format!("victim scan's mark skips unflagged entry {idx}"));
         }
+        self.check_watermark()?;
         let mut seen_cur = vec![false; self.layout.data_blocks as usize];
         let mut valid_count = 0usize;
         let mut dirty = 0usize;
-        for idx in 0..self.layout.entry_count {
+        for idx in 0..self.entry_watermark {
             let e = self.read_entry(idx);
             // Only a valid, dirty entry can be quarantined: a freed slot
             // or a written-back block carries no mark.
@@ -1822,6 +1859,36 @@ impl TincaCache {
             return Err(format!(
                 "dirty set holds {} but {dirty} modified entries",
                 self.dirty_idx.len()
+            ));
+        }
+        Ok(())
+    }
+
+    /// [`check_consistency`](Self::check_consistency)'s watermark clause:
+    /// the persisted watermark equals the DRAM copy, stays within the
+    /// table, and no slot at or above it is in use — free in DRAM and
+    /// all-zero in the persistent image, read without a clock charge.
+    fn check_watermark(&self) -> Result<(), String> {
+        let wm = self.entry_watermark;
+        let mut word = [0u8; 8];
+        self.nvm.read_persistent(WATERMARK_OFF, &mut word);
+        let persisted = u64::from_le_bytes(word);
+        if persisted != u64::from(wm) || wm > self.layout.entry_count {
+            return Err(format!(
+                "entry watermark {wm} in DRAM, {persisted} persisted, of {} entries",
+                self.layout.entry_count
+            ));
+        }
+        if let Some(idx) = (wm..self.layout.entry_count).find(|&i| !self.free_entries.is_free(i)) {
+            return Err(format!("entry {idx} in use at or above the watermark {wm}"));
+        }
+        let mut raw = vec![0u8; (self.layout.entry_count - wm) as usize * ENTRY_BYTES];
+        let from = self.layout.entries_off + wm as usize * ENTRY_BYTES;
+        self.nvm.read_persistent(from, &mut raw);
+        if let Some(at) = raw.iter().position(|&b| b != 0) {
+            let idx = wm as usize + at / ENTRY_BYTES;
+            return Err(format!(
+                "entry {idx} persisted at or above the watermark {wm}"
             ));
         }
         Ok(())

@@ -17,6 +17,17 @@ pub(crate) const DATA_BLOCKS_OFF: usize = 24;
 /// 0 with the geometry, so recovery reads it with the load it already
 /// issues, and loads the descriptor table only when it is set.
 pub(crate) const MW_ARMED_OFF: usize = 32;
+/// The **entry watermark**: every entry slot at or above it is all-zero
+/// (invalid), so recovery loads only the slots below it. Format persists
+/// it as 0 with the rest of the header and zeroes the whole table; the
+/// one entry-allocation path raises it in steps of [`WATERMARK_STEP`]
+/// (capped at the entry count) with an 8 B atomic store, a `clflush` and
+/// an `sfence`, before the first store to any slot the raise covers. It
+/// shares line 0 with the geometry, so recovery reads it with the load it
+/// already issues.
+pub(crate) const WATERMARK_OFF: usize = 40;
+/// Entries one watermark raise covers: 16 lines of the entry table.
+pub(crate) const WATERMARK_STEP: u32 = 64;
 pub(crate) const HEAD_OFF: usize = 64;
 pub(crate) const TAIL_OFF: usize = 128;
 
@@ -136,9 +147,12 @@ const _: () = assert!(INTENT_OFF.is_multiple_of(64));
 const _: () = assert!(INTENT_OFF >= TAIL_OFF + 8);
 const _: () = assert!(INTENT_SHARDS_OFF + 8 <= HEADER_BYTES);
 
-// The armed word shares line 0 with the geometry words recovery
-// validates, ahead of `Head`'s line.
+// The armed word and the entry watermark share line 0 with the geometry
+// words recovery validates, ahead of `Head`'s line.
 const _: () = assert!(MW_ARMED_OFF == DATA_BLOCKS_OFF + 8 && MW_ARMED_OFF + 8 <= HEAD_OFF);
+const _: () = assert!(WATERMARK_OFF == MW_ARMED_OFF + 8 && WATERMARK_OFF + 8 <= HEAD_OFF);
+// A raise covers whole entry-table lines.
+const _: () = assert!((WATERMARK_STEP as usize * ENTRY_BYTES).is_multiple_of(64));
 
 // The descriptor table must sit inside the header — cache-line aligned,
 // after the intent record's line, one line per descriptor — so the

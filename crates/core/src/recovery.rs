@@ -3,8 +3,8 @@
 //! `Head`/`Tail` and the per-entry role bits drive recovery:
 //!
 //! * `Head == Tail` — either no transaction was committing, or the crash
-//!   hit before the first `Head` move. A scan of all entries finds any
-//!   *log-role* block and revokes it.
+//!   hit before the first `Head` move. A scan of the entries below the
+//!   watermark finds any *log-role* block and revokes it.
 //! * `Head != Tail` — the crash hit mid-commit. Every block recorded in
 //!   the ring window `[Tail, Head)` is revoked — including blocks whose
 //!   role was already switched to *buffer* by the crash-interrupted
@@ -20,16 +20,22 @@
 //! ## One decoded table
 //!
 //! Recovery loads each metadata line it needs once: line 0 (magic,
-//! geometry and the descriptors-armed word), `Head`, `Tail`, the
-//! descriptor table when line 0 says a lock-free ring armed it, the ring
-//! window, and the entry table, read a page at a time and decoded into
-//! one DRAM `Vec<CacheEntry>`. Every judgment pass and the DRAM rebuild
-//! run over that table, and **every recovery store that changes an entry
-//! updates the table in the same step** (the roll-forward stores the
-//! switched entry it writes, a revoke the entry
+//! geometry, the descriptors-armed word and the entry watermark), `Head`,
+//! `Tail`, the descriptor table when line 0 says a lock-free ring armed
+//! it, the ring window, and the entry table's slots below the watermark,
+//! read a page at a time and decoded into one DRAM `Vec<CacheEntry>`.
+//! Every slot at or above the watermark is all-zero — format zeroes the
+//! table, and a raise persists before the first store to a slot it
+//! covers — so those slots are free without a load, and a clean
+//! recovery costs `3 + ⌈watermark · 16 / 64⌉` line loads: it follows the
+//! slots a shard has used, not the size of its NVM. Every judgment pass
+//! and the DRAM rebuild run over that table, and **every recovery store
+//! that changes an entry updates the table in the same step** (the
+//! roll-forward stores the switched entry it writes, a revoke the entry
 //! [`TincaCache::revoke_entry`] persisted), so the table always equals
-//! the device and no entry is loaded twice. The stores, flushes and fences are the ones a per-entry
-//! reload would issue, in the same order; only the loads differ.
+//! the device and no entry is loaded twice. The stores, flushes and
+//! fences are the ones a per-entry reload would issue, in the same order;
+//! only the loads differ.
 //!
 //! Recovery is **idempotent**: revoked entries carry the `prev == cur`
 //! marker (see [`crate::CacheEntry::revoked`]), so a crash during recovery
@@ -55,17 +61,19 @@ use nvmsim::{Nvm, CACHE_LINE};
 
 use crate::cache::{DynDisk, TincaCache};
 use crate::entry::{CacheEntry, Role};
+use crate::freemon::FreeMonitor;
 use crate::layout::{
     intent_tag, mw_split_state, split_slot, Layout, DATA_BLOCKS_OFF, ENTRY_BYTES, ENTRY_COUNT_OFF,
     HEAD_OFF, INTENT_PREPARED, INTENT_RESOLVED, MAGIC, MAGIC_OFF, MW_ARMED_OFF, MW_DEAD_TAG,
     MW_DESC_BYTES, MW_DESC_OFF, MW_STAGED, MW_WINDOWS, RING_CAP_OFF, RING_SLOT_BYTES, TAIL_OFF,
+    WATERMARK_OFF,
 };
 use crate::{TincaConfig, TincaError};
 
 /// The header words recovery reads — magic, ring capacity, entry count,
-/// data blocks, descriptors armed — share line 0, so one load reads them
-/// all.
-const HEADER_WORDS_BYTES: usize = MW_ARMED_OFF + 8;
+/// data blocks, descriptors armed, entry watermark — share line 0, so one
+/// load reads them all.
+const HEADER_WORDS_BYTES: usize = WATERMARK_OFF + 8;
 const _: () = assert!(MAGIC_OFF == 0 && HEADER_WORDS_BYTES <= CACHE_LINE);
 
 /// The `N` bytes at `off` of a loaded range, for little-endian decoding.
@@ -174,9 +182,12 @@ impl TincaCache {
         // A clear armed word means an all-zero descriptor table (layout
         // module), which judges exactly as no table at all.
         let armed = word(MW_ARMED_OFF) != 0;
+        // A watermark past the table can only come from a corrupt header;
+        // loading the whole table is the conservative reading.
+        let watermark = word(WATERMARK_OFF).min(layout.entry_count.into()) as u32;
         let head = nvm.read_u64(HEAD_OFF);
         let tail = nvm.read_u64(TAIL_OFF);
-        let mut cache = Self::recovery_parts(nvm, disk, cfg, layout, head, tail);
+        let mut cache = Self::recovery_parts(nvm, disk, cfg, layout, head, tail, watermark);
         let descriptors = if armed {
             cache.load_descriptors()
         } else {
@@ -204,11 +215,13 @@ impl TincaCache {
             .collect()
     }
 
-    /// The whole entry table, loaded a page at a time and decoded once.
+    /// The entry slots below the watermark, loaded a page at a time and
+    /// decoded once.
     fn load_entries(&self) -> Vec<CacheEntry> {
         let layout = *self.layout();
-        let table_bytes = layout.entry_count as usize * ENTRY_BYTES;
-        let mut entries = Vec::with_capacity(layout.entry_count as usize);
+        let used = self.entry_watermark() as usize;
+        let table_bytes = used * ENTRY_BYTES;
+        let mut entries = Vec::with_capacity(used);
         let mut page = [0u8; BLOCK_SIZE];
         for off in (0..table_bytes).step_by(BLOCK_SIZE) {
             let chunk = &mut page[..BLOCK_SIZE.min(table_bytes - off)];
@@ -439,10 +452,19 @@ impl TincaCache {
                     Some(used) => *used = true,
                 }
                 self.dram_insert(e.disk_blk, idx);
-            } else if !self.free_entries_mut().is_free(idx) {
-                self.free_entries_mut().release(idx);
             }
         }
+        // Free slots go back highest index first, so the monitor hands
+        // out the lowest and allocation fills the table's holes before it
+        // raises the watermark again. Slots at or above the watermark are
+        // free by definition.
+        let mut free_entries = FreeMonitor::new_all_used(layout.entry_count);
+        for idx in (0..layout.entry_count).rev() {
+            if entries.get(idx as usize).is_none_or(|e| !e.valid) {
+                free_entries.release(idx);
+            }
+        }
+        self.set_free_entries(free_entries);
         for b in 0..layout.data_blocks {
             if !cur_used[b as usize] && !self.free_blocks_mut().is_free(b) {
                 self.free_blocks_mut().release(b);

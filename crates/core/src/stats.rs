@@ -103,7 +103,7 @@ telemetry::counters! {
         pub mw_windows_resumed: u64,
         /// Multi-writer windows rolled *back* at recovery: reserved or staged
         /// windows `Head` never advanced past (their log-role entries were
-        /// revoked by the full entry scan).
+        /// revoked by the entry scan up to the watermark).
         pub mw_windows_rolled_back: u64,
     }
 }

@@ -534,47 +534,102 @@ fn recover_with_wrong_geometry_returns_structured_error() {
     assert_eq!(observed(&cache, 3), 0x42);
 }
 
+/// Entries one watermark raise covers (DESIGN §4.1).
+const WATERMARK_STEP: u64 = 64;
+/// Metadata lines every recovery loads: line 0 (magic, geometry, the
+/// descriptors-armed word and the entry watermark), `Head` and `Tail`.
+const HEADER_LINES: u64 = 3;
+/// The descriptor table's lines, loaded only on a region a lock-free
+/// ring armed.
+const DESCRIPTOR_LINES: u64 = 32;
+
+/// Commits distinct blocks `0..blocks`, 64 to a transaction, on a fresh
+/// one-shard pool of `nvm_bytes` with a `ring_bytes` ring, cuts the power
+/// with nothing in flight and recovers. Returns the lines the recovery
+/// loaded and the shard's entry count.
+fn clean_recovery_lines(
+    commit_mode: CommitMode,
+    nvm_bytes: usize,
+    ring_bytes: usize,
+    blocks: u64,
+) -> (u64, u64) {
+    let clock = SimClock::new();
+    let nvm = NvmDevice::new(NvmConfig::new(nvm_bytes, NvmTech::Pcm), clock.clone());
+    let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
+    let cfg = PoolConfig {
+        commit_mode,
+        ..pool_cfg(TincaConfig {
+            ring_bytes,
+            ..TincaConfig::default()
+        })
+    };
+    let cache = TincaPool::format(vec![nvm.clone()], disk.clone(), cfg.clone());
+    for first in (0..blocks).step_by(64) {
+        let mut t = cache.init_txn();
+        for b in first..blocks.min(first + 64) {
+            t.write(b, &blk(b as u8));
+        }
+        cache.commit(t).unwrap();
+    }
+    let entry_count = u64::from(cache.shard_layout(0).entry_count);
+    drop(cache);
+    nvm.crash(CrashPolicy::LoseVolatile);
+
+    let before = nvm.stats().lines_read;
+    let rec = TincaPool::recover(vec![nvm.clone()], disk.clone(), cfg).unwrap();
+    let lines = nvm.stats().lines_read - before;
+    rec.check_consistency().unwrap();
+    assert_eq!(observed(&rec, blocks - 1), (blocks - 1) as u8);
+    (lines, entry_count)
+}
+
+/// The entry-table lines below the watermark `used` entries raise.
+fn watermark_lines(used: u64, entry_count: u64) -> u64 {
+    let watermark = used.next_multiple_of(WATERMARK_STEP).min(entry_count);
+    (watermark * 16).div_ceil(64)
+}
+
 /// Recovery's load cost, pinned: a clean-crash recovery loads each
-/// metadata line once — line 0 (magic, geometry and the descriptors-armed
-/// word), `Head`, `Tail` and the entry table's `⌈entry_count · 16 / 64⌉`
-/// lines, plus the 32-line descriptor table on a lock-free ring pool,
-/// whose format armed it — at two NVM sizes.
+/// metadata line once — the three header lines and the entry table's
+/// lines below the entry watermark, plus the 32-line descriptor table on
+/// a lock-free ring pool, whose format armed it — at two NVM sizes.
 #[test]
 fn clean_recovery_loads_each_metadata_line_once() {
-    const HEADER_LINES: u64 = 3;
-    const DESCRIPTOR_LINES: u64 = 32;
     for (commit_mode, descriptor_lines) in [
         (CommitMode::Mutex, 0),
         (CommitMode::LockFreeRing, DESCRIPTOR_LINES),
     ] {
         for nvm_bytes in [NVM_BYTES, 4 << 20] {
-            let clock = SimClock::new();
-            let nvm = NvmDevice::new(NvmConfig::new(nvm_bytes, NvmTech::Pcm), clock.clone());
-            let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
-            let cfg = PoolConfig {
-                commit_mode,
-                ..pool_cfg(tinca_cfg())
-            };
-            let cache = TincaPool::format(vec![nvm.clone()], disk.clone(), cfg.clone());
-            let mut t = cache.init_txn();
-            for b in 0..8u64 {
-                t.write(b, &blk(b as u8));
-            }
-            cache.commit(t).unwrap();
-            let entry_count = u64::from(cache.shard_layout(0).entry_count);
-            drop(cache);
-            nvm.crash(CrashPolicy::LoseVolatile);
-
-            let before = nvm.stats().lines_read;
-            let rec = TincaPool::recover(vec![nvm.clone()], disk.clone(), cfg).unwrap();
-            let table_lines = (entry_count * 16).div_ceil(64);
+            let (lines, entry_count) = clean_recovery_lines(commit_mode, nvm_bytes, RING_BYTES, 8);
             assert_eq!(
-                nvm.stats().lines_read - before,
-                table_lines + HEADER_LINES + descriptor_lines,
+                lines,
+                HEADER_LINES + watermark_lines(8, entry_count) + descriptor_lines,
                 "{commit_mode:?}: {nvm_bytes} B of NVM, {entry_count} entries"
             );
-            rec.check_consistency().unwrap();
-            assert_eq!(observed(&rec, 7), 7);
+            assert_eq!(lines, HEADER_LINES + 16 + descriptor_lines);
         }
     }
+}
+
+/// Recovery follows the slots a shard has used, not the size of its NVM:
+/// the same 512 committed blocks recover with the same loads — the header
+/// lines and the 128 lines below the watermark — on a 4 MB and on an
+/// 8 MB shard, whose tables hold 1 015 and 2 035 entries.
+#[test]
+fn recovery_loads_are_flat_in_cache_size() {
+    let [small, large] = [4 << 20, 8 << 20]
+        .map(|nvm_bytes| clean_recovery_lines(CommitMode::Mutex, nvm_bytes, 16 << 10, 512));
+    assert_eq!((small.1, large.1), (1015, 2035));
+    assert_eq!(small.0, HEADER_LINES + 128);
+    assert_eq!(large.0, small.0);
+}
+
+/// A shard whose every entry slot has held a block raised the watermark
+/// to the top of its table, so its recovery still loads the whole table:
+/// 257 lines on the open-loop benchmark's 4 MB shard with a 16 KB ring.
+#[test]
+fn a_full_shard_still_loads_its_whole_table() {
+    let (lines, entry_count) = clean_recovery_lines(CommitMode::Mutex, 4 << 20, 16 << 10, 1100);
+    assert_eq!(entry_count, 1015);
+    assert_eq!(lines, 257);
 }

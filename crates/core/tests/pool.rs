@@ -97,21 +97,24 @@ fn power_cut_under_contention_strands_no_committer_and_keeps_acked_txns() {
     let fresh_block = |thread: u64, round: u64| 1000 * thread + round;
 
     // Every commit below has the same shape (one fresh block, no eviction),
-    // hence the same number of persistence events. Arming the trip a few
-    // events into commit number ROUNDS + 1 of the 2 × ROUNDS therefore cuts
-    // the power mid-run, inside a payload flush (ring closed), whichever
-    // thread happens to run that commit.
+    // hence the same number of persistence events, but for the first one,
+    // which also raises the entry watermark (the 2 × ROUNDS commits stay
+    // under one step of it). Arming the trip a few events into commit
+    // number ROUNDS + 1 therefore cuts the power mid-run, inside a payload
+    // flush (ring closed), whichever thread happens to run that commit.
     let probe = pool(1, 1 << 20);
     let events = || probe.shard_nvm(0).events();
     let mut per_commit = Vec::new();
-    for round in 0..2 {
+    for round in 0..3 {
         let before = events();
         let mut t = probe.init_txn();
         t.write(fresh_block(0, round), &blk(1));
         probe.commit(t).unwrap();
         per_commit.push(events() - before);
     }
-    assert_eq!(per_commit[0], per_commit[1], "commits must be same-shaped");
+    assert_eq!(per_commit[1], per_commit[2], "commits must be same-shaped");
+    let raise = per_commit[0] - per_commit[1];
+    assert_eq!(raise, 3, "a raise is a store, a flush and a fence");
 
     let devices = shard_devices(&NvmConfig::new(1 << 20, NvmTech::Pcm), 1);
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, SimClock::new());
@@ -125,7 +128,7 @@ fn power_cut_under_contention_strands_no_committer_and_keeps_acked_txns() {
         disk.clone(),
         cfg.clone(),
     ));
-    devices[0].set_trip(Some(ROUNDS * per_commit[0] + 3));
+    devices[0].set_trip(Some(raise + ROUNDS * per_commit[1] + 3));
 
     let start = Arc::new(Barrier::new(2));
     let (tx, rx) = mpsc::channel();

@@ -384,8 +384,10 @@ fn every_cut_of_a_failed_tagged_fragment_recovers_clean() {
         };
         // Coalesced: fewer fences on both shards; shard 1's revoke path
         // adds one flush and one fence for the slot its failed stage left
-        // unflushed.
-        assert_eq!(spans, if coalesce { [94, 80] } else { [96, 86] });
+        // unflushed. Block 0 is shard 0's first entry, so its fragment
+        // also raises shard 0's entry watermark: a store, a flush and a
+        // fence.
+        assert_eq!(spans, if coalesce { [97, 80] } else { [99, 86] });
         for (dev, &events) in spans.iter().enumerate() {
             for k in 1..=events {
                 let what = format!("coalesce {coalesce}, cut dev{dev}@{k}");

@@ -56,7 +56,8 @@ pub const DESTAGE_DRAIN: &str = "destage.drain";
 /// Crash recovery of one cache (scan, judge, close, rebuild).
 pub const RECOVERY: &str = "recovery";
 /// Recovery's loads of the persistent metadata: header, window
-/// descriptors, and the whole entry table, decoded once into DRAM.
+/// descriptors, and the entry table up to its watermark, decoded once
+/// into DRAM.
 pub const RECOVERY_SCAN: &str = "recovery.scan";
 /// Ring-window judgment: load `[Tail, Head)`, roll forward, revoke.
 pub const RECOVERY_JUDGE: &str = "recovery.judge";

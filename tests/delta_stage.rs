@@ -47,8 +47,9 @@ fn one_record_rewrite_flushes_a_few_lines_and_survives_a_cut_mid_rewrite() {
     let mut store = TincaStore::format(TincaStoreConfig::default());
     // A full stage is 64 payload lines plus the protocol's metadata lines
     // (entry, ring slot, Head, role switch, Tail) — the same count for
-    // every one-block commit.
-    let full = rewrite(&mut store, 0);
+    // every one-block commit. The first commit is a miss, and its fresh
+    // entry also raises the entry watermark: one more header line.
+    let full = rewrite(&mut store, 0) - 1;
     // The first rewrite has no reserved copy yet: staged whole. The block
     // it replaced is parked as the page's shadow.
     assert_eq!(rewrite(&mut store, 1), full);

@@ -1,7 +1,8 @@
 //! The window-descriptor table's arming rule (DESIGN §8): recovery loads
 //! the 32-line descriptor table only on a region a lock-free ring armed.
 //! A mutex pool's recovery reads line 0, `Head`, `Tail` and the entry
-//! table, pinned here in lines and simulated time; a mutex-formatted
+//! table's slots below the entry watermark, pinned here in lines and
+//! simulated time; a mutex-formatted
 //! region reopened in `LockFreeRing` mode is armed by that recovery, so
 //! a power cut anywhere in its first ring round still finds the
 //! round's `STAGED` window and rolls it forward once `Head` passed it.
@@ -31,11 +32,13 @@ fn observed(pool: &TincaPool, b: u64) -> u8 {
 }
 
 /// A 2-shard mutex pool of 4 MB shards with 16 KB rings (the open-loop
-/// benchmark's shard): after a clean power cut, shard 0
-/// loads its entry table, line 0, `Head`, `Tail` and the pool's intent
-/// word, shard 1 the same without the intent word, and neither loads a
-/// descriptor line. Each line is a 110 ns PCM load, and each shard closes
-/// its ring with one 315 ns `Tail` persist.
+/// benchmark's shard): after a clean power cut, shard 0 loads line 0,
+/// `Head`, `Tail`, the pool's intent word and the entry table below its
+/// watermark, shard 1 the same without the intent word, and neither loads
+/// a descriptor line. Two committed blocks per shard raised each watermark
+/// one step, to 64 entries: 16 of the table's 254 lines. Each line is a
+/// 110 ns PCM load, and each shard closes its ring with one 315 ns `Tail`
+/// persist.
 #[test]
 fn mutex_pool_recovery_loads_no_descriptor_line() {
     const SHARDS: usize = 2;
@@ -47,6 +50,7 @@ fn mutex_pool_recovery_loads_no_descriptor_line() {
     pool.commit(txn(&[0, 1, 2, 3], 7)).unwrap();
     let table_lines = (u64::from(pool.shard_layout(0).entry_count) * 16).div_ceil(64);
     assert_eq!(table_lines, 254);
+    let watermark_lines = 64 * 16 / 64;
     drop(pool);
 
     let stats = |d: &Nvm| (d.stats().lines_read, d.clock().now_ns());
@@ -66,8 +70,8 @@ fn mutex_pool_recovery_loads_no_descriptor_line() {
             (lines - lines0, ns - ns0)
         })
         .unzip();
-    assert_eq!(lines, [table_lines + 3 + 1, table_lines + 3]);
-    assert_eq!(sim_ns, [258 * 110 + 315, 257 * 110 + 315]);
+    assert_eq!(lines, [watermark_lines + 3 + 1, watermark_lines + 3]);
+    assert_eq!(sim_ns, [20 * 110 + 315, 19 * 110 + 315]);
     pool.check_consistency().unwrap();
     assert!((0..4).all(|b| observed(&pool, b) == 7));
 }

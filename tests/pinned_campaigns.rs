@@ -41,18 +41,18 @@ const PINS: &[Pin] = &[
     ("ring-seeded-1",               "10 runs, 0 completed, 10 crashed, 0 violations",                                   "200 runs, 0 completed, 200 crashed, 0 violations"),
     ("ring-seeded-2",               "24 runs, 9 completed, 15 crashed, 0 violations",                                   "200 runs, 73 completed, 127 crashed, 0 violations"),
     ("ring-seeded-4",               "10 runs, 8 completed, 2 crashed, 0 violations",                                    "200 runs, 141 completed, 59 crashed, 0 violations"),
-    ("ring-frontier",               "38 epochs (33 exhaustive, 5 capped at 4 states), 86 crash states, 0 violations",   "137 epochs (117 exhaustive, 20 capped at 4 states), 316 crash states, 0 violations"),
-    ("ring-seeded-frontier",        "42 epochs (36 exhaustive, 6 capped at 4 states), 96 crash states, 0 violations",   "145 epochs (123 exhaustive, 22 capped at 4 states), 336 crash states, 0 violations"),
+    ("ring-frontier",               "40 epochs (35 exhaustive, 5 capped at 4 states), 90 crash states, 0 violations",   "145 epochs (125 exhaustive, 20 capped at 4 states), 342 crash states, 0 violations"),
+    ("ring-seeded-frontier",        "44 epochs (38 exhaustive, 6 capped at 4 states), 100 crash states, 0 violations",  "153 epochs (131 exhaustive, 22 capped at 4 states), 362 crash states, 0 violations"),
     ("faults-1",                    "40 runs, 14 completed, 26 crashed, 0 violations, 0 degraded, 20 transients absorbed over 42 retries, 2 permanent errors", "200 runs, 68 completed, 132 crashed, 0 violations, 13 degraded, 122 transients absorbed over 247 retries, 27 permanent errors"),
     ("faults-2",                    "10 runs, 8 completed, 2 crashed, 0 violations, 3 degraded, 15 transients absorbed over 38 retries, 4 permanent errors", "200 runs, 125 completed, 75 crashed, 0 violations, 25 degraded, 249 transients absorbed over 524 retries, 42 permanent errors"),
     ("faults-ring-2",               "10 runs, 5 completed, 5 crashed, 0 violations, 3 degraded, 22 transients absorbed over 42 retries, 8 permanent errors", "200 runs, 139 completed, 61 crashed, 0 violations, 26 degraded, 250 transients absorbed over 493 retries, 64 permanent errors"),
     ("backlog-2",                   "10 runs, 6 completed, 4 crashed, 0 violations, 937 shed",                          "200 runs, 148 completed, 52 crashed, 0 violations, 23607 shed"),
     ("backlog-4",                   "10 runs, 8 completed, 2 crashed, 0 violations, 1211 shed",                         "200 runs, 152 completed, 48 crashed, 0 violations, 22903 shed"),
-    ("threaded-frontier",           "32 epochs (26 exhaustive, 6 capped at 4 states), 76 crash states, 0 violations",   "128 epochs (104 exhaustive, 24 capped at 4 states), 304 crash states, 0 violations"),
-    ("threaded-delta-frontier",     "48 epochs (39 exhaustive, 9 capped at 4 states), 114 crash states, 0 violations",  "188 epochs (153 exhaustive, 35 capped at 4 states), 446 crash states, 0 violations"),
-    ("spanning-frontier",           "34 epochs (30 exhaustive, 4 capped at 4 states), 76 crash states, 0 violations",   "136 epochs (120 exhaustive, 16 capped at 4 states), 304 crash states, 0 violations"),
-    ("spanning-delta-frontier",     "68 epochs (60 exhaustive, 8 capped at 4 states), 152 crash states, 0 violations",  "272 epochs (240 exhaustive, 32 capped at 4 states), 608 crash states, 0 violations"),
-    ("spanning-coalesced-frontier", "26 epochs (22 exhaustive, 4 capped at 4 states), 60 crash states, 0 violations",   "104 epochs (88 exhaustive, 16 capped at 4 states), 240 crash states, 0 violations"),
+    ("threaded-frontier",           "34 epochs (28 exhaustive, 6 capped at 4 states), 80 crash states, 0 violations",   "136 epochs (112 exhaustive, 24 capped at 4 states), 320 crash states, 0 violations"),
+    ("threaded-delta-frontier",     "50 epochs (41 exhaustive, 9 capped at 4 states), 118 crash states, 0 violations",  "196 epochs (161 exhaustive, 35 capped at 4 states), 462 crash states, 0 violations"),
+    ("spanning-frontier",           "36 epochs (32 exhaustive, 4 capped at 4 states), 80 crash states, 0 violations",   "144 epochs (128 exhaustive, 16 capped at 4 states), 320 crash states, 0 violations"),
+    ("spanning-delta-frontier",     "70 epochs (62 exhaustive, 8 capped at 4 states), 156 crash states, 0 violations",  "280 epochs (248 exhaustive, 32 capped at 4 states), 624 crash states, 0 violations"),
+    ("spanning-coalesced-frontier", "28 epochs (24 exhaustive, 4 capped at 4 states), 68 crash states, 0 violations",   "112 epochs (96 exhaustive, 16 capped at 4 states), 272 crash states, 0 violations"),
     ("kv-wal-pull",                 "6 runs, 2 completed, 4 crashed, 0 violations",                                     "200 runs, 84 completed, 116 crashed, 0 violations"),
     ("kv-wal-kill",                 "4 runs, 3 completed, 1 crashed, 0 violations",                                     "200 runs, 85 completed, 115 crashed, 0 violations"),
     ("kv-tinca-pull",               "12 runs, 7 completed, 5 crashed, 0 violations",                                    "200 runs, 119 completed, 81 crashed, 0 violations"),

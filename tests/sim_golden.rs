@@ -50,25 +50,25 @@ struct Golden {
 
 /// After the scripted commits and reads, cache still dirty.
 const BEFORE_CRASH: Golden = Golden {
-    nvm_clock_ns: [6_667_888, 6_604_822],
+    nvm_clock_ns: [6_668_518, 6_605_452],
     disk_clock_ns: 4_900_000,
     nvm: [
         NvmStats {
-            clflush: 22661,
-            sfence: 1660,
-            atomic_stores: 2232,
-            lines_written: 22657,
+            clflush: 22663,
+            sfence: 1662,
+            atomic_stores: 2234,
+            lines_written: 22659,
             lines_read: 1961,
-            bytes_stored: 1349128,
+            bytes_stored: 1349144,
             bytes_read: 93216,
         },
         NvmStats {
-            clflush: 22242,
-            sfence: 1220,
-            atomic_stores: 1678,
-            lines_written: 22240,
+            clflush: 22244,
+            sfence: 1222,
+            atomic_stores: 1680,
+            lines_written: 22242,
             lines_read: 2605,
-            bytes_stored: 1344688,
+            bytes_stored: 1344704,
             bytes_read: 134272,
         },
     ],
@@ -79,32 +79,32 @@ const BEFORE_CRASH: Golden = Golden {
         read_errors: 0,
         write_errors: 0,
     },
-    image_fnv: [15_867_725_613_993_456_272, 7_152_569_875_026_785_688],
+    image_fnv: [11_344_939_833_351_961_973, 11_824_472_889_225_559_253],
 };
 
 /// After the torn commit, `crash(Random(SEED + shard))`, `recover` and the
 /// read-back.
 const AFTER_RECOVERY: Golden = Golden {
-    nvm_clock_ns: [10_684_122, 10_383_089],
+    nvm_clock_ns: [10_684_752, 10_383_719],
     disk_clock_ns: 25_600_000,
     nvm: [
         NvmStats {
-            clflush: 34738,
-            sfence: 2239,
-            atomic_stores: 2632,
-            lines_written: 34734,
+            clflush: 34740,
+            sfence: 2241,
+            atomic_stores: 2634,
+            lines_written: 34736,
             lines_read: 7358,
-            bytes_stored: 2105080,
-            bytes_read: 411456,
+            bytes_stored: 2105096,
+            bytes_read: 411464,
         },
         NvmStats {
-            clflush: 33067,
-            sfence: 1713,
-            atomic_stores: 2007,
-            lines_written: 33065,
+            clflush: 33069,
+            sfence: 1715,
+            atomic_stores: 2009,
+            lines_written: 33067,
             lines_read: 9073,
-            bytes_stored: 2021688,
-            bytes_read: 521880,
+            bytes_stored: 2021704,
+            bytes_read: 521888,
         },
     ],
     disk: DiskStats {
@@ -114,7 +114,7 @@ const AFTER_RECOVERY: Golden = Golden {
         read_errors: 0,
         write_errors: 0,
     },
-    image_fnv: [16_511_372_219_325_319_954, 9_414_707_038_406_723_113],
+    image_fnv: [7_653_955_317_464_593_139, 4_048_625_921_505_491_844],
 };
 
 fn fnv(bytes: impl IntoIterator<Item = u8>, h: u64) -> u64 {
@@ -256,14 +256,14 @@ struct StackGolden {
 
 /// After mkfs, the scripted writes and the closing fsync.
 const STACK_BEFORE_CUT: StackGolden = StackGolden {
-    clock_ns: 1_612_130,
+    clock_ns: 1_612_445,
     nvm: NvmStats {
-        clflush: 5016,
-        sfence: 291,
-        atomic_stores: 284,
-        lines_written: 5016,
+        clflush: 5017,
+        sfence: 292,
+        atomic_stores: 285,
+        lines_written: 5017,
         lines_read: 73,
-        bytes_stored: 306328,
+        bytes_stored: 306336,
         bytes_read: 1744,
     },
     disk: DiskStats {
@@ -273,21 +273,21 @@ const STACK_BEFORE_CUT: StackGolden = StackGolden {
         read_errors: 0,
         write_errors: 0,
     },
-    image_fnv: 8_145_729_740_086_640_014,
+    image_fnv: 6_137_274_963_051_873_614,
 };
 
 /// After the torn fsync, `crash(Random(STACK_SEED))`, `remount` and the
 /// read-back.
 const STACK_AFTER_REMOUNT: StackGolden = StackGolden {
-    clock_ns: 4_909_180,
+    clock_ns: 4_883_630,
     nvm: NvmStats {
-        clflush: 7592,
-        sfence: 370,
-        atomic_stores: 324,
-        lines_written: 7592,
-        lines_read: 2150,
-        bytes_stored: 470800,
-        bytes_read: 133176,
+        clflush: 7594,
+        sfence: 372,
+        atomic_stores: 326,
+        lines_written: 7594,
+        lines_read: 1912,
+        bytes_stored: 470816,
+        bytes_read: 117968,
     },
     disk: DiskStats {
         reads: 42,
@@ -296,7 +296,7 @@ const STACK_AFTER_REMOUNT: StackGolden = StackGolden {
         read_errors: 0,
         write_errors: 0,
     },
-    image_fnv: 11_601_236_627_102_705_951,
+    image_fnv: 2_667_461_220_846_349_803,
 };
 
 const STACK_SEED: u64 = 0xF5_601D;
