@@ -6,8 +6,9 @@
 
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use nvmsim::{NvmConfig, NvmDevice, NvmTech, SimClock};
+use nvmsim::{shard_devices, NvmConfig, NvmDevice, NvmTech, SimClock};
 use tinca::{PoolConfig, TincaConfig, TincaPool};
+use workloads::openloop::{ArrivalStream, OpKind, OpenLoopServer, OpenLoopSpec, TincaServer};
 
 fn build_cache(role_switch: bool) -> TincaPool {
     build_cache_cfg(TincaConfig {
@@ -170,10 +171,47 @@ fn bench_destage_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_open_loop_write_op(c: &mut Criterion) {
+    // One steady-state 2-block write of the open-loop benchmark's
+    // `ol_write_hot` workload, served as `OpenLoopDriver` serves it (payload
+    // build, transaction, coalesced commit, destage check) on the same
+    // pool: four 4 MB PCM shards, 16 KB rings, destage and flush
+    // coalescing on, an 8 MB working set that fits the cache. The writes
+    // of a seeded arrival stream are served once to warm the cache, then
+    // timed in a loop; no queueing or clock bookkeeping is timed.
+    const SHARDS: usize = 4;
+    let mut group = c.benchmark_group("open_loop_write_op");
+    group.sample_size(20_000);
+    group.bench_function("ol_write_hot", |b| {
+        let nvm = NvmConfig::new(SHARDS * (4 << 20), NvmTech::Pcm);
+        let disk_clock = SimClock::new();
+        let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, disk_clock.clone());
+        let mut cfg = PoolConfig::with_shards(SHARDS);
+        cfg.cache.ring_bytes = 16 << 10;
+        cfg.cache.destage = true;
+        cfg.cache.coalesce_flushes = true;
+        let pool = TincaPool::format(shard_devices(&nvm, SHARDS), disk, cfg);
+        let mut server = TincaServer::new(&pool, disk_clock);
+        let mut spec = OpenLoopSpec::smoke(45_000.0);
+        spec.ops = 8_192;
+        spec.read_pct = 0;
+        spec.blocks = 2_048;
+        spec.txn_blocks = 2;
+        spec.seed = 1;
+        let writes: Vec<OpKind> = (ArrivalStream::new(&spec, SHARDS).map(|a| a.kind)).collect();
+        for op in &writes {
+            server.serve(op).unwrap();
+        }
+        let mut next = writes.iter().cycle();
+        b.iter(|| server.serve(next.next().unwrap()).unwrap());
+    });
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_commit_sizes, bench_role_switch_ablation, bench_commit_hit_vs_miss,
-        bench_flush_coalescing, bench_destage_pipeline
+        bench_flush_coalescing, bench_destage_pipeline, bench_open_loop_write_op
 );
 criterion_main!(benches);

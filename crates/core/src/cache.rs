@@ -52,6 +52,9 @@ const BLOCK_LINES: usize = BLOCK_SIZE / nvmsim::CACHE_LINE;
 /// [`TincaCache::complete_fragment`] / [`TincaCache::abort_fragment`]; a
 /// lock-free ring window holds one from its meta phase to its sequencer
 /// round ([`TincaCache::mw_stage_meta`], [`TincaCache::mw_sequence`]).
+/// A fragment that leaves hands its emptied lists back to the cache
+/// ([`TincaCache::recycle`]) for the next one.
+#[derive(Default)]
 pub(crate) struct Fragment {
     touched: Vec<u32>,
     /// `(entry, previous block version)` of every write hit.
@@ -68,20 +71,6 @@ pub(crate) struct Fragment {
     /// The commit's deferred slot flush clears it, so the revoke path
     /// finds it set only when the commit failed before that flush.
     slots_unflushed: bool,
-}
-
-impl Fragment {
-    fn new(txn: &Txn, tag: u8) -> Self {
-        Fragment {
-            touched: Vec::with_capacity(txn.len()),
-            replaced_prevs: Vec::new(),
-            pins: Pins::default(),
-            coalesced: txn.coalesced_writes(),
-            tag,
-            slots: Vec::new(),
-            slots_unflushed: false,
-        }
-    }
 }
 
 /// The blocks and entries one fragment pins (§4.6 rule 2), set in the
@@ -187,6 +176,13 @@ pub(crate) struct TincaCache {
     /// advancing the foreground clock (wall = max, busy = sum — the same
     /// overlap model `workloads::mtfio` uses for shard parallelism).
     destage_lane_free_ns: u64,
+    /// Emptied lists of fragments that left, for the next ones: one set
+    /// per fragment in flight at the peak, so a steady commit allocates
+    /// none of its bookkeeping.
+    spare_frags: Vec<Fragment>,
+    /// The line list of [`flush_lines`](Self::flush_lines), kept across
+    /// calls.
+    flush_buf: Vec<usize>,
     stats: CacheStats,
 }
 
@@ -274,6 +270,8 @@ impl TincaCache {
             dirty_idx: EntrySet::new(layout.entry_count),
             destage_buf: Vec::new(),
             destage_lane_free_ns: 0,
+            spare_frags: Vec::new(),
+            flush_buf: Vec::new(),
             stats: CacheStats::default(),
             layout,
         }
@@ -357,7 +355,7 @@ impl TincaCache {
             self.head, self.tail,
             "previous transaction left the ring open"
         );
-        let mut frag = Fragment::new(txn, tag);
+        let mut frag = self.fragment(txn, tag);
         let result = self.commit_blocks(txn, &mut frag).and_then(|()| {
             if self.cfg.role_switch {
                 self.complete_role_switch(&frag.touched);
@@ -529,7 +527,8 @@ impl TincaCache {
     /// fence: the deferred entry flush of both commit modes and of the
     /// coalesced role switch.
     fn flush_entries(&mut self, touched: &[u32]) {
-        let lines = self.flush_lines(touched.iter().map(|&idx| self.layout.entry_addr(idx)));
+        let layout = self.layout;
+        let lines = self.flush_lines(touched.iter().map(|&idx| layout.entry_addr(idx)));
         self.stats.coalesced_flushes += (touched.len() - lines) as u64;
     }
 
@@ -537,22 +536,23 @@ impl TincaCache {
     /// slots `[Tail, Head)`, no fence: the coalesced commit's deferred slot
     /// flush, and the revoke path's when that commit failed before it.
     fn flush_window_slots(&mut self, frag: &mut Fragment) {
-        let slots = (self.tail..self.head).map(|seq| self.layout.ring_slot_addr(seq));
+        let layout = self.layout;
+        let slots = (self.tail..self.head).map(|seq| layout.ring_slot_addr(seq));
         let lines = self.flush_lines(slots);
         self.stats.coalesced_flushes += self.head - self.tail - lines as u64;
         frag.slots_unflushed = false;
     }
 
     /// One `clflush` per distinct cache line among `addrs`, in address
-    /// order, no fence. Returns the number of lines flushed.
-    pub(crate) fn flush_lines(&self, addrs: impl IntoIterator<Item = usize>) -> usize {
-        let mut lines: Vec<usize> = addrs.into_iter().map(|a| a / nvmsim::CACHE_LINE).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        for &line in &lines {
-            self.nvm.clflush(line * nvmsim::CACHE_LINE, 1);
-        }
-        lines.len()
+    /// order, no fence, listed in the cache's kept buffer. Returns the
+    /// number of lines flushed.
+    fn flush_lines(&mut self, addrs: impl IntoIterator<Item = usize>) -> usize {
+        let mut lines = std::mem::take(&mut self.flush_buf);
+        lines.clear();
+        lines.extend(addrs);
+        let n = flush_distinct_lines(&self.nvm, &mut lines);
+        self.flush_buf = lines;
+        n
     }
 
     /// `Tail := Head` (one 8 B atomic store, persisted): the mutex path's
@@ -584,8 +584,8 @@ impl TincaCache {
     /// DRAM only: previous versions become free (or, with delta staging,
     /// their entry's shadow), committed blocks turn MRU (§4.6 rule 2b),
     /// and the fragment's pins drop.
-    fn retire(&mut self, frag: Fragment) {
-        for (idx, p) in frag.replaced_prevs {
+    fn retire(&mut self, mut frag: Fragment) {
+        for (idx, p) in frag.replaced_prevs.drain(..) {
             self.shadows.park(idx, p, &mut self.free_blocks);
         }
         for &idx in &frag.touched {
@@ -594,7 +594,29 @@ impl TincaCache {
         self.stats.commits += 1;
         self.stats.committed_blocks += frag.touched.len() as u64;
         self.stats.coalesced_writes += frag.coalesced;
-        self.unpin(frag.pins);
+        self.unpin(&mut frag.pins);
+        self.recycle(frag);
+    }
+
+    /// A fragment for `txn` tagged `tag`, on a left fragment's lists when
+    /// one is spare.
+    fn fragment(&mut self, txn: &Txn, tag: u8) -> Fragment {
+        let mut frag = self.spare_frags.pop().unwrap_or_default();
+        frag.touched.reserve(txn.len());
+        frag.coalesced = txn.coalesced_writes();
+        frag.tag = tag;
+        frag
+    }
+
+    /// Keeps the lists of a fragment that left (its pins already
+    /// released) for the next [`fragment`](Self::fragment).
+    fn recycle(&mut self, mut frag: Fragment) {
+        debug_assert!(frag.pins.blocks.is_empty() && frag.pins.entries.is_empty());
+        frag.touched.clear();
+        frag.replaced_prevs.clear();
+        frag.slots.clear();
+        frag.slots_unflushed = false;
+        self.spare_frags.push(frag);
     }
 
     /// Revokes every staged entry of a mutex-path fragment (restoring
@@ -625,11 +647,12 @@ impl TincaCache {
             self.nvm.persist(TAIL_OFF, 8);
             self.nvm.note_commit(TAIL_OFF, 8);
         }
-        self.unpin(frag.pins);
+        self.unpin(&mut frag.pins);
         self.stats.failed_commits += 1;
         if frag.tag != 0 {
             self.scrub_slot_tags(window.0, frag.slots.iter().copied());
         }
+        self.recycle(frag);
     }
 
     /// Undoes every still-staged entry among `touched` (the revocation of
@@ -726,7 +749,7 @@ impl TincaCache {
         let n = txn.len();
         debug_assert!(n > 0 && (n as u64) <= self.layout.ring_cap);
         let end = start + n as u64;
-        let mut frag = Fragment::new(&txn, 0);
+        let mut frag = self.fragment(&txn, 0);
         self.mw_write_desc(
             desc_slot,
             mw_state_word(ordinal, MW_RESERVED),
@@ -776,20 +799,20 @@ impl TincaCache {
     /// window's block and corrupt roll-forward), and drops the fragment's
     /// pins. The ring window itself stays reserved; the caller publishes
     /// it `STAGED` so the sequencer can pass it as a no-op.
-    fn mw_fail_window(&mut self, frag: Fragment, dead: std::ops::Range<u64>) {
+    fn mw_fail_window(&mut self, mut frag: Fragment, dead: std::ops::Range<u64>) {
         {
             let _t = telemetry::span(telemetry::phase::COMMIT_REVOKE);
             self.revoke_entries(&frag.touched);
         }
-        let mut slots = Vec::new();
-        for seq in dead {
-            let addr = self.layout.ring_slot_addr(seq);
+        let layout = self.layout;
+        for seq in dead.clone() {
+            let addr = layout.ring_slot_addr(seq);
             self.nvm.atomic_write_u64(addr, slot_value(0, MW_DEAD_TAG));
-            slots.push(addr);
         }
-        self.flush_lines(slots);
-        self.unpin(frag.pins);
+        self.flush_lines(dead.map(|seq| layout.ring_slot_addr(seq)));
+        self.unpin(&mut frag.pins);
         self.stats.failed_commits += 1;
+        self.recycle(frag);
     }
 
     /// Sequencer round (DESIGN §8): retires a maximal contiguous prefix
@@ -1058,7 +1081,7 @@ impl TincaCache {
                 tagged.push(addr);
             }
         }
-        if self.flush_lines(tagged) > 0 {
+        if flush_distinct_lines(&self.nvm, &mut tagged) > 0 {
             self.nvm.sfence();
         }
     }
@@ -1645,12 +1668,12 @@ impl TincaCache {
         }
     }
 
-    /// Releases one fragment's pins.
-    fn unpin(&mut self, pins: Pins) {
-        for b in pins.blocks {
+    /// Releases one fragment's pins, emptying its lists.
+    fn unpin(&mut self, pins: &mut Pins) {
+        for b in pins.blocks.drain(..) {
             self.pin_blocks[b as usize] = false;
         }
-        for i in pins.entries {
+        for i in pins.entries.drain(..) {
             self.pin_entries.remove(i);
             self.unmark_if_clean(i);
         }
@@ -1893,6 +1916,21 @@ impl TincaCache {
         }
         Ok(())
     }
+}
+
+/// One `clflush` per distinct cache line among the addresses in `lines`,
+/// in address order, no fence; `lines` is left holding those lines.
+/// Returns how many were flushed.
+fn flush_distinct_lines(nvm: &Nvm, lines: &mut Vec<usize>) -> usize {
+    for a in lines.iter_mut() {
+        *a /= nvmsim::CACHE_LINE;
+    }
+    lines.sort_unstable();
+    lines.dedup();
+    for &line in lines.iter() {
+        nvm.clflush(line * nvmsim::CACHE_LINE, 1);
+    }
+    lines.len()
 }
 
 #[cfg(test)]

@@ -20,6 +20,11 @@ pub(crate) fn block_buf(data: &[u8]) -> BlockBuf {
     Box::<[u8]>::from(data).try_into().expect("one whole block")
 }
 
+/// Transactions of at most this many blocks find a staged block by a
+/// scan of their block list; a larger one indexes it in a map, so a
+/// file-system commit of `txn_block_limit` blocks stays sub-quadratic.
+const SCAN_MAX: usize = 16;
+
 /// A running transaction: an ordered set of (disk block → new contents)
 /// updates. Writing the same block twice coalesces to the newest contents,
 /// as JBD2's running transaction would; rewrites with identical payloads
@@ -28,6 +33,8 @@ pub(crate) fn block_buf(data: &[u8]) -> BlockBuf {
 #[derive(Debug, Default)]
 pub struct Txn {
     blocks: Vec<(u64, BlockBuf)>,
+    /// Position in `blocks` of each staged block; empty (and never
+    /// allocated) until the transaction outgrows [`SCAN_MAX`].
     index: HashMap<u64, usize>,
     coalesced: u64,
 }
@@ -45,33 +52,50 @@ impl Txn {
             BLOCK_SIZE,
             "transactions stage whole 4 KB blocks"
         );
-        match self.index.get(&disk_blk) {
-            Some(&i) => {
+        match self.position(disk_blk) {
+            Some(i) => {
                 self.coalesced += 1;
                 let staged = &mut self.blocks[i].1;
                 if staged[..] != *data {
                     staged.copy_from_slice(data);
                 }
             }
-            None => {
-                self.index.insert(disk_blk, self.blocks.len());
-                self.blocks.push((disk_blk, block_buf(data)));
-            }
+            None => self.push(disk_blk, block_buf(data)),
         }
     }
 
     /// Stages an already-boxed payload without copying. Coalesces like
     /// [`write`](Self::write) but swaps the buffer in on a rewrite.
     pub fn stage_owned(&mut self, disk_blk: u64, data: Box<[u8; BLOCK_SIZE]>) {
-        match self.index.get(&disk_blk) {
-            Some(&i) => {
+        match self.position(disk_blk) {
+            Some(i) => {
                 self.coalesced += 1;
                 self.blocks[i].1 = data;
             }
-            None => {
-                self.index.insert(disk_blk, self.blocks.len());
-                self.blocks.push((disk_blk, data));
-            }
+            None => self.push(disk_blk, data),
+        }
+    }
+
+    /// Where `disk_blk` is staged in `blocks`, if it is.
+    fn position(&self, disk_blk: u64) -> Option<usize> {
+        if self.blocks.len() <= SCAN_MAX {
+            self.blocks.iter().position(|(b, _)| *b == disk_blk)
+        } else {
+            self.index.get(&disk_blk).copied()
+        }
+    }
+
+    /// Stages a block not staged yet, indexing every block once the list
+    /// outgrows a scan.
+    fn push(&mut self, disk_blk: u64, data: BlockBuf) {
+        self.blocks.push((disk_blk, data));
+        let n = self.blocks.len();
+        if n == SCAN_MAX + 1 {
+            self.index = (self.blocks.iter().enumerate())
+                .map(|(i, (b, _))| (*b, i))
+                .collect();
+        } else if n > SCAN_MAX + 1 {
+            self.index.insert(disk_blk, n - 1);
         }
     }
 
@@ -188,6 +212,73 @@ mod tests {
         let t = Txn::new();
         assert!(staged(&t, 1).is_none());
         assert!(t.is_empty());
+    }
+
+    /// Drives `write` and `stage_owned` over `distinct` block numbers and
+    /// checks every step against a `BTreeMap` of (first-write rank,
+    /// newest fill byte): the staged payloads, the first-write order and
+    /// the coalesced-write count, below, at and above the size where the
+    /// transaction switches from a scan to a map.
+    fn check_against_reference(distinct: u64) {
+        use std::collections::BTreeMap;
+        let mut t = Txn::new();
+        let mut reference: BTreeMap<u64, (usize, u8)> = BTreeMap::new();
+        let mut coalesced = 0;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ distinct;
+        for step in 0..6 * distinct {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let blk = (x >> 33) % distinct * 7_919 + 3;
+            // Few fill bytes, so identical-payload rewrites happen often.
+            let fill = (x >> 17) as u8 % 3;
+            let rank = reference.len();
+            if let Some(entry) = reference.get_mut(&blk) {
+                entry.1 = fill;
+                coalesced += 1;
+            } else {
+                reference.insert(blk, (rank, fill));
+            }
+            if step % 2 == 0 {
+                let before = (t.blocks.iter().find(|(b, _)| *b == blk)).map(|(_, d)| d.as_ptr());
+                t.write(blk, &buf(fill));
+                let after = (t.blocks.iter().find(|(b, _)| *b == blk)).map(|(_, d)| d.as_ptr());
+                if before.is_some() {
+                    assert_eq!(before, after, "a rewrite copies into the staged buffer");
+                }
+            } else {
+                t.stage_owned(blk, block_buf(&buf(fill)));
+            }
+            assert_eq!(t.len(), reference.len());
+            assert_eq!(t.coalesced_writes(), coalesced);
+            for (&b, &(_, fill)) in &reference {
+                assert_eq!(staged(&t, b), Some(fill), "newest contents of block {b}");
+            }
+            let mut order: Vec<(usize, u64)> =
+                reference.iter().map(|(&b, &(r, _))| (r, b)).collect();
+            order.sort_unstable();
+            let order: Vec<u64> = order.into_iter().map(|(_, b)| b).collect();
+            assert_eq!(t.disk_blocks().collect::<Vec<_>>(), order);
+        }
+        for (&b, &(rank, _)) in &reference {
+            assert_eq!(
+                t.position(b),
+                Some(rank),
+                "block {b} found where it was staged"
+            );
+        }
+        assert_eq!(t.position(1), None);
+    }
+
+    #[test]
+    fn scan_and_map_index_agree_with_a_reference_at_every_size() {
+        for distinct in [
+            1,
+            SCAN_MAX as u64 - 1,
+            SCAN_MAX as u64,
+            SCAN_MAX as u64 + 1,
+            64,
+        ] {
+            check_against_reference(distinct);
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::line::{Run, Slot, CACHE_LINE, WORDS_PER_LINE, WORD_SIZE};
+use crate::line::{Appended, Run, Slot, CACHE_LINE, WORDS_PER_LINE, WORD_SIZE};
 use crate::trace::TraceBuf;
+use crate::wear::Wear;
 use crate::{NvmConfig, NvmStats, SimClock, TraceEvent, TracedOp, WearSummary};
 
 /// Perf-smell mark (count-only, under the store's span): a store landed on
@@ -55,10 +56,15 @@ struct State {
     bytes: Vec<[u8; CACHE_LINE]>,
     /// The open fence epoch in staging order; its runs name overlay slots.
     epoch: Vec<Run>,
+    /// The multi-line stores whose slots are still as the store left
+    /// them, in slot order (see [`Appended`]). Any other change to one of
+    /// their slots — a store into it, its staging, a compaction — drops
+    /// the record first, so a record never names a slot that is not
+    /// [`Slot::whole`] for its line.
+    appended: Vec<Appended>,
     stats: NvmStats,
-    /// Media writes per cache line (endurance accounting — the paper's
-    /// lifetime argument for avoiding double writes, §1/§3.1).
-    wear: Vec<u32>,
+    /// Media writes per cache line (see [`Wear`]).
+    wear: Wear,
     events: u64,
     trip_at: Option<u64>,
     /// Event recorder for persist-order analysis; `None` unless
@@ -150,8 +156,9 @@ impl NvmDevice {
                 slots: Vec::new(),
                 bytes: Vec::new(),
                 epoch: Vec::new(),
+                appended: Vec::new(),
                 stats: NvmStats::default(),
-                wear: vec![0; lines],
+                wear: Wear::new(lines),
                 events: 0,
                 trip_at: None,
                 trace,
@@ -447,7 +454,7 @@ impl NvmDevice {
         // also bounds overlay memory). `clwb` keeps them cached, so later
         // reads stay at cache speed; only the orphans go.
         if self.cfg.flush_instr.invalidates() {
-            st.retain_slots(|slot| slot.dirty != 0);
+            st.drop_clean(staged_lines);
         } else {
             st.unstage();
         }
@@ -503,33 +510,12 @@ impl NvmDevice {
 
     /// Endurance summary: media writes per line across the device.
     pub fn wear_summary(&self) -> WearSummary {
-        let st = self.state.lock();
-        let mut max = 0u32;
-        let mut hottest = 0usize;
-        let mut touched = 0u64;
-        let mut total = 0u64;
-        for (i, &w) in st.wear.iter().enumerate() {
-            total += w as u64;
-            if w > 0 {
-                touched += 1;
-            }
-            if w > max {
-                max = w;
-                hottest = i;
-            }
-        }
-        WearSummary {
-            total_line_writes: total,
-            max_line_writes: max,
-            hottest_line_addr: hottest * CACHE_LINE,
-            lines_touched: touched,
-            lines_total: st.wear.len() as u64,
-        }
+        self.wear_summary_range(0, self.cfg.capacity)
     }
 
     /// Media writes so far to the line containing `addr`.
     pub fn wear_of(&self, addr: usize) -> u32 {
-        self.state.lock().wear[addr / CACHE_LINE]
+        self.state.lock().wear.of(addr / CACHE_LINE)
     }
 
     /// Endurance summary restricted to `[addr_lo, addr_hi)` — e.g. a
@@ -542,8 +528,7 @@ impl NvmDevice {
         let mut hottest = lo;
         let mut touched = 0u64;
         let mut total = 0u64;
-        for i in lo..hi {
-            let w = st.wear[i];
+        for (i, w) in st.wear.per_line(hi).enumerate().skip(lo) {
             total += w as u64;
             if w > 0 {
                 touched += 1;
@@ -558,7 +543,7 @@ impl NvmDevice {
             max_line_writes: max,
             hottest_line_addr: hottest * CACHE_LINE,
             lines_touched: touched,
-            lines_total: (hi - lo) as u64,
+            lines_total: hi.saturating_sub(lo) as u64,
         }
     }
 
@@ -689,14 +674,20 @@ impl State {
     /// open fence epoch, counting one media write of wear per line, if
     /// consecutive slots hold them and they are dirty — every one
     /// whole-dirty without an atomic pair when there is more than one.
-    /// Returns whether it did; otherwise nothing changed.
+    /// Returns whether it did; otherwise nothing changed. A range that
+    /// one store appended and nothing touched since matches its record
+    /// and skips the checks.
     fn stage_run(&mut self, first: usize, last: usize) -> bool {
         let slot = match self.index[first] {
             0 => return false,
             s => s as usize - 1,
         };
         let len = last - first + 1;
-        let Some(slots) = self.slots.get_mut(slot..slot + len) else {
+        if len > 1 && self.take_appended(first, slot, len) {
+            self.stage_slots(first, slot, len, u8::MAX, 0);
+            return true;
+        }
+        let Some(slots) = self.slots.get(slot..slot + len) else {
             return false;
         };
         let (dirty, pair_lead) = (slots[0].dirty, slots[0].pair_lead);
@@ -707,14 +698,21 @@ impl State {
         if !held || dirty == 0 || (len > 1 && !whole()) {
             return false;
         }
-        for s in slots {
+        self.drop_appended(slot, len);
+        self.stage_slots(first, slot, len, dirty, pair_lead);
+        true
+    }
+
+    /// Stages lines `first ..` from slots `slot .. slot + len` as one run
+    /// whose lines carry the word masks `dirty` and `pair_lead`, and
+    /// counts one media write of wear per line.
+    fn stage_slots(&mut self, first: usize, slot: usize, len: usize, dirty: u8, pair_lead: u8) {
+        for s in &mut self.slots[slot..slot + len] {
             s.dirty = 0;
             s.pair_lead = 0;
             s.staged = true;
         }
-        for wear in &mut self.wear[first..=last] {
-            *wear += 1;
-        }
+        self.wear.count_run(first, len);
         self.epoch.push(Run {
             line: first,
             slot,
@@ -722,7 +720,30 @@ impl State {
             dirty,
             pair_lead,
         });
-        true
+    }
+
+    /// Removes and confirms the record of a store that appended exactly
+    /// lines `first .. first + len` into slots from `slot`.
+    fn take_appended(&mut self, first: usize, slot: usize, len: usize) -> bool {
+        let i = self.appended.partition_point(|r| r.slot < slot);
+        let matched = self
+            .appended
+            .get(i)
+            .is_some_and(|r| r.slot == slot && r.line == first && r.len == len);
+        if matched {
+            self.appended.remove(i);
+        }
+        matched
+    }
+
+    /// Drops the record of every append that owns a slot among
+    /// `slot .. slot + len`, before those slots change.
+    fn drop_appended(&mut self, slot: usize, len: usize) {
+        let lo = self.appended.partition_point(|r| r.slot + r.len <= slot);
+        let n = (self.appended[lo..].iter())
+            .take_while(|r| r.slot < slot + len)
+            .count();
+        self.appended.drain(lo..lo + n);
     }
 
     /// Makes a new slot holding `data` the live copy of `slot.line`;
@@ -747,6 +768,7 @@ impl State {
             s => {
                 let slot = s as usize - 1;
                 if !self.slots[slot].staged {
+                    self.drop_appended(slot, 1);
                     return slot;
                 }
                 telemetry::mark(STORE_COW_MARK, 1);
@@ -768,6 +790,7 @@ impl State {
             self.slots[slot].orphan = true;
             self.push_slot(Slot::whole(line), *data);
         } else {
+            self.drop_appended(slot, 1);
             self.slots[slot] = Slot::whole(line);
             self.bytes[slot] = *data;
         }
@@ -775,10 +798,18 @@ impl State {
 
     /// Plain stores over whole lines `first ..`, none of them cached:
     /// `data` (whole lines) becomes their live copies, every word dirty, in
-    /// fresh slots taken with one extend.
+    /// fresh slots taken with one extend, recorded as appended when there
+    /// is more than one.
     fn append_whole_lines(&mut self, first: usize, data: &[u8]) {
         let (lines, _) = data.as_chunks::<CACHE_LINE>();
         let base = self.slots.len();
+        if lines.len() > 1 {
+            self.appended.push(Appended {
+                line: first,
+                slot: base,
+                len: lines.len(),
+            });
+        }
         self.bytes.extend_from_slice(lines);
         self.slots
             .extend((first..first + lines.len()).map(Slot::whole));
@@ -834,10 +865,30 @@ impl State {
         }
     }
 
+    /// Drops every clean slot, as a fence with an invalidating flush
+    /// leaves the overlay. When the epoch staged every slot, which a
+    /// writer that flushes all it stores before each fence always
+    /// leaves, that empties the overlay: each run's lines leave the index
+    /// at once, and no slot is read.
+    fn drop_clean(&mut self, staged_lines: usize) {
+        if staged_lines == self.slots.len() {
+            for run in &self.epoch {
+                self.index[run.line..run.line + run.len].fill(0);
+            }
+            self.slots.clear();
+            self.bytes.clear();
+            self.appended.clear();
+        } else {
+            self.retain_slots(|slot| slot.dirty != 0);
+        }
+    }
+
     /// Keeps the live copies `keep` selects, compacted to the front of the
     /// overlay in their existing order; the others leave the line index,
-    /// and every orphan (which the index does not name) goes.
+    /// and every orphan (which the index does not name) goes. Compaction
+    /// moves slots, so every append record goes too.
     fn retain_slots(&mut self, keep: impl Fn(&Slot) -> bool) {
+        self.appended.clear();
         let mut kept = 0usize;
         for i in 0..self.slots.len() {
             let slot = self.slots[i];
@@ -1126,6 +1177,28 @@ mod tests {
             [1, 1, 1, 1],
             "a traced device stages line by line"
         );
+    }
+
+    #[test]
+    fn a_flush_over_an_appended_run_stages_it_from_its_record_and_the_fence_empties_the_overlay() {
+        let d = dev();
+        let records = |d: &Nvm| d.state.lock().appended.len();
+        d.write(0, &[1u8; 256]);
+        d.write(512, &[2u8; 64]);
+        assert_eq!(records(&d), 1, "only a multi-line store is recorded");
+        d.clflush(0, 256);
+        assert_eq!(records(&d), 0, "the flush took the record");
+        d.clflush(512, 64);
+        d.sfence();
+        let st = d.state.lock();
+        assert!(st.slots.is_empty() && st.bytes.is_empty());
+        assert!(st.index.iter().all(|&slot| slot == 0));
+        drop(st);
+        assert_eq!((d.wear_of(0), d.wear_of(192), d.wear_of(256)), (1, 1, 0));
+        // A store into the run before its flush drops the record.
+        d.write(0, &[3u8; 256]);
+        d.atomic_write_u64(64, 7);
+        assert_eq!(records(&d), 0);
     }
 
     #[test]

@@ -43,6 +43,7 @@ mod line;
 mod shard;
 mod stats;
 mod trace;
+mod wear;
 
 // The clock lives in `telemetry` (the observability layer reads it to
 // attribute simulated ns); re-exported here so device users are unaffected.

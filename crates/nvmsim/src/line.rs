@@ -86,6 +86,19 @@ pub(crate) struct Run {
     pub(crate) pair_lead: u8,
 }
 
+/// A whole-line run as one store left it: lines `line .. line + len`
+/// (more than one), fresh to the overlay, became the live copies in
+/// consecutive slots `slot .. slot + len`, each [`Slot::whole`]. The
+/// record lives while nothing else has changed those slots, so a
+/// `clflush` over exactly these lines stages them as one [`Run`] without
+/// reading the slots or the line index again.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Appended {
+    pub(crate) line: usize,
+    pub(crate) slot: usize,
+    pub(crate) len: usize,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -639,3 +639,221 @@ fn a_crash_inside_a_multi_line_run_persists_line_by_line() {
         check_directed(&script);
     }
 }
+
+/// The ways a script can end an epoch that holds whole-line runs: a
+/// fence, a torn crash under a few seeds, and crash frontiers that keep
+/// every staged line, none, or every other one.
+fn epoch_ends() -> Vec<Op> {
+    let mut ends = vec![Op::Fence, Op::Crash { policy: 0, seed: 0 }];
+    ends.extend((0..3).map(|seed| Op::Crash { policy: 2, seed }));
+    ends.extend([u64::MAX, 0, 0x5555_5555_5555_5555].map(|keep| Op::CrashFrontier { keep }));
+    ends
+}
+
+/// A store of every kind into a six-line run one aligned store appended,
+/// before the run's flush: a partial store, an 8-byte and a 16-byte
+/// atomic into its middle, a whole-line re-store of its first and of a
+/// middle line, and a copy-on-write into the part a flush of a sub-range
+/// staged. Then the appended range is flushed whole and the epoch ends
+/// every way, and the range is stored and flushed again: the device
+/// agrees with the reference (per-line wear included) after every step.
+#[test]
+fn a_store_into_an_appended_run_before_its_flush_breaks_the_run() {
+    const L: usize = CACHE_LINE;
+    let run = Op::Flush {
+        addr: 4 * L,
+        len: 6 * L,
+    };
+    let breakers: [&[Op]; 6] = [
+        &[Op::Write {
+            addr: 6 * L + 12,
+            len: 20,
+            salt: 2,
+        }],
+        &[Op::Atomic8 {
+            word: 7 * L / 8 + 5,
+            val: 0x0102_0304_0506_0708,
+        }],
+        &[Op::Atomic16 {
+            pair: 6 * L / 16 + 1,
+            val: u128::MAX - 9,
+        }],
+        &[Op::Write {
+            addr: 4 * L,
+            len: L,
+            salt: 3,
+        }],
+        &[Op::Write {
+            addr: 8 * L,
+            len: L,
+            salt: 4,
+        }],
+        &[
+            Op::Flush {
+                addr: 5 * L,
+                len: 2 * L,
+            },
+            Op::Write {
+                addr: 6 * L + 8,
+                len: 8,
+                salt: 5,
+            },
+        ],
+    ];
+    for breaker in breakers {
+        for end in epoch_ends() {
+            let mut script = vec![Op::Write {
+                addr: 4 * L,
+                len: 6 * L,
+                salt: 1,
+            }];
+            script.extend_from_slice(breaker);
+            script.extend([
+                run.clone(),
+                end,
+                Op::Write {
+                    addr: 4 * L,
+                    len: 6 * L,
+                    salt: 6,
+                },
+                run.clone(),
+                Op::Fence,
+            ]);
+            check_directed(&script);
+        }
+    }
+}
+
+/// Flushes that do not match an appended run: a sub-range at its start,
+/// middle and end, ranges that overlap it from either side, two appended
+/// runs in consecutive lines and slots flushed as one range, the rest of
+/// a run after part of it was flushed, and a trip armed inside a run's
+/// flush. Each epoch then ends every way.
+#[test]
+fn flushing_part_of_an_appended_run_or_across_one_matches_the_reference() {
+    const L: usize = CACHE_LINE;
+    let write = |addr, len, salt| Op::Write { addr, len, salt };
+    let flush = |addr, len| Op::Flush { addr, len };
+    let cases: [&[Op]; 8] = [
+        &[
+            write(8 * L, 6 * L, 1),
+            flush(8 * L, 2 * L),
+            flush(8 * L, 6 * L),
+        ],
+        &[
+            write(8 * L, 6 * L, 1),
+            flush(10 * L, 2 * L),
+            flush(8 * L, 6 * L),
+        ],
+        &[
+            write(8 * L, 6 * L, 1),
+            flush(12 * L, 2 * L),
+            flush(8 * L, 6 * L),
+        ],
+        &[write(8 * L, 6 * L, 1), flush(7 * L, 4 * L)],
+        &[
+            write(8 * L, 6 * L, 1),
+            write(7 * L, 8, 2),
+            flush(7 * L, 7 * L),
+        ],
+        &[
+            write(8 * L, 6 * L, 1),
+            flush(11 * L, 5 * L),
+            flush(8 * L, 3 * L),
+        ],
+        &[
+            write(8 * L, 3 * L, 1),
+            write(11 * L, 3 * L, 2),
+            flush(8 * L, 6 * L),
+        ],
+        &[
+            write(8 * L, 6 * L, 1),
+            Op::SetTrip { after: Some(3) },
+            flush(8 * L, 6 * L),
+            flush(8 * L, 6 * L),
+        ],
+    ];
+    for case in cases {
+        for end in epoch_ends() {
+            let mut script = case.to_vec();
+            script.extend([end, write(8 * L, 6 * L, 3), flush(8 * L, 6 * L), Op::Fence]);
+            check_directed(&script);
+        }
+    }
+}
+
+/// Crashes inside epochs whose runs a flush matched to their appends: a
+/// 4 KB block and a three-line run, the block's lines re-stored after
+/// staging (their copy-on-write slots dirty, never flushed), under a torn
+/// crash at several seeds and crash frontiers that keep lines inside the
+/// block's run: the coins and the kept set fall line by line.
+#[test]
+fn a_crash_inside_a_run_staged_from_its_append_persists_line_by_line() {
+    const L: usize = CACHE_LINE;
+    let epoch = [
+        Op::Write {
+            addr: 64 * L,
+            len: 64 * L,
+            salt: 1,
+        },
+        Op::Flush {
+            addr: 64 * L,
+            len: 64 * L,
+        },
+        Op::Write {
+            addr: 200 * L,
+            len: 3 * L,
+            salt: 2,
+        },
+        Op::Flush {
+            addr: 200 * L,
+            len: 3 * L,
+        },
+        Op::Write {
+            addr: 70 * L + 16,
+            len: 2 * L,
+            salt: 3,
+        },
+    ];
+    for seed in 0..6 {
+        let mut script = epoch.to_vec();
+        script.push(Op::Crash { policy: 2, seed });
+        check_directed(&script);
+    }
+    for keep in [0, u64::MAX, 0x0000_00F0_0000_00C1, 0x8000_0000_0000_0100] {
+        let mut script = epoch.to_vec();
+        script.push(Op::CrashFrontier { keep });
+        check_directed(&script);
+    }
+}
+
+/// An append record does not outlive the overlay it named: a six-line
+/// run is stored and never flushed, a crash (or a fence that compacts
+/// the overlay around it) drops or moves its slots, then a partial store
+/// and a shorter append fill the same lines again in fresh slots and the
+/// old range is flushed and torn by a crash. The flush must read the
+/// slots as they are now.
+#[test]
+fn an_append_record_does_not_outlive_a_crash_or_a_compaction() {
+    const L: usize = CACHE_LINE;
+    let write = |addr, len, salt| Op::Write { addr, len, salt };
+    let flush = |addr, len| Op::Flush { addr, len };
+    for cut in [
+        vec![Op::Crash { policy: 0, seed: 0 }],
+        vec![Op::Crash { policy: 1, seed: 0 }],
+        vec![Op::CrashFrontier { keep: u64::MAX }],
+        vec![write(2 * L, L, 4), flush(2 * L, L), Op::Fence],
+    ] {
+        for seed in 0..4 {
+            let mut script = vec![write(8 * L, 6 * L, 1)];
+            script.extend(cut.iter().cloned());
+            script.extend([
+                write(8 * L + 8, 16, 2),
+                write(9 * L, 5 * L, 3),
+                flush(8 * L, 6 * L),
+                Op::Crash { policy: 2, seed },
+            ]);
+            check_directed(&script);
+        }
+    }
+}

@@ -146,6 +146,19 @@ pub fn write_payload(blk: u64, seq: u64) -> [u8; BLOCK_SIZE] {
     buf
 }
 
+/// [`write_payload`] built straight into the buffer a transaction owns:
+/// the 16-byte pair, doubled in place up to the block, with no zero-fill
+/// and no copy from the stack.
+fn boxed_payload(blk: u64, seq: u64) -> Box<[u8; BLOCK_SIZE]> {
+    let mut pair = [0u8; 16];
+    pair[..8].copy_from_slice(&blk.to_le_bytes());
+    pair[8..].copy_from_slice(&seq.to_le_bytes());
+    let block = pair.repeat(BLOCK_SIZE / pair.len()).into_boxed_slice();
+    block
+        .try_into()
+        .expect("BLOCK_SIZE is a whole number of pairs")
+}
+
 /// Deterministic arrival stream: same spec + shard count ⇒ bit-identical
 /// sequence of `(at_ns, user, op)` on every run and platform.
 pub struct ArrivalStream {
@@ -315,7 +328,7 @@ impl OpenLoopServer for TincaServer<'_> {
             OpKind::Write { blks, seq } => {
                 let mut txn = self.pool.init_txn();
                 for &b in blks {
-                    txn.write(b, &write_payload(b, *seq));
+                    txn.stage_owned(b, boxed_payload(b, *seq));
                 }
                 self.pool.commit(txn).map_err(|e| e.to_string())?;
             }
@@ -560,10 +573,11 @@ impl<S: OpenLoopServer> OpenLoopDriver<S> {
         let c = self.server.concurrency(s);
         self.server.advance_to(s, at);
         let start = self.server.now_ns(s);
-        self.current = Some(a.clone());
+        let a = self.current.insert(a);
         self.server
             .serve(&a.kind)
             .expect("open-loop workloads run fault-free");
+        let is_read = matches!(a.kind, OpKind::Read { .. });
         self.current = None;
         let done = self.server.now_ns(s);
         let service_ns = done - start;
@@ -592,9 +606,10 @@ impl<S: OpenLoopServer> OpenLoopDriver<S> {
 
         let latency_ns = queue_wait_ns + service_ns;
         self.completed += 1;
-        match a.kind {
-            OpKind::Read { .. } => self.reads += 1,
-            OpKind::Write { .. } => self.writes += 1,
+        if is_read {
+            self.reads += 1;
+        } else {
+            self.writes += 1;
         }
         self.max_done_ns = self.max_done_ns.max(done).max(done_model);
         self.latency.record(latency_ns);
